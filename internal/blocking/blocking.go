@@ -133,14 +133,15 @@ func Build(store *scenario.Store, geom Geometry) *Index {
 				wi.runs = append(wi.runs, run{slot: s, ids: []scenario.ID{id}})
 			}
 			wi.sig.Add(int(s))
-			for _, e := range esc.SortedEIDs() {
+			//evlint:ignore maprange every append below goes to e's own entry, once per scenario; the order EIDs are visited within a scenario reaches no slice
+			for e, attr := range esc.EIDs {
 				ent := ix.eids[e]
 				if ent == nil {
 					ent = &eidEntry{}
 					ix.eids[e] = ent
 				}
 				ent.slots = append(ent.slots, s)
-				if esc.EIDs[e] == scenario.AttrInclusive {
+				if attr == scenario.AttrInclusive {
 					if n := len(ent.postWins); n == 0 || ent.postWins[n-1] != w {
 						ent.postWins = append(ent.postWins, w)
 						ent.postOff = append(ent.postOff, len(ent.postings))

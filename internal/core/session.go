@@ -108,7 +108,7 @@ func (s *Session) Match(ctx context.Context) (map[ids.EID]vfilter.Result, error)
 		lists[e] = s.m.padToUnique(e, pos, windows)
 	}
 	out := make(map[ids.EID]vfilter.Result, len(s.targets))
-	exclude := make(map[ids.VID]bool)
+	exclude := s.filter.NewExclusion()
 	for _, e := range s.p.PostOrder() {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("core: session match: %w", err)
@@ -123,7 +123,7 @@ func (s *Session) Match(ctx context.Context) (map[ids.EID]vfilter.Result, error)
 		}
 		out[e] = res
 		if res.VID != ids.NoVID && res.Acceptable {
-			exclude[res.VID] = true
+			exclude.Add(res.VID)
 		}
 	}
 	return out, nil

@@ -25,7 +25,7 @@ func (m *Matcher) matchSS(ctx context.Context, targets []ids.EID, filter *vfilte
 		PerEID:    make(map[ids.EID]int, len(targets)),
 	}
 	selected := make(map[scenario.ID]bool)
-	accepted := make(map[ids.VID]bool)
+	accepted := filter.NewExclusion()
 	pending := targets
 
 	for round := 0; ; round++ {
@@ -61,7 +61,7 @@ func (m *Matcher) matchSS(ctx context.Context, targets []ids.EID, filter *vfilte
 			res := results[e]
 			rep.Results[e] = res
 			if res.VID != ids.NoVID && res.Acceptable {
-				accepted[res.VID] = true
+				accepted.Add(res.VID)
 			} else {
 				unresolved = append(unresolved, e)
 			}
@@ -237,11 +237,16 @@ func padToUnique(store *scenario.Store, ix *blocking.Index, e ids.EID, list []sc
 	// — a vague sighting still means "possibly there", so in the practical
 	// setting lists grow longer before trajectories become unique, exactly
 	// the slowdown Theorem 4.4 prices in. The set only shrinks, so it lives
-	// in one sorted slice filtered in place per scenario.
+	// in one slice filtered in place per scenario; only its size is ever
+	// read, so its order is whatever the first scenario's map gave.
 	var cands []ids.EID
 	narrow := func(s *scenario.EScenario) {
 		if cands == nil {
-			cands = s.SortedEIDs()
+			cands = make([]ids.EID, 0, len(s.EIDs))
+			//evlint:ignore maprange seeds a set that is only filtered and counted; its order is never observed
+			for e := range s.EIDs {
+				cands = append(cands, e)
+			}
 			return
 		}
 		if len(cands) == 1 {
@@ -299,7 +304,7 @@ func padToUnique(store *scenario.Store, ix *blocking.Index, e ids.EID, list []sc
 // extracted per scenario and compared per EID across mappers, then a
 // sequential fixup resolves VIDs claimed by multiple EIDs (keep the
 // higher-probability claim, re-match the rest with exclusions).
-func (m *Matcher) vStage(ctx context.Context, filter *vfilter.Filter, p *partition.Partition, lists map[ids.EID][]scenario.ID, accepted map[ids.VID]bool) (map[ids.EID]vfilter.Result, error) {
+func (m *Matcher) vStage(ctx context.Context, filter *vfilter.Filter, p *partition.Partition, lists map[ids.EID][]scenario.ID, accepted *vfilter.Exclusion) (map[ids.EID]vfilter.Result, error) {
 	order := make([]ids.EID, 0, len(lists))
 	for _, e := range p.PostOrder() {
 		if _, ok := lists[e]; ok {
@@ -309,7 +314,7 @@ func (m *Matcher) vStage(ctx context.Context, filter *vfilter.Filter, p *partiti
 	out := make(map[ids.EID]vfilter.Result, len(order))
 
 	if m.opts.Mode == ModeSerial {
-		exclude := cloneVIDSet(accepted)
+		exclude := accepted.Clone()
 		for _, e := range order {
 			if err := ctx.Err(); err != nil {
 				return nil, fmt.Errorf("core: v stage: %w", err)
@@ -320,7 +325,7 @@ func (m *Matcher) vStage(ctx context.Context, filter *vfilter.Filter, p *partiti
 			}
 			out[e] = res
 			if res.VID != ids.NoVID && res.Acceptable {
-				exclude[res.VID] = true
+				exclude.Add(res.VID)
 			}
 		}
 		return out, nil
@@ -345,7 +350,9 @@ func (m *Matcher) vStage(ctx context.Context, filter *vfilter.Filter, p *partiti
 		mrjobs.BatchFor(len(extractList), workers, m.opts.BatchSize)); err != nil {
 		return nil, err
 	}
-	results, err := mrjobs.MatchAssignments(ctx, exec, filter, assignments, cloneVIDSet(accepted),
+	// The job gets its own copy: a straggling map attempt may still be
+	// reading it after the job returns and accepted moves on.
+	results, err := mrjobs.MatchAssignments(ctx, exec, filter, assignments, accepted.Clone(),
 		mrjobs.BatchFor(len(assignments), workers, m.opts.BatchSize))
 	if err != nil {
 		return nil, err
@@ -373,9 +380,9 @@ func (m *Matcher) vStage(ctx context.Context, filter *vfilter.Filter, p *partiti
 		}
 	}
 	if len(losers) > 0 {
-		exclude := cloneVIDSet(accepted)
+		exclude := accepted.Clone()
 		for _, vid := range ids.SortedVIDKeys(winner) {
-			exclude[vid] = true
+			exclude.Add(vid)
 		}
 		for _, e := range losers {
 			res, err := filter.Match(e, lists[e], exclude)
@@ -386,7 +393,7 @@ func (m *Matcher) vStage(ctx context.Context, filter *vfilter.Filter, p *partiti
 			if res.VID != ids.NoVID {
 				if _, taken := winner[res.VID]; !taken {
 					winner[res.VID] = e
-					exclude[res.VID] = true
+					exclude.Add(res.VID)
 				} else {
 					// Still contended: leave unmatched for refining.
 					res.VID = ids.NoVID
@@ -416,13 +423,4 @@ func eidSetsEqual(a, b [][]ids.EID) bool {
 		}
 	}
 	return true
-}
-
-func cloneVIDSet(in map[ids.VID]bool) map[ids.VID]bool {
-	out := make(map[ids.VID]bool, len(in))
-	//evlint:ignore maprange pure set copy; the resulting map is identical under any iteration order
-	for v := range in {
-		out[v] = true
-	}
-	return out
 }

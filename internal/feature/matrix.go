@@ -63,58 +63,141 @@ func (m *Matrix) Row(i int) Vector {
 const maxSimClampSq = 4.0
 
 // MaxSim returns max over the matrix rows of Sim(rep, row) — the
-// max_d sim(v, d) term of the paper's Equation 1 — as a single batched
-// kernel. It is bit-identical to folding Sim over the rows with a
-// "greater-than" max (sqrt is monotone and correctly rounded, so comparing
-// squared distances picks the same row set, and the final similarity is
-// computed with exactly Dist's operations). The inner loop is 4-way unrolled
-// with a single accumulator (preserving Dist's addition order) and exits a
-// row early once its running squared distance can no longer beat the best.
-// An empty matrix yields 0, like a max over no similarities.
-//
-// Kernel contract: len(rep) must equal m.Dim(); dimensions are validated
-// when the matrix and representative are built, so a mismatch here is a
-// programming error and panics.
+// max_d sim(v, d) term of the paper's Equation 1. It is MaxSimBatch for one
+// representative and no seed. An empty matrix yields 0, like a max over no
+// similarities.
 func MaxSim(rep Vector, m *Matrix) float64 {
+	var out [1]float64
+	MaxSimBatch(rep, m, nil, out[:])
+	return out[0]
+}
+
+// MaxSimBatch is the V-stage kernel: for every representative r of the
+// row-major slab reps (len(out) vectors of m.Dim() components) it writes
+// out[r] = max over the matrix rows of Sim(rep_r, row).
+//
+// Every result is bit-identical to folding Sim over the rows with a
+// "greater-than" max. Each (rep, row) pair has its own accumulator, summed in
+// index order, so a pair that runs to completion holds exactly the squared
+// distance Dist computes; sqrt is monotone and correctly rounded, so the
+// smallest squared distance belongs to the most similar row; and a minimum
+// over a set does not depend on the order the set is visited in. Pairs are
+// abandoned only once their partial sum — which can only grow — has reached
+// a bound that some completed pair already attained, so an abandoned row
+// could not have lowered the minimum; a bound that is stale (higher than the
+// best so far) only delays abandonment.
+//
+// Rows are visited in tiles of four pairs whose accumulators advance
+// together, so four floating-point add chains overlap instead of one
+// serialising the loop; a tile is dropped as soon as all four have reached
+// the bound.
+//
+// seeds is nil or holds one entry per representative: a row index evaluated
+// in full before any tile, or a negative value for none. Seeding with the
+// row most likely to be nearest — in vfilter, the candidate's own detection
+// in the scenario — sets the bound so that almost every other row leaves in
+// its first tile step. Any row is a valid seed; it only changes the cost.
+//
+// Kernel contract: len(reps) == len(out)*m.Dim(), seeds is nil or
+// len(seeds) == len(out), and every non-negative seed is a row of m.
+// Dimensions are validated when the matrix and representatives are built, so
+// a violation here is a programming error and panics.
+func MaxSimBatch(reps []float64, m *Matrix, seeds []int32, out []float64) {
 	dim := m.dim
-	if len(rep) != dim {
-		panic(fmt.Sprintf("feature: MaxSim rep dim %d vs matrix dim %d", len(rep), dim))
+	if len(reps) != len(out)*dim {
+		panic(fmt.Sprintf("feature: MaxSimBatch %d rep components for %d reps of dim %d", len(reps), len(out), dim))
 	}
-	rep = rep[:dim] // bounds-check hint: len(rep) == dim from here on
-	minSq := maxSimClampSq
-	for base := 0; base < len(m.data); base += dim {
-		row := m.data[base : base+dim : base+dim]
-		var s float64
-		i := 0
-		for ; i+4 <= dim; i += 4 {
-			d0 := rep[i] - row[i]
-			s += d0 * d0
-			d1 := rep[i+1] - row[i+1]
-			s += d1 * d1
-			d2 := rep[i+2] - row[i+2]
-			s += d2 * d2
-			d3 := rep[i+3] - row[i+3]
-			s += d3 * d3
-			if s >= minSq {
-				break // the sum only grows; this row cannot win
+	if seeds != nil && len(seeds) != len(out) {
+		panic(fmt.Sprintf("feature: MaxSimBatch %d seeds for %d reps", len(seeds), len(out)))
+	}
+	rows := m.Rows()
+	for r := range out {
+		rep := reps[r*dim : (r+1)*dim : (r+1)*dim]
+		minSq := maxSimClampSq
+		// The seed row splits the scan into the rows before and after it;
+		// without a seed the first range is the whole matrix.
+		seed := rows
+		if seeds != nil && seeds[r] >= 0 {
+			seed = int(seeds[r])
+			var s float64
+			for i, x := range m.data[seed*dim : (seed+1)*dim] {
+				d := rep[i] - x
+				s += d * d
+			}
+			if s < minSq {
+				minSq = s
 			}
 		}
-		if s >= minSq {
-			continue
+		minSq = minSqRows(rep, m.data, 0, seed, minSq)
+		minSq = minSqRows(rep, m.data, seed+1, rows, minSq)
+		d := math.Sqrt(minSq) / 2
+		if d > 1 {
+			d = 1
+		}
+		out[r] = 1 - d
+	}
+}
+
+// minSqRows returns the smaller of bound and the least squared distance from
+// rep to rows [lo, hi) of the row-major data, visiting the rows in tiles of
+// four (see MaxSimBatch). A short last tile repeats its final row: the
+// repeats are redundant work on an otherwise idle add chain, and a repeated
+// element cannot change a minimum.
+func minSqRows(rep, data []float64, lo, hi int, bound float64) float64 {
+	dim := len(rep)
+	last := hi - 1
+tiles:
+	for j := lo; j < hi; j += 4 {
+		o0, o1, o2, o3 := j*dim, min(j+1, last)*dim, min(j+2, last)*dim, min(j+3, last)*dim
+		r0 := data[o0 : o0+dim : o0+dim]
+		r1 := data[o1 : o1+dim : o1+dim]
+		r2 := data[o2 : o2+dim : o2+dim]
+		r3 := data[o3 : o3+dim : o3+dim]
+		var s0, s1, s2, s3 float64
+		i := 0
+		for ; i+4 <= dim; i += 4 {
+			for k := i; k < i+4; k++ {
+				x := rep[k]
+				d0 := x - r0[k]
+				s0 += d0 * d0
+				d1 := x - r1[k]
+				s1 += d1 * d1
+				d2 := x - r2[k]
+				s2 += d2 * d2
+				d3 := x - r3[k]
+				s3 += d3 * d3
+			}
+			if s0 >= bound && s1 >= bound && s2 >= bound && s3 >= bound {
+				continue tiles // the sums only grow; no row of this tile can win
+			}
 		}
 		for ; i < dim; i++ {
-			d := rep[i] - row[i]
-			s += d * d
+			x := rep[i]
+			d0 := x - r0[i]
+			s0 += d0 * d0
+			d1 := x - r1[i]
+			s1 += d1 * d1
+			d2 := x - r2[i]
+			s2 += d2 * d2
+			d3 := x - r3[i]
+			s3 += d3 * d3
 		}
-		if s < minSq {
-			minSq = s
+		// Comparisons, not min(): a NaN distance must lose, as it does in
+		// the Sim fold.
+		if s0 < bound {
+			bound = s0
+		}
+		if s1 < bound {
+			bound = s1
+		}
+		if s2 < bound {
+			bound = s2
+		}
+		if s3 < bound {
+			bound = s3
 		}
 	}
-	d := math.Sqrt(minSq) / 2
-	if d > 1 {
-		d = 1
-	}
-	return 1 - d
+	return bound
 }
 
 // MeanAccum is an allocation-free running-mean accumulator over unit

@@ -24,6 +24,23 @@ func refMaxSim(t *testing.T, rep Vector, rows []Vector) float64 {
 	return best
 }
 
+// matrixOf packs rows into a matrix; no rows make an empty matrix of dim.
+func matrixOf(t *testing.T, rows []Vector, dim int) *Matrix {
+	t.Helper()
+	if len(rows) == 0 {
+		m, err := NewMatrix(dim, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	m, err := MatrixFrom(rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
 // randomRows draws rows at a mix of scales so the sweep covers near-duplicate
 // vectors, ordinary unit vectors, and far vectors whose normalized distance
 // clamps at 1 (similarity 0).
@@ -55,22 +72,118 @@ func TestMaxSimBitIdentical(t *testing.T) {
 		dim := 2 + rng.Intn(70) // covers non-multiples of 4
 		rows := randomRows(rng, dim, rng.Intn(12))
 		rep := randomRows(rng, dim, 1)[0]
-		var m *Matrix
-		var err error
-		if len(rows) == 0 {
-			m, err = NewMatrix(dim, 0)
-		} else {
-			m, err = MatrixFrom(rows)
-		}
-		if err != nil {
-			return false
-		}
-		got := MaxSim(rep, m)
+		got := MaxSim(rep, matrixOf(t, rows, dim))
 		want := refMaxSim(t, rep, rows)
 		return math.Float64bits(got) == math.Float64bits(want)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// batchAgainstRef runs MaxSimBatch over the reps with the given seeds and
+// reports the first representative whose result differs in any bit from the
+// reference fold.
+func batchAgainstRef(t *testing.T, reps, rows []Vector, dim int, seeds []int32) (int, bool) {
+	t.Helper()
+	slab := make([]float64, 0, len(reps)*dim)
+	for _, r := range reps {
+		slab = append(slab, r...)
+	}
+	out := make([]float64, len(reps))
+	MaxSimBatch(slab, matrixOf(t, rows, dim), seeds, out)
+	for r, rep := range reps {
+		if math.Float64bits(out[r]) != math.Float64bits(refMaxSim(t, rep, rows)) {
+			return r, false
+		}
+	}
+	return 0, true
+}
+
+// TestMaxSimBatchBitIdentical holds the batched kernel to the reference fold
+// over everything that shapes its control flow: dimensions below and off the
+// chunk width, row counts around the tile width (so the seed splits the scan
+// into ranges with every remainder), and per-representative seeds that are
+// absent, the nearest row, some other row, or one of several identical rows.
+func TestMaxSimBatchBitIdentical(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		dim := 1 + rng.Intn(9) // dim < 4 and dim % 4 != 0 included
+		if rng.Intn(3) == 0 {
+			dim = 60 + rng.Intn(9)
+		}
+		rows := randomRows(rng, dim, rng.Intn(10))
+		for i := range rows {
+			if i > 0 && rng.Intn(4) == 0 {
+				rows[i] = rows[rng.Intn(i)] // duplicated rows: exact ties
+			}
+		}
+		reps := randomRows(rng, dim, 1+rng.Intn(6))
+		for i := range reps {
+			if len(rows) > 0 && rng.Intn(2) == 0 {
+				// A sighted candidate: close to, or exactly, one of the rows.
+				reps[i] = rows[rng.Intn(len(rows))].Clone()
+				if rng.Intn(2) == 0 {
+					reps[i][rng.Intn(dim)] += 1e-3
+				}
+			}
+		}
+		var seeds []int32
+		if rng.Intn(4) > 0 {
+			seeds = make([]int32, len(reps))
+			for i := range seeds {
+				seeds[i] = -1
+				if len(rows) > 0 && rng.Intn(3) > 0 {
+					seeds[i] = int32(rng.Intn(len(rows)))
+				}
+			}
+		}
+		r, ok := batchAgainstRef(t, reps, rows, dim, seeds)
+		if !ok {
+			t.Logf("seed %d: dim %d, %d rows, seeds %v: rep %d differs", seed, dim, len(rows), seeds, r)
+		}
+		return ok
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestMaxSimBatchAllClamped: when every row is past the clamp no pair ever
+// lowers the bound, seeded or not, and the result is the reference's 0.
+func TestMaxSimBatchAllClamped(t *testing.T) {
+	rows := []Vector{{9, 9, 9}, {-7, 5, 3}, {4, -8, 1}, {6, 6, -6}, {-9, 0, 9}}
+	reps := []Vector{{1, 0, 0}, {0, 1, 0}}
+	if ref := refMaxSim(t, reps[0], rows); ref != 0 {
+		t.Fatalf("reference over clamped rows = %v, want 0", ref)
+	}
+	for _, seeds := range [][]int32{nil, {-1, -1}, {0, 4}, {2, 2}} {
+		if r, ok := batchAgainstRef(t, reps, rows, 3, seeds); !ok {
+			t.Errorf("seeds %v: rep %d differs from the reference", seeds, r)
+		}
+	}
+}
+
+// TestMaxSimBatchContractPanics: slab, seed-slice and seed-index violations
+// are programming errors and must not read out of bounds silently.
+func TestMaxSimBatchContractPanics(t *testing.T) {
+	m, err := MatrixFrom([]Vector{{1, 2, 3}, {4, 5, 6}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, fn := range map[string]func(){
+		"slab length":  func() { MaxSimBatch(make([]float64, 5), m, nil, make([]float64, 2)) },
+		"seeds length": func() { MaxSimBatch(make([]float64, 6), m, []int32{0}, make([]float64, 2)) },
+		"seed row":     func() { MaxSimBatch(make([]float64, 3), m, []int32{2}, make([]float64, 1)) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: want panic", name)
+				}
+			}()
+			fn()
+		}()
 	}
 }
 
@@ -203,12 +316,12 @@ func TestMeanAccumReuseAcrossReset(t *testing.T) {
 }
 
 func TestMeanAccumPanics(t *testing.T) {
-	var acc MeanAccum
-	acc.Reset(3)
-	for name, fn := range map[string]func(){
-		"dim mismatch on Add":  func() { acc.Add(Vector{1, 2}) },
-		"empty mean":           func() { acc.MeanInto(make(Vector, 3)) },
-		"dst mismatch on Mean": func() { acc.Add(Vector{1, 2, 3}); acc.MeanInto(make(Vector, 2)) },
+	// A fresh accumulator per case: the cases run in map order, and the last
+	// one leaves a vector behind that would keep "empty mean" from panicking.
+	for name, fn := range map[string]func(acc *MeanAccum){
+		"dim mismatch on Add":  func(acc *MeanAccum) { acc.Add(Vector{1, 2}) },
+		"empty mean":           func(acc *MeanAccum) { acc.MeanInto(make(Vector, 3)) },
+		"dst mismatch on Mean": func(acc *MeanAccum) { acc.Add(Vector{1, 2, 3}); acc.MeanInto(make(Vector, 2)) },
 	} {
 		func() {
 			defer func() {
@@ -216,7 +329,9 @@ func TestMeanAccumPanics(t *testing.T) {
 					t.Errorf("%s: want panic", name)
 				}
 			}()
-			fn()
+			var acc MeanAccum
+			acc.Reset(3)
+			fn(&acc)
 		}()
 	}
 }
@@ -250,12 +365,16 @@ func TestExtractIntoBitIdentical(t *testing.T) {
 	}
 }
 
-// BenchmarkMaxSimMatrix measures the batched kernel over a scenario-sized
-// matrix: the same work BenchmarkSim does per pair, but amortized across rows
-// with one dimension check and no error returns.
+// BenchmarkMaxSimMatrix measures the kernel in the two situations a match
+// puts it in, over one paper-density scenario (60 isotropic rows of dim 64).
+// present: the representative is a noisy copy of one row — a candidate the
+// scenario sights — scored with that row as the seed, as vfilter.Match does,
+// and without it. absent: the representative is unrelated to every row, so
+// the bound stays loose and most pairs run most of their length. ns/op is per
+// (representative, scenario) pair; a match pays a mix of the two.
 func BenchmarkMaxSimMatrix(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
-	const dim, rows = 64, 16
+	const dim, rows, own = 64, 60, 37
 	vs := make([]Vector, rows)
 	for i := range vs {
 		vs[i] = randomUnit(rng, dim)
@@ -264,11 +383,24 @@ func BenchmarkMaxSimMatrix(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	rep := randomUnit(rng, dim)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MaxSim(rep, m)
+	present := Perturb(vs[own], 0.02, rng)
+	absent := randomUnit(rng, dim)
+	out := make([]float64, 1)
+	for _, bc := range []struct {
+		name  string
+		rep   Vector
+		seeds []int32
+	}{
+		{"present/seed", present, []int32{own}},
+		{"present/noseed", present, nil},
+		{"absent", absent, nil},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				MaxSimBatch(bc.rep, m, bc.seeds, out)
+			}
+		})
 	}
 }
 

@@ -299,9 +299,11 @@ type Assignment struct {
 // MatchAssignments runs the parallel comparison stage: the V-Scenarios of
 // one EID's list are conveyed to the same mapper, and a mapper owns a
 // contiguous batch of EIDs so several comparisons amortize one task
-// dispatch. Exclusions (already-matched VIDs) apply to every mapper. Results
-// are keyed by EID. batchSize ≤ 0 means one EID per task.
-func MatchAssignments(ctx context.Context, exec mapreduce.Executor, f *vfilter.Filter, assignments []Assignment, exclude map[ids.VID]bool, batchSize int) (map[ids.EID]vfilter.Result, error) {
+// dispatch. The one exclusion set (already-matched VIDs, nil for none) is
+// shared read-only by every mapper; the caller must not Add to it while any
+// map attempt may still run. Results are keyed by EID. batchSize ≤ 0 means
+// one EID per task.
+func MatchAssignments(ctx context.Context, exec mapreduce.Executor, f *vfilter.Filter, assignments []Assignment, exclude *vfilter.Exclusion, batchSize int) (map[ids.EID]vfilter.Result, error) {
 	if len(assignments) == 0 {
 		return map[ids.EID]vfilter.Result{}, nil
 	}

@@ -253,7 +253,8 @@ func TestMatchAssignmentsRespectsExclusions(t *testing.T) {
 	w := newVWorld(t, 2)
 	list := []scenario.ID{w.add(t, 0, 0, 1), w.add(t, 1, 0, 1)}
 	f := newTestFilter(t, w)
-	exclude := map[ids.VID]bool{ids.VIDLabel(0): true}
+	exclude := f.NewExclusion()
+	exclude.Add(ids.VIDLabel(0))
 	results, err := MatchAssignments(context.Background(), mapreduce.SerialExecutor{}, f,
 		[]Assignment{{EID: "b", List: list}}, exclude, 0)
 	if err != nil {

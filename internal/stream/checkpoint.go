@@ -176,7 +176,8 @@ func bucketFromCheckpoint(cb ShardBucket) *bucket {
 	}
 	b.dets = append(make([]scenario.Detection, 0, len(cb.Dets)), cb.Dets...)
 	for i := range b.dets {
-		b.detSeen[detMergeKey(b.dets[i].VID, b.dets[i].TruePerson, &b.dets[i].Patch)] = true
+		b.keyBuf = appendDetKey(b.keyBuf[:0], b.dets[i].VID, b.dets[i].TruePerson, &b.dets[i].Patch)
+		b.detSeen[string(b.keyBuf)] = true
 	}
 	return b
 }
@@ -284,7 +285,7 @@ func (e *Engine) restoreCounters(cp *checkpointFile) {
 		e.resolved[eid] = true
 	}
 	for _, vid := range cp.Accepted {
-		e.accepted[vid] = true
+		e.accept(vid)
 	}
 }
 

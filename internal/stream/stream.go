@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 	"sync"
 
 	"evmatching/internal/blocking"
@@ -166,6 +167,7 @@ type bucket struct {
 	eids    map[ids.EID]scenario.Attr
 	dets    []scenario.Detection
 	detSeen map[string]bool
+	keyBuf  []byte // reused detection-key scratch; see appendDetKey
 }
 
 // newBucket creates an empty accumulation bucket.
@@ -183,9 +185,11 @@ func (b *bucket) absorb(o Observation) {
 			b.eids[o.EID] = o.Attr
 		}
 	case KindV:
-		key := detMergeKey(o.VID, o.Person, o.Patch)
-		if !b.detSeen[key] {
-			b.detSeen[key] = true
+		// The lookup converts in place; only a first sighting pays for a
+		// string.
+		b.keyBuf = appendDetKey(b.keyBuf[:0], o.VID, o.Person, o.Patch)
+		if !b.detSeen[string(b.keyBuf)] {
+			b.detSeen[string(b.keyBuf)] = true
 			b.dets = append(b.dets, scenario.Detection{VID: o.VID, Patch: *o.Patch, TruePerson: o.Person})
 		}
 	}
@@ -243,6 +247,9 @@ type Engine struct {
 	emitted  []Resolution
 	resolved map[ids.EID]bool // targets with an emitted resolution
 	accepted map[ids.VID]bool // acceptable VIDs ruled out for later matches
+	// exclusion mirrors accepted in the form filter.Match takes; accepted
+	// stays the checkpointed truth and Restore refills both through accept.
+	exclusion *vfilter.Exclusion
 
 	subs    map[int]chan Resolution
 	nextSub int
@@ -289,6 +296,7 @@ func (e *Engine) resetMatchState() error {
 		return err
 	}
 	e.filter = f
+	e.exclusion = f.NewExclusion()
 	if e.cfg.MemBudget > 0 {
 		if e.spillStats == nil {
 			e.spillStats = &spill.Stats{}
@@ -341,9 +349,18 @@ func (e *Engine) Ingest(o Observation) (bool, error) {
 	return true, nil
 }
 
-// detMergeKey is the full-identity deduplication key of a detection.
-func detMergeKey(vid ids.VID, person int, p *feature.Patch) string {
-	return fmt.Sprintf("%s\x00%d\x00%d\x00%d\x00%s", vid, person, p.W, p.H, p.Pix)
+// appendDetKey appends the full-identity deduplication key of a detection —
+// VID, person, patch width, height and pixels, NUL-separated — to buf.
+func appendDetKey(buf []byte, vid ids.VID, person int, p *feature.Patch) []byte {
+	buf = append(buf, vid...)
+	buf = append(buf, 0)
+	buf = strconv.AppendInt(buf, int64(person), 10)
+	buf = append(buf, 0)
+	buf = strconv.AppendInt(buf, int64(p.W), 10)
+	buf = append(buf, 0)
+	buf = strconv.AppendInt(buf, int64(p.H), 10)
+	buf = append(buf, 0)
+	return append(buf, p.Pix...)
 }
 
 // Watermark returns the current event-time watermark and whether any event
@@ -519,13 +536,13 @@ func (e *Engine) sweepResolutions() error {
 		if len(list) == 0 {
 			continue // no closed scenario mentions the EID yet; retry later
 		}
-		res, err := e.filter.Match(t, list, e.accepted)
+		res, err := e.filter.Match(t, list, e.exclusion)
 		if err != nil {
 			return err
 		}
 		e.resolved[t] = true
 		if res.VID != ids.NoVID && res.Acceptable {
-			e.accepted[res.VID] = true
+			e.accept(res.VID)
 		}
 		e.seq++
 		r := Resolution{
@@ -543,6 +560,12 @@ func (e *Engine) sweepResolutions() error {
 		e.broadcast(r)
 	}
 	return nil
+}
+
+// accept rules vid out of every later match. Callers hold e.mu.
+func (e *Engine) accept(vid ids.VID) {
+	e.accepted[vid] = true
+	e.exclusion.Add(vid)
 }
 
 // broadcast delivers r to every subscriber, dropping on full buffers so a

@@ -4,11 +4,13 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
 	"testing"
 	"time"
 
 	"evmatching/internal/core"
 	"evmatching/internal/dataset"
+	"evmatching/internal/feature"
 	"evmatching/internal/ids"
 	"evmatching/internal/metrics"
 )
@@ -279,5 +281,32 @@ func TestStreamGauges(t *testing.T) {
 	}
 	if r := reg.Get("block_prune_ratio"); r < 0 || r > 100 {
 		t.Errorf("block_prune_ratio = %d out of [0,100]", r)
+	}
+}
+
+// TestDetKeyBytes pins the detection dedup key to the bytes the formatted key
+// always had, and a repeated detection to an allocation-free lookup.
+func TestDetKeyBytes(t *testing.T) {
+	for _, c := range []struct {
+		vid    ids.VID
+		person int
+		patch  feature.Patch
+	}{
+		{"V00012", 12, feature.Patch{W: 8, H: 4, Pix: []byte{0, 1, 255, '%', 's'}}},
+		{"", -1, feature.Patch{}},
+	} {
+		want := fmt.Sprintf("%s\x00%d\x00%d\x00%d\x00%s", c.vid, c.person, c.patch.W, c.patch.H, c.patch.Pix)
+		if got := string(appendDetKey(nil, c.vid, c.person, &c.patch)); got != want {
+			t.Errorf("key %q, want %q", got, want)
+		}
+	}
+	b := newBucket()
+	o := Observation{Kind: KindV, VID: "V00012", Person: 12, Patch: &feature.Patch{W: 2, H: 2, Pix: []byte{1, 2, 3, 4}}}
+	b.absorb(o)
+	if allocs := testing.AllocsPerRun(100, func() { b.absorb(o) }); allocs != 0 {
+		t.Errorf("absorbing a repeated detection allocates %v times", allocs)
+	}
+	if len(b.dets) != 1 {
+		t.Errorf("%d detections after repeats, want 1", len(b.dets))
 	}
 }

@@ -11,12 +11,15 @@
 // features live in one contiguous feature.Matrix (extracted in place, row by
 // row), candidate masks are bitset-backed dense tables over the Filter's
 // interned VID ordinals, per-candidate state is slice-indexed scratch
-// recycled through a sync.Pool, and per-candidate scoring runs the batched
-// feature.MaxSim kernel. Candidates are census-pruned before any feature
+// recycled through a sync.Pool, and scoring makes one feature.MaxSimBatch
+// call per scenario over all surviving candidates, each seeded with its own
+// detection in that scenario. Candidates are census-pruned before any feature
 // accumulation, so the expensive per-candidate work (running means, MaxSim)
-// only touches the VIDs that can still win the vote. Work counters are
-// atomics so concurrent Match calls share the extraction cache without
-// contending on a stats lock.
+// only touches the VIDs that can still win the vote. Already-matched VIDs
+// arrive as an Exclusion — a bitset over the same ordinals, maintained by the
+// caller — so a Match over cached scenarios takes the Filter's mutex only to
+// look its scenarios up in the cache, never for exclusions or counters (work
+// counters and the ordinal count are atomics).
 package vfilter
 
 import (
@@ -105,6 +108,7 @@ type Filter struct {
 	// of hashing string VIDs. Ordinals are stable for the Filter's lifetime.
 	vidOrd   map[ids.VID]int32
 	vidByOrd []ids.VID
+	numVID   atomic.Int64 // len(vidByOrd), readable without mu
 
 	// matrixSource, when set, is consulted before extraction: if it returns
 	// a matrix for the scenario (e.g. reloaded from the spill tier), that
@@ -291,19 +295,72 @@ func (f *Filter) fill(entry *cacheEntry, v *scenario.VScenario, m *feature.Matri
 	ords := make([]int32, len(v.Detections))
 	f.mu.Lock()
 	for i := range v.Detections {
-		vid := v.Detections[i].VID
-		ord, ok := f.vidOrd[vid]
-		if !ok {
-			ord = int32(len(f.vidByOrd))
-			f.vidOrd[vid] = ord
-			f.vidByOrd = append(f.vidByOrd, vid)
-		}
-		ords[i] = ord
+		ords[i] = f.internLocked(v.Detections[i].VID)
 	}
 	f.mu.Unlock()
 	entry.ords = ords
 	f.scenariosProcessed.Add(1)
 	f.extractions.Add(int64(m.Rows()))
+}
+
+// internLocked returns vid's ordinal, assigning the next one on first sight.
+// Callers hold f.mu.
+func (f *Filter) internLocked(vid ids.VID) int32 {
+	ord, ok := f.vidOrd[vid]
+	if !ok {
+		ord = int32(len(f.vidByOrd))
+		f.vidOrd[vid] = ord
+		f.vidByOrd = append(f.vidByOrd, vid)
+		f.numVID.Store(int64(len(f.vidByOrd)))
+	}
+	return ord
+}
+
+// Exclusion is a set of VIDs ruled out of a Match — the already-matched VIDs
+// of Theorem 4.1 — held as a bitset over its Filter's interned VID ordinals,
+// so Match tests membership with one word load per detection instead of
+// re-hashing a VID set on every call. It is the caller's running state: the
+// serial V stage Adds each accepted VID and hands the same Exclusion to the
+// next Match.
+//
+// An Exclusion is not synchronized. Any number of concurrent Match calls may
+// share one that nobody is adding to; Add must not run concurrently with
+// another Add, a Clone, or a Match reading it.
+type Exclusion struct {
+	f    *Filter
+	bits bitset.Set
+}
+
+// NewExclusion returns an empty exclusion set for Match calls on f.
+func (f *Filter) NewExclusion() *Exclusion { return &Exclusion{f: f} }
+
+// Add rules vid out. A VID the Filter has not extracted yet is interned on
+// the spot, so the exclusion already holds when a later scenario first
+// sights it.
+func (x *Exclusion) Add(vid ids.VID) {
+	x.f.mu.Lock()
+	ord := int(x.f.internLocked(vid))
+	x.f.mu.Unlock()
+	for len(x.bits)*64 <= ord {
+		x.bits = append(x.bits, 0)
+	}
+	x.bits.Add(ord)
+}
+
+// Clone returns an independent copy of x.
+func (x *Exclusion) Clone() *Exclusion {
+	return &Exclusion{f: x.f, bits: x.bits.Clone()}
+}
+
+// has reports whether the VID with ordinal ord is excluded. The set covers
+// only the ordinals that existed at its last Add, so any ordinal beyond it —
+// like every ordinal of a nil Exclusion — is simply not excluded.
+func (x *Exclusion) has(ord int32) bool {
+	if x == nil {
+		return false
+	}
+	w := int(ord >> 6)
+	return w < len(x.bits) && x.bits[w]&(1<<(uint(ord)&63)) != 0
 }
 
 // Prime installs a pre-extracted feature matrix for the V-Scenario with the
@@ -350,9 +407,9 @@ type scan struct {
 }
 
 // scratch is the per-Match working state, recycled through Filter.pool. The
-// candidate census runs over dense ordinal-indexed tables: bitset masks for
-// exclusion and pruning survival plus presence counters, all sized by the
-// Filter's VID intern table. Only candidates surviving the census get slots
+// candidate census runs over dense ordinal-indexed tables: a bitset mask for
+// pruning survival plus presence counters, all sized by the Filter's VID
+// intern table. Only candidates surviving the census get slots
 // (numbered by discovery order); every per-candidate quantity lives in a
 // slot-indexed slice, so the hot loops touch no map at all.
 type scratch struct {
@@ -360,7 +417,6 @@ type scratch struct {
 	xbuf  feature.ExtractBuf // extraction working storage, shared per batch
 
 	// Ordinal-indexed dense tables (grow-only; see ensureOrds).
-	excl      bitset.Set // VID ordinal → excluded from this Match
 	kept      bitset.Set // VID ordinal → survived trajectory pruning
 	presence  []int32    // VID ordinal → scenarios sighted in, this Match
 	seenScen  []int64    // VID ordinal → stamp of last scenario counted
@@ -377,6 +433,8 @@ type scratch struct {
 	prob     []float64
 	votes    []int
 	reps     []float64 // slot-major representative slab, nslots×dim
+	seeds    []int32   // slot → row of the slot's own detection in the scenario being scored, -1 when not sighted
+	sims     []float64 // slot → max similarity in the scenario being scored
 }
 
 // reset prepares the scratch for a Match over n scenarios. accs keeps its
@@ -408,8 +466,8 @@ func (s *scratch) reset(n int) {
 
 // ensureOrds sizes the ordinal-indexed tables for a Filter that has interned
 // numVID VIDs so far. The counter tables only grow (ordinals are stable for
-// the Filter's lifetime); the bitset masks are word-wise cleared for the new
-// Match, or reallocated when the ordinal universe outgrew them.
+// the Filter's lifetime); the kept mask is word-wise cleared for the new
+// Match, or reallocated when the ordinal universe outgrew it.
 func (s *scratch) ensureOrds(numVID int) {
 	for len(s.slotByOrd) < numVID {
 		s.slotByOrd = append(s.slotByOrd, -1)
@@ -419,11 +477,6 @@ func (s *scratch) ensureOrds(numVID int) {
 	}
 	for len(s.seenScen) < numVID {
 		s.seenScen = append(s.seenScen, 0)
-	}
-	if len(s.excl)*64 < numVID {
-		s.excl = bitset.New(numVID)
-	} else {
-		s.excl.Clear()
 	}
 	if len(s.kept)*64 < numVID {
 		s.kept = bitset.New(numVID)
@@ -455,10 +508,14 @@ func (s *scratch) rep(slot, dim int) feature.Vector {
 }
 
 // Match finds the VID for EID e among the V-Scenarios of the given list,
-// excluding already-matched VIDs (the rule-out of Theorem 4.1). The list is
-// the EID's positive scenario list from set splitting.
-func (f *Filter) Match(e ids.EID, list []scenario.ID, exclude map[ids.VID]bool) (Result, error) {
+// excluding already-matched VIDs (the rule-out of Theorem 4.1); a nil
+// Exclusion rules nothing out. The list is the EID's positive scenario list
+// from set splitting.
+func (f *Filter) Match(e ids.EID, list []scenario.ID, exclude *Exclusion) (Result, error) {
 	res := Result{EID: e, VID: ids.NoVID, PerScenario: make([]ids.VID, len(list))}
+	if exclude != nil && exclude.f != f {
+		return res, errors.New("vfilter: exclusion belongs to another filter")
+	}
 	if len(list) == 0 {
 		return res, nil
 	}
@@ -468,8 +525,7 @@ func (f *Filter) Match(e ids.EID, list []scenario.ID, exclude map[ids.VID]bool) 
 	s.reset(len(list))
 
 	// Gather per-scenario feature matrices first — extraction interns every
-	// detection's VID — then resolve the exclusion set to a dense ordinal
-	// bitset.
+	// detection's VID — then size the ordinal tables to cover them all.
 	for i, id := range list {
 		v, err := f.store.VChecked(id)
 		if err != nil {
@@ -488,20 +544,7 @@ func (f *Filter) Match(e ids.EID, list []scenario.ID, exclude map[ids.VID]bool) 
 			s.scans[i].ords = entry.ords
 		}
 	}
-	f.mu.Lock()
-	s.ensureOrds(len(f.vidByOrd))
-	//evlint:ignore maprange fills an ordinal-indexed membership mask; the mask is identical under any iteration order
-	for vid, on := range exclude {
-		if !on {
-			continue
-		}
-		// A VID the Filter has never interned cannot appear in any
-		// extracted scenario of this list; skipping it is exact.
-		if ord, ok := f.vidOrd[vid]; ok {
-			s.excl.Add(int(ord))
-		}
-	}
-	f.mu.Unlock()
+	s.ensureOrds(int(f.numVID.Load()))
 
 	// Candidate census: one pass over the detections counts, per VID
 	// ordinal, how many listed scenarios sight each non-excluded candidate.
@@ -519,7 +562,7 @@ func (f *Filter) Match(e ids.EID, list []scenario.ID, exclude map[ids.VID]bool) 
 		stamp := s.stamp
 		for d := range sc.v.Detections {
 			ord := sc.ords[d]
-			if s.excl.Has(int(ord)) || s.seenScen[ord] == stamp {
+			if exclude.has(ord) || s.seenScen[ord] == stamp {
 				continue
 			}
 			s.seenScen[ord] = stamp
@@ -598,16 +641,31 @@ func (f *Filter) Match(e ids.EID, list []scenario.ID, exclude map[ids.VID]bool) 
 		}
 		s.accs[slot].MeanInto(s.rep(slot, dim))
 	}
+	// One kernel call per scenario scores every candidate against it. A
+	// candidate the scenario sights is seeded with its own detection there:
+	// that row is almost always its nearest, so the kernel's bound is tight
+	// before it looks at anybody else's row.
+	s.seeds = slices.Grow(s.seeds[:0], s.slots())[:s.slots()]
+	s.sims = slices.Grow(s.sims[:0], s.slots())[:s.slots()]
 	var comparisons int64
 	for i := range s.scans {
 		sc := &s.scans[i]
 		if sc.v == nil || sc.m == nil || sc.m.Rows() == 0 {
 			continue
 		}
-		for _, slot := range s.order {
-			s.prob[slot] *= feature.MaxSim(s.rep(slot, dim), sc.m)
-			comparisons += int64(sc.m.Rows())
+		for slot := range s.seeds {
+			s.seeds[slot] = -1
 		}
+		for d, ord := range sc.ords {
+			if slot := s.slotByOrd[ord]; slot >= 0 {
+				s.seeds[slot] = int32(d)
+			}
+		}
+		feature.MaxSimBatch(s.reps, sc.m, s.seeds, s.sims)
+		for slot, sim := range s.sims {
+			s.prob[slot] *= sim
+		}
+		comparisons += int64(s.slots()) * int64(sc.m.Rows())
 	}
 	f.comparisons.Add(comparisons)
 

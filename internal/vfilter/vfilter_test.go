@@ -138,6 +138,15 @@ func TestMatchAcrossScenarios(t *testing.T) {
 	}
 }
 
+// excluding returns an Exclusion of f holding the given VIDs.
+func excluding(f *Filter, vids ...ids.VID) *Exclusion {
+	x := f.NewExclusion()
+	for _, vid := range vids {
+		x.Add(vid)
+	}
+	return x
+}
+
 func TestMatchRuleOut(t *testing.T) {
 	// Persons 0 and 1 travel together through every scenario: without
 	// rule-out the match is a coin flip; excluding person 0's VID forces 1.
@@ -147,8 +156,7 @@ func TestMatchRuleOut(t *testing.T) {
 		w.addScenario(t, 1, []int{0, 1}),
 	}
 	f := newFilter(t, w, 0.5)
-	exclude := map[ids.VID]bool{ids.VIDLabel(0): true}
-	res, err := f.Match(eidOf(1), list, exclude)
+	res, err := f.Match(eidOf(1), list, excluding(f, ids.VIDLabel(0)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +200,7 @@ func TestMatchPruningFallbackUnderHeavyMissing(t *testing.T) {
 		w.addScenario(t, 2, []int{0, 1}, 1),
 	}
 	f := newFilter(t, w, 0.5)
-	res, err := f.Match(eidOf(0), list, map[ids.VID]bool{ids.VIDLabel(1): true})
+	res, err := f.Match(eidOf(0), list, excluding(f, ids.VIDLabel(1)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +221,7 @@ func TestMatchEmptyListAndNoCandidates(t *testing.T) {
 	}
 	// A scenario whose only detection is excluded leaves no candidates.
 	id := w.addScenario(t, 0, []int{0})
-	res, err = f.Match(eidOf(0), []scenario.ID{id}, map[ids.VID]bool{ids.VIDLabel(0): true})
+	res, err = f.Match(eidOf(0), []scenario.ID{id}, excluding(f, ids.VIDLabel(0)))
 	if err != nil {
 		t.Fatal(err)
 	}
