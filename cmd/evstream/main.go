@@ -17,8 +17,8 @@
 // With -shards N > 0 the replay runs through the sharded router: N
 // concurrent per-cell-range windowers behind a cell-partitioning router,
 // producing the same resolutions and the same final fingerprint as the
-// unsharded engine (checkpoints are then written in the sharded v3 format;
-// both v2 and v3 images restore into any shard count).
+// unsharded engine (checkpoints then record the shard count; an engine's
+// image and a router's both restore into any shard count).
 //
 // With -shard-workers N > 0 the N shards run in separate evshardd worker
 // processes over net/rpc (DESIGN.md §15) instead of in-process goroutines:
@@ -170,8 +170,8 @@ func run(args []string, out io.Writer) error {
 	}
 
 	// Resume from the checkpoint when one exists; otherwise start fresh. With
-	// shards the processor is the sharded router, which restores both v2
-	// single-engine and v3 sharded images, redistributing buckets by cell.
+	// shards the processor is the sharded router, which restores an engine's
+	// image as well as a router's, redistributing buckets by cell.
 	rcfg := stream.RouterConfig{Config: cfg, Shards: nshards}
 	if sup != nil {
 		rcfg.Runner = sup
@@ -264,8 +264,8 @@ func run(args []string, out io.Writer) error {
 		if r, ok := e.(*stream.Router); ok {
 			red = r.Stats().SupervisorRedispatches
 		}
-		fmt.Fprintf(out, "shard workers: spawned=%d kills=%d redispatches=%d retries=%d fallbacks=%d\n",
-			st.Spawned, st.Kills, red, st.Retries, st.Fallbacks)
+		fmt.Fprintf(out, "shard workers: spawned=%d kills=%d redispatches=%d retries=%d fallbacks=%d wire_sent=%d wire_received=%d frames=%d\n",
+			st.Spawned, st.Kills, red, st.Retries, st.Fallbacks, st.WireBytesSent, st.WireBytesReceived, st.Frames)
 	}
 
 	if !*finalize {

@@ -170,8 +170,8 @@ func TestRunShardedReplayMatchesBatch(t *testing.T) {
 }
 
 // TestRunShardedCrashResume is the sharded crash drill, covering both
-// checkpoint-format transitions: a 3-shard run leaves a v3 image that a
-// 2-shard run resumes (resharding restore), and an unsharded run leaves a v2
+// checkpoint transitions: a 3-shard run leaves a router image that a 2-shard
+// run resumes (resharding restore), and an unsharded run leaves an engine
 // image that a 2-shard run upgrades — both finishing at the batch hash.
 func TestRunShardedCrashResume(t *testing.T) {
 	dir := t.TempDir()
@@ -179,8 +179,8 @@ func TestRunShardedCrashResume(t *testing.T) {
 	flag, targets := targetsFlag(ds, 12)
 	want := batchHash(t, ds, targets, 7)
 	for _, tc := range []struct{ name, firstShards string }{
-		{"v3-reshard", "3"},
-		{"v2-upgrade", "0"},
+		{"reshard-3-to-2", "3"},
+		{"engine-image-upgrade", "0"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ckpt := filepath.Join(dir, tc.name+".ckpt")

@@ -72,11 +72,18 @@ func BenchmarkStreamReplayRemoteShards(b *testing.B) {
 	}
 }
 
-// BenchmarkShardRPCSerialize prices one gob round-trip of a representative
+// BenchmarkShardRPCSerialize prices one frame round-trip of a representative
 // sealed-round ApplyReply — the per-emission wire cost inside the remote
 // replay numbers.
 func BenchmarkShardRPCSerialize(b *testing.B) {
 	shardRPCSerializeBench()(b)
+}
+
+// BenchmarkCheckpoint prices the checkpoint codec on the StreamReplay world:
+// encoding an unflushed engine's image, and restoring an engine from it.
+func BenchmarkCheckpoint(b *testing.B) {
+	b.Run("encode", checkpointBench(false))
+	b.Run("restore", checkpointBench(true))
 }
 
 // BenchmarkMatchSSBlocked is the asymptote gate for the spatiotemporal

@@ -10,6 +10,7 @@
 package benchsuite
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -204,6 +205,32 @@ func matchSSScaleBench(world func() (*dataset.Dataset, error), numTargets int, d
 	}
 }
 
+// streamReplayWorld is the world the stream benchmarks share: the dataset,
+// its flattened observation log, and an engine config over a 20-target
+// sample — so the unsharded, sharded, remote and checkpoint rows are
+// directly comparable.
+func streamReplayWorld(b *testing.B) (*dataset.Dataset, stream.Config, []stream.Observation) {
+	cfg := dataset.DefaultConfig()
+	cfg.NumPersons = 100
+	cfg.Density = 10
+	cfg.NumWindows = 12
+	ds, err := dataset.Generate(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	_, obs, err := stream.EventsFromDataset(ds, 1_000, 5)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return ds, stream.Config{
+		Targets:    ds.SampleEIDs(20, rand.New(rand.NewSource(5))),
+		WindowMS:   1_000,
+		LatenessMS: 250,
+		Dim:        ds.Config.DescriptorDim(),
+		Seed:       5,
+	}, obs
+}
+
 // streamReplayBench replays a flattened observation log through the
 // incremental stream engine and finalizes — the end-to-end cost of the
 // streaming path: event-time windowing, incremental split, early V stage,
@@ -211,25 +238,7 @@ func matchSSScaleBench(world func() (*dataset.Dataset, error), numTargets int, d
 // outside the timer; each iteration replays it through a fresh engine.
 func streamReplayBench() func(b *testing.B) {
 	return func(b *testing.B) {
-		cfg := dataset.DefaultConfig()
-		cfg.NumPersons = 100
-		cfg.Density = 10
-		cfg.NumWindows = 12
-		ds, err := dataset.Generate(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		_, obs, err := stream.EventsFromDataset(ds, 1_000, 5)
-		if err != nil {
-			b.Fatal(err)
-		}
-		scfg := stream.Config{
-			Targets:    ds.SampleEIDs(20, rand.New(rand.NewSource(5))),
-			WindowMS:   1_000,
-			LatenessMS: 250,
-			Dim:        ds.Config.DescriptorDim(),
-			Seed:       5,
-		}
+		ds, scfg, obs := streamReplayWorld(b)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -252,30 +261,44 @@ func streamReplayBench() func(b *testing.B) {
 	}
 }
 
-// streamReplayShardsWorkload builds the flattened log and engine config the
-// sharded replay benchmarks share — the same dataset family and target sample
-// as streamReplayBench, so the 1-shard entry is directly comparable with the
-// unsharded StreamReplay.
-func streamReplayShardsWorkload(b *testing.B) (stream.Config, []stream.Observation) {
-	cfg := dataset.DefaultConfig()
-	cfg.NumPersons = 100
-	cfg.Density = 10
-	cfg.NumWindows = 12
-	ds, err := dataset.Generate(cfg)
-	if err != nil {
-		b.Fatal(err)
+// checkpointBench prices the checkpoint codec on the StreamReplay world: the
+// log is replayed into an engine that is not flushed — closed scenarios and
+// open buckets both — outside the timer, and each iteration either encodes
+// its image into a reused buffer (Engine.Checkpoint) or rebuilds an engine
+// from it (stream.Restore, split replay included). checkpoint_bytes reports
+// the image size.
+func checkpointBench(restore bool) func(b *testing.B) {
+	return func(b *testing.B) {
+		_, scfg, obs := streamReplayWorld(b)
+		e, err := stream.NewEngine(scfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, o := range obs {
+			if _, err := e.Ingest(o); err != nil {
+				b.Fatal(err)
+			}
+		}
+		var image bytes.Buffer
+		if err := e.Checkpoint(&image); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if restore {
+				if _, err := stream.Restore(scfg, bytes.NewReader(image.Bytes())); err != nil {
+					b.Fatal(err)
+				}
+				continue
+			}
+			image.Reset()
+			if err := e.Checkpoint(&image); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(image.Len()), "checkpoint_bytes")
 	}
-	_, obs, err := stream.EventsFromDataset(ds, 1_000, 5)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return stream.Config{
-		Targets:    ds.SampleEIDs(20, rand.New(rand.NewSource(5))),
-		WindowMS:   1_000,
-		LatenessMS: 250,
-		Dim:        ds.Config.DescriptorDim(),
-		Seed:       5,
-	}, obs
 }
 
 // streamReplayShardsBench replays the log through an N-shard router, timing
@@ -285,7 +308,7 @@ func streamReplayShardsWorkload(b *testing.B) (stream.Config, []stream.Observati
 // and seal-time feature extraction.
 func streamReplayShardsBench(shards int) func(b *testing.B) {
 	return func(b *testing.B) {
-		scfg, obs := streamReplayShardsWorkload(b)
+		_, scfg, obs := streamReplayWorld(b)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -365,6 +388,8 @@ func benchmarks() []benchmark {
 		{"StreamReplayRemoteShards2", streamReplayRemoteShardsBench(2)},
 		{"StreamReplayRemoteShards4", streamReplayRemoteShardsBench(4)},
 		{"ShardRPCSerialize", shardRPCSerializeBench()},
+		{"CheckpointEncode", checkpointBench(false)},
+		{"CheckpointRestore", checkpointBench(true)},
 		{"Sim", func(b *testing.B) {
 			rng := rand.New(rand.NewSource(1))
 			x, y := randomUnit(rng, 64), randomUnit(rng, 64)

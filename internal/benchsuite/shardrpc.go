@@ -2,7 +2,6 @@ package benchsuite
 
 import (
 	"bytes"
-	"encoding/gob"
 	"fmt"
 	"math/rand"
 	"os"
@@ -38,8 +37,8 @@ func WorkerExitCode() int {
 // streamReplayRemoteShardsBench replays the sharded-stream workload through
 // N separate worker processes, timing ingest through Flush like
 // streamReplayShardsBench — so the delta against StreamReplayShards at the
-// same shard count is exactly the cross-process tax: gob serialization, rpc
-// round-trips, and supervisor bookkeeping. One supervisor is shared across
+// same shard count is exactly the cross-process tax: frame encode and decode,
+// rpc round-trips, and supervisor bookkeeping. One supervisor is shared across
 // all b.N iterations — Configure resets the hosted windower, so worker
 // processes are reused and process spawn is amortized out of the steady
 // state (the first iteration still pays it, as a real deployment would).
@@ -49,7 +48,7 @@ func streamReplayRemoteShardsBench(workers int) func(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		scfg, obs := streamReplayShardsWorkload(b)
+		_, scfg, obs := streamReplayWorld(b)
 		sup := shardrpc.NewSupervisor(shardrpc.SupervisorConfig{
 			Command: []string{exe},
 			Env:     []string{WorkerSentinelEnv + "=1"},
@@ -87,12 +86,11 @@ func streamReplayRemoteShardsBench(workers int) func(b *testing.B) {
 }
 
 // shardRPCSerializeBench isolates the wire cost the remote replays pay per
-// emission: a gob encode+decode round-trip of a representative ApplyReply —
-// one sealed round of four (window, cell) closures, eight detections and
-// eight EIDs each, with the extracted 64-dim feature matrix. This is an
-// upper bound on the steady-state cost (net/rpc reuses one gob stream per
-// connection, so type descriptors travel once, not per reply as here).
-// wire_bytes reports the encoded payload size.
+// emission: one frame encode plus decode, through the codec the connections
+// use, of a representative ApplyReply — one sealed round of four (window,
+// cell) closures, eight detections and eight EIDs each, with the extracted
+// 64-dim feature matrix. Encoder and decoder keep their buffers across
+// iterations, as a connection's do. wire_bytes reports the frame size.
 func shardRPCSerializeBench() func(b *testing.B) {
 	return func(b *testing.B) {
 		rng := rand.New(rand.NewSource(9))
@@ -119,21 +117,27 @@ func shardRPCSerializeBench() func(b *testing.B) {
 		reply := shardrpc.ApplyReply{Outs: []stream.ShardOut{{
 			Kind: stream.ShardOutRound, Round: 1, Target: 1, MaxTS: 1_000, Sealed: sealed,
 		}}}
-		var size int
+		var (
+			enc  shardrpc.FrameEncoder
+			wire bytes.Buffer
+			size int
+		)
+		dec := shardrpc.NewFrameDecoder(&wire, "worker")
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			var buf bytes.Buffer
-			if err := gob.NewEncoder(&buf).Encode(&reply); err != nil {
+			frame, err := enc.Encode(uint64(i), shardrpc.ServiceName+".Apply", "", &reply)
+			if err != nil {
 				b.Fatal(err)
 			}
-			size = buf.Len()
-			var dec shardrpc.ApplyReply
-			if err := gob.NewDecoder(&buf).Decode(&dec); err != nil {
+			size = len(frame)
+			wire.Write(frame)
+			var got shardrpc.ApplyReply
+			if _, _, _, err := dec.Decode(&got); err != nil {
 				b.Fatal(err)
 			}
-			if len(dec.Outs) != 1 {
-				b.Fatalf("round-trip lost emissions: got %d", len(dec.Outs))
+			if len(got.Outs) != 1 || len(got.Outs[0].Sealed) != len(sealed) {
+				b.Fatalf("round-trip lost emissions: got %d", len(got.Outs))
 			}
 		}
 		b.ReportMetric(float64(size), "wire_bytes")

@@ -47,17 +47,16 @@ func (c deadlineConn) Write(p []byte) (int, error) {
 	return c.Conn.Write(p)
 }
 
-// DialRPC dials a net/rpc peer with per-operation read/write deadlines and
-// a capped exponential backoff across dial attempts. A timeout poisons the
-// rpc.Client (every pending and future Call errors), which is the intended
-// failure mode: the caller treats the peer as dead and redials or
-// redispatches rather than blocking a close round indefinitely.
+// DialConn dials a TCP peer with per-operation read/write deadlines and a
+// capped exponential backoff across dial attempts — the connection seam
+// under DialRPC, exposed for callers that speak their own codec over it
+// (internal/shardrpc).
 //
 // The deadline applies to connection-level I/O, so it only suits
 // connections with steady traffic (heartbeats): an idle-but-healthy
 // connection would trip the read deadline once timeout passes without a
 // single byte from the peer.
-func DialRPC(addr string, timeout time.Duration, attempts int) (*rpc.Client, error) {
+func DialConn(addr string, timeout time.Duration, attempts int) (net.Conn, error) {
 	if timeout <= 0 {
 		timeout = DefaultRPCCallTimeout
 	}
@@ -79,7 +78,19 @@ func DialRPC(addr string, timeout time.Duration, attempts int) (*rpc.Client, err
 			lastErr = err
 			continue
 		}
-		return rpc.NewClient(deadlineConn{Conn: conn, timeout: timeout}), nil
+		return deadlineConn{Conn: conn, timeout: timeout}, nil
 	}
-	return nil, fmt.Errorf("cluster: dial rpc %s after %d attempts: %w", addr, attempts, lastErr)
+	return nil, fmt.Errorf("cluster: dial %s after %d attempts: %w", addr, attempts, lastErr)
+}
+
+// DialRPC is DialConn wrapped in a net/rpc client (the default gob codec). A
+// timeout poisons the rpc.Client (every pending and future Call errors),
+// which is the intended failure mode: the caller treats the peer as dead and
+// redials or redispatches rather than blocking a close round indefinitely.
+func DialRPC(addr string, timeout time.Duration, attempts int) (*rpc.Client, error) {
+	conn, err := DialConn(addr, timeout, attempts)
+	if err != nil {
+		return nil, err
+	}
+	return rpc.NewClient(conn), nil
 }

@@ -47,6 +47,24 @@ func MatrixFrom(vs []Vector) (*Matrix, error) {
 	return m, nil
 }
 
+// MatrixOf adopts data as the row-major storage of a matrix of dim-wide rows
+// — no copy: the matrix and the caller share the slice, so the caller must
+// not write to it afterwards. It is how a decoded float block becomes a
+// matrix (internal/stream's wire, checkpoint and spill codec).
+func MatrixOf(dim int, data []float64) (*Matrix, error) {
+	if dim < 1 {
+		return nil, fmt.Errorf("feature: matrix dim %d", dim)
+	}
+	if len(data)%dim != 0 {
+		return nil, fmt.Errorf("feature: %d values do not fill rows of dim %d", len(data), dim)
+	}
+	return &Matrix{dim: dim, data: data}, nil
+}
+
+// Data returns the matrix's row-major storage (not a copy): Rows()*Dim()
+// values, row i at [i*Dim(), (i+1)*Dim()).
+func (m *Matrix) Data() []float64 { return m.data }
+
 // Dim returns the vector dimensionality.
 func (m *Matrix) Dim() int { return m.dim }
 

@@ -2,9 +2,9 @@
 // It enforces the correctness disciplines the EV-Matching reproduction
 // depends on — deterministic iteration in result-affecting packages, error
 // wrapping, goroutine join discipline, seedable randomness, pooled-scratch
-// containment, consistent atomic access, lock balance, and deterministic gob
-// checkpoints — as named, individually testable analyzers built only on
-// go/ast, go/parser, and go/types.
+// containment, consistent atomic access, and lock balance — as named,
+// individually testable analyzers built only on go/ast, go/parser, and
+// go/types.
 //
 // A finding can be suppressed by annotating the offending line (or the line
 // directly above it) with
@@ -69,7 +69,7 @@ type Analyzer struct {
 }
 
 // Analyzers returns the full pass suite in its canonical order: the five
-// syntax-level analyzers of PR 1/5 first, then the four type-aware
+// syntax-level analyzers of PR 1/5 first, then the three type-aware
 // deep-analysis rules, each group in introduction order.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
@@ -81,7 +81,6 @@ func Analyzers() []*Analyzer {
 		PoolEscapeAnalyzer(),
 		AtomicMixAnalyzer(),
 		LockBalanceAnalyzer(),
-		GobDetAnalyzer(),
 	}
 }
 

@@ -25,9 +25,6 @@ var fixtureCases = []struct {
 	{"poolescape", "example.com/fixture/internal/pool"},
 	{"atomicmix", "example.com/fixture/internal/counters"},
 	{"lockbalance", "example.com/fixture/internal/locks"},
-	// gobdet is scoped to the checkpoint-writing packages; the fixture poses
-	// as internal/stream to be in range.
-	{"gobdet", "example.com/fixture/internal/stream"},
 }
 
 // lintFixture runs the full pass suite over testdata/src/<name> and renders
@@ -45,8 +42,8 @@ func lintFixture(t *testing.T, name, importPath string) string {
 		t.Errorf("fixture %s does not type-check: %v", name, te)
 	}
 	// Cross-reference positions inside messages (atomicmix's "atomically at
-	// <site>", gobdet's "via <site>") carry absolute paths; strip the fixture
-	// dir so goldens are checkout-independent.
+	// <site>") carry absolute paths; strip the fixture dir so goldens are
+	// checkout-independent.
 	absDir, err := filepath.Abs(filepath.Join("testdata", "src", name))
 	if err != nil {
 		t.Fatal(err)
@@ -136,12 +133,12 @@ func TestStaleIgnoreAudit(t *testing.T) {
 	}
 }
 
-// TestAnalyzersCanonicalOrder pins the registry: nine analyzers, stable
+// TestAnalyzersCanonicalOrder pins the registry: eight analyzers, stable
 // order, so -rules filtering and documentation stay aligned.
 func TestAnalyzersCanonicalOrder(t *testing.T) {
 	want := []string{
 		"maprange", "errwrap", "goroutine", "seedcheck", "wallclock",
-		"poolescape", "atomicmix", "lockbalance", "gobdet",
+		"poolescape", "atomicmix", "lockbalance",
 	}
 	got := Analyzers()
 	if len(got) != len(want) {

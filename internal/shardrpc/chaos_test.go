@@ -113,8 +113,8 @@ func TestWorkerKillChaos(t *testing.T) {
 // barrier snapshot message a worker receives. The barrier must still
 // complete (the replacement incarnation replays the snapshot request from
 // the journal), and the checkpoint must restore into a plain in-process
-// router — the remote→in-process half of the v3 round trip — and resume to
-// the unsharded fingerprint.
+// router — the remote→in-process half of the checkpoint round trip — and
+// resume to the unsharded fingerprint.
 func TestWorkerKillDuringCheckpoint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns and kills worker processes")
@@ -182,8 +182,8 @@ func TestWorkerKillDuringCheckpoint(t *testing.T) {
 	}
 }
 
-// TestRemoteCheckpointRoundTrip is the in-process → remote half of the v3
-// round trip: checkpoint a plain in-process sharded run midway, restore it
+// TestRemoteCheckpointRoundTrip is the in-process → remote half of the
+// checkpoint round trip: checkpoint a plain in-process sharded run midway, restore it
 // with the supervisor as runner so worker processes pick the shards up from
 // the checkpoint image, and finish the log to the unsharded fingerprint.
 func TestRemoteCheckpointRoundTrip(t *testing.T) {

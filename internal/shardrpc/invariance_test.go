@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"evmatching/internal/core"
+	"evmatching/internal/metrics"
 	"evmatching/internal/mrtest"
 	"evmatching/internal/shardrpc"
 	"evmatching/internal/stream"
@@ -100,14 +101,16 @@ func TestRemoteShardInvarianceGolden(t *testing.T) {
 			}
 			for _, shards := range []int{1, 3} {
 				t.Run(fmt.Sprintf("workers-%d", shards), func(t *testing.T) {
-					sup := shardrpc.NewSupervisor(workerSupervisorConfig(t))
+					scfg := workerSupervisorConfig(t)
+					scfg.Metrics = metrics.NewRegistry()
+					sup := shardrpc.NewSupervisor(scfg)
 					got := routerFingerprint(t, stream.RouterConfig{
 						Config: cfg,
 						Shards: shards,
 						Runner: sup,
 					}, obs)
-					st := sup.Stats()
 					sup.Close()
+					st := sup.Stats()
 					assertWorkersReaped(t, sup)
 					if got != want {
 						t.Fatalf("%d-worker remote replay diverged from unsharded:\n--- unsharded\n%s\n--- remote\n%s",
@@ -118,6 +121,20 @@ func TestRemoteShardInvarianceGolden(t *testing.T) {
 					}
 					if st.Spawned < int64(shards) {
 						t.Fatalf("Spawned = %d, want >= %d worker processes", st.Spawned, shards)
+					}
+					// The frame-layer gauges: every observation crossed the
+					// wire, and Configure alone is two frames per shard.
+					if st.WireBytesSent == 0 || st.WireBytesReceived == 0 || st.Frames < 2*int64(shards) {
+						t.Fatalf("wire counters = %d sent, %d received, %d frames", st.WireBytesSent, st.WireBytesReceived, st.Frames)
+					}
+					for name, want := range map[string]int64{
+						"shardrpc_wire_bytes_sent":     st.WireBytesSent,
+						"shardrpc_wire_bytes_received": st.WireBytesReceived,
+						"shardrpc_frames":              st.Frames,
+					} {
+						if got := scfg.Metrics.Get(name); got != want {
+							t.Errorf("gauge %s = %d, want %d", name, got, want)
+						}
 					}
 				})
 			}

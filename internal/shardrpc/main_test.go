@@ -21,8 +21,11 @@ import (
 const workerEnvSentinel = "EVSHARD_WORKER"
 
 func TestMain(m *testing.M) {
-	if os.Getenv(workerEnvSentinel) == "1" {
+	switch os.Getenv(workerEnvSentinel) {
+	case "1":
 		os.Exit(shardrpc.WorkerMain(os.Args[1:], os.Stdin, os.Stdout, os.Stderr))
+	case "gob":
+		os.Exit(gobEraWorkerMain())
 	}
 	os.Exit(m.Run())
 }

@@ -26,7 +26,7 @@ const (
 	// keep the deadline-armed connection fed while a long Apply runs.
 	DefaultHeartbeatInterval = 100 * time.Millisecond
 	// DefaultCallTimeout bounds peer silence on the worker connection
-	// (cluster.DialRPC semantics: per-I/O deadline, not per-call).
+	// (cluster.DialConn semantics: per-I/O deadline, not per-call).
 	DefaultCallTimeout = 5 * time.Second
 	// DefaultBatchSize caps how many journalled messages one Apply carries.
 	DefaultBatchSize = 256
@@ -166,6 +166,7 @@ type Supervisor struct {
 	retries      atomic.Int64
 	redispatches atomic.Int64
 	fallbacks    atomic.Int64
+	wire         wireCounters // every worker connection's frames
 }
 
 // SupervisorStats is a snapshot of the supervisor's counters.
@@ -182,6 +183,11 @@ type SupervisorStats struct {
 	Fallbacks int64
 	// Live is the number of worker processes currently up.
 	Live int
+	// WireBytesSent, WireBytesReceived and Frames count the frames (both
+	// directions) on every worker connection, length prefixes included.
+	WireBytesSent     int64
+	WireBytesReceived int64
+	Frames            int64
 }
 
 // NewSupervisor builds a supervisor; it spawns lazily, one worker per shard
@@ -219,6 +225,9 @@ func (s *Supervisor) RunShard(run stream.ShardRun) {
 	if err != nil {
 		s.fallbacks.Add(1)
 		s.publishCounters()
+		if s.cfg.Stderr != nil {
+			fmt.Fprintf(s.cfg.Stderr, "shardrpc: shard %d incarnation %d runs in-process, no worker: %v\n", run.Shard, run.Incarnation, err)
+		}
 		stream.RunShardInProcess(run)
 		return
 	}
@@ -302,12 +311,12 @@ func (s *Supervisor) spawnLocked(shard int) (*workerProc, error) {
 		proc.shutdown()
 		return nil, fmt.Errorf("shardrpc: worker for shard %d never announced its address", shard)
 	}
-	client, err := cluster.DialRPC(proc.addr, s.cfg.CallTimeout, dialAttempts)
+	conn, err := cluster.DialConn(proc.addr, s.cfg.CallTimeout, dialAttempts)
 	if err != nil {
 		proc.shutdown()
 		return nil, fmt.Errorf("shardrpc: dial worker for shard %d: %w", shard, err)
 	}
-	proc.client = client
+	proc.client = rpc.NewClientWithCodec(newClientCodec(conn, &s.wire))
 	return proc, nil
 }
 
@@ -474,8 +483,10 @@ func (s *Supervisor) observeApply(shard int, d time.Duration) {
 	s.applies[shard]++
 	n := s.applies[shard]
 	s.mu.Unlock()
-	s.cfg.Metrics.Set(g.applyUS, d.Microseconds())
-	s.cfg.Metrics.Set(g.applies, n)
+	s.cfg.Metrics.SetMany(s.withWireGauges(map[string]int64{
+		g.applyUS: d.Microseconds(),
+		g.applies: n,
+	}))
 }
 
 // publishCounters pushes the global shardrpc gauges.
@@ -486,14 +497,23 @@ func (s *Supervisor) publishCounters() {
 	s.mu.Lock()
 	live := int64(len(s.procs))
 	s.mu.Unlock()
-	s.cfg.Metrics.SetMany(map[string]int64{
+	s.cfg.Metrics.SetMany(s.withWireGauges(map[string]int64{
 		"shardrpc_workers_spawned": s.spawned.Load(),
 		"shardrpc_workers_live":    live,
 		"shardrpc_kills":           s.kills.Load(),
 		"shardrpc_retries":         s.retries.Load(),
 		"shardrpc_redispatches":    s.redispatches.Load(),
 		"shardrpc_fallbacks":       s.fallbacks.Load(),
-	})
+	}))
+}
+
+// withWireGauges adds the frame-layer traffic gauges to g, so they refresh
+// with every publication (each Apply included).
+func (s *Supervisor) withWireGauges(g map[string]int64) map[string]int64 {
+	g["shardrpc_wire_bytes_sent"] = s.wire.sent.Load()
+	g["shardrpc_wire_bytes_received"] = s.wire.received.Load()
+	g["shardrpc_frames"] = s.wire.frames.Load()
+	return g
 }
 
 // Stats snapshots the supervisor's counters.
@@ -508,6 +528,10 @@ func (s *Supervisor) Stats() SupervisorStats {
 		Redispatches: s.redispatches.Load(),
 		Fallbacks:    s.fallbacks.Load(),
 		Live:         live,
+
+		WireBytesSent:     s.wire.sent.Load(),
+		WireBytesReceived: s.wire.received.Load(),
+		Frames:            s.wire.frames.Load(),
 	}
 }
 

@@ -7,6 +7,8 @@ import (
 	"io"
 	"net"
 	"net/rpc"
+	"os"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 
@@ -94,7 +96,9 @@ func (w *workerState) Ping(args *PingArgs, reply *PingReply) error {
 
 // Serve accepts rpc connections on lis until it is closed, then waits for
 // in-flight connections to drain. It returns nil on a clean listener close.
-func Serve(lis net.Listener) error {
+// stderr, when non-nil, is told about a peer speaking another wire version
+// (a supervisor from a different build) before its connection is dropped.
+func Serve(lis net.Listener, stderr io.Writer) error {
 	srv := rpc.NewServer()
 	if err := srv.RegisterName(ServiceName, &workerState{}); err != nil {
 		return err
@@ -109,10 +113,21 @@ func Serve(lis net.Listener) error {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			srv.ServeConn(conn)
+			srv.ServeCodec(newServerCodec(conn, stderr))
 		}()
 	}
 }
+
+// workerGCPercent is the GC target a worker process sets itself unless the
+// operator chose one through GOGC. A worker's live heap is one window of
+// open buckets — a few MB — while each Apply turns over hundreds of KB of
+// messages, pixel arenas and feature rows, so at the runtime's default (100,
+// with its 4 MB floor) the collector ran about forty times per 0.35 s
+// replay of the bench's 64k-observation log and, with the sweeping and page
+// faults that follow each cycle, cost a quarter of the worker's CPU; 200
+// halves the cycle count for a heap at most three times the live set
+// (DESIGN.md §15 has the measurements).
+const workerGCPercent = 200
 
 // WorkerMain is the evshardd entry point, factored here so tests can host a
 // worker by re-execing themselves. It binds the listen address, announces
@@ -125,6 +140,9 @@ func WorkerMain(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	listen := fs.String("listen", "127.0.0.1:0", "address to listen on (host:port; port 0 picks a free port)")
 	if err := fs.Parse(args); err != nil {
 		return 2
+	}
+	if os.Getenv("GOGC") == "" {
+		debug.SetGCPercent(workerGCPercent)
 	}
 	lis, err := net.Listen("tcp", *listen)
 	if err != nil {
@@ -141,7 +159,7 @@ func WorkerMain(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		io.Copy(io.Discard, bufio.NewReader(stdin))
 		lis.Close()
 	}()
-	if err := Serve(lis); err != nil {
+	if err := Serve(lis, stderr); err != nil {
 		fmt.Fprintf(stderr, "evshardd: serve: %v\n", err)
 		return 1
 	}

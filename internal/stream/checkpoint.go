@@ -1,39 +1,36 @@
 package stream
 
 import (
-	"encoding/gob"
+	"bufio"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"time"
 
 	"evmatching/internal/geo"
 	"evmatching/internal/ids"
 	"evmatching/internal/scenario"
+	"evmatching/internal/wire"
 )
 
-// CheckpointVersion is the checkpoint format version this package writes.
-// Version 2 flattened the E-Scenario EID set from a map into a sorted
-// (EID, attr) slice: gob encodes maps in randomized iteration order, so the
-// v1 format produced different bytes for equal states and broke the
-// checkpoint → restore → re-checkpoint byte-identity property.
-const CheckpointVersion = 2
+// CheckpointVersion is the checkpoint format version this package writes
+// and the only one it reads. Version 4 replaced the gob encodings (v2, the
+// engine image; v3, its sharded superset) with the binary record codec of
+// codec.go; files written by earlier builds are rejected by their missing
+// magic — the state is a pure function of the log, so re-replay it.
+const CheckpointVersion = 4
+
+// checkpointMagic opens every checkpoint file, followed by the version byte.
+const checkpointMagic = "EVCK"
+
+// maxCheckpointRecord caps one record of a checkpoint file (one scenario,
+// one bucket, the header or the tail). wire.ReadRecord grows its buffer only
+// as bytes arrive, so the cap bounds a legitimate record, not an allocation.
+const maxCheckpointRecord = 1 << 30
 
 // ErrBadCheckpoint reports a checkpoint that cannot be restored.
 var ErrBadCheckpoint = errors.New("stream: bad checkpoint")
-
-// checkpointScenario is one closed EV-Scenario pair, saved in store-ID order
-// so restore re-adds them with identical IDs. The E side is flattened: an
-// EScenario holds its EID set as a map, which gob would encode in randomized
-// order, so the set is saved as a sorted (EID, attr) slice instead — every
-// field reachable from checkpointFile must encode deterministically (the
-// gobdet analyzer enforces this).
-type checkpointScenario struct {
-	Cell   geo.CellID
-	Window int
-	EIDs   []BucketEID
-	V      scenario.VScenario
-	HasV   bool
-}
 
 // BucketEID is one (EID, attr) entry of an open bucket, slice-encoded in
 // sorted order for stable checkpoint bytes.
@@ -42,7 +39,33 @@ type BucketEID struct {
 	Attr scenario.Attr
 }
 
-// ShardBucket is one open (window, cell) bucket.
+// sortedBucketEIDs flattens an EID set into its canonical image: (EID, attr)
+// pairs in ascending EID order (nil for an empty set).
+func sortedBucketEIDs(set map[ids.EID]scenario.Attr) []BucketEID {
+	if len(set) == 0 {
+		return nil
+	}
+	out := make([]BucketEID, 0, len(set))
+	for _, eid := range ids.SortedEIDKeys(set) {
+		out = append(out, BucketEID{EID: eid, Attr: set[eid]})
+	}
+	return out
+}
+
+// bucketEIDSet rebuilds the EID set of an image.
+func bucketEIDSet(eids []BucketEID) map[ids.EID]scenario.Attr {
+	set := make(map[ids.EID]scenario.Attr, len(eids))
+	for _, ea := range eids {
+		set[ea.EID] = ea.Attr
+	}
+	return set
+}
+
+// ShardBucket is one (window, cell) bucket image: an open bucket in a
+// sub-checkpoint or a checkpoint's open section, or a closed EV-Scenario
+// pair in a checkpoint's scenario section (no detections = no V side). The
+// E side is flattened: a bucket holds its EID set as a map, so the image
+// carries a sorted (EID, attr) slice instead.
 type ShardBucket struct {
 	Window int
 	Cell   geo.CellID
@@ -50,16 +73,29 @@ type ShardBucket struct {
 	Dets   []scenario.Detection
 }
 
-// checkpointFile is the complete gob-encoded stream state. The partition and
-// the vfilter cache are deliberately absent: both are pure functions of the
-// closed scenarios, so restore rebuilds them by replaying SplitBy in store-ID
-// order — smaller checkpoints, and no risk of persisting internal state that
-// drifts from the data (DESIGN.md §10).
+// checkpointFile is the complete stream state, the one image both
+// processors write and read. An engine image has Shards == 0; a router image
+// records its shard count and lists its shards' open buckets shard by shard
+// (the order its sub-checkpoints hold them in, so re-checkpointing a
+// restored router reproduces the bytes). Restore redistributes buckets by
+// ShardOf, so the only thing Shards decides is that an unsharded Engine
+// refuses a sharded image. The partition and the vfilter cache are
+// deliberately absent: both are pure functions of the closed scenarios, so
+// restore rebuilds them by replaying SplitBy in store-ID order — smaller
+// checkpoints, and no risk of persisting internal state that drifts from the
+// data (DESIGN.md §10).
+//
+// On disk (write, readCheckpoint): the magic and version byte, then
+// length-prefixed records — a header (every scalar below, Targets, and the
+// two record counts), one record per scenario in store-ID order, one per
+// open bucket, and a tail (Resolutions, Accepted, Resolved). Every value is
+// a sorted slice under codec.go's fixed encoding, so equal states produce
+// equal bytes by construction.
 type checkpointFile struct {
-	Version int
+	Shards int
 
-	// Config guard: a checkpoint only restores into an engine windowing and
-	// matching identically.
+	// Config guard: a checkpoint only restores into a processor windowing
+	// and matching identically.
 	WindowMS   int64
 	LatenessMS int64
 	Seed       int64
@@ -74,11 +110,132 @@ type checkpointFile struct {
 	MinOpen     int
 	Seq         int
 
-	Scenarios   []checkpointScenario
+	Scenarios   []ShardBucket
 	Buckets     []ShardBucket
 	Resolutions []Resolution
 	Accepted    []ids.VID
 	Resolved    []ids.EID
+}
+
+// write streams the image to w record by record through one reused encode
+// buffer, so no second copy of the state is ever held.
+func (cp *checkpointFile) write(w io.Writer) error {
+	bw := bufio.NewWriterSize(w, 64<<10)
+	bw.WriteString(checkpointMagic)
+	bw.WriteByte(CheckpointVersion)
+	var buf []byte
+	record := func() {
+		var n [binary.MaxVarintLen64]byte
+		bw.Write(n[:binary.PutUvarint(n[:], uint64(len(buf)))])
+		bw.Write(buf)
+	}
+
+	buf = wire.AppendVarint(buf, int64(cp.Shards))
+	buf = wire.AppendVarint(buf, cp.WindowMS)
+	buf = wire.AppendVarint(buf, cp.LatenessMS)
+	buf = wire.AppendVarint(buf, cp.Seed)
+	buf = wire.AppendVarint(buf, int64(cp.Dim))
+	buf = appendIDs(buf, cp.Targets)
+	buf = wire.AppendVarint(buf, cp.Ingested)
+	buf = wire.AppendVarint(buf, cp.LateDropped)
+	buf = wire.AppendVarint(buf, cp.MaxTS)
+	buf = wire.AppendVarint(buf, int64(cp.MinOpen))
+	buf = wire.AppendVarint(buf, int64(cp.Seq))
+	buf = wire.AppendUvarint(buf, uint64(len(cp.Scenarios)))
+	buf = wire.AppendUvarint(buf, uint64(len(cp.Buckets)))
+	record()
+	for _, section := range [][]ShardBucket{cp.Scenarios, cp.Buckets} {
+		for i := range section {
+			buf = appendShardBucket(buf[:0], &section[i])
+			record()
+		}
+	}
+	buf = appendSlice(buf[:0], cp.Resolutions, appendResolution)
+	buf = appendIDs(buf, cp.Accepted)
+	buf = appendIDs(buf, cp.Resolved)
+	record()
+	// bufio.Writer's error is sticky: Flush reports the first failed write.
+	if err := bw.Flush(); err != nil {
+		return fmt.Errorf("stream: write checkpoint: %w", err)
+	}
+	return nil
+}
+
+// readCheckpoint decodes an image written by write. Input is treated as
+// hostile: a record count is never trusted for an allocation (slices grow
+// as records actually arrive), and any malformed byte is ErrBadCheckpoint.
+func readCheckpoint(rd io.Reader) (*checkpointFile, error) {
+	br := bufio.NewReaderSize(rd, 64<<10)
+	var head [len(checkpointMagic) + 1]byte
+	if _, err := io.ReadFull(br, head[:]); err != nil {
+		return nil, fmt.Errorf("%w: read magic: %w", ErrBadCheckpoint, err)
+	}
+	if string(head[:len(checkpointMagic)]) != checkpointMagic {
+		return nil, fmt.Errorf("%w: no %q magic — checkpoints written before format version %d (the gob-encoded v2/v3 files) are not readable; replay the log again",
+			ErrBadCheckpoint, checkpointMagic, CheckpointVersion)
+	}
+	if v := head[len(checkpointMagic)]; v != CheckpointVersion {
+		return nil, fmt.Errorf("%w: version %d (want %d)", ErrBadCheckpoint, v, CheckpointVersion)
+	}
+	// record reads the next record into one reused buffer (decoded values
+	// own their bytes), lets decode consume it, and insists it was consumed
+	// exactly.
+	var rec []byte
+	record := func(what string, decode func(r *wire.Reader)) error {
+		var err error
+		if rec, err = wire.ReadRecord(br, rec, maxCheckpointRecord); err != nil {
+			return fmt.Errorf("%w: read %s: %w", ErrBadCheckpoint, what, err)
+		}
+		r := wire.NewReader(rec)
+		decode(r)
+		if err := r.Err(); err != nil {
+			return fmt.Errorf("%w: decode %s: %w", ErrBadCheckpoint, what, err)
+		}
+		if r.Len() != 0 {
+			return fmt.Errorf("%w: %s has %d trailing bytes", ErrBadCheckpoint, what, r.Len())
+		}
+		return nil
+	}
+
+	cp := &checkpointFile{}
+	var counts [2]uint64
+	if err := record("header", func(r *wire.Reader) {
+		cp.Shards = r.Int()
+		cp.WindowMS = r.Varint()
+		cp.LatenessMS = r.Varint()
+		cp.Seed = r.Varint()
+		cp.Dim = r.Int()
+		cp.Targets = readIDs[ids.EID](r)
+		cp.Ingested = r.Varint()
+		cp.LateDropped = r.Varint()
+		cp.MaxTS = r.Varint()
+		cp.MinOpen = r.Int()
+		cp.Seq = r.Int()
+		counts[0], counts[1] = r.Uvarint(), r.Uvarint()
+	}); err != nil {
+		return nil, err
+	}
+	if cp.Shards < 0 {
+		return nil, fmt.Errorf("%w: %d shards", ErrBadCheckpoint, cp.Shards)
+	}
+	for i, section := range []*[]ShardBucket{&cp.Scenarios, &cp.Buckets} {
+		what := [2]string{"scenario", "bucket"}[i]
+		for n := uint64(0); n < counts[i]; n++ {
+			var sb ShardBucket
+			if err := record(what, func(r *wire.Reader) { readShardBucket(r, &sb) }); err != nil {
+				return nil, err
+			}
+			*section = append(*section, sb)
+		}
+	}
+	if err := record("tail", func(r *wire.Reader) {
+		cp.Resolutions = readSlice(r, minResolutionBytes, readResolution)
+		cp.Accepted = readIDs[ids.VID](r)
+		cp.Resolved = readIDs[ids.EID](r)
+	}); err != nil {
+		return nil, err
+	}
+	return cp, nil
 }
 
 // Checkpoint serializes the engine's full stream state: closed scenarios,
@@ -92,19 +249,15 @@ func (e *Engine) Checkpoint(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if err := gob.NewEncoder(w).Encode(cp); err != nil {
-		return fmt.Errorf("stream: encode checkpoint: %w", err)
-	}
-	return nil
+	return cp.write(w)
 }
 
 // checkpointLocked builds the engine's checkpoint image. Evicted V payloads
 // are paged back in transiently — the checkpoint always carries the full
 // state — and a reload failure fails the checkpoint rather than silently
 // persisting a scenario as detection-free. Callers hold e.mu.
-func (e *Engine) checkpointLocked() (checkpointFile, error) {
-	cp := checkpointFile{
-		Version:     CheckpointVersion,
+func (e *Engine) checkpointLocked() (*checkpointFile, error) {
+	cp := &checkpointFile{
 		WindowMS:    e.cfg.WindowMS,
 		LatenessMS:  e.cfg.LatenessMS,
 		Seed:        e.cfg.Seed,
@@ -115,23 +268,20 @@ func (e *Engine) checkpointLocked() (checkpointFile, error) {
 		MaxTS:       e.maxTS,
 		MinOpen:     e.minOpen,
 		Seq:         e.seq,
+		Scenarios:   make([]ShardBucket, 0, e.store.Len()),
 		Resolutions: e.emitted,
 		Accepted:    ids.SortedVIDKeys(e.accepted),
 		Resolved:    ids.SortedEIDKeys(e.resolved),
 	}
 	for id := scenario.ID(0); int(id) < e.store.Len(); id++ {
 		esc := e.store.E(id)
-		cs := checkpointScenario{Cell: esc.Cell, Window: esc.Window}
-		for _, eid := range ids.SortedEIDKeys(esc.EIDs) {
-			cs.EIDs = append(cs.EIDs, BucketEID{EID: eid, Attr: esc.EIDs[eid]})
-		}
+		cs := ShardBucket{Cell: esc.Cell, Window: esc.Window, EIDs: sortedBucketEIDs(esc.EIDs)}
 		v, err := e.store.VChecked(id)
 		if err != nil {
-			return checkpointFile{}, fmt.Errorf("stream: checkpoint scenario %d: %w", id, err)
+			return nil, fmt.Errorf("stream: checkpoint scenario %d: %w", id, err)
 		}
 		if v != nil {
-			cs.V = *v
-			cs.HasV = true
+			cs.Dets = v.Detections
 		}
 		cp.Scenarios = append(cp.Scenarios, cs)
 	}
@@ -151,15 +301,12 @@ func (e *Engine) checkpointLocked() (checkpointFile, error) {
 // copied, so the image stays valid while the live bucket keeps absorbing —
 // the router's sub-checkpoint snapshots outlive the shard that emitted them.
 func bucketToCheckpoint(k bucketKey, b *bucket) ShardBucket {
-	cb := ShardBucket{
+	return ShardBucket{
 		Window: k.Window,
 		Cell:   k.Cell,
+		EIDs:   sortedBucketEIDs(b.eids),
 		Dets:   append(make([]scenario.Detection, 0, len(b.dets)), b.dets...),
 	}
-	for _, eid := range ids.SortedEIDKeys(b.eids) {
-		cb.EIDs = append(cb.EIDs, BucketEID{EID: eid, Attr: b.eids[eid]})
-	}
-	return cb
 }
 
 // bucketFromCheckpoint rebuilds an open bucket from its checkpoint form,
@@ -168,11 +315,8 @@ func bucketToCheckpoint(k bucketKey, b *bucket) ShardBucket {
 // predecessor may both restore from the same sub-checkpoint).
 func bucketFromCheckpoint(cb ShardBucket) *bucket {
 	b := &bucket{
-		eids:    make(map[ids.EID]scenario.Attr, len(cb.EIDs)),
+		eids:    bucketEIDSet(cb.EIDs),
 		detSeen: make(map[string]bool, len(cb.Dets)),
-	}
-	for _, ea := range cb.EIDs {
-		b.eids[ea.EID] = ea.Attr
 	}
 	b.dets = append(make([]scenario.Detection, 0, len(cb.Dets)), cb.Dets...)
 	for i := range b.dets {
@@ -182,32 +326,33 @@ func bucketFromCheckpoint(cb ShardBucket) *bucket {
 	return b
 }
 
-// Restore builds an Engine from cfg and resumes it from a checkpoint written
-// by Checkpoint. The checkpoint's windowing and matching parameters must
-// match cfg; runtime-only fields (Clock, Metrics, Mode, Workers) come from
-// cfg alone.
+// Restore builds an Engine from cfg and resumes it from an engine image
+// written by Engine.Checkpoint; a router's sharded image is rejected
+// (RestoreRouter reads both). The checkpoint's windowing and matching
+// parameters must match cfg; runtime-only fields (Clock, Metrics, Mode,
+// Workers) come from cfg alone.
 func Restore(cfg Config, r io.Reader) (*Engine, error) {
-	var cp checkpointFile
-	if err := gob.NewDecoder(r).Decode(&cp); err != nil {
-		return nil, fmt.Errorf("%w: decode: %w", ErrBadCheckpoint, err)
+	cp, err := readCheckpoint(r)
+	if err != nil {
+		return nil, err
 	}
-	if cp.Version != CheckpointVersion {
-		return nil, fmt.Errorf("%w: version %d (want %d)", ErrBadCheckpoint, cp.Version, CheckpointVersion)
+	if cp.Shards != 0 {
+		return nil, fmt.Errorf("%w: a %d-shard router image; restore it with RestoreRouter", ErrBadCheckpoint, cp.Shards)
 	}
 	e, err := NewEngine(cfg)
 	if err != nil {
 		return nil, err
 	}
-	if err := e.guardCheckpoint(&cp); err != nil {
+	if err := e.guardCheckpoint(cp); err != nil {
 		return nil, err
 	}
-	if err := e.restoreScenarios(&cp); err != nil {
+	if err := e.restoreScenarios(cp); err != nil {
 		return nil, err
 	}
 	for _, cb := range cp.Buckets {
 		e.buckets[bucketKey{Window: cb.Window, Cell: cb.Cell}] = bucketFromCheckpoint(cb)
 	}
-	e.restoreCounters(&cp)
+	e.restoreCounters(cp)
 	e.mu.Lock()
 	e.publishGauges()
 	e.mu.Unlock()
@@ -238,17 +383,10 @@ func (e *Engine) guardCheckpoint(cp *checkpointFile) error {
 func (e *Engine) restoreScenarios(cp *checkpointFile) error {
 	for i := range cp.Scenarios {
 		cs := &cp.Scenarios[i]
-		esc := &scenario.EScenario{
-			Cell:   cs.Cell,
-			Window: cs.Window,
-			EIDs:   make(map[ids.EID]scenario.Attr, len(cs.EIDs)),
-		}
-		for _, ea := range cs.EIDs {
-			esc.EIDs[ea.EID] = ea.Attr
-		}
+		esc := &scenario.EScenario{Cell: cs.Cell, Window: cs.Window, EIDs: bucketEIDSet(cs.EIDs)}
 		var vsc *scenario.VScenario
-		if cs.HasV {
-			vsc = &cs.V
+		if len(cs.Dets) > 0 {
+			vsc = &scenario.VScenario{Cell: cs.Cell, Window: cs.Window, Detections: cs.Dets}
 		}
 		id, err := e.store.Add(esc, vsc)
 		if err != nil {
@@ -300,4 +438,99 @@ func eidsEqual(a, b []ids.EID) bool {
 		}
 	}
 	return true
+}
+
+// Checkpoint serializes the router's full sharded state. It is a barrier:
+// every shard is asked for a fresh sub-checkpoint and every issued close
+// round must fold before the image is written, so the checkpoint captures a
+// consistent cut — the global section reflects exactly the closures the
+// sub-checkpoints no longer contain. A shard that dies during the barrier
+// is redispatched and the barrier completes through its replacement.
+func (r *Router) Checkpoint(w io.Writer) error {
+	r.mu.Lock()
+	if r.closed {
+		r.mu.Unlock()
+		return ErrRouterClosed
+	}
+	want := make([]int64, len(r.slots))
+	for i := range r.slots {
+		slot := &r.slots[i]
+		r.sendLocked(slot, ShardMsg{Kind: ShardMsgSnap})
+		slot.pendingSnap = slot.sent
+		want[i] = slot.sent
+	}
+	round := r.round
+	if err := r.awaitBarrierLocked(want, round); err != nil {
+		r.mu.Unlock()
+		return err
+	}
+	for i := range r.slots {
+		r.adoptAckLocked(&r.slots[i])
+	}
+	r.merged.mu.Lock()
+	cp, err := r.merged.checkpointLocked()
+	r.merged.mu.Unlock()
+	if err != nil {
+		r.mu.Unlock()
+		return err
+	}
+	// The merge stage's engine supplies the global section; the watermark
+	// and ingest counters are the router's own, and the open buckets are
+	// the shards' barrier sub-checkpoints (the merged engine never has any).
+	cp.Shards = r.cfg.Shards
+	cp.Ingested = r.ingested
+	cp.LateDropped = r.lateDropped
+	cp.MaxTS = r.maxTS
+	cp.MinOpen = r.minOpen
+	for i := range r.slots {
+		cp.Buckets = append(cp.Buckets, r.slots[i].snapBuckets...)
+	}
+	r.mu.Unlock()
+	return cp.write(w)
+}
+
+// awaitBarrierLocked waits until every shard's sub-checkpoint ack has
+// reached the wanted position and the merge stage has folded every issued
+// round, redispatching dead shards so the barrier always completes. Callers
+// hold r.mu; holding it through the wait is deliberate — a checkpoint is an
+// ingest barrier, and the shards and merger it waits on never take r.mu.
+func (r *Router) awaitBarrierLocked(want []int64, round int) error {
+	//evlint:ignore lockbalance condition-wait loop: drops the caller-held r.mu across each sleep and reacquires before retesting, net-neutral per iteration
+	for {
+		folded, err := r.progress()
+		if err != nil {
+			return err
+		}
+		if folded >= round {
+			r.snapMu.Lock()
+			done := true
+			for i, w := range want {
+				if r.acks[i].pos < w {
+					done = false
+					break
+				}
+			}
+			r.snapMu.Unlock()
+			if done {
+				return nil
+			}
+		}
+		r.redispatchExpiredLocked()
+		//evlint:ignore lockbalance releases the caller-held r.mu for the sleep; reacquired two lines down
+		r.mu.Unlock()
+		time.Sleep(sendRetryDelay)
+		r.mu.Lock()
+	}
+}
+
+// RestoreRouter builds a Router from cfg and resumes it from a checkpoint —
+// a router's sharded image or an engine's unsharded one. Open buckets are
+// redistributed by ShardOf under cfg's shard count, so an image written
+// under any shard count (or by an Engine) restores under any other.
+func RestoreRouter(cfg RouterConfig, rd io.Reader) (*Router, error) {
+	cp, err := readCheckpoint(rd)
+	if err != nil {
+		return nil, err
+	}
+	return newRouter(cfg, cp)
 }

@@ -18,12 +18,12 @@ func checkpointBytes(t *testing.T, e *Engine) []byte {
 	return buf.Bytes()
 }
 
-// TestCheckpointByteIdentity is the determinism property the gobdet analyzer
-// guards statically, checked dynamically: at any cut point of the log,
-// checkpoint → restore → re-checkpoint is byte-identical, and checkpointing
-// the same engine twice is byte-identical. Any map-ordered or otherwise
-// nondeterministic field in the checkpoint graph fails this within a few
-// runs, because gob hits Go's randomized map iteration order.
+// TestCheckpointByteIdentity is the determinism property the codec holds by
+// construction (sorted slices, fixed encodings — codec.go), checked
+// dynamically: at any cut point of the log, checkpoint → restore →
+// re-checkpoint is byte-identical, and checkpointing the same engine twice
+// is byte-identical. A map walked in iteration order anywhere between the
+// engine's state and the bytes fails this within a few runs.
 func TestCheckpointByteIdentity(t *testing.T) {
 	ds := testDataset(t, false)
 	targets := ds.AllEIDs()[:8]

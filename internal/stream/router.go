@@ -287,12 +287,12 @@ type RouterStats struct {
 // NewRouter creates a sharded router with empty state and starts its shard
 // windowers and merge stage. Callers must Close it to join the goroutines.
 func NewRouter(cfg RouterConfig) (*Router, error) {
-	return newRouter(cfg, nil, nil)
+	return newRouter(cfg, nil)
 }
 
 // newRouter builds a router, optionally seeded from a decoded checkpoint
-// (cp) and its open buckets (open, redistributed by ShardOf).
-func newRouter(cfg RouterConfig, cp *routerCheckpointFile, open []ShardBucket) (*Router, error) {
+// whose open buckets are redistributed by ShardOf.
+func newRouter(cfg RouterConfig, cp *checkpointFile) (*Router, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -328,7 +328,7 @@ func newRouter(cfg RouterConfig, cp *routerCheckpointFile, open []ShardBucket) (
 		if err := r.restoreCheckpoint(cp); err != nil {
 			return nil, err
 		}
-		for _, cb := range open {
+		for _, cb := range cp.Buckets {
 			if cb.Cell < 0 {
 				return nil, fmt.Errorf("%w: bucket cell %d", ErrBadCheckpoint, cb.Cell)
 			}
@@ -362,30 +362,14 @@ func newRouter(cfg RouterConfig, cp *routerCheckpointFile, open []ShardBucket) (
 // restoreCheckpoint applies a decoded checkpoint's global section: the
 // merged engine's scenarios, resolutions, and counters, plus the router's
 // own watermark and ingest counters.
-func (r *Router) restoreCheckpoint(cp *routerCheckpointFile) error {
-	view := checkpointFile{
-		WindowMS:    cp.WindowMS,
-		LatenessMS:  cp.LatenessMS,
-		Seed:        cp.Seed,
-		Dim:         cp.Dim,
-		Targets:     cp.Targets,
-		Ingested:    cp.Ingested,
-		LateDropped: cp.LateDropped,
-		MaxTS:       cp.MaxTS,
-		MinOpen:     cp.MinOpen,
-		Seq:         cp.Seq,
-		Scenarios:   cp.Scenarios,
-		Resolutions: cp.Resolutions,
-		Accepted:    cp.Accepted,
-		Resolved:    cp.Resolved,
-	}
-	if err := r.merged.guardCheckpoint(&view); err != nil {
+func (r *Router) restoreCheckpoint(cp *checkpointFile) error {
+	if err := r.merged.guardCheckpoint(cp); err != nil {
 		return err
 	}
-	if err := r.merged.restoreScenarios(&view); err != nil {
+	if err := r.merged.restoreScenarios(cp); err != nil {
 		return err
 	}
-	r.merged.restoreCounters(&view)
+	r.merged.restoreCounters(cp)
 	r.ingested = cp.Ingested
 	r.lateDropped = cp.LateDropped
 	r.maxTS = cp.MaxTS

@@ -10,7 +10,7 @@ import (
 	"evmatching/internal/core"
 )
 
-// routerCheckpointBytes serializes r and returns the raw v3 checkpoint.
+// routerCheckpointBytes serializes r and returns the raw router image.
 func routerCheckpointBytes(t *testing.T, r *Router) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -75,7 +75,7 @@ func TestRouterCheckpointByteIdentity(t *testing.T) {
 
 // TestRouterCheckpointResume checks the functional half of the contract: a
 // router checkpointed mid-log and restored — under the same shard count or a
-// different one, since v3 restore redistributes buckets by ShardOf — resumes
+// different one, since restore redistributes buckets by ShardOf — resumes
 // the log and finalizes to the exact unsharded fingerprint.
 func TestRouterCheckpointResume(t *testing.T) {
 	ds := testDataset(t, true)
@@ -126,12 +126,12 @@ func TestRouterCheckpointResume(t *testing.T) {
 	}
 }
 
-// TestRouterRestoresV2Checkpoint is the upgrade path: a v2 single-engine
-// checkpoint restores into a router — the degenerate 1-shard case and a
+// TestRouterRestoresEngineImage is the upgrade path: an unsharded engine's
+// image restores into a router — the degenerate 1-shard case and a
 // redistributing 4-shard case — which resumes the log to the same
-// fingerprint. The reverse direction must fail loudly: Engine.Restore
-// rejects a v3 image by version.
-func TestRouterRestoresV2Checkpoint(t *testing.T) {
+// fingerprint. The reverse direction must fail loudly: Restore rejects a
+// router's sharded image.
+func TestRouterRestoresEngineImage(t *testing.T) {
 	ds := testDataset(t, true)
 	targets := ds.AllEIDs()[:12]
 	_, obs, err := EventsFromDataset(ds, testWindowMS, 7)
@@ -151,17 +151,17 @@ func TestRouterRestoresV2Checkpoint(t *testing.T) {
 			t.Fatalf("Ingest %d: %v", i, err)
 		}
 	}
-	v2 := checkpointBytes(t, e)
+	image := checkpointBytes(t, e)
 
 	for _, shards := range []int{1, 4} {
 		t.Run(fmt.Sprintf("into-%d-shards", shards), func(t *testing.T) {
-			r, err := RestoreRouter(RouterConfig{Config: cfg, Shards: shards}, bytes.NewReader(v2))
+			r, err := RestoreRouter(RouterConfig{Config: cfg, Shards: shards}, bytes.NewReader(image))
 			if err != nil {
-				t.Fatalf("RestoreRouter(v2): %v", err)
+				t.Fatalf("RestoreRouter(engine image): %v", err)
 			}
 			defer r.Close()
 			if got := r.Ingested(); got != int64(cut) {
-				t.Fatalf("Ingested = %d after v2 restore, want %d", got, cut)
+				t.Fatalf("Ingested = %d after restore, want %d", got, cut)
 			}
 			for i := cut; i < len(obs); i++ {
 				if _, err := r.Ingest(obs[i]); err != nil {
@@ -173,12 +173,12 @@ func TestRouterRestoresV2Checkpoint(t *testing.T) {
 				t.Fatalf("Finalize: %v", err)
 			}
 			if got := rep.Fingerprint(); got != want {
-				t.Fatalf("v2-upgraded %d-shard replay diverged from unsharded replay", shards)
+				t.Fatalf("engine image resumed on %d shards diverged from unsharded replay", shards)
 			}
 		})
 	}
 
-	t.Run("engine-rejects-v3", func(t *testing.T) {
+	t.Run("engine-rejects-router-image", func(t *testing.T) {
 		r, err := NewRouter(RouterConfig{Config: cfg, Shards: 2})
 		if err != nil {
 			t.Fatalf("NewRouter: %v", err)
@@ -187,9 +187,9 @@ func TestRouterRestoresV2Checkpoint(t *testing.T) {
 		if _, err := r.Ingest(obs[0]); err != nil {
 			t.Fatalf("Ingest: %v", err)
 		}
-		v3 := routerCheckpointBytes(t, r)
-		if _, err := Restore(cfg, bytes.NewReader(v3)); !errors.Is(err, ErrBadCheckpoint) {
-			t.Fatalf("Engine.Restore(v3): err = %v, want ErrBadCheckpoint", err)
+		sharded := routerCheckpointBytes(t, r)
+		if _, err := Restore(cfg, bytes.NewReader(sharded)); !errors.Is(err, ErrBadCheckpoint) {
+			t.Fatalf("Restore(router image): err = %v, want ErrBadCheckpoint", err)
 		}
 	})
 }

@@ -68,7 +68,7 @@ func routerFingerprint(t *testing.T, rcfg RouterConfig, obs []Observation) strin
 }
 
 // TestShardOfStable pins the cell → shard assignment. It is part of the
-// checkpoint contract: v3 restore redistributes buckets with ShardOf, so
+// checkpoint contract: restore redistributes buckets with ShardOf, so
 // changing the assignment silently invalidates existing checkpoints.
 func TestShardOfStable(t *testing.T) {
 	cases := []struct {

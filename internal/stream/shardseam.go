@@ -6,7 +6,6 @@ import (
 
 	"evmatching/internal/feature"
 	"evmatching/internal/geo"
-	"evmatching/internal/ids"
 	"evmatching/internal/scenario"
 )
 
@@ -55,10 +54,11 @@ func (p ShardParams) validate() error {
 
 // ShardSealed is one sealed (window, cell) closure in wire form: the
 // EScenario's EID map flattened to a sorted slice (the same canonical form
-// checkpoints use, so gob encoding is deterministic) and the extracted
-// feature matrix flattened row-major. An empty Dets means the bucket sealed
-// with no V side; an empty Feat means extraction was not performed (or
-// failed) and the merge stage re-extracts lazily.
+// checkpoints use, so equal closures encode to equal bytes) and the
+// extracted feature matrix as its row-major storage. An empty Dets means the
+// bucket sealed with no V side; FeatDim == 0 means extraction was not
+// performed (or failed) and the merge stage re-extracts lazily. It is also
+// the spill record of an evicted sealed scenario (spill.go), EIDs empty.
 type ShardSealed struct {
 	Window  int
 	Cell    geo.CellID
@@ -66,6 +66,20 @@ type ShardSealed struct {
 	Dets    []scenario.Detection
 	FeatDim int
 	Feat    []float64
+}
+
+// matrix adopts the feature payload as a matrix of one row per detection
+// (no copy), or returns nil when none travelled. A payload whose shape does
+// not match the detections is an error, never indexed.
+func (w *ShardSealed) matrix() (*feature.Matrix, error) {
+	if w.FeatDim == 0 && len(w.Feat) == 0 {
+		return nil, nil
+	}
+	if w.FeatDim < 1 || len(w.Feat) != w.FeatDim*len(w.Dets) {
+		return nil, fmt.Errorf("stream: feature payload of %d values, dim %d, for %d detections",
+			len(w.Feat), w.FeatDim, len(w.Dets))
+	}
+	return feature.MatrixOf(w.FeatDim, w.Feat)
 }
 
 // ShardOut is one shard emission in wire form: a round of sealed window
@@ -84,54 +98,38 @@ type ShardOut struct {
 	Snapshot []ShardBucket
 }
 
-// sealedToWire flattens one sealed closure for the wire. The EID map is
-// walked in sorted order and the feature matrix copied row-major, so two
-// identical closures always serialize identically.
+// sealedToWire puts one sealed closure in wire form. The EID map is walked
+// in sorted order; the detections and the feature matrix's storage are
+// shared, not copied — a sealed closure is never written again.
 func sealedToWire(s sealedScenario) ShardSealed {
 	w := ShardSealed{Window: s.key.Window, Cell: s.key.Cell}
-	if s.esc != nil && len(s.esc.EIDs) > 0 {
-		w.EIDs = make([]BucketEID, 0, len(s.esc.EIDs))
-		for _, eid := range ids.SortedEIDKeys(s.esc.EIDs) {
-			w.EIDs = append(w.EIDs, BucketEID{EID: eid, Attr: s.esc.EIDs[eid]})
-		}
+	if s.esc != nil {
+		w.EIDs = sortedBucketEIDs(s.esc.EIDs)
 	}
-	if s.vsc != nil && len(s.vsc.Detections) > 0 {
-		w.Dets = append(make([]scenario.Detection, 0, len(s.vsc.Detections)), s.vsc.Detections...)
+	if s.vsc != nil {
+		w.Dets = s.vsc.Detections
 	}
 	if s.feats != nil {
-		w.FeatDim = s.feats.Dim()
-		w.Feat = make([]float64, 0, s.feats.Dim()*s.feats.Rows())
-		for i := 0; i < s.feats.Rows(); i++ {
-			w.Feat = append(w.Feat, s.feats.Row(i)...)
-		}
+		w.FeatDim, w.Feat = s.feats.Dim(), s.feats.Data()
 	}
 	return w
 }
 
-// toSealed reconstructs the merge-stage form of a wire closure. A feature
-// payload whose shape does not match the detections is dropped rather than
-// trusted — the merge-side filter then re-extracts lazily, which computes
-// the identical matrix, so a mangled (or hostile) payload can cost time but
-// never correctness.
+// toSealed reconstructs the merge-stage form of a wire closure, adopting its
+// detections and feature block. A feature payload whose shape does not match
+// the detections is dropped rather than trusted — the merge-side filter then
+// re-extracts lazily, which computes the identical matrix, so a mangled (or
+// hostile) payload can cost time but never correctness.
 func (w ShardSealed) toSealed() sealedScenario {
 	k := bucketKey{Window: w.Window, Cell: w.Cell}
-	esc := &scenario.EScenario{Cell: w.Cell, Window: w.Window, EIDs: make(map[ids.EID]scenario.Attr, len(w.EIDs))}
-	for _, ea := range w.EIDs {
-		esc.EIDs[ea.EID] = ea.Attr
-	}
+	esc := &scenario.EScenario{Cell: w.Cell, Window: w.Window, EIDs: bucketEIDSet(w.EIDs)}
 	s := sealedScenario{key: k, esc: esc}
 	if len(w.Dets) == 0 {
 		return s
 	}
-	dets := append(make([]scenario.Detection, 0, len(w.Dets)), w.Dets...)
-	s.vsc = &scenario.VScenario{Cell: w.Cell, Window: w.Window, Detections: dets}
-	if w.FeatDim > 0 && len(w.Feat) == w.FeatDim*len(dets) {
-		if m, err := feature.NewMatrix(w.FeatDim, len(dets)); err == nil {
-			for i := range dets {
-				copy(m.Row(i), w.Feat[i*w.FeatDim:(i+1)*w.FeatDim])
-			}
-			s.feats = m
-		}
+	s.vsc = &scenario.VScenario{Cell: w.Cell, Window: w.Window, Detections: w.Dets}
+	if m, err := w.matrix(); err == nil {
+		s.feats = m
 	}
 	return s
 }

@@ -1,40 +1,30 @@
 package stream
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"sync"
 
 	"evmatching/internal/feature"
-	"evmatching/internal/geo"
 	"evmatching/internal/scenario"
 	"evmatching/internal/spill"
+	"evmatching/internal/wire"
 )
 
-// spillRecord is the gob image of one evicted sealed scenario: the
-// V-Scenario payload plus, when the filter had already extracted it, the
-// row-major feature matrix — a reload then never re-pays extraction, and
-// since the matrix is the very one the filter produced, the reloaded path
-// is bit-identical to the resident one (DESIGN.md §14).
-type spillRecord struct {
-	Cell       geo.CellID
-	Window     int
-	Detections []scenario.Detection
-	HasMatrix  bool
-	MatrixDim  int
-	MatrixData []float64
-}
-
 // windowPager is the sealed-window half of the spill tier: evicted
-// V-Scenario payloads live as gob records in an unlinked blob log and are
-// paged back in transiently at match, checkpoint, or finalize time. It
-// implements scenario.VPager and backs the filter's MatrixSource. Evictions
-// are serialized by the owning engine; reloads may be concurrent (the
-// parallel finalize executor reads from many goroutines).
+// V-Scenario payloads live in an unlinked blob log, one ShardSealed record
+// each (codec.go's encoding, EIDs empty): the detections plus, when the
+// filter had already extracted it, the feature matrix — a reload then never
+// re-pays extraction, and since the matrix is the very one the filter
+// produced, the reloaded path is bit-identical to the resident one
+// (DESIGN.md §14). Records are paged back in transiently at match,
+// checkpoint, or finalize time. It implements scenario.VPager and backs the
+// filter's MatrixSource. Evictions are serialized by the owning engine;
+// reloads may be concurrent (the parallel finalize executor reads from many
+// goroutines).
 type windowPager struct {
 	log   *spill.BlobLog
 	stats *spill.Stats
+	enc   []byte // evict's encode scratch (evictions are serialized)
 
 	mu   sync.RWMutex
 	refs map[scenario.ID]spill.BlobRef
@@ -57,33 +47,25 @@ func (p *windowPager) Close() error { return p.log.Close() }
 // log. The store entry must still be resident; the caller drops it only
 // after evict succeeds, so a write failure leaves the scenario in memory.
 func (p *windowPager) evict(id scenario.ID, v *scenario.VScenario, m *feature.Matrix) error {
-	rec := spillRecord{Cell: v.Cell, Window: v.Window, Detections: v.Detections}
+	rec := ShardSealed{Window: v.Window, Cell: v.Cell, Dets: v.Detections}
 	if m != nil {
-		rec.HasMatrix = true
-		rec.MatrixDim = m.Dim()
-		rec.MatrixData = make([]float64, 0, m.Dim()*m.Rows())
-		for i := 0; i < m.Rows(); i++ {
-			rec.MatrixData = append(rec.MatrixData, m.Row(i)...)
-		}
+		rec.FeatDim, rec.Feat = m.Dim(), m.Data()
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(rec); err != nil {
-		return fmt.Errorf("stream: encode spill record %d: %w", id, err)
-	}
-	ref, err := p.log.Append(buf.Bytes())
+	p.enc = appendShardSealed(p.enc[:0], &rec)
+	ref, err := p.log.Append(p.enc)
 	if err != nil {
 		return err
 	}
 	p.mu.Lock()
 	p.refs[id] = ref
 	p.mu.Unlock()
-	p.stats.AddBytesSpilled(int64(buf.Len()))
+	p.stats.AddBytesSpilled(ref.Len)
 	return nil
 }
 
 // load reads and decodes id's spill record. The second result is false when
 // id was never evicted — the caller then falls back to its resident path.
-func (p *windowPager) load(id scenario.ID) (*spillRecord, bool, error) {
+func (p *windowPager) load(id scenario.ID) (*ShardSealed, bool, error) {
 	p.mu.RLock()
 	ref, ok := p.refs[id]
 	p.mu.RUnlock()
@@ -94,8 +76,10 @@ func (p *windowPager) load(id scenario.ID) (*spillRecord, bool, error) {
 	if err != nil {
 		return nil, true, err
 	}
-	var rec spillRecord
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&rec); err != nil {
+	var rec ShardSealed
+	r := wire.NewReader(data)
+	readShardSealed(r, &rec)
+	if err := r.Err(); err != nil {
 		return nil, true, fmt.Errorf("stream: decode spill record %d: %w", id, err)
 	}
 	p.stats.AddReloads(1)
@@ -111,7 +95,7 @@ func (p *windowPager) LoadV(id scenario.ID) (*scenario.VScenario, error) {
 	if !ok {
 		return nil, fmt.Errorf("stream: no spill record for scenario %d", id)
 	}
-	return &scenario.VScenario{ID: id, Cell: rec.Cell, Window: rec.Window, Detections: rec.Detections}, nil
+	return &scenario.VScenario{ID: id, Cell: rec.Cell, Window: rec.Window, Detections: rec.Dets}, nil
 }
 
 // LoadMatrix is the filter's MatrixSource: it returns the spilled feature
@@ -123,20 +107,12 @@ func (p *windowPager) LoadMatrix(id scenario.ID) (*feature.Matrix, error) {
 	if err != nil {
 		return nil, err
 	}
-	if !ok || !rec.HasMatrix {
+	if !ok {
 		return nil, nil
 	}
-	if rec.MatrixDim < 1 || len(rec.MatrixData)%rec.MatrixDim != 0 {
-		return nil, fmt.Errorf("stream: corrupt spill matrix for scenario %d: dim %d, %d values",
-			id, rec.MatrixDim, len(rec.MatrixData))
-	}
-	rows := len(rec.MatrixData) / rec.MatrixDim
-	m, err := feature.NewMatrix(rec.MatrixDim, rows)
+	m, err := rec.matrix()
 	if err != nil {
-		return nil, fmt.Errorf("stream: rebuild spill matrix for scenario %d: %w", id, err)
-	}
-	for i := 0; i < rows; i++ {
-		copy(m.Row(i), rec.MatrixData[i*rec.MatrixDim:(i+1)*rec.MatrixDim])
+		return nil, fmt.Errorf("stream: corrupt spill record for scenario %d: %w", id, err)
 	}
 	return m, nil
 }
