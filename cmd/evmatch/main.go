@@ -6,7 +6,7 @@
 //
 //	evmatch -data world.gob [-n 100 | -eids aa:bb:...,... | -all]
 //	        [-algorithm ss|edp] [-mode serial|parallel] [-workers 0] [-seed 1]
-//	        [-no-blocking] [-mem-budget 0] [-spill-dir ""]
+//	        [-mem-budget 0] [-spill-dir ""]
 package main
 
 import (
@@ -46,7 +46,6 @@ func run(args []string) error {
 		seed      = fs.Int64("seed", 1, "matcher seed")
 		verbose   = fs.Bool("v", false, "print every matched pair")
 		jsonOut   = fs.Bool("json", false, "emit the full report as JSON instead of text")
-		noBlock   = fs.Bool("no-blocking", false, "disable the spatiotemporal blocking index (exhaustive window scans; A/B cross-check)")
 		explain   = fs.String("explain", "", "trace the matching decision for one EID and exit")
 		memBudget = fs.Int64("mem-budget", 0, "bytes of in-memory shuffle state in parallel mode; past it, buckets spill to sorted disk runs (0 = unlimited)")
 		spillDir  = fs.String("spill-dir", "", "directory for spill runs (default: OS temp dir)")
@@ -87,7 +86,7 @@ func run(args []string) error {
 	}
 
 	opts := evmatching.Options{
-		Seed: *seed, Workers: *workers, DisableBlocking: *noBlock,
+		Seed: *seed, Workers: *workers,
 		MemBudget: *memBudget, SpillDir: *spillDir,
 	}
 	switch *algoName {

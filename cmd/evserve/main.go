@@ -140,9 +140,10 @@ func publishClusterStats(reg *metrics.Registry, stats cluster.Stats, fallbacks i
 	reg.Set("cluster.fallbacks", fallbacks)
 }
 
-// publishBlockStats copies the batch matcher's blocking-index totals into the
+// publishBlockStats copies the batch matcher's posting-index totals into the
 // registry served at /metricsz: how many scenario probes the split stage
-// actually ran and how many the coarse signatures pruned (DESIGN.md §13).
+// actually ran and how many the index pruned (DESIGN.md §13) — together, the
+// scenarios of the windows the split scanned.
 // The ratio gauge is an integer percent — the registry carries int64 gauges.
 // A live stream engine publishes the same gauge names for its own incremental
 // splits; last writer wins, and both describe the same pruning machinery.

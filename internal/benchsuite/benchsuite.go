@@ -140,8 +140,9 @@ func sparseWorld() (*dataset.Dataset, error) {
 }
 
 // denseWorld returns the shared dense worst case: crowded cells and a
-// universal target set, so the live signature saturates and pruning almost
-// never fires — the configuration where blocking must cost nearly nothing.
+// universal target set, so nearly every scenario holds a live target and
+// pruning almost never fires — the configuration where blocking must cost
+// nearly nothing.
 // (The dense-core 1M preset itself needs ~a GB; this is its CI-sized proxy
 // with the same saturation property.)
 func denseWorld() (*dataset.Dataset, error) {
@@ -199,6 +200,40 @@ func matchSSScaleBench(world func() (*dataset.Dataset, error), numTargets int, d
 			if rep.Fingerprint() != warm.Fingerprint() {
 				b.Fatal("fingerprint drifted between warm and timed matches")
 			}
+		}
+		b.StopTimer()
+		b.ReportMetric(float64(splitNS)/float64(b.N)/1e6, "split_ms")
+	}
+}
+
+// scaleColdTargets is the target-sample size of the cold sparse row: the
+// bench/ module's batch-sparse shape.
+const scaleColdTargets = 2000
+
+// matchSSSparseColdBench times core.New plus the first Match over the sparse
+// world, so every iteration materialises the posting windows its split
+// reaches from nothing — the one-shot CLI shape, where the warm rows above
+// are the resident server's.
+func matchSSSparseColdBench() func(b *testing.B) {
+	return func(b *testing.B) {
+		ds, err := sparseWorld()
+		if err != nil {
+			b.Fatal(err)
+		}
+		targets := ds.SampleEIDs(scaleColdTargets, rand.New(rand.NewSource(5)))
+		b.ReportAllocs()
+		b.ResetTimer()
+		var splitNS int64
+		for i := 0; i < b.N; i++ {
+			m, err := core.New(ds, core.Options{Algorithm: core.AlgorithmSS, Mode: core.ModeSerial, WorkFactor: 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			rep, err := m.Match(context.Background(), targets)
+			if err != nil {
+				b.Fatal(err)
+			}
+			splitNS += rep.ETime.Nanoseconds()
 		}
 		b.StopTimer()
 		b.ReportMetric(float64(splitNS)/float64(b.N)/1e6, "split_ms")
@@ -379,6 +414,7 @@ func benchmarks() []benchmark {
 		{"MatchEDPSerial", matchBench(core.AlgorithmEDP, core.ModeSerial)},
 		{"MatchSSBlockedSparse", matchSSScaleBench(sparseWorld, scaleSparseTargets, false)},
 		{"MatchSSBlockedSparseExhaustive", matchSSScaleBench(sparseWorld, scaleSparseTargets, true)},
+		{"MatchSSSparseCold", matchSSSparseColdBench()},
 		{"MatchSSBlockedDense", matchSSScaleBench(denseWorld, 0, false)},
 		{"MatchSSBlockedDenseExhaustive", matchSSScaleBench(denseWorld, 0, true)},
 		{"StreamReplay", streamReplayBench()},

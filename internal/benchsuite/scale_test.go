@@ -3,6 +3,7 @@ package benchsuite
 import (
 	"context"
 	"math/rand"
+	"sort"
 	"testing"
 	"time"
 
@@ -12,43 +13,63 @@ import (
 	"evmatching/internal/stream"
 )
 
-// scaleMatch builds a matcher over a scale world, warms it with one match —
-// the first match builds the blocking index and pays cold caches — and
-// returns the second, warm report.
-func scaleMatch(t *testing.T, ds *dataset.Dataset, numTargets int, disable bool) *core.Report {
+// scalePair matches a scale world with and without the posting index and
+// returns a warm report of each plus the blocked/exhaustive E-stage time
+// ratio. Both matchers are warmed with one match — the first materialises the
+// posting windows and pays cold caches — and then matched in alternation; the
+// ratio is the median of the nine per-round ratios. The dense E stage is
+// ~20 ms, shorter than one garbage collection over a scale world or a
+// neighbour's burst on a shared runner, and pairing each blocked match with
+// the exhaustive one next to it is what cancels those (the ratio of the two
+// minima, tried first, swung 0.76–1.26 on identical code; this one 0.84–1.11).
+func scalePair(t *testing.T, ds *dataset.Dataset, numTargets int) (blocked, exhaustive *core.Report, ratio float64) {
 	t.Helper()
 	targets := ds.AllEIDs()
 	if numTargets > 0 {
 		targets = ds.SampleEIDs(numTargets, rand.New(rand.NewSource(5)))
 	}
-	m, err := core.New(ds, core.Options{
-		Algorithm:       core.AlgorithmSS,
-		Mode:            core.ModeSerial,
-		WorkFactor:      1,
-		DisableBlocking: disable,
-	})
-	if err != nil {
-		t.Fatal(err)
+	var ms [2]*core.Matcher
+	for i := range ms {
+		m, err := core.New(ds, core.Options{
+			Algorithm:       core.AlgorithmSS,
+			Mode:            core.ModeSerial,
+			WorkFactor:      1,
+			DisableBlocking: i == 1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.Match(context.Background(), targets); err != nil {
+			t.Fatal(err)
+		}
+		ms[i] = m
 	}
-	if _, err := m.Match(context.Background(), targets); err != nil {
-		t.Fatal(err)
+	var reps [2]*core.Report
+	ratios := make([]float64, 9)
+	for round := range ratios {
+		for i, m := range ms {
+			rep, err := m.Match(context.Background(), targets)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reps[i] = rep
+		}
+		ratios[round] = float64(reps[0].ETime) / float64(reps[1].ETime)
 	}
-	rep, err := m.Match(context.Background(), targets)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return rep
+	sort.Float64s(ratios)
+	return reps[0], reps[1], ratios[len(ratios)/2]
 }
 
 // TestScaleSmoke is the CI scale gate: the sparse-city 100k preset runs end
-// to end — generation, blocking-index build, blocked and exhaustive matches —
-// and the asymptote claim of DESIGN.md §13 is asserted directly: the blocked
-// E stage must beat the exhaustive one by a wide margin on the sparse world
-// (the committed baseline records ≥5×; the test demands ≥2.5× to absorb CI
-// noise) while staying bit-identical, and the saturated dense world bounds
-// the pruning bookkeeping (≤1.35× the exhaustive E stage here, ≤10% in the
-// calmer committed baseline). It runs in -short mode by design — the
-// scale-smoke CI job selects it with -run under a wall-clock budget.
+// to end — generation, posting materialisation, blocked and exhaustive
+// matches — and the asymptote claim of DESIGN.md §13 is asserted directly:
+// the blocked E stage must beat the exhaustive one by a wide margin on the
+// sparse world (the committed baseline records ≥5×; the test demands ≥2.5× to
+// absorb CI noise) while staying bit-identical, and on the saturated dense
+// world, where almost nothing prunes, the index must not cost more than it
+// saves (≤1.15× the exhaustive E stage here to absorb CI noise; the committed
+// baseline records blocked ≤ exhaustive). It runs in -short mode by design —
+// the scale-smoke CI job selects it with -run under a wall-clock budget.
 func TestScaleSmoke(t *testing.T) {
 	t.Run("sparse-100k", func(t *testing.T) {
 		ds, err := sparseWorld()
@@ -59,10 +80,9 @@ func TestScaleSmoke(t *testing.T) {
 			t.Fatalf("sparse preset produced only %d EIDs; not a scale world", n)
 		}
 		start := time.Now()
-		blocked := scaleMatch(t, ds, scaleSparseTargets, false)
-		exhaustive := scaleMatch(t, ds, scaleSparseTargets, true)
-		t.Logf("sparse-100k: blocked E=%v exhaustive E=%v (matches took %v)",
-			blocked.ETime, exhaustive.ETime, time.Since(start))
+		blocked, exhaustive, ratio := scalePair(t, ds, scaleSparseTargets)
+		t.Logf("sparse-100k: blocked E=%v exhaustive E=%v, median ratio %.4f (matches took %v)",
+			blocked.ETime, exhaustive.ETime, ratio, time.Since(start))
 
 		if got, want := blocked.Fingerprint(), exhaustive.Fingerprint(); got != want {
 			t.Fatalf("blocked fingerprint %s != exhaustive %s", got, want)
@@ -70,8 +90,8 @@ func TestScaleSmoke(t *testing.T) {
 		if blocked.BlockPruned == 0 {
 			t.Error("sparse world pruned nothing; blocking index inert")
 		}
-		if ratio := float64(exhaustive.ETime) / float64(blocked.ETime); ratio < 2.5 {
-			t.Errorf("sparse split-stage speedup %.1fx, want >= 2.5x (baseline records >= 5x)", ratio)
+		if ratio > 1/2.5 {
+			t.Errorf("sparse split-stage speedup %.1fx, want >= 2.5x (baseline records >= 5x)", 1/ratio)
 		}
 	})
 
@@ -80,15 +100,14 @@ func TestScaleSmoke(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		blocked := scaleMatch(t, ds, 0, false)
-		exhaustive := scaleMatch(t, ds, 0, true)
-		t.Logf("dense: blocked E=%v exhaustive E=%v", blocked.ETime, exhaustive.ETime)
+		blocked, exhaustive, ratio := scalePair(t, ds, 0)
+		t.Logf("dense: blocked E=%v exhaustive E=%v, median ratio %.2f", blocked.ETime, exhaustive.ETime, ratio)
 
 		if got, want := blocked.Fingerprint(), exhaustive.Fingerprint(); got != want {
 			t.Fatalf("blocked fingerprint %s != exhaustive %s", got, want)
 		}
-		if ratio := float64(blocked.ETime) / float64(exhaustive.ETime); ratio > 1.35 {
-			t.Errorf("dense-world blocking overhead %.2fx exhaustive, want <= 1.35x", ratio)
+		if ratio > 1.15 {
+			t.Errorf("dense-world blocked E stage is %.2fx the exhaustive one, want <= 1.15x", ratio)
 		}
 	})
 }

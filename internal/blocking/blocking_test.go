@@ -3,9 +3,10 @@ package blocking
 import (
 	"fmt"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 
-	"evmatching/internal/bitset"
 	"evmatching/internal/geo"
 	"evmatching/internal/ids"
 	"evmatching/internal/scenario"
@@ -45,178 +46,242 @@ func randStore(t *testing.T, rng *rand.Rand, numEIDs, numCells, numWindows, numS
 	return st
 }
 
-func TestGeometryDefaults(t *testing.T) {
-	ix := Build(scenario.NewStore(nil), Geometry{})
-	g := ix.Geometry()
-	if g.CellStride != 1 || g.WindowStride != 1 {
-		t.Errorf("zero geometry clamps to strides (1,1), got (%d,%d)", g.CellStride, g.WindowStride)
+// wantInclusiveAt is the brute-force posting: the scenarios of w holding e
+// inclusively, in AtWindow order.
+func wantInclusiveAt(st *scenario.Store, e ids.EID, w int) []scenario.ID {
+	var want []scenario.ID
+	for _, id := range st.AtWindow(w) {
+		if st.E(id).Inclusive(e) {
+			want = append(want, id)
+		}
 	}
-	if g.Slots != 64 {
-		t.Errorf("zero geometry slots = %d, want the 64 floor", g.Slots)
-	}
-	if g = Build(nil, Geometry{Slots: 100}).Geometry(); g.Slots != 128 {
-		t.Errorf("slots 100 rounds to %d, want 128", g.Slots)
-	}
-	if g = DefaultGeometry().withDefaults(); g != DefaultGeometry() {
-		t.Errorf("default geometry is not a fixed point of withDefaults: %+v", g)
-	}
+	return want
 }
 
-// TestSlotDeterministic pins that the slot hash is a pure function of
-// (geometry, cell, window) — the checkpoint rebuild rule depends on two
-// builds over equal stores producing equal indexes — and that hostile
-// negative coordinates hash in range without panicking.
-func TestSlotDeterministic(t *testing.T) {
-	g := DefaultGeometry().withDefaults()
-	for _, c := range []geo.CellID{-1 << 40, -7, -1, 0, 1, 12543, 1 << 40} {
-		for _, w := range []int{-100, -1, 0, 3, 4, 1 << 30} {
-			s := g.slot(c, w)
-			if s != g.slot(c, w) {
-				t.Fatalf("slot(%d,%d) not deterministic", c, w)
-			}
-			if int(s) >= g.Slots {
-				t.Fatalf("slot(%d,%d) = %d out of range [0,%d)", c, w, s, g.Slots)
+// wantCandidates is the brute-force candidate list: the scenarios of w
+// holding any of live inclusively, in AtWindow order.
+func wantCandidates(st *scenario.Store, live map[ids.EID]bool, w int) []scenario.ID {
+	var want []scenario.ID
+	for _, id := range st.AtWindow(w) {
+		for e, a := range st.E(id).EIDs {
+			if a == scenario.AttrInclusive && live[e] {
+				want = append(want, id)
+				break
 			}
 		}
 	}
-	// Windows inside one stride share the block; strides must not leak.
-	if g.slot(5, 0) != g.slot(5, 3) {
-		t.Error("windows 0 and 3 should share the stride-4 block")
+	return want
+}
+
+// checkIndex compares every InclusiveAt and Candidates answer of ix with the
+// brute-force AtWindow scan of st, over st's windows plus two it never saw.
+func checkIndex(t *testing.T, label string, st *scenario.Store, ix *Index, probes, targets []ids.EID) {
+	t.Helper()
+	lt := NewLiveTargets(targets)
+	for _, w := range append(st.Windows(), -77, 1<<20) {
+		if got, want := ix.WindowTotal(w), len(st.AtWindow(w)); got != want {
+			t.Fatalf("%s: WindowTotal(%d) = %d, want %d", label, w, got, want)
+		}
+		for _, e := range probes {
+			if got, want := ix.InclusiveAt(e, w), wantInclusiveAt(st, e, w); !slices.Equal(got, want) {
+				t.Fatalf("%s: InclusiveAt(%s,%d) = %v, want %v", label, e, w, got, want)
+			}
+		}
+		prefix := []scenario.ID{-5}
+		got, total := ix.Candidates(w, lt, prefix)
+		if total != len(st.AtWindow(w)) {
+			t.Fatalf("%s: Candidates(%d) total = %d, want %d", label, w, total, len(st.AtWindow(w)))
+		}
+		if got[0] != -5 {
+			t.Fatalf("%s: Candidates(%d) overwrote the caller's buffer prefix", label, w)
+		}
+		if want := wantCandidates(st, lt.live, w); !slices.Equal(got[1:], want) {
+			t.Fatalf("%s: Candidates(%d) = %v, want %v", label, w, got[1:], want)
+		}
 	}
 }
 
-// TestCandidatesSound checks the pruning guarantee against brute force over
-// randomized stores: every scenario containing any live EID (inclusive or
-// vague — signatures cover all appearances) must survive as a candidate, in
-// AtWindow order, and the returned total must match the window size.
+// TestGeometryDefaults pins what is left of Geometry: one value, and an index
+// built with it over no store or an empty one answers every query with
+// nothing.
+func TestGeometryDefaults(t *testing.T) {
+	if DefaultGeometry() != (Geometry{}) {
+		t.Error("DefaultGeometry is not the zero Geometry")
+	}
+	for _, st := range []*scenario.Store{nil, scenario.NewStore(nil)} {
+		ix := Build(st, DefaultGeometry())
+		if got := ix.InclusiveAt(eid(1), 0); got != nil {
+			t.Errorf("InclusiveAt over an empty index = %v", got)
+		}
+		lt := NewLiveTargets([]ids.EID{eid(1), eid(2)})
+		if cands, total := ix.Candidates(0, lt, nil); len(cands) != 0 || total != 0 {
+			t.Errorf("Candidates over an empty index = %v, total %d", cands, total)
+		}
+		if ix.WindowTotal(3) != 0 {
+			t.Error("WindowTotal over an empty index is not 0")
+		}
+	}
+}
+
+// TestCandidatesSound checks the index against brute force over randomized
+// stores: a window's candidates are exactly the scenarios holding a live
+// target inclusively, in AtWindow order, and stay so as targets resolve.
 func TestCandidatesSound(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
+	probes := make([]ids.EID, 14) // eid(12), eid(13) are never observed
+	for i := range probes {
+		probes[i] = eid(i)
+	}
 	for trial := 0; trial < 30; trial++ {
 		st := randStore(t, rng, 12, 40, 6, 80)
-		ix := Build(st, Geometry{CellStride: 2, WindowStride: 2, Slots: 64})
-		liveSet := make(map[ids.EID]bool)
-		var live []ids.EID
-		for n := 2 + rng.Intn(3); n > 0; n-- {
-			e := eid(rng.Intn(12))
-			live = append(live, e)
-			liveSet[e] = true
+		ix := Build(st, DefaultGeometry())
+		var targets []ids.EID
+		for n := 2 + rng.Intn(24); n > 0; n-- { // few to all of the EIDs: both sides of the walk
+			targets = append(targets, eid(rng.Intn(14)))
 		}
-		l := ix.NewLive(append(live, live[0])) // duplicate target must be harmless
-		if len(liveSet) < 2 {
-			continue // collapsed to a singleton: empty signature by design
-		}
+		targets = append(targets, targets[0]) // duplicate target must be harmless
+		checkIndex(t, fmt.Sprintf("trial %d", trial), st, ix, probes, targets)
+
+		lt := NewLiveTargets(targets)
+		lt.Resolve(targets[0])
 		for _, w := range st.Windows() {
-			cands, total := ix.Candidates(w, l.Sig(), nil)
-			if total != len(st.AtWindow(w)) {
-				t.Fatalf("trial %d window %d: total %d, want %d", trial, w, total, len(st.AtWindow(w)))
-			}
-			inCands := make(map[scenario.ID]bool, len(cands))
-			pos := -1
-			order := st.AtWindow(w)
-			for _, id := range cands {
-				inCands[id] = true
-				found := false
-				for j := pos + 1; j < len(order); j++ {
-					if order[j] == id {
-						pos, found = j, true
-						break
-					}
-				}
-				if !found {
-					t.Fatalf("trial %d window %d: candidates not an AtWindow-order subsequence", trial, w)
-				}
-			}
-			for _, id := range order {
-				esc := st.E(id)
-				for e := range liveSet {
-					if esc.Contains(e) && !inCands[id] {
-						t.Fatalf("trial %d window %d: scenario %d contains live EID %s but was pruned", trial, w, id, e)
-					}
-				}
+			got, _ := ix.Candidates(w, lt, nil)
+			if want := wantCandidates(st, lt.live, w); !slices.Equal(got, want) {
+				t.Fatalf("trial %d window %d after a resolve: candidates %v, want %v", trial, w, got, want)
 			}
 		}
 	}
 }
 
-// TestCandidatesEmptySig pins the fast paths: an unknown window contributes
-// nothing, and an empty signature prunes the whole window via the union
-// check while still reporting the full total for accounting.
-func TestCandidatesEmptySig(t *testing.T) {
+// TestCandidatesEmptyLive pins the degenerate trackers: an unknown window
+// contributes nothing, and an empty, singleton-born or nil tracker prunes the
+// whole window while still reporting the full total for accounting.
+func TestCandidatesEmptyLive(t *testing.T) {
 	st := scenario.NewStore(nil)
 	addScenario(t, st, 1, 0, map[ids.EID]scenario.Attr{eid(1): scenario.AttrInclusive})
 	addScenario(t, st, 2, 0, map[ids.EID]scenario.Attr{eid(2): scenario.AttrInclusive})
 	ix := Build(st, DefaultGeometry())
-	if cands, total := ix.Candidates(99, bitset.New(64), nil); len(cands) != 0 || total != 0 {
+	both := NewLiveTargets([]ids.EID{eid(1), eid(2)})
+	if cands, total := ix.Candidates(99, both, nil); len(cands) != 0 || total != 0 {
 		t.Errorf("unknown window: got %d candidates, total %d", len(cands), total)
 	}
-	if cands, total := ix.Candidates(0, bitset.New(ix.Geometry().Slots), nil); len(cands) != 0 || total != 2 {
-		t.Errorf("empty sig: got %d candidates, total %d; want 0 and 2", len(cands), total)
+	for name, lt := range map[string]*LiveTargets{
+		"no targets": NewLiveTargets(nil),
+		"singleton":  NewLiveTargets([]ids.EID{eid(1)}),
+		"nil":        nil,
+	} {
+		if cands, total := ix.Candidates(0, lt, nil); len(cands) != 0 || total != 2 {
+			t.Errorf("%s: got %d candidates, total %d; want 0 and 2", name, len(cands), total)
+		}
+	}
+	if cands, _ := ix.Candidates(0, both, nil); len(cands) != 2 {
+		t.Errorf("two live targets in two scenarios: got %d candidates", len(cands))
 	}
 }
 
-// TestInclusiveAt checks the padding postings against a direct store scan.
+// TestInclusiveAt checks the postings against a direct store scan, and that a
+// hit hands out index storage rather than a fresh slice.
 func TestInclusiveAt(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	st := randStore(t, rng, 8, 20, 5, 60)
 	ix := Build(st, DefaultGeometry())
+	var hit ids.EID
 	for n := 0; n < 10; n++ {
 		e := eid(n)
 		for w := -1; w < 7; w++ {
-			var want []scenario.ID
-			for _, id := range st.AtWindow(w) {
-				if st.E(id).Inclusive(e) {
-					want = append(want, id)
-				}
-			}
-			got := ix.InclusiveAt(e, w)
-			if len(got) != len(want) {
+			got, want := ix.InclusiveAt(e, w), wantInclusiveAt(st, e, w)
+			if !slices.Equal(got, want) {
 				t.Fatalf("InclusiveAt(%s,%d) = %v, want %v", e, w, got, want)
 			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("InclusiveAt(%s,%d) = %v, want %v", e, w, got, want)
-				}
+			if w == 0 && len(got) > 0 {
+				hit = e
 			}
 		}
 	}
+	if hit == ids.None {
+		t.Fatal("no EID is inclusive in window 0; the allocation check has nothing to probe")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { ix.InclusiveAt(hit, 0) }); allocs != 0 {
+		t.Errorf("InclusiveAt allocates %.0f times per hit", allocs)
+	}
 }
 
-// TestLiveRefcounting drives the live set through resolutions: shared slots
-// must survive until the last holder resolves, and the signature must end
-// empty. Double-resolves and unknown EIDs are no-ops.
-func TestLiveRefcounting(t *testing.T) {
+// TestHostileStores drives the shapes no generated world produces: negative
+// and huge cells and windows, two scenarios on one cell, an EID inclusive in
+// several scenarios of one window (and vague in another), empty scenarios.
+func TestHostileStores(t *testing.T) {
 	st := scenario.NewStore(nil)
-	// EIDs 1 and 2 share cell 5 window 0; EID 2 alone in cell 9 window 4.
-	addScenario(t, st, 5, 0, map[ids.EID]scenario.Attr{eid(1): scenario.AttrInclusive, eid(2): scenario.AttrInclusive})
-	addScenario(t, st, 9, 4, map[ids.EID]scenario.Attr{eid(2): scenario.AttrVague})
+	inc, vag := scenario.AttrInclusive, scenario.AttrVague
+	addScenario(t, st, -1<<40, -3, map[ids.EID]scenario.Attr{eid(1): inc, eid(2): inc})
+	addScenario(t, st, 7, -3, map[ids.EID]scenario.Attr{eid(1): inc, eid(3): vag})
+	addScenario(t, st, 7, -3, map[ids.EID]scenario.Attr{eid(3): inc})     // second scenario on cell 7
+	addScenario(t, st, 1<<40, -3, map[ids.EID]scenario.Attr{eid(1): inc}) // eid(1) a third time
+	addScenario(t, st, 0, -3, nil)                                        // empty
+	addScenario(t, st, -2, 1<<30, map[ids.EID]scenario.Attr{eid(2): vag}) // vague only
+	addScenario(t, st, 5, 0, map[ids.EID]scenario.Attr{eid(4): inc, eid(1): vag})
+	addScenario(t, st, 5, 0, map[ids.EID]scenario.Attr{eid(4): inc, eid(2): inc}) // eid(4) twice on one cell
+	probes := []ids.EID{eid(1), eid(2), eid(3), eid(4), eid(99)}
 	ix := Build(st, DefaultGeometry())
-	g := ix.Geometry()
-	shared, lone := g.slot(5, 0), g.slot(9, 4)
+	for _, targets := range [][]ids.EID{
+		{eid(1), eid(2)}, {eid(3), eid(4)}, {eid(1), eid(2), eid(3), eid(4)}, {eid(2), eid(99)}, {eid(98), eid(99)},
+	} {
+		checkIndex(t, fmt.Sprint(targets), st, ix, probes, targets)
+	}
+	if got := ix.InclusiveAt(eid(1), -3); len(got) != 3 {
+		t.Errorf("eid(1) is inclusive in 3 scenarios of window -3, InclusiveAt returned %v", got)
+	}
+}
 
-	l := ix.NewLive([]ids.EID{eid(1), eid(2), eid(99)}) // eid(99) never observed: no blocks
-	if l.NumLive() != 3 {
-		t.Fatalf("NumLive = %d, want 3", l.NumLive())
-	}
-	if !l.Sig().Has(int(shared)) || !l.Sig().Has(int(lone)) {
-		t.Fatal("initial signature missing observed blocks")
-	}
-	l.Resolve(eid(2))
-	if !l.Sig().Has(int(shared)) {
-		t.Error("shared slot dropped while EID 1 still live")
-	}
-	if shared != lone && l.Sig().Has(int(lone)) {
-		t.Error("EID 2's lone slot survived its resolution")
-	}
-	l.Resolve(eid(2)) // repeat: no-op
-	l.Resolve(eid(7)) // unknown: no-op
-	l.Resolve(eid(1))
-	l.Resolve(eid(99))
-	if l.NumLive() != 0 || l.Sig().Count() != 0 {
-		t.Errorf("after all resolutions: %d live, %d sig bits", l.NumLive(), l.Sig().Count())
-	}
+// TestStoreGrowsAfterFirstTouch pins the rebuild rule the matcher follows: an
+// index keeps describing the windows it materialised as they were, and a
+// fresh Build over the grown store sees everything.
+func TestStoreGrowsAfterFirstTouch(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	st := randStore(t, rng, 8, 20, 4, 40)
+	probes := []ids.EID{eid(0), eid(1), eid(2), eid(3), eid(4), eid(5), eid(6), eid(7), eid(50)}
+	targets := probes[:5]
+	old := Build(st, DefaultGeometry())
+	checkIndex(t, "before growth", st, old, probes, targets)
+	before := old.InclusiveAt(eid(50), 2)
 
-	if single := ix.NewLive([]ids.EID{eid(1)}); single.NumLive() != 0 || single.Sig().Count() != 0 {
-		t.Error("singleton target list must start resolved with an empty signature")
+	addScenario(t, st, 3, 2, map[ids.EID]scenario.Attr{eid(50): scenario.AttrInclusive, eid(1): scenario.AttrInclusive})
+	addScenario(t, st, 4, 9, map[ids.EID]scenario.Attr{eid(2): scenario.AttrInclusive}) // a new window
+	if got := old.InclusiveAt(eid(50), 2); !slices.Equal(got, before) {
+		t.Errorf("a materialised window changed under its index: %v, was %v", got, before)
+	}
+	checkIndex(t, "rebuilt after growth", st, Build(st, DefaultGeometry()), probes, targets)
+}
+
+// TestConcurrentFirstTouch has many readers race to materialise the same
+// windows; every one must see the brute-force answers (run under -race).
+func TestConcurrentFirstTouch(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	st := randStore(t, rng, 12, 30, 6, 120)
+	for _, w := range st.Windows() {
+		st.AtWindow(w) // the store's own sort cache is not under test
+	}
+	ix := Build(st, DefaultGeometry())
+	var wg sync.WaitGroup
+	errs := make(chan string, 8)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			live := map[ids.EID]bool{eid(g): true, eid(g + 1): true, eid(g + 2): true}
+			lt := NewLiveTargets([]ids.EID{eid(g), eid(g + 1), eid(g + 2)})
+			for _, w := range st.Windows() {
+				got, _ := ix.Candidates(w, lt, nil)
+				if want := wantCandidates(st, live, w); !slices.Equal(got, want) {
+					errs <- fmt.Sprintf("goroutine %d window %d: candidates %v, want %v", g, w, got, want)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
 	}
 }
 
@@ -254,34 +319,32 @@ func TestLiveTargetsPrunes(t *testing.T) {
 	}
 }
 
-// TestBuildDeterministic pins index equality across rebuilds of the same
-// store — the property the checkpoint-restore rebuild rule rests on.
+// TestBuildDeterministic pins that two indexes over one store answer alike,
+// whatever order their windows were first touched in.
 func TestBuildDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	st := randStore(t, rng, 10, 30, 5, 70)
 	a, b := Build(st, DefaultGeometry()), Build(st, DefaultGeometry())
-	if a.NumEIDs() != b.NumEIDs() {
-		t.Fatalf("NumEIDs %d vs %d", a.NumEIDs(), b.NumEIDs())
-	}
 	targets := []ids.EID{eid(0), eid(1), eid(2)}
-	for _, w := range st.Windows() {
-		ca, ta := a.Candidates(w, a.NewLive(targets).Sig(), nil)
-		cb, tb := b.Candidates(w, b.NewLive(targets).Sig(), nil)
-		if ta != tb || len(ca) != len(cb) {
-			t.Fatalf("window %d: rebuild diverged (%d/%d vs %d/%d)", w, len(ca), ta, len(cb), tb)
-		}
-		for i := range ca {
-			if ca[i] != cb[i] {
-				t.Fatalf("window %d: candidate %d differs", w, i)
-			}
+	wins := st.Windows()
+	for i := range wins {
+		wa, wb := wins[i], wins[len(wins)-1-i]
+		a.Candidates(wa, NewLiveTargets(targets), nil)
+		b.Candidates(wb, NewLiveTargets(targets), nil)
+	}
+	for _, w := range wins {
+		ca, ta := a.Candidates(w, NewLiveTargets(targets), nil)
+		cb, tb := b.Candidates(w, NewLiveTargets(targets), nil)
+		if ta != tb || !slices.Equal(ca, cb) {
+			t.Fatalf("window %d: the two indexes diverged (%v/%d vs %v/%d)", w, ca, ta, cb, tb)
 		}
 	}
 }
 
 // FuzzIndexHostile feeds adversarial scenario shapes — empty EID sets,
 // duplicate cells, negative and huge coordinates, unknown probe EIDs —
-// through Build, Candidates, InclusiveAt, and the live trackers, asserting
-// no panics and the candidate-superset invariant.
+// through Build, Candidates, InclusiveAt and the live tracker, asserting no
+// panics and the brute-force answers.
 func FuzzIndexHostile(f *testing.F) {
 	f.Add(int64(1), int64(-5), 3, uint8(2), uint8(0))
 	f.Add(int64(-1<<40), int64(0), 0, uint8(0), uint8(3))
@@ -289,47 +352,25 @@ func FuzzIndexHostile(f *testing.F) {
 	f.Fuzz(func(t *testing.T, cell1, cell2 int64, window int, eidByte, probeByte uint8) {
 		st := scenario.NewStore(nil)
 		e1, probe := eid(int(eidByte)), eid(int(probeByte))
-		mustAdd := func(c geo.CellID, w int, m map[ids.EID]scenario.Attr) {
-			if _, err := st.Add(&scenario.EScenario{Cell: c, Window: w, EIDs: m}, nil); err != nil {
-				t.Fatalf("Add: %v", err)
-			}
-		}
-		mustAdd(geo.CellID(cell1), window, map[ids.EID]scenario.Attr{e1: scenario.AttrInclusive})
-		mustAdd(geo.CellID(cell2), window, nil) // empty EID set
-		mustAdd(geo.CellID(cell1), window+1, map[ids.EID]scenario.Attr{
+		addScenario(t, st, geo.CellID(cell1), window, map[ids.EID]scenario.Attr{e1: scenario.AttrInclusive})
+		addScenario(t, st, geo.CellID(cell2), window, nil) // empty EID set
+		addScenario(t, st, geo.CellID(cell1), window+1, map[ids.EID]scenario.Attr{
 			e1: scenario.AttrVague, probe: scenario.AttrInclusive,
 		})
-		mustAdd(geo.CellID(cell1), window, map[ids.EID]scenario.Attr{e1: scenario.AttrInclusive}) // duplicate shape
+		addScenario(t, st, geo.CellID(cell1), window, map[ids.EID]scenario.Attr{e1: scenario.AttrInclusive}) // duplicate shape
 
-		ix := Build(st, Geometry{CellStride: 3, WindowStride: 2, Slots: 64})
-		l := ix.NewLive([]ids.EID{e1, probe, e1})
-		for _, w := range []int{window, window + 1, window + 999} {
-			cands, total := ix.Candidates(w, l.Sig(), nil)
-			if len(cands) > total {
-				t.Fatalf("window %d: %d candidates exceed total %d", w, len(cands), total)
-			}
-			seen := make(map[scenario.ID]bool, len(cands))
-			for _, id := range cands {
-				seen[id] = true
-			}
-			for _, id := range st.AtWindow(w) {
-				if esc := st.E(id); (esc.Contains(e1) || esc.Contains(probe)) && !seen[id] {
-					t.Fatalf("window %d: scenario %d with a live EID was pruned", w, id)
-				}
-			}
-			ix.InclusiveAt(probe, w)
-			ix.InclusiveAt(eid(255), w)
-		}
-		l.Resolve(e1)
-		l.Resolve(probe)
-		l.Resolve(eid(254))
-		if l.Sig().Count() != 0 {
-			t.Fatal("signature not empty after resolving all targets")
-		}
+		ix := Build(st, DefaultGeometry())
+		checkIndex(t, "fuzz", st, ix, []ids.EID{e1, probe, eid(255)}, []ids.EID{e1, probe, e1})
 		lt := NewLiveTargets([]ids.EID{e1, probe})
 		for id := scenario.ID(0); int(id) < st.Len(); id++ {
 			lt.Prunes(st.E(id))
 		}
 		lt.Prunes(nil)
+		lt.Resolve(e1)
+		lt.Resolve(probe)
+		lt.Resolve(eid(254))
+		if cands, _ := ix.Candidates(window, lt, nil); len(cands) != 0 {
+			t.Fatalf("candidates %v survive resolving every target", cands)
+		}
 	})
 }

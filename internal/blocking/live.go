@@ -5,21 +5,25 @@ import (
 	"evmatching/internal/scenario"
 )
 
-// LiveTargets is the streaming splitter's pruning state: the finest possible
-// blocking signature — the exact set of still-undistinguished target EIDs.
-// A store-wide coarse index cannot exist online (scenarios arrive as windows
-// seal), but the soundness argument needs no index at all: a sealed scenario
-// can only split a partition leaf if a live target appears in it inclusively,
-// so the membership probe below decides no-op scenarios exactly. Restore
-// rebuilds this state deterministically by replaying the checkpointed
-// scenarios through the same probe — the rebuild rule of DESIGN.md §13, with
-// no new checkpoint fields.
+// LiveTargets is the exact set of still-undistinguished target EIDs of one
+// split run — the one live tracker of both front-ends. Wire Resolve to
+// partition.OnResolve: leaves only ever shrink, so a resolved EID never
+// becomes live again and the set only shrinks. The batch matcher hands it to
+// Index.Candidates a window at a time; the stream, whose scenarios arrive as
+// windows seal and have no store-wide index to consult, asks Prunes about
+// each one. Both apply the same rule: a scenario can only split a partition
+// leaf if a live target appears in it inclusively. Restore rebuilds this
+// state deterministically by replaying the checkpointed scenarios through
+// the same probe, with no checkpoint fields of its own. Not safe for
+// concurrent use — one per split run, like the partition it mirrors.
 type LiveTargets struct {
 	live map[ids.EID]bool
 }
 
-// NewLiveTargets builds the tracker for a fresh partition over targets. As
-// with Index.NewLive, a lone target is born resolved and everything prunes.
+// NewLiveTargets builds the tracker for a fresh partition over targets. A
+// lone target's partition is born resolved, so the set starts (and stays)
+// empty and every scenario prunes — matching the exhaustive path, which
+// breaks out before applying any.
 func NewLiveTargets(targets []ids.EID) *LiveTargets {
 	lt := &LiveTargets{live: make(map[ids.EID]bool, len(targets))}
 	if len(targets) < 2 {
@@ -34,8 +38,14 @@ func NewLiveTargets(targets []ids.EID) *LiveTargets {
 // Resolve removes e from the live set. Wire to partition.OnResolve.
 func (lt *LiveTargets) Resolve(e ids.EID) { delete(lt.live, e) }
 
-// NumLive returns how many targets are still undistinguished.
-func (lt *LiveTargets) NumLive() int { return len(lt.live) }
+// NumLive returns how many targets are still undistinguished; a nil tracker
+// has none.
+func (lt *LiveTargets) NumLive() int {
+	if lt == nil {
+		return 0
+	}
+	return len(lt.live)
+}
 
 // Prunes reports whether s provably cannot change the partition: no live
 // target appears in it inclusively. SplitBy's effectiveness test requires an

@@ -30,18 +30,31 @@ func outputFile(dir, jobID string, r int) string {
 	return filepath.Join(dir, fmt.Sprintf("job-%s-out-%05d.json", jobID, r))
 }
 
-// writeKVFile atomically writes pairs to path.
+// writeKVFile atomically writes pairs to path. Each call stages through its
+// own temp file, so speculative or redispatched attempts of one task may write
+// the same path at once: the last rename wins and readers only ever see one
+// attempt's complete pairs. (spill.WriteFileAtomic is not used: it stages
+// through a fixed name too, and its fsyncs buy nothing for files a lost job
+// regenerates.)
 func writeKVFile(path string, kvs []mapreduce.KeyValue) error {
 	data, err := json.Marshal(kvs)
 	if err != nil {
 		return fmt.Errorf("cluster: marshal %s: %w", path, err)
 	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return fmt.Errorf("cluster: write %s: %w", tmp, err)
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".*.tmp")
+	if err != nil {
+		return fmt.Errorf("cluster: write %s: %w", path, err)
 	}
-	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("cluster: rename %s: %w", tmp, err)
+	_, err = f.Write(data)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(f.Name(), path)
+	}
+	if err != nil {
+		os.Remove(f.Name())
+		return fmt.Errorf("cluster: write %s: %w", path, err)
 	}
 	return nil
 }

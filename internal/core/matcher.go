@@ -28,18 +28,19 @@ type Matcher struct {
 	ds   *dataset.Dataset
 	opts Options
 
-	// blockIdx is the lazily built blocking index over ds.Store (DESIGN.md
-	// §13), shared across Match calls. It is keyed to the store length at
-	// build time: stores are append-only, so a length match means the index
-	// is current and a mismatch triggers a deterministic rebuild — the same
-	// rule the streaming checkpoint restore follows.
+	// blockIdx is the posting index over ds.Store (DESIGN.md §13), shared
+	// across Match calls — concurrent ones included — so the windows one
+	// match materialised are warm for the next. It is keyed to the store
+	// length when it was made: stores are append-only, so a length match
+	// means its windows are current and a mismatch drops it for a fresh,
+	// empty one.
 	blockMu  sync.Mutex
 	blockIdx *blocking.Index
 	blockLen int
 }
 
-// blockIndex returns the current blocking index, building or rebuilding it
-// when the store has grown since the last build.
+// blockIndex returns the current posting index, replacing it when the store
+// has grown since it was made.
 func (m *Matcher) blockIndex() *blocking.Index {
 	m.blockMu.Lock()
 	defer m.blockMu.Unlock()
@@ -128,8 +129,10 @@ func dedupEIDs(targets []ids.EID) []ids.EID {
 }
 
 // filterScenario returns a view of s restricted to the target EIDs, or nil
-// when no target appears — the preprocess filtering of Algorithm 3. The
-// view shares s's ID so recorded scenarios resolve to real store entries.
+// when no target appears — the preprocess filtering of Algorithm 3, needed
+// only by the MapReduce split it feeds (partition.SplitBy skips non-targets
+// itself). The view shares s's ID so recorded scenarios resolve to real
+// store entries.
 func filterScenario(s *scenario.EScenario, targets map[ids.EID]bool) *scenario.EScenario {
 	var kept map[ids.EID]scenario.Attr
 	//evlint:ignore maprange builds a map view keyed by distinct EIDs; insertion order cannot affect its contents

@@ -131,12 +131,12 @@ type Options struct {
 	// per-EID padding) when the candidate intersection refuses to become a
 	// singleton. Defaults to 14.
 	EDPMaxScenarios int
-	// DisableBlocking turns off the spatiotemporal blocking index in front
-	// of the E stage (DESIGN.md §13) and restores the exhaustive
-	// scenario-by-scenario scan. Blocking is on by default: its pruned path
-	// is bit-identical to the exhaustive one (the equivalence property tests
-	// pin this), so the switch exists for benchmarking the asymptote and as
-	// an escape hatch, not for correctness.
+	// DisableBlocking turns off the posting index in front of the E stage
+	// (DESIGN.md §13) and restores the exhaustive scenario-by-scenario scan.
+	// It exists for one reason: the exhaustive scan is the oracle the
+	// equivalence battery compares the indexed path against and the subject
+	// of the *Exhaustive benchsuite rows. No command exposes it; the indexed
+	// path is bit-identical and not slower on any measured world.
 	DisableBlocking bool
 	// MemBudget caps the bytes of in-memory shuffle state in the parallel
 	// executor; past it, per-reducer buckets spill to sorted temp-file runs

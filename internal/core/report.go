@@ -34,11 +34,12 @@ type Report struct {
 	VStats vfilter.Stats
 	// RefineRounds is how many extra refine iterations ran (0 = none).
 	RefineRounds int
-	// BlockCandidates and BlockPruned count the store scenarios the blocking
+	// BlockCandidates and BlockPruned count the store scenarios the posting
 	// index admitted to (respectively excluded from) split probing, summed
-	// across refine rounds. Like ETime/VTime they measure effort, not
-	// results — the pruned path is bit-identical to the exhaustive one — so
-	// Fingerprint excludes them. Both stay zero under DisableBlocking.
+	// across refine rounds: together, every scenario of every window a split
+	// scanned. Like ETime/VTime they measure effort, not results — the pruned
+	// path is bit-identical to the exhaustive one — so Fingerprint excludes
+	// them. Both stay zero under DisableBlocking.
 	BlockCandidates int64
 	BlockPruned     int64
 	// SplitScenarios lists the effective scenarios recorded by the round-0
@@ -119,9 +120,9 @@ func (r *Report) Fingerprint() string {
 	return sb.String()
 }
 
-// BlockPruneRatio returns the fraction of index-covered scenarios the
-// blocking signatures pruned before probing, in [0,1]. Zero when blocking
-// was disabled or the store was empty.
+// BlockPruneRatio returns the fraction of the scanned windows' scenarios the
+// posting index pruned before probing, in [0,1]. Zero when blocking was
+// disabled or the store was empty.
 func (r *Report) BlockPruneRatio() float64 {
 	total := r.BlockCandidates + r.BlockPruned
 	if total == 0 {

@@ -25,7 +25,6 @@ var ErrUnknownWindow = errors.New("core: window has no scenarios")
 type Session struct {
 	m       *Matcher
 	targets []ids.EID
-	tset    map[ids.EID]bool
 	p       *partition.Partition
 	filter  *vfilter.Filter
 	seen    []int // windows consumed, in arrival order
@@ -51,7 +50,6 @@ func (m *Matcher) NewSession(targets []ids.EID) (*Session, error) {
 	return &Session{
 		m:       m,
 		targets: targets,
-		tset:    targetSet(targets),
 		p:       p,
 		filter:  filter,
 	}, nil
@@ -66,9 +64,7 @@ func (s *Session) Advance(window int) error {
 		return fmt.Errorf("%w: %d", ErrUnknownWindow, window)
 	}
 	for _, id := range idsAt {
-		if fs := filterScenario(s.m.ds.Store.E(id), s.tset); fs != nil {
-			s.p.SplitBy(fs)
-		}
+		s.p.SplitBy(s.m.ds.Store.E(id))
 	}
 	s.seen = append(s.seen, window)
 	return nil

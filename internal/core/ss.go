@@ -85,38 +85,41 @@ func (m *Matcher) matchSS(ctx context.Context, targets []ids.EID, filter *vfilte
 // sees fresh evidence. rep, when non-nil, accumulates the blocking-pruning
 // counters; the split result itself never depends on them.
 //
-// With blocking enabled (the default), each window's scenarios are first
-// filtered through the blocking index against the live-target signature:
-// scenarios whose coarse block no live target shares are provable no-ops
-// (they cannot intersect any leaf holding ≥2 inclusive EIDs) and are skipped
-// without being probed. The admitted candidates are a window-order
-// subsequence of the exhaustive scan containing every effective scenario, so
-// the partition evolves through the identical state sequence, records the
-// identical scenarios, and hits Done at the identical point — bit-identity
-// with the exhaustive path, which the equivalence property tests pin.
+// With blocking enabled (the default), each window contributes only the
+// scenarios holding a still-undistinguished target inclusively, read off the
+// window's exact postings (DESIGN.md §13); every other scenario is a provable
+// no-op. The candidates are a window-order subsequence of the exhaustive scan
+// containing every effective scenario, so the partition evolves through the
+// identical state sequence, records the identical scenarios, and hits Done at
+// the identical point — bit-identity with the exhaustive path, which the
+// equivalence property tests pin.
 func (m *Matcher) splitStage(ctx context.Context, targets []ids.EID, round int, rep *Report) (*partition.Partition, map[ids.EID][]scenario.ID, error) {
-	tset := targetSet(targets)
 	p, err := partition.New(targets)
 	if err != nil {
 		return nil, nil, err
 	}
+	store := m.ds.Store
 	var windows []int
 	if m.opts.ScanOrder == ScanInOrder {
-		windows = m.ds.Store.Windows()
+		windows = store.Windows()
 	} else {
 		rng := m.rngFor(int64(round)*7919 + 13)
-		windows = m.ds.Store.ShuffledWindows(rng)
+		windows = store.ShuffledWindows(rng)
 	}
 
 	var (
 		idx     *blocking.Index
-		live    *blocking.Live
+		live    *blocking.LiveTargets
 		candBuf []scenario.ID
+		tset    map[ids.EID]bool
 	)
 	if !m.opts.DisableBlocking {
 		idx = m.blockIndex()
-		live = idx.NewLive(targets)
+		live = blocking.NewLiveTargets(targets)
 		p.OnResolve(live.Resolve)
+	}
+	if m.opts.Mode == ModeParallel {
+		tset = targetSet(targets)
 	}
 
 	for _, w := range windows {
@@ -126,59 +129,57 @@ func (m *Matcher) splitStage(ctx context.Context, targets []ids.EID, round int, 
 		if err := ctx.Err(); err != nil {
 			return nil, nil, fmt.Errorf("core: split stage: %w", err)
 		}
-		var winScenarios []*scenario.EScenario
+		cands := store.AtWindow(w)
 		if live != nil {
-			// The live signature is read at window start; splits within the
-			// window shrink it for the next window. Mid-window staleness only
-			// admits extra no-op candidates — never drops an effective one.
-			cands, total := idx.Candidates(w, live.Sig(), candBuf[:0])
-			candBuf = cands
+			// The live set is read at window start; splits within the window
+			// shrink it for the next one. Mid-window staleness only admits
+			// extra no-op candidates — never drops an effective one.
+			var total int
+			candBuf, total = idx.Candidates(w, live, candBuf[:0])
+			cands = candBuf
 			if rep != nil {
 				rep.BlockCandidates += int64(len(cands))
 				rep.BlockPruned += int64(total - len(cands))
 			}
+		}
+		if m.opts.Mode != ModeParallel {
+			// SplitBy ignores EIDs outside the partition, so store scenarios
+			// go in as they are.
 			for _, id := range cands {
-				if fs := filterScenario(m.ds.Store.E(id), tset); fs != nil {
-					winScenarios = append(winScenarios, fs)
+				p.SplitBy(store.E(id))
+				if p.Done() {
+					break
 				}
 			}
-		} else {
-			for _, id := range m.ds.Store.AtWindow(w) {
-				if fs := filterScenario(m.ds.Store.E(id), tset); fs != nil {
-					winScenarios = append(winScenarios, fs)
-				}
+			continue
+		}
+		// Algorithm 3: one iteration refines the partition by every scenario
+		// of a random timestamp at once, via the MapReduce (key, value)
+		// shuffle, over scenarios pre-filtered to the targets. The split
+		// tree replays the same scenarios for path bookkeeping; the two
+		// refinements are equivalent by construction, and divergence is a
+		// bug we surface rather than hide.
+		var winScenarios []*scenario.EScenario
+		for _, id := range cands {
+			if fs := filterScenario(store.E(id), tset); fs != nil {
+				winScenarios = append(winScenarios, fs)
 			}
 		}
 		if len(winScenarios) == 0 {
 			continue
 		}
-		if m.opts.Mode == ModeParallel {
-			// Algorithm 3: one iteration refines the partition by every
-			// scenario of a random timestamp at once, via the MapReduce
-			// (key, value) shuffle. The split tree replays the same
-			// scenarios for path bookkeeping; the two refinements are
-			// equivalent by construction, and divergence is a bug we
-			// surface rather than hide.
-			mrRes, err := mrjobs.SplitIteration(ctx, m.opts.executor(), mrjobs.SplitInput{
-				Sets:      p.Sets(),
-				Scenarios: winScenarios,
-			})
-			if err != nil {
-				return nil, nil, err
-			}
-			for _, s := range winScenarios {
-				p.SplitBy(s)
-			}
-			if !eidSetsEqual(mrRes.Sets, p.Sets()) {
-				return nil, nil, fmt.Errorf("core: MapReduce split diverged from reference partition at window %d", w)
-			}
-		} else {
-			for _, s := range winScenarios {
-				p.SplitBy(s)
-				if p.Done() {
-					break
-				}
-			}
+		mrRes, err := mrjobs.SplitIteration(ctx, m.opts.executor(), mrjobs.SplitInput{
+			Sets:      p.Sets(),
+			Scenarios: winScenarios,
+		})
+		if err != nil {
+			return nil, nil, err
+		}
+		for _, s := range winScenarios {
+			p.SplitBy(s)
+		}
+		if !eidSetsEqual(mrRes.Sets, p.Sets()) {
+			return nil, nil, fmt.Errorf("core: MapReduce split diverged from reference partition at window %d", w)
 		}
 	}
 

@@ -10,14 +10,14 @@ import "fmt"
 const (
 	// PresetSparseCity is a 100k-EID city at realistic sparsity: ~12.5k
 	// cells (density 8), so any one EID co-occurs with a vanishing fraction
-	// of the population and coarse signatures prune almost every
+	// of the population and the posting index prunes almost every
 	// (scenario, partition) probe. This is the scale-smoke and
 	// BenchmarkMatchSSBlocked world.
 	PresetSparseCity = "sparse-city"
 	// PresetDenseCore is a 1M-EID stress world with crowded cells (density
-	// 160): the blocking index's worst case, where signatures are saturated
-	// and pruning must cost nearly nothing. Generation needs roughly a GB
-	// of memory — an offline world, not a CI one.
+	// 160): the blocking index's worst case, where nearly every scenario
+	// holds a live target and pruning must cost nearly nothing. Generation
+	// needs roughly a GB of memory — an offline world, not a CI one.
 	PresetDenseCore = "dense-core"
 )
 

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"io"
 	"strings"
-
-	"evmatching/internal/ids"
 )
 
 // WriteDOT renders the split tree in Graphviz DOT format: internal nodes are
@@ -68,7 +66,7 @@ type Stats struct {
 func (p *Partition) TreeStats() Stats {
 	st := Stats{
 		Targets:  len(p.home),
-		Leaves:   len(p.leaves),
+		Leaves:   p.numSets,
 		Recorded: len(p.recorded),
 		BoundNm1: len(p.home) - 1,
 	}
@@ -84,8 +82,8 @@ func (p *Partition) TreeStats() Stats {
 		walk(n.Right, depth+1)
 	}
 	walk(p.root, 0)
-	for _, e := range ids.SortedEIDKeys(p.home) {
-		if ok, err := p.Resolved(e); err == nil && ok {
+	for _, leaf := range p.home {
+		if leaf.nInc == 1 {
 			st.Resolved++
 		}
 	}

@@ -51,6 +51,11 @@ type Node struct {
 	// inc holds the inclusive members (definitely in this set); vag the
 	// vague members (may belong here or in a sibling). The two are disjoint.
 	inc, vag bitset.Set
+	// nInc caches inc.Count(): SplitBy and Done read it per touched leaf.
+	nInc int
+	// seen is the SplitBy call that last probed this node or created it, so
+	// a leaf shared by several of the scenario's members is probed once.
+	seen uint64
 	// Scenario is the E-Scenario that split this node (internal nodes only).
 	Scenario scenario.ID
 	// Left holds the EIDs confirmed by Scenario; Right holds the rest.
@@ -62,11 +67,11 @@ type Node struct {
 func (n *Node) isLeaf() bool { return n.Left == nil && n.Right == nil }
 
 // InclusiveCount returns the number of inclusive members.
-func (n *Node) InclusiveCount() int { return n.inc.Count() }
+func (n *Node) InclusiveCount() int { return n.nInc }
 
 // InclusiveEIDs returns the sorted inclusive members.
 func (n *Node) InclusiveEIDs() []ids.EID {
-	out := make([]ids.EID, 0, n.inc.Count())
+	out := make([]ids.EID, 0, n.nInc)
 	n.inc.ForEach(func(i int) { out = append(out, n.idx.eids[i]) })
 	return out
 }
@@ -81,10 +86,18 @@ func (n *Node) VagueEIDs() []ids.EID {
 // Partition is the evolving partition of the target EIDs, with the split
 // tree that produced it. It is not safe for concurrent use.
 type Partition struct {
-	idx      *eidIndex
-	root     *Node
-	leaves   []*Node
-	home     map[ids.EID]*Node // inclusive home leaf of each target EID
+	idx  *eidIndex
+	root *Node
+	// home[i] is the inclusive home leaf of idx.eids[i]. Every leaf is the
+	// home of at least one EID (both children of an effective split keep an
+	// inclusive member), so the leaves are exactly the distinct home values.
+	home []*Node
+	// numSets counts the leaves; multi counts those still holding ≥2
+	// inclusive EIDs. Both are maintained per split, so NumSets and Done
+	// never walk anything.
+	numSets, multi int
+	// calls numbers the SplitBy invocations for Node.seen.
+	calls    uint64
 	recorded []scenario.ID
 	inRec    map[scenario.ID]bool
 	// sInc/sVag/sAny are the reusable scenario-membership masks SplitBy
@@ -94,7 +107,7 @@ type Partition struct {
 	tInc, tOut, tVag bitset.Set
 	// onResolve, when set, is called with each EID the moment its inclusive
 	// home leaf shrinks to a singleton — the hook the blocking layer uses to
-	// retire resolved targets from its live signature. Leaves only ever
+	// retire resolved targets from its live set. Leaves only ever
 	// shrink, so a resolved EID is resolved forever and the callback fires
 	// exactly once per EID.
 	onResolve func(ids.EID)
@@ -126,45 +139,41 @@ func New(targets []ids.EID) (*Partition, error) {
 		idx.pos[e] = i
 	}
 	n := len(idx.eids)
-	root := &Node{idx: idx, inc: bitset.New(n), vag: bitset.New(n), Scenario: scenario.NoID}
+	root := &Node{idx: idx, inc: bitset.New(n), vag: bitset.New(n), nInc: n, Scenario: scenario.NoID}
 	for i := range idx.eids {
 		root.inc.Add(i)
 	}
 	p := &Partition{
-		idx:   idx,
-		root:  root,
-		home:  make(map[ids.EID]*Node, n),
-		inRec: make(map[scenario.ID]bool),
-		sInc:  bitset.New(n),
-		sVag:  bitset.New(n),
-		sAny:  bitset.New(n),
-		tInc:  bitset.New(n),
-		tOut:  bitset.New(n),
-		tVag:  bitset.New(n),
+		idx:     idx,
+		root:    root,
+		home:    make([]*Node, n),
+		numSets: 1,
+		inRec:   make(map[scenario.ID]bool),
+		sInc:    bitset.New(n),
+		sVag:    bitset.New(n),
+		sAny:    bitset.New(n),
+		tInc:    bitset.New(n),
+		tOut:    bitset.New(n),
+		tVag:    bitset.New(n),
 	}
-	for _, e := range idx.eids {
-		p.home[e] = root
+	for i := range p.home {
+		p.home[i] = root
 	}
-	p.leaves = []*Node{root}
+	if n > 1 {
+		p.multi = 1
+	}
 	return p, nil
 }
 
 // NumSets returns the current number of sets (leaves) in the partition.
-func (p *Partition) NumSets() int { return len(p.leaves) }
+func (p *Partition) NumSets() int { return p.numSets }
 
 // NumTargets returns the number of EIDs being distinguished.
 func (p *Partition) NumTargets() int { return len(p.home) }
 
 // Done reports whether every set holds at most one inclusive EID, i.e. all
 // target EIDs are distinguished.
-func (p *Partition) Done() bool {
-	for _, leaf := range p.leaves {
-		if leaf.inc.Count() > 1 {
-			return false
-		}
-	}
-	return true
-}
+func (p *Partition) Done() bool { return p.multi == 0 }
 
 // Recorded returns the IDs of the effective scenarios, in the order they
 // were applied. The slice is shared; callers must not modify it.
@@ -173,14 +182,20 @@ func (p *Partition) Recorded() []scenario.ID { return p.recorded }
 // Sets returns the inclusive membership of every current set, each sorted,
 // ordered by their smallest EID. Vague copies are omitted.
 func (p *Partition) Sets() [][]ids.EID {
-	out := make([][]ids.EID, 0, len(p.leaves))
-	for _, leaf := range p.leaves {
-		if in := leaf.InclusiveEIDs(); len(in) > 0 {
-			out = append(out, in)
-		}
-	}
+	out := make([][]ids.EID, 0, p.numSets)
+	p.root.eachLeaf(func(leaf *Node) { out = append(out, leaf.InclusiveEIDs()) })
 	sort.Slice(out, func(i, j int) bool { return out[i][0] < out[j][0] })
 	return out
+}
+
+// eachLeaf calls fn for every leaf under n, left to right.
+func (n *Node) eachLeaf(fn func(*Node)) {
+	if n.isLeaf() {
+		fn(n)
+		return
+	}
+	n.Left.eachLeaf(fn)
+	n.Right.eachLeaf(fn)
 }
 
 // SplitBy refines the partition with one E-Scenario, splitting every set it
@@ -188,11 +203,36 @@ func (p *Partition) Sets() [][]ids.EID {
 // split is effective only when both sides keep at least one inclusive EID;
 // scenarios that split nothing are skipped and not recorded (paper Remark).
 // It returns whether the partition changed.
+//
+// A leaf can only split when one of its inclusive members is inclusive in
+// the scenario, and an inclusive member's leaf is its home — so the home
+// leaves of the scenario's own inclusive targets are the only leaves probed,
+// each once. The cost is the scenario's size plus the leaves it touches,
+// whatever the partition has grown to.
 func (p *Partition) SplitBy(s *scenario.EScenario) bool {
-	// Build the scenario's membership masks over the EID index once; every
-	// leaf split below is then pure word arithmetic. Scenarios are usually
-	// much smaller than the index (splitStage pre-filters them to targets),
-	// so iterate the scenario's members rather than the whole index.
+	p.loadMasks(s)
+	p.calls++
+	changed := false
+	p.sInc.ForEach(func(i int) {
+		// A leaf split earlier in this call re-homes i to a child already
+		// marked seen: children of one scenario cannot split by it again.
+		if leaf := p.home[i]; leaf.seen != p.calls {
+			leaf.seen = p.calls
+			if p.split(leaf, s.ID) {
+				changed = true
+			}
+		}
+	})
+	if changed {
+		p.record(s.ID)
+	}
+	return changed
+}
+
+// loadMasks builds s's membership masks over the EID index; every leaf split
+// is then pure word arithmetic. EIDs outside the partition are ignored, so
+// callers hand over store scenarios unfiltered.
+func (p *Partition) loadMasks(s *scenario.EScenario) {
 	p.sInc.Clear()
 	p.sVag.Clear()
 	//evlint:ignore maprange fills membership bitmasks; the resulting sets are identical under any iteration order
@@ -206,42 +246,41 @@ func (p *Partition) SplitBy(s *scenario.EScenario) bool {
 		}
 	}
 	bitset.OrInto(p.sAny, p.sInc, p.sVag)
+}
 
-	changed := false
-	// Iterate over a snapshot: splits replace leaves as we go.
-	snapshot := p.leaves
-	var nextLeaves []*Node
-	for _, leaf := range snapshot {
-		left, right, ok := p.splitNode(leaf)
-		if !ok {
-			nextLeaves = append(nextLeaves, leaf)
-			continue
-		}
-		leaf.Scenario = s.ID
-		leaf.Left, leaf.Right = left, right
-		nextLeaves = append(nextLeaves, left, right)
-		left.inc.ForEach(func(i int) { p.home[p.idx.eids[i]] = left })
-		right.inc.ForEach(func(i int) { p.home[p.idx.eids[i]] = right })
-		if p.onResolve != nil {
+// split replaces leaf by its two children under the loaded masks when the
+// split is effective, keeping home, the counters and the resolve hook in
+// step, and reports whether it did.
+func (p *Partition) split(leaf *Node, by scenario.ID) bool {
+	left, right, ok := p.splitNode(leaf)
+	if !ok {
+		return false
+	}
+	leaf.Scenario = by
+	leaf.Left, leaf.Right = left, right
+	p.numSets++
+	p.multi-- // leaf held ≥2 inclusive EIDs
+	for _, child := range [2]*Node{left, right} {
+		child.seen = p.calls
+		child.inc.ForEach(func(i int) { p.home[i] = child })
+		switch {
+		case child.nInc > 1:
+			p.multi++
+		case p.onResolve != nil:
 			// The parent held ≥2 inclusive EIDs, so a singleton child is
 			// newly resolved.
-			if left.inc.Count() == 1 {
-				left.inc.ForEach(func(i int) { p.onResolve(p.idx.eids[i]) })
-			}
-			if right.inc.Count() == 1 {
-				right.inc.ForEach(func(i int) { p.onResolve(p.idx.eids[i]) })
-			}
-		}
-		changed = true
-	}
-	if changed {
-		p.leaves = nextLeaves
-		if !p.inRec[s.ID] {
-			p.inRec[s.ID] = true
-			p.recorded = append(p.recorded, s.ID)
+			child.inc.ForEach(func(i int) { p.onResolve(p.idx.eids[i]) })
 		}
 	}
-	return changed
+	return true
+}
+
+// record appends id to the effective scenarios unless it is already there.
+func (p *Partition) record(id scenario.ID) {
+	if !p.inRec[id] {
+		p.inRec[id] = true
+		p.recorded = append(p.recorded, id)
+	}
 }
 
 // splitNode computes the left/right children of leaf under the prepared
@@ -254,7 +293,7 @@ func (p *Partition) SplitBy(s *scenario.EScenario) bool {
 //   - vague, seen by the scenario (either way) → vague on both sides
 //   - vague, unseen → vague on the right only
 func (p *Partition) splitNode(leaf *Node) (left, right *Node, ok bool) {
-	if leaf.inc.Count() < 2 {
+	if leaf.nInc < 2 {
 		return nil, nil, false
 	}
 	// Probe into reusable scratches first: most leaves are not split by most
@@ -276,8 +315,9 @@ func (p *Partition) splitNode(leaf *Node) (left, right *Node, ok bool) {
 	// there, seen ones are uncertain on both sides. Node sets are immutable
 	// after creation, so the child can share the parent's word array.
 	rightVag := leaf.vag
-	left = &Node{idx: p.idx, inc: leftInc, vag: leftVag, Scenario: scenario.NoID}
-	right = &Node{idx: p.idx, inc: rightInc, vag: rightVag, Scenario: scenario.NoID}
+	nLeft := leftInc.Count()
+	left = &Node{idx: p.idx, inc: leftInc, vag: leftVag, nInc: nLeft, Scenario: scenario.NoID}
+	right = &Node{idx: p.idx, inc: rightInc, vag: rightVag, nInc: leaf.nInc - nLeft, Scenario: scenario.NoID}
 	return left, right, true
 }
 
@@ -285,11 +325,11 @@ func (p *Partition) splitNode(leaf *Node) (left, right *Node, ok bool) {
 // root-to-home path in which e was confirmed (left turns): the EID's
 // coarse-grained distinguishing trajectory handed to the V stage.
 func (p *Partition) PositiveScenarios(e ids.EID) ([]scenario.ID, error) {
-	home, ok := p.home[e]
+	i, ok := p.idx.pos[e]
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrUnknownEID, e)
 	}
-	i := p.idx.pos[e]
+	home := p.home[i]
 	var out []scenario.ID
 	n := p.root
 	for n != home && !n.isLeaf() {
@@ -305,19 +345,19 @@ func (p *Partition) PositiveScenarios(e ids.EID) ([]scenario.ID, error) {
 
 // Resolved reports whether e's home set contains no other inclusive EID.
 func (p *Partition) Resolved(e ids.EID) (bool, error) {
-	home, ok := p.home[e]
+	i, ok := p.idx.pos[e]
 	if !ok {
 		return false, fmt.Errorf("%w: %s", ErrUnknownEID, e)
 	}
-	return home.inc.Count() == 1, nil
+	return p.home[i].nInc == 1, nil
 }
 
 // Unresolved returns the sorted target EIDs whose sets still hold more than
 // one inclusive EID after splitting (candidates for matching refining).
 func (p *Partition) Unresolved() []ids.EID {
 	var out []ids.EID
-	for _, e := range p.idx.eids {
-		if p.home[e].inc.Count() > 1 {
+	for i, e := range p.idx.eids {
+		if p.home[i].nInc > 1 {
 			out = append(out, e)
 		}
 	}
@@ -327,12 +367,12 @@ func (p *Partition) Unresolved() []ids.EID {
 // AmbiguousWith returns the other EIDs that share e's home set, inclusive or
 // vague: the identities whose VIDs may be confused with e's.
 func (p *Partition) AmbiguousWith(e ids.EID) ([]ids.EID, error) {
-	home, ok := p.home[e]
+	self, ok := p.idx.pos[e]
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrUnknownEID, e)
 	}
-	self := p.idx.pos[e]
-	out := make([]ids.EID, 0, home.inc.Count()+home.vag.Count())
+	home := p.home[self]
+	out := make([]ids.EID, 0, home.nInc+home.vag.Count())
 	members := bitset.Or(home.inc, home.vag)
 	members.ForEach(func(i int) {
 		if i != self {
@@ -349,24 +389,8 @@ func (p *Partition) AmbiguousWith(e ids.EID) ([]ids.EID, error) {
 // Within one leaf, EIDs are ordered lexicographically.
 func (p *Partition) PostOrder() []ids.EID {
 	out := make([]ids.EID, 0, len(p.home))
-	seen := bitset.New(len(p.idx.eids))
-	var walk func(n *Node)
-	walk = func(n *Node) {
-		if n == nil {
-			return
-		}
-		walk(n.Left)
-		walk(n.Right)
-		if n.isLeaf() {
-			n.inc.ForEach(func(i int) {
-				e := p.idx.eids[i]
-				if p.home[e] == n && !seen.Has(i) {
-					seen.Add(i)
-					out = append(out, e)
-				}
-			})
-		}
-	}
-	walk(p.root)
+	p.root.eachLeaf(func(leaf *Node) {
+		leaf.inc.ForEach(func(i int) { out = append(out, p.idx.eids[i]) })
+	})
 	return out
 }

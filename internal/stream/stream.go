@@ -220,12 +220,12 @@ type Engine struct {
 	maxTS   int64 // highest observed timestamp; -1 before the first event
 	minOpen int   // lowest window not yet closed
 
-	// live tracks the still-undistinguished targets — the streaming form of
-	// the blocking signature (DESIGN.md §13). Sealed scenarios with no
-	// inclusive live target are exact split no-ops and skip SplitBy;
-	// blockCandidates/blockPruned count both outcomes. Restore rebuilds all
-	// three deterministically by replaying the checkpointed scenarios
-	// through the same probe, so no checkpoint field carries them.
+	// live tracks the still-undistinguished targets, the tracker the batch
+	// matcher's posting index reads too (DESIGN.md §13). Sealed scenarios
+	// with no inclusive live target are exact split no-ops and skip
+	// SplitBy; blockCandidates/blockPruned count both outcomes. Restore
+	// rebuilds all three deterministically by replaying the checkpointed
+	// scenarios through the same probe, so no checkpoint field carries them.
 	live            *blocking.LiveTargets
 	blockCandidates int64
 	blockPruned     int64
