@@ -406,9 +406,20 @@ func maxSimBench(present bool) func(b *testing.B) {
 	}
 }
 
+// atProcs runs bench with GOMAXPROCS set to n: the rule-out loop
+// (vfilter.MatchInOrder) takes its worker count from it. On a one-CPU host
+// the P2 rows price the second scorer, not a speed-up.
+func atProcs(n int, bench func(b *testing.B)) func(b *testing.B) {
+	return func(b *testing.B) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
+		bench(b)
+	}
+}
+
 func benchmarks() []benchmark {
 	return []benchmark{
 		{"MatchSSSerial", matchBench(core.AlgorithmSS, core.ModeSerial)},
+		{"MatchSSSerialP2", atProcs(2, matchBench(core.AlgorithmSS, core.ModeSerial))},
 		{"MatchSSParallel", matchBench(core.AlgorithmSS, core.ModeParallel)},
 		{"MatchSSSpill", matchSSSpillBench()},
 		{"MatchEDPSerial", matchBench(core.AlgorithmEDP, core.ModeSerial)},
@@ -418,6 +429,7 @@ func benchmarks() []benchmark {
 		{"MatchSSBlockedDense", matchSSScaleBench(denseWorld, 0, false)},
 		{"MatchSSBlockedDenseExhaustive", matchSSScaleBench(denseWorld, 0, true)},
 		{"StreamReplay", streamReplayBench()},
+		{"StreamReplayP2", atProcs(2, streamReplayBench())},
 		{"StreamReplayShards1", streamReplayShardsBench(1)},
 		{"StreamReplayShards4", streamReplayShardsBench(4)},
 		{"StreamReplayRemoteShards1", streamReplayRemoteShardsBench(1)},

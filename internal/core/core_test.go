@@ -544,8 +544,10 @@ func TestExplain(t *testing.T) {
 // into batch tasks, each distinct scenario is extracted once, so the serial
 // path and every parallel batch size agree on scenarios processed and
 // extractions performed. Comparisons are pinned across batch sizes only —
-// serial legitimately performs fewer because exclusions accrue between its
-// sequential Match calls.
+// serial legitimately performs fewer because its exclusions accrue from one
+// target to the next while every parallel Match scores against the exclusion
+// the stage started with (and how many fewer varies a little above
+// GOMAXPROCS 1: see vfilter.Stats).
 func TestSerialParallelStatsAgreement(t *testing.T) {
 	ds := testDataset(t, nil)
 	targets := ds.SampleEIDs(30, rand.New(rand.NewSource(7)))

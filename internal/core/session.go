@@ -103,24 +103,13 @@ func (s *Session) Match(ctx context.Context) (map[ids.EID]vfilter.Result, error)
 		}
 		lists[e] = s.m.padToUnique(e, pos, windows)
 	}
-	out := make(map[ids.EID]vfilter.Result, len(s.targets))
-	exclude := s.filter.NewExclusion()
-	for _, e := range s.p.PostOrder() {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("core: session match: %w", err)
-		}
-		list, ok := lists[e]
-		if !ok {
-			continue
-		}
-		res, err := s.filter.Match(e, list, exclude)
-		if err != nil {
-			return nil, err
-		}
-		out[e] = res
-		if res.VID != ids.NoVID && res.Acceptable {
-			exclude.Add(res.VID)
-		}
+	order, ordered := inPostOrder(s.p, lists)
+	out := make(map[ids.EID]vfilter.Result, len(order))
+	err := s.filter.MatchInOrder(ctx, order, ordered, nil, func(i int, res vfilter.Result) {
+		out[order[i]] = res
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

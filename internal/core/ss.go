@@ -299,35 +299,35 @@ func padToUnique(store *scenario.Store, ix *blocking.Index, e ids.EID, list []sc
 	return out
 }
 
+// inPostOrder returns the EIDs that have a list, in the partition's
+// post-order — the rule-out order of Theorem 4.1 — beside their lists.
+func inPostOrder(p *partition.Partition, lists map[ids.EID][]scenario.ID) (order []ids.EID, ordered [][]scenario.ID) {
+	for _, e := range p.PostOrder() {
+		if list, ok := lists[e]; ok {
+			order = append(order, e)
+			ordered = append(ordered, list)
+		}
+	}
+	return order, ordered
+}
+
 // vStage runs VID filtering for every target. In serial mode it follows
 // Theorem 4.1 exactly: EIDs are matched in post-order with each accepted VID
-// ruled out for the rest. In parallel mode it follows §V-C: features are
+// ruled out for the rest (vfilter.MatchInOrder, which scores on every core
+// and still decides in that order). In parallel mode it follows §V-C: features are
 // extracted per scenario and compared per EID across mappers, then a
 // sequential fixup resolves VIDs claimed by multiple EIDs (keep the
 // higher-probability claim, re-match the rest with exclusions).
 func (m *Matcher) vStage(ctx context.Context, filter *vfilter.Filter, p *partition.Partition, lists map[ids.EID][]scenario.ID, accepted *vfilter.Exclusion) (map[ids.EID]vfilter.Result, error) {
-	order := make([]ids.EID, 0, len(lists))
-	for _, e := range p.PostOrder() {
-		if _, ok := lists[e]; ok {
-			order = append(order, e)
-		}
-	}
+	order, ordered := inPostOrder(p, lists)
 	out := make(map[ids.EID]vfilter.Result, len(order))
 
 	if m.opts.Mode == ModeSerial {
-		exclude := accepted.Clone()
-		for _, e := range order {
-			if err := ctx.Err(); err != nil {
-				return nil, fmt.Errorf("core: v stage: %w", err)
-			}
-			res, err := filter.Match(e, lists[e], exclude)
-			if err != nil {
-				return nil, err
-			}
-			out[e] = res
-			if res.VID != ids.NoVID && res.Acceptable {
-				exclude.Add(res.VID)
-			}
+		err := filter.MatchInOrder(ctx, order, ordered, accepted.Clone(), func(i int, res vfilter.Result) {
+			out[order[i]] = res
+		})
+		if err != nil {
+			return nil, err
 		}
 		return out, nil
 	}

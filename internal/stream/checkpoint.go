@@ -312,16 +312,16 @@ func bucketToCheckpoint(k bucketKey, b *bucket) ShardBucket {
 // bucketFromCheckpoint rebuilds an open bucket from its checkpoint form,
 // deep-copying the detections so restored buckets never share backing arrays
 // with the image they came from (a redispatched shard and its stale
-// predecessor may both restore from the same sub-checkpoint).
+// predecessor may both restore from the same sub-checkpoint). The detections
+// go back in through the bucket's own set, in image order.
 func bucketFromCheckpoint(cb ShardBucket) *bucket {
 	b := &bucket{
 		eids:    bucketEIDSet(cb.EIDs),
-		detSeen: make(map[string]bool, len(cb.Dets)),
+		dets:    make([]scenario.Detection, 0, len(cb.Dets)),
+		detHead: make(map[uint64]int32, len(cb.Dets)),
 	}
-	b.dets = append(make([]scenario.Detection, 0, len(cb.Dets)), cb.Dets...)
-	for i := range b.dets {
-		b.keyBuf = appendDetKey(b.keyBuf[:0], b.dets[i].VID, b.dets[i].TruePerson, &b.dets[i].Patch)
-		b.detSeen[string(b.keyBuf)] = true
+	for _, d := range cb.Dets {
+		b.addDetection(d)
 	}
 	return b
 }

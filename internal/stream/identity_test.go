@@ -2,7 +2,10 @@ package stream
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"evmatching/internal/core"
@@ -68,5 +71,63 @@ func TestCheckpointByteIdentity(t *testing.T) {
 				t.Fatalf("second-generation checkpoint differs (len %d vs %d)", len(first), len(again))
 			}
 		})
+	}
+}
+
+// TestResolutionStreamGolden pins the incremental output itself — every
+// Resolution the sweep emits, in Seq order, every field — not just the
+// finalized report: the sweep scores its targets on GOMAXPROCS goroutines
+// (vfilter.MatchInOrder), and the stream it emits must not depend on how
+// many there are. The inline engine and the sharded merger are both held to
+// one sha256 at one, two and eight procs; the hash was taken from the
+// one-target-at-a-time sweep this replaced.
+func TestResolutionStreamGolden(t *testing.T) {
+	const want = "2cb5f78f51adbf82d2aab90d82e9c5305f80df502bc960f0ee8f23ccd7e4eb24"
+	ds := testDataset(t, true)
+	_, obs, err := EventsFromDataset(ds, testWindowMS, 7)
+	if err != nil {
+		t.Fatalf("EventsFromDataset: %v", err)
+	}
+	cfg := testConfig(ds, ds.AllEIDs(), core.ModeSerial)
+	for _, procs := range []int{1, 2, 8} {
+		for _, shards := range []int{0, 2} {
+			t.Run(fmt.Sprintf("procs=%d/shards=%d", procs, shards), func(t *testing.T) {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+				var p Processor
+				if shards == 0 {
+					e, err := NewEngine(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					p = e
+				} else {
+					r, err := NewRouter(RouterConfig{Config: cfg, Shards: shards})
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer r.Close()
+					p = r
+				}
+				for i, o := range obs {
+					if _, err := p.Ingest(o); err != nil {
+						t.Fatalf("Ingest %d: %v", i, err)
+					}
+				}
+				if err := p.Flush(); err != nil {
+					t.Fatalf("Flush: %v", err)
+				}
+				res := p.Resolutions()
+				if len(res) == 0 {
+					t.Fatal("no resolutions emitted")
+				}
+				h := sha256.New()
+				for _, r := range res {
+					fmt.Fprintf(h, "%+v\n", r)
+				}
+				if got := hex.EncodeToString(h.Sum(nil)); got != want {
+					t.Errorf("%d resolutions hash to %s, want %s", len(res), got, want)
+				}
+			})
+		}
 	}
 }

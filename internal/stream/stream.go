@@ -5,6 +5,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"hash/maphash"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -164,15 +166,41 @@ type bucketKey struct {
 // identity, so any arrival order within the lateness bound produces the same
 // closed scenario (the permutation property test pins this).
 type bucket struct {
-	eids    map[ids.EID]scenario.Attr
-	dets    []scenario.Detection
-	detSeen map[string]bool
+	eids map[ids.EID]scenario.Attr
+	dets []scenario.Detection
+	// The exact set over dets, without a copy of every patch as a map key:
+	// detHead maps the hash of a detection's identity key to 1 + the index
+	// of the latest detection with that hash, and detPrev[i] chains to the
+	// one before it (0 ends the chain). Membership is decided by comparing
+	// the detections themselves; the hash only finds the few to compare.
+	detHead map[uint64]int32
+	detPrev []int32
 	keyBuf  []byte // reused detection-key scratch; see appendDetKey
 }
 
+// detKeySeed keys the detection-set hash. It differs per process, which no
+// output can see: the set is exact, and dets keeps arrival order.
+var detKeySeed = maphash.MakeSeed()
+
 // newBucket creates an empty accumulation bucket.
 func newBucket() *bucket {
-	return &bucket{eids: make(map[ids.EID]scenario.Attr), detSeen: make(map[string]bool)}
+	return &bucket{eids: make(map[ids.EID]scenario.Attr), detHead: make(map[uint64]int32)}
+}
+
+// addDetection appends d unless a detection of the same full identity — VID,
+// person, patch size and pixels — is already held.
+func (b *bucket) addDetection(d scenario.Detection) {
+	b.keyBuf = appendDetKey(b.keyBuf[:0], d.VID, d.TruePerson, &d.Patch)
+	h := maphash.Bytes(detKeySeed, b.keyBuf)
+	for i := b.detHead[h]; i > 0; i = b.detPrev[i-1] {
+		if o := &b.dets[i-1]; o.VID == d.VID && o.TruePerson == d.TruePerson &&
+			o.Patch.W == d.Patch.W && o.Patch.H == d.Patch.H && bytes.Equal(o.Patch.Pix, d.Patch.Pix) {
+			return
+		}
+	}
+	b.detPrev = append(b.detPrev, b.detHead[h])
+	b.dets = append(b.dets, d)
+	b.detHead[h] = int32(len(b.dets))
 }
 
 // absorb folds one observation into the bucket — the order-independent merge
@@ -185,13 +213,7 @@ func (b *bucket) absorb(o Observation) {
 			b.eids[o.EID] = o.Attr
 		}
 	case KindV:
-		// The lookup converts in place; only a first sighting pays for a
-		// string.
-		b.keyBuf = appendDetKey(b.keyBuf[:0], o.VID, o.Person, o.Patch)
-		if !b.detSeen[string(b.keyBuf)] {
-			b.detSeen[string(b.keyBuf)] = true
-			b.dets = append(b.dets, scenario.Detection{VID: o.VID, Patch: *o.Patch, TruePerson: o.Person})
-		}
+		b.addDetection(scenario.Detection{VID: o.VID, Patch: *o.Patch, TruePerson: o.Person})
 	}
 }
 
@@ -251,8 +273,7 @@ type Engine struct {
 	// stays the checkpointed truth and Restore refills both through accept.
 	exclusion *vfilter.Exclusion
 
-	subs    map[int]chan Resolution
-	nextSub int
+	subs []chan Resolution // in subscription order, the delivery order
 }
 
 // NewEngine creates an Engine over an empty scenario store.
@@ -268,7 +289,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 		buckets:  make(map[bucketKey]*bucket),
 		resolved: make(map[ids.EID]bool),
 		accepted: make(map[ids.VID]bool),
-		subs:     make(map[int]chan Resolution),
 	}
 	if err := e.resetMatchState(); err != nil {
 		return nil, err
@@ -515,8 +535,17 @@ func sortDetections(dets []scenario.Detection) {
 
 // sweepResolutions emits a resolution for every target whose set newly became
 // a singleton, in sorted EID order; acceptable VIDs are ruled out for later
-// matches, mirroring the batch V stage's serial rule-out. Callers hold e.mu.
+// matches, mirroring the batch V stage's serial rule-out. The targets and
+// their lists are fixed before any is matched — nothing a match does moves
+// the partition or the store — so one vfilter.MatchInOrder call scores the
+// whole sweep on every core and each resolution still leaves the moment it
+// is decided. Callers hold e.mu, and hold it throughout: the emit callback
+// below runs on MatchInOrder's goroutines, one call at a time and all of
+// them before it returns, so the engine state it writes stays under the
+// caller's lock.
 func (e *Engine) sweepResolutions() error {
+	var targets []ids.EID
+	var lists [][]scenario.ID
 	for _, t := range e.cfg.Targets {
 		if e.resolved[t] {
 			continue
@@ -536,18 +565,19 @@ func (e *Engine) sweepResolutions() error {
 		if len(list) == 0 {
 			continue // no closed scenario mentions the EID yet; retry later
 		}
-		res, err := e.filter.Match(t, list, e.exclusion)
-		if err != nil {
-			return err
-		}
-		e.resolved[t] = true
+		targets = append(targets, t)
+		lists = append(lists, list)
+	}
+	// Ingest takes no context; the sweep is bounded by its target list.
+	return e.filter.MatchInOrder(context.TODO(), targets, lists, e.exclusion, func(_ int, res vfilter.Result) {
+		e.resolved[res.EID] = true
 		if res.VID != ids.NoVID && res.Acceptable {
-			e.accept(res.VID)
+			e.accepted[res.VID] = true // MatchInOrder has already ruled it out in e.exclusion
 		}
 		e.seq++
 		r := Resolution{
 			Seq:          e.seq,
-			EID:          t,
+			EID:          res.EID,
 			VID:          res.VID,
 			Probability:  res.Probability,
 			MajorityFrac: res.MajorityFrac,
@@ -558,8 +588,7 @@ func (e *Engine) sweepResolutions() error {
 		}
 		e.emitted = append(e.emitted, r)
 		e.broadcast(r)
-	}
-	return nil
+	})
 }
 
 // accept rules vid out of every later match. Callers hold e.mu.
@@ -571,14 +600,9 @@ func (e *Engine) accept(vid ids.VID) {
 // broadcast delivers r to every subscriber, dropping on full buffers so a
 // stalled consumer cannot block ingestion. Callers hold e.mu.
 func (e *Engine) broadcast(r Resolution) {
-	var keys []int
-	for id := range e.subs {
-		keys = append(keys, id)
-	}
-	sort.Ints(keys)
-	for _, id := range keys {
+	for _, c := range e.subs {
 		select {
-		case e.subs[id] <- r:
+		case c <- r:
 		default:
 		}
 	}
@@ -591,14 +615,12 @@ func (e *Engine) Subscribe() (backlog []Resolution, ch <-chan Resolution, cancel
 	defer e.mu.Unlock()
 	backlog = append([]Resolution(nil), e.emitted...)
 	c := make(chan Resolution, 1024)
-	id := e.nextSub
-	e.nextSub++
-	e.subs[id] = c
+	e.subs = append(e.subs, c)
 	return backlog, c, func() {
 		e.mu.Lock()
 		defer e.mu.Unlock()
-		if _, ok := e.subs[id]; ok {
-			delete(e.subs, id)
+		if i := slices.Index(e.subs, c); i >= 0 {
+			e.subs = slices.Delete(e.subs, i, i+1)
 			close(c)
 		}
 	}

@@ -5,6 +5,8 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -308,5 +310,55 @@ func TestDetKeyBytes(t *testing.T) {
 	}
 	if len(b.dets) != 1 {
 		t.Errorf("%d detections after repeats, want 1", len(b.dets))
+	}
+}
+
+// TestBucketDetectionSetExact holds the bucket's hash-then-compare detection
+// set to the set of full identity keys it replaced: detections that differ in
+// any one field — VID, person, patch width, height, a single pixel — are all
+// kept, in arrival order, and every repeat of any of them is dropped.
+func TestBucketDetectionSetExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var pool []Observation
+	for i := 0; i < 40; i++ {
+		pix := make([]byte, 16)
+		rng.Read(pix)
+		o := Observation{Kind: KindV, VID: ids.VIDLabel(i % 5), Person: i % 3, Patch: &feature.Patch{W: 4, H: 4, Pix: pix}}
+		pool = append(pool, o)
+		near := o // same pixels, the patch reshaped
+		near.Patch = &feature.Patch{W: 2, H: 8, Pix: pix}
+		flip := o // one pixel off
+		flip.Patch = &feature.Patch{W: 4, H: 4, Pix: append([]byte(nil), pix...)}
+		flip.Patch.Pix[rng.Intn(16)] ^= 1
+		who := o // same patch, another person
+		who.Person++
+		pool = append(pool, near, flip, who)
+	}
+	b := newBucket()
+	seen := map[string]bool{}
+	var want []string
+	for i := 0; i < 2000; i++ {
+		o := pool[rng.Intn(len(pool))]
+		b.absorb(o)
+		if key := string(appendDetKey(nil, o.VID, o.Person, o.Patch)); !seen[key] {
+			seen[key] = true
+			want = append(want, key)
+		}
+	}
+	if len(b.dets) != len(want) {
+		t.Fatalf("%d detections held, %d distinct keys absorbed", len(b.dets), len(want))
+	}
+	for i, d := range b.dets {
+		if got := string(appendDetKey(nil, d.VID, d.TruePerson, &d.Patch)); got != want[i] {
+			t.Fatalf("detection %d is %q, want %q", i, got, want[i])
+		}
+	}
+	restored := bucketFromCheckpoint(bucketToCheckpoint(bucketKey{}, b))
+	if !reflect.DeepEqual(restored.dets, b.dets) {
+		t.Error("a restored bucket holds different detections")
+	}
+	restored.absorb(pool[0])
+	if len(restored.dets) != len(b.dets) {
+		t.Error("a restored bucket forgot what it had seen")
 	}
 }

@@ -7,7 +7,7 @@
 // P(v) = Π_S max_d sim(v, d) (Equation 1 and the simplification of §IV-B2),
 // and majority-votes the per-scenario winners.
 //
-// The Match hot path is allocation-free in steady state: each V-Scenario's
+// The Match hot path allocates only its compact outcome: each V-Scenario's
 // features live in one contiguous feature.Matrix (extracted in place, row by
 // row), candidate masks are bitset-backed dense tables over the Filter's
 // interned VID ordinals, per-candidate state is slice-indexed scratch
@@ -20,6 +20,16 @@
 // caller — so a Match over cached scenarios takes the Filter's mutex only to
 // look its scenarios up in the cache, never for exclusions or counters (work
 // counters and the ordinal count are atomics).
+//
+// A Match is two steps. Score is everything that reads feature data, up to
+// each candidate's trajectory probability; Decide is the vote over those
+// probabilities. The rule-out of Theorem 4.1 — each accepted VID is out for
+// the targets after it — orders only the second: a candidate's probability
+// does not depend on which other candidates exist, so MatchInOrder scores a
+// whole target list on GOMAXPROCS goroutines and decides it strictly in
+// order, with the results of the one-at-a-time loop bit for bit. It is the
+// one such loop in the module: serial SS, the streaming sweep, the sharded
+// merger and Session.Match all call it.
 package vfilter
 
 import (
@@ -54,6 +64,12 @@ type Config struct {
 // stage cost: unique scenarios processed, feature extractions attempted
 // (successful or not — a scenario whose extraction fails midway still paid
 // for the attempts made), and feature comparisons.
+//
+// Comparisons counts what was scored, and under MatchInOrder that is exact —
+// the one-at-a-time loop's count — only at GOMAXPROCS 1. With more workers a
+// target is scored while the few before it are still being scored, so a VID
+// one of them is about to be matched with is not ruled out yet and gets
+// scored (and counted) as a candidate too; the results do not change.
 type Stats struct {
 	ScenariosProcessed int
 	Extractions        int
@@ -325,7 +341,11 @@ func (f *Filter) internLocked(vid ids.VID) int32 {
 //
 // An Exclusion is not synchronized. Any number of concurrent Match calls may
 // share one that nobody is adding to; Add must not run concurrently with
-// another Add, a Clone, or a Match reading it.
+// another Add, a Clone, or a Match reading it. For the length of a
+// MatchInOrder call the Exclusion handed to it belongs to that call: its
+// goroutines score against private copies, and it alone Adds, one decided
+// target at a time, under the lock the copies are taken under. Nobody else —
+// emit included — Adds to it or reads it until the call returns.
 type Exclusion struct {
 	f    *Filter
 	bits bitset.Set
@@ -428,13 +448,15 @@ type scratch struct {
 	// Slot-indexed state for the surviving candidates.
 	slotOrds []int32   // slot → VID ordinal, discovery order
 	vids     []ids.VID // slot → VID, discovery order
-	order    []int     // slots in lexicographic VID order (the deterministic order)
+	order    []int32   // slots in lexicographic VID order (the deterministic order)
 	accs     []feature.MeanAccum
 	prob     []float64
-	votes    []int
 	reps     []float64 // slot-major representative slab, nslots×dim
 	seeds    []int32   // slot → row of the slot's own detection in the scenario being scored, -1 when not sighted
 	sims     []float64 // slot → max similarity in the scenario being scored
+	// present[offs[i]:offs[i+1]] holds the slots scenario i sights (see Scored).
+	present []int32
+	offs    []int32
 }
 
 // reset prepares the scratch for a Match over n scenarios. accs keeps its
@@ -461,7 +483,8 @@ func (s *scratch) reset(n int) {
 	s.vids = s.vids[:0]
 	s.order = s.order[:0]
 	s.prob = s.prob[:0]
-	s.votes = s.votes[:0]
+	s.present = s.present[:0]
+	s.offs = s.offs[:0]
 }
 
 // ensureOrds sizes the ordinal-indexed tables for a Filter that has interned
@@ -494,7 +517,6 @@ func (s *scratch) addSlot(vid ids.VID, ord int32, dim int) int {
 	s.slotOrds = append(s.slotOrds, ord)
 	s.slotByOrd[ord] = int32(n)
 	s.prob = append(s.prob, 1)
-	s.votes = append(s.votes, 0)
 	if n == len(s.accs) {
 		s.accs = append(s.accs, feature.MeanAccum{})
 	}
@@ -510,14 +532,61 @@ func (s *scratch) rep(slot, dim int) feature.Vector {
 // Match finds the VID for EID e among the V-Scenarios of the given list,
 // excluding already-matched VIDs (the rule-out of Theorem 4.1); a nil
 // Exclusion rules nothing out. The list is the EID's positive scenario list
-// from set splitting.
+// from set splitting. Match is Decide(Score(e, list, exclude), exclude).
 func (f *Filter) Match(e ids.EID, list []scenario.ID, exclude *Exclusion) (Result, error) {
-	res := Result{EID: e, VID: ids.NoVID, PerScenario: make([]ids.VID, len(list))}
-	if exclude != nil && exclude.f != f {
-		return res, errors.New("vfilter: exclusion belongs to another filter")
+	sc, err := f.Score(e, list, exclude)
+	if err != nil {
+		return emptyResult(e, len(list)), err
 	}
+	return f.Decide(sc, exclude)
+}
+
+// emptyResult is the no-match outcome for e over an n-scenario list.
+func emptyResult(e ids.EID, n int) Result {
+	return Result{EID: e, VID: ids.NoVID, PerScenario: make([]ids.VID, n)}
+}
+
+// Scored is the expensive half of one Match, kept compact: the candidates
+// that survived trajectory pruning under the Exclusion handed to Score, each
+// with its trajectory probability, plus which of them every listed scenario
+// sights. Nothing in it refers to the pooled scratch it was computed in, so a
+// Scored may wait for its Decide as long as it likes. Decide uses votes as
+// working storage: one Scored must not be decided from two goroutines at once.
+type Scored struct {
+	eid  ids.EID
+	list []scenario.ID // the caller's slice; Decide re-scores over it when it must
+
+	// pruned records that trajectory pruning applied: the slots are the
+	// candidates over the presence bar, not the everyone-stays fallback.
+	pruned bool
+
+	vids  []ids.VID // slot → VID, discovery order
+	prob  []float64 // slot → trajectory probability
+	ords  []int32   // slot → VID ordinal, what Decide tests a later Exclusion with
+	order []int32   // slots in lexicographic VID order (the deterministic order)
+	votes []int32   // slot → scenarios won; Decide's working storage
+	// present[offs[i]:offs[i+1]] lists the slots scenario i of the list
+	// sights, each once. offs is nil when there are no slots.
+	present []int32
+	offs    []int32
+}
+
+// Score does everything of a Match that reads feature data: it extracts (or
+// finds cached) the listed scenarios, censuses the candidates exclude leaves
+// in play, prunes them by trajectory, and computes each survivor's trajectory
+// probability. What it returns depends on exclude only through which
+// candidates were dropped before scoring: a candidate's presence count, its
+// survival of the presence bar, its representative and its probability are
+// functions of its own detections and the full scenario matrices, never of
+// which other candidates exist. That is what lets Decide apply a larger
+// Exclusion afterwards (see Decide).
+func (f *Filter) Score(e ids.EID, list []scenario.ID, exclude *Exclusion) (*Scored, error) {
+	if exclude != nil && exclude.f != f {
+		return nil, errors.New("vfilter: exclusion belongs to another filter")
+	}
+	out := &Scored{eid: e, list: list}
 	if len(list) == 0 {
-		return res, nil
+		return out, nil
 	}
 	dim := f.cfg.Extractor.Dim
 	s := f.pool.Get().(*scratch)
@@ -529,14 +598,14 @@ func (f *Filter) Match(e ids.EID, list []scenario.ID, exclude *Exclusion) (Resul
 	for i, id := range list {
 		v, err := f.store.VChecked(id)
 		if err != nil {
-			return res, err
+			return nil, err
 		}
 		if v == nil {
 			continue
 		}
 		entry := f.featuresFor(id, v, &s.xbuf)
 		if entry != nil && entry.err != nil {
-			return res, entry.err
+			return nil, entry.err
 		}
 		s.scans[i].v = v
 		if entry != nil {
@@ -573,7 +642,7 @@ func (f *Filter) Match(e ids.EID, list []scenario.ID, exclude *Exclusion) (Resul
 		}
 	}
 	if len(s.candOrds) == 0 {
-		return res, nil
+		return out, nil
 	}
 
 	// Trajectory pruning: the matched VID is "the only one having the same
@@ -584,16 +653,15 @@ func (f *Filter) Match(e ids.EID, list []scenario.ID, exclude *Exclusion) (Resul
 	// density (where each scenario contributes a hundred bystander VIDs) and
 	// saves their accumulations and feature comparisons. If nothing clears
 	// the bar (severe VID missing), every candidate stays eligible.
-	keptCount := 0
 	if need := (detecting + 1) / 2; need > 1 {
 		for _, ord := range s.candOrds {
 			if int(s.presence[ord]) >= need {
 				s.kept.Add(int(ord))
-				keptCount++
+				out.pruned = true
 			}
 		}
 	}
-	if keptCount == 0 {
+	if !out.pruned {
 		for _, ord := range s.candOrds {
 			s.kept.Add(int(ord))
 		}
@@ -625,30 +693,33 @@ func (f *Filter) Match(e ids.EID, list []scenario.ID, exclude *Exclusion) (Resul
 	// error paths, votes, and runner-up selection must not depend on
 	// discovery order.
 	for slot := range s.vids {
-		s.order = append(s.order, slot)
+		s.order = append(s.order, int32(slot))
 	}
-	slices.SortFunc(s.order, func(a, b int) int { return cmp.Compare(s.vids[a], s.vids[b]) })
+	slices.SortFunc(s.order, func(a, b int32) int { return cmp.Compare(s.vids[a], s.vids[b]) })
 
 	// Representative feature per candidate, then trajectory probability
 	// P(v) = Π_S max_d sim(rep_v, d) over the scenarios with detections.
-	if cap(s.reps) < s.slots()*dim {
-		s.reps = make([]float64, s.slots()*dim)
+	n := s.slots()
+	if cap(s.reps) < n*dim {
+		s.reps = make([]float64, n*dim)
 	}
-	s.reps = s.reps[:s.slots()*dim]
+	s.reps = s.reps[:n*dim]
 	for _, slot := range s.order {
 		if s.accs[slot].Count() == 0 {
-			return res, fmt.Errorf("vfilter: representative for %s: feature: mean of no vectors", s.vids[slot])
+			return nil, fmt.Errorf("vfilter: representative for %s: feature: mean of no vectors", s.vids[slot])
 		}
-		s.accs[slot].MeanInto(s.rep(slot, dim))
+		s.accs[slot].MeanInto(s.rep(int(slot), dim))
 	}
 	// One kernel call per scenario scores every candidate against it. A
 	// candidate the scenario sights is seeded with its own detection there:
 	// that row is almost always its nearest, so the kernel's bound is tight
-	// before it looks at anybody else's row.
-	s.seeds = slices.Grow(s.seeds[:0], s.slots())[:s.slots()]
-	s.sims = slices.Grow(s.sims[:0], s.slots())[:s.slots()]
+	// before it looks at anybody else's row. The same pass notes which slots
+	// each scenario sights, for Decide's per-scenario vote.
+	s.seeds = slices.Grow(s.seeds[:0], n)[:n]
+	s.sims = slices.Grow(s.sims[:0], n)[:n]
 	var comparisons int64
 	for i := range s.scans {
+		s.offs = append(s.offs, int32(len(s.present)))
 		sc := &s.scans[i]
 		if sc.v == nil || sc.m == nil || sc.m.Rows() == 0 {
 			continue
@@ -658,6 +729,9 @@ func (f *Filter) Match(e ids.EID, list []scenario.ID, exclude *Exclusion) (Resul
 		}
 		for d, ord := range sc.ords {
 			if slot := s.slotByOrd[ord]; slot >= 0 {
+				if s.seeds[slot] < 0 {
+					s.present = append(s.present, slot)
+				}
 				s.seeds[slot] = int32(d)
 			}
 		}
@@ -665,34 +739,81 @@ func (f *Filter) Match(e ids.EID, list []scenario.ID, exclude *Exclusion) (Resul
 		for slot, sim := range s.sims {
 			s.prob[slot] *= sim
 		}
-		comparisons += int64(s.slots()) * int64(sc.m.Rows())
+		comparisons += int64(n) * int64(sc.m.Rows())
 	}
+	s.offs = append(s.offs, int32(len(s.present)))
 	f.comparisons.Add(comparisons)
+
+	// The compact copy — three small allocations — so the scratch goes back
+	// to the pool now rather than when the target is decided.
+	out.vids = slices.Clone(s.vids)
+	out.prob = slices.Clone(s.prob)
+	ints := make([]int32, 3*n+len(s.offs)+len(s.present))
+	take := func(k int) []int32 {
+		part := ints[:k:k]
+		ints = ints[k:]
+		return part
+	}
+	out.ords = take(n)
+	copy(out.ords, s.slotOrds)
+	out.order = take(n)
+	copy(out.order, s.order)
+	out.votes = take(n)
+	out.offs = take(len(s.offs))
+	copy(out.offs, s.offs)
+	out.present = take(len(s.present))
+	copy(out.present, s.present)
+	return out, nil
+}
+
+// Decide is the cheap, ordered half of a Match: the per-scenario vote, the
+// majority decision and the runner-up, over sc's candidates minus whatever
+// exclude holds now. exclude must hold at least what the Score that produced
+// sc was given (the Exclusion a rule-out loop keeps only grows); the result is
+// then exactly Match(e, list, exclude).
+//
+// Why skipping is enough: the candidates Match would score under the larger
+// exclusion are sc's minus the newly excluded ones — the census, the presence
+// bar and every probability are per candidate (see Score). The one coupling
+// is the fallback: when sc's candidates are those over the presence bar and
+// exclude now holds every one of them, Match would find nobody over the bar
+// and fall back to all candidates, whom sc never scored. Decide detects that
+// case and scores again under exclude itself, hence the error result.
+func (f *Filter) Decide(sc *Scored, exclude *Exclusion) (Result, error) {
+	res := emptyResult(sc.eid, len(sc.list))
+	if exclude != nil && exclude.f != f {
+		return res, errors.New("vfilter: exclusion belongs to another filter")
+	}
+	if sc.pruned && !slices.ContainsFunc(sc.ords, func(ord int32) bool { return !exclude.has(ord) }) {
+		again, err := f.Score(sc.eid, sc.list, exclude)
+		if err != nil {
+			return res, err
+		}
+		sc = again
+	}
+	if len(sc.vids) == 0 {
+		return res, nil
+	}
 
 	// Per-scenario vote: each scenario elects the present candidate with the
 	// highest trajectory probability.
+	clear(sc.votes)
 	voting := 0
-	for i := range s.scans {
-		sc := &s.scans[i]
-		res.PerScenario[i] = ids.NoVID
-		if sc.v == nil {
-			continue
-		}
+	for i := range sc.list {
 		winner := ids.NoVID
-		winSlot := -1
+		winSlot := int32(-1)
 		bestProb := -1.0
-		for d := range sc.v.Detections {
-			slot := int(s.slotByOrd[sc.ords[d]])
-			if slot < 0 {
+		for _, slot := range sc.present[sc.offs[i]:sc.offs[i+1]] {
+			if exclude.has(sc.ords[slot]) {
 				continue
 			}
-			if s.prob[slot] > bestProb || (s.prob[slot] == bestProb && s.vids[slot] < winner) {
-				winner, winSlot, bestProb = s.vids[slot], slot, s.prob[slot]
+			if sc.prob[slot] > bestProb || (sc.prob[slot] == bestProb && sc.vids[slot] < winner) {
+				winner, winSlot, bestProb = sc.vids[slot], slot, sc.prob[slot]
 			}
 		}
 		if winner != ids.NoVID {
 			res.PerScenario[i] = winner
-			s.votes[winSlot]++
+			sc.votes[winSlot]++
 			voting++
 		}
 	}
@@ -701,27 +822,28 @@ func (f *Filter) Match(e ids.EID, list []scenario.ID, exclude *Exclusion) (Resul
 	}
 
 	// Majority decision; ties break toward the higher trajectory
-	// probability, then lexicographically for determinism.
+	// probability, then lexicographically for determinism. An excluded slot
+	// has no votes.
 	best := ids.NoVID
-	bestSlot := -1
-	bestVotes := -1
-	for _, slot := range s.order {
-		vid := s.vids[slot]
-		if s.votes[slot] == 0 {
+	bestSlot := int32(-1)
+	bestVotes := int32(-1)
+	for _, slot := range sc.order {
+		vid := sc.vids[slot]
+		if sc.votes[slot] == 0 {
 			continue
 		}
-		switch n := s.votes[slot]; {
+		switch n := sc.votes[slot]; {
 		case n > bestVotes:
 			best, bestSlot, bestVotes = vid, slot, n
 		case n == bestVotes:
-			if s.prob[slot] > s.prob[bestSlot] ||
-				(s.prob[slot] == s.prob[bestSlot] && vid < best) {
+			if sc.prob[slot] > sc.prob[bestSlot] ||
+				(sc.prob[slot] == sc.prob[bestSlot] && vid < best) {
 				best, bestSlot = vid, slot
 			}
 		}
 	}
 	res.VID = best
-	res.Probability = s.prob[bestSlot]
+	res.Probability = sc.prob[bestSlot]
 	res.MajorityFrac = float64(bestVotes) / float64(voting)
 	res.Acceptable = res.MajorityFrac >= f.cfg.AcceptMajority
 
@@ -729,13 +851,13 @@ func (f *Filter) Match(e ids.EID, list []scenario.ID, exclude *Exclusion) (Resul
 	// probability.
 	res.Margin = math.Inf(1)
 	bestOther := -1.0
-	for _, slot := range s.order {
-		vid := s.vids[slot]
-		if vid == best {
+	for _, slot := range sc.order {
+		vid := sc.vids[slot]
+		if vid == best || exclude.has(sc.ords[slot]) {
 			continue
 		}
-		if s.prob[slot] > bestOther || (s.prob[slot] == bestOther && vid < res.RunnerUp) {
-			res.RunnerUp, bestOther = vid, s.prob[slot]
+		if sc.prob[slot] > bestOther || (sc.prob[slot] == bestOther && vid < res.RunnerUp) {
+			res.RunnerUp, bestOther = vid, sc.prob[slot]
 		}
 	}
 	if bestOther > 0 {
