@@ -69,33 +69,3 @@ func ExampleMatcher_MatchAll() {
 	// Output:
 	// round trip holds: true
 }
-
-// ExampleMatcher_NewSession shows online matching: windows stream into a
-// session and the resolved count only grows.
-func ExampleMatcher_NewSession() {
-	cfg := evmatching.DefaultDatasetConfig()
-	cfg.NumPersons = 60
-	cfg.Density = 10
-	cfg.NumWindows = 12
-	ds, err := evmatching.Generate(cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	m, err := evmatching.NewMatcher(ds, evmatching.Options{})
-	if err != nil {
-		log.Fatal(err)
-	}
-	session, err := m.NewSession(ds.AllEIDs()[:10])
-	if err != nil {
-		log.Fatal(err)
-	}
-	for w := 0; w < cfg.NumWindows && !session.Distinguished(); w++ {
-		if err := session.Advance(w); err != nil {
-			log.Fatal(err)
-		}
-	}
-	fmt.Printf("distinguished all after %d windows: %v\n",
-		session.Windows(), session.Distinguished())
-	// Output:
-	// distinguished all after 3 windows: true
-}

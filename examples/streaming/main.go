@@ -1,7 +1,10 @@
-// Streaming: online EV-Matching over live surveillance. Windows of
-// scenarios arrive one at a time; the session refines its EID partition
-// incrementally and can report its current best matches at any moment —
-// watch identification quality converge as evidence accumulates.
+// Streaming: online EV-Matching over live surveillance. A generated world
+// is flattened into a time-ordered observation log and fed to the stream
+// engine one observation at a time; as the watermark closes each window the
+// engine refines its EID partition and emits a resolution for every target
+// that has just become distinguishable. Those early resolutions are
+// provisional — each is matched on the few windows closed by then — and
+// Finalize ends with the authoritative match over everything streamed.
 package main
 
 import (
@@ -11,6 +14,7 @@ import (
 	"math/rand"
 
 	"evmatching"
+	"evmatching/internal/stream"
 )
 
 func main() {
@@ -22,44 +26,49 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	m, err := evmatching.NewMatcher(ds, evmatching.Options{})
-	if err != nil {
-		log.Fatal(err)
-	}
-
 	targets := ds.SampleEIDs(40, rand.New(rand.NewSource(5)))
-	session, err := m.NewSession(targets)
+
+	const windowMS = 1000
+	_, obs, err := stream.EventsFromDataset(ds, windowMS, 5)
 	if err != nil {
 		log.Fatal(err)
 	}
-	ctx := context.Background()
+	eng, err := stream.NewEngine(stream.Config{Targets: targets, WindowMS: windowMS, Dim: ds.Config.DescriptorDim()})
+	if err != nil {
+		log.Fatal(err)
+	}
 
-	fmt.Printf("online matching of %d EIDs over %d streamed windows:\n\n", len(targets), cfg.NumWindows)
-	fmt.Println("window  distinguished  accuracy")
-	for w := 0; w < cfg.NumWindows; w++ {
-		if err := session.Advance(w); err != nil {
+	fmt.Printf("online matching of %d EIDs over %d observations in %d windows:\n\n", len(targets), len(obs), cfg.NumWindows)
+	fmt.Println("windows closed  resolved  early matches correct")
+	closed, resolved := 0, 0
+	for _, o := range obs {
+		if _, err := eng.Ingest(o); err != nil {
 			log.Fatal(err)
 		}
-		// Report every few windows (matching is cheap but not free).
-		if w%4 != 3 && !session.Distinguished() {
+		// The watermark entering a new window closed every window before it.
+		wm, _ := eng.Watermark()
+		if int(wm/windowMS) == closed {
 			continue
 		}
-		results, err := session.Match(ctx)
-		if err != nil {
-			log.Fatal(err)
+		closed = int(wm / windowMS)
+		res := eng.Resolutions()
+		if len(res) == resolved {
+			continue
 		}
+		resolved = len(res)
 		correct := 0
-		for _, e := range targets {
-			if results[e].VID == ds.TruthVID(e) {
+		for _, r := range res {
+			if r.VID == ds.TruthVID(r.EID) {
 				correct++
 			}
 		}
-		fmt.Printf("%6d  %8d/%d     %5.1f%%\n",
-			w+1, session.Resolved(), len(targets),
-			100*float64(correct)/float64(len(targets)))
-		if session.Distinguished() && w >= 7 {
-			fmt.Println("\nall targets distinguished; stream can keep strengthening weak matches")
-			break
-		}
+		fmt.Printf("%14d  %5d/%d  %10d\n", closed, resolved, len(targets), correct)
 	}
+
+	rep, err := eng.Finalize(context.Background())
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("\nend of stream, all %d windows matched together: %d/%d matched, accuracy %.1f%%\n",
+		cfg.NumWindows, rep.Matched(), len(targets), 100*rep.Accuracy(ds.TruthVID))
 }

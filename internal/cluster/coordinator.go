@@ -132,6 +132,13 @@ type activeJob struct {
 	failed      error
 }
 
+// finished reports whether done is closed: the job failed, or its last task
+// completed. From then on nothing may write the job — Run reads it unlocked
+// — and done must not be closed again.
+func (j *activeJob) finished() bool {
+	return j.failed != nil || (j.mapsLeft == 0 && j.reducesLeft == 0)
+}
+
 // Coordinator schedules distributed jobs and serves the worker RPC API.
 // Create with NewCoordinator, expose with Serve, submit with RunJob.
 type Coordinator struct {
@@ -380,15 +387,13 @@ func (c *Coordinator) sweepLocked(now time.Time) {
 		c.stats.deadWorkers.Add(1)
 	}
 	job := c.job
-	if job == nil {
+	if job == nil || job.finished() {
 		return
 	}
-	if job.failed == nil {
-		c.sweepTasksLocked(job, job.mapTasks, dead, now)
-		c.sweepTasksLocked(job, job.reduceTasks, dead, now)
-	}
+	c.sweepTasksLocked(job, job.mapTasks, dead, now)
+	c.sweepTasksLocked(job, job.reduceTasks, dead, now)
 	// Pool collapse: no live workers and nothing heard for PoolTimeout.
-	if c.cfg.PoolTimeout > 0 && job.failed == nil && len(c.workers) == 0 {
+	if c.cfg.PoolTimeout > 0 && len(c.workers) == 0 {
 		ref := c.lastAlive
 		if job.submitted.After(ref) {
 			ref = job.submitted
@@ -574,17 +579,18 @@ func (r *coordinatorRPC) Heartbeat(args *HeartbeatPing, reply *HeartbeatAck) err
 	return nil
 }
 
-// ReportTask records a worker's task completion. Reports for stale jobs,
-// unknown tasks, or already-completed tasks are absorbed without failing the
-// coordinator (a re-executed, duplicated, or reordered report may arrive any
-// time; atomic file renames make the data side harmless).
+// ReportTask records a worker's task completion. Reports for stale or
+// finished jobs, unknown tasks, or already-completed tasks are absorbed
+// without failing the coordinator (a re-executed, duplicated, or reordered
+// report may arrive any time — c.job stays installed while Run collects the
+// reducer files; atomic file renames make the data side harmless).
 func (r *coordinatorRPC) ReportTask(args *TaskReport, reply *TaskAck) error {
 	c := r.c
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.touchLocked(args.WorkerID, time.Now())
 	job := c.job
-	if job == nil || job.id != args.JobID {
+	if job == nil || job.id != args.JobID || job.finished() {
 		c.stats.staleReports.Add(1)
 		return nil
 	}
@@ -606,10 +612,8 @@ func (r *coordinatorRPC) ReportTask(args *TaskReport, reply *TaskAck) error {
 	if args.Err != "" {
 		// Execution failure (not a crash): fail the whole job; losing a
 		// worker is recoverable, a deterministic function error is not.
-		if job.failed == nil {
-			job.failed = fmt.Errorf("%w: %s", ErrTaskFailed, args.Err)
-			close(job.done)
-		}
+		job.failed = fmt.Errorf("%w: %s", ErrTaskFailed, args.Err)
+		close(job.done)
 		return nil
 	}
 	t := &tasks[args.TaskID]
@@ -626,7 +630,7 @@ func (r *coordinatorRPC) ReportTask(args *TaskReport, reply *TaskAck) error {
 	for name, v := range args.Counters {
 		job.counters.Add(name, v)
 	}
-	if job.mapsLeft == 0 && job.reducesLeft == 0 && job.failed == nil {
+	if job.finished() {
 		close(job.done)
 	}
 	return nil

@@ -5,6 +5,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"evmatching/internal/mapreduce"
 )
 
 // TestStatsConcurrentSnapshots races every converted counter field against
@@ -132,5 +134,52 @@ func TestStatsRPCSeams(t *testing.T) {
 	}
 	if got := coord.Stats().DeadWorkers; got < 1 {
 		t.Errorf("DeadWorkers = %d, want at least the swept worker", got)
+	}
+}
+
+// TestLateReportForFinishedJobIsStale: the job stays installed while Run
+// collects the reducer files, so a duplicate or speculative execution can
+// still report after the last task closed job.done. Such a report — here a
+// failure, which used to set job.failed under Run's unlocked read and close
+// job.done a second time — must be absorbed as stale.
+func TestLateReportForFinishedJobIsStale(t *testing.T) {
+	coord, err := NewCoordinator(CoordinatorConfig{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatalf("NewCoordinator: %v", err)
+	}
+	defer coord.Close()
+	job := &activeJob{
+		id:          "1",
+		spec:        JobSpec{Name: "late", MapName: "m", ReduceName: "r", NumMapTasks: 1, NumReducers: 1},
+		submitted:   time.Now(),
+		mapTasks:    newTasks(1),
+		reduceTasks: newTasks(1),
+		mapsLeft:    1,
+		reducesLeft: 1,
+		counters:    mapreduce.NewCounters(),
+		done:        make(chan struct{}),
+	}
+	coord.job = job
+	rpc := &coordinatorRPC{c: coord}
+	report := func(kind TaskKind, errStr string) {
+		t.Helper()
+		if err := rpc.ReportTask(&TaskReport{WorkerID: "w", JobID: "1", Kind: kind, Err: errStr}, &TaskAck{}); err != nil {
+			t.Fatalf("ReportTask: %v", err)
+		}
+	}
+	report(TaskMap, "")
+	report(TaskReduce, "")
+	select {
+	case <-job.done:
+	default:
+		t.Fatal("job not done after its last task reported")
+	}
+	stale := coord.Stats().StaleReports
+	report(TaskMap, "boom") // panicked: close of closed channel
+	if job.failed != nil {
+		t.Errorf("a late failure report changed the finished job's result: %v", job.failed)
+	}
+	if got := coord.Stats().StaleReports; got != stale+1 {
+		t.Errorf("StaleReports = %d, want %d", got, stale+1)
 	}
 }

@@ -32,9 +32,9 @@ var goldenCases = []struct {
 }
 
 // inProcessRunner drives the shard seam without processes: a ShardRunner
-// that hosts every incarnation via stream.RunShardInProcess. It isolates the
-// seam's wire conversions (sealedToWire/toSealed round trip, snapshot
-// flattening) from the rpc and process machinery.
+// that hosts every incarnation via stream.RunShardInProcess — what a router
+// without a Runner does itself — so the public seam is exercised without the
+// rpc and process machinery.
 type inProcessRunner struct{}
 
 func (inProcessRunner) RunShard(run stream.ShardRun) { stream.RunShardInProcess(run) }

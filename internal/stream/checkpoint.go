@@ -244,7 +244,7 @@ func readCheckpoint(rd io.Reader) (*checkpointFile, error) {
 // resume without reprocessing the log from the start.
 func (e *Engine) Checkpoint(w io.Writer) error {
 	e.mu.Lock()
-	cp, err := e.checkpointLocked()
+	cp, err := e.checkpointLocked(&e.front, e.win.snapshot())
 	e.mu.Unlock()
 	if err != nil {
 		return err
@@ -252,22 +252,22 @@ func (e *Engine) Checkpoint(w io.Writer) error {
 	return cp.write(w)
 }
 
-// checkpointLocked builds the engine's checkpoint image. Evicted V payloads
-// are paged back in transiently — the checkpoint always carries the full
-// state — and a reload failure fails the checkpoint rather than silently
+// checkpointLocked builds a checkpoint image: the fold's state — config
+// guard, closed scenarios, resolutions, rule-out sets — from the engine, the
+// header counters from the given frontier and the open section from the given
+// buckets (the engine's own, or the router's and its shards'). Evicted V
+// payloads are paged back in transiently — the checkpoint always carries the
+// full state — and a reload failure fails the checkpoint rather than silently
 // persisting a scenario as detection-free. Callers hold e.mu.
-func (e *Engine) checkpointLocked() (*checkpointFile, error) {
+func (e *Engine) checkpointLocked(front *frontier, open []ShardBucket) (*checkpointFile, error) {
 	cp := &checkpointFile{
 		WindowMS:    e.cfg.WindowMS,
 		LatenessMS:  e.cfg.LatenessMS,
 		Seed:        e.cfg.Seed,
 		Dim:         e.cfg.Dim,
 		Targets:     e.cfg.Targets,
-		Ingested:    e.ingested,
-		LateDropped: e.lateDropped,
-		MaxTS:       e.maxTS,
-		MinOpen:     e.minOpen,
 		Seq:         e.seq,
+		Buckets:     open,
 		Scenarios:   make([]ShardBucket, 0, e.store.Len()),
 		Resolutions: e.emitted,
 		Accepted:    ids.SortedVIDKeys(e.accepted),
@@ -285,14 +285,7 @@ func (e *Engine) checkpointLocked() (*checkpointFile, error) {
 		}
 		cp.Scenarios = append(cp.Scenarios, cs)
 	}
-	var keys []bucketKey
-	for k := range e.buckets {
-		keys = append(keys, k)
-	}
-	sortBucketKeys(keys)
-	for _, k := range keys {
-		cp.Buckets = append(cp.Buckets, bucketToCheckpoint(k, e.buckets[k]))
-	}
+	front.record(cp)
 	return cp, nil
 }
 
@@ -343,16 +336,13 @@ func Restore(cfg Config, r io.Reader) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := e.guardCheckpoint(cp); err != nil {
+	if err := e.restoreMatchState(cp); err != nil {
 		return nil, err
 	}
-	if err := e.restoreScenarios(cp); err != nil {
+	if err := e.resetWindower(cp.Buckets); err != nil {
 		return nil, err
 	}
-	for _, cb := range cp.Buckets {
-		e.buckets[bucketKey{Window: cb.Window, Cell: cb.Cell}] = bucketFromCheckpoint(cb)
-	}
-	e.restoreCounters(cp)
+	e.front.restore(cp)
 	e.mu.Lock()
 	e.publishGauges()
 	e.mu.Unlock()
@@ -377,46 +367,31 @@ func (e *Engine) guardCheckpoint(cp *checkpointFile) error {
 	return nil
 }
 
-// restoreScenarios re-adds the closed scenarios in ID order (the fresh store
-// assigns the same IDs) and replays the split — the partition is a pure fold
-// over them.
-func (e *Engine) restoreScenarios(cp *checkpointFile) error {
+// restoreMatchState resumes the fold from a checkpoint: after the config
+// guard it re-adds the closed scenarios in ID order (the fresh store assigns
+// the same IDs) and replays the split — the partition is a pure fold over
+// them — then takes the resolutions and rule-out sets.
+func (e *Engine) restoreMatchState(cp *checkpointFile) error {
+	if err := e.guardCheckpoint(cp); err != nil {
+		return err
+	}
 	for i := range cp.Scenarios {
+		// The same path the live engine closed them through: scenarios were
+		// applied in store-ID order, so the replay walks the identical
+		// live-set evolution and rebuilds the partition, the blocking state
+		// and the prune counters deterministically — and restored payloads
+		// count against the memory budget exactly like freshly sealed ones,
+		// so a restored engine re-evicts down to budget instead of holding
+		// the whole checkpoint resident.
 		cs := &cp.Scenarios[i]
-		esc := &scenario.EScenario{Cell: cs.Cell, Window: cs.Window, EIDs: bucketEIDSet(cs.EIDs)}
-		var vsc *scenario.VScenario
-		if len(cs.Dets) > 0 {
-			vsc = &scenario.VScenario{Cell: cs.Cell, Window: cs.Window, Detections: cs.Dets}
-		}
-		id, err := e.store.Add(esc, vsc)
+		id, err := e.applySealedLocked(&ShardSealed{Window: cs.Window, Cell: cs.Cell, EIDs: cs.EIDs, Dets: cs.Dets})
 		if err != nil {
 			return fmt.Errorf("%w: scenario %d: %w", ErrBadCheckpoint, i, err)
 		}
 		if int(id) != i {
 			return fmt.Errorf("%w: scenario %d re-added as %d", ErrBadCheckpoint, i, id)
 		}
-		// The same pruning path the live engine used: scenarios were closed
-		// (and thus applied) in store-ID order, so the replay walks the
-		// identical live-set evolution and rebuilds the partition, the
-		// blocking state, and the prune counters deterministically.
-		e.splitSealedLocked(esc)
-		// Restored payloads count against the memory budget exactly like
-		// freshly sealed ones, so a restored engine re-evicts down to budget
-		// instead of holding the whole checkpoint resident.
-		if err := e.noteSealedLocked(id, vsc); err != nil {
-			return fmt.Errorf("%w: scenario %d: %w", ErrBadCheckpoint, i, err)
-		}
 	}
-	return nil
-}
-
-// restoreCounters applies the checkpoint's counters, resolutions, and
-// rule-out sets.
-func (e *Engine) restoreCounters(cp *checkpointFile) {
-	e.ingested = cp.Ingested
-	e.lateDropped = cp.LateDropped
-	e.maxTS = cp.MaxTS
-	e.minOpen = cp.MinOpen
 	e.seq = cp.Seq
 	e.emitted = cp.Resolutions
 	for _, eid := range cp.Resolved {
@@ -425,6 +400,7 @@ func (e *Engine) restoreCounters(cp *checkpointFile) {
 	for _, vid := range cp.Accepted {
 		e.accept(vid)
 	}
+	return nil
 }
 
 // eidsEqual reports element-wise equality of two sorted EID slices.
@@ -467,25 +443,20 @@ func (r *Router) Checkpoint(w io.Writer) error {
 	for i := range r.slots {
 		r.adoptAckLocked(&r.slots[i])
 	}
+	// The merge stage supplies the global section; the frontier is the
+	// router's and the open buckets are the shards' barrier sub-checkpoints.
+	var open []ShardBucket
+	for i := range r.slots {
+		open = append(open, r.slots[i].snapBuckets...)
+	}
 	r.merged.mu.Lock()
-	cp, err := r.merged.checkpointLocked()
+	cp, err := r.merged.checkpointLocked(&r.front, open)
 	r.merged.mu.Unlock()
+	r.mu.Unlock()
 	if err != nil {
-		r.mu.Unlock()
 		return err
 	}
-	// The merge stage's engine supplies the global section; the watermark
-	// and ingest counters are the router's own, and the open buckets are
-	// the shards' barrier sub-checkpoints (the merged engine never has any).
 	cp.Shards = r.cfg.Shards
-	cp.Ingested = r.ingested
-	cp.LateDropped = r.lateDropped
-	cp.MaxTS = r.maxTS
-	cp.MinOpen = r.minOpen
-	for i := range r.slots {
-		cp.Buckets = append(cp.Buckets, r.slots[i].snapBuckets...)
-	}
-	r.mu.Unlock()
 	return cp.write(w)
 }
 

@@ -180,7 +180,11 @@ func readShardBucket(r *wire.Reader, sb *ShardBucket) {
 func appendShardSealed(b []byte, s *ShardSealed) []byte {
 	b = wire.AppendVarint(b, int64(s.Window))
 	b = wire.AppendVarint(b, int64(s.Cell))
-	b = appendSlice(b, s.EIDs, appendBucketEID)
+	eids := s.EIDs
+	if s.eids != nil { // never left the process: flatten now
+		eids = sortedBucketEIDs(s.eids)
+	}
+	b = appendSlice(b, eids, appendBucketEID)
 	b = appendSlice(b, s.Dets, appendDetection)
 	b = wire.AppendVarint(b, int64(s.FeatDim))
 	return wire.AppendFloat64s(b, s.Feat)

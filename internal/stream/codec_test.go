@@ -186,22 +186,21 @@ func TestCodecRoundTrip(t *testing.T) {
 // bytes however the map happens to iterate, because both flatten through a
 // sorted key list. Forty rebuilds of a 64-entry map would otherwise differ.
 func TestCodecDeterministicFromMaps(t *testing.T) {
-	build := func() (*bucket, sealedScenario) {
+	build := func() (*bucket, ShardSealed) {
 		b := newBucket()
-		esc := &scenario.EScenario{Cell: 4, Window: 2, EIDs: make(map[ids.EID]scenario.Attr)}
+		w := ShardSealed{Window: 2, Cell: 4, eids: make(map[ids.EID]scenario.Attr)}
 		for i := 0; i < 64; i++ {
 			eid := ids.EID(fmt.Sprintf("e-%02d", (i*37)%64))
 			b.absorb(Observation{Kind: KindE, EID: eid, Attr: scenario.AttrVague})
-			esc.EIDs[eid] = scenario.AttrInclusive
+			w.eids[eid] = scenario.AttrInclusive
 		}
-		return b, sealedScenario{key: bucketKey{Window: 2, Cell: 4}, esc: esc}
+		return b, w
 	}
 	var firstBucket, firstSealed []byte
 	for i := 0; i < 40; i++ {
-		b, s := build()
+		b, w := build()
 		img := bucketToCheckpoint(bucketKey{Window: 2, Cell: 4}, b)
 		gotBucket := appendShardBucket(nil, &img)
-		w := sealedToWire(s)
 		gotSealed := appendShardSealed(nil, &w)
 		if i == 0 {
 			firstBucket, firstSealed = gotBucket, gotSealed

@@ -11,9 +11,7 @@ import (
 
 	"evmatching/internal/cluster"
 	"evmatching/internal/core"
-	"evmatching/internal/feature"
 	"evmatching/internal/geo"
-	"evmatching/internal/scenario"
 	"evmatching/internal/spill"
 )
 
@@ -46,7 +44,7 @@ const (
 // ShardFault is the injected fault for one (shard, incarnation, step):
 // chaos tests kill or stall shard windowers mid-window through it.
 type ShardFault struct {
-	// Kill makes the shard goroutine exit silently before processing the
+	// Kill makes the shard's run exit silently before processing the
 	// message; its lease lapses and the router redispatches its cell range.
 	Kill bool
 	// Stall delays processing by this much — a straggler shard.
@@ -79,13 +77,13 @@ type RouterConfig struct {
 	// measured against Config.Clock so deterministic tests drive detection
 	// from an injected clock.
 	LeaseTTL time.Duration
-	// Faults, when non-nil, injects shard faults (tests only).
+	// Faults, when non-nil, injects shard faults (tests only). The plan is
+	// applied by RunShardInProcess, the loop every in-process shard runs.
 	Faults ShardFaultPlan
-	// Runner, when non-nil, runs shard incarnations instead of the
-	// in-process windower goroutines — the seam internal/shardrpc's
-	// supervisor plugs into to host shards in worker processes. Mutually
-	// exclusive with Faults (fault injection targets the in-process path;
-	// cross-process chaos kills real processes instead).
+	// Runner runs the shard incarnations; nil means RunShardInProcess, one
+	// goroutine per shard in this process. internal/shardrpc's supervisor
+	// plugs in here to host shards in worker processes. Mutually exclusive
+	// with Faults (cross-process chaos kills real processes instead).
 	Runner ShardRunner
 }
 
@@ -171,17 +169,10 @@ const (
 	ShardOutSnap
 )
 
-// shardOut is one shard emission: a round of sealed window closures, or a
-// sub-checkpoint snapshot acknowledging a journal position.
+// shardOut is one shard's emission on the shared shard → merger channel.
 type shardOut struct {
-	shard    int
-	kind     ShardOutKind
-	round    int
-	target   int
-	maxTS    int64
-	sealed   []sealedScenario
-	snapPos  int64
-	snapshot []ShardBucket
+	shard int
+	ShardOut
 }
 
 // snapAck is the merger-recorded latest sub-checkpoint of one shard.
@@ -210,14 +201,14 @@ type shardSlot struct {
 	gaugeName string // precomputed per-shard gauge key
 }
 
-// Router is the sharded streaming ingest tier: observations partition by
-// cell across N in-process shard windowers (ShardOf), each shard seals its
-// windows when the router's global watermark closes them, and a merge stage
-// folds the sealed closures — in ascending (window, cell) order across all
-// shards — into a single global Engine. Because the merge replays exactly
-// the close-and-sweep sequence the unsharded engine performs, the router's
-// Finalize fingerprint is bit-identical to the unsharded stream replay and
-// to the batch SS run (the shard-invariance tests pin this).
+// Router is the sharded streaming ingest tier: the same frontier the Engine
+// holds decides admission and close targets, observations partition by cell
+// across N shard windowers (ShardOf), each shard seals its windows when the
+// router's close round tells it to, and a merge stage folds the sealed
+// closures — in ascending (window, cell) order across all shards — into a
+// single global Engine through the fold the Engine runs inline. The router's
+// Finalize fingerprint is therefore bit-identical to the unsharded stream
+// replay and to the batch SS run (the shard-invariance tests pin this).
 //
 // Fault tolerance reuses the cluster lease model: every shard holds a
 // liveness lease (cluster.ShardLeaseTable); a shard that dies mid-window
@@ -235,19 +226,14 @@ type Router struct {
 	mu           sync.Mutex
 	closed       bool
 	slots        []shardSlot
-	maxTS        int64
-	minOpen      int
+	front        frontier
 	round        int // close rounds issued
-	ingested     int64
-	lateDropped  int64
 	redispatches int64
 	// supervisorRedispatches counts the redispatches initiated through
 	// RedispatchShard / ShardRun.Redispatch (a supervisor reporting a dead
 	// worker) — a subset of redispatches, which counts every recovery path.
 	supervisorRedispatches int64
-	seen                   map[bucketKey]bool // open (window, cell) keys routed so far
-	openPerWin             map[int]int        // open bucket count per window
-	sinceSweep             int                // ingests since the last lease sweep
+	sinceSweep             int // ingests since the last lease sweep
 
 	out        chan shardOut
 	wg         sync.WaitGroup
@@ -315,9 +301,7 @@ func newRouter(cfg RouterConfig, cp *checkpointFile) (*Router, error) {
 		merged:     merged,
 		leases:     leases,
 		slots:      make([]shardSlot, cfg.Shards),
-		maxTS:      -1,
-		seen:       make(map[bucketKey]bool),
-		openPerWin: make(map[int]int),
+		front:      newFrontier(cfg.WindowMS, cfg.LatenessMS),
 		out:        make(chan shardOut, 4*cfg.Shards),
 		mergerDone: make(chan struct{}),
 		acks:       make([]snapAck, cfg.Shards),
@@ -334,11 +318,6 @@ func newRouter(cfg RouterConfig, cp *checkpointFile) (*Router, error) {
 			}
 			s := ShardOf(cb.Cell, cfg.Shards)
 			perShard[s] = append(perShard[s], cb)
-			k := bucketKey{Window: cb.Window, Cell: cb.Cell}
-			if !r.seen[k] {
-				r.seen[k] = true
-				r.openPerWin[cb.Window]++
-			}
 		}
 		for s := range perShard {
 			sortCheckpointBuckets(perShard[s])
@@ -360,31 +339,22 @@ func newRouter(cfg RouterConfig, cp *checkpointFile) (*Router, error) {
 }
 
 // restoreCheckpoint applies a decoded checkpoint's global section: the
-// merged engine's scenarios, resolutions, and counters, plus the router's
-// own watermark and ingest counters.
+// merge stage's scenarios and resolutions, and the router's frontier.
 func (r *Router) restoreCheckpoint(cp *checkpointFile) error {
-	if err := r.merged.guardCheckpoint(cp); err != nil {
+	if err := r.merged.restoreMatchState(cp); err != nil {
 		return err
 	}
-	if err := r.merged.restoreScenarios(cp); err != nil {
-		return err
-	}
-	r.merged.restoreCounters(cp)
-	r.ingested = cp.Ingested
-	r.lateDropped = cp.LateDropped
-	r.maxTS = cp.MaxTS
-	r.minOpen = cp.MinOpen
+	r.front.restore(cp)
 	r.seqGauge.Store(int64(cp.Seq))
 	r.resolvedGauge.Store(int64(len(cp.Resolved)))
 	return nil
 }
 
-// Ingest consumes one observation: validation and the late-drop decision
-// happen here — the router's watermark is the single source of truth, so
-// sharding never changes which observations are accepted — then the
-// observation is journalled and routed to its cell's shard. When the
-// observation advances the watermark past a window boundary, a close round
-// is broadcast to every shard.
+// Ingest consumes one observation: validation and the frontier's late-drop
+// decision happen here, so sharding never changes which observations are
+// accepted; then the observation is journalled and routed to its cell's
+// shard. When it advances the watermark past a window boundary, a close
+// round is broadcast to every shard.
 func (r *Router) Ingest(o Observation) (bool, error) {
 	if err := o.Validate(); err != nil {
 		return false, err
@@ -397,27 +367,15 @@ func (r *Router) Ingest(o Observation) (bool, error) {
 	if err := r.errState(); err != nil {
 		return false, err
 	}
-	r.ingested++
-	w := int(o.TS / r.cfg.WindowMS)
-	if w < r.minOpen {
-		r.lateDropped++
+	if !r.front.admit(o.TS) {
 		r.publishGaugesLocked()
 		return false, nil
 	}
-	shard := ShardOf(o.Cell, r.cfg.Shards)
-	slot := &r.slots[shard]
+	slot := &r.slots[ShardOf(o.Cell, r.cfg.Shards)]
 	r.sendLocked(slot, ShardMsg{Kind: ShardMsgObs, Obs: o})
 	slot.routed++
-	k := bucketKey{Window: w, Cell: o.Cell}
-	if !r.seen[k] {
-		r.seen[k] = true
-		r.openPerWin[w]++
-	}
-	if o.TS > r.maxTS {
-		r.maxTS = o.TS
-		if target := floorDiv(r.maxTS-r.cfg.LatenessMS, r.cfg.WindowMS); target > int64(r.minOpen) {
-			r.issueCloseLocked(int(target))
-		}
+	if target, closes := r.front.observe(o.TS); closes {
+		r.issueCloseLocked(target)
 	}
 	r.maybeSnapshotLocked(slot)
 	r.adoptAckLocked(slot)
@@ -456,35 +414,14 @@ func (r *Router) sendLocked(s *shardSlot, m ShardMsg) {
 // issueCloseLocked broadcasts one close round: every shard seals its buckets
 // with window < target and emits them to the merge stage. Rounds are the
 // unit of merge ordering — the merger folds a round only once all shards
-// have reported it. Callers hold r.mu; target must be >= r.minOpen.
+// have reported it. Callers hold r.mu; target must be >= the frontier's
+// close point.
 func (r *Router) issueCloseLocked(target int) {
 	r.round++
-	if target > r.minOpen {
-		r.minOpen = target
-	}
-	m := ShardMsg{Kind: ShardMsgClose, Round: r.round, Target: target, MaxTS: r.maxTS}
+	r.front.closeBelow(target)
+	m := ShardMsg{Kind: ShardMsgClose, Round: r.round, Target: target, MaxTS: r.front.maxTS}
 	for i := range r.slots {
 		r.sendLocked(&r.slots[i], m)
-	}
-	var wins []int
-	for w := range r.openPerWin {
-		if w < target {
-			wins = append(wins, w)
-		}
-	}
-	sort.Ints(wins)
-	for _, w := range wins {
-		delete(r.openPerWin, w)
-	}
-	var keys []bucketKey
-	for k := range r.seen {
-		if k.Window < target {
-			keys = append(keys, k)
-		}
-	}
-	sortBucketKeys(keys)
-	for _, k := range keys {
-		delete(r.seen, k)
 	}
 }
 
@@ -554,24 +491,14 @@ func (r *Router) redispatchLocked(shard int, now time.Time) {
 	}
 }
 
-// startIncarnationLocked launches the slot's current incarnation: the
-// in-process windower goroutine, or — when cfg.Runner is set — the runner,
-// which may host the shard anywhere it likes (internal/shardrpc proxies it
-// to a worker process). image is the sub-checkpoint the incarnation
-// restores from. Callers hold r.mu (newRouter calls before the router
-// escapes).
+// startIncarnationLocked launches the slot's current incarnation on the
+// configured runner, which may host the shard anywhere it likes
+// (internal/shardrpc proxies it to a worker process), or on
+// RunShardInProcess when none is configured. image is the sub-checkpoint the
+// incarnation restores from. Callers hold r.mu (newRouter calls before the
+// router escapes).
 func (r *Router) startIncarnationLocked(slot *shardSlot, image []ShardBucket) {
-	shard, inc := slot.id, slot.incarnation
-	in, stop := slot.in, slot.stop
-	if r.cfg.Runner == nil {
-		initial := make(map[bucketKey]*bucket, len(image))
-		for _, cb := range image {
-			initial[bucketKey{Window: cb.Window, Cell: cb.Cell}] = bucketFromCheckpoint(cb)
-		}
-		r.wg.Add(1)
-		go r.runShard(shard, inc, in, stop, initial)
-		return
-	}
+	shard, inc, stop := slot.id, slot.incarnation, slot.stop
 	run := ShardRun{
 		Shard:       shard,
 		Incarnation: inc,
@@ -582,10 +509,17 @@ func (r *Router) startIncarnationLocked(slot *shardSlot, image []ShardBucket) {
 			LeaseTTL:   r.cfg.LeaseTTL,
 		},
 		Initial: image,
-		In:      in,
+		In:      slot.in,
 		Stop:    stop,
 		Emit: func(o ShardOut) bool {
-			return r.emit(outFromWire(shard, o), stop)
+			// Abandoned if the incarnation is stopped first: the
+			// replacement re-emits it from replay.
+			select {
+			case r.out <- shardOut{shard: shard, ShardOut: o}:
+				return true
+			case <-stop:
+				return false
+			}
 		},
 		Renew: func() bool {
 			return r.leases.Renew(shard, inc, r.cfg.Clock.Now())
@@ -593,11 +527,17 @@ func (r *Router) startIncarnationLocked(slot *shardSlot, image []ShardBucket) {
 		Redispatch: func() error {
 			return r.redispatchFrom(shard, inc)
 		},
+		faults: r.cfg.Faults,
+		kills:  &r.kills,
+	}
+	runOn := RunShardInProcess
+	if r.cfg.Runner != nil {
+		runOn = r.cfg.Runner.RunShard
 	}
 	r.wg.Add(1)
 	go func() {
 		defer r.wg.Done()
-		r.cfg.Runner.RunShard(run)
+		runOn(run)
 	}()
 }
 
@@ -637,130 +577,6 @@ func (r *Router) RedispatchShard(shard int) error {
 	return nil
 }
 
-// runShard is one shard windower incarnation: a pure event-time accumulator
-// over its cell range. It absorbs routed observations into buckets, seals
-// and emits every bucket below the target on a close round, and answers
-// sub-checkpoint requests with a deep-copied bucket image. All global state
-// — watermark, partition, resolutions — lives in the router and merge
-// stage, which is what makes shard death recoverable by pure replay.
-func (r *Router) runShard(shard, incarnation int, in <-chan ShardMsg, stop <-chan struct{}, buckets map[bucketKey]*bucket) {
-	defer r.wg.Done()
-	tick := time.NewTicker(r.cfg.LeaseTTL / 4)
-	defer tick.Stop()
-	xt := feature.Extractor{Dim: r.cfg.Dim, WorkFactor: r.cfg.WorkFactor}
-	var xbuf feature.ExtractBuf
-	step := 0
-	for {
-		select {
-		case <-stop:
-			return
-		case <-tick.C:
-			// Idle renewal: an empty queue must not read as death.
-			if !r.leases.Renew(shard, incarnation, r.cfg.Clock.Now()) {
-				return // superseded by a redispatch
-			}
-		case m := <-in:
-			step++
-			if r.cfg.Faults != nil {
-				f := r.cfg.Faults.ShardFault(shard, incarnation, step)
-				if f.Stall > 0 {
-					t := time.NewTimer(f.Stall)
-					select {
-					case <-t.C:
-					case <-stop:
-						t.Stop()
-						return
-					}
-				}
-				if f.Kill {
-					r.kills.Add(1)
-					return // silent death; the lease lapses
-				}
-			}
-			switch m.Kind {
-			case ShardMsgObs:
-				k := bucketKey{Window: int(m.Obs.TS / r.cfg.WindowMS), Cell: m.Obs.Cell}
-				b := buckets[k]
-				if b == nil {
-					b = newBucket()
-					buckets[k] = b
-				}
-				b.absorb(m.Obs)
-			case ShardMsgClose:
-				var keys []bucketKey
-				for k := range buckets {
-					if k.Window < m.Target {
-						keys = append(keys, k)
-					}
-				}
-				sortBucketKeys(keys)
-				sealed := make([]sealedScenario, 0, len(keys))
-				for _, k := range keys {
-					esc, vsc := sealBucket(k, buckets[k])
-					sealed = append(sealed, sealedScenario{key: k, esc: esc, vsc: vsc, feats: extractSealed(xt, vsc, &xbuf)})
-					delete(buckets, k)
-				}
-				out := shardOut{shard: shard, kind: ShardOutRound, round: m.Round, target: m.Target, maxTS: m.MaxTS, sealed: sealed}
-				if !r.emit(out, stop) {
-					return
-				}
-			case ShardMsgSnap:
-				var keys []bucketKey
-				for k := range buckets {
-					keys = append(keys, k)
-				}
-				sortBucketKeys(keys)
-				snap := make([]ShardBucket, 0, len(keys))
-				for _, k := range keys {
-					snap = append(snap, bucketToCheckpoint(k, buckets[k]))
-				}
-				if !r.emit(shardOut{shard: shard, kind: ShardOutSnap, snapPos: m.Pos, snapshot: snap}, stop) {
-					return
-				}
-			}
-			if step%renewEveryMsgs == 0 {
-				if !r.leases.Renew(shard, incarnation, r.cfg.Clock.Now()) {
-					return
-				}
-			}
-		}
-	}
-}
-
-// extractSealed extracts a sealed V-Scenario's features on the shard
-// goroutine — the visual-processing cost that dominates window closure, paid
-// here in parallel across shards instead of serially in the merge stage
-// (which primes its filter cache with the result). The extractor is a pure
-// function of the patch bytes, so shard-side extraction is bit-identical to
-// the merge-side lazy path. On any failure it returns nil and the merge-side
-// filter re-extracts lazily, surfacing the identical error at Match time.
-func extractSealed(xt feature.Extractor, vsc *scenario.VScenario, buf *feature.ExtractBuf) *feature.Matrix {
-	if vsc == nil || len(vsc.Detections) == 0 {
-		return nil
-	}
-	m, err := feature.NewMatrix(xt.Dim, len(vsc.Detections))
-	if err != nil {
-		return nil
-	}
-	for i := range vsc.Detections {
-		if err := xt.ExtractIntoBuf(vsc.Detections[i].Patch, m.Row(i), buf); err != nil {
-			return nil
-		}
-	}
-	return m
-}
-
-// emit delivers one shard emission to the merge stage, abandoning it if the
-// incarnation is stopped first (the replacement re-emits it from replay).
-func (r *Router) emit(m shardOut, stop <-chan struct{}) bool {
-	select {
-	case r.out <- m:
-		return true
-	case <-stop:
-		return false
-	}
-}
-
 // runMerger is the merge stage: it collects each round's batches from all
 // shards, concatenates and re-sorts them into global ascending (window,
 // cell) order — per-shard batches are already sorted, and shards partition
@@ -773,40 +589,39 @@ func (r *Router) runMerger() {
 	shards := r.cfg.Shards
 	type roundBatch struct {
 		have    int
-		batches [][]sealedScenario
+		batches [][]ShardSealed
 		target  int
-		maxTS   int64
 	}
 	nextRound := 1
 	pending := make(map[int]*roundBatch)
 	lastRound := make([]int, shards)
 	lastSnap := make([]int64, shards)
 	for m := range r.out {
-		switch m.kind {
+		switch m.Kind {
 		case ShardOutSnap:
-			if m.snapPos <= lastSnap[m.shard] {
+			if m.SnapPos <= lastSnap[m.shard] {
 				continue // stale re-emission from a superseded incarnation
 			}
-			lastSnap[m.shard] = m.snapPos
+			lastSnap[m.shard] = m.SnapPos
 			r.snapMu.Lock()
-			r.acks[m.shard] = snapAck{pos: m.snapPos, buckets: m.snapshot}
+			r.acks[m.shard] = snapAck{pos: m.SnapPos, buckets: m.Snapshot}
 			r.snapMu.Unlock()
 		case ShardOutRound:
-			if m.round <= lastRound[m.shard] {
+			if m.Round <= lastRound[m.shard] {
 				continue // duplicate from a redispatch replay
 			}
-			if m.round != lastRound[m.shard]+1 {
-				r.setErr(fmt.Errorf("stream: shard %d jumped from round %d to %d", m.shard, lastRound[m.shard], m.round))
+			if m.Round != lastRound[m.shard]+1 {
+				r.setErr(fmt.Errorf("stream: shard %d jumped from round %d to %d", m.shard, lastRound[m.shard], m.Round))
 				continue
 			}
-			lastRound[m.shard] = m.round
-			rb := pending[m.round]
+			lastRound[m.shard] = m.Round
+			rb := pending[m.Round]
 			if rb == nil {
-				rb = &roundBatch{batches: make([][]sealedScenario, shards)}
-				pending[m.round] = rb
+				rb = &roundBatch{batches: make([][]ShardSealed, shards)}
+				pending[m.Round] = rb
 			}
-			rb.batches[m.shard] = m.sealed
-			rb.target, rb.maxTS = m.target, m.maxTS
+			rb.batches[m.shard] = m.Sealed
+			rb.target = m.Target
 			rb.have++
 			for {
 				ready := pending[nextRound]
@@ -814,7 +629,7 @@ func (r *Router) runMerger() {
 					break
 				}
 				delete(pending, nextRound)
-				r.fold(ready.batches, ready.target, ready.maxTS)
+				r.fold(ready.batches, ready.target)
 				r.foldMu.Lock()
 				r.foldedRound = nextRound
 				r.foldMu.Unlock()
@@ -825,7 +640,7 @@ func (r *Router) runMerger() {
 }
 
 // fold merges one complete round into the global engine.
-func (r *Router) fold(batches [][]sealedScenario, target int, maxTS int64) {
+func (r *Router) fold(batches [][]ShardSealed, target int) {
 	if r.errState() != nil {
 		return // poisoned: keep draining so shards never block, but stop folding
 	}
@@ -833,17 +648,17 @@ func (r *Router) fold(batches [][]sealedScenario, target int, maxTS int64) {
 	for _, b := range batches {
 		n += len(b)
 	}
-	all := make([]sealedScenario, 0, n)
+	all := make([]ShardSealed, 0, n)
 	for _, b := range batches {
 		all = append(all, b...)
 	}
 	sort.Slice(all, func(i, j int) bool {
-		if all[i].key.Window != all[j].key.Window {
-			return all[i].key.Window < all[j].key.Window
+		if all[i].Window != all[j].Window {
+			return all[i].Window < all[j].Window
 		}
-		return all[i].key.Cell < all[j].key.Cell
+		return all[i].Cell < all[j].Cell
 	})
-	seq, resolved, err := r.merged.applyRound(all, target, maxTS)
+	seq, resolved, err := r.merged.applyRound(all, target)
 	if err != nil {
 		r.setErr(err)
 		return
@@ -907,7 +722,7 @@ func (r *Router) Flush() error {
 		r.mu.Unlock()
 		return err
 	}
-	r.issueCloseLocked(r.flushTargetLocked())
+	r.issueCloseLocked(r.front.flushTarget())
 	round := r.round
 	r.mu.Unlock()
 	if err := r.awaitRound(round); err != nil {
@@ -917,22 +732,6 @@ func (r *Router) Flush() error {
 	r.publishGaugesLocked()
 	r.mu.Unlock()
 	return nil
-}
-
-// flushTargetLocked computes the flush close target: one past the highest
-// open window, or the current close point when nothing is open — the same
-// bound Engine.flushLocked uses. Callers hold r.mu.
-func (r *Router) flushTargetLocked() int {
-	maxWin := r.minOpen
-	var wins []int
-	for w := range r.openPerWin {
-		wins = append(wins, w)
-	}
-	sort.Ints(wins)
-	if n := len(wins); n > 0 && wins[n-1]+1 > maxWin {
-		maxWin = wins[n-1] + 1
-	}
-	return maxWin
 }
 
 // Finalize flushes the stream and runs the authoritative batch match over
@@ -980,7 +779,7 @@ func (r *Router) Resolutions() []Resolution {
 func (r *Router) Ingested() int64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.ingested
+	return r.front.ingested
 }
 
 // LateDropped returns how many observations arrived after their window
@@ -988,14 +787,14 @@ func (r *Router) Ingested() int64 {
 func (r *Router) LateDropped() int64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.lateDropped
+	return r.front.lateDropped
 }
 
 // OpenWindows returns how many distinct windows currently have open buckets.
 func (r *Router) OpenWindows() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return len(r.openPerWin)
+	return len(r.front.open)
 }
 
 // Watermark returns the current event-time watermark and whether any event
@@ -1003,10 +802,7 @@ func (r *Router) OpenWindows() int {
 func (r *Router) Watermark() (int64, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.maxTS < 0 {
-		return 0, false
-	}
-	return r.maxTS - r.cfg.LatenessMS, true
+	return r.front.watermark()
 }
 
 // SpillStats snapshots the out-of-core activity of the merge stage's engine
@@ -1036,15 +832,15 @@ func (r *Router) publishGaugesLocked() {
 		return
 	}
 	lag := int64(0)
-	if r.maxTS >= 0 {
-		lag = r.cfg.Clock.Now().UnixMilli() - (r.maxTS - r.cfg.LatenessMS)
+	if wm, ok := r.front.watermark(); ok {
+		lag = r.cfg.Clock.Now().UnixMilli() - wm
 	}
 	m := map[string]int64{
-		"stream_open_windows":                  int64(len(r.openPerWin)),
+		"stream_open_windows":                  int64(len(r.front.open)),
 		"stream_watermark_lag_ms":              lag,
 		"stream_pending_eids":                  int64(len(r.cfg.Targets)) - r.resolvedGauge.Load(),
 		"stream_resolutions_emitted":           r.seqGauge.Load(),
-		"stream_late_dropped":                  r.lateDropped,
+		"stream_late_dropped":                  r.front.lateDropped,
 		"stream_shards":                        int64(r.cfg.Shards),
 		"stream_shard_redispatches":            r.redispatches,
 		"stream_shard_supervisor_redispatches": r.supervisorRedispatches,

@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -31,6 +32,24 @@ func (c *stepClock) Now() time.Time {
 	defer c.mu.Unlock()
 	c.now = c.now.Add(c.step)
 	return c.now
+}
+
+// countingPlan wraps a fault plan and counts the kills it hands out. A kill
+// sheds any stall drawn for the same step, so every kill counted here is one
+// the shard's run takes at once: RouterStats.Kills must come out equal, which
+// it only can if the plan is consulted in the loop the shards really run.
+type countingPlan struct {
+	plan  stream.ShardFaultPlan
+	kills atomic.Int64
+}
+
+func (c *countingPlan) ShardFault(shard, incarnation, step int) stream.ShardFault {
+	f := c.plan.ShardFault(shard, incarnation, step)
+	if f.Kill {
+		f.Stall = 0
+		c.kills.Add(1)
+	}
+	return f
 }
 
 // chaosWorkload builds the shared practical dataset, its observation log,
@@ -102,6 +121,7 @@ func TestShardKillChaos(t *testing.T) {
 			if err != nil {
 				t.Fatalf("NewShardInjector: %v", err)
 			}
+			plan := &countingPlan{plan: inj}
 			cfg := ecfg
 			cfg.Clock = &stepClock{now: time.UnixMilli(0), step: 200 * time.Microsecond}
 			r, err := stream.NewRouter(stream.RouterConfig{
@@ -110,7 +130,7 @@ func TestShardKillChaos(t *testing.T) {
 				QueueLen:           64,
 				SubCheckpointEvery: 128,
 				LeaseTTL:           40 * time.Millisecond,
-				Faults:             inj,
+				Faults:             plan,
 			})
 			if err != nil {
 				t.Fatalf("NewRouter: %v", err)
@@ -132,9 +152,15 @@ func TestShardKillChaos(t *testing.T) {
 			if got := rep.Fingerprint(); got != want {
 				t.Fatalf("fingerprint diverged from fault-free unsharded replay under schedule %d:\n--- fault-free\n%s\n--- chaos\n%s", seed, want, got)
 			}
+			// Close joins every incarnation, so no kill is still in flight
+			// between the plan's counter and the router's.
+			r.Close()
 			st := r.Stats()
 			if st.Kills == 0 {
 				t.Fatalf("schedule %d injected no shard kills; the schedule is vacuous", seed)
+			}
+			if planned := plan.kills.Load(); st.Kills != planned {
+				t.Fatalf("schedule %d: %d kills taken, the plan handed out %d", seed, st.Kills, planned)
 			}
 			if st.Redispatches == 0 {
 				t.Fatalf("schedule %d: %d kills but no redispatches", seed, st.Kills)
@@ -161,6 +187,7 @@ func TestShardKillDuringCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewShardInjector: %v", err)
 	}
+	plan := &countingPlan{plan: inj}
 	cfg := ecfg
 	cfg.Clock = &stepClock{now: time.UnixMilli(0), step: 200 * time.Microsecond}
 	rcfg := stream.RouterConfig{
@@ -169,7 +196,7 @@ func TestShardKillDuringCheckpoint(t *testing.T) {
 		QueueLen:           64,
 		SubCheckpointEvery: 128,
 		LeaseTTL:           40 * time.Millisecond,
-		Faults:             inj,
+		Faults:             plan,
 	}
 	r, err := stream.NewRouter(rcfg)
 	if err != nil {
@@ -186,8 +213,13 @@ func TestShardKillDuringCheckpoint(t *testing.T) {
 	if err := r.Checkpoint(&image); err != nil {
 		t.Fatalf("Checkpoint under faults: %v", err)
 	}
+	// Close joins every incarnation, so no kill is still in flight between
+	// the plan's counter and the router's.
+	r.Close()
 	if st := r.Stats(); st.Kills == 0 {
 		t.Fatal("no kills before or during the checkpoint barrier; raise the fault rate")
+	} else if planned := plan.kills.Load(); st.Kills != planned {
+		t.Fatalf("%d kills taken, the plan handed out %d", st.Kills, planned)
 	}
 
 	// Restore fault-free and resume.

@@ -374,3 +374,91 @@ func TestRouterGauges(t *testing.T) {
 		t.Errorf("stream_open_windows = %d after Flush, want 0", got)
 	}
 }
+
+// runnerFunc adapts a function to ShardRunner.
+type runnerFunc func(ShardRun)
+
+func (f runnerFunc) RunShard(run ShardRun) { f(run) }
+
+// TestProcessorParity holds every composition of the shared front-end to the
+// same observable behaviour, observation by observation: over a log displaced
+// past the lateness bound (so some arrivals are genuinely late) and salted
+// with stale re-deliveries, the Engine, routers at two shard counts and a
+// router handed RunShardInProcess through the Runner seam return the same
+// accepted flag and read the same Ingested, LateDropped, OpenWindows and
+// Watermark after each Ingest, and finalize to the same fingerprint.
+func TestProcessorParity(t *testing.T) {
+	ds := testDataset(t, true)
+	targets := ds.AllEIDs()[:8]
+	_, obs, err := EventsFromDataset(ds, testWindowMS, 7)
+	if err != nil {
+		t.Fatalf("EventsFromDataset: %v", err)
+	}
+	obs = obs[:len(obs)/2]
+	displaced := boundedShuffle(obs, 4*testLatenessMS, rand.New(rand.NewSource(11)))
+	log := make([]Observation, 0, len(displaced)+len(displaced)/300)
+	for i, o := range displaced {
+		log = append(log, o)
+		if i > 0 && i%300 == 0 {
+			log = append(log, displaced[i/2])
+		}
+	}
+
+	type reading struct {
+		accepted       bool
+		ingested, late int64
+		open           int
+		watermark      int64
+		observed       bool
+	}
+	replay := func(t *testing.T, p Processor, want []reading) ([]reading, string) {
+		t.Helper()
+		got := make([]reading, 0, len(log))
+		for i, o := range log {
+			acc, err := p.Ingest(o)
+			if err != nil {
+				t.Fatalf("Ingest %d: %v", i, err)
+			}
+			wm, ok := p.Watermark()
+			r := reading{acc, p.Ingested(), p.LateDropped(), p.OpenWindows(), wm, ok}
+			if want != nil && r != want[i] {
+				t.Fatalf("after observation %d (ts %d): %+v, engine read %+v", i, o.TS, r, want[i])
+			}
+			got = append(got, r)
+		}
+		rep, err := p.Finalize(context.Background())
+		if err != nil {
+			t.Fatalf("Finalize: %v", err)
+		}
+		if p.OpenWindows() != 0 {
+			t.Errorf("%d windows open after Finalize", p.OpenWindows())
+		}
+		return got, rep.Fingerprint()
+	}
+
+	cfg := testConfig(ds, targets, core.ModeSerial)
+	e, err := NewEngine(cfg)
+	if err != nil {
+		t.Fatalf("NewEngine: %v", err)
+	}
+	want, wantPrint := replay(t, e, nil)
+	if e.LateDropped() == 0 || e.LateDropped() == e.Ingested() {
+		t.Fatalf("%d of %d observations late; the parity check is vacuous", e.LateDropped(), e.Ingested())
+	}
+	for name, rcfg := range map[string]RouterConfig{
+		"shards-1": {Config: cfg, Shards: 1},
+		"shards-3": {Config: cfg, Shards: 3},
+		"runner-2": {Config: cfg, Shards: 2, Runner: runnerFunc(RunShardInProcess)},
+	} {
+		t.Run(name, func(t *testing.T) {
+			r, err := NewRouter(rcfg)
+			if err != nil {
+				t.Fatalf("NewRouter: %v", err)
+			}
+			defer r.Close()
+			if _, got := replay(t, r, want); got != wantPrint {
+				t.Errorf("fingerprint diverged from the engine's:\n--- engine\n%s\n--- router\n%s", wantPrint, got)
+			}
+		})
+	}
+}

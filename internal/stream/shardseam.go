@@ -2,20 +2,23 @@ package stream
 
 import (
 	"fmt"
+	"math"
+	"sort"
+	"sync/atomic"
 	"time"
 
 	"evmatching/internal/feature"
 	"evmatching/internal/geo"
+	"evmatching/internal/ids"
 	"evmatching/internal/scenario"
 )
 
-// This file is the shard seam: the exported types and pure windower through
-// which a Router can drive shard windowers that live outside its own
-// process. The in-process path (runShard) and the seam path compute the
-// same function — ShardWindower.Step mirrors runShard's message handling
-// statement for statement — so a remote shard's emissions are bit-identical
-// to an in-process shard's, and the shard-invariance battery pins
-// remote ≡ in-process ≡ unsharded ≡ batch.
+// This file is the windower and the shard seam around it. ShardWindower is
+// the only (window, cell) bucketing in the package: the Engine owns one and
+// calls absorb/seal/snapshot directly, a Router's in-process shards each run
+// one through RunShardInProcess, and a worker process hosts one behind Step.
+// All three therefore compute the same function by construction, and the
+// shard-invariance battery pins remote ≡ in-process ≡ unsharded ≡ batch.
 //
 // internal/shardrpc builds on this seam: its supervisor implements
 // ShardRunner by proxying ShardRun over net/rpc to a worker process that
@@ -52,13 +55,15 @@ func (p ShardParams) validate() error {
 	return nil
 }
 
-// ShardSealed is one sealed (window, cell) closure in wire form: the
-// EScenario's EID map flattened to a sorted slice (the same canonical form
-// checkpoints use, so equal closures encode to equal bytes) and the
-// extracted feature matrix as its row-major storage. An empty Dets means the
-// bucket sealed with no V side; FeatDim == 0 means extraction was not
-// performed (or failed) and the merge stage re-extracts lazily. It is also
-// the spill record of an evicted sealed scenario (spill.go), EIDs empty.
+// ShardSealed is one sealed (window, cell) closure: what a windower's seal
+// produces, the shard wire carries and the fold consumes. Dets are sorted
+// (sortDetections), so the closure is independent of arrival order; an empty
+// Dets means the bucket sealed with no V side. EIDs is the EID set flattened
+// to a sorted slice (the same canonical form checkpoints use, so equal
+// closures encode to equal bytes). FeatDim and Feat are the extracted feature
+// matrix as its row-major storage; FeatDim == 0 means extraction was not
+// performed (or failed) and the fold's filter extracts lazily. It is also the
+// spill record of an evicted sealed scenario (spill.go), EIDs empty.
 type ShardSealed struct {
 	Window  int
 	Cell    geo.CellID
@@ -66,6 +71,12 @@ type ShardSealed struct {
 	Dets    []scenario.Detection
 	FeatDim int
 	Feat    []float64
+
+	// eids is the sealed bucket's EID set itself, carried in place of EIDs
+	// by a closure that has not crossed a wire: the codec flattens it at
+	// encode time and the fold adopts it, so an in-process closure never
+	// pays the flatten and the rebuild the wire form needs.
+	eids map[ids.EID]scenario.Attr
 }
 
 // matrix adopts the feature payload as a matrix of one row per detection
@@ -98,66 +109,12 @@ type ShardOut struct {
 	Snapshot []ShardBucket
 }
 
-// sealedToWire puts one sealed closure in wire form. The EID map is walked
-// in sorted order; the detections and the feature matrix's storage are
-// shared, not copied — a sealed closure is never written again.
-func sealedToWire(s sealedScenario) ShardSealed {
-	w := ShardSealed{Window: s.key.Window, Cell: s.key.Cell}
-	if s.esc != nil {
-		w.EIDs = sortedBucketEIDs(s.esc.EIDs)
-	}
-	if s.vsc != nil {
-		w.Dets = s.vsc.Detections
-	}
-	if s.feats != nil {
-		w.FeatDim, w.Feat = s.feats.Dim(), s.feats.Data()
-	}
-	return w
-}
-
-// toSealed reconstructs the merge-stage form of a wire closure, adopting its
-// detections and feature block. A feature payload whose shape does not match
-// the detections is dropped rather than trusted — the merge-side filter then
-// re-extracts lazily, which computes the identical matrix, so a mangled (or
-// hostile) payload can cost time but never correctness.
-func (w ShardSealed) toSealed() sealedScenario {
-	k := bucketKey{Window: w.Window, Cell: w.Cell}
-	esc := &scenario.EScenario{Cell: w.Cell, Window: w.Window, EIDs: bucketEIDSet(w.EIDs)}
-	s := sealedScenario{key: k, esc: esc}
-	if len(w.Dets) == 0 {
-		return s
-	}
-	s.vsc = &scenario.VScenario{Cell: w.Cell, Window: w.Window, Detections: w.Dets}
-	if m, err := w.matrix(); err == nil {
-		s.feats = m
-	}
-	return s
-}
-
-// outFromWire adapts a runner emission to the merge-stage channel form.
-func outFromWire(shard int, o ShardOut) shardOut {
-	out := shardOut{
-		shard:    shard,
-		kind:     o.Kind,
-		round:    o.Round,
-		target:   o.Target,
-		maxTS:    o.MaxTS,
-		snapPos:  o.SnapPos,
-		snapshot: o.Snapshot,
-	}
-	if o.Kind == ShardOutRound {
-		out.sealed = make([]sealedScenario, 0, len(o.Sealed))
-		for _, s := range o.Sealed {
-			out.sealed = append(out.sealed, s.toSealed())
-		}
-	}
-	return out
-}
-
-// ShardWindower is one shard's pure event-time accumulator behind the seam:
-// the same bucket/seal/extract/snapshot logic runShard runs inline, exposed
-// as a step function a worker process can host. It is not safe for
-// concurrent use; the caller serializes Step.
+// ShardWindower is the event-time accumulator: observations absorb into
+// (window, cell) buckets, a close seals every bucket below a target in
+// ascending (window, cell) order, and a snapshot images the open buckets. It
+// holds no global state — watermark, partition and resolutions live in the
+// processor that drives it — which is what makes a shard's death recoverable
+// by pure replay. It is not safe for concurrent use; the caller serializes.
 type ShardWindower struct {
 	p       ShardParams
 	buckets map[bucketKey]*bucket
@@ -182,53 +139,89 @@ func NewShardWindower(p ShardParams, initial []ShardBucket) (*ShardWindower, err
 	return w, nil
 }
 
+// absorb folds one valid observation into its (window, cell) bucket.
+func (w *ShardWindower) absorb(o Observation) {
+	k := bucketKey{Window: int(o.TS / w.p.WindowMS), Cell: o.Cell}
+	b := w.buckets[k]
+	if b == nil {
+		b = newBucket()
+		w.buckets[k] = b
+	}
+	b.absorb(o)
+}
+
+// openKeys returns the keys of the open buckets with window < limit in
+// ascending (window, cell) order — the exact order the batch generator
+// emits scenarios in, which is what makes a stream-built store identical to
+// the batch store.
+func (w *ShardWindower) openKeys(limit int) []bucketKey {
+	var keys []bucketKey
+	for k := range w.buckets {
+		if k.Window < limit {
+			keys = append(keys, k)
+		}
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		if keys[i].Window != keys[j].Window {
+			return keys[i].Window < keys[j].Window
+		}
+		return keys[i].Cell < keys[j].Cell
+	})
+	return keys
+}
+
+// seal closes every bucket with window < target, in openKeys order. The
+// closures share the buckets' EID sets and detections — a sealed bucket is
+// never written again. Features are not extracted here: a shard does that
+// before the closure goes on the wire (Step), the Engine leaves it to the
+// filter.
+func (w *ShardWindower) seal(target int) []ShardSealed {
+	keys := w.openKeys(target)
+	sealed := make([]ShardSealed, 0, len(keys))
+	for _, k := range keys {
+		b := w.buckets[k]
+		sortDetections(b.dets)
+		sealed = append(sealed, ShardSealed{Window: k.Window, Cell: k.Cell, eids: b.eids, Dets: b.dets})
+		delete(w.buckets, k)
+	}
+	return sealed
+}
+
+// snapshot images every open bucket, deep-copied, in openKeys order.
+func (w *ShardWindower) snapshot() []ShardBucket {
+	keys := w.openKeys(math.MaxInt)
+	snap := make([]ShardBucket, 0, len(keys))
+	for _, k := range keys {
+		snap = append(snap, bucketToCheckpoint(k, w.buckets[k]))
+	}
+	return snap
+}
+
 // Step applies one journalled message and returns the emission it produces,
 // if any. Observations absorb into their bucket (nil emission); close
-// rounds seal every bucket below the target in ascending (window, cell)
-// order with features extracted shard-side; snapshot requests return a
-// deep-copied bucket image stamped with the journal position. Hostile
-// input — an invalid observation or unknown kind — errors without
-// panicking; the windower's state is unchanged by a failed Step.
+// rounds seal every bucket below the target with features extracted
+// shard-side; snapshot requests return the bucket image stamped with the
+// journal position. Hostile input — an invalid observation or unknown kind —
+// errors without panicking; the windower's state is unchanged by a failed
+// Step.
 func (w *ShardWindower) Step(m ShardMsg) (*ShardOut, error) {
 	switch m.Kind {
 	case ShardMsgObs:
 		if err := m.Obs.Validate(); err != nil {
 			return nil, err
 		}
-		k := bucketKey{Window: int(m.Obs.TS / w.p.WindowMS), Cell: m.Obs.Cell}
-		b := w.buckets[k]
-		if b == nil {
-			b = newBucket()
-			w.buckets[k] = b
-		}
-		b.absorb(m.Obs)
+		w.absorb(m.Obs)
 		return nil, nil
 	case ShardMsgClose:
-		var keys []bucketKey
-		for k := range w.buckets {
-			if k.Window < m.Target {
-				keys = append(keys, k)
+		sealed := w.seal(m.Target)
+		for i := range sealed {
+			if feats := extractSealed(w.xt, sealed[i].Dets, &w.xbuf); feats != nil {
+				sealed[i].FeatDim, sealed[i].Feat = feats.Dim(), feats.Data()
 			}
-		}
-		sortBucketKeys(keys)
-		sealed := make([]ShardSealed, 0, len(keys))
-		for _, k := range keys {
-			esc, vsc := sealBucket(k, w.buckets[k])
-			sealed = append(sealed, sealedToWire(sealedScenario{key: k, esc: esc, vsc: vsc, feats: extractSealed(w.xt, vsc, &w.xbuf)}))
-			delete(w.buckets, k)
 		}
 		return &ShardOut{Kind: ShardOutRound, Round: m.Round, Target: m.Target, MaxTS: m.MaxTS, Sealed: sealed}, nil
 	case ShardMsgSnap:
-		keys := make([]bucketKey, 0, len(w.buckets))
-		for k := range w.buckets {
-			keys = append(keys, k)
-		}
-		sortBucketKeys(keys)
-		snap := make([]ShardBucket, 0, len(keys))
-		for _, k := range keys {
-			snap = append(snap, bucketToCheckpoint(k, w.buckets[k]))
-		}
-		return &ShardOut{Kind: ShardOutSnap, SnapPos: m.Pos, Snapshot: snap}, nil
+		return &ShardOut{Kind: ShardOutSnap, SnapPos: m.Pos, Snapshot: w.snapshot()}, nil
 	}
 	return nil, fmt.Errorf("stream: unknown shard message kind %d", m.Kind)
 }
@@ -262,6 +255,12 @@ type ShardRun struct {
 	// a worker process dies, instead of waiting out the lease. It is a
 	// no-op if the incarnation was already superseded.
 	Redispatch func() error
+
+	// faults is the router's injected fault plan (tests only; nil otherwise)
+	// and kills its counter of kill faults taken. RunShardInProcess applies
+	// the plan, so only incarnations it runs can be stalled or killed.
+	faults ShardFaultPlan
+	kills  *atomic.Int64
 }
 
 // ShardRunner runs shard incarnations on behalf of a Router. RunShard is
@@ -273,11 +272,12 @@ type ShardRunner interface {
 	RunShard(run ShardRun)
 }
 
-// RunShardInProcess drives a ShardRun on a local ShardWindower — the
-// fallback path a supervisor uses when no worker process can be spawned,
-// and the reference implementation of the seam's contract. It matches
-// runShard's lease cadence: a ticker renewal while idle, plus a renewal
-// every renewEveryMsgs messages while busy.
+// RunShardInProcess drives a ShardRun on a local ShardWindower: what a
+// Router without a Runner runs its shards on, the fallback a supervisor uses
+// when no worker process can be spawned, and the reference implementation of
+// the seam's contract. The lease is renewed from a ticker while idle — an
+// empty queue must not read as death — and every renewEveryMsgs messages
+// while busy.
 func RunShardInProcess(run ShardRun) {
 	w, err := NewShardWindower(run.Params, run.Initial)
 	if err != nil {
@@ -300,6 +300,22 @@ func RunShardInProcess(run ShardRun) {
 			}
 		case m := <-run.In:
 			step++
+			if run.faults != nil {
+				f := run.faults.ShardFault(run.Shard, run.Incarnation, step)
+				if f.Stall > 0 {
+					t := time.NewTimer(f.Stall)
+					select {
+					case <-t.C:
+					case <-run.Stop:
+						t.Stop()
+						return
+					}
+				}
+				if f.Kill {
+					run.kills.Add(1)
+					return // silent death; the lease lapses
+				}
+			}
 			out, err := w.Step(m)
 			if err != nil {
 				// The router never journals an invalid message, so an error
@@ -315,4 +331,27 @@ func RunShardInProcess(run ShardRun) {
 			}
 		}
 	}
+}
+
+// extractSealed extracts a sealed closure's features on the shard — the
+// visual-processing cost that dominates window closure, paid in parallel
+// across shards instead of serially in the merge stage (which primes its
+// filter cache with the result). The extractor is a pure function of the
+// patch bytes, so shard-side extraction is bit-identical to the merge-side
+// lazy path. On any failure it returns nil and the merge-side filter
+// extracts lazily, surfacing the identical error at Match time.
+func extractSealed(xt feature.Extractor, dets []scenario.Detection, buf *feature.ExtractBuf) *feature.Matrix {
+	if len(dets) == 0 {
+		return nil
+	}
+	m, err := feature.NewMatrix(xt.Dim, len(dets))
+	if err != nil {
+		return nil
+	}
+	for i := range dets {
+		if err := xt.ExtractIntoBuf(dets[i].Patch, m.Row(i), buf); err != nil {
+			return nil
+		}
+	}
+	return m
 }

@@ -203,8 +203,7 @@ func (b *bucket) addDetection(d scenario.Detection) {
 	b.detHead[h] = int32(len(b.dets))
 }
 
-// absorb folds one observation into the bucket — the order-independent merge
-// both the single engine and the router's shard windowers use.
+// absorb folds one observation into the bucket, order-independently.
 func (b *bucket) absorb(o Observation) {
 	switch o.Kind {
 	case KindE:
@@ -217,20 +216,12 @@ func (b *bucket) absorb(o Observation) {
 	}
 }
 
-// sealBucket freezes one closed (window, cell) bucket into its EV-Scenario
-// pair. Detections come out sorted, so the sealed pair is independent of
-// arrival order; buckets without detections seal to a nil V side.
-func sealBucket(k bucketKey, b *bucket) (*scenario.EScenario, *scenario.VScenario) {
-	esc := &scenario.EScenario{Cell: k.Cell, Window: k.Window, EIDs: b.eids}
-	var vsc *scenario.VScenario
-	if len(b.dets) > 0 {
-		sortDetections(b.dets)
-		vsc = &scenario.VScenario{Cell: k.Cell, Window: k.Window, Detections: b.dets}
-	}
-	return esc, vsc
-}
-
-// Engine is the incremental matcher. It is safe for concurrent use.
+// Engine is the incremental matcher: the inline composition of a frontier
+// (admission, watermark, close targets), one ShardWindower (the open
+// buckets) and the fold (store, partition, filter, resolutions) on the
+// caller's goroutine. A Router composes the same three parts across shard
+// goroutines or processes and uses an Engine as its merge stage, driving only
+// the fold. It is safe for concurrent use.
 type Engine struct {
 	mu     sync.Mutex
 	cfg    Config
@@ -238,9 +229,10 @@ type Engine struct {
 	part   *partition.Partition
 	filter *vfilter.Filter
 
-	buckets map[bucketKey]*bucket
-	maxTS   int64 // highest observed timestamp; -1 before the first event
-	minOpen int   // lowest window not yet closed
+	// front and win are the ingest side. A router's merge-stage engine never
+	// ingests, so both stay at their initial state there.
+	front frontier
+	win   *ShardWindower
 
 	// live tracks the still-undistinguished targets, the tracker the batch
 	// matcher's posting index reads too (DESIGN.md §13). Sealed scenarios
@@ -262,9 +254,6 @@ type Engine struct {
 	spillBudget *spill.Budget
 	spillQueue  *spill.FIFO
 
-	ingested    int64
-	lateDropped int64
-
 	seq      int
 	emitted  []Resolution
 	resolved map[ids.EID]bool // targets with an emitted resolution
@@ -285,15 +274,28 @@ func NewEngine(cfg Config) (*Engine, error) {
 	cfg.Targets = ids.SortEIDs(append([]ids.EID(nil), cfg.Targets...))
 	e := &Engine{
 		cfg:      cfg,
-		maxTS:    -1,
-		buckets:  make(map[bucketKey]*bucket),
+		front:    newFrontier(cfg.WindowMS, cfg.LatenessMS),
 		resolved: make(map[ids.EID]bool),
 		accepted: make(map[ids.VID]bool),
+	}
+	if err := e.resetWindower(nil); err != nil {
+		return nil, err
 	}
 	if err := e.resetMatchState(); err != nil {
 		return nil, err
 	}
 	return e, nil
+}
+
+// resetWindower installs a windower holding the given open buckets (engine
+// construction and checkpoint restore).
+func (e *Engine) resetWindower(open []ShardBucket) error {
+	win, err := NewShardWindower(ShardParams{WindowMS: e.cfg.WindowMS, Dim: e.cfg.Dim, WorkFactor: e.cfg.WorkFactor}, open)
+	if err != nil {
+		return err
+	}
+	e.win = win
+	return nil
 }
 
 // resetMatchState builds a fresh store, partition, and filter (engine
@@ -346,22 +348,13 @@ func (e *Engine) Ingest(o Observation) (bool, error) {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.ingested++
-	w := int(o.TS / e.cfg.WindowMS)
-	if w < e.minOpen {
-		e.lateDropped++
+	if !e.front.admit(o.TS) {
 		e.publishGauges()
 		return false, nil
 	}
-	b := e.buckets[bucketKey{Window: w, Cell: o.Cell}]
-	if b == nil {
-		b = newBucket()
-		e.buckets[bucketKey{Window: w, Cell: o.Cell}] = b
-	}
-	b.absorb(o)
-	if o.TS > e.maxTS {
-		e.maxTS = o.TS
-		if err := e.advance(); err != nil {
+	e.win.absorb(o)
+	if target, closes := e.front.observe(o.TS); closes {
+		if err := e.closeTo(target); err != nil {
 			return false, err
 		}
 	}
@@ -388,74 +381,61 @@ func appendDetKey(buf []byte, vid ids.VID, person int, p *feature.Patch) []byte 
 func (e *Engine) Watermark() (int64, bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.maxTS < 0 {
-		return 0, false
-	}
-	return e.maxTS - e.cfg.LatenessMS, true
+	return e.front.watermark()
 }
 
-// advance closes every window the watermark has passed, in ascending
-// (window, cell) order — the exact order the batch generator emits scenarios
-// in, which makes the stream-built store identical to the batch store.
+// closeTo closes every window below target: the windower seals their buckets,
+// the frontier records the new close point, and the closures are folded.
 // Callers hold e.mu.
-func (e *Engine) advance() error {
-	wm := e.maxTS - e.cfg.LatenessMS
-	target := floorDiv(wm, e.cfg.WindowMS)
-	if target <= int64(e.minOpen) {
-		return nil
-	}
-	if err := e.closeBelow(int(target)); err != nil {
-		return err
-	}
-	e.minOpen = int(target)
-	return e.sweepResolutions()
+func (e *Engine) closeTo(target int) error {
+	sealed := e.win.seal(target)
+	e.front.closeBelow(target)
+	return e.foldLocked(sealed, target)
 }
 
-// closeBelow closes every open bucket with window < limit, in ascending
-// (window, cell) order. Callers hold e.mu.
-func (e *Engine) closeBelow(limit int) error {
-	var keys []bucketKey
-	for k := range e.buckets {
-		if k.Window < limit {
-			keys = append(keys, k)
+// foldLocked is the one fold: apply a (window, cell)-sorted batch of sealed
+// closures — every window below target, from the engine's own windower or
+// merged from a router's shards — then sweep resolutions. Callers hold e.mu.
+func (e *Engine) foldLocked(sealed []ShardSealed, target int) error {
+	for i := range sealed {
+		if _, err := e.applySealedLocked(&sealed[i]); err != nil {
+			return fmt.Errorf("stream: close window %d cell %d: %w", sealed[i].Window, sealed[i].Cell, err)
 		}
 	}
-	sortBucketKeys(keys)
-	for _, k := range keys {
-		if err := e.closeBucket(k, e.buckets[k]); err != nil {
-			return err
-		}
-		delete(e.buckets, k)
+	return e.sweepResolutions(target - 1)
+}
+
+// applySealedLocked folds one sealed closure — fresh from a windower, off the
+// wire, or replayed from a checkpoint — into the store and partition,
+// adopting its EID set and detections. A shard-extracted feature block primes
+// the filter cache, so the serial merge never re-pays extraction; one whose
+// shape does not match the detections is dropped rather than trusted — the
+// filter then extracts lazily, which computes the identical matrix, so a
+// mangled (or hostile) payload can cost time but never correctness. Callers
+// hold e.mu.
+func (e *Engine) applySealedLocked(w *ShardSealed) (scenario.ID, error) {
+	eids := w.eids
+	if eids == nil {
+		eids = bucketEIDSet(w.EIDs)
 	}
-	return nil
-}
-
-// closeBucket seals one (window, cell) bucket into an EV-Scenario pair,
-// stores it, and refines the partition with it. Callers hold e.mu.
-func (e *Engine) closeBucket(k bucketKey, b *bucket) error {
-	esc, vsc := sealBucket(k, b)
-	return e.applySealedLocked(k, esc, vsc, nil)
-}
-
-// applySealedLocked folds one sealed closure into the store and partition.
-// feats, when non-nil, is the V-Scenario's pre-extracted feature matrix (the
-// sharded path extracts at seal time); it primes the filter cache so the
-// serial merge never re-pays extraction. Callers hold e.mu.
-func (e *Engine) applySealedLocked(k bucketKey, esc *scenario.EScenario, vsc *scenario.VScenario, feats *feature.Matrix) error {
+	esc := &scenario.EScenario{Cell: w.Cell, Window: w.Window, EIDs: eids}
+	var vsc *scenario.VScenario
+	if len(w.Dets) > 0 {
+		vsc = &scenario.VScenario{Cell: w.Cell, Window: w.Window, Detections: w.Dets}
+	}
 	id, err := e.store.Add(esc, vsc)
 	if err != nil {
-		return fmt.Errorf("stream: close window %d cell %d: %w", k.Window, k.Cell, err)
+		return id, err
 	}
-	if vsc != nil && feats != nil {
-		if err := e.filter.Prime(id, feats); err != nil {
-			return fmt.Errorf("stream: close window %d cell %d: %w", k.Window, k.Cell, err)
+	if vsc != nil {
+		if feats, shapeErr := w.matrix(); shapeErr == nil && feats != nil {
+			if err := e.filter.Prime(id, feats); err != nil {
+				return id, err
+			}
 		}
 	}
 	e.splitSealedLocked(esc)
-	if err := e.noteSealedLocked(id, vsc); err != nil {
-		return fmt.Errorf("stream: close window %d cell %d: %w", k.Window, k.Cell, err)
-	}
-	return nil
+	return id, e.noteSealedLocked(id, vsc)
 }
 
 // splitSealedLocked refines the partition with one sealed scenario through
@@ -477,42 +457,16 @@ func (e *Engine) splitSealedLocked(esc *scenario.EScenario) {
 	e.part.SplitBy(esc)
 }
 
-// sealedScenario is one shard-sealed window closure in transit to the merge
-// stage: the key, the EV-Scenario pair sealBucket produced, and the
-// V-Scenario's feature matrix, extracted by the shard so the serial merge
-// stage only folds (nil when the shard's extraction failed — the merge-side
-// filter then re-extracts lazily and surfaces the identical error).
-type sealedScenario struct {
-	key   bucketKey
-	esc   *scenario.EScenario
-	vsc   *scenario.VScenario
-	feats *feature.Matrix
-}
-
-// applyRound is the sharded router's merge hook: fold one globally
-// (window, cell)-sorted batch of sealed closures into the engine, advance the
-// fold watermark, and sweep resolutions — exactly what advance does for the
+// applyRound is the sharded router's merge hook: the fold, over one close
+// round's closures merged across shards — the very call closeTo makes for the
 // single engine, which is why the merged state is bit-identical to an
 // unsharded replay. It returns the resolution sequence counter and the
 // resolved-target count for the router's gauges.
-func (e *Engine) applyRound(sealed []sealedScenario, target int, maxTS int64) (seq, resolved int, err error) {
+func (e *Engine) applyRound(sealed []ShardSealed, target int) (seq, resolved int, err error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	for _, s := range sealed {
-		if err := e.applySealedLocked(s.key, s.esc, s.vsc, s.feats); err != nil {
-			return e.seq, len(e.resolved), err
-		}
-	}
-	if maxTS > e.maxTS {
-		e.maxTS = maxTS
-	}
-	if target > e.minOpen {
-		e.minOpen = target
-	}
-	if err := e.sweepResolutions(); err != nil {
-		return e.seq, len(e.resolved), err
-	}
-	return e.seq, len(e.resolved), nil
+	err = e.foldLocked(sealed, target)
+	return e.seq, len(e.resolved), err
 }
 
 // sortDetections orders detections by (VID, TruePerson, patch bytes). VID
@@ -534,16 +488,16 @@ func sortDetections(dets []scenario.Detection) {
 }
 
 // sweepResolutions emits a resolution for every target whose set newly became
-// a singleton, in sorted EID order; acceptable VIDs are ruled out for later
-// matches, mirroring the batch V stage's serial rule-out. The targets and
-// their lists are fixed before any is matched — nothing a match does moves
-// the partition or the store — so one vfilter.MatchInOrder call scores the
-// whole sweep on every core and each resolution still leaves the moment it
-// is decided. Callers hold e.mu, and hold it throughout: the emit callback
-// below runs on MatchInOrder's goroutines, one call at a time and all of
-// them before it returns, so the engine state it writes stays under the
-// caller's lock.
-func (e *Engine) sweepResolutions() error {
+// a singleton, in sorted EID order, stamped with window, the last one closed;
+// acceptable VIDs are ruled out for later matches, mirroring the batch V
+// stage's serial rule-out. The targets and their lists are fixed before any
+// is matched — nothing a match does moves the partition or the store — so one
+// vfilter.MatchInOrder call scores the whole sweep on every core and each
+// resolution still leaves the moment it is decided. Callers hold e.mu, and
+// hold it throughout: the emit callback below runs on MatchInOrder's
+// goroutines, one call at a time and all of them before it returns, so the
+// engine state it writes stays under the caller's lock.
+func (e *Engine) sweepResolutions(window int) error {
 	var targets []ids.EID
 	var lists [][]scenario.ID
 	for _, t := range e.cfg.Targets {
@@ -584,7 +538,7 @@ func (e *Engine) sweepResolutions() error {
 			RunnerUp:     res.RunnerUp,
 			Margin:       res.Margin,
 			Acceptable:   res.Acceptable,
-			Window:       e.minOpen - 1,
+			Window:       window,
 		}
 		e.emitted = append(e.emitted, r)
 		e.broadcast(r)
@@ -635,20 +589,7 @@ func (e *Engine) Flush() error {
 }
 
 func (e *Engine) flushLocked() error {
-	maxWin := e.minOpen
-	var wins []int
-	for k := range e.buckets {
-		wins = append(wins, k.Window)
-	}
-	sort.Ints(wins)
-	if n := len(wins); n > 0 && wins[n-1]+1 > maxWin {
-		maxWin = wins[n-1] + 1
-	}
-	if err := e.closeBelow(maxWin); err != nil {
-		return err
-	}
-	e.minOpen = maxWin
-	if err := e.sweepResolutions(); err != nil {
+	if err := e.closeTo(e.front.flushTarget()); err != nil {
 		return err
 	}
 	e.publishGauges()
@@ -715,7 +656,7 @@ func scenarioIDsEqual(a, b []scenario.ID) bool {
 func (e *Engine) Ingested() int64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.ingested
+	return e.front.ingested
 }
 
 // LateDropped returns how many observations arrived after their window
@@ -723,7 +664,7 @@ func (e *Engine) Ingested() int64 {
 func (e *Engine) LateDropped() int64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.lateDropped
+	return e.front.lateDropped
 }
 
 // Resolutions returns a copy of every resolution emitted so far.
@@ -737,22 +678,7 @@ func (e *Engine) Resolutions() []Resolution {
 func (e *Engine) OpenWindows() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.openWindowsLocked()
-}
-
-func (e *Engine) openWindowsLocked() int {
-	var wins []int
-	for k := range e.buckets {
-		wins = append(wins, k.Window)
-	}
-	sort.Ints(wins)
-	n := 0
-	for i, w := range wins {
-		if i == 0 || w != wins[i-1] {
-			n++
-		}
-	}
-	return n
+	return len(e.front.open)
 }
 
 // publishGauges pushes the stream gauges into the configured registry.
@@ -762,15 +688,15 @@ func (e *Engine) publishGauges() {
 		return
 	}
 	lag := int64(0)
-	if e.maxTS >= 0 {
-		lag = e.cfg.Clock.Now().UnixMilli() - (e.maxTS - e.cfg.LatenessMS)
+	if wm, ok := e.front.watermark(); ok {
+		lag = e.cfg.Clock.Now().UnixMilli() - wm
 	}
 	g := map[string]int64{
-		"stream_open_windows":        int64(e.openWindowsLocked()),
+		"stream_open_windows":        int64(len(e.front.open)),
 		"stream_watermark_lag_ms":    lag,
 		"stream_pending_eids":        int64(len(e.cfg.Targets) - len(e.resolved)),
 		"stream_resolutions_emitted": int64(e.seq),
-		"stream_late_dropped":        e.lateDropped,
+		"stream_late_dropped":        e.front.lateDropped,
 		"block_candidates_total":     e.blockCandidates,
 		"block_pruned_total":         e.blockPruned,
 		"block_prune_ratio":          BlockPruneRatioPercent(e.blockCandidates, e.blockPruned),
@@ -798,25 +724,4 @@ func BlockPruneRatioPercent(candidates, pruned int64) int64 {
 		return 0
 	}
 	return pruned * 100 / total
-}
-
-// sortBucketKeys orders keys ascending by (window, cell) — the close order,
-// which matches the batch generator's cell-ascending emission per window.
-func sortBucketKeys(keys []bucketKey) {
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].Window != keys[j].Window {
-			return keys[i].Window < keys[j].Window
-		}
-		return keys[i].Cell < keys[j].Cell
-	})
-}
-
-// floorDiv is integer division rounding toward negative infinity, so a
-// pre-epoch watermark (before any event) never closes window 0.
-func floorDiv(a, b int64) int64 {
-	q := a / b
-	if a%b != 0 && (a < 0) != (b < 0) {
-		q--
-	}
-	return q
 }

@@ -142,7 +142,8 @@ func TestStreamGoldenEquivalence(t *testing.T) {
 
 // TestStreamEmitsResolutions checks the incremental V stage: a complete
 // replay must emit one resolution per target, with monotonically increasing
-// sequence numbers and confidence fields populated.
+// sequence numbers, confidence fields populated, and no acceptable VID
+// claimed by two targets.
 func TestStreamEmitsResolutions(t *testing.T) {
 	ds := testDataset(t, false)
 	targets := ds.AllEIDs()[:20]
@@ -172,9 +173,16 @@ func TestStreamEmitsResolutions(t *testing.T) {
 		t.Fatalf("emitted %d resolutions for %d targets", len(got), len(targets))
 	}
 	correct := 0
+	claimed := map[ids.VID]ids.EID{}
 	for i, r := range got {
 		if r.Seq != i+1 {
 			t.Errorf("resolution %d has seq %d", i, r.Seq)
+		}
+		// Rule-out across targets: an accepted VID is out of every later match.
+		if prev, dup := claimed[r.VID]; dup && r.VID != ids.NoVID && r.Acceptable {
+			t.Errorf("VID %s claimed by both %s and %s", r.VID, prev, r.EID)
+		} else if r.Acceptable {
+			claimed[r.VID] = r.EID
 		}
 		if r.VID == ids.NoVID {
 			t.Errorf("resolution for %s carries no VID", r.EID)

@@ -28,8 +28,8 @@
 // does not depend on which other candidates exist, so MatchInOrder scores a
 // whole target list on GOMAXPROCS goroutines and decides it strictly in
 // order, with the results of the one-at-a-time loop bit for bit. It is the
-// one such loop in the module: serial SS, the streaming sweep, the sharded
-// merger and Session.Match all call it.
+// one such loop in the module: serial SS, the streaming sweep and the sharded
+// merger all call it.
 package vfilter
 
 import (
