@@ -131,8 +131,8 @@ func run(args []string) error {
 	fmt.Printf("selected scenarios=%d (%.2f per EID)  E=%v V=%v total=%v refine=%d\n",
 		rep.SelectedScenarios, rep.AvgScenariosPerEID(),
 		rep.ETime, rep.VTime, rep.TotalTime(), rep.RefineRounds)
-	fmt.Printf("blocking candidates=%d pruned=%d (%.1f%% pruned)\n",
-		rep.BlockCandidates, rep.BlockPruned, rep.BlockPruneRatio()*100)
+	fmt.Printf("blocking candidates=%d pruned=%d (%.1f%% pruned) windows materialised=%d\n",
+		rep.BlockCandidates, rep.BlockPruned, rep.BlockPruneRatio()*100, rep.BlockMaterialised)
 	if rep.Spill.Spilled() {
 		fmt.Printf("spill bytes=%d runs written=%d merged=%d reloads=%d evictions=%d\n",
 			rep.Spill.BytesSpilled, rep.Spill.RunsWritten, rep.Spill.RunsMerged,
@@ -157,6 +157,7 @@ type jsonReport struct {
 	BlockCandidates   int64       `json:"blockCandidates"`
 	BlockPruned       int64       `json:"blockPruned"`
 	BlockPruneRatio   float64     `json:"blockPruneRatio"`
+	BlockMaterialised int64       `json:"blockMaterialised"`
 	SpillBytes        int64       `json:"spillBytes,omitempty"`
 	SpillRunsWritten  int64       `json:"spillRunsWritten,omitempty"`
 	SpillRunsMerged   int64       `json:"spillRunsMerged,omitempty"`
@@ -198,6 +199,7 @@ func emitJSON(w io.Writer, truth func(evmatching.EID) evmatching.VID, rep *evmat
 		BlockCandidates:   rep.BlockCandidates,
 		BlockPruned:       rep.BlockPruned,
 		BlockPruneRatio:   rep.BlockPruneRatio(),
+		BlockMaterialised: rep.BlockMaterialised,
 		SpillBytes:        rep.Spill.BytesSpilled,
 		SpillRunsWritten:  rep.Spill.RunsWritten,
 		SpillRunsMerged:   rep.Spill.RunsMerged,

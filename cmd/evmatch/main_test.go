@@ -151,6 +151,7 @@ func TestEmitJSONGolden(t *testing.T) {
 		RefineRounds:      1,
 		BlockCandidates:   12,
 		BlockPruned:       36,
+		BlockMaterialised: 5,
 	}
 	truth := func(e evmatching.EID) evmatching.VID {
 		switch e {
@@ -178,6 +179,7 @@ func TestEmitJSONGolden(t *testing.T) {
   "blockCandidates": 12,
   "blockPruned": 36,
   "blockPruneRatio": 0.75,
+  "blockMaterialised": 5,
   "matches": [
     {
       "eid": "aa:aa",

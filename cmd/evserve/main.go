@@ -143,7 +143,8 @@ func publishClusterStats(reg *metrics.Registry, stats cluster.Stats, fallbacks i
 // publishBlockStats copies the batch matcher's posting-index totals into the
 // registry served at /metricsz: how many scenario probes the split stage
 // actually ran and how many the index pruned (DESIGN.md §13) — together, the
-// scenarios of the windows the split scanned.
+// scenarios of the windows the split scanned — and how many posting windows
+// the match was first to touch in the store.
 // The ratio gauge is an integer percent — the registry carries int64 gauges.
 // A live stream engine publishes the same gauge names for its own incremental
 // splits; last writer wins, and both describe the same pruning machinery.
@@ -151,6 +152,7 @@ func publishBlockStats(reg *metrics.Registry, rep *evmatching.Report) {
 	reg.Set("block_candidates_total", rep.BlockCandidates)
 	reg.Set("block_pruned_total", rep.BlockPruned)
 	reg.Set("block_prune_ratio", stream.BlockPruneRatioPercent(rep.BlockCandidates, rep.BlockPruned))
+	reg.Set("block_windows_materialised", rep.BlockMaterialised)
 }
 
 // publishSpillStats copies the batch run's out-of-core totals into the

@@ -96,7 +96,7 @@ func TestServeEndToEnd(t *testing.T) {
 	if err := json.NewDecoder(mresp.Body).Decode(&counters); err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"block_candidates_total", "block_pruned_total", "block_prune_ratio"} {
+	for _, name := range []string{"block_candidates_total", "block_pruned_total", "block_prune_ratio", "block_windows_materialised"} {
 		if _, ok := counters[name]; !ok {
 			t.Errorf("/metricsz missing %s: %v", name, counters)
 		}
@@ -104,6 +104,10 @@ func TestServeEndToEnd(t *testing.T) {
 	if counters["block_candidates_total"] <= 0 {
 		t.Errorf("universal matching probed no scenarios: block_candidates_total = %d",
 			counters["block_candidates_total"])
+	}
+	if counters["block_windows_materialised"] <= 0 {
+		t.Errorf("the first match over a fresh store materialised no window: block_windows_materialised = %d",
+			counters["block_windows_materialised"])
 	}
 	if r := counters["block_prune_ratio"]; r < 0 || r > 100 {
 		t.Errorf("block_prune_ratio = %d, want a percent in [0,100]", r)

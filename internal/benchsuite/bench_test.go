@@ -88,18 +88,19 @@ func BenchmarkCheckpoint(b *testing.B) {
 
 // BenchmarkMatchSSBlocked is the asymptote gate for the posting index
 // (DESIGN.md §13): warm SS matches over the cached scale worlds, blocked
-// versus exhaustive, with the matcher (and thus every window the split
-// materialises) outside the timer, plus one cold row that pays for them
-// inside it. On the sparse-city 100k world the blocked split_ms metric must
-// sit far below the exhaustive one — the committed baseline records ≥5× —
-// and on the saturated dense world, where almost nothing prunes, blocked
-// must not lose to exhaustive. TestScaleSmoke asserts both ratios with
-// slacker thresholds; this benchmark feeds benchdiff and BENCH_baseline.json
-// with the numbers.
+// versus exhaustive, with every window the split materialises outside the
+// timer, plus two one-shot rows: a fresh store per iteration, which pays for
+// them inside it, and a new matcher over a touched store, which must not. On
+// the sparse-city 100k world the blocked split_ms metric must sit far below
+// the exhaustive one — the committed baseline records ≥5× — and on the
+// saturated dense world, where almost nothing prunes, blocked must not lose
+// to exhaustive. TestScaleSmoke asserts both ratios with slacker thresholds;
+// this benchmark feeds benchdiff and BENCH_baseline.json with the numbers.
 func BenchmarkMatchSSBlocked(b *testing.B) {
 	b.Run("sparse-100k", matchSSScaleBench(sparseWorld, scaleSparseTargets, false))
 	b.Run("sparse-100k-exhaustive", matchSSScaleBench(sparseWorld, scaleSparseTargets, true))
-	b.Run("sparse-100k-cold", matchSSSparseColdBench())
+	b.Run("sparse-100k-fresh-store", matchSSSparseBench(true))
+	b.Run("sparse-100k-new-matcher", matchSSSparseBench(false))
 	b.Run("dense", matchSSScaleBench(denseWorld, 0, false))
 	b.Run("dense-exhaustive", matchSSScaleBench(denseWorld, 0, true))
 }

@@ -6,14 +6,15 @@
 // inverted posting per (window, EID) — which scenario of the window holds the
 // EID inclusively — and a window's candidates are the postings of the live
 // targets: exactly the scenarios that can split, nothing hashed, nothing to
-// re-check. Postings are materialised per window on first touch; a match that
-// distinguishes its targets in 8 of 12 windows never pays for the other 4,
-// and an index nobody queries costs nothing.
+// re-check. The postings belong to the scenario store, which materialises
+// them per window on first touch: a match that distinguishes its targets in 8
+// of 12 windows never pays for the other 4, a store nobody queries pays
+// nothing, and what one match paid for no later one pays again.
 package blocking
 
 import (
 	"slices"
-	"sync"
+	"sync/atomic"
 
 	"evmatching/internal/ids"
 	"evmatching/internal/scenario"
@@ -28,100 +29,56 @@ type Geometry struct{}
 // DefaultGeometry returns the only Geometry there is.
 func DefaultGeometry() Geometry { return Geometry{} }
 
-// windowPostings is one materialised window. order is the store's AtWindow
-// list, and an EID's posting is a rank into it: a window holds an EID
-// inclusively in at most one scenario in any well-formed world, so one int32
-// per EID is the whole index and InclusiveAt is a one-element slice of order.
-type windowPostings struct {
-	order []scenario.ID
-	first map[ids.EID]int32
-	// multi holds the EIDs a hostile store made inclusive in several
-	// scenarios of the window: all their ranks ascending, and the scenario IDs
-	// at those ranks. first still carries the lowest rank.
-	multi map[ids.EID]*multiPosting
-}
-
-type multiPosting struct {
-	ranks []int32
-	ids   []scenario.ID
-}
-
-// Index is the exact (window, EID) posting index over one scenario store. It
-// describes the store as it was when each window was first touched: the owner
-// rebuilds it (Build is free) when the store has grown. All methods are safe
-// for concurrent use.
+// Index is a view of one scenario store's exact (window, EID) postings. The
+// postings belong to the store (scenario.Store.Postings): a window one view
+// materialised is warm for every other view, matcher and match over that
+// store, and Store.Add drops exactly the window it grows, so no view can
+// serve a stale one. A view's only state of its own is the count of windows
+// it had to materialise. All methods are safe for concurrent use.
 type Index struct {
-	store *scenario.Store
-	mu    sync.Mutex
-	wins  map[int]*windowPostings
+	store        *scenario.Store
+	materialised atomic.Int64
 }
 
-// Build returns an empty index over store; windows materialise as they are
-// first queried. A nil store indexes nothing.
+// Build returns a view of store's postings; it costs nothing, and windows
+// materialise in the store as they are first queried. A nil store indexes
+// nothing.
 func Build(store *scenario.Store, _ Geometry) *Index {
-	return &Index{store: store, wins: make(map[int]*windowPostings)}
+	if store == nil {
+		store = scenario.NewStore(nil)
+	}
+	return &Index{store: store}
 }
 
-// window returns w's postings, materialising them on first touch by one pass
-// over the window's scenarios in AtWindow order.
-func (ix *Index) window(w int) *windowPostings {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	if wp := ix.wins[w]; wp != nil {
-		return wp
+// Materialised returns how many windows this view was first in its store to
+// touch — the part of its owner's work another view would not repeat.
+func (ix *Index) Materialised() int64 { return ix.materialised.Load() }
+
+// window returns w's postings from the store, counting a first touch.
+func (ix *Index) window(w int) *scenario.WindowPostings {
+	wp, fresh := ix.store.Postings(w)
+	if fresh {
+		ix.materialised.Add(1)
 	}
-	wp := &windowPostings{}
-	if ix.store != nil {
-		wp.order = ix.store.AtWindow(w)
-	}
-	pairs := 0
-	for _, id := range wp.order {
-		pairs += ix.store.E(id).Len()
-	}
-	wp.first = make(map[ids.EID]int32, pairs)
-	for rank, id := range wp.order {
-		//evlint:ignore maprange each EID's posting depends only on the ranks it appears at, which ascend with the outer loop; the order within one scenario reaches nothing
-		for e, attr := range ix.store.E(id).EIDs {
-			if attr != scenario.AttrInclusive {
-				continue
-			}
-			r0, dup := wp.first[e]
-			if !dup {
-				wp.first[e] = int32(rank)
-				continue
-			}
-			mp := wp.multi[e]
-			if mp == nil {
-				if wp.multi == nil {
-					wp.multi = make(map[ids.EID]*multiPosting)
-				}
-				mp = &multiPosting{ranks: []int32{r0}, ids: []scenario.ID{wp.order[r0]}}
-				wp.multi[e] = mp
-			}
-			mp.ranks = append(mp.ranks, int32(rank))
-			mp.ids = append(mp.ids, id)
-		}
-	}
-	ix.wins[w] = wp
 	return wp
 }
 
 // WindowTotal returns the number of scenarios in window w.
-func (ix *Index) WindowTotal(w int) int { return len(ix.window(w).order) }
+func (ix *Index) WindowTotal(w int) int { return len(ix.window(w).Order()) }
 
 // InclusiveAt returns the scenarios of window w containing e inclusively, in
 // AtWindow order. The slice is shared index storage and must not be modified.
 // EIDs or windows the store has never seen return nil.
 func (ix *Index) InclusiveAt(e ids.EID, w int) []scenario.ID {
-	wp := ix.window(w)
-	r, ok := wp.first[e]
-	if !ok {
-		return nil
-	}
-	if mp := wp.multi[e]; mp != nil {
-		return mp.ids
-	}
-	return wp.order[r : r+1]
+	return ix.InclusiveOrd(ix.store.Ordinal(e), w)
+}
+
+// InclusiveOrd is InclusiveAt for an EID whose store ordinal the caller
+// resolved once (scenario.Store.Ordinal): a touched window costs it no
+// hashing at all.
+func (ix *Index) InclusiveOrd(ord int32, w int) []scenario.ID {
+	held, _ := ix.window(w).Held(ord)
+	return held
 }
 
 // Candidates appends to buf the scenarios of window w that hold a live target
@@ -133,39 +90,37 @@ func (ix *Index) InclusiveAt(e ids.EID, w int) []scenario.ID {
 // postings in a sparse world, the window's few scenarios in a crowded one.
 func (ix *Index) Candidates(w int, live *LiveTargets, buf []scenario.ID) ([]scenario.ID, int) {
 	wp := ix.window(w)
+	order := wp.Order()
 	if live.NumLive() == 0 {
-		return buf, len(wp.order)
+		return buf, len(order)
 	}
-	if len(wp.order) <= live.NumLive() {
-		for _, id := range wp.order {
+	if len(order) <= live.NumLive() {
+		for _, id := range order {
 			if !live.Prunes(ix.store.E(id)) {
 				buf = append(buf, id)
 			}
 		}
-		return buf, len(wp.order)
+		return buf, len(order)
 	}
 	// Collect the live targets' ranks in buf's own tail (a rank fits an ID),
 	// sort and dedup them there, then turn each rank into its scenario.
 	base := len(buf)
 	//evlint:ignore maprange the ranks gathered here are sorted before anything reads them
-	for e := range live.live {
-		r, ok := wp.first[e]
-		if !ok {
-			continue
+	for e, ord := range live.live {
+		if ord == unresolved {
+			ord = ix.store.Ordinal(e)
+			live.live[e] = ord
 		}
-		if mp := wp.multi[e]; mp != nil {
-			for _, r := range mp.ranks {
-				buf = append(buf, scenario.ID(r))
-			}
-			continue
+		_, ranks := wp.Held(ord)
+		for _, r := range ranks {
+			buf = append(buf, scenario.ID(r))
 		}
-		buf = append(buf, scenario.ID(r))
 	}
 	ranks := buf[base:]
 	slices.Sort(ranks)
 	ranks = slices.Compact(ranks)
 	for i, r := range ranks {
-		ranks[i] = wp.order[r]
+		ranks[i] = order[r]
 	}
-	return buf[:base+len(ranks)], len(wp.order)
+	return buf[:base+len(ranks)], len(order)
 }

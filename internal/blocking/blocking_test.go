@@ -59,12 +59,12 @@ func wantInclusiveAt(st *scenario.Store, e ids.EID, w int) []scenario.ID {
 }
 
 // wantCandidates is the brute-force candidate list: the scenarios of w
-// holding any of live inclusively, in AtWindow order.
-func wantCandidates(st *scenario.Store, live map[ids.EID]bool, w int) []scenario.ID {
+// holding any live target of lt inclusively, in AtWindow order.
+func wantCandidates(st *scenario.Store, lt *LiveTargets, w int) []scenario.ID {
 	var want []scenario.ID
 	for _, id := range st.AtWindow(w) {
 		for e, a := range st.E(id).EIDs {
-			if a == scenario.AttrInclusive && live[e] {
+			if _, live := lt.live[e]; live && a == scenario.AttrInclusive {
 				want = append(want, id)
 				break
 			}
@@ -95,7 +95,7 @@ func checkIndex(t *testing.T, label string, st *scenario.Store, ix *Index, probe
 		if got[0] != -5 {
 			t.Fatalf("%s: Candidates(%d) overwrote the caller's buffer prefix", label, w)
 		}
-		if want := wantCandidates(st, lt.live, w); !slices.Equal(got[1:], want) {
+		if want := wantCandidates(st, lt, w); !slices.Equal(got[1:], want) {
 			t.Fatalf("%s: Candidates(%d) = %v, want %v", label, w, got[1:], want)
 		}
 	}
@@ -146,7 +146,7 @@ func TestCandidatesSound(t *testing.T) {
 		lt.Resolve(targets[0])
 		for _, w := range st.Windows() {
 			got, _ := ix.Candidates(w, lt, nil)
-			if want := wantCandidates(st, lt.live, w); !slices.Equal(got, want) {
+			if want := wantCandidates(st, lt, w); !slices.Equal(got, want) {
 				t.Fatalf("trial %d window %d after a resolve: candidates %v, want %v", trial, w, got, want)
 			}
 		}
@@ -232,24 +232,48 @@ func TestHostileStores(t *testing.T) {
 	}
 }
 
-// TestStoreGrowsAfterFirstTouch pins the rebuild rule the matcher follows: an
-// index keeps describing the windows it materialised as they were, and a
-// fresh Build over the grown store sees everything.
+// TestStoreGrowsAfterFirstTouch drives one and the same Index across
+// Store.Add: the postings live in the store, which drops exactly the window an
+// Add grows, so a view held from before the growth answers for the grown
+// store — including for an EID whose ordinal was interned after the untouched
+// older windows' arrays were sized, and for a live tracker whose ordinals were
+// resolved before the growth.
 func TestStoreGrowsAfterFirstTouch(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	st := randStore(t, rng, 8, 20, 4, 40)
 	probes := []ids.EID{eid(0), eid(1), eid(2), eid(3), eid(4), eid(5), eid(6), eid(7), eid(50)}
-	targets := probes[:5]
-	old := Build(st, DefaultGeometry())
-	checkIndex(t, "before growth", st, old, probes, targets)
-	before := old.InclusiveAt(eid(50), 2)
-
-	addScenario(t, st, 3, 2, map[ids.EID]scenario.Attr{eid(50): scenario.AttrInclusive, eid(1): scenario.AttrInclusive})
-	addScenario(t, st, 4, 9, map[ids.EID]scenario.Attr{eid(2): scenario.AttrInclusive}) // a new window
-	if got := old.InclusiveAt(eid(50), 2); !slices.Equal(got, before) {
-		t.Errorf("a materialised window changed under its index: %v, was %v", got, before)
+	targets := []ids.EID{eid(0), eid(1), eid(2), eid(3), eid(50)}
+	ix := Build(st, DefaultGeometry())
+	lt := NewLiveTargets(targets)
+	checkIndex(t, "before growth", st, ix, probes, targets)
+	for _, w := range st.Windows() {
+		ix.Candidates(w, lt, nil) // resolves lt's ordinals against the small store
 	}
-	checkIndex(t, "rebuilt after growth", st, Build(st, DefaultGeometry()), probes, targets)
+	touched := ix.Materialised()
+	if want := int64(len(st.Windows())); touched != want {
+		t.Fatalf("Materialised = %d after touching %d windows", touched, want)
+	}
+
+	// eid(51) enters the store only now: its ordinal lies past the end of
+	// every array sized before, window 2's included until it re-materialises.
+	grown := addScenario(t, st, 3, 2, map[ids.EID]scenario.Attr{eid(51): scenario.AttrInclusive, eid(1): scenario.AttrInclusive})
+	addScenario(t, st, 4, 9, map[ids.EID]scenario.Attr{eid(2): scenario.AttrInclusive, eid(51): scenario.AttrVague}) // a new window
+	if got := ix.InclusiveAt(eid(51), 2); !slices.Contains(got, grown) {
+		t.Errorf("InclusiveAt(eid(51), 2) = %v through a view older than scenario %d", got, grown)
+	}
+	if got := ix.InclusiveAt(eid(51), 0); got != nil {
+		t.Errorf("InclusiveAt(eid(51), 0) = %v: an ordinal past an older window's array must read absent", got)
+	}
+	checkIndex(t, "same view after growth", st, ix, append(probes, eid(51)), append(targets, eid(51)))
+	for _, w := range st.Windows() {
+		got, _ := ix.Candidates(w, lt, nil)
+		if want := wantCandidates(st, lt, w); !slices.Equal(got, want) {
+			t.Errorf("window %d, tracker resolved before growth: candidates %v, want %v", w, got, want)
+		}
+	}
+	if got := ix.Materialised() - touched; got != 2 {
+		t.Errorf("growth into window 2 and a new window 9 re-materialised %d windows, want exactly those 2", got)
+	}
 }
 
 // TestConcurrentFirstTouch has many readers race to materialise the same
@@ -267,11 +291,10 @@ func TestConcurrentFirstTouch(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			live := map[ids.EID]bool{eid(g): true, eid(g + 1): true, eid(g + 2): true}
 			lt := NewLiveTargets([]ids.EID{eid(g), eid(g + 1), eid(g + 2)})
 			for _, w := range st.Windows() {
 				got, _ := ix.Candidates(w, lt, nil)
-				if want := wantCandidates(st, live, w); !slices.Equal(got, want) {
+				if want := wantCandidates(st, lt, w); !slices.Equal(got, want) {
 					errs <- fmt.Sprintf("goroutine %d window %d: candidates %v, want %v", g, w, got, want)
 					return
 				}
@@ -319,12 +342,18 @@ func TestLiveTargetsPrunes(t *testing.T) {
 	}
 }
 
-// TestBuildDeterministic pins that two indexes over one store answer alike,
-// whatever order their windows were first touched in.
+// TestBuildDeterministic pins that two stores holding the same scenarios
+// answer alike, whatever order their windows were first touched in — the order
+// that decides which ordinal each EID gets.
 func TestBuildDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	st := randStore(t, rng, 10, 30, 5, 70)
-	a, b := Build(st, DefaultGeometry()), Build(st, DefaultGeometry())
+	twin := scenario.NewStore(nil)
+	for id := scenario.ID(0); int(id) < st.Len(); id++ {
+		e := *st.E(id)
+		addScenario(t, twin, e.Cell, e.Window, e.EIDs)
+	}
+	a, b := Build(st, DefaultGeometry()), Build(twin, DefaultGeometry())
 	targets := []ids.EID{eid(0), eid(1), eid(2)}
 	wins := st.Windows()
 	for i := range wins {

@@ -15,9 +15,13 @@ import (
 // leaf if a live target appears in it inclusively. Restore rebuilds this
 // state deterministically by replaying the checkpointed scenarios through
 // the same probe, with no checkpoint fields of its own. Not safe for
-// concurrent use — one per split run, like the partition it mirrors.
+// concurrent use — one per split run over one store, like the partition it
+// mirrors.
 type LiveTargets struct {
-	live map[ids.EID]bool
+	// live maps each live target to its ordinal in the store of the Index
+	// asking (unresolved until Candidates first meets it), so a split run
+	// hashes each target once and then reads posting arrays.
+	live map[ids.EID]int32
 }
 
 // NewLiveTargets builds the tracker for a fresh partition over targets. A
@@ -25,15 +29,17 @@ type LiveTargets struct {
 // empty and every scenario prunes — matching the exhaustive path, which
 // breaks out before applying any.
 func NewLiveTargets(targets []ids.EID) *LiveTargets {
-	lt := &LiveTargets{live: make(map[ids.EID]bool, len(targets))}
+	lt := &LiveTargets{live: make(map[ids.EID]int32, len(targets))}
 	if len(targets) < 2 {
 		return lt
 	}
 	for _, e := range targets {
-		lt.live[e] = true
+		lt.live[e] = unresolved
 	}
 	return lt
 }
+
+const unresolved int32 = -1
 
 // Resolve removes e from the live set. Wire to partition.OnResolve.
 func (lt *LiveTargets) Resolve(e ids.EID) { delete(lt.live, e) }
@@ -68,7 +74,10 @@ func (lt *LiveTargets) Prunes(s *scenario.EScenario) bool {
 	}
 	//evlint:ignore maprange pure existence probe; any order finds the same answer
 	for e, a := range s.EIDs {
-		if a == scenario.AttrInclusive && lt.live[e] {
+		if a != scenario.AttrInclusive {
+			continue
+		}
+		if _, live := lt.live[e]; live {
 			return false
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"evmatching/internal/blocking"
 	"evmatching/internal/feature"
 	"evmatching/internal/ids"
 	"evmatching/internal/scenario"
@@ -19,7 +20,7 @@ import (
 // scenarios. There is no cross-EID scenario reuse and no rule-out: each
 // task gets its own extraction state, so a scenario selected by two EIDs is
 // processed twice (the cost EV-Matching's reuse avoids).
-func (m *Matcher) matchEDP(ctx context.Context, targets []ids.EID) (*Report, error) {
+func (m *Matcher) matchEDP(ctx context.Context, targets []ids.EID, ix *blocking.Index) (*Report, error) {
 	rep := &Report{
 		Algorithm: AlgorithmEDP,
 		Mode:      m.opts.Mode,
@@ -36,7 +37,7 @@ func (m *Matcher) matchEDP(ctx context.Context, targets []ids.EID) (*Report, err
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("core: EDP e stage: %w", err)
 		}
-		list := m.edpSelect(e, int64(i))
+		list := m.edpSelect(e, int64(i), ix)
 		lists[e] = list
 		for _, id := range list {
 			selected[id] = true
@@ -64,24 +65,21 @@ func (m *Matcher) matchEDP(ctx context.Context, targets []ids.EID) (*Report, err
 
 // edpSelect walks windows in a per-EID random order, accumulating scenarios
 // that contain e until the intersection of their (full) EID sets is a
-// singleton, the selection cap is reached, or windows run out.
-func (m *Matcher) edpSelect(e ids.EID, salt int64) []scenario.ID {
+// singleton, the selection cap is reached, or windows run out. A window's
+// pick is the first scenario in AtWindow order holding e inclusively, read
+// off the store's postings through ix.
+func (m *Matcher) edpSelect(e ids.EID, salt int64, ix *blocking.Index) []scenario.ID {
 	rng := m.rngFor(104729 + salt)
 	windows := m.ds.Store.ShuffledWindows(rng)
+	ord := m.ds.Store.Ordinal(e)
 	var list []scenario.ID
 	var candidates map[ids.EID]bool
 	for _, w := range windows {
-		var found *scenario.EScenario
-		for _, id := range m.ds.Store.AtWindow(w) {
-			s := m.ds.Store.E(id)
-			if s.Inclusive(e) {
-				found = s
-				break
-			}
-		}
-		if found == nil {
+		held := ix.InclusiveOrd(ord, w)
+		if len(held) == 0 {
 			continue
 		}
+		found := m.ds.Store.E(held[0])
 		list = append(list, found.ID)
 		if candidates == nil {
 			candidates = make(map[ids.EID]bool, found.Len())

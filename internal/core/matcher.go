@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sync"
 
 	"evmatching/internal/blocking"
 	"evmatching/internal/dataset"
@@ -23,32 +22,12 @@ var ErrNoDataset = errors.New("core: nil dataset")
 var ErrNoTargets = errors.New("core: no target EIDs")
 
 // Matcher matches EIDs to VIDs over one dataset. A Matcher is safe to reuse
-// for multiple Match calls; each call works from fresh state.
+// for multiple Match calls, concurrent ones included; each call works from
+// fresh state. The postings its E stage reads belong to ds.Store (DESIGN.md
+// §13): what any match over that store materialised is warm for the next.
 type Matcher struct {
 	ds   *dataset.Dataset
 	opts Options
-
-	// blockIdx is the posting index over ds.Store (DESIGN.md §13), shared
-	// across Match calls — concurrent ones included — so the windows one
-	// match materialised are warm for the next. It is keyed to the store
-	// length when it was made: stores are append-only, so a length match
-	// means its windows are current and a mismatch drops it for a fresh,
-	// empty one.
-	blockMu  sync.Mutex
-	blockIdx *blocking.Index
-	blockLen int
-}
-
-// blockIndex returns the current posting index, replacing it when the store
-// has grown since it was made.
-func (m *Matcher) blockIndex() *blocking.Index {
-	m.blockMu.Lock()
-	defer m.blockMu.Unlock()
-	if m.blockIdx == nil || m.blockLen != m.ds.Store.Len() {
-		m.blockIdx = blocking.Build(m.ds.Store, blocking.DefaultGeometry())
-		m.blockLen = m.ds.Store.Len()
-	}
-	return m.blockIdx
 }
 
 // New creates a Matcher over the dataset.
@@ -87,11 +66,14 @@ func (m *Matcher) Match(ctx context.Context, targets []ids.EID) (*Report, error)
 		return nil, err
 	}
 	var rep *Report
+	// A view of the store's postings for this call alone: its only state is
+	// the count of windows it was first to touch.
+	ix := blocking.Build(m.ds.Store, blocking.DefaultGeometry())
 	switch m.opts.Algorithm {
 	case AlgorithmSS:
-		rep, err = m.matchSS(ctx, targets, filter)
+		rep, err = m.matchSS(ctx, targets, filter, ix)
 	case AlgorithmEDP:
-		rep, err = m.matchEDP(ctx, targets)
+		rep, err = m.matchEDP(ctx, targets, ix)
 	default:
 		return nil, fmt.Errorf("%w: algorithm %v", ErrBadOptions, m.opts.Algorithm)
 	}
@@ -105,6 +87,7 @@ func (m *Matcher) Match(ctx context.Context, targets []ids.EID) (*Report, error)
 		return nil, fmt.Errorf("core: match ran over incompletely paged state: %w", perr)
 	}
 	rep.Spill = m.opts.SpillStats.Snapshot()
+	rep.BlockMaterialised = ix.Materialised()
 	return rep, nil
 }
 
@@ -157,31 +140,6 @@ func targetSet(targets []ids.EID) map[ids.EID]bool {
 		set[e] = true
 	}
 	return set
-}
-
-// scenariosContaining returns up to max scenario IDs in which e appears
-// inclusively, scanning windows in the given order and skipping IDs in
-// exclude. It pads an EID's selected list up to MinPerEIDList — including
-// the rightmost tree spine, whose split path carries no positive scenario.
-func (m *Matcher) scenariosContaining(e ids.EID, windows []int, max int, exclude []scenario.ID) []scenario.ID {
-	skip := make(map[scenario.ID]bool, len(exclude))
-	for _, id := range exclude {
-		skip[id] = true
-	}
-	var out []scenario.ID
-	for _, w := range windows {
-		if len(out) >= max {
-			break
-		}
-		for _, id := range m.ds.Store.AtWindow(w) {
-			s := m.ds.Store.E(id)
-			if !skip[id] && s.Inclusive(e) {
-				out = append(out, id)
-				break // at most one scenario per window contains e inclusively
-			}
-		}
-	}
-	return out
 }
 
 // rngFor derives a deterministic rand.Rand for a labeled purpose.

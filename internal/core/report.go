@@ -42,6 +42,9 @@ type Report struct {
 	// them. Both stay zero under DisableBlocking.
 	BlockCandidates int64
 	BlockPruned     int64
+	// BlockMaterialised counts the posting windows this match was first to
+	// touch in its store: effort again, excluded from Fingerprint.
+	BlockMaterialised int64
 	// SplitScenarios lists the effective scenarios recorded by the round-0
 	// set split, in application order. It is derived bookkeeping rather than
 	// a match result, so Fingerprint excludes it; stream.Engine.Finalize
@@ -95,9 +98,9 @@ func (r *Report) AvgScenariosPerEID() float64 {
 // canonical textual form: targets in sorted order, each with its match
 // outcome, scenario-list length, and per-scenario votes, followed by the
 // aggregate counters. Timing and work-cost fields (ETime, VTime, VStats,
-// BlockCandidates, BlockPruned) are excluded: they measure effort, not
-// results, and legitimately vary when the cluster re-executes tasks after
-// faults or when blocking is toggled. Two runs over the same dataset and
+// BlockCandidates, BlockPruned, BlockMaterialised) are excluded: they measure
+// effort, not results, and legitimately vary when the cluster re-executes
+// tasks after faults, when blocking is toggled or when the store is warm. Two runs over the same dataset and
 // options must produce byte-identical fingerprints — the determinism
 // guarantee evlint's maprange rule protects and the chaos sim asserts under
 // fault injection (see DESIGN.md).

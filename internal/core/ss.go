@@ -16,7 +16,7 @@ import (
 // matchSS runs the paper's set-splitting algorithm: EID set splitting (E
 // stage), VID filtering (V stage), and matching refining (Algorithm 2) until
 // every match is acceptable or the refine budget is exhausted.
-func (m *Matcher) matchSS(ctx context.Context, targets []ids.EID, filter *vfilter.Filter) (*Report, error) {
+func (m *Matcher) matchSS(ctx context.Context, targets []ids.EID, filter *vfilter.Filter, ix *blocking.Index) (*Report, error) {
 	rep := &Report{
 		Algorithm: AlgorithmSS,
 		Mode:      m.opts.Mode,
@@ -30,7 +30,7 @@ func (m *Matcher) matchSS(ctx context.Context, targets []ids.EID, filter *vfilte
 
 	for round := 0; ; round++ {
 		eStart := time.Now()
-		p, lists, err := m.splitStage(ctx, pending, round, rep)
+		p, lists, err := m.splitStage(ctx, pending, round, ix, rep)
 		rep.ETime += time.Since(eStart)
 		if err != nil {
 			return nil, err
@@ -87,13 +87,13 @@ func (m *Matcher) matchSS(ctx context.Context, targets []ids.EID, filter *vfilte
 //
 // With blocking enabled (the default), each window contributes only the
 // scenarios holding a still-undistinguished target inclusively, read off the
-// window's exact postings (DESIGN.md §13); every other scenario is a provable
-// no-op. The candidates are a window-order subsequence of the exhaustive scan
-// containing every effective scenario, so the partition evolves through the
-// identical state sequence, records the identical scenarios, and hits Done at
-// the identical point — bit-identity with the exhaustive path, which the
-// equivalence property tests pin.
-func (m *Matcher) splitStage(ctx context.Context, targets []ids.EID, round int, rep *Report) (*partition.Partition, map[ids.EID][]scenario.ID, error) {
+// window's exact postings through ix (DESIGN.md §13); every other scenario is
+// a provable no-op. The candidates are a window-order subsequence of the
+// exhaustive scan containing every effective scenario, so the partition
+// evolves through the identical state sequence, records the identical
+// scenarios, and hits Done at the identical point — bit-identity with the
+// exhaustive path, which the equivalence property tests pin.
+func (m *Matcher) splitStage(ctx context.Context, targets []ids.EID, round int, ix *blocking.Index, rep *Report) (*partition.Partition, map[ids.EID][]scenario.ID, error) {
 	p, err := partition.New(targets)
 	if err != nil {
 		return nil, nil, err
@@ -108,13 +108,13 @@ func (m *Matcher) splitStage(ctx context.Context, targets []ids.EID, round int, 
 	}
 
 	var (
-		idx     *blocking.Index
 		live    *blocking.LiveTargets
 		candBuf []scenario.ID
 		tset    map[ids.EID]bool
 	)
-	if !m.opts.DisableBlocking {
-		idx = m.blockIndex()
+	if m.opts.DisableBlocking {
+		ix = nil
+	} else {
 		live = blocking.NewLiveTargets(targets)
 		p.OnResolve(live.Resolve)
 	}
@@ -135,7 +135,7 @@ func (m *Matcher) splitStage(ctx context.Context, targets []ids.EID, round int, 
 			// shrink it for the next one. Mid-window staleness only admits
 			// extra no-op candidates — never drops an effective one.
 			var total int
-			candBuf, total = idx.Candidates(w, live, candBuf[:0])
+			candBuf, total = ix.Candidates(w, live, candBuf[:0])
 			cands = candBuf
 			if rep != nil {
 				rep.BlockCandidates += int64(len(cands))
@@ -196,21 +196,9 @@ func (m *Matcher) splitStage(ctx context.Context, targets []ids.EID, round int, 
 		if err != nil {
 			return nil, nil, err
 		}
-		lists[e] = m.padToUnique(e, pos, windows)
+		lists[e] = padToUnique(store, ix, e, pos, windows, m.opts.MinPerEIDList, m.opts.EDPMaxScenarios)
 	}
 	return p, lists, nil
-}
-
-// padToUnique pads e's list with the matcher's configured lengths. With
-// blocking enabled the walk jumps per window to e's inclusive postings in
-// the index instead of scanning every scenario of the window — the same
-// scenarios in the same order, found without the scan.
-func (m *Matcher) padToUnique(e ids.EID, list []scenario.ID, windows []int) []scenario.ID {
-	var ix *blocking.Index
-	if !m.opts.DisableBlocking {
-		ix = m.blockIndex()
-	}
-	return padToUnique(m.ds.Store, ix, e, list, windows, m.opts.MinPerEIDList, m.opts.EDPMaxScenarios)
 }
 
 // PadToUnique extends an EID's scenario list until the intersection of the
@@ -223,10 +211,11 @@ func PadToUnique(store *scenario.Store, e ids.EID, list []scenario.ID, windows [
 	return padToUnique(store, nil, e, list, windows, minLen, maxLen)
 }
 
-// padToUnique is PadToUnique with an optional blocking index accelerating
-// the per-window "first unlisted scenario containing e inclusively" probe.
-// Index postings preserve AtWindow order, so both paths pick identical
-// scenarios.
+// padToUnique is PadToUnique with an optional view of the store's postings
+// accelerating the per-window "first unlisted scenario containing e
+// inclusively" probe: e's ordinal is resolved once and each window is then an
+// array read instead of a scan. Postings preserve AtWindow order, so both
+// paths pick identical scenarios.
 func padToUnique(store *scenario.Store, ix *blocking.Index, e ids.EID, list []scenario.ID, windows []int, minLen, maxLen int) []scenario.ID {
 	out := append([]scenario.ID(nil), list...)
 	in := make(map[scenario.ID]bool, len(out))
@@ -269,12 +258,16 @@ func padToUnique(store *scenario.Store, ix *blocking.Index, e ids.EID, list []sc
 	if minLen > maxLen {
 		maxLen = minLen
 	}
+	var ord int32
+	if ix != nil {
+		ord = store.Ordinal(e)
+	}
 	for _, w := range windows {
 		if len(out) >= maxLen || (len(out) >= minLen && len(cands) <= 1) {
 			break
 		}
 		if ix != nil {
-			for _, id := range ix.InclusiveAt(e, w) {
+			for _, id := range ix.InclusiveOrd(ord, w) {
 				if in[id] {
 					continue
 				}

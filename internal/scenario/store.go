@@ -7,12 +7,14 @@ import (
 	"sync"
 
 	"evmatching/internal/geo"
+	"evmatching/internal/ids"
 	"evmatching/internal/spatial"
 )
 
-// Store indexes the EV-Scenarios of a dataset by ID, by time window, and
-// spatially, so both the E stage (window-ordered scans) and V stage (fetch
-// the V-Scenario for a selected ID) are cheap.
+// Store indexes the EV-Scenarios of a dataset by ID, by time window, by
+// (window, EID) and spatially, so both the E stage (window-ordered scans,
+// which scenario of a window holds an EID) and V stage (fetch the V-Scenario
+// for a selected ID) are cheap.
 type Store struct {
 	layout geo.Layout
 	esc    []*EScenario      // dense, index == int(ID)
@@ -22,6 +24,14 @@ type Store struct {
 
 	mu        sync.Mutex   // guards winSorted
 	winSorted map[int][]ID // cache of AtWindow's cell-sorted ID lists
+
+	// The exact (window, EID) postings (postings.go), shared by every matcher
+	// over the store. ords is append-only and filled as windows are first
+	// touched, never at Add; posts holds the touched windows and loses
+	// exactly the window Add grows.
+	postMu sync.Mutex
+	ords   map[ids.EID]int32
+	posts  map[int]*WindowPostings
 
 	// Out-of-core state (DESIGN.md §14). When a pager is installed, sealed
 	// V-Scenario payloads may be evicted: vsc[id] drops to nil, evicted[id]
@@ -41,7 +51,8 @@ type VPager interface {
 
 // NewStore creates an empty store over the given layout.
 func NewStore(layout geo.Layout) *Store {
-	return &Store{layout: layout, byWin: make(map[int][]ID), winSorted: make(map[int][]ID)}
+	return &Store{layout: layout, byWin: make(map[int][]ID), winSorted: make(map[int][]ID),
+		ords: make(map[ids.EID]int32), posts: make(map[int]*WindowPostings)}
 }
 
 // Layout returns the cell layout scenarios are defined over.
@@ -70,6 +81,9 @@ func (st *Store) Add(e *EScenario, v *VScenario) (ID, error) {
 	st.mu.Lock()
 	delete(st.winSorted, e.Window) // invalidate the window's sorted cache
 	st.mu.Unlock()
+	st.postMu.Lock()
+	delete(st.posts, e.Window) // and its postings, which rank into that list
+	st.postMu.Unlock()
 	return id, nil
 }
 
