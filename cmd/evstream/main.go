@@ -260,12 +260,14 @@ func run(args []string, out io.Writer) error {
 			return
 		}
 		st := sup.Stats()
-		var red int64
+		var rst stream.RouterStats
 		if r, ok := e.(*stream.Router); ok {
-			red = r.Stats().SupervisorRedispatches
+			rst = r.Stats()
 		}
-		fmt.Fprintf(out, "shard workers: spawned=%d kills=%d redispatches=%d retries=%d fallbacks=%d wire_sent=%d wire_received=%d frames=%d\n",
-			st.Spawned, st.Kills, red, st.Retries, st.Fallbacks, st.WireBytesSent, st.WireBytesReceived, st.Frames)
+		// journal_len is what a replacement worker would be replayed, per
+		// shard: nothing after a finalize, the open windows mid-log.
+		fmt.Fprintf(out, "shard workers: spawned=%d kills=%d redispatches=%d retries=%d fallbacks=%d wire_sent=%d wire_received=%d frames=%d journal_len=%v\n",
+			st.Spawned, st.Kills, rst.SupervisorRedispatches, st.Retries, st.Fallbacks, st.WireBytesSent, st.WireBytesReceived, st.Frames, rst.JournalLen)
 	}
 
 	if !*finalize {

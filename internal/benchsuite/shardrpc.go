@@ -3,11 +3,9 @@ package benchsuite
 import (
 	"bytes"
 	"fmt"
-	"math/rand"
 	"os"
 	"testing"
 
-	"evmatching/internal/feature"
 	"evmatching/internal/geo"
 	"evmatching/internal/ids"
 	"evmatching/internal/scenario"
@@ -88,34 +86,26 @@ func streamReplayRemoteShardsBench(workers int) func(b *testing.B) {
 // shardRPCSerializeBench isolates the wire cost the remote replays pay per
 // emission: one frame encode plus decode, through the codec the connections
 // use, of a representative ApplyReply — one sealed round of four (window,
-// cell) closures, eight detections and eight EIDs each, with the extracted
-// 64-dim feature matrix. Encoder and decoder keep their buffers across
+// cell) closures, eight EIDs and eight detection references each (wire
+// version 2: a closure names its detections by journal position and carries
+// neither pixels nor features). Encoder and decoder keep their buffers across
 // iterations, as a connection's do. wire_bytes reports the frame size.
 func shardRPCSerializeBench() func(b *testing.B) {
 	return func(b *testing.B) {
-		rng := rand.New(rand.NewSource(9))
-		const dets, dim = 8, 64
+		const dets = 8
 		sealed := make([]stream.ShardSealed, 4)
 		for i := range sealed {
-			s := stream.ShardSealed{Window: i, Cell: geo.CellID(3 + i), FeatDim: dim}
+			s := stream.ShardSealed{Window: i, Cell: geo.CellID(3 + i)}
 			for j := 0; j < dets; j++ {
 				s.EIDs = append(s.EIDs, stream.BucketEID{
 					EID: ids.EID(fmt.Sprintf("bench-e%02d", j)), Attr: scenario.AttrInclusive,
 				})
-				s.Dets = append(s.Dets, scenario.Detection{
-					VID:        ids.VID(fmt.Sprintf("bench-v%02d-%d", j, i)),
-					Patch:      feature.EncodePatch(randomUnit(rng, dim), 1, rng),
-					TruePerson: j,
-				})
-			}
-			s.Feat = make([]float64, dets*dim)
-			for k := range s.Feat {
-				s.Feat[k] = rng.NormFloat64()
+				s.Refs = append(s.Refs, int64(1_000*(i+1)+37*j))
 			}
 			sealed[i] = s
 		}
 		reply := shardrpc.ApplyReply{Outs: []stream.ShardOut{{
-			Kind: stream.ShardOutRound, Round: 1, Target: 1, MaxTS: 1_000, Sealed: sealed,
+			Round: 1, Target: 1, MaxTS: 1_000, Sealed: sealed,
 		}}}
 		var (
 			enc  shardrpc.FrameEncoder

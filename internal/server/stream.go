@@ -44,16 +44,18 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		if len(text) == 0 {
 			continue
 		}
-		// Accept whole evgen -events files as-is: their header line carries
-		// log metadata, not an observation.
-		var probe struct {
-			Kind string `json:"kind"`
-		}
-		if err := json.Unmarshal(text, &probe); err == nil && probe.Kind == "header" {
-			continue
-		}
 		var o stream.Observation
 		if err := json.Unmarshal(text, &o); err != nil {
+			// Accept whole evgen -events files as-is: their header line carries
+			// log metadata, not an observation. "header" is no observation
+			// kind, so a header always lands here and only a line that already
+			// failed pays for the second look.
+			var probe struct {
+				Kind string `json:"kind"`
+			}
+			if json.Unmarshal(text, &probe) == nil && probe.Kind == "header" {
+				continue
+			}
 			writeError(w, http.StatusBadRequest, "line %d: %v", line, err)
 			return
 		}

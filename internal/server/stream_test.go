@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -307,6 +308,57 @@ func TestIngestSkipsHeaderLine(t *testing.T) {
 	}
 	if body.Accepted != 1 || body.Dropped != 0 {
 		t.Errorf("body = %+v, want exactly the one observation accepted", body)
+	}
+}
+
+// TestIngestHeaderAnywhereMalformedByLine pins handleIngest's one-decode
+// path to the behaviour of the probe-first one it replaced: a header line is
+// skipped wherever it stands — first or mid-body, even one that also carries
+// observation fields — and a malformed line fails the request with its own
+// line number and the observation decoder's error, everything before it
+// ingested.
+func TestIngestHeaderAnywhereMalformedByLine(t *testing.T) {
+	ts, proc, obs := newStreamServer(t, 0)
+	const header = `{"kind":"header","version":1,"windowMs":1000,"dim":64}`
+	lines := []string{header}
+	for _, o := range obs[:3] {
+		line, err := json.Marshal(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines = append(lines, string(line))
+	}
+	lines = append(lines[:3], append([]string{header, "", `{"kind":"header","ts":"not a number"}`}, lines[3:]...)...)
+	post := func(body string) (int, string) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/ingest", "application/x-ndjson", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		raw, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, string(raw)
+	}
+	if code, body := post(strings.Join(lines, "\n") + "\n"); code != http.StatusOK || !strings.Contains(body, `"accepted":3`) {
+		t.Fatalf("headers first and mid-body: status %d body %s, want 200 with 3 accepted", code, body)
+	}
+	for _, c := range []struct{ name, line, want string }{
+		{"not-json", `not json`, "line 3: invalid character"},
+		{"unknown-kind", `{"ts":1,"kind":"X","cell":0}`, `line 3: stream: bad observation: kind \"X\"`},
+		{"numeric-header", `{"kind":7}`, "line 3: json: cannot unmarshal number"},
+		{"header-with-trailing-garbage", header + " x", "line 3: invalid character"},
+	} {
+		before := proc.Ingested()
+		code, body := post(lines[1] + "\n" + lines[2] + "\n" + c.line + "\n" + lines[6] + "\n")
+		if code != http.StatusBadRequest || !strings.Contains(body, c.want) {
+			t.Errorf("%s: status %d body %s, want 400 containing %q", c.name, code, body, c.want)
+		}
+		if got := proc.Ingested() - before; got != 2 {
+			t.Errorf("%s: %d observations ingested before the bad line, want 2", c.name, got)
+		}
 	}
 }
 

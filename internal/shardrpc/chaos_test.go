@@ -7,7 +7,6 @@ import (
 	"hash/fnv"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"evmatching/internal/mrtest"
 	"evmatching/internal/shardrpc"
@@ -36,10 +35,9 @@ func remoteChaosRun(t *testing.T, cfg stream.Config, obs []stream.Observation, s
 	t.Helper()
 	sup := shardrpc.NewSupervisor(scfg)
 	r, err := stream.NewRouter(stream.RouterConfig{
-		Config:             cfg,
-		Shards:             shards,
-		Runner:             sup,
-		SubCheckpointEvery: 64,
+		Config: cfg,
+		Shards: shards,
+		Runner: sup,
 	})
 	if err != nil {
 		sup.Close()
@@ -70,7 +68,7 @@ func remoteChaosRun(t *testing.T, cfg stream.Config, obs []stream.Observation, s
 // six seeded schedules SIGKILL worker processes mid-window (the kill lands
 // between journal batches, killing whatever window state the worker holds)
 // and every run must still land on the unsharded fingerprint, recovered via
-// supervisor-initiated redispatch from sub-checkpoint plus journal replay.
+// supervisor-initiated redispatch and journal replay.
 func TestWorkerKillChaos(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns and kills worker processes")
@@ -108,13 +106,16 @@ func TestWorkerKillChaos(t *testing.T) {
 	}
 }
 
-// TestWorkerKillDuringCheckpoint SIGKILLs a worker mid-checkpoint-barrier:
-// the kill plan arms right before Checkpoint, so it fires on the first
-// barrier snapshot message a worker receives. The barrier must still
-// complete (the replacement incarnation replays the snapshot request from
-// the journal), and the checkpoint must restore into a plain in-process
-// router — the remote→in-process half of the checkpoint round trip — and
-// resume to the unsharded fingerprint.
+// TestWorkerKillDuringCheckpoint SIGKILLs a worker while a checkpoint's fold
+// barrier is waiting on it. The barrier asks the shards nothing; what it
+// waits for is every issued close round to fold. So the kill plan arms just
+// before the observation that issues a round, Checkpoint follows at once, and
+// whichever worker assembles the next batch dies with the round's reply still
+// owed: the barrier can only complete through the replacement incarnation,
+// which replays the journal — close message included — into a fresh windower.
+// The image must then restore into a plain in-process router — the
+// remote→in-process half of the checkpoint round trip — and resume to the
+// unsharded fingerprint.
 func TestWorkerKillDuringCheckpoint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns and kills worker processes")
@@ -128,25 +129,31 @@ func TestWorkerKillDuringCheckpoint(t *testing.T) {
 		return armed.Load() && fired.CompareAndSwap(false, true)
 	}
 	sup := shardrpc.NewSupervisor(scfg)
-	r, err := stream.NewRouter(stream.RouterConfig{
-		Config:             cfg,
-		Shards:             3,
-		Runner:             sup,
-		SubCheckpointEvery: 64,
-	})
+	r, err := stream.NewRouter(stream.RouterConfig{Config: cfg, Shards: 3, Runner: sup})
 	if err != nil {
 		t.Fatalf("NewRouter: %v", err)
 	}
-	half := len(obs) / 2
-	for i, o := range obs[:half] {
+	// The first observation past the middle of the log that closes a window.
+	closesAt := func(i int) bool {
+		return (obs[i].TS-cfg.LatenessMS)/cfg.WindowMS > (obs[i-1].TS-cfg.LatenessMS)/cfg.WindowMS
+	}
+	cut := len(obs) / 2
+	for !closesAt(cut) {
+		cut++
+	}
+	for i, o := range obs[:cut] {
 		if _, err := r.Ingest(o); err != nil {
 			t.Fatalf("Ingest %d: %v", i, err)
 		}
 	}
-	// Let the shard queues drain so the next messages the workers see are
-	// the barrier's snapshot requests — the kill then lands mid-barrier.
-	time.Sleep(300 * time.Millisecond)
+	open := r.OpenWindows()
 	armed.Store(true)
+	if _, err := r.Ingest(obs[cut]); err != nil {
+		t.Fatalf("Ingest %d: %v", cut, err)
+	}
+	if r.OpenWindows() >= open {
+		t.Fatalf("observation %d issued no close round; the barrier would have nothing to wait for", cut)
+	}
 	var buf bytes.Buffer
 	if err := r.Checkpoint(&buf); err != nil {
 		t.Fatalf("Checkpoint under worker kill: %v", err)
@@ -154,6 +161,7 @@ func TestWorkerKillDuringCheckpoint(t *testing.T) {
 	if !fired.Load() {
 		t.Fatalf("kill plan never fired during the checkpoint barrier")
 	}
+	half := cut + 1
 	rst := r.Stats()
 	r.Close()
 	sup.Close()

@@ -46,8 +46,10 @@ import (
 
 // WireVersion is the frame format version this build speaks. Both ends check
 // it on every frame; a peer from another build fails its first call with
-// ErrWireVersion instead of exchanging undecodable bytes.
-const WireVersion = 1
+// ErrWireVersion instead of exchanging undecodable bytes. Version 2 made
+// replies by-reference (closures carry journal positions, not detections or
+// features) and dropped the sub-checkpoint messages and Configure's image.
+const WireVersion = 2
 
 // MaxFrameBytes caps a frame's announced length. The reader grows its
 // buffer only as bytes arrive (wire.ReadRecord), so this bounds what a
@@ -119,7 +121,6 @@ func appendBody(b []byte, body any) ([]byte, error) {
 		b = wire.AppendVarint(b, int64(v.Params.Dim))
 		b = wire.AppendVarint(b, int64(v.Params.WorkFactor))
 		b = wire.AppendVarint(b, int64(v.Params.LeaseTTL))
-		b = stream.AppendShardBuckets(b, v.Initial)
 	case *ApplyArgs:
 		b = wire.AppendVarint(b, int64(v.Shard))
 		b = wire.AppendVarint(b, int64(v.Incarnation))
@@ -153,7 +154,6 @@ func readBody(r *wire.Reader, body any) error {
 		v.Params.Dim = r.Int()
 		v.Params.WorkFactor = r.Int()
 		v.Params.LeaseTTL = time.Duration(r.Varint())
-		v.Initial = stream.ReadShardBuckets(r)
 	case *ApplyArgs:
 		v.Shard = r.Int()
 		v.Incarnation = r.Int()

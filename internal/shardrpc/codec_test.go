@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"flag"
+	"fmt"
 	"io"
 	"net"
 	"net/rpc"
@@ -13,7 +14,6 @@ import (
 	"strings"
 	"testing"
 
-	"evmatching/internal/feature"
 	"evmatching/internal/scenario"
 	"evmatching/internal/stream"
 )
@@ -21,23 +21,20 @@ import (
 var update = flag.Bool("update", false, "rewrite the golden files under testdata/")
 
 // goldenReply is a small Apply reply with every field of the reply path
-// populated: one round with one sealed closure, one sub-checkpoint.
+// populated: two rounds, one with a closure of one EID and two references,
+// one empty.
 func goldenReply() *ApplyReply {
-	det := scenario.Detection{VID: "v-1", TruePerson: 1, Patch: feature.Patch{W: 2, H: 2, Pix: []byte{1, 2, 3, 4}}}
 	return &ApplyReply{Outs: []stream.ShardOut{
-		{Kind: stream.ShardOutRound, Round: 3, Target: 2, MaxTS: 2_400, Sealed: []stream.ShardSealed{{
+		{Round: 3, Target: 2, MaxTS: 2_400, Sealed: []stream.ShardSealed{{
 			Window: 1, Cell: 5,
-			EIDs:    []stream.BucketEID{{EID: "e-1", Attr: scenario.AttrInclusive}},
-			Dets:    []scenario.Detection{det},
-			FeatDim: 2, Feat: []float64{0.6, -0.8},
+			EIDs: []stream.BucketEID{{EID: "e-1", Attr: scenario.AttrInclusive}},
+			Refs: []int64{42, 7},
 		}}},
-		{Kind: stream.ShardOutSnap, SnapPos: 42, Snapshot: []stream.ShardBucket{{
-			Window: 2, Cell: 5, EIDs: []stream.BucketEID{{EID: "e-2", Attr: scenario.AttrVague}}, Dets: []scenario.Detection{det},
-		}}},
+		{Round: 4, Target: 3, MaxTS: 3_400},
 	}}
 }
 
-// TestGoldenFrame pins the version-1 frame layout: a format change must show
+// TestGoldenFrame pins the version-2 frame layout: a format change must show
 // up as a deliberate diff of testdata/apply_reply_frame.hex (regenerate
 // with: go test ./internal/shardrpc/ -run TestGoldenFrame -update) — and as
 // a WireVersion bump, or two builds will misread each other silently.
@@ -83,8 +80,7 @@ func TestDecodedValuesOwnTheirBytes(t *testing.T) {
 	bodies := []any{
 		&ApplyArgs{Shard: 1, Incarnation: 2, Msgs: fuzzSeedMsgs()},
 		goldenReply(),
-		&ConfigureArgs{Shard: 1, Incarnation: 3, Params: stream.ShardParams{WindowMS: 1000, Dim: 8, WorkFactor: 1},
-			Initial: goldenReply().Outs[1].Snapshot},
+		&ConfigureArgs{Shard: 1, Incarnation: 3, Params: stream.ShardParams{WindowMS: 1000, Dim: 8, WorkFactor: 1}},
 	}
 	var enc FrameEncoder
 	var wire bytes.Buffer
@@ -146,25 +142,29 @@ func TestFrameErrors(t *testing.T) {
 // drops the connection on the first frame (what a gob-era evshardd does with bytes it
 // cannot parse). Both calls must fail with an error that names the cause.
 func TestClientReportsWorkerFromAnotherBuild(t *testing.T) {
-	t.Run("other-version", func(t *testing.T) {
-		cli, srv := net.Pipe()
-		defer srv.Close()
-		go func() {
-			if _, _, _, err := NewFrameDecoder(srv, "supervisor").Decode(nil); err != nil {
-				return
+	// A worker one version ahead, and the by-value worker of wire version 1.
+	for name, version := range map[string]byte{"other-version": WireVersion + 1, "v1-worker": 1} {
+		t.Run(name, func(t *testing.T) {
+			cli, srv := net.Pipe()
+			defer srv.Close()
+			go func() {
+				if _, _, _, err := NewFrameDecoder(srv, "supervisor").Decode(nil); err != nil {
+					return
+				}
+				var enc FrameEncoder
+				frame, _ := enc.Encode(0, ServiceName+".Ping", "", &PingReply{})
+				frame[1] = version // the length prefix is one byte here
+				srv.Write(frame)
+			}()
+			client := rpc.NewClientWithCodec(newClientCodec(cli, nil))
+			defer client.Close()
+			err := client.Call(ServiceName+".Ping", &PingArgs{}, &PingReply{})
+			want := fmt.Sprintf("worker speaks wire version %d, want 2", version)
+			if !errors.Is(err, ErrWireVersion) || !strings.Contains(err.Error(), want) {
+				t.Fatalf("err = %v, want ErrWireVersion saying %q", err, want)
 			}
-			var enc FrameEncoder
-			frame, _ := enc.Encode(0, ServiceName+".Ping", "", &PingReply{})
-			frame[1] = WireVersion + 1 // the length prefix is one byte here
-			srv.Write(frame)
-		}()
-		client := rpc.NewClientWithCodec(newClientCodec(cli, nil))
-		defer client.Close()
-		err := client.Call(ServiceName+".Ping", &PingArgs{}, &PingReply{})
-		if !errors.Is(err, ErrWireVersion) || !strings.Contains(err.Error(), "worker speaks wire version 2, want 1") {
-			t.Fatalf("err = %v, want ErrWireVersion naming the worker's version", err)
-		}
-	})
+		})
+	}
 	t.Run("drops-the-connection", func(t *testing.T) {
 		// Real sockets: the request lands in the kernel's buffer whether or
 		// not the peer ever parses it, as it would against a real worker.

@@ -3,20 +3,22 @@ package shardrpc
 import (
 	"bytes"
 	"encoding/hex"
+	"errors"
 	"io"
 	"net/rpc"
 	"runtime"
 	"testing"
 
 	"evmatching/internal/feature"
+	"evmatching/internal/ids"
 	"evmatching/internal/scenario"
 	"evmatching/internal/stream"
 	"evmatching/internal/wire"
 )
 
 // fuzzSeedMsgs is a representative message batch: a valid E observation, a
-// V observation with a well-formed patch, a close round, and a snapshot
-// request — the full ShardMsgKind surface.
+// V observation with a well-formed patch, and a close round — the full
+// ShardMsgKind surface.
 func fuzzSeedMsgs() []stream.ShardMsg {
 	patch := &feature.Patch{W: 4, H: 4, Pix: bytes.Repeat([]byte{128}, 16)}
 	return []stream.ShardMsg{
@@ -27,7 +29,6 @@ func fuzzSeedMsgs() []stream.ShardMsg {
 			TS: 20, Kind: stream.KindV, Cell: 3, VID: "v-1", Person: 1, Patch: patch,
 		}},
 		{Pos: 3, Kind: stream.ShardMsgClose, Round: 1, Target: 1, MaxTS: 1500},
-		{Pos: 4, Kind: stream.ShardMsgSnap},
 	}
 }
 
@@ -53,6 +54,138 @@ type scriptConn struct{ io.Reader }
 func (scriptConn) Write(p []byte) (int, error) { return len(p), nil }
 func (scriptConn) Close() error                { return nil }
 
+// replyLog is the fixed log the reply half of the fuzzer replays before it
+// lets a decoded reply loose on the merge stage, one shard, windows of 1 s
+// and 250 ms of lateness. Journal positions, close messages included: 1–3 are
+// an E and two V observations of windows 0 and 1; 4 closes round 1 on them
+// (its close message is 5) and 6, 7 land in window 5, so when Flush issues
+// round 2 (position 8, target 6) the journal holds 4, 6 and 7.
+func replyLog() []stream.Observation {
+	patch := func(b byte) *feature.Patch { return &feature.Patch{W: 4, H: 4, Pix: bytes.Repeat([]byte{b}, 16)} }
+	return []stream.Observation{
+		{TS: 10, Kind: stream.KindE, Cell: 3, EID: "e-1", Attr: scenario.AttrInclusive},
+		{TS: 20, Kind: stream.KindV, Cell: 3, VID: "v-1", Person: 1, Patch: patch(1)},
+		{TS: 1_200, Kind: stream.KindV, Cell: 3, VID: "v-1", Person: 1, Patch: patch(2)},
+		{TS: 5_000, Kind: stream.KindE, Cell: 3, EID: "e-9", Attr: scenario.AttrInclusive},
+		{TS: 5_100, Kind: stream.KindV, Cell: 4, VID: "v-2", Person: 2, Patch: patch(3)},
+		{TS: 5_200, Kind: stream.KindV, Cell: 3, VID: "v-3", Person: 3, Patch: patch(4)},
+	}
+}
+
+// round2 is a reply to replyLog's second close round with the given closures.
+func round2(sealed ...stream.ShardSealed) *ApplyReply {
+	return &ApplyReply{Outs: []stream.ShardOut{{Round: 2, Target: 6, MaxTS: 5_200, Sealed: sealed}}}
+}
+
+// honestRound2 is what a shard replies to replyLog's round 2.
+func honestRound2() *ApplyReply {
+	return round2(
+		stream.ShardSealed{Window: 5, Cell: 3, EIDs: []stream.BucketEID{{EID: "e-9", Attr: scenario.AttrInclusive}}, Refs: []int64{7}},
+		stream.ShardSealed{Window: 5, Cell: 4, Refs: []int64{6}})
+}
+
+// hostileRound2 is the hostile-reference battery, each a reply the merge
+// stage must refuse whole.
+func hostileRound2() map[string]*ApplyReply {
+	e9 := []stream.BucketEID{{EID: "e-9", Attr: scenario.AttrInclusive}}
+	return map[string]*ApplyReply{
+		"out-of-range":     round2(stream.ShardSealed{Window: 5, Cell: 3, EIDs: e9, Refs: []int64{99}}),
+		"e-observation":    round2(stream.ShardSealed{Window: 5, Cell: 3, EIDs: e9, Refs: []int64{4}}),
+		"close-message":    round2(stream.ShardSealed{Window: 5, Cell: 3, EIDs: e9, Refs: []int64{5}}),
+		"other-bucket":     round2(stream.ShardSealed{Window: 5, Cell: 3, EIDs: e9, Refs: []int64{6}}),
+		"duplicate":        round2(stream.ShardSealed{Window: 5, Cell: 3, EIDs: e9, Refs: []int64{7, 7}}),
+		"across-closures":  round2(stream.ShardSealed{Window: 5, Cell: 3, Refs: []int64{7}}, stream.ShardSealed{Window: 5, Cell: 3, Refs: []int64{7}}),
+		"compacted-window": round2(stream.ShardSealed{Window: 0, Cell: 3, Refs: []int64{2}}),
+		"unclosed-window":  round2(stream.ShardSealed{Window: 6, Cell: 3}),
+		"negative":         round2(stream.ShardSealed{Window: 5, Cell: -4, Refs: []int64{-1}}),
+		"round-jump":       {Outs: []stream.ShardOut{{Round: 9, Target: 6}}},
+	}
+}
+
+// TestHostileReferencesRefused pins what the fuzzer only requires not to
+// panic: the honest reply folds, and every reply of the hostile battery fails
+// the router with ErrBadShardReply before anything of it is folded.
+func TestHostileReferencesRefused(t *testing.T) {
+	if err := replyMustFailClosed(t, honestRound2().Outs); err != nil {
+		t.Fatalf("the honest reply was refused: %v", err)
+	}
+	for name, reply := range hostileRound2() {
+		if err := replyMustFailClosed(t, reply.Outs); err == nil {
+			t.Errorf("%s: the reply was folded", name)
+		}
+	}
+}
+
+// injectingRunner is an honest in-process shard that, when round 2's close
+// message arrives, first emits whatever a fuzzed reply decoded to.
+type injectingRunner struct{ outs []stream.ShardOut }
+
+func (ir injectingRunner) RunShard(run stream.ShardRun) {
+	w, err := stream.NewShardWindower(run.Params, nil)
+	if err != nil {
+		return
+	}
+	for {
+		select {
+		case <-run.Stop:
+			return
+		case m := <-run.In:
+			out, err := w.Step(m)
+			if err != nil {
+				return
+			}
+			if m.Kind == stream.ShardMsgClose && m.Round == 2 {
+				for _, hostile := range ir.outs {
+					if !run.Emit(hostile) {
+						return
+					}
+				}
+			}
+			if out != nil && !run.Emit(*out) {
+				return
+			}
+			run.Renew()
+		}
+	}
+}
+
+// replyMustFailClosed hands decoded reply emissions to a router's merge stage
+// through injectingRunner. Whatever they say, the router must not panic or
+// hang; it either folds the round (the emissions agreed with the journal, or
+// died as duplicates) or fails with ErrBadShardReply having folded nothing
+// since the barrier. It returns which.
+func replyMustFailClosed(t *testing.T, outs []stream.ShardOut) error {
+	t.Helper()
+	r, err := stream.NewRouter(stream.RouterConfig{
+		Config: stream.Config{Targets: []ids.EID{"e-1", "e-9"}, WindowMS: 1_000, LatenessMS: 250, Dim: 8},
+		Runner: injectingRunner{outs},
+	})
+	if err != nil {
+		t.Fatalf("NewRouter: %v", err)
+	}
+	defer r.Close()
+	for i, o := range replyLog() {
+		if _, err := r.Ingest(o); err != nil {
+			t.Fatalf("Ingest %d: %v", i, err)
+		}
+	}
+	if err := r.Checkpoint(io.Discard); err != nil { // round 1 folded, its windows compacted
+		t.Fatalf("Checkpoint: %v", err)
+	}
+	before := len(r.Resolutions())
+	err = r.Flush()
+	if err == nil {
+		return nil
+	}
+	if !errors.Is(err, stream.ErrBadShardReply) {
+		t.Fatalf("Flush: err = %v, want ErrBadShardReply", err)
+	}
+	if after := len(r.Resolutions()); after != before {
+		t.Fatalf("a refused reply still moved the fold: %d resolutions, %d before it", after, before)
+	}
+	return err
+}
+
 // FuzzShardRPCDecode feeds a hostile byte stream — truncated, duplicated,
 // bit-flipped, or arbitrary — through the worker's server codec, frame by
 // frame, into Configure/Apply/Ping exactly as net/rpc's serve loop would,
@@ -60,17 +193,15 @@ func (scriptConn) Close() error                { return nil }
 // are the contract for bad input. And decoding may not allocate more than a
 // small multiple of the input: every length and count on the wire is checked
 // against the bytes that are actually there before anything is sized by it.
+//
+// The same bytes are then read the other way, as the supervisor would read a
+// worker's replies, and every Apply reply that decodes is let loose on a
+// router's merge stage (replyMustFailClosed): a reply names observations by
+// journal position, and a position the journal does not hold, holds as
+// something else, or is given twice must be refused whole.
 func FuzzShardRPCDecode(f *testing.F) {
 	params := stream.ShardParams{WindowMS: 1_000, Dim: 8, WorkFactor: 1}
-	configure := mustFrame(1, "Configure", &ConfigureArgs{
-		Shard: 0, Incarnation: 1, Params: params,
-		Initial: []stream.ShardBucket{{
-			Window: 0, Cell: 3,
-			EIDs: []stream.BucketEID{{EID: "e-1", Attr: scenario.Attr(1)}},
-			Dets: []scenario.Detection{{VID: "v-1", TruePerson: 1,
-				Patch: feature.Patch{W: 4, H: 4, Pix: bytes.Repeat([]byte{127}, 16)}}},
-		}},
-	})
+	configure := mustFrame(1, "Configure", &ConfigureArgs{Shard: 0, Incarnation: 1, Params: params})
 	apply := mustFrame(2, "Apply", &ApplyArgs{Shard: 0, Incarnation: 1, Msgs: fuzzSeedMsgs()})
 	ping := mustFrame(3, "Ping", &PingArgs{Seq: 9})
 	valid := bytes.Join([][]byte{configure, apply, ping}, nil)
@@ -81,16 +212,13 @@ func FuzzShardRPCDecode(f *testing.F) {
 	}
 	// Duplicated: a redelivered Apply after a lost reply.
 	f.Add(bytes.Join([][]byte{configure, apply, apply, ping}, nil))
-	// Hostile shapes: a bucket whose patch dimensions lie about the pixel
-	// count, which the seal path must reject, not index.
-	f.Add(bytes.Join([][]byte{mustFrame(1, "Configure", &ConfigureArgs{
-		Shard: 0, Incarnation: 1, Params: params,
-		Initial: []stream.ShardBucket{{
-			Window: 2, Cell: 9,
-			Dets: []scenario.Detection{{VID: "v-x",
-				Patch: feature.Patch{W: 1000, H: 1000, Pix: []byte{1, 2, 3}}}},
-		}},
-	}), apply}, nil))
+	// Hostile shapes: an observation whose patch dimensions lie about the
+	// pixel count, which Step must reject, not index.
+	f.Add(bytes.Join([][]byte{configure, mustFrame(2, "Apply", &ApplyArgs{Shard: 0, Incarnation: 1, Msgs: []stream.ShardMsg{
+		{Pos: 1, Kind: stream.ShardMsgObs, Obs: stream.Observation{TS: 20, Kind: stream.KindV, Cell: 9, VID: "v-x",
+			Patch: &feature.Patch{W: 1000, H: 1000, Pix: []byte{1, 2, 3}}}},
+		{Pos: 2, Kind: stream.ShardMsgClose, Round: 1, Target: 1},
+	}})}, nil))
 	// An Apply whose message count is 2^62 with three bytes behind it.
 	body := wire.AppendUvarint([]byte{WireVersion, 2, tagApply, 0, 0, 2}, 1<<62)
 	f.Add(wire.AppendBytes(nil, append(body, 1, 2, 3)))
@@ -105,6 +233,20 @@ func FuzzShardRPCDecode(f *testing.F) {
 	// An unknown method tag, and garbage.
 	f.Add(wire.AppendBytes(nil, []byte{WireVersion, 4, 77, 0, 1, 2, 3}))
 	f.Add([]byte{0xff, 0x00, 0x13, 0x37})
+	// Replies: the honest one to replyLog's round 2 and one naming a position
+	// twice, each whole and cut at every byte; the honest one redelivered;
+	// and the rest of the hostile-reference battery.
+	honest := mustFrame(4, "Apply", honestRound2())
+	duplicate := mustFrame(4, "Apply", hostileRound2()["duplicate"])
+	for _, frame := range [][]byte{honest, duplicate} {
+		for cut := 0; cut <= len(frame); cut++ {
+			f.Add(frame[:cut])
+		}
+	}
+	f.Add(bytes.Join([][]byte{honest, honest}, nil))
+	for _, hostile := range hostileRound2() {
+		f.Add(mustFrame(4, "Apply", hostile))
+	}
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		if len(raw) > 64<<10 {
@@ -178,6 +320,23 @@ func FuzzShardRPCDecode(f *testing.F) {
 		// 13 bytes on the wire and 128 in memory).
 		if decoded > 256<<10+32*uint64(len(raw)) {
 			t.Fatalf("decoding %d bytes allocated %d", len(raw), decoded)
+		}
+
+		// The supervisor's half: the same bytes as a stream of replies.
+		var outs []stream.ShardOut
+		for dec := NewFrameDecoder(bytes.NewReader(raw), "worker"); len(outs) < 8; {
+			_, method, errStr, err := dec.Next()
+			if err != nil {
+				break
+			}
+			var reply ApplyReply
+			if method != ServiceName+".Apply" || errStr != "" || dec.Body(&reply) != nil {
+				continue
+			}
+			outs = append(outs, reply.Outs...)
+		}
+		if len(outs) > 0 {
+			replyMustFailClosed(t, outs)
 		}
 	})
 }

@@ -170,15 +170,14 @@ func TestSupervisorFallbackInProcess(t *testing.T) {
 	}
 }
 
-// hostileRunner emits protocol garbage instead of real shard output: an
-// out-of-order round for shard 0 and an unknown output kind, then drains its
-// input. The router must surface an error — never panic or hang.
+// hostileRunner emits protocol garbage instead of real shard output — an
+// out-of-order round for shard 0 — then drains its input. The router must
+// surface an error — never panic or hang.
 type hostileRunner struct{}
 
 func (hostileRunner) RunShard(run stream.ShardRun) {
 	if run.Shard == 0 {
-		run.Emit(stream.ShardOut{Kind: stream.ShardOutKind(99)})
-		run.Emit(stream.ShardOut{Kind: stream.ShardOutRound, Round: 42})
+		run.Emit(stream.ShardOut{Round: 42})
 	}
 	for {
 		select {

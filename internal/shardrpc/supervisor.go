@@ -142,8 +142,8 @@ type shardGaugeNames struct {
 // router's merge stage. Worker death — observed as a failed Apply, a failed
 // heartbeat, or a scripted kill — is reported to the router immediately via
 // ShardRun.Redispatch; the replacement incarnation reuses the restarted (or
-// respawned) process via Configure, restored from the router's
-// sub-checkpoint plus journal replay. When no worker can be had (spawn
+// respawned) process via Configure and rebuilds its state from the router's
+// journal replay. When no worker can be had (spawn
 // failure, restart budget exhausted, supervisor closed) the shard falls
 // back to stream.RunShardInProcess, trading process isolation for
 // availability without affecting results.
@@ -210,7 +210,6 @@ func (s *Supervisor) RunShard(run stream.ShardRun) {
 			Shard:       run.Shard,
 			Incarnation: run.Incarnation,
 			Params:      run.Params,
-			Initial:     run.Initial,
 		}, &ConfigureReply{})
 		if errors.Is(err, errStopped) {
 			return

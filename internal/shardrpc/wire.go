@@ -3,16 +3,17 @@
 // ingest tier (DESIGN.md §15).
 //
 // The division of labor follows the shard seam (internal/stream): all
-// global state — watermark, journal, sub-checkpoints, the merge-stage
-// engine — stays in the front-end Router; a worker hosts nothing but a
-// stream.ShardWindower, a pure function of its message sequence. The
-// Supervisor implements stream.ShardRunner by proxying each shard
-// incarnation's messages to its worker in journal order and feeding the
-// emissions back to the merge stage; a worker death is reported to the
-// router immediately (ShardRun.Redispatch), which restarts the incarnation
-// from the last sub-checkpoint plus journal replay exactly as it would for
-// an in-process shard death. Because replay is deterministic and the
-// merger deduplicates by round number and snapshot position, results are
+// global state — watermark, journal, the merge-stage engine, and with the
+// journal every V pixel — stays in the front-end Router; a worker hosts
+// nothing but a stream.ShardWindower, a pure function of its message
+// sequence. The Supervisor implements stream.ShardRunner by proxying each
+// shard incarnation's messages to its worker in journal order and feeding
+// the emissions back to the merge stage; a reply names the observations a
+// sealed closure holds by journal position and carries no pixels. A worker
+// death is reported to the router immediately (ShardRun.Redispatch), which
+// starts the replacement incarnation on a fresh windower and a replay of the
+// journal exactly as it would for an in-process shard death. Because replay
+// is deterministic and the merger deduplicates by round number, results are
 // bit-identical to the in-process, unsharded, and batch paths — the
 // invariance tests pin all four to one sha256.
 package shardrpc
@@ -27,15 +28,15 @@ import (
 // cluster.RPCServiceName.
 const ServiceName = "EVShard"
 
-// ConfigureArgs resets a worker to host one shard incarnation, restored
-// from a sub-checkpoint image. Configure is also how a restarted-in-place
-// worker process is reused for the replacement incarnation: the windower is
-// rebuilt from scratch, so no state survives a reconfigure.
+// ConfigureArgs resets a worker to host one shard incarnation on a fresh
+// windower; whatever state the incarnation should have arrives as journal
+// replay through Apply. Configure is also how a restarted-in-place worker
+// process is reused for the replacement incarnation: no state survives a
+// reconfigure.
 type ConfigureArgs struct {
 	Shard       int
 	Incarnation int
 	Params      stream.ShardParams
-	Initial     []stream.ShardBucket
 }
 
 // ConfigureReply is empty; errors travel on the rpc error channel.

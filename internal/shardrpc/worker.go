@@ -38,7 +38,7 @@ func (w *workerState) Configure(args *ConfigureArgs, _ *ConfigureReply) error {
 	if err := validateIdentity(args.Shard, args.Incarnation); err != nil {
 		return err
 	}
-	wind, err := stream.NewShardWindower(args.Params, args.Initial)
+	wind, err := stream.NewShardWindower(args.Params, nil)
 	if err != nil {
 		return fmt.Errorf("shardrpc: configure shard %d: %w", args.Shard, err)
 	}
@@ -121,12 +121,14 @@ func Serve(lis net.Listener, stderr io.Writer) error {
 // workerGCPercent is the GC target a worker process sets itself unless the
 // operator chose one through GOGC. A worker's live heap is one window of
 // open buckets — a few MB — while each Apply turns over hundreds of KB of
-// messages, pixel arenas and feature rows, so at the runtime's default (100,
-// with its 4 MB floor) the collector ran about forty times per 0.35 s
-// replay of the bench's 64k-observation log and, with the sweeping and page
-// faults that follow each cycle, cost a quarter of the worker's CPU; 200
-// halves the cycle count for a heap at most three times the live set
-// (DESIGN.md §15 has the measurements).
+// decoded messages and pixel arenas (replies are references now and weigh
+// nothing), so at the runtime's default (100, with its 4 MB floor) the two
+// workers of the bench's 64k-observation replay collect 18 times between
+// them and at 200 seven times, for a heap at most three times the live set.
+// Re-measured after extraction left the shards: stream-remote read 176 ms at
+// the default against 165 ms at 200, behind in 4 pairs of 4 — a smaller
+// margin than when a worker also turned over a feature matrix per closure,
+// but not nothing, so the constant stays (DESIGN.md §15).
 const workerGCPercent = 200
 
 // WorkerMain is the evshardd entry point, factored here so tests can host a

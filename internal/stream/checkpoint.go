@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"time"
 
 	"evmatching/internal/geo"
 	"evmatching/internal/ids"
@@ -62,10 +61,10 @@ func bucketEIDSet(eids []BucketEID) map[ids.EID]scenario.Attr {
 }
 
 // ShardBucket is one (window, cell) bucket image: an open bucket in a
-// sub-checkpoint or a checkpoint's open section, or a closed EV-Scenario
-// pair in a checkpoint's scenario section (no detections = no V side). The
-// E side is flattened: a bucket holds its EID set as a map, so the image
-// carries a sorted (EID, attr) slice instead.
+// checkpoint's open section, or a closed EV-Scenario pair in its scenario
+// section (no detections = no V side). The E side is flattened: a bucket
+// holds its EID set as a map, so the image carries a sorted (EID, attr) slice
+// instead.
 type ShardBucket struct {
 	Window int
 	Cell   geo.CellID
@@ -73,11 +72,25 @@ type ShardBucket struct {
 	Dets   []scenario.Detection
 }
 
+// observations yields the image of an open bucket back as the observations
+// that rebuild it — its EIDs, then its detections, in image order, stamped
+// with the window's first millisecond — the one way a windower or a router's
+// journal takes an image in. The patches point into the image's detections.
+func (cb *ShardBucket) observations(windowMS int64, yield func(Observation)) {
+	ts := int64(cb.Window) * windowMS
+	for _, ea := range cb.EIDs {
+		yield(Observation{TS: ts, Kind: KindE, Cell: cb.Cell, EID: ea.EID, Attr: ea.Attr})
+	}
+	for i := range cb.Dets {
+		d := &cb.Dets[i]
+		yield(Observation{TS: ts, Kind: KindV, Cell: cb.Cell, VID: d.VID, Person: d.TruePerson, Patch: &d.Patch})
+	}
+}
+
 // checkpointFile is the complete stream state, the one image both
 // processors write and read. An engine image has Shards == 0; a router image
 // records its shard count and lists its shards' open buckets shard by shard
-// (the order its sub-checkpoints hold them in, so re-checkpointing a
-// restored router reproduces the bytes). Restore redistributes buckets by
+// (re-checkpointing a restored router reproduces the bytes). Restore redistributes buckets by
 // ShardOf, so the only thing Shards decides is that an unsharded Engine
 // refuses a sharded image. The partition and the vfilter cache are
 // deliberately absent: both are pure functions of the closed scenarios, so
@@ -290,9 +303,8 @@ func (e *Engine) checkpointLocked(front *frontier, open []ShardBucket) (*checkpo
 }
 
 // bucketToCheckpoint flattens one open bucket into its checkpoint form: the
-// EID map becomes a sorted (EID, attr) slice and the detections are deep-
-// copied, so the image stays valid while the live bucket keeps absorbing —
-// the router's sub-checkpoint snapshots outlive the shard that emitted them.
+// EID map becomes a sorted (EID, attr) slice and the detections are copied,
+// so the image stays valid while the live bucket keeps absorbing.
 func bucketToCheckpoint(k bucketKey, b *bucket) ShardBucket {
 	return ShardBucket{
 		Window: k.Window,
@@ -300,23 +312,6 @@ func bucketToCheckpoint(k bucketKey, b *bucket) ShardBucket {
 		EIDs:   sortedBucketEIDs(b.eids),
 		Dets:   append(make([]scenario.Detection, 0, len(b.dets)), b.dets...),
 	}
-}
-
-// bucketFromCheckpoint rebuilds an open bucket from its checkpoint form,
-// deep-copying the detections so restored buckets never share backing arrays
-// with the image they came from (a redispatched shard and its stale
-// predecessor may both restore from the same sub-checkpoint). The detections
-// go back in through the bucket's own set, in image order.
-func bucketFromCheckpoint(cb ShardBucket) *bucket {
-	b := &bucket{
-		eids:    bucketEIDSet(cb.EIDs),
-		dets:    make([]scenario.Detection, 0, len(cb.Dets)),
-		detHead: make(map[uint64]int32, len(cb.Dets)),
-	}
-	for _, d := range cb.Dets {
-		b.addDetection(d)
-	}
-	return b
 }
 
 // Restore builds an Engine from cfg and resumes it from an engine image
@@ -416,82 +411,56 @@ func eidsEqual(a, b []ids.EID) bool {
 	return true
 }
 
-// Checkpoint serializes the router's full sharded state. It is a barrier:
-// every shard is asked for a fresh sub-checkpoint and every issued close
-// round must fold before the image is written, so the checkpoint captures a
-// consistent cut — the global section reflects exactly the closures the
-// sub-checkpoints no longer contain. A shard that dies during the barrier
-// is redispatched and the barrier completes through its replacement.
+// Checkpoint serializes the router's full sharded state. It is a barrier on
+// the fold alone: once every issued close round has folded, each shard's
+// journal holds exactly the observations of its still-open windows (the merge
+// stage compacts it at every fold), so the open section is those observations
+// run through a local windower — no shard is asked anything, and the global
+// section reflects exactly the closures the journals no longer contain. A
+// shard that dies during the barrier is redispatched and its replacement
+// re-emits the rounds still owed.
 func (r *Router) Checkpoint(w io.Writer) error {
 	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		return ErrRouterClosed
-	}
-	want := make([]int64, len(r.slots))
-	for i := range r.slots {
-		slot := &r.slots[i]
-		r.sendLocked(slot, ShardMsg{Kind: ShardMsgSnap})
-		slot.pendingSnap = slot.sent
-		want[i] = slot.sent
-	}
-	round := r.round
-	if err := r.awaitBarrierLocked(want, round); err != nil {
-		r.mu.Unlock()
-		return err
-	}
-	for i := range r.slots {
-		r.adoptAckLocked(&r.slots[i])
-	}
-	// The merge stage supplies the global section; the frontier is the
-	// router's and the open buckets are the shards' barrier sub-checkpoints.
-	var open []ShardBucket
-	for i := range r.slots {
-		open = append(open, r.slots[i].snapBuckets...)
-	}
-	r.merged.mu.Lock()
-	cp, err := r.merged.checkpointLocked(&r.front, open)
-	r.merged.mu.Unlock()
+	cp, err := r.checkpointLocked()
 	r.mu.Unlock()
 	if err != nil {
 		return err
 	}
-	cp.Shards = r.cfg.Shards
 	return cp.write(w)
 }
 
-// awaitBarrierLocked waits until every shard's sub-checkpoint ack has
-// reached the wanted position and the merge stage has folded every issued
-// round, redispatching dead shards so the barrier always completes. Callers
-// hold r.mu; holding it through the wait is deliberate — a checkpoint is an
-// ingest barrier, and the shards and merger it waits on never take r.mu.
-func (r *Router) awaitBarrierLocked(want []int64, round int) error {
-	//evlint:ignore lockbalance condition-wait loop: drops the caller-held r.mu across each sleep and reacquires before retesting, net-neutral per iteration
-	for {
-		folded, err := r.progress()
-		if err != nil {
-			return err
-		}
-		if folded >= round {
-			r.snapMu.Lock()
-			done := true
-			for i, w := range want {
-				if r.acks[i].pos < w {
-					done = false
-					break
-				}
-			}
-			r.snapMu.Unlock()
-			if done {
-				return nil
-			}
-		}
-		r.redispatchExpiredLocked()
-		//evlint:ignore lockbalance releases the caller-held r.mu for the sleep; reacquired two lines down
-		r.mu.Unlock()
-		time.Sleep(sendRetryDelay)
-		r.mu.Lock()
+// checkpointLocked waits out the fold barrier and builds the image. Callers
+// hold r.mu.
+func (r *Router) checkpointLocked() (*checkpointFile, error) {
+	if r.closed {
+		return nil, ErrRouterClosed
 	}
+	if err := r.awaitFoldLocked(); err != nil {
+		return nil, err
+	}
+	var open []ShardBucket
+	for i := range r.slots {
+		win, err := NewShardWindower(r.shardParams(), nil)
+		if err != nil {
+			return nil, err
+		}
+		for _, m := range r.slots[i].journal.retained() {
+			if m.Kind == ShardMsgObs {
+				win.absorb(m.Pos, m.Obs)
+			}
+		}
+		open = append(open, win.snapshot()...)
+	}
+	// The merge stage supplies the global section; the frontier is the
+	// router's and the open buckets are its journals'.
+	r.merged.mu.Lock()
+	defer r.merged.mu.Unlock()
+	cp, err := r.merged.checkpointLocked(&r.front, open)
+	if err != nil {
+		return nil, err
+	}
+	cp.Shards = r.cfg.Shards
+	return cp, nil
 }
 
 // RestoreRouter builds a Router from cfg and resumes it from a checkpoint —

@@ -39,11 +39,10 @@ import (
 const (
 	minBucketEIDBytes   = 2                       // empty EID + attr
 	minDetectionBytes   = 5                       // empty VID + patch (w, h, empty pix) + person
-	minShardBucketBytes = 4                       // window, cell, two empty lists
-	minShardSealedBytes = 6                       // shard bucket + dim + empty block
+	minSealedRefsBytes  = 4                       // window, cell, two empty lists
 	minObservationBytes = 8                       // every scalar one byte, strings empty, no patch
 	minShardMsgBytes    = 5 + minObservationBytes // + pos, kind, round, target, maxTS
-	minShardOutBytes    = 7                       // kind, round, target, maxTS, two empty lists, pos
+	minShardOutBytes    = 4                       // round, target, maxTS, an empty list
 	minResolutionBytes  = 30                      // five one-byte fields, three floats, a bool
 )
 
@@ -177,14 +176,12 @@ func readShardBucket(r *wire.Reader, sb *ShardBucket) {
 	sb.Dets = readDetections(r)
 }
 
+// appendShardSealed and readShardSealed are the spill record (spill.go): a
+// sealed scenario's detections and, when extracted, its feature matrix.
 func appendShardSealed(b []byte, s *ShardSealed) []byte {
 	b = wire.AppendVarint(b, int64(s.Window))
 	b = wire.AppendVarint(b, int64(s.Cell))
-	eids := s.EIDs
-	if s.eids != nil { // never left the process: flatten now
-		eids = sortedBucketEIDs(s.eids)
-	}
-	b = appendSlice(b, eids, appendBucketEID)
+	b = appendSlice(b, s.EIDs, appendBucketEID)
 	b = appendSlice(b, s.Dets, appendDetection)
 	b = wire.AppendVarint(b, int64(s.FeatDim))
 	return wire.AppendFloat64s(b, s.Feat)
@@ -197,6 +194,28 @@ func readShardSealed(r *wire.Reader, s *ShardSealed) {
 	s.Dets = readDetections(r)
 	s.FeatDim = r.Int()
 	s.Feat = r.Float64s()
+}
+
+// appendSealedRefs and readSealedRefs are a sealed closure as a shard's reply
+// carries it: the bucket, its EID set, and the journal positions of its
+// detections — no pixels (the router's journal owns them) and no features
+// (the merge stage's filter extracts what SS selects).
+func appendSealedRefs(b []byte, s *ShardSealed) []byte {
+	b = wire.AppendVarint(b, int64(s.Window))
+	b = wire.AppendVarint(b, int64(s.Cell))
+	eids := s.EIDs
+	if s.eids != nil { // never left the process: flatten now
+		eids = sortedBucketEIDs(s.eids)
+	}
+	b = appendSlice(b, eids, appendBucketEID)
+	return appendSlice(b, s.Refs, func(b []byte, pos *int64) []byte { return wire.AppendVarint(b, *pos) })
+}
+
+func readSealedRefs(r *wire.Reader, s *ShardSealed) {
+	s.Window = r.Int()
+	s.Cell = geo.CellID(r.Int())
+	s.EIDs = readSlice(r, minBucketEIDBytes, readBucketEID)
+	s.Refs = readSlice(r, 1, func(r *wire.Reader, pos *int64) { *pos = r.Varint() })
 }
 
 func appendShardMsg(b []byte, m *ShardMsg) []byte {
@@ -218,23 +237,17 @@ func readShardMsg(r *wire.Reader, m *ShardMsg) {
 }
 
 func appendShardOut(b []byte, o *ShardOut) []byte {
-	b = append(b, byte(o.Kind))
 	b = wire.AppendVarint(b, int64(o.Round))
 	b = wire.AppendVarint(b, int64(o.Target))
 	b = wire.AppendVarint(b, o.MaxTS)
-	b = appendSlice(b, o.Sealed, appendShardSealed)
-	b = wire.AppendVarint(b, o.SnapPos)
-	return appendSlice(b, o.Snapshot, appendShardBucket)
+	return appendSlice(b, o.Sealed, appendSealedRefs)
 }
 
 func readShardOut(r *wire.Reader, o *ShardOut) {
-	o.Kind = ShardOutKind(r.Byte())
 	o.Round = r.Int()
 	o.Target = r.Int()
 	o.MaxTS = r.Varint()
-	o.Sealed = readSlice(r, minShardSealedBytes, readShardSealed)
-	o.SnapPos = r.Varint()
-	o.Snapshot = readSlice(r, minShardBucketBytes, readShardBucket)
+	o.Sealed = readSlice(r, minSealedRefsBytes, readSealedRefs)
 }
 
 func appendResolution(b []byte, res *Resolution) []byte {
@@ -291,14 +304,3 @@ func AppendShardOuts(b []byte, outs []ShardOut) []byte { return appendSlice(b, o
 
 // ReadShardOuts decodes a list written by AppendShardOuts.
 func ReadShardOuts(r *wire.Reader) []ShardOut { return readSlice(r, minShardOutBytes, readShardOut) }
-
-// AppendShardBuckets appends a sub-checkpoint image — the restore point a
-// shard rpc Configure request carries.
-func AppendShardBuckets(b []byte, bs []ShardBucket) []byte {
-	return appendSlice(b, bs, appendShardBucket)
-}
-
-// ReadShardBuckets decodes an image written by AppendShardBuckets.
-func ReadShardBuckets(r *wire.Reader) []ShardBucket {
-	return readSlice(r, minShardBucketBytes, readShardBucket)
-}

@@ -93,6 +93,14 @@ func randShardSealed(rng *rand.Rand) ShardSealed {
 	}
 }
 
+// randSealedRefs is a closure as the shard wire carries it.
+func randSealedRefs(rng *rand.Rand) ShardSealed {
+	return ShardSealed{
+		Window: randInt(rng), Cell: geo.CellID(randInt(rng)), EIDs: randSlice(rng, randBucketEID),
+		Refs: randSlice(rng, func(rng *rand.Rand) int64 { return int64(randInt(rng)) }),
+	}
+}
+
 func randShardMsg(rng *rand.Rand) ShardMsg {
 	return ShardMsg{
 		Pos: int64(randInt(rng)), Kind: ShardMsgKind(rng.Intn(5)), Obs: randObservation(rng),
@@ -102,8 +110,8 @@ func randShardMsg(rng *rand.Rand) ShardMsg {
 
 func randShardOut(rng *rand.Rand) ShardOut {
 	return ShardOut{
-		Kind: ShardOutKind(rng.Intn(4)), Round: randInt(rng), Target: randInt(rng), MaxTS: int64(randInt(rng)),
-		Sealed: randSlice(rng, randShardSealed), SnapPos: int64(randInt(rng)), Snapshot: randSlice(rng, randShardBucket),
+		Round: randInt(rng), Target: randInt(rng), MaxTS: int64(randInt(rng)),
+		Sealed: randSlice(rng, randSealedRefs),
 	}
 }
 
@@ -160,6 +168,7 @@ func TestCodecRoundTrip(t *testing.T) {
 	roundTrip(t, "BucketEID", rng, randBucketEID, appendBucketEID, readBucketEID)
 	roundTrip(t, "ShardBucket", rng, randShardBucket, appendShardBucket, readShardBucket)
 	roundTrip(t, "ShardSealed", rng, randShardSealed, appendShardSealed, readShardSealed)
+	roundTrip(t, "SealedRefs", rng, randSealedRefs, appendSealedRefs, readSealedRefs)
 	roundTrip(t, "ShardOut", rng, randShardOut, appendShardOut, readShardOut)
 	roundTrip(t, "Resolution", rng, randResolution, appendResolution, readResolution)
 	roundTrip(t, "[]Detection", rng,
@@ -175,10 +184,6 @@ func TestCodecRoundTrip(t *testing.T) {
 		func(rng *rand.Rand) []ShardOut { return randSlice(rng, randShardOut) },
 		func(b []byte, outs *[]ShardOut) []byte { return AppendShardOuts(b, *outs) },
 		func(r *wire.Reader, outs *[]ShardOut) { *outs = ReadShardOuts(r) })
-	roundTrip(t, "[]ShardBucket", rng,
-		func(rng *rand.Rand) []ShardBucket { return randSlice(rng, randShardBucket) },
-		func(b []byte, bs *[]ShardBucket) []byte { return AppendShardBuckets(b, *bs) },
-		func(r *wire.Reader, bs *[]ShardBucket) { *bs = ReadShardBuckets(r) })
 }
 
 // TestCodecDeterministicFromMaps: the two places a map feeds the codec — an
@@ -191,7 +196,7 @@ func TestCodecDeterministicFromMaps(t *testing.T) {
 		w := ShardSealed{Window: 2, Cell: 4, eids: make(map[ids.EID]scenario.Attr)}
 		for i := 0; i < 64; i++ {
 			eid := ids.EID(fmt.Sprintf("e-%02d", (i*37)%64))
-			b.absorb(Observation{Kind: KindE, EID: eid, Attr: scenario.AttrVague})
+			b.absorb(0, Observation{Kind: KindE, EID: eid, Attr: scenario.AttrVague})
 			w.eids[eid] = scenario.AttrInclusive
 		}
 		return b, w
@@ -201,7 +206,7 @@ func TestCodecDeterministicFromMaps(t *testing.T) {
 		b, w := build()
 		img := bucketToCheckpoint(bucketKey{Window: 2, Cell: 4}, b)
 		gotBucket := appendShardBucket(nil, &img)
-		gotSealed := appendShardSealed(nil, &w)
+		gotSealed := appendSealedRefs(nil, &w)
 		if i == 0 {
 			firstBucket, firstSealed = gotBucket, gotSealed
 			continue
@@ -218,11 +223,10 @@ func TestCodecRejectsHostileCounts(t *testing.T) {
 	huge := wire.AppendUvarint(nil, 1<<62)
 	huge = append(huge, 1, 2, 3)
 	for name, read := range map[string]func(*wire.Reader){
-		"ShardMsgs":    func(r *wire.Reader) { ReadShardMsgs(r) },
-		"ShardOuts":    func(r *wire.Reader) { ReadShardOuts(r) },
-		"ShardBuckets": func(r *wire.Reader) { ReadShardBuckets(r) },
-		"Detections":   func(r *wire.Reader) { readDetections(r) },
-		"IDs":          func(r *wire.Reader) { readIDs[ids.EID](r) },
+		"ShardMsgs":  func(r *wire.Reader) { ReadShardMsgs(r) },
+		"ShardOuts":  func(r *wire.Reader) { ReadShardOuts(r) },
+		"Detections": func(r *wire.Reader) { readDetections(r) },
+		"IDs":        func(r *wire.Reader) { readIDs[ids.EID](r) },
 	} {
 		r := wire.NewReader(huge)
 		read(r)
@@ -230,13 +234,19 @@ func TestCodecRejectsHostileCounts(t *testing.T) {
 			t.Errorf("%s: err = %v, want wire.ErrCorrupt", name, r.Err())
 		}
 	}
-	// One level down: a well-formed bucket header, then a hostile EID count.
-	nested := wire.AppendUvarint(nil, 1)       // one bucket
+	// Two levels down: a well-formed emission and closure header, an empty
+	// EID list, then a hostile reference count.
+	nested := wire.AppendUvarint(nil, 1) // one emission
+	for i := 0; i < 3; i++ {
+		nested = wire.AppendVarint(nested, 0) // round, target, maxTS
+	}
+	nested = wire.AppendUvarint(nested, 1)     // one closure
 	nested = wire.AppendVarint(nested, 0)      // window
 	nested = wire.AppendVarint(nested, 0)      // cell
-	nested = wire.AppendUvarint(nested, 1<<40) // EIDs
+	nested = wire.AppendUvarint(nested, 0)     // EIDs
+	nested = wire.AppendUvarint(nested, 1<<40) // Refs
 	r := wire.NewReader(nested)
-	if bs := ReadShardBuckets(r); r.Err() == nil {
-		t.Errorf("nested hostile count decoded: %+v", bs)
+	if outs := ReadShardOuts(r); r.Err() == nil {
+		t.Errorf("nested hostile count decoded: %+v", outs)
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"evmatching/internal/core"
 	"evmatching/internal/geo"
 	"evmatching/internal/spill"
+	"evmatching/internal/vfilter"
 )
 
 // ErrRouterClosed reports use of a router after Close.
@@ -22,9 +23,6 @@ var ErrRouterClosed = errors.New("stream: router closed")
 const (
 	// DefaultShardQueue is the per-shard input channel capacity.
 	DefaultShardQueue = 1024
-	// DefaultSubCheckpointEvery is how many journalled messages a shard
-	// buffers before the router requests a sub-checkpoint snapshot from it.
-	DefaultSubCheckpointEvery = 512
 	// DefaultShardLeaseTTL is the shard liveness lease: a shard silent this
 	// long is declared dead and its cell range redispatched.
 	DefaultShardLeaseTTL = 2 * time.Second
@@ -69,10 +67,6 @@ type RouterConfig struct {
 	Shards int
 	// QueueLen is the per-shard input channel capacity (0 = DefaultShardQueue).
 	QueueLen int
-	// SubCheckpointEvery is the journal length that triggers a sub-checkpoint
-	// snapshot request (0 = DefaultSubCheckpointEvery). Smaller values bound
-	// replay work after a shard death at the cost of more frequent snapshots.
-	SubCheckpointEvery int
 	// LeaseTTL is the shard liveness lease (0 = DefaultShardLeaseTTL),
 	// measured against Config.Clock so deterministic tests drive detection
 	// from an injected clock.
@@ -96,9 +90,6 @@ func (c RouterConfig) withDefaults() RouterConfig {
 	if c.QueueLen == 0 {
 		c.QueueLen = DefaultShardQueue
 	}
-	if c.SubCheckpointEvery == 0 {
-		c.SubCheckpointEvery = DefaultSubCheckpointEvery
-	}
 	if c.LeaseTTL == 0 {
 		c.LeaseTTL = DefaultShardLeaseTTL
 	}
@@ -115,9 +106,6 @@ func (c RouterConfig) validate() error {
 	}
 	if c.QueueLen < 1 {
 		return fmt.Errorf("%w: queue length %d", ErrBadConfig, c.QueueLen)
-	}
-	if c.SubCheckpointEvery < 1 {
-		return fmt.Errorf("%w: sub-checkpoint every %d", ErrBadConfig, c.SubCheckpointEvery)
 	}
 	if c.LeaseTTL <= 0 {
 		return fmt.Errorf("%w: lease ttl %v", ErrBadConfig, c.LeaseTTL)
@@ -143,15 +131,15 @@ type ShardMsgKind uint8
 const (
 	ShardMsgObs ShardMsgKind = iota + 1
 	ShardMsgClose
-	ShardMsgSnap
 )
 
 // ShardMsg is one journalled message to a shard windower. Pos is the
-// router-assigned position in the shard's message sequence, the coordinate
-// the sub-checkpoint handoff protocol is anchored to. The fields are
-// exported because ShardMsg is also the wire unit of the cross-process
-// shard protocol (internal/shardrpc): the router journals exactly what it
-// sends, so replay after a worker death retransmits identical bytes.
+// router-assigned position in the shard's message sequence — never reused,
+// never renumbered — and the name a shard's reply calls an observation by.
+// The fields are exported because ShardMsg is also the wire unit of the
+// cross-process shard protocol (internal/shardrpc): the router journals
+// exactly what it sends, so replay after a worker death retransmits identical
+// bytes.
 type ShardMsg struct {
 	Pos    int64
 	Kind   ShardMsgKind
@@ -161,44 +149,26 @@ type ShardMsg struct {
 	MaxTS  int64       // ShardMsgClose: router watermark state at issue time
 }
 
-// ShardOutKind tags a message on the shared shard → merger channel.
-type ShardOutKind uint8
-
-const (
-	ShardOutRound ShardOutKind = iota + 1
-	ShardOutSnap
-)
-
 // shardOut is one shard's emission on the shared shard → merger channel.
 type shardOut struct {
 	shard int
 	ShardOut
 }
 
-// snapAck is the merger-recorded latest sub-checkpoint of one shard.
-type snapAck struct {
-	pos     int64
-	buckets []ShardBucket
-}
-
 // shardSlot is the router-side state of one shard: its current incarnation's
-// channels plus the replay journal and last acknowledged sub-checkpoint that
-// make the shard's state reconstructible after a death.
+// channels plus the replay journal that makes the shard's state
+// reconstructible after a death.
 type shardSlot struct {
 	id          int
 	incarnation int
 	in          chan ShardMsg
 	stop        chan struct{}
 
-	sent    int64      // position of the last journalled message
-	journal []ShardMsg // messages since the last acknowledged sub-checkpoint
+	sent    int64 // position of the last journalled message
+	journal shardJournal
 
-	snapPos     int64         // position of the last acknowledged sub-checkpoint
-	snapBuckets []ShardBucket // its bucket image
-	pendingSnap int64         // outstanding snapshot request position (0 = none)
-
-	routed    int64  // observations routed to this shard (gauge)
-	gaugeName string // precomputed per-shard gauge key
+	routed                    int64  // observations routed to this shard (gauge)
+	routedGauge, journalGauge string // precomputed per-shard gauge keys
 }
 
 // Router is the sharded streaming ingest tier: the same frontier the Engine
@@ -213,9 +183,10 @@ type shardSlot struct {
 // Fault tolerance reuses the cluster lease model: every shard holds a
 // liveness lease (cluster.ShardLeaseTable); a shard that dies mid-window
 // stops renewing, and the router redispatches its cell range to a fresh
-// incarnation restored from the last sub-checkpoint plus a replay of the
-// journalled messages since. Replayed emissions are deduplicated by round,
-// so a death never loses or duplicates a window closure.
+// incarnation that replays the shard's journal — which the merge stage keeps
+// cut down to the windows it has not folded yet. Replayed emissions are
+// deduplicated by round, so a death never loses or duplicates a window
+// closure.
 //
 // The router is safe for concurrent use.
 type Router struct {
@@ -240,9 +211,6 @@ type Router struct {
 	mergerDone chan struct{}
 	closeOnce  sync.Once
 
-	snapMu sync.Mutex
-	acks   []snapAck
-
 	foldMu      sync.Mutex
 	foldedRound int
 	firstErr    error
@@ -257,8 +225,8 @@ type RouterStats struct {
 	// Shards is the configured shard count.
 	Shards int
 	// Redispatches counts shard takeovers: a dead incarnation handed to a
-	// fresh one restored from its sub-checkpoint, whether detected by lease
-	// expiry or reported by a supervisor.
+	// fresh one replaying its journal, whether detected by lease expiry or
+	// reported by a supervisor.
 	Redispatches int64
 	// SupervisorRedispatches counts the subset of Redispatches initiated
 	// through RedispatchShard — a supervisor reporting a dead worker ahead
@@ -266,6 +234,11 @@ type RouterStats struct {
 	SupervisorRedispatches int64
 	// Kills counts injected shard-kill faults taken (tests only).
 	Kills int64
+	// JournalLen is each shard's replay journal length now — the messages a
+	// replacement incarnation would be sent: the observations of the windows
+	// the merge stage has not folded yet. It is what the
+	// stream_shard<i>_journal_len gauges publish.
+	JournalLen []int
 	// Leases is the underlying lease table's counters.
 	Leases cluster.ShardLeaseStats
 }
@@ -276,8 +249,7 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	return newRouter(cfg, nil)
 }
 
-// newRouter builds a router, optionally seeded from a decoded checkpoint
-// whose open buckets are redistributed by ShardOf.
+// newRouter builds a router, optionally resumed from a decoded checkpoint.
 func newRouter(cfg RouterConfig, cp *checkpointFile) (*Router, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
@@ -304,42 +276,32 @@ func newRouter(cfg RouterConfig, cp *checkpointFile) (*Router, error) {
 		front:      newFrontier(cfg.WindowMS, cfg.LatenessMS),
 		out:        make(chan shardOut, 4*cfg.Shards),
 		mergerDone: make(chan struct{}),
-		acks:       make([]snapAck, cfg.Shards),
 	}
-
-	perShard := make([][]ShardBucket, cfg.Shards)
 	if cp != nil {
 		if err := r.restoreCheckpoint(cp); err != nil {
 			return nil, err
 		}
-		for _, cb := range cp.Buckets {
-			if cb.Cell < 0 {
-				return nil, fmt.Errorf("%w: bucket cell %d", ErrBadCheckpoint, cb.Cell)
-			}
-			s := ShardOf(cb.Cell, cfg.Shards)
-			perShard[s] = append(perShard[s], cb)
-		}
-		for s := range perShard {
-			sortCheckpointBuckets(perShard[s])
-		}
 	}
-
-	for s := 0; s < cfg.Shards; s++ {
+	for s := range r.slots {
 		slot := &r.slots[s]
 		slot.id = s
 		slot.incarnation = 1
-		slot.in = make(chan ShardMsg, cfg.QueueLen)
 		slot.stop = make(chan struct{})
-		slot.snapBuckets = perShard[s]
-		slot.gaugeName = fmt.Sprintf("stream_shard%d_ingested", s)
-		r.startIncarnationLocked(slot, perShard[s])
+		slot.routedGauge = fmt.Sprintf("stream_shard%d_ingested", s)
+		slot.journalGauge = fmt.Sprintf("stream_shard%d_journal_len", s)
+		r.startIncarnationLocked(slot)
 	}
 	go r.runMerger()
 	return r, nil
 }
 
-// restoreCheckpoint applies a decoded checkpoint's global section: the
-// merge stage's scenarios and resolutions, and the router's frontier.
+// restoreCheckpoint resumes from a decoded checkpoint: the merge stage's
+// scenarios and resolutions, the router's frontier, and the open buckets —
+// re-journalled, observation by observation, for the shard ShardOf gives
+// each, so an image written under any shard count (or by an Engine) restores
+// under this one and a shard learns restored state the way it learns any
+// other. The frontier is bypassed: its counters come from the header. It runs
+// before any incarnation starts; their first act is to replay the journal.
 func (r *Router) restoreCheckpoint(cp *checkpointFile) error {
 	if err := r.merged.restoreMatchState(cp); err != nil {
 		return err
@@ -347,6 +309,25 @@ func (r *Router) restoreCheckpoint(cp *checkpointFile) error {
 	r.front.restore(cp)
 	r.seqGauge.Store(int64(cp.Seq))
 	r.resolvedGauge.Store(int64(len(cp.Resolved)))
+	for i := range cp.Buckets {
+		cb := &cp.Buckets[i]
+		if cb.Cell < 0 {
+			return fmt.Errorf("%w: open bucket window %d cell %d", ErrBadCheckpoint, cb.Window, cb.Cell)
+		}
+		slot := &r.slots[ShardOf(cb.Cell, r.cfg.Shards)]
+		var bad error
+		cb.observations(r.cfg.WindowMS, func(o Observation) {
+			if err := o.Validate(); err != nil {
+				bad = err
+			} else if o.TS/r.cfg.WindowMS != int64(cb.Window) {
+				bad = fmt.Errorf("%w: window overflows the timestamp range", ErrBadObservation)
+			}
+			r.journalLocked(slot, ShardMsg{Kind: ShardMsgObs, Obs: o})
+		})
+		if bad != nil {
+			return fmt.Errorf("%w: open bucket window %d cell %d: %w", ErrBadCheckpoint, cb.Window, cb.Cell, bad)
+		}
+	}
 	return nil
 }
 
@@ -377,8 +358,6 @@ func (r *Router) Ingest(o Observation) (bool, error) {
 	if target, closes := r.front.observe(o.TS); closes {
 		r.issueCloseLocked(target)
 	}
-	r.maybeSnapshotLocked(slot)
-	r.adoptAckLocked(slot)
 	r.sinceSweep++
 	if r.sinceSweep >= leaseCheckEvery {
 		r.sinceSweep = 0
@@ -388,14 +367,21 @@ func (r *Router) Ingest(o Observation) (bool, error) {
 	return true, nil
 }
 
+// journalLocked gives m the shard's next position and journals it. Callers
+// hold r.mu.
+func (r *Router) journalLocked(s *shardSlot, m ShardMsg) ShardMsg {
+	s.sent++
+	m.Pos = s.sent
+	s.journal.append(m)
+	return m
+}
+
 // sendLocked journals m for the shard and delivers it to the current
 // incarnation. A full queue is retried with backpressure; if the shard is
 // redispatched while we wait, the replacement's journal replay has already
 // delivered m, so the send completes vacuously. Callers hold r.mu.
 func (r *Router) sendLocked(s *shardSlot, m ShardMsg) {
-	s.sent++
-	m.Pos = s.sent
-	s.journal = append(s.journal, m)
+	m = r.journalLocked(s, m)
 	for {
 		cur := s.in
 		select {
@@ -425,36 +411,6 @@ func (r *Router) issueCloseLocked(target int) {
 	}
 }
 
-// maybeSnapshotLocked requests a sub-checkpoint once the shard's journal has
-// grown past the configured bound, so redispatch replay work stays bounded.
-// Callers hold r.mu.
-func (r *Router) maybeSnapshotLocked(s *shardSlot) {
-	if s.pendingSnap != 0 || len(s.journal) < r.cfg.SubCheckpointEvery {
-		return
-	}
-	r.sendLocked(s, ShardMsg{Kind: ShardMsgSnap})
-	s.pendingSnap = s.sent
-}
-
-// adoptAckLocked folds the merger's latest sub-checkpoint ack into the slot:
-// the snapshot becomes the shard's restore point and the journal entries it
-// covers are dropped. Callers hold r.mu.
-func (r *Router) adoptAckLocked(s *shardSlot) {
-	r.snapMu.Lock()
-	ack := r.acks[s.id]
-	r.snapMu.Unlock()
-	if ack.pos <= s.snapPos {
-		return
-	}
-	s.snapPos = ack.pos
-	s.snapBuckets = ack.buckets
-	idx := sort.Search(len(s.journal), func(i int) bool { return s.journal[i].Pos > ack.pos })
-	s.journal = append(s.journal[:0:0], s.journal[idx:]...)
-	if s.pendingSnap != 0 && s.pendingSnap <= ack.pos {
-		s.pendingSnap = 0
-	}
-}
-
 // redispatchExpiredLocked is the failure detector: shards whose lease lapsed
 // are handed to fresh incarnations. Callers hold r.mu.
 func (r *Router) redispatchExpiredLocked() {
@@ -466,11 +422,10 @@ func (r *Router) redispatchExpiredLocked() {
 
 // redispatchLocked replaces a dead shard: the old incarnation is stopped
 // (and its stale renewals rejected by the bumped lease), and a replacement
-// restores the last sub-checkpoint then replays the journal since it. The
-// replay re-emits any rounds the dead incarnation already reported; the
-// merger deduplicates them by round number, which is sound because replay is
-// deterministic — a re-emitted round is byte-identical to the original.
-// Callers hold r.mu.
+// starts from nothing but the journal. The replay re-emits any rounds the dead
+// incarnation already reported and the merge stage has not folded; the merger
+// drops them by round number, which is sound because replay is deterministic
+// — a re-emitted round is identical to the original. Callers hold r.mu.
 func (r *Router) redispatchLocked(shard int, now time.Time) {
 	slot := &r.slots[shard]
 	inc, err := r.leases.Redispatch(shard, now)
@@ -480,37 +435,38 @@ func (r *Router) redispatchLocked(shard int, now time.Time) {
 	}
 	close(slot.stop)
 	slot.stop = make(chan struct{})
-	// Capacity covers the whole replay, so these sends cannot block even if
-	// the replacement is itself killed mid-replay.
-	slot.in = make(chan ShardMsg, len(slot.journal)+r.cfg.QueueLen)
 	slot.incarnation = inc
 	r.redispatches++
-	r.startIncarnationLocked(slot, slot.snapBuckets)
-	for _, m := range slot.journal {
-		slot.in <- m
-	}
+	r.startIncarnationLocked(slot)
 }
 
-// startIncarnationLocked launches the slot's current incarnation on the
-// configured runner, which may host the shard anywhere it likes
-// (internal/shardrpc proxies it to a worker process), or on
-// RunShardInProcess when none is configured. image is the sub-checkpoint the
-// incarnation restores from. Callers hold r.mu (newRouter calls before the
+// shardParams is the windowing configuration every shard windower runs.
+func (r *Router) shardParams() ShardParams {
+	return ShardParams{WindowMS: r.cfg.WindowMS, Dim: r.cfg.Dim, WorkFactor: r.cfg.WorkFactor, LeaseTTL: r.cfg.LeaseTTL}
+}
+
+// startIncarnationLocked launches the slot's current incarnation — the first
+// or a replacement, there is no difference — on the configured runner, which
+// may host the shard anywhere it likes (internal/shardrpc proxies it to a
+// worker process), or on RunShardInProcess when none is configured, and
+// queues the journal for it: the whole of what a fresh windower needs to
+// stand where the shard stands. Callers hold r.mu (newRouter calls before the
 // router escapes).
-func (r *Router) startIncarnationLocked(slot *shardSlot, image []ShardBucket) {
+func (r *Router) startIncarnationLocked(slot *shardSlot) {
+	replay := slot.journal.retained()
+	// Capacity covers the whole replay, so these sends cannot block even if
+	// the incarnation is itself killed mid-replay.
+	slot.in = make(chan ShardMsg, len(replay)+r.cfg.QueueLen)
+	for _, m := range replay {
+		slot.in <- m
+	}
 	shard, inc, stop := slot.id, slot.incarnation, slot.stop
 	run := ShardRun{
 		Shard:       shard,
 		Incarnation: inc,
-		Params: ShardParams{
-			WindowMS:   r.cfg.WindowMS,
-			Dim:        r.cfg.Dim,
-			WorkFactor: r.cfg.WorkFactor,
-			LeaseTTL:   r.cfg.LeaseTTL,
-		},
-		Initial: image,
-		In:      slot.in,
-		Stop:    stop,
+		Params:      r.shardParams(),
+		In:          slot.in,
+		Stop:        stop,
 		Emit: func(o ShardOut) bool {
 			// Abandoned if the incarnation is stopped first: the
 			// replacement re-emits it from replay.
@@ -578,12 +534,14 @@ func (r *Router) RedispatchShard(shard int) error {
 }
 
 // runMerger is the merge stage: it collects each round's batches from all
-// shards, concatenates and re-sorts them into global ascending (window,
-// cell) order — per-shard batches are already sorted, and shards partition
-// cells, so this reproduces exactly the close order the unsharded engine
-// uses — and folds them into the merged engine. Rounds fold strictly in
-// issue order; duplicate emissions from redispatch replays are dropped by
-// round number, and stale sub-checkpoints by position.
+// shards, resolves their references against the shards' journals,
+// concatenates and re-sorts them into global ascending (window, cell) order —
+// per-shard batches are already sorted, and shards partition cells, so this
+// reproduces exactly the close order the unsharded engine uses — and folds
+// them into the merged engine, then compacts the journals below the folded
+// target. Rounds fold strictly in issue order; duplicate emissions from
+// redispatch replays are dropped by round number before anything of them is
+// looked at. It never takes r.mu.
 func (r *Router) runMerger() {
 	defer close(r.mergerDone)
 	shards := r.cfg.Shards
@@ -594,47 +552,42 @@ func (r *Router) runMerger() {
 	}
 	nextRound := 1
 	pending := make(map[int]*roundBatch)
-	lastRound := make([]int, shards)
-	lastSnap := make([]int64, shards)
+	lastRound, lastTarget := make([]int, shards), make([]int, shards)
 	for m := range r.out {
-		switch m.Kind {
-		case ShardOutSnap:
-			if m.SnapPos <= lastSnap[m.shard] {
-				continue // stale re-emission from a superseded incarnation
+		if m.Round <= lastRound[m.shard] {
+			continue // duplicate from a redispatch replay
+		}
+		if m.Round != lastRound[m.shard]+1 {
+			r.setErr(fmt.Errorf("%w: shard %d jumped from round %d to %d", ErrBadShardReply, m.shard, lastRound[m.shard], m.Round))
+			continue
+		}
+		if err := r.slots[m.shard].journal.resolve(&m.ShardOut, m.shard, shards, lastTarget[m.shard], r.cfg.WindowMS); err != nil {
+			r.setErr(err)
+			continue
+		}
+		lastRound[m.shard], lastTarget[m.shard] = m.Round, m.Target
+		rb := pending[m.Round]
+		if rb == nil {
+			rb = &roundBatch{batches: make([][]ShardSealed, shards)}
+			pending[m.Round] = rb
+		}
+		rb.batches[m.shard] = m.Sealed
+		rb.target = m.Target
+		rb.have++
+		for {
+			ready := pending[nextRound]
+			if ready == nil || ready.have < shards {
+				break
 			}
-			lastSnap[m.shard] = m.SnapPos
-			r.snapMu.Lock()
-			r.acks[m.shard] = snapAck{pos: m.SnapPos, buckets: m.Snapshot}
-			r.snapMu.Unlock()
-		case ShardOutRound:
-			if m.Round <= lastRound[m.shard] {
-				continue // duplicate from a redispatch replay
+			delete(pending, nextRound)
+			r.fold(ready.batches, ready.target)
+			for s := range r.slots {
+				r.slots[s].journal.compact(nextRound, ready.target, r.cfg.WindowMS)
 			}
-			if m.Round != lastRound[m.shard]+1 {
-				r.setErr(fmt.Errorf("stream: shard %d jumped from round %d to %d", m.shard, lastRound[m.shard], m.Round))
-				continue
-			}
-			lastRound[m.shard] = m.Round
-			rb := pending[m.Round]
-			if rb == nil {
-				rb = &roundBatch{batches: make([][]ShardSealed, shards)}
-				pending[m.Round] = rb
-			}
-			rb.batches[m.shard] = m.Sealed
-			rb.target = m.Target
-			rb.have++
-			for {
-				ready := pending[nextRound]
-				if ready == nil || ready.have < shards {
-					break
-				}
-				delete(pending, nextRound)
-				r.fold(ready.batches, ready.target)
-				r.foldMu.Lock()
-				r.foldedRound = nextRound
-				r.foldMu.Unlock()
-				nextRound++
-			}
+			r.foldMu.Lock()
+			r.foldedRound = nextRound
+			r.foldMu.Unlock()
+			nextRound++
 		}
 	}
 }
@@ -690,22 +643,27 @@ func (r *Router) progress() (round int, err error) {
 	return r.foldedRound, r.firstErr
 }
 
-// awaitRound blocks until the merge stage has folded the given round,
-// running the failure detector while it waits so a dead shard cannot stall
-// the barrier: its redispatched replacement re-emits the missing batch.
-func (r *Router) awaitRound(round int) error {
+// awaitFoldLocked blocks until the merge stage has folded every round issued
+// so far, running the failure detector while it waits so a dead shard cannot
+// stall the barrier: its redispatched replacement re-emits the missing batch.
+// Callers hold r.mu; it is let go for each sleep (the shards and the merger
+// it waits on never take it), so a round an ingest slips in meanwhile is
+// waited for too, and it is held again on return: nothing is then in flight.
+func (r *Router) awaitFoldLocked() error {
+	//evlint:ignore lockbalance condition-wait loop: drops the caller-held r.mu across each sleep and reacquires before retesting, net-neutral per iteration
 	for {
 		folded, err := r.progress()
 		if err != nil {
 			return err
 		}
-		if folded >= round {
+		if folded >= r.round {
 			return nil
 		}
-		r.mu.Lock()
 		r.redispatchExpiredLocked()
+		//evlint:ignore lockbalance releases the caller-held r.mu for the sleep; reacquired two lines down
 		r.mu.Unlock()
 		time.Sleep(sendRetryDelay)
+		r.mu.Lock()
 	}
 }
 
@@ -714,23 +672,18 @@ func (r *Router) awaitRound(round int) error {
 // returns once the final resolution sweep has run, mirroring Engine.Flush.
 func (r *Router) Flush() error {
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	if r.closed {
-		r.mu.Unlock()
 		return ErrRouterClosed
 	}
 	if err := r.errState(); err != nil {
-		r.mu.Unlock()
 		return err
 	}
 	r.issueCloseLocked(r.front.flushTarget())
-	round := r.round
-	r.mu.Unlock()
-	if err := r.awaitRound(round); err != nil {
+	if err := r.awaitFoldLocked(); err != nil {
 		return err
 	}
-	r.mu.Lock()
 	r.publishGaugesLocked()
-	r.mu.Unlock()
 	return nil
 }
 
@@ -811,16 +764,26 @@ func (r *Router) SpillStats() spill.Snapshot {
 	return r.merged.SpillStats()
 }
 
+// FilterStats returns the merge stage's V filter counters (Engine.FilterStats).
+func (r *Router) FilterStats() vfilter.Stats {
+	return r.merged.FilterStats()
+}
+
 // Stats snapshots the router's fault-handling counters.
 func (r *Router) Stats() RouterStats {
 	r.mu.Lock()
 	red, sup := r.redispatches, r.supervisorRedispatches
 	r.mu.Unlock()
+	journals := make([]int, len(r.slots))
+	for i := range r.slots {
+		journals[i] = r.slots[i].journal.len()
+	}
 	return RouterStats{
 		Shards:                 r.cfg.Shards,
 		Redispatches:           red,
 		SupervisorRedispatches: sup,
 		Kills:                  r.kills.Load(),
+		JournalLen:             journals,
 		Leases:                 r.leases.Stats(),
 	}
 }
@@ -846,7 +809,8 @@ func (r *Router) publishGaugesLocked() {
 		"stream_shard_supervisor_redispatches": r.supervisorRedispatches,
 	}
 	for i := range r.slots {
-		m[r.slots[i].gaugeName] = r.slots[i].routed
+		m[r.slots[i].routedGauge] = r.slots[i].routed
+		m[r.slots[i].journalGauge] = int64(r.slots[i].journal.len())
 	}
 	// Eviction happens entirely in the merged engine (shard windowers are
 	// store-less bucket accumulators), so its spill stats are the router's.
@@ -856,15 +820,4 @@ func (r *Router) publishGaugesLocked() {
 		addSpillGauges(m, r.merged.spillStats.Snapshot())
 	}
 	r.cfg.Metrics.SetMany(m)
-}
-
-// sortCheckpointBuckets orders bucket images ascending by (window, cell) —
-// the canonical sub-checkpoint order.
-func sortCheckpointBuckets(buckets []ShardBucket) {
-	sort.Slice(buckets, func(i, j int) bool {
-		if buckets[i].Window != buckets[j].Window {
-			return buckets[i].Window < buckets[j].Window
-		}
-		return buckets[i].Cell < buckets[j].Cell
-	})
 }

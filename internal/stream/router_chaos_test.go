@@ -125,12 +125,11 @@ func TestShardKillChaos(t *testing.T) {
 			cfg := ecfg
 			cfg.Clock = &stepClock{now: time.UnixMilli(0), step: 200 * time.Microsecond}
 			r, err := stream.NewRouter(stream.RouterConfig{
-				Config:             cfg,
-				Shards:             4,
-				QueueLen:           64,
-				SubCheckpointEvery: 128,
-				LeaseTTL:           40 * time.Millisecond,
-				Faults:             plan,
+				Config:   cfg,
+				Shards:   4,
+				QueueLen: 64,
+				LeaseTTL: 40 * time.Millisecond,
+				Faults:   plan,
 			})
 			if err != nil {
 				t.Fatalf("NewRouter: %v", err)
@@ -191,12 +190,11 @@ func TestShardKillDuringCheckpoint(t *testing.T) {
 	cfg := ecfg
 	cfg.Clock = &stepClock{now: time.UnixMilli(0), step: 200 * time.Microsecond}
 	rcfg := stream.RouterConfig{
-		Config:             cfg,
-		Shards:             3,
-		QueueLen:           64,
-		SubCheckpointEvery: 128,
-		LeaseTTL:           40 * time.Millisecond,
-		Faults:             plan,
+		Config:   cfg,
+		Shards:   3,
+		QueueLen: 64,
+		LeaseTTL: 40 * time.Millisecond,
+		Faults:   plan,
 	}
 	r, err := stream.NewRouter(rcfg)
 	if err != nil {

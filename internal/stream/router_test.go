@@ -277,7 +277,6 @@ func TestRouterConfigValidation(t *testing.T) {
 	}{
 		{"negative-shards", func(c *RouterConfig) { c.Shards = -2 }},
 		{"negative-queue", func(c *RouterConfig) { c.QueueLen = -1 }},
-		{"negative-subcheckpoint", func(c *RouterConfig) { c.SubCheckpointEvery = -5 }},
 		{"negative-lease-ttl", func(c *RouterConfig) { c.LeaseTTL = -1 }},
 	}
 	for _, tc := range cases {
@@ -322,8 +321,9 @@ func TestRouterClosed(t *testing.T) {
 }
 
 // TestRouterGauges checks the router's gauge surface: the engine-compatible
-// stream_* gauges plus the shard count, redispatch counter, and per-shard
-// routed counters (which must sum to the accepted observations).
+// stream_* gauges plus the shard count, redispatch counter, per-shard routed
+// counters (which must sum to the accepted observations) and per-shard
+// journal lengths (which must fall back as rounds fold).
 func TestRouterGauges(t *testing.T) {
 	ds := testDataset(t, false)
 	targets := ds.AllEIDs()[:8]
@@ -336,13 +336,22 @@ func TestRouterGauges(t *testing.T) {
 	cfg.Clock = &fakeClock{now: time.UnixMilli(obs[len(obs)-1].TS)}
 	cfg.Metrics = reg
 	const shards = 4
-	r, err := NewRouter(RouterConfig{Config: cfg, Shards: shards})
+	// A short queue keeps ingest within a few messages of the shards, so what
+	// the journal gauges show is the open windows and not a head start.
+	r, err := NewRouter(RouterConfig{Config: cfg, Shards: shards, QueueLen: 8})
 	if err != nil {
 		t.Fatalf("NewRouter: %v", err)
 	}
 	defer r.Close()
-	accepted := int64(0)
+	journalLen := func() (n int64) {
+		for s := 0; s < shards; s++ {
+			n += reg.Get(fmt.Sprintf("stream_shard%d_journal_len", s))
+		}
+		return n
+	}
+	accepted, peak, fell := int64(0), int64(0), false
 	for i, o := range obs {
+		before := journalLen()
 		acc, err := r.Ingest(o)
 		if err != nil {
 			t.Fatalf("Ingest %d: %v", i, err)
@@ -350,9 +359,20 @@ func TestRouterGauges(t *testing.T) {
 		if acc {
 			accepted++
 		}
+		after := journalLen()
+		peak, fell = max(peak, after), fell || after < before
 	}
+	// The journals hold the open windows, not the log: the gauge falls back
+	// whenever a round folds, and to nothing once the flush round has.
+	if !fell || peak == 0 || peak > accepted/2 {
+		t.Errorf("journal gauges peaked at %d of %d accepted observations, fell back = %v", peak, accepted, fell)
+	}
+	t.Logf("journal gauges peaked at %d of %d accepted observations", peak, accepted)
 	if err := r.Flush(); err != nil {
 		t.Fatalf("Flush: %v", err)
+	}
+	if got := journalLen(); got != 0 {
+		t.Errorf("journal gauges sum to %d after Flush, want 0", got)
 	}
 	if got := reg.Get("stream_shards"); got != shards {
 		t.Errorf("stream_shards = %d, want %d", got, shards)

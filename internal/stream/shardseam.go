@@ -16,8 +16,9 @@ import (
 // This file is the windower and the shard seam around it. ShardWindower is
 // the only (window, cell) bucketing in the package: the Engine owns one and
 // calls absorb/seal/snapshot directly, a Router's in-process shards each run
-// one through RunShardInProcess, and a worker process hosts one behind Step.
-// All three therefore compute the same function by construction, and the
+// one through RunShardInProcess, a worker process hosts one behind Step, and
+// a Router's Checkpoint runs one over each journal to image the open buckets.
+// All of them therefore compute the same function by construction, and the
 // shard-invariance battery pins remote ≡ in-process ≡ unsharded ≡ batch.
 //
 // internal/shardrpc builds on this seam: its supervisor implements
@@ -25,15 +26,17 @@ import (
 // hosts a ShardWindower, and falls back to RunShardInProcess when no worker
 // can be had.
 
-// ShardParams is the windowing/extraction slice of a RouterConfig that a
-// shard windower needs — the full Config carries process-local state
-// (Clock, Metrics, target sets) that must not cross the wire.
+// ShardParams is the windowing slice of a RouterConfig that a shard windower
+// needs — the full Config carries process-local state (Clock, Metrics, target
+// sets) that must not cross the wire.
 type ShardParams struct {
 	// WindowMS is the event-time window width.
 	WindowMS int64
-	// Dim is the feature descriptor dimensionality.
-	Dim int
-	// WorkFactor scales the extraction work per patch.
+	// Dim and WorkFactor are validated and otherwise unused: extraction left
+	// the shard (the merge stage's filter extracts what SS selects). They
+	// stay because bench/perf/layers.go, frozen, builds a ShardParams with
+	// them.
+	Dim        int
 	WorkFactor int
 	// LeaseTTL is the shard liveness lease; runners derive their renewal
 	// cadence from it.
@@ -56,18 +59,23 @@ func (p ShardParams) validate() error {
 }
 
 // ShardSealed is one sealed (window, cell) closure: what a windower's seal
-// produces, the shard wire carries and the fold consumes. Dets are sorted
-// (sortDetections), so the closure is independent of arrival order; an empty
-// Dets means the bucket sealed with no V side. EIDs is the EID set flattened
-// to a sorted slice (the same canonical form checkpoints use, so equal
-// closures encode to equal bytes). FeatDim and Feat are the extracted feature
-// matrix as its row-major storage; FeatDim == 0 means extraction was not
-// performed (or failed) and the fold's filter extracts lazily. It is also the
-// spill record of an evicted sealed scenario (spill.go), EIDs empty.
+// produces and the fold consumes. Dets are sorted (detOrder), so the closure
+// is independent of arrival order; an empty Dets means the bucket sealed with
+// no V side. Refs, parallel to Dets, are the journal positions (ShardMsg.Pos)
+// of the observations the detections were kept from. On the shard wire a
+// closure is Window, Cell, EIDs and Refs only (codec.go): the router's journal
+// already holds every pixel, so its merge stage rebuilds Dets from Refs and
+// trusts nothing else. EIDs is the EID set flattened to a sorted slice (the
+// same canonical form checkpoints use, so equal closures encode to equal
+// bytes). FeatDim and Feat belong to the type's other job, the spill record
+// of an evicted sealed scenario (spill.go; EIDs and Refs empty): the
+// extracted feature matrix as its row-major storage, FeatDim == 0 when the
+// filter had not extracted it yet.
 type ShardSealed struct {
 	Window  int
 	Cell    geo.CellID
 	EIDs    []BucketEID
+	Refs    []int64
 	Dets    []scenario.Detection
 	FeatDim int
 	Feat    []float64
@@ -79,9 +87,9 @@ type ShardSealed struct {
 	eids map[ids.EID]scenario.Attr
 }
 
-// matrix adopts the feature payload as a matrix of one row per detection
-// (no copy), or returns nil when none travelled. A payload whose shape does
-// not match the detections is an error, never indexed.
+// matrix adopts a spill record's feature payload as a matrix of one row per
+// detection (no copy), or returns nil when none was spilled. A payload whose
+// shape does not match the detections is an error, never indexed.
 func (w *ShardSealed) matrix() (*feature.Matrix, error) {
 	if w.FeatDim == 0 && len(w.Feat) == 0 {
 		return nil, nil
@@ -93,20 +101,13 @@ func (w *ShardSealed) matrix() (*feature.Matrix, error) {
 	return feature.MatrixOf(w.FeatDim, w.Feat)
 }
 
-// ShardOut is one shard emission in wire form: a round of sealed window
-// closures, or a sub-checkpoint snapshot acknowledging a journal position.
+// ShardOut is one shard emission: the sealed closures of one close round.
+// Round, Target and MaxTS echo the close message.
 type ShardOut struct {
-	Kind ShardOutKind
-
-	// Round/Target/MaxTS echo the close round (Kind == ShardOutRound).
 	Round  int
 	Target int
 	MaxTS  int64
 	Sealed []ShardSealed
-
-	// SnapPos/Snapshot carry a sub-checkpoint (Kind == ShardOutSnap).
-	SnapPos  int64
-	Snapshot []ShardBucket
 }
 
 // ShardWindower is the event-time accumulator: observations absorb into
@@ -118,36 +119,32 @@ type ShardOut struct {
 type ShardWindower struct {
 	p       ShardParams
 	buckets map[bucketKey]*bucket
-	xt      feature.Extractor
-	xbuf    feature.ExtractBuf
 }
 
-// NewShardWindower builds a windower restored from a sub-checkpoint image
-// (nil for a fresh shard).
+// NewShardWindower builds a windower, fresh (nil) or holding the open buckets
+// of a checkpoint image. There is one way in: an image bucket is absorbed
+// observation by observation, in image order, like any other input.
 func NewShardWindower(p ShardParams, initial []ShardBucket) (*ShardWindower, error) {
 	if err := p.validate(); err != nil {
 		return nil, err
 	}
-	w := &ShardWindower{
-		p:       p,
-		buckets: make(map[bucketKey]*bucket, len(initial)),
-		xt:      feature.Extractor{Dim: p.Dim, WorkFactor: p.WorkFactor},
-	}
-	for _, cb := range initial {
-		w.buckets[bucketKey{Window: cb.Window, Cell: cb.Cell}] = bucketFromCheckpoint(cb)
+	w := &ShardWindower{p: p, buckets: make(map[bucketKey]*bucket, len(initial))}
+	for i := range initial {
+		initial[i].observations(p.WindowMS, func(o Observation) { w.absorb(0, o) })
 	}
 	return w, nil
 }
 
-// absorb folds one valid observation into its (window, cell) bucket.
-func (w *ShardWindower) absorb(o Observation) {
+// absorb folds one valid observation, journalled at pos, into its (window,
+// cell) bucket.
+func (w *ShardWindower) absorb(pos int64, o Observation) {
 	k := bucketKey{Window: int(o.TS / w.p.WindowMS), Cell: o.Cell}
 	b := w.buckets[k]
 	if b == nil {
 		b = newBucket()
 		w.buckets[k] = b
 	}
-	b.absorb(o)
+	b.absorb(pos, o)
 }
 
 // openKeys returns the keys of the open buckets with window < limit in
@@ -171,17 +168,15 @@ func (w *ShardWindower) openKeys(limit int) []bucketKey {
 }
 
 // seal closes every bucket with window < target, in openKeys order. The
-// closures share the buckets' EID sets and detections — a sealed bucket is
-// never written again. Features are not extracted here: a shard does that
-// before the closure goes on the wire (Step), the Engine leaves it to the
-// filter.
+// closures share the buckets' EID sets, detections and journal positions — a
+// sealed bucket is never written again.
 func (w *ShardWindower) seal(target int) []ShardSealed {
 	keys := w.openKeys(target)
 	sealed := make([]ShardSealed, 0, len(keys))
 	for _, k := range keys {
 		b := w.buckets[k]
-		sortDetections(b.dets)
-		sealed = append(sealed, ShardSealed{Window: k.Window, Cell: k.Cell, eids: b.eids, Dets: b.dets})
+		sort.Sort(detOrder{b.dets, b.refs})
+		sealed = append(sealed, ShardSealed{Window: k.Window, Cell: k.Cell, eids: b.eids, Dets: b.dets, Refs: b.refs})
 		delete(w.buckets, k)
 	}
 	return sealed
@@ -198,36 +193,27 @@ func (w *ShardWindower) snapshot() []ShardBucket {
 }
 
 // Step applies one journalled message and returns the emission it produces,
-// if any. Observations absorb into their bucket (nil emission); close
-// rounds seal every bucket below the target with features extracted
-// shard-side; snapshot requests return the bucket image stamped with the
-// journal position. Hostile input — an invalid observation or unknown kind —
-// errors without panicking; the windower's state is unchanged by a failed
-// Step.
+// if any. Observations absorb into their bucket under the message's journal
+// position (nil emission); close rounds seal every bucket below the target.
+// Hostile input — an invalid observation or unknown kind — errors without
+// panicking; the windower's state is unchanged by a failed Step.
 func (w *ShardWindower) Step(m ShardMsg) (*ShardOut, error) {
 	switch m.Kind {
 	case ShardMsgObs:
 		if err := m.Obs.Validate(); err != nil {
 			return nil, err
 		}
-		w.absorb(m.Obs)
+		w.absorb(m.Pos, m.Obs)
 		return nil, nil
 	case ShardMsgClose:
-		sealed := w.seal(m.Target)
-		for i := range sealed {
-			if feats := extractSealed(w.xt, sealed[i].Dets, &w.xbuf); feats != nil {
-				sealed[i].FeatDim, sealed[i].Feat = feats.Dim(), feats.Data()
-			}
-		}
-		return &ShardOut{Kind: ShardOutRound, Round: m.Round, Target: m.Target, MaxTS: m.MaxTS, Sealed: sealed}, nil
-	case ShardMsgSnap:
-		return &ShardOut{Kind: ShardOutSnap, SnapPos: m.Pos, Snapshot: w.snapshot()}, nil
+		return &ShardOut{Round: m.Round, Target: m.Target, MaxTS: m.MaxTS, Sealed: w.seal(m.Target)}, nil
 	}
 	return nil, fmt.Errorf("stream: unknown shard message kind %d", m.Kind)
 }
 
-// ShardRun is one shard incarnation handed to a ShardRunner: the restore
-// image, the message stream, and the callbacks wiring the runner back into
+// ShardRun is one shard incarnation handed to a ShardRunner: the message
+// stream — everything the incarnation will ever know, a replacement's begins
+// with a replay of the journal — and the callbacks wiring the runner back into
 // the router's emission, lease, and failure-detection machinery. In, Stop,
 // Emit, and Renew are scoped to this incarnation — once the router
 // redispatches the shard, Renew returns false and Emit's deliveries are
@@ -238,8 +224,6 @@ type ShardRun struct {
 	Incarnation int
 	// Params configures the windower.
 	Params ShardParams
-	// Initial is the sub-checkpoint image to restore from (nil = fresh).
-	Initial []ShardBucket
 	// In carries the journalled message stream.
 	In <-chan ShardMsg
 	// Stop closes when the incarnation is superseded or the router closes.
@@ -279,7 +263,7 @@ type ShardRunner interface {
 // empty queue must not read as death — and every renewEveryMsgs messages
 // while busy.
 func RunShardInProcess(run ShardRun) {
-	w, err := NewShardWindower(run.Params, run.Initial)
+	w, err := NewShardWindower(run.Params, nil)
 	if err != nil {
 		return
 	}
@@ -331,27 +315,4 @@ func RunShardInProcess(run ShardRun) {
 			}
 		}
 	}
-}
-
-// extractSealed extracts a sealed closure's features on the shard — the
-// visual-processing cost that dominates window closure, paid in parallel
-// across shards instead of serially in the merge stage (which primes its
-// filter cache with the result). The extractor is a pure function of the
-// patch bytes, so shard-side extraction is bit-identical to the merge-side
-// lazy path. On any failure it returns nil and the merge-side filter
-// extracts lazily, surfacing the identical error at Match time.
-func extractSealed(xt feature.Extractor, dets []scenario.Detection, buf *feature.ExtractBuf) *feature.Matrix {
-	if len(dets) == 0 {
-		return nil
-	}
-	m, err := feature.NewMatrix(xt.Dim, len(dets))
-	if err != nil {
-		return nil
-	}
-	for i := range dets {
-		if err := xt.ExtractIntoBuf(dets[i].Patch, m.Row(i), buf); err != nil {
-			return nil
-		}
-	}
-	return m
 }

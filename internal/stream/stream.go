@@ -7,8 +7,6 @@ import (
 	"fmt"
 	"hash/maphash"
 	"slices"
-	"sort"
-	"strconv"
 	"sync"
 
 	"evmatching/internal/blocking"
@@ -168,30 +166,43 @@ type bucketKey struct {
 type bucket struct {
 	eids map[ids.EID]scenario.Attr
 	dets []scenario.Detection
+	// refs[i] is the journal position (ShardMsg.Pos) of the observation
+	// dets[i] was kept from — 0 in the Engine's windower, which has no journal.
+	refs []int64
 	// The exact set over dets, without a copy of every patch as a map key:
-	// detHead maps the hash of a detection's identity key to 1 + the index
-	// of the latest detection with that hash, and detPrev[i] chains to the
-	// one before it (0 ends the chain). Membership is decided by comparing
-	// the detections themselves; the hash only finds the few to compare.
+	// detHead maps the hash of a detection's identity to 1 + the index of the
+	// latest detection with that hash, and detPrev[i] chains to the one
+	// before it (0 ends the chain). Membership is decided by comparing the
+	// detections themselves; the hash only finds the few to compare.
 	detHead map[uint64]int32
 	detPrev []int32
-	keyBuf  []byte // reused detection-key scratch; see appendDetKey
 }
 
 // detKeySeed keys the detection-set hash. It differs per process, which no
 // output can see: the set is exact, and dets keeps arrival order.
 var detKeySeed = maphash.MakeSeed()
 
+// detHash hashes a detection's full identity — VID, person, patch size and
+// pixels — in place: the pixels (all but a few bytes of it) are hashed where
+// they lie and the scalars are mixed in.
+func detHash(d *scenario.Detection) uint64 {
+	const mix = 0x9e3779b97f4a7c15
+	h := maphash.Bytes(detKeySeed, d.Patch.Pix)
+	h = (h ^ maphash.String(detKeySeed, string(d.VID))) * mix
+	h = (h ^ uint64(d.TruePerson)) * mix
+	h = (h ^ uint64(d.Patch.W)) * mix
+	return (h ^ uint64(d.Patch.H)) * mix
+}
+
 // newBucket creates an empty accumulation bucket.
 func newBucket() *bucket {
 	return &bucket{eids: make(map[ids.EID]scenario.Attr), detHead: make(map[uint64]int32)}
 }
 
-// addDetection appends d unless a detection of the same full identity — VID,
-// person, patch size and pixels — is already held.
-func (b *bucket) addDetection(d scenario.Detection) {
-	b.keyBuf = appendDetKey(b.keyBuf[:0], d.VID, d.TruePerson, &d.Patch)
-	h := maphash.Bytes(detKeySeed, b.keyBuf)
+// addDetection appends d, journalled at pos, unless a detection of the same
+// full identity — VID, person, patch size and pixels — is already held.
+func (b *bucket) addDetection(d scenario.Detection, pos int64) {
+	h := detHash(&d)
 	for i := b.detHead[h]; i > 0; i = b.detPrev[i-1] {
 		if o := &b.dets[i-1]; o.VID == d.VID && o.TruePerson == d.TruePerson &&
 			o.Patch.W == d.Patch.W && o.Patch.H == d.Patch.H && bytes.Equal(o.Patch.Pix, d.Patch.Pix) {
@@ -200,11 +211,13 @@ func (b *bucket) addDetection(d scenario.Detection) {
 	}
 	b.detPrev = append(b.detPrev, b.detHead[h])
 	b.dets = append(b.dets, d)
+	b.refs = append(b.refs, pos)
 	b.detHead[h] = int32(len(b.dets))
 }
 
-// absorb folds one observation into the bucket, order-independently.
-func (b *bucket) absorb(o Observation) {
+// absorb folds one observation, journalled at pos, into the bucket,
+// order-independently.
+func (b *bucket) absorb(pos int64, o Observation) {
 	switch o.Kind {
 	case KindE:
 		// Inclusive wins over vague regardless of arrival order.
@@ -212,7 +225,7 @@ func (b *bucket) absorb(o Observation) {
 			b.eids[o.EID] = o.Attr
 		}
 	case KindV:
-		b.addDetection(scenario.Detection{VID: o.VID, Patch: *o.Patch, TruePerson: o.Person})
+		b.addDetection(scenario.Detection{VID: o.VID, Patch: *o.Patch, TruePerson: o.Person}, pos)
 	}
 }
 
@@ -352,7 +365,7 @@ func (e *Engine) Ingest(o Observation) (bool, error) {
 		e.publishGauges()
 		return false, nil
 	}
-	e.win.absorb(o)
+	e.win.absorb(0, o)
 	if target, closes := e.front.observe(o.TS); closes {
 		if err := e.closeTo(target); err != nil {
 			return false, err
@@ -360,20 +373,6 @@ func (e *Engine) Ingest(o Observation) (bool, error) {
 	}
 	e.publishGauges()
 	return true, nil
-}
-
-// appendDetKey appends the full-identity deduplication key of a detection —
-// VID, person, patch width, height and pixels, NUL-separated — to buf.
-func appendDetKey(buf []byte, vid ids.VID, person int, p *feature.Patch) []byte {
-	buf = append(buf, vid...)
-	buf = append(buf, 0)
-	buf = strconv.AppendInt(buf, int64(person), 10)
-	buf = append(buf, 0)
-	buf = strconv.AppendInt(buf, int64(p.W), 10)
-	buf = append(buf, 0)
-	buf = strconv.AppendInt(buf, int64(p.H), 10)
-	buf = append(buf, 0)
-	return append(buf, p.Pix...)
 }
 
 // Watermark returns the current event-time watermark and whether any event
@@ -405,14 +404,11 @@ func (e *Engine) foldLocked(sealed []ShardSealed, target int) error {
 	return e.sweepResolutions(target - 1)
 }
 
-// applySealedLocked folds one sealed closure — fresh from a windower, off the
-// wire, or replayed from a checkpoint — into the store and partition,
-// adopting its EID set and detections. A shard-extracted feature block primes
-// the filter cache, so the serial merge never re-pays extraction; one whose
-// shape does not match the detections is dropped rather than trusted — the
-// filter then extracts lazily, which computes the identical matrix, so a
-// mangled (or hostile) payload can cost time but never correctness. Callers
-// hold e.mu.
+// applySealedLocked folds one sealed closure — fresh from a windower, resolved
+// from a shard's references, or replayed from a checkpoint — into the store
+// and partition, adopting its EID set and detections. No features come with
+// it: the filter extracts a scenario the first time a match reads it, so only
+// what SS selects is ever looked at. Callers hold e.mu.
 func (e *Engine) applySealedLocked(w *ShardSealed) (scenario.ID, error) {
 	eids := w.eids
 	if eids == nil {
@@ -426,13 +422,6 @@ func (e *Engine) applySealedLocked(w *ShardSealed) (scenario.ID, error) {
 	id, err := e.store.Add(esc, vsc)
 	if err != nil {
 		return id, err
-	}
-	if vsc != nil {
-		if feats, shapeErr := w.matrix(); shapeErr == nil && feats != nil {
-			if err := e.filter.Prime(id, feats); err != nil {
-				return id, err
-			}
-		}
 	}
 	e.splitSealedLocked(esc)
 	return id, e.noteSealedLocked(id, vsc)
@@ -469,22 +458,34 @@ func (e *Engine) applyRound(sealed []ShardSealed, target int) (seq, resolved int
 	return e.seq, len(e.resolved), err
 }
 
-// sortDetections orders detections by (VID, TruePerson, patch bytes). VID
-// labels are zero-padded person indexes, so for generated worlds this is the
-// batch generator's person-index order — scenario detections come out
-// byte-identical to the batch store, and the V stage's accumulation order
-// (which affects float results) is preserved. The extra keys only break ties
-// between synthetic near-duplicates.
-func sortDetections(dets []scenario.Detection) {
-	sort.Slice(dets, func(i, j int) bool {
-		if dets[i].VID != dets[j].VID {
-			return dets[i].VID < dets[j].VID
-		}
-		if dets[i].TruePerson != dets[j].TruePerson {
-			return dets[i].TruePerson < dets[j].TruePerson
-		}
-		return bytes.Compare(dets[i].Patch.Pix, dets[j].Patch.Pix) < 0
-	})
+// detOrder sorts a bucket's detections, and their journal positions in
+// lockstep, by (VID, TruePerson, patch bytes). VID labels are zero-padded
+// person indexes, so for generated worlds this is the batch generator's
+// person-index order — scenario detections come out byte-identical to the
+// batch store, and the V stage's accumulation order (which affects float
+// results) is preserved. The extra keys only break ties between synthetic
+// near-duplicates.
+type detOrder struct {
+	dets []scenario.Detection
+	refs []int64
+}
+
+func (s detOrder) Len() int { return len(s.dets) }
+
+func (s detOrder) Swap(i, j int) {
+	s.dets[i], s.dets[j] = s.dets[j], s.dets[i]
+	s.refs[i], s.refs[j] = s.refs[j], s.refs[i]
+}
+
+func (s detOrder) Less(i, j int) bool {
+	a, b := &s.dets[i], &s.dets[j]
+	if a.VID != b.VID {
+		return a.VID < b.VID
+	}
+	if a.TruePerson != b.TruePerson {
+		return a.TruePerson < b.TruePerson
+	}
+	return bytes.Compare(a.Patch.Pix, b.Patch.Pix) < 0
 }
 
 // sweepResolutions emits a resolution for every target whose set newly became
@@ -713,6 +714,14 @@ func (e *Engine) BlockStats() (candidates, pruned int64) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.blockCandidates, e.blockPruned
+}
+
+// FilterStats returns the work counters of the sweep's V filter: the
+// scenarios it has looked at and the patches it has extracted — what the
+// stream's matches selected, never the whole of what was sealed. Finalize's
+// batch run has a filter of its own and does not count here.
+func (e *Engine) FilterStats() vfilter.Stats {
+	return e.filter.Stats()
 }
 
 // BlockPruneRatioPercent renders a candidates/pruned pair as the integer

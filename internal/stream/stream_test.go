@@ -15,6 +15,7 @@ import (
 	"evmatching/internal/feature"
 	"evmatching/internal/ids"
 	"evmatching/internal/metrics"
+	"evmatching/internal/scenario"
 )
 
 const (
@@ -294,26 +295,39 @@ func TestStreamGauges(t *testing.T) {
 	}
 }
 
-// TestDetKeyBytes pins the detection dedup key to the bytes the formatted key
-// always had, and a repeated detection to an allocation-free lookup.
-func TestDetKeyBytes(t *testing.T) {
-	for _, c := range []struct {
-		vid    ids.VID
-		person int
-		patch  feature.Patch
-	}{
-		{"V00012", 12, feature.Patch{W: 8, H: 4, Pix: []byte{0, 1, 255, '%', 's'}}},
-		{"", -1, feature.Patch{}},
-	} {
-		want := fmt.Sprintf("%s\x00%d\x00%d\x00%d\x00%s", c.vid, c.person, c.patch.W, c.patch.H, c.patch.Pix)
-		if got := string(appendDetKey(nil, c.vid, c.person, &c.patch)); got != want {
-			t.Errorf("key %q, want %q", got, want)
-		}
-	}
+// detKey is the test-side reference identity of a detection: the formatted
+// key the bucket's set held before it hashed detections in place.
+func detKey(vid ids.VID, person int, p *feature.Patch) string {
+	return fmt.Sprintf("%s\x00%d\x00%d\x00%d\x00%s", vid, person, p.W, p.H, p.Pix)
+}
+
+// TestDetHashCollisionKeepsBoth forces two different detections onto one hash
+// chain — the first is planted under the second's hash — and requires the
+// bucket to keep both, because equality is decided by comparing detections
+// and the hash only finds candidates; and a repeated detection must stay an
+// allocation-free lookup.
+func TestDetHashCollisionKeepsBoth(t *testing.T) {
+	first := scenario.Detection{VID: "V00012", TruePerson: 12, Patch: feature.Patch{W: 2, H: 2, Pix: []byte{1, 2, 3, 4}}}
+	second := scenario.Detection{VID: "V00013", TruePerson: 13, Patch: feature.Patch{W: 2, H: 2, Pix: []byte{4, 3, 2, 1}}}
 	b := newBucket()
+	b.dets, b.refs, b.detPrev = append(b.dets, first), append(b.refs, 7), append(b.detPrev, 0)
+	b.detHead[detHash(&second)] = 1
+	b.addDetection(second, 8)
+	b.addDetection(second, 9)
+	if len(b.dets) != 2 || b.dets[0].VID != first.VID || b.dets[1].VID != second.VID {
+		t.Fatalf("colliding detections held as %+v, want both, once each", b.dets)
+	}
+	if b.refs[0] != 7 || b.refs[1] != 8 {
+		t.Errorf("refs = %v, want each detection's first position [7 8]", b.refs)
+	}
+	if b.detPrev[1] != 1 {
+		t.Errorf("the second detection does not chain to the first: detPrev = %v", b.detPrev)
+	}
+
+	b = newBucket()
 	o := Observation{Kind: KindV, VID: "V00012", Person: 12, Patch: &feature.Patch{W: 2, H: 2, Pix: []byte{1, 2, 3, 4}}}
-	b.absorb(o)
-	if allocs := testing.AllocsPerRun(100, func() { b.absorb(o) }); allocs != 0 {
+	b.absorb(1, o)
+	if allocs := testing.AllocsPerRun(100, func() { b.absorb(2, o) }); allocs != 0 {
 		t.Errorf("absorbing a repeated detection allocates %v times", allocs)
 	}
 	if len(b.dets) != 1 {
@@ -347,8 +361,8 @@ func TestBucketDetectionSetExact(t *testing.T) {
 	var want []string
 	for i := 0; i < 2000; i++ {
 		o := pool[rng.Intn(len(pool))]
-		b.absorb(o)
-		if key := string(appendDetKey(nil, o.VID, o.Person, o.Patch)); !seen[key] {
+		b.absorb(int64(i), o)
+		if key := detKey(o.VID, o.Person, o.Patch); !seen[key] {
 			seen[key] = true
 			want = append(want, key)
 		}
@@ -357,15 +371,19 @@ func TestBucketDetectionSetExact(t *testing.T) {
 		t.Fatalf("%d detections held, %d distinct keys absorbed", len(b.dets), len(want))
 	}
 	for i, d := range b.dets {
-		if got := string(appendDetKey(nil, d.VID, d.TruePerson, &d.Patch)); got != want[i] {
+		if got := detKey(d.VID, d.TruePerson, &d.Patch); got != want[i] {
 			t.Fatalf("detection %d is %q, want %q", i, got, want[i])
 		}
 	}
-	restored := bucketFromCheckpoint(bucketToCheckpoint(bucketKey{}, b))
+	win, err := NewShardWindower(ShardParams{WindowMS: 1_000, Dim: 2, WorkFactor: 1}, []ShardBucket{bucketToCheckpoint(bucketKey{}, b)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored := win.buckets[bucketKey{}]
 	if !reflect.DeepEqual(restored.dets, b.dets) {
 		t.Error("a restored bucket holds different detections")
 	}
-	restored.absorb(pool[0])
+	restored.absorb(0, pool[0])
 	if len(restored.dets) != len(b.dets) {
 		t.Error("a restored bucket forgot what it had seen")
 	}

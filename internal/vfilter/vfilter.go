@@ -383,41 +383,6 @@ func (x *Exclusion) has(ord int32) bool {
 	return w < len(x.bits) && x.bits[w]&(1<<(uint(ord)&63)) != 0
 }
 
-// Prime installs a pre-extracted feature matrix for the V-Scenario with the
-// given ID, so a later Match finds the scenario already processed. This is
-// the merge-side half of sharded streaming's parallel extraction: shard
-// windowers extract features when they seal a window, and the merge stage
-// primes the shared cache instead of re-paying the extraction serially. The
-// matrix must hold one row per detection, in detection order, produced by an
-// extractor configured identically to the Filter's — priming is then
-// bit-identical to lazy extraction. A scenario already extracted (or already
-// primed) keeps its existing entry and the offered matrix is dropped. The
-// extraction is counted in Stats exactly as a lazy one would be: the work was
-// paid, just on another goroutine.
-func (f *Filter) Prime(id scenario.ID, m *feature.Matrix) error {
-	v, err := f.store.VChecked(id)
-	if err != nil {
-		return fmt.Errorf("vfilter: prime scenario %d: %w", id, err)
-	}
-	if v == nil || len(v.Detections) == 0 {
-		return fmt.Errorf("vfilter: prime scenario %d: no detections in store", id)
-	}
-	if m == nil || m.Rows() != len(v.Detections) || m.Dim() != f.cfg.Extractor.Dim {
-		return fmt.Errorf("vfilter: prime scenario %d: matrix shape mismatch", id)
-	}
-	f.mu.Lock()
-	entry := f.cache[id]
-	if entry == nil {
-		entry = &cacheEntry{}
-		f.cache[id] = entry
-	}
-	f.mu.Unlock()
-	entry.once.Do(func() {
-		f.fill(entry, v, m)
-	})
-	return nil
-}
-
 // scan pairs one scenario of the Match list with its feature matrix and the
 // interned VID ordinals of its detections.
 type scan struct {
