@@ -14,6 +14,7 @@ import (
 
 	"evmatching/internal/mapreduce"
 	"evmatching/internal/mrtest"
+	"evmatching/internal/spill"
 )
 
 // newTestRegistry registers word-count functions.
@@ -60,6 +61,7 @@ type testCluster struct {
 	addr    string
 	dir     string
 	reg     *Registry
+	fsys    spill.FS // when set, replaces the workers' filesystem
 	ctx     context.Context
 	workers sync.WaitGroup
 	cancel  context.CancelFunc
@@ -73,6 +75,9 @@ func (tc *testCluster) addWorker(t *testing.T, wc WorkerConfig) {
 	w, err := NewWorker(tc.addr, wc)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if tc.fsys != nil {
+		w.fsys = tc.fsys
 	}
 	tc.workers.Add(1)
 	go func() {

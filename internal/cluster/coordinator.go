@@ -7,12 +7,12 @@ import (
 	"hash/fnv"
 	"net"
 	"net/rpc"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
 
 	"evmatching/internal/mapreduce"
+	"evmatching/internal/spill"
 )
 
 // Coordinator defaults.
@@ -142,7 +142,8 @@ func (j *activeJob) finished() bool {
 // Coordinator schedules distributed jobs and serves the worker RPC API.
 // Create with NewCoordinator, expose with Serve, submit with RunJob.
 type Coordinator struct {
-	cfg CoordinatorConfig
+	cfg  CoordinatorConfig
+	fsys spill.FS // the shared directory's filesystem; tests swap in a fake
 
 	mu        sync.Mutex
 	job       *activeJob
@@ -184,7 +185,7 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	if cfg.HeartbeatTimeout < 0 || cfg.RetryBase < 0 || cfg.RetryMax < 0 || cfg.PoolTimeout < 0 {
 		return nil, fmt.Errorf("cluster: negative coordinator timeout")
 	}
-	return &Coordinator{cfg: cfg, workers: make(map[string]time.Time)}, nil
+	return &Coordinator{cfg: cfg, fsys: spill.OS{}, workers: make(map[string]time.Time)}, nil
 }
 
 // Serve starts accepting worker RPC connections on lis until Close. It
@@ -270,7 +271,7 @@ func (c *Coordinator) RunJob(ctx context.Context, spec JobSpec, input []mapreduc
 		if hi > len(input) {
 			hi = len(input)
 		}
-		if err := writeKVFile(inputFile(c.cfg.Dir, jobID, m), input[lo:hi]); err != nil {
+		if _, err := spill.WriteRun(c.fsys, inputFile(c.cfg.Dir, jobID, m), input[lo:hi]); err != nil {
 			return nil, err
 		}
 	}
@@ -326,19 +327,17 @@ wait:
 	}
 
 	// Collect reducer outputs.
-	var out []mapreduce.KeyValue
-	for r := 0; r < spec.NumReducers; r++ {
-		kvs, err := readKVFile(outputFile(c.cfg.Dir, jobID, r))
-		if err != nil {
-			return nil, err
+	outs := make([][]mapreduce.KeyValue, spec.NumReducers)
+	for r := range outs {
+		var err error
+		if outs[r], err = spill.ReadRun(c.fsys, outputFile(c.cfg.Dir, jobID, r)); err != nil {
+			return nil, fmt.Errorf("cluster: job %q: %w", spec.Name, err)
 		}
-		out = append(out, kvs...)
 	}
-	sortKVs(out)
 	if err := removeJobFiles(c.cfg.Dir, jobID); err != nil {
 		return nil, err
 	}
-	return &mapreduce.Result{Output: out, Counters: job.counters}, nil
+	return &mapreduce.Result{Output: mapreduce.Gather(outs), Counters: job.counters}, nil
 }
 
 func newTasks(n int) []taskInfo {
@@ -347,17 +346,6 @@ func newTasks(n int) []taskInfo {
 		ts[i].state = taskIdle
 	}
 	return ts
-}
-
-// sortKVs applies the canonical mapreduce output ordering: by key, then
-// value, so distributed results are byte-identical to the other executors.
-func sortKVs(kvs []mapreduce.KeyValue) {
-	sort.Slice(kvs, func(i, j int) bool {
-		if kvs[i].Key != kvs[j].Key {
-			return kvs[i].Key < kvs[j].Key
-		}
-		return kvs[i].Value < kvs[j].Value
-	})
 }
 
 // touchLocked records a sign of life from a worker.

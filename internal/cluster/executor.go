@@ -59,6 +59,10 @@ func (e *Executor) Run(ctx context.Context, job *mapreduce.Job) (*mapreduce.Resu
 		MapName:     prefix + ".map",
 		NumReducers: job.NumReducers,
 	}
+	// The closures pin the job's partition sets or filter: drop them with
+	// the job. A straggler that then fails to resolve a name reports an
+	// error for a finished job id, which ReportTask absorbs as stale.
+	defer e.registry.unregister(prefix+".map", prefix+".reduce", prefix+".combine")
 	if err := e.registry.RegisterMap(spec.MapName, job.Map); err != nil {
 		return nil, err
 	}

@@ -210,3 +210,99 @@ func TestExecutorNoFallbackSurfacesErrNoWorkers(t *testing.T) {
 		t.Errorf("Fallbacks() = %d, want 0", got)
 	}
 }
+
+// registrySize counts every name the registry holds.
+func registrySize(r *Registry) int {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return len(r.maps) + len(r.reduces)
+}
+
+// TestExecutorUnregistersJobFunctions: a job's closures (which pin its
+// partition sets or filter) leave the registry with the job, so a serving
+// process that matches forever holds a constant number of names.
+func TestExecutorUnregistersJobFunctions(t *testing.T) {
+	exec := startExecutorCluster(t, 2)
+	jobs := 200
+	if testing.Short() {
+		jobs = 20
+	}
+	var after1 int
+	for i := 1; i <= jobs; i++ {
+		job := executorWordCountJob([]string{"x x y"})
+		job.Combine = job.Reduce
+		if _, err := exec.Run(context.Background(), job); err != nil {
+			t.Fatalf("job %d: %v", i, err)
+		}
+		if i == 1 {
+			after1 = registrySize(exec.registry)
+		}
+	}
+	if got := registrySize(exec.registry); got != after1 {
+		t.Errorf("registry holds %d names after %d jobs, %d after the first", got, jobs, after1)
+	}
+	if fresh := registrySize(NewRegistry()); after1 != fresh {
+		t.Errorf("registry holds %d names after a job, a fresh one %d", after1, fresh)
+	}
+}
+
+// TestExecutorStragglerAfterUnregister: an attempt of a finished job that
+// only now gets to run cannot resolve the job's names any more. Its failure
+// report must be absorbed as stale, not charged to the job running by then.
+func TestExecutorStragglerAfterUnregister(t *testing.T) {
+	exec := startExecutorCluster(t, 2)
+	ctx := context.Background()
+	lines := []string{"a b a", "c b", "a c c"}
+	want, err := exec.Run(ctx, executorWordCountJob(lines))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Job 2 holds its map phase open until the straggler has reported.
+	gate := make(chan struct{})
+	job := executorWordCountJob(lines)
+	mapFn := job.Map
+	job.Map = func(in mapreduce.KeyValue, emit mapreduce.Emitter) error {
+		<-gate
+		return mapFn(in, emit)
+	}
+	type result struct {
+		res *mapreduce.Result
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		res, err := exec.Run(ctx, job)
+		done <- result{res, err}
+	}()
+	waitStatus(t, exec.coord, "job 2 active", func(st JobStatus) bool { return st.JobID == "2" })
+
+	straggler, err := NewWorker(exec.coord.lis.Addr().String(), WorkerConfig{
+		ID: "straggler", Dir: exec.coord.cfg.Dir, Registry: exec.registry, HeartbeatInterval: -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer straggler.client.Close()
+	report := straggler.execute(&TaskReply{
+		Kind: TaskMap, JobID: "1", TaskID: 0, MapName: "exec.1.exec-wc.map", NumMapTasks: 3, NumReducers: 3,
+	})
+	if report.Err == "" {
+		t.Fatal("job 1's map function still resolves after the job returned")
+	}
+	stale := exec.Stats().StaleReports
+	if err := straggler.client.Call(RPCServiceName+".ReportTask", report, &TaskAck{}); err != nil {
+		t.Fatal(err)
+	}
+	if got := exec.Stats().StaleReports; got != stale+1 {
+		t.Errorf("StaleReports = %d after the straggler's report, want %d", got, stale+1)
+	}
+	close(gate)
+	got := <-done
+	if got.err != nil {
+		t.Fatalf("job 2 failed on job 1's straggler: %v", got.err)
+	}
+	if !reflect.DeepEqual(got.res.Output, want.Output) {
+		t.Errorf("job 2 output = %v, want %v", got.res.Output, want.Output)
+	}
+}

@@ -7,11 +7,12 @@ import (
 	"time"
 
 	"evmatching/internal/mapreduce"
+	"evmatching/internal/spill"
 )
 
 // FuzzTaskResultDecode throws arbitrary wire-level task reports — wrong job
 // IDs, out-of-range task IDs, hostile kinds, duplicated and reordered
-// deliveries — plus arbitrary KV-file bytes at the coordinator, asserting it
+// deliveries — plus arbitrary record-file bytes at the coordinator, asserting it
 // never panics and its task accounting never goes negative. This is the
 // safety net behind the chaos harness: injected duplicate/reordered results
 // must be absorbable no matter what they contain.
@@ -20,17 +21,19 @@ func FuzzTaskResultDecode(f *testing.F) {
 	f.Add([]byte(`not json`), "2", int(TaskReduce), 99, "boom", "w1", int64(-7))
 	f.Add([]byte(`[]`), "", int(TaskWait), -1, "", "", int64(0))
 	f.Add([]byte{0xff, 0xfe}, "1", 255, 1<<30, "x", "w0", int64(1<<40))
+	f.Add([]byte{0x01, 'a', 0xff, 0xff, 0xff, 0xff, 0x03, 'b'}, "1", int(TaskMap), 0, "", "w0", int64(1)) // 1 GiB value length
 
 	dir := f.TempDir()
 	f.Fuzz(func(t *testing.T, raw []byte, jobID string, kind int, taskID int, errStr string, worker string, counter int64) {
-		// Wire decode: arbitrary bytes in a shared-directory KV file must
-		// error or parse, never panic. The file name is fixed: job IDs are
+		// Wire decode: arbitrary bytes in a shared-directory record file must
+		// error or parse, never panic (nor allocate what a hostile length
+		// prefix claims). The file name is fixed: job IDs are
 		// coordinator-generated, only the bytes are attacker-shaped.
-		path := filepath.Join(dir, "fuzz-input.json")
+		path := filepath.Join(dir, "fuzz-input")
 		if err := os.WriteFile(path, raw, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		_, _ = readKVFile(path)
+		_, _ = spill.ReadRun(spill.OS{}, path)
 
 		// Coordinator accounting: build an active job directly (no RPC) and
 		// fire hostile reports at it, twice each to model duplicates, then a

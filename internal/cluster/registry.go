@@ -71,6 +71,17 @@ func (r *Registry) RegisterReduce(name string, fn mapreduce.ReduceFunc) error {
 	return nil
 }
 
+// unregister forgets names, registered or not, as map and as reduce
+// functions.
+func (r *Registry) unregister(names ...string) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, name := range names {
+		delete(r.maps, name)
+		delete(r.reduces, name)
+	}
+}
+
 // MapFunc resolves a registered map function.
 func (r *Registry) MapFunc(name string) (mapreduce.MapFunc, error) {
 	r.mu.RLock()

@@ -57,6 +57,9 @@ type TaskReport struct {
 	Counters map[string]int64
 }
 
+// count adds delta to the report's named counter.
+func (r *TaskReport) count(name string, delta int64) { r.Counters[name] += delta }
+
 // TaskAck is the (empty) response to a report.
 type TaskAck struct{}
 

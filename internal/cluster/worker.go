@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"evmatching/internal/mapreduce"
+	"evmatching/internal/spill"
 )
 
 // DefaultHeartbeatInterval is the gap between worker liveness pings.
@@ -41,7 +42,8 @@ type WorkerConfig struct {
 type Worker struct {
 	cfg    WorkerConfig
 	client *rpc.Client
-	tasks  int // tasks started, for crash injection
+	fsys   spill.FS // the shared directory's filesystem; tests swap in a fake
+	tasks  int      // tasks started, for crash injection
 }
 
 // NewWorker connects a worker to the coordinator at addr.
@@ -73,7 +75,7 @@ func NewWorker(addr string, cfg WorkerConfig) (*Worker, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cluster: dial coordinator %s: %w", addr, err)
 	}
-	return &Worker{cfg: cfg, client: client}, nil
+	return &Worker{cfg: cfg, client: client, fsys: spill.OS{}}, nil
 }
 
 // Run processes tasks until the coordinator says exit, the context is done,
@@ -203,111 +205,53 @@ func (w *Worker) execute(t *TaskReply) *TaskReport {
 	return report
 }
 
-// runMap executes map task t.TaskID: read the input chunk, apply the map
-// function, partition (optionally combining), and write one intermediate
-// file per reducer.
+// runMap executes map task t.TaskID: the map kernel over the task's input
+// chunk, every bucket held to the end of the task and then written — empty
+// ones included — as the sorted run its reducer will merge.
 func (w *Worker) runMap(t *TaskReply, report *TaskReport) error {
-	mapFn, err := w.cfg.Registry.MapFunc(t.MapName)
-	if err != nil {
+	task := mapreduce.MapTask{NumReducers: t.NumReducers, Count: report.count}
+	var err error
+	if task.Map, err = w.cfg.Registry.MapFunc(t.MapName); err != nil {
 		return err
 	}
-	input, err := readKVFile(inputFile(w.cfg.Dir, t.JobID, t.TaskID))
-	if err != nil {
-		return err
-	}
-	buckets := make([][]mapreduce.KeyValue, t.NumReducers)
-	emit := func(kv mapreduce.KeyValue) {
-		r := mapreduce.Partition(kv.Key, t.NumReducers)
-		buckets[r] = append(buckets[r], kv)
-	}
-	for i, in := range input {
-		if err := mapFn(in, emit); err != nil {
-			return fmt.Errorf("map record %d: %w", i, err)
-		}
-	}
-	var emitted int64
-	for _, b := range buckets {
-		emitted += int64(len(b))
-	}
-	report.Counters[mapreduce.CounterMapOut] = emitted
-
 	if t.CombineName != "" {
-		combine, err := w.cfg.Registry.ReduceFunc(t.CombineName)
-		if err != nil {
+		if task.Combine, err = w.cfg.Registry.ReduceFunc(t.CombineName); err != nil {
 			return err
 		}
-		var combined int64
-		for r := range buckets {
-			sortKVs(buckets[r])
-			var out []mapreduce.KeyValue
-			cemit := func(kv mapreduce.KeyValue) { out = append(out, kv) }
-			for _, g := range groupSorted(buckets[r]) {
-				if err := combine(g.key, g.values, cemit); err != nil {
-					return fmt.Errorf("combine key %q: %w", g.key, err)
-				}
-			}
-			buckets[r] = out
-			combined += int64(len(out))
-		}
-		report.Counters[mapreduce.CounterCombineOut] = combined
 	}
-	for r := range buckets {
-		if err := writeKVFile(intermediateFile(w.cfg.Dir, t.JobID, t.TaskID, r), buckets[r]); err != nil {
+	input, err := spill.ReadRun(w.fsys, inputFile(w.cfg.Dir, t.JobID, t.TaskID))
+	if err != nil {
+		return err
+	}
+	// Not the worker's context: a task cut short by shutdown would report an
+	// error, and an error report fails the job where a lost worker does not.
+	buckets, err := task.Run(context.Background(), input, 0)
+	if err != nil {
+		return err
+	}
+	for r, run := range buckets {
+		if _, err := spill.WriteRun(w.fsys, intermediateFile(w.cfg.Dir, t.JobID, t.TaskID, r), run); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// runReduce executes reduce task t.TaskID: gather this partition's
-// intermediate files from every map task, sort, group, reduce, and write the
-// output file.
+// runReduce executes reduce task t.TaskID: the reduce kernel streaming a
+// merge of this partition's run from every map task, then the output file.
 func (w *Worker) runReduce(t *TaskReply, report *TaskReport) error {
 	reduceFn, err := w.cfg.Registry.ReduceFunc(t.ReduceName)
 	if err != nil {
 		return err
 	}
-	var all []mapreduce.KeyValue
-	for m := 0; m < t.NumMapTasks; m++ {
-		kvs, err := readKVFile(intermediateFile(w.cfg.Dir, t.JobID, m, t.TaskID))
-		if err != nil {
-			return err
-		}
-		all = append(all, kvs...)
+	runs := make([]string, t.NumMapTasks)
+	for m := range runs {
+		runs[m] = intermediateFile(w.cfg.Dir, t.JobID, m, t.TaskID)
 	}
-	sortKVs(all)
-	var out []mapreduce.KeyValue
-	emit := func(kv mapreduce.KeyValue) { out = append(out, kv) }
-	groups := groupSorted(all)
-	for _, g := range groups {
-		if err := reduceFn(g.key, g.values, emit); err != nil {
-			return fmt.Errorf("reduce key %q: %w", g.key, err)
-		}
+	out, err := mapreduce.ReducePartition(w.fsys, nil, runs, reduceFn, report.count)
+	if err != nil {
+		return err
 	}
-	report.Counters[mapreduce.CounterReduceKeys] = int64(len(groups))
-	report.Counters[mapreduce.CounterReduceOut] = int64(len(out))
-	return writeKVFile(outputFile(w.cfg.Dir, t.JobID, t.TaskID), out)
-}
-
-type kvGroup struct {
-	key    string
-	values []string
-}
-
-// groupSorted groups consecutive equal keys of a sorted pair slice.
-func groupSorted(kvs []mapreduce.KeyValue) []kvGroup {
-	var out []kvGroup
-	for i := 0; i < len(kvs); {
-		j := i
-		for j < len(kvs) && kvs[j].Key == kvs[i].Key {
-			j++
-		}
-		vals := make([]string, 0, j-i)
-		for _, kv := range kvs[i:j] {
-			vals = append(vals, kv.Value)
-		}
-		out = append(out, kvGroup{key: kvs[i].Key, values: vals})
-		i = j
-	}
-	return out
+	_, err = spill.WriteRun(w.fsys, outputFile(w.cfg.Dir, t.JobID, t.TaskID), out)
+	return err
 }

@@ -1,11 +1,16 @@
 package mapreduce_test
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math/rand"
 	"net"
+	"os"
 	"reflect"
+	"slices"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -15,6 +20,7 @@ import (
 	"evmatching/internal/dataset"
 	"evmatching/internal/mapreduce"
 	"evmatching/internal/mrtest"
+	"evmatching/internal/spill"
 )
 
 func TestSerialExecutorConformance(t *testing.T) {
@@ -170,6 +176,118 @@ func TestExecutorPropertyRandomJobs(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// jobShapes are the four things a job's Reduce and Combine can be; the
+// shuffle treats each differently (a map-only job has no shuffle to spill).
+var jobShapes = []struct {
+	name            string
+	reduce, combine bool
+}{
+	{"map-only", false, false},
+	{"combine-only", false, true},
+	{"reduce", true, false},
+	{"combine+reduce", true, true},
+}
+
+// exceedsBudget reports whether some mapper of a ParallelExecutor{Workers,
+// MemBudget} emits more than its share of the budget: the executor hands
+// each mapper a contiguous ceil(n/workers) chunk and budget/workers bytes.
+func exceedsBudget(job *mapreduce.Job, workers int, budget int64) bool {
+	share := max(budget/int64(workers), 1)
+	chunk := (len(job.Input) + workers - 1) / workers
+	for lo := 0; lo < len(job.Input); lo += chunk {
+		var charged int64
+		for _, in := range job.Input[lo:min(lo+chunk, len(job.Input))] {
+			_ = job.Map(in, func(kv mapreduce.KeyValue) { charged += mapreduce.KVCost(kv) })
+		}
+		if charged > share {
+			return true
+		}
+	}
+	return false
+}
+
+// TestExecutorPropertyBudgetInvariance sweeps seeded random jobs of every shape across
+// memory budgets and worker counts: whatever the budget — none, one byte
+// (a flush per pair), one some jobs exceed, one none does — the output and
+// the non-spill counters equal the serial reference's, and the executor
+// spills exactly when a job with a shuffle exceeds its budget. A
+// combine-only job is compared after re-folding: its partial sums depend on
+// how the pairs were grouped even in memory (DESIGN.md §14).
+func TestExecutorPropertyBudgetInvariance(t *testing.T) {
+	seeds := 6
+	if testing.Short() {
+		seeds = 2
+	}
+	fns := mrtest.StandardFuncs()
+	refold := func(kvs []mapreduce.KeyValue) map[string]int {
+		sums := make(map[string]int)
+		for _, kv := range kvs {
+			n, err := strconv.Atoi(kv.Value)
+			if err != nil {
+				t.Fatalf("non-numeric partial %q: %v", kv.Value, err)
+			}
+			sums[kv.Key] += n
+		}
+		return sums
+	}
+	ctx := context.Background()
+	dir := t.TempDir()
+	for seed := int64(1); seed <= int64(seeds); seed++ {
+		for _, shape := range jobShapes {
+			build := func() *mapreduce.Job {
+				job := randomJob(rand.New(rand.NewSource(seed)))
+				job.Reduce, job.Combine = nil, nil
+				if shape.reduce {
+					job.Reduce = fns.SumReduce
+				}
+				if shape.combine {
+					job.Combine = fns.SumReduce
+				}
+				return job
+			}
+			want, err := mapreduce.SerialExecutor{}.Run(ctx, build())
+			if err != nil {
+				t.Fatalf("serial reference: %v", err)
+			}
+			for _, budget := range []int64{0, 1, 4 << 10, 1 << 30} {
+				for _, workers := range []int{1, 3, 8} {
+					name := fmt.Sprintf("seed=%d %s budget=%d workers=%d", seed, shape.name, budget, workers)
+					stats := &spill.Stats{}
+					job := build()
+					got, err := mapreduce.ParallelExecutor{Workers: workers, MemBudget: budget, SpillDir: dir, Stats: stats}.Run(ctx, job)
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					if shape.combine && !shape.reduce {
+						if !reflect.DeepEqual(refold(got.Output), refold(want.Output)) {
+							t.Errorf("%s: partials do not re-fold to the serial totals", name)
+						}
+						if !slices.IsSortedFunc(got.Output, func(a, b mapreduce.KeyValue) int {
+							return cmp.Or(strings.Compare(a.Key, b.Key), strings.Compare(a.Value, b.Value))
+						}) {
+							t.Errorf("%s: output not in (key, value) order", name)
+						}
+					} else if !reflect.DeepEqual(got.Output, want.Output) {
+						t.Errorf("%s: output differs from serial reference:\ngot  %v\nwant %v", name, got.Output, want.Output)
+					}
+					for _, c := range []string{mapreduce.CounterMapIn, mapreduce.CounterMapOut, mapreduce.CounterReduceKeys, mapreduce.CounterReduceOut} {
+						if g, w := got.Counters.Get(c), want.Counters.Get(c); g != w {
+							t.Errorf("%s: counter %s = %d, serial has %d", name, c, g, w)
+						}
+					}
+					wantSpill := (shape.reduce || shape.combine) && budget > 0 && exceedsBudget(job, workers, budget)
+					if sn := stats.Snapshot(); sn.Spilled() != wantSpill || (sn.RunsMerged > 0) != wantSpill {
+						t.Errorf("%s: spilled = %v (%+v), want %v", name, sn.Spilled(), sn, wantSpill)
+					}
+				}
+			}
+		}
+	}
+	if left, err := os.ReadDir(dir); err != nil || len(left) != 0 {
+		t.Errorf("spill directory holds %d entries after the sweep (err %v), want none", len(left), err)
 	}
 }
 

@@ -15,13 +15,13 @@ import (
 	"slices"
 	"strings"
 	"sync"
+
+	"evmatching/internal/spill"
 )
 
-// KeyValue is the unit of data flowing through a job.
-type KeyValue struct {
-	Key   string `json:"key"`
-	Value string `json:"value"`
-}
+// KeyValue is the unit of data flowing through a job. It is the record of
+// a spill run file, so a shuffle bucket goes to disk and back uncopied.
+type KeyValue = spill.Record
 
 // Emitter receives pairs produced by map and reduce functions.
 type Emitter func(kv KeyValue)
@@ -125,7 +125,7 @@ const (
 	CounterCombineOut = "combine.out"
 	CounterReduceKeys = "reduce.keys"
 	CounterReduceOut  = "reduce.out"
-	// Spill counters (the budgeted external-merge path only).
+	// Spill counters (set only by a shuffle that went past its budget).
 	CounterSpillRuns   = "spill.runs.written"
 	CounterSpillBytes  = "spill.bytes"
 	CounterSpillMerged = "spill.runs.merged"
@@ -175,8 +175,9 @@ type group struct {
 	values []string
 }
 
-// reduceGroups applies fn to each group, emitting into out.
-func reduceGroups(groups []group, fn ReduceFunc, counters *Counters, counterName string) ([]KeyValue, error) {
+// reduceGroups applies fn to each group and reports the reduce counters
+// through count.
+func reduceGroups(groups []group, fn ReduceFunc, count func(name string, delta int64)) ([]KeyValue, error) {
 	var out []KeyValue
 	emit := func(kv KeyValue) { out = append(out, kv) }
 	for _, g := range groups {
@@ -184,10 +185,8 @@ func reduceGroups(groups []group, fn ReduceFunc, counters *Counters, counterName
 			return nil, fmt.Errorf("reduce key %q: %w", g.key, err)
 		}
 	}
-	if counters != nil {
-		counters.Add(CounterReduceKeys, int64(len(groups)))
-		counters.Add(counterName, int64(len(out)))
-	}
+	count(CounterReduceKeys, int64(len(groups)))
+	count(CounterReduceOut, int64(len(out)))
 	return out, nil
 }
 

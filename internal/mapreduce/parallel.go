@@ -3,6 +3,7 @@ package mapreduce
 import (
 	"context"
 	"fmt"
+	"path/filepath"
 	"runtime"
 	"sync"
 
@@ -10,10 +11,11 @@ import (
 )
 
 // ParallelExecutor runs jobs over a pool of goroutine workers with a
-// hash-partitioned in-memory shuffle, the in-process equivalent of the
-// paper's Spark deployment. With MemBudget set, oversized shuffles spill
-// to sorted temp-file runs and k-way merge at reduce time (DESIGN.md §14),
-// producing byte-identical output to the in-memory path.
+// hash-partitioned shuffle, the in-process equivalent of the paper's Spark
+// deployment: one MapTask per worker, one ReducePartition per reducer. With
+// MemBudget set, a mapper past its share flushes its buckets to sorted run
+// files that the reducers merge back (DESIGN.md §14); the output is
+// byte-identical at every budget.
 type ParallelExecutor struct {
 	// Workers is the mapper/reducer pool size; 0 means GOMAXPROCS.
 	Workers int
@@ -31,6 +33,16 @@ type ParallelExecutor struct {
 
 var _ Executor = ParallelExecutor{}
 
+// share is the charge one of workers mappers may buffer before it flushes;
+// 0, for no budget, never flushes. The floor of one byte keeps a degenerate
+// budget functional (spill on every record) rather than dividing to zero.
+func (p ParallelExecutor) share(workers int) int64 {
+	if p.MemBudget <= 0 {
+		return 0
+	}
+	return max(p.MemBudget/int64(workers), 1)
+}
+
 // Run implements Executor.
 func (p ParallelExecutor) Run(ctx context.Context, job *Job) (*Result, error) {
 	if err := job.Validate(); err != nil {
@@ -44,26 +56,36 @@ func (p ParallelExecutor) Run(ctx context.Context, job *Job) (*Result, error) {
 	if numReducers <= 0 {
 		numReducers = workers
 	}
+	share := p.share(workers)
+	// With neither reducer nor combiner the intermediate pairs are the
+	// output, which is held in memory whatever the budget: one bucket per
+	// mapper, never flushed.
+	if job.Reduce == nil && job.Combine == nil {
+		numReducers, share = 1, 0
+	}
+	fsys := p.FS
+	if fsys == nil {
+		fsys = spill.OS{}
+	}
 	counters := NewCounters()
 
-	// Map-only jobs (no reduce, no combine) skip the shuffle machinery: no
-	// per-reducer partitioning and no per-bucket pre-sort, just one worker
-	// slice each and a single global sort. The output equals the partitioned
-	// path's exactly — sortKVs orders by (key, value), which determines the
-	// final sequence regardless of how records were bucketed.
-	if job.Reduce == nil && job.Combine == nil {
-		return p.runMapOnly(ctx, job, workers, counters)
-	}
+	// The spill directory exists from the first flush to the end of the job.
+	var (
+		dirOnce sync.Once
+		dir     string
+		dirErr  error
+	)
+	defer func() {
+		if dir != "" {
+			fsys.RemoveAll(dir)
+		}
+	}()
 
-	// Budgeted shuffles take the external-merge path: same map/partition
-	// logic, but buckets flush to sorted run files under memory pressure.
-	if p.MemBudget > 0 {
-		return p.runSpilled(ctx, job, workers, numReducers, counters)
-	}
-
-	// Map phase: each worker maps a contiguous chunk of the input into
-	// per-reducer buckets, optionally pre-folding with the combiner.
-	buckets := make([][][]KeyValue, workers) // [worker][reducer][]kv
+	// Map phase: each worker maps a contiguous chunk of the input. A worker
+	// owns its tails and run paths until the phase joins, so flushes need no
+	// locking.
+	tails := make([][][]KeyValue, workers) // [worker][reducer] sorted run
+	runs := make([][][]string, workers)    // [worker][reducer] run files, in flush order
 	mapErr := make([]error, workers)
 	var wg sync.WaitGroup
 	chunk := (len(job.Input) + workers - 1) / workers
@@ -72,49 +94,36 @@ func (p ParallelExecutor) Run(ctx context.Context, job *Job) (*Result, error) {
 		if lo >= len(job.Input) {
 			break
 		}
-		hi := lo + chunk
-		if hi > len(job.Input) {
-			hi = len(job.Input)
-		}
+		hi := min(lo+chunk, len(job.Input))
+		runs[w] = make([][]string, numReducers)
 		wg.Add(1)
 		go func(w, lo, hi int) {
 			defer wg.Done()
-			local := make([][]KeyValue, numReducers)
-			emit := func(kv KeyValue) {
-				r := Partition(kv.Key, numReducers)
-				local[r] = append(local[r], kv)
-			}
-			for i := lo; i < hi; i++ {
-				if err := ctx.Err(); err != nil {
-					mapErr[w] = err
-					return
-				}
-				if err := job.Map(job.Input[i], emit); err != nil {
-					mapErr[w] = fmt.Errorf("map record %d: %w", i, err)
-					return
-				}
-			}
-			var emitted int64
-			for _, b := range local {
-				emitted += int64(len(b))
-			}
-			counters.Add(CounterMapOut, emitted)
-			if job.Combine != nil {
-				for r := range local {
-					combined, err := combineBucket(local[r], job.Combine)
-					if err != nil {
-						mapErr[w] = err
-						return
+			task := MapTask{
+				Map:         job.Map,
+				Combine:     job.Combine,
+				NumReducers: numReducers,
+				Share:       share,
+				Count:       counters.Add,
+				Flush: func(r int, sorted []KeyValue) error {
+					dirOnce.Do(func() { dir, dirErr = fsys.MkdirTemp(p.SpillDir, "evspill-*") })
+					if dirErr != nil {
+						return fmt.Errorf("create spill dir: %w", dirErr)
 					}
-					local[r] = combined
-				}
-				var afterCombine int64
-				for _, b := range local {
-					afterCombine += int64(len(b))
-				}
-				counters.Add(CounterCombineOut, afterCombine)
+					path := filepath.Join(dir, fmt.Sprintf("w%03d-r%03d-%05d.run", w, r, len(runs[w][r])))
+					size, err := spill.WriteRun(fsys, path, sorted)
+					if err != nil {
+						return fmt.Errorf("spill flush partition %d: %w", r, err)
+					}
+					runs[w][r] = append(runs[w][r], path)
+					counters.Add(CounterSpillRuns, 1)
+					counters.Add(CounterSpillBytes, size)
+					p.Stats.AddRunsWritten(1)
+					p.Stats.AddBytesSpilled(size)
+					return nil
+				},
 			}
-			buckets[w] = local
+			tails[w], mapErr[w] = task.Run(ctx, job.Input[lo:hi], lo)
 		}(w, lo, hi)
 	}
 	wg.Wait()
@@ -125,26 +134,8 @@ func (p ParallelExecutor) Run(ctx context.Context, job *Job) (*Result, error) {
 		}
 	}
 
-	// Shuffle: concatenate each reducer's buckets from every mapper.
-	shuffled := make([][]KeyValue, numReducers)
-	for r := 0; r < numReducers; r++ {
-		for w := 0; w < workers; w++ {
-			if buckets[w] != nil {
-				shuffled[r] = append(shuffled[r], buckets[w][r]...)
-			}
-		}
-		sortKVs(shuffled[r])
-	}
-	if job.Reduce == nil {
-		var out []KeyValue
-		for r := 0; r < numReducers; r++ {
-			out = append(out, shuffled[r]...)
-		}
-		sortKVs(out)
-		return &Result{Output: out, Counters: counters}, nil
-	}
-
-	// Reduce phase: one goroutine per partition.
+	// Reduce phase: one goroutine per partition merges the partition's runs
+	// from every mapper.
 	reduceOut := make([][]KeyValue, numReducers)
 	reduceErr := make([]error, numReducers)
 	for r := 0; r < numReducers; r++ {
@@ -155,12 +146,19 @@ func (p ParallelExecutor) Run(ctx context.Context, job *Job) (*Result, error) {
 				reduceErr[r] = err
 				return
 			}
-			out, err := reduceGroups(groupByKey(shuffled[r]), job.Reduce, counters, CounterReduceOut)
-			if err != nil {
-				reduceErr[r] = err
-				return
+			var inMem [][]KeyValue
+			var onDisk []string
+			for w := range tails {
+				if tails[w] != nil {
+					inMem = append(inMem, tails[w][r])
+					onDisk = append(onDisk, runs[w][r]...)
+				}
 			}
-			reduceOut[r] = out
+			if n := int64(len(onDisk)); n > 0 {
+				counters.Add(CounterSpillMerged, n)
+				p.Stats.AddRunsMerged(n)
+			}
+			reduceOut[r], reduceErr[r] = ReducePartition(fsys, inMem, onDisk, job.Reduce, counters.Add)
 		}(r)
 	}
 	wg.Wait()
@@ -169,73 +167,5 @@ func (p ParallelExecutor) Run(ctx context.Context, job *Job) (*Result, error) {
 			return nil, fmt.Errorf("mapreduce: job %q reducer %d: %w", job.Name, r, err)
 		}
 	}
-	var out []KeyValue
-	for r := 0; r < numReducers; r++ {
-		out = append(out, reduceOut[r]...)
-	}
-	sortKVs(out)
-	return &Result{Output: out, Counters: counters}, nil
-}
-
-// runMapOnly is the fast path for jobs with neither reducer nor combiner.
-func (p ParallelExecutor) runMapOnly(ctx context.Context, job *Job, workers int, counters *Counters) (*Result, error) {
-	locals := make([][]KeyValue, workers)
-	mapErr := make([]error, workers)
-	var wg sync.WaitGroup
-	chunk := (len(job.Input) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		if lo >= len(job.Input) {
-			break
-		}
-		hi := lo + chunk
-		if hi > len(job.Input) {
-			hi = len(job.Input)
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			var local []KeyValue
-			emit := func(kv KeyValue) { local = append(local, kv) }
-			for i := lo; i < hi; i++ {
-				if err := ctx.Err(); err != nil {
-					mapErr[w] = err
-					return
-				}
-				if err := job.Map(job.Input[i], emit); err != nil {
-					mapErr[w] = fmt.Errorf("map record %d: %w", i, err)
-					return
-				}
-			}
-			counters.Add(CounterMapOut, int64(len(local)))
-			locals[w] = local
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	counters.Add(CounterMapIn, int64(len(job.Input)))
-	for w, err := range mapErr {
-		if err != nil {
-			return nil, fmt.Errorf("mapreduce: job %q worker %d: %w", job.Name, w, err)
-		}
-	}
-	var out []KeyValue
-	for _, local := range locals {
-		out = append(out, local...)
-	}
-	sortKVs(out)
-	return &Result{Output: out, Counters: counters}, nil
-}
-
-// combineBucket groups one mapper-local bucket by key and applies the
-// combiner.
-func combineBucket(kvs []KeyValue, combine ReduceFunc) ([]KeyValue, error) {
-	sortKVs(kvs)
-	var out []KeyValue
-	emit := func(kv KeyValue) { out = append(out, kv) }
-	for _, g := range groupByKey(kvs) {
-		if err := combine(g.key, g.values, emit); err != nil {
-			return nil, fmt.Errorf("combine key %q: %w", g.key, err)
-		}
-	}
-	return out, nil
+	return &Result{Output: Gather(reduceOut), Counters: counters}, nil
 }

@@ -35,7 +35,7 @@ func (SerialExecutor) Run(ctx context.Context, job *Job) (*Result, error) {
 	if job.Reduce == nil {
 		return &Result{Output: intermediate, Counters: counters}, nil
 	}
-	out, err := reduceGroups(groupByKey(intermediate), job.Reduce, counters, CounterReduceOut)
+	out, err := reduceGroups(groupByKey(intermediate), job.Reduce, counters.Add)
 	if err != nil {
 		return nil, fmt.Errorf("mapreduce: job %q: %w", job.Name, err)
 	}

@@ -12,9 +12,10 @@ import (
 // parent directory is fsynced so the rename itself survives a crash.
 // On any error the temp file is removed and path is left untouched.
 //
-// This is the one write path for checkpoints and spill runs. The original
-// evstream checkpoint writer closed and renamed without either sync — a
-// power cut after the rename could surface a zero-length "checkpoint".
+// This is the one write path for checkpoints (runs are scratch state and
+// skip the syncs: see WriteRun). The original evstream checkpoint writer
+// closed and renamed without either sync — a power cut after the rename
+// could surface a zero-length "checkpoint".
 func WriteFileAtomic(fsys FS, path string, write func(io.Writer) error) (err error) {
 	tmp := path + ".tmp"
 	f, err := fsys.Create(tmp)

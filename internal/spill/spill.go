@@ -5,9 +5,10 @@
 //
 //   - budget accounting: Budget tracks bytes of state held in memory against
 //     a configured ceiling and answers the single question "are we over?".
-//   - run writing: WriteRun persists one sorted slice of key/value records
-//     as a length-prefixed run file via the same durable atomic-write path
-//     (WriteFileAtomic) checkpoints use.
+//   - run writing: WriteRun persists one slice of key/value records as a
+//     length-prefixed run file — scratch state of a live job, staged through
+//     a unique temp name and renamed, never fsynced. WriteFileAtomic is the
+//     durable sequence, for checkpoints.
 //   - merging: MergeRuns k-way merges sorted record sources (run files plus
 //     an in-memory tail) back into one globally sorted stream, preserving
 //     exact (key, value) order so spilled output is byte-identical to the

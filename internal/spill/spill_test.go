@@ -4,8 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"slices"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
 
@@ -214,6 +217,133 @@ func TestRunTruncatedMidRecord(t *testing.T) {
 			t.Fatalf("want wrapped io.ErrUnexpectedEOF, got %v", err)
 		}
 		return
+	}
+}
+
+// TestRunLargeField: a field longer than the reader's allocation chunk
+// round-trips, and a length prefix promising far more than the file holds
+// is a truncation error, not an allocation of what it claims.
+func TestRunLargeField(t *testing.T) {
+	fs := spilltest.NewMemFS()
+	recs := []spill.Record{{Key: "k", Value: strings.Repeat("0123456789abcdef", 5<<16)}, {Key: "l", Value: ""}}
+	if _, err := spill.WriteRun(fs, "/spill/big.run", recs); err != nil {
+		t.Fatal(err)
+	}
+	got, err := spill.ReadRun(fs, "/spill/big.run")
+	if err != nil || !slices.Equal(got, recs) {
+		t.Fatalf("large field did not round-trip: %d records, err %v", len(got), err)
+	}
+	f, err := fs.Create("/spill/liar.run")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write([]byte{0x01, 'k', 0xff, 0xff, 0xff, 0xff, 0x03, 'v'}); err != nil { // 1 GiB − 1 value
+		t.Fatal(err)
+	}
+	if _, err := spill.ReadRun(fs, "/spill/liar.run"); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("want wrapped io.ErrUnexpectedEOF, got %v", err)
+	}
+}
+
+// TestWriteRunConcurrentAttempts is the regression test for a fixed staging
+// name: attempts of one cluster task writing the same path at once used to
+// rename each other's temp file away (ENOENT for the loser — the PR 17
+// TestSim flake). Every write must succeed, every read must see exactly one
+// writer's complete records, and no temp file may be left behind.
+func TestWriteRunConcurrentAttempts(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "job-j-out-00000")
+	const writers, rounds, pairs = 16, 50, 40
+	var wg sync.WaitGroup
+	errs := make(chan error, writers)
+	for g := 0; g < writers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			recs := make([]spill.Record, pairs)
+			for i := range recs {
+				recs[i] = spill.Record{Key: fmt.Sprintf("k%02d", i), Value: fmt.Sprintf("writer-%02d", g)}
+			}
+			for r := 0; r < rounds; r++ {
+				if _, err := spill.WriteRun(spill.OS{}, path, recs); err != nil {
+					errs <- err
+					return
+				}
+				got, err := spill.ReadRun(spill.OS{}, path)
+				if err != nil {
+					errs <- err
+					return
+				}
+				if len(got) != pairs {
+					errs <- fmt.Errorf("read %d records, want %d", len(got), pairs)
+					return
+				}
+				for i, rec := range got {
+					if rec.Key != fmt.Sprintf("k%02d", i) || rec.Value != got[0].Value {
+						errs <- fmt.Errorf("record %d is %v beside %v: the file mixes writers", i, rec, got[0])
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	left, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(left) != 1 || left[0].Name() != filepath.Base(path) {
+		t.Errorf("directory holds %d entries after the writers finished, want only %s", len(left), filepath.Base(path))
+	}
+}
+
+// TestWriteRunRemovesTempOnFailure: a rename that cannot succeed (the target
+// is a non-empty directory) and a write the device refuses must not leave
+// the staged file behind.
+func TestWriteRunRemovesTempOnFailure(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "taken")
+	if err := os.MkdirAll(filepath.Join(path, "child"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := spill.WriteRun(spill.OS{}, path, []spill.Record{{Key: "k", Value: "v"}}); err == nil {
+		t.Fatal("writing over a non-empty directory succeeded")
+	}
+	left, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(left) != 1 {
+		t.Errorf("a failed write left %d entries beside the target, want none", len(left)-1)
+	}
+
+	fs := spilltest.NewMemFS()
+	fs.Capacity = 8
+	if _, err := spill.WriteRun(fs, "/spill/r0.run", testRecords(50)); !errors.Is(err, syscall.ENOSPC) {
+		t.Fatalf("want wrapped ENOSPC, got %v", err)
+	}
+	if names := fs.Names(); len(names) != 0 {
+		t.Errorf("a failed write left %v behind", names)
+	}
+}
+
+// TestWriteRunDoesNotSync pins the decision that runs are scratch: a device
+// whose every fsync fails still takes a run (WriteFileAtomic, the durable
+// path, fails on it: TestWriteFileAtomicSyncFailure).
+func TestWriteRunDoesNotSync(t *testing.T) {
+	fs := spilltest.NewMemFS()
+	fs.OnSync = func(name string) error { return errors.New("fsync lost the device") }
+	recs := testRecords(20)
+	if _, err := spill.WriteRun(fs, "/spill/r0.run", recs); err != nil {
+		t.Fatal(err)
+	}
+	got, err := spill.ReadRun(fs, "/spill/r0.run")
+	if err != nil || !slices.Equal(got, recs) {
+		t.Fatalf("read back %d records, err %v; want %d", len(got), err, len(recs))
 	}
 }
 

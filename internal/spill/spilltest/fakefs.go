@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"syscall"
@@ -192,6 +193,18 @@ func (m *MemFS) Exists(name string) bool {
 	defer m.mu.Unlock()
 	_, ok := m.live[name]
 	return ok
+}
+
+// Names lists the live namespace in sorted order.
+func (m *MemFS) Names() []string {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	names := make([]string, 0, len(m.live))
+	for name := range m.live { // sorted below; order-independent
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	return names
 }
 
 // ReadFile returns the live content of name.
