@@ -128,9 +128,9 @@ func run(args []string) error {
 	fmt.Printf("algorithm=%s mode=%s targets=%d matched=%d accuracy=%.2f%%\n",
 		rep.Algorithm, rep.Mode, len(rep.Targets), rep.Matched(),
 		rep.Accuracy(ds.TruthVID)*100)
-	fmt.Printf("selected scenarios=%d (%.2f per EID)  E=%v V=%v total=%v refine=%d\n",
+	fmt.Printf("selected scenarios=%d (%.2f per EID)  E=%v V=%v total=%v refine=%d prefetched=%d\n",
 		rep.SelectedScenarios, rep.AvgScenariosPerEID(),
-		rep.ETime, rep.VTime, rep.TotalTime(), rep.RefineRounds)
+		rep.ETime, rep.VTime, rep.TotalTime(), rep.RefineRounds, rep.PrefetchedScenarios)
 	fmt.Printf("blocking candidates=%d pruned=%d (%.1f%% pruned) windows materialised=%d\n",
 		rep.BlockCandidates, rep.BlockPruned, rep.BlockPruneRatio()*100, rep.BlockMaterialised)
 	if rep.Spill.Spilled() {
@@ -158,6 +158,7 @@ type jsonReport struct {
 	BlockPruned       int64       `json:"blockPruned"`
 	BlockPruneRatio   float64     `json:"blockPruneRatio"`
 	BlockMaterialised int64       `json:"blockMaterialised"`
+	Prefetched        int         `json:"prefetchedScenarios"`
 	SpillBytes        int64       `json:"spillBytes,omitempty"`
 	SpillRunsWritten  int64       `json:"spillRunsWritten,omitempty"`
 	SpillRunsMerged   int64       `json:"spillRunsMerged,omitempty"`
@@ -200,6 +201,7 @@ func emitJSON(w io.Writer, truth func(evmatching.EID) evmatching.VID, rep *evmat
 		BlockPruned:       rep.BlockPruned,
 		BlockPruneRatio:   rep.BlockPruneRatio(),
 		BlockMaterialised: rep.BlockMaterialised,
+		Prefetched:        rep.PrefetchedScenarios,
 		SpillBytes:        rep.Spill.BytesSpilled,
 		SpillRunsWritten:  rep.Spill.RunsWritten,
 		SpillRunsMerged:   rep.Spill.RunsMerged,

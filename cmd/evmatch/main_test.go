@@ -144,14 +144,15 @@ func TestEmitJSONGolden(t *testing.T) {
 			"cc:cc": {VID: "V00004", Probability: 0.25, MajorityFrac: 0.6,
 				RunnerUp: "V00005", Margin: 1.25},
 		},
-		PerEID:            map[evmatching.EID]int{"aa:aa": 3, "bb:bb": 2, "cc:cc": 3},
-		SelectedScenarios: 6,
-		ETime:             1500 * time.Microsecond,
-		VTime:             2250 * time.Microsecond,
-		RefineRounds:      1,
-		BlockCandidates:   12,
-		BlockPruned:       36,
-		BlockMaterialised: 5,
+		PerEID:              map[evmatching.EID]int{"aa:aa": 3, "bb:bb": 2, "cc:cc": 3},
+		SelectedScenarios:   6,
+		ETime:               1500 * time.Microsecond,
+		VTime:               2250 * time.Microsecond,
+		RefineRounds:        1,
+		BlockCandidates:     12,
+		BlockPruned:         36,
+		BlockMaterialised:   5,
+		PrefetchedScenarios: 4,
 	}
 	truth := func(e evmatching.EID) evmatching.VID {
 		switch e {
@@ -180,6 +181,7 @@ func TestEmitJSONGolden(t *testing.T) {
   "blockPruned": 36,
   "blockPruneRatio": 0.75,
   "blockMaterialised": 5,
+  "prefetchedScenarios": 4,
   "matches": [
     {
       "eid": "aa:aa",

@@ -26,8 +26,10 @@ type Report struct {
 	// SelectedScenarios is the number of distinct scenarios across all
 	// lists ("reused scenario is only counted once", paper §VI-B).
 	SelectedScenarios int
-	// ETime and VTime are the wall-clock times of the two stages,
-	// accumulated across refine rounds.
+	// ETime and VTime are the stages' wall times, accumulated across refine
+	// rounds — not CPU ledgers: on more than one proc part of serial SS's
+	// patch extraction runs on helper goroutines in the E stage's shadow
+	// (PrefetchedScenarios) and adds to neither.
 	ETime time.Duration
 	VTime time.Duration
 	// VStats aggregates the visual-processing work performed.
@@ -45,6 +47,10 @@ type Report struct {
 	// BlockMaterialised counts the posting windows this match was first to
 	// touch in its store: effort again, excluded from Fingerprint.
 	BlockMaterialised int64
+	// PrefetchedScenarios counts the recorded scenarios serial SS's E stage
+	// handed to its extraction helpers over all rounds: zero at GOMAXPROCS 1
+	// and in ModeParallel, where none starts. Effort, not in Fingerprint.
+	PrefetchedScenarios int
 	// SplitScenarios lists the effective scenarios recorded by the round-0
 	// set split, in application order. It is derived bookkeeping rather than
 	// a match result, so Fingerprint excludes it; stream.Engine.Finalize
@@ -98,9 +104,10 @@ func (r *Report) AvgScenariosPerEID() float64 {
 // canonical textual form: targets in sorted order, each with its match
 // outcome, scenario-list length, and per-scenario votes, followed by the
 // aggregate counters. Timing and work-cost fields (ETime, VTime, VStats,
-// BlockCandidates, BlockPruned, BlockMaterialised) are excluded: they measure
-// effort, not results, and legitimately vary when the cluster re-executes
-// tasks after faults, when blocking is toggled or when the store is warm. Two runs over the same dataset and
+// BlockCandidates, BlockPruned, BlockMaterialised, PrefetchedScenarios) are
+// excluded: they measure effort, not results, and legitimately vary when the
+// cluster re-executes tasks after faults, when blocking is toggled, when the
+// store is warm or with GOMAXPROCS. Two runs over the same dataset and
 // options must produce byte-identical fingerprints — the determinism
 // guarantee evlint's maprange rule protects and the chaos sim asserts under
 // fault injection (see DESIGN.md).

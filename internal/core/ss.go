@@ -3,6 +3,9 @@ package core
 import (
 	"context"
 	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"evmatching/internal/blocking"
@@ -27,10 +30,12 @@ func (m *Matcher) matchSS(ctx context.Context, targets []ids.EID, filter *vfilte
 	selected := make(map[scenario.ID]bool)
 	accepted := filter.NewExclusion()
 	pending := targets
+	pre := m.startPrefetch(ctx, filter, len(targets))
+	defer pre.join()
 
 	for round := 0; ; round++ {
 		eStart := time.Now()
-		p, lists, err := m.splitStage(ctx, pending, round, ix, rep)
+		p, lists, err := m.splitStage(ctx, pending, round, ix, rep, pre)
 		rep.ETime += time.Since(eStart)
 		if err != nil {
 			return nil, err
@@ -76,8 +81,74 @@ func (m *Matcher) matchSS(ctx context.Context, targets []ids.EID, filter *vfilte
 		rep.RefineRounds++
 	}
 	rep.SelectedScenarios = len(selected)
+	rep.PrefetchedScenarios = pre.handed
+	// Every handed scenario is on a list the V stage has scored, so whatever
+	// the helpers still hold is a cache hit: the counters are final.
 	rep.VStats = filter.Stats()
 	return rep, nil
+}
+
+// prefetcher runs the V stage's patch extraction in the E stage's shadow
+// (DESIGN.md §9). A scenario the split records is on some target's list for
+// good — the split kept an inclusive target on its left, and padding only
+// appends — so the moment SplitBy reports it the ID goes to helpers that run
+// it through the filter's once-guarded cache, where the V stage finds the
+// matrix ready or waits on the same sync.Once. Nothing else is extracted, and
+// a failed extraction stays cached for the Score that needs it to report, so
+// the helper count — zero at GOMAXPROCS 1 — shows in no result or error.
+type prefetcher struct {
+	ids    chan scenario.ID
+	stop   context.CancelFunc
+	wg     sync.WaitGroup
+	handed int // IDs given to helpers; only the E stage's goroutine writes it
+}
+
+// startPrefetch starts min(GOMAXPROCS, targets)−1 helpers: none in
+// ModeParallel, which extracts in its own §V-C job. join must follow.
+func (m *Matcher) startPrefetch(ctx context.Context, filter *vfilter.Filter, targets int) *prefetcher {
+	pre := &prefetcher{}
+	helpers := min(runtime.GOMAXPROCS(0), targets) - 1
+	if m.opts.Mode == ModeParallel || helpers <= 0 {
+		return pre
+	}
+	ctx, pre.stop = context.WithCancel(ctx)
+	// A split of n sets records at most n−1 scenarios — each adds a leaf — so
+	// within a round hand never waits for a helper; what a later round finds
+	// still queued the V stage has extracted, and drains at once.
+	pre.ids = make(chan scenario.ID, targets)
+	for range helpers {
+		pre.wg.Add(1)
+		go func() {
+			defer pre.wg.Done()
+			for id := range pre.ids {
+				if ctx.Err() == nil {
+					// An extraction error is cached and a page-in error recurs:
+					// either way the Score that needs the scenario reports it.
+					_ = filter.ExtractBatch([]scenario.ID{id})
+				}
+			}
+		}()
+	}
+	return pre
+}
+
+// hand queues a recorded scenario for extraction. A nil prefetcher, or one
+// with no helpers, drops it: the V stage extracts it as it always did.
+func (pre *prefetcher) hand(id scenario.ID) {
+	if pre != nil && pre.ids != nil {
+		pre.ids <- id
+		pre.handed++
+	}
+}
+
+// join returns once every helper has exited; the backlog of a match that is
+// over — failed, cancelled or done — is skipped, not extracted.
+func (pre *prefetcher) join() {
+	if pre.ids != nil {
+		pre.stop()
+		close(pre.ids)
+		pre.wg.Wait()
+	}
 }
 
 // splitStage runs EID set splitting over the store and derives each target's
@@ -93,7 +164,7 @@ func (m *Matcher) matchSS(ctx context.Context, targets []ids.EID, filter *vfilte
 // evolves through the identical state sequence, records the identical
 // scenarios, and hits Done at the identical point — bit-identity with the
 // exhaustive path, which the equivalence property tests pin.
-func (m *Matcher) splitStage(ctx context.Context, targets []ids.EID, round int, ix *blocking.Index, rep *Report) (*partition.Partition, map[ids.EID][]scenario.ID, error) {
+func (m *Matcher) splitStage(ctx context.Context, targets []ids.EID, round int, ix *blocking.Index, rep *Report, pre *prefetcher) (*partition.Partition, map[ids.EID][]scenario.ID, error) {
 	p, err := partition.New(targets)
 	if err != nil {
 		return nil, nil, err
@@ -146,7 +217,9 @@ func (m *Matcher) splitStage(ctx context.Context, targets []ids.EID, round int, 
 			// SplitBy ignores EIDs outside the partition, so store scenarios
 			// go in as they are.
 			for _, id := range cands {
-				p.SplitBy(store.E(id))
+				if p.SplitBy(store.E(id)) {
+					pre.hand(id)
+				}
 				if p.Done() {
 					break
 				}
@@ -190,13 +263,33 @@ func (m *Matcher) splitStage(ctx context.Context, targets []ids.EID, round int, 
 	// padding a non-target bystander sharing the short path would be an
 	// even-odds visual candidate; with it, SS spends about one scenario
 	// more per EID than EDP, exactly as the paper's Fig. 7 reports.
-	lists := make(map[ids.EID][]scenario.ID, len(targets))
-	for _, e := range targets {
-		pos, err := p.PositiveScenarios(e)
-		if err != nil {
-			return nil, nil, err
+	//
+	// One tree walk yields every positive list; padding copies a target's own
+	// and otherwise reads only the store and its postings, so the targets are
+	// padded in place on every core, the caller's included.
+	eids, padded := p.Targets(), p.AllPositiveScenarios()
+	var next atomic.Int64
+	pad := func() {
+		for i := int(next.Add(1)) - 1; i < len(eids) && ctx.Err() == nil; i = int(next.Add(1)) - 1 {
+			padded[i] = padToUnique(store, ix, eids[i], padded[i], windows, m.opts.MinPerEIDList, m.opts.EDPMaxScenarios)
 		}
-		lists[e] = padToUnique(store, ix, e, pos, windows, m.opts.MinPerEIDList, m.opts.EDPMaxScenarios)
+	}
+	var others sync.WaitGroup
+	for w := 1; w < min(runtime.GOMAXPROCS(0), len(eids)); w++ {
+		others.Add(1)
+		go func() {
+			defer others.Done()
+			pad()
+		}()
+	}
+	pad()
+	others.Wait()
+	if err := ctx.Err(); err != nil {
+		return nil, nil, fmt.Errorf("core: split stage: %w", err)
+	}
+	lists := make(map[ids.EID][]scenario.ID, len(eids))
+	for i, e := range eids {
+		lists[e] = padded[i]
 	}
 	return p, lists, nil
 }

@@ -343,6 +343,33 @@ func (p *Partition) PositiveScenarios(e ids.EID) ([]scenario.ID, error) {
 	return out, nil
 }
 
+// Targets returns the partition's EIDs, sorted and deduplicated: the order
+// AllPositiveScenarios indexes by. The slice is shared.
+func (p *Partition) Targets() []ids.EID { return p.idx.eids }
+
+// AllPositiveScenarios returns PositiveScenarios(Targets()[i]) for every i
+// from one walk of the split tree — one visit per node, where a descent per
+// target re-walks the shared upper tree: the stack of left-turn scenarios at
+// a leaf is the list of each of its inclusive members, who share one slice.
+func (p *Partition) AllPositiveScenarios() [][]scenario.ID {
+	out := make([][]scenario.ID, len(p.home))
+	var stack []scenario.ID
+	var walk func(n *Node)
+	walk = func(n *Node) {
+		if n.isLeaf() {
+			list := append([]scenario.ID(nil), stack...)
+			n.inc.ForEach(func(i int) { out[i] = list })
+			return
+		}
+		stack = append(stack, n.Scenario)
+		walk(n.Left)
+		stack = stack[:len(stack)-1]
+		walk(n.Right)
+	}
+	walk(p.root)
+	return out
+}
+
 // Resolved reports whether e's home set contains no other inclusive EID.
 func (p *Partition) Resolved(e ids.EID) (bool, error) {
 	i, ok := p.idx.pos[e]

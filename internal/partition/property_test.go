@@ -3,6 +3,7 @@ package partition
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -150,6 +151,68 @@ func TestRecordedScenariosAreSufficient(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
 	}
+}
+
+// TestAllPositiveScenariosMatchPerTarget: the one-walk lists are the
+// per-target descents, after every step of a scenario stream — so on trees
+// with unresolved leaves and vague copies too — and on a maximally unbalanced
+// tree, where every split sends all but one EID left.
+func TestAllPositiveScenariosMatchPerTarget(t *testing.T) {
+	check := func(t *testing.T, p *Partition) {
+		t.Helper()
+		all := p.AllPositiveScenarios()
+		if len(all) != len(p.Targets()) {
+			t.Fatalf("%d lists for %d targets", len(all), len(p.Targets()))
+		}
+		for i, e := range p.Targets() {
+			want, err := p.PositiveScenarios(e)
+			if err != nil {
+				t.Fatalf("PositiveScenarios(%s): %v", e, err)
+			}
+			if !slices.Equal(all[i], want) {
+				t.Fatalf("AllPositiveScenarios()[%d] = %v, PositiveScenarios(%s) = %v", i, all[i], e, want)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(23))
+	for world := 0; world < 200; world++ {
+		targets, scenarios := genWorld(rng.Int63())
+		if world%2 == 1 {
+			targets, scenarios = refWorld(rng)
+		}
+		p, err := New(targets)
+		if err != nil {
+			t.Fatalf("world %d: New: %v", world, err)
+		}
+		check(t, p)
+		for _, s := range scenarios {
+			p.SplitBy(s)
+			check(t, p)
+		}
+	}
+
+	chain := make([]ids.EID, 200)
+	for i := range chain {
+		chain[i] = ids.EID(rune('a' + i))
+	}
+	p, err := New(chain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := len(chain) - 2; i >= 0; i-- {
+		// chain[:i+1] goes left, so the walk's stack is as deep as the tree
+		// when it reaches chain[0]; a vague sighting of the EID just split
+		// away leaves its copy on the left.
+		members := map[ids.EID]scenario.Attr{chain[i+1]: scenario.AttrVague}
+		for _, e := range chain[:i+1] {
+			members[e] = scenario.AttrInclusive
+		}
+		p.SplitBy(&scenario.EScenario{ID: scenario.ID(i), EIDs: members})
+	}
+	if all := p.AllPositiveScenarios(); !p.Done() || len(all[0]) != len(chain)-1 {
+		t.Fatalf("chain: done=%t, first target lists %d of %d scenarios", p.Done(), len(all[0]), len(chain)-1)
+	}
+	check(t, p)
 }
 
 func BenchmarkSplitBy(b *testing.B) {
