@@ -48,8 +48,9 @@ import (
 // it on every frame; a peer from another build fails its first call with
 // ErrWireVersion instead of exchanging undecodable bytes. Version 2 made
 // replies by-reference (closures carry journal positions, not detections or
-// features) and dropped the sub-checkpoint messages and Configure's image.
-const WireVersion = 2
+// features) and dropped the sub-checkpoint messages and Configure's image;
+// version 3 took the patch out of a request's observations: no pixel travels.
+const WireVersion = 3
 
 // MaxFrameBytes caps a frame's announced length. The reader grows its
 // buffer only as bytes arrive (wire.ReadRecord), so this bounds what a

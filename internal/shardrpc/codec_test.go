@@ -34,7 +34,7 @@ func goldenReply() *ApplyReply {
 	}}
 }
 
-// TestGoldenFrame pins the version-2 frame layout: a format change must show
+// TestGoldenFrame pins the version-3 frame layout: a format change must show
 // up as a deliberate diff of testdata/apply_reply_frame.hex (regenerate
 // with: go test ./internal/shardrpc/ -run TestGoldenFrame -update) — and as
 // a WireVersion bump, or two builds will misread each other silently.
@@ -75,10 +75,15 @@ func TestGoldenFrame(t *testing.T) {
 // value points into neither the decoder's frame buffer nor the encoder's, so
 // both are reused for the next frame. Three different frames go through one
 // encoder and one decoder; each decoded value must still be intact after
-// the later ones were read over the same storage.
+// the later ones were read over the same storage. A request's observations
+// are sent without their patches, so that is how they are expected back.
 func TestDecodedValuesOwnTheirBytes(t *testing.T) {
+	sent := fuzzSeedMsgs()
+	for i := range sent {
+		sent[i].Obs.Patch = nil
+	}
 	bodies := []any{
-		&ApplyArgs{Shard: 1, Incarnation: 2, Msgs: fuzzSeedMsgs()},
+		&ApplyArgs{Shard: 1, Incarnation: 2, Msgs: sent},
 		goldenReply(),
 		&ConfigureArgs{Shard: 1, Incarnation: 3, Params: stream.ShardParams{WindowMS: 1000, Dim: 8, WorkFactor: 1}},
 	}
@@ -142,8 +147,9 @@ func TestFrameErrors(t *testing.T) {
 // drops the connection on the first frame (what a gob-era evshardd does with bytes it
 // cannot parse). Both calls must fail with an error that names the cause.
 func TestClientReportsWorkerFromAnotherBuild(t *testing.T) {
-	// A worker one version ahead, and the by-value worker of wire version 1.
-	for name, version := range map[string]byte{"other-version": WireVersion + 1, "v1-worker": 1} {
+	// A worker one version ahead, the by-value worker of wire version 1, and
+	// the worker of version 2, which expects a patch in every observation.
+	for name, version := range map[string]byte{"other-version": WireVersion + 1, "v1-worker": 1, "v2-worker": 2} {
 		t.Run(name, func(t *testing.T) {
 			cli, srv := net.Pipe()
 			defer srv.Close()
@@ -159,7 +165,7 @@ func TestClientReportsWorkerFromAnotherBuild(t *testing.T) {
 			client := rpc.NewClientWithCodec(newClientCodec(cli, nil))
 			defer client.Close()
 			err := client.Call(ServiceName+".Ping", &PingArgs{}, &PingReply{})
-			want := fmt.Sprintf("worker speaks wire version %d, want 2", version)
+			want := fmt.Sprintf("worker speaks wire version %d, want %d", version, WireVersion)
 			if !errors.Is(err, ErrWireVersion) || !strings.Contains(err.Error(), want) {
 				t.Fatalf("err = %v, want ErrWireVersion saying %q", err, want)
 			}

@@ -17,8 +17,8 @@ import (
 )
 
 // fuzzSeedMsgs is a representative message batch: a valid E observation, a
-// V observation with a well-formed patch, and a close round — the full
-// ShardMsgKind surface.
+// V observation (its patch stays behind: the wire carries none), and a close
+// round — the full ShardMsgKind surface.
 func fuzzSeedMsgs() []stream.ShardMsg {
 	patch := &feature.Patch{W: 4, H: 4, Pix: bytes.Repeat([]byte{128}, 16)}
 	return []stream.ShardMsg{
@@ -58,8 +58,9 @@ func (scriptConn) Close() error                { return nil }
 // lets a decoded reply loose on the merge stage, one shard, windows of 1 s
 // and 250 ms of lateness. Journal positions, close messages included: 1–3 are
 // an E and two V observations of windows 0 and 1; 4 closes round 1 on them
-// (its close message is 5) and 6, 7 land in window 5, so when Flush issues
-// round 2 (position 8, target 6) the journal holds 4, 6 and 7.
+// (its close message is 5) and 6, 7, 8 land in window 5, so when Flush issues
+// round 2 (position 9, target 6) the journal holds 4, 6, 7 and 8. Cell 3's two
+// detections of window 5 arrive in the reverse of their canonical order.
 func replyLog() []stream.Observation {
 	patch := func(b byte) *feature.Patch { return &feature.Patch{W: 4, H: 4, Pix: bytes.Repeat([]byte{b}, 16)} }
 	return []stream.Observation{
@@ -69,19 +70,30 @@ func replyLog() []stream.Observation {
 		{TS: 5_000, Kind: stream.KindE, Cell: 3, EID: "e-9", Attr: scenario.AttrInclusive},
 		{TS: 5_100, Kind: stream.KindV, Cell: 4, VID: "v-2", Person: 2, Patch: patch(3)},
 		{TS: 5_200, Kind: stream.KindV, Cell: 3, VID: "v-3", Person: 3, Patch: patch(4)},
+		{TS: 5_240, Kind: stream.KindV, Cell: 3, VID: "v-0", Person: 0, Patch: patch(5)},
 	}
 }
 
 // round2 is a reply to replyLog's second close round with the given closures.
 func round2(sealed ...stream.ShardSealed) *ApplyReply {
-	return &ApplyReply{Outs: []stream.ShardOut{{Round: 2, Target: 6, MaxTS: 5_200, Sealed: sealed}}}
+	return &ApplyReply{Outs: []stream.ShardOut{{Round: 2, Target: 6, MaxTS: 5_240, Sealed: sealed}}}
 }
 
-// honestRound2 is what a shard replies to replyLog's round 2.
+// honestRound2 is what a shard replies to replyLog's round 2: each bucket's
+// positions in arrival order.
 func honestRound2() *ApplyReply {
 	return round2(
-		stream.ShardSealed{Window: 5, Cell: 3, EIDs: []stream.BucketEID{{EID: "e-9", Attr: scenario.AttrInclusive}}, Refs: []int64{7}},
+		stream.ShardSealed{Window: 5, Cell: 3, EIDs: []stream.BucketEID{{EID: "e-9", Attr: scenario.AttrInclusive}}, Refs: []int64{7, 8}},
 		stream.ShardSealed{Window: 5, Cell: 4, Refs: []int64{6}})
+}
+
+// reorderedRound2 is the honest reply with cell 3's positions out of arrival
+// order — nothing the journal contradicts, so it folds, and to the scenario
+// the honest reply folds to: the fold orders detections, not the shard.
+func reorderedRound2() *ApplyReply {
+	reply := honestRound2()
+	reply.Outs[0].Sealed[0].Refs = []int64{8, 7}
+	return reply
 }
 
 // hostileRound2 is the hostile-reference battery, each a reply the merge
@@ -94,6 +106,7 @@ func hostileRound2() map[string]*ApplyReply {
 		"close-message":    round2(stream.ShardSealed{Window: 5, Cell: 3, EIDs: e9, Refs: []int64{5}}),
 		"other-bucket":     round2(stream.ShardSealed{Window: 5, Cell: 3, EIDs: e9, Refs: []int64{6}}),
 		"duplicate":        round2(stream.ShardSealed{Window: 5, Cell: 3, EIDs: e9, Refs: []int64{7, 7}}),
+		"duplicate-apart":  round2(stream.ShardSealed{Window: 5, Cell: 3, EIDs: e9, Refs: []int64{8, 7, 8}}),
 		"across-closures":  round2(stream.ShardSealed{Window: 5, Cell: 3, Refs: []int64{7}}, stream.ShardSealed{Window: 5, Cell: 3, Refs: []int64{7}}),
 		"compacted-window": round2(stream.ShardSealed{Window: 0, Cell: 3, Refs: []int64{2}}),
 		"unclosed-window":  round2(stream.ShardSealed{Window: 6, Cell: 3}),
@@ -103,14 +116,23 @@ func hostileRound2() map[string]*ApplyReply {
 }
 
 // TestHostileReferencesRefused pins what the fuzzer only requires not to
-// panic: the honest reply folds, and every reply of the hostile battery fails
-// the router with ErrBadShardReply before anything of it is folded.
+// panic: the honest reply folds, the same positions out of order fold to the
+// same state, and every reply of the hostile battery fails the router with
+// ErrBadShardReply before anything of it is folded.
 func TestHostileReferencesRefused(t *testing.T) {
-	if err := replyMustFailClosed(t, honestRound2().Outs); err != nil {
+	honest, err := replyMustFailClosed(t, honestRound2().Outs)
+	if err != nil {
 		t.Fatalf("the honest reply was refused: %v", err)
 	}
+	reordered, err := replyMustFailClosed(t, reorderedRound2().Outs)
+	if err != nil {
+		t.Fatalf("the honest reply with its positions out of order was refused: %v", err)
+	}
+	if !bytes.Equal(reordered, honest) {
+		t.Error("positions out of arrival order folded to a different state")
+	}
 	for name, reply := range hostileRound2() {
-		if err := replyMustFailClosed(t, reply.Outs); err == nil {
+		if _, err := replyMustFailClosed(t, reply.Outs); err == nil {
 			t.Errorf("%s: the reply was folded", name)
 		}
 	}
@@ -153,8 +175,8 @@ func (ir injectingRunner) RunShard(run stream.ShardRun) {
 // through injectingRunner. Whatever they say, the router must not panic or
 // hang; it either folds the round (the emissions agreed with the journal, or
 // died as duplicates) or fails with ErrBadShardReply having folded nothing
-// since the barrier. It returns which.
-func replyMustFailClosed(t *testing.T, outs []stream.ShardOut) error {
+// since the barrier. It returns which, and the checkpoint of what was folded.
+func replyMustFailClosed(t *testing.T, outs []stream.ShardOut) ([]byte, error) {
 	t.Helper()
 	r, err := stream.NewRouter(stream.RouterConfig{
 		Config: stream.Config{Targets: []ids.EID{"e-1", "e-9"}, WindowMS: 1_000, LatenessMS: 250, Dim: 8},
@@ -175,7 +197,11 @@ func replyMustFailClosed(t *testing.T, outs []stream.ShardOut) error {
 	before := len(r.Resolutions())
 	err = r.Flush()
 	if err == nil {
-		return nil
+		var folded bytes.Buffer
+		if err := r.Checkpoint(&folded); err != nil {
+			t.Fatalf("Checkpoint: %v", err)
+		}
+		return folded.Bytes(), nil
 	}
 	if !errors.Is(err, stream.ErrBadShardReply) {
 		t.Fatalf("Flush: err = %v, want ErrBadShardReply", err)
@@ -183,7 +209,7 @@ func replyMustFailClosed(t *testing.T, outs []stream.ShardOut) error {
 	if after := len(r.Resolutions()); after != before {
 		t.Fatalf("a refused reply still moved the fold: %d resolutions, %d before it", after, before)
 	}
-	return err
+	return nil, err
 }
 
 // FuzzShardRPCDecode feeds a hostile byte stream — truncated, duplicated,
@@ -212,12 +238,12 @@ func FuzzShardRPCDecode(f *testing.F) {
 	}
 	// Duplicated: a redelivered Apply after a lost reply.
 	f.Add(bytes.Join([][]byte{configure, apply, apply, ping}, nil))
-	// Hostile shapes: an observation whose patch dimensions lie about the
-	// pixel count, which Step must reject, not index.
+	// Hostile values: observations Step must reject, not bucket — a
+	// detection nobody is named in, and one in a cell that does not exist.
 	f.Add(bytes.Join([][]byte{configure, mustFrame(2, "Apply", &ApplyArgs{Shard: 0, Incarnation: 1, Msgs: []stream.ShardMsg{
-		{Pos: 1, Kind: stream.ShardMsgObs, Obs: stream.Observation{TS: 20, Kind: stream.KindV, Cell: 9, VID: "v-x",
-			Patch: &feature.Patch{W: 1000, H: 1000, Pix: []byte{1, 2, 3}}}},
-		{Pos: 2, Kind: stream.ShardMsgClose, Round: 1, Target: 1},
+		{Pos: 1, Kind: stream.ShardMsgObs, Obs: stream.Observation{TS: 20, Kind: stream.KindV, Cell: 9}},
+		{Pos: 2, Kind: stream.ShardMsgObs, Obs: stream.Observation{TS: 20, Kind: stream.KindV, Cell: -9, VID: "v-x"}},
+		{Pos: 3, Kind: stream.ShardMsgClose, Round: 1, Target: 1},
 	}})}, nil))
 	// An Apply whose message count is 2^62 with three bytes behind it.
 	body := wire.AppendUvarint([]byte{WireVersion, 2, tagApply, 0, 0, 2}, 1<<62)
@@ -229,16 +255,21 @@ func FuzzShardRPCDecode(f *testing.F) {
 	other := append([]byte(nil), ping...)
 	other[1] = WireVersion + 1
 	f.Add(other)
+	previous := append([]byte(nil), apply...)
+	previous[1] = WireVersion - 1 // the length prefix is one byte here
+	f.Add(previous)
 	f.Add(gobEraRequest)
 	// An unknown method tag, and garbage.
 	f.Add(wire.AppendBytes(nil, []byte{WireVersion, 4, 77, 0, 1, 2, 3}))
 	f.Add([]byte{0xff, 0x00, 0x13, 0x37})
-	// Replies: the honest one to replyLog's round 2 and one naming a position
-	// twice, each whole and cut at every byte; the honest one redelivered;
-	// and the rest of the hostile-reference battery.
+	// Replies: the honest one to replyLog's round 2, the same with its
+	// positions out of order and one naming a position twice, each whole and
+	// cut at every byte; the honest one redelivered; and the rest of the
+	// hostile-reference battery.
 	honest := mustFrame(4, "Apply", honestRound2())
+	reordered := mustFrame(4, "Apply", reorderedRound2())
 	duplicate := mustFrame(4, "Apply", hostileRound2()["duplicate"])
-	for _, frame := range [][]byte{honest, duplicate} {
+	for _, frame := range [][]byte{honest, reordered, duplicate} {
 		for cut := 0; cut <= len(frame); cut++ {
 			f.Add(frame[:cut])
 		}
@@ -317,7 +348,7 @@ func FuzzShardRPCDecode(f *testing.F) {
 		}
 		// 128 KiB of fixed reader buffers, then at most ~20x: a decoded
 		// struct is larger than its smallest encoding (an empty ShardMsg is
-		// 13 bytes on the wire and 128 in memory).
+		// 12 bytes on the wire and 128 in memory).
 		if decoded > 256<<10+32*uint64(len(raw)) {
 			t.Fatalf("decoding %d bytes allocated %d", len(raw), decoded)
 		}
@@ -336,7 +367,7 @@ func FuzzShardRPCDecode(f *testing.F) {
 			outs = append(outs, reply.Outs...)
 		}
 		if len(outs) > 0 {
-			replyMustFailClosed(t, outs)
+			_, _ = replyMustFailClosed(t, outs)
 		}
 	})
 }

@@ -111,7 +111,7 @@ func TestServeRejectsOtherBuilds(t *testing.T) {
 			t.Fatal("a gob-speaking client's Ping succeeded against the binary wire")
 		}
 		// A gob stream's second byte is 0x7f where a frame has its version.
-		want := "shardrpc: supervisor speaks wire version 127, want 2"
+		want := fmt.Sprintf("shardrpc: supervisor speaks wire version 127, want %d", shardrpc.WireVersion)
 		if !waitFor(func() bool { return strings.Contains(stderr.String(), want) }) {
 			t.Fatalf("worker stderr = %q, want it to contain %q", stderr.String(), want)
 		}
@@ -135,7 +135,7 @@ func TestServeRejectsOtherBuilds(t *testing.T) {
 		// The worker answers once, in its own version, then hangs up.
 		dec := shardrpc.NewFrameDecoder(conn, "worker")
 		_, _, errStr, err := dec.Decode(nil)
-		want := "shardrpc: supervisor speaks wire version 3, want 2"
+		want := fmt.Sprintf("shardrpc: supervisor speaks wire version %d, want %d", shardrpc.WireVersion+1, shardrpc.WireVersion)
 		if err != nil || !strings.Contains(errStr, want) {
 			t.Fatalf("reply = (%q, %v), want an error string containing %q", errStr, err, want)
 		}

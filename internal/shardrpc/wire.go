@@ -8,11 +8,12 @@
 // nothing but a stream.ShardWindower, a pure function of its message
 // sequence. The Supervisor implements stream.ShardRunner by proxying each
 // shard incarnation's messages to its worker in journal order and feeding
-// the emissions back to the merge stage; a reply names the observations a
-// sealed closure holds by journal position and carries no pixels. A worker
-// death is reported to the router immediately (ShardRun.Redispatch), which
-// starts the replacement incarnation on a fresh windower and a replay of the
-// journal exactly as it would for an in-process shard death. Because replay
+// the emissions back to the merge stage. No pixel crosses the wire: a request
+// carries observations without their patches, a reply names the observations
+// a sealed closure holds by journal position. A worker death is reported to
+// the router immediately (ShardRun.Redispatch), which starts the replacement
+// incarnation on a fresh windower and a replay of the journal exactly as it
+// would for an in-process shard death. Because replay
 // is deterministic and the merger deduplicates by round number, results are
 // bit-identical to the in-process, unsharded, and batch paths — the
 // invariance tests pin all four to one sha256.

@@ -120,15 +120,15 @@ func Serve(lis net.Listener, stderr io.Writer) error {
 
 // workerGCPercent is the GC target a worker process sets itself unless the
 // operator chose one through GOGC. A worker's live heap is one window of
-// open buckets — a few MB — while each Apply turns over hundreds of KB of
-// decoded messages and pixel arenas (replies are references now and weigh
-// nothing), so at the runtime's default (100, with its 4 MB floor) the two
-// workers of the bench's 64k-observation replay collect 18 times between
-// them and at 200 seven times, for a heap at most three times the live set.
-// Re-measured after extraction left the shards: stream-remote read 176 ms at
-// the default against 165 ms at 200, behind in 4 pairs of 4 — a smaller
-// margin than when a worker also turned over a feature matrix per closure,
-// but not nothing, so the constant stays (DESIGN.md §15).
+// open buckets — EID sets and journal positions, a few hundred KB — under the
+// runtime's 4 MB floor, and each Apply turns over a batch of decoded messages
+// and their identifier strings; no pixel reaches a worker any more, so there
+// are no arenas to collect. Re-measured on that footing (stream-remote,
+// seeds 601–609, order alternated): 200 read ahead of the runtime default in
+// 8 pairs of 9, by 1–5 % (medians 129.1 against 131.9 ms), for 8 MB more
+// peak RSS across the two workers. Smaller than when a worker turned over
+// pixel arenas (176 against 165 ms), but not nothing, so the constant stays
+// (DESIGN.md §15).
 const workerGCPercent = 200
 
 // WorkerMain is the evshardd entry point, factored here so tests can host a

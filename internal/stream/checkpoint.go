@@ -303,15 +303,14 @@ func (e *Engine) checkpointLocked(front *frontier, open []ShardBucket) (*checkpo
 }
 
 // bucketToCheckpoint flattens one open bucket into its checkpoint form: the
-// EID map becomes a sorted (EID, attr) slice and the detections are copied,
-// so the image stays valid while the live bucket keeps absorbing.
+// EID map becomes a sorted (EID, attr) slice and the detections are put in
+// canonical form, so an image is sorted, free of repeats and the same for
+// every arrival order — and redelivered batches cost it nothing. The image
+// stays valid while the live bucket keeps absorbing: canonicalDets copies
+// whatever it has to reorder, and a bucket only ever appends.
 func bucketToCheckpoint(k bucketKey, b *bucket) ShardBucket {
-	return ShardBucket{
-		Window: k.Window,
-		Cell:   k.Cell,
-		EIDs:   sortedBucketEIDs(b.eids),
-		Dets:   append(make([]scenario.Detection, 0, len(b.dets)), b.dets...),
-	}
+	dets, _ := canonicalDets(b.dets)
+	return ShardBucket{Window: k.Window, Cell: k.Cell, EIDs: sortedBucketEIDs(b.eids), Dets: dets}
 }
 
 // Restore builds an Engine from cfg and resumes it from an engine image

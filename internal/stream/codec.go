@@ -20,14 +20,17 @@ import (
 // length-prefixed, slices as a count followed by the elements, feature
 // matrices as one contiguous little-endian float block. There are no maps
 // and no optional fields, so equal values encode to equal bytes by
-// construction — the property the checkpoint byte-identity tests pin.
+// construction — the property the checkpoint byte-identity tests pin. The one
+// field that is not written is an Observation's patch: observations cross
+// only the shard wire, to a windower that reads no pixel, so a decoded
+// observation has none.
 //
 // Ownership: a decoded value owns all of its bytes — strings and float
 // blocks are copied out of the input as they are read, and the pixels of a
-// decoded detection list or message batch are moved into one arena of
-// exactly their size that the patches share (ownPixels). Nothing decoded
-// points into the input, so callers read frame after frame, or record after
-// record, into one reused buffer.
+// decoded detection list are moved into one arena of exactly their size that
+// the patches share (readDetections). Nothing decoded points into the input,
+// so callers read frame after frame, or record after record, into one reused
+// buffer.
 //
 // Decoders read through a sticky-error wire.Reader: they return zero values
 // once the input has failed, callers check Reader.Err once per record, and
@@ -40,7 +43,7 @@ const (
 	minBucketEIDBytes   = 2                       // empty EID + attr
 	minDetectionBytes   = 5                       // empty VID + patch (w, h, empty pix) + person
 	minSealedRefsBytes  = 4                       // window, cell, two empty lists
-	minObservationBytes = 8                       // every scalar one byte, strings empty, no patch
+	minObservationBytes = 7                       // every scalar one byte, strings empty
 	minShardMsgBytes    = 5 + minObservationBytes // + pos, kind, round, target, maxTS
 	minShardOutBytes    = 4                       // round, target, maxTS, an empty list
 	minResolutionBytes  = 30                      // five one-byte fields, three floats, a bool
@@ -73,36 +76,12 @@ func appendPatch(b []byte, p *feature.Patch) []byte {
 	return wire.AppendBytes(b, p.Pix)
 }
 
-// readPatch leaves p.Pix aliasing r's input; the list decoder above it
-// (readDetections, ReadShardMsgs) calls ownPixels before returning.
+// readPatch leaves p.Pix aliasing r's input; readDetections, the list decoder
+// above it, moves the pixels out before returning.
 func readPatch(r *wire.Reader, p *feature.Patch) {
 	p.W = r.Int()
 	p.H = r.Int()
 	p.Pix = r.Bytes()
-}
-
-// ownPixels moves the pixels of n freshly decoded patches, which alias the
-// decode buffer, into one arena the patches share and own. patch(i) may be
-// nil. The arena is exactly the sum of the pixel lengths, each already
-// validated against the input, so it is never larger than the input.
-func ownPixels(n int, patch func(i int) *feature.Patch) {
-	total := 0
-	for i := 0; i < n; i++ {
-		if p := patch(i); p != nil {
-			total += len(p.Pix)
-		}
-	}
-	if total == 0 {
-		return
-	}
-	arena := make([]byte, 0, total)
-	for i := 0; i < n; i++ {
-		if p := patch(i); p != nil && len(p.Pix) > 0 {
-			off := len(arena)
-			arena = append(arena, p.Pix...)
-			p.Pix = arena[off:len(arena):len(arena)]
-		}
-	}
 }
 
 func appendObservation(b []byte, o *Observation) []byte {
@@ -112,12 +91,7 @@ func appendObservation(b []byte, o *Observation) []byte {
 	b = wire.AppendString(b, string(o.EID))
 	b = append(b, byte(o.Attr))
 	b = wire.AppendString(b, string(o.VID))
-	b = wire.AppendVarint(b, int64(o.Person))
-	b = wire.AppendBool(b, o.Patch != nil)
-	if o.Patch != nil {
-		b = appendPatch(b, o.Patch)
-	}
-	return b
+	return wire.AppendVarint(b, int64(o.Person))
 }
 
 func readObservation(r *wire.Reader, o *Observation) {
@@ -128,10 +102,6 @@ func readObservation(r *wire.Reader, o *Observation) {
 	o.Attr = scenario.Attr(r.Byte())
 	o.VID = ids.VID(r.String())
 	o.Person = r.Int()
-	if r.Bool() {
-		o.Patch = new(feature.Patch)
-		readPatch(r, o.Patch)
-	}
 }
 
 func appendDetection(b []byte, d *scenario.Detection) []byte {
@@ -146,9 +116,27 @@ func readDetection(r *wire.Reader, d *scenario.Detection) {
 	d.TruePerson = r.Int()
 }
 
+// readDetections decodes a detection list and moves its pixels, which alias
+// the decode buffer, into one arena the patches share and own. The arena is
+// exactly the sum of the pixel lengths, each already validated against the
+// input, so it is never larger than the input.
 func readDetections(r *wire.Reader) []scenario.Detection {
 	dets := readSlice(r, minDetectionBytes, readDetection)
-	ownPixels(len(dets), func(i int) *feature.Patch { return &dets[i].Patch })
+	total := 0
+	for i := range dets {
+		total += len(dets[i].Patch.Pix)
+	}
+	if total == 0 {
+		return dets
+	}
+	arena := make([]byte, 0, total)
+	for i := range dets {
+		if p := &dets[i].Patch; len(p.Pix) > 0 {
+			off := len(arena)
+			arena = append(arena, p.Pix...)
+			p.Pix = arena[off:len(arena):len(arena)]
+		}
+	}
 	return dets
 }
 
@@ -288,15 +276,11 @@ func readIDs[S ~string](r *wire.Reader) []S {
 }
 
 // AppendShardMsgs appends a journalled message batch — the body of a shard
-// rpc Apply request.
+// rpc Apply request — without the observations' patches.
 func AppendShardMsgs(b []byte, ms []ShardMsg) []byte { return appendSlice(b, ms, appendShardMsg) }
 
 // ReadShardMsgs decodes a batch written by AppendShardMsgs.
-func ReadShardMsgs(r *wire.Reader) []ShardMsg {
-	ms := readSlice(r, minShardMsgBytes, readShardMsg)
-	ownPixels(len(ms), func(i int) *feature.Patch { return ms[i].Obs.Patch })
-	return ms
-}
+func ReadShardMsgs(r *wire.Reader) []ShardMsg { return readSlice(r, minShardMsgBytes, readShardMsg) }
 
 // AppendShardOuts appends a list of shard emissions — the body of a shard
 // rpc Apply reply.

@@ -104,6 +104,18 @@ type Observation struct {
 
 // Validate reports whether the observation is well-formed.
 func (o Observation) Validate() error {
+	if err := o.validateWindowed(); err != nil {
+		return err
+	}
+	if o.Kind == KindV && (o.Patch == nil || len(o.Patch.Pix) == 0 || len(o.Patch.Pix) != o.Patch.W*o.Patch.H) {
+		return fmt.Errorf("%w: V observation with malformed patch", ErrBadObservation)
+	}
+	return nil
+}
+
+// validateWindowed checks every field a windower reads: all but the patch,
+// which an observation arrives without on the shard wire.
+func (o *Observation) validateWindowed() error {
 	if o.TS < 0 {
 		return fmt.Errorf("%w: negative ts %d", ErrBadObservation, o.TS)
 	}
@@ -121,9 +133,6 @@ func (o Observation) Validate() error {
 	case KindV:
 		if o.VID == ids.NoVID {
 			return fmt.Errorf("%w: V observation without VID", ErrBadObservation)
-		}
-		if o.Patch == nil || len(o.Patch.Pix) == 0 || len(o.Patch.Pix) != o.Patch.W*o.Patch.H {
-			return fmt.Errorf("%w: V observation with malformed patch", ErrBadObservation)
 		}
 	default:
 		return fmt.Errorf("%w: kind %d", ErrBadObservation, uint8(o.Kind))

@@ -26,8 +26,14 @@ var ErrBadShardReply = errors.New("stream: bad shard reply")
 // folded round made history (compact) — so between folds the journal is
 // exactly the shard's open-window state, which is what Router.Checkpoint
 // images. Its bound is therefore the observations of still-open windows plus
-// those of rounds not folded yet: the order of the open buckets themselves,
-// before dedup.
+// those of rounds not folded yet — what the shard's open buckets hold, which
+// keep redelivered observations too until their window folds.
+//
+// The shard never sees a pixel: the wire carries none, its windower reads
+// none, and its reply names detections by position, in arrival order, repeats
+// included. resolve turns positions back into detections and the fold behind
+// it orders and deduplicates them, so a runner is trusted for nothing but
+// positions — and each of those is checked against the journal.
 //
 // It has its own lock because the merge stage must never take Router.mu —
 // Checkpoint and Flush hold that across the fold barrier.

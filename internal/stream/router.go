@@ -812,6 +812,7 @@ func (r *Router) publishGaugesLocked() {
 		m[r.slots[i].routedGauge] = r.slots[i].routed
 		m[r.slots[i].journalGauge] = int64(r.slots[i].journal.len())
 	}
+	m["stream_duplicate_detections"] = r.merged.duplicates.Load() // the merge stage's fold drops them
 	// Eviction happens entirely in the merged engine (shard windowers are
 	// store-less bucket accumulators), so its spill stats are the router's.
 	// spillStats is set once at engine construction and the counters are

@@ -66,8 +66,9 @@ func (ir injectingRunner) RunShard(run ShardRun) {
 // refLogObservations is the known log the hostile-reference cases are written
 // against. On one shard, journal position 1 is an E observation of window 0
 // (folded and compacted by the time of the final flush), 2 a V observation of
-// window 2 cell 5, 3 the close message it triggers, and 4 and 5 an E and a V
-// observation of window 2 in other buckets.
+// window 2 cell 5, 3 the close message it triggers, 4 and 5 an E and a V
+// observation of window 2 in other buckets, and 6 a second V observation of
+// window 2 cell 5, which sorts before the first.
 func refLogObservations() []Observation {
 	patch := &feature.Patch{W: 2, H: 2, Pix: []byte{1, 2, 3, 4}}
 	return []Observation{
@@ -75,17 +76,21 @@ func refLogObservations() []Observation {
 		{TS: 2_400, Kind: KindV, Cell: 5, VID: "v9", Person: 2, Patch: patch},
 		{TS: 2_500, Kind: KindE, Cell: 5, EID: "e7", Attr: scenario.AttrVague},
 		{TS: 2_450, Kind: KindV, Cell: 6, VID: "v8", Person: 3, Patch: patch},
+		{TS: 2_460, Kind: KindV, Cell: 5, VID: "v7", Person: 1, Patch: patch},
 	}
 }
 
 // hostileRefCases are closures a shard might answer refLogObservations' flush
-// round with, and whether the merge stage may fold them.
+// round with, and whether the merge stage may fold them. What folds, folds to
+// the bucket's detections in canonical order whatever order named them.
 var hostileRefCases = []struct {
 	name    string
 	closure ShardSealed
 	refused bool
 }{
-	{"honest", ShardSealed{Window: 2, Cell: 5, Refs: []int64{2}}, false},
+	{"honest", ShardSealed{Window: 2, Cell: 5, Refs: []int64{2, 6}}, false},
+	{"out-of-order", ShardSealed{Window: 2, Cell: 5, Refs: []int64{6, 2}}, false},
+	{"duplicate-apart", ShardSealed{Window: 2, Cell: 5, Refs: []int64{6, 2, 6}}, true},
 	{"out-of-range", ShardSealed{Window: 2, Cell: 5, Refs: []int64{77}}, true},
 	{"e-observation", ShardSealed{Window: 2, Cell: 5, Refs: []int64{4}}, true},
 	{"close-message", ShardSealed{Window: 2, Cell: 5, Refs: []int64{3}}, true},
@@ -125,6 +130,10 @@ func TestHostileReferencesRefused(t *testing.T) {
 			if !c.refused {
 				if err != nil || storeLen(r) <= folded {
 					t.Fatalf("Flush = %v with %d scenarios folded (%d before)", err, storeLen(r), folded)
+				}
+				dets := r.merged.store.V(scenario.ID(folded)).Detections
+				if len(dets) != 2 || dets[0].VID != "v7" || dets[1].VID != "v9" {
+					t.Fatalf("the closure folded to %+v, want v7 then v9", dets)
 				}
 				return
 			}

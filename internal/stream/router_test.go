@@ -350,6 +350,7 @@ func TestRouterGauges(t *testing.T) {
 		return n
 	}
 	accepted, peak, fell := int64(0), int64(0), false
+	redelivered := int64(0)
 	for i, o := range obs {
 		before := journalLen()
 		acc, err := r.Ingest(o)
@@ -358,6 +359,13 @@ func TestRouterGauges(t *testing.T) {
 		}
 		if acc {
 			accepted++
+		}
+		if acc && o.Kind == KindV && i%9 == 0 { // at-least-once delivery upstream
+			if again, err := r.Ingest(o); err != nil || !again {
+				t.Fatalf("redelivery of observation %d: accepted=%t err=%v", i, again, err)
+			}
+			accepted++
+			redelivered++
 		}
 		after := journalLen()
 		peak, fell = max(peak, after), fell || after < before
@@ -373,6 +381,11 @@ func TestRouterGauges(t *testing.T) {
 	}
 	if got := journalLen(); got != 0 {
 		t.Errorf("journal gauges sum to %d after Flush, want 0", got)
+	}
+	// A redelivered detection is journalled until its window folds, then
+	// dropped by the fold and counted.
+	if dup := reg.Get("stream_duplicate_detections"); redelivered == 0 || dup != redelivered {
+		t.Errorf("stream_duplicate_detections = %d after Flush, want the %d redelivered", dup, redelivered)
 	}
 	if got := reg.Get("stream_shards"); got != shards {
 		t.Errorf("stream_shards = %d, want %d", got, shards)

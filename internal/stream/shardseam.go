@@ -21,6 +21,12 @@ import (
 // All of them therefore compute the same function by construction, and the
 // shard-invariance battery pins remote ≡ in-process ≡ unsharded ≡ batch.
 //
+// The windower reads no pixel: it keeps V observations in arrival order
+// beside their journal positions, and which of them are one detection, and in
+// what order a scenario holds them, the fold decides (canonicalDets), on the
+// side of the seam that owns the pixels. So the shard wire carries no patch
+// in either direction, and a worker holds EIDs and positions only.
+//
 // internal/shardrpc builds on this seam: its supervisor implements
 // ShardRunner by proxying ShardRun over net/rpc to a worker process that
 // hosts a ShardWindower, and falls back to RunShardInProcess when no worker
@@ -59,15 +65,15 @@ func (p ShardParams) validate() error {
 }
 
 // ShardSealed is one sealed (window, cell) closure: what a windower's seal
-// produces and the fold consumes. Dets are sorted (detOrder), so the closure
-// is independent of arrival order; an empty Dets means the bucket sealed with
-// no V side. Refs, parallel to Dets, are the journal positions (ShardMsg.Pos)
-// of the observations the detections were kept from. On the shard wire a
-// closure is Window, Cell, EIDs and Refs only (codec.go): the router's journal
-// already holds every pixel, so its merge stage rebuilds Dets from Refs and
-// trusts nothing else. EIDs is the EID set flattened to a sorted slice (the
-// same canonical form checkpoints use, so equal closures encode to equal
-// bytes). FeatDim and Feat belong to the type's other job, the spill record
+// produces and the fold consumes. Dets are the bucket's V observations in
+// arrival order, repeats included — the fold orders and deduplicates them —
+// and an empty Dets means the bucket sealed with no V side. Refs, parallel to
+// Dets, are the journal positions (ShardMsg.Pos) of those observations. On
+// the shard wire a closure is Window, Cell, EIDs and Refs only (codec.go): the
+// router's journal holds every pixel and the shard never saw one, so the
+// merge stage rebuilds Dets from Refs and trusts nothing else. EIDs is the
+// EID set flattened to a sorted slice (the same canonical form checkpoints
+// use, so equal closures encode to equal bytes). FeatDim and Feat belong to the type's other job, the spill record
 // of an evicted sealed scenario (spill.go; EIDs and Refs empty): the
 // extracted feature matrix as its row-major storage, FeatDim == 0 when the
 // filter had not extracted it yet.
@@ -117,8 +123,9 @@ type ShardOut struct {
 // processor that drives it — which is what makes a shard's death recoverable
 // by pure replay. It is not safe for concurrent use; the caller serializes.
 type ShardWindower struct {
-	p       ShardParams
-	buckets map[bucketKey]*bucket
+	p        ShardParams
+	buckets  map[bucketKey]*bucket
+	openDets int64 // V observations in the open buckets, repeats included
 }
 
 // NewShardWindower builds a windower, fresh (nil) or holding the open buckets
@@ -141,10 +148,13 @@ func (w *ShardWindower) absorb(pos int64, o Observation) {
 	k := bucketKey{Window: int(o.TS / w.p.WindowMS), Cell: o.Cell}
 	b := w.buckets[k]
 	if b == nil {
-		b = newBucket()
+		b = &bucket{eids: make(map[ids.EID]scenario.Attr)}
 		w.buckets[k] = b
 	}
 	b.absorb(pos, o)
+	if o.Kind == KindV {
+		w.openDets++
+	}
 }
 
 // openKeys returns the keys of the open buckets with window < limit in
@@ -168,21 +178,21 @@ func (w *ShardWindower) openKeys(limit int) []bucketKey {
 }
 
 // seal closes every bucket with window < target, in openKeys order. The
-// closures share the buckets' EID sets, detections and journal positions — a
-// sealed bucket is never written again.
+// closures share the buckets' EID sets, detections and journal positions, as
+// they arrived — a sealed bucket is never written again.
 func (w *ShardWindower) seal(target int) []ShardSealed {
 	keys := w.openKeys(target)
 	sealed := make([]ShardSealed, 0, len(keys))
 	for _, k := range keys {
 		b := w.buckets[k]
-		sort.Sort(detOrder{b.dets, b.refs})
 		sealed = append(sealed, ShardSealed{Window: k.Window, Cell: k.Cell, eids: b.eids, Dets: b.dets, Refs: b.refs})
+		w.openDets -= int64(len(b.dets))
 		delete(w.buckets, k)
 	}
 	return sealed
 }
 
-// snapshot images every open bucket, deep-copied, in openKeys order.
+// snapshot images every open bucket (bucketToCheckpoint), in openKeys order.
 func (w *ShardWindower) snapshot() []ShardBucket {
 	keys := w.openKeys(math.MaxInt)
 	snap := make([]ShardBucket, 0, len(keys))
@@ -195,12 +205,14 @@ func (w *ShardWindower) snapshot() []ShardBucket {
 // Step applies one journalled message and returns the emission it produces,
 // if any. Observations absorb into their bucket under the message's journal
 // position (nil emission); close rounds seal every bucket below the target.
-// Hostile input — an invalid observation or unknown kind — errors without
-// panicking; the windower's state is unchanged by a failed Step.
+// An observation is held to everything a windower reads of it — not its
+// patch, which the router validated and kept. Hostile input — an invalid
+// observation or unknown kind — errors without panicking; the windower's
+// state is unchanged by a failed Step.
 func (w *ShardWindower) Step(m ShardMsg) (*ShardOut, error) {
 	switch m.Kind {
 	case ShardMsgObs:
-		if err := m.Obs.Validate(); err != nil {
+		if err := m.Obs.validateWindowed(); err != nil {
 			return nil, err
 		}
 		w.absorb(m.Pos, m.Obs)

@@ -2,12 +2,13 @@ package stream
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
-	"hash/maphash"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"evmatching/internal/blocking"
 	"evmatching/internal/core"
@@ -75,6 +76,7 @@ type Config struct {
 	// Defaults to SystemClock.
 	Clock Clock
 	// Metrics, when non-nil, receives the stream gauges (stream_open_windows,
+	// stream_open_detections, stream_duplicate_detections,
 	// stream_watermark_lag_ms, stream_pending_eids,
 	// stream_resolutions_emitted, stream_late_dropped).
 	Metrics *metrics.Registry
@@ -159,64 +161,21 @@ type bucketKey struct {
 }
 
 // bucket accumulates one window+cell's observations until the watermark
-// closes it. Merging is order-independent: an EID's attribute upgrades from
-// vague to inclusive but never back, and detections are deduplicated by full
-// identity, so any arrival order within the lateness bound produces the same
-// closed scenario (the permutation property test pins this).
+// closes it, and reads no pixel doing so: an EID's attribute upgrades from
+// vague to inclusive but never back, and a V observation is appended as it
+// arrives, repeats and all, beside its journal position. The fold orders and
+// deduplicates the detections (canonicalDets), so any arrival order within
+// the lateness bound still produces the same closed scenario (the
+// permutation property test pins this).
 type bucket struct {
 	eids map[ids.EID]scenario.Attr
 	dets []scenario.Detection
 	// refs[i] is the journal position (ShardMsg.Pos) of the observation
-	// dets[i] was kept from — 0 in the Engine's windower, which has no journal.
+	// dets[i] came from — 0 in the Engine's windower, which has no journal.
 	refs []int64
-	// The exact set over dets, without a copy of every patch as a map key:
-	// detHead maps the hash of a detection's identity to 1 + the index of the
-	// latest detection with that hash, and detPrev[i] chains to the one
-	// before it (0 ends the chain). Membership is decided by comparing the
-	// detections themselves; the hash only finds the few to compare.
-	detHead map[uint64]int32
-	detPrev []int32
 }
 
-// detKeySeed keys the detection-set hash. It differs per process, which no
-// output can see: the set is exact, and dets keeps arrival order.
-var detKeySeed = maphash.MakeSeed()
-
-// detHash hashes a detection's full identity — VID, person, patch size and
-// pixels — in place: the pixels (all but a few bytes of it) are hashed where
-// they lie and the scalars are mixed in.
-func detHash(d *scenario.Detection) uint64 {
-	const mix = 0x9e3779b97f4a7c15
-	h := maphash.Bytes(detKeySeed, d.Patch.Pix)
-	h = (h ^ maphash.String(detKeySeed, string(d.VID))) * mix
-	h = (h ^ uint64(d.TruePerson)) * mix
-	h = (h ^ uint64(d.Patch.W)) * mix
-	return (h ^ uint64(d.Patch.H)) * mix
-}
-
-// newBucket creates an empty accumulation bucket.
-func newBucket() *bucket {
-	return &bucket{eids: make(map[ids.EID]scenario.Attr), detHead: make(map[uint64]int32)}
-}
-
-// addDetection appends d, journalled at pos, unless a detection of the same
-// full identity — VID, person, patch size and pixels — is already held.
-func (b *bucket) addDetection(d scenario.Detection, pos int64) {
-	h := detHash(&d)
-	for i := b.detHead[h]; i > 0; i = b.detPrev[i-1] {
-		if o := &b.dets[i-1]; o.VID == d.VID && o.TruePerson == d.TruePerson &&
-			o.Patch.W == d.Patch.W && o.Patch.H == d.Patch.H && bytes.Equal(o.Patch.Pix, d.Patch.Pix) {
-			return
-		}
-	}
-	b.detPrev = append(b.detPrev, b.detHead[h])
-	b.dets = append(b.dets, d)
-	b.refs = append(b.refs, pos)
-	b.detHead[h] = int32(len(b.dets))
-}
-
-// absorb folds one observation, journalled at pos, into the bucket,
-// order-independently.
+// absorb folds one observation, journalled at pos, into the bucket.
 func (b *bucket) absorb(pos int64, o Observation) {
 	switch o.Kind {
 	case KindE:
@@ -225,8 +184,53 @@ func (b *bucket) absorb(pos int64, o Observation) {
 			b.eids[o.EID] = o.Attr
 		}
 	case KindV:
-		b.addDetection(scenario.Detection{VID: o.VID, Patch: *o.Patch, TruePerson: o.Person}, pos)
+		d := scenario.Detection{VID: o.VID, TruePerson: o.Person}
+		if o.Patch != nil { // nil off the shard wire, which carries no patch
+			d.Patch = *o.Patch
+		}
+		b.dets = append(b.dets, d)
+		b.refs = append(b.refs, pos)
 	}
+}
+
+// compareDets is the total order of detections: VID, TruePerson, pixel bytes,
+// patch width, height. VID labels are zero-padded person indexes, so for
+// generated worlds this is the batch generator's person-index order; the later
+// keys only break ties between synthetic near-duplicates.
+func compareDets(a, b *scenario.Detection) int {
+	if c := cmp.Compare(a.VID, b.VID); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.TruePerson, b.TruePerson); c != 0 {
+		return c
+	}
+	if c := bytes.Compare(a.Patch.Pix, b.Patch.Pix); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Patch.W, b.Patch.W); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Patch.H, b.Patch.H)
+}
+
+// canonicalDets returns a closure's detections as a scenario holds them —
+// ascending in compareDets, each full identity once — and how many repeats it
+// dropped: byte-identical to the batch store's whatever order they arrived
+// in, which also fixes the V stage's accumulation order (float results depend
+// on it). Input already in that form (a log in store order, a checkpoint's
+// scenarios) is returned as it is; anything else is copied, never written.
+func canonicalDets(dets []scenario.Detection) ([]scenario.Detection, int) {
+	canonical := true
+	for i := 1; i < len(dets) && canonical; i++ {
+		canonical = compareDets(&dets[i-1], &dets[i]) < 0
+	}
+	if canonical {
+		return dets, 0
+	}
+	out := slices.Clone(dets)
+	slices.SortFunc(out, func(a, b scenario.Detection) int { return compareDets(&a, &b) })
+	out = slices.CompactFunc(out, func(a, b scenario.Detection) bool { return compareDets(&a, &b) == 0 })
+	return out, len(dets) - len(out)
 }
 
 // Engine is the incremental matcher: the inline composition of a frontier
@@ -267,6 +271,11 @@ type Engine struct {
 	spillBudget *spill.Budget
 	spillQueue  *spill.FIFO
 
+	// duplicates counts the repeated detections the fold has dropped; atomic
+	// so that a router publishes its merge stage's count without the lock.
+	duplicates atomic.Int64
+	gauges     map[string]int64 // publishGauges' map, refilled per ingest
+
 	seq      int
 	emitted  []Resolution
 	resolved map[ids.EID]bool // targets with an emitted resolution
@@ -290,6 +299,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 		front:    newFrontier(cfg.WindowMS, cfg.LatenessMS),
 		resolved: make(map[ids.EID]bool),
 		accepted: make(map[ids.VID]bool),
+		gauges:   make(map[string]int64),
 	}
 	if err := e.resetWindower(nil); err != nil {
 		return nil, err
@@ -406,9 +416,11 @@ func (e *Engine) foldLocked(sealed []ShardSealed, target int) error {
 
 // applySealedLocked folds one sealed closure — fresh from a windower, resolved
 // from a shard's references, or replayed from a checkpoint — into the store
-// and partition, adopting its EID set and detections. No features come with
-// it: the filter extracts a scenario the first time a match reads it, so only
-// what SS selects is ever looked at. Callers hold e.mu.
+// and partition, adopting its EID set and its detections, canonicalised —
+// every composition comes through here, so this is the one place a scenario's
+// V side is ordered. No features come with it: the filter extracts a scenario
+// the first time a match reads it, so only what SS selects is ever looked at.
+// Callers hold e.mu.
 func (e *Engine) applySealedLocked(w *ShardSealed) (scenario.ID, error) {
 	eids := w.eids
 	if eids == nil {
@@ -416,8 +428,9 @@ func (e *Engine) applySealedLocked(w *ShardSealed) (scenario.ID, error) {
 	}
 	esc := &scenario.EScenario{Cell: w.Cell, Window: w.Window, EIDs: eids}
 	var vsc *scenario.VScenario
-	if len(w.Dets) > 0 {
-		vsc = &scenario.VScenario{Cell: w.Cell, Window: w.Window, Detections: w.Dets}
+	if dets, dropped := canonicalDets(w.Dets); len(dets) > 0 {
+		e.duplicates.Add(int64(dropped))
+		vsc = &scenario.VScenario{Cell: w.Cell, Window: w.Window, Detections: dets}
 	}
 	id, err := e.store.Add(esc, vsc)
 	if err != nil {
@@ -456,36 +469,6 @@ func (e *Engine) applyRound(sealed []ShardSealed, target int) (seq, resolved int
 	defer e.mu.Unlock()
 	err = e.foldLocked(sealed, target)
 	return e.seq, len(e.resolved), err
-}
-
-// detOrder sorts a bucket's detections, and their journal positions in
-// lockstep, by (VID, TruePerson, patch bytes). VID labels are zero-padded
-// person indexes, so for generated worlds this is the batch generator's
-// person-index order — scenario detections come out byte-identical to the
-// batch store, and the V stage's accumulation order (which affects float
-// results) is preserved. The extra keys only break ties between synthetic
-// near-duplicates.
-type detOrder struct {
-	dets []scenario.Detection
-	refs []int64
-}
-
-func (s detOrder) Len() int { return len(s.dets) }
-
-func (s detOrder) Swap(i, j int) {
-	s.dets[i], s.dets[j] = s.dets[j], s.dets[i]
-	s.refs[i], s.refs[j] = s.refs[j], s.refs[i]
-}
-
-func (s detOrder) Less(i, j int) bool {
-	a, b := &s.dets[i], &s.dets[j]
-	if a.VID != b.VID {
-		return a.VID < b.VID
-	}
-	if a.TruePerson != b.TruePerson {
-		return a.TruePerson < b.TruePerson
-	}
-	return bytes.Compare(a.Patch.Pix, b.Patch.Pix) < 0
 }
 
 // sweepResolutions emits a resolution for every target whose set newly became
@@ -692,16 +675,17 @@ func (e *Engine) publishGauges() {
 	if wm, ok := e.front.watermark(); ok {
 		lag = e.cfg.Clock.Now().UnixMilli() - wm
 	}
-	g := map[string]int64{
-		"stream_open_windows":        int64(len(e.front.open)),
-		"stream_watermark_lag_ms":    lag,
-		"stream_pending_eids":        int64(len(e.cfg.Targets) - len(e.resolved)),
-		"stream_resolutions_emitted": int64(e.seq),
-		"stream_late_dropped":        e.front.lateDropped,
-		"block_candidates_total":     e.blockCandidates,
-		"block_pruned_total":         e.blockPruned,
-		"block_prune_ratio":          BlockPruneRatioPercent(e.blockCandidates, e.blockPruned),
-	}
+	g := e.gauges
+	g["stream_open_windows"] = int64(len(e.front.open))
+	g["stream_open_detections"] = e.win.openDets
+	g["stream_duplicate_detections"] = e.duplicates.Load()
+	g["stream_watermark_lag_ms"] = lag
+	g["stream_pending_eids"] = int64(len(e.cfg.Targets) - len(e.resolved))
+	g["stream_resolutions_emitted"] = int64(e.seq)
+	g["stream_late_dropped"] = e.front.lateDropped
+	g["block_candidates_total"] = e.blockCandidates
+	g["block_pruned_total"] = e.blockPruned
+	g["block_prune_ratio"] = BlockPruneRatioPercent(e.blockCandidates, e.blockPruned)
 	if e.spillStats != nil {
 		addSpillGauges(g, e.spillStats.Snapshot())
 	}

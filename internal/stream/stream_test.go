@@ -4,9 +4,9 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 	"time"
 
@@ -257,6 +257,28 @@ func TestStreamGauges(t *testing.T) {
 		t.Errorf("stream_pending_eids = %d out of range", got)
 	}
 
+	// A redelivered detection waits in its open bucket, counted as held, until
+	// the fold drops it and counts that.
+	held := reg.Get("stream_open_detections")
+	if held < 1 {
+		t.Errorf("stream_open_detections = %d, want >= 1", held)
+	}
+	var lastV Observation
+	for _, o := range half {
+		if o.Kind == KindV {
+			lastV = o
+		}
+	}
+	if accepted, err := e.Ingest(lastV); err != nil || !accepted {
+		t.Fatalf("redelivery of an open window's detection: accepted=%t err=%v", accepted, err)
+	}
+	if got := reg.Get("stream_open_detections"); got != held+1 {
+		t.Errorf("stream_open_detections = %d after a redelivery, want %d", got, held+1)
+	}
+	if got := reg.Get("stream_duplicate_detections"); got != 0 {
+		t.Errorf("stream_duplicate_detections = %d before the window folded, want 0", got)
+	}
+
 	// A wildly late observation must be dropped and counted.
 	late := half[0]
 	if accepted, err := e.Ingest(late); err != nil || accepted {
@@ -273,6 +295,9 @@ func TestStreamGauges(t *testing.T) {
 	}
 	if got := reg.Get("stream_open_windows"); got != 0 {
 		t.Errorf("stream_open_windows = %d after flush, want 0", got)
+	}
+	if open, dup := reg.Get("stream_open_detections"), reg.Get("stream_duplicate_detections"); open != 0 || dup != 1 {
+		t.Errorf("after flush stream_open_detections = %d and stream_duplicate_detections = %d, want 0 and 1", open, dup)
 	}
 
 	// The blocking-prune gauges must mirror the engine's split accounting:
@@ -295,58 +320,15 @@ func TestStreamGauges(t *testing.T) {
 	}
 }
 
-// detKey is the test-side reference identity of a detection: the formatted
-// key the bucket's set held before it hashed detections in place.
-func detKey(vid ids.VID, person int, p *feature.Patch) string {
-	return fmt.Sprintf("%s\x00%d\x00%d\x00%d\x00%s", vid, person, p.W, p.H, p.Pix)
-}
-
-// TestDetHashCollisionKeepsBoth forces two different detections onto one hash
-// chain — the first is planted under the second's hash — and requires the
-// bucket to keep both, because equality is decided by comparing detections
-// and the hash only finds candidates; and a repeated detection must stay an
-// allocation-free lookup.
-func TestDetHashCollisionKeepsBoth(t *testing.T) {
-	first := scenario.Detection{VID: "V00012", TruePerson: 12, Patch: feature.Patch{W: 2, H: 2, Pix: []byte{1, 2, 3, 4}}}
-	second := scenario.Detection{VID: "V00013", TruePerson: 13, Patch: feature.Patch{W: 2, H: 2, Pix: []byte{4, 3, 2, 1}}}
-	b := newBucket()
-	b.dets, b.refs, b.detPrev = append(b.dets, first), append(b.refs, 7), append(b.detPrev, 0)
-	b.detHead[detHash(&second)] = 1
-	b.addDetection(second, 8)
-	b.addDetection(second, 9)
-	if len(b.dets) != 2 || b.dets[0].VID != first.VID || b.dets[1].VID != second.VID {
-		t.Fatalf("colliding detections held as %+v, want both, once each", b.dets)
-	}
-	if b.refs[0] != 7 || b.refs[1] != 8 {
-		t.Errorf("refs = %v, want each detection's first position [7 8]", b.refs)
-	}
-	if b.detPrev[1] != 1 {
-		t.Errorf("the second detection does not chain to the first: detPrev = %v", b.detPrev)
-	}
-
-	b = newBucket()
-	o := Observation{Kind: KindV, VID: "V00012", Person: 12, Patch: &feature.Patch{W: 2, H: 2, Pix: []byte{1, 2, 3, 4}}}
-	b.absorb(1, o)
-	if allocs := testing.AllocsPerRun(100, func() { b.absorb(2, o) }); allocs != 0 {
-		t.Errorf("absorbing a repeated detection allocates %v times", allocs)
-	}
-	if len(b.dets) != 1 {
-		t.Errorf("%d detections after repeats, want 1", len(b.dets))
-	}
-}
-
-// TestBucketDetectionSetExact holds the bucket's hash-then-compare detection
-// set to the set of full identity keys it replaced: detections that differ in
-// any one field — VID, person, patch width, height, a single pixel — are all
-// kept, in arrival order, and every repeat of any of them is dropped.
-func TestBucketDetectionSetExact(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
+// nearIdenticalPool is a pool of V observations that differ from one another
+// in exactly one thing — VID, person, patch shape over the same bytes, or a
+// single pixel — the cases a detection's identity and order must tell apart.
+func nearIdenticalPool(rng *rand.Rand) []Observation {
 	var pool []Observation
 	for i := 0; i < 40; i++ {
 		pix := make([]byte, 16)
 		rng.Read(pix)
 		o := Observation{Kind: KindV, VID: ids.VIDLabel(i % 5), Person: i % 3, Patch: &feature.Patch{W: 4, H: 4, Pix: pix}}
-		pool = append(pool, o)
 		near := o // same pixels, the patch reshaped
 		near.Patch = &feature.Patch{W: 2, H: 8, Pix: pix}
 		flip := o // one pixel off
@@ -354,37 +336,174 @@ func TestBucketDetectionSetExact(t *testing.T) {
 		flip.Patch.Pix[rng.Intn(16)] ^= 1
 		who := o // same patch, another person
 		who.Person++
-		pool = append(pool, near, flip, who)
+		pool = append(pool, o, near, flip, who)
 	}
-	b := newBucket()
-	seen := map[string]bool{}
-	var want []string
+	return pool
+}
+
+// TestCanonicalDetsExact holds the fold to the set semantics the bucket's
+// hash set used to provide, where they live now: 2000 draws from a pool of
+// near-identical detections, folded through applySealedLocked, are stored as
+// the sorted set of their distinct full identities — every repeat dropped and
+// counted, whatever differs in any one field kept — without the closure's own
+// slice being written; and detections already in that form are adopted as
+// they are, with no copy.
+func TestCanonicalDetsExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	pool := nearIdenticalPool(rng)
+	type identity struct {
+		vid    ids.VID
+		person int
+		pix    string
+		w, h   int
+	}
+	identityOf := func(d scenario.Detection) identity {
+		return identity{d.VID, d.TruePerson, string(d.Patch.Pix), d.Patch.W, d.Patch.H}
+	}
+	var drawn []scenario.Detection
+	distinct := map[identity]bool{}
 	for i := 0; i < 2000; i++ {
 		o := pool[rng.Intn(len(pool))]
-		b.absorb(int64(i), o)
-		if key := detKey(o.VID, o.Person, o.Patch); !seen[key] {
-			seen[key] = true
-			want = append(want, key)
+		d := scenario.Detection{VID: o.VID, TruePerson: o.Person, Patch: *o.Patch}
+		drawn = append(drawn, d)
+		distinct[identityOf(d)] = true
+	}
+	var want []identity
+	for id := range distinct {
+		want = append(want, id)
+	}
+	sort.Slice(want, func(i, j int) bool {
+		a, b := want[i], want[j]
+		switch {
+		case a.vid != b.vid:
+			return a.vid < b.vid
+		case a.person != b.person:
+			return a.person < b.person
+		case a.pix != b.pix:
+			return a.pix < b.pix
+		case a.w != b.w:
+			return a.w < b.w
 		}
-	}
-	if len(b.dets) != len(want) {
-		t.Fatalf("%d detections held, %d distinct keys absorbed", len(b.dets), len(want))
-	}
-	for i, d := range b.dets {
-		if got := detKey(d.VID, d.TruePerson, &d.Patch); got != want[i] {
-			t.Fatalf("detection %d is %q, want %q", i, got, want[i])
-		}
-	}
-	win, err := NewShardWindower(ShardParams{WindowMS: 1_000, Dim: 2, WorkFactor: 1}, []ShardBucket{bucketToCheckpoint(bucketKey{}, b)})
+		return a.h < b.h
+	})
+
+	e, err := NewEngine(Config{Targets: []ids.EID{"e-1"}, WindowMS: 1_000, Dim: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored := win.buckets[bucketKey{}]
-	if !reflect.DeepEqual(restored.dets, b.dets) {
-		t.Error("a restored bucket holds different detections")
+	before := append([]scenario.Detection(nil), drawn...)
+	id, err := e.applySealedLocked(&ShardSealed{Window: 0, Cell: 3, Dets: drawn})
+	if err != nil {
+		t.Fatal(err)
 	}
-	restored.absorb(0, pool[0])
-	if len(restored.dets) != len(b.dets) {
-		t.Error("a restored bucket forgot what it had seen")
+	if !reflect.DeepEqual(drawn, before) {
+		t.Error("the fold wrote to the closure's detections")
+	}
+	stored := e.store.V(id).Detections
+	if len(stored) != len(want) {
+		t.Fatalf("%d detections stored, %d distinct identities folded", len(stored), len(want))
+	}
+	for i, d := range stored {
+		if got := identityOf(d); got != want[i] {
+			t.Fatalf("stored detection %d is %+v, want %+v", i, got, want[i])
+		}
+	}
+	if got, dropped := e.duplicates.Load(), int64(len(drawn)-len(want)); got != dropped {
+		t.Errorf("the fold counted %d repeats, dropped %d", got, dropped)
+	}
+
+	// Canonical input — what a generated log in store order and every
+	// checkpointed scenario is — comes back as the same slice, unallocated.
+	again, dropped := canonicalDets(stored)
+	if dropped != 0 || &again[0] != &stored[0] || len(again) != len(stored) {
+		t.Errorf("canonical input was not returned as it is (%d dropped)", dropped)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { canonicalDets(stored) }); allocs != 0 {
+		t.Errorf("canonicalDets of canonical input allocates %v times", allocs)
+	}
+	if out, dropped := canonicalDets(nil); out != nil || dropped != 0 {
+		t.Errorf("canonicalDets(nil) = %v, %d", out, dropped)
+	}
+}
+
+// TestWindowerNeverReadsPixels steps four windowers through one message
+// sequence — redeliveries included — that differs only in what the V
+// observations carry for a patch: the real pixels, nothing, an empty patch,
+// and bytes that contradict their shape. All four must seal the same
+// closures, position for position, in arrival order: a windower that looked
+// at a pixel to order, deduplicate or validate would tell them apart.
+func TestWindowerNeverReadsPixels(t *testing.T) {
+	ds := testDataset(t, true)
+	_, obs, err := EventsFromDataset(ds, testWindowMS, 7)
+	if err != nil {
+		t.Fatalf("EventsFromDataset: %v", err)
+	}
+	obs = obs[:len(obs)/3]
+	patches := map[string]func(*feature.Patch) *feature.Patch{
+		"real":      func(p *feature.Patch) *feature.Patch { return p },
+		"nil":       func(*feature.Patch) *feature.Patch { return nil },
+		"empty":     func(*feature.Patch) *feature.Patch { return &feature.Patch{} },
+		"misshapen": func(p *feature.Patch) *feature.Patch { return &feature.Patch{W: 3, H: 5, Pix: p.Pix[:4]} },
+	}
+	run := func(patch func(*feature.Patch) *feature.Patch) []ShardOut {
+		w, err := NewShardWindower(ShardParams{WindowMS: testWindowMS, Dim: 2, WorkFactor: 1}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var outs []ShardOut
+		step := func(m ShardMsg) {
+			out, err := w.Step(m)
+			if err != nil {
+				t.Fatalf("Step %+v: %v", m, err)
+			}
+			if out != nil {
+				for i := range out.Sealed {
+					s := &out.Sealed[i]
+					s.EIDs, s.eids, s.Dets = sortedBucketEIDs(s.eids), nil, nil
+				}
+				outs = append(outs, *out)
+			}
+		}
+		pos, round := int64(0), 0
+		for i, o := range obs {
+			if o.Kind == KindV {
+				o.Patch = patch(o.Patch)
+			}
+			deliveries := 1
+			if i%3 == 2 { // every third observation is delivered twice
+				deliveries = 2
+			}
+			for ; deliveries > 0; deliveries-- {
+				pos++
+				step(ShardMsg{Pos: pos, Kind: ShardMsgObs, Obs: o})
+			}
+			if i%400 == 399 {
+				round++
+				step(ShardMsg{Kind: ShardMsgClose, Round: round, Target: int(o.TS/testWindowMS) - 1})
+			}
+		}
+		step(ShardMsg{Kind: ShardMsgClose, Round: round + 1, Target: 1 << 30})
+		if w.openDets != 0 || len(w.buckets) != 0 {
+			t.Fatalf("%d detections in %d buckets still open after the last close", w.openDets, len(w.buckets))
+		}
+		return outs
+	}
+	want := run(patches["real"])
+	refs := 0
+	for _, out := range want {
+		for _, s := range out.Sealed {
+			refs += len(s.Refs)
+			if !sort.SliceIsSorted(s.Refs, func(i, j int) bool { return s.Refs[i] < s.Refs[j] }) {
+				t.Fatalf("window %d cell %d sealed positions out of arrival order: %v", s.Window, s.Cell, s.Refs)
+			}
+		}
+	}
+	if refs == 0 {
+		t.Fatal("no detection was sealed; the comparison is vacuous")
+	}
+	for name, patch := range patches {
+		if got := run(patch); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s patches: the windower sealed different closures than with the real pixels", name)
+		}
 	}
 }
