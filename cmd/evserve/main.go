@@ -26,7 +26,8 @@
 // the per-shard stream_shard<N>_ingested gauges plus stream_shards and
 // stream_shard_redispatches. With -stream-shard-workers N > 0 the N shards
 // run in separate evshardd worker processes over net/rpc (DESIGN.md §15),
-// supervised and redispatched on death; -shardd names the worker binary
+// supervised and redispatched on death (a refused message fails the stream
+// with stream.ErrShardFailed instead); -shardd names the worker binary
 // (default: evshardd next to evserve, else on PATH), and the shardrpc_*
 // worker gauges — spawns, kills, retries, redispatches, per-shard apply
 // latency — join /metricsz.

@@ -23,7 +23,8 @@
 // With -shard-workers N > 0 the N shards run in separate evshardd worker
 // processes over net/rpc (DESIGN.md §15) instead of in-process goroutines:
 // same router, same fingerprint, but each windower lives in its own
-// process, supervised and redispatched on death. -shardd names the worker
+// process, supervised: a worker death is redispatched onto a replay of the
+// journal, a message a worker refuses fails the run. -shardd names the worker
 // binary (default: evshardd next to evstream, else on PATH); -shard-kill
 // "shard@step,..." SIGKILLs workers on a script, the chaos drill CI runs to
 // prove a killed worker's shard recovers bit-identically.
@@ -267,7 +268,7 @@ func run(args []string, out io.Writer) error {
 		// journal_len is what a replacement worker would be replayed, per
 		// shard: nothing after a finalize, the open windows mid-log.
 		fmt.Fprintf(out, "shard workers: spawned=%d kills=%d redispatches=%d retries=%d fallbacks=%d wire_sent=%d wire_received=%d frames=%d journal_len=%v\n",
-			st.Spawned, st.Kills, rst.SupervisorRedispatches, st.Retries, st.Fallbacks, st.WireBytesSent, st.WireBytesReceived, st.Frames, rst.JournalLen)
+			st.Spawned, st.Kills, rst.Redispatches, st.Retries, st.Fallbacks, st.WireBytesSent, st.WireBytesReceived, st.Frames, rst.JournalLen)
 	}
 
 	if !*finalize {

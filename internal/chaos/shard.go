@@ -16,9 +16,9 @@ const DefaultShardStallFor = 2 * time.Millisecond
 // Probabilities are in [0, 1] and independent; the zero ShardConfig injects
 // nothing.
 type ShardConfig struct {
-	// Kill is the chance a shard windower dies silently before processing a
-	// message — its lease lapses and the router must redispatch its cell
-	// range from the last sub-checkpoint.
+	// Kill is the chance a shard windower dies before processing a message —
+	// its runner reports the death and the router must redispatch its cell
+	// range to a replacement replaying the shard's journal.
 	Kill float64
 	// Stall is the chance a message's processing is delayed by StallFor — a
 	// straggler shard that must not be mistaken for a dead one.

@@ -178,28 +178,3 @@ func TestStoreShuffledWindowsIsPermutation(t *testing.T) {
 		seen[w] = true
 	}
 }
-
-func TestStoreQueryRegion(t *testing.T) {
-	l := testLayout(t) // 4x4 over 100x100, cells are 25x25
-	st := NewStore(l)
-	// One scenario per cell at window 0.
-	for c := 0; c < l.NumCells(); c++ {
-		if _, err := st.Add(newEScenario(geo.CellID(c), 0, nil), nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Query the lower-left quadrant: cells 0, 1, 4, 5 have centers there.
-	got, err := st.QueryRegion(geo.Square(geo.Pt(0, 0), 50))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 4 {
-		t.Fatalf("QueryRegion = %v, want 4 scenarios", got)
-	}
-	for _, id := range got {
-		c := st.E(id).Cell
-		if c != 0 && c != 1 && c != 4 && c != 5 {
-			t.Errorf("unexpected cell %d in query result", c)
-		}
-	}
-}

@@ -8,19 +8,17 @@ import (
 
 	"evmatching/internal/geo"
 	"evmatching/internal/ids"
-	"evmatching/internal/spatial"
 )
 
-// Store indexes the EV-Scenarios of a dataset by ID, by time window, by
-// (window, EID) and spatially, so both the E stage (window-ordered scans,
-// which scenario of a window holds an EID) and V stage (fetch the V-Scenario
-// for a selected ID) are cheap.
+// Store indexes the EV-Scenarios of a dataset by ID, by time window and by
+// (window, EID), so both the E stage (window-ordered scans, which scenario
+// of a window holds an EID) and V stage (fetch the V-Scenario for a selected
+// ID) are cheap.
 type Store struct {
 	layout geo.Layout
-	esc    []*EScenario      // dense, index == int(ID)
-	vsc    []*VScenario      // parallel to esc; nil when no detections
-	byWin  map[int][]ID      // window -> scenario IDs, in insertion order
-	tree   *spatial.Quadtree // scenario cell centers, payload ID (built lazily)
+	esc    []*EScenario // dense, index == int(ID)
+	vsc    []*VScenario // parallel to esc; nil when no detections
+	byWin  map[int][]ID // window -> scenario IDs, in insertion order
 
 	mu        sync.Mutex   // guards winSorted
 	winSorted map[int][]ID // cache of AtWindow's cell-sorted ID lists
@@ -77,7 +75,6 @@ func (st *Store) Add(e *EScenario, v *VScenario) (ID, error) {
 	st.esc = append(st.esc, e)
 	st.vsc = append(st.vsc, v)
 	st.byWin[e.Window] = append(st.byWin[e.Window], id)
-	st.tree = nil // invalidate spatial index
 	st.mu.Lock()
 	delete(st.winSorted, e.Window) // invalidate the window's sorted cache
 	st.mu.Unlock()
@@ -210,40 +207,4 @@ func (st *Store) ShuffledWindows(rng *rand.Rand) []int {
 	ws := st.Windows()
 	rng.Shuffle(len(ws), func(i, j int) { ws[i], ws[j] = ws[j], ws[i] })
 	return ws
-}
-
-// QueryRegion returns the IDs of scenarios whose cell center falls within r,
-// across all windows, using the spatial index.
-func (st *Store) QueryRegion(r geo.Rect) ([]ID, error) {
-	if st.tree == nil {
-		if err := st.buildTree(); err != nil {
-			return nil, err
-		}
-	}
-	items := st.tree.Query(r)
-	out := make([]ID, 0, len(items))
-	for _, it := range items {
-		id, ok := it.Data.(ID)
-		if !ok {
-			return nil, fmt.Errorf("scenario: corrupt spatial index payload %T", it.Data)
-		}
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out, nil
-}
-
-func (st *Store) buildTree() error {
-	tree, err := spatial.New(st.layout.Bounds())
-	if err != nil {
-		return fmt.Errorf("scenario: build spatial index: %w", err)
-	}
-	for _, e := range st.esc {
-		center := st.layout.Bounds().Clamp(st.layout.Center(e.Cell))
-		if err := tree.Insert(center, e.ID); err != nil {
-			return fmt.Errorf("scenario: index scenario %d: %w", e.ID, err)
-		}
-	}
-	st.tree = tree
-	return nil
 }

@@ -9,7 +9,6 @@ import (
 	"net/rpc"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"evmatching/internal/stream"
 	"evmatching/internal/wire"
@@ -49,8 +48,10 @@ import (
 // ErrWireVersion instead of exchanging undecodable bytes. Version 2 made
 // replies by-reference (closures carry journal positions, not detections or
 // features) and dropped the sub-checkpoint messages and Configure's image;
-// version 3 took the patch out of a request's observations: no pixel travels.
-const WireVersion = 3
+// version 3 took the patch out of a request's observations: no pixel travels;
+// version 4 took the lease TTL out of Configure's parameters: the shard tier
+// has no lease.
+const WireVersion = 4
 
 // MaxFrameBytes caps a frame's announced length. The reader grows its
 // buffer only as bytes arrive (wire.ReadRecord), so this bounds what a
@@ -121,7 +122,6 @@ func appendBody(b []byte, body any) ([]byte, error) {
 		b = wire.AppendVarint(b, v.Params.WindowMS)
 		b = wire.AppendVarint(b, int64(v.Params.Dim))
 		b = wire.AppendVarint(b, int64(v.Params.WorkFactor))
-		b = wire.AppendVarint(b, int64(v.Params.LeaseTTL))
 	case *ApplyArgs:
 		b = wire.AppendVarint(b, int64(v.Shard))
 		b = wire.AppendVarint(b, int64(v.Incarnation))
@@ -154,7 +154,6 @@ func readBody(r *wire.Reader, body any) error {
 		v.Params.WindowMS = r.Varint()
 		v.Params.Dim = r.Int()
 		v.Params.WorkFactor = r.Int()
-		v.Params.LeaseTTL = time.Duration(r.Varint())
 	case *ApplyArgs:
 		v.Shard = r.Int()
 		v.Incarnation = r.Int()

@@ -34,7 +34,7 @@ func goldenReply() *ApplyReply {
 	}}
 }
 
-// TestGoldenFrame pins the version-3 frame layout: a format change must show
+// TestGoldenFrame pins the version-4 frame layout: a format change must show
 // up as a deliberate diff of testdata/apply_reply_frame.hex (regenerate
 // with: go test ./internal/shardrpc/ -run TestGoldenFrame -update) — and as
 // a WireVersion bump, or two builds will misread each other silently.
@@ -147,9 +147,10 @@ func TestFrameErrors(t *testing.T) {
 // drops the connection on the first frame (what a gob-era evshardd does with bytes it
 // cannot parse). Both calls must fail with an error that names the cause.
 func TestClientReportsWorkerFromAnotherBuild(t *testing.T) {
-	// A worker one version ahead, the by-value worker of wire version 1, and
-	// the worker of version 2, which expects a patch in every observation.
-	for name, version := range map[string]byte{"other-version": WireVersion + 1, "v1-worker": 1, "v2-worker": 2} {
+	// A worker one version ahead, the by-value worker of wire version 1, the
+	// worker of version 2, which expects a patch in every observation, and
+	// the worker of version 3, which expects a lease TTL in Configure.
+	for name, version := range map[string]byte{"other-version": WireVersion + 1, "v1-worker": 1, "v2-worker": 2, "v3-worker": 3} {
 		t.Run(name, func(t *testing.T) {
 			cli, srv := net.Pipe()
 			defer srv.Close()

@@ -154,6 +154,7 @@ func (ir injectingRunner) RunShard(run stream.ShardRun) {
 		case m := <-run.In:
 			out, err := w.Step(m)
 			if err != nil {
+				run.Died(err)
 				return
 			}
 			if m.Kind == stream.ShardMsgClose && m.Round == 2 {
@@ -166,7 +167,6 @@ func (ir injectingRunner) RunShard(run stream.ShardRun) {
 			if out != nil && !run.Emit(*out) {
 				return
 			}
-			run.Renew()
 		}
 	}
 }
@@ -258,6 +258,13 @@ func FuzzShardRPCDecode(f *testing.F) {
 	previous := append([]byte(nil), apply...)
 	previous[1] = WireVersion - 1 // the length prefix is one byte here
 	f.Add(previous)
+	// A version-3 supervisor's Configure, its lease TTL (2 s) after the
+	// work factor.
+	v3 := []byte{3, 1, tagConfigure, 0}
+	for _, v := range []int64{0, 1, 1_000, 8, 1, 2_000_000_000} {
+		v3 = wire.AppendVarint(v3, v)
+	}
+	f.Add(wire.AppendBytes(nil, v3))
 	f.Add(gobEraRequest)
 	// An unknown method tag, and garbage.
 	f.Add(wire.AppendBytes(nil, []byte{WireVersion, 4, 77, 0, 1, 2, 3}))

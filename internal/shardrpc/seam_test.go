@@ -135,9 +135,10 @@ func TestReplyCarriesNoPixels(t *testing.T) {
 	}
 }
 
-// replayMeter is a ShardRunner that notes how many messages each replacement
-// incarnation finds queued when it starts — the router queues the journal
-// replay before it starts the runner — and hands the run on.
+// replayMeter is a ShardRunner that notes how long each replacement
+// incarnation's journal replay is — the router sizes a replacement's queue to
+// the replay plus the configured queue length, here the default — and hands
+// the run on.
 type replayMeter struct {
 	next     stream.ShardRunner
 	replayed atomic.Int64 // by incarnations after the first
@@ -145,7 +146,7 @@ type replayMeter struct {
 
 func (m *replayMeter) RunShard(run stream.ShardRun) {
 	if run.Incarnation > 1 {
-		m.replayed.Add(int64(len(run.In)))
+		m.replayed.Add(int64(cap(run.In) - stream.DefaultShardQueue))
 	}
 	m.next.RunShard(run)
 }
@@ -205,8 +206,10 @@ func TestRedispatchReplaysOnlyOpenWindows(t *testing.T) {
 			t.Fatalf("Ingest %d: %v", next, err)
 		}
 	}
-	if !waitFor(func() bool { return r.Stats().SupervisorRedispatches > 0 }) {
-		t.Fatal("the killed worker was never redispatched")
+	// The supervisor reports the death at once; the router acts on it at
+	// the next Ingest, before it routes anything more.
+	if !waitFor(func() bool { return sup.Stats().Redispatches > 0 }) {
+		t.Fatal("the killed worker's death was never reported")
 	}
 	for i, o := range obs[next:] {
 		if _, err := r.Ingest(o); err != nil {
@@ -221,8 +224,8 @@ func TestRedispatchReplaysOnlyOpenWindows(t *testing.T) {
 	r.Close()
 	sup.Close()
 	assertWorkersReaped(t, sup)
-	if !fired.Load() || rst.SupervisorRedispatches == 0 {
-		t.Fatalf("kill fired = %v, supervisor redispatches = %d: nothing was replayed", fired.Load(), rst.SupervisorRedispatches)
+	if !fired.Load() || rst.Redispatches != 1 {
+		t.Fatalf("kill fired = %v, redispatches = %d: want one replay", fired.Load(), rst.Redispatches)
 	}
 	if got := rep.Fingerprint(); got != want {
 		t.Fatalf("replay over a killed worker diverged from unsharded:\n--- unsharded\n%s\n--- remote\n%s", want, got)

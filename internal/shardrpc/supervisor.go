@@ -139,14 +139,15 @@ type shardGaugeNames struct {
 // Supervisor hosts shard windowers in worker processes: it implements
 // stream.ShardRunner by proxying each incarnation's message stream to its
 // shard's worker over net/rpc and feeding the emissions back to the
-// router's merge stage. Worker death — observed as a failed Apply, a failed
-// heartbeat, or a scripted kill — is reported to the router immediately via
-// ShardRun.Redispatch; the replacement incarnation reuses the restarted (or
-// respawned) process via Configure and rebuilds its state from the router's
-// journal replay. When no worker can be had (spawn
-// failure, restart budget exhausted, supervisor closed) the shard falls
-// back to stream.RunShardInProcess, trading process isolation for
-// availability without affecting results.
+// router's merge stage. Any failed call — an Apply, a heartbeat Ping, or one
+// a scripted kill broke — is a worker death, reported to the router through
+// ShardRun.Died(nil); the replacement incarnation gets a respawned process
+// and rebuilds its state from the router's journal replay. A worker that
+// answers an Apply with an error has refused a message: that is reported as
+// itself, and fails the stream. When no worker can be had (spawn failure,
+// restart budget exhausted, supervisor closed) the shard falls back to
+// stream.RunShardInProcess, trading process isolation for availability
+// without affecting results.
 //
 // A Supervisor may serve many shards and many successive incarnations; it
 // must be Closed to reap its worker processes.
@@ -333,20 +334,27 @@ func (s *Supervisor) call(proc *workerProc, stop <-chan struct{}, method string,
 }
 
 // proxyLoop drives one configured incarnation: journal messages batch up
-// into Apply calls, emissions flow back to the merge stage, and a
-// heartbeat goroutine renews the shard's lease from real Ping replies. Any
-// worker failure ends the loop through failover, which reports the death
-// to the router at once.
+// into Apply calls, emissions flow back to the merge stage, and a heartbeat
+// goroutine probes the worker between them. Its exits are Stop, or exactly
+// one report through fail: nil for a worker death (the process is torn down
+// and the router replaces the incarnation), the worker's error for a message
+// it refused.
 func (s *Supervisor) proxyLoop(proc *workerProc, run stream.ShardRun) {
 	var failOnce sync.Once
-	failover := func() {
+	fail := func(refusal error) {
+		s.retries.Add(1)
 		failOnce.Do(func() {
+			if refusal != nil {
+				run.Died(refusal)
+				return
+			}
+			// Torn down before the report, so the replacement cannot be
+			// handed this process; counted after it, so a reader of Stats
+			// never sees a death the router has not been told of.
 			s.removeProc(run.Shard, proc)
+			run.Died(nil)
 			s.redispatches.Add(1)
 			s.publishCounters()
-			if run.Redispatch != nil {
-				run.Redispatch()
-			}
 		})
 	}
 
@@ -355,7 +363,7 @@ func (s *Supervisor) proxyLoop(proc *workerProc, run stream.ShardRun) {
 	hbStop := make(chan struct{})
 	defer close(hbStop)
 	hbWG.Add(1)
-	go s.heartbeat(proc, run, hbStop, &hbWG, failover)
+	go s.heartbeat(proc, run, hbStop, &hbWG, fail)
 
 	batch := make([]stream.ShardMsg, 0, s.cfg.BatchSize)
 	var step int64
@@ -403,8 +411,11 @@ func (s *Supervisor) proxyLoop(proc *workerProc, run stream.ShardRun) {
 			return
 		}
 		if err != nil {
-			s.retries.Add(1)
-			failover()
+			var refused rpc.ServerError
+			if !errors.As(err, &refused) {
+				err = nil // the call, not the message, failed: a worker death
+			}
+			fail(err)
 			return
 		}
 		s.observeApply(run.Shard, s.cfg.Clock.Now().Sub(start))
@@ -416,11 +427,10 @@ func (s *Supervisor) proxyLoop(proc *workerProc, run stream.ShardRun) {
 	}
 }
 
-// heartbeat probes the worker and renews the shard's lease from real
-// replies — the router's liveness evidence for a remote shard. A failed
-// probe is a worker death: fail over immediately instead of waiting out
-// the lease.
-func (s *Supervisor) heartbeat(proc *workerProc, run stream.ShardRun, stop <-chan struct{}, wg *sync.WaitGroup, failover func()) {
+// heartbeat probes the worker — the liveness evidence for a remote shard,
+// and the traffic that keeps its deadline-armed connection fed while a long
+// Apply runs. A failed probe is a worker death, reported at once.
+func (s *Supervisor) heartbeat(proc *workerProc, run stream.ShardRun, stop <-chan struct{}, wg *sync.WaitGroup, fail func(error)) {
 	defer wg.Done()
 	tick := time.NewTicker(s.cfg.HeartbeatInterval)
 	defer tick.Stop()
@@ -439,12 +449,8 @@ func (s *Supervisor) heartbeat(proc *workerProc, run stream.ShardRun, stop <-cha
 		select {
 		case done := <-c.Done:
 			if done.Error != nil {
-				s.retries.Add(1)
-				failover()
+				fail(nil)
 				return
-			}
-			if run.Renew != nil && !run.Renew() {
-				return // superseded; the replacement runner renews now
 			}
 		case <-stop:
 			return

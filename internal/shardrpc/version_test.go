@@ -80,11 +80,12 @@ func gobEraWorkerMain() int {
 	}
 }
 
-// TestServeRejectsOtherBuilds points two stale supervisors at a current
-// worker: one speaking gob (net/rpc's default client), one sending a frame
-// of the next wire version. Each must be refused with the distinct
-// version error on the worker's stderr — and, for a peer that can read
-// frames, in the reply — instead of a stream of undecodable bytes.
+// TestServeRejectsOtherBuilds points stale supervisors at a current worker:
+// one speaking gob (net/rpc's default client), one sending a frame of the
+// next wire version, and one of version 3, whose Configure still carries a
+// lease TTL. Each must be refused with the distinct version error on the
+// worker's stderr — and, for a peer that can read frames, in the reply —
+// instead of a stream of undecodable bytes.
 func TestServeRejectsOtherBuilds(t *testing.T) {
 	mrtest.CheckGoroutines(t)
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
@@ -117,36 +118,39 @@ func TestServeRejectsOtherBuilds(t *testing.T) {
 		}
 	})
 
-	t.Run("next-version-frame", func(t *testing.T) {
-		conn, err := net.Dial("tcp", lis.Addr().String())
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer conn.Close()
-		var enc shardrpc.FrameEncoder
-		frame, err := enc.Encode(1, shardrpc.ServiceName+".Ping", "", &shardrpc.PingArgs{Seq: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		frame[1] = shardrpc.WireVersion + 1 // the length prefix is one byte here
-		if _, err := conn.Write(frame); err != nil {
-			t.Fatal(err)
-		}
-		// The worker answers once, in its own version, then hangs up.
-		dec := shardrpc.NewFrameDecoder(conn, "worker")
-		_, _, errStr, err := dec.Decode(nil)
-		want := fmt.Sprintf("shardrpc: supervisor speaks wire version %d, want %d", shardrpc.WireVersion+1, shardrpc.WireVersion)
-		if err != nil || !strings.Contains(errStr, want) {
-			t.Fatalf("reply = (%q, %v), want an error string containing %q", errStr, err, want)
-		}
-		conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-		if _, err := bufio.NewReader(conn).ReadByte(); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
-			t.Fatalf("connection still open after a version mismatch (err %v)", err)
-		}
-		if !strings.Contains(stderr.String(), want) {
-			t.Fatalf("worker stderr = %q, want it to contain %q", stderr.String(), want)
-		}
-	})
+	for name, version := range map[string]byte{"next-version-frame": shardrpc.WireVersion + 1, "v3-frame": 3} {
+		t.Run(name, func(t *testing.T) {
+			conn, err := net.Dial("tcp", lis.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			var enc shardrpc.FrameEncoder
+			frame, err := enc.Encode(1, shardrpc.ServiceName+".Configure", "", &shardrpc.ConfigureArgs{
+				Shard: 0, Incarnation: 1, Params: stream.ShardParams{WindowMS: 1_000, Dim: 8, WorkFactor: 1}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			frame[1] = version // the length prefix is one byte here
+			if _, err := conn.Write(frame); err != nil {
+				t.Fatal(err)
+			}
+			// The worker answers once, in its own version, then hangs up.
+			dec := shardrpc.NewFrameDecoder(conn, "worker")
+			_, _, errStr, err := dec.Decode(nil)
+			want := fmt.Sprintf("shardrpc: supervisor speaks wire version %d, want %d", version, shardrpc.WireVersion)
+			if err != nil || !strings.Contains(errStr, want) {
+				t.Fatalf("reply = (%q, %v), want an error string containing %q", errStr, err, want)
+			}
+			conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+			if _, err := bufio.NewReader(conn).ReadByte(); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+				t.Fatalf("connection still open after a version mismatch (err %v)", err)
+			}
+			if !strings.Contains(stderr.String(), want) {
+				t.Fatalf("worker stderr = %q, want it to contain %q", stderr.String(), want)
+			}
+		})
+	}
 }
 
 // TestSupervisorFallsBackLoudlyOnStaleWorker is the -shardd-points-at-an-old-

@@ -11,12 +11,13 @@
 // the emissions back to the merge stage. No pixel crosses the wire: a request
 // carries observations without their patches, a reply names the observations
 // a sealed closure holds by journal position. A worker death is reported to
-// the router immediately (ShardRun.Redispatch), which starts the replacement
+// the router immediately (ShardRun.Died), which starts the replacement
 // incarnation on a fresh windower and a replay of the journal exactly as it
-// would for an in-process shard death. Because replay
-// is deterministic and the merger deduplicates by round number, results are
-// bit-identical to the in-process, unsharded, and batch paths — the
-// invariance tests pin all four to one sha256.
+// would for an in-process shard death; a message the worker refuses fails
+// the stream instead. Because replay is deterministic and the merger
+// deduplicates by round number, results are bit-identical to the in-process,
+// unsharded, and batch paths — the invariance tests pin all four to one
+// sha256.
 package shardrpc
 
 import (
@@ -63,7 +64,7 @@ type PingArgs struct {
 }
 
 // PingReply reports what the worker is hosting — the supervisor's liveness
-// evidence, from which it renews the shard's lease.
+// evidence: a failed Ping is a worker death.
 type PingReply struct {
 	Shard       int
 	Incarnation int

@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"evmatching/internal/cluster"
 	"evmatching/internal/core"
 	"evmatching/internal/geo"
 	"evmatching/internal/spill"
@@ -23,39 +22,10 @@ var ErrRouterClosed = errors.New("stream: router closed")
 const (
 	// DefaultShardQueue is the per-shard input channel capacity.
 	DefaultShardQueue = 1024
-	// DefaultShardLeaseTTL is the shard liveness lease: a shard silent this
-	// long is declared dead and its cell range redispatched.
-	DefaultShardLeaseTTL = 2 * time.Second
 
-	// leaseCheckEvery rate-limits the router's failure-detector sweep to one
-	// lease-table scan per this many ingests, keeping the lease mutex off the
-	// per-observation hot path.
-	leaseCheckEvery = 64
-	// renewEveryMsgs rate-limits a busy shard's lease renewals for the same
-	// reason; an idle shard renews from its ticker instead.
-	renewEveryMsgs = 32
-	// sendRetryDelay paces the backpressure/redispatch retry loop when a
-	// shard's queue is full.
-	sendRetryDelay = 50 * time.Microsecond
+	// foldPollDelay paces the fold barrier's wait for the merge stage.
+	foldPollDelay = 50 * time.Microsecond
 )
-
-// ShardFault is the injected fault for one (shard, incarnation, step):
-// chaos tests kill or stall shard windowers mid-window through it.
-type ShardFault struct {
-	// Kill makes the shard's run exit silently before processing the
-	// message; its lease lapses and the router redispatches its cell range.
-	Kill bool
-	// Stall delays processing by this much — a straggler shard.
-	Stall time.Duration
-}
-
-// ShardFaultPlan decides shard faults from pure coordinates, mirroring
-// cluster.FaultPlan: decisions depend only on (shard, incarnation, step),
-// never on goroutine interleaving, so fault schedules are reproducible.
-// chaos.NewShardInjector is the seeded implementation.
-type ShardFaultPlan interface {
-	ShardFault(shard, incarnation, step int) ShardFault
-}
 
 // RouterConfig parameterizes a Router. The embedded Config is the matching
 // configuration every shard and the merge stage share.
@@ -67,10 +37,6 @@ type RouterConfig struct {
 	Shards int
 	// QueueLen is the per-shard input channel capacity (0 = DefaultShardQueue).
 	QueueLen int
-	// LeaseTTL is the shard liveness lease (0 = DefaultShardLeaseTTL),
-	// measured against Config.Clock so deterministic tests drive detection
-	// from an injected clock.
-	LeaseTTL time.Duration
 	// Faults, when non-nil, injects shard faults (tests only). The plan is
 	// applied by RunShardInProcess, the loop every in-process shard runs.
 	Faults ShardFaultPlan
@@ -90,9 +56,6 @@ func (c RouterConfig) withDefaults() RouterConfig {
 	if c.QueueLen == 0 {
 		c.QueueLen = DefaultShardQueue
 	}
-	if c.LeaseTTL == 0 {
-		c.LeaseTTL = DefaultShardLeaseTTL
-	}
 	return c
 }
 
@@ -106,9 +69,6 @@ func (c RouterConfig) validate() error {
 	}
 	if c.QueueLen < 1 {
 		return fmt.Errorf("%w: queue length %d", ErrBadConfig, c.QueueLen)
-	}
-	if c.LeaseTTL <= 0 {
-		return fmt.Errorf("%w: lease ttl %v", ErrBadConfig, c.LeaseTTL)
 	}
 	if c.Runner != nil && c.Faults != nil {
 		return fmt.Errorf("%w: Runner and Faults are mutually exclusive", ErrBadConfig)
@@ -163,6 +123,7 @@ type shardSlot struct {
 	incarnation int
 	in          chan ShardMsg
 	stop        chan struct{}
+	died        chan struct{} // closed by the incarnation's Died(nil)
 
 	sent    int64 // position of the last journalled message
 	journal shardJournal
@@ -180,19 +141,18 @@ type shardSlot struct {
 // Finalize fingerprint is therefore bit-identical to the unsharded stream
 // replay and to the batch SS run (the shard-invariance tests pin this).
 //
-// Fault tolerance reuses the cluster lease model: every shard holds a
-// liveness lease (cluster.ShardLeaseTable); a shard that dies mid-window
-// stops renewing, and the router redispatches its cell range to a fresh
-// incarnation that replays the shard's journal — which the merge stage keeps
-// cut down to the windows it has not folded yet. Replayed emissions are
-// deduplicated by round, so a death never loses or duplicates a window
-// closure.
+// A shard's runner is its failure detector: every way an incarnation stops
+// is the router stopping it or something its runner sees and reports
+// (ShardRun.Died). A death is handed to a fresh incarnation that replays the
+// shard's journal — which the merge stage keeps cut down to the windows it
+// has not folded yet — and replayed emissions are deduplicated by round, so
+// a death never loses or duplicates a window closure. A refused message
+// fails the stream instead (ErrShardFailed): replay would refuse it again.
 //
 // The router is safe for concurrent use.
 type Router struct {
 	cfg    RouterConfig
 	merged *Engine
-	leases *cluster.ShardLeaseTable
 
 	mu           sync.Mutex
 	closed       bool
@@ -200,11 +160,11 @@ type Router struct {
 	front        frontier
 	round        int // close rounds issued
 	redispatches int64
-	// supervisorRedispatches counts the redispatches initiated through
-	// RedispatchShard / ShardRun.Redispatch (a supervisor reporting a dead
-	// worker) — a subset of redispatches, which counts every recovery path.
-	supervisorRedispatches int64
-	sinceSweep             int // ingests since the last lease sweep
+	gauges       map[string]int64 // publishGaugesLocked's map, refilled per ingest
+
+	// deaths is the doorbell Died rings (capacity 1): a report is waiting
+	// on some slot's died channel or in firstErr.
+	deaths chan struct{}
 
 	out        chan shardOut
 	wg         sync.WaitGroup
@@ -224,14 +184,9 @@ type Router struct {
 type RouterStats struct {
 	// Shards is the configured shard count.
 	Shards int
-	// Redispatches counts shard takeovers: a dead incarnation handed to a
-	// fresh one replaying its journal, whether detected by lease expiry or
-	// reported by a supervisor.
+	// Redispatches counts shard takeovers: an incarnation whose runner
+	// reported its death handed to a fresh one replaying its journal.
 	Redispatches int64
-	// SupervisorRedispatches counts the subset of Redispatches initiated
-	// through RedispatchShard — a supervisor reporting a dead worker ahead
-	// of the lease-expiry failure detector.
-	SupervisorRedispatches int64
 	// Kills counts injected shard-kill faults taken (tests only).
 	Kills int64
 	// JournalLen is each shard's replay journal length now — the messages a
@@ -239,8 +194,6 @@ type RouterStats struct {
 	// the merge stage has not folded yet. It is what the
 	// stream_shard<i>_journal_len gauges publish.
 	JournalLen []int
-	// Leases is the underlying lease table's counters.
-	Leases cluster.ShardLeaseStats
 }
 
 // NewRouter creates a sharded router with empty state and starts its shard
@@ -264,16 +217,13 @@ func newRouter(cfg RouterConfig, cp *checkpointFile) (*Router, error) {
 		return nil, err
 	}
 	cfg.Targets = merged.cfg.Targets // sorted copy
-	leases, err := cluster.NewShardLeaseTable(cfg.Shards, cfg.LeaseTTL, cfg.Clock.Now())
-	if err != nil {
-		return nil, err
-	}
 	r := &Router{
 		cfg:        cfg,
 		merged:     merged,
-		leases:     leases,
 		slots:      make([]shardSlot, cfg.Shards),
 		front:      newFrontier(cfg.WindowMS, cfg.LatenessMS),
+		gauges:     make(map[string]int64),
+		deaths:     make(chan struct{}, 1),
 		out:        make(chan shardOut, 4*cfg.Shards),
 		mergerDone: make(chan struct{}),
 	}
@@ -286,7 +236,6 @@ func newRouter(cfg RouterConfig, cp *checkpointFile) (*Router, error) {
 		slot := &r.slots[s]
 		slot.id = s
 		slot.incarnation = 1
-		slot.stop = make(chan struct{})
 		slot.routedGauge = fmt.Sprintf("stream_shard%d_ingested", s)
 		slot.journalGauge = fmt.Sprintf("stream_shard%d_journal_len", s)
 		r.startIncarnationLocked(slot)
@@ -348,6 +297,7 @@ func (r *Router) Ingest(o Observation) (bool, error) {
 	if err := r.errState(); err != nil {
 		return false, err
 	}
+	r.reapLocked()
 	if !r.front.admit(o.TS) {
 		r.publishGaugesLocked()
 		return false, nil
@@ -357,11 +307,6 @@ func (r *Router) Ingest(o Observation) (bool, error) {
 	slot.routed++
 	if target, closes := r.front.observe(o.TS); closes {
 		r.issueCloseLocked(target)
-	}
-	r.sinceSweep++
-	if r.sinceSweep >= leaseCheckEvery {
-		r.sinceSweep = 0
-		r.redispatchExpiredLocked()
 	}
 	r.publishGaugesLocked()
 	return true, nil
@@ -377,9 +322,13 @@ func (r *Router) journalLocked(s *shardSlot, m ShardMsg) ShardMsg {
 }
 
 // sendLocked journals m for the shard and delivers it to the current
-// incarnation. A full queue is retried with backpressure; if the shard is
-// redispatched while we wait, the replacement's journal replay has already
-// delivered m, so the send completes vacuously. Callers hold r.mu.
+// incarnation. A full queue waits for the shard to take m or for a runner to
+// report a death, which is acted on at once: a dead shard anywhere may be
+// what holds this one's queue full, since the merge stage folds no round
+// without it. If this shard is the one replaced, the replacement's journal
+// replay has delivered m; if the stream has failed, nothing will drain a
+// refused shard's queue, and the caller's next call returns the error.
+// Callers hold r.mu.
 func (r *Router) sendLocked(s *shardSlot, m ShardMsg) {
 	m = r.journalLocked(s, m)
 	for {
@@ -389,11 +338,19 @@ func (r *Router) sendLocked(s *shardSlot, m ShardMsg) {
 			return
 		default:
 		}
-		r.redispatchExpiredLocked()
+		if r.errState() != nil {
+			return
+		}
+		select {
+		case cur <- m:
+			return
+		case <-r.deaths:
+			r.ring() // leave the report for reapLocked
+		}
+		r.reapLocked()
 		if s.in != cur {
 			return // redispatched: the journal replay delivered m
 		}
-		time.Sleep(sendRetryDelay)
 	}
 }
 
@@ -411,38 +368,53 @@ func (r *Router) issueCloseLocked(target int) {
 	}
 }
 
-// redispatchExpiredLocked is the failure detector: shards whose lease lapsed
-// are handed to fresh incarnations. Callers hold r.mu.
-func (r *Router) redispatchExpiredLocked() {
-	now := r.cfg.Clock.Now()
-	for _, shard := range r.leases.Expired(now) {
-		r.redispatchLocked(shard, now)
+// ring rings the deaths doorbell without blocking: one token stands for
+// any number of reports.
+func (r *Router) ring() {
+	select {
+	case r.deaths <- struct{}{}:
+	default:
 	}
 }
 
-// redispatchLocked replaces a dead shard: the old incarnation is stopped
-// (and its stale renewals rejected by the bumped lease), and a replacement
-// starts from nothing but the journal. The replay re-emits any rounds the dead
+// reapLocked acts on the deaths runners reported since the last reap: each
+// shard whose incarnation reported one is handed to a replacement — unless
+// the stream has failed, when a replay could only be refused again. Callers
+// hold r.mu.
+func (r *Router) reapLocked() {
+	select {
+	case <-r.deaths:
+	default:
+		return
+	}
+	if r.errState() != nil {
+		return
+	}
+	for i := range r.slots {
+		select {
+		case <-r.slots[i].died:
+			r.redispatchLocked(&r.slots[i])
+		default:
+		}
+	}
+}
+
+// redispatchLocked replaces a dead shard: the old incarnation is stopped, so
+// whatever it still emits or reports is ignored, and a replacement starts
+// from nothing but the journal. The replay re-emits any rounds the dead
 // incarnation already reported and the merge stage has not folded; the merger
 // drops them by round number, which is sound because replay is deterministic
 // — a re-emitted round is identical to the original. Callers hold r.mu.
-func (r *Router) redispatchLocked(shard int, now time.Time) {
-	slot := &r.slots[shard]
-	inc, err := r.leases.Redispatch(shard, now)
-	if err != nil {
-		r.setErr(err)
-		return
-	}
+func (r *Router) redispatchLocked(slot *shardSlot) {
 	close(slot.stop)
-	slot.stop = make(chan struct{})
-	slot.incarnation = inc
+	slot.incarnation++
 	r.redispatches++
 	r.startIncarnationLocked(slot)
 }
 
 // shardParams is the windowing configuration every shard windower runs.
 func (r *Router) shardParams() ShardParams {
-	return ShardParams{WindowMS: r.cfg.WindowMS, Dim: r.cfg.Dim, WorkFactor: r.cfg.WorkFactor, LeaseTTL: r.cfg.LeaseTTL}
+	return ShardParams{WindowMS: r.cfg.WindowMS, Dim: r.cfg.Dim, WorkFactor: r.cfg.WorkFactor}
 }
 
 // startIncarnationLocked launches the slot's current incarnation — the first
@@ -460,7 +432,9 @@ func (r *Router) startIncarnationLocked(slot *shardSlot) {
 	for _, m := range replay {
 		slot.in <- m
 	}
-	shard, inc, stop := slot.id, slot.incarnation, slot.stop
+	slot.stop, slot.died = make(chan struct{}), make(chan struct{})
+	shard, inc, stop, died := slot.id, slot.incarnation, slot.stop, slot.died
+	var report sync.Once
 	run := ShardRun{
 		Shard:       shard,
 		Incarnation: inc,
@@ -477,11 +451,20 @@ func (r *Router) startIncarnationLocked(slot *shardSlot) {
 				return false
 			}
 		},
-		Renew: func() bool {
-			return r.leases.Renew(shard, inc, r.cfg.Clock.Now())
-		},
-		Redispatch: func() error {
-			return r.redispatchFrom(shard, inc)
+		Died: func(refusal error) {
+			select {
+			case <-stop:
+				return // the router stopped it: nothing to report
+			default:
+			}
+			report.Do(func() {
+				if refusal != nil {
+					r.setErr(fmt.Errorf("%w: shard %d incarnation %d: %w", ErrShardFailed, shard, inc, refusal))
+				} else {
+					close(died)
+				}
+				r.ring()
+			})
 		},
 		faults: r.cfg.Faults,
 		kills:  &r.kills,
@@ -495,42 +478,6 @@ func (r *Router) startIncarnationLocked(slot *shardSlot) {
 		defer r.wg.Done()
 		runOn(run)
 	}()
-}
-
-// redispatchFrom is ShardRun.Redispatch: it redispatches the shard only if
-// the named incarnation is still current, so a slow runner reporting an
-// already-handled death cannot kill its own replacement.
-func (r *Router) redispatchFrom(shard, incarnation int) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.closed {
-		return ErrRouterClosed
-	}
-	if r.slots[shard].incarnation != incarnation {
-		return nil // already superseded
-	}
-	r.supervisorRedispatches++
-	r.redispatchLocked(shard, r.cfg.Clock.Now())
-	return nil
-}
-
-// RedispatchShard declares a shard's current incarnation dead and hands its
-// cell range to a replacement immediately, without waiting for the liveness
-// lease to lapse — the supervisor path for a worker process observed to
-// have exited. It counts toward both Redispatches and
-// SupervisorRedispatches.
-func (r *Router) RedispatchShard(shard int) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.closed {
-		return ErrRouterClosed
-	}
-	if shard < 0 || shard >= r.cfg.Shards {
-		return fmt.Errorf("stream: redispatch of unknown shard %d (have %d)", shard, r.cfg.Shards)
-	}
-	r.supervisorRedispatches++
-	r.redispatchLocked(shard, r.cfg.Clock.Now())
-	return nil
 }
 
 // runMerger is the merge stage: it collects each round's batches from all
@@ -644,14 +591,17 @@ func (r *Router) progress() (round int, err error) {
 }
 
 // awaitFoldLocked blocks until the merge stage has folded every round issued
-// so far, running the failure detector while it waits so a dead shard cannot
-// stall the barrier: its redispatched replacement re-emits the missing batch.
+// so far, acting on reported deaths while it waits so a dead shard cannot
+// stall the barrier: its replacement re-emits the missing batch.
 // Callers hold r.mu; it is let go for each sleep (the shards and the merger
 // it waits on never take it), so a round an ingest slips in meanwhile is
 // waited for too, and it is held again on return: nothing is then in flight.
 func (r *Router) awaitFoldLocked() error {
 	//evlint:ignore lockbalance condition-wait loop: drops the caller-held r.mu across each sleep and reacquires before retesting, net-neutral per iteration
 	for {
+		if r.closed { // by a Close that took r.mu during a sleep
+			return ErrRouterClosed
+		}
 		folded, err := r.progress()
 		if err != nil {
 			return err
@@ -659,10 +609,10 @@ func (r *Router) awaitFoldLocked() error {
 		if folded >= r.round {
 			return nil
 		}
-		r.redispatchExpiredLocked()
+		r.reapLocked()
 		//evlint:ignore lockbalance releases the caller-held r.mu for the sleep; reacquired two lines down
 		r.mu.Unlock()
-		time.Sleep(sendRetryDelay)
+		time.Sleep(foldPollDelay)
 		r.mu.Lock()
 	}
 }
@@ -772,24 +722,22 @@ func (r *Router) FilterStats() vfilter.Stats {
 // Stats snapshots the router's fault-handling counters.
 func (r *Router) Stats() RouterStats {
 	r.mu.Lock()
-	red, sup := r.redispatches, r.supervisorRedispatches
+	red := r.redispatches
 	r.mu.Unlock()
 	journals := make([]int, len(r.slots))
 	for i := range r.slots {
 		journals[i] = r.slots[i].journal.len()
 	}
 	return RouterStats{
-		Shards:                 r.cfg.Shards,
-		Redispatches:           red,
-		SupervisorRedispatches: sup,
-		Kills:                  r.kills.Load(),
-		JournalLen:             journals,
-		Leases:                 r.leases.Stats(),
+		Shards:       r.cfg.Shards,
+		Redispatches: red,
+		Kills:        r.kills.Load(),
+		JournalLen:   journals,
 	}
 }
 
-// publishGaugesLocked pushes the stream and per-shard gauges. Callers hold
-// r.mu.
+// publishGaugesLocked pushes the stream and per-shard gauges, refilling one
+// kept map rather than building one per ingest. Callers hold r.mu.
 func (r *Router) publishGaugesLocked() {
 	if r.cfg.Metrics == nil {
 		return
@@ -798,16 +746,14 @@ func (r *Router) publishGaugesLocked() {
 	if wm, ok := r.front.watermark(); ok {
 		lag = r.cfg.Clock.Now().UnixMilli() - wm
 	}
-	m := map[string]int64{
-		"stream_open_windows":                  int64(len(r.front.open)),
-		"stream_watermark_lag_ms":              lag,
-		"stream_pending_eids":                  int64(len(r.cfg.Targets)) - r.resolvedGauge.Load(),
-		"stream_resolutions_emitted":           r.seqGauge.Load(),
-		"stream_late_dropped":                  r.front.lateDropped,
-		"stream_shards":                        int64(r.cfg.Shards),
-		"stream_shard_redispatches":            r.redispatches,
-		"stream_shard_supervisor_redispatches": r.supervisorRedispatches,
-	}
+	m := r.gauges
+	m["stream_open_windows"] = int64(len(r.front.open))
+	m["stream_watermark_lag_ms"] = lag
+	m["stream_pending_eids"] = int64(len(r.cfg.Targets)) - r.resolvedGauge.Load()
+	m["stream_resolutions_emitted"] = r.seqGauge.Load()
+	m["stream_late_dropped"] = r.front.lateDropped
+	m["stream_shards"] = int64(r.cfg.Shards)
+	m["stream_shard_redispatches"] = r.redispatches
 	for i := range r.slots {
 		m[r.slots[i].routedGauge] = r.slots[i].routed
 		m[r.slots[i].journalGauge] = int64(r.slots[i].journal.len())

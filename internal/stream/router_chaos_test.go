@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -16,23 +15,6 @@ import (
 	"evmatching/internal/mrtest"
 	"evmatching/internal/stream"
 )
-
-// stepClock is an auto-advancing deterministic clock: every Now() moves time
-// forward by a fixed step. The router's failure detector and the shards'
-// lease renewals both read it, so dead-shard detection makes progress at a
-// rate set by the test, not by the wall clock.
-type stepClock struct {
-	mu   sync.Mutex
-	now  time.Time
-	step time.Duration
-}
-
-func (c *stepClock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.now = c.now.Add(c.step)
-	return c.now
-}
 
 // countingPlan wraps a fault plan and counts the kills it hands out. A kill
 // sheds any stall drawn for the same step, so every kill counted here is one
@@ -85,12 +67,13 @@ func chaosWorkload(t *testing.T) (stream.Config, []stream.Observation, []ids.EID
 }
 
 // TestShardKillChaos is the shard-death battery: six seeded fault schedules
-// kill shard windowers mid-window (and stall others); every death lapses the
-// shard's lease, the router redispatches its cell range from the last
-// sub-checkpoint plus journal replay, and the merged fingerprint must still
-// be byte-identical to the fault-free unsharded replay. The goroutine leak
-// check at the top ensures every killed incarnation and its replacement is
-// joined by Close.
+// kill shard windowers mid-window (and stall others); every death is
+// reported by the shard's runner, the router redispatches its cell range to
+// a replacement replaying the shard's journal — the windows not folded yet —
+// and the merged fingerprint must still be byte-identical to the fault-free
+// unsharded replay. No clock drives detection: a stalled shard is never taken
+// for a dead one. The goroutine leak check at the top ensures every killed
+// incarnation and its replacement is joined by Close.
 func TestShardKillChaos(t *testing.T) {
 	mrtest.CheckGoroutines(t)
 	ecfg, obs, _ := chaosWorkload(t)
@@ -122,13 +105,10 @@ func TestShardKillChaos(t *testing.T) {
 				t.Fatalf("NewShardInjector: %v", err)
 			}
 			plan := &countingPlan{plan: inj}
-			cfg := ecfg
-			cfg.Clock = &stepClock{now: time.UnixMilli(0), step: 200 * time.Microsecond}
 			r, err := stream.NewRouter(stream.RouterConfig{
-				Config:   cfg,
+				Config:   ecfg,
 				Shards:   4,
 				QueueLen: 64,
-				LeaseTTL: 40 * time.Millisecond,
 				Faults:   plan,
 			})
 			if err != nil {
@@ -161,14 +141,10 @@ func TestShardKillChaos(t *testing.T) {
 			if planned := plan.kills.Load(); st.Kills != planned {
 				t.Fatalf("schedule %d: %d kills taken, the plan handed out %d", seed, st.Kills, planned)
 			}
-			if st.Redispatches == 0 {
-				t.Fatalf("schedule %d: %d kills but no redispatches", seed, st.Kills)
+			if st.Redispatches == 0 || st.Redispatches > st.Kills {
+				t.Fatalf("schedule %d: %d kills but %d redispatches", seed, st.Kills, st.Redispatches)
 			}
-			if st.Leases.Redispatches != st.Redispatches {
-				t.Fatalf("router redispatches %d disagree with lease table %d", st.Redispatches, st.Leases.Redispatches)
-			}
-			t.Logf("schedule %d: %d kills, %d redispatches, %d stale renewals",
-				seed, st.Kills, st.Redispatches, st.Leases.StaleRenewals)
+			t.Logf("schedule %d: %d kills, %d redispatches", seed, st.Kills, st.Redispatches)
 		})
 	}
 }
@@ -187,13 +163,10 @@ func TestShardKillDuringCheckpoint(t *testing.T) {
 		t.Fatalf("NewShardInjector: %v", err)
 	}
 	plan := &countingPlan{plan: inj}
-	cfg := ecfg
-	cfg.Clock = &stepClock{now: time.UnixMilli(0), step: 200 * time.Microsecond}
 	rcfg := stream.RouterConfig{
-		Config:   cfg,
+		Config:   ecfg,
 		Shards:   3,
 		QueueLen: 64,
-		LeaseTTL: 40 * time.Millisecond,
 		Faults:   plan,
 	}
 	r, err := stream.NewRouter(rcfg)

@@ -41,6 +41,7 @@ func (ir injectingRunner) RunShard(run ShardRun) {
 		case m := <-run.In:
 			out, err := w.Step(m)
 			if err != nil {
+				run.Died(err)
 				return
 			}
 			if out == nil {
@@ -58,7 +59,6 @@ func (ir injectingRunner) RunShard(run ShardRun) {
 			if !run.Emit(*out) {
 				return
 			}
-			run.Renew()
 		}
 	}
 }

@@ -277,7 +277,6 @@ func TestRouterConfigValidation(t *testing.T) {
 	}{
 		{"negative-shards", func(c *RouterConfig) { c.Shards = -2 }},
 		{"negative-queue", func(c *RouterConfig) { c.QueueLen = -1 }},
-		{"negative-lease-ttl", func(c *RouterConfig) { c.LeaseTTL = -1 }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -44,9 +45,6 @@ type ShardParams struct {
 	// them.
 	Dim        int
 	WorkFactor int
-	// LeaseTTL is the shard liveness lease; runners derive their renewal
-	// cadence from it.
-	LeaseTTL time.Duration
 }
 
 // validate guards windower construction against hostile wire values: a zero
@@ -223,13 +221,18 @@ func (w *ShardWindower) Step(m ShardMsg) (*ShardOut, error) {
 	return nil, fmt.Errorf("stream: unknown shard message kind %d", m.Kind)
 }
 
+// ErrShardFailed reports a shard whose windower refused a journalled
+// message. It is sticky, like ErrBadShardReply: a windower is a pure function
+// of the journal, so a replacement replaying the same messages would refuse
+// the same one, and the stream fails instead of looping.
+var ErrShardFailed = errors.New("stream: shard failed")
+
 // ShardRun is one shard incarnation handed to a ShardRunner: the message
 // stream — everything the incarnation will ever know, a replacement's begins
 // with a replay of the journal — and the callbacks wiring the runner back into
-// the router's emission, lease, and failure-detection machinery. In, Stop,
-// Emit, and Renew are scoped to this incarnation — once the router
-// redispatches the shard, Renew returns false and Emit's deliveries are
-// deduplicated away, so a stale runner can wind down at its leisure.
+// the router. In, Stop, Emit and Died are scoped to this incarnation: once the
+// router stops it, Emit's deliveries are deduplicated away and Died is a no-op,
+// so a stale runner can wind down at its leisure.
 type ShardRun struct {
 	// Shard and Incarnation identify the run.
 	Shard       int
@@ -243,14 +246,14 @@ type ShardRun struct {
 	// Emit delivers one emission to the merge stage. A false return means
 	// the incarnation was stopped; the runner should return promptly.
 	Emit func(ShardOut) bool
-	// Renew renews the shard's liveness lease. A false return means the
-	// lease was superseded; the runner should return promptly.
-	Renew func() bool
-	// Redispatch asks the router to declare this incarnation dead now and
-	// hand the shard to a replacement — the supervisor calls it the moment
-	// a worker process dies, instead of waiting out the lease. It is a
-	// no-op if the incarnation was already superseded.
-	Redispatch func() error
+	// Died is how the runner says the incarnation stopped on its own — every
+	// exit not caused by Stop reports here, exactly once. A nil refusal is a
+	// death replaying the journal cures (a killed shard, a failed call to its
+	// worker): the router hands the shard to a replacement. A non-nil refusal
+	// is the windower rejecting a message: the router fails the stream with
+	// ErrShardFailed wrapping it. Either way Died only records; it never
+	// blocks and never takes the router's lock.
+	Died func(refusal error)
 
 	// faults is the router's injected fault plan (tests only; nil otherwise)
 	// and kills its counter of kill faults taken. RunShardInProcess applies
@@ -261,70 +264,73 @@ type ShardRun struct {
 
 // ShardRunner runs shard incarnations on behalf of a Router. RunShard is
 // called on a fresh goroutine per incarnation and must not return until the
-// run is stopped, superseded, or finished failing over (it may call
-// run.Redispatch and then return). internal/shardrpc's Supervisor is the
-// cross-process implementation.
+// run is stopped or has reported through run.Died. internal/shardrpc's
+// Supervisor is the cross-process implementation.
 type ShardRunner interface {
 	RunShard(run ShardRun)
+}
+
+// ShardFault is the injected fault for one (shard, incarnation, step):
+// chaos tests kill or stall shard windowers mid-window through it.
+type ShardFault struct {
+	// Kill makes the shard's run die before processing the message; it
+	// reports the death and the router redispatches its cell range.
+	Kill bool
+	// Stall delays processing by this much — a straggler shard.
+	Stall time.Duration
+}
+
+// ShardFaultPlan decides shard faults from pure coordinates, mirroring
+// cluster.FaultPlan: decisions depend only on (shard, incarnation, step),
+// never on goroutine interleaving, so fault schedules are reproducible.
+// chaos.NewShardInjector is the seeded implementation.
+type ShardFaultPlan interface {
+	ShardFault(shard, incarnation, step int) ShardFault
 }
 
 // RunShardInProcess drives a ShardRun on a local ShardWindower: what a
 // Router without a Runner runs its shards on, the fallback a supervisor uses
 // when no worker process can be spawned, and the reference implementation of
-// the seam's contract. The lease is renewed from a ticker while idle — an
-// empty queue must not read as death — and every renewEveryMsgs messages
-// while busy.
+// the seam's contract. Its exits are Stop (a stall or an Emit included), a
+// kill fault — Died(nil) — and a windower that will not take a message —
+// Died with the error.
 func RunShardInProcess(run ShardRun) {
 	w, err := NewShardWindower(run.Params, nil)
 	if err != nil {
+		run.Died(err)
 		return
 	}
-	ttl := run.Params.LeaseTTL
-	if ttl <= 0 {
-		ttl = DefaultShardLeaseTTL
-	}
-	tick := time.NewTicker(ttl / 4)
-	defer tick.Stop()
-	step := 0
-	for {
+	for step := 1; ; step++ {
+		var m ShardMsg
 		select {
 		case <-run.Stop:
 			return
-		case <-tick.C:
-			if run.Renew != nil && !run.Renew() {
-				return
-			}
-		case m := <-run.In:
-			step++
-			if run.faults != nil {
-				f := run.faults.ShardFault(run.Shard, run.Incarnation, step)
-				if f.Stall > 0 {
-					t := time.NewTimer(f.Stall)
-					select {
-					case <-t.C:
-					case <-run.Stop:
-						t.Stop()
-						return
-					}
-				}
-				if f.Kill {
-					run.kills.Add(1)
-					return // silent death; the lease lapses
+		case m = <-run.In:
+		}
+		if run.faults != nil {
+			f := run.faults.ShardFault(run.Shard, run.Incarnation, step)
+			if f.Stall > 0 {
+				t := time.NewTimer(f.Stall)
+				select {
+				case <-t.C:
+				case <-run.Stop:
+					t.Stop()
+					return
 				}
 			}
-			out, err := w.Step(m)
-			if err != nil {
-				// The router never journals an invalid message, so an error
-				// here means the run itself is corrupt; stand down and let
-				// the lease-based failure detector redispatch.
+			if f.Kill {
+				run.kills.Add(1)
+				run.Died(nil)
 				return
 			}
-			if out != nil && !run.Emit(*out) {
-				return
-			}
-			if step%renewEveryMsgs == 0 && run.Renew != nil && !run.Renew() {
-				return
-			}
+		}
+		out, err := w.Step(m)
+		if err != nil {
+			run.Died(err)
+			return
+		}
+		if out != nil && !run.Emit(*out) {
+			return
 		}
 	}
 }
