@@ -171,8 +171,8 @@ func publishSpillStats(reg *metrics.Registry, s spill.Snapshot) {
 }
 
 // startStream builds the live-ingestion processor, resuming from the
-// checkpoint file when one exists (an engine's image restores into a router
-// at any shard count; a router's image needs a router). A non-nil runner
+// checkpoint file when one exists (either processor restores either image,
+// the router at any shard count). A non-nil runner
 // hosts the shards through it — the evshardd worker-process path — instead
 // of in-process goroutines.
 func startStream(cfg stream.Config, shards int, runner stream.ShardRunner, ckptPath string) (stream.Processor, error) {

@@ -170,9 +170,9 @@ func run(args []string, out io.Writer) error {
 		defer sup.Close()
 	}
 
-	// Resume from the checkpoint when one exists; otherwise start fresh. With
-	// shards the processor is the sharded router, which restores an engine's
-	// image as well as a router's, redistributing buckets by cell.
+	// Resume from the checkpoint when one exists; otherwise start fresh.
+	// Either processor restores either image; the sharded router
+	// redistributes the open buckets by cell.
 	rcfg := stream.RouterConfig{Config: cfg, Shards: nshards}
 	if sup != nil {
 		rcfg.Runner = sup

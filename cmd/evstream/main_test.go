@@ -32,17 +32,13 @@ func writeTestLog(t *testing.T, dir string) (*dataset.Dataset, string) {
 	if err != nil {
 		t.Fatalf("Generate: %v", err)
 	}
-	hdr, obs, err := stream.EventsFromDataset(ds, 1_000, 7)
-	if err != nil {
-		t.Fatalf("EventsFromDataset: %v", err)
-	}
 	path := filepath.Join(dir, "obs.jsonl")
 	f, err := os.Create(path)
 	if err != nil {
 		t.Fatalf("create log: %v", err)
 	}
-	if err := stream.WriteLog(f, hdr, obs); err != nil {
-		t.Fatalf("WriteLog: %v", err)
+	if _, err := stream.WriteEventsLog(f, ds, 1_000, 7); err != nil {
+		t.Fatalf("WriteEventsLog: %v", err)
 	}
 	if err := f.Close(); err != nil {
 		t.Fatalf("close log: %v", err)

@@ -62,24 +62,6 @@ func (s Set) Clone() Set {
 	return out
 }
 
-// And returns a ∩ b as a new set.
-func And(a, b Set) Set {
-	out := make(Set, len(a))
-	for i := range a {
-		out[i] = a[i] & b[i]
-	}
-	return out
-}
-
-// AndNot returns a \ b as a new set.
-func AndNot(a, b Set) Set {
-	out := make(Set, len(a))
-	for i := range a {
-		out[i] = a[i] &^ b[i]
-	}
-	return out
-}
-
 // Or returns a ∪ b as a new set.
 func Or(a, b Set) Set {
 	out := make(Set, len(a))
@@ -96,8 +78,7 @@ func OrInto(dst, a, b Set) {
 	}
 }
 
-// AndInto sets dst = a ∩ b; dst may alias either operand. The allocation-free
-// form of And for callers probing intersections they usually discard.
+// AndInto sets dst = a ∩ b; dst may alias either operand.
 func AndInto(dst, a, b Set) {
 	for i := range dst {
 		dst[i] = a[i] & b[i]
@@ -109,18 +90,6 @@ func AndNotInto(dst, a, b Set) {
 	for i := range dst {
 		dst[i] = a[i] &^ b[i]
 	}
-}
-
-// Intersects reports whether a ∩ b is non-empty without materializing it —
-// the emptiness probe the blocking index runs per window before touching any
-// scenario.
-func Intersects(a, b Set) bool {
-	for i := range a {
-		if a[i]&b[i] != 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // ForEach calls fn for every set bit in ascending order.

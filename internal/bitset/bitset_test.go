@@ -52,10 +52,12 @@ func TestBinaryOpsAgainstMaps(t *testing.T) {
 				}
 			}
 		}
-		check("And", And(a, b), func(i int) bool { return am[i] && bm[i] })
-		check("AndNot", AndNot(a, b), func(i int) bool { return am[i] && !bm[i] })
 		check("Or", Or(a, b), func(i int) bool { return am[i] || bm[i] })
 		dst := New(n)
+		AndInto(dst, a, b)
+		check("AndInto", dst, func(i int) bool { return am[i] && bm[i] })
+		AndNotInto(dst, a, b)
+		check("AndNotInto", dst, func(i int) bool { return am[i] && !bm[i] })
 		OrInto(dst, a, b)
 		check("OrInto", dst, func(i int) bool { return am[i] || bm[i] })
 		OrInto(a, a, b) // aliasing form

@@ -45,12 +45,6 @@ type Config struct {
 	Windows int
 	// Targets is how many EIDs to match; 0 means 5.
 	Targets int
-	// BatchSize sets Options.BatchSize for every pipeline run: how many
-	// scenarios or assignments one V-stage map task owns. 0 keeps the
-	// auto-sized default; a small explicit value forces multi-item batches so
-	// fault schedules exercise whole-batch re-execution after a mid-batch
-	// crash.
-	BatchSize int
 	// Practical generates the vague-zone practical world instead of the
 	// ideal one.
 	Practical bool
@@ -124,7 +118,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	targets := ds.SampleEIDs(cfg.Targets, rng)
 
 	// Fault-free baseline on the serial reference executor.
-	base, err := matchOnce(ctx, ds, targets, cfg.Seed, cfg.BatchSize, mapreduce.SerialExecutor{})
+	base, err := matchOnce(ctx, ds, targets, cfg.Seed, cfg.Workers, mapreduce.SerialExecutor{})
 	if err != nil {
 		return nil, fmt.Errorf("sim: baseline: %w", err)
 	}
@@ -202,7 +196,7 @@ func runSchedule(ctx context.Context, ds *dataset.Dataset, targets []ids.EID, cf
 		return "", stats, 0, nil, err
 	}
 	exec.Fallback = mapreduce.SerialExecutor{}
-	fp, err = matchOnce(ctx, ds, targets, cfg.Seed, cfg.BatchSize, exec)
+	fp, err = matchOnce(ctx, ds, targets, cfg.Seed, cfg.Workers, exec)
 	stats = coord.Stats()
 	fallbacks = exec.Fallbacks()
 	shutdown()
@@ -239,13 +233,15 @@ func superviseWorker(ctx context.Context, addr, dir string, reg *cluster.Registr
 	}
 }
 
-// matchOnce runs the full SS pipeline once and returns its fingerprint.
-func matchOnce(ctx context.Context, ds *dataset.Dataset, targets []ids.EID, seed int64, batchSize int, exec mapreduce.Executor) (string, error) {
+// matchOnce runs the full SS pipeline once and returns its fingerprint. The
+// V stage's tasks are sized for the cluster's workers (mrjobs.BatchFor), so a
+// schedule's batching does not depend on the host's GOMAXPROCS.
+func matchOnce(ctx context.Context, ds *dataset.Dataset, targets []ids.EID, seed int64, workers int, exec mapreduce.Executor) (string, error) {
 	m, err := core.New(ds, core.Options{
-		Mode:      core.ModeParallel,
-		Seed:      seed,
-		Executor:  exec,
-		BatchSize: batchSize,
+		Mode:     core.ModeParallel,
+		Workers:  workers,
+		Seed:     seed,
+		Executor: exec,
 	})
 	if err != nil {
 		return "", err

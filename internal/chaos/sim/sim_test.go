@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"evmatching/internal/chaos"
+	"evmatching/internal/mrjobs"
 	"evmatching/internal/mrtest"
 )
 
@@ -120,14 +121,18 @@ func TestSimRejectsBadFaultConfig(t *testing.T) {
 }
 
 // TestSimBatchedParallelSchedule pins fault tolerance of the batched V
-// stage: with an explicit BatchSize every map task owns multiple scenarios
-// or assignments, so a crash mid-batch forces the coordinator to re-execute
-// the whole batch on another worker. The shared extraction cache and the
-// batch task's buffered result write must keep re-execution idempotent —
-// the fingerprint stays byte-identical to the fault-free baseline.
+// stage: with more targets than four per worker, every auto-sized map task
+// owns multiple scenarios or assignments, so a crash mid-batch forces the
+// coordinator to re-execute the whole batch on another worker. The shared
+// extraction cache and the batch task's buffered result write must keep
+// re-execution idempotent — the fingerprint stays byte-identical to the
+// fault-free baseline.
 func TestSimBatchedParallelSchedule(t *testing.T) {
 	mrtest.CheckGoroutines(t)
-	cfg := Config{Seed: 11, Schedules: 6, BatchSize: 2, Faults: testFaults()}
+	cfg := Config{Seed: 11, Schedules: 6, Workers: 3, Targets: 16, Faults: testFaults()}
+	if b := mrjobs.BatchFor(cfg.Targets, cfg.Workers); b < 2 {
+		t.Fatalf("assignment batches hold %d item(s); the schedule would never crash mid-batch", b)
+	}
 	res, err := Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -136,13 +141,13 @@ func TestSimBatchedParallelSchedule(t *testing.T) {
 		t.Fatalf("batched sim not clean:\n mismatches=%v\n failures=%v\n leaks=%v",
 			res.Mismatches, res.Failures, res.Leaks)
 	}
-	// Cross-check against the unbatched default: batching is a scheduling
-	// choice and must not alter the computed report.
-	plain, err := Run(context.Background(), Config{Seed: 11, Schedules: 1})
+	// Cross-check against one-item batches (four workers over 16 targets):
+	// batching is a scheduling choice and must not alter the computed report.
+	plain, err := Run(context.Background(), Config{Seed: 11, Schedules: 1, Workers: 4, Targets: cfg.Targets})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.BaselineFingerprint != plain.BaselineFingerprint {
-		t.Error("BatchSize changed the baseline fingerprint")
+		t.Error("batch size changed the baseline fingerprint")
 	}
 }

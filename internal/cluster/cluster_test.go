@@ -120,14 +120,28 @@ func startClusterCfg(t *testing.T, nWorkers int, cfg CoordinatorConfig, worker f
 	return tc
 }
 
+// startCluster starts nWorkers workers; worker i vanishes without a report
+// when it claims its crashAfter[i]-th task (0: never).
 func startCluster(t *testing.T, nWorkers int, timeout time.Duration, crashAfter map[int]int) *testCluster {
 	t.Helper()
 	return startClusterCfg(t, nWorkers, CoordinatorConfig{TaskTimeout: timeout}, func(i int, wc *WorkerConfig) {
-		if crashAfter != nil {
-			wc.CrashAfter = crashAfter[i]
+		if n := crashAfter[i]; n > 0 {
+			wc.Faults = &crashAfterPlan{n: n}
 		}
 	})
 }
+
+// crashAfterPlan crashes its one worker as it claims its n-th task, before
+// executing it: only the coordinator's lease or heartbeat eviction recovers
+// the task.
+type crashAfterPlan struct{ n, claimed int }
+
+func (p *crashAfterPlan) TaskFault(string, string, TaskKind, int) TaskFault {
+	p.claimed++
+	return TaskFault{CrashBeforeExecute: p.claimed >= p.n}
+}
+
+func (p *crashAfterPlan) DropHeartbeat(string, int) bool { return false }
 
 // waitStatus polls the coordinator until cond accepts a status snapshot,
 // replacing bare sleeps with condition polling so slow machines don't flake.
@@ -277,7 +291,7 @@ func TestHeartbeatEvictionRecoversCrashedWorker(t *testing.T) {
 	}, func(i int, wc *WorkerConfig) {
 		wc.HeartbeatInterval = 25 * time.Millisecond
 		wc.PollInterval = 2 * time.Millisecond
-		wc.CrashAfter = 1
+		wc.Faults = &crashAfterPlan{n: 1}
 	})
 	done := make(chan struct{})
 	var res *mapreduce.Result

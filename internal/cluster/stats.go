@@ -37,9 +37,9 @@ func (s Stats) Add(o Stats) Stats {
 
 // statsCounters is the coordinator's live counter set. The fields are typed
 // atomics, so plain access is a compile error rather than a latent data race
-// (the shape the atomicmix analyzer pushes mixed-access fields toward), and
-// Stats can snapshot without contending on c.mu while a sweep or report
-// holds it. Increments happen under c.mu today; the atomics make the
+// (the module uses no untyped sync/atomic function; internal/lint's tests
+// enforce it), and Stats can snapshot without contending on c.mu while a
+// sweep or report holds it. Increments happen under c.mu today; the atomics make the
 // counters safe to bump from any future path that doesn't.
 type statsCounters struct {
 	retries               atomic.Int64

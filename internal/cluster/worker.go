@@ -29,10 +29,6 @@ type WorkerConfig struct {
 	// coordinator; 0 means DefaultHeartbeatInterval, negative disables
 	// heartbeats (liveness is then inferred from task traffic alone).
 	HeartbeatInterval time.Duration
-	// CrashAfter, when positive, makes the worker silently stop before
-	// reporting its Nth task — the failure-injection hook used to test
-	// lease-based task re-execution.
-	CrashAfter int
 	// Faults, when non-nil, injects per-task and per-heartbeat misbehaviour
 	// (see FaultPlan); package chaos provides the seeded implementation.
 	Faults FaultPlan
@@ -43,7 +39,6 @@ type Worker struct {
 	cfg    WorkerConfig
 	client *rpc.Client
 	fsys   spill.FS // the shared directory's filesystem; tests swap in a fake
-	tasks  int      // tasks started, for crash injection
 }
 
 // NewWorker connects a worker to the coordinator at addr.
@@ -114,10 +109,6 @@ func (w *Worker) Run(ctx context.Context) error {
 			}
 			continue
 		case TaskMap, TaskReduce:
-			w.tasks++
-			if w.cfg.CrashAfter > 0 && w.tasks >= w.cfg.CrashAfter {
-				return nil // vanish without reporting: the lease recovers it
-			}
 			var fault TaskFault
 			if w.cfg.Faults != nil {
 				fault = w.cfg.Faults.TaskFault(w.cfg.ID, reply.JobID, reply.Kind, reply.TaskID)

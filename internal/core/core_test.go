@@ -11,6 +11,7 @@ import (
 	"evmatching/internal/elocal"
 	"evmatching/internal/ids"
 	"evmatching/internal/mapreduce"
+	"evmatching/internal/mrjobs"
 	"evmatching/internal/vfilter"
 )
 
@@ -542,8 +543,9 @@ func TestExplain(t *testing.T) {
 // TestSerialParallelStatsAgreement pins the exactly-once extraction
 // accounting under V-stage batching: however the scenario list is chunked
 // into batch tasks, each distinct scenario is extracted once, so the serial
-// path and every parallel batch size agree on scenarios processed and
-// extractions performed. Comparisons are pinned across batch sizes only —
+// path and every parallel worker count — each sizing its batches differently
+// (mrjobs.BatchFor) — agree on scenarios processed and extractions
+// performed. Comparisons are pinned across parallel runs only —
 // serial legitimately performs fewer because its exclusions accrue from one
 // target to the next while every parallel Match scores against the exclusion
 // the stage started with (and how many fewer varies a little above
@@ -557,30 +559,36 @@ func TestSerialParallelStatsAgreement(t *testing.T) {
 		t.Fatal(err)
 	}
 	var first *Report
-	for _, batch := range []int{0, 1, 3, 17} {
-		parallel := newMatcher(t, ds, Options{Mode: ModeParallel, Workers: 4, BatchSize: batch})
+	batches := make(map[int]bool)
+	for _, workers := range []int{1, 2, 4, 8} {
+		if b := mrjobs.BatchFor(len(targets), workers); batches[b] {
+			t.Fatalf("Workers=%d repeats comparison batch size %d; the sweep would not vary the chunking", workers, b)
+		} else {
+			batches[b] = true
+		}
+		parallel := newMatcher(t, ds, Options{Mode: ModeParallel, Workers: workers})
 		repP, err := parallel.Match(context.Background(), targets)
 		if err != nil {
-			t.Fatalf("BatchSize=%d: %v", batch, err)
+			t.Fatalf("Workers=%d: %v", workers, err)
 		}
 		if repP.VStats.ScenariosProcessed != repS.VStats.ScenariosProcessed {
-			t.Errorf("BatchSize=%d: ScenariosProcessed = %d, serial %d",
-				batch, repP.VStats.ScenariosProcessed, repS.VStats.ScenariosProcessed)
+			t.Errorf("Workers=%d: ScenariosProcessed = %d, serial %d",
+				workers, repP.VStats.ScenariosProcessed, repS.VStats.ScenariosProcessed)
 		}
 		if repP.VStats.Extractions != repS.VStats.Extractions {
-			t.Errorf("BatchSize=%d: Extractions = %d, serial %d",
-				batch, repP.VStats.Extractions, repS.VStats.Extractions)
+			t.Errorf("Workers=%d: Extractions = %d, serial %d",
+				workers, repP.VStats.Extractions, repS.VStats.Extractions)
 		}
 		if first == nil {
 			first = repP
 			continue
 		}
 		if repP.VStats != first.VStats {
-			t.Errorf("BatchSize=%d: VStats %+v differ from first parallel run %+v",
-				batch, repP.VStats, first.VStats)
+			t.Errorf("Workers=%d: VStats %+v differ from first parallel run %+v",
+				workers, repP.VStats, first.VStats)
 		}
 		if repP.Fingerprint() != first.Fingerprint() {
-			t.Errorf("BatchSize=%d: fingerprint diverged from first parallel run", batch)
+			t.Errorf("Workers=%d: fingerprint diverged from first parallel run", workers)
 		}
 	}
 }

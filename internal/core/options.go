@@ -102,12 +102,6 @@ type Options struct {
 	Mode Mode
 	// Workers sizes the parallel executor; 0 means GOMAXPROCS.
 	Workers int
-	// BatchSize is the number of scenarios (extraction) or EIDs (comparison)
-	// a parallel V-stage task owns. 0 sizes batches automatically to
-	// ceil(n / (4·workers)) — about four tasks per worker, enough slack for
-	// work stealing while amortizing per-task dispatch. Serial mode ignores
-	// it.
-	BatchSize int
 	// Executor, when non-nil, overrides the executor derived from Mode —
 	// the hook for running stages on a distributed cluster.
 	Executor mapreduce.Executor
@@ -201,9 +195,6 @@ func (o Options) validate() error {
 	}
 	if o.Workers < 0 {
 		return fmt.Errorf("%w: workers %d", ErrBadOptions, o.Workers)
-	}
-	if o.BatchSize < 0 {
-		return fmt.Errorf("%w: batch size %d", ErrBadOptions, o.BatchSize)
 	}
 	if o.ScanOrder != ScanShuffled && o.ScanOrder != ScanInOrder {
 		return fmt.Errorf("%w: scan order %d", ErrBadOptions, o.ScanOrder)

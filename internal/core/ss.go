@@ -434,13 +434,13 @@ func (m *Matcher) vStage(ctx context.Context, filter *vfilter.Filter, p *partiti
 	}
 	workers := m.opts.effectiveWorkers()
 	if err := mrjobs.ExtractScenarios(ctx, exec, filter, extractList,
-		mrjobs.BatchFor(len(extractList), workers, m.opts.BatchSize)); err != nil {
+		mrjobs.BatchFor(len(extractList), workers)); err != nil {
 		return nil, err
 	}
 	// The job gets its own copy: a straggling map attempt may still be
 	// reading it after the job returns and accepted moves on.
 	results, err := mrjobs.MatchAssignments(ctx, exec, filter, assignments, accepted.Clone(),
-		mrjobs.BatchFor(len(assignments), workers, m.opts.BatchSize))
+		mrjobs.BatchFor(len(assignments), workers))
 	if err != nil {
 		return nil, err
 	}

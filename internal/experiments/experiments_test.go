@@ -85,23 +85,29 @@ func TestEIDSweepShapes(t *testing.T) {
 		}
 	}
 
+	// Fig. 8 plots stage times, which a loaded machine skews; its shapes are
+	// asserted on the same runs' deterministic work counts.
 	fig8, err := r.Fig8(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ssE, _ := fig8.Column("SS-E")
-	ssV, _ := fig8.Column("SS-V")
-	edpV, _ := fig8.Column("EDP-V")
-	for i := range ssE {
-		// E stage is negligible next to V stage (paper Fig. 8).
-		if ssE[i] > ssV[i] {
-			t.Errorf("Fig8 point %d: E time %v exceeds V time %v", i, ssE[i], ssV[i])
-		}
+	if ssE, _ := fig8.Column("SS-E"); len(ssE) != len(r.cfg.EIDCounts) {
+		t.Fatalf("Fig8 points = %d", len(ssE))
 	}
-	// At the largest sweep point SS's V stage undercuts EDP's.
-	last := len(ssV) - 1
-	if ssV[last] >= edpV[last] {
-		t.Errorf("Fig8 largest point: SS-V=%v >= EDP-V=%v", ssV[last], edpV[last])
+	for i, n := range r.cfg.EIDCounts {
+		ss, edp, err := r.both(ctx, "base", nil, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// E stage is negligible next to V stage (paper Fig. 8): a split
+		// probes far fewer scenarios than extraction handles patches.
+		if ss.blockCandidates > int64(ss.extractions) {
+			t.Errorf("Fig8 point %d: E stage probed %d scenarios, V stage extracted only %d patches", i, ss.blockCandidates, ss.extractions)
+		}
+		// At the largest sweep point SS's V stage undercuts EDP's.
+		if i == len(r.cfg.EIDCounts)-1 && ss.Processed >= edp.Processed {
+			t.Errorf("Fig8 largest point: SS processed %d scenarios, EDP %d", ss.Processed, edp.Processed)
+		}
 	}
 
 	table1, err := r.Table1(ctx)

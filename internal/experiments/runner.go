@@ -29,6 +29,11 @@ type Point struct {
 	// Processed is the number of scenarios actually run through feature
 	// extraction (with SS's cache, at most Selected; EDP re-processes).
 	Processed int
+	// blockCandidates counts the scenarios SS's E-stage splits probed, and
+	// extractions the patches the V stage ran through feature extraction:
+	// each stage's work, deterministic where its time is not.
+	blockCandidates int64
+	extractions     int
 }
 
 // Runner executes experiments with dataset and measurement memoization, so
@@ -133,6 +138,8 @@ func (r *Runner) runWith(ctx context.Context, dsKey string, mutate func(*dataset
 		p.VTime += rep.VTime
 		p.Accuracy += rep.Accuracy(func(e ids.EID) ids.VID { return ds.TruthVID(e) })
 		p.Processed += rep.VStats.ScenariosProcessed
+		p.blockCandidates += rep.BlockCandidates
+		p.extractions += rep.VStats.Extractions
 	}
 	p.Selected /= runs
 	p.PerEID /= float64(runs)
@@ -140,6 +147,8 @@ func (r *Runner) runWith(ctx context.Context, dsKey string, mutate func(*dataset
 	p.VTime /= time.Duration(runs)
 	p.Accuracy /= float64(runs)
 	p.Processed /= runs
+	p.blockCandidates /= int64(runs)
+	p.extractions /= runs
 	fmt.Fprintf(r.log, "# run %-28s sel=%-5d perEID=%-5.2f E=%-10v V=%-10v acc=%.2f%%\n",
 		memoKey, p.Selected, p.PerEID, p.ETime.Round(time.Millisecond),
 		p.VTime.Round(time.Millisecond), p.Accuracy*100)

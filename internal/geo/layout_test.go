@@ -202,74 +202,6 @@ func TestHexLayoutValidation(t *testing.T) {
 	}
 }
 
-func TestZoneOf(t *testing.T) {
-	g, _ := NewGridLayout(Square(Pt(0, 0), 100), 2, 2)
-	cell0 := g.CellOf(Pt(25, 25))
-	tests := []struct {
-		name  string
-		p     Point
-		width float64
-		want  Zone
-	}{
-		{name: "deep inside", p: Pt(25, 25), width: 5, want: ZoneInclusive},
-		{name: "near border", p: Pt(48, 25), width: 5, want: ZoneVague},
-		{name: "other cell", p: Pt(75, 25), width: 5, want: ZoneExclusive},
-		{name: "zero width ideal", p: Pt(49.9, 25), width: 0, want: ZoneInclusive},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			if got := ZoneOf(g, cell0, tt.p, tt.width); got != tt.want {
-				t.Errorf("ZoneOf = %v, want %v", got, tt.want)
-			}
-		})
-	}
-}
-
-func TestZoneString(t *testing.T) {
-	for z, want := range map[Zone]string{
-		ZoneInclusive: "inclusive",
-		ZoneVague:     "vague",
-		ZoneExclusive: "exclusive",
-		Zone(0):       "invalid",
-	} {
-		if got := z.String(); got != want {
-			t.Errorf("Zone(%d).String() = %q, want %q", z, got, want)
-		}
-	}
-}
-
-func TestZoneOfPartitionProperty(t *testing.T) {
-	// For any in-bounds point and its own cell, the zone is inclusive or
-	// vague — never exclusive; for any other cell it is exclusive.
-	layouts := []Layout{}
-	g, err := NewGridLayout(Square(Pt(0, 0), 300), 5, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, err := NewHexWithCells(Square(Pt(0, 0), 300), 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	layouts = append(layouts, g, h)
-	rng := rand.New(rand.NewSource(31))
-	for _, l := range layouts {
-		for i := 0; i < 1500; i++ {
-			p := Pt(rng.Float64()*300, rng.Float64()*300)
-			own := l.CellOf(p)
-			z := ZoneOf(l, own, p, 10)
-			if z == ZoneExclusive {
-				t.Fatalf("%T: own-cell zone exclusive at %v", l, p)
-			}
-			other := CellID((int(own) + 1) % l.NumCells())
-			if other != own {
-				if z := ZoneOf(l, other, p, 10); z != ZoneExclusive {
-					t.Fatalf("%T: other-cell zone %v at %v", l, z, p)
-				}
-			}
-		}
-	}
-}
-
 func TestGridCellRectsTileBounds(t *testing.T) {
 	g, err := NewGridLayout(Square(Pt(0, 0), 120), 4, 3)
 	if err != nil {

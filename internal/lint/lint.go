@@ -2,9 +2,8 @@
 // It enforces the correctness disciplines the EV-Matching reproduction
 // depends on — deterministic iteration in result-affecting packages, error
 // wrapping, goroutine join discipline, seedable randomness, pooled-scratch
-// containment, consistent atomic access, and lock balance — as named,
-// individually testable analyzers built only on go/ast, go/parser, and
-// go/types.
+// containment, and lock balance — as named, individually testable analyzers
+// built only on go/ast, go/parser, and go/types.
 //
 // A finding can be suppressed by annotating the offending line (or the line
 // directly above it) with
@@ -49,28 +48,17 @@ type Pass struct {
 	Info  *types.Info
 }
 
-// Module hands every type-checked package to a module-scope analyzer. All
-// passes share one loader, so a types.Object seen in one package is the same
-// object when referenced from another — cross-package rules (atomicmix)
-// compare object identities directly.
-type Module struct {
-	Passes []*Pass
-}
-
 // Analyzer is one named rule. Run analyzes one package at a time and may run
-// concurrently with itself on different packages; RunModule sees the whole
-// module at once for rules whose evidence spans packages. An analyzer sets
-// exactly one of the two.
+// concurrently with itself on different packages.
 type Analyzer struct {
-	Name      string
-	Doc       string
-	Run       func(*Pass) []Finding
-	RunModule func(*Module) []Finding
+	Name string
+	Doc  string
+	Run  func(*Pass) []Finding
 }
 
 // Analyzers returns the full pass suite in its canonical order: the five
-// syntax-level analyzers of PR 1/5 first, then the three type-aware
-// deep-analysis rules, each group in introduction order.
+// syntax-level analyzers first, then the two type-aware deep-analysis rules,
+// each group in introduction order.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		MapRangeAnalyzer(),
@@ -79,7 +67,6 @@ func Analyzers() []*Analyzer {
 		SeedCheckAnalyzer(),
 		WallClockAnalyzer(),
 		PoolEscapeAnalyzer(),
-		AtomicMixAnalyzer(),
 		LockBalanceAnalyzer(),
 	}
 }
@@ -154,16 +141,14 @@ func suppress(dirs map[string]map[int]*ignoreDirective, rule string, pos token.P
 // Per-package analyzers run concurrently across packages (the suite is
 // dominated by type-checking plus AST walks over independent packages);
 // findings are collected per package and merged in package order, so the
-// output is deterministic regardless of scheduling. Module-scope analyzers
-// run once over all passes afterwards.
+// output is deterministic regardless of scheduling.
 func Run(pkgs []*Package, analyzers []*Analyzer) []Finding {
 	passes := make([]*Pass, len(pkgs))
 	for i, pkg := range pkgs {
 		passes[i] = &Pass{Path: pkg.Path, Fset: pkg.Fset, Files: pkg.Files, Pkg: pkg.Pkg, Info: pkg.Info}
 	}
 
-	// Directives first (serially — they share one map across packages, and a
-	// module-scope finding may land in a file of another package).
+	// Directives first (serially — they share one map across packages).
 	dirs := make(map[string]map[int]*ignoreDirective)
 	var all []Finding
 	for _, p := range passes {
@@ -182,28 +167,18 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Finding {
 			defer func() { <-sem }()
 			var out []Finding
 			for _, a := range analyzers {
-				if a.Run != nil {
-					out = append(out, a.Run(p)...)
-				}
+				out = append(out, a.Run(p)...)
 			}
 			perPkg[i] = out
 		}(i, p)
 	}
 	wg.Wait()
 
-	module := &Module{Passes: passes}
-	var raw []Finding
 	for _, fs := range perPkg {
-		raw = append(raw, fs...)
-	}
-	for _, a := range analyzers {
-		if a.RunModule != nil {
-			raw = append(raw, a.RunModule(module)...)
-		}
-	}
-	for _, f := range raw {
-		if !suppress(dirs, f.Rule, f.Pos) {
-			all = append(all, f)
+		for _, f := range fs {
+			if !suppress(dirs, f.Rule, f.Pos) {
+				all = append(all, f)
+			}
 		}
 	}
 

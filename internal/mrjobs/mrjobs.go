@@ -41,14 +41,11 @@ func setKey(prefix string, id int) string {
 	return prefix + s
 }
 
-// BatchFor returns the task batch length for n items: the explicit override
-// when positive, else ceil(n / (4·workers)), giving each worker about four
-// tasks — enough slack for work stealing across uneven batches while
-// amortizing per-task dispatch over many items. The result is always ≥ 1.
-func BatchFor(n, workers, override int) int {
-	if override > 0 {
-		return override
-	}
+// BatchFor returns the task batch length for n items: ceil(n / (4·workers)),
+// giving each worker about four tasks — enough slack for work stealing across
+// uneven batches while amortizing per-task dispatch over many items. The
+// result is always ≥ 1.
+func BatchFor(n, workers int) int {
 	if workers < 1 {
 		workers = 1
 	}

@@ -267,18 +267,16 @@ func TestMatchAssignmentsRespectsExclusions(t *testing.T) {
 
 func TestBatchFor(t *testing.T) {
 	cases := []struct {
-		n, workers, override, want int
+		n, workers, want int
 	}{
-		{100, 4, 0, 7}, // ceil(100/16)
-		{100, 4, 5, 5}, // explicit override wins
-		{3, 4, 0, 1},   // fewer items than task slots
-		{0, 4, 0, 1},   // degenerate: still a positive batch
-		{10, 0, 0, 3},  // workers clamp to 1: ceil(10/4)
-		{16, 4, -1, 1}, // negative override means default
+		{100, 4, 7}, // ceil(100/16)
+		{3, 4, 1},   // fewer items than task slots
+		{0, 4, 1},   // degenerate: still a positive batch
+		{10, 0, 3},  // workers clamp to 1: ceil(10/4)
 	}
 	for _, c := range cases {
-		if got := BatchFor(c.n, c.workers, c.override); got != c.want {
-			t.Errorf("BatchFor(%d, %d, %d) = %d, want %d", c.n, c.workers, c.override, got, c.want)
+		if got := BatchFor(c.n, c.workers); got != c.want {
+			t.Errorf("BatchFor(%d, %d) = %d, want %d", c.n, c.workers, got, c.want)
 		}
 	}
 }

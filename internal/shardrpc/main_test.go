@@ -31,8 +31,7 @@ func TestMain(m *testing.M) {
 }
 
 // workerSupervisorConfig is the base supervisor config for a real-process
-// run: the test binary as worker command, a tight heartbeat so deaths are
-// detected quickly, and small batches so kill schedules land mid-window.
+// run: the test binary as worker command.
 func workerSupervisorConfig(t *testing.T) shardrpc.SupervisorConfig {
 	t.Helper()
 	exe, err := os.Executable()
@@ -40,10 +39,8 @@ func workerSupervisorConfig(t *testing.T) shardrpc.SupervisorConfig {
 		t.Fatalf("os.Executable: %v", err)
 	}
 	return shardrpc.SupervisorConfig{
-		Command:           []string{exe},
-		Env:               []string{workerEnvSentinel + "=1"},
-		HeartbeatInterval: 25 * time.Millisecond,
-		BatchSize:         32,
+		Command: []string{exe},
+		Env:     []string{workerEnvSentinel + "=1"},
 	}
 }
 

@@ -137,16 +137,19 @@ func TestReplyCarriesNoPixels(t *testing.T) {
 
 // replayMeter is a ShardRunner that notes how long each replacement
 // incarnation's journal replay is — the router sizes a replacement's queue to
-// the replay plus the configured queue length, here the default — and hands
-// the run on.
+// the replay plus the queue length a first incarnation, with nothing to
+// replay, gets — and hands the run on.
 type replayMeter struct {
 	next     stream.ShardRunner
+	queueLen atomic.Int64 // a first incarnation's queue capacity
 	replayed atomic.Int64 // by incarnations after the first
 }
 
 func (m *replayMeter) RunShard(run stream.ShardRun) {
-	if run.Incarnation > 1 {
-		m.replayed.Add(int64(cap(run.In) - stream.DefaultShardQueue))
+	if run.Incarnation == 1 {
+		m.queueLen.Store(int64(cap(run.In)))
+	} else {
+		m.replayed.Add(int64(cap(run.In)) - m.queueLen.Load())
 	}
 	m.next.RunShard(run)
 }

@@ -19,20 +19,20 @@ import (
 	"evmatching/internal/stream"
 )
 
-// Supervisor defaults.
+// Supervisor constants.
 const (
-	// DefaultHeartbeatInterval paces the per-worker Ping probes. It must be
-	// much shorter than the rpc call timeout: the heartbeat replies are what
-	// keep the deadline-armed connection fed while a long Apply runs.
-	DefaultHeartbeatInterval = 100 * time.Millisecond
-	// DefaultCallTimeout bounds peer silence on the worker connection
+	// heartbeatInterval paces the per-worker Ping probes. It must be much
+	// shorter than callTimeout: the heartbeat replies are what keep the
+	// deadline-armed connection fed while a long Apply runs.
+	heartbeatInterval = 100 * time.Millisecond
+	// callTimeout bounds peer silence on the worker connection
 	// (cluster.DialConn semantics: per-I/O deadline, not per-call).
-	DefaultCallTimeout = 5 * time.Second
-	// DefaultBatchSize caps how many journalled messages one Apply carries.
-	DefaultBatchSize = 256
-	// DefaultMaxRestarts bounds worker respawns per shard before the
-	// supervisor stops burning processes and falls back in-process.
-	DefaultMaxRestarts = 64
+	callTimeout = 5 * time.Second
+	// applyBatch caps how many journalled messages one Apply carries.
+	applyBatch = 256
+	// maxRestarts bounds worker respawns per shard before the supervisor
+	// stops burning processes and falls back in-process.
+	maxRestarts = 64
 	// spawnAnnounceTimeout bounds the wait for a fresh worker's address line.
 	spawnAnnounceTimeout = 10 * time.Second
 	// dialAttempts is the capped-backoff dial budget against a fresh worker.
@@ -49,19 +49,8 @@ type SupervisorConfig struct {
 	Command []string
 	// Env is appended to the inherited environment of each worker.
 	Env []string
-	// HeartbeatInterval paces liveness probes (0 = DefaultHeartbeatInterval).
-	HeartbeatInterval time.Duration
-	// CallTimeout bounds peer silence per rpc connection (0 = DefaultCallTimeout).
-	CallTimeout time.Duration
-	// BatchSize caps messages per Apply (0 = DefaultBatchSize).
-	BatchSize int
-	// MaxRestarts bounds respawns per shard (0 = DefaultMaxRestarts).
-	MaxRestarts int
 	// Metrics, when non-nil, receives the shardrpc_* gauges.
 	Metrics *metrics.Registry
-	// Clock times RPC latency gauges (nil = stream.SystemClock). Injected
-	// so the package stays inside the wallclock lint scope.
-	Clock stream.Clock
 	// KillPlan, when non-nil, SIGKILLs the shard's worker before the step's
 	// message is applied (chaos tests and the CI smoke's scripted kill).
 	// Decisions are pure in (shard, incarnation, step), mirroring
@@ -69,25 +58,6 @@ type SupervisorConfig struct {
 	KillPlan func(shard, incarnation int, step int64) bool
 	// Stderr, when non-nil, receives the workers' stderr.
 	Stderr io.Writer
-}
-
-func (c SupervisorConfig) withDefaults() SupervisorConfig {
-	if c.HeartbeatInterval <= 0 {
-		c.HeartbeatInterval = DefaultHeartbeatInterval
-	}
-	if c.CallTimeout <= 0 {
-		c.CallTimeout = DefaultCallTimeout
-	}
-	if c.BatchSize <= 0 {
-		c.BatchSize = DefaultBatchSize
-	}
-	if c.MaxRestarts <= 0 {
-		c.MaxRestarts = DefaultMaxRestarts
-	}
-	if c.Clock == nil {
-		c.Clock = stream.SystemClock{}
-	}
-	return c
 }
 
 // workerProc is one live worker process and its rpc client.
@@ -195,7 +165,7 @@ type SupervisorStats struct {
 // on the shard's first incarnation.
 func NewSupervisor(cfg SupervisorConfig) *Supervisor {
 	return &Supervisor{
-		cfg:      cfg.withDefaults(),
+		cfg:      cfg,
 		procs:    make(map[int]*workerProc),
 		spawns:   make(map[int]int),
 		applies:  make(map[int]int64),
@@ -250,8 +220,8 @@ func (s *Supervisor) procFor(shard int) (*workerProc, error) {
 		delete(s.procs, shard)
 		go p.shutdown() // reap the corpse off the spawn path
 	}
-	if s.spawns[shard] > s.cfg.MaxRestarts {
-		return nil, fmt.Errorf("shardrpc: shard %d exhausted %d restarts", shard, s.cfg.MaxRestarts)
+	if s.spawns[shard] > maxRestarts {
+		return nil, fmt.Errorf("shardrpc: shard %d exhausted %d restarts", shard, maxRestarts)
 	}
 	p, err := s.spawnLocked(shard)
 	if err != nil {
@@ -311,7 +281,7 @@ func (s *Supervisor) spawnLocked(shard int) (*workerProc, error) {
 		proc.shutdown()
 		return nil, fmt.Errorf("shardrpc: worker for shard %d never announced its address", shard)
 	}
-	conn, err := cluster.DialConn(proc.addr, s.cfg.CallTimeout, dialAttempts)
+	conn, err := cluster.DialConn(proc.addr, callTimeout, dialAttempts)
 	if err != nil {
 		proc.shutdown()
 		return nil, fmt.Errorf("shardrpc: dial worker for shard %d: %w", shard, err)
@@ -365,7 +335,7 @@ func (s *Supervisor) proxyLoop(proc *workerProc, run stream.ShardRun) {
 	hbWG.Add(1)
 	go s.heartbeat(proc, run, hbStop, &hbWG, fail)
 
-	batch := make([]stream.ShardMsg, 0, s.cfg.BatchSize)
+	batch := make([]stream.ShardMsg, 0, applyBatch)
 	var step int64
 	killed := false
 	for {
@@ -377,7 +347,7 @@ func (s *Supervisor) proxyLoop(proc *workerProc, run stream.ShardRun) {
 			batch = append(batch, m)
 		}
 	drain:
-		for len(batch) < s.cfg.BatchSize {
+		for len(batch) < applyBatch {
 			select {
 			case m := <-run.In:
 				batch = append(batch, m)
@@ -400,7 +370,7 @@ func (s *Supervisor) proxyLoop(proc *workerProc, run stream.ShardRun) {
 				}
 			}
 		}
-		start := s.cfg.Clock.Now()
+		start := stream.SystemClock{}.Now() // the wallclock lint's one sanctioned clock
 		var reply ApplyReply
 		err := s.call(proc, run.Stop, "Apply", &ApplyArgs{
 			Shard:       run.Shard,
@@ -418,7 +388,7 @@ func (s *Supervisor) proxyLoop(proc *workerProc, run stream.ShardRun) {
 			fail(err)
 			return
 		}
-		s.observeApply(run.Shard, s.cfg.Clock.Now().Sub(start))
+		s.observeApply(run.Shard, stream.SystemClock{}.Now().Sub(start))
 		for i := range reply.Outs {
 			if !run.Emit(reply.Outs[i]) {
 				return
@@ -432,7 +402,7 @@ func (s *Supervisor) proxyLoop(proc *workerProc, run stream.ShardRun) {
 // Apply runs. A failed probe is a worker death, reported at once.
 func (s *Supervisor) heartbeat(proc *workerProc, run stream.ShardRun, stop <-chan struct{}, wg *sync.WaitGroup, fail func(error)) {
 	defer wg.Done()
-	tick := time.NewTicker(s.cfg.HeartbeatInterval)
+	tick := time.NewTicker(heartbeatInterval)
 	defer tick.Stop()
 	seq := 0
 	for {

@@ -169,7 +169,6 @@ func TestSupervisorFallsBackLoudlyOnStaleWorker(t *testing.T) {
 	var stderr lockedBuffer
 	scfg := workerSupervisorConfig(t)
 	scfg.Env = []string{workerEnvSentinel + "=gob"}
-	scfg.CallTimeout = time.Second // bounds the wait if the stale worker stalls instead of hanging up
 	scfg.Stderr = &stderr
 	sup := shardrpc.NewSupervisor(scfg)
 	got := routerFingerprint(t, stream.RouterConfig{Config: cfg, Shards: 2, Runner: sup}, obs)

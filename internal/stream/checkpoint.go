@@ -90,9 +90,10 @@ func (cb *ShardBucket) observations(windowMS int64, yield func(Observation)) {
 // checkpointFile is the complete stream state, the one image both
 // processors write and read. An engine image has Shards == 0; a router image
 // records its shard count and lists its shards' open buckets shard by shard
-// (re-checkpointing a restored router reproduces the bytes). Restore redistributes buckets by
-// ShardOf, so the only thing Shards decides is that an unsharded Engine
-// refuses a sharded image. The partition and the vfilter cache are
+// (re-checkpointing a restored router reproduces the bytes). Either
+// processor restores either image — a router redistributes the buckets by
+// ShardOf, an engine's windower absorbs them whole — so Shards only records
+// who wrote the image. The partition and the vfilter cache are
 // deliberately absent: both are pure functions of the closed scenarios, so
 // restore rebuilds them by replaying SplitBy in store-ID order — smaller
 // checkpoints, and no risk of persisting internal state that drifts from the
@@ -313,18 +314,15 @@ func bucketToCheckpoint(k bucketKey, b *bucket) ShardBucket {
 	return ShardBucket{Window: k.Window, Cell: k.Cell, EIDs: sortedBucketEIDs(b.eids), Dets: dets}
 }
 
-// Restore builds an Engine from cfg and resumes it from an engine image
-// written by Engine.Checkpoint; a router's sharded image is rejected
-// (RestoreRouter reads both). The checkpoint's windowing and matching
+// Restore builds an Engine from cfg and resumes it from a checkpoint — an
+// engine's image or a router's, whose open buckets the engine's one windower
+// takes whatever shard wrote them. The checkpoint's windowing and matching
 // parameters must match cfg; runtime-only fields (Clock, Metrics, Mode,
 // Workers) come from cfg alone.
 func Restore(cfg Config, r io.Reader) (*Engine, error) {
 	cp, err := readCheckpoint(r)
 	if err != nil {
 		return nil, err
-	}
-	if cp.Shards != 0 {
-		return nil, fmt.Errorf("%w: a %d-shard router image; restore it with RestoreRouter", ErrBadCheckpoint, cp.Shards)
 	}
 	e, err := NewEngine(cfg)
 	if err != nil {

@@ -170,98 +170,42 @@ type headerLine struct {
 	Header
 }
 
-// WriteLog writes a complete observation log: one header line, then one JSON
-// line per observation in the given order.
-func WriteLog(w io.Writer, h Header, obs []Observation) error {
-	if err := h.Validate(); err != nil {
-		return err
-	}
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	if err := enc.Encode(headerLine{Kind: "header", Header: h}); err != nil {
-		return fmt.Errorf("stream: write header: %w", err)
-	}
-	for i, o := range obs {
-		if err := o.Validate(); err != nil {
-			return fmt.Errorf("stream: observation %d: %w", i, err)
-		}
-		if err := enc.Encode(o); err != nil {
-			return fmt.Errorf("stream: write observation %d: %w", i, err)
-		}
-	}
-	return bw.Flush()
-}
-
-// LogReader decodes an observation log line by line, so a replayer can pace
-// or resume without materializing the whole log.
-type LogReader struct {
-	sc   *bufio.Scanner
-	hdr  Header
-	line int
-}
-
-// NewLogReader wraps r and consumes the header line.
-func NewLogReader(r io.Reader) (*LogReader, error) {
+// ReadLog decodes a complete observation log: the header line, then one
+// validated observation per line.
+func ReadLog(r io.Reader) (Header, []Observation, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
 	if !sc.Scan() {
 		if err := sc.Err(); err != nil {
-			return nil, fmt.Errorf("stream: read header: %w", err)
+			return Header{}, nil, fmt.Errorf("stream: read header: %w", err)
 		}
-		return nil, fmt.Errorf("%w: empty log", ErrBadLog)
+		return Header{}, nil, fmt.Errorf("%w: empty log", ErrBadLog)
 	}
 	var hl headerLine
 	if err := json.Unmarshal(sc.Bytes(), &hl); err != nil {
-		return nil, fmt.Errorf("%w: header line: %w", ErrBadLog, err)
+		return Header{}, nil, fmt.Errorf("%w: header line: %w", ErrBadLog, err)
 	}
 	if hl.Kind != "header" {
-		return nil, fmt.Errorf("%w: first line kind %q", ErrBadLog, hl.Kind)
+		return Header{}, nil, fmt.Errorf("%w: first line kind %q", ErrBadLog, hl.Kind)
 	}
 	if err := hl.Header.Validate(); err != nil {
-		return nil, err
-	}
-	return &LogReader{sc: sc, hdr: hl.Header, line: 1}, nil
-}
-
-// Header returns the log's header.
-func (lr *LogReader) Header() Header { return lr.hdr }
-
-// Next returns the next observation, or io.EOF at the end of the log.
-func (lr *LogReader) Next() (Observation, error) {
-	if !lr.sc.Scan() {
-		if err := lr.sc.Err(); err != nil {
-			return Observation{}, fmt.Errorf("stream: read line %d: %w", lr.line+1, err)
-		}
-		return Observation{}, io.EOF
-	}
-	lr.line++
-	var o Observation
-	if err := json.Unmarshal(lr.sc.Bytes(), &o); err != nil {
-		return Observation{}, fmt.Errorf("%w: line %d: %w", ErrBadLog, lr.line, err)
-	}
-	if err := o.Validate(); err != nil {
-		return Observation{}, fmt.Errorf("stream: line %d: %w", lr.line, err)
-	}
-	return o, nil
-}
-
-// ReadLog decodes a complete observation log.
-func ReadLog(r io.Reader) (Header, []Observation, error) {
-	lr, err := NewLogReader(r)
-	if err != nil {
 		return Header{}, nil, err
 	}
 	var obs []Observation
-	for {
-		o, err := lr.Next()
-		if errors.Is(err, io.EOF) {
-			return lr.Header(), obs, nil
+	for line := 2; sc.Scan(); line++ {
+		var o Observation
+		if err := json.Unmarshal(sc.Bytes(), &o); err != nil {
+			return Header{}, nil, fmt.Errorf("%w: line %d: %w", ErrBadLog, line, err)
 		}
-		if err != nil {
-			return Header{}, nil, err
+		if err := o.Validate(); err != nil {
+			return Header{}, nil, fmt.Errorf("stream: line %d: %w", line, err)
 		}
 		obs = append(obs, o)
 	}
+	if err := sc.Err(); err != nil {
+		return Header{}, nil, fmt.Errorf("stream: read line %d: %w", len(obs)+2, err)
+	}
+	return hl.Header, obs, nil
 }
 
 // EventsFromDataset flattens a generated dataset into a time-ordered
@@ -345,9 +289,9 @@ func eachWindowEvents(ds *dataset.Dataset, windowMS int64, seed int64, emit func
 
 // WriteEventsLog streams the dataset's observation log to w without ever
 // materializing more than one window of observations — the scale-preset path
-// for `evgen -events`, byte-identical to WriteLog over EventsFromDataset
-// (the equivalence test pins this). It returns the number of observations
-// written.
+// for `evgen -events`, byte-identical to the JSON lines of
+// EventsFromDataset's log (the equivalence test pins this). It returns the
+// number of observations written.
 func WriteEventsLog(w io.Writer, ds *dataset.Dataset, windowMS int64, seed int64) (int, error) {
 	hdr := Header{Version: LogVersion, WindowMS: windowMS, Dim: 0}
 	if ds != nil {

@@ -2,6 +2,7 @@ package stream
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"io"
 	"reflect"
@@ -12,9 +13,9 @@ import (
 	"evmatching/internal/scenario"
 )
 
-// TestLogRoundTrip pins the JSONL observation-log codec: encoding a
-// dataset's event flattening and decoding it back must reproduce every
-// observation exactly.
+// TestLogRoundTrip pins the JSONL observation-log codec: the log
+// WriteEventsLog writes for a dataset must decode to exactly the
+// observations EventsFromDataset flattens it into.
 func TestLogRoundTrip(t *testing.T) {
 	ds := testDataset(t, true)
 	hdr, obs, err := EventsFromDataset(ds, testWindowMS, 7)
@@ -25,10 +26,10 @@ func TestLogRoundTrip(t *testing.T) {
 		t.Fatal("no observations generated")
 	}
 	var buf bytes.Buffer
-	if err := WriteLog(&buf, hdr, obs); err != nil {
-		t.Fatalf("WriteLog: %v", err)
+	if _, err := WriteEventsLog(&buf, ds, testWindowMS, 7); err != nil {
+		t.Fatalf("WriteEventsLog: %v", err)
 	}
-	gotHdr, gotObs, err := ReadLog(bytes.NewReader(buf.Bytes()))
+	gotHdr, gotObs, err := ReadLog(&buf)
 	if err != nil {
 		t.Fatalf("ReadLog: %v", err)
 	}
@@ -116,39 +117,31 @@ func TestObservationValidate(t *testing.T) {
 }
 
 // TestLogReaderErrors covers malformed logs: missing or wrong header, bad
-// lines, and truncation behavior.
+// lines, and a log that ends after its header.
 func TestLogReaderErrors(t *testing.T) {
-	if _, err := NewLogReader(strings.NewReader("")); !errors.Is(err, ErrBadLog) {
-		t.Errorf("empty log: %v", err)
+	const hdr = `{"kind":"header","version":1,"windowMs":1000,"dim":64}` + "\n"
+	for name, log := range map[string]string{
+		"empty log":      "",
+		"missing header": `{"ts":5,"kind":"E"}` + "\n",
+		"future version": `{"kind":"header","version":99,"windowMs":1000,"dim":64}` + "\n",
+		"garbage line":   hdr + "not json\n",
+	} {
+		if _, _, err := ReadLog(strings.NewReader(log)); !errors.Is(err, ErrBadLog) {
+			t.Errorf("%s: err = %v, want ErrBadLog", name, err)
+		}
 	}
-	if _, err := NewLogReader(strings.NewReader(`{"ts":5,"kind":"E"}` + "\n")); !errors.Is(err, ErrBadLog) {
-		t.Errorf("missing header: %v", err)
-	}
-	if _, err := NewLogReader(strings.NewReader(`{"kind":"header","version":99,"windowMs":1000,"dim":64}` + "\n")); !errors.Is(err, ErrBadLog) {
-		t.Errorf("future version: %v", err)
-	}
-	lr, err := NewLogReader(strings.NewReader(`{"kind":"header","version":1,"windowMs":1000,"dim":64}` + "\nnot json\n"))
-	if err != nil {
-		t.Fatalf("NewLogReader: %v", err)
-	}
-	if _, err := lr.Next(); !errors.Is(err, ErrBadLog) {
-		t.Errorf("garbage line: %v", err)
-	}
-	lr, err = NewLogReader(strings.NewReader(`{"kind":"header","version":1,"windowMs":1000,"dim":64}` + "\n"))
-	if err != nil {
-		t.Fatalf("NewLogReader: %v", err)
-	}
-	if _, err := lr.Next(); !errors.Is(err, io.EOF) {
-		t.Errorf("end of log: %v, want io.EOF", err)
+	if _, obs, err := ReadLog(strings.NewReader(hdr)); err != nil || len(obs) != 0 {
+		t.Errorf("header-only log: %d observations, err = %v; want none and no error", len(obs), err)
 	}
 }
 
 // TestWriteEventsLogByteIdentical pins the constant-memory writer against
-// the materialized path: WriteEventsLog must produce byte-for-byte the log
-// WriteLog(EventsFromDataset(...)) does. The equivalence rests on per-window
-// timestamp ranges being disjoint — a per-window stable sort concatenated in
-// window order IS the global stable sort — so any drift here means the
-// streaming writer changed the replay semantics, not just the encoding.
+// the materialized path: WriteEventsLog must produce byte-for-byte the JSON
+// lines of the header and of EventsFromDataset(...)'s observations. The
+// equivalence rests on per-window timestamp ranges being disjoint — a
+// per-window stable sort concatenated in window order IS the global stable
+// sort — so any drift here means the streaming writer changed the replay
+// semantics, not just the encoding.
 func TestWriteEventsLogByteIdentical(t *testing.T) {
 	ds := testDataset(t, true)
 	for _, seed := range []int64{0, 7, 42} {
@@ -157,8 +150,14 @@ func TestWriteEventsLogByteIdentical(t *testing.T) {
 			t.Fatalf("EventsFromDataset: %v", err)
 		}
 		var want bytes.Buffer
-		if err := WriteLog(&want, hdr, obs); err != nil {
-			t.Fatalf("WriteLog: %v", err)
+		enc := json.NewEncoder(&want)
+		if err := enc.Encode(headerLine{Kind: "header", Header: hdr}); err != nil {
+			t.Fatal(err)
+		}
+		for _, o := range obs {
+			if err := enc.Encode(o); err != nil {
+				t.Fatal(err)
+			}
 		}
 		var got bytes.Buffer
 		n, err := WriteEventsLog(&got, ds, testWindowMS, seed)

@@ -3,6 +3,9 @@ package stream
 import (
 	"context"
 	"errors"
+	"io"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -172,6 +175,100 @@ func TestCloseUnblocksFlush(t *testing.T) {
 	}
 }
 
+// TestConcurrentCheckpointsReturn parks two Checkpoint calls at the fold
+// barrier on one unfolded round, then lets that round fold. The merge stage
+// rings the barrier's doorbell once for the fold; both calls must return.
+func TestConcurrentCheckpointsReturn(t *testing.T) {
+	ds := testDataset(t, false)
+	_, obs, err := EventsFromDataset(ds, testWindowMS, 7)
+	if err != nil {
+		t.Fatalf("EventsFromDataset: %v", err)
+	}
+	release := make(chan struct{})
+	gated := runnerFunc(func(run ShardRun) {
+		// Forward the router's messages, holding every close until release.
+		src, in := run.In, make(chan ShardMsg, cap(run.In))
+		forwarded := make(chan struct{})
+		go func() {
+			defer close(forwarded)
+			for {
+				select {
+				case <-run.Stop:
+					return
+				case m := <-src:
+					if m.Kind == ShardMsgClose {
+						select {
+						case <-release:
+						case <-run.Stop:
+							return
+						}
+					}
+					in <- m
+				}
+			}
+		}()
+		run.In = in
+		RunShardInProcess(run)
+		<-forwarded
+	})
+	r, err := NewRouter(RouterConfig{Config: testConfig(ds, ds.AllEIDs()[:4], core.ModeSerial), Shards: 1, Runner: gated})
+	if err != nil {
+		t.Fatalf("NewRouter: %v", err)
+	}
+	defer r.Close()
+	issued := 0
+	for _, o := range obs {
+		if _, err := r.Ingest(o); err != nil {
+			t.Fatalf("Ingest: %v", err)
+		}
+		r.mu.Lock()
+		issued = r.round
+		r.mu.Unlock()
+		if issued > 0 {
+			break
+		}
+	}
+	if issued != 1 {
+		t.Fatalf("%d close rounds issued, want exactly 1 held at the barrier", issued)
+	}
+	done := make(chan error, 2)
+	for range 2 {
+		go func() { done <- r.Checkpoint(io.Discard) }()
+	}
+	for parkedAtFoldBarrier() < 2 {
+		select {
+		case err := <-done:
+			t.Fatalf("Checkpoint = %v before its round folded", err)
+		case <-time.After(time.Millisecond):
+		}
+	}
+	close(release)
+	for range 2 {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("Checkpoint: %v", err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("a Checkpoint still waits at the fold barrier after its round folded")
+		}
+	}
+}
+
+// parkedAtFoldBarrier counts the goroutines blocked in the fold barrier's
+// wait.
+func parkedAtFoldBarrier() int {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	n := 0
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		if strings.Contains(g, " [select") && strings.Contains(g, ".awaitFoldLocked(") {
+			n++
+		}
+	}
+	return n
+}
+
 // TestDeadShardBehindFullQueue kills a shard while Ingest is blocked on its
 // full queue. The report must wake the blocked send, which hands the shard to
 // a replacement whose journal replay carries the message: no deadlock and
@@ -183,9 +280,11 @@ func TestDeadShardBehindFullQueue(t *testing.T) {
 	if err != nil {
 		t.Fatalf("EventsFromDataset: %v", err)
 	}
-	obs = obs[:len(obs)/4]
 	cfg := testConfig(ds, targets, core.ModeSerial)
 	want := replayFingerprint(t, cfg, obs)
+	if len(obs) <= shardQueueLen {
+		t.Fatalf("%d observations cannot fill a %d-message queue", len(obs), shardQueueLen)
+	}
 
 	var ingested atomic.Int64
 	stale := make(chan func(error), 1)
@@ -194,11 +293,12 @@ func TestDeadShardBehindFullQueue(t *testing.T) {
 			RunShardInProcess(run)
 			return
 		}
-		// Take nothing: let the first Ingest fill the queue, then die. The
-		// sleep gives the second Ingest time to block on the full queue; one
-		// that has not got there yet acts on the report on entry instead,
-		// which is correct too, only not the path under test.
-		for ingested.Load() < 1 || len(run.In) < cap(run.In) {
+		// Take nothing: let Ingest fill the queue, then die. The first sleep
+		// lets the Ingest that filled it return and gives the next one time
+		// to block on the full queue; one that has not got there yet acts on
+		// the report on entry instead, which is correct too, only not the
+		// path under test.
+		for len(run.In) < cap(run.In) {
 			select {
 			case <-run.Stop:
 				return
@@ -206,13 +306,15 @@ func TestDeadShardBehindFullQueue(t *testing.T) {
 			}
 		}
 		time.Sleep(20 * time.Millisecond)
-		if n := ingested.Load(); n != 1 {
-			t.Errorf("%d Ingest calls returned past the shard's full queue; want the second one blocked", n)
+		full := ingested.Load()
+		time.Sleep(20 * time.Millisecond)
+		if n := ingested.Load(); n != full {
+			t.Errorf("%d Ingest calls returned past the shard's full queue; want the next one blocked", n-full)
 		}
 		run.Died(nil)
 		stale <- run.Died
 	})
-	r, err := NewRouter(RouterConfig{Config: cfg, Shards: 1, QueueLen: 1, Runner: runner})
+	r, err := NewRouter(RouterConfig{Config: cfg, Shards: 1, Runner: runner})
 	if err != nil {
 		t.Fatalf("NewRouter: %v", err)
 	}

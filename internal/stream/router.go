@@ -7,7 +7,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"evmatching/internal/core"
 	"evmatching/internal/geo"
@@ -18,14 +17,10 @@ import (
 // ErrRouterClosed reports use of a router after Close.
 var ErrRouterClosed = errors.New("stream: router closed")
 
-// Default router knobs.
-const (
-	// DefaultShardQueue is the per-shard input channel capacity.
-	DefaultShardQueue = 1024
-
-	// foldPollDelay paces the fold barrier's wait for the merge stage.
-	foldPollDelay = 50 * time.Microsecond
-)
+// shardQueueLen is the per-shard input channel capacity past a
+// replacement's journal replay: how far ingest runs ahead of a shard before
+// sendLocked waits for it.
+const shardQueueLen = 1024
 
 // RouterConfig parameterizes a Router. The embedded Config is the matching
 // configuration every shard and the merge stage share.
@@ -35,8 +30,6 @@ type RouterConfig struct {
 	// Shards is the number of region shards observations partition across
 	// (0 = 1). The assignment is ShardOf: cell modulo shard count.
 	Shards int
-	// QueueLen is the per-shard input channel capacity (0 = DefaultShardQueue).
-	QueueLen int
 	// Faults, when non-nil, injects shard faults (tests only). The plan is
 	// applied by RunShardInProcess, the loop every in-process shard runs.
 	Faults ShardFaultPlan
@@ -53,9 +46,6 @@ func (c RouterConfig) withDefaults() RouterConfig {
 	if c.Shards == 0 {
 		c.Shards = 1
 	}
-	if c.QueueLen == 0 {
-		c.QueueLen = DefaultShardQueue
-	}
 	return c
 }
 
@@ -66,9 +56,6 @@ func (c RouterConfig) validate() error {
 	}
 	if c.Shards < 1 {
 		return fmt.Errorf("%w: %d shards", ErrBadConfig, c.Shards)
-	}
-	if c.QueueLen < 1 {
-		return fmt.Errorf("%w: queue length %d", ErrBadConfig, c.QueueLen)
 	}
 	if c.Runner != nil && c.Faults != nil {
 		return fmt.Errorf("%w: Runner and Faults are mutually exclusive", ErrBadConfig)
@@ -165,6 +152,9 @@ type Router struct {
 	// deaths is the doorbell Died rings (capacity 1): a report is waiting
 	// on some slot's died channel or in firstErr.
 	deaths chan struct{}
+	// folded is the doorbell the merge stage rings (capacity 1) when
+	// foldedRound advances or firstErr is set: the fold barrier's wake-up.
+	folded chan struct{}
 
 	out        chan shardOut
 	wg         sync.WaitGroup
@@ -224,6 +214,7 @@ func newRouter(cfg RouterConfig, cp *checkpointFile) (*Router, error) {
 		front:      newFrontier(cfg.WindowMS, cfg.LatenessMS),
 		gauges:     make(map[string]int64),
 		deaths:     make(chan struct{}, 1),
+		folded:     make(chan struct{}, 1),
 		out:        make(chan shardOut, 4*cfg.Shards),
 		mergerDone: make(chan struct{}),
 	}
@@ -345,7 +336,7 @@ func (r *Router) sendLocked(s *shardSlot, m ShardMsg) {
 		case cur <- m:
 			return
 		case <-r.deaths:
-			r.ring() // leave the report for reapLocked
+			ring(r.deaths) // leave the report for reapLocked
 		}
 		r.reapLocked()
 		if s.in != cur {
@@ -368,11 +359,11 @@ func (r *Router) issueCloseLocked(target int) {
 	}
 }
 
-// ring rings the deaths doorbell without blocking: one token stands for
-// any number of reports.
-func (r *Router) ring() {
+// ring rings a one-slot doorbell without blocking: one token stands for any
+// number of rings.
+func ring(bell chan<- struct{}) {
 	select {
-	case r.deaths <- struct{}{}:
+	case bell <- struct{}{}:
 	default:
 	}
 }
@@ -428,7 +419,7 @@ func (r *Router) startIncarnationLocked(slot *shardSlot) {
 	replay := slot.journal.retained()
 	// Capacity covers the whole replay, so these sends cannot block even if
 	// the incarnation is itself killed mid-replay.
-	slot.in = make(chan ShardMsg, len(replay)+r.cfg.QueueLen)
+	slot.in = make(chan ShardMsg, len(replay)+shardQueueLen)
 	for _, m := range replay {
 		slot.in <- m
 	}
@@ -463,7 +454,7 @@ func (r *Router) startIncarnationLocked(slot *shardSlot) {
 				} else {
 					close(died)
 				}
-				r.ring()
+				ring(r.deaths)
 			})
 		},
 		faults: r.cfg.Faults,
@@ -534,6 +525,7 @@ func (r *Router) runMerger() {
 			r.foldMu.Lock()
 			r.foldedRound = nextRound
 			r.foldMu.Unlock()
+			ring(r.folded)
 			nextRound++
 		}
 	}
@@ -567,13 +559,15 @@ func (r *Router) fold(batches [][]ShardSealed, target int) {
 	r.resolvedGauge.Store(int64(resolved))
 }
 
-// setErr records the first error; later operations return it.
+// setErr records the first error; later operations return it, and a fold
+// barrier waiting meanwhile wakes to return it.
 func (r *Router) setErr(err error) {
 	r.foldMu.Lock()
 	if r.firstErr == nil {
 		r.firstErr = err
 	}
 	r.foldMu.Unlock()
+	ring(r.folded)
 }
 
 // errState returns the sticky first error, if any.
@@ -592,14 +586,24 @@ func (r *Router) progress() (round int, err error) {
 
 // awaitFoldLocked blocks until the merge stage has folded every round issued
 // so far, acting on reported deaths while it waits so a dead shard cannot
-// stall the barrier: its replacement re-emits the missing batch.
-// Callers hold r.mu; it is let go for each sleep (the shards and the merger
-// it waits on never take it), so a round an ingest slips in meanwhile is
-// waited for too, and it is held again on return: nothing is then in flight.
+// stall the barrier: its replacement re-emits the missing batch. It wakes on
+// the folded doorbell (a fold or a sticky error), the deaths doorbell, or the
+// merge stage's exit. Callers hold r.mu; it is let go for each wait (the
+// shards and the merger it waits on never take it), so a round an ingest
+// slips in meanwhile is waited for too, and it is held again on return:
+// nothing is then in flight.
+//
+// Every waiter tests the same condition against the same cursor, but one
+// fold rings the doorbell once: a waiter that returns re-rings it so a
+// concurrent one (Checkpoint beside Flush, say) wakes and retests too. A
+// waiter that takes a token and finds its round unfolded leaves none behind,
+// which is sound: no waiter's round has folded either, and the fold still due
+// rings again.
 func (r *Router) awaitFoldLocked() error {
-	//evlint:ignore lockbalance condition-wait loop: drops the caller-held r.mu across each sleep and reacquires before retesting, net-neutral per iteration
+	defer ring(r.folded)
+	//evlint:ignore lockbalance condition-wait loop: drops the caller-held r.mu across each wait and reacquires before retesting, net-neutral per iteration
 	for {
-		if r.closed { // by a Close that took r.mu during a sleep
+		if r.closed { // by a Close that took r.mu during a wait
 			return ErrRouterClosed
 		}
 		folded, err := r.progress()
@@ -610,9 +614,14 @@ func (r *Router) awaitFoldLocked() error {
 			return nil
 		}
 		r.reapLocked()
-		//evlint:ignore lockbalance releases the caller-held r.mu for the sleep; reacquired two lines down
+		//evlint:ignore lockbalance releases the caller-held r.mu for the wait; reacquired below
 		r.mu.Unlock()
-		time.Sleep(foldPollDelay)
+		select {
+		case <-r.folded:
+		case <-r.deaths:
+			ring(r.deaths) // leave the report for reapLocked
+		case <-r.mergerDone: // only after Close, which the retest sees
+		}
 		r.mu.Lock()
 	}
 }
@@ -751,6 +760,7 @@ func (r *Router) publishGaugesLocked() {
 	m["stream_watermark_lag_ms"] = lag
 	m["stream_pending_eids"] = int64(len(r.cfg.Targets)) - r.resolvedGauge.Load()
 	m["stream_resolutions_emitted"] = r.seqGauge.Load()
+	m["stream_resolutions_dropped"] = r.merged.resolutionsDropped.Load()
 	m["stream_late_dropped"] = r.front.lateDropped
 	m["stream_shards"] = int64(r.cfg.Shards)
 	m["stream_shard_redispatches"] = r.redispatches

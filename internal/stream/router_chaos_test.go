@@ -106,10 +106,9 @@ func TestShardKillChaos(t *testing.T) {
 			}
 			plan := &countingPlan{plan: inj}
 			r, err := stream.NewRouter(stream.RouterConfig{
-				Config:   ecfg,
-				Shards:   4,
-				QueueLen: 64,
-				Faults:   plan,
+				Config: ecfg,
+				Shards: 4,
+				Faults: plan,
 			})
 			if err != nil {
 				t.Fatalf("NewRouter: %v", err)
@@ -164,10 +163,9 @@ func TestShardKillDuringCheckpoint(t *testing.T) {
 	}
 	plan := &countingPlan{plan: inj}
 	rcfg := stream.RouterConfig{
-		Config:   ecfg,
-		Shards:   3,
-		QueueLen: 64,
-		Faults:   plan,
+		Config: ecfg,
+		Shards: 3,
+		Faults: plan,
 	}
 	r, err := stream.NewRouter(rcfg)
 	if err != nil {

@@ -129,8 +129,8 @@ func TestRouterCheckpointResume(t *testing.T) {
 // TestRouterRestoresEngineImage is the upgrade path: an unsharded engine's
 // image restores into a router — the degenerate 1-shard case and a
 // redistributing 4-shard case — which resumes the log to the same
-// fingerprint. The reverse direction must fail loudly: Restore rejects a
-// router's sharded image.
+// fingerprint. The reverse direction resumes too: Restore takes a 2-shard
+// router's image into an engine.
 func TestRouterRestoresEngineImage(t *testing.T) {
 	ds := testDataset(t, true)
 	targets := ds.AllEIDs()[:12]
@@ -178,18 +178,32 @@ func TestRouterRestoresEngineImage(t *testing.T) {
 		})
 	}
 
-	t.Run("engine-rejects-router-image", func(t *testing.T) {
+	t.Run("engine-restores-router-image", func(t *testing.T) {
 		r, err := NewRouter(RouterConfig{Config: cfg, Shards: 2})
 		if err != nil {
 			t.Fatalf("NewRouter: %v", err)
 		}
 		defer r.Close()
-		if _, err := r.Ingest(obs[0]); err != nil {
-			t.Fatalf("Ingest: %v", err)
+		for i := 0; i < cut; i++ {
+			if _, err := r.Ingest(obs[i]); err != nil {
+				t.Fatalf("Ingest %d: %v", i, err)
+			}
 		}
-		sharded := routerCheckpointBytes(t, r)
-		if _, err := Restore(cfg, bytes.NewReader(sharded)); !errors.Is(err, ErrBadCheckpoint) {
-			t.Fatalf("Restore(router image): err = %v, want ErrBadCheckpoint", err)
+		e, err := Restore(cfg, bytes.NewReader(routerCheckpointBytes(t, r)))
+		if err != nil {
+			t.Fatalf("Restore(router image): %v", err)
+		}
+		for i := cut; i < len(obs); i++ {
+			if _, err := e.Ingest(obs[i]); err != nil {
+				t.Fatalf("Ingest %d: %v", i, err)
+			}
+		}
+		rep, err := e.Finalize(context.Background())
+		if err != nil {
+			t.Fatalf("Finalize: %v", err)
+		}
+		if got := rep.Fingerprint(); got != want {
+			t.Fatal("router image resumed on an engine diverged from unsharded replay")
 		}
 	})
 }

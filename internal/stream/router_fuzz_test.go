@@ -222,9 +222,8 @@ func FuzzRouterObservation(f *testing.F) {
 					Dim:        8,
 					Seed:       1,
 				},
-				Shards:   shards,
-				QueueLen: 16,
-				Runner:   runner,
+				Shards: shards,
+				Runner: runner,
 			})
 			if err != nil {
 				t.Fatalf("NewRouter: %v", err)

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"io"
 	"math/rand"
 	"testing"
 	"time"
@@ -276,7 +277,6 @@ func TestRouterConfigValidation(t *testing.T) {
 		mut  func(*RouterConfig)
 	}{
 		{"negative-shards", func(c *RouterConfig) { c.Shards = -2 }},
-		{"negative-queue", func(c *RouterConfig) { c.QueueLen = -1 }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -335,9 +335,10 @@ func TestRouterGauges(t *testing.T) {
 	cfg.Clock = &fakeClock{now: time.UnixMilli(obs[len(obs)-1].TS)}
 	cfg.Metrics = reg
 	const shards = 4
-	// A short queue keeps ingest within a few messages of the shards, so what
-	// the journal gauges show is the open windows and not a head start.
-	r, err := NewRouter(RouterConfig{Config: cfg, Shards: shards, QueueLen: 8})
+	// A fold barrier (Checkpoint) every 64 observations keeps ingest within
+	// 64 messages of the merge stage, so what the journal gauges show is the
+	// open windows and not a head start.
+	r, err := NewRouter(RouterConfig{Config: cfg, Shards: shards})
 	if err != nil {
 		t.Fatalf("NewRouter: %v", err)
 	}
@@ -368,6 +369,11 @@ func TestRouterGauges(t *testing.T) {
 		}
 		after := journalLen()
 		peak, fell = max(peak, after), fell || after < before
+		if i%64 == 63 {
+			if err := r.Checkpoint(io.Discard); err != nil {
+				t.Fatalf("Checkpoint: %v", err)
+			}
+		}
 	}
 	// The journals hold the open windows, not the log: the gauge falls back
 	// whenever a round folds, and to nothing once the flush round has.

@@ -78,7 +78,8 @@ type Config struct {
 	// Metrics, when non-nil, receives the stream gauges (stream_open_windows,
 	// stream_open_detections, stream_duplicate_detections,
 	// stream_watermark_lag_ms, stream_pending_eids,
-	// stream_resolutions_emitted, stream_late_dropped).
+	// stream_resolutions_emitted, stream_resolutions_dropped,
+	// stream_late_dropped).
 	Metrics *metrics.Registry
 }
 
@@ -271,10 +272,13 @@ type Engine struct {
 	spillBudget *spill.Budget
 	spillQueue  *spill.FIFO
 
-	// duplicates counts the repeated detections the fold has dropped; atomic
-	// so that a router publishes its merge stage's count without the lock.
-	duplicates atomic.Int64
-	gauges     map[string]int64 // publishGauges' map, refilled per ingest
+	// duplicates counts the repeated detections the fold has dropped, and
+	// resolutionsDropped the resolutions broadcast lost to full subscriber
+	// channels; atomic so that a router publishes its merge stage's counts
+	// without the lock.
+	duplicates         atomic.Int64
+	resolutionsDropped atomic.Int64
+	gauges             map[string]int64 // publishGauges' map, refilled per ingest
 
 	seq      int
 	emitted  []Resolution
@@ -535,13 +539,15 @@ func (e *Engine) accept(vid ids.VID) {
 	e.exclusion.Add(vid)
 }
 
-// broadcast delivers r to every subscriber, dropping on full buffers so a
-// stalled consumer cannot block ingestion. Callers hold e.mu.
+// broadcast delivers r to every subscriber, dropping — and counting — on a
+// full buffer so a stalled consumer cannot block ingestion. Callers hold
+// e.mu.
 func (e *Engine) broadcast(r Resolution) {
 	for _, c := range e.subs {
 		select {
 		case c <- r:
 		default:
+			e.resolutionsDropped.Add(1)
 		}
 	}
 }
@@ -682,6 +688,7 @@ func (e *Engine) publishGauges() {
 	g["stream_watermark_lag_ms"] = lag
 	g["stream_pending_eids"] = int64(len(e.cfg.Targets) - len(e.resolved))
 	g["stream_resolutions_emitted"] = int64(e.seq)
+	g["stream_resolutions_dropped"] = e.resolutionsDropped.Load()
 	g["stream_late_dropped"] = e.front.lateDropped
 	g["block_candidates_total"] = e.blockCandidates
 	g["block_pruned_total"] = e.blockPruned

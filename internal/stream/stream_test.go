@@ -320,6 +320,48 @@ func TestStreamGauges(t *testing.T) {
 	}
 }
 
+// TestBroadcastCountsDrops: a subscriber that never reads holds a channel's
+// worth of resolutions; every broadcast past that is dropped and counted, and
+// both the engine's and the router's gauges publish the count.
+func TestBroadcastCountsDrops(t *testing.T) {
+	const k = 5
+	flood := func(e *Engine) {
+		_, ch, cancel := e.Subscribe()
+		t.Cleanup(cancel)
+		e.mu.Lock()
+		defer e.mu.Unlock()
+		for i := 0; i < cap(ch)+k; i++ {
+			e.broadcast(Resolution{Seq: i + 1})
+		}
+	}
+	cfg := Config{Targets: []ids.EID{"e-1"}, WindowMS: testWindowMS, Dim: 2, Metrics: metrics.NewRegistry()}
+	e, err := NewEngine(cfg)
+	if err != nil {
+		t.Fatalf("NewEngine: %v", err)
+	}
+	flood(e)
+	e.mu.Lock()
+	e.publishGauges()
+	e.mu.Unlock()
+	if got := cfg.Metrics.Get("stream_resolutions_dropped"); got != k {
+		t.Errorf("engine stream_resolutions_dropped = %d, want %d", got, k)
+	}
+
+	cfg.Metrics = metrics.NewRegistry()
+	r, err := NewRouter(RouterConfig{Config: cfg, Shards: 2})
+	if err != nil {
+		t.Fatalf("NewRouter: %v", err)
+	}
+	defer r.Close()
+	flood(r.merged)
+	r.mu.Lock()
+	r.publishGaugesLocked()
+	r.mu.Unlock()
+	if got := cfg.Metrics.Get("stream_resolutions_dropped"); got != k {
+		t.Errorf("router stream_resolutions_dropped = %d, want %d", got, k)
+	}
+}
+
 // nearIdenticalPool is a pool of V observations that differ from one another
 // in exactly one thing — VID, person, patch shape over the same bytes, or a
 // single pixel — the cases a detection's identity and order must tell apart.
