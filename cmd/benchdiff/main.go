@@ -215,8 +215,10 @@ func parseFile(path string) (map[string]*samples, error) {
 //
 //	BenchmarkName-8   100   5325768 ns/op   751428 B/op   2397 allocs/op
 //
-// possibly with extra "value unit" metric pairs. The -N GOMAXPROCS suffix is
-// stripped so runs from hosts with different core counts still align.
+// possibly with extra "value unit" metric pairs. Names are kept verbatim,
+// GOMAXPROCS suffix and all: `go test` adds none at GOMAXPROCS 1, so a
+// trailing -N may be part of the name (BenchmarkX/shards-4), and both sides
+// of a comparison run on one host anyway.
 func parse(r io.Reader) (map[string]*samples, error) {
 	out := make(map[string]*samples)
 	sc := bufio.NewScanner(r)
@@ -232,11 +234,6 @@ func parse(r io.Reader) (map[string]*samples, error) {
 			return nil, fmt.Errorf("truncated benchmark line %q", sc.Text())
 		}
 		name := fields[0]
-		if i := strings.LastIndex(name, "-"); i > 0 {
-			if _, err := strconv.Atoi(name[i+1:]); err == nil {
-				name = name[:i]
-			}
-		}
 		s := out[name]
 		if s == nil {
 			s = &samples{}

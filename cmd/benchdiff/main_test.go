@@ -26,20 +26,37 @@ func writeTemp(t *testing.T, name, content string) string {
 	return path
 }
 
-func TestParseMedianAndSuffixStripping(t *testing.T) {
+func TestParseMedian(t *testing.T) {
 	got, err := parse(strings.NewReader(oldOut))
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, ok := got["BenchmarkSim"]
+	s, ok := got["BenchmarkSim-8"]
 	if !ok {
-		t.Fatalf("GOMAXPROCS suffix not stripped: keys %v", got)
+		t.Fatalf("BenchmarkSim-8 missing: keys %v", got)
 	}
 	if m := median(s.ns); m != 38.0 {
 		t.Errorf("median ns/op = %v, want 38", m)
 	}
-	if m := median(got["BenchmarkFilterMatch"].allocs); m != 40 {
+	if m := median(got["BenchmarkFilterMatch-8"].allocs); m != 40 {
 		t.Errorf("median allocs/op = %v, want 40", m)
+	}
+}
+
+// TestParseKeepsNamesVerbatim: at GOMAXPROCS 1 `go test` prints no suffix, so
+// a trailing -N belongs to the name. Two sub-benchmarks that differ only there
+// are two rows, and a regression of one is not averaged away by the other.
+func TestParseKeepsNamesVerbatim(t *testing.T) {
+	oldPath := writeTemp(t, "old.txt", "BenchmarkReplay/shards-1    10    100 ns/op\nBenchmarkReplay/shards-4    10    400 ns/op\n")
+	newPath := writeTemp(t, "new.txt", "BenchmarkReplay/shards-1    10    300 ns/op\nBenchmarkReplay/shards-4    10    120 ns/op\n")
+	var stdout, stderr strings.Builder
+	if code := run([]string{oldPath, newPath}, &stdout, &stderr); code != 1 {
+		t.Fatalf("exit %d for a 3x regression of shards-1, want 1; stdout:\n%s", code, stdout.String())
+	}
+	for _, line := range strings.Split(stdout.String(), "\n") {
+		if strings.HasPrefix(line, "BenchmarkReplay/shards-1 ") != strings.HasSuffix(line, "REGRESSION") {
+			t.Errorf("only the shards-1 row regressed: %s", line)
+		}
 	}
 }
 
@@ -143,7 +160,7 @@ func TestParseSkipsBareNameLines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := got["BenchmarkSim"]; !ok {
+	if _, ok := got["BenchmarkSim-8"]; !ok {
 		t.Fatalf("lost BenchmarkSim: keys %v", got)
 	}
 }
@@ -173,11 +190,11 @@ BenchmarkNoisy-8    1000    140000 ns/op
 	}
 	for _, line := range strings.Split(stdout.String(), "\n") {
 		switch {
-		case strings.HasPrefix(line, "BenchmarkSim "):
+		case strings.HasPrefix(line, "BenchmarkSim-8 "):
 			if !strings.Contains(line, "(pct)") {
 				t.Errorf("tight-spread row should use the percentage gate: %s", line)
 			}
-		case strings.HasPrefix(line, "BenchmarkNoisy "):
+		case strings.HasPrefix(line, "BenchmarkNoisy-8 "):
 			if !strings.Contains(line, "(iqr)") {
 				t.Errorf("wide-spread row should use the IQR gate: %s", line)
 			}
@@ -249,12 +266,12 @@ func TestSummaryFile(t *testing.T) {
 		"### benchdiff: no time/op regressions",
 		"| benchmark |",
 		"| gate term |",
-		"| BenchmarkSim | 38.00 | 38.00 | +0.0% |",
+		"| BenchmarkSim-8 | 38.00 | 38.00 | +0.0% |",
 		"| pct | pass |",
 		"| iqr | pass |", // BenchmarkWide's 3·IQR dwarfs 20% of its median
-		"| BenchmarkGone |",
+		"| BenchmarkGone-8 |",
 		"removed (not gated)",
-		"| BenchmarkFresh |",
+		"| BenchmarkFresh-8 |",
 		"new (not gated)",
 	} {
 		if !strings.Contains(md, want) {

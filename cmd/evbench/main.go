@@ -3,15 +3,11 @@
 //
 // Usage:
 //
-//	evbench [-quick] [-ablations] [-out results.txt] [-progress]
-//	evbench -json BENCH_baseline.json
+//	evbench [-quick] [-ablations] [-format text|markdown] [-out results.txt] [-progress]
 //
 // The default full-scale run mirrors the paper's setup (1000 human objects);
-// -quick runs the same sweeps on a 200-person world in seconds. -json runs
-// the machine-readable benchmark suite instead of the figure sweeps and
-// writes time/op, allocs/op, and the paper-shape metrics to the given file —
-// the format BENCH_baseline.json is committed in. -cpuprofile/-memprofile
-// capture pprof profiles of whichever mode runs.
+// -quick runs the same sweeps on a 200-person world in seconds.
+// -cpuprofile/-memprofile capture pprof profiles of the run.
 package main
 
 import (
@@ -24,16 +20,10 @@ import (
 	"runtime/pprof"
 
 	"evmatching"
-	"evmatching/internal/benchsuite"
 	"evmatching/internal/experiments"
 )
 
 func main() {
-	// The remote-shard suite benchmarks spawn this binary as their evshardd
-	// worker; a re-exec marked by the sentinel runs the worker loop instead.
-	if benchsuite.IsWorkerReexec() {
-		os.Exit(benchsuite.WorkerExitCode())
-	}
 	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "evbench:", err)
 		os.Exit(1)
@@ -47,17 +37,15 @@ func run(args []string) error {
 		ablations = fs.Bool("ablations", false, "also run the ablation studies")
 		outPath   = fs.String("out", "", "write results to this file as well as stdout")
 		progress  = fs.Bool("progress", false, "log per-run progress to stderr")
-		format    = fs.String("format", "text", "output format: text, markdown, or csv")
-		plots     = fs.Bool("plots", false, "render ASCII line charts after each figure (text format)")
+		format    = fs.String("format", "text", "output format: text or markdown")
 		runs      = fs.Int("runs", 1, "average each measurement over this many matcher seeds")
-		jsonPath  = fs.String("json", "", "run the machine-readable benchmark suite and write it to this file")
 		cpuProf   = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf   = fs.String("memprofile", "", "write a heap profile to this file at exit")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *format != "text" && *format != "markdown" && *format != "csv" {
+	if *format != "text" && *format != "markdown" {
 		return fmt.Errorf("unknown format %q", *format)
 	}
 	if *cpuProf != "" {
@@ -85,9 +73,6 @@ func run(args []string) error {
 			}
 		}()
 	}
-	if *jsonPath != "" {
-		return runSuite(*jsonPath, *progress)
-	}
 	cfg := evmatching.PaperExperiments()
 	if *quick {
 		cfg = evmatching.QuickExperiments()
@@ -112,13 +97,8 @@ func run(args []string) error {
 	}
 	ctx := context.Background()
 	runFigures, runAblations := runner.RunAll, runner.RunAblations
-	switch {
-	case *format == "markdown":
+	if *format == "markdown" {
 		runFigures, runAblations = runner.RunAllMarkdown, runner.RunAblationsMarkdown
-	case *format == "csv":
-		runFigures = runner.RunAllCSV
-	case *plots:
-		runFigures = runner.RunAllPlots
 	}
 	if err := runFigures(ctx, out); err != nil {
 		return err
@@ -128,27 +108,5 @@ func run(args []string) error {
 			return err
 		}
 	}
-	return nil
-}
-
-// runSuite runs the benchsuite and writes the JSON baseline file.
-func runSuite(path string, progress bool) error {
-	var logw io.Writer
-	if progress {
-		logw = os.Stderr
-	}
-	suite, err := benchsuite.Run(logw)
-	if err != nil {
-		return err
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := suite.WriteJSON(f); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %d benchmark results to %s\n", len(suite.Results), path)
 	return nil
 }

@@ -40,8 +40,10 @@ func TestRunQuickMarkdownToFile(t *testing.T) {
 }
 
 func TestRunValidation(t *testing.T) {
-	if err := run([]string{"-format", "yaml"}); err == nil {
-		t.Error("want error for unknown format")
+	for _, format := range []string{"yaml", "csv"} {
+		if err := run([]string{"-format", format}); err == nil {
+			t.Errorf("want error for unknown format %q", format)
+		}
 	}
 	if err := run([]string{"-bogus"}); err == nil {
 		t.Error("want flag parse error")

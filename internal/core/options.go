@@ -127,9 +127,9 @@ type Options struct {
 	EDPMaxScenarios int
 	// DisableBlocking turns off the posting index in front of the E stage
 	// (DESIGN.md §13) and restores the exhaustive scenario-by-scenario scan.
-	// It exists for one reason: the exhaustive scan is the oracle the
-	// equivalence battery compares the indexed path against and the subject
-	// of the *Exhaustive benchsuite rows. No command exposes it; the indexed
+	// It exists for one reason: the exhaustive scan is the oracle that
+	// TestBlockedSplitEquivalence and internal/scaletest's TestScaleSmoke
+	// compare the indexed path against. No command exposes it; the indexed
 	// path is bit-identical and not slower on any measured world.
 	DisableBlocking bool
 	// MemBudget caps the bytes of in-memory shuffle state in the parallel

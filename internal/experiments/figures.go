@@ -241,26 +241,6 @@ func (r *Runner) RunAll(ctx context.Context, w io.Writer) error {
 	return nil
 }
 
-// RunAllPlots is RunAll with an ASCII line chart rendered after each series,
-// approximating the paper's figures in a terminal.
-func (r *Runner) RunAllPlots(ctx context.Context, w io.Writer) error {
-	results, err := r.results(ctx)
-	if err != nil {
-		return err
-	}
-	for _, res := range results {
-		if _, err := fmt.Fprintf(w, "%s\n", res); err != nil {
-			return err
-		}
-		if s, ok := res.(*metrics.Series); ok {
-			if _, err := fmt.Fprintf(w, "%s\n", s.Plot()); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
 // RunAllMarkdown is RunAll with markdown-table output, for EXPERIMENTS.md.
 func (r *Runner) RunAllMarkdown(ctx context.Context, w io.Writer) error {
 	results, err := r.results(ctx)
@@ -269,24 +249,6 @@ func (r *Runner) RunAllMarkdown(ctx context.Context, w io.Writer) error {
 	}
 	for _, res := range results {
 		if err := metrics.FprintMarkdown(w, res); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// RunAllCSV is RunAll with CSV output, for external plotting tools.
-func (r *Runner) RunAllCSV(ctx context.Context, w io.Writer) error {
-	results, err := r.results(ctx)
-	if err != nil {
-		return err
-	}
-	for _, res := range results {
-		c, ok := res.(metrics.CSVPrinter)
-		if !ok {
-			return fmt.Errorf("experiments: result %T is not CSV-renderable", res)
-		}
-		if err := metrics.FprintCSV(w, c); err != nil {
 			return err
 		}
 	}

@@ -62,9 +62,6 @@ func NewRunner(cfg Config, log io.Writer) (*Runner, error) {
 	}, nil
 }
 
-// Config returns the runner's configuration.
-func (r *Runner) Config() Config { return r.cfg }
-
 // datasetFor generates (or fetches) the dataset for a config variant.
 func (r *Runner) datasetFor(key string, mutate func(*dataset.Config)) (*dataset.Dataset, error) {
 	if ds, ok := r.data[key]; ok {

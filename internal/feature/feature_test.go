@@ -241,16 +241,29 @@ func TestClampByte(t *testing.T) {
 	}
 }
 
+// BenchmarkExtract covers Extract, which allocates its vector, and
+// ExtractInto, which writes into a reused one.
 func BenchmarkExtract(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	patch := EncodePatch(randomUnit(rng, 64), 1, rng)
 	ex := Extractor{Dim: 64, WorkFactor: 4}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ex.Extract(patch); err != nil {
-			b.Fatal(err)
+	b.Run("alloc", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := ex.Extract(patch); err != nil {
+				b.Fatal(err)
+			}
 		}
-	}
+	})
+	b.Run("into", func(b *testing.B) {
+		dst := make(Vector, 64)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := ex.ExtractInto(patch, dst); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 func BenchmarkSim(b *testing.B) {

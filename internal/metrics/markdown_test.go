@@ -52,42 +52,3 @@ func TestFprintMarkdown(t *testing.T) {
 		t.Error("missing trailing blank line")
 	}
 }
-
-func TestTableCSV(t *testing.T) {
-	tb := NewTable("Table I", "Matched EIDs", "SS", "EDP")
-	tb.AddRow("200", "92.42%", "93%")
-	got := tb.CSV()
-	if !strings.Contains(got, "# Table I\n") {
-		t.Errorf("missing title comment:\n%s", got)
-	}
-	if !strings.Contains(got, "Matched EIDs,SS,EDP\n") {
-		t.Errorf("missing header:\n%s", got)
-	}
-	if !strings.Contains(got, "200,92.42%,93%\n") {
-		t.Errorf("missing row:\n%s", got)
-	}
-}
-
-func TestSeriesCSV(t *testing.T) {
-	s := NewSeries("Fig 5", "EIDs", "SS")
-	s.Add(100, 60.5)
-	got := s.CSV()
-	if !strings.Contains(got, "EIDs,SS\n") || !strings.Contains(got, "100.0000,60.5000\n") {
-		t.Errorf("series CSV:\n%s", got)
-	}
-	var buf bytes.Buffer
-	if err := FprintCSV(&buf, s); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasSuffix(buf.String(), "\n\n") {
-		t.Error("missing trailing blank line")
-	}
-}
-
-func TestCSVEscapesCommas(t *testing.T) {
-	tb := NewTable("", "a")
-	tb.AddRow("x,y")
-	if !strings.Contains(tb.CSV(), `"x,y"`) {
-		t.Errorf("comma not quoted:\n%s", tb.CSV())
-	}
-}

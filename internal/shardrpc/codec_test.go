@@ -14,6 +14,8 @@ import (
 	"strings"
 	"testing"
 
+	"evmatching/internal/geo"
+	"evmatching/internal/ids"
 	"evmatching/internal/scenario"
 	"evmatching/internal/stream"
 )
@@ -113,6 +115,50 @@ func TestDecodedValuesOwnTheirBytes(t *testing.T) {
 			t.Errorf("frame %d changed after later frames reused the buffer\n got %+v\nwant %+v", i, got[i], bodies[i])
 		}
 	}
+}
+
+// BenchmarkApplyReplyFrame prices the wire cost a remote replay pays per
+// emission: one frame encode plus decode of a representative ApplyReply — one
+// sealed round of four (window, cell) closures, eight EIDs and eight
+// detection references each. Encoder and decoder keep their buffers across
+// iterations, as a connection's do. wire_bytes is the frame size.
+func BenchmarkApplyReplyFrame(b *testing.B) {
+	const dets = 8
+	sealed := make([]stream.ShardSealed, 4)
+	for i := range sealed {
+		s := stream.ShardSealed{Window: i, Cell: geo.CellID(3 + i)}
+		for j := 0; j < dets; j++ {
+			s.EIDs = append(s.EIDs, stream.BucketEID{
+				EID: ids.EID(fmt.Sprintf("bench-e%02d", j)), Attr: scenario.AttrInclusive,
+			})
+			s.Refs = append(s.Refs, int64(1_000*(i+1)+37*j))
+		}
+		sealed[i] = s
+	}
+	reply := ApplyReply{Outs: []stream.ShardOut{{Round: 1, Target: 1, MaxTS: 1_000, Sealed: sealed}}}
+	var (
+		enc  FrameEncoder
+		wire bytes.Buffer
+		size int
+	)
+	dec := NewFrameDecoder(&wire, "worker")
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		frame, err := enc.Encode(uint64(i), ServiceName+".Apply", "", &reply)
+		if err != nil {
+			b.Fatal(err)
+		}
+		size = len(frame)
+		wire.Write(frame)
+		var got ApplyReply
+		if _, _, _, err := dec.Decode(&got); err != nil {
+			b.Fatal(err)
+		}
+		if len(got.Outs) != 1 || len(got.Outs[0].Sealed) != len(sealed) {
+			b.Fatalf("round trip lost emissions: got %d", len(got.Outs))
+		}
+	}
+	b.ReportMetric(float64(size), "wire_bytes")
 }
 
 // TestFrameErrors covers a response carrying an error (no body is read), an

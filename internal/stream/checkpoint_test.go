@@ -5,12 +5,14 @@ import (
 	"encoding/hex"
 	"errors"
 	"flag"
+	"math/rand"
 	"os"
 	"reflect"
 	"runtime"
 	"strings"
 	"testing"
 
+	"evmatching/internal/dataset"
 	"evmatching/internal/feature"
 	"evmatching/internal/ids"
 	"evmatching/internal/scenario"
@@ -260,5 +262,65 @@ func FuzzCheckpointDecode(f *testing.F) {
 		if r, err := RestoreRouter(RouterConfig{Config: cfg, Shards: 2}, bytes.NewReader(in)); err == nil {
 			r.Close()
 		}
+	})
+}
+
+// BenchmarkCheckpoint prices the checkpoint codec on a 100-person world's
+// log, replayed outside the timer into an engine that is not flushed, so its
+// image holds closed scenarios and open buckets both. encode writes the image
+// into a reused buffer (Engine.Checkpoint); restore rebuilds an engine from
+// it (Restore, split replay included). checkpoint_bytes is the image size.
+func BenchmarkCheckpoint(b *testing.B) {
+	dcfg := dataset.DefaultConfig()
+	dcfg.NumPersons = 100
+	dcfg.Density = 10
+	dcfg.NumWindows = 12
+	ds, err := dataset.Generate(dcfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	_, obs, err := EventsFromDataset(ds, 1_000, 5)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := Config{
+		Targets:    ds.SampleEIDs(20, rand.New(rand.NewSource(5))),
+		WindowMS:   1_000,
+		LatenessMS: 250,
+		Dim:        ds.Config.DescriptorDim(),
+		Seed:       5,
+	}
+	e, err := NewEngine(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, o := range obs {
+		if _, err := e.Ingest(o); err != nil {
+			b.Fatal(err)
+		}
+	}
+	var image bytes.Buffer
+	if err := e.Checkpoint(&image); err != nil {
+		b.Fatal(err)
+	}
+	b.Run("encode", func(b *testing.B) {
+		var buf bytes.Buffer
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			buf.Reset()
+			if err := e.Checkpoint(&buf); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(buf.Len()), "checkpoint_bytes")
+	})
+	b.Run("restore", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := Restore(cfg, bytes.NewReader(image.Bytes())); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(image.Len()), "checkpoint_bytes")
 	})
 }

@@ -48,7 +48,7 @@ func streamWorkingSetBytes(t *testing.T, cfg Config, obs []Observation) int64 {
 // (gauges prove it) yet Finalize's fingerprint is byte-identical to the
 // unbudgeted run — in both serial and parallel finalize modes. (Shuffle-run
 // spilling needs a budget sized to the much smaller shuffle byte volume;
-// the mapreduce tests and the benchsuite spill battery cover it.)
+// the mapreduce tests and internal/scaletest's TestScaleSmokeSpill cover it.)
 func TestStreamSpillEquivalence(t *testing.T) {
 	for _, mode := range []core.Mode{core.ModeSerial, core.ModeParallel} {
 		t.Run(mode.String(), func(t *testing.T) {
