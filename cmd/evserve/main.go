@@ -34,9 +34,8 @@
 //
 // In cluster mode the matching phase runs on the fault-tolerant distributed
 // runtime (an in-process coordinator plus -workers workers over localhost
-// RPC), degrading to the serial path if the pool collapses; its recovery
-// counters — retries, evictions, speculative wins — are then served at
-// /metricsz.
+// RPC); its recovery counters — retries, evictions, speculative wins — are
+// then served at /metricsz.
 package main
 
 import (
@@ -52,7 +51,6 @@ import (
 
 	"evmatching"
 	"evmatching/internal/cluster"
-	"evmatching/internal/mapreduce"
 	"evmatching/internal/metrics"
 	"evmatching/internal/server"
 	"evmatching/internal/shardrpc"
@@ -117,9 +115,6 @@ func startCluster(workers int) (*cluster.Executor, func(), error) {
 		_ = os.RemoveAll(dir)
 		return nil, nil, err
 	}
-	// Graceful degradation: if every worker dies, the matching phase falls
-	// back to the in-process serial engine rather than failing the command.
-	exec.Fallback = mapreduce.SerialExecutor{}
 	shutdown := func() {
 		_ = coord.Close()
 		cancel()
@@ -131,14 +126,13 @@ func startCluster(workers int) (*cluster.Executor, func(), error) {
 
 // publishClusterStats copies the coordinator's fault-recovery totals into the
 // registry served at /metricsz.
-func publishClusterStats(reg *metrics.Registry, stats cluster.Stats, fallbacks int64) {
+func publishClusterStats(reg *metrics.Registry, stats cluster.Stats) {
 	reg.Set("cluster.retries", stats.Retries)
 	reg.Set("cluster.evictions", stats.Evictions)
 	reg.Set("cluster.speculative_dispatches", stats.SpeculativeDispatches)
 	reg.Set("cluster.speculative_wins", stats.SpeculativeWins)
 	reg.Set("cluster.stale_reports", stats.StaleReports)
 	reg.Set("cluster.dead_workers", stats.DeadWorkers)
-	reg.Set("cluster.fallbacks", fallbacks)
 }
 
 // publishBlockStats copies the batch matcher's posting-index totals into the
@@ -158,8 +152,8 @@ func publishBlockStats(reg *metrics.Registry, rep *evmatching.Report) {
 
 // publishSpillStats copies the batch run's out-of-core totals into the
 // registry served at /metricsz. A live stream engine republishes the same
-// gauge names with its own running totals (which include any budgeted
-// finalize); all-zero when -mem-budget is unset or never exceeded.
+// gauge names with its own running totals; all-zero when -mem-budget is
+// unset or never exceeded.
 func publishSpillStats(reg *metrics.Registry, s spill.Snapshot) {
 	reg.SetMany(map[string]int64{
 		"spill_bytes_spilled": s.BytesSpilled,
@@ -240,8 +234,15 @@ func run(args []string, ready chan<- string) error {
 	if *streamShardWks > 0 && *streamShards > 0 {
 		return errors.New("use either -stream-shards or -stream-shard-workers, not both")
 	}
-	if *streamShardWks > 0 && *streamWindow <= 0 {
-		return errors.New("-stream-shard-workers needs -stream-window > 0")
+	if *streamWindow <= 0 {
+		switch {
+		case *streamShards > 0:
+			return errors.New("-stream-shards needs -stream-window > 0")
+		case *streamShardWks > 0:
+			return errors.New("-stream-shard-workers needs -stream-window > 0")
+		case *streamCkpt != "":
+			return errors.New("-stream-checkpoint needs -stream-window > 0")
+		}
 	}
 	ds, err := evmatching.LoadDataset(*data)
 	if err != nil {
@@ -289,7 +290,7 @@ func run(args []string, ready chan<- string) error {
 		idx.Len(), time.Since(start).Round(time.Millisecond),
 		rep.Accuracy(ds.TruthVID)*100)
 	if clusterExec != nil {
-		publishClusterStats(reg, clusterExec.Stats(), clusterExec.Fallbacks())
+		publishClusterStats(reg, clusterExec.Stats())
 	}
 	publishBlockStats(reg, rep)
 	publishSpillStats(reg, rep.Spill)

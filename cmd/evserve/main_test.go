@@ -237,14 +237,11 @@ func TestServeClusterMode(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, name := range []string{
-		"cluster.retries", "cluster.evictions", "cluster.speculative_wins", "cluster.fallbacks",
+		"cluster.retries", "cluster.evictions", "cluster.speculative_wins",
 	} {
 		if _, ok := counters[name]; !ok {
 			t.Errorf("/metricsz missing %s: %v", name, counters)
 		}
-	}
-	if counters["cluster.fallbacks"] != 0 {
-		t.Errorf("healthy cluster should not fall back, got %d", counters["cluster.fallbacks"])
 	}
 }
 
@@ -261,5 +258,16 @@ func TestRunValidation(t *testing.T) {
 	}
 	if err := run([]string{"-data", data, "-mode", "cluster", "-workers", "0"}, nil); err == nil {
 		t.Error("want error for cluster mode with zero workers")
+	}
+	// A stream flag without live ingestion would do nothing: refused before
+	// any matching, so the unlistenable address is never reached.
+	for _, extra := range [][]string{
+		{"-stream-shards", "2"},
+		{"-stream-checkpoint", filepath.Join(t.TempDir(), "state.ckpt")},
+	} {
+		args := append([]string{"-data", data, "-addr", "no port"}, extra...)
+		if err := run(args, nil); err == nil || !strings.Contains(err.Error(), "needs -stream-window") {
+			t.Errorf("%s without -stream-window: err = %v, want it refused", extra[0], err)
+		}
 	}
 }

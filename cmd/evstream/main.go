@@ -3,13 +3,13 @@
 // event-time windows, the watermark closes them, the partition refines
 // incrementally, and resolutions stream out the moment an EID's candidate
 // set becomes a singleton. With -finalize (the default) the replay ends in
-// the batch-equivalent final match, whose fingerprint is byte-identical to
-// running batch SS over the same data.
+// the batch-equivalent final match, serial SS over the stream-built store,
+// whose fingerprint is byte-identical to running batch SS over the same data.
 //
 // Usage:
 //
 //	evstream -log obs.jsonl [-targets aa:bb:...,...] [-lateness-ms 250]
-//	         [-speed 0] [-seed 1] [-mode serial|parallel] [-workers 0]
+//	         [-speed 0] [-seed 1]
 //	         [-shards 0] [-shard-workers 0] [-shardd path] [-shard-kill spec]
 //	         [-checkpoint state.ckpt] [-checkpoint-every 2000]
 //	         [-max-events 0] [-finalize] [-mem-budget 0] [-spill-dir ""] [-v]
@@ -46,7 +46,6 @@ import (
 	"strings"
 	"time"
 
-	"evmatching/internal/core"
 	"evmatching/internal/ids"
 	"evmatching/internal/shardrpc"
 	"evmatching/internal/spill"
@@ -68,8 +67,6 @@ func run(args []string, out io.Writer) error {
 		latenessMS = fs.Int64("lateness-ms", 250, "allowed lateness in event-time milliseconds")
 		speed      = fs.Float64("speed", 0, "replay pacing: event-time speedup factor (0 = as fast as possible)")
 		seed       = fs.Int64("seed", 1, "matcher seed")
-		modeName   = fs.String("mode", "serial", "finalize execution mode: serial or parallel")
-		workers    = fs.Int("workers", 0, "parallel workers (0 = GOMAXPROCS)")
 		shards     = fs.Int("shards", 0, "cell-range ingest shards (0 = unsharded single engine)")
 		shardWkrs  = fs.Int("shard-workers", 0, "run N ingest shards in separate evshardd worker processes (mutually exclusive with -shards)")
 		sharddPath = fs.String("shardd", "", "evshardd worker binary for -shard-workers (default: next to evstream, else on PATH)")
@@ -78,7 +75,7 @@ func run(args []string, out io.Writer) error {
 		ckptEvery  = fs.Int64("checkpoint-every", 2000, "observations between checkpoint writes")
 		maxEvents  = fs.Int64("max-events", 0, "stop after this log position (0 = whole log)")
 		finalize   = fs.Bool("finalize", true, "flush and run the batch-equivalent final match")
-		memBudget  = fs.Int64("mem-budget", 0, "bytes of sealed-window and shuffle state kept in memory; past it, state spills to disk (0 = unlimited)")
+		memBudget  = fs.Int64("mem-budget", 0, "bytes of sealed-window state kept in memory; past it, state spills to disk (0 = unlimited)")
 		spillDir   = fs.String("spill-dir", "", "directory for spill files (default: OS temp dir)")
 		verbose    = fs.Bool("v", false, "print every resolution as it is emitted")
 	)
@@ -94,16 +91,6 @@ func run(args []string, out io.Writer) error {
 	if *shardKill != "" && *shardWkrs == 0 {
 		return errors.New("-shard-kill needs -shard-workers")
 	}
-	var mode core.Mode
-	switch *modeName {
-	case "serial":
-		mode = core.ModeSerial
-	case "parallel":
-		mode = core.ModeParallel
-	default:
-		return fmt.Errorf("unknown mode %q", *modeName)
-	}
-
 	f, err := os.Open(*logPath)
 	if err != nil {
 		return err
@@ -140,8 +127,6 @@ func run(args []string, out io.Writer) error {
 		LatenessMS: *latenessMS,
 		Dim:        hdr.Dim,
 		Seed:       *seed,
-		Mode:       mode,
-		Workers:    *workers,
 		MemBudget:  *memBudget,
 		SpillDir:   *spillDir,
 	}
@@ -296,8 +281,8 @@ func run(args []string, out io.Writer) error {
 	fmt.Fprintf(out, "finalized %d targets, matched %d, fingerprint sha256=%s\n",
 		len(rep.Targets), rep.Matched(), hex.EncodeToString(sum[:]))
 	if s := e.SpillStats(); s.Spilled() {
-		fmt.Fprintf(out, "spill: %d bytes spilled, %d evictions, %d reloads, %d runs written, %d runs merged\n",
-			s.BytesSpilled, s.Evictions, s.Reloads, s.RunsWritten, s.RunsMerged)
+		fmt.Fprintf(out, "spill: %d bytes spilled, %d evictions, %d reloads\n",
+			s.BytesSpilled, s.Evictions, s.Reloads)
 	}
 	printWorkerStats()
 	return nil

@@ -289,10 +289,6 @@ func TestRunValidation(t *testing.T) {
 	if err := run([]string{"-bogus"}, new(bytes.Buffer)); err == nil {
 		t.Error("want flag parse error")
 	}
-	_, logPath := writeTestLog(t, dir)
-	if err := run([]string{"-log", logPath, "-mode", "quantum"}, new(bytes.Buffer)); err == nil {
-		t.Error("want error for unknown mode")
-	}
 	garbage := filepath.Join(dir, "bad.jsonl")
 	if err := os.WriteFile(garbage, []byte("not a log\n"), 0o644); err != nil {
 		t.Fatal(err)

@@ -1,11 +1,10 @@
-// Command evviz renders an EV dataset as an SVG: the cell layout, optional
-// RSSI stations, and selected trajectories (solid = visual tracks, dashed =
-// electronic tracks).
+// Command evviz renders an EV dataset as an SVG: the cell layout and
+// selected trajectories (solid = visual tracks, dashed = electronic tracks).
 //
 // Usage:
 //
 //	evviz -data world.gob -out world.svg [-persons 0,1,2] [-eids aa:bb:...]
-//	      [-stations] [-size 800]
+//	      [-size 800]
 package main
 
 import (
@@ -31,12 +30,11 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("evviz", flag.ContinueOnError)
 	var (
-		data     = fs.String("data", "", "dataset file from evgen (required)")
-		out      = fs.String("out", "", "output SVG file (required)")
-		persons  = fs.String("persons", "", "comma-separated person indexes to draw")
-		eids     = fs.String("eids", "", "comma-separated EIDs whose E-trajectories to draw")
-		stations = fs.Bool("stations", false, "draw RSSI stations if present")
-		size     = fs.Int("size", 800, "output edge length in pixels")
+		data    = fs.String("data", "", "dataset file from evgen (required)")
+		out     = fs.String("out", "", "output SVG file (required)")
+		persons = fs.String("persons", "", "comma-separated person indexes to draw")
+		eids    = fs.String("eids", "", "comma-separated EIDs whose E-trajectories to draw")
+		size    = fs.Int("size", 800, "output edge length in pixels")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -48,7 +46,7 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	opts := viz.Options{Size: *size, ShowStations: *stations}
+	opts := viz.Options{Size: *size}
 	for _, s := range splitList(*persons) {
 		idx, err := strconv.Atoi(s)
 		if err != nil {

@@ -15,7 +15,6 @@ func writeDataset(t *testing.T) string {
 	cfg.NumPersons = 30
 	cfg.Density = 6
 	cfg.NumWindows = 8
-	cfg.ELocal = evmatching.DefaultELocalConfig()
 	ds, err := evmatching.Generate(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -34,7 +33,6 @@ func TestRunRendersSVG(t *testing.T) {
 		"-data", data,
 		"-out", out,
 		"-persons", "0, 1",
-		"-stations",
 		"-size", "600",
 	})
 	if err != nil {

@@ -1,11 +1,15 @@
 package main
 
 import (
+	"context"
+	"fmt"
 	"net"
 	"os"
 	"path/filepath"
 	"testing"
 	"time"
+
+	"evmatching/internal/cluster"
 )
 
 // freePort reserves an ephemeral localhost port and returns its address.
@@ -20,6 +24,33 @@ func freePort(t *testing.T) string {
 		t.Fatal(err)
 	}
 	return addr
+}
+
+// runWorkerForTest joins one demo worker to the coordinator, retrying the
+// dial until the coordinator is listening, then processes tasks in the
+// background. Worker RPC errors after the coordinator shuts down are
+// expected and ignored.
+func runWorkerForTest(addr, dir string, dialBudget time.Duration) error {
+	reg := cluster.NewRegistry()
+	if err := cluster.RegisterWordCount(reg); err != nil {
+		return err
+	}
+	deadline := time.Now().Add(dialBudget)
+	for {
+		w, err := cluster.NewWorker(addr, cluster.WorkerConfig{ID: "test-worker", Dir: dir, Registry: reg})
+		if err == nil {
+			go func() {
+				// The coordinator closing mid-request surfaces as an RPC
+				// error here; the job result is what the test asserts on.
+				_ = w.Run(context.Background())
+			}()
+			return nil
+		}
+		if time.Now().After(deadline) {
+			return fmt.Errorf("dial coordinator: %w", err)
+		}
+		time.Sleep(50 * time.Millisecond)
+	}
 }
 
 func TestCoordinatorAndWorkerEndToEnd(t *testing.T) {

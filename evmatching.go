@@ -24,7 +24,6 @@ import (
 
 	"evmatching/internal/core"
 	"evmatching/internal/dataset"
-	"evmatching/internal/elocal"
 	"evmatching/internal/experiments"
 	"evmatching/internal/fusion"
 	"evmatching/internal/ids"
@@ -63,15 +62,6 @@ const (
 	LayoutGrid = dataset.LayoutGrid
 	LayoutHex  = dataset.LayoutHex
 )
-
-// ELocalConfig parameterizes the RSSI localization substrate (base
-// stations, path loss, shadowing, multilateration) selectable through
-// DatasetConfig.ELocal.
-type ELocalConfig = elocal.Config
-
-// DefaultELocalConfig returns a WiFi-like deployment: 25 stations per square
-// kilometer with moderate urban shadowing.
-func DefaultELocalConfig() ELocalConfig { return elocal.DefaultConfig() }
 
 // Matcher types.
 type (

@@ -11,7 +11,6 @@ import (
 	"math"
 	"time"
 
-	"evmatching/internal/elocal"
 	"evmatching/internal/geo"
 )
 
@@ -106,25 +105,10 @@ type Config struct {
 	ObsNoise float64
 	// PixelNoise is per-pixel sensor noise in gray levels.
 	PixelNoise float64
-	// GaitDim, when positive, adds a gait feature channel of that
-	// dimensionality to every descriptor (feature-level fusion per the
-	// paper's VID-feature citation [12]). Zero disables the channel.
-	GaitDim int
-	// GaitNoise is the per-dimension gait variation between observations;
-	// gait is typically steadier than appearance.
-	GaitNoise float64
-	// GaitWeight scales the gait block inside the fused descriptor.
-	GaitWeight float64
 
 	// ELocNoise is the standard deviation, in meters, of E-localization
-	// error; it produces drifting EIDs near cell borders. Ignored when
-	// ELocal.Enabled selects the RSSI model instead.
+	// error; it produces drifting EIDs near cell borders.
 	ELocNoise float64
-	// ELocal optionally replaces the Gaussian E-noise with the full RSSI
-	// localization substrate: base stations, path loss, shadowing, and
-	// multilateration. Failed fixes (too few stations in range) drop the
-	// tick's E-observation entirely.
-	ELocal elocal.Config
 	// VagueWidth is the width in meters of the vague zone along cell
 	// borders (paper Fig. 2); zero disables vague zones.
 	VagueWidth float64
@@ -175,14 +159,9 @@ func (c Config) Practical() Config {
 	return c
 }
 
-// DescriptorDim returns the full per-detection feature dimensionality:
-// appearance plus the optional gait channel.
-func (c Config) DescriptorDim() int {
-	if c.GaitDim > 0 {
-		return c.FeatureDim + c.GaitDim
-	}
-	return c.FeatureDim
-}
+// DescriptorDim returns the per-detection feature dimensionality, which is
+// the appearance dimensionality.
+func (c Config) DescriptorDim() int { return c.FeatureDim }
 
 // NumCells returns the number of cells implied by NumPersons and Density.
 func (c Config) NumCells() int {
@@ -223,18 +202,12 @@ func (c Config) Validate() error {
 		return fmt.Errorf("%w: hotspot parameters", ErrBadConfig)
 	case c.FeatureDim < 2:
 		return fmt.Errorf("%w: FeatureDim=%d", ErrBadConfig, c.FeatureDim)
-	case c.GaitDim != 0 && c.GaitDim < 2:
-		return fmt.Errorf("%w: GaitDim=%d", ErrBadConfig, c.GaitDim)
-	case c.GaitDim > 0 && (c.GaitNoise < 0 || c.GaitWeight <= 0):
-		return fmt.Errorf("%w: gait noise %f / weight %f", ErrBadConfig, c.GaitNoise, c.GaitWeight)
 	case c.ObsNoise < 0 || c.PixelNoise < 0 || c.ELocNoise < 0 || c.VagueWidth < 0:
 		return fmt.Errorf("%w: negative noise parameter", ErrBadConfig)
 	case c.InclusiveFrac <= 0 || c.InclusiveFrac > 1:
 		return fmt.Errorf("%w: InclusiveFrac=%f", ErrBadConfig, c.InclusiveFrac)
 	case c.MinFrac < 0 || c.MinFrac > c.InclusiveFrac:
 		return fmt.Errorf("%w: MinFrac=%f", ErrBadConfig, c.MinFrac)
-	case c.ELocal.Validate() != nil:
-		return fmt.Errorf("%w: %w", ErrBadConfig, c.ELocal.Validate())
 	case c.EIDMissingRate < 0 || c.EIDMissingRate >= 1:
 		return fmt.Errorf("%w: EIDMissingRate=%f", ErrBadConfig, c.EIDMissingRate)
 	case c.VIDMissingRate < 0 || c.VIDMissingRate >= 1:

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"evmatching/internal/elocal"
 	"evmatching/internal/geo"
 	"evmatching/internal/ids"
 	"evmatching/internal/scenario"
@@ -361,54 +360,6 @@ func TestGenerateRejectsBadConfig(t *testing.T) {
 	cfg.TickInterval = -time.Second
 	if _, err := Generate(cfg); err == nil {
 		t.Error("want error")
-	}
-}
-
-func TestGenerateWithRSSILocalization(t *testing.T) {
-	cfg := smallConfig().Practical()
-	cfg.ELocal = elocal.DefaultConfig()
-	ds := mustGenerate(t, cfg)
-	if ds.Store.Len() == 0 {
-		t.Fatal("no scenarios with RSSI localization")
-	}
-	// RSSI fixes drift: some EIDs should be attributed vague.
-	var vague int
-	for id := scenario.ID(0); int(id) < ds.Store.Len(); id++ {
-		for _, attr := range ds.Store.E(id).EIDs {
-			if attr == scenario.AttrVague {
-				vague++
-			}
-		}
-	}
-	if vague == 0 {
-		t.Error("RSSI localization produced no vague attributions")
-	}
-}
-
-func TestGenerateRejectsBadELocal(t *testing.T) {
-	cfg := smallConfig()
-	cfg.ELocal.Enabled = true
-	cfg.ELocal.NumStations = 0
-	if _, err := Generate(cfg); err == nil {
-		t.Error("want validation error for bad ELocal config")
-	}
-}
-
-func TestRSSIRoundTripSerialization(t *testing.T) {
-	cfg := smallConfig()
-	cfg.NumWindows = 4
-	cfg.ELocal = elocal.DefaultConfig()
-	ds := mustGenerate(t, cfg)
-	var buf bytes.Buffer
-	if err := ds.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Config.ELocal.Enabled {
-		t.Error("ELocal config lost in round trip")
 	}
 }
 

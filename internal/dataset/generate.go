@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"evmatching/internal/elocal"
 	"evmatching/internal/feature"
 	"evmatching/internal/geo"
 	"evmatching/internal/ids"
@@ -27,9 +26,6 @@ type Dataset struct {
 	Layout  geo.Layout
 	Store   *scenario.Store
 	Persons []Person
-	// Stations holds the deployed localization stations when the RSSI
-	// model is enabled (for inspection and visualization).
-	Stations []elocal.Station
 
 	byEID map[ids.EID]int // EID -> person index
 }
@@ -46,7 +42,7 @@ func Generate(cfg Config) (*Dataset, error) {
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
-	observe, err := buildObserver(cfg, rng)
+	gallery, err := feature.NewGallery(rng, cfg.NumPersons, cfg.FeatureDim)
 	if err != nil {
 		return nil, fmt.Errorf("dataset: gallery: %w", err)
 	}
@@ -78,15 +74,7 @@ func Generate(cfg Config) (*Dataset, error) {
 		walkers[i] = w
 	}
 
-	gen := &generator{cfg: cfg, layout: layout, rng: rng, observe: observe, ds: ds}
-	if cfg.ELocal.Enabled {
-		model, err := elocal.New(cfg.ELocal, cfg.Region(), rng)
-		if err != nil {
-			return nil, fmt.Errorf("dataset: localization model: %w", err)
-		}
-		gen.elocal = model
-		ds.Stations = model.Stations()
-	}
+	gen := &generator{cfg: cfg, layout: layout, rng: rng, gallery: gallery, ds: ds}
 	for w := 0; w < cfg.NumWindows; w++ {
 		if err := gen.window(w, walkers); err != nil {
 			return nil, err
@@ -130,38 +118,13 @@ func moverFactory(cfg Config, rng *rand.Rand) (func() (mobility.Model, error), e
 	return func() (mobility.Model, error) { return mobility.NewHotspotWalker(hcfg, spots, rng) }, nil
 }
 
-// observer produces one feature observation of a person.
-type observer func(person int, rng *rand.Rand) feature.Vector
-
-// buildObserver selects the plain appearance gallery or the fused
-// appearance+gait gallery depending on the configuration.
-func buildObserver(cfg Config, rng *rand.Rand) (observer, error) {
-	if cfg.GaitDim > 0 {
-		g, err := feature.NewFusedGallery(rng, cfg.NumPersons, cfg.FeatureDim, cfg.GaitDim, cfg.GaitWeight)
-		if err != nil {
-			return nil, err
-		}
-		return func(person int, rng *rand.Rand) feature.Vector {
-			return g.Observe(person, cfg.ObsNoise, cfg.GaitNoise, rng)
-		}, nil
-	}
-	g, err := feature.NewGallery(rng, cfg.NumPersons, cfg.FeatureDim)
-	if err != nil {
-		return nil, err
-	}
-	return func(person int, rng *rand.Rand) feature.Vector {
-		return g.Observe(person, cfg.ObsNoise, rng)
-	}, nil
-}
-
 // generator accumulates per-window observations into EV-Scenarios.
 type generator struct {
 	cfg     Config
 	layout  geo.Layout
 	rng     *rand.Rand
-	observe observer
+	gallery *feature.Gallery
 	ds      *Dataset
-	elocal  *elocal.Model // nil unless cfg.ELocal.Enabled
 }
 
 // eObs tracks one EID's occurrences inside one cell during a window.
@@ -193,14 +156,7 @@ func (g *generator) window(w int, walkers []mobility.Model) error {
 				continue
 			}
 			epos := pos
-			switch {
-			case g.elocal != nil:
-				est, ok := g.elocal.Observe(pos, g.rng)
-				if !ok {
-					continue // too few stations heard the device this tick
-				}
-				epos = cfg.Region().Clamp(est)
-			case cfg.ELocNoise > 0:
+			if cfg.ELocNoise > 0 {
 				epos = cfg.Region().Clamp(geo.Pt(
 					pos.X+g.rng.NormFloat64()*cfg.ELocNoise,
 					pos.Y+g.rng.NormFloat64()*cfg.ELocNoise,
@@ -247,7 +203,7 @@ func (g *generator) placeDetections(w int, trueCells []map[geo.CellID]int) map[g
 		if cfg.VIDMissingRate > 0 && g.rng.Float64() < cfg.VIDMissingRate {
 			continue // occluded or missed by the detector
 		}
-		obs := g.observe(i, g.rng)
+		obs := g.gallery.Observe(i, cfg.ObsNoise, g.rng)
 		out[cell] = append(out[cell], scenario.Detection{
 			VID:        g.ds.Persons[i].VID,
 			Patch:      feature.EncodePatch(obs, cfg.PixelNoise, g.rng),

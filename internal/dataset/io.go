@@ -7,7 +7,6 @@ import (
 	"io"
 	"os"
 
-	"evmatching/internal/elocal"
 	"evmatching/internal/ids"
 	"evmatching/internal/scenario"
 )
@@ -22,23 +21,23 @@ type filePair struct {
 	HasV bool
 }
 
-// fileFormat is the gob-encoded dataset file layout.
+// fileFormat is the gob-encoded dataset file layout. Gob skips fields a
+// file carries that the type does not, so files holding the retired RSSI
+// station list or localisation config still load.
 type fileFormat struct {
-	Version  int
-	Config   Config
-	Persons  []Person
-	Stations []elocal.Station
-	Pairs    []filePair
+	Version int
+	Config  Config
+	Persons []Person
+	Pairs   []filePair
 }
 
 // Write serializes the dataset to w.
 func (d *Dataset) Write(w io.Writer) error {
 	ff := fileFormat{
-		Version:  fileVersion,
-		Config:   d.Config,
-		Persons:  d.Persons,
-		Stations: d.Stations,
-		Pairs:    make([]filePair, 0, d.Store.Len()),
+		Version: fileVersion,
+		Config:  d.Config,
+		Persons: d.Persons,
+		Pairs:   make([]filePair, 0, d.Store.Len()),
 	}
 	for id := scenario.ID(0); int(id) < d.Store.Len(); id++ {
 		p := filePair{E: *d.Store.E(id)}
@@ -72,12 +71,11 @@ func Read(r io.Reader) (*Dataset, error) {
 		return nil, err
 	}
 	d := &Dataset{
-		Config:   ff.Config,
-		Layout:   layout,
-		Store:    scenario.NewStore(layout),
-		Persons:  ff.Persons,
-		Stations: ff.Stations,
-		byEID:    make(map[ids.EID]int, len(ff.Persons)),
+		Config:  ff.Config,
+		Layout:  layout,
+		Store:   scenario.NewStore(layout),
+		Persons: ff.Persons,
+		byEID:   make(map[ids.EID]int, len(ff.Persons)),
 	}
 	for _, p := range ff.Persons {
 		if p.EID != ids.None {

@@ -7,28 +7,24 @@ import (
 	"fmt"
 	"testing"
 
-	"evmatching/internal/core"
 	"evmatching/internal/metrics"
 	"evmatching/internal/mrtest"
 	"evmatching/internal/shardrpc"
 	"evmatching/internal/stream"
 )
 
-// goldenCases are the same three sha256 pins the stream package freezes in
+// goldenCases are the serial sha256 pins the stream package freezes in
 // TestShardInvarianceGolden. The remote path must land on the identical
 // hashes: remote ≡ in-process ≡ unsharded ≡ batch, bit for bit.
 var goldenCases = []struct {
 	name      string
 	practical bool
-	mode      core.Mode
 	want      string
 }{
-	{"ideal-serial", false, core.ModeSerial,
+	{"ideal-serial", false,
 		"3e0a02707e629de5dad8e6a5a6f135bf698c7be0f8fc18583b2005894200fe71"},
-	{"practical-serial", true, core.ModeSerial,
+	{"practical-serial", true,
 		"e03713546448faa41e04d139ef8304ead2c11fa67e97d0186e7ab09e512f5b2e"},
-	{"practical-parallel", true, core.ModeParallel,
-		"a093882f68d3e321006251d7302bca42e014966bc9348bdc8867fc3dac59b3ee"},
 }
 
 // inProcessRunner drives the shard seam without processes: a ShardRunner
@@ -52,7 +48,7 @@ func TestSeamRunnerInvarianceGolden(t *testing.T) {
 			if err != nil {
 				t.Fatalf("EventsFromDataset: %v", err)
 			}
-			cfg := engineConfig(ds, targets, tc.mode)
+			cfg := engineConfig(ds, targets)
 			want := unshardedFingerprint(t, cfg, obs)
 			sum := sha256.Sum256([]byte(want))
 			if got := hex.EncodeToString(sum[:]); got != tc.want {
@@ -89,8 +85,8 @@ func TestRemoteShardInvarianceGolden(t *testing.T) {
 			if err != nil {
 				t.Fatalf("EventsFromDataset: %v", err)
 			}
-			cfg := engineConfig(ds, targets, tc.mode)
-			batch := batchFingerprint(t, ds, targets, tc.mode)
+			cfg := engineConfig(ds, targets)
+			batch := batchFingerprint(t, ds, targets)
 			want := unshardedFingerprint(t, cfg, obs)
 			if want != batch {
 				t.Fatalf("unsharded replay diverged from batch:\n--- batch\n%s\n--- stream\n%s", batch, want)

@@ -114,31 +114,25 @@ func chaosWorkload(t *testing.T) (stream.Config, []stream.Observation) {
 		LatenessMS: 250,
 		Dim:        ds.Config.DescriptorDim(),
 		Seed:       7,
-		Mode:       core.ModeSerial,
-		Workers:    4,
 	}, obs
 }
 
 // engineConfig is the shared engine configuration over a golden dataset.
-func engineConfig(ds *dataset.Dataset, targets []ids.EID, mode core.Mode) stream.Config {
+func engineConfig(ds *dataset.Dataset, targets []ids.EID) stream.Config {
 	return stream.Config{
 		Targets:    targets,
 		WindowMS:   1_000,
 		LatenessMS: 250,
 		Dim:        ds.Config.DescriptorDim(),
 		Seed:       7,
-		Mode:       mode,
-		Workers:    4,
 	}
 }
 
-// batchFingerprint runs the batch SS reference under ScanInOrder.
-func batchFingerprint(t *testing.T, ds *dataset.Dataset, targets []ids.EID, mode core.Mode) string {
+// batchFingerprint runs the serial batch SS reference under ScanInOrder.
+func batchFingerprint(t *testing.T, ds *dataset.Dataset, targets []ids.EID) string {
 	t.Helper()
 	m, err := core.New(ds, core.Options{
 		Algorithm: core.AlgorithmSS,
-		Mode:      mode,
-		Workers:   4,
 		Seed:      7,
 		ScanOrder: core.ScanInOrder,
 	})

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"evmatching/internal/core"
 	"evmatching/internal/metrics"
 	"evmatching/internal/mrtest"
 	"evmatching/internal/shardrpc"
@@ -26,7 +25,7 @@ func goldenReplay(t *testing.T) (stream.Config, []stream.Observation) {
 	if err != nil {
 		t.Fatalf("EventsFromDataset: %v", err)
 	}
-	return engineConfig(ds, ds.AllEIDs()[:16], core.ModeSerial), obs
+	return engineConfig(ds, ds.AllEIDs()[:16]), obs
 }
 
 // TestSweepExtractsOnlyWhatItSelects replays the golden log through the

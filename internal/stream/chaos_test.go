@@ -26,7 +26,7 @@ func TestStreamCrashRestoreChaos(t *testing.T) {
 	if err != nil {
 		t.Fatalf("EventsFromDataset: %v", err)
 	}
-	cfg := testConfig(ds, targets, core.ModeSerial)
+	cfg := testConfig(ds, targets)
 	want := batchFingerprint(t, ds, targets, core.ModeSerial)
 	// The practical-serial golden pin: crash/restore schedules must land on
 	// the same conformance hash as the clean replay and the batch run.
@@ -115,7 +115,7 @@ func TestCheckpointMidWindowState(t *testing.T) {
 	if err != nil {
 		t.Fatalf("EventsFromDataset: %v", err)
 	}
-	cfg := testConfig(ds, targets, core.ModeSerial)
+	cfg := testConfig(ds, targets)
 	want := replayFingerprint(t, cfg, obs)
 
 	e, err := NewEngine(cfg)
@@ -164,7 +164,7 @@ func TestCheckpointMidWindowState(t *testing.T) {
 func TestRestoreRejectsMismatchedConfig(t *testing.T) {
 	ds := testDataset(t, false)
 	targets := ds.AllEIDs()[:4]
-	cfg := testConfig(ds, targets, core.ModeSerial)
+	cfg := testConfig(ds, targets)
 	e, err := NewEngine(cfg)
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)

@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"evmatching/internal/core"
 	"evmatching/internal/scenario"
 )
 
@@ -154,7 +153,7 @@ func TestCloseUnblocksFlush(t *testing.T) {
 			}
 		}
 	})
-	r, err := NewRouter(RouterConfig{Config: testConfig(ds, ds.AllEIDs()[:4], core.ModeSerial), Runner: silent})
+	r, err := NewRouter(RouterConfig{Config: testConfig(ds, ds.AllEIDs()[:4]), Runner: silent})
 	if err != nil {
 		t.Fatalf("NewRouter: %v", err)
 	}
@@ -211,7 +210,7 @@ func TestConcurrentCheckpointsReturn(t *testing.T) {
 		RunShardInProcess(run)
 		<-forwarded
 	})
-	r, err := NewRouter(RouterConfig{Config: testConfig(ds, ds.AllEIDs()[:4], core.ModeSerial), Shards: 1, Runner: gated})
+	r, err := NewRouter(RouterConfig{Config: testConfig(ds, ds.AllEIDs()[:4]), Shards: 1, Runner: gated})
 	if err != nil {
 		t.Fatalf("NewRouter: %v", err)
 	}
@@ -280,7 +279,7 @@ func TestDeadShardBehindFullQueue(t *testing.T) {
 	if err != nil {
 		t.Fatalf("EventsFromDataset: %v", err)
 	}
-	cfg := testConfig(ds, targets, core.ModeSerial)
+	cfg := testConfig(ds, targets)
 	want := replayFingerprint(t, cfg, obs)
 	if len(obs) <= shardQueueLen {
 		t.Fatalf("%d observations cannot fill a %d-message queue", len(obs), shardQueueLen)

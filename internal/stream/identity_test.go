@@ -8,8 +8,6 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
-
-	"evmatching/internal/core"
 )
 
 // checkpointBytes serializes e and returns the raw checkpoint.
@@ -35,7 +33,7 @@ func TestCheckpointByteIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatalf("EventsFromDataset: %v", err)
 	}
-	cfg := testConfig(ds, targets, core.ModeSerial)
+	cfg := testConfig(ds, targets)
 
 	// Cut points: empty engine, mid-window interior cuts, and the full log.
 	cuts := []int{0, len(obs) / 4, len(obs)/2 + 7, len(obs) - 1, len(obs)}
@@ -87,7 +85,7 @@ func TestCheckpointByteIdentityAcrossArrivalOrders(t *testing.T) {
 	if err != nil {
 		t.Fatalf("EventsFromDataset: %v", err)
 	}
-	cfg := testConfig(ds, ds.AllEIDs()[:8], core.ModeSerial)
+	cfg := testConfig(ds, ds.AllEIDs()[:8])
 	once := withReshapedTwins(obs[:len(obs)/2+7])
 	var redelivered []Observation
 	for i, o := range once {
@@ -153,7 +151,7 @@ func TestResolutionStreamGolden(t *testing.T) {
 	if err != nil {
 		t.Fatalf("EventsFromDataset: %v", err)
 	}
-	cfg := testConfig(ds, ds.AllEIDs(), core.ModeSerial)
+	cfg := testConfig(ds, ds.AllEIDs())
 	for _, procs := range []int{1, 2, 8} {
 		for _, shards := range []int{0, 2} {
 			t.Run(fmt.Sprintf("procs=%d/shards=%d", procs, shards), func(t *testing.T) {

@@ -8,7 +8,6 @@ import (
 	"sort"
 	"testing"
 
-	"evmatching/internal/core"
 	"evmatching/internal/feature"
 )
 
@@ -88,7 +87,7 @@ func TestPermutationInvariance(t *testing.T) {
 		t.Fatalf("EventsFromDataset: %v", err)
 	}
 	obs = withReshapedTwins(obs)
-	cfg := testConfig(ds, targets, core.ModeSerial)
+	cfg := testConfig(ds, targets)
 	inOrder, err := NewEngine(cfg)
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
@@ -147,7 +146,7 @@ func TestDuplicateInvariance(t *testing.T) {
 	if err != nil {
 		t.Fatalf("EventsFromDataset: %v", err)
 	}
-	cfg := testConfig(ds, targets, core.ModeSerial)
+	cfg := testConfig(ds, targets)
 	want := replayFingerprint(t, cfg, obs)
 	doubled := make([]Observation, 0, 2*len(obs))
 	for _, o := range obs {
@@ -168,7 +167,7 @@ func TestLateDropInvariance(t *testing.T) {
 	if err != nil {
 		t.Fatalf("EventsFromDataset: %v", err)
 	}
-	cfg := testConfig(ds, targets, core.ModeSerial)
+	cfg := testConfig(ds, targets)
 	want := replayFingerprint(t, cfg, obs)
 	e, err := NewEngine(cfg)
 	if err != nil {

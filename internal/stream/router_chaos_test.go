@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"evmatching/internal/chaos"
-	"evmatching/internal/core"
 	"evmatching/internal/dataset"
 	"evmatching/internal/ids"
 	"evmatching/internal/mrtest"
@@ -60,8 +59,6 @@ func chaosWorkload(t *testing.T) (stream.Config, []stream.Observation, []ids.EID
 		LatenessMS: 250,
 		Dim:        ds.Config.DescriptorDim(),
 		Seed:       7,
-		Mode:       core.ModeSerial,
-		Workers:    4,
 	}
 	return ecfg, obs, targets
 }

@@ -6,8 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"testing"
-
-	"evmatching/internal/core"
 )
 
 // routerCheckpointBytes serializes r and returns the raw router image.
@@ -33,7 +31,7 @@ func TestRouterCheckpointByteIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatalf("EventsFromDataset: %v", err)
 	}
-	rcfg := RouterConfig{Config: testConfig(ds, targets, core.ModeSerial), Shards: 3}
+	rcfg := RouterConfig{Config: testConfig(ds, targets), Shards: 3}
 
 	cuts := []int{0, len(obs) / 4, len(obs)/2 + 7, len(obs) - 1, len(obs)}
 	r, err := NewRouter(rcfg)
@@ -84,7 +82,7 @@ func TestRouterCheckpointResume(t *testing.T) {
 	if err != nil {
 		t.Fatalf("EventsFromDataset: %v", err)
 	}
-	cfg := testConfig(ds, targets, core.ModeSerial)
+	cfg := testConfig(ds, targets)
 	want := replayFingerprint(t, cfg, obs)
 
 	cut := len(obs)/2 + 3
@@ -138,7 +136,7 @@ func TestRouterRestoresEngineImage(t *testing.T) {
 	if err != nil {
 		t.Fatalf("EventsFromDataset: %v", err)
 	}
-	cfg := testConfig(ds, targets, core.ModeSerial)
+	cfg := testConfig(ds, targets)
 	want := replayFingerprint(t, cfg, obs)
 
 	cut := len(obs)/3 + 11
@@ -217,7 +215,7 @@ func TestRouterRestoreRejectsMismatchedConfig(t *testing.T) {
 	if err != nil {
 		t.Fatalf("EventsFromDataset: %v", err)
 	}
-	cfg := testConfig(ds, targets, core.ModeSerial)
+	cfg := testConfig(ds, targets)
 	r, err := NewRouter(RouterConfig{Config: cfg, Shards: 2})
 	if err != nil {
 		t.Fatalf("NewRouter: %v", err)

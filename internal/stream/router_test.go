@@ -44,8 +44,9 @@ func shardDataset(t *testing.T, practical bool) *dataset.Dataset {
 }
 
 // routerFingerprint streams the observations through a fresh router with the
-// given shard count and finalizes, requiring every observation accepted.
-func routerFingerprint(t *testing.T, rcfg RouterConfig, obs []Observation) string {
+// given shard count and finalizes, requiring every observation accepted. The
+// fingerprint is finalFingerprint's under mode.
+func routerFingerprint(t *testing.T, rcfg RouterConfig, obs []Observation, mode core.Mode) string {
 	t.Helper()
 	r, err := NewRouter(rcfg)
 	if err != nil {
@@ -61,11 +62,7 @@ func routerFingerprint(t *testing.T, rcfg RouterConfig, obs []Observation) strin
 			t.Fatalf("Ingest %d: in-order observation dropped as late", i)
 		}
 	}
-	rep, err := r.Finalize(context.Background())
-	if err != nil {
-		t.Fatalf("Finalize: %v", err)
-	}
-	return rep.Fingerprint()
+	return finalFingerprint(t, r, mode)
 }
 
 // TestShardOfStable pins the cell → shard assignment. It is part of the
@@ -114,9 +111,9 @@ func TestShardInvarianceGolden(t *testing.T) {
 			if err != nil {
 				t.Fatalf("EventsFromDataset: %v", err)
 			}
-			cfg := testConfig(ds, targets, tc.mode)
+			cfg := testConfig(ds, targets)
 			batch := batchFingerprint(t, ds, targets, tc.mode)
-			unsharded := replayFingerprint(t, cfg, obs)
+			unsharded := finalFingerprint(t, replayEngine(t, cfg, obs), tc.mode)
 			if unsharded != batch {
 				t.Fatalf("unsharded replay diverged from batch:\n--- batch\n%s\n--- stream\n%s", batch, unsharded)
 			}
@@ -125,7 +122,7 @@ func TestShardInvarianceGolden(t *testing.T) {
 				t.Errorf("fingerprint hash = %s, want %s (match results changed)", got, tc.want)
 			}
 			for _, shards := range shardInvarianceShardCounts {
-				got := routerFingerprint(t, RouterConfig{Config: cfg, Shards: shards}, obs)
+				got := routerFingerprint(t, RouterConfig{Config: cfg, Shards: shards}, obs, tc.mode)
 				if got != unsharded {
 					t.Fatalf("%d-shard replay diverged from unsharded:\n--- unsharded\n%s\n--- sharded\n%s", shards, unsharded, got)
 				}
@@ -145,7 +142,7 @@ func TestShardPermutationInvariance(t *testing.T) {
 	if err != nil {
 		t.Fatalf("EventsFromDataset: %v", err)
 	}
-	cfg := testConfig(ds, targets, core.ModeSerial)
+	cfg := testConfig(ds, targets)
 	want := replayFingerprint(t, cfg, obs)
 	for _, shards := range []int{2, 3, 8} {
 		for seed := int64(1); seed <= 3; seed++ {
@@ -192,7 +189,7 @@ func TestShardDuplicateInvariance(t *testing.T) {
 	if err != nil {
 		t.Fatalf("EventsFromDataset: %v", err)
 	}
-	cfg := testConfig(ds, targets, core.ModeSerial)
+	cfg := testConfig(ds, targets)
 	want := replayFingerprint(t, cfg, obs)
 	doubled := make([]Observation, 0, 2*len(obs))
 	for _, o := range obs {
@@ -200,7 +197,7 @@ func TestShardDuplicateInvariance(t *testing.T) {
 	}
 	for _, shards := range shardInvarianceShardCounts {
 		t.Run(fmt.Sprintf("shards-%d", shards), func(t *testing.T) {
-			got := routerFingerprint(t, RouterConfig{Config: cfg, Shards: shards}, doubled)
+			got := routerFingerprint(t, RouterConfig{Config: cfg, Shards: shards}, doubled, core.ModeSerial)
 			if got != want {
 				t.Fatalf("%d-shard duplicated replay diverged from single-delivery replay", shards)
 			}
@@ -227,7 +224,7 @@ func TestRouterLateDropParity(t *testing.T) {
 			withLate = append(withLate, obs[0])
 		}
 	}
-	cfg := testConfig(ds, targets, core.ModeSerial)
+	cfg := testConfig(ds, targets)
 	e, err := NewEngine(cfg)
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
@@ -271,7 +268,7 @@ func TestRouterLateDropParity(t *testing.T) {
 
 func TestRouterConfigValidation(t *testing.T) {
 	ds := testDataset(t, false)
-	base := testConfig(ds, ds.AllEIDs()[:4], core.ModeSerial)
+	base := testConfig(ds, ds.AllEIDs()[:4])
 	cases := []struct {
 		name string
 		mut  func(*RouterConfig)
@@ -295,7 +292,7 @@ func TestRouterClosed(t *testing.T) {
 	if err != nil {
 		t.Fatalf("EventsFromDataset: %v", err)
 	}
-	r, err := NewRouter(RouterConfig{Config: testConfig(ds, ds.AllEIDs()[:4], core.ModeSerial), Shards: 3})
+	r, err := NewRouter(RouterConfig{Config: testConfig(ds, ds.AllEIDs()[:4]), Shards: 3})
 	if err != nil {
 		t.Fatalf("NewRouter: %v", err)
 	}
@@ -331,7 +328,7 @@ func TestRouterGauges(t *testing.T) {
 		t.Fatalf("EventsFromDataset: %v", err)
 	}
 	reg := metrics.NewRegistry()
-	cfg := testConfig(ds, targets, core.ModeSerial)
+	cfg := testConfig(ds, targets)
 	cfg.Clock = &fakeClock{now: time.UnixMilli(obs[len(obs)-1].TS)}
 	cfg.Metrics = reg
 	const shards = 4
@@ -474,7 +471,7 @@ func TestProcessorParity(t *testing.T) {
 		return got, rep.Fingerprint()
 	}
 
-	cfg := testConfig(ds, targets, core.ModeSerial)
+	cfg := testConfig(ds, targets)
 	e, err := NewEngine(cfg)
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)

@@ -189,8 +189,7 @@ func addSpillGauges(g map[string]int64, s spill.Snapshot) {
 }
 
 // SpillStats snapshots the engine's out-of-core activity: bytes spilled,
-// evictions, reloads, and — after a budgeted Finalize — the batch
-// executor's run counts. All-zero when MemBudget is unset.
+// evictions and reloads of sealed windows. All-zero when MemBudget is unset.
 func (e *Engine) SpillStats() spill.Snapshot {
 	e.mu.Lock()
 	defer e.mu.Unlock()

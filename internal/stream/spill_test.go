@@ -21,7 +21,6 @@ func streamWorkingSetBytes(t *testing.T, cfg Config, obs []Observation) int64 {
 		LatenessMS: cfg.LatenessMS,
 		Dim:        cfg.Dim,
 		Seed:       cfg.Seed,
-		Mode:       core.ModeSerial,
 	})
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
@@ -45,8 +44,9 @@ func streamWorkingSetBytes(t *testing.T, cfg Config, obs []Observation) int64 {
 
 // TestStreamSpillEquivalence pins the spill tier's streaming invariant:
 // with MemBudget a quarter of the sealed working set, the replay evicts
-// (gauges prove it) yet Finalize's fingerprint is byte-identical to the
-// unbudgeted run — in both serial and parallel finalize modes. (Shuffle-run
+// (gauges prove it) yet the final fingerprint is byte-identical to the
+// unbudgeted run — Finalize's serial reference, and a parallel batch run
+// over the paged store the replay built. (Shuffle-run
 // spilling needs a budget sized to the much smaller shuffle byte volume;
 // the mapreduce tests and internal/scaletest's TestScaleSmokeSpill cover it.)
 func TestStreamSpillEquivalence(t *testing.T) {
@@ -58,8 +58,8 @@ func TestStreamSpillEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatalf("EventsFromDataset: %v", err)
 			}
-			base := testConfig(ds, targets, mode)
-			want := replayFingerprint(t, base, obs)
+			base := testConfig(ds, targets)
+			want := finalFingerprint(t, replayEngine(t, base, obs), mode)
 
 			cfg := base
 			cfg.MemBudget = streamWorkingSetBytes(t, base, obs) / 4
@@ -77,11 +77,7 @@ func TestStreamSpillEquivalence(t *testing.T) {
 					t.Fatalf("Ingest %d: %v", i, err)
 				}
 			}
-			rep, err := e.Finalize(context.Background())
-			if err != nil {
-				t.Fatalf("Finalize: %v", err)
-			}
-			if got := rep.Fingerprint(); got != want {
+			if got := finalFingerprint(t, e, mode); got != want {
 				t.Errorf("budgeted fingerprint diverges from unbudgeted:\n--- want\n%s\n--- got\n%s", want, got)
 			}
 			snap := e.SpillStats()
@@ -90,9 +86,6 @@ func TestStreamSpillEquivalence(t *testing.T) {
 			}
 			if snap.Reloads == 0 {
 				t.Errorf("finalize never paged evicted state back in: %+v", snap)
-			}
-			if rep.Spill.Evictions != snap.Evictions {
-				t.Errorf("report snapshot %+v disagrees with engine %+v", rep.Spill, snap)
 			}
 			gauges := cfg.Metrics.Snapshot()
 			if gauges["spill_evictions"] == 0 {
@@ -113,7 +106,7 @@ func TestStreamSpillCheckpointRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("EventsFromDataset: %v", err)
 	}
-	base := testConfig(ds, targets, core.ModeSerial)
+	base := testConfig(ds, targets)
 	want := replayFingerprint(t, base, obs)
 
 	cfg := base

@@ -55,17 +55,11 @@ type Config struct {
 	MinPerEIDList  int
 	MaxScenarios   int
 
-	// Mode is the execution mode of Finalize's batch verification run.
-	Mode core.Mode
-	// Workers sizes Finalize's parallel executor (0 = GOMAXPROCS).
-	Workers int
-
 	// MemBudget caps the bytes of resident sealed V-Scenario payloads.
 	// Past it, closed-but-unmerged scenarios (and their extracted feature
 	// matrices) are evicted oldest-sealed-first to a spill log and paged
 	// back in transiently at match, checkpoint, and finalize time
-	// (DESIGN.md §14). Finalize's batch run inherits the same budget for
-	// its shuffle state. 0 disables the spill tier. The evicted path is
+	// (DESIGN.md §14). 0 disables the spill tier. The evicted path is
 	// bit-identical to the resident one.
 	MemBudget int64
 	// SpillDir is where spill files live; empty means the OS temp
@@ -100,9 +94,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxScenarios == 0 {
 		c.MaxScenarios = 14
 	}
-	if c.Mode == 0 {
-		c.Mode = core.ModeSerial
-	}
 	if c.Clock == nil {
 		c.Clock = SystemClock{}
 	}
@@ -125,9 +116,6 @@ func (c Config) validate() error {
 	}
 	if c.AcceptMajority < 0 || c.AcceptMajority > 1 {
 		return fmt.Errorf("%w: accept majority %f", ErrBadConfig, c.AcceptMajority)
-	}
-	if c.Mode != core.ModeSerial && c.Mode != core.ModeParallel {
-		return fmt.Errorf("%w: mode %d", ErrBadConfig, c.Mode)
 	}
 	if c.MemBudget < 0 {
 		return fmt.Errorf("%w: mem budget %d", ErrBadConfig, c.MemBudget)
@@ -264,9 +252,8 @@ type Engine struct {
 
 	// Spill tier (DESIGN.md §14), active when cfg.MemBudget > 0: sealed V
 	// payloads are charged against spillBudget as windows close and evicted
-	// to pager in spillQueue (seal) order once over budget. spillStats is
-	// shared with Finalize's batch executor so one snapshot covers both the
-	// streaming evictions and the batch shuffle runs.
+	// to pager in spillQueue (seal) order once over budget; spillStats
+	// counts the evictions and the pager's writes and reloads.
 	spillStats  *spill.Stats
 	pager       *windowPager
 	spillBudget *spill.Budget
@@ -603,17 +590,13 @@ func (e *Engine) Finalize(ctx context.Context) (*core.Report, error) {
 	}
 	m, err := core.New(ds, core.Options{
 		Algorithm:       core.AlgorithmSS,
-		Mode:            e.cfg.Mode,
-		Workers:         e.cfg.Workers,
+		Mode:            core.ModeSerial,
 		Seed:            e.cfg.Seed,
 		ScanOrder:       core.ScanInOrder,
 		AcceptMajority:  e.cfg.AcceptMajority,
 		WorkFactor:      e.cfg.WorkFactor,
 		EDPMaxScenarios: e.cfg.MaxScenarios,
 		MinPerEIDList:   e.cfg.MinPerEIDList,
-		MemBudget:       e.cfg.MemBudget,
-		SpillDir:        e.cfg.SpillDir,
-		SpillStats:      e.spillStats,
 	})
 	if err != nil {
 		return nil, err

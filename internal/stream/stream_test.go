@@ -44,15 +44,13 @@ func testDataset(t *testing.T, practical bool) *dataset.Dataset {
 }
 
 // testConfig is the engine configuration the equivalence tests share.
-func testConfig(ds *dataset.Dataset, targets []ids.EID, mode core.Mode) Config {
+func testConfig(ds *dataset.Dataset, targets []ids.EID) Config {
 	return Config{
 		Targets:    targets,
 		WindowMS:   testWindowMS,
 		LatenessMS: testLatenessMS,
 		Dim:        ds.Config.DescriptorDim(),
 		Seed:       7,
-		Mode:       mode,
-		Workers:    4,
 	}
 }
 
@@ -77,9 +75,9 @@ func batchFingerprint(t *testing.T, ds *dataset.Dataset, targets []ids.EID, mode
 	return rep.Fingerprint()
 }
 
-// replayFingerprint streams the observations through a fresh engine and
-// finalizes.
-func replayFingerprint(t *testing.T, cfg Config, obs []Observation) string {
+// replayEngine streams the observations through a fresh engine, requiring
+// every in-order observation accepted.
+func replayEngine(t *testing.T, cfg Config, obs []Observation) *Engine {
 	t.Helper()
 	e, err := NewEngine(cfg)
 	if err != nil {
@@ -94,11 +92,35 @@ func replayFingerprint(t *testing.T, cfg Config, obs []Observation) string {
 			t.Fatalf("Ingest %d: in-order observation dropped as late", i)
 		}
 	}
-	rep, err := e.Finalize(context.Background())
+	return e
+}
+
+// replayFingerprint streams the observations through a fresh engine and
+// finalizes.
+func replayFingerprint(t *testing.T, cfg Config, obs []Observation) string {
+	t.Helper()
+	return finalFingerprint(t, replayEngine(t, cfg, obs), core.ModeSerial)
+}
+
+// finalFingerprint finalizes a replayed processor. Finalize runs the serial
+// reference; under any other mode the fingerprint is that mode's batch run
+// over the store the replay built, the same bytes the batch run over the
+// original dataset gives.
+func finalFingerprint(t *testing.T, p Processor, mode core.Mode) string {
+	t.Helper()
+	rep, err := p.Finalize(context.Background())
 	if err != nil {
 		t.Fatalf("Finalize: %v", err)
 	}
-	return rep.Fingerprint()
+	if mode == core.ModeSerial {
+		return rep.Fingerprint()
+	}
+	e, ok := p.(*Engine)
+	if !ok {
+		e = p.(*Router).merged
+	}
+	replayed := &dataset.Dataset{Config: dataset.Config{FeatureDim: e.cfg.Dim}, Store: e.store}
+	return batchFingerprint(t, replayed, e.cfg.Targets, mode)
 }
 
 // TestStreamGoldenEquivalence pins the subsystem's headline invariant:
@@ -129,7 +151,7 @@ func TestStreamGoldenEquivalence(t *testing.T) {
 				t.Fatalf("EventsFromDataset: %v", err)
 			}
 			batch := batchFingerprint(t, ds, targets, tc.mode)
-			stream := replayFingerprint(t, testConfig(ds, targets, tc.mode), obs)
+			stream := finalFingerprint(t, replayEngine(t, testConfig(ds, targets), obs), tc.mode)
 			if stream != batch {
 				t.Fatalf("stream fingerprint diverges from batch:\n--- batch\n%s\n--- stream\n%s", batch, stream)
 			}
@@ -152,7 +174,7 @@ func TestStreamEmitsResolutions(t *testing.T) {
 	if err != nil {
 		t.Fatalf("EventsFromDataset: %v", err)
 	}
-	e, err := NewEngine(testConfig(ds, targets, core.ModeSerial))
+	e, err := NewEngine(testConfig(ds, targets))
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
 	}
@@ -230,7 +252,7 @@ func TestStreamGauges(t *testing.T) {
 	}
 	reg := metrics.NewRegistry()
 	clk := &fakeClock{now: time.UnixMilli(50_000)}
-	cfg := testConfig(ds, targets, core.ModeSerial)
+	cfg := testConfig(ds, targets)
 	cfg.Metrics = reg
 	cfg.Clock = clk
 	e, err := NewEngine(cfg)

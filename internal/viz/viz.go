@@ -1,6 +1,6 @@
 // Package viz renders an EV world as a standalone SVG: the cell layout
-// (grid or hexagonal, as in the paper's Fig. 1), localization stations,
-// selected person trajectories, and — when a matching report is supplied —
+// (grid or hexagonal, as in the paper's Fig. 1), selected person
+// trajectories, and — when a matching report is supplied —
 // the matched EID→VID pairs as labeled tracks. It is a debugging and
 // presentation aid; everything is plain SVG 1.1 with no external assets.
 package viz
@@ -27,8 +27,6 @@ type Options struct {
 	Persons []int
 	// EIDs lists device identities whose E-trajectories to draw.
 	EIDs []ids.EID
-	// ShowStations draws the RSSI stations when the dataset has them.
-	ShowStations bool
 }
 
 // palette cycles through visually distinct track colors.
@@ -62,14 +60,6 @@ func Render(w io.Writer, ds *dataset.Dataset, opts Options) error {
 	sb.WriteString(`<rect width="100%" height="100%" fill="#fafafa"/>` + "\n")
 
 	drawCells(&sb, ds, tx)
-	if opts.ShowStations {
-		for _, s := range ds.Stations {
-			x, y := tx(s.Pos)
-			fmt.Fprintf(&sb, `<circle cx="%.1f" cy="%.1f" r="4" fill="none" stroke="#555" stroke-width="1.5"/>`+"\n", x, y)
-			fmt.Fprintf(&sb, `<line x1="%.1f" y1="%.1f" x2="%.1f" y2="%.1f" stroke="#555" stroke-width="1.5"/>`+"\n",
-				x, y-7, x, y-3)
-		}
-	}
 	color := 0
 	for _, idx := range opts.Persons {
 		if idx < 0 || idx >= len(ds.Persons) {

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"evmatching/internal/dataset"
-	"evmatching/internal/elocal"
 	"evmatching/internal/ids"
 )
 
@@ -70,22 +69,6 @@ func TestRenderHexWorld(t *testing.T) {
 	svg := render(t, ds, Options{Persons: []int{0}})
 	if !strings.Contains(svg, "<polygon") {
 		t.Error("no hex cells drawn")
-	}
-}
-
-func TestRenderStations(t *testing.T) {
-	ds := testWorld(t, func(c *dataset.Config) { c.ELocal = elocal.DefaultConfig() })
-	if len(ds.Stations) == 0 {
-		t.Fatal("dataset has no stations")
-	}
-	svg := render(t, ds, Options{ShowStations: true})
-	if strings.Count(svg, "<circle") < len(ds.Stations) {
-		t.Errorf("fewer station markers than stations (%d)", len(ds.Stations))
-	}
-	// Without the flag, stations are not drawn.
-	bare := render(t, ds, Options{})
-	if strings.Count(bare, "<circle") >= len(ds.Stations) {
-		t.Error("stations drawn without ShowStations")
 	}
 }
 
