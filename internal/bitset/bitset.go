@@ -62,15 +62,6 @@ func (s Set) Clone() Set {
 	return out
 }
 
-// Or returns a ∪ b as a new set.
-func Or(a, b Set) Set {
-	out := make(Set, len(a))
-	for i := range a {
-		out[i] = a[i] | b[i]
-	}
-	return out
-}
-
 // OrInto sets dst = a ∪ b; dst may alias either operand.
 func OrInto(dst, a, b Set) {
 	for i := range dst {

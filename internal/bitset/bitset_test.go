@@ -52,7 +52,6 @@ func TestBinaryOpsAgainstMaps(t *testing.T) {
 				}
 			}
 		}
-		check("Or", Or(a, b), func(i int) bool { return am[i] || bm[i] })
 		dst := New(n)
 		AndInto(dst, a, b)
 		check("AndInto", dst, func(i int) bool { return am[i] && bm[i] })

@@ -30,9 +30,6 @@ func (p Point) Sub(q Point) Point { return Point{X: p.X - q.X, Y: p.Y - q.Y} }
 // Scale returns p scaled by k.
 func (p Point) Scale(k float64) Point { return Point{X: p.X * k, Y: p.Y * k} }
 
-// Dot returns the dot product of p and q viewed as vectors.
-func (p Point) Dot(q Point) float64 { return p.X*q.X + p.Y*q.Y }
-
 // Norm returns the Euclidean length of p viewed as a vector.
 func (p Point) Norm() float64 { return math.Hypot(p.X, p.Y) }
 
@@ -52,14 +49,6 @@ func (p Point) String() string { return fmt.Sprintf("(%.2f, %.2f)", p.X, p.Y) }
 type Rect struct {
 	Min Point `json:"min"`
 	Max Point `json:"max"`
-}
-
-// NewRect builds the rectangle spanning the two corner points in any order.
-func NewRect(a, b Point) Rect {
-	return Rect{
-		Min: Point{X: math.Min(a.X, b.X), Y: math.Min(a.Y, b.Y)},
-		Max: Point{X: math.Max(a.X, b.X), Y: math.Max(a.Y, b.Y)},
-	}
 }
 
 // Square returns the axis-aligned square with the given origin and side.
@@ -84,12 +73,6 @@ func (r Rect) Center() Point {
 // Contains reports whether p lies in r (Min-closed, Max-open).
 func (r Rect) Contains(p Point) bool {
 	return p.X >= r.Min.X && p.X < r.Max.X && p.Y >= r.Min.Y && p.Y < r.Max.Y
-}
-
-// Intersects reports whether r and s overlap with positive area.
-func (r Rect) Intersects(s Rect) bool {
-	return r.Min.X < s.Max.X && s.Min.X < r.Max.X &&
-		r.Min.Y < s.Max.Y && s.Min.Y < r.Max.Y
 }
 
 // Clamp returns p constrained to lie within r (treating r as closed); the

@@ -18,9 +18,6 @@ func TestPointArithmetic(t *testing.T) {
 	if got := p.Scale(2); got != Pt(6, 8) {
 		t.Errorf("Scale = %v, want (6, 8)", got)
 	}
-	if got := p.Dot(q); got != 3-8 {
-		t.Errorf("Dot = %v, want -5", got)
-	}
 	if got := p.Norm(); got != 5 {
 		t.Errorf("Norm = %v, want 5", got)
 	}
@@ -56,13 +53,6 @@ func TestPointDistSymmetric(t *testing.T) {
 	}
 }
 
-func TestNewRectNormalizes(t *testing.T) {
-	r := NewRect(Pt(5, 1), Pt(2, 7))
-	if r.Min != Pt(2, 1) || r.Max != Pt(5, 7) {
-		t.Errorf("NewRect = %+v, want Min=(2,1) Max=(5,7)", r)
-	}
-}
-
 func TestRectContains(t *testing.T) {
 	r := Square(Pt(0, 0), 10)
 	tests := []struct {
@@ -86,25 +76,12 @@ func TestRectContains(t *testing.T) {
 }
 
 func TestRectGeometry(t *testing.T) {
-	r := NewRect(Pt(0, 0), Pt(4, 2))
+	r := Rect{Max: Pt(4, 2)}
 	if r.Width() != 4 || r.Height() != 2 || r.Area() != 8 {
 		t.Errorf("got w=%v h=%v area=%v", r.Width(), r.Height(), r.Area())
 	}
 	if got := r.Center(); got != Pt(2, 1) {
 		t.Errorf("Center = %v, want (2, 1)", got)
-	}
-}
-
-func TestRectIntersects(t *testing.T) {
-	a := Square(Pt(0, 0), 10)
-	if !a.Intersects(Square(Pt(5, 5), 10)) {
-		t.Error("overlapping squares should intersect")
-	}
-	if a.Intersects(Square(Pt(10, 0), 10)) {
-		t.Error("edge-adjacent squares should not intersect")
-	}
-	if a.Intersects(Square(Pt(20, 20), 5)) {
-		t.Error("distant squares should not intersect")
 	}
 }
 

@@ -16,12 +16,11 @@ import (
 func ErrWrapAnalyzer() *Analyzer {
 	return &Analyzer{
 		Name: "errwrap",
-		Doc:  "flag fmt.Errorf with an error operand but no %w verb",
 		Run:  runErrWrap,
 	}
 }
 
-func runErrWrap(p *Pass) []Finding {
+func runErrWrap(p *Package) []Finding {
 	var out []Finding
 	for _, file := range p.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
@@ -59,32 +58,27 @@ func runErrWrap(p *Pass) []Finding {
 }
 
 // isPkgFunc reports whether fun is a selector pkg.name where pkg is the
-// package imported from pkgPath (falling back to the bare name when type
-// information is unavailable).
-func isPkgFunc(p *Pass, fun ast.Expr, pkgPath, name string) bool {
+// package imported from pkgPath.
+func isPkgFunc(p *Package, fun ast.Expr, pkgPath, name string) bool {
 	sel, ok := fun.(*ast.SelectorExpr)
 	if !ok || sel.Sel.Name != name {
 		return false
 	}
 	id, ok := sel.X.(*ast.Ident)
-	if !ok {
-		return false
-	}
-	if obj, ok := p.Info.Uses[id]; ok {
-		pn, ok := obj.(*types.PkgName)
-		return ok && pn.Imported().Path() == pkgPath
-	}
-	return id.Name == pathBase(pkgPath)
+	return ok && importsPath(p, id, pkgPath)
+}
+
+// importsPath reports whether id names the package imported from path.
+func importsPath(p *Package, id *ast.Ident, path string) bool {
+	pn, ok := p.Info.Uses[id].(*types.PkgName)
+	return ok && pn.Imported().Path() == path
 }
 
 // constString extracts a compile-time constant string value.
-func constString(p *Pass, e ast.Expr) (string, bool) {
-	tv, ok := p.Info.Types[e]
-	if ok && tv.Value != nil && tv.Value.Kind() == constant.String {
+func constString(p *Package, e ast.Expr) (string, bool) {
+	tv := p.Info.Types[e]
+	if tv.Value != nil && tv.Value.Kind() == constant.String {
 		return constant.StringVal(tv.Value), true
-	}
-	if lit, ok := e.(*ast.BasicLit); ok && len(lit.Value) >= 2 {
-		return strings.Trim(lit.Value, "`\""), true
 	}
 	return "", false
 }
@@ -114,14 +108,9 @@ func countVerb(format string, v byte) int {
 }
 
 // isErrorExpr reports whether e is error-typed.
-func isErrorExpr(p *Pass, e ast.Expr) bool {
+func isErrorExpr(p *Package, e ast.Expr) bool {
 	t := p.Info.TypeOf(e)
-	if t == nil {
-		// Without type information, still catch the idiomatic identifier.
-		id, ok := e.(*ast.Ident)
-		return ok && (id.Name == "err" || strings.HasSuffix(id.Name, "Err"))
-	}
-	return implementsError(t)
+	return t != nil && implementsError(t)
 }
 
 func implementsError(t types.Type) bool {

@@ -32,12 +32,11 @@ var goroutinePackages = []string{
 func GoroutineAnalyzer() *Analyzer {
 	return &Analyzer{
 		Name: "goroutine",
-		Doc:  "flag unjoined goroutine launches and mutex value copies in concurrency-heavy packages",
 		Run:  runGoroutine,
 	}
 }
 
-func runGoroutine(p *Pass) []Finding {
+func runGoroutine(p *Package) []Finding {
 	if !inPackages(p.Path, goroutinePackages) {
 		return nil
 	}
@@ -132,7 +131,7 @@ func goroutineJoined(file *ast.File, st *ast.GoStmt) bool {
 	return joined
 }
 
-func isMutexValue(p *Pass, e ast.Expr) bool {
+func isMutexValue(p *Package, e ast.Expr) bool {
 	switch e.(type) {
 	case *ast.Ident, *ast.SelectorExpr:
 	default:
@@ -153,7 +152,7 @@ func isMutexType(t types.Type) bool {
 	return obj.Name() == "Mutex" || obj.Name() == "RWMutex"
 }
 
-func mutexFinding(p *Pass, e ast.Expr) Finding {
+func mutexFinding(p *Package, e ast.Expr) Finding {
 	return Finding{
 		Rule:    "goroutine",
 		Pos:     p.Fset.Position(e.Pos()),
@@ -161,7 +160,7 @@ func mutexFinding(p *Pass, e ast.Expr) Finding {
 	}
 }
 
-func mutexParams(p *Pass, ft *ast.FuncType) []Finding {
+func mutexParams(p *Package, ft *ast.FuncType) []Finding {
 	if ft == nil || ft.Params == nil {
 		return nil
 	}

@@ -1,9 +1,10 @@
-// Package lint implements evlint, the project's static-analysis pass suite.
-// It enforces the correctness disciplines the EV-Matching reproduction
-// depends on — deterministic iteration in result-affecting packages, error
-// wrapping, goroutine join discipline, seedable randomness, pooled-scratch
-// containment, and lock balance — as named, individually testable analyzers
-// built only on go/ast, go/parser, and go/types.
+// Package lint is the project's static-analysis pass suite, run over the
+// module by TestModuleIsLintClean. It enforces the correctness disciplines
+// the EV-Matching reproduction depends on — deterministic iteration in
+// result-affecting packages, error wrapping, goroutine join discipline,
+// seedable randomness, wall-clock injection, pooled-scratch containment, and
+// lock balance — as named, individually testable analyzers built only on
+// go/ast, go/parser, and go/types.
 //
 // A finding can be suppressed by annotating the offending line (or the line
 // directly above it) with
@@ -20,11 +21,8 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
-	"go/types"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // Finding is one rule violation at a source position.
@@ -39,21 +37,10 @@ func (f Finding) String() string {
 	return fmt.Sprintf("%s:%d:%d: %s: %s", f.Pos.Filename, f.Pos.Line, f.Pos.Column, f.Rule, f.Message)
 }
 
-// Pass hands one type-checked package to an analyzer.
-type Pass struct {
-	Path  string
-	Fset  *token.FileSet
-	Files []*ast.File
-	Pkg   *types.Package
-	Info  *types.Info
-}
-
-// Analyzer is one named rule. Run analyzes one package at a time and may run
-// concurrently with itself on different packages.
+// Analyzer is one named rule. Run analyzes one package at a time.
 type Analyzer struct {
 	Name string
-	Doc  string
-	Run  func(*Pass) []Finding
+	Run  func(*Package) []Finding
 }
 
 // Analyzers returns the full pass suite in its canonical order: the five
@@ -86,7 +73,7 @@ const directivePrefix = "//evlint:ignore"
 // directives extracts the ignore directives of every file in the package,
 // keyed by file name then line, merging into dirs. Malformed directives are
 // returned as findings.
-func directives(p *Pass, dirs map[string]map[int]*ignoreDirective) []Finding {
+func directives(p *Package, dirs map[string]map[int]*ignoreDirective) []Finding {
 	var bad []Finding
 	for _, file := range p.Files {
 		for _, cg := range file.Comments {
@@ -137,69 +124,35 @@ func suppress(dirs map[string]map[int]*ignoreDirective, rule string, pos token.P
 
 // Run applies every analyzer to every package, applies suppressions, audits
 // them for staleness, and returns the surviving findings sorted by position.
-//
-// Per-package analyzers run concurrently across packages (the suite is
-// dominated by type-checking plus AST walks over independent packages);
-// findings are collected per package and merged in package order, so the
-// output is deterministic regardless of scheduling.
-func Run(pkgs []*Package, analyzers []*Analyzer) []Finding {
-	passes := make([]*Pass, len(pkgs))
-	for i, pkg := range pkgs {
-		passes[i] = &Pass{Path: pkg.Path, Fset: pkg.Fset, Files: pkg.Files, Pkg: pkg.Pkg, Info: pkg.Info}
-	}
-
-	// Directives first (serially — they share one map across packages).
+func Run(pkgs []*Package) []Finding {
+	// Directives first: they share one map across packages.
 	dirs := make(map[string]map[int]*ignoreDirective)
 	var all []Finding
-	for _, p := range passes {
+	for _, p := range pkgs {
 		all = append(all, directives(p, dirs)...)
 	}
-
-	// Per-package analyzers, concurrent across packages.
-	perPkg := make([][]Finding, len(passes))
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	var wg sync.WaitGroup
-	for i, p := range passes {
-		wg.Add(1)
-		go func(i int, p *Pass) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			var out []Finding
-			for _, a := range analyzers {
-				out = append(out, a.Run(p)...)
-			}
-			perPkg[i] = out
-		}(i, p)
-	}
-	wg.Wait()
-
-	for _, fs := range perPkg {
-		for _, f := range fs {
-			if !suppress(dirs, f.Rule, f.Pos) {
-				all = append(all, f)
+	analyzers := Analyzers()
+	for _, p := range pkgs {
+		for _, a := range analyzers {
+			for _, f := range a.Run(p) {
+				if !suppress(dirs, f.Rule, f.Pos) {
+					all = append(all, f)
+				}
 			}
 		}
 	}
-
-	all = append(all, auditDirectives(dirs, analyzers)...)
+	all = append(all, auditDirectives(dirs)...)
 	SortFindings(all)
 	return all
 }
 
 // auditDirectives reports every directive that suppressed nothing during the
-// run. Only directives whose rule was actually part of the analyzer set are
-// audited, so running a -rules subset cannot misreport suppressions of the
-// rules it skipped.
-func auditDirectives(dirs map[string]map[int]*ignoreDirective, analyzers []*Analyzer) []Finding {
-	ran := make(map[string]bool, len(analyzers))
-	for _, a := range analyzers {
-		ran[a.Name] = true
-	}
+// run, including one that names no rule of the suite.
+func auditDirectives(dirs map[string]map[int]*ignoreDirective) []Finding {
 	var out []Finding
 	for _, byLine := range dirs {
 		for _, d := range byLine {
-			if d.used || !ran[d.rule] {
+			if d.used {
 				continue
 			}
 			out = append(out, Finding{

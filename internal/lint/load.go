@@ -14,22 +14,18 @@ import (
 	"strings"
 )
 
-// Package is one parsed and type-checked (non-test) package of the module.
+// Package is one parsed and type-checked (non-test) package of the module,
+// as the analyzers read it.
 type Package struct {
 	Path  string // import path
-	Dir   string // absolute directory
 	Fset  *token.FileSet
 	Files []*ast.File
 	Pkg   *types.Package
 	Info  *types.Info
-	// TypeErrors collects type-checker diagnostics. Checking is tolerant:
-	// analyzers degrade to partial type information rather than refusing to
-	// run, so evlint stays useful on a tree that is mid-refactor.
-	TypeErrors []error
 }
 
-// ModulePath reads the module path from the go.mod at root.
-func ModulePath(root string) (string, error) {
+// modulePath reads the module path from the go.mod at root.
+func modulePath(root string) (string, error) {
 	data, err := os.ReadFile(filepath.Join(root, "go.mod"))
 	if err != nil {
 		return "", fmt.Errorf("lint: read go.mod: %w", err)
@@ -49,24 +45,6 @@ func ModulePath(root string) (string, error) {
 	return "", fmt.Errorf("lint: no module line in %s", filepath.Join(root, "go.mod"))
 }
 
-// FindModuleRoot walks up from dir to the nearest directory with a go.mod.
-func FindModuleRoot(dir string) (string, error) {
-	dir, err := filepath.Abs(dir)
-	if err != nil {
-		return "", fmt.Errorf("lint: resolve %s: %w", dir, err)
-	}
-	for {
-		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
-			return dir, nil
-		}
-		parent := filepath.Dir(dir)
-		if parent == dir {
-			return "", fmt.Errorf("lint: no go.mod above %s", dir)
-		}
-		dir = parent
-	}
-}
-
 // loader type-checks the module's packages in dependency order, resolving
 // in-module imports from its own results and everything else (the standard
 // library) through the source importer.
@@ -81,11 +59,12 @@ type loader struct {
 	stdPkgs map[string]*types.Package
 }
 
-// LoadModule parses and type-checks every non-test package under root.
-// Directories named testdata, hidden directories, and _-prefixed directories
-// are skipped, matching the go tool's convention.
+// LoadModule parses and type-checks every non-test package under root. Any
+// parse, type or import error fails the load. Directories named testdata,
+// hidden and _-prefixed directories, and nested modules (a subdirectory with
+// its own go.mod) are skipped, matching the go tool's convention.
 func LoadModule(root string) ([]*Package, error) {
-	module, err := ModulePath(root)
+	module, err := modulePath(root)
 	if err != nil {
 		return nil, err
 	}
@@ -149,9 +128,14 @@ func (l *loader) discover() error {
 		if !d.IsDir() {
 			return nil
 		}
-		name := d.Name()
-		if path != l.root && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
-			return filepath.SkipDir
+		if path != l.root {
+			name := d.Name()
+			if name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
+				return filepath.SkipDir
+			}
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
+				return filepath.SkipDir
+			}
 		}
 		if hasGoFiles(path) {
 			rel, err := filepath.Rel(l.root, path)
@@ -221,22 +205,6 @@ func (l *loader) load(p string) (*Package, error) {
 		return nil, nil
 	}
 
-	// Load in-module dependencies first so the importer can resolve them.
-	for _, f := range files {
-		for _, imp := range f.Imports {
-			path, err := strconv.Unquote(imp.Path.Value)
-			if err != nil {
-				continue
-			}
-			if _, inModule := l.dirs[path]; inModule && path != p {
-				if _, err := l.load(path); err != nil {
-					return nil, err
-				}
-			}
-		}
-	}
-
-	pkg := &Package{Path: p, Dir: dir, Fset: l.fset, Files: files}
 	info := &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
 		Defs:       make(map[*ast.Ident]types.Object),
@@ -244,59 +212,38 @@ func (l *loader) load(p string) (*Package, error) {
 		Selections: make(map[*ast.SelectorExpr]*types.Selection),
 		Implicits:  make(map[ast.Node]types.Object),
 	}
-	conf := types.Config{
-		Importer: &packageImporter{l: l},
-		Error:    func(err error) { pkg.TypeErrors = append(pkg.TypeErrors, err) },
+	conf := types.Config{Importer: &packageImporter{l: l}}
+	tpkg, err := conf.Check(p, l.fset, files, info)
+	if err != nil {
+		return nil, fmt.Errorf("lint: type-check %s: %w", p, err)
 	}
-	tpkg, _ := conf.Check(p, l.fset, files, info) // errors collected above
-	pkg.Pkg = tpkg
-	pkg.Info = info
+	pkg := &Package{Path: p, Fset: l.fset, Files: files, Pkg: tpkg, Info: info}
 	l.pkgs[p] = pkg
 	return pkg, nil
 }
 
 // packageImporter resolves in-module imports from the loader and the rest
-// from the source importer; unresolvable imports degrade to an empty
-// placeholder package so analysis can continue on partial information.
+// (the standard library) through the source importer.
 type packageImporter struct {
 	l *loader
 }
 
 func (pi *packageImporter) Import(path string) (*types.Package, error) {
 	l := pi.l
-	if pkg, ok := l.pkgs[path]; ok && pkg.Pkg != nil {
-		return pkg.Pkg, nil
-	}
 	if _, inModule := l.dirs[path]; inModule {
 		pkg, err := l.load(path)
 		if err != nil {
 			return nil, err
 		}
-		if pkg != nil && pkg.Pkg != nil {
-			return pkg.Pkg, nil
-		}
+		return pkg.Pkg, nil
 	}
 	if p, ok := l.stdPkgs[path]; ok {
 		return p, nil
 	}
-	var p *types.Package
-	var err error
-	if l.std != nil {
-		p, err = l.std.ImportFrom(path, l.root, 0)
-	}
-	if p == nil || err != nil {
-		// Placeholder: references through it become type errors, which the
-		// tolerant checker records and skips.
-		p = types.NewPackage(path, pathBase(path))
-		p.MarkComplete()
+	p, err := l.std.ImportFrom(path, l.root, 0)
+	if err != nil {
+		return nil, err
 	}
 	l.stdPkgs[path] = p
 	return p, nil
-}
-
-func pathBase(path string) string {
-	if i := strings.LastIndex(path, "/"); i >= 0 {
-		return path[i+1:]
-	}
-	return path
 }

@@ -25,7 +25,6 @@ import (
 func LockBalanceAnalyzer() *Analyzer {
 	return &Analyzer{
 		Name: "lockbalance",
-		Doc:  "flag unbalanced or kind-mismatched Lock/Unlock pairs on any return path",
 		Run:  runLockBalance,
 	}
 }
@@ -72,11 +71,11 @@ func (s lockState) equal(o lockState) bool {
 
 // lockWalker interprets one function body.
 type lockWalker struct {
-	p        *Pass
+	p        *Package
 	findings []Finding
 }
 
-func runLockBalance(p *Pass) []Finding {
+func runLockBalance(p *Package) []Finding {
 	var out []Finding
 	for _, file := range p.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
@@ -356,19 +355,8 @@ func (w *lockWalker) lockCall(call *ast.CallExpr) (key, op string, ok bool) {
 	default:
 		return "", "", false
 	}
-	if s, okSel := w.p.Info.Selections[sel]; okSel && s.Kind() == types.MethodVal {
-		f := s.Obj()
-		if f.Pkg() != nil && f.Pkg().Path() == "sync" {
-			return exprString(sel.X), sel.Sel.Name, true
-		}
-		return "", "", false
-	}
-	// Degraded type info: fall back to the receiver's syntactic type.
-	t := w.p.Info.TypeOf(sel.X)
-	if ptr, okp := t.(*types.Pointer); okp {
-		t = ptr.Elem()
-	}
-	if !isMutexType(t) {
+	s, okSel := w.p.Info.Selections[sel]
+	if !okSel || s.Kind() != types.MethodVal || s.Obj().Pkg() == nil || s.Obj().Pkg().Path() != "sync" {
 		return "", "", false
 	}
 	return exprString(sel.X), sel.Sel.Name, true

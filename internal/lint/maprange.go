@@ -40,12 +40,11 @@ var mapRangePackages = []string{
 func MapRangeAnalyzer() *Analyzer {
 	return &Analyzer{
 		Name: "maprange",
-		Doc:  "flag nondeterministic iteration over maps in result-affecting packages",
 		Run:  runMapRange,
 	}
 }
 
-func runMapRange(p *Pass) []Finding {
+func runMapRange(p *Package) []Finding {
 	if !inPackages(p.Path, mapRangePackages) {
 		return nil
 	}
@@ -94,7 +93,7 @@ func isMapType(t types.Type) bool {
 // isCollectThenSort reports the collect-then-sort idiom: the loop body is a
 // single (possibly if-guarded) append of the range variables into a slice,
 // and a later call in the same function sorts that slice.
-func isCollectThenSort(p *Pass, file *ast.File, rs *ast.RangeStmt) bool {
+func isCollectThenSort(p *Package, file *ast.File, rs *ast.RangeStmt) bool {
 	target := appendTarget(rs.Body.List)
 	if target == nil {
 		return false
@@ -103,10 +102,7 @@ func isCollectThenSort(p *Pass, file *ast.File, rs *ast.RangeStmt) bool {
 	if fn == nil {
 		return false
 	}
-	obj := p.Info.Uses[target]
-	if obj == nil {
-		obj = p.Info.Defs[target]
-	}
+	obj := identObject(p, target)
 	sorted := false
 	ast.Inspect(fn, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
@@ -114,7 +110,7 @@ func isCollectThenSort(p *Pass, file *ast.File, rs *ast.RangeStmt) bool {
 			return true
 		}
 		for _, arg := range call.Args {
-			if id, ok := arg.(*ast.Ident); ok && sameObject(p, id, target, obj) {
+			if id, ok := arg.(*ast.Ident); ok && identObject(p, id) == obj {
 				sorted = true
 			}
 		}
@@ -176,23 +172,9 @@ func isSortCall(call *ast.CallExpr) bool {
 	return false
 }
 
-func sameObject(p *Pass, a, b *ast.Ident, bObj types.Object) bool {
-	if a.Name != b.Name {
-		return false
-	}
-	if bObj == nil {
-		return true // no type info: fall back to the name match
-	}
-	aObj := p.Info.Uses[a]
-	if aObj == nil {
-		aObj = p.Info.Defs[a]
-	}
-	return aObj == bObj
-}
-
 // isPureCounting reports whether every statement in the body only increments
 // integer accumulators (n++, sum += v), possibly behind if guards.
-func isPureCounting(p *Pass, body *ast.BlockStmt) bool {
+func isPureCounting(p *Package, body *ast.BlockStmt) bool {
 	if len(body.List) == 0 {
 		return false
 	}
@@ -225,7 +207,7 @@ func isPureCounting(p *Pass, body *ast.BlockStmt) bool {
 	return check(body.List)
 }
 
-func isIntegerExpr(p *Pass, e ast.Expr) bool {
+func isIntegerExpr(p *Package, e ast.Expr) bool {
 	t := p.Info.TypeOf(e)
 	if t == nil {
 		return false

@@ -27,7 +27,7 @@ func loadModule(t *testing.T) (string, []*Package) {
 		t.Skip("type-checks the whole module")
 	}
 	moduleOnce.Do(func() {
-		if moduleRoot, moduleErr = FindModuleRoot("."); moduleErr == nil {
+		if moduleRoot, moduleErr = filepath.Abs(filepath.Join("..", "..")); moduleErr == nil {
 			modulePkgs, moduleErr = LoadModule(moduleRoot)
 		}
 	})
@@ -41,10 +41,10 @@ func loadModule(t *testing.T) (string, []*Package) {
 }
 
 // TestModuleIsLintClean: the pass suite over this repository itself reports
-// nothing — the acceptance criterion the CI gate enforces.
+// nothing. It is the lint gate: `go test ./...` runs it.
 func TestModuleIsLintClean(t *testing.T) {
 	_, pkgs := loadModule(t)
-	for _, f := range Run(pkgs, Analyzers()) {
+	for _, f := range Run(pkgs) {
 		t.Errorf("finding on clean tree: %s", f)
 	}
 }

@@ -32,12 +32,11 @@ import (
 func PoolEscapeAnalyzer() *Analyzer {
 	return &Analyzer{
 		Name: "poolescape",
-		Doc:  "flag sync.Pool values that escape the Get/Put window via return, store, or goroutine capture",
 		Run:  runPoolEscape,
 	}
 }
 
-func runPoolEscape(p *Pass) []Finding {
+func runPoolEscape(p *Package) []Finding {
 	// Pass 1: find provider functions — declarations with at least one
 	// return of a Get-derived value. Their returns are findings (suppressed
 	// on sanctioned providers), and their call sites seed tracking in pass 2.
@@ -76,7 +75,7 @@ func runPoolEscape(p *Pass) []Finding {
 
 // funcReturnsPooled reports whether any return statement directly inside
 // body (not in nested function literals) returns a pooled value.
-func funcReturnsPooled(p *Pass, body *ast.BlockStmt, providers map[types.Object]bool) bool {
+func funcReturnsPooled(p *Package, body *ast.BlockStmt, providers map[types.Object]bool) bool {
 	tracked := trackPooled(p, body, providers)
 	found := false
 	inspectShallow(body, func(n ast.Node) {
@@ -94,7 +93,7 @@ func funcReturnsPooled(p *Pass, body *ast.BlockStmt, providers map[types.Object]
 }
 
 // analyzeFuncPool runs the escape checks over one function body.
-func analyzeFuncPool(p *Pass, body *ast.BlockStmt, providers map[types.Object]bool) []Finding {
+func analyzeFuncPool(p *Package, body *ast.BlockStmt, providers map[types.Object]bool) []Finding {
 	tracked := trackPooled(p, body, providers)
 	if len(tracked) == 0 && !bodyHasPoolGet(p, body, providers) {
 		return nil
@@ -156,7 +155,7 @@ func analyzeFuncPool(p *Pass, body *ast.BlockStmt, providers map[types.Object]bo
 
 // trackPooled computes the set of local objects aliasing pooled scratch in
 // body, to a fixpoint over the (loop-free) assignment graph.
-func trackPooled(p *Pass, body *ast.BlockStmt, providers map[types.Object]bool) map[types.Object]bool {
+func trackPooled(p *Package, body *ast.BlockStmt, providers map[types.Object]bool) map[types.Object]bool {
 	tracked := make(map[types.Object]bool)
 	for {
 		grew := false
@@ -191,7 +190,7 @@ func trackPooled(p *Pass, body *ast.BlockStmt, providers map[types.Object]bool) 
 // type conversions) is a sync.Pool Get call, a provider call, or a tracked
 // identifier. Expressions whose type carries no references (plain numbers,
 // bools, strings, reference-free structs) are value copies, never aliases.
-func rootedPooled(p *Pass, e ast.Expr, tracked map[types.Object]bool, providers map[types.Object]bool) bool {
+func rootedPooled(p *Package, e ast.Expr, tracked map[types.Object]bool, providers map[types.Object]bool) bool {
 	if !typeHasReference(p.Info.TypeOf(e), 0) {
 		return false
 	}
@@ -234,7 +233,7 @@ func rootedPooled(p *Pass, e ast.Expr, tracked map[types.Object]bool, providers 
 
 // checkGoCapture flags tracked values that a goroutine captures or receives,
 // unless the goroutine body itself puts scratch back to a pool.
-func checkGoCapture(p *Pass, st *ast.GoStmt, tracked map[types.Object]bool, providers map[types.Object]bool) []Finding {
+func checkGoCapture(p *Package, st *ast.GoStmt, tracked map[types.Object]bool, providers map[types.Object]bool) []Finding {
 	var out []Finding
 	flag := func(pos ast.Node, what string) {
 		out = append(out, Finding{
@@ -270,7 +269,7 @@ func checkGoCapture(p *Pass, st *ast.GoStmt, tracked map[types.Object]bool, prov
 }
 
 // bodyPutsPool reports whether body contains a sync.Pool Put call.
-func bodyPutsPool(p *Pass, body *ast.BlockStmt) bool {
+func bodyPutsPool(p *Package, body *ast.BlockStmt) bool {
 	found := false
 	ast.Inspect(body, func(n ast.Node) bool {
 		if call, ok := n.(*ast.CallExpr); ok && isPoolMethodCall(p, call, "Put") {
@@ -281,7 +280,7 @@ func bodyPutsPool(p *Pass, body *ast.BlockStmt) bool {
 	return found
 }
 
-func bodyHasPoolGet(p *Pass, body *ast.BlockStmt, providers map[types.Object]bool) bool {
+func bodyHasPoolGet(p *Package, body *ast.BlockStmt, providers map[types.Object]bool) bool {
 	found := false
 	inspectShallow(body, func(n ast.Node) {
 		if call, ok := n.(*ast.CallExpr); ok {
@@ -299,11 +298,11 @@ func bodyHasPoolGet(p *Pass, body *ast.BlockStmt, providers map[types.Object]boo
 }
 
 // isPoolGetCall matches x.Get() where x is (a pointer to) sync.Pool.
-func isPoolGetCall(p *Pass, call *ast.CallExpr) bool {
+func isPoolGetCall(p *Package, call *ast.CallExpr) bool {
 	return isPoolMethodCall(p, call, "Get")
 }
 
-func isPoolMethodCall(p *Pass, call *ast.CallExpr, name string) bool {
+func isPoolMethodCall(p *Package, call *ast.CallExpr, name string) bool {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok || sel.Sel.Name != name {
 		return false
@@ -332,7 +331,7 @@ func unwrapFun(fun ast.Expr) (*ast.Ident, bool) {
 	return nil, false
 }
 
-func identObject(p *Pass, id *ast.Ident) types.Object {
+func identObject(p *Package, id *ast.Ident) types.Object {
 	if obj := p.Info.Uses[id]; obj != nil {
 		return obj
 	}
@@ -340,7 +339,7 @@ func identObject(p *Pass, id *ast.Ident) types.Object {
 }
 
 // isPackageLevel reports whether obj is declared at package scope.
-func isPackageLevel(p *Pass, obj types.Object) bool {
+func isPackageLevel(p *Package, obj types.Object) bool {
 	return obj.Parent() != nil && p.Pkg != nil && obj.Parent() == p.Pkg.Scope()
 }
 

@@ -3,7 +3,6 @@ package lint
 import (
 	"fmt"
 	"go/ast"
-	"go/types"
 )
 
 // seedcheckFuncs are the math/rand package-level functions backed by the
@@ -25,12 +24,11 @@ var seedcheckFuncs = map[string]bool{
 func SeedCheckAnalyzer() *Analyzer {
 	return &Analyzer{
 		Name: "seedcheck",
-		Doc:  "flag math/rand global-source calls; experiments must be seedable",
 		Run:  runSeedCheck,
 	}
 }
 
-func runSeedCheck(p *Pass) []Finding {
+func runSeedCheck(p *Package) []Finding {
 	var out []Finding
 	for _, file := range p.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
@@ -60,14 +58,6 @@ func runSeedCheck(p *Pass) []Finding {
 
 // isRandPackage reports whether id names the math/rand (or math/rand/v2)
 // package.
-func isRandPackage(p *Pass, id *ast.Ident) bool {
-	if obj, ok := p.Info.Uses[id]; ok {
-		pn, ok := obj.(*types.PkgName)
-		if !ok {
-			return false
-		}
-		path := pn.Imported().Path()
-		return path == "math/rand" || path == "math/rand/v2"
-	}
-	return id.Name == "rand"
+func isRandPackage(p *Package, id *ast.Ident) bool {
+	return importsPath(p, id, "math/rand") || importsPath(p, id, "math/rand/v2")
 }

@@ -12,3 +12,10 @@ func Total(xs []int) int {
 	}
 	return total
 }
+
+// Count's directive misspells its rule: naming no rule of the suite, it
+// suppresses nothing and the audit must flag it too.
+func Count(xs []int) int {
+	//evlint:ignore maprnage slice length is already deterministic
+	return len(xs)
+}

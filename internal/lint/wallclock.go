@@ -3,7 +3,6 @@ package lint
 import (
 	"fmt"
 	"go/ast"
-	"go/types"
 	"strings"
 )
 
@@ -36,12 +35,11 @@ var wallclockFuncs = map[string]bool{
 func WallClockAnalyzer() *Analyzer {
 	return &Analyzer{
 		Name: "wallclock",
-		Doc:  "flag wall-clock reads in replay-deterministic packages; inject a Clock instead",
 		Run:  runWallClock,
 	}
 }
 
-func runWallClock(p *Pass) []Finding {
+func runWallClock(p *Package) []Finding {
 	if !inPackageTrees(p.Path, wallclockPackages) {
 		return nil
 	}
@@ -86,13 +84,6 @@ func inPackageTrees(path string, trees []string) bool {
 }
 
 // isTimePackage reports whether id names the time package.
-func isTimePackage(p *Pass, id *ast.Ident) bool {
-	if obj, ok := p.Info.Uses[id]; ok {
-		pn, ok := obj.(*types.PkgName)
-		if !ok {
-			return false
-		}
-		return pn.Imported().Path() == "time"
-	}
-	return id.Name == "time"
+func isTimePackage(p *Package, id *ast.Ident) bool {
+	return importsPath(p, id, "time")
 }

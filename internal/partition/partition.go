@@ -66,9 +66,6 @@ type Node struct {
 // isLeaf reports whether n has not been split.
 func (n *Node) isLeaf() bool { return n.Left == nil && n.Right == nil }
 
-// InclusiveCount returns the number of inclusive members.
-func (n *Node) InclusiveCount() int { return n.nInc }
-
 // InclusiveEIDs returns the sorted inclusive members.
 func (n *Node) InclusiveEIDs() []ids.EID {
 	out := make([]ids.EID, 0, n.nInc)
@@ -379,36 +376,6 @@ func (p *Partition) Resolved(e ids.EID) (bool, error) {
 	return p.home[i].nInc == 1, nil
 }
 
-// Unresolved returns the sorted target EIDs whose sets still hold more than
-// one inclusive EID after splitting (candidates for matching refining).
-func (p *Partition) Unresolved() []ids.EID {
-	var out []ids.EID
-	for i, e := range p.idx.eids {
-		if p.home[i].nInc > 1 {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-// AmbiguousWith returns the other EIDs that share e's home set, inclusive or
-// vague: the identities whose VIDs may be confused with e's.
-func (p *Partition) AmbiguousWith(e ids.EID) ([]ids.EID, error) {
-	self, ok := p.idx.pos[e]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrUnknownEID, e)
-	}
-	home := p.home[self]
-	out := make([]ids.EID, 0, home.nInc+home.vag.Count())
-	members := bitset.Or(home.inc, home.vag)
-	members.ForEach(func(i int) {
-		if i != self {
-			out = append(out, p.idx.eids[i])
-		}
-	})
-	return out, nil
-}
-
 // PostOrder returns the target EIDs in the matching order of Theorem 4.1:
 // the post-order traversal of the split tree, so that when an EID is
 // matched, every EID it could be confused with inside its positive-scenario
@@ -420,4 +387,43 @@ func (p *Partition) PostOrder() []ids.EID {
 		leaf.inc.ForEach(func(i int) { out = append(out, p.idx.eids[i]) })
 	})
 	return out
+}
+
+// Stats summarizes the split tree for analysis: leaf count, tree depth, and
+// the recorded-scenario count against Theorem 4.2's n−1 bound.
+type Stats struct {
+	Targets  int
+	Leaves   int
+	Depth    int
+	Recorded int
+	Resolved int
+	BoundNm1 int
+}
+
+// TreeStats computes the current tree statistics.
+func (p *Partition) TreeStats() Stats {
+	st := Stats{
+		Targets:  len(p.home),
+		Leaves:   p.numSets,
+		Recorded: len(p.recorded),
+		BoundNm1: len(p.home) - 1,
+	}
+	var walk func(n *Node, depth int)
+	walk = func(n *Node, depth int) {
+		if n == nil {
+			return
+		}
+		if depth > st.Depth {
+			st.Depth = depth
+		}
+		walk(n.Left, depth+1)
+		walk(n.Right, depth+1)
+	}
+	walk(p.root, 0)
+	for _, leaf := range p.home {
+		if leaf.nInc == 1 {
+			st.Resolved++
+		}
+	}
+	return st
 }

@@ -2,7 +2,6 @@ package partition
 
 import (
 	"math/rand"
-	"strings"
 	"testing"
 
 	"evmatching/internal/ids"
@@ -296,12 +295,8 @@ func TestVagueMemberDuplicatedBothSides(t *testing.T) {
 	if !p.SplitBy(s) {
 		t.Fatal("split should be effective")
 	}
-	amb, err := p.AmbiguousWith("a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(amb) != 1 || amb[0] != "b" {
-		t.Errorf("AmbiguousWith(a) = %v, want [b]", amb)
+	if got := p.root.Left.VagueEIDs(); len(got) != 1 || got[0] != "b" {
+		t.Errorf("a's set has vague members %v, want [b]", got)
 	}
 	resolvedB, err := p.Resolved("b")
 	if err != nil {
@@ -322,14 +317,16 @@ func TestVagueMemberDuplicatedBothSides(t *testing.T) {
 func TestUnresolved(t *testing.T) {
 	p := mustNew(t, "a", "b", "c")
 	p.SplitBy(esc(1, "a"))
-	got := p.Unresolved()
-	if len(got) != 2 || got[0] != "b" || got[1] != "c" {
-		t.Errorf("Unresolved = %v, want [b c]", got)
+	for e, want := range map[ids.EID]bool{"a": true, "b": false, "c": false} {
+		got, err := p.Resolved(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Errorf("Resolved(%s) = %v, want %v", e, got, want)
+		}
 	}
 	if _, err := p.Resolved("zz"); err == nil {
-		t.Error("want ErrUnknownEID")
-	}
-	if _, err := p.AmbiguousWith("zz"); err == nil {
 		t.Error("want ErrUnknownEID")
 	}
 }
@@ -364,28 +361,6 @@ func TestPostOrderCoversAllTargets(t *testing.T) {
 			t.Fatalf("duplicate %s in PostOrder", e)
 		}
 		seen[e] = true
-	}
-}
-
-func TestWriteDOT(t *testing.T) {
-	p := mustNew(t, "a", "b", "c")
-	p.SplitBy(esc(7, "a"))
-	p.SplitBy(escAttr(8, map[ids.EID]scenario.Attr{
-		"b": scenario.AttrInclusive,
-		"c": scenario.AttrVague,
-	}))
-	var sb strings.Builder
-	if err := p.WriteDOT(&sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	for _, want := range []string{
-		"digraph splittree", "scenario 7", "scenario 8",
-		`[label="in"]`, `[label="out"]`, "(c?)",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("DOT output missing %q:\n%s", want, out)
-		}
 	}
 }
 
