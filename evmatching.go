@@ -27,7 +27,6 @@ import (
 	"evmatching/internal/experiments"
 	"evmatching/internal/fusion"
 	"evmatching/internal/ids"
-	"evmatching/internal/trajectory"
 	"evmatching/internal/vfilter"
 )
 
@@ -137,32 +136,6 @@ type (
 // queries spanning both modalities.
 func BuildFusionIndex(ds *Dataset, rep *Report) (*FusionIndex, error) {
 	return fusion.BuildIndex(ds, rep)
-}
-
-// Trajectory types (paper §III): one E-Trajectory per device, multiple
-// V-Trajectory segments per appearance.
-type (
-	// ETrajectory is an EID's E-Location history.
-	ETrajectory = trajectory.ETrajectory
-	// VTrajectory is a VID's V-Location history, split into segments.
-	VTrajectory = trajectory.VTrajectory
-)
-
-// BuildETrajectory extracts an EID's coarse trajectory from the dataset.
-func BuildETrajectory(ds *Dataset, e EID) (*ETrajectory, error) {
-	return trajectory.BuildE(ds.Store, e)
-}
-
-// BuildVTrajectory extracts a VID's trajectory segments; a new segment
-// starts whenever the VID is unseen for more than maxGap windows.
-func BuildVTrajectory(ds *Dataset, v VID, maxGap int) (*VTrajectory, error) {
-	return trajectory.BuildV(ds.Store, v, maxGap)
-}
-
-// TrajectorySimilarity scores how spatiotemporally close an E-Trajectory and
-// a V-Trajectory are, in [0, 1].
-func TrajectorySimilarity(ds *Dataset, et *ETrajectory, vt *VTrajectory) (float64, error) {
-	return trajectory.Similarity(et, vt, ds.Layout.Bounds())
 }
 
 // Experiment configurations.

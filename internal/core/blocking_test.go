@@ -178,7 +178,7 @@ func edpSelectByScan(m *Matcher, e ids.EID, salt int64) []scenario.ID {
 				}
 			}
 		}
-		if len(candidates) <= 1 || len(list) >= m.opts.EDPMaxScenarios {
+		if len(candidates) <= 1 || len(list) >= maxListLen {
 			break
 		}
 	}

@@ -55,7 +55,6 @@ func TestNewValidation(t *testing.T) {
 		{Workers: -1},
 		{AcceptMajority: 1.5},
 		{MaxRefineRounds: -1},
-		{EDPMaxScenarios: -2},
 	}
 	for i, opts := range bad {
 		if _, err := New(ds, opts); err == nil {

@@ -95,7 +95,7 @@ func (m *Matcher) edpSelect(e ids.EID, salt int64, ix *blocking.Index) []scenari
 				}
 			}
 		}
-		if len(candidates) <= 1 || len(list) >= m.opts.EDPMaxScenarios {
+		if len(candidates) <= 1 || len(list) >= maxListLen {
 			break
 		}
 	}

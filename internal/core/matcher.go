@@ -10,6 +10,7 @@ import (
 	"evmatching/internal/dataset"
 	"evmatching/internal/feature"
 	"evmatching/internal/ids"
+	"evmatching/internal/mapreduce"
 	"evmatching/internal/scenario"
 	"evmatching/internal/spill"
 	"evmatching/internal/vfilter"
@@ -28,6 +29,9 @@ var ErrNoTargets = errors.New("core: no target EIDs")
 type Matcher struct {
 	ds   *dataset.Dataset
 	opts Options
+	// spill accumulates the budgeted shuffle's counters across every run of
+	// the matcher; nil when MemBudget is 0.
+	spill *spill.Stats
 }
 
 // New creates a Matcher over the dataset.
@@ -39,12 +43,13 @@ func New(ds *dataset.Dataset, opts Options) (*Matcher, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
+	m := &Matcher{ds: ds, opts: opts}
 	// A budgeted run always gets a stats sink so Report.Spill can prove
 	// (or disprove) that the budget actually forced out-of-core work.
-	if opts.MemBudget > 0 && opts.SpillStats == nil {
-		opts.SpillStats = &spill.Stats{}
+	if opts.MemBudget > 0 {
+		m.spill = &spill.Stats{}
 	}
-	return &Matcher{ds: ds, opts: opts}, nil
+	return m, nil
 }
 
 // Options returns the matcher's effective (defaulted) options.
@@ -86,9 +91,25 @@ func (m *Matcher) Match(ctx context.Context, targets []ids.EID) (*Report, error)
 	if perr := m.ds.Store.PageErr(); perr != nil {
 		return nil, fmt.Errorf("core: match ran over incompletely paged state: %w", perr)
 	}
-	rep.Spill = m.opts.SpillStats.Snapshot()
+	rep.Spill = m.spill.Snapshot()
 	rep.BlockMaterialised = ix.Materialised()
 	return rep, nil
+}
+
+// executor returns the MapReduce executor for the configured mode.
+func (m *Matcher) executor() mapreduce.Executor {
+	if m.opts.Executor != nil {
+		return m.opts.Executor
+	}
+	if m.opts.Mode == ModeParallel {
+		return mapreduce.ParallelExecutor{
+			Workers:   m.opts.Workers,
+			MemBudget: m.opts.MemBudget,
+			SpillDir:  m.opts.SpillDir,
+			Stats:     m.spill,
+		}
+	}
+	return mapreduce.SerialExecutor{}
 }
 
 // MatchAll performs universal matching: every EID in the dataset is labeled

@@ -13,7 +13,6 @@ import (
 	"runtime"
 
 	"evmatching/internal/mapreduce"
-	"evmatching/internal/spill"
 )
 
 // Algorithm selects the matching algorithm.
@@ -121,10 +120,6 @@ type Options struct {
 	// WorkFactor scales per-patch feature-extraction cost, modeling real
 	// video processing. Defaults to 4.
 	WorkFactor int
-	// EDPMaxScenarios caps the E-Scenarios EDP selects per EID (and the SS
-	// per-EID padding) when the candidate intersection refuses to become a
-	// singleton. Defaults to 14.
-	EDPMaxScenarios int
 	// DisableBlocking turns off the posting index in front of the E stage
 	// (DESIGN.md §13) and restores the exhaustive scenario-by-scenario scan.
 	// It exists for one reason: the exhaustive scan is the oracle that
@@ -141,17 +136,19 @@ type Options struct {
 	// SpillDir is where spill runs are written; empty means the OS temp
 	// directory.
 	SpillDir string
-	// SpillStats, when non-nil, accumulates spill counters across the run's
-	// jobs (the caller owns the instance; evserve surfaces it on /metricsz).
-	SpillStats *spill.Stats
-	// MinPerEIDList pads each EID's selected scenario list up to this
-	// length with further scenarios containing the EID. The split-tree path
-	// alone distinguishes the EID among the matching targets, but the VID
-	// probability product must also suppress bystanders who happen to share
-	// part of the trajectory; the paper's per-EID scenario counts (Fig. 7,
-	// about one more than EDP's) reflect the same padding. Defaults to 3.
-	MinPerEIDList int
 }
+
+// Bounds on an EID's selected scenario list. padToUnique pads each list to at
+// least minListLen scenarios: the split-tree path alone distinguishes the EID
+// among the matching targets, but the VID probability product must also
+// suppress bystanders who happen to share part of the trajectory; the paper's
+// per-EID scenario counts (Fig. 7, about one more than EDP's) reflect the same
+// padding. maxListLen caps both SS's padding and EDP's per-EID selection when
+// the candidate intersection refuses to become a singleton.
+const (
+	minListLen = 3
+	maxListLen = 14
+)
 
 // withDefaults returns a copy with defaults applied.
 func (o Options) withDefaults() Options {
@@ -175,12 +172,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.WorkFactor == 0 {
 		o.WorkFactor = 4
-	}
-	if o.EDPMaxScenarios == 0 {
-		o.EDPMaxScenarios = 14
-	}
-	if o.MinPerEIDList == 0 {
-		o.MinPerEIDList = 3
 	}
 	return o
 }
@@ -208,32 +199,10 @@ func (o Options) validate() error {
 	if o.WorkFactor < 0 {
 		return fmt.Errorf("%w: work factor %d", ErrBadOptions, o.WorkFactor)
 	}
-	if o.EDPMaxScenarios < 1 {
-		return fmt.Errorf("%w: EDP max scenarios %d", ErrBadOptions, o.EDPMaxScenarios)
-	}
-	if o.MinPerEIDList < 1 {
-		return fmt.Errorf("%w: min per-EID list %d", ErrBadOptions, o.MinPerEIDList)
-	}
 	if o.MemBudget < 0 {
 		return fmt.Errorf("%w: mem budget %d", ErrBadOptions, o.MemBudget)
 	}
 	return nil
-}
-
-// executor returns the MapReduce executor for the configured mode.
-func (o Options) executor() mapreduce.Executor {
-	if o.Executor != nil {
-		return o.Executor
-	}
-	if o.Mode == ModeParallel {
-		return mapreduce.ParallelExecutor{
-			Workers:   o.Workers,
-			MemBudget: o.MemBudget,
-			SpillDir:  o.SpillDir,
-			Stats:     o.SpillStats,
-		}
-	}
-	return mapreduce.SerialExecutor{}
 }
 
 // effectiveWorkers resolves the worker count the default batch sizing

@@ -241,7 +241,7 @@ func (m *Matcher) splitStage(ctx context.Context, targets []ids.EID, round int, 
 		if len(winScenarios) == 0 {
 			continue
 		}
-		mrRes, err := mrjobs.SplitIteration(ctx, m.opts.executor(), mrjobs.SplitInput{
+		mrRes, err := mrjobs.SplitIteration(ctx, m.executor(), mrjobs.SplitInput{
 			Sets:      p.Sets(),
 			Scenarios: winScenarios,
 		})
@@ -271,7 +271,7 @@ func (m *Matcher) splitStage(ctx context.Context, targets []ids.EID, round int, 
 	var next atomic.Int64
 	pad := func() {
 		for i := int(next.Add(1)) - 1; i < len(eids) && ctx.Err() == nil; i = int(next.Add(1)) - 1 {
-			padded[i] = padToUnique(store, ix, eids[i], padded[i], windows, m.opts.MinPerEIDList, m.opts.EDPMaxScenarios)
+			padded[i] = padToUnique(store, ix, eids[i], padded[i], windows)
 		}
 	}
 	var others sync.WaitGroup
@@ -296,12 +296,12 @@ func (m *Matcher) splitStage(ctx context.Context, targets []ids.EID, round int, 
 
 // PadToUnique extends an EID's scenario list until the intersection of the
 // listed scenarios' full inclusive EID sets is the singleton {e} (or no
-// further scenario helps), and at least minLen scenarios are listed. maxLen
-// caps the total as a safety valve for worlds where the trajectory never
-// becomes unique. It is shared between the batch split stage and the
+// further scenario helps), and at least minListLen scenarios are listed.
+// maxListLen caps the total as a safety valve for worlds where the trajectory
+// never becomes unique. It is shared between the batch split stage and the
 // incremental streaming V stage, which pads over the windows closed so far.
-func PadToUnique(store *scenario.Store, e ids.EID, list []scenario.ID, windows []int, minLen, maxLen int) []scenario.ID {
-	return padToUnique(store, nil, e, list, windows, minLen, maxLen)
+func PadToUnique(store *scenario.Store, e ids.EID, list []scenario.ID, windows []int) []scenario.ID {
+	return padToUnique(store, nil, e, list, windows)
 }
 
 // padToUnique is PadToUnique with an optional view of the store's postings
@@ -309,7 +309,7 @@ func PadToUnique(store *scenario.Store, e ids.EID, list []scenario.ID, windows [
 // inclusively" probe: e's ordinal is resolved once and each window is then an
 // array read instead of a scan. Postings preserve AtWindow order, so both
 // paths pick identical scenarios.
-func padToUnique(store *scenario.Store, ix *blocking.Index, e ids.EID, list []scenario.ID, windows []int, minLen, maxLen int) []scenario.ID {
+func padToUnique(store *scenario.Store, ix *blocking.Index, e ids.EID, list []scenario.ID, windows []int) []scenario.ID {
 	out := append([]scenario.ID(nil), list...)
 	in := make(map[scenario.ID]bool, len(out))
 	for _, id := range out {
@@ -348,15 +348,12 @@ func padToUnique(store *scenario.Store, ix *blocking.Index, e ids.EID, list []sc
 	for _, id := range out {
 		narrow(store.E(id))
 	}
-	if minLen > maxLen {
-		maxLen = minLen
-	}
 	var ord int32
 	if ix != nil {
 		ord = store.Ordinal(e)
 	}
 	for _, w := range windows {
-		if len(out) >= maxLen || (len(out) >= minLen && len(cands) <= 1) {
+		if len(out) >= maxListLen || (len(out) >= minListLen && len(cands) <= 1) {
 			break
 		}
 		if ix != nil {
@@ -419,7 +416,7 @@ func (m *Matcher) vStage(ctx context.Context, filter *vfilter.Filter, p *partiti
 	}
 
 	// Parallel: extraction then comparison as MapReduce jobs.
-	exec := m.opts.executor()
+	exec := m.executor()
 	uniq := make(map[scenario.ID]bool)
 	var extractList []scenario.ID
 	assignments := make([]mrjobs.Assignment, 0, len(order))

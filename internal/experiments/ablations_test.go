@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"strconv"
 	"strings"
 	"testing"
@@ -130,19 +131,26 @@ func TestRunAblationsWritesAll(t *testing.T) {
 }
 
 func TestRunWithOptionOverride(t *testing.T) {
+	// Under VID missing, refining re-runs the split for the unaccepted EIDs,
+	// and every extra round it is allowed selects scenarios of its own.
 	r := quickRunner(t)
 	ctx := context.Background()
-	def, err := r.run(ctx, "base", nil, core.AlgorithmSS, r.cfg.EIDCounts[0])
+	rate := r.cfg.VIDMissRates[len(r.cfg.VIDMissRates)-1]
+	n := r.cfg.MissEIDCounts[len(r.cfg.MissEIDCounts)-1]
+	key := fmt.Sprintf("vmiss=%.2f", rate)
+	def, err := r.run(ctx, key, vidMissMutator(rate), core.AlgorithmSS, n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	longer, err := r.runWith(ctx, "base", nil, core.AlgorithmSS, r.cfg.EIDCounts[0],
-		"minlist=6", func(o *core.Options) { o.MinPerEIDList = 6 })
+	rounds := r.cfg.Matcher.MaxRefineRounds + 1
+	longer, err := r.runWith(ctx, key, vidMissMutator(rate), core.AlgorithmSS, n,
+		fmt.Sprintf("refine=%d", rounds), func(o *core.Options) { o.MaxRefineRounds = rounds })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if longer.PerEID <= def.PerEID {
-		t.Errorf("override ignored: perEID %v vs default %v", longer.PerEID, def.PerEID)
+	if longer.Selected <= def.Selected {
+		t.Errorf("override ignored: %d refine rounds selected %d scenarios, default %d",
+			rounds, longer.Selected, def.Selected)
 	}
 }
 

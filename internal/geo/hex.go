@@ -22,7 +22,6 @@ var hexDirs = [6]axial{
 type HexLayout struct {
 	bounds  Rect
 	size    float64 // center-to-corner radius R
-	cells   []axial // id -> axial coordinate
 	centers []Point // id -> center point
 	index   map[axial]CellID
 }
@@ -56,12 +55,11 @@ func NewHexLayout(bounds Rect, size float64) (*HexLayout, error) {
 			if !expanded.Contains(c) {
 				continue
 			}
-			h.index[a] = CellID(len(h.cells))
-			h.cells = append(h.cells, a)
+			h.index[a] = CellID(len(h.centers))
 			h.centers = append(h.centers, c)
 		}
 	}
-	if len(h.cells) == 0 {
+	if len(h.centers) == 0 {
 		return nil, fmt.Errorf("%w: no hex cells cover bounds", ErrBadLayout)
 	}
 	return h, nil
@@ -136,10 +134,7 @@ func (h *HexLayout) CellOf(p Point) CellID {
 func (h *HexLayout) Center(c CellID) Point { return h.centers[c] }
 
 // NumCells implements Layout.
-func (h *HexLayout) NumCells() int { return len(h.cells) }
-
-// Size returns the center-to-corner radius of each hex cell.
-func (h *HexLayout) Size() float64 { return h.size }
+func (h *HexLayout) NumCells() int { return len(h.centers) }
 
 // BorderDist implements Layout. For a pointy-top hexagon the distance to the
 // border is the inradius minus the largest projection of the offset from the
@@ -164,19 +159,4 @@ func (h *HexLayout) BorderDist(p Point) float64 {
 		return 0
 	}
 	return dist
-}
-
-// Bounds implements Layout.
-func (h *HexLayout) Bounds() Rect { return h.bounds }
-
-// Neighbors implements Layout, returning the up-to-six adjacent hexes.
-func (h *HexLayout) Neighbors(c CellID) []CellID {
-	a := h.cells[c]
-	out := make([]CellID, 0, 6)
-	for _, d := range hexDirs {
-		if id, ok := h.index[axial{q: a.q + d.q, r: a.r + d.r}]; ok {
-			out = append(out, id)
-		}
-	}
-	return out
 }

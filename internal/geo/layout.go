@@ -29,10 +29,6 @@ type Layout interface {
 	// The practical setting classifies positions with BorderDist below the
 	// vague-zone width as vague (paper Fig. 2).
 	BorderDist(p Point) float64
-	// Bounds returns the overall region covered by the layout.
-	Bounds() Rect
-	// Neighbors returns the cells adjacent to c, in deterministic order.
-	Neighbors(c CellID) []CellID
 }
 
 // Compile-time interface compliance checks.
@@ -121,12 +117,6 @@ func (g *GridLayout) CellRect(c CellID) Rect {
 // NumCells implements Layout.
 func (g *GridLayout) NumCells() int { return g.cols * g.rows }
 
-// Cols returns the number of grid columns.
-func (g *GridLayout) Cols() int { return g.cols }
-
-// Rows returns the number of grid rows.
-func (g *GridLayout) Rows() int { return g.rows }
-
 // BorderDist implements Layout.
 func (g *GridLayout) BorderDist(p Point) float64 {
 	c := g.CellOf(p)
@@ -134,26 +124,4 @@ func (g *GridLayout) BorderDist(p Point) float64 {
 		return 0
 	}
 	return g.CellRect(c).BorderDist(p)
-}
-
-// Bounds implements Layout.
-func (g *GridLayout) Bounds() Rect { return g.bounds }
-
-// Neighbors implements Layout, returning the 4-connected neighbors.
-func (g *GridLayout) Neighbors(c CellID) []CellID {
-	row, col := int(c)/g.cols, int(c)%g.cols
-	out := make([]CellID, 0, 4)
-	if row > 0 {
-		out = append(out, c-CellID(g.cols))
-	}
-	if col > 0 {
-		out = append(out, c-1)
-	}
-	if col < g.cols-1 {
-		out = append(out, c+1)
-	}
-	if row < g.rows-1 {
-		out = append(out, c+CellID(g.cols))
-	}
-	return out
 }

@@ -17,8 +17,8 @@ func TestNewGridLayoutValidation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewGridLayout: %v", err)
 	}
-	if g.NumCells() != 20 || g.Cols() != 4 || g.Rows() != 5 {
-		t.Errorf("got %d cells (%dx%d), want 20 (4x5)", g.NumCells(), g.Cols(), g.Rows())
+	if g.NumCells() != 20 || g.cols != 4 || g.rows != 5 {
+		t.Errorf("got %d cells (%dx%d), want 20 (4x5)", g.NumCells(), g.cols, g.rows)
 	}
 }
 
@@ -55,23 +55,6 @@ func TestGridBorderDist(t *testing.T) {
 	}
 	if got := g.BorderDist(Pt(-5, -5)); got != 0 {
 		t.Errorf("out-of-bounds BorderDist = %v, want 0", got)
-	}
-}
-
-func TestGridNeighbors(t *testing.T) {
-	g, _ := NewGridLayout(Square(Pt(0, 0), 90), 3, 3)
-	tests := []struct {
-		cell CellID
-		want int
-	}{
-		{cell: 4, want: 4}, // center
-		{cell: 0, want: 2}, // corner
-		{cell: 1, want: 3}, // edge
-	}
-	for _, tt := range tests {
-		if got := g.Neighbors(tt.cell); len(got) != tt.want {
-			t.Errorf("Neighbors(%d) = %v, want %d cells", tt.cell, got, tt.want)
-		}
 	}
 }
 
@@ -151,7 +134,7 @@ func TestHexBorderDistWithinInradius(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inradius := h.Size() * 0.8660254038
+	inradius := h.size * 0.8660254038
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 2000; i++ {
 		p := Pt(rng.Float64()*300, rng.Float64()*300)
@@ -168,27 +151,6 @@ func TestHexBorderDistWithinInradius(t *testing.T) {
 		}
 		if d := h.BorderDist(center); d < inradius-1e-6 || d > inradius+1e-6 {
 			t.Fatalf("center BorderDist = %v, want %v", d, inradius)
-		}
-	}
-}
-
-func TestHexNeighborsAreMutual(t *testing.T) {
-	h, err := NewHexLayout(Square(Pt(0, 0), 300), 35)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for c := CellID(0); int(c) < h.NumCells(); c++ {
-		for _, n := range h.Neighbors(c) {
-			found := false
-			for _, back := range h.Neighbors(n) {
-				if back == c {
-					found = true
-					break
-				}
-			}
-			if !found {
-				t.Fatalf("neighbor relation not mutual: %d -> %d", c, n)
-			}
 		}
 	}
 }
@@ -211,7 +173,7 @@ func TestGridCellRectsTileBounds(t *testing.T) {
 	for c := CellID(0); int(c) < g.NumCells(); c++ {
 		area += g.CellRect(c).Area()
 	}
-	if diff := area - g.Bounds().Area(); diff > 1e-6 || diff < -1e-6 {
-		t.Errorf("cell areas sum to %v, bounds area %v", area, g.Bounds().Area())
+	if diff := area - g.bounds.Area(); diff > 1e-6 || diff < -1e-6 {
+		t.Errorf("cell areas sum to %v, bounds area %v", area, g.bounds.Area())
 	}
 }

@@ -81,14 +81,19 @@ var docRefRE = regexp.MustCompile(`^([A-Za-z_]\w*)((?:\.[A-Za-z_]\w*){1,2})(?:\(
 // `BENCHMARK.json`) rather than a Go reference.
 var fileExts = map[string]bool{"go": true, "md": true, "json": true}
 
+// goCmdRE matches a go run, go test or go build command; its arguments run
+// to the end of the line, a closing backtick or a shell comment.
+var goCmdRE = regexp.MustCompile("\\bgo (?:run|test|build)\\b([^`#]*)")
+
 // TestDocReferencesResolve: every backticked pkg.Name, pkg.Type.Member or
 // Type.Member in README.md and DESIGN.md names something in the
 // type-checked module, so a deletion cannot leave the docs describing code
 // that is gone. A span whose first part is neither a module package nor a
 // capitalised name (a local variable, a standard-library package), or that
 // is a per-layer metric of BENCHMARK.json (`core.v_stage_s`), is not
-// checked. Text under a heading containing "History" describes code as it
-// was and is exempt.
+// checked. Every ./… path of a go run, go test or go build command in those
+// two and the verify skill, fenced or not, must name a directory of the
+// module or of the nested bench/ module.
 func TestDocReferencesResolve(t *testing.T) {
 	root, pkgs := loadModule(t)
 	raw, err := os.ReadFile(filepath.Join(root, "BENCHMARK.json"))
@@ -140,28 +145,32 @@ func TestDocReferencesResolve(t *testing.T) {
 		}
 		return false
 	}
-	for _, doc := range []string{"README.md", "DESIGN.md"} {
+	isDir := func(rel string) bool {
+		for _, base := range []string{root, filepath.Join(root, "bench")} {
+			if fi, err := os.Stat(filepath.Join(base, rel)); err == nil && fi.IsDir() {
+				return true
+			}
+		}
+		return false
+	}
+	for _, doc := range []string{"README.md", "DESIGN.md", filepath.Join(".claude", "skills", "verify", "SKILL.md")} {
 		data, err := os.ReadFile(filepath.Join(root, doc))
 		if err != nil {
 			t.Fatal(err)
 		}
-		fence, historyLevel := false, 0
+		fence := false
 		for i, text := range strings.Split(string(data), "\n") {
+			for _, cmd := range goCmdRE.FindAllStringSubmatch(text, -1) {
+				for _, arg := range strings.Fields(cmd[1]) {
+					if rel, ok := strings.CutPrefix(strings.Trim(arg, `'"`), "./"); ok && !isDir(strings.TrimSuffix(rel, "...")) {
+						t.Errorf("%s:%d: go command path %s names no directory of the module or bench/", doc, i+1, arg)
+					}
+				}
+			}
 			if strings.HasPrefix(text, "```") {
 				fence = !fence
 			}
-			if fence {
-				continue
-			}
-			if level := len(text) - len(strings.TrimLeft(text, "#")); level > 0 && strings.HasPrefix(text[level:], " ") {
-				if historyLevel > 0 && level <= historyLevel {
-					historyLevel = 0
-				}
-				if historyLevel == 0 && strings.Contains(text, "History") {
-					historyLevel = level
-				}
-			}
-			if historyLevel > 0 {
+			if fence || filepath.Base(doc) == "SKILL.md" {
 				continue
 			}
 			spans := strings.Split(text, "`")

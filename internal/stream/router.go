@@ -403,10 +403,9 @@ func (r *Router) redispatchLocked(slot *shardSlot) {
 	r.startIncarnationLocked(slot)
 }
 
-// shardParams is the windowing configuration every shard windower runs.
-func (r *Router) shardParams() ShardParams {
-	return ShardParams{WindowMS: r.cfg.WindowMS, Dim: r.cfg.Dim, WorkFactor: r.cfg.WorkFactor}
-}
+// shardParams is the windowing configuration every shard windower runs: the
+// merge stage's.
+func (r *Router) shardParams() ShardParams { return r.merged.shardParams() }
 
 // startIncarnationLocked launches the slot's current incarnation — the first
 // or a replacement, there is no difference — on the configured runner, which

@@ -31,9 +31,8 @@ var ErrBadConfig = errors.New("stream: invalid config")
 // divergence check in core.
 var ErrDiverged = errors.New("stream: incremental split diverged from batch reference")
 
-// Config parameterizes an Engine. The matching knobs (AcceptMajority,
-// WorkFactor, Seed, MinPerEIDList, MaxScenarios) default to the same values
-// as core.Options, so a stream replay and a batch run agree without tuning.
+// Config parameterizes an Engine. Matching runs at core.Options' defaults
+// (Seed aside), so a stream replay and a batch run agree without tuning.
 type Config struct {
 	// Targets is the EID set to match. Required.
 	Targets []ids.EID
@@ -47,13 +46,8 @@ type Config struct {
 	// Dim is the feature descriptor dimensionality of V patches. Required.
 	Dim int
 
-	// AcceptMajority, WorkFactor, Seed, MinPerEIDList, MaxScenarios mirror
-	// the same-named core.Options fields (MaxScenarios ↔ EDPMaxScenarios).
-	AcceptMajority float64
-	WorkFactor     int
-	Seed           int64
-	MinPerEIDList  int
-	MaxScenarios   int
+	// Seed seeds Finalize's batch run (core.Options.Seed). Defaults to 1.
+	Seed int64
 
 	// MemBudget caps the bytes of resident sealed V-Scenario payloads.
 	// Past it, closed-but-unmerged scenarios (and their extracted feature
@@ -79,20 +73,8 @@ type Config struct {
 
 // withDefaults returns a copy with defaults applied.
 func (c Config) withDefaults() Config {
-	if c.AcceptMajority == 0 {
-		c.AcceptMajority = 0.7
-	}
-	if c.WorkFactor == 0 {
-		c.WorkFactor = 4
-	}
 	if c.Seed == 0 {
 		c.Seed = 1
-	}
-	if c.MinPerEIDList == 0 {
-		c.MinPerEIDList = 3
-	}
-	if c.MaxScenarios == 0 {
-		c.MaxScenarios = 14
 	}
 	if c.Clock == nil {
 		c.Clock = SystemClock{}
@@ -113,9 +95,6 @@ func (c Config) validate() error {
 	}
 	if c.Dim < 2 {
 		return fmt.Errorf("%w: dim %d", ErrBadConfig, c.Dim)
-	}
-	if c.AcceptMajority < 0 || c.AcceptMajority > 1 {
-		return fmt.Errorf("%w: accept majority %f", ErrBadConfig, c.AcceptMajority)
 	}
 	if c.MemBudget < 0 {
 		return fmt.Errorf("%w: mem budget %d", ErrBadConfig, c.MemBudget)
@@ -232,6 +211,7 @@ type Engine struct {
 	mu     sync.Mutex
 	cfg    Config
 	store  *scenario.Store
+	batch  *core.Matcher // Finalize's serial in-order SS over store
 	part   *partition.Partition
 	filter *vfilter.Filter
 
@@ -292,10 +272,10 @@ func NewEngine(cfg Config) (*Engine, error) {
 		accepted: make(map[ids.VID]bool),
 		gauges:   make(map[string]int64),
 	}
-	if err := e.resetWindower(nil); err != nil {
+	if err := e.resetMatchState(); err != nil {
 		return nil, err
 	}
-	if err := e.resetMatchState(); err != nil {
+	if err := e.resetWindower(nil); err != nil {
 		return nil, err
 	}
 	return e, nil
@@ -304,7 +284,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 // resetWindower installs a windower holding the given open buckets (engine
 // construction and checkpoint restore).
 func (e *Engine) resetWindower(open []ShardBucket) error {
-	win, err := NewShardWindower(ShardParams{WindowMS: e.cfg.WindowMS, Dim: e.cfg.Dim, WorkFactor: e.cfg.WorkFactor}, open)
+	win, err := NewShardWindower(e.shardParams(), open)
 	if err != nil {
 		return err
 	}
@@ -312,10 +292,30 @@ func (e *Engine) resetWindower(open []ShardBucket) error {
 	return nil
 }
 
-// resetMatchState builds a fresh store, partition, and filter (engine
-// construction and checkpoint restore).
+// shardParams is the windowing configuration of the engine's windower and of
+// every shard a Router runs. WorkFactor, which a windower only validates,
+// carries the batch matcher's extraction cost.
+func (e *Engine) shardParams() ShardParams {
+	return ShardParams{WindowMS: e.cfg.WindowMS, Dim: e.cfg.Dim, WorkFactor: e.batch.Options().WorkFactor}
+}
+
+// resetMatchState builds a fresh store, batch matcher, partition, and filter
+// (engine construction and checkpoint restore).
 func (e *Engine) resetMatchState() error {
 	e.store = scenario.NewStore(nil)
+	batch, err := core.New(&dataset.Dataset{
+		Config: dataset.Config{FeatureDim: e.cfg.Dim},
+		Store:  e.store,
+	}, core.Options{
+		Algorithm: core.AlgorithmSS,
+		Mode:      core.ModeSerial,
+		Seed:      e.cfg.Seed,
+		ScanOrder: core.ScanInOrder,
+	})
+	if err != nil {
+		return err
+	}
+	e.batch = batch
 	p, err := partition.New(e.cfg.Targets)
 	if err != nil {
 		return err
@@ -324,9 +324,12 @@ func (e *Engine) resetMatchState() error {
 	e.live = blocking.NewLiveTargets(e.cfg.Targets)
 	e.part.OnResolve(e.live.Resolve)
 	e.blockCandidates, e.blockPruned = 0, 0
+	// The live filter scores under the batch run's defaulted options, so a
+	// live resolution and Finalize's weigh the same evidence alike.
+	opts := batch.Options()
 	f, err := vfilter.New(e.store, vfilter.Config{
-		Extractor:      feature.Extractor{Dim: e.cfg.Dim, WorkFactor: e.cfg.WorkFactor},
-		AcceptMajority: e.cfg.AcceptMajority,
+		Extractor:      feature.Extractor{Dim: e.cfg.Dim, WorkFactor: opts.WorkFactor},
+		AcceptMajority: opts.AcceptMajority,
 	})
 	if err != nil {
 		return err
@@ -490,7 +493,7 @@ func (e *Engine) sweepResolutions(window int) error {
 		if err != nil {
 			return err
 		}
-		list := core.PadToUnique(e.store, t, pos, e.store.Windows(), e.cfg.MinPerEIDList, e.cfg.MaxScenarios)
+		list := core.PadToUnique(e.store, t, pos, e.store.Windows())
 		if len(list) == 0 {
 			continue // no closed scenario mentions the EID yet; retry later
 		}
@@ -584,24 +587,7 @@ func (e *Engine) Finalize(ctx context.Context) (*core.Report, error) {
 	if err := e.flushLocked(); err != nil {
 		return nil, err
 	}
-	ds := &dataset.Dataset{
-		Config: dataset.Config{FeatureDim: e.cfg.Dim},
-		Store:  e.store,
-	}
-	m, err := core.New(ds, core.Options{
-		Algorithm:       core.AlgorithmSS,
-		Mode:            core.ModeSerial,
-		Seed:            e.cfg.Seed,
-		ScanOrder:       core.ScanInOrder,
-		AcceptMajority:  e.cfg.AcceptMajority,
-		WorkFactor:      e.cfg.WorkFactor,
-		EDPMaxScenarios: e.cfg.MaxScenarios,
-		MinPerEIDList:   e.cfg.MinPerEIDList,
-	})
-	if err != nil {
-		return nil, err
-	}
-	rep, err := m.Match(ctx, e.cfg.Targets)
+	rep, err := e.batch.Match(ctx, e.cfg.Targets)
 	if err != nil {
 		return nil, err
 	}

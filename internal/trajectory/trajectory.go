@@ -3,23 +3,19 @@
 // E-Locations of their device) and multiple V-Trajectory segments (linked
 // V-Locations that break on occlusion or missed detections). The builders
 // derive both from a scenario store at cell granularity — the "rough"
-// locations EV-Matching operates on — and the similarity measure quantifies
-// how spatiotemporally close two trajectories are.
+// locations EV-Matching operates on — for the fused trajectory query
+// (internal/fusion).
 package trajectory
 
 import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 
 	"evmatching/internal/geo"
 	"evmatching/internal/ids"
 	"evmatching/internal/scenario"
 )
-
-// ErrEmpty reports an operation on an empty trajectory.
-var ErrEmpty = errors.New("trajectory: empty trajectory")
 
 // Point is one located observation: the center of the cell the identity was
 // observed in during one window.
@@ -120,80 +116,4 @@ func BuildV(st *scenario.Store, v ids.VID, maxGap int) (*VTrajectory, error) {
 		out.Segments = append(out.Segments, Segment{Points: current})
 	}
 	return out, nil
-}
-
-// Len returns the number of E-Locations.
-func (t *ETrajectory) Len() int { return len(t.Points) }
-
-// At returns the E-Location at the given window, if observed.
-func (t *ETrajectory) At(window int) (Point, bool) {
-	i := sort.Search(len(t.Points), func(i int) bool { return t.Points[i].Window >= window })
-	if i < len(t.Points) && t.Points[i].Window == window {
-		return t.Points[i], true
-	}
-	return Point{}, false
-}
-
-// Span returns the first and last observed windows.
-func (t *ETrajectory) Span() (first, last int, err error) {
-	if len(t.Points) == 0 {
-		return 0, 0, fmt.Errorf("%w: EID %s", ErrEmpty, t.EID)
-	}
-	return t.Points[0].Window, t.Points[len(t.Points)-1].Window, nil
-}
-
-// Len returns the total number of V-Locations across segments.
-func (t *VTrajectory) Len() int {
-	n := 0
-	for _, s := range t.Segments {
-		n += len(s.Points)
-	}
-	return n
-}
-
-// At returns the V-Location at the given window, if observed.
-func (t *VTrajectory) At(window int) (Point, bool) {
-	for _, s := range t.Segments {
-		for _, p := range s.Points {
-			if p.Window == window {
-				return p, true
-			}
-		}
-	}
-	return Point{}, false
-}
-
-// Similarity measures how spatiotemporally close an E-Trajectory and a
-// V-Trajectory are: one minus the mean distance between co-observed
-// locations, normalized by the layout diagonal. 1 means identical cell
-// centers at every shared window; 0 means no shared windows or maximal
-// separation. It is the trajectory-level counterpart of the paper's
-// observation that "two people are rarely at the same position all the
-// time" (§III-B).
-func Similarity(et *ETrajectory, vt *VTrajectory, bounds geo.Rect) (float64, error) {
-	if et == nil || vt == nil {
-		return 0, errors.New("trajectory: nil trajectory")
-	}
-	diag := bounds.Min.Dist(bounds.Max)
-	if diag == 0 {
-		return 0, errors.New("trajectory: empty bounds")
-	}
-	var sum float64
-	shared := 0
-	for _, p := range et.Points {
-		q, ok := vt.At(p.Window)
-		if !ok {
-			continue
-		}
-		shared++
-		sum += p.Pos.Dist(q.Pos)
-	}
-	if shared == 0 {
-		return 0, nil
-	}
-	sim := 1 - (sum/float64(shared))/diag
-	if sim < 0 {
-		sim = 0
-	}
-	return sim, nil
 }

@@ -1,7 +1,6 @@
 package trajectory
 
 import (
-	"math/rand"
 	"testing"
 
 	"evmatching/internal/dataset"
@@ -50,36 +49,19 @@ func TestETrajectoryCoversAllWindows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if et.Len() != ds.Config.NumWindows {
-		t.Errorf("E-Trajectory has %d points, want %d", et.Len(), ds.Config.NumWindows)
+	if len(et.Points) != ds.Config.NumWindows {
+		t.Fatalf("E-Trajectory has %d points, want %d", len(et.Points), ds.Config.NumWindows)
 	}
-	for _, p := range et.Points {
+	for i, p := range et.Points {
+		if p.Window != i {
+			t.Errorf("point %d at window %d, want ascending windows from 0", i, p.Window)
+		}
 		if p.Vague {
 			t.Error("ideal world produced vague E-location")
 		}
 		if p.Cell == geo.NoCell {
 			t.Error("point without a cell")
 		}
-	}
-	first, last, err := et.Span()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first != 0 || last != ds.Config.NumWindows-1 {
-		t.Errorf("Span = [%d, %d]", first, last)
-	}
-	if _, ok := et.At(5); !ok {
-		t.Error("At(5) not found")
-	}
-	if _, ok := et.At(9999); ok {
-		t.Error("At(9999) found")
-	}
-}
-
-func TestETrajectorySpanEmpty(t *testing.T) {
-	et := &ETrajectory{EID: "ghost"}
-	if _, _, err := et.Span(); err == nil {
-		t.Error("want ErrEmpty")
 	}
 }
 
@@ -93,8 +75,8 @@ func TestVTrajectorySingleSegmentWhenAlwaysSeen(t *testing.T) {
 	if len(vt.Segments) != 1 {
 		t.Errorf("segments = %d, want 1 in ideal world", len(vt.Segments))
 	}
-	if vt.Len() != ds.Config.NumWindows {
-		t.Errorf("V-Trajectory has %d points, want %d", vt.Len(), ds.Config.NumWindows)
+	if n := pointCount(vt); n != ds.Config.NumWindows {
+		t.Errorf("V-Trajectory has %d points, want %d", n, ds.Config.NumWindows)
 	}
 }
 
@@ -112,7 +94,7 @@ func TestVTrajectorySegmentsSplitOnMisses(t *testing.T) {
 		if len(vt.Segments) > 1 {
 			multi++
 		}
-		if vt.Len() >= ds.Config.NumWindows {
+		if pointCount(vt) >= ds.Config.NumWindows {
 			t.Errorf("person %d: no misses despite 30%% missing rate", p.Index)
 		}
 	}
@@ -125,7 +107,6 @@ func TestMatchedPairTrajectoriesAreSimilar(t *testing.T) {
 	// The core invariant behind EV-Matching: a person's E-Trajectory and
 	// V-Trajectory coincide, and differ from other persons'.
 	ds := testWorld(t, nil)
-	bounds := ds.Layout.Bounds()
 	p0, p1 := ds.Persons[0], ds.Persons[1]
 	et0, err := BuildE(ds.Store, p0.EID)
 	if err != nil {
@@ -139,63 +120,39 @@ func TestMatchedPairTrajectoriesAreSimilar(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	own, err := Similarity(et0, vt0, bounds)
-	if err != nil {
-		t.Fatal(err)
+	if own := sharedCells(et0, vt0); own != len(et0.Points) {
+		t.Errorf("own pair shares %d of %d cells, want all in ideal world", own, len(et0.Points))
 	}
-	other, err := Similarity(et0, vt1, bounds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if own < 0.99 {
-		t.Errorf("own-pair similarity = %v, want ~1 in ideal world", own)
-	}
-	if other >= own {
-		t.Errorf("cross-pair similarity %v >= own %v", other, own)
+	if other := sharedCells(et0, vt1); other >= len(et0.Points) {
+		t.Errorf("cross pair shares all %d cells", other)
 	}
 }
 
-func TestSimilarityProperties(t *testing.T) {
-	ds := testWorld(t, nil)
-	bounds := ds.Layout.Bounds()
-	rng := rand.New(rand.NewSource(2))
-	for i := 0; i < 20; i++ {
-		a := ds.Persons[rng.Intn(len(ds.Persons))]
-		b := ds.Persons[rng.Intn(len(ds.Persons))]
-		et, err := BuildE(ds.Store, a.EID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		vt, err := BuildV(ds.Store, b.VID, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s, err := Similarity(et, vt, bounds)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if s < 0 || s > 1 {
-			t.Fatalf("similarity %v out of [0,1]", s)
+// sharedCells counts the windows in which et and vt place the person in the
+// same cell.
+func sharedCells(et *ETrajectory, vt *VTrajectory) int {
+	cells := make(map[int]geo.CellID)
+	for _, s := range vt.Segments {
+		for _, p := range s.Points {
+			cells[p.Window] = p.Cell
 		}
 	}
+	n := 0
+	for _, p := range et.Points {
+		if c, ok := cells[p.Window]; ok && c == p.Cell {
+			n++
+		}
+	}
+	return n
 }
 
-func TestSimilarityValidation(t *testing.T) {
-	if _, err := Similarity(nil, nil, geo.Rect{}); err == nil {
-		t.Error("want error for nil trajectories")
+// pointCount is the number of V-Locations across vt's segments.
+func pointCount(vt *VTrajectory) int {
+	n := 0
+	for _, s := range vt.Segments {
+		n += len(s.Points)
 	}
-	et := &ETrajectory{}
-	vt := &VTrajectory{}
-	if _, err := Similarity(et, vt, geo.Rect{}); err == nil {
-		t.Error("want error for empty bounds")
-	}
-	s, err := Similarity(et, vt, geo.Square(geo.Pt(0, 0), 10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s != 0 {
-		t.Errorf("no shared windows similarity = %v, want 0", s)
-	}
+	return n
 }
 
 func TestBuildEPrefersInclusiveSighting(t *testing.T) {
@@ -222,8 +179,8 @@ func TestBuildEPrefersInclusiveSighting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if et.Len() != 1 {
-		t.Fatalf("points = %d", et.Len())
+	if len(et.Points) != 1 {
+		t.Fatalf("points = %d", len(et.Points))
 	}
 	if et.Points[0].Cell != 2 || et.Points[0].Vague {
 		t.Errorf("point = %+v, want inclusive cell 2", et.Points[0])
