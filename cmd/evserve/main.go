@@ -34,7 +34,7 @@
 //
 // In cluster mode the matching phase runs on the fault-tolerant distributed
 // runtime (an in-process coordinator plus -workers workers over localhost
-// RPC); its recovery counters — retries, evictions, speculative wins — are
+// RPC); its recovery counters — retries, evictions, stale reports — are
 // then served at /metricsz.
 package main
 
@@ -129,10 +129,7 @@ func startCluster(workers int) (*cluster.Executor, func(), error) {
 func publishClusterStats(reg *metrics.Registry, stats cluster.Stats) {
 	reg.Set("cluster.retries", stats.Retries)
 	reg.Set("cluster.evictions", stats.Evictions)
-	reg.Set("cluster.speculative_dispatches", stats.SpeculativeDispatches)
-	reg.Set("cluster.speculative_wins", stats.SpeculativeWins)
 	reg.Set("cluster.stale_reports", stats.StaleReports)
-	reg.Set("cluster.dead_workers", stats.DeadWorkers)
 }
 
 // publishBlockStats copies the batch matcher's posting-index totals into the

@@ -237,7 +237,7 @@ func TestServeClusterMode(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, name := range []string{
-		"cluster.retries", "cluster.evictions", "cluster.speculative_wins",
+		"cluster.retries", "cluster.evictions", "cluster.stale_reports",
 	} {
 		if _, ok := counters[name]; !ok {
 			t.Errorf("/metricsz missing %s: %v", name, counters)

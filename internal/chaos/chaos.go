@@ -14,16 +14,8 @@ import (
 	"evmatching/internal/cluster"
 )
 
-// Default fault-shape parameters.
-const (
-	// DefaultStallFor is the straggler delay when Config.StallFor is zero.
-	DefaultStallFor = 200 * time.Millisecond
-	// DefaultHeartbeatBurst is the length of a dropped-heartbeat burst when
-	// Config.HeartbeatBurst is zero. Losses come in contiguous bursts so
-	// they are long enough to trip the coordinator's heartbeat timeout;
-	// isolated single drops would never be observable.
-	DefaultHeartbeatBurst = 8
-)
+// DefaultStallFor is the straggler delay when Config.StallFor is zero.
+const DefaultStallFor = 200 * time.Millisecond
 
 // Config sets the per-event probabilities of each fault class. Probabilities
 // are in [0, 1] and independent; the zero Config injects nothing.
@@ -38,16 +30,8 @@ type Config struct {
 	Stall float64
 	// StallFor is the straggler delay; 0 means DefaultStallFor.
 	StallFor time.Duration
-	// DropReport is the chance a task's report is lost in transit.
-	DropReport float64
 	// DuplicateReport is the chance a task's report is delivered twice.
 	DuplicateReport float64
-	// HeartbeatLoss is the chance a given heartbeat burst is dropped
-	// entirely; bursts are HeartbeatBurst consecutive pings.
-	HeartbeatLoss float64
-	// HeartbeatBurst is the dropped-burst length; 0 means
-	// DefaultHeartbeatBurst.
-	HeartbeatBurst int
 }
 
 // validate rejects out-of-range probabilities.
@@ -59,15 +43,13 @@ func (c *Config) validate() error {
 		{"CrashBeforeExecute", c.CrashBeforeExecute},
 		{"CrashBeforeReport", c.CrashBeforeReport},
 		{"Stall", c.Stall},
-		{"DropReport", c.DropReport},
 		{"DuplicateReport", c.DuplicateReport},
-		{"HeartbeatLoss", c.HeartbeatLoss},
 	} {
 		if p.v < 0 || p.v > 1 {
 			return fmt.Errorf("chaos: probability %s=%g outside [0,1]", p.name, p.v)
 		}
 	}
-	if c.StallFor < 0 || c.HeartbeatBurst < 0 {
+	if c.StallFor < 0 {
 		return fmt.Errorf("chaos: negative fault-shape parameter")
 	}
 	return nil
@@ -91,9 +73,6 @@ func NewInjector(seed int64, cfg Config) (*Injector, error) {
 	if cfg.StallFor == 0 {
 		cfg.StallFor = DefaultStallFor
 	}
-	if cfg.HeartbeatBurst == 0 {
-		cfg.HeartbeatBurst = DefaultHeartbeatBurst
-	}
 	return &Injector{seed: seed, cfg: cfg}, nil
 }
 
@@ -111,24 +90,12 @@ func (in *Injector) TaskFault(workerID, jobID string, kind cluster.TaskKind, tas
 	f := cluster.TaskFault{
 		CrashBeforeExecute: roll("crash-pre", in.cfg.CrashBeforeExecute),
 		CrashBeforeReport:  roll("crash-post", in.cfg.CrashBeforeReport),
-		DropReport:         roll("drop", in.cfg.DropReport),
 		DuplicateReport:    roll("dup", in.cfg.DuplicateReport),
 	}
 	if roll("stall", in.cfg.Stall) {
 		f.StallBeforeReport = in.cfg.StallFor
 	}
 	return f
-}
-
-// DropHeartbeat implements cluster.FaultPlan. Drops are decided per burst
-// window (seq / HeartbeatBurst) so lost heartbeats are contiguous and long
-// enough for the coordinator to notice.
-func (in *Injector) DropHeartbeat(workerID string, seq int) bool {
-	if in.cfg.HeartbeatLoss <= 0 {
-		return false
-	}
-	burst := seq / in.cfg.HeartbeatBurst
-	return in.frac("hb", workerID, "", 0, burst) < in.cfg.HeartbeatLoss
 }
 
 // frac hashes the decision coordinates into a uniform [0, 1) fraction.

@@ -12,11 +12,8 @@ func TestInjectorValidation(t *testing.T) {
 		{CrashBeforeExecute: -0.1},
 		{CrashBeforeReport: 1.5},
 		{Stall: 2},
-		{DropReport: -1},
 		{DuplicateReport: 7},
-		{HeartbeatLoss: 1.01},
 		{StallFor: -time.Second},
-		{HeartbeatBurst: -1},
 	}
 	for i, cfg := range bad {
 		if _, err := NewInjector(1, cfg); err == nil {
@@ -33,9 +30,7 @@ func TestInjectorDeterministic(t *testing.T) {
 		CrashBeforeExecute: 0.3,
 		CrashBeforeReport:  0.3,
 		Stall:              0.3,
-		DropReport:         0.3,
 		DuplicateReport:    0.3,
-		HeartbeatLoss:      0.3,
 	}
 	a, err := NewInjector(42, cfg)
 	if err != nil {
@@ -63,9 +58,6 @@ func TestInjectorDeterministic(t *testing.T) {
 		if a.TaskFault("w1", "j1", cluster.TaskMap, task) != other.TaskFault("w1", "j1", cluster.TaskMap, task) {
 			differs = true
 		}
-		if a.DropHeartbeat("w1", task) != b.DropHeartbeat("w1", task) {
-			t.Fatalf("heartbeat %d: same seed disagrees", task)
-		}
 	}
 	if !differs {
 		t.Error("seeds 42 and 43 produced identical schedules — seed is ignored")
@@ -78,8 +70,7 @@ func TestInjectorProbabilityExtremes(t *testing.T) {
 		t.Fatal(err)
 	}
 	always, err := NewInjector(7, Config{
-		CrashBeforeExecute: 1, CrashBeforeReport: 1, Stall: 1,
-		DropReport: 1, DuplicateReport: 1, HeartbeatLoss: 1,
+		CrashBeforeExecute: 1, CrashBeforeReport: 1, Stall: 1, DuplicateReport: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -88,42 +79,10 @@ func TestInjectorProbabilityExtremes(t *testing.T) {
 		if f := never.TaskFault("w", "j", cluster.TaskReduce, task); f != (cluster.TaskFault{}) {
 			t.Fatalf("zero config injected %+v", f)
 		}
-		if never.DropHeartbeat("w", task) {
-			t.Fatalf("zero config dropped heartbeat %d", task)
-		}
 		f := always.TaskFault("w", "j", cluster.TaskReduce, task)
-		if !f.CrashBeforeExecute || !f.CrashBeforeReport || !f.DropReport ||
+		if !f.CrashBeforeExecute || !f.CrashBeforeReport ||
 			!f.DuplicateReport || f.StallBeforeReport != DefaultStallFor {
 			t.Fatalf("probability-1 config skipped a fault: %+v", f)
 		}
-		if !always.DropHeartbeat("w", task) {
-			t.Fatalf("probability-1 config delivered heartbeat %d", task)
-		}
-	}
-}
-
-func TestHeartbeatDropsComeInBursts(t *testing.T) {
-	in, err := NewInjector(11, Config{HeartbeatLoss: 0.5, HeartbeatBurst: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Within one burst window every decision matches.
-	for burst := 0; burst < 32; burst++ {
-		first := in.DropHeartbeat("w", burst*4)
-		for seq := burst * 4; seq < (burst+1)*4; seq++ {
-			if in.DropHeartbeat("w", seq) != first {
-				t.Fatalf("seq %d breaks burst %d", seq, burst)
-			}
-		}
-	}
-	// And across many bursts both outcomes occur.
-	drops := 0
-	for burst := 0; burst < 64; burst++ {
-		if in.DropHeartbeat("w", burst*4) {
-			drops++
-		}
-	}
-	if drops == 0 || drops == 64 {
-		t.Errorf("drops = %d of 64 bursts; want a mix", drops)
 	}
 }

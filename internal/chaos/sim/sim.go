@@ -2,10 +2,9 @@
 // real coordinator/worker cluster under seeded fault schedules and checks
 // that the final Report.Fingerprint is byte-identical to the fault-free
 // baseline. One Run covers many schedules: the dataset, targets, and
-// matching options stay fixed while the fault schedule (and the
-// coordinator's recovery jitter) varies per schedule seed, so the harness
-// demonstrates that crashes, stalls, lost/duplicated results, and heartbeat
-// loss never change what EV-Matching computes — only what it costs.
+// matching options stay fixed while the fault schedule varies per schedule
+// seed, so the harness demonstrates that crashes, stalls and duplicated
+// results never change what EV-Matching computes — only what it costs.
 package sim
 
 import (
@@ -73,7 +72,7 @@ func (c *Config) normalize() {
 
 // Result aggregates a simulation run. The pipeline outcome (baseline
 // fingerprint, mismatches, failures, leaks) is reproducible from the seed;
-// the cost counters (Stats, Fallbacks) depend on real scheduling timing and
+// the cost counters (Stats) depend on real scheduling timing and
 // vary between runs — they report how much recovery machinery exercised, not
 // what was computed.
 type Result struct {
@@ -89,8 +88,6 @@ type Result struct {
 	Leaks []string
 	// Stats sums the coordinators' fault-recovery counters.
 	Stats cluster.Stats
-	// Fallbacks counts jobs degraded to the in-process serial path.
-	Fallbacks int64
 }
 
 // OK reports whether every schedule reproduced the baseline cleanly.
@@ -126,9 +123,8 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	res := &Result{Schedules: cfg.Schedules, BaselineFingerprint: base}
 	for i := 0; i < cfg.Schedules; i++ {
 		schedSeed := cfg.Seed*1_000_003 + int64(i) + 1
-		fp, stats, fallbacks, leaked, err := runSchedule(ctx, ds, targets, cfg, i, schedSeed)
+		fp, stats, leaked, err := runSchedule(ctx, ds, targets, cfg, i, schedSeed)
 		res.Stats = res.Stats.Add(stats)
-		res.Fallbacks += fallbacks
 		res.Leaks = append(res.Leaks, leaked...)
 		if err != nil {
 			res.Failures = append(res.Failures, fmt.Sprintf("schedule %d: %v", i, err))
@@ -143,36 +139,27 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 
 // runSchedule boots a fresh cluster, injects the schedule's faults, runs the
 // full pipeline, and tears everything down, checking for leaked goroutines.
-func runSchedule(ctx context.Context, ds *dataset.Dataset, targets []ids.EID, cfg Config, sched int, schedSeed int64) (fp string, stats cluster.Stats, fallbacks int64, leaked []string, err error) {
+func runSchedule(ctx context.Context, ds *dataset.Dataset, targets []ids.EID, cfg Config, sched int, schedSeed int64) (fp string, stats cluster.Stats, leaked []string, err error) {
 	snap := mrtest.TakeLeakSnapshot()
 	dir, err := os.MkdirTemp("", "evsim-")
 	if err != nil {
-		return "", stats, 0, nil, err
+		return "", stats, nil, err
 	}
 	defer os.RemoveAll(dir)
 
-	coord, err := cluster.NewCoordinator(cluster.CoordinatorConfig{
-		Dir:              dir,
-		TaskTimeout:      200 * time.Millisecond,
-		HeartbeatTimeout: 100 * time.Millisecond,
-		RetryBase:        5 * time.Millisecond,
-		RetryMax:         80 * time.Millisecond,
-		SpeculativeAfter: 40 * time.Millisecond,
-		PoolTimeout:      time.Second,
-		Seed:             schedSeed,
-	})
+	coord, err := cluster.NewCoordinator(cluster.CoordinatorConfig{Dir: dir})
 	if err != nil {
-		return "", stats, 0, nil, err
+		return "", stats, nil, err
 	}
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		return "", stats, 0, nil, err
+		return "", stats, nil, err
 	}
 	addr := coord.Serve(lis)
 	inj, err := chaos.NewInjector(schedSeed, cfg.Faults)
 	if err != nil {
 		_ = coord.Close()
-		return "", stats, 0, nil, err
+		return "", stats, nil, err
 	}
 	reg := cluster.NewRegistry()
 	wctx, cancel := context.WithCancel(ctx)
@@ -193,19 +180,17 @@ func runSchedule(ctx context.Context, ds *dataset.Dataset, targets []ids.EID, cf
 	exec, err := cluster.NewExecutor(coord, reg)
 	if err != nil {
 		shutdown()
-		return "", stats, 0, nil, err
+		return "", stats, nil, err
 	}
-	exec.Fallback = mapreduce.SerialExecutor{}
 	fp, err = matchOnce(ctx, ds, targets, cfg.Seed, cfg.Workers, exec)
 	stats = coord.Stats()
-	fallbacks = exec.Fallbacks()
 	shutdown()
 	if extra := snap.Leaked(2 * time.Second); len(extra) > 0 {
 		for _, g := range extra {
 			leaked = append(leaked, fmt.Sprintf("schedule %d: %s", sched, g))
 		}
 	}
-	return fp, stats, fallbacks, leaked, err
+	return fp, stats, leaked, err
 }
 
 // superviseWorker keeps one worker slot populated: when an injected fault
@@ -214,20 +199,19 @@ func runSchedule(ctx context.Context, ds *dataset.Dataset, targets []ids.EID, cf
 func superviseWorker(ctx context.Context, addr, dir string, reg *cluster.Registry, inj *chaos.Injector, sched, slot int) {
 	for incarnation := 0; ctx.Err() == nil; incarnation++ {
 		w, err := cluster.NewWorker(addr, cluster.WorkerConfig{
-			ID:                fmt.Sprintf("sim%d-w%d#%d", sched, slot, incarnation),
-			Dir:               dir,
-			Registry:          reg,
-			PollInterval:      2 * time.Millisecond,
-			HeartbeatInterval: 10 * time.Millisecond,
-			Faults:            inj,
+			ID:       fmt.Sprintf("sim%d-w%d#%d", sched, slot, incarnation),
+			Dir:      dir,
+			Registry: reg,
+			Faults:   inj,
 		})
 		if err != nil {
 			return // coordinator gone: shutting down
 		}
 		if err := w.Run(ctx); err != nil {
-			// Context cancellation or a torn connection: stop supervising.
-			// A nil return is an injected crash or TaskExit; loop either
-			// way — a post-Close restart exits on the dial above.
+			// Context cancellation or a connection the coordinator closed:
+			// stop supervising. A nil return is an injected crash or
+			// TaskExit; loop either way — a post-Close restart exits on the
+			// dial above.
 			return
 		}
 	}

@@ -18,9 +18,7 @@ func testFaults() chaos.Config {
 		CrashBeforeReport:  0.04,
 		Stall:              0.10,
 		StallFor:           60 * time.Millisecond,
-		DropReport:         0.05,
 		DuplicateReport:    0.10,
-		HeartbeatLoss:      0.20,
 	}
 }
 
@@ -48,12 +46,12 @@ func TestSimFingerprintStableUnderFaults(t *testing.T) {
 	if res.BaselineFingerprint == "" {
 		t.Error("empty baseline fingerprint")
 	}
-	// The fault mix must actually have exercised the recovery machinery;
-	// a sim that injected nothing proves nothing.
-	if res.Stats.Retries == 0 && res.Stats.Evictions == 0 && res.Stats.StaleReports == 0 {
-		t.Errorf("no recovery activity recorded: %+v", res.Stats)
+	// The fault mix must actually have exercised the recovery machinery:
+	// crashed workers' leases evicted and their tasks re-executed.
+	if res.Stats.Retries == 0 || res.Stats.Evictions == 0 {
+		t.Errorf("requeue-and-re-execute path never ran: %+v", res.Stats)
 	}
-	t.Logf("schedules=%d stats=%+v fallbacks=%d", res.Schedules, res.Stats, res.Fallbacks)
+	t.Logf("schedules=%d stats=%+v", res.Schedules, res.Stats)
 }
 
 // TestSimReproducibleFromSeed reruns a small schedule set and checks the

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"net/rpc"
 	"reflect"
 	"strconv"
 	"strings"
@@ -86,15 +87,17 @@ func (tc *testCluster) addWorker(t *testing.T, wc WorkerConfig) {
 	}()
 }
 
-// startClusterCfg boots a cluster with full control over the coordinator
-// config (Dir is filled in) and per-worker config tweaks.
-func startClusterCfg(t *testing.T, nWorkers int, cfg CoordinatorConfig, worker func(i int, wc *WorkerConfig)) *testCluster {
+// startClusterCfg boots a cluster with per-worker config tweaks; a positive
+// lease replaces the coordinator's task lease.
+func startClusterCfg(t *testing.T, nWorkers int, lease time.Duration, worker func(i int, wc *WorkerConfig)) *testCluster {
 	t.Helper()
 	mrtest.CheckGoroutines(t)
-	cfg.Dir = t.TempDir()
-	coord, err := NewCoordinator(cfg)
+	coord, err := NewCoordinator(CoordinatorConfig{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if lease > 0 {
+		coord.lease = lease
 	}
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -102,14 +105,14 @@ func startClusterCfg(t *testing.T, nWorkers int, cfg CoordinatorConfig, worker f
 	}
 	addr := coord.Serve(lis)
 	ctx, cancel := context.WithCancel(context.Background())
-	tc := &testCluster{coord: coord, addr: addr, dir: cfg.Dir, reg: newTestRegistry(t), ctx: ctx, cancel: cancel}
+	tc := &testCluster{coord: coord, addr: addr, dir: coord.cfg.Dir, reg: newTestRegistry(t), ctx: ctx, cancel: cancel}
 	for i := 0; i < nWorkers; i++ {
 		wc := WorkerConfig{ID: fmt.Sprintf("w%d", i)}
 		if worker != nil {
 			worker(i, &wc)
 		}
-		// Workers exit via TaskExit after Close, via crash injection, or via
-		// context cancellation at test teardown.
+		// Workers exit when Close shuts their connection, via crash
+		// injection, or via context cancellation at test teardown.
 		tc.addWorker(t, wc)
 	}
 	t.Cleanup(func() {
@@ -122,9 +125,9 @@ func startClusterCfg(t *testing.T, nWorkers int, cfg CoordinatorConfig, worker f
 
 // startCluster starts nWorkers workers; worker i vanishes without a report
 // when it claims its crashAfter[i]-th task (0: never).
-func startCluster(t *testing.T, nWorkers int, timeout time.Duration, crashAfter map[int]int) *testCluster {
+func startCluster(t *testing.T, nWorkers int, lease time.Duration, crashAfter map[int]int) *testCluster {
 	t.Helper()
-	return startClusterCfg(t, nWorkers, CoordinatorConfig{TaskTimeout: timeout}, func(i int, wc *WorkerConfig) {
+	return startClusterCfg(t, nWorkers, lease, func(i int, wc *WorkerConfig) {
 		if n := crashAfter[i]; n > 0 {
 			wc.Faults = &crashAfterPlan{n: n}
 		}
@@ -132,8 +135,7 @@ func startCluster(t *testing.T, nWorkers int, timeout time.Duration, crashAfter 
 }
 
 // crashAfterPlan crashes its one worker as it claims its n-th task, before
-// executing it: only the coordinator's lease or heartbeat eviction recovers
-// the task.
+// executing it: only the coordinator's eviction recovers the task.
 type crashAfterPlan struct{ n, claimed int }
 
 func (p *crashAfterPlan) TaskFault(string, string, TaskKind, int) TaskFault {
@@ -141,20 +143,14 @@ func (p *crashAfterPlan) TaskFault(string, string, TaskKind, int) TaskFault {
 	return TaskFault{CrashBeforeExecute: p.claimed >= p.n}
 }
 
-func (p *crashAfterPlan) DropHeartbeat(string, int) bool { return false }
-
-// waitStatus polls the coordinator until cond accepts a status snapshot,
-// replacing bare sleeps with condition polling so slow machines don't flake.
-func waitStatus(t *testing.T, coord *Coordinator, what string, cond func(JobStatus) bool) JobStatus {
+// waitFor polls cond until it holds, replacing bare sleeps with condition
+// polling so slow machines don't flake.
+func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
-	for {
-		st := coord.Status()
-		if cond(st) {
-			return st
-		}
+	for !cond() {
 		if time.Now().After(deadline) {
-			t.Fatalf("status never became %s; last = %+v", what, st)
+			t.Fatalf("never %s", what)
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
@@ -248,9 +244,9 @@ func TestDistributedWithCombiner(t *testing.T) {
 }
 
 func TestWorkerCrashRecovery(t *testing.T) {
-	// Worker 0 silently dies before reporting its first task; the lease
-	// expires (or a speculative copy lands) and workers 1..2 redo the work.
-	tc := startCluster(t, 3, 300*time.Millisecond, map[int]int{0: 1})
+	// Worker 0 silently dies before reporting its first task; its closed
+	// connection requeues the task and workers 1..2 redo the work.
+	tc := startCluster(t, 3, 0, map[int]int{0: 1})
 	lines := []string{"a b", "b c", "c a", "a a"}
 	res, err := tc.coord.RunJob(context.Background(), wcSpec(), wordLines(lines))
 	if err != nil {
@@ -265,7 +261,7 @@ func TestWorkerCrashRecovery(t *testing.T) {
 }
 
 func TestAllButOneWorkerCrash(t *testing.T) {
-	tc := startCluster(t, 3, 200*time.Millisecond, map[int]int{0: 1, 1: 2})
+	tc := startCluster(t, 3, 0, map[int]int{0: 1, 1: 2})
 	res, err := tc.coord.RunJob(context.Background(), wcSpec(), wordLines([]string{"a b c", "a"}))
 	if err != nil {
 		t.Fatal(err)
@@ -278,50 +274,43 @@ func TestAllButOneWorkerCrash(t *testing.T) {
 	}
 }
 
-func TestHeartbeatEvictionRecoversCrashedWorker(t *testing.T) {
-	// The task lease is a full minute, so only heartbeat-based failure
-	// detection can recover worker 0's silently dropped task in time. Start
-	// with just the crashing worker, wait until it provably holds a lease,
-	// then add the rescuer — avoiding the race where the healthy worker
-	// drains the whole job first.
-	tc := startClusterCfg(t, 1, CoordinatorConfig{
-		TaskTimeout:      time.Minute,
-		HeartbeatTimeout: 150 * time.Millisecond,
-		SpeculativeAfter: -1, // isolate the heartbeat path
-	}, func(i int, wc *WorkerConfig) {
-		wc.HeartbeatInterval = 25 * time.Millisecond
-		wc.PollInterval = 2 * time.Millisecond
-		wc.Faults = &crashAfterPlan{n: 1}
-	})
+// runJobAsync submits a job in the background; wait returns its outcome.
+func runJobAsync(tc *testCluster, lines []string) (wait func() (*mapreduce.Result, error)) {
 	done := make(chan struct{})
 	var res *mapreduce.Result
-	var runErr error
+	var err error
 	go func() {
 		defer close(done)
-		res, runErr = tc.coord.RunJob(context.Background(), wcSpec(), wordLines([]string{"a b", "b"}))
+		res, err = tc.coord.RunJob(context.Background(), wcSpec(), wordLines(lines))
 	}()
-	waitStatus(t, tc.coord, "leased to the crashing worker", func(st JobStatus) bool {
-		return st.MapsRunning > 0
-	})
-	tc.addWorker(t, WorkerConfig{
-		ID:                "rescue",
-		PollInterval:      2 * time.Millisecond,
-		HeartbeatInterval: 25 * time.Millisecond,
-	})
-	<-done
-	if runErr != nil {
-		t.Fatal(runErr)
+	return func() (*mapreduce.Result, error) {
+		<-done
+		return res, err
+	}
+}
+
+func TestClosedConnectionEvictsLease(t *testing.T) {
+	// Worker 0 crashes on its first claim under the full 10 s lease, so only
+	// its closed connection can hand the task back in time. It runs alone
+	// until the eviction has happened; then a rescuer joins.
+	tc := startCluster(t, 1, 0, map[int]int{0: 1})
+	start := time.Now()
+	wait := runJobAsync(tc, []string{"a b", "b"})
+	waitFor(t, "evicted the crashed worker's lease", func() bool { return tc.coord.Stats().Evictions > 0 })
+	tc.addWorker(t, WorkerConfig{ID: "rescue"})
+	res, err := wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if elapsed := time.Since(start); elapsed > taskLease/4 {
+		t.Errorf("job took %v against a %v lease; the closed connection did not recover the task", elapsed, taskLease)
 	}
 	want := []mapreduce.KeyValue{{Key: "a", Value: "1"}, {Key: "b", Value: "2"}}
 	if !reflect.DeepEqual(res.Output, want) {
 		t.Errorf("Output = %v, want %v", res.Output, want)
 	}
-	st := tc.coord.Stats()
-	if st.DeadWorkers == 0 {
-		t.Errorf("crashed worker never declared dead: %+v", st)
-	}
-	if st.Evictions == 0 || st.Retries == 0 {
-		t.Errorf("dropped task never evicted+retried: %+v", st)
+	if st := tc.coord.Stats(); st.Retries == 0 {
+		t.Errorf("evicted task never re-executed: %+v", st)
 	}
 }
 
@@ -338,47 +327,33 @@ func (p stallPlan) TaskFault(workerID, _ string, _ TaskKind, _ int) TaskFault {
 	return TaskFault{}
 }
 
-func (p stallPlan) DropHeartbeat(string, int) bool { return false }
-
-func TestSpeculativeReDispatchMasksStraggler(t *testing.T) {
-	// Worker 0 stalls every report far beyond the test's patience; the
-	// coordinator must hand its tasks to a second worker speculatively.
-	// The straggler runs alone until it provably holds a lease, so the fast
-	// worker cannot drain the job before any straggling happens.
-	tc := startClusterCfg(t, 1, CoordinatorConfig{
-		TaskTimeout:      time.Minute,
-		SpeculativeAfter: 30 * time.Millisecond,
-	}, func(i int, wc *WorkerConfig) {
-		wc.PollInterval = 2 * time.Millisecond
-		wc.Faults = stallPlan{worker: "w0", delay: time.Minute}
+func TestLeaseExpiryRequeuesHungTask(t *testing.T) {
+	// Worker 0 hangs on its task with its connection open, so only the
+	// (shortened) lease can requeue it. A rescuer joins once it has; the
+	// hung worker's report, arriving after the rescuer's, is stale.
+	tc := startClusterCfg(t, 1, 50*time.Millisecond, func(i int, wc *WorkerConfig) {
+		wc.Faults = stallPlan{worker: "w0", delay: 500 * time.Millisecond}
 	})
-	done := make(chan struct{})
-	var res *mapreduce.Result
-	var runErr error
-	go func() {
-		defer close(done)
-		res, runErr = tc.coord.RunJob(context.Background(), wcSpec(), wordLines([]string{"s t", "t"}))
-	}()
-	waitStatus(t, tc.coord, "leased to the straggler", func(st JobStatus) bool {
-		return st.MapsRunning > 0
-	})
-	tc.addWorker(t, WorkerConfig{ID: "fast", PollInterval: 2 * time.Millisecond})
-	<-done
-	if runErr != nil {
-		t.Fatal(runErr)
+	wait := runJobAsync(tc, []string{"s t", "t"})
+	waitFor(t, "expired the hung task's lease", func() bool { return tc.coord.Stats().Evictions > 0 })
+	tc.addWorker(t, WorkerConfig{ID: "rescue"})
+	res, err := wait()
+	if err != nil {
+		t.Fatal(err)
 	}
 	want := []mapreduce.KeyValue{{Key: "s", Value: "1"}, {Key: "t", Value: "2"}}
 	if !reflect.DeepEqual(res.Output, want) {
 		t.Errorf("Output = %v, want %v", res.Output, want)
 	}
-	st := tc.coord.Stats()
-	if st.SpeculativeDispatches == 0 || st.SpeculativeWins == 0 {
-		t.Errorf("straggler never speculatively re-dispatched: %+v", st)
+	waitFor(t, "absorbed the hung worker's late report", func() bool { return tc.coord.Stats().StaleReports > 0 })
+	if st := tc.coord.Stats(); st.Retries == 0 {
+		t.Errorf("expired task never re-executed: %+v", st)
 	}
 }
 
-// lossyPlan drops every report of one worker and duplicates every report of
-// another.
+// lossyPlan loses every report of one worker — over TCP a report lost while
+// the worker lives fails its Call and ends Run, so it is a crash before the
+// report — and duplicates every report of another.
 type lossyPlan struct {
 	dropper, duper string
 }
@@ -386,21 +361,15 @@ type lossyPlan struct {
 func (p lossyPlan) TaskFault(workerID, _ string, _ TaskKind, _ int) TaskFault {
 	switch workerID {
 	case p.dropper:
-		return TaskFault{DropReport: true}
+		return TaskFault{CrashBeforeReport: true}
 	case p.duper:
 		return TaskFault{DuplicateReport: true}
 	}
 	return TaskFault{}
 }
 
-func (p lossyPlan) DropHeartbeat(string, int) bool { return false }
-
 func TestDroppedAndDuplicatedReports(t *testing.T) {
-	tc := startClusterCfg(t, 2, CoordinatorConfig{
-		TaskTimeout:      120 * time.Millisecond,
-		SpeculativeAfter: 40 * time.Millisecond,
-	}, func(i int, wc *WorkerConfig) {
-		wc.PollInterval = 5 * time.Millisecond
+	tc := startClusterCfg(t, 2, 0, func(i int, wc *WorkerConfig) {
 		wc.Faults = lossyPlan{dropper: "w0", duper: "w1"}
 	})
 	res, err := tc.coord.RunJob(context.Background(), wcSpec(), wordLines([]string{"u v", "v"}))
@@ -417,17 +386,14 @@ func TestDroppedAndDuplicatedReports(t *testing.T) {
 }
 
 func TestPoolCollapseFailsWithErrNoWorkers(t *testing.T) {
-	// No workers ever connect; collapse detection must fail the job rather
+	// No workers ever connect; after one lease the job must fail rather
 	// than hang.
 	mrtest.CheckGoroutines(t)
-	coord, err := NewCoordinator(CoordinatorConfig{
-		Dir:         t.TempDir(),
-		TaskTimeout: 200 * time.Millisecond,
-		PoolTimeout: 100 * time.Millisecond,
-	})
+	coord, err := NewCoordinator(CoordinatorConfig{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
+	coord.lease = 100 * time.Millisecond
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -438,8 +404,38 @@ func TestPoolCollapseFailsWithErrNoWorkers(t *testing.T) {
 	if !errors.Is(err, ErrNoWorkers) {
 		t.Fatalf("err = %v, want ErrNoWorkers", err)
 	}
-	if st := coord.Status(); st.JobID != "" {
-		t.Errorf("post-collapse status = %+v, want idle", st)
+}
+
+// TestCloseClosesIdleConnections: a peer that connects and never sends a
+// byte must not keep its connection's handler alive past Close.
+func TestCloseClosesIdleConnections(t *testing.T) {
+	var client *rpc.Client
+	// Registered before the leak check, so it runs after it: the client
+	// hangs up only once the check has passed.
+	t.Cleanup(func() {
+		if client != nil {
+			client.Close()
+		}
+	})
+	mrtest.CheckGoroutines(t)
+	coord, err := NewCoordinator(CoordinatorConfig{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if client, err = rpc.Dial("tcp", coord.Serve(lis)); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "accepted the connection", func() bool {
+		coord.mu.Lock()
+		defer coord.mu.Unlock()
+		return len(coord.conns) == 1
+	})
+	if err := coord.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -562,24 +558,12 @@ func TestNewCoordinatorValidation(t *testing.T) {
 	if _, err := NewCoordinator(CoordinatorConfig{}); err == nil {
 		t.Error("want error for missing dir")
 	}
-	if _, err := NewCoordinator(CoordinatorConfig{Dir: "x", TaskTimeout: -time.Second}); err == nil {
-		t.Error("want error for negative timeout")
-	}
-	if _, err := NewCoordinator(CoordinatorConfig{Dir: "x", HeartbeatTimeout: -time.Second}); err == nil {
-		t.Error("want error for negative heartbeat timeout")
-	}
-	if _, err := NewCoordinator(CoordinatorConfig{Dir: "x", PoolTimeout: -time.Second}); err == nil {
-		t.Error("want error for negative pool timeout")
-	}
-	c, err := NewCoordinator(CoordinatorConfig{Dir: "x", TaskTimeout: time.Second})
+	c, err := NewCoordinator(CoordinatorConfig{Dir: "x"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.cfg.HeartbeatTimeout != 2*time.Second || c.cfg.SpeculativeAfter != 500*time.Millisecond {
-		t.Errorf("derived defaults = %+v", c.cfg)
-	}
-	if c.cfg.RetryBase != DefaultRetryBase || c.cfg.RetryMax != DefaultRetryMax {
-		t.Errorf("retry defaults = %+v", c.cfg)
+	if c.lease != taskLease {
+		t.Errorf("lease = %v, want %v", c.lease, taskLease)
 	}
 }
 
@@ -600,50 +584,4 @@ func TestTaskKindString(t *testing.T) {
 			t.Errorf("TaskKind(%d) = %q, want %q", k, got, want)
 		}
 	}
-}
-
-func TestStatusIdleAndActive(t *testing.T) {
-	mrtest.CheckGoroutines(t)
-	dir := t.TempDir()
-	coord, err := NewCoordinator(CoordinatorConfig{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := coord.Status(); st.JobID != "" || st.Done() {
-		t.Errorf("idle status = %+v", st)
-	}
-	lis, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	coord.Serve(lis)
-	defer coord.Close()
-
-	// Run a job with no workers in the background; status must show queued
-	// maps and no completions.
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		_, _ = coord.RunJob(ctx, wcSpec(), wordLines([]string{"a b"}))
-	}()
-	st := waitStatus(t, coord, "active", func(st JobStatus) bool { return st.JobID != "" })
-	if st.MapsTotal == 0 || st.MapsDone != 0 || st.Name != "wordcount" {
-		t.Errorf("active status = %+v", st)
-	}
-	cancel()
-	<-done
-}
-
-func TestStatusProgressesWithWorkers(t *testing.T) {
-	tc := startCluster(t, 2, time.Minute, nil)
-	res, err := tc.coord.RunJob(context.Background(), wcSpec(), wordLines([]string{"x y", "y"}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Output) == 0 {
-		t.Fatal("no output")
-	}
-	// After completion the coordinator is idle again.
-	waitStatus(t, tc.coord, "idle", func(st JobStatus) bool { return st.JobID == "" })
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"net"
 	"net/rpc"
 	"strconv"
@@ -15,15 +14,11 @@ import (
 	"evmatching/internal/spill"
 )
 
-// Coordinator defaults.
 const (
-	// DefaultTaskTimeout is the lease after which an unreported task is
-	// assumed lost and re-queued for another worker.
-	DefaultTaskTimeout = 10 * time.Second
-	// DefaultRetryBase is the first re-execution backoff step.
-	DefaultRetryBase = 25 * time.Millisecond
-	// DefaultRetryMax caps the exponential re-execution backoff.
-	DefaultRetryMax = 2 * time.Second
+	// taskLease bounds how long a task may stay in progress on a live
+	// connection: a hung task, or a half-open TCP peer whose close never
+	// arrives, is requeued once it has held the task this long.
+	taskLease = 10 * time.Second
 	// RPCServiceName is the registered net/rpc service name.
 	RPCServiceName = "EVCoordinator"
 )
@@ -33,13 +28,12 @@ var ErrCoordinatorClosed = errors.New("cluster: coordinator closed")
 
 // ErrTaskFailed reports a deterministic task execution failure: a worker ran
 // the job's function and it returned an error. It is distinct from a lost
-// worker (which the lease-based retry path re-executes silently); callers
-// distinguish the two with errors.Is(err, ErrTaskFailed).
+// worker (whose tasks are re-executed silently); callers distinguish the two
+// with errors.Is(err, ErrTaskFailed).
 var ErrTaskFailed = errors.New("cluster: task failed")
 
-// ErrNoWorkers reports that the worker pool collapsed: no live worker was
-// heard from for the configured PoolTimeout while tasks remained. The
-// Executor uses it to degrade gracefully to an in-process engine.
+// ErrNoWorkers reports that the worker pool collapsed: no worker connection
+// was open for one task lease while tasks remained.
 var ErrNoWorkers = errors.New("cluster: worker pool collapsed")
 
 // JobSpec names the functions and shape of one distributed job. The
@@ -75,30 +69,6 @@ type CoordinatorConfig struct {
 	// Dir is the shared directory for input, intermediate, and output
 	// files; every worker must see the same directory.
 	Dir string
-	// TaskTimeout is the task lease; 0 means DefaultTaskTimeout.
-	TaskTimeout time.Duration
-	// HeartbeatTimeout declares a worker dead when nothing has been heard
-	// from it for this long; the dead worker's leases are evicted
-	// immediately instead of waiting out the full task lease. 0 means
-	// 2×TaskTimeout.
-	HeartbeatTimeout time.Duration
-	// RetryBase and RetryMax bound the capped exponential backoff (with
-	// seeded jitter) before a recovered task becomes claimable again.
-	// 0 means DefaultRetryBase / DefaultRetryMax.
-	RetryBase time.Duration
-	RetryMax  time.Duration
-	// SpeculativeAfter re-dispatches an in-progress task to a second worker
-	// once it has run at least this long and the requester has nothing else
-	// to do — the straggler mitigation of speculative execution. 0 means
-	// TaskTimeout/2; negative disables speculation.
-	SpeculativeAfter time.Duration
-	// PoolTimeout fails the running job with ErrNoWorkers when no live
-	// worker has been heard from for this long while tasks remain. 0
-	// disables collapse detection (the job waits indefinitely for workers).
-	PoolTimeout time.Duration
-	// Seed drives the retry-backoff jitter; every delay is a pure function
-	// of (Seed, job, task, attempt), so recovery timing is reproducible.
-	Seed int64
 }
 
 type taskState int
@@ -110,13 +80,10 @@ const (
 )
 
 type taskInfo struct {
-	state       taskState
-	started     time.Time
-	worker      string // current primary assignee
-	specWorker  string // speculative assignee, "" when none
-	specStarted time.Time
-	attempts    int       // primary claims so far
-	eligible    time.Time // backoff gate: earliest next claim
+	state    taskState
+	started  time.Time
+	owner    *coordinatorRPC // the connection holding the lease
+	attempts int             // claims so far
 }
 
 type activeJob struct {
@@ -142,16 +109,17 @@ func (j *activeJob) finished() bool {
 // Coordinator schedules distributed jobs and serves the worker RPC API.
 // Create with NewCoordinator, expose with Serve, submit with RunJob.
 type Coordinator struct {
-	cfg  CoordinatorConfig
-	fsys spill.FS // the shared directory's filesystem; tests swap in a fake
+	cfg   CoordinatorConfig
+	fsys  spill.FS      // the shared directory's filesystem; tests swap in a fake
+	lease time.Duration // taskLease; in-package tests shorten it
 
-	mu        sync.Mutex
-	job       *activeJob
-	seq       int
-	closed    bool
-	workers   map[string]time.Time // live workers by last contact
-	lastAlive time.Time            // most recent contact from any worker
-	stats     statsCounters
+	mu         sync.Mutex
+	job        *activeJob
+	seq        int
+	closed     bool
+	conns      map[*coordinatorRPC]net.Conn // open worker connections
+	lastClosed time.Time                    // when a worker connection last closed
+	stats      statsCounters
 
 	jobMu sync.Mutex // serializes RunJob callers
 
@@ -164,28 +132,7 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	if cfg.Dir == "" {
 		return nil, fmt.Errorf("cluster: coordinator needs a shared directory")
 	}
-	if cfg.TaskTimeout == 0 {
-		cfg.TaskTimeout = DefaultTaskTimeout
-	}
-	if cfg.TaskTimeout < 0 {
-		return nil, fmt.Errorf("cluster: negative task timeout")
-	}
-	if cfg.HeartbeatTimeout == 0 {
-		cfg.HeartbeatTimeout = 2 * cfg.TaskTimeout
-	}
-	if cfg.RetryBase == 0 {
-		cfg.RetryBase = DefaultRetryBase
-	}
-	if cfg.RetryMax == 0 {
-		cfg.RetryMax = DefaultRetryMax
-	}
-	if cfg.SpeculativeAfter == 0 {
-		cfg.SpeculativeAfter = cfg.TaskTimeout / 2
-	}
-	if cfg.HeartbeatTimeout < 0 || cfg.RetryBase < 0 || cfg.RetryMax < 0 || cfg.PoolTimeout < 0 {
-		return nil, fmt.Errorf("cluster: negative coordinator timeout")
-	}
-	return &Coordinator{cfg: cfg, fsys: spill.OS{}, workers: make(map[string]time.Time)}, nil
+	return &Coordinator{cfg: cfg, fsys: spill.OS{}, lease: taskLease, conns: make(map[*coordinatorRPC]net.Conn)}, nil
 }
 
 // Serve starts accepting worker RPC connections on lis until Close. It
@@ -194,11 +141,6 @@ func (c *Coordinator) Serve(lis net.Listener) string {
 	c.mu.Lock()
 	c.lis = lis
 	c.mu.Unlock()
-	srv := rpc.NewServer()
-	// Registration cannot fail: the rpc API is satisfied by construction.
-	if err := srv.RegisterName(RPCServiceName, &coordinatorRPC{c: c}); err != nil {
-		panic(fmt.Sprintf("cluster: register RPC service: %v", err))
-	}
 	c.serveWG.Add(1)
 	go func() {
 		defer c.serveWG.Done()
@@ -210,24 +152,57 @@ func (c *Coordinator) Serve(lis net.Listener) string {
 			c.serveWG.Add(1)
 			go func() {
 				defer c.serveWG.Done()
-				srv.ServeConn(conn)
+				c.serveConn(conn)
 			}()
 		}
 	}()
 	return lis.Addr().String()
 }
 
-// Close stops the coordinator: running workers receive TaskExit on their
-// next request, and the RPC listener is shut down.
+// serveConn serves one worker connection on an rpc.Server of its own, whose
+// receiver is the connection's identity. A worker that stops, however it
+// stops, closes its connection; every lease claimed over it is then
+// requeued at once.
+func (c *Coordinator) serveConn(conn net.Conn) {
+	r := &coordinatorRPC{c: c}
+	c.mu.Lock()
+	if c.closed {
+		c.mu.Unlock()
+		_ = conn.Close()
+		return
+	}
+	c.conns[r] = conn
+	c.mu.Unlock()
+	srv := rpc.NewServer()
+	// Registration cannot fail: the rpc API is satisfied by construction.
+	if err := srv.RegisterName(RPCServiceName, r); err != nil {
+		panic(fmt.Sprintf("cluster: register RPC service: %v", err))
+	}
+	srv.ServeConn(conn)
+
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	delete(c.conns, r)
+	c.lastClosed = time.Now()
+	c.evictLocked(func(t *taskInfo) bool { return t.owner == r })
+}
+
+// Close stops the coordinator: it shuts the listener, closes every worker
+// connection, and waits for their handlers to return.
 func (c *Coordinator) Close() error {
 	c.mu.Lock()
 	c.closed = true
 	lis := c.lis
-	c.mu.Unlock()
-	if lis != nil {
-		return lis.Close()
+	for _, conn := range c.conns {
+		_ = conn.Close()
 	}
-	return nil
+	c.mu.Unlock()
+	var err error
+	if lis != nil {
+		err = lis.Close()
+	}
+	c.serveWG.Wait()
+	return err
 }
 
 // RunJob executes one job over the connected workers, blocking until every
@@ -298,16 +273,9 @@ func (c *Coordinator) RunJob(ctx context.Context, spec JobSpec, input []mapreduc
 		c.mu.Unlock()
 	}()
 
-	// Wait for completion, sweeping periodically so dead workers are
-	// detected (and pool collapse declared) even when no worker polls.
-	tick := c.cfg.TaskTimeout / 8
-	if tick < 5*time.Millisecond {
-		tick = 5 * time.Millisecond
-	}
-	if tick > 250*time.Millisecond {
-		tick = 250 * time.Millisecond
-	}
-	ticker := time.NewTicker(tick)
+	// Wait for completion, sweeping periodically for expired leases and a
+	// pool with no worker connected.
+	ticker := time.NewTicker(c.lease / 8)
 	defer ticker.Stop()
 wait:
 	for {
@@ -348,111 +316,52 @@ func newTasks(n int) []taskInfo {
 	return ts
 }
 
-// touchLocked records a sign of life from a worker.
-func (c *Coordinator) touchLocked(worker string, now time.Time) {
-	if worker == "" {
-		return
-	}
-	c.workers[worker] = now
-	if now.After(c.lastAlive) {
-		c.lastAlive = now
-	}
-}
-
-// sweepLocked is the failure detector: it prunes workers silent past the
-// heartbeat timeout, evicts their leases (and any lease past the task
-// timeout), promotes surviving speculative attempts, and declares pool
-// collapse when configured. Called with c.mu held.
+// sweepLocked requeues every lease held past the task lease, and fails the
+// job with ErrNoWorkers once no worker connection has been open for one
+// lease. Called with c.mu held.
 func (c *Coordinator) sweepLocked(now time.Time) {
-	dead := make(map[string]bool)
-	for w, last := range c.workers {
-		if now.Sub(last) > c.cfg.HeartbeatTimeout {
-			dead[w] = true
-		}
-	}
-	for w := range dead {
-		delete(c.workers, w)
-		c.stats.deadWorkers.Add(1)
-	}
 	job := c.job
 	if job == nil || job.finished() {
 		return
 	}
-	c.sweepTasksLocked(job, job.mapTasks, dead, now)
-	c.sweepTasksLocked(job, job.reduceTasks, dead, now)
-	// Pool collapse: no live workers and nothing heard for PoolTimeout.
-	if c.cfg.PoolTimeout > 0 && len(c.workers) == 0 {
-		ref := c.lastAlive
-		if job.submitted.After(ref) {
-			ref = job.submitted
-		}
-		if now.Sub(ref) > c.cfg.PoolTimeout {
-			job.failed = fmt.Errorf("%w: silent for %v", ErrNoWorkers, now.Sub(ref).Round(time.Millisecond))
-			close(job.done)
-		}
+	c.evictLocked(func(t *taskInfo) bool { return now.Sub(t.started) > c.lease })
+	if len(c.conns) > 0 {
+		return
+	}
+	ref := c.lastClosed
+	if job.submitted.After(ref) {
+		ref = job.submitted
+	}
+	if now.Sub(ref) > c.lease {
+		job.failed = fmt.Errorf("%w: none connected for %v", ErrNoWorkers, now.Sub(ref).Round(time.Millisecond))
+		close(job.done)
 	}
 }
 
-// sweepTasksLocked evicts lost leases in one task list.
-func (c *Coordinator) sweepTasksLocked(job *activeJob, tasks []taskInfo, dead map[string]bool, now time.Time) {
-	for i := range tasks {
-		t := &tasks[i]
-		if t.state != taskInProgress {
-			continue
-		}
-		specAlive := t.specWorker != "" && !dead[t.specWorker] && now.Sub(t.specStarted) <= c.cfg.TaskTimeout
-		if dead[t.worker] || now.Sub(t.started) > c.cfg.TaskTimeout {
-			c.stats.evictions.Add(1)
-			if specAlive {
-				// The speculative copy is still healthy: promote it to
-				// primary instead of requeueing.
-				t.worker, t.started = t.specWorker, t.specStarted
-				t.specWorker = ""
-				continue
+// evictLocked returns every in-progress task of the running job for which
+// lost reports true to the idle pool, claimable at once. Called with c.mu
+// held.
+func (c *Coordinator) evictLocked(lost func(t *taskInfo) bool) {
+	job := c.job
+	if job == nil || job.finished() {
+		return
+	}
+	for _, tasks := range [][]taskInfo{job.mapTasks, job.reduceTasks} {
+		for i := range tasks {
+			if t := &tasks[i]; t.state == taskInProgress && lost(t) {
+				t.state, t.owner = taskIdle, nil
+				c.stats.evictions.Add(1)
 			}
-			c.requeueLocked(job, t, i, now)
-			continue
-		}
-		if t.specWorker != "" && !specAlive {
-			t.specWorker = "" // drop a dead straggler copy, keep the primary
 		}
 	}
 }
 
-// requeueLocked returns an in-progress task to the idle pool behind a capped
-// exponential backoff with seeded jitter.
-func (c *Coordinator) requeueLocked(job *activeJob, t *taskInfo, taskID int, now time.Time) {
-	t.state = taskIdle
-	t.worker, t.specWorker = "", ""
-	d := c.cfg.RetryBase
-	for i := 1; i < t.attempts && d < c.cfg.RetryMax; i++ {
-		d *= 2
-	}
-	if d > c.cfg.RetryMax {
-		d = c.cfg.RetryMax
-	}
-	// Jitter in [0.5d, 1.5d), a pure function of (seed, job, task, attempt).
-	frac := seededFrac(c.cfg.Seed, job.id, taskID, t.attempts)
-	d = d/2 + time.Duration(frac*float64(d))
-	t.eligible = now.Add(d)
-}
-
-// seededFrac hashes its inputs into a uniform [0, 1) fraction.
-func seededFrac(seed int64, jobID string, taskID, attempt int) float64 {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%d|%s|%d|%d", seed, jobID, taskID, attempt)
-	return float64(h.Sum64()>>11) / float64(uint64(1)<<53)
-}
-
-// claimTaskLocked assigns an idle, backoff-eligible task to worker.
-func (c *Coordinator) claimTaskLocked(tasks []taskInfo, now time.Time, worker string) (int, bool) {
+// claimTaskLocked leases the first idle task to the connection owner.
+func (c *Coordinator) claimTaskLocked(tasks []taskInfo, owner *coordinatorRPC) (int, bool) {
 	for i := range tasks {
 		t := &tasks[i]
-		if t.state == taskIdle && !t.eligible.After(now) {
-			t.state = taskInProgress
-			t.started = now
-			t.worker = worker
-			t.specWorker = ""
+		if t.state == taskIdle {
+			t.state, t.started, t.owner = taskInProgress, time.Now(), owner
 			t.attempts++
 			if t.attempts > 1 {
 				c.stats.retries.Add(1)
@@ -463,44 +372,15 @@ func (c *Coordinator) claimTaskLocked(tasks []taskInfo, now time.Time, worker st
 	return 0, false
 }
 
-// claimSpeculativeLocked hands the oldest qualifying straggler task to a
-// second worker. The requester must differ from the primary assignee, and
-// the task must have run at least SpeculativeAfter.
-func (c *Coordinator) claimSpeculativeLocked(tasks []taskInfo, now time.Time, worker string) (int, bool) {
-	if c.cfg.SpeculativeAfter < 0 {
-		return 0, false
-	}
-	best := -1
-	for i := range tasks {
-		t := &tasks[i]
-		if t.state != taskInProgress || t.specWorker != "" || t.worker == worker {
-			continue
-		}
-		if now.Sub(t.started) < c.cfg.SpeculativeAfter {
-			continue
-		}
-		if best < 0 || t.started.Before(tasks[best].started) {
-			best = i
-		}
-	}
-	if best < 0 {
-		return 0, false
-	}
-	t := &tasks[best]
-	t.specWorker = worker
-	t.specStarted = now
-	c.stats.speculativeDispatches.Add(1)
-	return best, true
-}
-
-// coordinatorRPC is the net/rpc receiver; kept separate so only the RPC
-// surface is exported through the service.
+// coordinatorRPC is the net/rpc receiver of one worker connection; kept
+// separate so only the RPC surface is exported through the service.
 type coordinatorRPC struct {
 	c *Coordinator
 }
 
-// RequestTask hands the calling worker a task, telling it to wait when all
-// remaining tasks are leased, and to exit when the coordinator is closed.
+// RequestTask leases the calling connection a task, telling the worker to
+// wait when all remaining tasks are leased, and to exit when the coordinator
+// is closed.
 func (r *coordinatorRPC) RequestTask(args *TaskRequest, reply *TaskReply) error {
 	c := r.c
 	c.mu.Lock()
@@ -509,61 +389,30 @@ func (r *coordinatorRPC) RequestTask(args *TaskRequest, reply *TaskReply) error 
 		reply.Kind = TaskExit
 		return nil
 	}
-	now := time.Now()
-	c.touchLocked(args.WorkerID, now)
-	c.sweepLocked(now)
+	reply.Kind = TaskWait
 	job := c.job
-	if job == nil || job.failed != nil {
-		reply.Kind = TaskWait
+	if job == nil || job.finished() {
+		return nil
+	}
+	kind, tasks := TaskMap, job.mapTasks
+	if job.mapsLeft == 0 {
+		kind, tasks = TaskReduce, job.reduceTasks
+	}
+	id, ok := c.claimTaskLocked(tasks, r)
+	if !ok {
 		return nil
 	}
 	spec := job.spec
-	fill := func(kind TaskKind, id int) {
-		reply.Kind = kind
-		reply.JobID = job.id
-		reply.TaskID = id
-		reply.MapName = spec.MapName
-		reply.ReduceName = spec.ReduceName
-		reply.CombineName = spec.CombineName
-		reply.NumMapTasks = spec.NumMapTasks
-		reply.NumReducers = spec.NumReducers
+	*reply = TaskReply{
+		Kind:        kind,
+		JobID:       job.id,
+		TaskID:      id,
+		MapName:     spec.MapName,
+		ReduceName:  spec.ReduceName,
+		CombineName: spec.CombineName,
+		NumMapTasks: spec.NumMapTasks,
+		NumReducers: spec.NumReducers,
 	}
-	if job.mapsLeft > 0 {
-		if id, ok := c.claimTaskLocked(job.mapTasks, now, args.WorkerID); ok {
-			fill(TaskMap, id)
-			return nil
-		}
-		if id, ok := c.claimSpeculativeLocked(job.mapTasks, now, args.WorkerID); ok {
-			fill(TaskMap, id)
-			return nil
-		}
-		reply.Kind = TaskWait
-		return nil
-	}
-	if job.reducesLeft > 0 {
-		if id, ok := c.claimTaskLocked(job.reduceTasks, now, args.WorkerID); ok {
-			fill(TaskReduce, id)
-			return nil
-		}
-		if id, ok := c.claimSpeculativeLocked(job.reduceTasks, now, args.WorkerID); ok {
-			fill(TaskReduce, id)
-			return nil
-		}
-		reply.Kind = TaskWait
-		return nil
-	}
-	reply.Kind = TaskWait
-	return nil
-}
-
-// Heartbeat records worker liveness; a worker that stops heartbeating past
-// HeartbeatTimeout has its leases evicted without waiting out the lease.
-func (r *coordinatorRPC) Heartbeat(args *HeartbeatPing, reply *HeartbeatAck) error {
-	c := r.c
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.touchLocked(args.WorkerID, time.Now())
-	reply.Closed = c.closed
 	return nil
 }
 
@@ -576,7 +425,6 @@ func (r *coordinatorRPC) ReportTask(args *TaskReport, reply *TaskAck) error {
 	c := r.c
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.touchLocked(args.WorkerID, time.Now())
 	job := c.job
 	if job == nil || job.id != args.JobID || job.finished() {
 		c.stats.staleReports.Add(1)
@@ -609,11 +457,7 @@ func (r *coordinatorRPC) ReportTask(args *TaskReport, reply *TaskAck) error {
 		c.stats.staleReports.Add(1)
 		return nil
 	}
-	if t.state == taskInProgress && t.specWorker != "" &&
-		args.WorkerID == t.specWorker && args.WorkerID != t.worker {
-		c.stats.speculativeWins.Add(1)
-	}
-	t.state = taskCompleted
+	t.state, t.owner = taskCompleted, nil
 	*left--
 	for name, v := range args.Counters {
 		job.counters.Add(name, v)

@@ -59,17 +59,13 @@ func TestRunJobCancellationIsContextError(t *testing.T) {
 }
 
 // TestPoolCollapseIsErrNoWorkers: worker-pool collapse must be classifiable
-// so the executor's graceful-degradation path (and operators) can tell it
-// apart from broken job code.
+// so callers (and operators) can tell it apart from broken job code.
 func TestPoolCollapseIsErrNoWorkers(t *testing.T) {
-	coord, err := NewCoordinator(CoordinatorConfig{
-		Dir:         t.TempDir(),
-		TaskTimeout: 200 * time.Millisecond,
-		PoolTimeout: 50 * time.Millisecond,
-	})
+	coord, err := NewCoordinator(CoordinatorConfig{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
+	coord.lease = 50 * time.Millisecond
 	defer coord.Close()
 	_, err = coord.RunJob(context.Background(), wcSpec(), wordLines([]string{"a"}))
 	if !errors.Is(err, ErrNoWorkers) {

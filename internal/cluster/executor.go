@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 
@@ -22,14 +21,8 @@ type Executor struct {
 	coord    *Coordinator
 	registry *Registry
 
-	// Fallback, when non-nil, re-runs a job in-process after the cluster
-	// fails it with ErrNoWorkers — graceful degradation to the serial path
-	// when the worker pool collapses. Other job errors still surface.
-	Fallback mapreduce.Executor
-
-	mu        sync.Mutex
-	seq       int
-	fallbacks int64
+	mu  sync.Mutex
+	seq int
 }
 
 var _ mapreduce.Executor = (*Executor)(nil)
@@ -78,23 +71,8 @@ func (e *Executor) Run(ctx context.Context, job *mapreduce.Job) (*mapreduce.Resu
 			return nil, err
 		}
 	}
-	res, err := e.coord.RunJob(ctx, spec, job.Input)
-	if err != nil && e.Fallback != nil && errors.Is(err, ErrNoWorkers) {
-		e.mu.Lock()
-		e.fallbacks++
-		e.mu.Unlock()
-		return e.Fallback.Run(ctx, job)
-	}
-	return res, err
+	return e.coord.RunJob(ctx, spec, job.Input)
 }
 
 // Stats reports the underlying coordinator's fault-recovery totals.
 func (e *Executor) Stats() Stats { return e.coord.Stats() }
-
-// Fallbacks reports how many jobs were re-run on the Fallback executor after
-// the worker pool collapsed.
-func (e *Executor) Fallbacks() int64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.fallbacks
-}

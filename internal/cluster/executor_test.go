@@ -22,7 +22,7 @@ func startExecutorCluster(t *testing.T, nWorkers int) *Executor {
 	t.Helper()
 	mrtest.CheckGoroutines(t)
 	dir := t.TempDir()
-	coord, err := NewCoordinator(CoordinatorConfig{Dir: dir, TaskTimeout: time.Minute})
+	coord, err := NewCoordinator(CoordinatorConfig{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,57 +142,13 @@ func TestClusterExecutorConformance(t *testing.T) {
 	mrtest.Conformance(t, exec)
 }
 
-func TestExecutorFallbackOnPoolCollapse(t *testing.T) {
-	// A coordinator with collapse detection and zero workers: the executor
-	// must degrade to the in-process fallback and still produce the serial
-	// answer.
-	mrtest.CheckGoroutines(t)
-	coord, err := NewCoordinator(CoordinatorConfig{
-		Dir:         t.TempDir(),
-		TaskTimeout: 200 * time.Millisecond,
-		PoolTimeout: 100 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	lis, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	coord.Serve(lis)
-	defer coord.Close()
-	exec, err := NewExecutor(coord, NewRegistry())
-	if err != nil {
-		t.Fatal(err)
-	}
-	exec.Fallback = mapreduce.SerialExecutor{}
-	lines := []string{"f g f", "g"}
-	serial, err := mapreduce.SerialExecutor{}.Run(context.Background(), executorWordCountJob(lines))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := exec.Run(context.Background(), executorWordCountJob(lines))
-	if err != nil {
-		t.Fatalf("fallback should have absorbed the collapse: %v", err)
-	}
-	if !reflect.DeepEqual(res.Output, serial.Output) {
-		t.Errorf("fallback output differs:\n%v\n%v", res.Output, serial.Output)
-	}
-	if got := exec.Fallbacks(); got != 1 {
-		t.Errorf("Fallbacks() = %d, want 1", got)
-	}
-}
-
 func TestExecutorNoFallbackSurfacesErrNoWorkers(t *testing.T) {
 	mrtest.CheckGoroutines(t)
-	coord, err := NewCoordinator(CoordinatorConfig{
-		Dir:         t.TempDir(),
-		TaskTimeout: 200 * time.Millisecond,
-		PoolTimeout: 100 * time.Millisecond,
-	})
+	coord, err := NewCoordinator(CoordinatorConfig{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
+	coord.lease = 100 * time.Millisecond
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -205,9 +161,6 @@ func TestExecutorNoFallbackSurfacesErrNoWorkers(t *testing.T) {
 	}
 	if _, err := exec.Run(context.Background(), executorWordCountJob([]string{"a"})); !errors.Is(err, ErrNoWorkers) {
 		t.Errorf("err = %v, want ErrNoWorkers", err)
-	}
-	if got := exec.Fallbacks(); got != 0 {
-		t.Errorf("Fallbacks() = %d, want 0", got)
 	}
 }
 
@@ -275,10 +228,14 @@ func TestExecutorStragglerAfterUnregister(t *testing.T) {
 		res, err := exec.Run(ctx, job)
 		done <- result{res, err}
 	}()
-	waitStatus(t, exec.coord, "job 2 active", func(st JobStatus) bool { return st.JobID == "2" })
+	waitFor(t, "started job 2", func() bool {
+		exec.coord.mu.Lock()
+		defer exec.coord.mu.Unlock()
+		return exec.coord.job != nil && exec.coord.job.id == "2"
+	})
 
 	straggler, err := NewWorker(exec.coord.lis.Addr().String(), WorkerConfig{
-		ID: "straggler", Dir: exec.coord.cfg.Dir, Registry: exec.registry, HeartbeatInterval: -1,
+		ID: "straggler", Dir: exec.coord.cfg.Dir, Registry: exec.registry,
 	})
 	if err != nil {
 		t.Fatal(err)

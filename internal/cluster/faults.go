@@ -5,22 +5,20 @@ import "time"
 // TaskFault describes injected misbehaviour for one task execution. The zero
 // value means the worker executes and reports faithfully. Faults model the
 // failure classes that dominate real clusters (see package chaos for the
-// seeded implementation): silent machine loss, stragglers, and a lossy or
-// duplicating result path.
+// seeded implementation): silent machine loss, stragglers, and a duplicating
+// result path. A report lost while the worker lives fails its Call, which
+// ends Run and closes the connection: that is CrashBeforeReport.
 type TaskFault struct {
 	// CrashBeforeExecute makes the worker vanish after claiming the task but
-	// before doing any work — the lease or heartbeat timeout must recover it.
+	// before doing any work — its closed connection requeues the task.
 	CrashBeforeExecute bool
 	// CrashBeforeReport makes the worker vanish after writing its output
 	// files but before reporting — the re-executed attempt overwrites them
 	// harmlessly via atomic renames.
 	CrashBeforeReport bool
 	// StallBeforeReport delays the report by this duration, modelling a
-	// straggling machine; speculative re-dispatch should mask it.
+	// straggling machine.
 	StallBeforeReport time.Duration
-	// DropReport executes the task but never reports it (a lost result
-	// message); the worker stays alive and keeps pulling tasks.
-	DropReport bool
 	// DuplicateReport delivers the report twice; combined with stalls on
 	// other workers this also reorders deliveries.
 	DuplicateReport bool
@@ -33,6 +31,4 @@ type TaskFault struct {
 type FaultPlan interface {
 	// TaskFault returns the fault for one task execution attempt.
 	TaskFault(workerID, jobID string, kind TaskKind, taskID int) TaskFault
-	// DropHeartbeat reports whether the worker's seq-th heartbeat is lost.
-	DropHeartbeat(workerID string, seq int) bool
 }

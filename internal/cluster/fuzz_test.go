@@ -38,7 +38,7 @@ func FuzzTaskResultDecode(f *testing.F) {
 		// Coordinator accounting: build an active job directly (no RPC) and
 		// fire hostile reports at it, twice each to model duplicates, then a
 		// request, then the reports again to model reordering.
-		c, err := NewCoordinator(CoordinatorConfig{Dir: dir, TaskTimeout: time.Minute})
+		c, err := NewCoordinator(CoordinatorConfig{Dir: dir})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,7 +70,6 @@ func FuzzTaskResultDecode(f *testing.F) {
 		var reply TaskReply
 		_ = rpc.RequestTask(&TaskRequest{WorkerID: worker}, &reply)
 		_ = rpc.ReportTask(report, &TaskAck{})
-		_ = rpc.Heartbeat(&HeartbeatPing{WorkerID: worker, Seq: taskID}, &HeartbeatAck{})
 
 		c.mu.Lock()
 		if job.mapsLeft < 0 || job.reducesLeft < 0 {

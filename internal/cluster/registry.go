@@ -1,7 +1,8 @@
 // Package cluster is a distributed MapReduce runtime over net/rpc: a
 // coordinator schedules map and reduce tasks, workers pull tasks via RPC and
-// exchange intermediate data through a shared directory, and lease timeouts
-// re-execute tasks lost to crashed or hung workers. It is the multi-machine
+// exchange intermediate data through a shared directory, and tasks lost to a
+// crashed worker (its connection closes) or a hung one (its lease expires)
+// are re-executed. It is the multi-machine
 // counterpart of mapreduce.ParallelExecutor and the stand-in for the paper's
 // 14-node Spark/Hadoop cluster.
 package cluster

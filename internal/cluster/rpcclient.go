@@ -3,20 +3,16 @@ package cluster
 import (
 	"fmt"
 	"net"
-	"net/rpc"
 	"time"
 )
 
-// Deadline and reconnect knobs for the net/rpc client seam shared by the
-// cluster workers and internal/shardrpc's supervisor.
+// Deadline and reconnect knobs for DialConn, the connection seam under
+// internal/shardrpc's supervisor.
 const (
 	// DefaultRPCCallTimeout bounds how long a single conn read or write may
-	// block. net/rpc parks one reader goroutine in Read for the connection's
-	// whole life, so this deadline is re-armed per I/O operation — it bounds
-	// peer silence, not call latency. It must comfortably exceed the
-	// caller's heartbeat interval: only steady heartbeat traffic keeps the
-	// idle reader fed, which is why DialRPC is reserved for connections that
-	// carry one.
+	// block. A reader parked in Read for the connection's whole life re-arms
+	// this deadline per I/O operation, so it bounds peer silence, not call
+	// latency, and must comfortably exceed the caller's heartbeat interval.
 	DefaultRPCCallTimeout = 10 * time.Second
 	// DefaultDialBackoffBase is the first retry delay when the peer is not
 	// accepting yet (a worker that has not bound its listener, say).
@@ -48,9 +44,8 @@ func (c deadlineConn) Write(p []byte) (int, error) {
 }
 
 // DialConn dials a TCP peer with per-operation read/write deadlines and a
-// capped exponential backoff across dial attempts — the connection seam
-// under DialRPC, exposed for callers that speak their own codec over it
-// (internal/shardrpc).
+// capped exponential backoff across dial attempts, for callers that speak
+// their own codec over it (internal/shardrpc).
 //
 // The deadline applies to connection-level I/O, so it only suits
 // connections with steady traffic (heartbeats): an idle-but-healthy
@@ -81,16 +76,4 @@ func DialConn(addr string, timeout time.Duration, attempts int) (net.Conn, error
 		return deadlineConn{Conn: conn, timeout: timeout}, nil
 	}
 	return nil, fmt.Errorf("cluster: dial %s after %d attempts: %w", addr, attempts, lastErr)
-}
-
-// DialRPC is DialConn wrapped in a net/rpc client (the default gob codec). A
-// timeout poisons the rpc.Client (every pending and future Call errors),
-// which is the intended failure mode: the caller treats the peer as dead and
-// redials or redispatches rather than blocking a close round indefinitely.
-func DialRPC(addr string, timeout time.Duration, attempts int) (*rpc.Client, error) {
-	conn, err := DialConn(addr, timeout, attempts)
-	if err != nil {
-		return nil, err
-	}
-	return rpc.NewClient(conn), nil
 }

@@ -53,14 +53,24 @@ func servePing(t *testing.T) (addr string, stop func()) {
 	}
 }
 
-// TestDialRPCRoundTrip proves the deadline-armed client is a drop-in for a
-// live peer: calls complete normally well within the deadline.
-func TestDialRPCRoundTrip(t *testing.T) {
+// dialRPC wraps DialConn in a net/rpc client, as internal/shardrpc wraps it
+// in its own codec.
+func dialRPC(addr string, timeout time.Duration, attempts int) (*rpc.Client, error) {
+	conn, err := DialConn(addr, timeout, attempts)
+	if err != nil {
+		return nil, err
+	}
+	return rpc.NewClient(conn), nil
+}
+
+// TestDialConnRoundTrip proves the deadline-armed connection is a drop-in
+// for a live peer: calls complete normally well within the deadline.
+func TestDialConnRoundTrip(t *testing.T) {
 	addr, stop := servePing(t)
 	defer stop()
-	client, err := DialRPC(addr, time.Second, 1)
+	client, err := dialRPC(addr, time.Second, 1)
 	if err != nil {
-		t.Fatalf("DialRPC: %v", err)
+		t.Fatalf("DialConn: %v", err)
 	}
 	defer client.Close()
 	var reply PingReply
@@ -72,10 +82,10 @@ func TestDialRPCRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDialRPCDeadline proves the satellite fix: a peer that accepts the
-// connection but never answers must fail the call within the deadline
-// instead of blocking it forever (the old rpc.Dial behavior).
-func TestDialRPCDeadline(t *testing.T) {
+// TestDialConnDeadline: a peer that accepts the connection but never
+// answers must fail the call within the deadline instead of blocking it
+// forever (the plain rpc.Dial behavior).
+func TestDialConnDeadline(t *testing.T) {
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("listen: %v", err)
@@ -107,9 +117,9 @@ func TestDialRPCDeadline(t *testing.T) {
 	}()
 
 	const timeout = 100 * time.Millisecond
-	client, err := DialRPC(lis.Addr().String(), timeout, 1)
+	client, err := dialRPC(lis.Addr().String(), timeout, 1)
 	if err != nil {
-		t.Fatalf("DialRPC: %v", err)
+		t.Fatalf("DialConn: %v", err)
 	}
 	defer client.Close()
 	start := time.Now()
@@ -122,10 +132,10 @@ func TestDialRPCDeadline(t *testing.T) {
 	}
 }
 
-// TestDialRPCBackoffReconnect proves the capped-backoff retry: the listener
-// only appears after the first attempts have failed, and DialRPC connects
+// TestDialConnBackoffReconnect proves the capped-backoff retry: the listener
+// only appears after the first attempts have failed, and DialConn connects
 // once it does.
-func TestDialRPCBackoffReconnect(t *testing.T) {
+func TestDialConnBackoffReconnect(t *testing.T) {
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("listen: %v", err)
@@ -139,7 +149,7 @@ func TestDialRPCBackoffReconnect(t *testing.T) {
 	}
 	res := make(chan dialed, 1)
 	go func() {
-		c, err := DialRPC(addr, time.Second, 20)
+		c, err := dialRPC(addr, time.Second, 20)
 		res <- dialed{c, err}
 	}()
 
@@ -153,7 +163,7 @@ func TestDialRPCBackoffReconnect(t *testing.T) {
 
 	d := <-res
 	if d.err != nil {
-		t.Fatalf("DialRPC never connected after the peer came up: %v", d.err)
+		t.Fatalf("DialConn never connected after the peer came up: %v", d.err)
 	}
 	defer d.client.Close()
 	var reply PingReply
@@ -197,17 +207,17 @@ func servePingAt(t *testing.T, addr string) (string, func()) {
 	}
 }
 
-// TestDialRPCExhaustsAttempts proves the failure shape: no peer, bounded
+// TestDialConnExhaustsAttempts proves the failure shape: no peer, bounded
 // attempts, a wrapped dial error.
-func TestDialRPCExhaustsAttempts(t *testing.T) {
+func TestDialConnExhaustsAttempts(t *testing.T) {
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("listen: %v", err)
 	}
 	addr := lis.Addr().String()
 	lis.Close()
-	if _, err := DialRPC(addr, 50*time.Millisecond, 2); err == nil {
-		t.Fatal("DialRPC with no peer succeeded; want error")
+	if _, err := dialRPC(addr, 50*time.Millisecond, 2); err == nil {
+		t.Fatal("DialConn with no peer succeeded; want error")
 	} else if errors.Is(err, nil) {
 		t.Fatal("unreachable")
 	}

@@ -13,7 +13,6 @@ import (
 	"sync"
 	"syscall"
 	"testing"
-	"time"
 
 	"evmatching/internal/mapreduce"
 	"evmatching/internal/spill"
@@ -35,15 +34,13 @@ func (p *betweenPhases) TaskFault(_, jobID string, kind TaskKind, _ int) TaskFau
 	return TaskFault{}
 }
 
-func (p *betweenPhases) DropHeartbeat(string, int) bool { return false }
-
-// startPhasedCluster boots one worker (so nothing runs beside the hook) with
-// speculation off (so no second attempt rewrites a file under it).
+// startPhasedCluster boots one worker, so nothing runs beside the hook and
+// no second attempt rewrites a file under it.
 func startPhasedCluster(t *testing.T, fn func(tc *testCluster, jobID string)) *testCluster {
 	t.Helper()
 	var tc *testCluster
 	plan := &betweenPhases{fn: func(jobID string) { fn(tc, jobID) }}
-	tc = startClusterCfg(t, 0, CoordinatorConfig{TaskTimeout: time.Minute, SpeculativeAfter: -1}, nil)
+	tc = startClusterCfg(t, 0, 0, nil)
 	tc.addWorker(t, WorkerConfig{ID: "w0", Faults: plan})
 	return tc
 }
@@ -166,7 +163,7 @@ func TestStorageFaults(t *testing.T) {
 	for _, fault := range faults {
 		t.Run(fault.name, func(t *testing.T) {
 			fs := spilltest.NewMemFS()
-			tc := startClusterCfg(t, 0, CoordinatorConfig{TaskTimeout: time.Minute}, nil)
+			tc := startClusterCfg(t, 0, 0, nil)
 			tc.coord.fsys = fs
 			tc.fsys = fs
 			for i := 0; i < 2; i++ {

@@ -62,15 +62,3 @@ func (r *TaskReport) count(name string, delta int64) { r.Counters[name] += delta
 
 // TaskAck is the (empty) response to a report.
 type TaskAck struct{}
-
-// HeartbeatPing is a worker's periodic liveness signal. Seq increments per
-// worker so a fault plan can drop deterministic bursts of heartbeats.
-type HeartbeatPing struct {
-	WorkerID string
-	Seq      int
-}
-
-// HeartbeatAck tells the worker whether the coordinator has shut down.
-type HeartbeatAck struct {
-	Closed bool
-}

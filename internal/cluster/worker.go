@@ -4,33 +4,25 @@ import (
 	"context"
 	"fmt"
 	"net/rpc"
-	"sync"
 	"time"
 
 	"evmatching/internal/mapreduce"
 	"evmatching/internal/spill"
 )
 
-// DefaultHeartbeatInterval is the gap between worker liveness pings.
-const DefaultHeartbeatInterval = 250 * time.Millisecond
+// pollInterval is the worker's sleep between requests when told to wait.
+const pollInterval = 20 * time.Millisecond
 
 // WorkerConfig parameterizes a worker process.
 type WorkerConfig struct {
-	// ID labels the worker in coordinator bookkeeping.
+	// ID labels the worker in its reports and fault draws.
 	ID string
 	// Dir is the shared data directory (must match the coordinator's).
 	Dir string
 	// Registry resolves the function names in task assignments.
 	Registry *Registry
-	// PollInterval is the sleep between requests when told to wait; 0 means
-	// 20ms.
-	PollInterval time.Duration
-	// HeartbeatInterval is the gap between liveness pings to the
-	// coordinator; 0 means DefaultHeartbeatInterval, negative disables
-	// heartbeats (liveness is then inferred from task traffic alone).
-	HeartbeatInterval time.Duration
-	// Faults, when non-nil, injects per-task and per-heartbeat misbehaviour
-	// (see FaultPlan); package chaos provides the seeded implementation.
+	// Faults, when non-nil, injects per-task misbehaviour (see FaultPlan);
+	// package chaos provides the seeded implementation.
 	Faults FaultPlan
 }
 
@@ -49,24 +41,7 @@ func NewWorker(addr string, cfg WorkerConfig) (*Worker, error) {
 	if cfg.ID == "" {
 		cfg.ID = fmt.Sprintf("worker-%d", time.Now().UnixNano())
 	}
-	if cfg.PollInterval <= 0 {
-		cfg.PollInterval = 20 * time.Millisecond
-	}
-	if cfg.HeartbeatInterval == 0 {
-		cfg.HeartbeatInterval = DefaultHeartbeatInterval
-	}
-	// With heartbeats on, the connection carries steady traffic, so the
-	// deadline-armed client is safe and a half-dead coordinator surfaces as
-	// a timeout instead of a worker hung forever in a Call. With heartbeats
-	// disabled there is no traffic to keep the idle rpc reader fed, so the
-	// plain client (no read deadline) is the correct choice.
-	var client *rpc.Client
-	var err error
-	if cfg.HeartbeatInterval > 0 {
-		client, err = DialRPC(addr, DefaultRPCCallTimeout, 1)
-	} else {
-		client, err = rpc.Dial("tcp", addr)
-	}
+	client, err := rpc.Dial("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: dial coordinator %s: %w", addr, err)
 	}
@@ -74,22 +49,11 @@ func NewWorker(addr string, cfg WorkerConfig) (*Worker, error) {
 }
 
 // Run processes tasks until the coordinator says exit, the context is done,
-// or an injected crash point is reached (in which case it returns nil,
-// simulating a silent machine loss). A background loop heartbeats the
-// coordinator so dead workers are detected faster than the task lease.
+// a call fails, or an injected crash point is reached (in which case it
+// returns nil, simulating a silent machine loss). Every return closes the
+// connection, which is how the coordinator learns the worker has stopped.
 func (w *Worker) Run(ctx context.Context) error {
-	defer w.client.Close() // deferred first: runs last, after the heartbeat loop exits
-	if w.cfg.HeartbeatInterval > 0 {
-		stop := make(chan struct{})
-		var hb sync.WaitGroup
-		defer hb.Wait()
-		defer close(stop)
-		hb.Add(1)
-		go func() {
-			defer hb.Done()
-			w.heartbeatLoop(stop)
-		}()
-	}
+	defer w.client.Close()
 	for {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -105,7 +69,7 @@ func (w *Worker) Run(ctx context.Context) error {
 			select {
 			case <-ctx.Done():
 				return ctx.Err()
-			case <-time.After(w.cfg.PollInterval):
+			case <-time.After(pollInterval):
 			}
 			continue
 		case TaskMap, TaskReduce:
@@ -114,7 +78,7 @@ func (w *Worker) Run(ctx context.Context) error {
 				fault = w.cfg.Faults.TaskFault(w.cfg.ID, reply.JobID, reply.Kind, reply.TaskID)
 			}
 			if fault.CrashBeforeExecute {
-				return nil // claimed but never worked: eviction recovers it
+				return nil // claimed but never worked: the closed connection requeues it
 			}
 			report := w.execute(&reply)
 			if fault.CrashBeforeReport {
@@ -126,9 +90,6 @@ func (w *Worker) Run(ctx context.Context) error {
 					return ctx.Err()
 				case <-time.After(fault.StallBeforeReport):
 				}
-			}
-			if fault.DropReport {
-				continue // result lost in transit; stay alive and keep pulling
 			}
 			deliveries := 1
 			if fault.DuplicateReport {
@@ -142,33 +103,6 @@ func (w *Worker) Run(ctx context.Context) error {
 			}
 		default:
 			return fmt.Errorf("cluster: worker %s: unknown task kind %v", w.cfg.ID, reply.Kind)
-		}
-	}
-}
-
-// heartbeatLoop pings the coordinator until stop closes or the coordinator
-// reports itself closed. RPC errors end the loop quietly: the main task loop
-// surfaces connection failures on its own.
-func (w *Worker) heartbeatLoop(stop <-chan struct{}) {
-	ticker := time.NewTicker(w.cfg.HeartbeatInterval)
-	defer ticker.Stop()
-	seq := 0
-	for {
-		select {
-		case <-stop:
-			return
-		case <-ticker.C:
-		}
-		seq++
-		if w.cfg.Faults != nil && w.cfg.Faults.DropHeartbeat(w.cfg.ID, seq) {
-			continue
-		}
-		var ack HeartbeatAck
-		if err := w.client.Call(RPCServiceName+".Heartbeat", &HeartbeatPing{WorkerID: w.cfg.ID, Seq: seq}, &ack); err != nil {
-			return
-		}
-		if ack.Closed {
-			return
 		}
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"net"
 	"sync"
 	"testing"
-	"time"
 
 	"evmatching/internal/cluster"
 	"evmatching/internal/dataset"
@@ -20,7 +19,7 @@ func startCluster(t *testing.T, nWorkers int) *cluster.Executor {
 	t.Helper()
 	mrtest.CheckGoroutines(t)
 	dir := t.TempDir()
-	coord, err := cluster.NewCoordinator(cluster.CoordinatorConfig{Dir: dir, TaskTimeout: time.Minute})
+	coord, err := cluster.NewCoordinator(cluster.CoordinatorConfig{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}

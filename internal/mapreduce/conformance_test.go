@@ -13,7 +13,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"evmatching/internal/cluster"
 	"evmatching/internal/core"
@@ -57,7 +56,7 @@ func startClusterExecutor(t *testing.T, nWorkers int) *cluster.Executor {
 	t.Helper()
 	mrtest.CheckGoroutines(t)
 	dir := t.TempDir()
-	coord, err := cluster.NewCoordinator(cluster.CoordinatorConfig{Dir: dir, TaskTimeout: time.Minute})
+	coord, err := cluster.NewCoordinator(cluster.CoordinatorConfig{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -305,9 +305,9 @@ func MatchAssignments(ctx context.Context, exec mapreduce.Executor, f *vfilter.F
 		return map[ids.EID]vfilter.Result{}, nil
 	}
 	// Results travel through a mutex-guarded side map rather than a channel:
-	// a fault-tolerant cluster may re-execute or speculatively duplicate a
-	// map task, and a straggling attempt can still be running when the job
-	// completes. Map writes are idempotent (Match is deterministic per
+	// a fault-tolerant cluster may re-execute a map task whose lease expired
+	// while the first attempt still runs, and that straggler can outlive the
+	// job. Map writes are idempotent (Match is deterministic per
 	// assignment), and the guarded copy below means a late write can never
 	// panic or race — it lands in the abandoned map.
 	var resMu sync.Mutex

@@ -84,14 +84,14 @@ func TestNewValidation(t *testing.T) {
 func TestMetricszEndpoint(t *testing.T) {
 	reg := metrics.NewRegistry()
 	reg.Add("cluster.retries", 3)
-	reg.Add("cluster.speculative_wins", 1)
+	reg.Add("cluster.evictions", 1)
 	ts, _, _ := newTestServer(t, WithMetrics(reg.Snapshot))
 
 	var body map[string]int64
 	if code := getJSON(t, ts.URL+"/metricsz", &body); code != http.StatusOK {
 		t.Fatalf("status = %d", code)
 	}
-	if body["cluster.retries"] != 3 || body["cluster.speculative_wins"] != 1 {
+	if body["cluster.retries"] != 3 || body["cluster.evictions"] != 1 {
 		t.Errorf("metrics body = %v", body)
 	}
 

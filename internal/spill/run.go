@@ -28,7 +28,7 @@ const fieldChunk = 1 << 20
 // regenerates if it is lost, so nothing is fsynced (WriteFileAtomic is the
 // durable path, for checkpoints). The write stages through its own
 // CreateTemp name and renames into place: a reader never sees a partial
-// file, and concurrent attempts at one path (speculative or redispatched
+// file, and concurrent attempts at one path (re-executed or redispatched
 // cluster tasks) cannot rename each other's staging file away — the last
 // rename wins. The staging file is removed on any failure.
 //
