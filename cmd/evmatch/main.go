@@ -6,7 +6,7 @@
 //
 //	evmatch -data world.gob [-n 100 | -eids aa:bb:...,... | -all]
 //	        [-algorithm ss|edp] [-mode serial|parallel] [-workers 0] [-seed 1]
-//	        [-mem-budget 0] [-spill-dir ""]
+//	        [-v] [-json] [-explain eid]
 package main
 
 import (
@@ -36,19 +36,17 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("evmatch", flag.ContinueOnError)
 	var (
-		data      = fs.String("data", "", "dataset file from evgen (required)")
-		n         = fs.Int("n", 0, "match a random sample of n EIDs")
-		eidList   = fs.String("eids", "", "comma-separated explicit EIDs to match")
-		all       = fs.Bool("all", false, "universal matching: label every EID")
-		algoName  = fs.String("algorithm", "ss", "matching algorithm: ss or edp")
-		modeName  = fs.String("mode", "serial", "execution mode: serial or parallel")
-		workers   = fs.Int("workers", 0, "parallel workers (0 = GOMAXPROCS)")
-		seed      = fs.Int64("seed", 1, "matcher seed")
-		verbose   = fs.Bool("v", false, "print every matched pair")
-		jsonOut   = fs.Bool("json", false, "emit the full report as JSON instead of text")
-		explain   = fs.String("explain", "", "trace the matching decision for one EID and exit")
-		memBudget = fs.Int64("mem-budget", 0, "bytes of in-memory shuffle state in parallel mode; past it, buckets spill to sorted disk runs (0 = unlimited)")
-		spillDir  = fs.String("spill-dir", "", "directory for spill runs (default: OS temp dir)")
+		data     = fs.String("data", "", "dataset file from evgen (required)")
+		n        = fs.Int("n", 0, "match a random sample of n EIDs")
+		eidList  = fs.String("eids", "", "comma-separated explicit EIDs to match")
+		all      = fs.Bool("all", false, "universal matching: label every EID")
+		algoName = fs.String("algorithm", "ss", "matching algorithm: ss or edp")
+		modeName = fs.String("mode", "serial", "execution mode: serial or parallel")
+		workers  = fs.Int("workers", 0, "parallel workers (0 = GOMAXPROCS)")
+		seed     = fs.Int64("seed", 1, "matcher seed")
+		verbose  = fs.Bool("v", false, "print every matched pair")
+		jsonOut  = fs.Bool("json", false, "emit the full report as JSON instead of text")
+		explain  = fs.String("explain", "", "trace the matching decision for one EID and exit")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -85,10 +83,7 @@ func run(args []string) error {
 		return errors.New("one of -n, -eids, or -all is required")
 	}
 
-	opts := evmatching.Options{
-		Seed: *seed, Workers: *workers,
-		MemBudget: *memBudget, SpillDir: *spillDir,
-	}
+	opts := evmatching.Options{Seed: *seed, Workers: *workers}
 	switch *algoName {
 	case "ss":
 		opts.Algorithm = evmatching.AlgorithmSS
@@ -133,11 +128,6 @@ func run(args []string) error {
 		rep.ETime, rep.VTime, rep.TotalTime(), rep.RefineRounds, rep.PrefetchedScenarios)
 	fmt.Printf("blocking candidates=%d pruned=%d (%.1f%% pruned) windows materialised=%d\n",
 		rep.BlockCandidates, rep.BlockPruned, rep.BlockPruneRatio()*100, rep.BlockMaterialised)
-	if rep.Spill.Spilled() {
-		fmt.Printf("spill bytes=%d runs written=%d merged=%d reloads=%d evictions=%d\n",
-			rep.Spill.BytesSpilled, rep.Spill.RunsWritten, rep.Spill.RunsMerged,
-			rep.Spill.Reloads, rep.Spill.Evictions)
-	}
 	return nil
 }
 
@@ -159,11 +149,6 @@ type jsonReport struct {
 	BlockPruneRatio   float64     `json:"blockPruneRatio"`
 	BlockMaterialised int64       `json:"blockMaterialised"`
 	Prefetched        int         `json:"prefetchedScenarios"`
-	SpillBytes        int64       `json:"spillBytes,omitempty"`
-	SpillRunsWritten  int64       `json:"spillRunsWritten,omitempty"`
-	SpillRunsMerged   int64       `json:"spillRunsMerged,omitempty"`
-	SpillReloads      int64       `json:"spillReloads,omitempty"`
-	SpillEvictions    int64       `json:"spillEvictions,omitempty"`
 	Matches           []jsonMatch `json:"matches"`
 }
 
@@ -202,11 +187,6 @@ func emitJSON(w io.Writer, truth func(evmatching.EID) evmatching.VID, rep *evmat
 		BlockPruneRatio:   rep.BlockPruneRatio(),
 		BlockMaterialised: rep.BlockMaterialised,
 		Prefetched:        rep.PrefetchedScenarios,
-		SpillBytes:        rep.Spill.BytesSpilled,
-		SpillRunsWritten:  rep.Spill.RunsWritten,
-		SpillRunsMerged:   rep.Spill.RunsMerged,
-		SpillReloads:      rep.Spill.Reloads,
-		SpillEvictions:    rep.Spill.Evictions,
 		Matches:           make([]jsonMatch, 0, len(rep.Targets)),
 	}
 	for _, e := range rep.Targets {

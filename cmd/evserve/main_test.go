@@ -140,9 +140,11 @@ func TestServeStreamMode(t *testing.T) {
 }
 
 // TestServeStreamCheckpointRestore pins the -stream-checkpoint startup
-// path: a checkpoint written by a prior engine (watermark already past
+// path: a checkpoint written by a prior processor (watermark already past
 // window 0) restores into the server, so an observation for window 0 is
-// late-dropped — a fresh engine would have accepted it.
+// late-dropped — a fresh engine would have accepted it. Both images restore:
+// an Engine's, and a 2-shard Router's, which is what a server started with
+// -stream-shards 2 by an older build leaves on disk.
 func TestServeStreamCheckpointRestore(t *testing.T) {
 	data := writeDataset(t)
 	ds, err := evmatching.LoadDataset(data)
@@ -155,93 +157,73 @@ func TestServeStreamCheckpointRestore(t *testing.T) {
 		LatenessMS: 250,
 		Dim:        ds.Config.DescriptorDim(),
 	}
-	eng, err := stream.NewEngine(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	_, obs, err := stream.EventsFromDataset(ds, 1000, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, o := range obs[:len(obs)/2] {
-		if _, err := eng.Ingest(o); err != nil {
-			t.Fatalf("Ingest %d: %v", i, err)
-		}
-	}
-	if wm, ok := eng.Watermark(); !ok || wm < 1000 {
-		t.Fatalf("fixture watermark %d has not passed window 0", wm)
-	}
-	ckpt := filepath.Join(t.TempDir(), "state.ckpt")
-	if err := spill.WriteFileAtomic(spill.OS{}, ckpt, eng.Checkpoint); err != nil {
-		t.Fatalf("write checkpoint: %v", err)
-	}
-
-	addr := serveArgs(t, []string{
-		"-data", data, "-addr", "127.0.0.1:0",
-		"-stream-window", "1000", "-stream-lateness", "250",
-		"-stream-checkpoint", ckpt,
-	})
-	line, err := json.Marshal(stream.Observation{
-		TS: 0, Kind: stream.KindE, Cell: obs[0].Cell, EID: cfg.Targets[0], Attr: scenario.AttrInclusive,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(fmt.Sprintf("http://%s/ingest", addr), "application/x-ndjson",
-		strings.NewReader(string(line)+"\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var body struct {
-		Accepted int `json:"accepted"`
-		Dropped  int `json:"dropped"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
-		t.Fatal(err)
-	}
-	if body.Accepted != 0 || body.Dropped != 1 {
-		t.Errorf("window-0 observation after restore = %+v, want late-dropped (fresh state would accept it)", body)
-	}
-}
-
-func TestServeClusterMode(t *testing.T) {
-	if testing.Short() {
-		t.Skip("cluster-mode end-to-end skipped in -short")
-	}
-	data := writeDataset(t)
-	addr := serveArgs(t, []string{"-data", data, "-addr", "127.0.0.1:0", "-mode", "cluster", "-workers", "2"})
-
-	resp, err := http.Get(fmt.Sprintf("http://%s/healthz", addr))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var health struct {
-		Matched int `json:"matched"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&health); err != nil {
-		t.Fatal(err)
-	}
-	if health.Matched == 0 {
-		t.Errorf("cluster mode matched nothing: %+v", health)
-	}
-
-	mresp, err := http.Get(fmt.Sprintf("http://%s/metricsz", addr))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mresp.Body.Close()
-	var counters map[string]int64
-	if err := json.NewDecoder(mresp.Body).Decode(&counters); err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range []string{
-		"cluster.retries", "cluster.evictions", "cluster.stale_reports",
+	for _, tc := range []struct {
+		name string
+		open func(t *testing.T) stream.Processor
+	}{
+		{"engine", func(t *testing.T) stream.Processor {
+			eng, err := stream.NewEngine(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return eng
+		}},
+		{"router-2-shards", func(t *testing.T) stream.Processor {
+			r, err := stream.NewRouter(stream.RouterConfig{Config: cfg, Shards: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { r.Close() })
+			return r
+		}},
 	} {
-		if _, ok := counters[name]; !ok {
-			t.Errorf("/metricsz missing %s: %v", name, counters)
-		}
+		t.Run(tc.name, func(t *testing.T) {
+			proc := tc.open(t)
+			for i, o := range obs[:len(obs)/2] {
+				if _, err := proc.Ingest(o); err != nil {
+					t.Fatalf("Ingest %d: %v", i, err)
+				}
+			}
+			if wm, ok := proc.Watermark(); !ok || wm < 1000 {
+				t.Fatalf("fixture watermark %d has not passed window 0", wm)
+			}
+			ckpt := filepath.Join(t.TempDir(), "state.ckpt")
+			if err := spill.WriteFileAtomic(spill.OS{}, ckpt, proc.Checkpoint); err != nil {
+				t.Fatalf("write checkpoint: %v", err)
+			}
+
+			addr := serveArgs(t, []string{
+				"-data", data, "-addr", "127.0.0.1:0",
+				"-stream-window", "1000", "-stream-lateness", "250",
+				"-stream-checkpoint", ckpt,
+			})
+			line, err := json.Marshal(stream.Observation{
+				TS: 0, Kind: stream.KindE, Cell: obs[0].Cell, EID: cfg.Targets[0], Attr: scenario.AttrInclusive,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.Post(fmt.Sprintf("http://%s/ingest", addr), "application/x-ndjson",
+				strings.NewReader(string(line)+"\n"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			var body struct {
+				Accepted int `json:"accepted"`
+				Dropped  int `json:"dropped"`
+			}
+			if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+				t.Fatal(err)
+			}
+			if body.Accepted != 0 || body.Dropped != 1 {
+				t.Errorf("window-0 observation after restore = %+v, want late-dropped (fresh state would accept it)", body)
+			}
+		})
 	}
 }
 
@@ -249,25 +231,21 @@ func TestRunValidation(t *testing.T) {
 	if err := run(nil, nil); err == nil {
 		t.Error("want error for missing -data")
 	}
-	data := writeDataset(t)
-	if err := run([]string{"-data", data, "-mode", "quantum"}, nil); err == nil {
-		t.Error("want error for unknown mode")
-	}
 	if err := run([]string{"-data", "missing.gob"}, nil); err == nil {
 		t.Error("want error for missing dataset")
 	}
-	if err := run([]string{"-data", data, "-mode", "cluster", "-workers", "0"}, nil); err == nil {
-		t.Error("want error for cluster mode with zero workers")
-	}
-	// A stream flag without live ingestion would do nothing: refused before
-	// any matching, so the unlistenable address is never reached.
-	for _, extra := range [][]string{
-		{"-stream-shards", "2"},
-		{"-stream-checkpoint", filepath.Join(t.TempDir(), "state.ckpt")},
-	} {
-		args := append([]string{"-data", data, "-addr", "no port"}, extra...)
-		if err := run(args, nil); err == nil || !strings.Contains(err.Error(), "needs -stream-window") {
-			t.Errorf("%s without -stream-window: err = %v, want it refused", extra[0], err)
+	data := writeDataset(t)
+	// The engine selectors and the memory budget are gone: each is an
+	// unknown flag, refused before any matching.
+	for _, gone := range []string{"-mode", "-workers", "-stream-shards", "-stream-shard-workers", "-shardd", "-mem-budget", "-spill-dir"} {
+		if err := run([]string{"-data", data, gone, "1"}, nil); err == nil || !strings.Contains(err.Error(), "not defined") {
+			t.Errorf("%s: err = %v, want an undefined-flag error", gone, err)
 		}
+	}
+	// A checkpoint without live ingestion would do nothing: refused before
+	// any matching, so the unlistenable address is never reached.
+	args := []string{"-data", data, "-addr", "no port", "-stream-checkpoint", filepath.Join(t.TempDir(), "state.ckpt")}
+	if err := run(args, nil); err == nil || !strings.Contains(err.Error(), "needs -stream-window") {
+		t.Errorf("-stream-checkpoint without -stream-window: err = %v, want it refused", err)
 	}
 }

@@ -10,24 +10,19 @@
 //
 //	evstream -log obs.jsonl [-targets aa:bb:...,...] [-lateness-ms 250]
 //	         [-speed 0] [-seed 1]
-//	         [-shards 0] [-shard-workers 0] [-shardd path] [-shard-kill spec]
+//	         [-shard-workers 0] [-shardd path] [-shard-kill spec]
 //	         [-checkpoint state.ckpt] [-checkpoint-every 2000]
-//	         [-max-events 0] [-finalize] [-mem-budget 0] [-spill-dir ""] [-v]
+//	         [-max-events 0] [-finalize] [-v]
 //
-// With -shards N > 0 the replay runs through the sharded router: N
-// concurrent per-cell-range windowers behind a cell-partitioning router,
-// producing the same resolutions and the same final fingerprint as the
-// unsharded engine (checkpoints then record the shard count; an engine's
-// image and a router's both restore into any shard count).
-//
-// With -shard-workers N > 0 the N shards run in separate evshardd worker
-// processes over net/rpc (DESIGN.md §15) instead of in-process goroutines:
-// same router, same fingerprint, but each windower lives in its own
-// process, supervised: a worker death is redispatched onto a replay of the
-// journal, a message a worker refuses fails the run. -shardd names the worker
-// binary (default: evshardd next to evstream, else on PATH); -shard-kill
-// "shard@step,..." SIGKILLs workers on a script, the chaos drill CI runs to
-// prove a killed worker's shard recovers bit-identically.
+// With -shard-workers N > 0 the replay runs through the sharded router, its
+// N cell-range windowers in separate evshardd worker processes over net/rpc
+// (DESIGN.md §15): same resolutions, same fingerprint as the engine, but each
+// windower lives in its own process, supervised: a worker death is
+// redispatched onto a replay of the journal, a message a worker refuses fails
+// the run. -shardd names the worker binary (default: evshardd next to
+// evstream, else on PATH); -shard-kill "shard@step,..." SIGKILLs workers on a
+// script, the chaos drill CI runs to prove a killed worker's shard recovers
+// bit-identically. An engine's checkpoint and a router's restore into either.
 //
 // When -checkpoint names an existing file the replay resumes from it,
 // skipping the observations the checkpointed engine already ingested — the
@@ -67,16 +62,13 @@ func run(args []string, out io.Writer) error {
 		latenessMS = fs.Int64("lateness-ms", 250, "allowed lateness in event-time milliseconds")
 		speed      = fs.Float64("speed", 0, "replay pacing: event-time speedup factor (0 = as fast as possible)")
 		seed       = fs.Int64("seed", 1, "matcher seed")
-		shards     = fs.Int("shards", 0, "cell-range ingest shards (0 = unsharded single engine)")
-		shardWkrs  = fs.Int("shard-workers", 0, "run N ingest shards in separate evshardd worker processes (mutually exclusive with -shards)")
+		shardWkrs  = fs.Int("shard-workers", 0, "run N ingest shards in separate evshardd worker processes (0 = one in-process engine)")
 		sharddPath = fs.String("shardd", "", "evshardd worker binary for -shard-workers (default: next to evstream, else on PATH)")
 		shardKill  = fs.String("shard-kill", "", "scripted chaos kills for -shard-workers: comma-separated shard@step entries")
 		ckptPath   = fs.String("checkpoint", "", "checkpoint file: resumed from when present, rewritten during replay")
 		ckptEvery  = fs.Int64("checkpoint-every", 2000, "observations between checkpoint writes")
 		maxEvents  = fs.Int64("max-events", 0, "stop after this log position (0 = whole log)")
 		finalize   = fs.Bool("finalize", true, "flush and run the batch-equivalent final match")
-		memBudget  = fs.Int64("mem-budget", 0, "bytes of sealed-window state kept in memory; past it, state spills to disk (0 = unlimited)")
-		spillDir   = fs.String("spill-dir", "", "directory for spill files (default: OS temp dir)")
 		verbose    = fs.Bool("v", false, "print every resolution as it is emitted")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -85,11 +77,12 @@ func run(args []string, out io.Writer) error {
 	if *logPath == "" {
 		return errors.New("-log is required")
 	}
-	if *shardWkrs > 0 && *shards > 0 {
-		return errors.New("use either -shards or -shard-workers, not both")
-	}
 	if *shardKill != "" && *shardWkrs == 0 {
 		return errors.New("-shard-kill needs -shard-workers")
+	}
+	plan, err := shardrpc.ParseKillSpec(*shardKill, *shardWkrs)
+	if err != nil {
+		return err
 	}
 	f, err := os.Open(*logPath)
 	if err != nil {
@@ -127,23 +120,16 @@ func run(args []string, out io.Writer) error {
 		LatenessMS: *latenessMS,
 		Dim:        hdr.Dim,
 		Seed:       *seed,
-		MemBudget:  *memBudget,
-		SpillDir:   *spillDir,
 	}
 
 	// With -shard-workers the shards run in supervised evshardd processes:
 	// same router and checkpoint formats, different shard hosting. The
 	// supervisor closes after the router (defers run LIFO), so in-flight
 	// worker calls see the router's stop channels first.
-	nshards := *shards
+	nshards := *shardWkrs
 	var sup *shardrpc.Supervisor
-	if *shardWkrs > 0 {
-		nshards = *shardWkrs
+	if nshards > 0 {
 		bin, err := shardrpc.ResolveWorkerBinary(*sharddPath)
-		if err != nil {
-			return err
-		}
-		plan, err := shardrpc.ParseKillSpec(*shardKill)
 		if err != nil {
 			return err
 		}
@@ -280,10 +266,6 @@ func run(args []string, out io.Writer) error {
 		e.Ingested(), len(obs), e.LateDropped(), len(e.Resolutions()))
 	fmt.Fprintf(out, "finalized %d targets, matched %d, fingerprint sha256=%s\n",
 		len(rep.Targets), rep.Matched(), hex.EncodeToString(sum[:]))
-	if s := e.SpillStats(); s.Spilled() {
-		fmt.Fprintf(out, "spill: %d bytes spilled, %d evictions, %d reloads\n",
-			s.BytesSpilled, s.Evictions, s.Reloads)
-	}
 	printWorkerStats()
 	return nil
 }

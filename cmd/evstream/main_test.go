@@ -145,130 +145,8 @@ func TestRunCrashResume(t *testing.T) {
 	}
 }
 
-// TestRunShardedReplayMatchesBatch extends the CLI golden invariant to the
-// sharded router: -shards N replays print the same fingerprint hash as the
-// batch SS run, at the degenerate 1-shard case and a genuinely partitioned 4.
-func TestRunShardedReplayMatchesBatch(t *testing.T) {
-	dir := t.TempDir()
-	ds, logPath := writeTestLog(t, dir)
-	flag, targets := targetsFlag(ds, 12)
-	want := batchHash(t, ds, targets, 7)
-	for _, shards := range []string{"1", "4"} {
-		var buf bytes.Buffer
-		err := run([]string{"-log", logPath, "-targets", flag, "-seed", "7", "-shards", shards}, &buf)
-		if err != nil {
-			t.Fatalf("run -shards %s: %v\n%s", shards, err, buf.String())
-		}
-		if got := extractHash(t, buf.String()); got != want {
-			t.Errorf("-shards %s replay hash %s, want batch hash %s", shards, got, want)
-		}
-	}
-}
-
-// TestRunShardedCrashResume is the sharded crash drill, covering both
-// checkpoint transitions: a 3-shard run leaves a router image that a 2-shard
-// run resumes (resharding restore), and an unsharded run leaves an engine
-// image that a 2-shard run upgrades — both finishing at the batch hash.
-func TestRunShardedCrashResume(t *testing.T) {
-	dir := t.TempDir()
-	ds, logPath := writeTestLog(t, dir)
-	flag, targets := targetsFlag(ds, 12)
-	want := batchHash(t, ds, targets, 7)
-	for _, tc := range []struct{ name, firstShards string }{
-		{"reshard-3-to-2", "3"},
-		{"engine-image-upgrade", "0"},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			ckpt := filepath.Join(dir, tc.name+".ckpt")
-			var first bytes.Buffer
-			err := run([]string{
-				"-log", logPath, "-targets", flag, "-seed", "7", "-shards", tc.firstShards,
-				"-checkpoint", ckpt, "-checkpoint-every", "500",
-				"-max-events", "1500", "-finalize=false",
-			}, &first)
-			if err != nil {
-				t.Fatalf("first run: %v\n%s", err, first.String())
-			}
-			var second bytes.Buffer
-			err = run([]string{
-				"-log", logPath, "-targets", flag, "-seed", "7", "-shards", "2",
-				"-checkpoint", ckpt, "-checkpoint-every", "500",
-			}, &second)
-			if err != nil {
-				t.Fatalf("second run: %v\n%s", err, second.String())
-			}
-			if !strings.Contains(second.String(), "resumed from") {
-				t.Fatalf("second run did not resume:\n%s", second.String())
-			}
-			if got := extractHash(t, second.String()); got != want {
-				t.Errorf("resumed sharded replay hash %s, want batch hash %s", got, want)
-			}
-		})
-	}
-}
-
 // TestRunDefaultTargets covers the pre-scan path: with no -targets the CLI
 // matches every EID sighted in the log.
-// TestRunSpillBudgetMatchesBatch is the CLI face of the out-of-core
-// invariant: a replay squeezed under a tiny -mem-budget evicts sealed
-// windows to disk (the spill summary line proves it) yet prints the same
-// fingerprint hash as the batch reference — and as the unbudgeted replay.
-func TestRunSpillBudgetMatchesBatch(t *testing.T) {
-	dir := t.TempDir()
-	ds, logPath := writeTestLog(t, dir)
-	flag, targets := targetsFlag(ds, 12)
-	var buf bytes.Buffer
-	err := run([]string{
-		"-log", logPath, "-targets", flag, "-seed", "7",
-		"-mem-budget", "4096", "-spill-dir", dir,
-	}, &buf)
-	if err != nil {
-		t.Fatalf("run: %v\n%s", err, buf.String())
-	}
-	if got, want := extractHash(t, buf.String()), batchHash(t, ds, targets, 7); got != want {
-		t.Errorf("budgeted replay hash %s, want batch hash %s\n%s", got, want, buf.String())
-	}
-	if !strings.Contains(buf.String(), "spill:") {
-		t.Errorf("budget forced no spill activity:\n%s", buf.String())
-	}
-}
-
-// TestRunSpillCrashResume combines both durability layers: checkpoints
-// written over evicted state, a resume from one, all under a budget — the
-// resumed, budgeted replay still lands on the batch hash.
-func TestRunSpillCrashResume(t *testing.T) {
-	dir := t.TempDir()
-	ds, logPath := writeTestLog(t, dir)
-	flag, targets := targetsFlag(ds, 12)
-	ckpt := filepath.Join(dir, "state.ckpt")
-
-	var first bytes.Buffer
-	err := run([]string{
-		"-log", logPath, "-targets", flag, "-seed", "7",
-		"-mem-budget", "4096", "-spill-dir", dir,
-		"-checkpoint", ckpt, "-checkpoint-every", "500",
-		"-max-events", "1500", "-finalize=false",
-	}, &first)
-	if err != nil {
-		t.Fatalf("first run: %v\n%s", err, first.String())
-	}
-	var second bytes.Buffer
-	err = run([]string{
-		"-log", logPath, "-targets", flag, "-seed", "7",
-		"-mem-budget", "4096", "-spill-dir", dir,
-		"-checkpoint", ckpt, "-checkpoint-every", "500",
-	}, &second)
-	if err != nil {
-		t.Fatalf("second run: %v\n%s", err, second.String())
-	}
-	if !strings.Contains(second.String(), "resumed from") {
-		t.Fatalf("second run did not resume:\n%s", second.String())
-	}
-	if got, want := extractHash(t, second.String()), batchHash(t, ds, targets, 7); got != want {
-		t.Errorf("resumed budgeted replay hash %s, want batch hash %s", got, want)
-	}
-}
-
 func TestRunDefaultTargets(t *testing.T) {
 	dir := t.TempDir()
 	ds, logPath := writeTestLog(t, dir)
@@ -295,5 +173,16 @@ func TestRunValidation(t *testing.T) {
 	}
 	if err := run([]string{"-log", garbage}, new(bytes.Buffer)); err == nil {
 		t.Error("want error for malformed log")
+	}
+	// A kill naming a shard the run does not have could never fire: the
+	// drill would pass without its kill.
+	err := run([]string{"-log", garbage, "-shard-workers", "2", "-shard-kill", "0@5,3@10"}, new(bytes.Buffer))
+	if err == nil || !strings.Contains(err.Error(), `"3@10"`) {
+		t.Errorf("kill of shard 3 in a 2-shard run: err = %v, want the entry refused", err)
+	}
+	for _, gone := range []string{"-shards", "-mem-budget", "-spill-dir"} {
+		if err := run([]string{"-log", garbage, gone, "1"}, new(bytes.Buffer)); err == nil || !strings.Contains(err.Error(), "not defined") {
+			t.Errorf("%s: err = %v, want an undefined-flag error", gone, err)
+		}
 	}
 }

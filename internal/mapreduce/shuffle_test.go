@@ -64,7 +64,7 @@ func TestSpilledMatchesInMemory(t *testing.T) {
 					t.Fatalf("spill counters incomplete: %+v", got.Counters.Snapshot())
 				}
 				sn := stats.Snapshot()
-				if !sn.Spilled() || sn.RunsWritten == 0 || sn.RunsMerged == 0 {
+				if sn.BytesSpilled == 0 || sn.RunsWritten == 0 || sn.RunsMerged == 0 {
 					t.Fatalf("stats not accumulated: %+v", sn)
 				}
 			})

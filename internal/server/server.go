@@ -12,9 +12,9 @@
 //	GET /stream                        resolutions as SSE (with WithStream)
 //
 // The query handlers are read-only over an immutable dataset and index; the
-// optional stream endpoints delegate to a stream.Processor — the unsharded
-// Engine or the sharded Router — which synchronizes internally. Every handler
-// is safe for concurrent use.
+// optional stream endpoints delegate to a stream.Processor (evserve attaches
+// an Engine), which synchronizes internally. Every handler is safe for
+// concurrent use.
 package server
 
 import (
@@ -45,8 +45,8 @@ type Server struct {
 type Option func(*Server)
 
 // WithMetrics exposes the snapshot function's counters at GET /metricsz —
-// typically metrics.(*Registry).Snapshot, carrying the cluster's
-// fault-recovery totals when evserve runs in cluster mode.
+// typically metrics.(*Registry).Snapshot, carrying evserve's block_* gauges
+// and, with live ingestion, the stream Engine's stream_* gauges.
 func WithMetrics(snapshot func() map[string]int64) Option {
 	return func(s *Server) { s.metrics = snapshot }
 }

@@ -6,6 +6,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strconv"
 	"strings"
 )
 
@@ -32,12 +33,14 @@ func ResolveWorkerBinary(explicit string) (string, error) {
 }
 
 // ParseKillSpec compiles a scripted chaos schedule — comma-separated
-// "shard@step" entries — into a KillPlan: each entry SIGKILLs the named
-// shard's worker when its first incarnation reaches that message step.
-// Replacement incarnations run unharmed, so a drill always terminates; the
-// run must still finish with the same fingerprint as an undisturbed one.
-// An empty spec returns a nil plan.
-func ParseKillSpec(spec string) (func(shard, incarnation int, step int64) bool, error) {
+// "shard@step" entries — into a KillPlan for a run of shards workers: each
+// entry SIGKILLs the named shard's worker when its first incarnation reaches
+// that message step. Replacement incarnations run unharmed, so a drill always
+// terminates; the run must still finish with the same fingerprint as an
+// undisturbed one. An entry with trailing text, or naming a shard the run
+// does not have, is refused: its kill could never fire. An empty spec
+// returns a nil plan.
+func ParseKillSpec(spec string, shards int) (func(shard, incarnation int, step int64) bool, error) {
 	spec = strings.TrimSpace(spec)
 	if spec == "" {
 		return nil, nil
@@ -49,14 +52,16 @@ func ParseKillSpec(spec string) (func(shard, incarnation int, step int64) bool, 
 	var kills []kill
 	for _, ent := range strings.Split(spec, ",") {
 		ent = strings.TrimSpace(ent)
-		var k kill
-		if n, err := fmt.Sscanf(ent, "%d@%d", &k.shard, &k.step); err != nil || n != 2 {
+		shardText, stepText, ok := strings.Cut(ent, "@")
+		shard, errShard := strconv.Atoi(shardText)
+		step, errStep := strconv.ParseInt(stepText, 10, 64)
+		if !ok || errShard != nil || errStep != nil {
 			return nil, fmt.Errorf("shardrpc: bad kill entry %q (want shard@step)", ent)
 		}
-		if k.shard < 0 || k.step < 1 {
-			return nil, fmt.Errorf("shardrpc: kill entry %q out of range", ent)
+		if shard < 0 || shard >= shards || step < 1 {
+			return nil, fmt.Errorf("shardrpc: kill entry %q out of range (%d shards, steps from 1)", ent, shards)
 		}
-		kills = append(kills, k)
+		kills = append(kills, kill{shard, step})
 	}
 	return func(shard, incarnation int, step int64) bool {
 		if incarnation != 1 {

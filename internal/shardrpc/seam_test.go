@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"evmatching/internal/metrics"
 	"evmatching/internal/mrtest"
 	"evmatching/internal/shardrpc"
 	"evmatching/internal/stream"
@@ -156,9 +155,9 @@ func (m *replayMeter) RunShard(run stream.ShardRun) {
 // TestRedispatchReplaysOnlyOpenWindows SIGKILLs a worker late in the log,
 // after a dozen close rounds have folded: what its replacement is sent is the
 // journal, and the journal is only the observations of windows still open —
-// the gauge says so before the kill, the replay is no longer than the gauge
-// plus what arrived since, a small fraction of what the shard was ever sent —
-// and the run still lands on the unsharded fingerprint.
+// RouterStats.JournalLen says so before the kill, the replay is no longer
+// than that plus what arrived since, a small fraction of what the shard was
+// ever sent — and the run still lands on the unsharded fingerprint.
 func TestRedispatchReplaysOnlyOpenWindows(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns and kills worker processes")
@@ -166,7 +165,6 @@ func TestRedispatchReplaysOnlyOpenWindows(t *testing.T) {
 	mrtest.CheckGoroutines(t)
 	cfg, obs := chaosWorkload(t)
 	want := unshardedFingerprint(t, cfg, obs)
-	cfg.Metrics = metrics.NewRegistry()
 
 	var armed, fired atomic.Bool
 	scfg := workerSupervisorConfig(t)
@@ -188,11 +186,13 @@ func TestRedispatchReplaysOnlyOpenWindows(t *testing.T) {
 	if err := r.Checkpoint(io.Discard); err != nil { // the fold barrier: every issued round folded
 		t.Fatalf("Checkpoint: %v", err)
 	}
-	if _, err := r.Ingest(obs[cut]); err != nil { // publishes the gauges
-		t.Fatalf("Ingest %d: %v", cut, err)
+	journal := int64(r.Stats().JournalLen[0])
+	var sent int64 // what shard 0 was routed: the log is in order, so all of it
+	for _, o := range obs[:cut] {
+		if stream.ShardOf(o.Cell, 2) == 0 {
+			sent++
+		}
 	}
-	journal := cfg.Metrics.Get("stream_shard0_journal_len")
-	sent := cfg.Metrics.Get("stream_shard0_ingested")
 	if journal == 0 || journal*4 > sent {
 		t.Fatalf("shard 0's journal holds %d of the %d observations it was sent after the folds; it is not being compacted", journal, sent)
 	}
@@ -201,7 +201,7 @@ func TestRedispatchReplaysOnlyOpenWindows(t *testing.T) {
 	// nothing, so a journal left to grow behind it would measure the ingest
 	// loop's head start, not the compaction.
 	armed.Store(true)
-	next := cut + 1
+	next := cut
 	for routed := false; !routed; next++ {
 		routed = stream.ShardOf(obs[next].Cell, 2) == 0
 		if _, err := r.Ingest(obs[next]); err != nil {

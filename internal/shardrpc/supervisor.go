@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"evmatching/internal/cluster"
-	"evmatching/internal/metrics"
 	"evmatching/internal/stream"
 )
 
@@ -49,8 +48,6 @@ type SupervisorConfig struct {
 	Command []string
 	// Env is appended to the inherited environment of each worker.
 	Env []string
-	// Metrics, when non-nil, receives the shardrpc_* gauges.
-	Metrics *metrics.Registry
 	// KillPlan, when non-nil, SIGKILLs the shard's worker before the step's
 	// message is applied (chaos tests and the CI smoke's scripted kill).
 	// Decisions are pure in (shard, incarnation, step), mirroring
@@ -100,12 +97,6 @@ func (p *workerProc) shutdown() {
 	})
 }
 
-// shardGaugeNames are one shard's precomputed metric keys.
-type shardGaugeNames struct {
-	applyUS string
-	applies string
-}
-
 // Supervisor hosts shard windowers in worker processes: it implements
 // stream.ShardRunner by proxying each incarnation's message stream to its
 // shard's worker over net/rpc and feeding the emissions back to the
@@ -124,13 +115,11 @@ type shardGaugeNames struct {
 type Supervisor struct {
 	cfg SupervisorConfig
 
-	mu       sync.Mutex
-	closed   bool
-	procs    map[int]*workerProc
-	spawns   map[int]int // per-shard spawn count, bounds restarts
-	pids     []int       // every pid ever spawned (leak checks)
-	applies  map[int]int64
-	gaugeFor map[int]shardGaugeNames
+	mu     sync.Mutex
+	closed bool
+	procs  map[int]*workerProc
+	spawns map[int]int // per-shard spawn count, bounds restarts
+	pids   []int       // every pid ever spawned (leak checks)
 
 	spawned      atomic.Int64
 	kills        atomic.Int64
@@ -165,11 +154,9 @@ type SupervisorStats struct {
 // on the shard's first incarnation.
 func NewSupervisor(cfg SupervisorConfig) *Supervisor {
 	return &Supervisor{
-		cfg:      cfg,
-		procs:    make(map[int]*workerProc),
-		spawns:   make(map[int]int),
-		applies:  make(map[int]int64),
-		gaugeFor: make(map[int]shardGaugeNames),
+		cfg:    cfg,
+		procs:  make(map[int]*workerProc),
+		spawns: make(map[int]int),
 	}
 }
 
@@ -194,14 +181,12 @@ func (s *Supervisor) RunShard(run stream.ShardRun) {
 	}
 	if err != nil {
 		s.fallbacks.Add(1)
-		s.publishCounters()
 		if s.cfg.Stderr != nil {
 			fmt.Fprintf(s.cfg.Stderr, "shardrpc: shard %d incarnation %d runs in-process, no worker: %v\n", run.Shard, run.Incarnation, err)
 		}
 		stream.RunShardInProcess(run)
 		return
 	}
-	s.publishCounters()
 	s.proxyLoop(proc, run)
 }
 
@@ -324,7 +309,6 @@ func (s *Supervisor) proxyLoop(proc *workerProc, run stream.ShardRun) {
 			s.removeProc(run.Shard, proc)
 			run.Died(nil)
 			s.redispatches.Add(1)
-			s.publishCounters()
 		})
 	}
 
@@ -370,7 +354,6 @@ func (s *Supervisor) proxyLoop(proc *workerProc, run stream.ShardRun) {
 				}
 			}
 		}
-		start := stream.SystemClock{}.Now() // the wallclock lint's one sanctioned clock
 		var reply ApplyReply
 		err := s.call(proc, run.Stop, "Apply", &ApplyArgs{
 			Shard:       run.Shard,
@@ -388,7 +371,6 @@ func (s *Supervisor) proxyLoop(proc *workerProc, run stream.ShardRun) {
 			fail(err)
 			return
 		}
-		s.observeApply(run.Shard, stream.SystemClock{}.Now().Sub(start))
 		for i := range reply.Outs {
 			if !run.Emit(reply.Outs[i]) {
 				return
@@ -439,56 +421,6 @@ func (s *Supervisor) removeProc(shard int, proc *workerProc) {
 	}
 	s.mu.Unlock()
 	proc.shutdown()
-}
-
-// observeApply publishes one Apply's latency and the shard's apply count.
-func (s *Supervisor) observeApply(shard int, d time.Duration) {
-	if s.cfg.Metrics == nil {
-		return
-	}
-	s.mu.Lock()
-	g, ok := s.gaugeFor[shard]
-	if !ok {
-		g = shardGaugeNames{
-			applyUS: fmt.Sprintf("shardrpc_shard%d_apply_us", shard),
-			applies: fmt.Sprintf("shardrpc_shard%d_applies", shard),
-		}
-		s.gaugeFor[shard] = g
-	}
-	s.applies[shard]++
-	n := s.applies[shard]
-	s.mu.Unlock()
-	s.cfg.Metrics.SetMany(s.withWireGauges(map[string]int64{
-		g.applyUS: d.Microseconds(),
-		g.applies: n,
-	}))
-}
-
-// publishCounters pushes the global shardrpc gauges.
-func (s *Supervisor) publishCounters() {
-	if s.cfg.Metrics == nil {
-		return
-	}
-	s.mu.Lock()
-	live := int64(len(s.procs))
-	s.mu.Unlock()
-	s.cfg.Metrics.SetMany(s.withWireGauges(map[string]int64{
-		"shardrpc_workers_spawned": s.spawned.Load(),
-		"shardrpc_workers_live":    live,
-		"shardrpc_kills":           s.kills.Load(),
-		"shardrpc_retries":         s.retries.Load(),
-		"shardrpc_redispatches":    s.redispatches.Load(),
-		"shardrpc_fallbacks":       s.fallbacks.Load(),
-	}))
-}
-
-// withWireGauges adds the frame-layer traffic gauges to g, so they refresh
-// with every publication (each Apply included).
-func (s *Supervisor) withWireGauges(g map[string]int64) map[string]int64 {
-	g["shardrpc_wire_bytes_sent"] = s.wire.sent.Load()
-	g["shardrpc_wire_bytes_received"] = s.wire.received.Load()
-	g["shardrpc_frames"] = s.wire.frames.Load()
-	return g
 }
 
 // Stats snapshots the supervisor's counters.
@@ -542,6 +474,5 @@ func (s *Supervisor) Close() error {
 	for _, p := range procs {
 		p.shutdown()
 	}
-	s.publishCounters()
 	return nil
 }

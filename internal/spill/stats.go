@@ -67,8 +67,3 @@ func (s *Stats) Snapshot() Snapshot {
 		Evictions:    s.evictions.Load(),
 	}
 }
-
-// Spilled reports whether any out-of-core activity happened.
-func (sn Snapshot) Spilled() bool {
-	return sn.BytesSpilled > 0 || sn.RunsWritten > 0 || sn.Evictions > 0
-}

@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"evmatching/internal/core"
-	"evmatching/internal/spill"
 )
 
 // Processor is the consumer surface shared by the unsharded Engine and the
@@ -35,9 +34,6 @@ type Processor interface {
 	Flush() error
 	// Checkpoint serializes the full processor state for later restore.
 	Checkpoint(w io.Writer) error
-	// SpillStats snapshots the processor's out-of-core activity; all-zero
-	// when Config.MemBudget is unset.
-	SpillStats() spill.Snapshot
 	// Finalize flushes every open window and runs the batch-equivalent final
 	// match over the accumulated store.
 	Finalize(ctx context.Context) (*core.Report, error)

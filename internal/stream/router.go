@@ -10,7 +10,6 @@ import (
 
 	"evmatching/internal/core"
 	"evmatching/internal/geo"
-	"evmatching/internal/spill"
 	"evmatching/internal/vfilter"
 )
 
@@ -23,7 +22,8 @@ var ErrRouterClosed = errors.New("stream: router closed")
 const shardQueueLen = 1024
 
 // RouterConfig parameterizes a Router. The embedded Config is the matching
-// configuration every shard and the merge stage share.
+// configuration every shard and the merge stage share; a router publishes no
+// gauges, so its Metrics must be nil.
 type RouterConfig struct {
 	Config
 
@@ -59,6 +59,9 @@ func (c RouterConfig) validate() error {
 	}
 	if c.Runner != nil && c.Faults != nil {
 		return fmt.Errorf("%w: Runner and Faults are mutually exclusive", ErrBadConfig)
+	}
+	if c.Metrics != nil {
+		return fmt.Errorf("%w: a Router publishes no gauges; Metrics must be nil", ErrBadConfig)
 	}
 	return nil
 }
@@ -114,9 +117,6 @@ type shardSlot struct {
 
 	sent    int64 // position of the last journalled message
 	journal shardJournal
-
-	routed                    int64  // observations routed to this shard (gauge)
-	routedGauge, journalGauge string // precomputed per-shard gauge keys
 }
 
 // Router is the sharded streaming ingest tier: the same frontier the Engine
@@ -147,7 +147,6 @@ type Router struct {
 	front        frontier
 	round        int // close rounds issued
 	redispatches int64
-	gauges       map[string]int64 // publishGaugesLocked's map, refilled per ingest
 
 	// deaths is the doorbell Died rings (capacity 1): a report is waiting
 	// on some slot's died channel or in firstErr.
@@ -165,9 +164,7 @@ type Router struct {
 	foldedRound int
 	firstErr    error
 
-	seqGauge      atomic.Int64
-	resolvedGauge atomic.Int64
-	kills         atomic.Int64
+	kills atomic.Int64
 }
 
 // RouterStats is a snapshot of the router's fault-handling counters.
@@ -181,8 +178,7 @@ type RouterStats struct {
 	Kills int64
 	// JournalLen is each shard's replay journal length now — the messages a
 	// replacement incarnation would be sent: the observations of the windows
-	// the merge stage has not folded yet. It is what the
-	// stream_shard<i>_journal_len gauges publish.
+	// the merge stage has not folded yet.
 	JournalLen []int
 }
 
@@ -198,11 +194,8 @@ func newRouter(cfg RouterConfig, cp *checkpointFile) (*Router, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	// The merge stage reuses the unsharded engine wholesale; the router owns
-	// the stream_* gauge surface, so the merged engine publishes none.
-	mergedCfg := cfg.Config
-	mergedCfg.Metrics = nil
-	merged, err := NewEngine(mergedCfg)
+	// The merge stage reuses the unsharded engine wholesale.
+	merged, err := NewEngine(cfg.Config)
 	if err != nil {
 		return nil, err
 	}
@@ -212,7 +205,6 @@ func newRouter(cfg RouterConfig, cp *checkpointFile) (*Router, error) {
 		merged:     merged,
 		slots:      make([]shardSlot, cfg.Shards),
 		front:      newFrontier(cfg.WindowMS, cfg.LatenessMS),
-		gauges:     make(map[string]int64),
 		deaths:     make(chan struct{}, 1),
 		folded:     make(chan struct{}, 1),
 		out:        make(chan shardOut, 4*cfg.Shards),
@@ -227,8 +219,6 @@ func newRouter(cfg RouterConfig, cp *checkpointFile) (*Router, error) {
 		slot := &r.slots[s]
 		slot.id = s
 		slot.incarnation = 1
-		slot.routedGauge = fmt.Sprintf("stream_shard%d_ingested", s)
-		slot.journalGauge = fmt.Sprintf("stream_shard%d_journal_len", s)
 		r.startIncarnationLocked(slot)
 	}
 	go r.runMerger()
@@ -247,8 +237,6 @@ func (r *Router) restoreCheckpoint(cp *checkpointFile) error {
 		return err
 	}
 	r.front.restore(cp)
-	r.seqGauge.Store(int64(cp.Seq))
-	r.resolvedGauge.Store(int64(len(cp.Resolved)))
 	for i := range cp.Buckets {
 		cb := &cp.Buckets[i]
 		if cb.Cell < 0 {
@@ -290,16 +278,12 @@ func (r *Router) Ingest(o Observation) (bool, error) {
 	}
 	r.reapLocked()
 	if !r.front.admit(o.TS) {
-		r.publishGaugesLocked()
 		return false, nil
 	}
-	slot := &r.slots[ShardOf(o.Cell, r.cfg.Shards)]
-	r.sendLocked(slot, ShardMsg{Kind: ShardMsgObs, Obs: o})
-	slot.routed++
+	r.sendLocked(&r.slots[ShardOf(o.Cell, r.cfg.Shards)], ShardMsg{Kind: ShardMsgObs, Obs: o})
 	if target, closes := r.front.observe(o.TS); closes {
 		r.issueCloseLocked(target)
 	}
-	r.publishGaugesLocked()
 	return true, nil
 }
 
@@ -549,13 +533,9 @@ func (r *Router) fold(batches [][]ShardSealed, target int) {
 		}
 		return all[i].Cell < all[j].Cell
 	})
-	seq, resolved, err := r.merged.applyRound(all, target)
-	if err != nil {
+	if err := r.merged.applyRound(all, target); err != nil {
 		r.setErr(err)
-		return
 	}
-	r.seqGauge.Store(int64(seq))
-	r.resolvedGauge.Store(int64(resolved))
 }
 
 // setErr records the first error; later operations return it, and a fold
@@ -638,11 +618,7 @@ func (r *Router) Flush() error {
 		return err
 	}
 	r.issueCloseLocked(r.front.flushTarget())
-	if err := r.awaitFoldLocked(); err != nil {
-		return err
-	}
-	r.publishGaugesLocked()
-	return nil
+	return r.awaitFoldLocked()
 }
 
 // Finalize flushes the stream and runs the authoritative batch match over
@@ -716,12 +692,6 @@ func (r *Router) Watermark() (int64, bool) {
 	return r.front.watermark()
 }
 
-// SpillStats snapshots the out-of-core activity of the merge stage's engine
-// — the only place sharded streaming holds (and so evicts) sealed state.
-func (r *Router) SpillStats() spill.Snapshot {
-	return r.merged.SpillStats()
-}
-
 // FilterStats returns the merge stage's V filter counters (Engine.FilterStats).
 func (r *Router) FilterStats() vfilter.Stats {
 	return r.merged.FilterStats()
@@ -742,38 +712,4 @@ func (r *Router) Stats() RouterStats {
 		Kills:        r.kills.Load(),
 		JournalLen:   journals,
 	}
-}
-
-// publishGaugesLocked pushes the stream and per-shard gauges, refilling one
-// kept map rather than building one per ingest. Callers hold r.mu.
-func (r *Router) publishGaugesLocked() {
-	if r.cfg.Metrics == nil {
-		return
-	}
-	lag := int64(0)
-	if wm, ok := r.front.watermark(); ok {
-		lag = r.cfg.Clock.Now().UnixMilli() - wm
-	}
-	m := r.gauges
-	m["stream_open_windows"] = int64(len(r.front.open))
-	m["stream_watermark_lag_ms"] = lag
-	m["stream_pending_eids"] = int64(len(r.cfg.Targets)) - r.resolvedGauge.Load()
-	m["stream_resolutions_emitted"] = r.seqGauge.Load()
-	m["stream_resolutions_dropped"] = r.merged.resolutionsDropped.Load()
-	m["stream_late_dropped"] = r.front.lateDropped
-	m["stream_shards"] = int64(r.cfg.Shards)
-	m["stream_shard_redispatches"] = r.redispatches
-	for i := range r.slots {
-		m[r.slots[i].routedGauge] = r.slots[i].routed
-		m[r.slots[i].journalGauge] = int64(r.slots[i].journal.len())
-	}
-	m["stream_duplicate_detections"] = r.merged.duplicates.Load() // the merge stage's fold drops them
-	// Eviction happens entirely in the merged engine (shard windowers are
-	// store-less bucket accumulators), so its spill stats are the router's.
-	// spillStats is set once at engine construction and the counters are
-	// atomic, so reading without r.merged.mu is safe.
-	if r.merged.spillStats != nil {
-		addSpillGauges(m, r.merged.spillStats.Snapshot())
-	}
-	r.cfg.Metrics.SetMany(m)
 }

@@ -4,11 +4,10 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"testing"
-	"time"
 
 	"evmatching/internal/core"
 	"evmatching/internal/dataset"
@@ -274,13 +273,18 @@ func TestRouterConfigValidation(t *testing.T) {
 		mut  func(*RouterConfig)
 	}{
 		{"negative-shards", func(c *RouterConfig) { c.Shards = -2 }},
+		// A router publishes no gauges: a registry is refused, not ignored.
+		{"metrics", func(c *RouterConfig) { c.Metrics = metrics.NewRegistry() }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			rcfg := RouterConfig{Config: base}
 			tc.mut(&rcfg)
-			if _, err := NewRouter(rcfg); err == nil {
-				t.Fatal("NewRouter accepted an invalid config")
+			if r, err := NewRouter(rcfg); !errors.Is(err, ErrBadConfig) {
+				if err == nil {
+					r.Close()
+				}
+				t.Fatalf("NewRouter: err = %v, want ErrBadConfig", err)
 			}
 		})
 	}
@@ -313,100 +317,6 @@ func TestRouterClosed(t *testing.T) {
 	}
 	if err := r.Checkpoint(nil); err != ErrRouterClosed {
 		t.Fatalf("Checkpoint after Close: err = %v, want ErrRouterClosed", err)
-	}
-}
-
-// TestRouterGauges checks the router's gauge surface: the engine-compatible
-// stream_* gauges plus the shard count, redispatch counter, per-shard routed
-// counters (which must sum to the accepted observations) and per-shard
-// journal lengths (which must fall back as rounds fold).
-func TestRouterGauges(t *testing.T) {
-	ds := testDataset(t, false)
-	targets := ds.AllEIDs()[:8]
-	_, obs, err := EventsFromDataset(ds, testWindowMS, 7)
-	if err != nil {
-		t.Fatalf("EventsFromDataset: %v", err)
-	}
-	reg := metrics.NewRegistry()
-	cfg := testConfig(ds, targets)
-	cfg.Clock = &fakeClock{now: time.UnixMilli(obs[len(obs)-1].TS)}
-	cfg.Metrics = reg
-	const shards = 4
-	// A fold barrier (Checkpoint) every 64 observations keeps ingest within
-	// 64 messages of the merge stage, so what the journal gauges show is the
-	// open windows and not a head start.
-	r, err := NewRouter(RouterConfig{Config: cfg, Shards: shards})
-	if err != nil {
-		t.Fatalf("NewRouter: %v", err)
-	}
-	defer r.Close()
-	journalLen := func() (n int64) {
-		for s := 0; s < shards; s++ {
-			n += reg.Get(fmt.Sprintf("stream_shard%d_journal_len", s))
-		}
-		return n
-	}
-	accepted, peak, fell := int64(0), int64(0), false
-	redelivered := int64(0)
-	for i, o := range obs {
-		before := journalLen()
-		acc, err := r.Ingest(o)
-		if err != nil {
-			t.Fatalf("Ingest %d: %v", i, err)
-		}
-		if acc {
-			accepted++
-		}
-		if acc && o.Kind == KindV && i%9 == 0 { // at-least-once delivery upstream
-			if again, err := r.Ingest(o); err != nil || !again {
-				t.Fatalf("redelivery of observation %d: accepted=%t err=%v", i, again, err)
-			}
-			accepted++
-			redelivered++
-		}
-		after := journalLen()
-		peak, fell = max(peak, after), fell || after < before
-		if i%64 == 63 {
-			if err := r.Checkpoint(io.Discard); err != nil {
-				t.Fatalf("Checkpoint: %v", err)
-			}
-		}
-	}
-	// The journals hold the open windows, not the log: the gauge falls back
-	// whenever a round folds, and to nothing once the flush round has.
-	if !fell || peak == 0 || peak > accepted/2 {
-		t.Errorf("journal gauges peaked at %d of %d accepted observations, fell back = %v", peak, accepted, fell)
-	}
-	t.Logf("journal gauges peaked at %d of %d accepted observations", peak, accepted)
-	if err := r.Flush(); err != nil {
-		t.Fatalf("Flush: %v", err)
-	}
-	if got := journalLen(); got != 0 {
-		t.Errorf("journal gauges sum to %d after Flush, want 0", got)
-	}
-	// A redelivered detection is journalled until its window folds, then
-	// dropped by the fold and counted.
-	if dup := reg.Get("stream_duplicate_detections"); redelivered == 0 || dup != redelivered {
-		t.Errorf("stream_duplicate_detections = %d after Flush, want the %d redelivered", dup, redelivered)
-	}
-	if got := reg.Get("stream_shards"); got != shards {
-		t.Errorf("stream_shards = %d, want %d", got, shards)
-	}
-	if got := reg.Get("stream_shard_redispatches"); got != 0 {
-		t.Errorf("stream_shard_redispatches = %d, want 0", got)
-	}
-	var routed int64
-	for s := 0; s < shards; s++ {
-		routed += reg.Get(fmt.Sprintf("stream_shard%d_ingested", s))
-	}
-	if routed != accepted {
-		t.Errorf("per-shard routed gauges sum to %d, want %d accepted", routed, accepted)
-	}
-	if got, want := reg.Get("stream_resolutions_emitted"), int64(len(r.Resolutions())); got != want {
-		t.Errorf("stream_resolutions_emitted = %d, want %d", got, want)
-	}
-	if got := reg.Get("stream_open_windows"); got != 0 {
-		t.Errorf("stream_open_windows = %d after Flush, want 0", got)
 	}
 }
 

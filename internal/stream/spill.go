@@ -178,16 +178,6 @@ func (e *Engine) evictOverLocked() error {
 	return nil
 }
 
-// addSpillGauges folds one spill snapshot into a gauge map — the shared
-// naming for the engine's and the router's /metricsz surfaces.
-func addSpillGauges(g map[string]int64, s spill.Snapshot) {
-	g["spill_bytes_spilled"] = s.BytesSpilled
-	g["spill_runs_written"] = s.RunsWritten
-	g["spill_runs_merged"] = s.RunsMerged
-	g["spill_reloads"] = s.Reloads
-	g["spill_evictions"] = s.Evictions
-}
-
 // SpillStats snapshots the engine's out-of-core activity: bytes spilled,
 // evictions and reloads of sealed windows. All-zero when MemBudget is unset.
 func (e *Engine) SpillStats() spill.Snapshot {

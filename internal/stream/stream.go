@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"evmatching/internal/blocking"
 	"evmatching/internal/core"
@@ -241,10 +240,9 @@ type Engine struct {
 
 	// duplicates counts the repeated detections the fold has dropped, and
 	// resolutionsDropped the resolutions broadcast lost to full subscriber
-	// channels; atomic so that a router publishes its merge stage's counts
-	// without the lock.
-	duplicates         atomic.Int64
-	resolutionsDropped atomic.Int64
+	// channels.
+	duplicates         int64
+	resolutionsDropped int64
 	gauges             map[string]int64 // publishGauges' map, refilled per ingest
 
 	seq      int
@@ -423,7 +421,7 @@ func (e *Engine) applySealedLocked(w *ShardSealed) (scenario.ID, error) {
 	esc := &scenario.EScenario{Cell: w.Cell, Window: w.Window, EIDs: eids}
 	var vsc *scenario.VScenario
 	if dets, dropped := canonicalDets(w.Dets); len(dets) > 0 {
-		e.duplicates.Add(int64(dropped))
+		e.duplicates += int64(dropped)
 		vsc = &scenario.VScenario{Cell: w.Cell, Window: w.Window, Detections: dets}
 	}
 	id, err := e.store.Add(esc, vsc)
@@ -456,13 +454,11 @@ func (e *Engine) splitSealedLocked(esc *scenario.EScenario) {
 // applyRound is the sharded router's merge hook: the fold, over one close
 // round's closures merged across shards — the very call closeTo makes for the
 // single engine, which is why the merged state is bit-identical to an
-// unsharded replay. It returns the resolution sequence counter and the
-// resolved-target count for the router's gauges.
-func (e *Engine) applyRound(sealed []ShardSealed, target int) (seq, resolved int, err error) {
+// unsharded replay.
+func (e *Engine) applyRound(sealed []ShardSealed, target int) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	err = e.foldLocked(sealed, target)
-	return e.seq, len(e.resolved), err
+	return e.foldLocked(sealed, target)
 }
 
 // sweepResolutions emits a resolution for every target whose set newly became
@@ -537,7 +533,7 @@ func (e *Engine) broadcast(r Resolution) {
 		select {
 		case c <- r:
 		default:
-			e.resolutionsDropped.Add(1)
+			e.resolutionsDropped++
 		}
 	}
 }
@@ -653,18 +649,15 @@ func (e *Engine) publishGauges() {
 	g := e.gauges
 	g["stream_open_windows"] = int64(len(e.front.open))
 	g["stream_open_detections"] = e.win.openDets
-	g["stream_duplicate_detections"] = e.duplicates.Load()
+	g["stream_duplicate_detections"] = e.duplicates
 	g["stream_watermark_lag_ms"] = lag
 	g["stream_pending_eids"] = int64(len(e.cfg.Targets) - len(e.resolved))
 	g["stream_resolutions_emitted"] = int64(e.seq)
-	g["stream_resolutions_dropped"] = e.resolutionsDropped.Load()
+	g["stream_resolutions_dropped"] = e.resolutionsDropped
 	g["stream_late_dropped"] = e.front.lateDropped
 	g["block_candidates_total"] = e.blockCandidates
 	g["block_pruned_total"] = e.blockPruned
 	g["block_prune_ratio"] = BlockPruneRatioPercent(e.blockCandidates, e.blockPruned)
-	if e.spillStats != nil {
-		addSpillGauges(g, e.spillStats.Snapshot())
-	}
 	e.cfg.Metrics.SetMany(g)
 }
 

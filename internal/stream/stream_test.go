@@ -344,43 +344,24 @@ func TestStreamGauges(t *testing.T) {
 
 // TestBroadcastCountsDrops: a subscriber that never reads holds a channel's
 // worth of resolutions; every broadcast past that is dropped and counted, and
-// both the engine's and the router's gauges publish the count.
+// the engine's gauges publish the count.
 func TestBroadcastCountsDrops(t *testing.T) {
 	const k = 5
-	flood := func(e *Engine) {
-		_, ch, cancel := e.Subscribe()
-		t.Cleanup(cancel)
-		e.mu.Lock()
-		defer e.mu.Unlock()
-		for i := 0; i < cap(ch)+k; i++ {
-			e.broadcast(Resolution{Seq: i + 1})
-		}
-	}
 	cfg := Config{Targets: []ids.EID{"e-1"}, WindowMS: testWindowMS, Dim: 2, Metrics: metrics.NewRegistry()}
 	e, err := NewEngine(cfg)
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
 	}
-	flood(e)
+	_, ch, cancel := e.Subscribe()
+	defer cancel()
 	e.mu.Lock()
+	for i := 0; i < cap(ch)+k; i++ {
+		e.broadcast(Resolution{Seq: i + 1})
+	}
 	e.publishGauges()
 	e.mu.Unlock()
 	if got := cfg.Metrics.Get("stream_resolutions_dropped"); got != k {
 		t.Errorf("engine stream_resolutions_dropped = %d, want %d", got, k)
-	}
-
-	cfg.Metrics = metrics.NewRegistry()
-	r, err := NewRouter(RouterConfig{Config: cfg, Shards: 2})
-	if err != nil {
-		t.Fatalf("NewRouter: %v", err)
-	}
-	defer r.Close()
-	flood(r.merged)
-	r.mu.Lock()
-	r.publishGaugesLocked()
-	r.mu.Unlock()
-	if got := cfg.Metrics.Get("stream_resolutions_dropped"); got != k {
-		t.Errorf("router stream_resolutions_dropped = %d, want %d", got, k)
 	}
 }
 
@@ -472,7 +453,7 @@ func TestCanonicalDetsExact(t *testing.T) {
 			t.Fatalf("stored detection %d is %+v, want %+v", i, got, want[i])
 		}
 	}
-	if got, dropped := e.duplicates.Load(), int64(len(drawn)-len(want)); got != dropped {
+	if got, dropped := e.duplicates, int64(len(drawn)-len(want)); got != dropped {
 		t.Errorf("the fold counted %d repeats, dropped %d", got, dropped)
 	}
 
