@@ -9,7 +9,8 @@
 //	        [-stream-checkpoint state.ckpt] [-stream-checkpoint-every 30s]
 //
 // Endpoints: /healthz, /match?eid=, /reverse?vid=, /trajectory?eid=,
-// /whowasat?cell=&window=, /metricsz.
+// /whowasat?cell=&window=, /metricsz, and the net/http/pprof profiles under
+// /debug/pprof/.
 //
 // Start-up runs serial SS over every EID and indexes the result. With
 // -stream-window > 0 a live stream Engine runs alongside the batch index,
@@ -28,6 +29,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"os"
 	"time"
 
@@ -172,5 +174,19 @@ func run(args []string, ready chan<- string) error {
 	if ready != nil {
 		ready <- lis.Addr().String()
 	}
-	return http.Serve(lis, srv)
+	return http.Serve(lis, withPprof(srv))
+}
+
+// withPprof serves the runtime profiles under /debug/pprof/ beside srv, on
+// a mux of its own rather than http.DefaultServeMux, so the served path's
+// costs can be profiled in place.
+func withPprof(srv http.Handler) http.Handler {
+	mux := http.NewServeMux()
+	mux.Handle("/", srv)
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	return mux
 }

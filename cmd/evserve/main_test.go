@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -136,6 +137,44 @@ func TestServeStreamMode(t *testing.T) {
 	}
 	if body.Accepted != 0 || body.Dropped != 0 {
 		t.Errorf("empty ingest body = %+v", body)
+	}
+}
+
+// TestServeDebugPprof pins that the runtime profiles are served beside the
+// fusion and stream endpoints without displacing them: the pprof index
+// answers 200, and /match and /ingest still route to the server.
+func TestServeDebugPprof(t *testing.T) {
+	data := writeDataset(t)
+	ds, err := evmatching.LoadDataset(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := serveArgs(t, []string{"-data", data, "-addr", "127.0.0.1:0", "-stream-window", "1000"})
+	base := "http://" + addr
+	for _, c := range []struct {
+		method, path, want string
+	}{
+		{http.MethodGet, "/debug/pprof/", "goroutine"},
+		{http.MethodGet, "/debug/pprof/goroutine?debug=1", "goroutine profile"},
+		{http.MethodGet, "/match?eid=" + string(ds.AllEIDs()[0]), `"eid"`},
+		{http.MethodPost, "/ingest", `"accepted":0`},
+	} {
+		req, err := http.NewRequest(c.method, base+c.path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK || !strings.Contains(string(raw), c.want) {
+			t.Errorf("%s %s: status %d body %.200s, want 200 containing %q", c.method, c.path, resp.StatusCode, raw, c.want)
+		}
 	}
 }
 

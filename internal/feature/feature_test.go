@@ -1,6 +1,7 @@
 package feature
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -199,6 +200,44 @@ func TestExtractValidation(t *testing.T) {
 	}
 	if _, err := ex.Extract(Patch{}); err == nil {
 		t.Error("want error for empty patch")
+	}
+}
+
+// TestPatchValidate pins the one definition of a well-formed patch: a W×H
+// block with both dimensions positive. The hostile shapes are ones whose
+// W·H equals the pixel count in wrapping int arithmetic — negative
+// dimensions, and a product that overflows to len(Pix) — and the extractor
+// refuses each of them with ErrBadPatch as Validate does.
+func TestPatchValidate(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		p    Patch
+		ok   bool
+	}{
+		{"synthetic", Patch{W: PatchW, H: PatchH, Pix: make([]byte, PatchW*PatchH)}, true},
+		{"one-pixel", Patch{W: 1, H: 1, Pix: []byte{7}}, true},
+		{"negative-dims", Patch{W: -16, H: -40, Pix: make([]byte, 640)}, false},
+		{"overflowing-dims", Patch{W: 128, H: int(^uint(0)>>7) + 6, Pix: make([]byte, 640)}, false}, // 128·H wraps to 640
+		{"short", Patch{W: 4, H: 4, Pix: make([]byte, 15)}, false},
+		{"ragged", Patch{W: 3, H: 2, Pix: make([]byte, 7)}, false},
+		{"zero-width", Patch{W: 0, H: 4}, false},
+		{"empty", Patch{}, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			err := c.p.Validate()
+			if c.ok != (err == nil) {
+				t.Fatalf("Validate() = %v, want ok=%v", err, c.ok)
+			}
+			if c.ok {
+				return
+			}
+			if !errors.Is(err, ErrBadPatch) {
+				t.Errorf("Validate() = %v, want ErrBadPatch", err)
+			}
+			if _, err := (Extractor{Dim: 8}).Extract(c.p); !errors.Is(err, ErrBadPatch) {
+				t.Errorf("Extract = %v, want ErrBadPatch", err)
+			}
+		})
 	}
 }
 

@@ -36,6 +36,16 @@ type Patch struct {
 	Pix []byte `json:"pix"`
 }
 
+// Validate reports whether the patch is a W×H block of pixels with both
+// dimensions positive. It divides instead of multiplying, so no W·H that
+// overflows to len(Pix) passes.
+func (p Patch) Validate() error {
+	if p.W <= 0 || p.H <= 0 || len(p.Pix)%p.W != 0 || len(p.Pix)/p.W != p.H {
+		return fmt.Errorf("%w: %dx%d with %d pixels", ErrBadPatch, p.W, p.H, len(p.Pix))
+	}
+	return nil
+}
+
 // EncodePatch renders an observed appearance vector into a synthetic patch.
 // Each pixel carries one (repeated, noisy) quantized vector component, so
 // extraction can average the repeats back out. pixelNoise is the per-pixel
@@ -119,8 +129,8 @@ func (e Extractor) ExtractIntoBuf(p Patch, dst Vector, buf *ExtractBuf) error {
 	if len(dst) != e.Dim {
 		return fmt.Errorf("%w: dst dim %d vs extractor dim %d", ErrDimMismatch, len(dst), e.Dim)
 	}
-	if p.W <= 0 || p.H <= 0 || len(p.Pix) != p.W*p.H {
-		return fmt.Errorf("%w: %dx%d with %d pixels", ErrBadPatch, p.W, p.H, len(p.Pix))
+	if err := p.Validate(); err != nil {
+		return err
 	}
 	// Component d is carried by pixels d, d+Dim, d+2·Dim, …: summing along
 	// that stride visits the same pixels in the same ascending order as a

@@ -35,7 +35,7 @@ type ingestBody struct {
 // idempotent under re-delivery, so callers may simply retry the batch).
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	sc := bufio.NewScanner(r.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), maxIngestLine)
+	sc.Buffer(make([]byte, 0, ingestLineBuf), maxIngestLine)
 	var body ingestBody
 	line := 0
 	for sc.Scan() {
@@ -44,8 +44,8 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		if len(text) == 0 {
 			continue
 		}
-		var o stream.Observation
-		if err := json.Unmarshal(text, &o); err != nil {
+		o, err := stream.DecodeObservation(text)
+		if err != nil {
 			// Accept whole evgen -events files as-is: their header line carries
 			// log metadata, not an observation. "header" is no observation
 			// kind, so a header always lands here and only a line that already
@@ -77,9 +77,14 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, body)
 }
 
-// maxIngestLine bounds one observation line; patches are base64-encoded
-// pixel blocks, far below this.
-const maxIngestLine = 4 << 20
+// An observation line is about 1 KiB (a 16x40 patch base64-encodes to 856
+// bytes), so a body's line buffer starts at ingestLineBuf and grows only for
+// a longer line, up to maxIngestLine; patches are base64-encoded pixel
+// blocks, far below that bound.
+const (
+	ingestLineBuf = 4 << 10
+	maxIngestLine = 4 << 20
+)
 
 // resolutionBody mirrors stream.Resolution with sanitized floats: a lone
 // candidate's margin is +Inf, which encoding/json cannot represent.

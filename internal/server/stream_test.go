@@ -8,12 +8,14 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"strings"
 	"testing"
 	"time"
 
 	"evmatching/internal/core"
 	"evmatching/internal/dataset"
+	"evmatching/internal/feature"
 	"evmatching/internal/fusion"
 	"evmatching/internal/stream"
 )
@@ -382,6 +384,56 @@ func TestIngestRejectsMalformed(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("invalid observation status = %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestIngestRefusesHostilePatch pins that a posted V line whose patch is no
+// W×H block — negative dimensions whose product equals its pixel count — is
+// refused with 400 on its own line, and that the engine behind the server
+// still resolves the windows after it.
+func TestIngestRefusesHostilePatch(t *testing.T) {
+	ts, proc, obs := newStreamServer(t, 0)
+	at := sort.Search(len(obs), func(i int) bool { return obs[i].TS >= 1_000 }) / 2 // mid window 0
+	if resp, _ := postJSONL(t, ts.URL, obs[:at]); resp.StatusCode != http.StatusOK {
+		t.Fatalf("ingest before the hostile line: status %d", resp.StatusCode)
+	}
+	bad := stream.Observation{TS: obs[at].TS, Kind: stream.KindV, Cell: obs[at].Cell, VID: "V-hostile",
+		Patch: &feature.Patch{W: -16, H: -40, Pix: make([]byte, 640)}}
+	var b strings.Builder
+	for _, o := range []stream.Observation{obs[at], bad} {
+		line, err := json.Marshal(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.Write(line)
+		b.WriteByte('\n')
+	}
+	resp, err := http.Post(ts.URL+"/ingest", "application/x-ndjson", strings.NewReader(b.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "line 2: " + stream.ErrBadObservation.Error(); resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(raw), want) {
+		t.Fatalf("hostile patch: status %d body %s, want 400 containing %q", resp.StatusCode, raw, want)
+	}
+	if resp, _ := postJSONL(t, ts.URL, obs[at+1:]); resp.StatusCode != http.StatusOK {
+		t.Fatalf("ingest after the hostile line: status %d", resp.StatusCode)
+	}
+	if err := proc.Flush(); err != nil {
+		t.Fatalf("Flush after the hostile line: %v", err)
+	}
+	later := 0
+	for _, r := range proc.Resolutions() {
+		if int64(r.Window) > bad.TS/1_000 {
+			later++
+		}
+	}
+	if later == 0 {
+		t.Fatalf("no resolution after window %d, where the hostile line was refused", bad.TS/1_000)
 	}
 }
 

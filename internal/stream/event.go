@@ -107,8 +107,14 @@ func (o Observation) Validate() error {
 	if err := o.validateWindowed(); err != nil {
 		return err
 	}
-	if o.Kind == KindV && (o.Patch == nil || len(o.Patch.Pix) == 0 || len(o.Patch.Pix) != o.Patch.W*o.Patch.H) {
-		return fmt.Errorf("%w: V observation with malformed patch", ErrBadObservation)
+	if o.Kind != KindV {
+		return nil
+	}
+	if o.Patch == nil {
+		return fmt.Errorf("%w: V observation without patch", ErrBadObservation)
+	}
+	if err := o.Patch.Validate(); err != nil {
+		return fmt.Errorf("%w: V observation with %w", ErrBadObservation, err)
 	}
 	return nil
 }
@@ -193,8 +199,8 @@ func ReadLog(r io.Reader) (Header, []Observation, error) {
 	}
 	var obs []Observation
 	for line := 2; sc.Scan(); line++ {
-		var o Observation
-		if err := json.Unmarshal(sc.Bytes(), &o); err != nil {
+		o, err := DecodeObservation(sc.Bytes())
+		if err != nil {
 			return Header{}, nil, fmt.Errorf("%w: line %d: %w", ErrBadLog, line, err)
 		}
 		if err := o.Validate(); err != nil {

@@ -98,6 +98,8 @@ func TestObservationValidate(t *testing.T) {
 		{"v-without-vid", Observation{TS: 5, Kind: KindV, Patch: patch}, false},
 		{"v-without-patch", Observation{TS: 5, Kind: KindV, VID: "V00001"}, false},
 		{"v-patch-dims", Observation{TS: 5, Kind: KindV, VID: "V00001", Patch: &feature.Patch{W: 3, H: 2, Pix: []byte{1}}}, false},
+		{"v-negative-dims", Observation{TS: 5, Kind: KindV, VID: "V00001", Patch: &feature.Patch{W: -2, H: -2, Pix: []byte{1, 2, 3, 4}}}, false},
+		{"v-overflowing-dims", Observation{TS: 5, Kind: KindV, VID: "V00001", Patch: &feature.Patch{W: 128, H: int(^uint(0)>>7) + 6, Pix: make([]byte, 640)}}, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

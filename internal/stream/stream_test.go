@@ -4,6 +4,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -550,5 +551,63 @@ func TestWindowerNeverReadsPixels(t *testing.T) {
 		if got := run(patch); !reflect.DeepEqual(got, want) {
 			t.Errorf("%s patches: the windower sealed different closures than with the real pixels", name)
 		}
+	}
+}
+
+// TestHostilePatchRefusedAtIngest pins that a V observation whose patch is
+// no W×H block — negative dimensions, or a W·H that overflows to the pixel
+// count, both of which equal len(Pix) in wrapping arithmetic — is refused at
+// Ingest with ErrBadObservation rather than poisoning the engine: the replay
+// around it still resolves in later windows and finalizes to the clean
+// replay's fingerprint.
+func TestHostilePatchRefusedAtIngest(t *testing.T) {
+	ds := testDataset(t, false)
+	targets := ds.AllEIDs()[:20]
+	_, obs, err := EventsFromDataset(ds, testWindowMS, 7)
+	if err != nil {
+		t.Fatalf("EventsFromDataset: %v", err)
+	}
+	cfg := testConfig(ds, targets)
+	clean := replayFingerprint(t, cfg, obs)
+	at := sort.Search(len(obs), func(i int) bool { return obs[i].TS >= testWindowMS })
+	for _, c := range []struct {
+		name  string
+		patch feature.Patch
+	}{
+		{"negative-dims", feature.Patch{W: -16, H: -40, Pix: make([]byte, 640)}},
+		{"overflowing-dims", feature.Patch{W: 128, H: int(^uint(0)>>7) + 6, Pix: make([]byte, 640)}}, // 128·H wraps to 640
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			bad := Observation{TS: obs[at].TS, Kind: KindV, Cell: obs[at].Cell, VID: "V-hostile", Patch: &c.patch}
+			e, err := NewEngine(cfg)
+			if err != nil {
+				t.Fatalf("NewEngine: %v", err)
+			}
+			for i, o := range obs {
+				if i == at {
+					if _, err := e.Ingest(bad); !errors.Is(err, ErrBadObservation) {
+						t.Fatalf("Ingest(hostile patch) = %v, want ErrBadObservation", err)
+					}
+				}
+				if _, err := e.Ingest(o); err != nil {
+					t.Fatalf("Ingest %d after the hostile line: %v", i, err)
+				}
+			}
+			if err := e.Flush(); err != nil {
+				t.Fatalf("Flush: %v", err)
+			}
+			later := 0
+			for _, r := range e.Resolutions() {
+				if int64(r.Window) > bad.TS/testWindowMS {
+					later++
+				}
+			}
+			if later == 0 {
+				t.Fatalf("no resolution after window %d, where the hostile line was refused", bad.TS/testWindowMS)
+			}
+			if got := finalFingerprint(t, e, core.ModeSerial); got != clean {
+				t.Fatalf("fingerprint after a refused hostile line diverges from the clean replay:\n--- clean\n%s\n--- got\n%s", clean, got)
+			}
+		})
 	}
 }
