@@ -1,6 +1,7 @@
 // Command evgen generates a synthetic EV dataset file: persons with WiFi-MAC
 // EIDs and visual appearances moving by random waypoint, discretized into
-// EV-Scenarios.
+// EV-Scenarios, as a version-2 world file of binary records (internal/dataset);
+// a gob world file from an older build is regenerated, not converted.
 //
 // With -events it additionally (or instead) flattens the world into the
 // time-ordered JSONL observation log that cmd/evstream replays: one record
@@ -8,7 +9,7 @@
 //
 // Usage:
 //
-//	evgen -out world.gob [-preset sparse-city|dense-core]
+//	evgen -out world.bin [-preset sparse-city|dense-core]
 //	      [-persons 1000] [-density 60] [-windows 64]
 //	      [-seed 1] [-layout grid|hex] [-practical] [-eid-miss 0] [-vid-miss 0]
 //	      [-events obs.jsonl] [-window-ms 1000]

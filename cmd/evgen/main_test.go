@@ -12,7 +12,7 @@ import (
 )
 
 func TestRunGeneratesLoadableDataset(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "w.gob")
+	out := filepath.Join(t.TempDir(), "w.bin")
 	err := run([]string{
 		"-out", out,
 		"-persons", "50",
@@ -36,7 +36,7 @@ func TestRunGeneratesLoadableDataset(t *testing.T) {
 }
 
 func TestRunPracticalAndHex(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "w.gob")
+	out := filepath.Join(t.TempDir(), "w.bin")
 	err := run([]string{
 		"-out", out,
 		"-persons", "40",
@@ -64,7 +64,7 @@ func TestRunPracticalAndHex(t *testing.T) {
 // dataset, so evstream replays see the same observations evgen computed.
 func TestRunEventsRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	out := filepath.Join(dir, "w.gob")
+	out := filepath.Join(dir, "w.bin")
 	events := filepath.Join(dir, "obs.jsonl")
 	err := run([]string{
 		"-out", out,
@@ -133,7 +133,7 @@ func TestRunValidation(t *testing.T) {
 	if err := run([]string{"-out", "x", "-layout", "triangle"}); err == nil {
 		t.Error("want error for unknown layout")
 	}
-	if err := run([]string{"-out", filepath.Join(t.TempDir(), "w.gob"), "-persons", "0"}); err == nil {
+	if err := run([]string{"-out", filepath.Join(t.TempDir(), "w.bin"), "-persons", "0"}); err == nil {
 		t.Error("want error for invalid config")
 	}
 	if err := run([]string{"-bogus"}); err == nil {
@@ -147,7 +147,7 @@ func TestRunValidation(t *testing.T) {
 // CLI runs agree on what "sparse-city" means. The preset is shrunk via
 // -persons to stay test-sized.
 func TestRunPresetRoundTrip(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "w.gob")
+	out := filepath.Join(t.TempDir(), "w.bin")
 	err := run([]string{
 		"-out", out,
 		"-preset", "sparse-city",

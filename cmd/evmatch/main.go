@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	evmatch -data world.gob [-n 100 | -eids aa:bb:...,... | -all]
+//	evmatch -data world.bin [-n 100 | -eids aa:bb:...,... | -all]
 //	        [-algorithm ss|edp] [-mode serial|parallel] [-workers 0] [-seed 1]
 //	        [-v] [-json] [-explain eid]
 package main

@@ -23,7 +23,7 @@ func writeDataset(t *testing.T) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "w.gob")
+	path := filepath.Join(t.TempDir(), "w.bin")
 	if err := ds.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestRunValidation(t *testing.T) {
 	if err := run([]string{"-data", path, "-n", "5", "-mode", "warp"}); err == nil {
 		t.Error("want error for unknown mode")
 	}
-	if err := run([]string{"-data", filepath.Join(t.TempDir(), "missing.gob"), "-n", "5"}); err == nil {
+	if err := run([]string{"-data", filepath.Join(t.TempDir(), "missing.bin"), "-n", "5"}); err == nil {
 		t.Error("want error for missing dataset file")
 	}
 }

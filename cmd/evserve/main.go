@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	evserve -data world.gob [-addr 127.0.0.1:8080]
+//	evserve -data world.bin [-addr 127.0.0.1:8080]
 //	        [-stream-window 0] [-stream-lateness 250]
 //	        [-stream-checkpoint state.ckpt] [-stream-checkpoint-every 30s]
 //

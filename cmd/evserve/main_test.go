@@ -27,7 +27,7 @@ func writeDataset(t *testing.T) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "w.gob")
+	path := filepath.Join(t.TempDir(), "w.bin")
 	if err := ds.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +270,7 @@ func TestRunValidation(t *testing.T) {
 	if err := run(nil, nil); err == nil {
 		t.Error("want error for missing -data")
 	}
-	if err := run([]string{"-data", "missing.gob"}, nil); err == nil {
+	if err := run([]string{"-data", "missing.bin"}, nil); err == nil {
 		t.Error("want error for missing dataset")
 	}
 	data := writeDataset(t)

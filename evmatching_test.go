@@ -58,7 +58,7 @@ func TestFacadeMatcherReuse(t *testing.T) {
 
 func TestFacadeSaveLoad(t *testing.T) {
 	ds := smallWorld(t)
-	path := filepath.Join(t.TempDir(), "w.gob")
+	path := filepath.Join(t.TempDir(), "w.bin")
 	if err := ds.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}

@@ -2,14 +2,18 @@ package dataset
 
 import (
 	"bytes"
+	"encoding/hex"
+	"errors"
 	"math/rand"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
 	"evmatching/internal/geo"
 	"evmatching/internal/ids"
 	"evmatching/internal/scenario"
+	"evmatching/internal/wire"
 )
 
 // smallConfig is a fast configuration for tests.
@@ -333,7 +337,7 @@ func TestSaveLoadFile(t *testing.T) {
 	cfg := smallConfig()
 	cfg.NumWindows = 4
 	ds := mustGenerate(t, cfg)
-	path := filepath.Join(t.TempDir(), "world.gob")
+	path := filepath.Join(t.TempDir(), "world.bin")
 	if err := ds.SaveFile(path); err != nil {
 		t.Fatalf("SaveFile: %v", err)
 	}
@@ -341,17 +345,102 @@ func TestSaveLoadFile(t *testing.T) {
 	if err != nil {
 		t.Fatalf("LoadFile: %v", err)
 	}
-	if got.Store.Len() != ds.Store.Len() {
-		t.Errorf("store len = %d, want %d", got.Store.Len(), ds.Store.Len())
+	if worldHash(got) != worldHash(ds) {
+		t.Error("the loaded world differs from the saved one")
 	}
-	if _, err := LoadFile(filepath.Join(t.TempDir(), "missing.gob")); err == nil {
+	if _, err := LoadFile(filepath.Join(t.TempDir(), "missing.bin")); err == nil {
 		t.Error("want error for missing file")
 	}
 }
 
 func TestReadRejectsGarbage(t *testing.T) {
-	if _, err := Read(bytes.NewReader([]byte("not a gob stream"))); err == nil {
+	if _, err := Read(bytes.NewReader([]byte("not a world file"))); err == nil {
 		t.Error("want decode error")
+	}
+}
+
+// gobEraWorld is how a version-1 world file began: the gob type descriptor
+// of the single value it held.
+var gobEraWorld, _ = hex.DecodeString("477f0301010a66696c65466f726d617401ff80000104010756657273696f6e01")
+
+// TestReadRefusesOtherVersions: a version-1 (gob) world fails with an error
+// that says to regenerate it, a future version by number.
+func TestReadRefusesOtherVersions(t *testing.T) {
+	if _, err := Read(bytes.NewReader(gobEraWorld)); err == nil || !strings.Contains(err.Error(), "regenerate it with evgen") {
+		t.Errorf("gob-era world: err = %v, want one naming evgen", err)
+	}
+	next := append([]byte(fileMagic), fileVersion+1)
+	if _, err := Read(bytes.NewReader(next)); err == nil || !strings.Contains(err.Error(), "version 3") {
+		t.Errorf("future version: err = %v, want one naming version 3", err)
+	}
+}
+
+// writeRead writes ds and reads the bytes back.
+func writeRead(ds *Dataset) (*Dataset, error) {
+	var buf bytes.Buffer
+	if err := ds.Write(&buf); err != nil {
+		return nil, err
+	}
+	return Read(&buf)
+}
+
+// TestReadRejectsBadPersons: a person's index is its position in the file,
+// never a stored field, so a wrong Index in memory cannot point TruthVID out
+// of range after a round trip; and a file whose persons repeat an EID or a
+// VID, or whose count is not the config's, is refused.
+func TestReadRejectsBadPersons(t *testing.T) {
+	cfg := smallConfig()
+	cfg.NumPersons = 10
+	cfg.NumWindows = 2
+	ds := mustGenerate(t, cfg)
+
+	ds.Persons[0].Index = 99
+	got, err := writeRead(ds)
+	if err != nil {
+		t.Fatalf("Read: %v", err)
+	}
+	for _, eid := range got.AllEIDs() {
+		p, _ := got.PersonByEID(eid)
+		if got.TruthVID(eid) != p.VID || got.Persons[p.Index].EID != eid {
+			t.Errorf("EID %s: person %+v", eid, p)
+		}
+	}
+	ds.Persons[0].Index = 0
+
+	for name, mutate := range map[string]func([]Person) []Person{
+		"repeated EID": func(ps []Person) []Person { ps[1].EID = ps[0].EID; return ps },
+		"repeated VID": func(ps []Person) []Person { ps[2].VID = ps[3].VID; return ps },
+		"one short":    func(ps []Person) []Person { return ps[:len(ps)-1] },
+	} {
+		bad := *ds
+		bad.Persons = mutate(append([]Person(nil), ds.Persons...))
+		if _, err := writeRead(&bad); err == nil {
+			t.Errorf("%s: Read accepted the file", name)
+		}
+	}
+}
+
+// TestReadRefusesHostileRecords: the scenario decoder refuses a patch that
+// fails feature.Patch.Validate and an attribute that is neither inclusive
+// nor vague, so such a world fails at Read, not at match time.
+func TestReadRefusesHostileRecords(t *testing.T) {
+	cfg := smallConfig()
+	cfg.NumWindows = 2
+	for name, spoil := range map[string]func(*scenario.EScenario, *scenario.VScenario){
+		"-16x-40 patch": func(_ *scenario.EScenario, v *scenario.VScenario) {
+			v.Detections[0].Patch.W, v.Detections[0].Patch.H = -16, -40
+		},
+		"attribute 3": func(e *scenario.EScenario, _ *scenario.VScenario) {
+			for eid := range e.EIDs {
+				e.EIDs[eid] = 3
+			}
+		},
+	} {
+		ds := mustGenerate(t, cfg)
+		spoil(ds.Store.E(0), ds.Store.V(0))
+		if _, err := writeRead(ds); err == nil || !errors.Is(err, wire.ErrCorrupt) {
+			t.Errorf("%s: err = %v, want wire.ErrCorrupt", name, err)
+		}
 	}
 }
 

@@ -3,16 +3,21 @@ package dataset
 import (
 	"bytes"
 	"testing"
+
+	"evmatching/internal/ids"
 )
 
-// FuzzRead feeds arbitrary bytes to the dataset decoder: corrupt input must
-// produce an error, never a panic or a half-initialized dataset.
+// FuzzRead feeds arbitrary bytes to the world file decoder: corrupt input
+// must produce an error, never a panic or a half-initialized dataset. What
+// decodes answers TruthVID for every EID it lists, and writes back to the
+// very bytes it was read from.
 func FuzzRead(f *testing.F) {
-	// Seed with a valid serialized dataset and a few corruptions of it.
-	cfg := DefaultConfig()
+	// Seed with a valid world file and a few corruptions of it.
+	cfg := DefaultConfig().Practical()
 	cfg.NumPersons = 10
 	cfg.Density = 5
 	cfg.NumWindows = 2
+	cfg.EIDMissingRate = 0.2
 	ds, err := Generate(cfg)
 	if err != nil {
 		f.Fatal(err)
@@ -25,25 +30,35 @@ func FuzzRead(f *testing.F) {
 	f.Add(valid)
 	f.Add([]byte{})
 	f.Add([]byte("garbage"))
-	if len(valid) > 10 {
-		truncated := valid[:len(valid)/2]
-		f.Add(truncated)
-		flipped := append([]byte(nil), valid...)
-		flipped[len(flipped)/3] ^= 0xFF
-		f.Add(flipped)
-	}
+	f.Add(gobEraWorld)
+	truncated := valid[:len(valid)/2]
+	f.Add(truncated)
+	flipped := append([]byte(nil), valid...)
+	flipped[len(flipped)/3] ^= 0xFF
+	f.Add(flipped)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := Read(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
-		// Anything that decodes must be internally consistent.
 		if got.Store == nil || got.Layout == nil {
 			t.Fatal("decoded dataset with nil internals")
 		}
 		if err := got.Config.Validate(); err != nil {
 			t.Fatalf("decoded invalid config: %v", err)
+		}
+		for _, eid := range got.AllEIDs() {
+			if got.TruthVID(eid) == ids.NoVID {
+				t.Fatalf("EID %q has no truth", eid)
+			}
+		}
+		var again bytes.Buffer
+		if err := got.Write(&again); err != nil {
+			t.Fatalf("re-Write: %v", err)
+		}
+		if !bytes.Equal(again.Bytes(), data) {
+			t.Fatalf("re-Write gave %d different bytes for %d read", again.Len(), len(data))
 		}
 	})
 }

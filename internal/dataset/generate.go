@@ -36,10 +36,6 @@ func Generate(cfg Config) (*Dataset, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	layout, err := buildLayout(cfg)
-	if err != nil {
-		return nil, err
-	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
 	gallery, err := feature.NewGallery(rng, cfg.NumPersons, cfg.FeatureDim)
@@ -47,34 +43,28 @@ func Generate(cfg Config) (*Dataset, error) {
 		return nil, fmt.Errorf("dataset: gallery: %w", err)
 	}
 
-	ds := &Dataset{
-		Config:  cfg,
-		Layout:  layout,
-		Store:   scenario.NewStore(layout),
-		Persons: make([]Person, cfg.NumPersons),
-		byEID:   make(map[ids.EID]int, cfg.NumPersons),
-	}
 	macs := ids.NewMACGenerator(rng)
 	newMover, err := moverFactory(cfg, rng)
 	if err != nil {
 		return nil, err
 	}
+	persons := make([]Person, cfg.NumPersons)
 	walkers := make([]mobility.Model, cfg.NumPersons)
-	for i := range ds.Persons {
-		eid := ids.None
+	for i := range persons {
+		persons[i] = Person{EID: ids.None, VID: ids.VIDLabel(i)}
 		if rng.Float64() >= cfg.EIDMissingRate {
-			eid = macs.Next()
-			ds.byEID[eid] = i
+			persons[i].EID = macs.Next()
 		}
-		ds.Persons[i] = Person{Index: i, EID: eid, VID: ids.VIDLabel(i)}
-		w, err := newMover()
-		if err != nil {
+		if walkers[i], err = newMover(); err != nil {
 			return nil, fmt.Errorf("dataset: walker %d: %w", i, err)
 		}
-		walkers[i] = w
+	}
+	ds, err := newWorld(cfg, persons)
+	if err != nil {
+		return nil, err
 	}
 
-	gen := &generator{cfg: cfg, layout: layout, rng: rng, gallery: gallery, ds: ds}
+	gen := &generator{cfg: cfg, layout: ds.Layout, rng: rng, gallery: gallery, ds: ds}
 	for w := 0; w < cfg.NumWindows; w++ {
 		if err := gen.window(w, walkers); err != nil {
 			return nil, err

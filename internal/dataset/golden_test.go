@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -64,7 +65,8 @@ func worldHash(ds *Dataset) string {
 
 // TestGenerateGolden pins generation itself: the ideal, practical, hex and
 // hotspot worlds, each with devices and detections going missing, must keep
-// producing the same persons, attributions and pixels. Every downstream
+// producing the same persons, attributions and pixels — and the same again
+// after a trip through the world file. Every downstream
 // sha256 pin rests on worlds like these, so a generator change that moves an
 // RNG draw shows up here first, with the world that moved named.
 func TestGenerateGolden(t *testing.T) {
@@ -95,9 +97,44 @@ func TestGenerateGolden(t *testing.T) {
 			cfg.EIDMissingRate = 0.1
 			cfg.VIDMissingRate = 0.05
 			tc.mutate(&cfg)
-			if got := worldHash(mustGenerate(t, cfg)); got != tc.want {
+			ds := mustGenerate(t, cfg)
+			if got := worldHash(ds); got != tc.want {
 				t.Errorf("world hash = %s, want %s (generation changed)", got, tc.want)
 			}
+			back, err := writeRead(ds)
+			if err != nil {
+				t.Fatalf("world file round trip: %v", err)
+			}
+			if got := worldHash(back); got != tc.want {
+				t.Errorf("world hash after a world file round trip = %s, want %s", got, tc.want)
+			}
 		})
+	}
+}
+
+// TestWorldFileGolden pins the world file's bytes: one world written twice
+// gives the same bytes, whatever order its EID maps iterate in, and those
+// bytes keep their sha256 — a format change shows up here as a deliberate
+// edit of the pin.
+func TestWorldFileGolden(t *testing.T) {
+	cfg := DefaultConfig().Practical()
+	cfg.NumPersons = 30
+	cfg.Density = 10
+	cfg.NumWindows = 3
+	cfg.EIDMissingRate = 0.1
+	ds := mustGenerate(t, cfg)
+	var first, second bytes.Buffer
+	if err := ds.Write(&first); err != nil {
+		t.Fatal(err)
+	}
+	if err := ds.Write(&second); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(first.Bytes(), second.Bytes()) {
+		t.Fatal("two writes of one world differ")
+	}
+	const want = "2351175bad597a0c2d997401c9d20fcb469548b934d74531ba359077fd7ae8ef"
+	if sum := sha256.Sum256(first.Bytes()); hex.EncodeToString(sum[:]) != want {
+		t.Errorf("world file sha256 = %x, want %s (format changed)", sum, want)
 	}
 }

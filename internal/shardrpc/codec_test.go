@@ -29,7 +29,7 @@ func goldenReply() *ApplyReply {
 	return &ApplyReply{Outs: []stream.ShardOut{
 		{Round: 3, Target: 2, MaxTS: 2_400, Sealed: []stream.ShardSealed{{
 			Window: 1, Cell: 5,
-			EIDs: []stream.BucketEID{{EID: "e-1", Attr: scenario.AttrInclusive}},
+			EIDs: []scenario.EIDAttr{{EID: "e-1", Attr: scenario.AttrInclusive}},
 			Refs: []int64{42, 7},
 		}}},
 		{Round: 4, Target: 3, MaxTS: 3_400},
@@ -128,7 +128,7 @@ func BenchmarkApplyReplyFrame(b *testing.B) {
 	for i := range sealed {
 		s := stream.ShardSealed{Window: i, Cell: geo.CellID(3 + i)}
 		for j := 0; j < dets; j++ {
-			s.EIDs = append(s.EIDs, stream.BucketEID{
+			s.EIDs = append(s.EIDs, scenario.EIDAttr{
 				EID: ids.EID(fmt.Sprintf("bench-e%02d", j)), Attr: scenario.AttrInclusive,
 			})
 			s.Refs = append(s.Refs, int64(1_000*(i+1)+37*j))

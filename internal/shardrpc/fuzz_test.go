@@ -83,7 +83,7 @@ func round2(sealed ...stream.ShardSealed) *ApplyReply {
 // positions in arrival order.
 func honestRound2() *ApplyReply {
 	return round2(
-		stream.ShardSealed{Window: 5, Cell: 3, EIDs: []stream.BucketEID{{EID: "e-9", Attr: scenario.AttrInclusive}}, Refs: []int64{7, 8}},
+		stream.ShardSealed{Window: 5, Cell: 3, EIDs: []scenario.EIDAttr{{EID: "e-9", Attr: scenario.AttrInclusive}}, Refs: []int64{7, 8}},
 		stream.ShardSealed{Window: 5, Cell: 4, Refs: []int64{6}})
 }
 
@@ -99,7 +99,7 @@ func reorderedRound2() *ApplyReply {
 // hostileRound2 is the hostile-reference battery, each a reply the merge
 // stage must refuse whole.
 func hostileRound2() map[string]*ApplyReply {
-	e9 := []stream.BucketEID{{EID: "e-9", Attr: scenario.AttrInclusive}}
+	e9 := []scenario.EIDAttr{{EID: "e-9", Attr: scenario.AttrInclusive}}
 	return map[string]*ApplyReply{
 		"out-of-range":     round2(stream.ShardSealed{Window: 5, Cell: 3, EIDs: e9, Refs: []int64{99}}),
 		"e-observation":    round2(stream.ShardSealed{Window: 5, Cell: 3, EIDs: e9, Refs: []int64{4}}),

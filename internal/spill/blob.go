@@ -71,13 +71,6 @@ func (l *BlobLog) ReadAt(ref BlobRef) ([]byte, error) {
 // Name returns the path the backing file was created at (already unlinked).
 func (l *BlobLog) Name() string { return l.f.Name() }
 
-// Size returns the total bytes appended so far.
-func (l *BlobLog) Size() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.off
-}
-
 // Close releases the file handle; the unlinked inode is reclaimed by the
 // kernel.
 func (l *BlobLog) Close() error {

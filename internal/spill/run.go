@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"path/filepath"
+
+	"evmatching/internal/wire"
 )
 
 // Record is one (key, value) pair: the unit of data a MapReduce job moves
@@ -18,9 +20,6 @@ type Record struct {
 // maxRecordLen caps a single key or value read back from a run file.
 // Anything larger means the file is corrupt (or not a run file at all).
 const maxRecordLen = 1 << 30
-
-// fieldChunk is the most a reader allocates ahead of the bytes it has read.
-const fieldChunk = 1 << 20
 
 // WriteRun writes recs as a record file at path and returns the encoded
 // size in bytes. A run is scratch state of a live job — a shuffle bucket, a
@@ -91,6 +90,7 @@ type RunReader struct {
 	name string
 	f    File
 	br   *bufio.Reader
+	buf  []byte
 }
 
 // OpenRun opens a run file for sequential reading.
@@ -117,39 +117,22 @@ func (r *RunReader) Next() (Record, error) {
 	return Record{Key: key, Value: value}, nil
 }
 
-// readField reads one length-prefixed string. midRecord marks fields where
-// EOF can only mean truncation.
+// readField reads one length-prefixed string through the reader's one field
+// buffer, which grows only as bytes arrive. midRecord marks fields where EOF
+// can only mean truncation.
 func (r *RunReader) readField(midRecord bool) (string, error) {
-	n, err := binary.ReadUvarint(r.br)
+	var err error
+	r.buf, err = wire.ReadRecord(r.br, r.buf, maxRecordLen)
 	if err == io.EOF && !midRecord {
 		return "", io.EOF
 	}
-	if err != nil {
-		return "", fmt.Errorf("spill: run %s truncated: %w", r.name, unexpectEOF(err))
-	}
-	if n > maxRecordLen {
-		return "", fmt.Errorf("spill: run %s corrupt: field length %d exceeds cap", r.name, n)
-	}
-	// A field past fieldChunk grows as its bytes arrive: a corrupt length
-	// must not become a gigabyte allocation before the short read is noticed.
-	buf := make([]byte, 0, min(n, fieldChunk))
-	for uint64(len(buf)) < n {
-		have := len(buf)
-		buf = append(buf, make([]byte, min(n-uint64(have), fieldChunk))...)
-		if _, err := io.ReadFull(r.br, buf[have:]); err != nil {
-			return "", fmt.Errorf("spill: run %s truncated mid-field: %w", r.name, unexpectEOF(err))
-		}
-	}
-	return string(buf), nil
-}
-
-// unexpectEOF normalizes a bare EOF seen inside a record to
-// io.ErrUnexpectedEOF, as io.ReadFull does.
-func unexpectEOF(err error) error {
 	if err == io.EOF {
-		return io.ErrUnexpectedEOF
+		err = io.ErrUnexpectedEOF
 	}
-	return err
+	if err != nil {
+		return "", fmt.Errorf("spill: run %s truncated or corrupt: %w", r.name, err)
+	}
+	return string(r.buf), nil
 }
 
 // Close releases the underlying file.

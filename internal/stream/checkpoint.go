@@ -1,13 +1,11 @@
 package stream
 
 import (
-	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 
-	"evmatching/internal/geo"
 	"evmatching/internal/ids"
 	"evmatching/internal/scenario"
 	"evmatching/internal/wire"
@@ -23,60 +21,14 @@ const CheckpointVersion = 4
 // checkpointMagic opens every checkpoint file, followed by the version byte.
 const checkpointMagic = "EVCK"
 
-// maxCheckpointRecord caps one record of a checkpoint file (one scenario,
-// one bucket, the header or the tail). wire.ReadRecord grows its buffer only
-// as bytes arrive, so the cap bounds a legitimate record, not an allocation.
-const maxCheckpointRecord = 1 << 30
-
 // ErrBadCheckpoint reports a checkpoint that cannot be restored.
 var ErrBadCheckpoint = errors.New("stream: bad checkpoint")
 
-// BucketEID is one (EID, attr) entry of an open bucket, slice-encoded in
-// sorted order for stable checkpoint bytes.
-type BucketEID struct {
-	EID  ids.EID
-	Attr scenario.Attr
-}
-
-// sortedBucketEIDs flattens an EID set into its canonical image: (EID, attr)
-// pairs in ascending EID order (nil for an empty set).
-func sortedBucketEIDs(set map[ids.EID]scenario.Attr) []BucketEID {
-	if len(set) == 0 {
-		return nil
-	}
-	out := make([]BucketEID, 0, len(set))
-	for _, eid := range ids.SortedEIDKeys(set) {
-		out = append(out, BucketEID{EID: eid, Attr: set[eid]})
-	}
-	return out
-}
-
-// bucketEIDSet rebuilds the EID set of an image.
-func bucketEIDSet(eids []BucketEID) map[ids.EID]scenario.Attr {
-	set := make(map[ids.EID]scenario.Attr, len(eids))
-	for _, ea := range eids {
-		set[ea.EID] = ea.Attr
-	}
-	return set
-}
-
-// ShardBucket is one (window, cell) bucket image: an open bucket in a
-// checkpoint's open section, or a closed EV-Scenario pair in its scenario
-// section (no detections = no V side). The E side is flattened: a bucket
-// holds its EID set as a map, so the image carries a sorted (EID, attr) slice
-// instead.
-type ShardBucket struct {
-	Window int
-	Cell   geo.CellID
-	EIDs   []BucketEID
-	Dets   []scenario.Detection
-}
-
-// observations yields the image of an open bucket back as the observations
-// that rebuild it — its EIDs, then its detections, in image order, stamped
-// with the window's first millisecond — the one way a windower or a router's
-// journal takes an image in. The patches point into the image's detections.
-func (cb *ShardBucket) observations(windowMS int64, yield func(Observation)) {
+// bucketObservations yields an open bucket's image back as the observations
+// that rebuild it — EIDs, then detections, in image order, stamped with the
+// window's first millisecond, patches pointing into the image — the one way
+// a windower or a router's journal takes an image in.
+func bucketObservations(cb *scenario.Record, windowMS int64, yield func(Observation)) {
 	ts := int64(cb.Window) * windowMS
 	for _, ea := range cb.EIDs {
 		yield(Observation{TS: ts, Kind: KindE, Cell: cb.Cell, EID: ea.EID, Attr: ea.Attr})
@@ -99,12 +51,10 @@ func (cb *ShardBucket) observations(windowMS int64, yield func(Observation)) {
 // checkpoints, and no risk of persisting internal state that drifts from the
 // data (DESIGN.md §10).
 //
-// On disk (write, readCheckpoint): the magic and version byte, then
-// length-prefixed records — a header (every scalar below, Targets, and the
-// two record counts), one record per scenario in store-ID order, one per
-// open bucket, and a tail (Resolutions, Accepted, Resolved). Every value is
-// a sorted slice under codec.go's fixed encoding, so equal states produce
-// equal bytes by construction.
+// On disk (write, readCheckpoint) it is a wire record file: a header (every
+// scalar below, Targets, the two record counts), one scenario.Record per
+// scenario in store-ID order and per open bucket, and a tail (Resolutions,
+// Accepted, Resolved) — sorted slices only, so equal states give equal bytes.
 type checkpointFile struct {
 	Shards int
 
@@ -124,52 +74,43 @@ type checkpointFile struct {
 	MinOpen     int
 	Seq         int
 
-	Scenarios   []ShardBucket
-	Buckets     []ShardBucket
+	Scenarios   []scenario.Record
+	Buckets     []scenario.Record
 	Resolutions []Resolution
 	Accepted    []ids.VID
 	Resolved    []ids.EID
 }
 
-// write streams the image to w record by record through one reused encode
-// buffer, so no second copy of the state is ever held.
+// write streams the image to w record by record (wire.FileWriter), so no
+// second copy of the state is ever held.
 func (cp *checkpointFile) write(w io.Writer) error {
-	bw := bufio.NewWriterSize(w, 64<<10)
-	bw.WriteString(checkpointMagic)
-	bw.WriteByte(CheckpointVersion)
-	var buf []byte
-	record := func() {
-		var n [binary.MaxVarintLen64]byte
-		bw.Write(n[:binary.PutUvarint(n[:], uint64(len(buf)))])
-		bw.Write(buf)
-	}
-
-	buf = wire.AppendVarint(buf, int64(cp.Shards))
-	buf = wire.AppendVarint(buf, cp.WindowMS)
-	buf = wire.AppendVarint(buf, cp.LatenessMS)
-	buf = wire.AppendVarint(buf, cp.Seed)
-	buf = wire.AppendVarint(buf, int64(cp.Dim))
-	buf = appendIDs(buf, cp.Targets)
-	buf = wire.AppendVarint(buf, cp.Ingested)
-	buf = wire.AppendVarint(buf, cp.LateDropped)
-	buf = wire.AppendVarint(buf, cp.MaxTS)
-	buf = wire.AppendVarint(buf, int64(cp.MinOpen))
-	buf = wire.AppendVarint(buf, int64(cp.Seq))
-	buf = wire.AppendUvarint(buf, uint64(len(cp.Scenarios)))
-	buf = wire.AppendUvarint(buf, uint64(len(cp.Buckets)))
-	record()
-	for _, section := range [][]ShardBucket{cp.Scenarios, cp.Buckets} {
+	fw := wire.NewFileWriter(w, checkpointMagic, CheckpointVersion)
+	fw.Record(func(b []byte) []byte {
+		b = wire.AppendVarint(b, int64(cp.Shards))
+		b = wire.AppendVarint(b, cp.WindowMS)
+		b = wire.AppendVarint(b, cp.LatenessMS)
+		b = wire.AppendVarint(b, cp.Seed)
+		b = wire.AppendVarint(b, int64(cp.Dim))
+		b = appendIDs(b, cp.Targets)
+		b = wire.AppendVarint(b, cp.Ingested)
+		b = wire.AppendVarint(b, cp.LateDropped)
+		b = wire.AppendVarint(b, cp.MaxTS)
+		b = wire.AppendVarint(b, int64(cp.MinOpen))
+		b = wire.AppendVarint(b, int64(cp.Seq))
+		b = wire.AppendUvarint(b, uint64(len(cp.Scenarios)))
+		return wire.AppendUvarint(b, uint64(len(cp.Buckets)))
+	})
+	for _, section := range [][]scenario.Record{cp.Scenarios, cp.Buckets} {
 		for i := range section {
-			buf = appendShardBucket(buf[:0], &section[i])
-			record()
+			fw.Record(func(b []byte) []byte { return scenario.AppendRecord(b, &section[i]) })
 		}
 	}
-	buf = appendSlice(buf[:0], cp.Resolutions, appendResolution)
-	buf = appendIDs(buf, cp.Accepted)
-	buf = appendIDs(buf, cp.Resolved)
-	record()
-	// bufio.Writer's error is sticky: Flush reports the first failed write.
-	if err := bw.Flush(); err != nil {
+	fw.Record(func(b []byte) []byte {
+		b = wire.AppendSlice(b, cp.Resolutions, appendResolution)
+		b = appendIDs(b, cp.Accepted)
+		return appendIDs(b, cp.Resolved)
+	})
+	if err := fw.Flush(); err != nil {
 		return fmt.Errorf("stream: write checkpoint: %w", err)
 	}
 	return nil
@@ -178,42 +119,23 @@ func (cp *checkpointFile) write(w io.Writer) error {
 // readCheckpoint decodes an image written by write. Input is treated as
 // hostile: a record count is never trusted for an allocation (slices grow
 // as records actually arrive), and any malformed byte is ErrBadCheckpoint.
-func readCheckpoint(rd io.Reader) (*checkpointFile, error) {
-	br := bufio.NewReaderSize(rd, 64<<10)
-	var head [len(checkpointMagic) + 1]byte
-	if _, err := io.ReadFull(br, head[:]); err != nil {
-		return nil, fmt.Errorf("%w: read magic: %w", ErrBadCheckpoint, err)
-	}
-	if string(head[:len(checkpointMagic)]) != checkpointMagic {
-		return nil, fmt.Errorf("%w: no %q magic — checkpoints written before format version %d (the gob-encoded v2/v3 files) are not readable; replay the log again",
-			ErrBadCheckpoint, checkpointMagic, CheckpointVersion)
-	}
-	if v := head[len(checkpointMagic)]; v != CheckpointVersion {
-		return nil, fmt.Errorf("%w: version %d (want %d)", ErrBadCheckpoint, v, CheckpointVersion)
-	}
-	// record reads the next record into one reused buffer (decoded values
-	// own their bytes), lets decode consume it, and insists it was consumed
-	// exactly.
-	var rec []byte
-	record := func(what string, decode func(r *wire.Reader)) error {
-		var err error
-		if rec, err = wire.ReadRecord(br, rec, maxCheckpointRecord); err != nil {
-			return fmt.Errorf("%w: read %s: %w", ErrBadCheckpoint, what, err)
+func readCheckpoint(rd io.Reader) (_ *checkpointFile, err error) {
+	defer func() {
+		if err != nil {
+			err = fmt.Errorf("%w: %w", ErrBadCheckpoint, err)
 		}
-		r := wire.NewReader(rec)
-		decode(r)
-		if err := r.Err(); err != nil {
-			return fmt.Errorf("%w: decode %s: %w", ErrBadCheckpoint, what, err)
-		}
-		if r.Len() != 0 {
-			return fmt.Errorf("%w: %s has %d trailing bytes", ErrBadCheckpoint, what, r.Len())
-		}
-		return nil
+	}()
+	fr, err := wire.NewFileReader(rd, checkpointMagic, CheckpointVersion)
+	if errors.Is(err, wire.ErrNoMagic) {
+		return nil, fmt.Errorf("no %q magic — checkpoints written before format version %d (the gob-encoded v2/v3 files) are not readable; replay the log again",
+			checkpointMagic, CheckpointVersion)
 	}
-
+	if err != nil {
+		return nil, err
+	}
 	cp := &checkpointFile{}
 	var counts [2]uint64
-	if err := record("header", func(r *wire.Reader) {
+	if err := fr.Record("header", func(r *wire.Reader) {
 		cp.Shards = r.Int()
 		cp.WindowMS = r.Varint()
 		cp.LatenessMS = r.Varint()
@@ -230,26 +152,26 @@ func readCheckpoint(rd io.Reader) (*checkpointFile, error) {
 		return nil, err
 	}
 	if cp.Shards < 0 {
-		return nil, fmt.Errorf("%w: %d shards", ErrBadCheckpoint, cp.Shards)
+		return nil, fmt.Errorf("%d shards", cp.Shards)
 	}
-	for i, section := range []*[]ShardBucket{&cp.Scenarios, &cp.Buckets} {
+	for i, section := range []*[]scenario.Record{&cp.Scenarios, &cp.Buckets} {
 		what := [2]string{"scenario", "bucket"}[i]
 		for n := uint64(0); n < counts[i]; n++ {
-			var sb ShardBucket
-			if err := record(what, func(r *wire.Reader) { readShardBucket(r, &sb) }); err != nil {
+			var rec scenario.Record
+			if err := fr.Record(what, func(r *wire.Reader) { scenario.ReadRecord(r, &rec) }); err != nil {
 				return nil, err
 			}
-			*section = append(*section, sb)
+			*section = append(*section, rec)
 		}
 	}
-	if err := record("tail", func(r *wire.Reader) {
-		cp.Resolutions = readSlice(r, minResolutionBytes, readResolution)
+	if err := fr.Record("tail", func(r *wire.Reader) {
+		cp.Resolutions = wire.ReadSlice(r, minResolutionBytes, readResolution)
 		cp.Accepted = readIDs[ids.VID](r)
 		cp.Resolved = readIDs[ids.EID](r)
 	}); err != nil {
 		return nil, err
 	}
-	return cp, nil
+	return cp, fr.End()
 }
 
 // Checkpoint serializes the engine's full stream state: closed scenarios,
@@ -273,7 +195,7 @@ func (e *Engine) Checkpoint(w io.Writer) error {
 // payloads are paged back in transiently — the checkpoint always carries the
 // full state — and a reload failure fails the checkpoint rather than silently
 // persisting a scenario as detection-free. Callers hold e.mu.
-func (e *Engine) checkpointLocked(front *frontier, open []ShardBucket) (*checkpointFile, error) {
+func (e *Engine) checkpointLocked(front *frontier, open []scenario.Record) (*checkpointFile, error) {
 	cp := &checkpointFile{
 		WindowMS:    e.cfg.WindowMS,
 		LatenessMS:  e.cfg.LatenessMS,
@@ -282,22 +204,17 @@ func (e *Engine) checkpointLocked(front *frontier, open []ShardBucket) (*checkpo
 		Targets:     e.cfg.Targets,
 		Seq:         e.seq,
 		Buckets:     open,
-		Scenarios:   make([]ShardBucket, 0, e.store.Len()),
+		Scenarios:   make([]scenario.Record, 0, e.store.Len()),
 		Resolutions: e.emitted,
 		Accepted:    ids.SortedVIDKeys(e.accepted),
 		Resolved:    ids.SortedEIDKeys(e.resolved),
 	}
 	for id := scenario.ID(0); int(id) < e.store.Len(); id++ {
-		esc := e.store.E(id)
-		cs := ShardBucket{Cell: esc.Cell, Window: esc.Window, EIDs: sortedBucketEIDs(esc.EIDs)}
 		v, err := e.store.VChecked(id)
 		if err != nil {
 			return nil, fmt.Errorf("stream: checkpoint scenario %d: %w", id, err)
 		}
-		if v != nil {
-			cs.Dets = v.Detections
-		}
-		cp.Scenarios = append(cp.Scenarios, cs)
+		cp.Scenarios = append(cp.Scenarios, scenario.RecordOf(e.store.E(id), v))
 	}
 	front.record(cp)
 	return cp, nil
@@ -309,9 +226,9 @@ func (e *Engine) checkpointLocked(front *frontier, open []ShardBucket) (*checkpo
 // every arrival order — and redelivered batches cost it nothing. The image
 // stays valid while the live bucket keeps absorbing: canonicalDets copies
 // whatever it has to reorder, and a bucket only ever appends.
-func bucketToCheckpoint(k bucketKey, b *bucket) ShardBucket {
+func bucketToCheckpoint(k bucketKey, b *bucket) scenario.Record {
 	dets, _ := canonicalDets(b.dets)
-	return ShardBucket{Window: k.Window, Cell: k.Cell, EIDs: sortedBucketEIDs(b.eids), Dets: dets}
+	return scenario.Record{Window: k.Window, Cell: k.Cell, EIDs: scenario.SortedEIDAttrs(b.eids), Dets: dets}
 }
 
 // Restore builds an Engine from cfg and resumes it from a checkpoint — an
@@ -353,7 +270,7 @@ func (e *Engine) guardCheckpoint(cp *checkpointFile) error {
 		return fmt.Errorf("%w: seed %d vs config %d", ErrBadCheckpoint, cp.Seed, e.cfg.Seed)
 	case cp.Dim != e.cfg.Dim:
 		return fmt.Errorf("%w: dim %d vs config %d", ErrBadCheckpoint, cp.Dim, e.cfg.Dim)
-	case !eidsEqual(cp.Targets, e.cfg.Targets):
+	case !slices.Equal(cp.Targets, e.cfg.Targets):
 		return fmt.Errorf("%w: target set differs from config", ErrBadCheckpoint)
 	}
 	return nil
@@ -395,19 +312,6 @@ func (e *Engine) restoreMatchState(cp *checkpointFile) error {
 	return nil
 }
 
-// eidsEqual reports element-wise equality of two sorted EID slices.
-func eidsEqual(a, b []ids.EID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // Checkpoint serializes the router's full sharded state. It is a barrier on
 // the fold alone: once every issued close round has folded, each shard's
 // journal holds exactly the observations of its still-open windows (the merge
@@ -435,7 +339,7 @@ func (r *Router) checkpointLocked() (*checkpointFile, error) {
 	if err := r.awaitFoldLocked(); err != nil {
 		return nil, err
 	}
-	var open []ShardBucket
+	var open []scenario.Record
 	for i := range r.slots {
 		win, err := NewShardWindower(r.shardParams(), nil)
 		if err != nil {

@@ -9,6 +9,7 @@ import (
 	"os"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -33,13 +34,13 @@ func goldenImage() *checkpointFile {
 		WindowMS: 1_000, LatenessMS: 250, Seed: 7, Dim: 4,
 		Targets:  []ids.EID{"e-1", "e-2"},
 		Ingested: 9, LateDropped: 1, MaxTS: 2_400, MinOpen: 2, Seq: 1,
-		Scenarios: []ShardBucket{
-			{Window: 0, Cell: 3, EIDs: []BucketEID{{EID: "e-1", Attr: scenario.AttrInclusive}, {EID: "e-2", Attr: scenario.AttrVague}},
+		Scenarios: []scenario.Record{
+			{Window: 0, Cell: 3, EIDs: []scenario.EIDAttr{{EID: "e-1", Attr: scenario.AttrInclusive}, {EID: "e-2", Attr: scenario.AttrVague}},
 				Dets: []scenario.Detection{det("v-1", 1, 0x40), det("v-2", 2, 0xc0)}},
-			{Window: 1, Cell: 5, EIDs: []BucketEID{{EID: "e-2", Attr: scenario.AttrInclusive}}},
+			{Window: 1, Cell: 5, EIDs: []scenario.EIDAttr{{EID: "e-2", Attr: scenario.AttrInclusive}}},
 		},
-		Buckets: []ShardBucket{
-			{Window: 2, Cell: 3, EIDs: []BucketEID{{EID: "e-1", Attr: scenario.AttrVague}}, Dets: []scenario.Detection{det("v-1", 1, 0x41)}},
+		Buckets: []scenario.Record{
+			{Window: 2, Cell: 3, EIDs: []scenario.EIDAttr{{EID: "e-1", Attr: scenario.AttrVague}}, Dets: []scenario.Detection{det("v-1", 1, 0x41)}},
 		},
 		Resolutions: []Resolution{{Seq: 1, EID: "e-2", VID: "v-2", Probability: 0.75, MajorityFrac: 1,
 			RunnerUp: "v-1", Margin: 0.5, Acceptable: true, Window: 1}},
@@ -180,6 +181,31 @@ func TestRestoreRejectsTruncationEverywhere(t *testing.T) {
 	for cut := 0; cut < len(full); cut++ {
 		if _, err := Restore(goldenConfig(), bytes.NewReader(full[:cut])); !errors.Is(err, ErrBadCheckpoint) {
 			t.Fatalf("prefix of %d/%d bytes: err = %v, want ErrBadCheckpoint", cut, len(full), err)
+		}
+	}
+}
+
+// TestRestoreRefusesHostileRecords: the scenario decoder refuses a patch
+// that fails feature.Patch.Validate, an attribute that is neither inclusive
+// nor vague and an EID list out of order, so such a checkpoint fails Restore
+// with ErrBadCheckpoint instead of stalling the engine later.
+func TestRestoreRefusesHostileRecords(t *testing.T) {
+	for name, spoil := range map[string]func(*checkpointFile){
+		"-16x-40 patch": func(cp *checkpointFile) {
+			p := &cp.Scenarios[0].Dets[0].Patch
+			p.W, p.H, p.Pix = -16, -40, make([]byte, 640)
+		},
+		"attribute 0":   func(cp *checkpointFile) { cp.Buckets[0].EIDs[0].Attr = 0 },
+		"EIDs reversed": func(cp *checkpointFile) { slices.Reverse(cp.Scenarios[0].EIDs) },
+	} {
+		img := goldenImage()
+		spoil(img)
+		var buf bytes.Buffer
+		if err := img.write(&buf); err != nil {
+			t.Fatalf("%s: write: %v", name, err)
+		}
+		if _, err := Restore(goldenConfig(), bytes.NewReader(buf.Bytes())); !errors.Is(err, ErrBadCheckpoint) {
+			t.Errorf("%s: Restore err = %v, want ErrBadCheckpoint", name, err)
 		}
 	}
 }

@@ -36,12 +36,12 @@ func randInt(rng *rand.Rand) int {
 	return int(rng.Uint64())
 }
 
+// randPatch is a valid patch (feature.Patch.Validate): the record decoder
+// refuses any other.
 func randPatch(rng *rand.Rand) feature.Patch {
-	p := feature.Patch{W: randInt(rng), H: randInt(rng)}
-	if n := rng.Intn(40); n > 0 {
-		p.Pix = make([]byte, n)
-		rng.Read(p.Pix)
-	}
+	p := feature.Patch{W: 1 + rng.Intn(6), H: 1 + rng.Intn(6)}
+	p.Pix = make([]byte, p.W*p.H)
+	rng.Read(p.Pix)
 	return p
 }
 
@@ -71,29 +71,27 @@ func randDetection(rng *rand.Rand) scenario.Detection {
 	return scenario.Detection{VID: ids.VID(randString(rng)), Patch: randPatch(rng), TruePerson: randInt(rng)}
 }
 
-func randBucketEID(rng *rand.Rand) BucketEID {
-	return BucketEID{EID: ids.EID(randString(rng)), Attr: scenario.Attr(rng.Intn(4))}
-}
-
-func randShardBucket(rng *rand.Rand) ShardBucket {
-	return ShardBucket{
-		Window: randInt(rng), Cell: geo.CellID(randInt(rng)),
-		EIDs: randSlice(rng, randBucketEID), Dets: randSlice(rng, randDetection),
+// randEIDAttrs is an EID list as the record decoder accepts it: strictly
+// ascending EIDs, each inclusive or vague.
+func randEIDAttrs(rng *rand.Rand) []scenario.EIDAttr {
+	set := make(map[ids.EID]scenario.Attr)
+	for n := rng.Intn(4); len(set) < n; {
+		set[ids.EID(randString(rng))] = scenario.Attr(1 + rng.Intn(2))
 	}
+	return scenario.SortedEIDAttrs(set)
 }
 
-func randShardSealed(rng *rand.Rand) ShardSealed {
-	return ShardSealed{
+func randRecord(rng *rand.Rand) scenario.Record {
+	return scenario.Record{
 		Window: randInt(rng), Cell: geo.CellID(randInt(rng)),
-		EIDs: randSlice(rng, randBucketEID), Dets: randSlice(rng, randDetection),
-		FeatDim: randInt(rng), Feat: randSlice(rng, func(rng *rand.Rand) float64 { return rng.NormFloat64() }),
+		EIDs: randEIDAttrs(rng), Dets: randSlice(rng, randDetection),
 	}
 }
 
 // randSealedRefs is a closure as the shard wire carries it.
 func randSealedRefs(rng *rand.Rand) ShardSealed {
 	return ShardSealed{
-		Window: randInt(rng), Cell: geo.CellID(randInt(rng)), EIDs: randSlice(rng, randBucketEID),
+		Window: randInt(rng), Cell: geo.CellID(randInt(rng)), EIDs: randEIDAttrs(rng),
 		Refs: randSlice(rng, func(rng *rand.Rand) int64 { return int64(randInt(rng)) }),
 	}
 }
@@ -157,23 +155,20 @@ func roundTrip[T any](t *testing.T, name string, rng *rand.Rand, gen func(*rand.
 	}
 }
 
-// TestCodecRoundTrip is the round-trip property over every wire type.
-// Detections are decoded through their list decoder, which is where pixels
-// move into an owned arena. A message batch round-trips everything but the
+// TestCodecRoundTrip is the round-trip property over every wire type. A
+// record's detections are decoded through their list decoder, which is where
+// pixels move into an owned arena. A message batch round-trips everything but the
 // observations' patches: the shard wire carries none, so a batch encodes to
 // the same bytes with them as without and decodes with none.
 func TestCodecRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
-	roundTrip(t, "BucketEID", rng, randBucketEID, appendBucketEID, readBucketEID)
-	roundTrip(t, "ShardBucket", rng, randShardBucket, appendShardBucket, readShardBucket)
-	roundTrip(t, "ShardSealed", rng, randShardSealed, appendShardSealed, readShardSealed)
+	roundTrip(t, "[]EIDAttr", rng, randEIDAttrs,
+		func(b []byte, eids *[]scenario.EIDAttr) []byte { return scenario.AppendEIDAttrs(b, *eids) },
+		func(r *wire.Reader, eids *[]scenario.EIDAttr) { *eids = scenario.ReadEIDAttrs(r) })
+	roundTrip(t, "Record", rng, randRecord, scenario.AppendRecord, scenario.ReadRecord)
 	roundTrip(t, "SealedRefs", rng, randSealedRefs, appendSealedRefs, readSealedRefs)
 	roundTrip(t, "ShardOut", rng, randShardOut, appendShardOut, readShardOut)
 	roundTrip(t, "Resolution", rng, randResolution, appendResolution, readResolution)
-	roundTrip(t, "[]Detection", rng,
-		func(rng *rand.Rand) []scenario.Detection { return randSlice(rng, randDetection) },
-		func(b []byte, d *[]scenario.Detection) []byte { return appendSlice(b, *d, appendDetection) },
-		func(r *wire.Reader, d *[]scenario.Detection) { *d = readDetections(r) })
 	// Observation and ShardMsg travel inside a batch.
 	roundTrip(t, "[]ShardMsg", rng,
 		func(rng *rand.Rand) []ShardMsg { return randSlice(rng, randShardMsg) },
@@ -213,7 +208,7 @@ func TestCodecDeterministicFromMaps(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		b, w := build()
 		img := bucketToCheckpoint(bucketKey{Window: 2, Cell: 4}, b)
-		gotBucket := appendShardBucket(nil, &img)
+		gotBucket := scenario.AppendRecord(nil, &img)
 		gotSealed := appendSealedRefs(nil, &w)
 		if i == 0 {
 			firstBucket, firstSealed = gotBucket, gotSealed
@@ -231,16 +226,22 @@ func TestCodecRejectsHostileCounts(t *testing.T) {
 	huge := wire.AppendUvarint(nil, 1<<62)
 	huge = append(huge, 1, 2, 3)
 	for name, read := range map[string]func(*wire.Reader){
-		"ShardMsgs":  func(r *wire.Reader) { ReadShardMsgs(r) },
-		"ShardOuts":  func(r *wire.Reader) { ReadShardOuts(r) },
-		"Detections": func(r *wire.Reader) { readDetections(r) },
-		"IDs":        func(r *wire.Reader) { readIDs[ids.EID](r) },
+		"ShardMsgs": func(r *wire.Reader) { ReadShardMsgs(r) },
+		"ShardOuts": func(r *wire.Reader) { ReadShardOuts(r) },
+		"EIDAttrs":  func(r *wire.Reader) { scenario.ReadEIDAttrs(r) },
+		"IDs":       func(r *wire.Reader) { readIDs[ids.EID](r) },
 	} {
 		r := wire.NewReader(huge)
 		read(r)
 		if !errors.Is(r.Err(), wire.ErrCorrupt) {
 			t.Errorf("%s: err = %v, want wire.ErrCorrupt", name, r.Err())
 		}
+	}
+	// A record's detection count, behind its window, cell and empty EID list.
+	var rec scenario.Record
+	rr := wire.NewReader(append(wire.AppendUvarint([]byte{0, 0}, 0), huge...))
+	if scenario.ReadRecord(rr, &rec); !errors.Is(rr.Err(), wire.ErrCorrupt) {
+		t.Errorf("record detections: err = %v, want wire.ErrCorrupt", rr.Err())
 	}
 	// Two levels down: a well-formed emission and closure header, an empty
 	// EID list, then a hostile reference count.

@@ -4,6 +4,8 @@ import (
 	"reflect"
 	"slices"
 	"testing"
+
+	"evmatching/internal/scenario"
 )
 
 // TestFrontier pins the event-time decisions both processors share, at the
@@ -132,7 +134,7 @@ func TestFrontierRestore(t *testing.T) {
 	if cp.Ingested != 5 || cp.LateDropped != 1 || cp.MaxTS != 2400 || cp.MinOpen != 2 {
 		t.Fatalf("recorded header %+v", cp)
 	}
-	cp.Buckets = []ShardBucket{{Window: 3, Cell: 1}, {Window: 2, Cell: 7}, {Window: 3, Cell: 0}, {Window: 2, Cell: 2}}
+	cp.Buckets = []scenario.Record{{Window: 3, Cell: 1}, {Window: 2, Cell: 7}, {Window: 3, Cell: 0}, {Window: 2, Cell: 2}}
 	got := newFrontier(1000, 250)
 	got.restore(&cp)
 	if !slices.Equal(got.open, []int{2, 3}) {

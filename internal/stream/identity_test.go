@@ -8,6 +8,8 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
+
+	"evmatching/internal/scenario"
 )
 
 // checkpointBytes serializes e and returns the raw checkpoint.
@@ -121,7 +123,7 @@ func TestCheckpointByteIdentityAcrossArrivalOrders(t *testing.T) {
 	openSection := func(e *Engine) []byte {
 		var b []byte
 		for _, sb := range e.win.snapshot() {
-			b = appendShardBucket(b, &sb)
+			b = scenario.AppendRecord(b, &sb)
 		}
 		return b
 	}

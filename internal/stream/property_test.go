@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"evmatching/internal/feature"
+	"evmatching/internal/scenario"
 )
 
 // boundedShuffle reorders observations by the key ts + u, with u drawn
@@ -66,7 +67,7 @@ func sealedBytes(t *testing.T, e *Engine) []byte {
 	}
 	var b []byte
 	for i := range cp.Scenarios {
-		b = appendShardBucket(b, &cp.Scenarios[i])
+		b = scenario.AppendRecord(b, &cp.Scenarios[i])
 	}
 	return b
 }

@@ -244,7 +244,7 @@ func (r *Router) restoreCheckpoint(cp *checkpointFile) error {
 		}
 		slot := &r.slots[ShardOf(cb.Cell, r.cfg.Shards)]
 		var bad error
-		cb.observations(r.cfg.WindowMS, func(o Observation) {
+		bucketObservations(cb, r.cfg.WindowMS, func(o Observation) {
 			if err := o.Validate(); err != nil {
 				bad = err
 			} else if o.TS/r.cfg.WindowMS != int64(cb.Window) {

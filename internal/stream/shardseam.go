@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"evmatching/internal/feature"
 	"evmatching/internal/geo"
 	"evmatching/internal/ids"
 	"evmatching/internal/scenario"
@@ -71,38 +70,19 @@ func (p ShardParams) validate() error {
 // router's journal holds every pixel and the shard never saw one, so the
 // merge stage rebuilds Dets from Refs and trusts nothing else. EIDs is the
 // EID set flattened to a sorted slice (the same canonical form checkpoints
-// use, so equal closures encode to equal bytes). FeatDim and Feat belong to the type's other job, the spill record
-// of an evicted sealed scenario (spill.go; EIDs and Refs empty): the
-// extracted feature matrix as its row-major storage, FeatDim == 0 when the
-// filter had not extracted it yet.
+// use, so equal closures encode to equal bytes).
 type ShardSealed struct {
-	Window  int
-	Cell    geo.CellID
-	EIDs    []BucketEID
-	Refs    []int64
-	Dets    []scenario.Detection
-	FeatDim int
-	Feat    []float64
+	Window int
+	Cell   geo.CellID
+	EIDs   []scenario.EIDAttr
+	Refs   []int64
+	Dets   []scenario.Detection
 
 	// eids is the sealed bucket's EID set itself, carried in place of EIDs
 	// by a closure that has not crossed a wire: the codec flattens it at
 	// encode time and the fold adopts it, so an in-process closure never
 	// pays the flatten and the rebuild the wire form needs.
 	eids map[ids.EID]scenario.Attr
-}
-
-// matrix adopts a spill record's feature payload as a matrix of one row per
-// detection (no copy), or returns nil when none was spilled. A payload whose
-// shape does not match the detections is an error, never indexed.
-func (w *ShardSealed) matrix() (*feature.Matrix, error) {
-	if w.FeatDim == 0 && len(w.Feat) == 0 {
-		return nil, nil
-	}
-	if w.FeatDim < 1 || len(w.Feat) != w.FeatDim*len(w.Dets) {
-		return nil, fmt.Errorf("stream: feature payload of %d values, dim %d, for %d detections",
-			len(w.Feat), w.FeatDim, len(w.Dets))
-	}
-	return feature.MatrixOf(w.FeatDim, w.Feat)
 }
 
 // ShardOut is one shard emission: the sealed closures of one close round.
@@ -129,13 +109,13 @@ type ShardWindower struct {
 // NewShardWindower builds a windower, fresh (nil) or holding the open buckets
 // of a checkpoint image. There is one way in: an image bucket is absorbed
 // observation by observation, in image order, like any other input.
-func NewShardWindower(p ShardParams, initial []ShardBucket) (*ShardWindower, error) {
+func NewShardWindower(p ShardParams, initial []scenario.Record) (*ShardWindower, error) {
 	if err := p.validate(); err != nil {
 		return nil, err
 	}
 	w := &ShardWindower{p: p, buckets: make(map[bucketKey]*bucket, len(initial))}
 	for i := range initial {
-		initial[i].observations(p.WindowMS, func(o Observation) { w.absorb(0, o) })
+		bucketObservations(&initial[i], p.WindowMS, func(o Observation) { w.absorb(0, o) })
 	}
 	return w, nil
 }
@@ -191,9 +171,9 @@ func (w *ShardWindower) seal(target int) []ShardSealed {
 }
 
 // snapshot images every open bucket (bucketToCheckpoint), in openKeys order.
-func (w *ShardWindower) snapshot() []ShardBucket {
+func (w *ShardWindower) snapshot() []scenario.Record {
 	keys := w.openKeys(math.MaxInt)
-	snap := make([]ShardBucket, 0, len(keys))
+	snap := make([]scenario.Record, 0, len(keys))
 	for _, k := range keys {
 		snap = append(snap, bucketToCheckpoint(k, w.buckets[k]))
 	}

@@ -11,9 +11,9 @@ import (
 )
 
 // windowPager is the sealed-window half of the spill tier: evicted
-// V-Scenario payloads live in an unlinked blob log, one ShardSealed record
-// each (codec.go's encoding, EIDs empty): the detections plus, when the
-// filter had already extracted it, the feature matrix — a reload then never
+// V-Scenario payloads live in an unlinked blob log, one spill record each
+// (evict): the detections plus, when the filter had already extracted it,
+// the feature matrix — a reload then never
 // re-pays extraction, and since the matrix is the very one the filter
 // produced, the reloaded path is bit-identical to the resident one
 // (DESIGN.md §14). Records are paged back in transiently at match,
@@ -43,15 +43,18 @@ func newWindowPager(fsys spill.FS, dir string, stats *spill.Stats) (*windowPager
 // Close releases the blob log's file handle.
 func (p *windowPager) Close() error { return p.log.Close() }
 
-// evict appends id's payload (and extracted matrix, when available) to the
-// log. The store entry must still be resident; the caller drops it only
-// after evict succeeds, so a write failure leaves the scenario in memory.
+// evict appends id's spill record to the log: the payload as a
+// scenario.Record (no EIDs), then the extracted matrix's dimension and
+// row-major values — 0 and none when the filter had not extracted it. The
+// store entry must still be resident; the caller drops it only after evict
+// succeeds, so a write failure leaves the scenario in memory.
 func (p *windowPager) evict(id scenario.ID, v *scenario.VScenario, m *feature.Matrix) error {
-	rec := ShardSealed{Window: v.Window, Cell: v.Cell, Dets: v.Detections}
+	dim, feat := 0, []float64(nil)
 	if m != nil {
-		rec.FeatDim, rec.Feat = m.Dim(), m.Data()
+		dim, feat = m.Dim(), m.Data()
 	}
-	p.enc = appendShardSealed(p.enc[:0], &rec)
+	p.enc = scenario.AppendRecord(p.enc[:0], &scenario.Record{Window: v.Window, Cell: v.Cell, Dets: v.Detections})
+	p.enc = wire.AppendFloat64s(wire.AppendVarint(p.enc, int64(dim)), feat)
 	ref, err := p.log.Append(p.enc)
 	if err != nil {
 		return err
@@ -63,39 +66,48 @@ func (p *windowPager) evict(id scenario.ID, v *scenario.VScenario, m *feature.Ma
 	return nil
 }
 
-// load reads and decodes id's spill record. The second result is false when
-// id was never evicted — the caller then falls back to its resident path.
-func (p *windowPager) load(id scenario.ID) (*ShardSealed, bool, error) {
+// load reads and decodes id's spill record: the payload, and its matrix
+// adopted without a copy when one was spilled (nil otherwise). A matrix whose
+// shape does not match the detections is an error, never indexed. ok is
+// false when id was never evicted — the caller then falls back to its
+// resident path.
+func (p *windowPager) load(id scenario.ID) (v *scenario.VScenario, m *feature.Matrix, ok bool, err error) {
 	p.mu.RLock()
 	ref, ok := p.refs[id]
 	p.mu.RUnlock()
 	if !ok {
-		return nil, false, nil
+		return nil, nil, false, nil
 	}
 	data, err := p.log.ReadAt(ref)
 	if err != nil {
-		return nil, true, err
+		return nil, nil, true, err
 	}
-	var rec ShardSealed
+	var rec scenario.Record
 	r := wire.NewReader(data)
-	readShardSealed(r, &rec)
+	scenario.ReadRecord(r, &rec)
+	dim, feat := r.Int(), r.Float64s()
 	if err := r.Err(); err != nil {
-		return nil, true, fmt.Errorf("stream: decode spill record %d: %w", id, err)
+		return nil, nil, true, fmt.Errorf("stream: decode spill record %d: %w", id, err)
+	}
+	if dim != 0 || len(feat) != 0 {
+		if m, err = feature.MatrixOf(dim, feat); err == nil && m.Rows() != len(rec.Dets) {
+			err = fmt.Errorf("%d feature rows for %d detections", m.Rows(), len(rec.Dets))
+		}
+		if err != nil {
+			return nil, nil, true, fmt.Errorf("stream: spill record %d: %w", id, err)
+		}
 	}
 	p.stats.AddReloads(1)
-	return &rec, true, nil
+	return &scenario.VScenario{ID: id, Cell: rec.Cell, Window: rec.Window, Detections: rec.Dets}, m, true, nil
 }
 
 // LoadV implements scenario.VPager: page an evicted payload back in.
 func (p *windowPager) LoadV(id scenario.ID) (*scenario.VScenario, error) {
-	rec, ok, err := p.load(id)
-	if err != nil {
-		return nil, err
+	v, _, ok, err := p.load(id)
+	if err == nil && !ok {
+		err = fmt.Errorf("stream: no spill record for scenario %d", id)
 	}
-	if !ok {
-		return nil, fmt.Errorf("stream: no spill record for scenario %d", id)
-	}
-	return &scenario.VScenario{ID: id, Cell: rec.Cell, Window: rec.Window, Detections: rec.Dets}, nil
+	return v, err
 }
 
 // LoadMatrix is the filter's MatrixSource: it returns the spilled feature
@@ -103,18 +115,8 @@ func (p *windowPager) LoadV(id scenario.ID) (*scenario.VScenario, error) {
 // before its features were extracted — the filter then extracts from the
 // paged-in detections, which yields the identical matrix.
 func (p *windowPager) LoadMatrix(id scenario.ID) (*feature.Matrix, error) {
-	rec, ok, err := p.load(id)
-	if err != nil {
-		return nil, err
-	}
-	if !ok {
-		return nil, nil
-	}
-	m, err := rec.matrix()
-	if err != nil {
-		return nil, fmt.Errorf("stream: corrupt spill record for scenario %d: %w", id, err)
-	}
-	return m, nil
+	_, m, _, err := p.load(id)
+	return m, err
 }
 
 // detOverheadBytes is the fixed per-detection charge on top of pixel bytes:

@@ -281,7 +281,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 
 // resetWindower installs a windower holding the given open buckets (engine
 // construction and checkpoint restore).
-func (e *Engine) resetWindower(open []ShardBucket) error {
+func (e *Engine) resetWindower(open []scenario.Record) error {
 	win, err := NewShardWindower(e.shardParams(), open)
 	if err != nil {
 		return err
@@ -416,7 +416,7 @@ func (e *Engine) foldLocked(sealed []ShardSealed, target int) error {
 func (e *Engine) applySealedLocked(w *ShardSealed) (scenario.ID, error) {
 	eids := w.eids
 	if eids == nil {
-		eids = bucketEIDSet(w.EIDs)
+		eids = scenario.EIDAttrSet(w.EIDs)
 	}
 	esc := &scenario.EScenario{Cell: w.Cell, Window: w.Window, EIDs: eids}
 	var vsc *scenario.VScenario

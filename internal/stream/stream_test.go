@@ -505,7 +505,7 @@ func TestWindowerNeverReadsPixels(t *testing.T) {
 			if out != nil {
 				for i := range out.Sealed {
 					s := &out.Sealed[i]
-					s.EIDs, s.eids, s.Dets = sortedBucketEIDs(s.eids), nil, nil
+					s.EIDs, s.eids, s.Dets = scenario.SortedEIDAttrs(s.eids), nil, nil
 				}
 				outs = append(outs, *out)
 			}

@@ -1,8 +1,8 @@
 // Package wire is the byte-level vocabulary of the repository's binary
-// record format: append-style encoders and a bounds-checked Reader. The
-// shard rpc frames (internal/shardrpc), the stream checkpoint and the spill
-// record (internal/stream) are all built from these primitives, so a value
-// has exactly one encoding wherever it travels (DESIGN.md §15).
+// record format: append-style encoders, a bounds-checked Reader and the
+// record-file framing (file.go). Shard rpc frames, checkpoints, spill records
+// and world files are all built from these primitives, so a value has exactly
+// one encoding wherever it travels (DESIGN.md §15).
 //
 // Encodings are fixed — unsigned and zig-zag varints, length-prefixed
 // strings and byte slices, float64 blocks as a count followed by
@@ -87,9 +87,10 @@ func (r *Reader) Err() error { return r.err }
 // Len returns the number of unread bytes (0 after a failure).
 func (r *Reader) Len() int { return len(r.buf) }
 
-// corrupt records the Reader's failure unless one is already recorded, and
-// drops the input so every later read fails fast.
-func (r *Reader) corrupt(what string) {
+// Fail records the Reader's failure unless one is already recorded, and drops
+// the input so every later read fails fast. Decoders call it for bytes that
+// parse but break a rule of their type, so such input fails like truncation.
+func (r *Reader) Fail(what string) {
 	if r.err == nil {
 		r.err = fmt.Errorf("%w: %s", ErrCorrupt, what)
 		r.buf = nil
@@ -100,7 +101,7 @@ func (r *Reader) corrupt(what string) {
 func (r *Reader) Uvarint() uint64 {
 	v, n := binary.Uvarint(r.buf)
 	if n <= 0 {
-		r.corrupt("truncated or overlong uvarint")
+		r.Fail("truncated or overlong uvarint")
 		return 0
 	}
 	r.buf = r.buf[n:]
@@ -111,7 +112,7 @@ func (r *Reader) Uvarint() uint64 {
 func (r *Reader) Varint() int64 {
 	v, n := binary.Varint(r.buf)
 	if n <= 0 {
-		r.corrupt("truncated or overlong varint")
+		r.Fail("truncated or overlong varint")
 		return 0
 	}
 	r.buf = r.buf[n:]
@@ -122,7 +123,7 @@ func (r *Reader) Varint() int64 {
 func (r *Reader) Int() int {
 	v := r.Varint()
 	if int64(int(v)) != v {
-		r.corrupt("integer overflows int")
+		r.Fail("integer overflows int")
 		return 0
 	}
 	return int(v)
@@ -131,7 +132,7 @@ func (r *Reader) Int() int {
 // Byte reads one byte.
 func (r *Reader) Byte() byte {
 	if len(r.buf) < 1 {
-		r.corrupt("truncated byte")
+		r.Fail("truncated byte")
 		return 0
 	}
 	v := r.buf[0]
@@ -147,7 +148,7 @@ func (r *Reader) Bool() bool {
 	case 1:
 		return true
 	}
-	r.corrupt("boolean byte not 0 or 1")
+	r.Fail("boolean byte not 0 or 1")
 	return false
 }
 
@@ -158,7 +159,7 @@ func (r *Reader) Bool() bool {
 func (r *Reader) Count(minBytes int) int {
 	n := r.Uvarint()
 	if n > uint64(len(r.buf)/minBytes) {
-		r.corrupt("count exceeds remaining input")
+		r.Fail("count exceeds remaining input")
 		return 0
 	}
 	return int(n)
@@ -182,12 +183,37 @@ func (r *Reader) String() string { return string(r.Bytes()) }
 // Float64 reads one little-endian IEEE-754 word.
 func (r *Reader) Float64() float64 {
 	if len(r.buf) < 8 {
-		r.corrupt("truncated float64")
+		r.Fail("truncated float64")
 		return 0
 	}
 	v := math.Float64frombits(binary.LittleEndian.Uint64(r.buf))
 	r.buf = r.buf[8:]
 	return v
+}
+
+// AppendSlice appends s as a uvarint count followed by each element as enc
+// appends it.
+func AppendSlice[T any](b []byte, s []T, enc func([]byte, *T) []byte) []byte {
+	b = binary.AppendUvarint(b, uint64(len(s)))
+	for i := range s {
+		b = enc(b, &s[i])
+	}
+	return b
+}
+
+// ReadSlice decodes a list written by AppendSlice, each element with dec;
+// minBytes is an element's smallest encoding (see Count). An empty list
+// decodes to nil.
+func ReadSlice[T any](r *Reader, minBytes int, dec func(*Reader, *T)) []T {
+	n := r.Count(minBytes)
+	if n == 0 {
+		return nil
+	}
+	s := make([]T, n)
+	for i := range s {
+		dec(r, &s[i])
+	}
+	return s
 }
 
 // Float64s reads a counted float64 block into a freshly allocated slice the

@@ -224,3 +224,53 @@ func FuzzReader(f *testing.F) {
 		}
 	})
 }
+
+// TestRecordFile: records written by FileWriter come back in order; a
+// record the decoder leaves bytes of, another magic, another version and
+// data after the last record are each refused.
+func TestRecordFile(t *testing.T) {
+	var buf bytes.Buffer
+	fw := NewFileWriter(&buf, "TEST", 3)
+	for _, s := range []string{"one", "", "three"} {
+		fw.Record(func(b []byte) []byte { return AppendString(b, s) })
+	}
+	if err := fw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	file := buf.Bytes()
+	if !bytes.HasPrefix(file, []byte("TEST\x03\x04\x03one")) {
+		t.Fatalf("file starts %q", file[:min(len(file), 10)])
+	}
+
+	fr, err := NewFileReader(bytes.NewReader(file), "TEST", 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"one", "", "three"} {
+		var got string
+		if err := fr.Record("string", func(r *Reader) { got = r.String() }); err != nil || got != want {
+			t.Fatalf("Record = %q, %v; want %q", got, err, want)
+		}
+	}
+	if err := fr.End(); err != nil {
+		t.Errorf("End: %v", err)
+	}
+
+	fr, _ = NewFileReader(bytes.NewReader(file), "TEST", 3)
+	if err := fr.Record("byte", func(r *Reader) { r.Byte() }); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("a record with trailing bytes: err = %v, want ErrCorrupt", err)
+	}
+	if _, err := NewFileReader(bytes.NewReader(file), "TSET", 3); !errors.Is(err, ErrNoMagic) {
+		t.Errorf("other magic: err = %v, want ErrNoMagic", err)
+	}
+	if _, err := NewFileReader(bytes.NewReader(file), "TEST", 4); err == nil {
+		t.Error("other version accepted")
+	}
+	fr, _ = NewFileReader(bytes.NewReader(append(file, 0)), "TEST", 3)
+	for range 3 {
+		fr.Record("string", func(r *Reader) { _ = r.String() })
+	}
+	if err := fr.End(); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("data after the last record: err = %v, want ErrCorrupt", err)
+	}
+}
