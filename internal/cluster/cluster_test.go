@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"net/rpc"
 	"reflect"
 	"strconv"
 	"strings"
@@ -409,7 +408,7 @@ func TestPoolCollapseFailsWithErrNoWorkers(t *testing.T) {
 // TestCloseClosesIdleConnections: a peer that connects and never sends a
 // byte must not keep its connection's handler alive past Close.
 func TestCloseClosesIdleConnections(t *testing.T) {
-	var client *rpc.Client
+	var client net.Conn
 	// Registered before the leak check, so it runs after it: the client
 	// hangs up only once the check has passed.
 	t.Cleanup(func() {
@@ -426,7 +425,7 @@ func TestCloseClosesIdleConnections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if client, err = rpc.Dial("tcp", coord.Serve(lis)); err != nil {
+	if client, err = net.Dial("tcp", coord.Serve(lis)); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, "accepted the connection", func() bool {

@@ -160,7 +160,9 @@ func (c *Coordinator) Serve(lis net.Listener) string {
 }
 
 // serveConn serves one worker connection on an rpc.Server of its own, whose
-// receiver is the connection's identity. A worker that stops, however it
+// receiver is the connection's identity, in the task protocol's frames: a
+// worker from another build is answered once with a version error and
+// dropped before it can claim a task. A worker that stops, however it
 // stops, closes its connection; every lease claimed over it is then
 // requeued at once.
 func (c *Coordinator) serveConn(conn net.Conn) {
@@ -178,7 +180,7 @@ func (c *Coordinator) serveConn(conn net.Conn) {
 	if err := srv.RegisterName(RPCServiceName, r); err != nil {
 		panic(fmt.Sprintf("cluster: register RPC service: %v", err))
 	}
-	srv.ServeConn(conn)
+	srv.ServeCodec(protocol.ServerCodec(conn, nil))
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -224,28 +226,14 @@ func (c *Coordinator) RunJob(ctx context.Context, spec JobSpec, input []mapreduc
 	jobID := strconv.Itoa(c.seq)
 	c.mu.Unlock()
 
-	// Split input into map chunks and persist them.
-	if spec.NumMapTasks > len(input) && len(input) > 0 {
-		spec.NumMapTasks = len(input)
-	}
-	if len(input) == 0 {
-		spec.NumMapTasks = 1
-	}
-	chunk := (len(input) + spec.NumMapTasks - 1) / spec.NumMapTasks
-	if chunk == 0 {
-		chunk = 1
-	}
+	// Split input into map chunks — at most one per record, and one even for
+	// no input — and persist them.
+	spec.NumMapTasks = max(min(spec.NumMapTasks, len(input)), 1)
+	chunk := max((len(input)+spec.NumMapTasks-1)/spec.NumMapTasks, 1)
 	// Whatever happens below, never leave partial job files behind.
 	defer func() { _ = removeJobFiles(c.cfg.Dir, jobID) }()
 	for m := 0; m < spec.NumMapTasks; m++ {
-		lo := m * chunk
-		hi := lo + chunk
-		if lo > len(input) {
-			lo = len(input)
-		}
-		if hi > len(input) {
-			hi = len(input)
-		}
+		lo, hi := min(m*chunk, len(input)), min((m+1)*chunk, len(input))
 		if _, err := spill.WriteRun(c.fsys, inputFile(c.cfg.Dir, jobID, m), input[lo:hi]); err != nil {
 			return nil, err
 		}

@@ -14,18 +14,10 @@ const (
 
 // String implements fmt.Stringer.
 func (k TaskKind) String() string {
-	switch k {
-	case TaskMap:
-		return "map"
-	case TaskReduce:
-		return "reduce"
-	case TaskWait:
-		return "wait"
-	case TaskExit:
-		return "exit"
-	default:
+	if k < TaskMap || k > TaskExit {
 		return "invalid"
 	}
+	return [...]string{"map", "reduce", "wait", "exit"}[k-TaskMap]
 }
 
 // TaskRequest is a worker's RPC request for work.

@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"net"
 	"net/rpc"
 	"time"
 
@@ -41,10 +42,11 @@ func NewWorker(addr string, cfg WorkerConfig) (*Worker, error) {
 	if cfg.ID == "" {
 		cfg.ID = fmt.Sprintf("worker-%d", time.Now().UnixNano())
 	}
-	client, err := rpc.Dial("tcp", addr)
+	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: dial coordinator %s: %w", addr, err)
 	}
+	client := rpc.NewClientWithCodec(protocol.ClientCodec(conn, nil))
 	return &Worker{cfg: cfg, client: client, fsys: spill.OS{}}, nil
 }
 

@@ -18,6 +18,7 @@ import (
 	"evmatching/internal/ids"
 	"evmatching/internal/scenario"
 	"evmatching/internal/stream"
+	"evmatching/internal/wire"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden files under testdata/")
@@ -36,12 +37,21 @@ func goldenReply() *ApplyReply {
 	}}
 }
 
+// decodeFrame reads one frame into body: Next, then Body unless the frame
+// carries an error string, which leaves it no body.
+func decodeFrame(d *wire.FrameDecoder, body any) (seq uint64, method, errStr string, err error) {
+	if seq, method, errStr, err = d.Next(); err == nil && errStr == "" {
+		err = d.Body(body)
+	}
+	return seq, method, errStr, err
+}
+
 // TestGoldenFrame pins the version-4 frame layout: a format change must show
 // up as a deliberate diff of testdata/apply_reply_frame.hex (regenerate
 // with: go test ./internal/shardrpc/ -run TestGoldenFrame -update) — and as
 // a WireVersion bump, or two builds will misread each other silently.
 func TestGoldenFrame(t *testing.T) {
-	var enc FrameEncoder
+	enc := protocol.Encoder()
 	frame, err := enc.Encode(7, ServiceName+".Apply", "", goldenReply())
 	if err != nil {
 		t.Fatalf("Encode: %v", err)
@@ -64,7 +74,7 @@ func TestGoldenFrame(t *testing.T) {
 		t.Fatalf("frame bytes changed (format change? bump WireVersion and regenerate with -update)\n got %x\nwant %x", frame, golden)
 	}
 	var back ApplyReply
-	seq, method, errStr, err := NewFrameDecoder(bytes.NewReader(golden), "peer").Decode(&back)
+	seq, method, errStr, err := decodeFrame(protocol.Decoder(bytes.NewReader(golden), "peer"), &back)
 	if err != nil || seq != 7 || method != ServiceName+".Apply" || errStr != "" {
 		t.Fatalf("Decode = (%d, %q, %q, %v)", seq, method, errStr, err)
 	}
@@ -89,26 +99,30 @@ func TestDecodedValuesOwnTheirBytes(t *testing.T) {
 		goldenReply(),
 		&ConfigureArgs{Shard: 1, Incarnation: 3, Params: stream.ShardParams{WindowMS: 1000, Dim: 8, WorkFactor: 1}},
 	}
-	var enc FrameEncoder
-	var wire bytes.Buffer
+	enc := protocol.Encoder()
+	var conn bytes.Buffer
+	longest := 0
 	for i, body := range bodies {
 		frame, err := enc.Encode(uint64(i), ServiceName+".Apply", "", body)
 		if err != nil {
 			t.Fatalf("Encode %d: %v", i, err)
 		}
-		wire.Write(frame)
+		conn.Write(frame)
+		longest = max(longest, int(wire.NewReader(frame).Uvarint()))
 	}
-	dec := NewFrameDecoder(&wire, "peer")
+	// Then a frame of 0xAA as long as the longest: the decoder reads it into
+	// the storage every earlier frame was read into, which is that long
+	// already, before it refuses its version byte.
+	conn.Write(wire.AppendBytes(nil, bytes.Repeat([]byte{0xAA}, longest)))
+	dec := protocol.Decoder(&conn, "peer")
 	got := []any{&ApplyArgs{}, &ApplyReply{}, &ConfigureArgs{}}
 	for i := range got {
-		if _, _, _, err := dec.Decode(got[i]); err != nil {
+		if _, _, _, err := decodeFrame(dec, got[i]); err != nil {
 			t.Fatalf("Decode %d: %v", i, err)
 		}
 	}
-	// Scribble over whatever the decoder still holds before comparing.
-	held := dec.buf[:cap(dec.buf)]
-	for i := range held {
-		held[i] = 0xAA
+	if _, _, _, err := dec.Next(); !errors.Is(err, wire.ErrFrameVersion) {
+		t.Fatalf("scribble frame: err %v, want a version mismatch", err)
 	}
 	for i := range got {
 		if !reflect.DeepEqual(got[i], bodies[i]) {
@@ -137,11 +151,11 @@ func BenchmarkApplyReplyFrame(b *testing.B) {
 	}
 	reply := ApplyReply{Outs: []stream.ShardOut{{Round: 1, Target: 1, MaxTS: 1_000, Sealed: sealed}}}
 	var (
-		enc  FrameEncoder
-		wire bytes.Buffer
+		enc  = protocol.Encoder()
+		conn bytes.Buffer
 		size int
 	)
-	dec := NewFrameDecoder(&wire, "worker")
+	dec := protocol.Decoder(&conn, "worker")
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		frame, err := enc.Encode(uint64(i), ServiceName+".Apply", "", &reply)
@@ -149,9 +163,9 @@ func BenchmarkApplyReplyFrame(b *testing.B) {
 			b.Fatal(err)
 		}
 		size = len(frame)
-		wire.Write(frame)
+		conn.Write(frame)
 		var got ApplyReply
-		if _, _, _, err := dec.Decode(&got); err != nil {
+		if _, _, _, err := decodeFrame(dec, &got); err != nil {
 			b.Fatal(err)
 		}
 		if len(got.Outs) != 1 || len(got.Outs[0].Sealed) != len(sealed) {
@@ -165,22 +179,22 @@ func BenchmarkApplyReplyFrame(b *testing.B) {
 // unknown method name, a body with trailing bytes, and a body type the
 // protocol does not have.
 func TestFrameErrors(t *testing.T) {
-	var enc FrameEncoder
+	enc := protocol.Encoder()
 	frame, err := enc.Encode(9, ServiceName+".Apply", "shard on fire", &ApplyReply{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var reply ApplyReply
-	seq, _, errStr, err := NewFrameDecoder(bytes.NewReader(frame), "peer").Decode(&reply)
+	seq, _, errStr, err := decodeFrame(protocol.Decoder(bytes.NewReader(frame), "peer"), &reply)
 	if err != nil || seq != 9 || errStr != "shard on fire" {
 		t.Fatalf("error frame: seq %d errStr %q err %v", seq, errStr, err)
 	}
 	frame, _ = enc.Encode(1, "EVShard.Reticulate", "", nil)
-	if _, method, _, err := NewFrameDecoder(bytes.NewReader(frame), "peer").Decode(nil); err != nil || method != "EVShard.tag0" {
+	if _, method, _, err := decodeFrame(protocol.Decoder(bytes.NewReader(frame), "peer"), nil); err != nil || method != "EVShard.tag0" {
 		t.Fatalf("unknown method: %q, %v", method, err)
 	}
 	frame, _ = enc.Encode(1, ServiceName+".Ping", "", &PingReply{Shard: 1, Incarnation: 1, Steps: 5})
-	if _, _, _, err := NewFrameDecoder(bytes.NewReader(frame), "peer").Decode(&PingArgs{}); err == nil {
+	if _, _, _, err := decodeFrame(protocol.Decoder(bytes.NewReader(frame), "peer"), &PingArgs{}); err == nil {
 		t.Fatal("a PingReply body decoded as PingArgs with bytes left over")
 	}
 	if _, err := enc.Encode(1, ServiceName+".Ping", "", struct{}{}); err == nil {
@@ -201,20 +215,20 @@ func TestClientReportsWorkerFromAnotherBuild(t *testing.T) {
 			cli, srv := net.Pipe()
 			defer srv.Close()
 			go func() {
-				if _, _, _, err := NewFrameDecoder(srv, "supervisor").Decode(nil); err != nil {
+				if _, _, _, err := decodeFrame(protocol.Decoder(srv, "supervisor"), nil); err != nil {
 					return
 				}
-				var enc FrameEncoder
+				enc := protocol.Encoder()
 				frame, _ := enc.Encode(0, ServiceName+".Ping", "", &PingReply{})
 				frame[1] = version // the length prefix is one byte here
 				srv.Write(frame)
 			}()
-			client := rpc.NewClientWithCodec(newClientCodec(cli, nil))
+			client := rpc.NewClientWithCodec(protocol.ClientCodec(cli, nil))
 			defer client.Close()
 			err := client.Call(ServiceName+".Ping", &PingArgs{}, &PingReply{})
 			want := fmt.Sprintf("worker speaks wire version %d, want %d", version, WireVersion)
-			if !errors.Is(err, ErrWireVersion) || !strings.Contains(err.Error(), want) {
-				t.Fatalf("err = %v, want ErrWireVersion saying %q", err, want)
+			if !errors.Is(err, wire.ErrFrameVersion) || !strings.Contains(err.Error(), want) {
+				t.Fatalf("err = %v, want wire.ErrFrameVersion saying %q", err, want)
 			}
 		})
 	}
@@ -236,7 +250,7 @@ func TestClientReportsWorkerFromAnotherBuild(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		client := rpc.NewClientWithCodec(newClientCodec(cli, nil))
+		client := rpc.NewClientWithCodec(protocol.ClientCodec(cli, nil))
 		defer client.Close()
 		err = client.Call(ServiceName+".Ping", &PingArgs{}, &PingReply{})
 		if err == nil || !strings.Contains(err.Error(), "without answering its first frame") {

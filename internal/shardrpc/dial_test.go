@@ -1,90 +1,77 @@
-package cluster
+package shardrpc
 
 import (
-	"errors"
 	"net"
 	"net/rpc"
 	"sync"
 	"testing"
 	"time"
+
+	"evmatching/internal/stream"
 )
 
-// pingService is a minimal rpc receiver for the client-seam tests.
-type pingService struct{}
-
-type PingArgs struct{ N int }
-
-type PingReply struct{ N int }
-
-func (pingService) Ping(args *PingArgs, reply *PingReply) error {
-	reply.N = args.N + 1
-	return nil
-}
-
-func servePing(t *testing.T) (addr string, stop func()) {
+// serveWorkerAt serves the shard protocol on addr ("127.0.0.1:0" picks a
+// port); it reports a failed bind by returning an empty addr (a fixed port
+// may have been reassigned between a probe bind and this one).
+func serveWorkerAt(t *testing.T, addr string) (string, func()) {
 	t.Helper()
-	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	lis, err := net.Listen("tcp", addr)
 	if err != nil {
-		t.Fatalf("listen: %v", err)
+		return "", nil
 	}
-	srv := rpc.NewServer()
-	if err := srv.RegisterName("PingService", pingService{}); err != nil {
-		t.Fatalf("register: %v", err)
-	}
-	var wg sync.WaitGroup
-	wg.Add(1)
+	done := make(chan struct{})
 	go func() {
-		defer wg.Done()
-		for {
-			conn, err := lis.Accept()
-			if err != nil {
-				return
-			}
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				srv.ServeConn(conn)
-			}()
-		}
+		defer close(done)
+		Serve(lis, nil)
 	}()
 	return lis.Addr().String(), func() {
 		lis.Close()
-		wg.Wait()
+		<-done
 	}
 }
 
-// dialRPC wraps DialConn in a net/rpc client, as internal/shardrpc wraps it
-// in its own codec.
+// dialRPC wraps dialConn in the supervisor's client codec.
 func dialRPC(addr string, timeout time.Duration, attempts int) (*rpc.Client, error) {
-	conn, err := DialConn(addr, timeout, attempts)
+	conn, err := dialConn(addr, timeout, attempts)
 	if err != nil {
 		return nil, err
 	}
-	return rpc.NewClient(conn), nil
+	return rpc.NewClientWithCodec(protocol.ClientCodec(conn, nil)), nil
+}
+
+// configureAndPing hosts shard 3 on the worker behind client and reads it
+// back.
+func configureAndPing(t *testing.T, client *rpc.Client) {
+	t.Helper()
+	args := &ConfigureArgs{Shard: 3, Incarnation: 1, Params: stream.ShardParams{WindowMS: 1_000, Dim: 8, WorkFactor: 1}}
+	if err := client.Call(ServiceName+".Configure", args, &ConfigureReply{}); err != nil {
+		t.Fatalf("Configure: %v", err)
+	}
+	var reply PingReply
+	if err := client.Call(ServiceName+".Ping", &PingArgs{Seq: 1}, &reply); err != nil {
+		t.Fatalf("Ping: %v", err)
+	}
+	if reply.Shard != 3 || reply.Incarnation != 1 {
+		t.Fatalf("Ping = %+v, want shard 3 incarnation 1", reply)
+	}
 }
 
 // TestDialConnRoundTrip proves the deadline-armed connection is a drop-in
 // for a live peer: calls complete normally well within the deadline.
 func TestDialConnRoundTrip(t *testing.T) {
-	addr, stop := servePing(t)
+	addr, stop := serveWorkerAt(t, "127.0.0.1:0")
 	defer stop()
 	client, err := dialRPC(addr, time.Second, 1)
 	if err != nil {
-		t.Fatalf("DialConn: %v", err)
+		t.Fatalf("dialConn: %v", err)
 	}
 	defer client.Close()
-	var reply PingReply
-	if err := client.Call("PingService.Ping", &PingArgs{N: 41}, &reply); err != nil {
-		t.Fatalf("Call: %v", err)
-	}
-	if reply.N != 42 {
-		t.Fatalf("reply = %d, want 42", reply.N)
-	}
+	configureAndPing(t, client)
 }
 
 // TestDialConnDeadline: a peer that accepts the connection but never
 // answers must fail the call within the deadline instead of blocking it
-// forever (the plain rpc.Dial behavior).
+// forever (what a plain net.Dial connection does).
 func TestDialConnDeadline(t *testing.T) {
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -119,11 +106,11 @@ func TestDialConnDeadline(t *testing.T) {
 	const timeout = 100 * time.Millisecond
 	client, err := dialRPC(lis.Addr().String(), timeout, 1)
 	if err != nil {
-		t.Fatalf("DialConn: %v", err)
+		t.Fatalf("dialConn: %v", err)
 	}
 	defer client.Close()
 	start := time.Now()
-	err = client.Call("PingService.Ping", &PingArgs{N: 1}, &PingReply{})
+	err = client.Call(ServiceName+".Ping", &PingArgs{Seq: 1}, &PingReply{})
 	if err == nil {
 		t.Fatal("Call against a mute peer succeeded; want timeout error")
 	}
@@ -133,7 +120,7 @@ func TestDialConnDeadline(t *testing.T) {
 }
 
 // TestDialConnBackoffReconnect proves the capped-backoff retry: the listener
-// only appears after the first attempts have failed, and DialConn connects
+// only appears after the first attempts have failed, and dialConn connects
 // once it does.
 func TestDialConnBackoffReconnect(t *testing.T) {
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
@@ -154,8 +141,8 @@ func TestDialConnBackoffReconnect(t *testing.T) {
 	}()
 
 	// Let at least one attempt fail before the peer comes up.
-	time.Sleep(2 * DefaultDialBackoffBase)
-	addr2, stop := servePingAt(t, addr)
+	time.Sleep(2 * dialBackoffBase)
+	addr2, stop := serveWorkerAt(t, addr)
 	if addr2 == "" {
 		t.Skip("could not rebind the probe port; the OS reassigned it")
 	}
@@ -163,48 +150,10 @@ func TestDialConnBackoffReconnect(t *testing.T) {
 
 	d := <-res
 	if d.err != nil {
-		t.Fatalf("DialConn never connected after the peer came up: %v", d.err)
+		t.Fatalf("dialConn never connected after the peer came up: %v", d.err)
 	}
 	defer d.client.Close()
-	var reply PingReply
-	if err := d.client.Call("PingService.Ping", &PingArgs{N: 1}, &reply); err != nil {
-		t.Fatalf("Call after reconnect: %v", err)
-	}
-}
-
-// servePingAt is servePing pinned to a specific address; it reports failure
-// by returning an empty addr (the port may have been reassigned between the
-// probe bind and this one).
-func servePingAt(t *testing.T, addr string) (string, func()) {
-	t.Helper()
-	lis, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", nil
-	}
-	srv := rpc.NewServer()
-	if err := srv.RegisterName("PingService", pingService{}); err != nil {
-		t.Fatalf("register: %v", err)
-	}
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			conn, err := lis.Accept()
-			if err != nil {
-				return
-			}
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				srv.ServeConn(conn)
-			}()
-		}
-	}()
-	return lis.Addr().String(), func() {
-		lis.Close()
-		wg.Wait()
-	}
+	configureAndPing(t, d.client)
 }
 
 // TestDialConnExhaustsAttempts proves the failure shape: no peer, bounded
@@ -217,8 +166,6 @@ func TestDialConnExhaustsAttempts(t *testing.T) {
 	addr := lis.Addr().String()
 	lis.Close()
 	if _, err := dialRPC(addr, 50*time.Millisecond, 2); err == nil {
-		t.Fatal("DialConn with no peer succeeded; want error")
-	} else if errors.Is(err, nil) {
-		t.Fatal("unreachable")
+		t.Fatal("dialConn with no peer succeeded; want error")
 	}
 }

@@ -32,10 +32,17 @@ func fuzzSeedMsgs() []stream.ShardMsg {
 	}
 }
 
+// The method tags of the shard protocol's method table, for hand-built
+// frames.
+const (
+	tagConfigure byte = iota + 1
+	tagApply
+	tagPing
+)
+
 // mustFrame encodes one request frame for the seed corpus.
 func mustFrame(seq uint64, method string, body any) []byte {
-	var enc FrameEncoder
-	frame, err := enc.Encode(seq, ServiceName+"."+method, "", body)
+	frame, err := protocol.Encoder().Encode(seq, ServiceName+"."+method, "", body)
 	if err != nil {
 		panic(err)
 	}
@@ -112,6 +119,7 @@ func hostileRound2() map[string]*ApplyReply {
 		"unclosed-window":  round2(stream.ShardSealed{Window: 6, Cell: 3}),
 		"negative":         round2(stream.ShardSealed{Window: 5, Cell: -4, Refs: []int64{-1}}),
 		"round-jump":       {Outs: []stream.ShardOut{{Round: 9, Target: 6}}},
+		"target-beyond":    {Outs: []stream.ShardOut{{Round: 2, Target: 24, MaxTS: 5_240, Sealed: honestRound2().Outs[0].Sealed}}},
 	}
 }
 
@@ -249,8 +257,8 @@ func FuzzShardRPCDecode(f *testing.F) {
 	body := wire.AppendUvarint([]byte{WireVersion, 2, tagApply, 0, 0, 2}, 1<<62)
 	f.Add(wire.AppendBytes(nil, append(body, 1, 2, 3)))
 	// A frame announcing more than the cap, and one announcing the cap.
-	f.Add(wire.AppendUvarint(nil, MaxFrameBytes+1))
-	f.Add(append(wire.AppendUvarint(nil, MaxFrameBytes), WireVersion, 1, tagPing))
+	f.Add(wire.AppendUvarint(nil, wire.MaxFrameBytes+1))
+	f.Add(append(wire.AppendUvarint(nil, wire.MaxFrameBytes), WireVersion, 1, tagPing))
 	// Another build's bytes: a wrong version byte, and a gob-era stream.
 	other := append([]byte(nil), ping...)
 	other[1] = WireVersion + 1
@@ -290,7 +298,7 @@ func FuzzShardRPCDecode(f *testing.F) {
 		if len(raw) > 64<<10 {
 			return
 		}
-		codec := newServerCodec(scriptConn{bytes.NewReader(raw)}, io.Discard)
+		codec := protocol.ServerCodec(scriptConn{bytes.NewReader(raw)}, io.Discard)
 		w := &workerState{}
 		var decoded uint64 // bytes allocated while decoding
 		measure := func(decode func() error) error {
@@ -362,7 +370,7 @@ func FuzzShardRPCDecode(f *testing.F) {
 
 		// The supervisor's half: the same bytes as a stream of replies.
 		var outs []stream.ShardOut
-		for dec := NewFrameDecoder(bytes.NewReader(raw), "worker"); len(outs) < 8; {
+		for dec := protocol.Decoder(bytes.NewReader(raw), "worker"); len(outs) < 8; {
 			_, method, errStr, err := dec.Next()
 			if err != nil {
 				break

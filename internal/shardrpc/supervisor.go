@@ -14,8 +14,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"evmatching/internal/cluster"
 	"evmatching/internal/stream"
+	"evmatching/internal/wire"
 )
 
 // Supervisor constants.
@@ -25,7 +25,7 @@ const (
 	// deadline-armed connection fed while a long Apply runs.
 	heartbeatInterval = 100 * time.Millisecond
 	// callTimeout bounds peer silence on the worker connection
-	// (cluster.DialConn semantics: per-I/O deadline, not per-call).
+	// (dialConn: a per-I/O deadline, not per-call).
 	callTimeout = 5 * time.Second
 	// applyBatch caps how many journalled messages one Apply carries.
 	applyBatch = 256
@@ -126,7 +126,7 @@ type Supervisor struct {
 	retries      atomic.Int64
 	redispatches atomic.Int64
 	fallbacks    atomic.Int64
-	wire         wireCounters // every worker connection's frames
+	wire         wire.FrameCounters // every worker connection's frames
 }
 
 // SupervisorStats is a snapshot of the supervisor's counters.
@@ -266,12 +266,12 @@ func (s *Supervisor) spawnLocked(shard int) (*workerProc, error) {
 		proc.shutdown()
 		return nil, fmt.Errorf("shardrpc: worker for shard %d never announced its address", shard)
 	}
-	conn, err := cluster.DialConn(proc.addr, callTimeout, dialAttempts)
+	conn, err := dialConn(proc.addr, callTimeout, dialAttempts)
 	if err != nil {
 		proc.shutdown()
 		return nil, fmt.Errorf("shardrpc: dial worker for shard %d: %w", shard, err)
 	}
-	proc.client = rpc.NewClientWithCodec(newClientCodec(conn, &s.wire))
+	proc.client = rpc.NewClientWithCodec(protocol.ClientCodec(conn, &s.wire))
 	return proc, nil
 }
 
@@ -436,9 +436,9 @@ func (s *Supervisor) Stats() SupervisorStats {
 		Fallbacks:    s.fallbacks.Load(),
 		Live:         live,
 
-		WireBytesSent:     s.wire.sent.Load(),
-		WireBytesReceived: s.wire.received.Load(),
-		Frames:            s.wire.frames.Load(),
+		WireBytesSent:     s.wire.Sent.Load(),
+		WireBytesReceived: s.wire.Received.Load(),
+		Frames:            s.wire.Frames.Load(),
 	}
 }
 

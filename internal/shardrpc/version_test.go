@@ -125,7 +125,7 @@ func TestServeRejectsOtherBuilds(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer conn.Close()
-			var enc shardrpc.FrameEncoder
+			enc := shardrpc.Protocol.Encoder()
 			frame, err := enc.Encode(1, shardrpc.ServiceName+".Configure", "", &shardrpc.ConfigureArgs{
 				Shard: 0, Incarnation: 1, Params: stream.ShardParams{WindowMS: 1_000, Dim: 8, WorkFactor: 1}})
 			if err != nil {
@@ -136,8 +136,8 @@ func TestServeRejectsOtherBuilds(t *testing.T) {
 				t.Fatal(err)
 			}
 			// The worker answers once, in its own version, then hangs up.
-			dec := shardrpc.NewFrameDecoder(conn, "worker")
-			_, _, errStr, err := dec.Decode(nil)
+			dec := shardrpc.Protocol.Decoder(conn, "worker")
+			_, _, errStr, err := dec.Next()
 			want := fmt.Sprintf("shardrpc: supervisor speaks wire version %d, want %d", version, shardrpc.WireVersion)
 			if err != nil || !strings.Contains(errStr, want) {
 				t.Fatalf("reply = (%q, %v), want an error string containing %q", errStr, err, want)

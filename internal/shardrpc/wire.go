@@ -26,8 +26,7 @@ import (
 	"evmatching/internal/stream"
 )
 
-// ServiceName is the rpc service name workers register, mirroring
-// cluster.RPCServiceName.
+// ServiceName is the rpc service name workers register.
 const ServiceName = "EVShard"
 
 // ConfigureArgs resets a worker to host one shard incarnation on a fresh

@@ -113,7 +113,7 @@ func Serve(lis net.Listener, stderr io.Writer) error {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			srv.ServeCodec(newServerCodec(conn, stderr))
+			srv.ServeCodec(protocol.ServerCodec(conn, stderr))
 		}()
 	}
 }

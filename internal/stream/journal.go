@@ -3,6 +3,7 @@ package stream
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -10,7 +11,8 @@ import (
 )
 
 // ErrBadShardReply reports a shard emission the merge stage will not fold: a
-// round out of sequence, or a closure whose references do not name V
+// round out of sequence or with a target the router did not issue, or a
+// closure whose references do not name V
 // observations of its own (window, cell) in the shard's journal. It is
 // sticky — a shard's state is a pure function of the journal, so a reply
 // that disagrees with the journal is a corrupt (or hostile) runner, and
@@ -65,7 +67,8 @@ func (j *shardJournal) retained() []ShardMsg {
 // given shard from the journalled observations its Refs name, sharing the
 // ingest caller's pixel slices exactly as the inline Engine does. Whatever
 // Dets the emission arrived with are overwritten — an in-process closure's
-// are equal by construction, and a runner is never trusted for pixels. A
+// are equal by construction, and a runner is never trusted for pixels. An
+// emission whose round and target match no journalled close message, a
 // closure of a window the round does not close (floor is the shard's previous
 // target) or a cell the shard does not own, and a reference that is not in
 // the journal (out of range, or already compacted), names anything but a V
@@ -74,6 +77,12 @@ func (j *shardJournal) retained() []ShardMsg {
 func (j *shardJournal) resolve(out *ShardOut, shard, shards, floor int, windowMS int64) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	issued := func(m ShardMsg) bool {
+		return m.Kind == ShardMsgClose && m.Round == out.Round && m.Target == out.Target
+	}
+	if !slices.ContainsFunc(j.msgs, issued) {
+		return fmt.Errorf("%w: shard %d round %d target %d: the router issued no such close", ErrBadShardReply, shard, out.Round, out.Target)
+	}
 	seen := make(map[int64]struct{})
 	for i := range out.Sealed {
 		s := &out.Sealed[i]

@@ -1,18 +1,34 @@
 package wire
 
 import (
+	"go/ast"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 )
 
-// TestNoGobOnTheRecordPaths keeps encoding/gob imports out of the module:
-// the records it writes — shard rpc frames, checkpoints, spill records,
+// gobDefaults are net/rpc's entry points that speak its default codec, gob:
+// a client or server built by any of them exchanges reflection-driven gob
+// instead of this package's frames.
+var gobDefaults = map[string]bool{
+	"Dial": true, "DialHTTP": true, "DialHTTPPath": true, "NewClient": true,
+	"ServeConn": true, "HandleHTTP": true, "Accept": true,
+}
+
+// TestNoGobOnTheRecordPaths keeps gob out of every byte the module writes:
+// its records — rpc frames between processes, checkpoints, spill records,
 // world files — are this package's fixed encoding, whose determinism holds
-// by construction (sorted slices, fixed encodings), and one gob import, with
-// its map-order encoding, would quietly end that. The nested bench/ module
+// by construction (sorted slices, fixed encodings), and gob, with its
+// map-order encoding and no version byte, would quietly end that. So no file
+// may import encoding/gob, and no non-test file may call net/rpc's gob
+// defaults (gobDefaults, or a ServeConn method): a process fleet speaks
+// Protocol frames through rpc.NewClientWithCodec and ServeCodec. Test files
+// may, to impersonate peers from gob-era builds. The nested bench/ module
 // and testdata directories are not the module's code.
 func TestNoGobOnTheRecordPaths(t *testing.T) {
 	const root = "../.."
@@ -31,15 +47,37 @@ func TestNoGobOnTheRecordPaths(t *testing.T) {
 			return nil
 		}
 		files++
-		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.ImportsOnly)
+		fset := token.NewFileSet()
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
 		if err != nil {
 			return err
 		}
+		rpcName := ""
 		for _, imp := range f.Imports {
-			if imp.Path.Value == `"encoding/gob"` {
+			switch p, _ := strconv.Unquote(imp.Path.Value); {
+			case p == "encoding/gob":
 				t.Errorf("%s imports encoding/gob", path)
+			case p == "net/rpc" && imp.Name != nil:
+				rpcName = imp.Name.Name
+			case p == "net/rpc":
+				rpcName = "rpc"
 			}
 		}
+		if strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			sel, ok := n.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			x, _ := sel.X.(*ast.Ident)
+			if x != nil && rpcName != "" && x.Name == rpcName && gobDefaults[sel.Sel.Name] || sel.Sel.Name == "ServeConn" {
+				t.Errorf("%s: %s speaks net/rpc's gob codec; serve and dial with a wire.Protocol's codecs",
+					fset.Position(sel.Pos()), types.ExprString(sel))
+			}
+			return true
+		})
 		return nil
 	})
 	if err != nil {

@@ -1,8 +1,9 @@
 // Package wire is the byte-level vocabulary of the repository's binary
 // record format: append-style encoders, a bounds-checked Reader and the
-// record-file framing (file.go). Shard rpc frames, checkpoints, spill records
-// and world files are all built from these primitives, so a value has exactly
-// one encoding wherever it travels (DESIGN.md §15).
+// record-file framing (file.go), and the rpc frame every process fleet
+// speaks (frame.go). Rpc frames, checkpoints, spill records and world files
+// are all built from these primitives, so a value has exactly one encoding
+// wherever it travels (DESIGN.md §15, §16).
 //
 // Encodings are fixed — unsigned and zig-zag varints, length-prefixed
 // strings and byte slices, float64 blocks as a count followed by
