@@ -15,7 +15,8 @@
 // Start-up runs serial SS over every EID and indexes the result. With
 // -stream-window > 0 a live stream Engine runs alongside the batch index,
 // adding POST /ingest (JSONL observations) and GET /stream (SSE
-// resolutions); its stream_* and block_* gauges join /metricsz. With
+// resolutions); /metricsz then reads its stream_* and block_* gauges at each
+// request, the engine's block_* values over the start-up match's. With
 // -stream-checkpoint the stream state is restored from the named file on
 // startup (when present; an Engine reads any v4 image, a sharded Router's
 // included) and rewritten durably on the -stream-checkpoint-every interval,
@@ -27,6 +28,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"maps"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -34,7 +36,6 @@ import (
 	"time"
 
 	"evmatching"
-	"evmatching/internal/metrics"
 	"evmatching/internal/server"
 	"evmatching/internal/spill"
 	"evmatching/internal/stream"
@@ -47,19 +48,28 @@ func main() {
 	}
 }
 
-// publishBlockStats copies the batch matcher's posting-index totals into the
-// registry served at /metricsz: how many scenario probes the split stage
-// actually ran and how many the index pruned (DESIGN.md §13) — together, the
-// scenarios of the windows the split scanned — and how many posting windows
-// the match was first to touch in the store.
-// The ratio gauge is an integer percent — the registry carries int64 gauges.
-// A live stream engine publishes the same gauge names for its own incremental
-// splits; last writer wins, and both describe the same pruning machinery.
-func publishBlockStats(reg *metrics.Registry, rep *evmatching.Report) {
-	reg.Set("block_candidates_total", rep.BlockCandidates)
-	reg.Set("block_pruned_total", rep.BlockPruned)
-	reg.Set("block_prune_ratio", stream.BlockPruneRatioPercent(rep.BlockCandidates, rep.BlockPruned))
-	reg.Set("block_windows_materialised", rep.BlockMaterialised)
+// metricsz is the /metricsz snapshot: the start-up match's posting-index
+// totals — how many scenario probes the split stage actually ran and how
+// many the index pruned (DESIGN.md §13), together the scenarios of the
+// windows the split scanned, and how many posting windows the match was
+// first to touch in the store — and, with a live engine, its Gauges read at
+// each request and laid over them: the engine's block_* values describe the
+// same pruning machinery on its own incremental splits, and win. The ratio
+// is an integer percent: the gauges are int64.
+func metricsz(rep *evmatching.Report, eng *stream.Engine) func() map[string]int64 {
+	batch := map[string]int64{
+		"block_candidates_total":     rep.BlockCandidates,
+		"block_pruned_total":         rep.BlockPruned,
+		"block_prune_ratio":          stream.BlockPruneRatioPercent(rep.BlockCandidates, rep.BlockPruned),
+		"block_windows_materialised": rep.BlockMaterialised,
+	}
+	return func() map[string]int64 {
+		out := maps.Clone(batch)
+		if eng != nil {
+			maps.Copy(out, eng.Gauges())
+		}
+		return out
+	}
 }
 
 // startStream builds the live-ingestion engine, resuming from the checkpoint
@@ -119,8 +129,6 @@ func run(args []string, ready chan<- string) error {
 	if err != nil {
 		return err
 	}
-	reg := metrics.NewRegistry()
-
 	fmt.Printf("matching %d EIDs universally...\n", len(ds.AllEIDs()))
 	start := time.Now()
 	m, err := evmatching.NewMatcher(ds, evmatching.Options{})
@@ -138,16 +146,15 @@ func run(args []string, ready chan<- string) error {
 	fmt.Printf("indexed %d pairs in %v (accuracy vs truth %.1f%%)\n",
 		idx.Len(), time.Since(start).Round(time.Millisecond),
 		rep.Accuracy(ds.TruthVID)*100)
-	publishBlockStats(reg, rep)
 
-	srvOpts := []server.Option{server.WithMetrics(reg.Snapshot)}
+	var srvOpts []server.Option
+	var eng *stream.Engine
 	if *streamWindow > 0 {
-		eng, err := startStream(stream.Config{
+		eng, err = startStream(stream.Config{
 			Targets:    ds.AllEIDs(),
 			WindowMS:   *streamWindow,
 			LatenessMS: *streamLateness,
 			Dim:        ds.Config.DescriptorDim(),
-			Metrics:    reg,
 		}, *streamCkpt)
 		if err != nil {
 			return err
@@ -162,6 +169,7 @@ func run(args []string, ready chan<- string) error {
 		fmt.Printf("live ingestion enabled: window %d ms, lateness %d ms, %d targets\n",
 			*streamWindow, *streamLateness, len(ds.AllEIDs()))
 	}
+	srvOpts = append(srvOpts, server.WithMetrics(metricsz(rep, eng)))
 	srv, err := server.New(ds, idx, srvOpts...)
 	if err != nil {
 		return err

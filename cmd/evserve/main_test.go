@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -84,18 +85,10 @@ func TestServeEndToEnd(t *testing.T) {
 	}
 
 	// Serial mode still serves /metricsz — no cluster counters, but the
-	// batch matcher's blocking-prune gauges must be published.
-	mresp, err := http.Get(fmt.Sprintf("http://%s/metricsz", addr))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mresp.Body.Close()
-	if mresp.StatusCode != http.StatusOK {
-		t.Errorf("/metricsz status = %d", mresp.StatusCode)
-	}
-	var counters map[string]int64
-	if err := json.NewDecoder(mresp.Body).Decode(&counters); err != nil {
-		t.Fatal(err)
+	// batch matcher's blocking-prune gauges, and only those.
+	counters := getMetricsz(t, addr)
+	if len(counters) != 4 {
+		t.Errorf("/metricsz = %v, want the four block_* gauges", counters)
 	}
 	for _, name := range []string{"block_candidates_total", "block_pruned_total", "block_prune_ratio", "block_windows_materialised"} {
 		if _, ok := counters[name]; !ok {
@@ -115,9 +108,49 @@ func TestServeEndToEnd(t *testing.T) {
 	}
 }
 
+// getMetricsz reads the server's /metricsz counters.
+func getMetricsz(t *testing.T, addr string) map[string]int64 {
+	t.Helper()
+	resp, err := http.Get(fmt.Sprintf("http://%s/metricsz", addr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("/metricsz status = %d", resp.StatusCode)
+	}
+	var counters map[string]int64
+	if err := json.NewDecoder(resp.Body).Decode(&counters); err != nil {
+		t.Fatal(err)
+	}
+	return counters
+}
+
 func TestServeStreamMode(t *testing.T) {
 	data := writeDataset(t)
 	addr := serveArgs(t, []string{"-data", data, "-addr", "127.0.0.1:0", "-stream-window", "1000"})
+
+	// Before any ingest, /metricsz already serves the engine's eleven gauges
+	// over the start-up match's block_windows_materialised: the engine's
+	// block_* values win, and it has split nothing yet.
+	counters := getMetricsz(t, addr)
+	names := make([]string, 0, len(counters))
+	for name := range counters {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	want := []string{
+		"block_candidates_total", "block_prune_ratio", "block_pruned_total", "block_windows_materialised",
+		"stream_duplicate_detections", "stream_late_dropped", "stream_open_detections", "stream_open_windows",
+		"stream_pending_eids", "stream_resolutions_dropped", "stream_resolutions_emitted", "stream_watermark_lag_ms",
+	}
+	if !slices.Equal(names, want) {
+		t.Errorf("/metricsz names at start-up = %v, want %v", names, want)
+	}
+	if counters["block_candidates_total"] != 0 || counters["block_windows_materialised"] <= 0 {
+		t.Errorf("block_candidates_total = %d, block_windows_materialised = %d; want the engine's 0 and the start-up match's count",
+			counters["block_candidates_total"], counters["block_windows_materialised"])
+	}
 
 	// The stream endpoints exist and accept an empty batch.
 	resp, err := http.Post(fmt.Sprintf("http://%s/ingest", addr), "application/x-ndjson", nil)

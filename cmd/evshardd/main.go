@@ -2,8 +2,8 @@
 // the shardrpc supervisor (DESIGN.md §15). It prints "listening <addr>" on
 // stdout once bound, serves the EVShard rpc service, and exits when its
 // stdin — held open by the supervisor — reaches EOF, so supervisor death
-// never leaves orphans. It is normally spawned by `evstream -shard-workers`,
-// not run by hand.
+// never leaves orphans. A shardrpc.Supervisor spawns it (the benchmark's
+// stream-remote workload does); it is not run by hand.
 package main
 
 import (

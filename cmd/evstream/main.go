@@ -10,23 +10,14 @@
 //
 //	evstream -log obs.jsonl [-targets aa:bb:...,...] [-lateness-ms 250]
 //	         [-speed 0] [-seed 1]
-//	         [-shard-workers 0] [-shardd path] [-shard-kill spec]
 //	         [-checkpoint state.ckpt] [-checkpoint-every 2000]
 //	         [-max-events 0] [-finalize] [-v]
 //
-// With -shard-workers N > 0 the replay runs through the sharded router, its
-// N cell-range windowers in separate evshardd worker processes over net/rpc
-// (DESIGN.md §15): same resolutions, same fingerprint as the engine, but each
-// windower lives in its own process, supervised: a worker death is
-// redispatched onto a replay of the journal, a message a worker refuses fails
-// the run. -shardd names the worker binary (default: evshardd next to
-// evstream, else on PATH); -shard-kill "shard@step,..." SIGKILLs workers on a
-// script, the chaos drill CI runs to prove a killed worker's shard recovers
-// bit-identically. An engine's checkpoint and a router's restore into either.
-//
 // When -checkpoint names an existing file the replay resumes from it,
 // skipping the observations the checkpointed engine already ingested — the
-// crash-recovery path the stream chaos tests exercise.
+// crash-recovery path the stream chaos tests exercise. The file may be an
+// engine's image or a sharded Router's: the engine's one windower takes
+// every open bucket whichever shard wrote it.
 package main
 
 import (
@@ -42,7 +33,6 @@ import (
 	"time"
 
 	"evmatching/internal/ids"
-	"evmatching/internal/shardrpc"
 	"evmatching/internal/spill"
 	"evmatching/internal/stream"
 )
@@ -62,9 +52,6 @@ func run(args []string, out io.Writer) error {
 		latenessMS = fs.Int64("lateness-ms", 250, "allowed lateness in event-time milliseconds")
 		speed      = fs.Float64("speed", 0, "replay pacing: event-time speedup factor (0 = as fast as possible)")
 		seed       = fs.Int64("seed", 1, "matcher seed")
-		shardWkrs  = fs.Int("shard-workers", 0, "run N ingest shards in separate evshardd worker processes (0 = one in-process engine)")
-		sharddPath = fs.String("shardd", "", "evshardd worker binary for -shard-workers (default: next to evstream, else on PATH)")
-		shardKill  = fs.String("shard-kill", "", "scripted chaos kills for -shard-workers: comma-separated shard@step entries")
 		ckptPath   = fs.String("checkpoint", "", "checkpoint file: resumed from when present, rewritten during replay")
 		ckptEvery  = fs.Int64("checkpoint-every", 2000, "observations between checkpoint writes")
 		maxEvents  = fs.Int64("max-events", 0, "stop after this log position (0 = whole log)")
@@ -76,13 +63,6 @@ func run(args []string, out io.Writer) error {
 	}
 	if *logPath == "" {
 		return errors.New("-log is required")
-	}
-	if *shardKill != "" && *shardWkrs == 0 {
-		return errors.New("-shard-kill needs -shard-workers")
-	}
-	plan, err := shardrpc.ParseKillSpec(*shardKill, *shardWkrs)
-	if err != nil {
-		return err
 	}
 	f, err := os.Open(*logPath)
 	if err != nil {
@@ -122,42 +102,13 @@ func run(args []string, out io.Writer) error {
 		Seed:       *seed,
 	}
 
-	// With -shard-workers the shards run in supervised evshardd processes:
-	// same router and checkpoint formats, different shard hosting. The
-	// supervisor closes after the router (defers run LIFO), so in-flight
-	// worker calls see the router's stop channels first.
-	nshards := *shardWkrs
-	var sup *shardrpc.Supervisor
-	if nshards > 0 {
-		bin, err := shardrpc.ResolveWorkerBinary(*sharddPath)
-		if err != nil {
-			return err
-		}
-		sup = shardrpc.NewSupervisor(shardrpc.SupervisorConfig{
-			Command:  []string{bin},
-			KillPlan: plan,
-			Stderr:   os.Stderr,
-		})
-		defer sup.Close()
-	}
-
 	// Resume from the checkpoint when one exists; otherwise start fresh.
-	// Either processor restores either image; the sharded router
-	// redistributes the open buckets by cell.
-	rcfg := stream.RouterConfig{Config: cfg, Shards: nshards}
-	if sup != nil {
-		rcfg.Runner = sup
-	}
-	var e stream.Processor
+	var e *stream.Engine
 	if *ckptPath != "" {
 		cf, err := os.Open(*ckptPath)
 		switch {
 		case err == nil:
-			if nshards > 0 {
-				e, err = stream.RestoreRouter(rcfg, cf)
-			} else {
-				e, err = stream.Restore(cfg, cf)
-			}
+			e, err = stream.Restore(cfg, cf)
 			cf.Close()
 			if err != nil {
 				return fmt.Errorf("resume from %s: %w", *ckptPath, err)
@@ -170,17 +121,9 @@ func run(args []string, out io.Writer) error {
 		}
 	}
 	if e == nil {
-		if nshards > 0 {
-			e, err = stream.NewRouter(rcfg)
-		} else {
-			e, err = stream.NewEngine(cfg)
-		}
-		if err != nil {
+		if e, err = stream.NewEngine(cfg); err != nil {
 			return err
 		}
-	}
-	if r, ok := e.(*stream.Router); ok {
-		defer r.Close()
 	}
 
 	start := e.Ingested()
@@ -225,27 +168,9 @@ func run(args []string, out io.Writer) error {
 		}
 	}
 
-	// One greppable line per run for the cluster-smoke CI job: did workers
-	// spawn, did the scripted kills fire, did redispatch recover them.
-	printWorkerStats := func() {
-		if sup == nil {
-			return
-		}
-		st := sup.Stats()
-		var rst stream.RouterStats
-		if r, ok := e.(*stream.Router); ok {
-			rst = r.Stats()
-		}
-		// journal_len is what a replacement worker would be replayed, per
-		// shard: nothing after a finalize, the open windows mid-log.
-		fmt.Fprintf(out, "shard workers: spawned=%d kills=%d redispatches=%d retries=%d fallbacks=%d wire_sent=%d wire_received=%d frames=%d journal_len=%v\n",
-			st.Spawned, st.Kills, rst.Redispatches, st.Retries, st.Fallbacks, st.WireBytesSent, st.WireBytesReceived, st.Frames, rst.JournalLen)
-	}
-
 	if !*finalize {
 		fmt.Fprintf(out, "replayed %d/%d observations (%d late-dropped), %d resolutions emitted\n",
 			e.Ingested(), len(obs), e.LateDropped(), len(e.Resolutions()))
-		printWorkerStats()
 		return nil
 	}
 	rep, err := e.Finalize(context.Background())
@@ -266,7 +191,6 @@ func run(args []string, out io.Writer) error {
 		e.Ingested(), len(obs), e.LateDropped(), len(e.Resolutions()))
 	fmt.Fprintf(out, "finalized %d targets, matched %d, fingerprint sha256=%s\n",
 		len(rep.Targets), rep.Matched(), hex.EncodeToString(sum[:]))
-	printWorkerStats()
 	return nil
 }
 
@@ -291,13 +215,13 @@ func drainResolutions(ch <-chan stream.Resolution, w io.Writer) {
 	}
 }
 
-// writeCheckpoint writes the processor state durably and atomically: the
+// writeCheckpoint writes the engine state durably and atomically: the
 // temp file is fsynced before the rename and the parent directory after,
 // so a crash at any moment — including right after the rename — leaves
 // either the previous or the new checkpoint complete on disk. (The earlier
 // close-then-rename sequence lost the file entirely on a post-rename crash
 // before the directory entry reached disk; spill's crash drill pins the
 // difference.)
-func writeCheckpoint(e stream.Processor, path string) error {
+func writeCheckpoint(e *stream.Engine, path string) error {
 	return spill.WriteFileAtomic(spill.OS{}, path, e.Checkpoint)
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -14,6 +15,7 @@ import (
 	"evmatching/internal/core"
 	"evmatching/internal/dataset"
 	"evmatching/internal/ids"
+	"evmatching/internal/spill"
 	"evmatching/internal/stream"
 )
 
@@ -145,6 +147,47 @@ func TestRunCrashResume(t *testing.T) {
 	}
 }
 
+// TestRunResumesRouterImage: a checkpoint a sharded Router wrote mid-log
+// resumes in evstream's one Engine, which takes every open bucket whichever
+// shard wrote it, and finalizes to the batch fingerprint.
+func TestRunResumesRouterImage(t *testing.T) {
+	dir := t.TempDir()
+	ds, logPath := writeTestLog(t, dir)
+	flag, targets := targetsFlag(ds, 12)
+	_, obs, err := stream.EventsFromDataset(ds, 1_000, 7)
+	if err != nil {
+		t.Fatalf("EventsFromDataset: %v", err)
+	}
+	r, err := stream.NewRouter(stream.RouterConfig{Config: stream.Config{
+		Targets: targets, WindowMS: 1_000, LatenessMS: 250, Dim: ds.Config.DescriptorDim(), Seed: 7,
+	}, Shards: 3})
+	if err != nil {
+		t.Fatalf("NewRouter: %v", err)
+	}
+	defer r.Close()
+	half := len(obs) / 2
+	for i, o := range obs[:half] {
+		if _, err := r.Ingest(o); err != nil {
+			t.Fatalf("Ingest %d: %v", i, err)
+		}
+	}
+	ckpt := filepath.Join(dir, "router.ckpt")
+	if err := spill.WriteFileAtomic(spill.OS{}, ckpt, r.Checkpoint); err != nil {
+		t.Fatalf("write router checkpoint: %v", err)
+	}
+
+	var buf bytes.Buffer
+	if err := run([]string{"-log", logPath, "-targets", flag, "-seed", "7", "-checkpoint", ckpt}, &buf); err != nil {
+		t.Fatalf("run: %v\n%s", err, buf.String())
+	}
+	if !strings.Contains(buf.String(), fmt.Sprintf("resumed from %s at observation %d", ckpt, half)) {
+		t.Fatalf("did not resume from the router image:\n%s", buf.String())
+	}
+	if got, want := extractHash(t, buf.String()), batchHash(t, ds, targets, 7); got != want {
+		t.Errorf("resumed replay hash %s, want batch hash %s", got, want)
+	}
+}
+
 // TestRunDefaultTargets covers the pre-scan path: with no -targets the CLI
 // matches every EID sighted in the log.
 func TestRunDefaultTargets(t *testing.T) {
@@ -174,13 +217,7 @@ func TestRunValidation(t *testing.T) {
 	if err := run([]string{"-log", garbage}, new(bytes.Buffer)); err == nil {
 		t.Error("want error for malformed log")
 	}
-	// A kill naming a shard the run does not have could never fire: the
-	// drill would pass without its kill.
-	err := run([]string{"-log", garbage, "-shard-workers", "2", "-shard-kill", "0@5,3@10"}, new(bytes.Buffer))
-	if err == nil || !strings.Contains(err.Error(), `"3@10"`) {
-		t.Errorf("kill of shard 3 in a 2-shard run: err = %v, want the entry refused", err)
-	}
-	for _, gone := range []string{"-shards", "-mem-budget", "-spill-dir"} {
+	for _, gone := range []string{"-shards", "-mem-budget", "-spill-dir", "-shard-workers", "-shardd", "-shard-kill"} {
 		if err := run([]string{"-log", garbage, gone, "1"}, new(bytes.Buffer)); err == nil || !strings.Contains(err.Error(), "not defined") {
 			t.Errorf("%s: err = %v, want an undefined-flag error", gone, err)
 		}

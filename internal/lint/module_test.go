@@ -3,8 +3,11 @@ package lint
 import (
 	"encoding/json"
 	"fmt"
+	"go/ast"
+	"go/constant"
 	"go/types"
 	"os"
+	"path"
 	"path/filepath"
 	"regexp"
 	"sort"
@@ -93,9 +96,17 @@ var goCmdRE = regexp.MustCompile("\\bgo (?:run|test|build)\\b([^`#]*)")
 // is a per-layer metric of BENCHMARK.json (`core.v_stage_s`), is not
 // checked. Every ./… path of a go run, go test or go build command in those
 // two and the verify skill, fenced or not, must name a directory of the
-// module or of the nested bench/ module.
+// module or of the nested bench/ module. And no doc may name a flag a binary
+// does not define: a backticked -flag in a row of README's Commands table,
+// and every -flag after a binary of cmd/ on a command line — fenced or
+// backticked — in the three docs, must be one that binary's code defines.
 func TestDocReferencesResolve(t *testing.T) {
 	root, pkgs := loadModule(t)
+	module, err := modulePath(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flags := binaryFlags(module, pkgs)
 	raw, err := os.ReadFile(filepath.Join(root, "BENCHMARK.json"))
 	if err != nil {
 		t.Fatal(err)
@@ -158,8 +169,20 @@ func TestDocReferencesResolve(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fence := false
+		fence, cont := false, ""
 		for i, text := range strings.Split(string(data), "\n") {
+			report := func(bin, flag string) {
+				t.Errorf("%s:%d: %s defines no flag -%s", doc, i+1, bin, flag)
+			}
+			if fence {
+				cont = checkCommandFlags(text, cont, flags, report)
+			} else {
+				checkTableFlags(text, flags, report)
+				spans := strings.Split(text, "`")
+				for j := 1; j < len(spans); j += 2 {
+					checkCommandFlags(spans[j], "", flags, report)
+				}
+			}
 			for _, cmd := range goCmdRE.FindAllStringSubmatch(text, -1) {
 				for _, arg := range strings.Fields(cmd[1]) {
 					if rel, ok := strings.CutPrefix(strings.Trim(arg, `'"`), "./"); ok && !isDir(strings.TrimSuffix(rel, "...")) {
@@ -168,7 +191,7 @@ func TestDocReferencesResolve(t *testing.T) {
 				}
 			}
 			if strings.HasPrefix(text, "```") {
-				fence = !fence
+				fence, cont = !fence, ""
 			}
 			if fence || filepath.Base(doc) == "SKILL.md" {
 				continue
@@ -188,6 +211,123 @@ func TestDocReferencesResolve(t *testing.T) {
 				if !resolves(parts) {
 					t.Errorf("%s:%d: `%s` names nothing in the module", doc, i+1, spans[j])
 				}
+			}
+		}
+	}
+}
+
+// flagDefiners are the flag package's functions and FlagSet methods that
+// define a flag: the name is their first argument, or the second for the
+// …Var forms.
+var flagDefiners = map[string]bool{
+	"Bool": true, "BoolFunc": true, "BoolVar": true, "Duration": true, "DurationVar": true,
+	"Float64": true, "Float64Var": true, "Func": true, "Int": true, "Int64": true,
+	"Int64Var": true, "IntVar": true, "String": true, "StringVar": true, "TextVar": true,
+	"Uint": true, "Uint64": true, "Uint64Var": true, "UintVar": true, "Var": true,
+}
+
+// binaryFlags maps each binary of the module — a package directly under
+// cmd/ — to the flags its code defines, read off its type-checked calls into
+// the flag package, plus -h and -help, which the flag package answers itself.
+func binaryFlags(module string, pkgs []*Package) map[string]map[string]bool {
+	out := make(map[string]map[string]bool)
+	for _, p := range pkgs {
+		bin, ok := strings.CutPrefix(p.Path, module+"/cmd/")
+		if !ok || strings.Contains(bin, "/") {
+			continue
+		}
+		defined := map[string]bool{"h": true, "help": true}
+		for _, f := range p.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				sel, ok := call.Fun.(*ast.SelectorExpr)
+				if !ok {
+					return true
+				}
+				fn, ok := p.Info.Uses[sel.Sel].(*types.Func)
+				if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "flag" || !flagDefiners[fn.Name()] {
+					return true
+				}
+				arg := 0
+				if strings.HasSuffix(fn.Name(), "Var") {
+					arg = 1
+				}
+				if arg < len(call.Args) {
+					if v := p.Info.Types[call.Args[arg]].Value; v != nil && v.Kind() == constant.String {
+						defined[constant.StringVal(v)] = true
+					}
+				}
+				return true
+			})
+		}
+		out[bin] = defined
+	}
+	return out
+}
+
+// flagRE matches a flag token, -name or --name, with any =value; the name
+// starts with a letter, so a negative number is not a flag.
+var flagRE = regexp.MustCompile(`^--?([A-Za-z][\w.-]*)(?:=.*)?$`)
+
+// checkCommandFlags reports every flag that follows a binary of flags on a
+// command line and is not one the binary defines. Pipes and && or ; end a
+// command, # ends the line, and a go command other than go run invokes no
+// binary. bin is the binary a line continued with a trailing backslash left
+// open; the return value is the one this line leaves open.
+func checkCommandFlags(line, bin string, flags map[string]map[string]bool, report func(bin, flag string)) string {
+	fields := strings.Fields(line)
+	for i, tok := range fields {
+		switch {
+		case strings.HasPrefix(tok, "#"):
+			return ""
+		case tok == "|" || tok == "||" || tok == "&&" || tok == ";" || tok == "&":
+			bin = ""
+			continue
+		case tok == "go" && i+1 < len(fields) && fields[i+1] != "run":
+			bin = "go" // go test/build/vet: the flags and paths are the go tool's
+			continue
+		}
+		tok = strings.Trim(tok, `[](){}"',`)
+		if m := flagRE.FindStringSubmatch(tok); m != nil {
+			if defined, ok := flags[bin]; ok && !defined[m[1]] {
+				report(bin, m[1])
+			}
+			continue
+		}
+		if _, ok := flags[path.Base(tok)]; ok && bin != "go" && !strings.HasSuffix(tok, "/") {
+			bin = path.Base(tok)
+		}
+	}
+	if strings.HasSuffix(strings.TrimSpace(line), `\`) {
+		return bin
+	}
+	return ""
+}
+
+// checkTableFlags reports a backticked -flag in a table row whose first cell
+// is a backticked binary (README's Commands table) that the binary does not
+// define. A span may list alternatives (`-n/-eids/-all`) or carry a
+// value (`-layout grid|hex`).
+func checkTableFlags(line string, flags map[string]map[string]bool, report func(bin, flag string)) {
+	spans := strings.Split(line, "`")
+	if !strings.HasPrefix(line, "| `") || len(spans) < 3 {
+		return
+	}
+	defined, ok := flags[spans[1]]
+	if !ok {
+		return
+	}
+	for j := 3; j < len(spans); j += 2 {
+		fields := strings.Fields(spans[j])
+		if len(fields) == 0 {
+			continue
+		}
+		for _, alt := range strings.Split(fields[0], "/") {
+			if m := flagRE.FindStringSubmatch(alt); m != nil && !defined[m[1]] {
+				report(spans[1], m[1])
 			}
 		}
 	}

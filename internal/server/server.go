@@ -44,9 +44,9 @@ type Server struct {
 // Option customizes a Server.
 type Option func(*Server)
 
-// WithMetrics exposes the snapshot function's counters at GET /metricsz —
-// typically metrics.(*Registry).Snapshot, carrying evserve's block_* gauges
-// and, with live ingestion, the stream Engine's stream_* gauges.
+// WithMetrics exposes the snapshot function's counters at GET /metricsz,
+// calling it once per request — in evserve, the start-up match's block_*
+// gauges and, with live ingestion, the stream Engine's Gauges.
 func WithMetrics(snapshot func() map[string]int64) Option {
 	return func(s *Server) { s.metrics = snapshot }
 }

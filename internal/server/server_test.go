@@ -7,12 +7,12 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 
 	"evmatching/internal/core"
 	"evmatching/internal/dataset"
 	"evmatching/internal/fusion"
-	"evmatching/internal/metrics"
 	"evmatching/internal/mrtest"
 )
 
@@ -82,10 +82,11 @@ func TestNewValidation(t *testing.T) {
 }
 
 func TestMetricszEndpoint(t *testing.T) {
-	reg := metrics.NewRegistry()
-	reg.Add("cluster.retries", 3)
-	reg.Add("cluster.evictions", 1)
-	ts, _, _ := newTestServer(t, WithMetrics(reg.Snapshot))
+	var retries atomic.Int64
+	retries.Store(3)
+	ts, _, _ := newTestServer(t, WithMetrics(func() map[string]int64 {
+		return map[string]int64{"cluster.retries": retries.Load(), "cluster.evictions": 1}
+	}))
 
 	var body map[string]int64
 	if code := getJSON(t, ts.URL+"/metricsz", &body); code != http.StatusOK {
@@ -95,8 +96,9 @@ func TestMetricszEndpoint(t *testing.T) {
 		t.Errorf("metrics body = %v", body)
 	}
 
-	// Counters bumped after the server was built show up: the snapshot is live.
-	reg.Add("cluster.retries", 2)
+	// Counters bumped after the server was built show up: the snapshot is
+	// taken per request.
+	retries.Add(2)
 	if code := getJSON(t, ts.URL+"/metricsz", &body); code != http.StatusOK {
 		t.Fatalf("status = %d", code)
 	}

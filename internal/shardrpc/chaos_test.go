@@ -8,6 +8,8 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"evmatching/internal/dataset"
+	"evmatching/internal/ids"
 	"evmatching/internal/mrtest"
 	"evmatching/internal/shardrpc"
 	"evmatching/internal/stream"
@@ -246,5 +248,71 @@ func TestRemoteCheckpointRoundTrip(t *testing.T) {
 	}
 	if sst.Spawned < 3 {
 		t.Fatalf("Spawned = %d, want >= 3 worker processes", sst.Spawned)
+	}
+}
+
+// drillWorkload is the world `evgen -persons 60 -density 8 -windows 12
+// -practical -eid-miss 0.08 -vid-miss 0.04 -seed 3 -events …` writes, and the
+// engine config an `evstream -log … -seed 7` replay of it runs: every EID the
+// log sights is a target.
+func drillWorkload(t *testing.T) (stream.Config, []stream.Observation) {
+	t.Helper()
+	dcfg := dataset.DefaultConfig()
+	dcfg.NumPersons = 60
+	dcfg.Density = 8
+	dcfg.NumWindows = 12
+	dcfg.Seed = 3
+	dcfg = dcfg.Practical()
+	dcfg.EIDMissingRate = 0.08
+	dcfg.VIDMissingRate = 0.04
+	ds, err := dataset.Generate(dcfg)
+	if err != nil {
+		t.Fatalf("Generate: %v", err)
+	}
+	_, obs, err := stream.EventsFromDataset(ds, 1_000, 3)
+	if err != nil {
+		t.Fatalf("EventsFromDataset: %v", err)
+	}
+	sighted := make(map[ids.EID]bool)
+	for _, o := range obs {
+		if o.Kind == stream.KindE {
+			sighted[o.EID] = true
+		}
+	}
+	return engineConfig(ds, ids.SortedEIDKeys(sighted)), obs
+}
+
+// TestScriptedWorkerKills is the scripted kill drill over real worker
+// processes: three shards, shard 0's first worker SIGKILLed before its 40th
+// message and shard 2's before its 90th. The replay must land on the
+// unsharded fingerprint through exactly those two deaths, each reported and
+// redispatched once, with no shard falling back in-process; and, kills and
+// journal replays included, neither direction of the wire may carry a pixel:
+// 0 < bytes received < bytes sent < 64 bytes per logged observation (a patch
+// alone is 640 bytes).
+func TestScriptedWorkerKills(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns and kills worker processes")
+	}
+	mrtest.CheckGoroutines(t)
+	cfg, obs := drillWorkload(t)
+	want := unshardedFingerprint(t, cfg, obs)
+	scfg := workerSupervisorConfig(t)
+	scfg.KillPlan = func(shard, inc int, step int64) bool {
+		return inc == 1 && (shard == 0 && step == 40 || shard == 2 && step == 90)
+	}
+	got, rst, sst := remoteChaosRun(t, cfg, obs, scfg, 3)
+	if got != want {
+		t.Fatalf("remote replay diverged from unsharded:\n--- unsharded\n%s\n--- remote\n%s", want, got)
+	}
+	if sst.Kills != 2 || sst.Redispatches != 2 || rst.Redispatches != 2 || sst.Fallbacks != 0 {
+		t.Errorf("kills=%d redispatches=%d (router %d) fallbacks=%d; want 2, 2, 2 and 0",
+			sst.Kills, sst.Redispatches, rst.Redispatches, sst.Fallbacks)
+	}
+	n := int64(len(obs))
+	t.Logf("%d observations: sent %d bytes, received %d", n, sst.WireBytesSent, sst.WireBytesReceived)
+	if !(0 < sst.WireBytesReceived && sst.WireBytesReceived < sst.WireBytesSent && sst.WireBytesSent < 64*n) {
+		t.Errorf("wire received %d and sent %d bytes for %d observations; want 0 < received < sent < %d",
+			sst.WireBytesReceived, sst.WireBytesSent, n, 64*n)
 	}
 }

@@ -1,8 +1,10 @@
 package shardrpc
 
 import (
+	"errors"
 	"net"
 	"net/rpc"
+	"os"
 	"sync"
 	"testing"
 	"time"
@@ -109,13 +111,17 @@ func TestDialConnDeadline(t *testing.T) {
 		t.Fatalf("dialConn: %v", err)
 	}
 	defer client.Close()
-	start := time.Now()
-	err = client.Call(ServiceName+".Ping", &PingArgs{Seq: 1}, &PingReply{})
-	if err == nil {
-		t.Fatal("Call against a mute peer succeeded; want timeout error")
+	// The verdict is the error, not a stopwatch: the call must fail with the
+	// connection's read deadline. The wait is only a guard against a hang,
+	// with a hundred deadlines of slack.
+	call := client.Go(ServiceName+".Ping", &PingArgs{Seq: 1}, &PingReply{}, nil)
+	select {
+	case <-call.Done:
+	case <-time.After(100 * timeout):
+		t.Fatalf("Call against a mute peer still blocked after %v; the %v deadline never fired", 100*timeout, timeout)
 	}
-	if elapsed := time.Since(start); elapsed > 20*timeout {
-		t.Fatalf("Call took %v against a mute peer; the deadline should have fired near %v", elapsed, timeout)
+	if !errors.Is(call.Error, os.ErrDeadlineExceeded) {
+		t.Fatalf("Call against a mute peer: err = %v, want the read deadline's %v", call.Error, os.ErrDeadlineExceeded)
 	}
 }
 

@@ -49,7 +49,7 @@ type SupervisorConfig struct {
 	// Env is appended to the inherited environment of each worker.
 	Env []string
 	// KillPlan, when non-nil, SIGKILLs the shard's worker before the step's
-	// message is applied (chaos tests and the CI smoke's scripted kill).
+	// message is applied (the chaos tests' seeded and scripted kills).
 	// Decisions are pure in (shard, incarnation, step), mirroring
 	// stream.ShardFaultPlan.
 	KillPlan func(shard, incarnation int, step int64) bool

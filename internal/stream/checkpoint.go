@@ -234,8 +234,8 @@ func bucketToCheckpoint(k bucketKey, b *bucket) scenario.Record {
 // Restore builds an Engine from cfg and resumes it from a checkpoint — an
 // engine's image or a router's, whose open buckets the engine's one windower
 // takes whatever shard wrote them. The checkpoint's windowing and matching
-// parameters must match cfg; runtime-only fields (Clock, Metrics,
-// MemBudget, SpillDir) come from cfg alone.
+// parameters must match cfg; runtime-only fields (Clock, MemBudget,
+// SpillDir) come from cfg alone.
 func Restore(cfg Config, r io.Reader) (*Engine, error) {
 	cp, err := readCheckpoint(r)
 	if err != nil {
@@ -252,9 +252,6 @@ func Restore(cfg Config, r io.Reader) (*Engine, error) {
 		return nil, err
 	}
 	e.front.restore(cp)
-	e.mu.Lock()
-	e.publishGauges()
-	e.mu.Unlock()
 	return e, nil
 }
 

@@ -22,8 +22,7 @@ var ErrRouterClosed = errors.New("stream: router closed")
 const shardQueueLen = 1024
 
 // RouterConfig parameterizes a Router. The embedded Config is the matching
-// configuration every shard and the merge stage share; a router publishes no
-// gauges, so its Metrics must be nil.
+// configuration every shard and the merge stage share.
 type RouterConfig struct {
 	Config
 
@@ -59,9 +58,6 @@ func (c RouterConfig) validate() error {
 	}
 	if c.Runner != nil && c.Faults != nil {
 		return fmt.Errorf("%w: Runner and Faults are mutually exclusive", ErrBadConfig)
-	}
-	if c.Metrics != nil {
-		return fmt.Errorf("%w: a Router publishes no gauges; Metrics must be nil", ErrBadConfig)
 	}
 	return nil
 }

@@ -12,7 +12,6 @@ import (
 	"evmatching/internal/core"
 	"evmatching/internal/dataset"
 	"evmatching/internal/geo"
-	"evmatching/internal/metrics"
 )
 
 // shardInvarianceShardCounts is the shard battery every invariance property
@@ -273,8 +272,6 @@ func TestRouterConfigValidation(t *testing.T) {
 		mut  func(*RouterConfig)
 	}{
 		{"negative-shards", func(c *RouterConfig) { c.Shards = -2 }},
-		// A router publishes no gauges: a registry is refused, not ignored.
-		{"metrics", func(c *RouterConfig) { c.Metrics = metrics.NewRegistry() }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

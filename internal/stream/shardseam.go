@@ -33,7 +33,7 @@ import (
 // can be had.
 
 // ShardParams is the windowing slice of a RouterConfig that a shard windower
-// needs — the full Config carries process-local state (Clock, Metrics, target
+// needs — the full Config carries process-local state (Clock, target
 // sets) that must not cross the wire.
 type ShardParams struct {
 	// WindowMS is the event-time window width.

@@ -15,7 +15,6 @@ import (
 	"evmatching/internal/feature"
 	"evmatching/internal/geo"
 	"evmatching/internal/ids"
-	"evmatching/internal/metrics"
 	"evmatching/internal/partition"
 	"evmatching/internal/scenario"
 	"evmatching/internal/spill"
@@ -59,15 +58,9 @@ type Config struct {
 	// directory.
 	SpillDir string
 
-	// Clock feeds the watermark-lag gauge; event-time logic never reads it.
-	// Defaults to SystemClock.
+	// Clock feeds the watermark-lag gauge Gauges reads; event-time logic
+	// never reads it. Defaults to SystemClock.
 	Clock Clock
-	// Metrics, when non-nil, receives the stream gauges (stream_open_windows,
-	// stream_open_detections, stream_duplicate_detections,
-	// stream_watermark_lag_ms, stream_pending_eids,
-	// stream_resolutions_emitted, stream_resolutions_dropped,
-	// stream_late_dropped).
-	Metrics *metrics.Registry
 }
 
 // withDefaults returns a copy with defaults applied.
@@ -243,7 +236,6 @@ type Engine struct {
 	// channels.
 	duplicates         int64
 	resolutionsDropped int64
-	gauges             map[string]int64 // publishGauges' map, refilled per ingest
 
 	seq      int
 	emitted  []Resolution
@@ -268,7 +260,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 		front:    newFrontier(cfg.WindowMS, cfg.LatenessMS),
 		resolved: make(map[ids.EID]bool),
 		accepted: make(map[ids.VID]bool),
-		gauges:   make(map[string]int64),
 	}
 	if err := e.resetMatchState(); err != nil {
 		return nil, err
@@ -364,7 +355,6 @@ func (e *Engine) Ingest(o Observation) (bool, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if !e.front.admit(o.TS) {
-		e.publishGauges()
 		return false, nil
 	}
 	e.win.absorb(0, o)
@@ -373,7 +363,6 @@ func (e *Engine) Ingest(o Observation) (bool, error) {
 			return false, err
 		}
 	}
-	e.publishGauges()
 	return true, nil
 }
 
@@ -565,11 +554,7 @@ func (e *Engine) Flush() error {
 }
 
 func (e *Engine) flushLocked() error {
-	if err := e.closeTo(e.front.flushTarget()); err != nil {
-		return err
-	}
-	e.publishGauges()
-	return nil
+	return e.closeTo(e.front.flushTarget())
 }
 
 // Finalize flushes the stream and runs the authoritative batch match over
@@ -636,37 +621,33 @@ func (e *Engine) OpenWindows() int {
 	return len(e.front.open)
 }
 
-// publishGauges pushes the stream gauges into the configured registry.
-// Callers hold e.mu.
-func (e *Engine) publishGauges() {
-	if e.cfg.Metrics == nil {
-		return
-	}
+// Gauges returns a fresh snapshot of the engine's gauges, read under its
+// lock: the open windows and detections, the repeats the fold dropped, the
+// watermark's lag behind cfg.Clock, the targets still pending, the
+// resolutions emitted and lost to full subscribers, the late drops, and how
+// many sealed scenarios the blocking probe admitted to (candidates) and
+// excluded from (pruned) split refinement. The lag is taken at the call, so
+// it keeps growing while no observation arrives.
+func (e *Engine) Gauges() map[string]int64 {
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	lag := int64(0)
 	if wm, ok := e.front.watermark(); ok {
 		lag = e.cfg.Clock.Now().UnixMilli() - wm
 	}
-	g := e.gauges
-	g["stream_open_windows"] = int64(len(e.front.open))
-	g["stream_open_detections"] = e.win.openDets
-	g["stream_duplicate_detections"] = e.duplicates
-	g["stream_watermark_lag_ms"] = lag
-	g["stream_pending_eids"] = int64(len(e.cfg.Targets) - len(e.resolved))
-	g["stream_resolutions_emitted"] = int64(e.seq)
-	g["stream_resolutions_dropped"] = e.resolutionsDropped
-	g["stream_late_dropped"] = e.front.lateDropped
-	g["block_candidates_total"] = e.blockCandidates
-	g["block_pruned_total"] = e.blockPruned
-	g["block_prune_ratio"] = BlockPruneRatioPercent(e.blockCandidates, e.blockPruned)
-	e.cfg.Metrics.SetMany(g)
-}
-
-// BlockStats returns how many sealed scenarios the blocking probe admitted
-// to (candidates) and excluded from (pruned) split refinement so far.
-func (e *Engine) BlockStats() (candidates, pruned int64) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.blockCandidates, e.blockPruned
+	return map[string]int64{
+		"stream_open_windows":         int64(len(e.front.open)),
+		"stream_open_detections":      e.win.openDets,
+		"stream_duplicate_detections": e.duplicates,
+		"stream_watermark_lag_ms":     lag,
+		"stream_pending_eids":         int64(len(e.cfg.Targets) - len(e.resolved)),
+		"stream_resolutions_emitted":  int64(e.seq),
+		"stream_resolutions_dropped":  e.resolutionsDropped,
+		"stream_late_dropped":         e.front.lateDropped,
+		"block_candidates_total":      e.blockCandidates,
+		"block_pruned_total":          e.blockPruned,
+		"block_prune_ratio":           BlockPruneRatioPercent(e.blockCandidates, e.blockPruned),
+	}
 }
 
 // FilterStats returns the work counters of the sweep's V filter: the
@@ -678,8 +659,8 @@ func (e *Engine) FilterStats() vfilter.Stats {
 }
 
 // BlockPruneRatioPercent renders a candidates/pruned pair as the integer
-// percentage of scenarios pruned, 0–100 — the gauge registry is int64, so
-// the ratio is published in percent (documented on /metricsz consumers).
+// percentage of scenarios pruned, 0–100 — the gauges are int64, so the
+// ratio is served in percent (documented on /metricsz consumers).
 func BlockPruneRatioPercent(candidates, pruned int64) int64 {
 	total := candidates + pruned
 	if total == 0 {

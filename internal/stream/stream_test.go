@@ -15,7 +15,6 @@ import (
 	"evmatching/internal/dataset"
 	"evmatching/internal/feature"
 	"evmatching/internal/ids"
-	"evmatching/internal/metrics"
 	"evmatching/internal/scenario"
 )
 
@@ -242,7 +241,7 @@ type fakeClock struct{ now time.Time }
 
 func (f *fakeClock) Now() time.Time { return f.now }
 
-// TestStreamGauges checks that the engine publishes its gauges and that the
+// TestStreamGauges checks the engine's gauge snapshot, and that the
 // watermark-lag gauge reads the injected clock, not the wall clock.
 func TestStreamGauges(t *testing.T) {
 	ds := testDataset(t, false)
@@ -251,14 +250,15 @@ func TestStreamGauges(t *testing.T) {
 	if err != nil {
 		t.Fatalf("EventsFromDataset: %v", err)
 	}
-	reg := metrics.NewRegistry()
 	clk := &fakeClock{now: time.UnixMilli(50_000)}
 	cfg := testConfig(ds, targets)
-	cfg.Metrics = reg
 	cfg.Clock = clk
 	e, err := NewEngine(cfg)
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
+	}
+	if g := e.Gauges(); len(g) != 11 || g["stream_watermark_lag_ms"] != 0 || g["stream_pending_eids"] != int64(len(targets)) {
+		t.Errorf("fresh engine gauges = %v, want 11 names, no lag and every target pending", g)
 	}
 	half := obs[:len(obs)/2]
 	for _, o := range half {
@@ -266,23 +266,24 @@ func TestStreamGauges(t *testing.T) {
 			t.Fatalf("Ingest: %v", err)
 		}
 	}
-	if got := reg.Get("stream_open_windows"); got < 1 {
+	g := e.Gauges()
+	if got := g["stream_open_windows"]; got < 1 {
 		t.Errorf("stream_open_windows = %d, want >= 1", got)
 	}
 	wm, ok := e.Watermark()
 	if !ok {
 		t.Fatal("no watermark after ingesting half the log")
 	}
-	if got, want := reg.Get("stream_watermark_lag_ms"), 50_000-wm; got != want {
+	if got, want := g["stream_watermark_lag_ms"], 50_000-wm; got != want {
 		t.Errorf("stream_watermark_lag_ms = %d, want %d (injected clock at 50000)", got, want)
 	}
-	if got := reg.Get("stream_pending_eids"); got < 0 || got > int64(len(targets)) {
+	if got := g["stream_pending_eids"]; got < 0 || got > int64(len(targets)) {
 		t.Errorf("stream_pending_eids = %d out of range", got)
 	}
 
 	// A redelivered detection waits in its open bucket, counted as held, until
 	// the fold drops it and counts that.
-	held := reg.Get("stream_open_detections")
+	held := g["stream_open_detections"]
 	if held < 1 {
 		t.Errorf("stream_open_detections = %d, want >= 1", held)
 	}
@@ -295,10 +296,11 @@ func TestStreamGauges(t *testing.T) {
 	if accepted, err := e.Ingest(lastV); err != nil || !accepted {
 		t.Fatalf("redelivery of an open window's detection: accepted=%t err=%v", accepted, err)
 	}
-	if got := reg.Get("stream_open_detections"); got != held+1 {
+	g = e.Gauges()
+	if got := g["stream_open_detections"]; got != held+1 {
 		t.Errorf("stream_open_detections = %d after a redelivery, want %d", got, held+1)
 	}
-	if got := reg.Get("stream_duplicate_detections"); got != 0 {
+	if got := g["stream_duplicate_detections"]; got != 0 {
 		t.Errorf("stream_duplicate_detections = %d before the window folded, want 0", got)
 	}
 
@@ -307,49 +309,115 @@ func TestStreamGauges(t *testing.T) {
 	if accepted, err := e.Ingest(late); err != nil || accepted {
 		t.Fatalf("late replay of first event: accepted=%t err=%v", accepted, err)
 	}
-	if got := reg.Get("stream_late_dropped"); got != 1 {
+	if got := e.Gauges()["stream_late_dropped"]; got != 1 {
 		t.Errorf("stream_late_dropped = %d, want 1", got)
 	}
 	if err := e.Flush(); err != nil {
 		t.Fatalf("Flush: %v", err)
 	}
-	if got := reg.Get("stream_resolutions_emitted"); got != int64(len(e.Resolutions())) {
+	g = e.Gauges()
+	if got := g["stream_resolutions_emitted"]; got != int64(len(e.Resolutions())) {
 		t.Errorf("stream_resolutions_emitted = %d, want %d", got, len(e.Resolutions()))
 	}
-	if got := reg.Get("stream_open_windows"); got != 0 {
+	if got := g["stream_open_windows"]; got != 0 {
 		t.Errorf("stream_open_windows = %d after flush, want 0", got)
 	}
-	if open, dup := reg.Get("stream_open_detections"), reg.Get("stream_duplicate_detections"); open != 0 || dup != 1 {
+	if open, dup := g["stream_open_detections"], g["stream_duplicate_detections"]; open != 0 || dup != 1 {
 		t.Errorf("after flush stream_open_detections = %d and stream_duplicate_detections = %d, want 0 and 1", open, dup)
 	}
 
-	// The blocking-prune gauges must mirror the engine's split accounting:
-	// after a full flush every sealed scenario was either probed or pruned.
-	cands, pruned := e.BlockStats()
+	// The blocking-prune gauges mirror the engine's split accounting: after
+	// a full flush every sealed scenario was either probed or pruned, and
+	// the split recorded only probed ones.
+	cands, pruned := g["block_candidates_total"], g["block_pruned_total"]
 	if cands+pruned == 0 {
 		t.Fatal("no sealed scenario was ever classified by the pruning probe")
 	}
-	if got := reg.Get("block_candidates_total"); got != cands {
-		t.Errorf("block_candidates_total = %d, want %d", got, cands)
+	if rec := int64(len(e.part.Recorded())); cands < rec {
+		t.Errorf("block_candidates_total = %d below the %d scenarios the split recorded", cands, rec)
 	}
-	if got := reg.Get("block_pruned_total"); got != pruned {
-		t.Errorf("block_pruned_total = %d, want %d", got, pruned)
-	}
-	if got, want := reg.Get("block_prune_ratio"), BlockPruneRatioPercent(cands, pruned); got != want {
+	if got, want := g["block_prune_ratio"], BlockPruneRatioPercent(cands, pruned); got != want {
 		t.Errorf("block_prune_ratio = %d, want %d", got, want)
 	}
-	if r := reg.Get("block_prune_ratio"); r < 0 || r > 100 {
+	if r := g["block_prune_ratio"]; r < 0 || r > 100 {
 		t.Errorf("block_prune_ratio = %d out of [0,100]", r)
+	}
+}
+
+// TestWatermarkLagGrowsWhileIdle: the lag gauge is read at the call, so it
+// tracks the clock while no observation arrives — a stalled feed shows as a
+// growing lag, not as the lag of its last ingest.
+func TestWatermarkLagGrowsWhileIdle(t *testing.T) {
+	ds := testDataset(t, false)
+	_, obs, err := EventsFromDataset(ds, testWindowMS, 7)
+	if err != nil {
+		t.Fatalf("EventsFromDataset: %v", err)
+	}
+	clk := &fakeClock{now: time.UnixMilli(50_000)}
+	cfg := testConfig(ds, ds.AllEIDs()[:5])
+	cfg.Clock = clk
+	e, err := NewEngine(cfg)
+	if err != nil {
+		t.Fatalf("NewEngine: %v", err)
+	}
+	for _, o := range obs[:len(obs)/2] {
+		if _, err := e.Ingest(o); err != nil {
+			t.Fatalf("Ingest: %v", err)
+		}
+	}
+	before := e.Gauges()["stream_watermark_lag_ms"]
+	const idle = 7_000
+	clk.now = clk.now.Add(idle * time.Millisecond)
+	if got := e.Gauges()["stream_watermark_lag_ms"]; got != before+idle {
+		t.Errorf("stream_watermark_lag_ms = %d after %d idle ms, want %d", got, idle, before+idle)
+	}
+}
+
+// TestGaugesDuringIngest reads the gauges from another goroutine while the
+// log is ingested, as /metricsz does: under -race this is the check that the
+// snapshot is taken under the engine's lock; the emitted count it sees never
+// goes back.
+func TestGaugesDuringIngest(t *testing.T) {
+	ds := testDataset(t, false)
+	_, obs, err := EventsFromDataset(ds, testWindowMS, 7)
+	if err != nil {
+		t.Fatalf("EventsFromDataset: %v", err)
+	}
+	e, err := NewEngine(testConfig(ds, ds.AllEIDs()[:8]))
+	if err != nil {
+		t.Fatalf("NewEngine: %v", err)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for _, o := range obs {
+			if _, err := e.Ingest(o); err != nil {
+				t.Errorf("Ingest: %v", err)
+				return
+			}
+		}
+	}()
+	var last int64
+	for polling := true; polling; {
+		select {
+		case <-done:
+			polling = false
+		default:
+		}
+		got := e.Gauges()["stream_resolutions_emitted"]
+		if got < last {
+			t.Fatalf("stream_resolutions_emitted went from %d back to %d", last, got)
+		}
+		last = got
 	}
 }
 
 // TestBroadcastCountsDrops: a subscriber that never reads holds a channel's
 // worth of resolutions; every broadcast past that is dropped and counted, and
-// the engine's gauges publish the count.
+// the engine's gauges report the count.
 func TestBroadcastCountsDrops(t *testing.T) {
 	const k = 5
-	cfg := Config{Targets: []ids.EID{"e-1"}, WindowMS: testWindowMS, Dim: 2, Metrics: metrics.NewRegistry()}
-	e, err := NewEngine(cfg)
+	e, err := NewEngine(Config{Targets: []ids.EID{"e-1"}, WindowMS: testWindowMS, Dim: 2})
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
 	}
@@ -359,9 +427,8 @@ func TestBroadcastCountsDrops(t *testing.T) {
 	for i := 0; i < cap(ch)+k; i++ {
 		e.broadcast(Resolution{Seq: i + 1})
 	}
-	e.publishGauges()
 	e.mu.Unlock()
-	if got := cfg.Metrics.Get("stream_resolutions_dropped"); got != k {
+	if got := e.Gauges()["stream_resolutions_dropped"]; got != k {
 		t.Errorf("engine stream_resolutions_dropped = %d, want %d", got, k)
 	}
 }
