@@ -81,46 +81,41 @@ func (ix *Index) InclusiveOrd(ord int32, w int) []scenario.ID {
 	return held
 }
 
-// Candidates appends to buf the scenarios of window w that hold a live target
-// inclusively — the only scenarios that can split the partition live mirrors
-// — in AtWindow order, and returns the grown buffer plus the window's total
-// scenario count (total − len(appended) is the pruned count). It is the
-// window-at-a-time form of the test LiveTargets.Prunes makes one scenario at
-// a time, and like Prunes it walks the smaller side: the live targets'
-// postings in a sparse world, the window's few scenarios in a crowded one.
-func (ix *Index) Candidates(w int, live *LiveTargets, buf []scenario.ID) ([]scenario.ID, int) {
+// Candidates appends to buf the positions in window w's Order of the
+// scenarios that hold a live target inclusively — the only scenarios that can
+// split the partition live mirrors — ascending, and returns w's postings
+// beside the grown buffer; len(Order()) − len(appended) is the pruned count.
+// It is the window-at-a-time form of the test LiveTargets.Prunes makes one
+// scenario at a time, read off store ordinals on both sides, and like Prunes
+// it walks the smaller side: the live targets' postings in a sparse world,
+// the window's few scenarios in a crowded one.
+func (ix *Index) Candidates(w int, live *LiveTargets, buf []int32) (*scenario.WindowPostings, []int32) {
 	wp := ix.window(w)
 	order := wp.Order()
 	if live.NumLive() == 0 {
-		return buf, len(order)
+		return wp, buf
 	}
+	liveOrds := live.ordinals(ix.store)
 	if len(order) <= live.NumLive() {
-		for _, id := range order {
-			if !live.Prunes(ix.store.E(id)) {
-				buf = append(buf, id)
+		for r, id := range order {
+			v := ix.store.View(id)
+			for k, o := range v.Ords {
+				if v.Attrs[k] == scenario.AttrInclusive && int(o) < len(liveOrds)*64 && liveOrds.Has(int(o)) {
+					buf = append(buf, int32(r))
+					break
+				}
 			}
 		}
-		return buf, len(order)
+		return wp, buf
 	}
-	// Collect the live targets' ranks in buf's own tail (a rank fits an ID),
-	// sort and dedup them there, then turn each rank into its scenario.
+	// Collect the live targets' ranks in buf's tail, then sort and dedup
+	// them there.
 	base := len(buf)
-	//evlint:ignore maprange the ranks gathered here are sorted before anything reads them
-	for e, ord := range live.live {
-		if ord == unresolved {
-			ord = ix.store.Ordinal(e)
-			live.live[e] = ord
-		}
-		_, ranks := wp.Held(ord)
-		for _, r := range ranks {
-			buf = append(buf, scenario.ID(r))
-		}
-	}
+	liveOrds.ForEach(func(o int) {
+		_, ranks := wp.Held(int32(o))
+		buf = append(buf, ranks...)
+	})
 	ranks := buf[base:]
 	slices.Sort(ranks)
-	ranks = slices.Compact(ranks)
-	for i, r := range ranks {
-		ranks[i] = order[r]
-	}
-	return buf[:base+len(ranks)], len(order)
+	return wp, buf[:base+len(slices.Compact(ranks))]
 }

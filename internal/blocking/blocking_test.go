@@ -73,6 +73,22 @@ func wantCandidates(st *scenario.Store, lt *LiveTargets, w int) []scenario.ID {
 	return want
 }
 
+// atRanks returns the scenarios at the given positions of wp's Order.
+func atRanks(wp *scenario.WindowPostings, ranks []int32) []scenario.ID {
+	var out []scenario.ID
+	for _, r := range ranks {
+		out = append(out, wp.Order()[r])
+	}
+	return out
+}
+
+// candidateIDs is Candidates read back as scenario IDs, beside the window's
+// total scenario count.
+func candidateIDs(ix *Index, w int, lt *LiveTargets) ([]scenario.ID, int) {
+	wp, ranks := ix.Candidates(w, lt, nil)
+	return atRanks(wp, ranks), len(wp.Order())
+}
+
 // checkIndex compares every InclusiveAt and Candidates answer of ix with the
 // brute-force AtWindow scan of st, over st's windows plus two it never saw.
 func checkIndex(t *testing.T, label string, st *scenario.Store, ix *Index, probes, targets []ids.EID) {
@@ -87,16 +103,16 @@ func checkIndex(t *testing.T, label string, st *scenario.Store, ix *Index, probe
 				t.Fatalf("%s: InclusiveAt(%s,%d) = %v, want %v", label, e, w, got, want)
 			}
 		}
-		prefix := []scenario.ID{-5}
-		got, total := ix.Candidates(w, lt, prefix)
-		if total != len(st.AtWindow(w)) {
+		wp, ranks := ix.Candidates(w, lt, []int32{-5})
+		if total := len(wp.Order()); total != len(st.AtWindow(w)) {
 			t.Fatalf("%s: Candidates(%d) total = %d, want %d", label, w, total, len(st.AtWindow(w)))
 		}
-		if got[0] != -5 {
+		if ranks[0] != -5 {
 			t.Fatalf("%s: Candidates(%d) overwrote the caller's buffer prefix", label, w)
 		}
-		if want := wantCandidates(st, lt, w); !slices.Equal(got[1:], want) {
-			t.Fatalf("%s: Candidates(%d) = %v, want %v", label, w, got[1:], want)
+		got := atRanks(wp, ranks[1:])
+		if want := wantCandidates(st, lt, w); !slices.Equal(got, want) {
+			t.Fatalf("%s: Candidates(%d) = %v, want %v", label, w, got, want)
 		}
 	}
 }
@@ -114,7 +130,7 @@ func TestGeometryDefaults(t *testing.T) {
 			t.Errorf("InclusiveAt over an empty index = %v", got)
 		}
 		lt := NewLiveTargets([]ids.EID{eid(1), eid(2)})
-		if cands, total := ix.Candidates(0, lt, nil); len(cands) != 0 || total != 0 {
+		if cands, total := candidateIDs(ix, 0, lt); len(cands) != 0 || total != 0 {
 			t.Errorf("Candidates over an empty index = %v, total %d", cands, total)
 		}
 		if ix.WindowTotal(3) != 0 {
@@ -145,7 +161,7 @@ func TestCandidatesSound(t *testing.T) {
 		lt := NewLiveTargets(targets)
 		lt.Resolve(targets[0])
 		for _, w := range st.Windows() {
-			got, _ := ix.Candidates(w, lt, nil)
+			got, _ := candidateIDs(ix, w, lt)
 			if want := wantCandidates(st, lt, w); !slices.Equal(got, want) {
 				t.Fatalf("trial %d window %d after a resolve: candidates %v, want %v", trial, w, got, want)
 			}
@@ -162,7 +178,7 @@ func TestCandidatesEmptyLive(t *testing.T) {
 	addScenario(t, st, 2, 0, map[ids.EID]scenario.Attr{eid(2): scenario.AttrInclusive})
 	ix := Build(st, DefaultGeometry())
 	both := NewLiveTargets([]ids.EID{eid(1), eid(2)})
-	if cands, total := ix.Candidates(99, both, nil); len(cands) != 0 || total != 0 {
+	if cands, total := candidateIDs(ix, 99, both); len(cands) != 0 || total != 0 {
 		t.Errorf("unknown window: got %d candidates, total %d", len(cands), total)
 	}
 	for name, lt := range map[string]*LiveTargets{
@@ -170,11 +186,11 @@ func TestCandidatesEmptyLive(t *testing.T) {
 		"singleton":  NewLiveTargets([]ids.EID{eid(1)}),
 		"nil":        nil,
 	} {
-		if cands, total := ix.Candidates(0, lt, nil); len(cands) != 0 || total != 2 {
+		if cands, total := candidateIDs(ix, 0, lt); len(cands) != 0 || total != 2 {
 			t.Errorf("%s: got %d candidates, total %d; want 0 and 2", name, len(cands), total)
 		}
 	}
-	if cands, _ := ix.Candidates(0, both, nil); len(cands) != 2 {
+	if cands, _ := candidateIDs(ix, 0, both); len(cands) != 2 {
 		t.Errorf("two live targets in two scenarios: got %d candidates", len(cands))
 	}
 }
@@ -247,7 +263,7 @@ func TestStoreGrowsAfterFirstTouch(t *testing.T) {
 	lt := NewLiveTargets(targets)
 	checkIndex(t, "before growth", st, ix, probes, targets)
 	for _, w := range st.Windows() {
-		ix.Candidates(w, lt, nil) // resolves lt's ordinals against the small store
+		candidateIDs(ix, w, lt) // resolves lt's ordinals against the small store
 	}
 	touched := ix.Materialised()
 	if want := int64(len(st.Windows())); touched != want {
@@ -266,7 +282,7 @@ func TestStoreGrowsAfterFirstTouch(t *testing.T) {
 	}
 	checkIndex(t, "same view after growth", st, ix, append(probes, eid(51)), append(targets, eid(51)))
 	for _, w := range st.Windows() {
-		got, _ := ix.Candidates(w, lt, nil)
+		got, _ := candidateIDs(ix, w, lt)
 		if want := wantCandidates(st, lt, w); !slices.Equal(got, want) {
 			t.Errorf("window %d, tracker resolved before growth: candidates %v, want %v", w, got, want)
 		}
@@ -293,7 +309,7 @@ func TestConcurrentFirstTouch(t *testing.T) {
 			defer wg.Done()
 			lt := NewLiveTargets([]ids.EID{eid(g), eid(g + 1), eid(g + 2)})
 			for _, w := range st.Windows() {
-				got, _ := ix.Candidates(w, lt, nil)
+				got, _ := candidateIDs(ix, w, lt)
 				if want := wantCandidates(st, lt, w); !slices.Equal(got, want) {
 					errs <- fmt.Sprintf("goroutine %d window %d: candidates %v, want %v", g, w, got, want)
 					return
@@ -358,12 +374,12 @@ func TestBuildDeterministic(t *testing.T) {
 	wins := st.Windows()
 	for i := range wins {
 		wa, wb := wins[i], wins[len(wins)-1-i]
-		a.Candidates(wa, NewLiveTargets(targets), nil)
-		b.Candidates(wb, NewLiveTargets(targets), nil)
+		candidateIDs(a, wa, NewLiveTargets(targets))
+		candidateIDs(b, wb, NewLiveTargets(targets))
 	}
 	for _, w := range wins {
-		ca, ta := a.Candidates(w, NewLiveTargets(targets), nil)
-		cb, tb := b.Candidates(w, NewLiveTargets(targets), nil)
+		ca, ta := candidateIDs(a, w, NewLiveTargets(targets))
+		cb, tb := candidateIDs(b, w, NewLiveTargets(targets))
 		if ta != tb || !slices.Equal(ca, cb) {
 			t.Fatalf("window %d: the two indexes diverged (%v/%d vs %v/%d)", w, ca, ta, cb, tb)
 		}
@@ -398,7 +414,7 @@ func FuzzIndexHostile(f *testing.F) {
 		lt.Resolve(e1)
 		lt.Resolve(probe)
 		lt.Resolve(eid(254))
-		if cands, _ := ix.Candidates(window, lt, nil); len(cands) != 0 {
+		if cands, _ := candidateIDs(ix, window, lt); len(cands) != 0 {
 			t.Fatalf("candidates %v survive resolving every target", cands)
 		}
 	})

@@ -1,6 +1,7 @@
 package blocking
 
 import (
+	"evmatching/internal/bitset"
 	"evmatching/internal/ids"
 	"evmatching/internal/scenario"
 )
@@ -19,9 +20,11 @@ import (
 // mirrors.
 type LiveTargets struct {
 	// live maps each live target to its ordinal in the store of the Index
-	// asking (unresolved until Candidates first meets it), so a split run
-	// hashes each target once and then reads posting arrays.
+	// asking (unresolved until Candidates first asks), and ords holds those
+	// ordinals, so a split run hashes each target once and then reads
+	// posting arrays and bits.
 	live map[ids.EID]int32
+	ords bitset.Set
 }
 
 // NewLiveTargets builds the tracker for a fresh partition over targets. A
@@ -42,7 +45,35 @@ func NewLiveTargets(targets []ids.EID) *LiveTargets {
 const unresolved int32 = -1
 
 // Resolve removes e from the live set. Wire to partition.OnResolve.
-func (lt *LiveTargets) Resolve(e ids.EID) { delete(lt.live, e) }
+func (lt *LiveTargets) Resolve(e ids.EID) {
+	if ord, ok := lt.live[e]; ok {
+		delete(lt.live, e)
+		if ord != unresolved {
+			lt.ords.Remove(int(ord))
+		}
+	}
+}
+
+// ordinals returns the live targets' ordinals in st, resolving them on the
+// first call. One tracker serves one store.
+func (lt *LiveTargets) ordinals(st *scenario.Store) bitset.Set {
+	if lt.ords != nil {
+		return lt.ords
+	}
+	top := int32(0)
+	//evlint:ignore maprange resolves each live target's ordinal; the set of ordinals and the bits they fill are the same under any order
+	for e := range lt.live {
+		ord := st.Ordinal(e)
+		lt.live[e] = ord
+		top = max(top, ord+1)
+	}
+	lt.ords = bitset.New(int(top))
+	//evlint:ignore maprange fills a bitset; its contents do not depend on the order
+	for _, ord := range lt.live {
+		lt.ords.Add(int(ord))
+	}
+	return lt.ords
+}
 
 // NumLive returns how many targets are still undistinguished; a nil tracker
 // has none.

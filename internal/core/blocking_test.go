@@ -101,10 +101,11 @@ func matchConcurrently(t *testing.T, targets [][]ids.EID, matcher func(int) *Mat
 }
 
 // TestSecondMatcherMaterialisesNothing pins what store ownership buys: the
-// first match over a store pays for the windows it reaches, and a new matcher
-// over the same store — the one-shot evmatching.Match shape — finds them warm,
-// materialises none, and lands on the same fingerprint. Growing one window
-// costs the next match exactly that window.
+// first match over a store pays for the windows it reaches and the ordinals
+// it meets, and a new matcher over the same store — the one-shot
+// evmatching.Match shape — finds them warm: it materialises no window, grows
+// neither the EID nor the VID ordinal table, and lands on the same
+// fingerprint.
 func TestSecondMatcherMaterialisesNothing(t *testing.T) {
 	for _, alg := range []Algorithm{AlgorithmSS, AlgorithmEDP} {
 		ds := testDataset(t, nil)
@@ -118,12 +119,20 @@ func TestSecondMatcherMaterialisesNothing(t *testing.T) {
 			t.Fatalf("%v first match over a fresh store: BlockMaterialised = %d of %d windows",
 				alg, first.BlockMaterialised, len(ds.Store.Windows()))
 		}
+		eidOrds, vidOrds := ds.Store.NumOrdinals(), ds.Store.NumVIDs()
+		if eidOrds == 0 || vidOrds == 0 {
+			t.Fatalf("%v first match: %d EID and %d VID ordinals", alg, eidOrds, vidOrds)
+		}
 		second, err := newMatcher(t, ds, opts).Match(context.Background(), targets)
 		if err != nil {
 			t.Fatalf("%v second match: %v", alg, err)
 		}
 		if second.BlockMaterialised != 0 {
 			t.Errorf("%v: a new matcher over a touched store materialised %d windows", alg, second.BlockMaterialised)
+		}
+		if ds.Store.NumOrdinals() != eidOrds || ds.Store.NumVIDs() != vidOrds {
+			t.Errorf("%v: a new matcher over a touched store grew the ordinal tables from %d EIDs, %d VIDs to %d, %d",
+				alg, eidOrds, vidOrds, ds.Store.NumOrdinals(), ds.Store.NumVIDs())
 		}
 		if second.Fingerprint() != first.Fingerprint() {
 			t.Errorf("%v: the second matcher's fingerprint differs from the first's", alg)

@@ -194,4 +194,5 @@ func mergeStatsInto(dst *vfilter.Stats, src vfilter.Stats) {
 	dst.ScenariosProcessed += src.ScenariosProcessed
 	dst.Extractions += src.Extractions
 	dst.Comparisons += src.Comparisons
+	dst.Pairs += src.Pairs
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -179,18 +180,24 @@ func (m *Matcher) splitStage(ctx context.Context, targets []ids.EID, round int, 
 	}
 
 	var (
-		live    *blocking.LiveTargets
-		candBuf []scenario.ID
-		tset    map[ids.EID]bool
+		live  *blocking.LiveTargets
+		ranks []int32
+		tset  map[ids.EID]bool
 	)
-	if m.opts.DisableBlocking {
-		ix = nil
-	} else {
+	if !m.opts.DisableBlocking {
 		live = blocking.NewLiveTargets(targets)
 		p.OnResolve(live.Resolve)
 	}
 	if m.opts.Mode == ModeParallel {
 		tset = targetSet(targets)
+	} else if live != nil {
+		// The split reads store views: one dense array takes their
+		// ordinals to partition positions, so no EID is hashed per scenario.
+		ords := make([]int32, len(p.Targets()))
+		for i, e := range p.Targets() {
+			ords[i] = store.Ordinal(e)
+		}
+		p.BindOrdinals(ords)
 	}
 
 	for _, w := range windows {
@@ -205,17 +212,32 @@ func (m *Matcher) splitStage(ctx context.Context, targets []ids.EID, round int, 
 			// The live set is read at window start; splits within the window
 			// shrink it for the next one. Mid-window staleness only admits
 			// extra no-op candidates — never drops an effective one.
-			var total int
-			candBuf, total = ix.Candidates(w, live, candBuf[:0])
-			cands = candBuf
+			var wp *scenario.WindowPostings
+			wp, ranks = ix.Candidates(w, live, ranks[:0])
 			if rep != nil {
-				rep.BlockCandidates += int64(len(cands))
-				rep.BlockPruned += int64(total - len(cands))
+				rep.BlockCandidates += int64(len(ranks))
+				rep.BlockPruned += int64(len(cands) - len(ranks))
+			}
+			if m.opts.Mode != ModeParallel {
+				for _, r := range ranks {
+					if id := wp.Order()[r]; p.SplitView(id, store.View(id)) {
+						pre.hand(id)
+					}
+					if p.Done() {
+						break
+					}
+				}
+				continue
+			}
+			cands = make([]scenario.ID, len(ranks))
+			for i, r := range ranks {
+				cands[i] = wp.Order()[r]
 			}
 		}
 		if m.opts.Mode != ModeParallel {
-			// SplitBy ignores EIDs outside the partition, so store scenarios
-			// go in as they are.
+			// The exhaustive scan, the oracle the indexed path is held to,
+			// reads the store's EID maps: SplitBy ignores EIDs outside the
+			// partition, so store scenarios go in as they are.
 			for _, id := range cands {
 				if p.SplitBy(store.E(id)) {
 					pre.hand(id)
@@ -271,7 +293,7 @@ func (m *Matcher) splitStage(ctx context.Context, targets []ids.EID, round int, 
 	var next atomic.Int64
 	pad := func() {
 		for i := int(next.Add(1)) - 1; i < len(eids) && ctx.Err() == nil; i = int(next.Add(1)) - 1 {
-			padded[i] = padToUnique(store, ix, eids[i], padded[i], windows)
+			padded[i] = PadToUnique(store, ix, eids[i], padded[i], windows)
 		}
 	}
 	var others sync.WaitGroup
@@ -295,88 +317,68 @@ func (m *Matcher) splitStage(ctx context.Context, targets []ids.EID, round int, 
 }
 
 // PadToUnique extends an EID's scenario list until the intersection of the
-// listed scenarios' full inclusive EID sets is the singleton {e} (or no
-// further scenario helps), and at least minListLen scenarios are listed.
-// maxListLen caps the total as a safety valve for worlds where the trajectory
-// never becomes unique. It is shared between the batch split stage and the
-// incremental streaming V stage, which pads over the windows closed so far.
-func PadToUnique(store *scenario.Store, e ids.EID, list []scenario.ID, windows []int) []scenario.ID {
-	return padToUnique(store, nil, e, list, windows)
-}
-
-// padToUnique is PadToUnique with an optional view of the store's postings
-// accelerating the per-window "first unlisted scenario containing e
-// inclusively" probe: e's ordinal is resolved once and each window is then an
-// array read instead of a scan. Postings preserve AtWindow order, so both
-// paths pick identical scenarios.
-func padToUnique(store *scenario.Store, ix *blocking.Index, e ids.EID, list []scenario.ID, windows []int) []scenario.ID {
+// listed scenarios' full EID sets is the singleton {e} (or no further
+// scenario helps), and at least minListLen scenarios are listed. maxListLen
+// caps the total as a safety valve for worlds where the trajectory never
+// becomes unique. It is shared between the batch split stage and the
+// incremental streaming V stage, which pads over the windows closed so far;
+// ix is a view of store's postings. Each window's pick is the first unlisted
+// scenario holding e inclusively in AtWindow order, read off the postings by
+// e's ordinal, and every set is a store view, so no EID is hashed past e.
+func PadToUnique(store *scenario.Store, ix *blocking.Index, e ids.EID, list []scenario.ID, windows []int) []scenario.ID {
 	out := append([]scenario.ID(nil), list...)
-	in := make(map[scenario.ID]bool, len(out))
-	for _, id := range out {
-		in[id] = true
-	}
 	// Candidate set: EIDs that may co-appear in every listed scenario. A
 	// candidate is only eliminated by a scenario it is entirely absent from
 	// — a vague sighting still means "possibly there", so in the practical
 	// setting lists grow longer before trajectories become unique, exactly
-	// the slowdown Theorem 4.4 prices in. The set only shrinks, so it lives
-	// in one slice filtered in place per scenario; only its size is ever
-	// read, so its order is whatever the first scenario's map gave.
-	var cands []ids.EID
-	narrow := func(s *scenario.EScenario) {
-		if cands == nil {
-			cands = make([]ids.EID, 0, len(s.EIDs))
-			//evlint:ignore maprange seeds a set that is only filtered and counted; its order is never observed
-			for e := range s.EIDs {
-				cands = append(cands, e)
-			}
-			return
-		}
-		if len(cands) == 1 {
+	// the slowdown Theorem 4.4 prices in. The set only shrinks: ascending
+	// ordinals, intersected in place with each scenario's ascending view.
+	var cands []int32
+	seeded := false
+	narrow := func(v scenario.EView) {
+		switch {
+		case !seeded:
+			cands, seeded = slices.Clone(v.Ords), true
+		case len(cands) > 1:
 			// Every listed scenario contains e, so the set can never shrink
 			// below {e}; once unique it stays unique.
-			return
+			cands = intersectSorted(cands, v.Ords)
 		}
-		kept := cands[:0]
-		for _, other := range cands {
-			if s.Contains(other) {
-				kept = append(kept, other)
-			}
-		}
-		cands = kept
 	}
 	for _, id := range out {
-		narrow(store.E(id))
+		narrow(store.View(id))
 	}
-	var ord int32
-	if ix != nil {
-		ord = store.Ordinal(e)
-	}
+	ord := store.Ordinal(e)
 	for _, w := range windows {
 		if len(out) >= maxListLen || (len(out) >= minListLen && len(cands) <= 1) {
 			break
 		}
-		if ix != nil {
-			for _, id := range ix.InclusiveOrd(ord, w) {
-				if in[id] {
-					continue
-				}
-				out = append(out, id)
-				in[id] = true
-				narrow(store.E(id))
-				break // one scenario per window contains e inclusively
-			}
-			continue
-		}
-		for _, id := range store.AtWindow(w) {
-			s := store.E(id)
-			if in[id] || !s.Inclusive(e) {
+		for _, id := range ix.InclusiveOrd(ord, w) {
+			if slices.Contains(out, id) {
 				continue
 			}
 			out = append(out, id)
-			in[id] = true
-			narrow(s)
+			narrow(store.View(id))
 			break // one scenario per window contains e inclusively
+		}
+	}
+	return out
+}
+
+// intersectSorted keeps the elements of ascending a that ascending b holds,
+// in a's own storage.
+func intersectSorted(a, b []int32) []int32 {
+	out := a[:0]
+	for i, j := 0, 0; i < len(a) && j < len(b); {
+		switch {
+		case a[i] < b[j]:
+			i++
+		case a[i] > b[j]:
+			j++
+		default:
+			out = append(out, a[i])
+			i++
+			j++
 		}
 	}
 	return out

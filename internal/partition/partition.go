@@ -17,7 +17,10 @@
 // Sets are dense bitsets over a per-partition EID index (assigned in sorted
 // EID order, so ascending bit iteration yields sorted EIDs): one split is a
 // handful of word-wide AND/AND-NOT operations against the scenario's
-// membership masks, instead of per-EID map traffic.
+// membership masks, instead of per-EID map traffic. A scenario reaches the
+// masks either as a store view (SplitView: its EID ordinals, mapped to index
+// positions through one dense array bound by BindOrdinals) or as an EID map
+// (SplitBy); both then run the one split routine.
 package partition
 
 import (
@@ -97,11 +100,15 @@ type Partition struct {
 	calls    uint64
 	recorded []scenario.ID
 	inRec    map[scenario.ID]bool
-	// sInc/sVag/sAny are the reusable scenario-membership masks SplitBy
-	// rebuilds per call; tInc/tOut/tVag are splitNode's probe scratches,
-	// cloned into child nodes only when a split is actually effective.
+	// sInc/sVag/sAny are the reusable scenario-membership masks each split
+	// call rebuilds; tInc/tOut/tVag are splitNode's probe scratches, cloned
+	// into child nodes only when a split is actually effective.
 	sInc, sVag, sAny bitset.Set
 	tInc, tOut, tVag bitset.Set
+	// posOf maps a store EID ordinal to its index position, -1 for an EID
+	// outside the partition (BindOrdinals); ordinals past its end are
+	// outside too.
+	posOf []int32
 	// onResolve, when set, is called with each EID the moment its inclusive
 	// home leaf shrinks to a singleton — the hook the blocking layer uses to
 	// retire resolved targets from its live set. Leaves only ever
@@ -195,19 +202,79 @@ func (n *Node) eachLeaf(fn func(*Node)) {
 	n.Right.eachLeaf(fn)
 }
 
+// BindOrdinals fixes the store EID ordinal of every target, ords[i] being
+// that of Targets()[i], so SplitView can read store views. Ordinals must be
+// distinct; a store ordinal no target has maps to nothing.
+func (p *Partition) BindOrdinals(ords []int32) {
+	n := int32(0)
+	for _, o := range ords {
+		n = max(n, o+1)
+	}
+	p.posOf = make([]int32, n)
+	for i := range p.posOf {
+		p.posOf[i] = -1
+	}
+	for i, o := range ords {
+		p.posOf[o] = int32(i)
+	}
+}
+
+// SplitView is SplitBy for scenario id read as its store view: each ordinal
+// goes through the array BindOrdinals built, so no EID is hashed.
+func (p *Partition) SplitView(id scenario.ID, v scenario.EView) bool {
+	p.clearMasks()
+	for k, o := range v.Ords {
+		if int(o) < len(p.posOf) {
+			if i := p.posOf[o]; i >= 0 {
+				p.mark(i, v.Attrs[k])
+			}
+		}
+	}
+	return p.splitMarked(id)
+}
+
 // SplitBy refines the partition with one E-Scenario, splitting every set it
 // can effectively separate (Algorithm 1's SplitBy applied to all sets). A
 // split is effective only when both sides keep at least one inclusive EID;
 // scenarios that split nothing are skipped and not recorded (paper Remark).
-// It returns whether the partition changed.
+// It returns whether the partition changed. EIDs outside the partition are
+// ignored, so callers hand over store scenarios unfiltered.
+func (p *Partition) SplitBy(s *scenario.EScenario) bool {
+	p.clearMasks()
+	//evlint:ignore maprange fills membership bitmasks; the resulting sets are identical under any iteration order
+	for e, attr := range s.EIDs {
+		if i, ok := p.idx.pos[e]; ok {
+			p.mark(int32(i), attr)
+		}
+	}
+	return p.splitMarked(s.ID)
+}
+
+// clearMasks empties the membership masks for the next scenario.
+func (p *Partition) clearMasks() {
+	p.sInc.Clear()
+	p.sVag.Clear()
+}
+
+// mark records that the scenario being loaded holds position i with attr.
+func (p *Partition) mark(i int32, attr scenario.Attr) {
+	if attr == scenario.AttrInclusive {
+		p.sInc.Add(int(i))
+	} else {
+		p.sVag.Add(int(i))
+	}
+}
+
+// splitMarked is the one split routine, over the scenario whose membership
+// is marked in the masks: every leaf split is pure word arithmetic.
 //
 // A leaf can only split when one of its inclusive members is inclusive in
 // the scenario, and an inclusive member's leaf is its home — so the home
 // leaves of the scenario's own inclusive targets are the only leaves probed,
 // each once. The cost is the scenario's size plus the leaves it touches,
 // whatever the partition has grown to.
-func (p *Partition) SplitBy(s *scenario.EScenario) bool {
-	p.loadMasks(s)
+func (p *Partition) splitMarked(id scenario.ID) bool {
+	bitset.OrInto(p.sAny, p.sInc, p.sVag)
 	p.calls++
 	changed := false
 	p.sInc.ForEach(func(i int) {
@@ -215,34 +282,15 @@ func (p *Partition) SplitBy(s *scenario.EScenario) bool {
 		// marked seen: children of one scenario cannot split by it again.
 		if leaf := p.home[i]; leaf.seen != p.calls {
 			leaf.seen = p.calls
-			if p.split(leaf, s.ID) {
+			if p.split(leaf, id) {
 				changed = true
 			}
 		}
 	})
 	if changed {
-		p.record(s.ID)
+		p.record(id)
 	}
 	return changed
-}
-
-// loadMasks builds s's membership masks over the EID index; every leaf split
-// is then pure word arithmetic. EIDs outside the partition are ignored, so
-// callers hand over store scenarios unfiltered.
-func (p *Partition) loadMasks(s *scenario.EScenario) {
-	p.sInc.Clear()
-	p.sVag.Clear()
-	//evlint:ignore maprange fills membership bitmasks; the resulting sets are identical under any iteration order
-	for e, attr := range s.EIDs {
-		if i, ok := p.idx.pos[e]; ok {
-			if attr == scenario.AttrInclusive {
-				p.sInc.Add(i)
-			} else {
-				p.sVag.Add(i)
-			}
-		}
-	}
-	bitset.OrInto(p.sAny, p.sInc, p.sVag)
 }
 
 // split replaces leaf by its two children under the loaded masks when the

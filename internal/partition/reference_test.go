@@ -31,7 +31,12 @@ func newAllLeaves(t *testing.T, targets []ids.EID) *allLeaves {
 }
 
 func (r *allLeaves) SplitBy(s *scenario.EScenario) bool {
-	r.loadMasks(s)
+	r.clearMasks()
+	for e, attr := range s.EIDs {
+		if i, ok := r.idx.pos[e]; ok {
+			r.mark(int32(i), attr)
+		}
+	}
 	changed := false
 	var next []*Node
 	for _, leaf := range r.leaves {

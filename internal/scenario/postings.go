@@ -1,12 +1,17 @@
 package scenario
 
-import "evmatching/internal/ids"
+import (
+	"slices"
+
+	"evmatching/internal/ids"
+)
 
 // WindowPostings is one window's exact inverted index (DESIGN.md §13): for
 // every EID ordinal, where in the window's AtWindow list the scenario holding
 // that EID inclusively sits. A well-formed world holds an EID inclusively in
 // at most one scenario per window, so the index is one int32 per ordinal. It
 // is immutable once published; the slices it hands out are shared storage.
+// Its forward half — each scenario as ordinals — is the store's View.
 type WindowPostings struct {
 	order []ID
 	// rank is indexed by EID ordinal: a rank into order, absent, or
@@ -29,6 +34,14 @@ const (
 	absent    int32 = -1
 	multiBase int32 = -2
 )
+
+// EView is an E-Scenario read through its store's EID ordinals: every EID it
+// holds, as ascending ordinals, beside each one's attribute. Its slices are
+// shared store storage and must not be modified.
+type EView struct {
+	Ords  []int32
+	Attrs []Attr
+}
 
 // Order returns the window's scenarios in AtWindow order.
 func (wp *WindowPostings) Order() []ID { return wp.order }
@@ -57,6 +70,13 @@ func (st *Store) Ordinal(e ids.EID) int32 {
 	return st.internLocked(e)
 }
 
+// NumOrdinals returns how many EID ordinals the store has assigned.
+func (st *Store) NumOrdinals() int {
+	st.postMu.Lock()
+	defer st.postMu.Unlock()
+	return len(st.ords)
+}
+
 func (st *Store) internLocked(e ids.EID) int32 {
 	ord, ok := st.ords[e]
 	if !ok {
@@ -66,12 +86,48 @@ func (st *Store) internLocked(e ids.EID) int32 {
 	return ord
 }
 
+// View returns scenario id as ordinals, building it on the first call for
+// id: one intern probe per EID, paid once per store. A scenario's EIDs are
+// fixed at Add and ordinals never move, so a view stays valid for the life
+// of the store, whatever Add does later. Views are built only for the
+// scenarios a match reads — the split's candidates and the padding's picks —
+// not for every scenario of a window it touches. Safe for concurrent use with
+// itself, Ordinal and Postings, not with Add.
+func (st *Store) View(id ID) EView {
+	st.postMu.Lock()
+	defer st.postMu.Unlock()
+	n := int32(len(st.esc[id].EIDs))
+	if int(id) < len(st.viewAt) && st.viewAt[id] > 0 {
+		lo := st.viewAt[id] - 1
+		return EView{Ords: st.viewOrds[lo : lo+n : lo+n], Attrs: st.viewAttrs[lo : lo+n : lo+n]}
+	}
+	if len(st.viewAt) < len(st.esc) {
+		st.viewAt = append(st.viewAt, make([]int32, len(st.esc)-len(st.viewAt))...)
+	}
+	// Each (ordinal, attribute) pair packed into one sortable key.
+	keys := st.viewKeys[:0]
+	for e, attr := range st.esc[id].EIDs {
+		keys = append(keys, uint64(st.internLocked(e))<<8|uint64(attr))
+	}
+	slices.Sort(keys)
+	lo := int32(len(st.viewOrds))
+	for _, k := range keys {
+		st.viewOrds = append(st.viewOrds, int32(k>>8))
+		st.viewAttrs = append(st.viewAttrs, Attr(k))
+	}
+	st.viewAt[id], st.viewKeys = lo+1, keys
+	// Views handed out earlier keep the arrays they were cut from: the
+	// pairs are never rewritten, so growing the slabs moves nothing a
+	// reader holds.
+	return EView{Ords: st.viewOrds[lo : lo+n : lo+n], Attrs: st.viewAttrs[lo : lo+n : lo+n]}
+}
+
 // Postings returns window w's postings, materialising them on first touch by
 // one pass over the window's scenarios — one intern probe per inclusive
 // (scenario, EID) pair, paid once per store until Add next grows w — and
-// reports whether this call did. Safe for concurrent use with itself, Ordinal
-// and AtWindow (whose own lock is not held while a window is built, so scans
-// of other windows never wait behind a build), not with Add.
+// reports whether this call did. Safe for concurrent use with itself,
+// Ordinal, View and AtWindow (whose own lock is not held while a window is
+// built, so scans of other windows never wait behind a build), not with Add.
 func (st *Store) Postings(w int) (*WindowPostings, bool) {
 	st.postMu.Lock()
 	defer st.postMu.Unlock()

@@ -201,3 +201,76 @@ func TestPostingsReadsDoNotAllocate(t *testing.T) {
 		}
 	}
 }
+
+// cityStore builds a sparse-city-shaped store: numEIDs EIDs over numCells
+// cells and numWindows windows, each EID inclusive in one cell per window and
+// vague in the next cell one time in four, as a border walker is.
+func cityStore(b *testing.B, numEIDs, numCells, numWindows int) *Store {
+	rng := rand.New(rand.NewSource(3))
+	eids := make([]ids.EID, numEIDs)
+	for i := range eids {
+		eids[i] = ids.EID(fmt.Sprintf("e%06d", i))
+	}
+	st := NewStore(nil)
+	for w := 0; w < numWindows; w++ {
+		cells := make([]map[ids.EID]Attr, numCells)
+		for i := range cells {
+			cells[i] = make(map[ids.EID]Attr)
+		}
+		for _, e := range eids {
+			c := rng.Intn(numCells)
+			cells[c][e] = AttrInclusive
+			if rng.Intn(4) == 0 {
+				if n := cells[(c+1)%numCells]; n[e] == 0 {
+					n[e] = AttrVague
+				}
+			}
+		}
+		for c, set := range cells {
+			if _, err := st.Add(newEScenario(geo.CellID(c), w, set), nil); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	return st
+}
+
+// BenchmarkPostingsFirstTouch times what a store's first match pays for the
+// ordinals it reads: windows is the one pass per window that interns the
+// window's inclusive EIDs and builds its inverted postings; views builds the
+// forward view of every scenario, which a match pays only for the scenarios
+// it reads. Each iteration re-Adds the same scenarios into a new store with
+// the timer stopped.
+func BenchmarkPostingsFirstTouch(b *testing.B) {
+	src := cityStore(b, 20_000, 2_500, 8)
+	for _, bc := range []struct {
+		name  string
+		touch func(st *Store)
+	}{
+		{"windows", func(st *Store) {
+			for _, w := range st.Windows() {
+				st.Postings(w)
+			}
+		}},
+		{"views", func(st *Store) {
+			for id := ID(0); int(id) < st.Len(); id++ {
+				st.View(id)
+			}
+		}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				st := NewStore(nil)
+				for id := ID(0); int(id) < src.Len(); id++ {
+					if _, err := st.Add(src.E(id), nil); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.StartTimer()
+				bc.touch(st)
+			}
+		})
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"evmatching/internal/geo"
 	"evmatching/internal/ids"
@@ -13,7 +14,8 @@ import (
 // Store indexes the EV-Scenarios of a dataset by ID, by time window and by
 // (window, EID), so both the E stage (window-ordered scans, which scenario
 // of a window holds an EID) and V stage (fetch the V-Scenario for a selected
-// ID) are cheap.
+// ID) are cheap. It owns the dense ordinals every matcher over it reads EIDs
+// and VIDs through (postings.go, vids.go), built as they are first needed.
 type Store struct {
 	layout geo.Layout
 	esc    []*EScenario // dense, index == int(ID)
@@ -30,6 +32,21 @@ type Store struct {
 	postMu sync.Mutex
 	ords   map[ids.EID]int32
 	posts  map[int]*WindowPostings
+	// Scenario id's view starts at viewAt[id]-1 in the slabs
+	// viewOrds/viewAttrs once View has built it (viewAt[id] is 0 before),
+	// and is as long as its EID set; viewKeys is View's scratch.
+	viewAt    []int32
+	viewOrds  []int32
+	viewAttrs []Attr
+	viewKeys  []uint64
+
+	// The store's VID ordinals (vids.go), shared by every filter over it:
+	// filled as the V stage first extracts each scenario, never at Add.
+	vidMu   sync.Mutex
+	vidOrds map[ids.VID]int32
+	detAt   []int32   // scenario ID → 1 + its index in detOrds, 0 before
+	detOrds [][]int32 // the VID ordinal of each detection, per scenario
+	numVIDs atomic.Int64
 
 	// Out-of-core state (DESIGN.md §14). When a pager is installed, sealed
 	// V-Scenario payloads may be evicted: vsc[id] drops to nil, evicted[id]
@@ -50,7 +67,7 @@ type VPager interface {
 // NewStore creates an empty store over the given layout.
 func NewStore(layout geo.Layout) *Store {
 	return &Store{layout: layout, byWin: make(map[int][]ID), winSorted: make(map[int][]ID),
-		ords: make(map[ids.EID]int32), posts: make(map[int]*WindowPostings)}
+		ords: make(map[ids.EID]int32), posts: make(map[int]*WindowPostings), vidOrds: make(map[ids.VID]int32)}
 }
 
 // Layout returns the cell layout scenarios are defined over.

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 
 	"evmatching/internal/ids"
@@ -115,7 +116,10 @@ func toResolutionBody(r stream.Resolution) resolutionBody {
 }
 
 // handleStream serves resolutions as server-sent events: the backlog first,
-// then live emissions until the client disconnects.
+// then live emissions until the client disconnects. Each frame carries its
+// resolution's Seq as the event id, and a run of resolutions the
+// subscription dropped (its channel was full) shows as a comment line naming
+// the missing Seqs before the next frame.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
@@ -127,8 +131,9 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)
+	sse := &sseWriter{w: w}
 	for _, res := range backlog {
-		if err := writeSSE(w, res); err != nil {
+		if err := sse.write(res); err != nil {
 			return // client gone; nothing useful left to send
 		}
 	}
@@ -141,7 +146,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 			if !open {
 				return
 			}
-			if err := writeSSE(w, res); err != nil {
+			if err := sse.write(res); err != nil {
 				return
 			}
 			fl.Flush()
@@ -149,16 +154,32 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// writeSSE emits one resolution event frame. A write error means the client
-// disconnected (or the connection broke) mid-frame; the caller must stop the
-// stream rather than keep burning the subscription on a dead pipe.
-func writeSSE(w http.ResponseWriter, r stream.Resolution) error {
+// sseWriter emits one subscription's resolution event frames. Resolutions
+// are numbered from 1 without holes, so a frame whose Seq is not the one
+// after the last written follows a gap, which it announces first as an SSE
+// comment, ": gap <first>-<last>" — clients skip comments, and a reader that
+// wants the lost resolutions knows which to fetch.
+type sseWriter struct {
+	w    io.Writer
+	last int // Seq of the last frame written, 0 before the first
+}
+
+// write emits r's frame. A write error means the client disconnected (or the
+// connection broke) mid-frame; the caller must stop the stream rather than
+// keep burning the subscription on a dead pipe.
+func (s *sseWriter) write(r stream.Resolution) error {
 	data, err := json.Marshal(toResolutionBody(r))
 	if err != nil {
 		return fmt.Errorf("server: encode resolution %d: %w", r.Seq, err)
 	}
-	if _, err := fmt.Fprintf(w, "event: resolution\ndata: %s\n\n", data); err != nil {
+	if r.Seq > s.last+1 {
+		if _, err := fmt.Fprintf(s.w, ": gap %d-%d\n", s.last+1, r.Seq-1); err != nil {
+			return fmt.Errorf("server: write gap before resolution %d: %w", r.Seq, err)
+		}
+	}
+	if _, err := fmt.Fprintf(s.w, "id: %d\nevent: resolution\ndata: %s\n\n", r.Seq, data); err != nil {
 		return fmt.Errorf("server: write resolution %d: %w", r.Seq, err)
 	}
+	s.last = r.Seq
 	return nil
 }

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -451,5 +452,36 @@ func TestStreamEndpointsAbsentWithoutOption(t *testing.T) {
 	}
 	if code := getJSON(t, ts.URL+"/stream", nil); code != http.StatusNotFound {
 		t.Errorf("/stream without stream status = %d, want 404", code)
+	}
+}
+
+// TestSSEFramesMarkGaps drives the frame writer over a Seq sequence with two
+// holes — what a subscriber whose channel dropped resolutions sees — and pins
+// the bytes: every frame carries its Seq as the event id, each hole is one
+// comment line naming the missing Seqs, and the data lines are exactly the
+// JSON bodies.
+func TestSSEFramesMarkGaps(t *testing.T) {
+	var buf strings.Builder
+	sse := &sseWriter{w: &buf}
+	var want strings.Builder
+	for _, seq := range []int{1, 2, 5, 6, 9} {
+		r := stream.Resolution{Seq: seq, EID: "e", VID: "v", Margin: 2}
+		if err := sse.write(r); err != nil {
+			t.Fatal(err)
+		}
+		switch seq {
+		case 5:
+			want.WriteString(": gap 3-4\n")
+		case 9:
+			want.WriteString(": gap 7-8\n")
+		}
+		data, err := json.Marshal(toResolutionBody(r))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want.WriteString("id: " + strconv.Itoa(seq) + "\nevent: resolution\ndata: " + string(data) + "\n\n")
+	}
+	if buf.String() != want.String() {
+		t.Errorf("frames:\n%s\nwant:\n%s", buf.String(), want.String())
 	}
 }

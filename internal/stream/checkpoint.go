@@ -303,6 +303,9 @@ func (e *Engine) restoreMatchState(cp *checkpointFile) error {
 	for _, eid := range cp.Resolved {
 		e.resolved[eid] = true
 	}
+	// The replay re-resolved every target the partition had resolved; those
+	// the checkpoint already answered are not pending.
+	e.pending = slices.DeleteFunc(e.pending, func(t ids.EID) bool { return e.resolved[t] })
 	for _, vid := range cp.Accepted {
 		e.accept(vid)
 	}

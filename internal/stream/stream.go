@@ -221,6 +221,13 @@ type Engine struct {
 	live            *blocking.LiveTargets
 	blockCandidates int64
 	blockPruned     int64
+	// ix is the sweep's view of the store's postings: a closed window never
+	// grows again, so what one sweep materialised serves every later one.
+	ix *blocking.Index
+	// pending holds the targets the partition has resolved that have no
+	// resolution yet, in resolve order: the resolve hook appends, and the
+	// sweep takes what it can match and keeps the rest.
+	pending []ids.EID
 
 	// Spill tier (DESIGN.md §14), active when cfg.MemBudget > 0: sealed V
 	// payloads are charged against spillBudget as windows close and evicted
@@ -311,7 +318,15 @@ func (e *Engine) resetMatchState() error {
 	}
 	e.part = p
 	e.live = blocking.NewLiveTargets(e.cfg.Targets)
-	e.part.OnResolve(e.live.Resolve)
+	e.pending = nil
+	if p.NumTargets() == 1 {
+		e.pending = slices.Clone(p.Targets()) // born resolved: no split will report it
+	}
+	e.part.OnResolve(func(t ids.EID) {
+		e.live.Resolve(t)
+		e.pending = append(e.pending, t)
+	})
+	e.ix = blocking.Build(e.store, blocking.DefaultGeometry())
 	e.blockCandidates, e.blockPruned = 0, 0
 	// The live filter scores under the batch run's defaulted options, so a
 	// live resolution and Finalize's weigh the same evidence alike.
@@ -450,41 +465,43 @@ func (e *Engine) applyRound(sealed []ShardSealed, target int) error {
 	return e.foldLocked(sealed, target)
 }
 
-// sweepResolutions emits a resolution for every target whose set newly became
-// a singleton, in sorted EID order, stamped with window, the last one closed;
-// acceptable VIDs are ruled out for later matches, mirroring the batch V
-// stage's serial rule-out. The targets and their lists are fixed before any
-// is matched — nothing a match does moves the partition or the store — so one
-// vfilter.MatchInOrder call scores the whole sweep on every core and each
+// sweepResolutions emits a resolution for every pending target — one whose
+// set has become a singleton — in sorted EID order, stamped with window, the
+// last one closed; acceptable VIDs are ruled out for later matches,
+// mirroring the batch V stage's serial rule-out. A target whose padded list
+// is still empty stays pending. The targets and their lists are fixed before
+// any is matched — nothing a match does moves the partition or the store — so
+// one vfilter.MatchInOrder call scores the whole sweep on every core and each
 // resolution still leaves the moment it is decided. Callers hold e.mu, and
 // hold it throughout: the emit callback below runs on MatchInOrder's
 // goroutines, one call at a time and all of them before it returns, so the
 // engine state it writes stays under the caller's lock.
 func (e *Engine) sweepResolutions(window int) error {
+	if len(e.pending) == 0 {
+		return nil
+	}
+	slices.Sort(e.pending)
 	var targets []ids.EID
 	var lists [][]scenario.ID
-	for _, t := range e.cfg.Targets {
-		if e.resolved[t] {
-			continue
-		}
-		ok, err := e.part.Resolved(t)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			continue
-		}
+	var windows []int
+	waiting := e.pending[:0]
+	for _, t := range e.pending {
 		pos, err := e.part.PositiveScenarios(t)
 		if err != nil {
 			return err
 		}
-		list := core.PadToUnique(e.store, t, pos, e.store.Windows())
+		if windows == nil {
+			windows = e.store.Windows()
+		}
+		list := core.PadToUnique(e.store, e.ix, t, pos, windows)
 		if len(list) == 0 {
-			continue // no closed scenario mentions the EID yet; retry later
+			waiting = append(waiting, t) // no closed scenario mentions the EID yet; retry later
+			continue
 		}
 		targets = append(targets, t)
 		lists = append(lists, list)
 	}
+	e.pending = waiting
 	// Ingest takes no context; the sweep is bounded by its target list.
 	return e.filter.MatchInOrder(context.TODO(), targets, lists, e.exclusion, func(_ int, res vfilter.Result) {
 		e.resolved[res.EID] = true

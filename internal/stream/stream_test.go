@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -14,6 +15,7 @@ import (
 	"evmatching/internal/core"
 	"evmatching/internal/dataset"
 	"evmatching/internal/feature"
+	"evmatching/internal/geo"
 	"evmatching/internal/ids"
 	"evmatching/internal/scenario"
 )
@@ -676,5 +678,43 @@ func TestHostilePatchRefusedAtIngest(t *testing.T) {
 				t.Fatalf("fingerprint after a refused hostile line diverges from the clean replay:\n--- clean\n%s\n--- got\n%s", clean, got)
 			}
 		})
+	}
+}
+
+// TestSweepKeepsUnlistedTargetsPending drives the pending set the resolve
+// hook feeds: c becomes a singleton at window 1, when b splits away, but no
+// closed scenario holds c, so it waits — across a window that still holds
+// nothing of it and across a checkpoint restore — and resolves in the sweep
+// after the window that first holds it closes.
+func TestSweepKeepsUnlistedTargetsPending(t *testing.T) {
+	e := func(ts int64, cell int, eid ids.EID) Observation {
+		return Observation{TS: ts, Kind: KindE, Cell: geo.CellID(cell), EID: eid, Attr: scenario.AttrInclusive}
+	}
+	head := []Observation{e(100, 0, "a"), e(1100, 0, "b"), e(2100, 5, "z"), e(3100, 0, "c"), e(4100, 5, "z")}
+	cfg := Config{Targets: []ids.EID{"c", "b", "a"}, WindowMS: testWindowMS, LatenessMS: testLatenessMS, Dim: 8}
+	eng := replayEngine(t, cfg, head)
+	got := eng.Resolutions()
+	if len(got) != 2 || got[0].EID != "a" || got[0].Window != 0 || got[1].EID != "b" || got[1].Window != 1 {
+		t.Fatalf("resolutions before the flush: %+v", got)
+	}
+	if pending := eng.Gauges()["stream_pending_eids"]; pending != 1 {
+		t.Errorf("stream_pending_eids = %d, want 1 (c)", pending)
+	}
+	var ck bytes.Buffer
+	if err := eng.Checkpoint(&ck); err != nil {
+		t.Fatal(err)
+	}
+	restored, err := Restore(cfg, &ck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, p := range map[string]*Engine{"live": eng, "restored": restored} {
+		if err := p.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		got := p.Resolutions()
+		if len(got) != 3 || got[2].EID != "c" || got[2].Seq != 3 || got[2].Window != 4 {
+			t.Errorf("%s: resolutions after the flush: %+v", name, got)
+		}
 	}
 }

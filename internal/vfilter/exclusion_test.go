@@ -193,3 +193,42 @@ func TestConcurrentMatchSharedExclusion(t *testing.T) {
 		}
 	}
 }
+
+// TestVIDOrdinalsSharedAcrossFilters: the VID ordinals belong to the store. A
+// second filter over a store the first has extracted from reads the first's
+// ordinals back — the same slices, no VID interned — and matches alike; an
+// exclusion made on one filter's ordinals means the same VIDs on the other's.
+func TestVIDOrdinalsSharedAcrossFilters(t *testing.T) {
+	w := newWorld(t, 4)
+	list := []scenario.ID{
+		w.addScenario(t, 0, []int{0, 1, 2}),
+		w.addScenario(t, 1, []int{0, 1, 3}),
+		w.addScenario(t, 2, []int{0, 2, 3}),
+	}
+	a := newFilter(t, w, 0.5)
+	want, err := a.Match(eidOf(0), list, excluding(a, ids.VIDLabel(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := w.store.NumVIDs()
+	b := newFilter(t, w, 0.5)
+	got, err := b.Match(eidOf(0), list, excluding(b, ids.VIDLabel(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("second filter %+v, first %+v", got, want)
+	}
+	if w.store.NumVIDs() != n {
+		t.Errorf("the second filter grew the store's VID table from %d to %d", n, w.store.NumVIDs())
+	}
+	for _, id := range list {
+		if oa, ob := a.cache[id].ords, b.cache[id].ords; &oa[0] != &ob[0] {
+			t.Errorf("scenario %d: the filters hold different ordinal slices %v and %v", id, oa, ob)
+		}
+	}
+	xa, xb := excluding(a, ids.VIDLabel(2)), excluding(b, ids.VIDLabel(2))
+	if !reflect.DeepEqual(excludedOrds(xa), excludedOrds(xb)) {
+		t.Errorf("one VID excluded on two filters: ordinals %v and %v", excludedOrds(xa), excludedOrds(xb))
+	}
+}

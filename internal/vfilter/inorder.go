@@ -78,16 +78,16 @@ func (f *Filter) MatchInOrder(ctx context.Context, eids []ids.EID, lists [][]sce
 		i, o := frontier, outcomes[frontier]
 		outcomes[i] = outcome{}
 		frontier++
-		res, err := Result{}, o.err
+		res, ord, err := Result{}, int32(-1), o.err
 		if err == nil {
-			res, err = f.Decide(o.sc, exclude)
+			res, ord, err = f.decide(o.sc, exclude)
 		}
 		if err != nil {
 			failed, deciding = err, false
 			return 0, Result{}, false
 		}
 		if res.VID != ids.NoVID && res.Acceptable {
-			exclude.Add(res.VID)
+			exclude.addOrd(ord)
 		}
 		return i, res, true
 	}

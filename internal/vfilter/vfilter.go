@@ -9,8 +9,8 @@
 //
 // The Match hot path allocates only its compact outcome: each V-Scenario's
 // features live in one contiguous feature.Matrix (extracted in place, row by
-// row), candidate masks are bitset-backed dense tables over the Filter's
-// interned VID ordinals, per-candidate state is slice-indexed scratch
+// row), candidate masks are bitset-backed dense tables over the store's
+// VID ordinals, per-candidate state is slice-indexed scratch
 // recycled through a sync.Pool, and scoring makes one feature.MaxSimBatch
 // call per scenario over all surviving candidates, each seeded with its own
 // detection in that scenario. Candidates are census-pruned before any feature
@@ -19,7 +19,10 @@
 // arrive as an Exclusion — a bitset over the same ordinals, maintained by the
 // caller — so a Match over cached scenarios takes the Filter's mutex only to
 // look its scenarios up in the cache, never for exclusions or counters (work
-// counters and the ordinal count are atomics).
+// counters are atomics, and the store counts its ordinals in one too). The
+// ordinals belong to the store, not the Filter: a scenario's VIDs are
+// interned when any filter over the store first extracts it, and a later
+// filter reads them back without hashing a VID.
 //
 // A Match is two steps. Score is everything that reads feature data, up to
 // each candidate's trajectory probability; Decide is the vote over those
@@ -63,7 +66,9 @@ type Config struct {
 // Stats counts the visual-processing work performed, the paper's proxy for V
 // stage cost: unique scenarios processed, feature extractions attempted
 // (successful or not — a scenario whose extraction fails midway still paid
-// for the attempts made), and feature comparisons.
+// for the attempts made), feature comparisons, and the (candidate, scenario)
+// pairs the comparisons came in — one representative scored against one
+// scenario's matrix each.
 //
 // Comparisons counts what was scored, and under MatchInOrder that is exact —
 // the one-at-a-time loop's count — only at GOMAXPROCS 1. With more workers a
@@ -74,6 +79,7 @@ type Stats struct {
 	ScenariosProcessed int
 	Extractions        int
 	Comparisons        int
+	Pairs              int
 }
 
 // Result is the outcome of matching one EID.
@@ -106,7 +112,7 @@ type cacheEntry struct {
 	once sync.Once
 	m    *feature.Matrix
 	rows []feature.Vector // views into m, parallel to the detections
-	ords []int32          // Filter-wide VID ordinal per detection
+	ords []int32          // store VID ordinal per detection
 	err  error
 }
 
@@ -117,14 +123,8 @@ type Filter struct {
 	store *scenario.Store
 	cfg   Config
 
-	mu    sync.Mutex // guards cache and the VID intern tables
+	mu    sync.Mutex // guards cache
 	cache map[scenario.ID]*cacheEntry
-	// VID interning: every VID observed in an extracted scenario gets a
-	// dense ordinal, so the Match hot loops index slices and bitsets instead
-	// of hashing string VIDs. Ordinals are stable for the Filter's lifetime.
-	vidOrd   map[ids.VID]int32
-	vidByOrd []ids.VID
-	numVID   atomic.Int64 // len(vidByOrd), readable without mu
 
 	// matrixSource, when set, is consulted before extraction: if it returns
 	// a matrix for the scenario (e.g. reloaded from the spill tier), that
@@ -135,6 +135,7 @@ type Filter struct {
 	scenariosProcessed atomic.Int64
 	extractions        atomic.Int64
 	comparisons        atomic.Int64
+	pairs              atomic.Int64
 
 	pool sync.Pool // of *scratch
 }
@@ -151,10 +152,9 @@ func New(store *scenario.Store, cfg Config) (*Filter, error) {
 		return nil, fmt.Errorf("vfilter: AcceptMajority %f out of [0,1]", cfg.AcceptMajority)
 	}
 	f := &Filter{
-		store:  store,
-		cfg:    cfg,
-		cache:  make(map[scenario.ID]*cacheEntry),
-		vidOrd: make(map[ids.VID]int32),
+		store: store,
+		cfg:   cfg,
+		cache: make(map[scenario.ID]*cacheEntry),
 	}
 	f.pool.New = func() any { return new(scratch) }
 	return f, nil
@@ -191,6 +191,7 @@ func (f *Filter) Stats() Stats {
 		ScenariosProcessed: int(f.scenariosProcessed.Load()),
 		Extractions:        int(f.extractions.Load()),
 		Comparisons:        int(f.comparisons.Load()),
+		Pairs:              int(f.pairs.Load()),
 	}
 }
 
@@ -277,7 +278,7 @@ func (f *Filter) featuresFor(id scenario.ID, v *scenario.VScenario, buf *feature
 				return
 			}
 			if m != nil {
-				f.fill(entry, v, m)
+				f.fill(entry, id, v, m)
 				return
 			}
 		}
@@ -295,45 +296,27 @@ func (f *Filter) featuresFor(id scenario.ID, v *scenario.VScenario, buf *feature
 				return
 			}
 		}
-		f.fill(entry, v, m)
+		f.fill(entry, id, v, m)
 	})
 	return entry
 }
 
-// fill completes a cache entry from an extracted matrix: row views, interned
-// VID ordinals, and the work counters. Callers run inside entry.once.
-func (f *Filter) fill(entry *cacheEntry, v *scenario.VScenario, m *feature.Matrix) {
+// fill completes scenario id's cache entry from an extracted matrix: row
+// views, the store's VID ordinals of its detections, and the work counters.
+// Callers run inside entry.once.
+func (f *Filter) fill(entry *cacheEntry, id scenario.ID, v *scenario.VScenario, m *feature.Matrix) {
 	entry.m = m
 	entry.rows = make([]feature.Vector, m.Rows())
 	for i := range entry.rows {
 		entry.rows[i] = m.Row(i)
 	}
-	ords := make([]int32, len(v.Detections))
-	f.mu.Lock()
-	for i := range v.Detections {
-		ords[i] = f.internLocked(v.Detections[i].VID)
-	}
-	f.mu.Unlock()
-	entry.ords = ords
+	entry.ords = f.store.DetectionOrdinals(id, v)
 	f.scenariosProcessed.Add(1)
 	f.extractions.Add(int64(m.Rows()))
 }
 
-// internLocked returns vid's ordinal, assigning the next one on first sight.
-// Callers hold f.mu.
-func (f *Filter) internLocked(vid ids.VID) int32 {
-	ord, ok := f.vidOrd[vid]
-	if !ok {
-		ord = int32(len(f.vidByOrd))
-		f.vidOrd[vid] = ord
-		f.vidByOrd = append(f.vidByOrd, vid)
-		f.numVID.Store(int64(len(f.vidByOrd)))
-	}
-	return ord
-}
-
 // Exclusion is a set of VIDs ruled out of a Match — the already-matched VIDs
-// of Theorem 4.1 — held as a bitset over its Filter's interned VID ordinals,
+// of Theorem 4.1 — held as a bitset over the store's VID ordinals,
 // so Match tests membership with one word load per detection instead of
 // re-hashing a VID set on every call. It is the caller's running state: the
 // serial V stage Adds each accepted VID and hands the same Exclusion to the
@@ -354,17 +337,17 @@ type Exclusion struct {
 // NewExclusion returns an empty exclusion set for Match calls on f.
 func (f *Filter) NewExclusion() *Exclusion { return &Exclusion{f: f} }
 
-// Add rules vid out. A VID the Filter has not extracted yet is interned on
-// the spot, so the exclusion already holds when a later scenario first
-// sights it.
-func (x *Exclusion) Add(vid ids.VID) {
-	x.f.mu.Lock()
-	ord := int(x.f.internLocked(vid))
-	x.f.mu.Unlock()
-	for len(x.bits)*64 <= ord {
+// Add rules vid out. A VID no filter over the store has extracted yet is
+// interned on the spot, so the exclusion already holds when a later scenario
+// first sights it.
+func (x *Exclusion) Add(vid ids.VID) { x.addOrd(x.f.store.VIDOrdinal(vid)) }
+
+// addOrd rules out the VID with ordinal ord.
+func (x *Exclusion) addOrd(ord int32) {
+	for len(x.bits)*64 <= int(ord) {
 		x.bits = append(x.bits, 0)
 	}
-	x.bits.Add(ord)
+	x.bits.Add(int(ord))
 }
 
 // Clone returns an independent copy of x.
@@ -393,8 +376,8 @@ type scan struct {
 
 // scratch is the per-Match working state, recycled through Filter.pool. The
 // candidate census runs over dense ordinal-indexed tables: a bitset mask for
-// pruning survival plus presence counters, all sized by the Filter's VID
-// intern table. Only candidates surviving the census get slots
+// pruning survival plus presence counters, all sized by the store's VID
+// ordinal count. Only candidates surviving the census get slots
 // (numbered by discovery order); every per-candidate quantity lives in a
 // slot-indexed slice, so the hot loops touch no map at all.
 type scratch struct {
@@ -452,22 +435,22 @@ func (s *scratch) reset(n int) {
 	s.offs = s.offs[:0]
 }
 
-// ensureOrds sizes the ordinal-indexed tables for a Filter that has interned
-// numVID VIDs so far. The counter tables only grow (ordinals are stable for
-// the Filter's lifetime); the kept mask is word-wise cleared for the new
+// ensureOrds sizes the ordinal-indexed tables for a store that has assigned
+// n VID ordinals so far. The counter tables only grow (ordinals are stable
+// for the store's lifetime); the kept mask is word-wise cleared for the new
 // Match, or reallocated when the ordinal universe outgrew it.
-func (s *scratch) ensureOrds(numVID int) {
-	for len(s.slotByOrd) < numVID {
+func (s *scratch) ensureOrds(n int) {
+	for len(s.slotByOrd) < n {
 		s.slotByOrd = append(s.slotByOrd, -1)
 	}
-	for len(s.presence) < numVID {
+	for len(s.presence) < n {
 		s.presence = append(s.presence, 0)
 	}
-	for len(s.seenScen) < numVID {
+	for len(s.seenScen) < n {
 		s.seenScen = append(s.seenScen, 0)
 	}
-	if len(s.kept)*64 < numVID {
-		s.kept = bitset.New(numVID)
+	if len(s.kept)*64 < n {
+		s.kept = bitset.New(n)
 	} else {
 		s.kept.Clear()
 	}
@@ -578,7 +561,7 @@ func (f *Filter) Score(e ids.EID, list []scenario.ID, exclude *Exclusion) (*Scor
 			s.scans[i].ords = entry.ords
 		}
 	}
-	s.ensureOrds(int(f.numVID.Load()))
+	s.ensureOrds(f.store.NumVIDs())
 
 	// Candidate census: one pass over the detections counts, per VID
 	// ordinal, how many listed scenarios sight each non-excluded candidate.
@@ -682,7 +665,7 @@ func (f *Filter) Score(e ids.EID, list []scenario.ID, exclude *Exclusion) (*Scor
 	// each scenario sights, for Decide's per-scenario vote.
 	s.seeds = slices.Grow(s.seeds[:0], n)[:n]
 	s.sims = slices.Grow(s.sims[:0], n)[:n]
-	var comparisons int64
+	var comparisons, pairs int64
 	for i := range s.scans {
 		s.offs = append(s.offs, int32(len(s.present)))
 		sc := &s.scans[i]
@@ -705,9 +688,11 @@ func (f *Filter) Score(e ids.EID, list []scenario.ID, exclude *Exclusion) (*Scor
 			s.prob[slot] *= sim
 		}
 		comparisons += int64(n) * int64(sc.m.Rows())
+		pairs += int64(n)
 	}
 	s.offs = append(s.offs, int32(len(s.present)))
 	f.comparisons.Add(comparisons)
+	f.pairs.Add(pairs)
 
 	// The compact copy — three small allocations — so the scratch goes back
 	// to the pool now rather than when the target is decided.
@@ -745,19 +730,26 @@ func (f *Filter) Score(e ids.EID, list []scenario.ID, exclude *Exclusion) (*Scor
 // and fall back to all candidates, whom sc never scored. Decide detects that
 // case and scores again under exclude itself, hence the error result.
 func (f *Filter) Decide(sc *Scored, exclude *Exclusion) (Result, error) {
+	res, _, err := f.decide(sc, exclude)
+	return res, err
+}
+
+// decide is Decide that also returns the matched VID's store ordinal (-1
+// when there is none), so a rule-out loop excludes it without hashing it.
+func (f *Filter) decide(sc *Scored, exclude *Exclusion) (Result, int32, error) {
 	res := emptyResult(sc.eid, len(sc.list))
 	if exclude != nil && exclude.f != f {
-		return res, errors.New("vfilter: exclusion belongs to another filter")
+		return res, -1, errors.New("vfilter: exclusion belongs to another filter")
 	}
 	if sc.pruned && !slices.ContainsFunc(sc.ords, func(ord int32) bool { return !exclude.has(ord) }) {
 		again, err := f.Score(sc.eid, sc.list, exclude)
 		if err != nil {
-			return res, err
+			return res, -1, err
 		}
 		sc = again
 	}
 	if len(sc.vids) == 0 {
-		return res, nil
+		return res, -1, nil
 	}
 
 	// Per-scenario vote: each scenario elects the present candidate with the
@@ -783,7 +775,7 @@ func (f *Filter) Decide(sc *Scored, exclude *Exclusion) (Result, error) {
 		}
 	}
 	if voting == 0 {
-		return res, nil
+		return res, -1, nil
 	}
 
 	// Majority decision; ties break toward the higher trajectory
@@ -828,5 +820,5 @@ func (f *Filter) Decide(sc *Scored, exclude *Exclusion) (Result, error) {
 	if bestOther > 0 {
 		res.Margin = res.Probability / bestOther
 	}
-	return res, nil
+	return res, sc.ords[bestSlot], nil
 }
