@@ -479,8 +479,7 @@ func TestExplain(t *testing.T) {
 // performed. Comparisons are pinned across parallel runs only —
 // serial legitimately performs fewer because its exclusions accrue from one
 // target to the next while every parallel Match scores against the exclusion
-// the stage started with (and how many fewer varies a little above
-// GOMAXPROCS 1: see vfilter.Stats).
+// the stage started with (TestGoldenVStatsPairs pins the serial count).
 func TestSerialParallelStatsAgreement(t *testing.T) {
 	ds := testDataset(t, nil)
 	targets := ds.SampleEIDs(30, rand.New(rand.NewSource(7)))

@@ -100,3 +100,28 @@ func TestGoldenFingerprintCluster(t *testing.T) {
 		t.Errorf("cluster fingerprint hash = %s, want %s (executor changed match results)", got, want)
 	}
 }
+
+// TestGoldenVStatsPairs pins the V stage's work counts on the paper world
+// (bench's batch-paper world at its first seed). Serial SS scores targets on
+// GOMAXPROCS goroutines, some against an exclusion that is not yet final,
+// and reads part of its similarities from the filter's memo; Pairs and
+// Comparisons count what the decided answers rest on, so neither the worker
+// count nor the memo may move them. CI runs it at -cpu 1,2,8.
+func TestGoldenVStatsPairs(t *testing.T) {
+	cfg := dataset.DefaultConfig()
+	cfg.NumWindows = 32
+	cfg.Seed = 65
+	ds, err := dataset.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := newMatcher(t, ds, Options{Mode: ModeSerial}).Match(context.Background(), ds.AllEIDs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const wantPairs, wantComparisons = 23832, 1611440
+	if rep.VStats.Pairs != wantPairs || rep.VStats.Comparisons != wantComparisons {
+		t.Errorf("VStats Pairs, Comparisons = %d, %d; want %d, %d",
+			rep.VStats.Pairs, rep.VStats.Comparisons, wantPairs, wantComparisons)
+	}
+}

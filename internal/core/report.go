@@ -32,8 +32,10 @@ type Report struct {
 	// (PrefetchedScenarios) and adds to neither.
 	ETime time.Duration
 	VTime time.Duration
-	// VStats aggregates the visual-processing work performed.
+	// VStats aggregates the visual-processing work performed, and VMemo
+	// what of it the SS filter's MaxSim memo saved (zero under EDP).
 	VStats vfilter.Stats
+	VMemo  vfilter.MemoStats
 	// RefineRounds is how many extra refine iterations ran (0 = none).
 	RefineRounds int
 	// BlockCandidates and BlockPruned count the store scenarios the posting
@@ -104,13 +106,13 @@ func (r *Report) AvgScenariosPerEID() float64 {
 // canonical textual form: targets in sorted order, each with its match
 // outcome, scenario-list length, and per-scenario votes, followed by the
 // aggregate counters. Timing and work-cost fields (ETime, VTime, VStats,
-// BlockCandidates, BlockPruned, BlockMaterialised, PrefetchedScenarios) are
-// excluded: they measure effort, not results, and legitimately vary when the
-// cluster re-executes tasks after faults, when blocking is toggled, when the
-// store is warm or with GOMAXPROCS. Two runs over the same dataset and
-// options must produce byte-identical fingerprints — the determinism
-// guarantee evlint's maprange rule protects and the chaos sim asserts under
-// fault injection (see DESIGN.md).
+// VMemo, BlockCandidates, BlockPruned, BlockMaterialised,
+// PrefetchedScenarios) are excluded: they measure effort, not results, and
+// legitimately vary when the cluster re-executes tasks after faults, when
+// blocking is toggled, when the store is warm or with GOMAXPROCS. Two runs
+// over the same dataset and options must produce byte-identical
+// fingerprints — the determinism guarantee evlint's maprange rule protects
+// and the chaos sim asserts under fault injection (see DESIGN.md).
 func (r *Report) Fingerprint() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "algorithm=%s mode=%s\n", r.Algorithm, r.Mode)

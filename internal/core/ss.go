@@ -86,6 +86,7 @@ func (m *Matcher) matchSS(ctx context.Context, targets []ids.EID, filter *vfilte
 	// Every handed scenario is on a list the V stage has scored, so whatever
 	// the helpers still hold is a cache hit: the counters are final.
 	rep.VStats = filter.Stats()
+	rep.VMemo = filter.Memo()
 	return rep, nil
 }
 

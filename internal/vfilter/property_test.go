@@ -156,6 +156,84 @@ func BenchmarkFilterMatch(b *testing.B) {
 			}
 		})
 	}
+	// practical is the shape the MaxSim memo serves: scenarios of 126 rows
+	// at dim 64, as in bench's serve-ingest world, and targets whose lists
+	// share candidates. An op matches every target once: cold with every
+	// memo emptied first (outside the timer), warm with them all filled.
+	practical, targets, lists := practicalBenchFilter(b)
+	matchAll := func(b *testing.B) {
+		for i, e := range targets {
+			if _, err := practical.Match(e, lists[i], nil); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.Run("practical/cold", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			practical.forgetMemos()
+			b.StartTimer()
+			matchAll(b)
+		}
+	})
+	b.Run("practical/warm", func(b *testing.B) {
+		matchAll(b)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			matchAll(b)
+		}
+	})
+}
+
+// practicalBenchFilter is BenchmarkFilterMatch/practical's world: 160
+// persons, 126 of them detected in each of eight scenarios at dim 64, and
+// twelve targets over three lists of four to six scenarios, behind a Filter
+// whose extraction cache is warm and whose memos are empty.
+func practicalBenchFilter(b testing.TB) (*Filter, []ids.EID, [][]scenario.ID) {
+	const persons, rows, dim = 160, 126, 64
+	rng := rand.New(rand.NewSource(1))
+	layout, err := geo.NewGridLayout(geo.Square(geo.Pt(0, 0), 100), 4, 4)
+	if err != nil {
+		b.Fatal(err)
+	}
+	gallery, err := feature.NewGallery(rng, persons, dim)
+	if err != nil {
+		b.Fatal(err)
+	}
+	st := scenario.NewStore(layout)
+	var scenarios []scenario.ID
+	for w := 0; w < 8; w++ {
+		var dets []scenario.Detection
+		for _, p := range rng.Perm(persons)[:rows] {
+			dets = append(dets, scenario.Detection{
+				VID:   ids.VIDLabel(p),
+				Patch: feature.EncodePatch(gallery.Observe(p, 0.1, rng), 1, rng),
+			})
+		}
+		e := &scenario.EScenario{Cell: geo.CellID(w), Window: w, EIDs: map[ids.EID]scenario.Attr{}}
+		id, err := st.Add(e, &scenario.VScenario{Cell: e.Cell, Window: w, Detections: dets})
+		if err != nil {
+			b.Fatal(err)
+		}
+		scenarios = append(scenarios, id)
+	}
+	shared := [][]scenario.ID{scenarios[:4], scenarios[2:7], scenarios[1:7]}
+	var targets []ids.EID
+	var lists [][]scenario.ID
+	for t := 0; t < 12; t++ {
+		targets = append(targets, ids.EID(rune('a'+t)))
+		lists = append(lists, shared[t%len(shared)])
+	}
+	filter, err := New(st, Config{Extractor: feature.Extractor{Dim: dim}, AcceptMajority: 0.5})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := filter.ExtractBatch(scenarios); err != nil {
+		b.Fatal(err)
+	}
+	return filter, targets, lists
 }
 
 // denseBenchFilter is the benchmarks' world: forty persons, every one of

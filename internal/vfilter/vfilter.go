@@ -12,8 +12,12 @@
 // row), candidate masks are bitset-backed dense tables over the store's
 // VID ordinals, per-candidate state is slice-indexed scratch
 // recycled through a sync.Pool, and scoring makes one feature.MaxSimBatch
-// call per scenario over all surviving candidates, each seeded with its own
-// detection in that scenario. Candidates are census-pruned before any feature
+// call per scenario over the surviving candidates, each seeded with its own
+// detection in that scenario. A scenario large enough to be worth it keeps a
+// memo of the similarities it has given (see repTable and simMemo): a
+// candidate whose representative it has scored before — the same VID over
+// the same sightings — is read back, exactly, and only the rest go to the
+// kernel. Candidates are census-pruned before any feature
 // accumulation, so the expensive per-candidate work (running means, MaxSim)
 // only touches the VIDs that can still win the vote. Already-matched VIDs
 // arrive as an Exclusion — a bitset over the same ordinals, maintained by the
@@ -70,11 +74,12 @@ type Config struct {
 // pairs the comparisons came in — one representative scored against one
 // scenario's matrix each.
 //
-// Comparisons counts what was scored, and under MatchInOrder that is exact —
-// the one-at-a-time loop's count — only at GOMAXPROCS 1. With more workers a
-// target is scored while the few before it are still being scored, so a VID
-// one of them is about to be matched with is not ruled out yet and gets
-// scored (and counted) as a candidate too; the results do not change.
+// Pairs and Comparisons count what a Match's answer rests on: Decide adds
+// them up over the candidates it decides among, whether a pair's similarity
+// came from the kernel or from a scenario's memo. So they are the
+// one-at-a-time loop's counts under MatchInOrder at every GOMAXPROCS, though
+// a target scored there while the targets before it were still undecided
+// may have scored a few more candidates than the loop would.
 type Stats struct {
 	ScenariosProcessed int
 	Extractions        int
@@ -107,13 +112,18 @@ type Result struct {
 
 // cacheEntry holds one V-Scenario's extracted features, computed once. The
 // matrix is the kernel-facing storage; rows are per-detection views into it
-// kept for the public Features accessor.
+// kept for the public Features accessor. memo holds the MaxSim of every
+// representative scored against the matrix so far, when the scenario is
+// worth memoising (memoMinWork); it goes when the entry is dropped.
 type cacheEntry struct {
 	once sync.Once
 	m    *feature.Matrix
 	rows []feature.Vector // views into m, parallel to the detections
 	ords []int32          // store VID ordinal per detection
 	err  error
+
+	memoMu sync.Mutex // guards memo
+	memo   simMemo
 }
 
 // Filter matches EIDs to VIDs over one scenario store. It is safe for
@@ -132,10 +142,14 @@ type Filter struct {
 	// Set once at construction time, before any Match runs.
 	matrixSource MatrixSource
 
+	reps repTable // the representatives the scenarios' memos are keyed by
+
 	scenariosProcessed atomic.Int64
 	extractions        atomic.Int64
 	comparisons        atomic.Int64
 	pairs              atomic.Int64
+	kernelPairs        atomic.Int64
+	memoBytes          atomic.Int64
 
 	pool sync.Pool // of *scratch
 }
@@ -182,6 +196,9 @@ func (f *Filter) Drop(id scenario.ID) (*feature.Matrix, bool) {
 		return nil, false
 	}
 	delete(f.cache, id)
+	entry.memoMu.Lock()
+	f.memoBytes.Add(-entry.memo.bytes())
+	entry.memoMu.Unlock()
 	return entry.m, true
 }
 
@@ -192,6 +209,32 @@ func (f *Filter) Stats() Stats {
 		Extractions:        int(f.extractions.Load()),
 		Comparisons:        int(f.comparisons.Load()),
 		Pairs:              int(f.pairs.Load()),
+	}
+}
+
+// MemoStats describes the MaxSim memo: how much kernel work it left and
+// what it holds. Unlike Stats these are not the one-at-a-time loop's counts
+// above GOMAXPROCS 1, where two Scores may both miss a pair they race on.
+type MemoStats struct {
+	// KernelPairs counts the (representative, scenario) pairs the kernel
+	// evaluated. At GOMAXPROCS 1 Stats.Pairs less KernelPairs is what the
+	// memos served; above it KernelPairs also counts the speculative
+	// candidates Stats leaves out.
+	KernelPairs int
+	// Representatives counts the distinct representatives interned.
+	Representatives int
+	// Bytes is the memo's storage: the interned keys and the live entries'
+	// memos.
+	Bytes int
+}
+
+// Memo returns a snapshot of the memo's counters.
+func (f *Filter) Memo() MemoStats {
+	reps, repBytes := f.reps.size()
+	return MemoStats{
+		KernelPairs:     int(f.kernelPairs.Load()),
+		Representatives: reps,
+		Bytes:           int(f.memoBytes.Load()) + repBytes,
 	}
 }
 
@@ -367,9 +410,11 @@ func (x *Exclusion) has(ord int32) bool {
 }
 
 // scan pairs one scenario of the Match list with its feature matrix and the
-// interned VID ordinals of its detections.
+// interned VID ordinals of its detections, and with the cache entry that
+// holds both and the scenario's memo.
 type scan struct {
 	v    *scenario.VScenario
+	e    *cacheEntry
 	m    *feature.Matrix
 	ords []int32
 }
@@ -405,6 +450,21 @@ type scratch struct {
 	// present[offs[i]:offs[i+1]] holds the slots scenario i sights (see Scored).
 	present []int32
 	offs    []int32
+	rows    []int32 // list position → its scenario's matrix rows, 0 without one
+
+	// The memo's working storage: slot keys[keyOffs[slot]:keyOffs[slot+1]]
+	// is its representative's key (see repTable), interned into repIDs;
+	// byRep orders the slots by that id. misses are the slots a scenario's
+	// memo lacked, in id order, scored and recorded through the miss* slabs.
+	keys      []int32
+	keyOffs   []int32
+	repIDs    []int32
+	byRep     []int32
+	misses    []int32
+	missIDs   []int32
+	missReps  []float64
+	missSeeds []int32
+	missSims  []float64
 }
 
 // reset prepares the scratch for a Match over n scenarios. accs keeps its
@@ -433,6 +493,7 @@ func (s *scratch) reset(n int) {
 	s.prob = s.prob[:0]
 	s.present = s.present[:0]
 	s.offs = s.offs[:0]
+	s.rows = s.rows[:0]
 }
 
 // ensureOrds sizes the ordinal-indexed tables for a store that has assigned
@@ -477,6 +538,88 @@ func (s *scratch) rep(slot, dim int) feature.Vector {
 	return feature.Vector(s.reps[slot*dim : (slot+1)*dim])
 }
 
+// internReps gives every slot the id of its representative's key in t: the
+// slot's VID ordinal, then list[i] for each position i whose scenario sights
+// it, in list order (see repTable). present and offs must be complete.
+func (s *scratch) internReps(t *repTable, list []scenario.ID) {
+	n := s.slots()
+	s.keyOffs = slices.Grow(s.keyOffs[:0], n+1)[:n+1]
+	clear(s.keyOffs)
+	for _, slot := range s.present {
+		s.keyOffs[slot+1]++
+	}
+	for slot := range n {
+		s.keyOffs[slot+1] += s.keyOffs[slot] + 1
+	}
+	s.keys = slices.Grow(s.keys[:0], int(s.keyOffs[n]))[:s.keyOffs[n]]
+	// repIDs is each slot's write cursor into keys until the interning.
+	s.repIDs = slices.Grow(s.repIDs[:0], n)[:n]
+	for slot := range n {
+		s.keys[s.keyOffs[slot]] = s.slotOrds[slot]
+		s.repIDs[slot] = s.keyOffs[slot] + 1
+	}
+	for i := range list {
+		for _, slot := range s.present[s.offs[i]:s.offs[i+1]] {
+			s.keys[s.repIDs[slot]] = int32(list[i])
+			s.repIDs[slot]++
+		}
+	}
+	t.intern(s.keys, s.keyOffs, s.repIDs)
+	s.byRep = s.byRep[:0]
+	for slot := range n {
+		s.byRep = append(s.byRep, int32(slot))
+	}
+	slices.SortFunc(s.byRep, func(a, b int32) int { return cmp.Compare(s.repIDs[a], s.repIDs[b]) })
+}
+
+// scoreMemo fills s.sims for one memoised scenario, whose seeds are set:
+// what the entry's memo holds is read, one kernel call scores the slots it
+// lacks (as a compact slab, unless it lacks them all), and the memo records
+// them. It returns how many slots the kernel scored.
+func (f *Filter) scoreMemo(s *scratch, e *cacheEntry, dim int) int {
+	s.misses = s.misses[:0]
+	e.memoMu.Lock()
+	held, at := len(e.memo.cells), 0
+	for _, slot := range s.byRep {
+		var hit bool
+		if at, hit = e.memo.seek(at, s.repIDs[slot]); hit {
+			s.sims[slot] = e.memo.cells[at].sim()
+		} else {
+			s.misses = append(s.misses, slot)
+		}
+	}
+	e.memoMu.Unlock()
+	k := len(s.misses)
+	if k == 0 {
+		return 0
+	}
+	s.missIDs = slices.Grow(s.missIDs[:0], k)[:k]
+	s.missSims = slices.Grow(s.missSims[:0], k)[:k]
+	if k == len(s.byRep) {
+		feature.MaxSimBatch(s.reps, e.m, s.seeds, s.sims)
+		for j, slot := range s.misses {
+			s.missIDs[j], s.missSims[j] = s.repIDs[slot], s.sims[slot]
+		}
+	} else {
+		s.missReps = slices.Grow(s.missReps[:0], k*dim)[:k*dim]
+		s.missSeeds = slices.Grow(s.missSeeds[:0], k)[:k]
+		for j, slot := range s.misses {
+			copy(s.missReps[j*dim:(j+1)*dim], s.rep(int(slot), dim))
+			s.missSeeds[j] = s.seeds[slot]
+		}
+		feature.MaxSimBatch(s.missReps, e.m, s.missSeeds, s.missSims)
+		for j, slot := range s.misses {
+			s.missIDs[j], s.sims[slot] = s.repIDs[slot], s.missSims[j]
+		}
+	}
+	e.memoMu.Lock()
+	before := e.memo.bytes()
+	e.memo.add(s.missIDs, s.missSims, held)
+	f.memoBytes.Add(e.memo.bytes() - before)
+	e.memoMu.Unlock()
+	return k
+}
+
 // Match finds the VID for EID e among the V-Scenarios of the given list,
 // excluding already-matched VIDs (the rule-out of Theorem 4.1); a nil
 // Exclusion rules nothing out. The list is the EID's positive scenario list
@@ -514,15 +657,17 @@ type Scored struct {
 	order []int32   // slots in lexicographic VID order (the deterministic order)
 	votes []int32   // slot → scenarios won; Decide's working storage
 	// present[offs[i]:offs[i+1]] lists the slots scenario i of the list
-	// sights, each once. offs is nil when there are no slots.
+	// sights, each once, and rows[i] is its matrix's row count, 0 when it
+	// has no detections. offs and rows are nil when there are no slots.
 	present []int32
 	offs    []int32
+	rows    []int32
 }
 
 // Score does everything of a Match that reads feature data: it extracts (or
 // finds cached) the listed scenarios, censuses the candidates exclude leaves
 // in play, prunes them by trajectory, and computes each survivor's trajectory
-// probability. What it returns depends on exclude only through which
+// probability, reading what it can from the scenarios' memos. What it returns depends on exclude only through which
 // candidates were dropped before scoring: a candidate's presence count, its
 // survival of the presence bar, its representative and its probability are
 // functions of its own detections and the full scenario matrices, never of
@@ -557,6 +702,7 @@ func (f *Filter) Score(e ids.EID, list []scenario.ID, exclude *Exclusion) (*Scor
 		}
 		s.scans[i].v = v
 		if entry != nil {
+			s.scans[i].e = entry
 			s.scans[i].m = entry.m
 			s.scans[i].ords = entry.ords
 		}
@@ -658,18 +804,46 @@ func (f *Filter) Score(e ids.EID, list []scenario.ID, exclude *Exclusion) (*Scor
 		}
 		s.accs[slot].MeanInto(s.rep(int(slot), dim))
 	}
-	// One kernel call per scenario scores every candidate against it. A
-	// candidate the scenario sights is seeded with its own detection there:
-	// that row is almost always its nearest, so the kernel's bound is tight
-	// before it looks at anybody else's row. The same pass notes which slots
-	// each scenario sights, for Decide's per-scenario vote.
 	s.seeds = slices.Grow(s.seeds[:0], n)[:n]
 	s.sims = slices.Grow(s.sims[:0], n)[:n]
-	var comparisons, pairs int64
+
+	// Which slots each scenario sights, each once: Decide's per-scenario
+	// vote reads it, and so does every representative's key. seeds holds
+	// each slot's last sighting position meanwhile.
+	memoise := false
+	for slot := range s.seeds {
+		s.seeds[slot] = -1
+	}
 	for i := range s.scans {
 		s.offs = append(s.offs, int32(len(s.present)))
 		sc := &s.scans[i]
-		if sc.v == nil || sc.m == nil || sc.m.Rows() == 0 {
+		if sc.m == nil {
+			s.rows = append(s.rows, 0)
+			continue
+		}
+		s.rows = append(s.rows, int32(sc.m.Rows()))
+		memoise = memoise || sc.m.Rows()*dim >= memoMinWork
+		for _, ord := range sc.ords {
+			if slot := s.slotByOrd[ord]; slot >= 0 && s.seeds[slot] != int32(i) {
+				s.seeds[slot] = int32(i)
+				s.present = append(s.present, slot)
+			}
+		}
+	}
+	s.offs = append(s.offs, int32(len(s.present)))
+	if memoise {
+		s.internReps(&f.reps, list)
+	}
+
+	// One kernel call per scenario scores every candidate against it, or
+	// every candidate its memo lacks. A candidate the scenario sights is
+	// seeded with its own detection there: that row is almost always its
+	// nearest, so the kernel's bound is tight before it looks at anybody
+	// else's row.
+	evaluated := 0
+	for i := range s.scans {
+		sc := &s.scans[i]
+		if sc.m == nil {
 			continue
 		}
 		for slot := range s.seeds {
@@ -677,28 +851,26 @@ func (f *Filter) Score(e ids.EID, list []scenario.ID, exclude *Exclusion) (*Scor
 		}
 		for d, ord := range sc.ords {
 			if slot := s.slotByOrd[ord]; slot >= 0 {
-				if s.seeds[slot] < 0 {
-					s.present = append(s.present, slot)
-				}
 				s.seeds[slot] = int32(d)
 			}
 		}
-		feature.MaxSimBatch(s.reps, sc.m, s.seeds, s.sims)
+		if memoise && sc.m.Rows()*dim >= memoMinWork {
+			evaluated += f.scoreMemo(s, sc.e, dim)
+		} else {
+			feature.MaxSimBatch(s.reps, sc.m, s.seeds, s.sims)
+			evaluated += n
+		}
 		for slot, sim := range s.sims {
 			s.prob[slot] *= sim
 		}
-		comparisons += int64(n) * int64(sc.m.Rows())
-		pairs += int64(n)
 	}
-	s.offs = append(s.offs, int32(len(s.present)))
-	f.comparisons.Add(comparisons)
-	f.pairs.Add(pairs)
+	f.kernelPairs.Add(int64(evaluated))
 
 	// The compact copy — three small allocations — so the scratch goes back
 	// to the pool now rather than when the target is decided.
 	out.vids = slices.Clone(s.vids)
 	out.prob = slices.Clone(s.prob)
-	ints := make([]int32, 3*n+len(s.offs)+len(s.present))
+	ints := make([]int32, 3*n+len(s.offs)+len(s.rows)+len(s.present))
 	take := func(k int) []int32 {
 		part := ints[:k:k]
 		ints = ints[k:]
@@ -711,6 +883,8 @@ func (f *Filter) Score(e ids.EID, list []scenario.ID, exclude *Exclusion) (*Scor
 	out.votes = take(n)
 	out.offs = take(len(s.offs))
 	copy(out.offs, s.offs)
+	out.rows = take(len(s.rows))
+	copy(out.rows, s.rows)
 	out.present = take(len(s.present))
 	copy(out.present, s.present)
 	return out, nil
@@ -751,6 +925,23 @@ func (f *Filter) decide(sc *Scored, exclude *Exclusion) (Result, int32, error) {
 	if len(sc.vids) == 0 {
 		return res, -1, nil
 	}
+
+	// The pairs the answer rests on: each candidate still in play against
+	// each listed scenario with detections, scored or read from a memo.
+	var live, scenarios, rows int64
+	for _, ord := range sc.ords {
+		if !exclude.has(ord) {
+			live++
+		}
+	}
+	for _, r := range sc.rows {
+		if r > 0 {
+			scenarios++
+			rows += int64(r)
+		}
+	}
+	f.pairs.Add(live * scenarios)
+	f.comparisons.Add(live * rows)
 
 	// Per-scenario vote: each scenario elects the present candidate with the
 	// highest trajectory probability.
