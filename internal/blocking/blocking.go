@@ -86,24 +86,19 @@ func (ix *Index) InclusiveOrd(ord int32, w int) []scenario.ID {
 // split the partition live mirrors — ascending, and returns w's postings
 // beside the grown buffer; len(Order()) − len(appended) is the pruned count.
 // It is the window-at-a-time form of the test LiveTargets.Prunes makes one
-// scenario at a time, read off store ordinals on both sides, and like Prunes
-// it walks the smaller side: the live targets' postings in a sparse world,
-// the window's few scenarios in a crowded one.
+// scenario at a time, read off store ordinals on both sides, and it walks
+// the smaller side: the live targets' postings in a sparse world, the
+// window's few scenarios, through Prunes, in a crowded one.
 func (ix *Index) Candidates(w int, live *LiveTargets, buf []int32) (*scenario.WindowPostings, []int32) {
 	wp := ix.window(w)
 	order := wp.Order()
 	if live.NumLive() == 0 {
 		return wp, buf
 	}
-	liveOrds := live.ordinals(ix.store)
 	if len(order) <= live.NumLive() {
 		for r, id := range order {
-			v := ix.store.View(id)
-			for k, o := range v.Ords {
-				if v.Attrs[k] == scenario.AttrInclusive && int(o) < len(liveOrds)*64 && liveOrds.Has(int(o)) {
-					buf = append(buf, int32(r))
-					break
-				}
+			if !live.Prunes(ix.store.View(id)) {
+				buf = append(buf, int32(r))
 			}
 		}
 		return wp, buf
@@ -111,7 +106,7 @@ func (ix *Index) Candidates(w int, live *LiveTargets, buf []int32) (*scenario.Wi
 	// Collect the live targets' ranks in buf's tail, then sort and dedup
 	// them there.
 	base := len(buf)
-	liveOrds.ForEach(func(o int) {
+	live.ords.ForEach(func(o int) {
 		_, ranks := wp.Held(int32(o))
 		buf = append(buf, ranks...)
 	})

@@ -64,13 +64,22 @@ func wantCandidates(st *scenario.Store, lt *LiveTargets, w int) []scenario.ID {
 	var want []scenario.ID
 	for _, id := range st.AtWindow(w) {
 		for e, a := range st.E(id).EIDs {
-			if _, live := lt.live[e]; live && a == scenario.AttrInclusive {
+			if lt.has(st.Ordinal(e)) && a == scenario.AttrInclusive {
 				want = append(want, id)
 				break
 			}
 		}
 	}
 	return want
+}
+
+// liveOf is the live tracker of targets, resolved to st's ordinals.
+func liveOf(st *scenario.Store, targets ...ids.EID) *LiveTargets {
+	ords := make([]int32, len(targets))
+	for i, e := range targets {
+		ords[i] = st.Ordinal(e)
+	}
+	return NewLiveTargets(ords)
 }
 
 // atRanks returns the scenarios at the given positions of wp's Order.
@@ -93,7 +102,7 @@ func candidateIDs(ix *Index, w int, lt *LiveTargets) ([]scenario.ID, int) {
 // brute-force AtWindow scan of st, over st's windows plus two it never saw.
 func checkIndex(t *testing.T, label string, st *scenario.Store, ix *Index, probes, targets []ids.EID) {
 	t.Helper()
-	lt := NewLiveTargets(targets)
+	lt := liveOf(st, targets...)
 	for _, w := range append(st.Windows(), -77, 1<<20) {
 		if got, want := ix.WindowTotal(w), len(st.AtWindow(w)); got != want {
 			t.Fatalf("%s: WindowTotal(%d) = %d, want %d", label, w, got, want)
@@ -129,7 +138,7 @@ func TestGeometryDefaults(t *testing.T) {
 		if got := ix.InclusiveAt(eid(1), 0); got != nil {
 			t.Errorf("InclusiveAt over an empty index = %v", got)
 		}
-		lt := NewLiveTargets([]ids.EID{eid(1), eid(2)})
+		lt := liveOf(scenario.NewStore(nil), eid(1), eid(2))
 		if cands, total := candidateIDs(ix, 0, lt); len(cands) != 0 || total != 0 {
 			t.Errorf("Candidates over an empty index = %v, total %d", cands, total)
 		}
@@ -158,8 +167,8 @@ func TestCandidatesSound(t *testing.T) {
 		targets = append(targets, targets[0]) // duplicate target must be harmless
 		checkIndex(t, fmt.Sprintf("trial %d", trial), st, ix, probes, targets)
 
-		lt := NewLiveTargets(targets)
-		lt.Resolve(targets[0])
+		lt := liveOf(st, targets...)
+		lt.Resolve(st.Ordinal(targets[0]))
 		for _, w := range st.Windows() {
 			got, _ := candidateIDs(ix, w, lt)
 			if want := wantCandidates(st, lt, w); !slices.Equal(got, want) {
@@ -177,13 +186,13 @@ func TestCandidatesEmptyLive(t *testing.T) {
 	addScenario(t, st, 1, 0, map[ids.EID]scenario.Attr{eid(1): scenario.AttrInclusive})
 	addScenario(t, st, 2, 0, map[ids.EID]scenario.Attr{eid(2): scenario.AttrInclusive})
 	ix := Build(st, DefaultGeometry())
-	both := NewLiveTargets([]ids.EID{eid(1), eid(2)})
+	both := liveOf(st, eid(1), eid(2))
 	if cands, total := candidateIDs(ix, 99, both); len(cands) != 0 || total != 0 {
 		t.Errorf("unknown window: got %d candidates, total %d", len(cands), total)
 	}
 	for name, lt := range map[string]*LiveTargets{
 		"no targets": NewLiveTargets(nil),
-		"singleton":  NewLiveTargets([]ids.EID{eid(1)}),
+		"singleton":  liveOf(st, eid(1)),
 		"nil":        nil,
 	} {
 		if cands, total := candidateIDs(ix, 0, lt); len(cands) != 0 || total != 2 {
@@ -260,10 +269,10 @@ func TestStoreGrowsAfterFirstTouch(t *testing.T) {
 	probes := []ids.EID{eid(0), eid(1), eid(2), eid(3), eid(4), eid(5), eid(6), eid(7), eid(50)}
 	targets := []ids.EID{eid(0), eid(1), eid(2), eid(3), eid(50)}
 	ix := Build(st, DefaultGeometry())
-	lt := NewLiveTargets(targets)
+	lt := liveOf(st, targets...) // resolved against the small store
 	checkIndex(t, "before growth", st, ix, probes, targets)
 	for _, w := range st.Windows() {
-		candidateIDs(ix, w, lt) // resolves lt's ordinals against the small store
+		candidateIDs(ix, w, lt)
 	}
 	touched := ix.Materialised()
 	if want := int64(len(st.Windows())); touched != want {
@@ -307,7 +316,7 @@ func TestConcurrentFirstTouch(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			lt := NewLiveTargets([]ids.EID{eid(g), eid(g + 1), eid(g + 2)})
+			lt := liveOf(st, eid(g), eid(g+1), eid(g+2))
 			for _, w := range st.Windows() {
 				got, _ := candidateIDs(ix, w, lt)
 				if want := wantCandidates(st, lt, w); !slices.Equal(got, want) {
@@ -324,37 +333,39 @@ func TestConcurrentFirstTouch(t *testing.T) {
 	}
 }
 
-// TestLiveTargetsPrunes covers the streaming-side exact probe.
+// TestLiveTargetsPrunes covers the streaming-side exact probe, over the
+// views of one store.
 func TestLiveTargetsPrunes(t *testing.T) {
-	lt := NewLiveTargets([]ids.EID{eid(3), eid(4)})
-	esc := func(m map[ids.EID]scenario.Attr) *scenario.EScenario {
-		return &scenario.EScenario{EIDs: m}
+	st := scenario.NewStore(nil)
+	lt := liveOf(st, eid(3), eid(4))
+	view := func(m map[ids.EID]scenario.Attr) scenario.EView {
+		return st.View(addScenario(t, st, 0, 0, m))
 	}
-	if lt.Prunes(esc(map[ids.EID]scenario.Attr{eid(3): scenario.AttrInclusive, eid(9): scenario.AttrInclusive})) {
+	if lt.Prunes(view(map[ids.EID]scenario.Attr{eid(3): scenario.AttrInclusive, eid(9): scenario.AttrInclusive})) {
 		t.Error("scenario with a live inclusive target must not prune")
 	}
-	if !lt.Prunes(esc(map[ids.EID]scenario.Attr{eid(3): scenario.AttrVague})) {
+	if !lt.Prunes(view(map[ids.EID]scenario.Attr{eid(3): scenario.AttrVague})) {
 		t.Error("vague-only appearance of a live target must prune")
 	}
-	if !lt.Prunes(esc(map[ids.EID]scenario.Attr{eid(8): scenario.AttrInclusive})) {
+	if !lt.Prunes(view(map[ids.EID]scenario.Attr{eid(8): scenario.AttrInclusive})) {
 		t.Error("scenario without live targets must prune")
 	}
-	if !lt.Prunes(esc(nil)) {
+	if !lt.Prunes(view(nil)) {
 		t.Error("empty scenario must prune")
 	}
-	lt.Resolve(eid(3))
-	if !lt.Prunes(esc(map[ids.EID]scenario.Attr{eid(3): scenario.AttrInclusive})) {
+	lt.Resolve(st.Ordinal(eid(3)))
+	if !lt.Prunes(view(map[ids.EID]scenario.Attr{eid(3): scenario.AttrInclusive})) {
 		t.Error("resolved target must no longer block pruning")
 	}
 	if lt.NumLive() != 1 {
 		t.Errorf("NumLive = %d, want 1", lt.NumLive())
 	}
 	var nilLT *LiveTargets
-	if !nilLT.Prunes(esc(map[ids.EID]scenario.Attr{eid(4): scenario.AttrInclusive})) {
+	if !nilLT.Prunes(view(map[ids.EID]scenario.Attr{eid(4): scenario.AttrInclusive})) {
 		t.Error("nil LiveTargets must prune everything")
 	}
-	if single := NewLiveTargets([]ids.EID{eid(5)}); !single.Prunes(esc(map[ids.EID]scenario.Attr{eid(5): scenario.AttrInclusive})) {
-		t.Error("singleton target list is born resolved and must prune everything")
+	if single := liveOf(st, eid(5), eid(5)); single.NumLive() != 0 || !single.Prunes(view(map[ids.EID]scenario.Attr{eid(5): scenario.AttrInclusive})) {
+		t.Error("a single target, even listed twice, is born resolved and must prune everything")
 	}
 }
 
@@ -374,12 +385,12 @@ func TestBuildDeterministic(t *testing.T) {
 	wins := st.Windows()
 	for i := range wins {
 		wa, wb := wins[i], wins[len(wins)-1-i]
-		candidateIDs(a, wa, NewLiveTargets(targets))
-		candidateIDs(b, wb, NewLiveTargets(targets))
+		candidateIDs(a, wa, liveOf(st, targets...))
+		candidateIDs(b, wb, liveOf(twin, targets...))
 	}
 	for _, w := range wins {
-		ca, ta := candidateIDs(a, w, NewLiveTargets(targets))
-		cb, tb := candidateIDs(b, w, NewLiveTargets(targets))
+		ca, ta := candidateIDs(a, w, liveOf(st, targets...))
+		cb, tb := candidateIDs(b, w, liveOf(twin, targets...))
 		if ta != tb || !slices.Equal(ca, cb) {
 			t.Fatalf("window %d: the two indexes diverged (%v/%d vs %v/%d)", w, ca, ta, cb, tb)
 		}
@@ -406,14 +417,13 @@ func FuzzIndexHostile(f *testing.F) {
 
 		ix := Build(st, DefaultGeometry())
 		checkIndex(t, "fuzz", st, ix, []ids.EID{e1, probe, eid(255)}, []ids.EID{e1, probe, e1})
-		lt := NewLiveTargets([]ids.EID{e1, probe})
+		lt := liveOf(st, e1, probe)
 		for id := scenario.ID(0); int(id) < st.Len(); id++ {
-			lt.Prunes(st.E(id))
+			lt.Prunes(st.View(id))
 		}
-		lt.Prunes(nil)
-		lt.Resolve(e1)
-		lt.Resolve(probe)
-		lt.Resolve(eid(254))
+		lt.Resolve(st.Ordinal(e1))
+		lt.Resolve(st.Ordinal(probe))
+		lt.Resolve(st.Ordinal(eid(254)))
 		if cands, _ := candidateIDs(ix, window, lt); len(cands) != 0 {
 			t.Fatalf("candidates %v survive resolving every target", cands)
 		}

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"evmatching/internal/blocking"
@@ -73,28 +74,27 @@ func (m *Matcher) edpSelect(e ids.EID, salt int64, ix *blocking.Index) []scenari
 	windows := m.ds.Store.ShuffledWindows(rng)
 	ord := m.ds.Store.Ordinal(e)
 	var list []scenario.ID
-	var candidates map[ids.EID]bool
+	// The EIDs inclusive in every listed scenario, as ascending ordinals.
+	var candidates []int32
 	for _, w := range windows {
 		held := ix.InclusiveOrd(ord, w)
 		if len(held) == 0 {
 			continue
 		}
-		found := m.ds.Store.E(held[0])
-		list = append(list, found.ID)
-		if candidates == nil {
-			candidates = make(map[ids.EID]bool, found.Len())
-			for _, other := range found.SortedEIDs() {
-				if found.Inclusive(other) {
-					candidates[other] = true
+		found := m.ds.Store.View(held[0])
+		if len(list) == 0 {
+			for k, o := range found.Ords {
+				if found.Attrs[k] == scenario.AttrInclusive {
+					candidates = append(candidates, o)
 				}
 			}
 		} else {
-			for _, other := range ids.SortedEIDKeys(candidates) {
-				if !found.Inclusive(other) {
-					delete(candidates, other)
-				}
-			}
+			candidates = slices.DeleteFunc(candidates, func(o int32) bool {
+				attr, _ := found.Attr(o)
+				return attr != scenario.AttrInclusive
+			})
 		}
+		list = append(list, held[0])
 		if len(candidates) <= 1 || len(list) >= maxListLen {
 			break
 		}

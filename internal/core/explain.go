@@ -29,13 +29,12 @@ func (m *Matcher) Explain(ctx context.Context, e ids.EID, w io.Writer) error {
 	fmt.Fprintf(w, "E stage: %d scenarios selected (tree depth %d, %d recorded splits)\n",
 		len(list), stats.Depth, stats.Recorded)
 	for i, id := range list {
-		esc := m.ds.Store.E(id)
 		dets := 0
 		if v := m.ds.Store.V(id); v != nil {
 			dets = len(v.Detections)
 		}
 		fmt.Fprintf(w, "  %d. scenario %-5d cell %-3d window %-3d (%d EIDs, %d detections)\n",
-			i+1, id, esc.Cell, esc.Window, esc.Len(), dets)
+			i+1, id, m.ds.Store.Cell(id), m.ds.Store.Window(id), len(m.ds.Store.View(id).Ords), dets)
 	}
 
 	filter, err := vfilter.New(m.ds.Store, vfilter.Config{

@@ -11,6 +11,7 @@ import (
 	"evmatching/internal/feature"
 	"evmatching/internal/ids"
 	"evmatching/internal/mapreduce"
+	"evmatching/internal/partition"
 	"evmatching/internal/scenario"
 	"evmatching/internal/spill"
 	"evmatching/internal/vfilter"
@@ -132,35 +133,26 @@ func dedupEIDs(targets []ids.EID) []ids.EID {
 	return ids.SortEIDs(out)
 }
 
-// filterScenario returns a view of s restricted to the target EIDs, or nil
-// when no target appears — the preprocess filtering of Algorithm 3, needed
-// only by the MapReduce split it feeds (partition.SplitBy skips non-targets
-// itself). The view shares s's ID so recorded scenarios resolve to real
-// store entries.
-func filterScenario(s *scenario.EScenario, targets map[ids.EID]bool) *scenario.EScenario {
+// filterView returns scenario id of store restricted to the targets of p,
+// whose ordinals p has bound, or nil when no target appears — the
+// preprocess filtering of Algorithm 3, needed only by the MapReduce split it
+// feeds (partition.SplitView skips non-targets itself). The copy carries
+// id, so recorded scenarios resolve to real store entries.
+func filterView(store *scenario.Store, id scenario.ID, p *partition.Partition) *scenario.EScenario {
 	var kept map[ids.EID]scenario.Attr
-	//evlint:ignore maprange builds a map view keyed by distinct EIDs; insertion order cannot affect its contents
-	for e, a := range s.EIDs {
-		if targets[e] {
+	v := store.View(id)
+	for k, o := range v.Ords {
+		if i := p.PosOf(o); i >= 0 {
 			if kept == nil {
 				kept = make(map[ids.EID]scenario.Attr)
 			}
-			kept[e] = a
+			kept[p.Targets()[i]] = v.Attrs[k]
 		}
 	}
 	if kept == nil {
 		return nil
 	}
-	return &scenario.EScenario{ID: s.ID, Cell: s.Cell, Window: s.Window, EIDs: kept}
-}
-
-// targetSet builds a membership set.
-func targetSet(targets []ids.EID) map[ids.EID]bool {
-	set := make(map[ids.EID]bool, len(targets))
-	for _, e := range targets {
-		set[e] = true
-	}
-	return set
+	return &scenario.EScenario{ID: id, Cell: store.Cell(id), Window: store.Window(id), EIDs: kept}
 }
 
 // rngFor derives a deterministic rand.Rand for a labeled purpose.

@@ -180,25 +180,16 @@ func (m *Matcher) splitStage(ctx context.Context, targets []ids.EID, round int, 
 		windows = store.ShuffledWindows(rng)
 	}
 
+	// Every path reads store views, their ordinals taken to partition
+	// positions without hashing an EID per scenario.
+	ords := p.BindStore(store)
 	var (
 		live  *blocking.LiveTargets
 		ranks []int32
-		tset  map[ids.EID]bool
 	)
 	if !m.opts.DisableBlocking {
-		live = blocking.NewLiveTargets(targets)
-		p.OnResolve(live.Resolve)
-	}
-	if m.opts.Mode == ModeParallel {
-		tset = targetSet(targets)
-	} else if live != nil {
-		// The split reads store views: one dense array takes their
-		// ordinals to partition positions, so no EID is hashed per scenario.
-		ords := make([]int32, len(p.Targets()))
-		for i, e := range p.Targets() {
-			ords[i] = store.Ordinal(e)
-		}
-		p.BindOrdinals(ords)
+		live = blocking.NewLiveTargets(ords)
+		p.OnResolve(func(i int) { live.Resolve(ords[i]) })
 	}
 
 	for _, w := range windows {
@@ -236,11 +227,11 @@ func (m *Matcher) splitStage(ctx context.Context, targets []ids.EID, round int, 
 			}
 		}
 		if m.opts.Mode != ModeParallel {
-			// The exhaustive scan, the oracle the indexed path is held to,
-			// reads the store's EID maps: SplitBy ignores EIDs outside the
-			// partition, so store scenarios go in as they are.
+			// The exhaustive scan, the oracle the indexed path is held to:
+			// every scenario of the window, whole, since SplitView ignores
+			// ordinals outside the partition.
 			for _, id := range cands {
-				if p.SplitBy(store.E(id)) {
+				if p.SplitView(id, store.View(id)) {
 					pre.hand(id)
 				}
 				if p.Done() {
@@ -257,7 +248,7 @@ func (m *Matcher) splitStage(ctx context.Context, targets []ids.EID, round int, 
 		// bug we surface rather than hide.
 		var winScenarios []*scenario.EScenario
 		for _, id := range cands {
-			if fs := filterScenario(store.E(id), tset); fs != nil {
+			if fs := filterView(store, id, p); fs != nil {
 				winScenarios = append(winScenarios, fs)
 			}
 		}

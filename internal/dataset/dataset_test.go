@@ -426,19 +426,34 @@ func TestReadRejectsBadPersons(t *testing.T) {
 func TestReadRefusesHostileRecords(t *testing.T) {
 	cfg := smallConfig()
 	cfg.NumWindows = 2
-	for name, spoil := range map[string]func(*scenario.EScenario, *scenario.VScenario){
-		"-16x-40 patch": func(_ *scenario.EScenario, v *scenario.VScenario) {
-			v.Detections[0].Patch.W, v.Detections[0].Patch.H = -16, -40
+	for name, spoil := range map[string]func(*scenario.Record){
+		"-16x-40 patch": func(rec *scenario.Record) {
+			rec.Dets[0].Patch.W, rec.Dets[0].Patch.H = -16, -40
 		},
-		"attribute 3": func(e *scenario.EScenario, _ *scenario.VScenario) {
-			for eid := range e.EIDs {
-				e.EIDs[eid] = 3
+		"attribute 3": func(rec *scenario.Record) {
+			for i := range rec.EIDs {
+				rec.EIDs[i].Attr = 3
 			}
 		},
 	} {
+		// The world rebuilt record by record, scenario 0's record spoiled:
+		// the store keeps what it is given, so Write carries the spoil.
 		ds := mustGenerate(t, cfg)
-		spoil(ds.Store.E(0), ds.Store.V(0))
-		if _, err := writeRead(ds); err == nil || !errors.Is(err, wire.ErrCorrupt) {
+		hostile := *ds
+		hostile.Store = scenario.NewStore(ds.Layout)
+		for id := scenario.ID(0); int(id) < ds.Store.Len(); id++ {
+			rec := ds.Store.Record(id, ds.Store.V(id))
+			if id == 0 {
+				if len(rec.EIDs) == 0 || len(rec.Dets) == 0 {
+					t.Fatal("scenario 0 has no EID or no detection to spoil")
+				}
+				spoil(&rec)
+			}
+			if _, err := hostile.Store.AddEIDs(rec.Cell, rec.Window, rec.EIDs, rec.V()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := writeRead(&hostile); err == nil || !errors.Is(err, wire.ErrCorrupt) {
 			t.Errorf("%s: err = %v, want wire.ErrCorrupt", name, err)
 		}
 	}

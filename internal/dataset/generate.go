@@ -3,6 +3,7 @@ package dataset
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"evmatching/internal/feature"
 	"evmatching/internal/geo"
@@ -108,39 +109,45 @@ func moverFactory(cfg Config, rng *rand.Rand) (func() (mobility.Model, error), e
 	return func() (mobility.Model, error) { return mobility.NewHotspotWalker(hcfg, spots, rng) }, nil
 }
 
-// generator accumulates per-window observations into EV-Scenarios.
+// generator accumulates per-window observations into EV-Scenarios. Its
+// per-window state is flat and reused from window to window: slot
+// i·TicksPerWindow+t of trueCell, eCell and eBorder is person i's tick t.
 type generator struct {
 	cfg     Config
 	layout  geo.Layout
 	rng     *rand.Rand
 	gallery *feature.Gallery
 	ds      *Dataset
+
+	trueCell []geo.CellID // the cell the person truly stood in, or NoCell
+	eCell    []geo.CellID // the cell the person's EID was localized in, or NoCell
+	eBorder  []float64    // that localization's distance to the cell border
+	sighted  []sighting   // the window's attributed EIDs, in person order
+	byCell   []scenario.EIDAttr
+	cellAt   []int // sighted grouped by cell: cell c's EIDs are byCell[cellAt[c]:cellAt[c+1]]
 }
 
-// eObs tracks one EID's occurrences inside one cell during a window.
-type eObs struct {
-	count         int
-	borderDistSum float64
+// sighting is one EID attributed to one cell of a window.
+type sighting struct {
+	cell   geo.CellID
+	person int
+	attr   scenario.Attr
 }
 
-// window advances all walkers through one time window, counts E occurrences
-// per cell with localization noise, places each person's detection in the
-// cell they truly spent the most ticks in, and emits the window's scenarios.
+// window advances all walkers through one time window, records where each
+// person truly stood and where its EID was localized with noise at every
+// tick, places each person's detection in the cell they truly spent the
+// most ticks in, and emits the window's scenarios.
 func (g *generator) window(w int, walkers []mobility.Model) error {
 	cfg := g.cfg
-	eCount := make(map[geo.CellID]map[ids.EID]*eObs)
-	trueCells := make([]map[geo.CellID]int, len(walkers))
-	for i := range trueCells {
-		trueCells[i] = make(map[geo.CellID]int, 2)
-	}
-
+	slots := len(walkers) * cfg.TicksPerWindow
+	g.trueCell, g.eCell, g.eBorder = resize(g.trueCell, slots), resize(g.eCell, slots), resize(g.eBorder, slots)
 	for tick := 0; tick < cfg.TicksPerWindow; tick++ {
 		for i, walker := range walkers {
+			slot := i*cfg.TicksPerWindow + tick
 			pos := walker.Advance(cfg.TickInterval)
-			trueCell := g.layout.CellOf(pos)
-			if trueCell != geo.NoCell {
-				trueCells[i][trueCell]++
-			}
+			g.trueCell[slot] = g.layout.CellOf(pos)
+			g.eCell[slot] = geo.NoCell
 			person := g.ds.Persons[i]
 			if person.EID == ids.None {
 				continue
@@ -152,37 +159,38 @@ func (g *generator) window(w int, walkers []mobility.Model) error {
 					pos.Y+g.rng.NormFloat64()*cfg.ELocNoise,
 				))
 			}
-			cell := g.layout.CellOf(epos)
-			if cell == geo.NoCell {
-				continue
+			if cell := g.layout.CellOf(epos); cell != geo.NoCell {
+				g.eCell[slot] = cell
+				g.eBorder[slot] = g.layout.BorderDist(epos)
 			}
-			byEID := eCount[cell]
-			if byEID == nil {
-				byEID = make(map[ids.EID]*eObs)
-				eCount[cell] = byEID
-			}
-			obs := byEID[person.EID]
-			if obs == nil {
-				obs = &eObs{}
-				byEID[person.EID] = obs
-			}
-			obs.count++
-			obs.borderDistSum += g.layout.BorderDist(epos)
 		}
 	}
 
-	detections := g.placeDetections(w, trueCells)
-	return g.emitScenarios(w, eCount, detections)
+	detections := g.placeDetections(w)
+	return g.emitScenarios(w, detections)
+}
+
+// resize returns s with length n, reusing its storage when it is enough.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // placeDetections assigns each person's window detection to their majority
-// true cell, subject to the missing-VID rate.
-func (g *generator) placeDetections(w int, trueCells []map[geo.CellID]int) map[geo.CellID][]scenario.Detection {
+// true cell, the lowest such cell on a tie, subject to the missing-VID rate.
+func (g *generator) placeDetections(w int) map[geo.CellID][]scenario.Detection {
 	cfg := g.cfg
 	out := make(map[geo.CellID][]scenario.Detection)
-	for i, counts := range trueCells {
+	for i := range g.ds.Persons {
+		ticks := g.trueCell[i*cfg.TicksPerWindow : (i+1)*cfg.TicksPerWindow]
 		cell, best := geo.NoCell, 0
-		for c, n := range counts {
+		for j, c := range ticks {
+			if c == geo.NoCell || slices.Contains(ticks[:j], c) {
+				continue // counted at its first tick
+			}
+			n := 1 + count(ticks[j+1:], c)
 			if n > best || (n == best && c < cell) {
 				cell, best = c, n
 			}
@@ -203,41 +211,81 @@ func (g *generator) placeDetections(w int, trueCells []map[geo.CellID]int) map[g
 	return out
 }
 
+// count returns how many elements of s equal c.
+func count(s []geo.CellID, c geo.CellID) int {
+	n := 0
+	for _, x := range s {
+		if x == c {
+			n++
+		}
+	}
+	return n
+}
+
 // emitScenarios classifies the window's E observations into inclusive/vague
 // attributes and stores the EV-Scenario pairs, iterating cells in order for
 // determinism.
-func (g *generator) emitScenarios(w int, eCount map[geo.CellID]map[ids.EID]*eObs, detections map[geo.CellID][]scenario.Detection) error {
+func (g *generator) emitScenarios(w int, detections map[geo.CellID][]scenario.Detection) error {
 	cfg := g.cfg
-	for cell := geo.CellID(0); int(cell) < g.layout.NumCells(); cell++ {
-		byEID := eCount[cell]
-		dets := detections[cell]
-		if len(byEID) == 0 && len(dets) == 0 {
-			continue
-		}
-		eids := make(map[ids.EID]scenario.Attr, len(byEID))
-		ticks := float64(cfg.TicksPerWindow)
-		for eid, obs := range byEID {
-			frac := float64(obs.count) / ticks
+	ticks := float64(cfg.TicksPerWindow)
+	g.sighted = g.sighted[:0]
+	for i := range g.ds.Persons {
+		lo := i * cfg.TicksPerWindow
+		cells := g.eCell[lo : lo+cfg.TicksPerWindow]
+		for j, c := range cells {
+			if c == geo.NoCell || slices.Contains(cells[:j], c) {
+				continue // tallied at its first tick
+			}
+			// The border distances are summed in tick order.
+			n, borderSum := 0, 0.0
+			for k := j; k < len(cells); k++ {
+				if cells[k] == c {
+					n++
+					borderSum += g.eBorder[lo+k]
+				}
+			}
+			frac := float64(n) / ticks
 			switch {
 			case frac >= cfg.InclusiveFrac:
 				attr := scenario.AttrInclusive
-				if cfg.VagueWidth > 0 && obs.borderDistSum/float64(obs.count) < cfg.VagueWidth {
+				if cfg.VagueWidth > 0 && borderSum/float64(n) < cfg.VagueWidth {
 					attr = scenario.AttrVague
 				}
-				eids[eid] = attr
+				g.sighted = append(g.sighted, sighting{cell: c, person: i, attr: attr})
 			case frac >= cfg.MinFrac && cfg.MinFrac < cfg.InclusiveFrac:
-				eids[eid] = scenario.AttrVague
+				g.sighted = append(g.sighted, sighting{cell: c, person: i, attr: scenario.AttrVague})
 			}
 		}
+	}
+	// Group the sightings by cell, a counting sort over the layout's cells.
+	numCells := g.layout.NumCells()
+	g.cellAt = resize(g.cellAt, numCells+1)
+	clear(g.cellAt)
+	for _, s := range g.sighted {
+		g.cellAt[s.cell+1]++
+	}
+	for c := 1; c <= numCells; c++ {
+		g.cellAt[c] += g.cellAt[c-1]
+	}
+	g.byCell = resize(g.byCell, len(g.sighted))
+	for _, s := range g.sighted {
+		g.byCell[g.cellAt[s.cell]] = scenario.EIDAttr{EID: g.ds.Persons[s.person].EID, Attr: s.attr}
+		g.cellAt[s.cell]++
+	}
+	// Filling advanced each cell's start to the next cell's.
+	copy(g.cellAt[1:], g.cellAt[:numCells])
+	g.cellAt[0] = 0
+	for cell := geo.CellID(0); int(cell) < numCells; cell++ {
+		eids := g.byCell[g.cellAt[cell]:g.cellAt[cell+1]]
+		dets := detections[cell]
 		if len(eids) == 0 && len(dets) == 0 {
 			continue
 		}
-		esc := &scenario.EScenario{Cell: cell, Window: w, EIDs: eids}
 		var vsc *scenario.VScenario
 		if len(dets) > 0 {
 			vsc = &scenario.VScenario{Cell: cell, Window: w, Detections: dets}
 		}
-		if _, err := g.ds.Store.Add(esc, vsc); err != nil {
+		if _, err := g.ds.Store.AddEIDs(cell, w, eids, vsc); err != nil {
 			return fmt.Errorf("dataset: window %d cell %d: %w", w, cell, err)
 		}
 	}

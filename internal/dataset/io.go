@@ -36,7 +36,7 @@ func (d *Dataset) Write(w io.Writer) error {
 		return wire.AppendUvarint(b, uint64(d.Store.Len()))
 	})
 	for id := scenario.ID(0); int(id) < d.Store.Len(); id++ {
-		rec := scenario.RecordOf(d.Store.E(id), d.Store.V(id))
+		rec := d.Store.Record(id, d.Store.V(id))
 		fw.Record(func(b []byte) []byte { return scenario.AppendRecord(b, &rec) })
 	}
 	if err := fw.Flush(); err != nil {
@@ -89,7 +89,7 @@ func Read(r io.Reader) (*Dataset, error) {
 		if rec.Window < 0 || rec.Window >= cfg.NumWindows || rec.Cell < 0 || int(rec.Cell) >= d.Layout.NumCells() {
 			return nil, fmt.Errorf("dataset: scenario %d: window %d cell %d outside the world", n, rec.Window, rec.Cell)
 		}
-		if _, err := d.Store.Add(rec.Pair()); err != nil {
+		if _, err := d.Store.AddEIDs(rec.Cell, rec.Window, rec.EIDs, rec.V()); err != nil {
 			return nil, fmt.Errorf("dataset: rebuild store: %w", err)
 		}
 	}

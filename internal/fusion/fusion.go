@@ -16,6 +16,7 @@ import (
 	"evmatching/internal/dataset"
 	"evmatching/internal/geo"
 	"evmatching/internal/ids"
+	"evmatching/internal/scenario"
 	"evmatching/internal/trajectory"
 )
 
@@ -169,12 +170,14 @@ func (x *Index) WhoWasAt(cell geo.CellID, window int) ([]Presence, error) {
 	byEID := make(map[ids.EID]*Presence)
 	byVID := make(map[ids.VID]*Presence)
 	var out []*Presence
+	var eids []scenario.EIDAttr
 	for _, id := range x.ds.Store.AtWindow(window) {
-		esc := x.ds.Store.E(id)
-		if esc.Cell != cell {
+		if x.ds.Store.Cell(id) != cell {
 			continue
 		}
-		for _, e := range esc.SortedEIDs() {
+		eids = x.ds.Store.AppendEIDAttrs(eids[:0], id)
+		for _, ea := range eids {
+			e := ea.EID
 			p := &Presence{EID: e}
 			if v, ok := x.vidOf[e]; ok {
 				p.VID = v

@@ -19,13 +19,14 @@
 // handful of word-wide AND/AND-NOT operations against the scenario's
 // membership masks, instead of per-EID map traffic. A scenario reaches the
 // masks either as a store view (SplitView: its EID ordinals, mapped to index
-// positions through one dense array bound by BindOrdinals) or as an EID map
+// positions through the ranked bitset BindStore builds) or as an EID map
 // (SplitBy); both then run the one split routine.
 package partition
 
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"evmatching/internal/bitset"
@@ -105,22 +106,28 @@ type Partition struct {
 	// into child nodes only when a split is actually effective.
 	sInc, sVag, sAny bitset.Set
 	tInc, tOut, tVag bitset.Set
-	// posOf maps a store EID ordinal to its index position, -1 for an EID
-	// outside the partition (BindOrdinals); ordinals past its end are
-	// outside too.
-	posOf []int32
-	// onResolve, when set, is called with each EID the moment its inclusive
-	// home leaf shrinks to a singleton — the hook the blocking layer uses to
-	// retire resolved targets from its live set. Leaves only ever
-	// shrink, so a resolved EID is resolved forever and the callback fires
-	// exactly once per EID.
-	onResolve func(ids.EID)
+	// The targets' store ordinals (BindStore), ranked: bit o of bound is
+	// set for a target's ordinal o, below[w] counts the set bits of the
+	// words before w, and byRank[r] is the index position of the target with
+	// the r-th smallest ordinal. A store's ordinals span all its EIDs, most
+	// of them no target's, so this costs a word per 64 of them, not an
+	// entry each; ordinals past bound's end are outside the partition.
+	bound  bitset.Set
+	below  []int32
+	byRank []int32
+	// onResolve, when set, is called with each EID's position in Targets the
+	// moment its inclusive home leaf shrinks to a singleton — the hook the
+	// blocking layer uses to retire resolved targets from its live set.
+	// Leaves only ever shrink, so a resolved EID is resolved forever and the
+	// callback fires exactly once per EID.
+	onResolve func(int)
 }
 
-// OnResolve registers fn to be called as each target EID becomes resolved
-// (its home leaf's inclusive count reaches 1). Pass nil to unregister. EIDs
-// already resolved at registration time are not replayed.
-func (p *Partition) OnResolve(fn func(ids.EID)) { p.onResolve = fn }
+// OnResolve registers fn to be called with the position in Targets of each
+// target EID as it becomes resolved (its home leaf's inclusive count reaches
+// 1). Pass nil to unregister. EIDs already resolved at registration time are
+// not replayed.
+func (p *Partition) OnResolve(fn func(i int)) { p.onResolve = fn }
 
 // New creates the initial one-set partition over the target EIDs, all
 // inclusive (paper: "Initially, all EIDs are in one set").
@@ -202,32 +209,54 @@ func (n *Node) eachLeaf(fn func(*Node)) {
 	n.Right.eachLeaf(fn)
 }
 
-// BindOrdinals fixes the store EID ordinal of every target, ords[i] being
-// that of Targets()[i], so SplitView can read store views. Ordinals must be
-// distinct; a store ordinal no target has maps to nothing.
-func (p *Partition) BindOrdinals(ords []int32) {
+// BindStore resolves every target's EID ordinal in st, so SplitView can
+// read st's views, and returns them, ords[i] being that of Targets()[i]; a
+// store ordinal no target has maps to nothing.
+func (p *Partition) BindStore(st *scenario.Store) (ords []int32) {
+	ords = make([]int32, len(p.idx.eids))
 	n := int32(0)
+	for i, e := range p.idx.eids {
+		ords[i] = st.Ordinal(e)
+		n = max(n, ords[i]+1)
+	}
+	p.bound = bitset.New(int(n))
 	for _, o := range ords {
-		n = max(n, o+1)
+		p.bound.Add(int(o))
 	}
-	p.posOf = make([]int32, n)
-	for i := range p.posOf {
-		p.posOf[i] = -1
+	p.below = make([]int32, len(p.bound))
+	ranked := int32(0)
+	for w, word := range p.bound {
+		p.below[w] = ranked
+		ranked += int32(bits.OnesCount64(word))
 	}
+	p.byRank = make([]int32, ranked)
 	for i, o := range ords {
-		p.posOf[o] = int32(i)
+		p.byRank[p.rank(o)] = int32(i)
 	}
+	return ords
+}
+
+// rank counts the bound ordinals below ord, a bound ordinal itself.
+func (p *Partition) rank(ord int32) int32 {
+	return p.below[ord>>6] + int32(bits.OnesCount64(p.bound[ord>>6]&(1<<(uint(ord)&63)-1)))
+}
+
+// PosOf returns the position in Targets of the target BindStore bound to
+// store ordinal ord, or -1 when no target has it.
+func (p *Partition) PosOf(ord int32) int32 {
+	if ord < 0 || int(ord) >= len(p.bound)*64 || !p.bound.Has(int(ord)) {
+		return -1
+	}
+	return p.byRank[p.rank(ord)]
 }
 
 // SplitView is SplitBy for scenario id read as its store view: each ordinal
-// goes through the array BindOrdinals built, so no EID is hashed.
+// goes through the table BindStore built, so no EID is hashed.
 func (p *Partition) SplitView(id scenario.ID, v scenario.EView) bool {
 	p.clearMasks()
 	for k, o := range v.Ords {
-		if int(o) < len(p.posOf) {
-			if i := p.posOf[o]; i >= 0 {
-				p.mark(i, v.Attrs[k])
-			}
+		if i := p.PosOf(o); i >= 0 {
+			p.mark(i, v.Attrs[k])
 		}
 	}
 	return p.splitMarked(id)
@@ -314,7 +343,7 @@ func (p *Partition) split(leaf *Node, by scenario.ID) bool {
 		case p.onResolve != nil:
 			// The parent held ≥2 inclusive EIDs, so a singleton child is
 			// newly resolved.
-			child.inc.ForEach(func(i int) { p.onResolve(p.idx.eids[i]) })
+			child.inc.ForEach(p.onResolve)
 		}
 	}
 	return true

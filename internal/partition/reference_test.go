@@ -128,8 +128,8 @@ func TestSplitByMatchesAllLeavesReference(t *testing.T) {
 		}
 		ref := newAllLeaves(t, targets)
 		var got, want []ids.EID
-		p.OnResolve(func(e ids.EID) { got = append(got, e) })
-		ref.OnResolve(func(e ids.EID) { want = append(want, e) })
+		p.OnResolve(func(i int) { got = append(got, p.Targets()[i]) })
+		ref.OnResolve(func(i int) { want = append(want, ref.Targets()[i]) })
 
 		for step, s := range scenarios {
 			if g, w := p.SplitBy(s), ref.SplitBy(s); g != w {

@@ -10,20 +10,29 @@ import (
 	"evmatching/internal/ids"
 )
 
-// checkViews holds every scenario's view to its EID map: one ordinal per EID,
-// strictly ascending, each naming the EID the store interned it for, beside
-// that EID's attribute.
+// checkViews holds every scenario's view to its EID map as E rebuilds it,
+// and the ordinal table to its reverse: one ordinal per EID, strictly
+// ascending, each naming the EID the store interned it for, beside that
+// EID's attribute. (TestStoreContractProperty holds E to what was added.)
 func checkViews(t *testing.T, label string, st *Store) {
 	t.Helper()
+	byOrd := make(map[int32]ids.EID, len(st.ords))
+	for e, ord := range st.ords {
+		byOrd[ord] = e
+	}
+	if len(byOrd) != len(st.eids) {
+		t.Fatalf("%s: %d EIDs hold %d distinct ordinals, the reverse table %d", label, len(st.ords), len(byOrd), len(st.eids))
+	}
+	for ord, e := range st.eids {
+		if byOrd[int32(ord)] != e {
+			t.Fatalf("%s: the reverse table gives ordinal %d to %s, the table to %s", label, ord, e, byOrd[int32(ord)])
+		}
+	}
 	for id := ID(0); int(id) < st.Len(); id++ {
 		v := st.View(id)
 		eids := st.E(id).EIDs
 		if len(v.Ords) != len(eids) || len(v.Attrs) != len(eids) {
 			t.Fatalf("%s: scenario %d view holds %d ordinals and %d attributes for %d EIDs", label, id, len(v.Ords), len(v.Attrs), len(eids))
-		}
-		byOrd := make(map[int32]ids.EID, len(st.ords))
-		for e, ord := range st.ords {
-			byOrd[ord] = e
 		}
 		for k, ord := range v.Ords {
 			if k > 0 && v.Ords[k-1] >= ord {
@@ -172,17 +181,30 @@ func TestDetectionOrdinals(t *testing.T) {
 	}
 }
 
+// TestOrdinalTablesGrowOnlyOnFirstTouch: an EID's first touch is the Add
+// that brings it, a VID's the first extraction that reads it. Add interns
+// each new EID once and no VID; views and postings intern nothing.
 func TestOrdinalTablesGrowOnlyOnFirstTouch(t *testing.T) {
 	st := NewStore(nil)
-	mustAdd(t, st, geo.CellID(1), 0, map[ids.EID]Attr{"a": AttrInclusive, "b": AttrVague})
-	if st.NumOrdinals() != 0 || st.NumVIDs() != 0 {
-		t.Fatal("Add interned something")
+	v := &VScenario{Cell: 1, Detections: []Detection{{VID: "V1"}}}
+	if _, err := st.Add(newEScenario(1, 0, map[ids.EID]Attr{"a": AttrInclusive, "b": AttrVague}), v); err != nil {
+		t.Fatal(err)
+	}
+	if st.NumOrdinals() != 2 || st.NumVIDs() != 0 {
+		t.Fatalf("after one Add: %d EID ordinals (want 2), %d VID ordinals (want 0)", st.NumOrdinals(), st.NumVIDs())
+	}
+	mustAdd(t, st, geo.CellID(2), 0, map[ids.EID]Attr{"b": AttrInclusive, "c": AttrInclusive})
+	if st.NumOrdinals() != 3 {
+		t.Fatalf("an Add meeting one new EID left %d ordinals, want 3", st.NumOrdinals())
 	}
 	st.View(0)
-	n := st.NumOrdinals()
-	st.View(0)
+	st.View(1)
 	st.Postings(0)
-	if st.NumOrdinals() != n || n != 2 {
-		t.Errorf("ordinals %d after the first view, %d after more reads; want 2 both times", n, st.NumOrdinals())
+	if st.NumOrdinals() != 3 || len(st.viewOrds) != 4 {
+		t.Errorf("reads grew the tables: %d ordinals (want 3), %d view pairs (want 4)", st.NumOrdinals(), len(st.viewOrds))
+	}
+	st.DetectionOrdinals(0, st.V(0))
+	if st.NumVIDs() != 1 {
+		t.Errorf("the first extraction interned %d VIDs, want 1", st.NumVIDs())
 	}
 }

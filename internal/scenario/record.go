@@ -38,31 +38,26 @@ func SortedEIDAttrs(set map[ids.EID]Attr) []EIDAttr {
 	return out
 }
 
-// EIDAttrSet rebuilds the EID set of a record's EID list.
-func EIDAttrSet(eids []EIDAttr) map[ids.EID]Attr {
-	set := make(map[ids.EID]Attr, len(eids))
-	for _, ea := range eids {
-		set[ea.EID] = ea.Attr
+// Record is the record of stored pair id, v being its V side as the caller
+// fetched or paged it in; the record shares v's detections.
+func (st *Store) Record(id ID, v *VScenario) Record {
+	rec := Record{Window: st.Window(id), Cell: st.Cell(id)}
+	if n := len(st.View(id).Ords); n > 0 {
+		rec.EIDs = st.AppendEIDAttrs(make([]EIDAttr, 0, n), id)
 	}
-	return set
-}
-
-// RecordOf is the record of a stored pair, sharing its detections.
-func RecordOf(e *EScenario, v *VScenario) Record {
-	rec := Record{Window: e.Window, Cell: e.Cell, EIDs: SortedEIDAttrs(e.EIDs)}
 	if v != nil {
 		rec.Dets = v.Detections
 	}
 	return rec
 }
 
-// Pair is the pair a record describes, for Store.Add, sharing its detections.
-func (rec *Record) Pair() (*EScenario, *VScenario) {
-	e := &EScenario{Cell: rec.Cell, Window: rec.Window, EIDs: EIDAttrSet(rec.EIDs)}
+// V is the V side of the pair a record describes, sharing its detections,
+// or nil when it has none.
+func (rec *Record) V() *VScenario {
 	if len(rec.Dets) == 0 {
-		return e, nil
+		return nil
 	}
-	return e, &VScenario{Cell: rec.Cell, Window: rec.Window, Detections: rec.Dets}
+	return &VScenario{Cell: rec.Cell, Window: rec.Window, Detections: rec.Dets}
 }
 
 // AppendRecord appends rec's encoding to b.

@@ -16,12 +16,17 @@ func validRecord() Record {
 	}
 }
 
-// TestRecordPairRoundTrip: a stored pair survives RecordOf, the encoding and
-// Pair, and a pair without detections comes back without a V side.
+// TestRecordPairRoundTrip: a pair stored from its record survives
+// Store.Record and the encoding, and a record without detections has no V
+// side.
 func TestRecordPairRoundTrip(t *testing.T) {
 	want := validRecord()
-	e, v := want.Pair()
-	rec := RecordOf(e, v)
+	st := NewStore(nil)
+	id, err := st.AddEIDs(want.Cell, want.Window, want.EIDs, want.V())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := st.Record(id, st.V(id))
 	var got Record
 	r := wire.NewReader(AppendRecord(nil, &rec))
 	if ReadRecord(r, &got); r.Err() != nil || r.Len() != 0 {
@@ -31,7 +36,7 @@ func TestRecordPairRoundTrip(t *testing.T) {
 		t.Fatalf("round trip changed the record\n got %+v\nwant %+v", got, want)
 	}
 	got.Dets = nil
-	if _, v := got.Pair(); v != nil {
+	if v := got.V(); v != nil {
 		t.Error("a record without detections has a V side")
 	}
 }

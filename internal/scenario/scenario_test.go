@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"evmatching/internal/geo"
@@ -95,8 +96,15 @@ func TestStoreAddAndLookup(t *testing.T) {
 	if st.Len() != 1 {
 		t.Errorf("Len = %d", st.Len())
 	}
-	if st.E(id) != e || st.V(id) != v {
-		t.Error("lookup returned wrong scenario")
+	// E builds a fresh copy each call: equal to what was added, owned by
+	// the caller, so writing through it changes nothing stored.
+	got := st.E(id)
+	if got == e || !reflect.DeepEqual(got, e) || st.V(id) != v {
+		t.Errorf("lookup returned %+v, want a fresh copy of %+v", got, e)
+	}
+	got.EIDs["aa"], got.EIDs["zz"] = AttrVague, AttrInclusive
+	if again := st.E(id); again == got || !reflect.DeepEqual(again, e) {
+		t.Errorf("writing through E's copy changed the store: %+v", again)
 	}
 	if st.E(99) != nil || st.V(-1) != nil {
 		t.Error("out-of-range lookup should return nil")

@@ -1,8 +1,11 @@
 package scenario
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -15,26 +18,28 @@ import (
 // (window, EID), so both the E stage (window-ordered scans, which scenario
 // of a window holds an EID) and V stage (fetch the V-Scenario for a selected
 // ID) are cheap. It owns the dense ordinals every matcher over it reads EIDs
-// and VIDs through (postings.go, vids.go), built as they are first needed.
+// and VIDs through (postings.go, vids.go). A scenario's EID set is stored
+// once, as its view: Add interns the EIDs and writes them there, and no EID
+// map is kept.
 type Store struct {
 	layout geo.Layout
-	esc    []*EScenario // dense, index == int(ID)
-	vsc    []*VScenario // parallel to esc; nil when no detections
+	at     []where      // dense, index == int(ID)
+	vsc    []*VScenario // parallel to at; nil when no detections
 	byWin  map[int][]ID // window -> scenario IDs, in insertion order
 
 	mu        sync.Mutex   // guards winSorted
 	winSorted map[int][]ID // cache of AtWindow's cell-sorted ID lists
 
-	// The exact (window, EID) postings (postings.go), shared by every matcher
-	// over the store. ords is append-only and filled as windows are first
-	// touched, never at Add; posts holds the touched windows and loses
-	// exactly the window Add grows.
-	postMu sync.Mutex
+	// The EIDs as ordinals (postings.go), shared by every matcher over the
+	// store. ords and its reverse eids are append-only: Add interns each
+	// scenario's EIDs, Ordinal any EID it is asked for. posts holds the
+	// windows Postings has built and loses exactly the window Add grows.
+	postMu sync.Mutex // guards ords, eids and posts
 	ords   map[ids.EID]int32
+	eids   []ids.EID
 	posts  map[int]*WindowPostings
-	// Scenario id's view starts at viewAt[id]-1 in the slabs
-	// viewOrds/viewAttrs once View has built it (viewAt[id] is 0 before),
-	// and is as long as its EID set; viewKeys is View's scratch.
+	// Scenario id's view is viewOrds/viewAttrs[viewAt[id]:viewAt[id+1]],
+	// written by Add and never rewritten; viewKeys is Add's scratch.
 	viewAt    []int32
 	viewOrds  []int32
 	viewAttrs []Attr
@@ -59,6 +64,12 @@ type Store struct {
 	pageErr error // sticky: first reload failure seen on the legacy V path
 }
 
+// where is a stored scenario's place.
+type where struct {
+	cell   geo.CellID
+	window int
+}
+
 // VPager reloads an evicted V-Scenario payload from secondary storage.
 type VPager interface {
 	LoadV(id ID) (*VScenario, error)
@@ -67,49 +78,131 @@ type VPager interface {
 // NewStore creates an empty store over the given layout.
 func NewStore(layout geo.Layout) *Store {
 	return &Store{layout: layout, byWin: make(map[int][]ID), winSorted: make(map[int][]ID),
-		ords: make(map[ids.EID]int32), posts: make(map[int]*WindowPostings), vidOrds: make(map[ids.VID]int32)}
+		ords: make(map[ids.EID]int32), posts: make(map[int]*WindowPostings), viewAt: []int32{0},
+		vidOrds: make(map[ids.VID]int32)}
 }
 
 // Layout returns the cell layout scenarios are defined over.
 func (st *Store) Layout() geo.Layout { return st.layout }
 
-// Add registers an EV-Scenario pair, assigning and returning its ID. The
-// VScenario may be nil when no detections were captured in the cell. The
-// pair's Cell and Window must agree.
+// Add registers an EV-Scenario pair, assigning its ID to both halves and
+// returning it. The VScenario may be nil when no detections were captured in
+// the cell. The pair's Cell and Window must agree. The store keeps e's EID
+// set as its view and retains neither e nor its map.
 func (st *Store) Add(e *EScenario, v *VScenario) (ID, error) {
 	if e == nil {
 		return NoID, fmt.Errorf("scenario: nil E-Scenario")
 	}
-	if v != nil && (v.Cell != e.Cell || v.Window != e.Window) {
-		return NoID, fmt.Errorf("scenario: EV pair mismatch: E(cell %d win %d) vs V(cell %d win %d)",
-			e.Cell, e.Window, v.Cell, v.Window)
+	st.postMu.Lock()
+	keys := st.viewKeys[:0]
+	//evlint:ignore maprange collects (ordinal, attribute) keys that are sorted before use; ordinals are opaque handles, so the order they are assigned in reaches nothing
+	for eid, attr := range e.EIDs {
+		keys = append(keys, st.keyLocked(eid, attr))
 	}
-	id := ID(len(st.esc))
-	e.ID = id
+	st.postMu.Unlock()
+	id, err := st.add(e.Cell, e.Window, keys, v)
+	if err == nil {
+		e.ID = id
+	}
+	return id, err
+}
+
+// AddEIDs is Add for an EID set given as a list of distinct EIDs in any
+// order — a record's, a generator's — so no map is built for it.
+func (st *Store) AddEIDs(cell geo.CellID, window int, eids []EIDAttr, v *VScenario) (ID, error) {
+	st.postMu.Lock()
+	keys := st.viewKeys[:0]
+	for _, ea := range eids {
+		keys = append(keys, st.keyLocked(ea.EID, ea.Attr))
+	}
+	st.postMu.Unlock()
+	return st.add(cell, window, keys, v)
+}
+
+// keyLocked interns e and packs its ordinal beside attr into one sortable
+// view key. Callers hold postMu.
+func (st *Store) keyLocked(e ids.EID, attr Attr) uint64 {
+	return uint64(st.internLocked(e))<<8 | uint64(attr)
+}
+
+// add stores a scenario whose EID set is keys, appending its view to the
+// slabs: views handed out earlier keep the arrays they were cut from, and
+// the pairs are never rewritten, so growing the slabs moves nothing a
+// reader holds.
+func (st *Store) add(cell geo.CellID, window int, keys []uint64, v *VScenario) (ID, error) {
+	st.viewKeys = keys
+	if v != nil && (v.Cell != cell || v.Window != window) {
+		return NoID, fmt.Errorf("scenario: EV pair mismatch: E(cell %d win %d) vs V(cell %d win %d)",
+			cell, window, v.Cell, v.Window)
+	}
+	slices.Sort(keys)
+	for i := 1; i < len(keys); i++ {
+		if keys[i]>>8 == keys[i-1]>>8 {
+			return NoID, fmt.Errorf("scenario: EID %q repeated in cell %d window %d", st.eids[keys[i]>>8], cell, window)
+		}
+	}
+	if len(st.viewOrds)+len(keys) > math.MaxInt32 {
+		return NoID, fmt.Errorf("scenario: more than %d (scenario, EID) pairs", math.MaxInt32)
+	}
+	id := ID(len(st.at))
 	if v != nil {
 		v.ID = id
 	}
-	st.esc = append(st.esc, e)
+	for _, k := range keys {
+		st.viewOrds = append(st.viewOrds, int32(k>>8))
+		st.viewAttrs = append(st.viewAttrs, Attr(k))
+	}
+	st.viewAt = append(st.viewAt, int32(len(st.viewOrds)))
+	st.at = append(st.at, where{cell: cell, window: window})
 	st.vsc = append(st.vsc, v)
-	st.byWin[e.Window] = append(st.byWin[e.Window], id)
+	st.byWin[window] = append(st.byWin[window], id)
 	st.mu.Lock()
-	delete(st.winSorted, e.Window) // invalidate the window's sorted cache
+	delete(st.winSorted, window) // invalidate the window's sorted cache
 	st.mu.Unlock()
 	st.postMu.Lock()
-	delete(st.posts, e.Window) // and its postings, which rank into that list
+	delete(st.posts, window) // and its postings, which rank into that list
 	st.postMu.Unlock()
 	return id, nil
 }
 
 // Len returns the number of stored scenario pairs.
-func (st *Store) Len() int { return len(st.esc) }
+func (st *Store) Len() int { return len(st.at) }
 
-// E returns the E-Scenario with the given ID, or nil if out of range.
+// Cell returns the cell of scenario id, which must be stored.
+func (st *Store) Cell(id ID) geo.CellID { return st.at[id].cell }
+
+// Window returns the time window of scenario id, which must be stored.
+func (st *Store) Window(id ID) int { return st.at[id].window }
+
+// E returns a fresh copy of the E-Scenario with the given ID, its EID map
+// built from the view, or nil if out of range. It costs a map per call:
+// matching paths read View instead.
 func (st *Store) E(id ID) *EScenario {
-	if int(id) < 0 || int(id) >= len(st.esc) {
+	if int(id) < 0 || int(id) >= len(st.at) {
 		return nil
 	}
-	return st.esc[id]
+	v := st.View(id)
+	set := make(map[ids.EID]Attr, len(v.Ords))
+	st.postMu.Lock()
+	for k, o := range v.Ords {
+		set[st.eids[o]] = v.Attrs[k]
+	}
+	st.postMu.Unlock()
+	return &EScenario{ID: id, Cell: st.at[id].cell, Window: st.at[id].window, EIDs: set}
+}
+
+// AppendEIDAttrs appends scenario id's EID set to buf as a Record lists it,
+// (EID, attribute) pairs in ascending EID order.
+func (st *Store) AppendEIDAttrs(buf []EIDAttr, id ID) []EIDAttr {
+	v := st.View(id)
+	base := len(buf)
+	st.postMu.Lock()
+	for k, o := range v.Ords {
+		buf = append(buf, EIDAttr{EID: st.eids[o], Attr: v.Attrs[k]})
+	}
+	st.postMu.Unlock()
+	slices.SortFunc(buf[base:], func(a, b EIDAttr) int { return cmp.Compare(a.EID, b.EID) })
+	return buf
 }
 
 // V returns the V-Scenario with the given ID, or nil if out of range or no
@@ -207,7 +300,7 @@ func (st *Store) AtWindow(w int) []ID {
 	idsAt := st.byWin[w]
 	out := make([]ID, len(idsAt))
 	copy(out, idsAt)
-	sort.Slice(out, func(i, j int) bool { return st.esc[out[i]].Cell < st.esc[out[j]].Cell })
+	sort.Slice(out, func(i, j int) bool { return st.at[out[i]].cell < st.at[out[j]].cell })
 	st.mu.Lock()
 	if st.winSorted == nil {
 		st.winSorted = make(map[int][]ID)

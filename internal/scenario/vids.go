@@ -14,8 +14,8 @@ func (st *Store) DetectionOrdinals(id ID, v *VScenario) []int32 {
 	if int(id) < len(st.detAt) && st.detAt[id] > 0 {
 		return st.detOrds[st.detAt[id]-1]
 	}
-	if len(st.detAt) < len(st.esc) {
-		st.detAt = append(st.detAt, make([]int32, len(st.esc)-len(st.detAt))...)
+	if len(st.detAt) < st.Len() {
+		st.detAt = append(st.detAt, make([]int32, st.Len()-len(st.detAt))...)
 	}
 	ords := make([]int32, len(v.Detections))
 	for i := range v.Detections {

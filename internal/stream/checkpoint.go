@@ -214,7 +214,7 @@ func (e *Engine) checkpointLocked(front *frontier, open []scenario.Record) (*che
 		if err != nil {
 			return nil, fmt.Errorf("stream: checkpoint scenario %d: %w", id, err)
 		}
-		cp.Scenarios = append(cp.Scenarios, scenario.RecordOf(e.store.E(id), v))
+		cp.Scenarios = append(cp.Scenarios, e.store.Record(id, v))
 	}
 	front.record(cp)
 	return cp, nil

@@ -252,6 +252,7 @@ func eachWindowEvents(ds *dataset.Dataset, windowMS int64, seed int64, emit func
 	}
 	rng := rand.New(rand.NewSource(seed))
 	var batch []Observation
+	var eids []scenario.EIDAttr
 	for _, w := range ds.Store.Windows() {
 		if w < 0 {
 			return Header{}, fmt.Errorf("%w: negative window %d", ErrBadLog, w)
@@ -259,14 +260,15 @@ func eachWindowEvents(ds *dataset.Dataset, windowMS int64, seed int64, emit func
 		base := int64(w) * windowMS
 		batch = batch[:0]
 		for _, id := range ds.Store.AtWindow(w) {
-			esc := ds.Store.E(id)
-			for _, e := range esc.SortedEIDs() {
+			cell := ds.Store.Cell(id)
+			eids = ds.Store.AppendEIDAttrs(eids[:0], id)
+			for _, ea := range eids {
 				batch = append(batch, Observation{
 					TS:   base + rng.Int63n(windowMS),
 					Kind: KindE,
-					Cell: esc.Cell,
-					EID:  e,
-					Attr: esc.EIDs[e],
+					Cell: cell,
+					EID:  ea.EID,
+					Attr: ea.Attr,
 				})
 			}
 			vsc := ds.Store.V(id)

@@ -316,15 +316,16 @@ func (e *Engine) resetMatchState() error {
 	if err != nil {
 		return err
 	}
+	ords := p.BindStore(e.store)
 	e.part = p
-	e.live = blocking.NewLiveTargets(e.cfg.Targets)
+	e.live = blocking.NewLiveTargets(ords)
 	e.pending = nil
 	if p.NumTargets() == 1 {
 		e.pending = slices.Clone(p.Targets()) // born resolved: no split will report it
 	}
-	e.part.OnResolve(func(t ids.EID) {
-		e.live.Resolve(t)
-		e.pending = append(e.pending, t)
+	e.part.OnResolve(func(i int) {
+		e.live.Resolve(ords[i])
+		e.pending = append(e.pending, p.Targets()[i])
 	})
 	e.ix = blocking.Build(e.store, blocking.DefaultGeometry())
 	e.blockCandidates, e.blockPruned = 0, 0
@@ -418,41 +419,44 @@ func (e *Engine) foldLocked(sealed []ShardSealed, target int) error {
 // the first time a match reads it, so only what SS selects is ever looked at.
 // Callers hold e.mu.
 func (e *Engine) applySealedLocked(w *ShardSealed) (scenario.ID, error) {
-	eids := w.eids
-	if eids == nil {
-		eids = scenario.EIDAttrSet(w.EIDs)
-	}
-	esc := &scenario.EScenario{Cell: w.Cell, Window: w.Window, EIDs: eids}
 	var vsc *scenario.VScenario
 	if dets, dropped := canonicalDets(w.Dets); len(dets) > 0 {
 		e.duplicates += int64(dropped)
 		vsc = &scenario.VScenario{Cell: w.Cell, Window: w.Window, Detections: dets}
 	}
-	id, err := e.store.Add(esc, vsc)
+	var id scenario.ID
+	var err error
+	if w.eids != nil {
+		id, err = e.store.Add(&scenario.EScenario{Cell: w.Cell, Window: w.Window, EIDs: w.eids}, vsc)
+	} else {
+		id, err = e.store.AddEIDs(w.Cell, w.Window, w.EIDs, vsc)
+	}
 	if err != nil {
 		return id, err
 	}
-	e.splitSealedLocked(esc)
+	e.splitSealedLocked(id)
 	return id, e.noteSealedLocked(id, vsc)
 }
 
-// splitSealedLocked refines the partition with one sealed scenario through
-// the blocking probe. SplitBy ignores EIDs outside the partition's index and
-// is a no-op once every set is a singleton, so applying the full scenario
-// records the same effective-scenario list as the batch split stage's
-// filtered, early-exiting scan (DESIGN.md §10); a scenario the live-target
-// probe prunes is exactly such a no-op — it could neither change a leaf nor
-// be recorded — so skipping it preserves that equivalence bit for bit.
+// splitSealedLocked refines the partition with one sealed scenario, read as
+// its store view, through the blocking probe. SplitView ignores ordinals
+// outside the partition's targets and is a no-op once every set is a
+// singleton, so applying the full scenario records the same
+// effective-scenario list as the batch split stage's filtered,
+// early-exiting scan (DESIGN.md §10); a scenario the live-target probe
+// prunes is exactly such a no-op — it could neither change a leaf nor be
+// recorded — so skipping it preserves that equivalence bit for bit.
 // Checkpoint restore replays through this same path, which deterministically
 // rebuilds the live set and both counters without any checkpoint field.
 // Callers hold e.mu.
-func (e *Engine) splitSealedLocked(esc *scenario.EScenario) {
-	if e.live.Prunes(esc) {
+func (e *Engine) splitSealedLocked(id scenario.ID) {
+	v := e.store.View(id)
+	if e.live.Prunes(v) {
 		e.blockPruned++
 		return
 	}
 	e.blockCandidates++
-	e.part.SplitBy(esc)
+	e.part.SplitView(id, v)
 }
 
 // applyRound is the sharded router's merge hook: the fold, over one close

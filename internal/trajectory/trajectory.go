@@ -52,21 +52,22 @@ func BuildE(st *scenario.Store, e ids.EID) (*ETrajectory, error) {
 		return nil, errors.New("trajectory: nil store")
 	}
 	out := &ETrajectory{EID: e}
+	ord := st.Ordinal(e)
 	for _, w := range st.Windows() {
 		// An EID can be vague in several neighboring cells within one
 		// window (drift); keep one point per window, preferring the
 		// inclusive sighting over the first vague one.
 		var best *Point
 		for _, id := range st.AtWindow(w) {
-			esc := st.E(id)
-			attr, ok := esc.AttrOf(e)
+			attr, ok := st.View(id).Attr(ord)
 			if !ok {
 				continue
 			}
+			cell := st.Cell(id)
 			p := Point{
 				Window: w,
-				Cell:   esc.Cell,
-				Pos:    st.Layout().Center(esc.Cell),
+				Cell:   cell,
+				Pos:    st.Layout().Center(cell),
 				Vague:  attr == scenario.AttrVague,
 			}
 			if attr == scenario.AttrInclusive {
