@@ -23,7 +23,7 @@ func (m *Matcher) Explain(ctx context.Context, e ids.EID, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	list := lists[e]
+	list := lists[0]
 	fmt.Fprintf(w, "EID %s\n", e)
 	stats := p.TreeStats()
 	fmt.Fprintf(w, "E stage: %d scenarios selected (tree depth %d, %d recorded splits)\n",

@@ -47,10 +47,10 @@ func (m *Matcher) matchSS(ctx context.Context, targets []ids.EID, filter *vfilte
 			// itself against (see stream.Engine.Finalize).
 			rep.SplitScenarios = append([]scenario.ID(nil), p.Recorded()...)
 		}
-		for _, e := range pending {
-			list := lists[e]
-			rep.PerEID[e] = len(list)
-			for _, id := range list {
+		eids := p.Targets()
+		for i, e := range eids {
+			rep.PerEID[e] = len(lists[i])
+			for _, id := range lists[i] {
 				selected[id] = true
 			}
 		}
@@ -63,8 +63,8 @@ func (m *Matcher) matchSS(ctx context.Context, targets []ids.EID, filter *vfilte
 		}
 
 		var unresolved []ids.EID
-		for _, e := range pending {
-			res := results[e]
+		for i, e := range eids {
+			res := results[i]
 			rep.Results[e] = res
 			if res.VID != ids.NoVID && res.Acceptable {
 				accepted.Add(res.VID)
@@ -154,9 +154,10 @@ func (pre *prefetcher) join() {
 }
 
 // splitStage runs EID set splitting over the store and derives each target's
-// selected scenario list. Rounds use distinct scenario orders so refining
-// sees fresh evidence. rep, when non-nil, accumulates the blocking-pruning
-// counters; the split result itself never depends on them.
+// selected scenario list, lists[i] being that of the partition's Targets()[i].
+// Rounds use distinct scenario orders so refining sees fresh evidence. rep,
+// when non-nil, accumulates the blocking-pruning counters; the split result
+// itself never depends on them.
 //
 // With blocking enabled (the default), each window contributes only the
 // scenarios holding a still-undistinguished target inclusively, read off the
@@ -166,8 +167,8 @@ func (pre *prefetcher) join() {
 // evolves through the identical state sequence, records the identical
 // scenarios, and hits Done at the identical point — bit-identity with the
 // exhaustive path, which the equivalence property tests pin.
-func (m *Matcher) splitStage(ctx context.Context, targets []ids.EID, round int, ix *blocking.Index, rep *Report, pre *prefetcher) (*partition.Partition, map[ids.EID][]scenario.ID, error) {
-	p, err := partition.New(targets)
+func (m *Matcher) splitStage(ctx context.Context, targets []ids.EID, round int, ix *blocking.Index, rep *Report, pre *prefetcher) (p *partition.Partition, lists [][]scenario.ID, err error) {
+	p, err = partition.New(targets)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -281,15 +282,15 @@ func (m *Matcher) splitStage(ctx context.Context, targets []ids.EID, round int, 
 	// One tree walk yields every positive list; padding copies a target's own
 	// and otherwise reads only the store and its postings, so the targets are
 	// padded in place on every core, the caller's included.
-	eids, padded := p.Targets(), p.AllPositiveScenarios()
+	lists = p.AllPositiveScenarios()
 	var next atomic.Int64
 	pad := func() {
-		for i := int(next.Add(1)) - 1; i < len(eids) && ctx.Err() == nil; i = int(next.Add(1)) - 1 {
-			padded[i] = PadToUnique(store, ix, eids[i], padded[i], windows)
+		for i := int(next.Add(1)) - 1; i < len(lists) && ctx.Err() == nil; i = int(next.Add(1)) - 1 {
+			lists[i] = PadToUnique(store, ix, ords[i], lists[i], windows)
 		}
 	}
 	var others sync.WaitGroup
-	for w := 1; w < min(runtime.GOMAXPROCS(0), len(eids)); w++ {
+	for w := 1; w < min(runtime.GOMAXPROCS(0), len(lists)); w++ {
 		others.Add(1)
 		go func() {
 			defer others.Done()
@@ -301,23 +302,20 @@ func (m *Matcher) splitStage(ctx context.Context, targets []ids.EID, round int, 
 	if err := ctx.Err(); err != nil {
 		return nil, nil, fmt.Errorf("core: split stage: %w", err)
 	}
-	lists := make(map[ids.EID][]scenario.ID, len(eids))
-	for i, e := range eids {
-		lists[e] = padded[i]
-	}
 	return p, lists, nil
 }
 
-// PadToUnique extends an EID's scenario list until the intersection of the
-// listed scenarios' full EID sets is the singleton {e} (or no further
-// scenario helps), and at least minListLen scenarios are listed. maxListLen
-// caps the total as a safety valve for worlds where the trajectory never
-// becomes unique. It is shared between the batch split stage and the
-// incremental streaming V stage, which pads over the windows closed so far;
-// ix is a view of store's postings. Each window's pick is the first unlisted
-// scenario holding e inclusively in AtWindow order, read off the postings by
-// e's ordinal, and every set is a store view, so no EID is hashed past e.
-func PadToUnique(store *scenario.Store, ix *blocking.Index, e ids.EID, list []scenario.ID, windows []int) []scenario.ID {
+// PadToUnique extends the scenario list of the EID with store ordinal ord
+// until the intersection of the listed scenarios' full EID sets is that EID
+// alone (or no further scenario helps), and at least minListLen scenarios are
+// listed. maxListLen caps the total as a safety valve for worlds where the
+// trajectory never becomes unique. It is shared between the batch split stage
+// and the incremental streaming V stage, which pads over the windows closed so
+// far; ix is a view of store's postings. Each window's pick is the first
+// unlisted scenario holding the EID inclusively in AtWindow order, read off
+// the postings by ord, and every set is a store view, so no EID is hashed:
+// callers pass the ordinal Partition.BindStore resolved.
+func PadToUnique(store *scenario.Store, ix *blocking.Index, ord int32, list []scenario.ID, windows []int) []scenario.ID {
 	out := append([]scenario.ID(nil), list...)
 	// Candidate set: EIDs that may co-appear in every listed scenario. A
 	// candidate is only eliminated by a scenario it is entirely absent from
@@ -332,15 +330,14 @@ func PadToUnique(store *scenario.Store, ix *blocking.Index, e ids.EID, list []sc
 		case !seeded:
 			cands, seeded = slices.Clone(v.Ords), true
 		case len(cands) > 1:
-			// Every listed scenario contains e, so the set can never shrink
-			// below {e}; once unique it stays unique.
+			// Every listed scenario contains ord, so the set can never
+			// shrink below {ord}; once unique it stays unique.
 			cands = intersectSorted(cands, v.Ords)
 		}
 	}
 	for _, id := range out {
 		narrow(store.View(id))
 	}
-	ord := store.Ordinal(e)
 	for _, w := range windows {
 		if len(out) >= maxListLen || (len(out) >= minListLen && len(cands) <= 1) {
 			break
@@ -376,32 +373,26 @@ func intersectSorted(a, b []int32) []int32 {
 	return out
 }
 
-// inPostOrder returns the EIDs that have a list, in the partition's
-// post-order — the rule-out order of Theorem 4.1 — beside their lists.
-func inPostOrder(p *partition.Partition, lists map[ids.EID][]scenario.ID) (order []ids.EID, ordered [][]scenario.ID) {
-	for _, e := range p.PostOrder() {
-		if list, ok := lists[e]; ok {
-			order = append(order, e)
-			ordered = append(ordered, list)
-		}
-	}
-	return order, ordered
-}
-
-// vStage runs VID filtering for every target. In serial mode it follows
-// Theorem 4.1 exactly: EIDs are matched in post-order with each accepted VID
+// vStage runs VID filtering for every target, lists and results both indexed
+// by position in p.Targets(). In serial mode it follows Theorem 4.1 exactly:
+// EIDs are matched in the partition's post-order with each accepted VID
 // ruled out for the rest (vfilter.MatchInOrder, which scores on every core
 // and still decides in that order). In parallel mode it follows §V-C: features are
 // extracted per scenario and compared per EID across mappers, then a
 // sequential fixup resolves VIDs claimed by multiple EIDs (keep the
 // higher-probability claim, re-match the rest with exclusions).
-func (m *Matcher) vStage(ctx context.Context, filter *vfilter.Filter, p *partition.Partition, lists map[ids.EID][]scenario.ID, accepted *vfilter.Exclusion) (map[ids.EID]vfilter.Result, error) {
-	order, ordered := inPostOrder(p, lists)
-	out := make(map[ids.EID]vfilter.Result, len(order))
+func (m *Matcher) vStage(ctx context.Context, filter *vfilter.Filter, p *partition.Partition, lists [][]scenario.ID, accepted *vfilter.Exclusion) ([]vfilter.Result, error) {
+	eids, order := p.Targets(), p.PostOrder()
+	out := make([]vfilter.Result, len(eids))
 
 	if m.opts.Mode == ModeSerial {
-		err := filter.MatchInOrder(ctx, order, ordered, accepted.Clone(), func(i int, res vfilter.Result) {
-			out[order[i]] = res
+		inOrder := make([]ids.EID, len(order))
+		ordered := make([][]scenario.ID, len(order))
+		for k, i := range order {
+			inOrder[k], ordered[k] = eids[i], lists[i]
+		}
+		err := filter.MatchInOrder(ctx, inOrder, ordered, accepted.Clone(), func(k int, res vfilter.Result) {
+			out[order[k]] = res
 		})
 		if err != nil {
 			return nil, err
@@ -414,9 +405,9 @@ func (m *Matcher) vStage(ctx context.Context, filter *vfilter.Filter, p *partiti
 	uniq := make(map[scenario.ID]bool)
 	var extractList []scenario.ID
 	assignments := make([]mrjobs.Assignment, 0, len(order))
-	for _, e := range order {
-		assignments = append(assignments, mrjobs.Assignment{EID: e, List: lists[e]})
-		for _, id := range lists[e] {
+	for _, i := range order {
+		assignments = append(assignments, mrjobs.Assignment{EID: eids[i], List: lists[i]})
+		for _, id := range lists[i] {
 			if !uniq[id] {
 				uniq[id] = true
 				extractList = append(extractList, id)
@@ -436,25 +427,26 @@ func (m *Matcher) vStage(ctx context.Context, filter *vfilter.Filter, p *partiti
 		return nil, err
 	}
 
-	// Sequential conflict fixup in post-order priority.
-	winner := make(map[ids.VID]ids.EID)
-	var losers []ids.EID
-	for _, e := range order {
-		res := results[e]
-		out[e] = res
+	// Sequential conflict fixup in post-order priority; winner and losers
+	// hold target positions.
+	winner := make(map[ids.VID]int)
+	var losers []int
+	for _, i := range order {
+		res := results[eids[i]]
+		out[i] = res
 		if res.VID == ids.NoVID {
 			continue
 		}
 		prev, taken := winner[res.VID]
 		if !taken {
-			winner[res.VID] = e
+			winner[res.VID] = i
 			continue
 		}
-		if res.Probability > results[prev].Probability {
-			winner[res.VID] = e
+		if res.Probability > results[eids[prev]].Probability {
+			winner[res.VID] = i
 			losers = append(losers, prev)
 		} else {
-			losers = append(losers, e)
+			losers = append(losers, i)
 		}
 	}
 	if len(losers) > 0 {
@@ -462,21 +454,21 @@ func (m *Matcher) vStage(ctx context.Context, filter *vfilter.Filter, p *partiti
 		for _, vid := range ids.SortedVIDKeys(winner) {
 			exclude.Add(vid)
 		}
-		for _, e := range losers {
-			res, err := filter.Match(e, lists[e], exclude)
+		for _, i := range losers {
+			res, err := filter.Match(eids[i], lists[i], exclude)
 			if err != nil {
 				return nil, err
 			}
-			out[e] = res
+			out[i] = res
 			if res.VID != ids.NoVID {
 				if _, taken := winner[res.VID]; !taken {
-					winner[res.VID] = e
+					winner[res.VID] = i
 					exclude.Add(res.VID)
 				} else {
 					// Still contended: leave unmatched for refining.
 					res.VID = ids.NoVID
 					res.Acceptable = false
-					out[e] = res
+					out[i] = res
 				}
 			}
 		}

@@ -115,6 +115,10 @@ func MaxSim(rep Vector, m *Matrix) float64 {
 // row most likely to be nearest — in vfilter, the candidate's own detection
 // in the scenario — sets the bound so that almost every other row leaves in
 // its first tile step. Any row is a valid seed; it only changes the cost.
+// A matrix of at most four rows has no later tile for a seed's bound to cut
+// short, so it takes no seed pass: its rows are visited in pairs
+// (minSqPairs), every pair in full, which repeats at most one row where a
+// four-row tile over two rows would compute each twice.
 //
 // Kernel contract: len(reps) == len(out)*m.Dim(), seeds is nil or
 // len(seeds) == len(out), and every non-negative seed is a row of m.
@@ -129,6 +133,15 @@ func MaxSimBatch(reps []float64, m *Matrix, seeds []int32, out []float64) {
 		panic(fmt.Sprintf("feature: MaxSimBatch %d seeds for %d reps", len(seeds), len(out)))
 	}
 	rows := m.Rows()
+	if rows <= 4 {
+		for r := range out {
+			if seeds != nil && int(seeds[r]) >= rows {
+				panic(fmt.Sprintf("feature: MaxSimBatch seed row %d of a %d-row matrix", seeds[r], rows))
+			}
+			out[r] = simOfSq(minSqPairs(reps[r*dim:(r+1)*dim:(r+1)*dim], m.data, rows, maxSimClampSq))
+		}
+		return
+	}
 	for r := range out {
 		rep := reps[r*dim : (r+1)*dim : (r+1)*dim]
 		minSq := maxSimClampSq
@@ -148,12 +161,17 @@ func MaxSimBatch(reps []float64, m *Matrix, seeds []int32, out []float64) {
 		}
 		minSq = minSqRows(rep, m.data, 0, seed, minSq)
 		minSq = minSqRows(rep, m.data, seed+1, rows, minSq)
-		d := math.Sqrt(minSq) / 2
-		if d > 1 {
-			d = 1
-		}
-		out[r] = 1 - d
+		out[r] = simOfSq(minSq)
 	}
+}
+
+// simOfSq is the similarity of a squared distance, clamped as Sim clamps.
+func simOfSq(sq float64) float64 {
+	d := math.Sqrt(sq) / 2
+	if d > 1 {
+		d = 1
+	}
+	return 1 - d
 }
 
 // minSqRows returns the smaller of bound and the least squared distance from
@@ -213,6 +231,34 @@ tiles:
 		}
 		if s3 < bound {
 			bound = s3
+		}
+	}
+	return bound
+}
+
+// minSqPairs returns the smaller of bound and the least squared distance from
+// rep to the first rows rows of the row-major data, two rows at a time, each
+// pair's accumulators advancing together; an odd last row is paired with
+// itself. No pair is abandoned early: on the few-row matrices this serves,
+// the bound checks would cost more than the rows they skip.
+func minSqPairs(rep, data []float64, rows int, bound float64) float64 {
+	dim := len(rep)
+	for j := 0; j < rows; j += 2 {
+		o0, o1 := j*dim, min(j+1, rows-1)*dim
+		r0 := data[o0 : o0+dim : o0+dim]
+		r1 := data[o1 : o1+dim : o1+dim]
+		var s0, s1 float64
+		for i, x := range rep {
+			d0 := x - r0[i]
+			s0 += d0 * d0
+			d1 := x - r1[i]
+			s1 += d1 * d1
+		}
+		if s0 < bound {
+			bound = s0
+		}
+		if s1 < bound {
+			bound = s1
 		}
 	}
 	return bound

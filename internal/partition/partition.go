@@ -60,6 +60,9 @@ type Node struct {
 	// seen is the SplitBy call that last probed this node or created it, so
 	// a leaf shared by several of the scenario's members is probed once.
 	seen uint64
+	// slot is the leaf's index in Partition.leaves; an internal node keeps
+	// the slot it had as a leaf, which its larger child now holds.
+	slot int32
 	// Scenario is the E-Scenario that split this node (internal nodes only).
 	Scenario scenario.ID
 	// Left holds the EIDs confirmed by Scenario; Right holds the rest.
@@ -89,10 +92,19 @@ func (n *Node) VagueEIDs() []ids.EID {
 type Partition struct {
 	idx  *eidIndex
 	root *Node
-	// home[i] is the inclusive home leaf of idx.eids[i]. Every leaf is the
-	// home of at least one EID (both children of an effective split keep an
-	// inclusive member), so the leaves are exactly the distinct home values.
-	home []*Node
+	// set[i] is the slot in leaves of idx.eids[i]'s inclusive home leaf.
+	// Every leaf is the home of at least one EID (both children of an
+	// effective split keep an inclusive member), so leaves holds exactly the
+	// leaves. A split hands its leaf's slot to the child with more inclusive
+	// members and relabels only the other child's: a member changes slot only
+	// when it lands in the smaller half, whose size is at most half the one it
+	// left, so at most log₂ n times — O(n log n) relabels over any split
+	// sequence (Hopcroft's "process the smaller half" rule), where re-homing
+	// both children costs O(n²) when scenarios peel targets off one by one.
+	set    []int32
+	leaves []*Node
+	// relabels counts the set entries splits have rewritten (tests only).
+	relabels int
 	// numSets counts the leaves; multi counts those still holding ≥2
 	// inclusive EIDs. Both are maintained per split, so NumSets and Done
 	// never walk anything.
@@ -157,7 +169,8 @@ func New(targets []ids.EID) (*Partition, error) {
 	p := &Partition{
 		idx:     idx,
 		root:    root,
-		home:    make([]*Node, n),
+		set:     make([]int32, n),
+		leaves:  append(make([]*Node, 0, n), root), // a leaf per target at most
 		numSets: 1,
 		inRec:   make(map[scenario.ID]bool),
 		sInc:    bitset.New(n),
@@ -166,9 +179,6 @@ func New(targets []ids.EID) (*Partition, error) {
 		tInc:    bitset.New(n),
 		tOut:    bitset.New(n),
 		tVag:    bitset.New(n),
-	}
-	for i := range p.home {
-		p.home[i] = root
 	}
 	if n > 1 {
 		p.multi = 1
@@ -179,8 +189,11 @@ func New(targets []ids.EID) (*Partition, error) {
 // NumSets returns the current number of sets (leaves) in the partition.
 func (p *Partition) NumSets() int { return p.numSets }
 
+// home returns the inclusive home leaf of the target at position i.
+func (p *Partition) home(i int) *Node { return p.leaves[p.set[i]] }
+
 // NumTargets returns the number of EIDs being distinguished.
-func (p *Partition) NumTargets() int { return len(p.home) }
+func (p *Partition) NumTargets() int { return len(p.set) }
 
 // Done reports whether every set holds at most one inclusive EID, i.e. all
 // target EIDs are distinguished.
@@ -309,7 +322,7 @@ func (p *Partition) splitMarked(id scenario.ID) bool {
 	p.sInc.ForEach(func(i int) {
 		// A leaf split earlier in this call re-homes i to a child already
 		// marked seen: children of one scenario cannot split by it again.
-		if leaf := p.home[i]; leaf.seen != p.calls {
+		if leaf := p.home(i); leaf.seen != p.calls {
 			leaf.seen = p.calls
 			if p.split(leaf, id) {
 				changed = true
@@ -323,8 +336,10 @@ func (p *Partition) splitMarked(id scenario.ID) bool {
 }
 
 // split replaces leaf by its two children under the loaded masks when the
-// split is effective, keeping home, the counters and the resolve hook in
-// step, and reports whether it did.
+// split is effective, keeping set, leaves, the counters and the resolve hook
+// in step, and reports whether it did. The larger child (by inclusive
+// members; the left on a tie) takes over leaf's slot, so only the smaller
+// child's members are relabelled.
 func (p *Partition) split(leaf *Node, by scenario.ID) bool {
 	left, right, ok := p.splitNode(leaf)
 	if !ok {
@@ -334,9 +349,18 @@ func (p *Partition) split(leaf *Node, by scenario.ID) bool {
 	leaf.Left, leaf.Right = left, right
 	p.numSets++
 	p.multi-- // leaf held ≥2 inclusive EIDs
+	big, small := left, right
+	if small.nInc > big.nInc {
+		big, small = small, big
+	}
+	big.slot = leaf.slot
+	p.leaves[big.slot] = big
+	small.slot = int32(len(p.leaves))
+	p.leaves = append(p.leaves, small)
+	small.inc.ForEach(func(i int) { p.set[i] = small.slot })
+	p.relabels += small.nInc
 	for _, child := range [2]*Node{left, right} {
 		child.seen = p.calls
-		child.inc.ForEach(func(i int) { p.home[i] = child })
 		switch {
 		case child.nInc > 1:
 			p.multi++
@@ -403,7 +427,7 @@ func (p *Partition) PositiveScenarios(e ids.EID) ([]scenario.ID, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrUnknownEID, e)
 	}
-	home := p.home[i]
+	home := p.home(i)
 	var out []scenario.ID
 	n := p.root
 	for n != home && !n.isLeaf() {
@@ -426,7 +450,7 @@ func (p *Partition) Targets() []ids.EID { return p.idx.eids }
 // target re-walks the shared upper tree: the stack of left-turn scenarios at
 // a leaf is the list of each of its inclusive members, who share one slice.
 func (p *Partition) AllPositiveScenarios() [][]scenario.ID {
-	out := make([][]scenario.ID, len(p.home))
+	out := make([][]scenario.ID, len(p.set))
 	var stack []scenario.ID
 	var walk func(n *Node)
 	walk = func(n *Node) {
@@ -450,18 +474,18 @@ func (p *Partition) Resolved(e ids.EID) (bool, error) {
 	if !ok {
 		return false, fmt.Errorf("%w: %s", ErrUnknownEID, e)
 	}
-	return p.home[i].nInc == 1, nil
+	return p.home(i).nInc == 1, nil
 }
 
-// PostOrder returns the target EIDs in the matching order of Theorem 4.1:
-// the post-order traversal of the split tree, so that when an EID is
-// matched, every EID it could be confused with inside its positive-scenario
-// intersection has already been matched and its VID can be ruled out.
-// Within one leaf, EIDs are ordered lexicographically.
-func (p *Partition) PostOrder() []ids.EID {
-	out := make([]ids.EID, 0, len(p.home))
+// PostOrder returns the targets, as positions in Targets, in the matching
+// order of Theorem 4.1: the post-order traversal of the split tree, so that
+// when an EID is matched, every EID it could be confused with inside its
+// positive-scenario intersection has already been matched and its VID can be
+// ruled out. Within one leaf, EIDs are ordered lexicographically.
+func (p *Partition) PostOrder() []int {
+	out := make([]int, 0, len(p.set))
 	p.root.eachLeaf(func(leaf *Node) {
-		leaf.inc.ForEach(func(i int) { out = append(out, p.idx.eids[i]) })
+		leaf.inc.ForEach(func(i int) { out = append(out, i) })
 	})
 	return out
 }
@@ -480,10 +504,10 @@ type Stats struct {
 // TreeStats computes the current tree statistics.
 func (p *Partition) TreeStats() Stats {
 	st := Stats{
-		Targets:  len(p.home),
+		Targets:  len(p.set),
 		Leaves:   p.numSets,
 		Recorded: len(p.recorded),
-		BoundNm1: len(p.home) - 1,
+		BoundNm1: len(p.set) - 1,
 	}
 	var walk func(n *Node, depth int)
 	walk = func(n *Node, depth int) {
@@ -497,7 +521,8 @@ func (p *Partition) TreeStats() Stats {
 		walk(n.Right, depth+1)
 	}
 	walk(p.root, 0)
-	for _, leaf := range p.home {
+	// A singleton leaf is the home of exactly one target.
+	for _, leaf := range p.leaves {
 		if leaf.nInc == 1 {
 			st.Resolved++
 		}

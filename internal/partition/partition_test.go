@@ -177,7 +177,8 @@ func TestPostOrderRuleOutProperty(t *testing.T) {
 			continue // unlucky trial; not the property under test
 		}
 		matched := map[ids.EID]bool{}
-		for _, e := range p.PostOrder() {
+		for _, i := range p.PostOrder() {
+			e := p.Targets()[i]
 			pos, err := p.PositiveScenarios(e)
 			if err != nil {
 				t.Fatal(err)
@@ -355,12 +356,12 @@ func TestPostOrderCoversAllTargets(t *testing.T) {
 	if len(got) != 5 {
 		t.Fatalf("PostOrder = %v", got)
 	}
-	seen := map[ids.EID]bool{}
-	for _, e := range got {
-		if seen[e] {
-			t.Fatalf("duplicate %s in PostOrder", e)
+	seen := map[int]bool{}
+	for _, i := range got {
+		if seen[i] {
+			t.Fatalf("duplicate %s in PostOrder", p.Targets()[i])
 		}
-		seen[e] = true
+		seen[i] = true
 	}
 }
 

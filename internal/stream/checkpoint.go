@@ -305,7 +305,7 @@ func (e *Engine) restoreMatchState(cp *checkpointFile) error {
 	}
 	// The replay re-resolved every target the partition had resolved; those
 	// the checkpoint already answered are not pending.
-	e.pending = slices.DeleteFunc(e.pending, func(t ids.EID) bool { return e.resolved[t] })
+	e.pending = slices.DeleteFunc(e.pending, func(i int) bool { return e.resolved[e.part.Targets()[i]] })
 	for _, vid := range cp.Accepted {
 		e.accept(vid)
 	}

@@ -225,9 +225,11 @@ type Engine struct {
 	// grows again, so what one sweep materialised serves every later one.
 	ix *blocking.Index
 	// pending holds the targets the partition has resolved that have no
-	// resolution yet, in resolve order: the resolve hook appends, and the
-	// sweep takes what it can match and keeps the rest.
-	pending []ids.EID
+	// resolution yet, as positions in part.Targets(), in resolve order: the
+	// resolve hook appends, and the sweep takes what it can match and keeps
+	// the rest. ords[i] is the store ordinal of part.Targets()[i].
+	pending []int
+	ords    []int32
 
 	// Spill tier (DESIGN.md §14), active when cfg.MemBudget > 0: sealed V
 	// payloads are charged against spillBudget as windows close and evicted
@@ -317,15 +319,15 @@ func (e *Engine) resetMatchState() error {
 		return err
 	}
 	ords := p.BindStore(e.store)
-	e.part = p
+	e.part, e.ords = p, ords
 	e.live = blocking.NewLiveTargets(ords)
 	e.pending = nil
 	if p.NumTargets() == 1 {
-		e.pending = slices.Clone(p.Targets()) // born resolved: no split will report it
+		e.pending = []int{0} // born resolved: no split will report it
 	}
 	e.part.OnResolve(func(i int) {
 		e.live.Resolve(ords[i])
-		e.pending = append(e.pending, p.Targets()[i])
+		e.pending = append(e.pending, i)
 	})
 	e.ix = blocking.Build(e.store, blocking.DefaultGeometry())
 	e.blockCandidates, e.blockPruned = 0, 0
@@ -484,12 +486,14 @@ func (e *Engine) sweepResolutions(window int) error {
 	if len(e.pending) == 0 {
 		return nil
 	}
+	// Targets() is sorted, so ascending positions are sorted EIDs.
 	slices.Sort(e.pending)
 	var targets []ids.EID
 	var lists [][]scenario.ID
 	var windows []int
 	waiting := e.pending[:0]
-	for _, t := range e.pending {
+	for _, i := range e.pending {
+		t := e.part.Targets()[i]
 		pos, err := e.part.PositiveScenarios(t)
 		if err != nil {
 			return err
@@ -497,9 +501,9 @@ func (e *Engine) sweepResolutions(window int) error {
 		if windows == nil {
 			windows = e.store.Windows()
 		}
-		list := core.PadToUnique(e.store, e.ix, t, pos, windows)
+		list := core.PadToUnique(e.store, e.ix, e.ords[i], pos, windows)
 		if len(list) == 0 {
-			waiting = append(waiting, t) // no closed scenario mentions the EID yet; retry later
+			waiting = append(waiting, i) // no closed scenario mentions the EID yet; retry later
 			continue
 		}
 		targets = append(targets, t)

@@ -366,7 +366,9 @@ var raceEnabled bool
 // TestWarmMemoProbeAllocatesNothing: on BenchmarkFilterMatch/practical's
 // world with every memo warm, reading a scenario's memo allocates nothing,
 // and a whole Score allocates only its compact outcome — the Scored and its
-// three slices.
+// three slices. The probe reads a scratch the test owns, filled by the same
+// scoring a pooled Score runs: a scratch taken back from the pool may have
+// served another target's Score, on another P.
 func TestWarmMemoProbeAllocatesNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop scratches at random")
@@ -384,11 +386,12 @@ func TestWarmMemoProbeAllocatesNothing(t *testing.T) {
 	}); allocs != 4 {
 		t.Errorf("a warm Score allocates %v times, want 4", allocs)
 	}
-	// The pooled scratch still holds that Score's slots and their ids.
-	s := f.pool.Get().(*scratch)
-	defer f.pool.Put(s)
+	s := new(scratch)
+	if _, err := f.scoreInto(s, targets[0], lists[0], nil); err != nil {
+		t.Fatal(err)
+	}
 	if len(s.byRep) == 0 {
-		t.Skip("the pool dropped the scratch the last Score used")
+		t.Fatalf("scoring %s over %d scenarios interned no representative: the memo is not in play", targets[0], len(lists[0]))
 	}
 	e := f.cache[lists[0][0]]
 	if allocs := testing.AllocsPerRun(20, func() {

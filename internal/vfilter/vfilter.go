@@ -469,9 +469,9 @@ type scratch struct {
 
 // reset prepares the scratch for a Match over n scenarios. accs keeps its
 // length (each accumulator owns a reusable buffer). The ordinal tables of
-// the previous Match are put back entry by entry (presence via candOrds,
-// slotByOrd via slotOrds), so they never need a full clear; seenScen relies
-// on the monotone stamp and is never cleared at all.
+// the previous Match are put back entry by entry (presence and kept via
+// candOrds, slotByOrd via slotOrds), so they never need a full clear;
+// seenScen relies on the monotone stamp and is never cleared at all.
 func (s *scratch) reset(n int) {
 	if cap(s.scans) < n {
 		s.scans = make([]scan, n)
@@ -482,6 +482,7 @@ func (s *scratch) reset(n int) {
 	}
 	for _, ord := range s.candOrds {
 		s.presence[ord] = 0
+		s.kept.Remove(int(ord))
 	}
 	s.candOrds = s.candOrds[:0]
 	for _, ord := range s.slotOrds {
@@ -497,9 +498,9 @@ func (s *scratch) reset(n int) {
 }
 
 // ensureOrds sizes the ordinal-indexed tables for a store that has assigned
-// n VID ordinals so far. The counter tables only grow (ordinals are stable
-// for the store's lifetime); the kept mask is word-wise cleared for the new
-// Match, or reallocated when the ordinal universe outgrew it.
+// n VID ordinals so far. Every table only grows (ordinals are stable for the
+// store's lifetime); the kept mask is reallocated, empty, when the ordinal
+// universe outgrew it, and reset has already cleared what it held.
 func (s *scratch) ensureOrds(n int) {
 	for len(s.slotByOrd) < n {
 		s.slotByOrd = append(s.slotByOrd, -1)
@@ -512,8 +513,6 @@ func (s *scratch) ensureOrds(n int) {
 	}
 	if len(s.kept)*64 < n {
 		s.kept = bitset.New(n)
-	} else {
-		s.kept.Clear()
 	}
 }
 
@@ -677,13 +676,20 @@ func (f *Filter) Score(e ids.EID, list []scenario.ID, exclude *Exclusion) (*Scor
 	if exclude != nil && exclude.f != f {
 		return nil, errors.New("vfilter: exclusion belongs to another filter")
 	}
-	out := &Scored{eid: e, list: list}
 	if len(list) == 0 {
-		return out, nil
+		return &Scored{eid: e, list: list}, nil
 	}
-	dim := f.cfg.Extractor.Dim
 	s := f.pool.Get().(*scratch)
 	defer f.pool.Put(s)
+	return f.scoreInto(s, e, list, exclude)
+}
+
+// scoreInto is Score's work over a non-empty list, in scratch s. Only Score
+// takes a scratch from the pool; the scratch is the caller's until it
+// returns, and still holds this Score's slots and their ids afterwards.
+func (f *Filter) scoreInto(s *scratch, e ids.EID, list []scenario.ID, exclude *Exclusion) (*Scored, error) {
+	out := &Scored{eid: e, list: list}
+	dim := f.cfg.Extractor.Dim
 	s.reset(len(list))
 
 	// Gather per-scenario feature matrices first — extraction interns every
