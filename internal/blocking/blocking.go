@@ -81,36 +81,42 @@ func (ix *Index) InclusiveOrd(ord int32, w int) []scenario.ID {
 	return held
 }
 
-// Candidates appends to buf the positions in window w's Order of the
-// scenarios that hold a live target inclusively — the only scenarios that can
-// split the partition live mirrors — ascending, and returns w's postings
-// beside the grown buffer; len(Order()) − len(appended) is the pruned count.
-// It is the window-at-a-time form of the test LiveTargets.Prunes makes one
-// scenario at a time, read off store ordinals on both sides, and it walks
-// the smaller side: the live targets' postings in a sparse world, the
-// window's few scenarios, through Prunes, in a crowded one.
-func (ix *Index) Candidates(w int, live *LiveTargets, buf []int32) (*scenario.WindowPostings, []int32) {
+// Candidates appends to buf the scenarios of window w that hold a live
+// target inclusively — the only scenarios that can split the partition live
+// mirrors — in AtWindow order, and returns the grown buffer;
+// WindowTotal(w) − len(appended) is the pruned count. It is the
+// window-at-a-time form of the test LiveTargets.Prunes makes one scenario at
+// a time, read off store ordinals on both sides, and it walks the smaller
+// side: the live targets' postings in a sparse world, the window's few
+// scenarios, through Prunes, in a crowded one.
+func (ix *Index) Candidates(w int, live *LiveTargets, buf []scenario.ID) []scenario.ID {
 	wp := ix.window(w)
 	order := wp.Order()
 	if live.NumLive() == 0 {
-		return wp, buf
+		return buf
 	}
 	if len(order) <= live.NumLive() {
-		for r, id := range order {
+		for _, id := range order {
 			if !live.Prunes(ix.store.View(id)) {
-				buf = append(buf, int32(r))
+				buf = append(buf, id)
 			}
 		}
-		return wp, buf
+		return buf
 	}
-	// Collect the live targets' ranks in buf's tail, then sort and dedup
-	// them there.
+	// Collect the live targets' positions in Order in buf's tail, sort and
+	// dedup them there, then read each back as its scenario.
 	base := len(buf)
 	live.ords.ForEach(func(o int) {
 		_, ranks := wp.Held(int32(o))
-		buf = append(buf, ranks...)
+		for _, r := range ranks {
+			buf = append(buf, scenario.ID(r))
+		}
 	})
-	ranks := buf[base:]
-	slices.Sort(ranks)
-	return wp, buf[:base+len(slices.Compact(ranks))]
+	cands := buf[base:]
+	slices.Sort(cands)
+	cands = slices.Compact(cands)
+	for k, r := range cands {
+		cands[k] = order[r]
+	}
+	return buf[:base+len(cands)]
 }

@@ -2,8 +2,11 @@ package core
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"math/rand"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -345,9 +348,52 @@ func TestAlgorithmModeStrings(t *testing.T) {
 }
 
 func TestDedupEIDs(t *testing.T) {
-	got := dedupEIDs([]ids.EID{"b", "a", "b", ids.None, "a"})
+	in := []ids.EID{"b", "a", "b", ids.None, "a"}
+	got := dedupEIDs(in)
 	if len(got) != 2 || got[0] != "a" || got[1] != "b" {
 		t.Errorf("dedupEIDs = %v", got)
+	}
+	if in[0] != "b" || in[3] != ids.None {
+		t.Errorf("dedupEIDs reordered its input: %v", in)
+	}
+}
+
+// TestFanOutReportsLowestFailure holds fanOut to its contract at several
+// worker counts: every index runs exactly once, a failure reports the lowest
+// failing index whatever the schedule, and a cancelled context runs nothing.
+func TestFanOutReportsLowestFailure(t *testing.T) {
+	const n = 50
+	for _, workers := range []int{0, 1, 2, 8, 2 * n} {
+		runs := make([]atomic.Int32, n)
+		if err := fanOut(context.Background(), workers, n, func(i int) error {
+			runs[i].Add(1)
+			return nil
+		}); err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		for i := range runs {
+			if got := runs[i].Load(); got != 1 {
+				t.Fatalf("workers=%d: index %d ran %d times", workers, i, got)
+			}
+		}
+		for trial := 0; trial < 20; trial++ {
+			err := fanOut(context.Background(), workers, n, func(i int) error {
+				if i%7 == 5 {
+					return fmt.Errorf("index %d", i)
+				}
+				return nil
+			})
+			if err == nil || err.Error() != "index 5" {
+				t.Fatalf("workers=%d: error %v, want the lowest failure, index 5", workers, err)
+			}
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		var ran atomic.Int32
+		err := fanOut(ctx, workers, n, func(int) error { ran.Add(1); return nil })
+		if !errors.Is(err, context.Canceled) || ran.Load() != 0 {
+			t.Fatalf("workers=%d, cancelled: error %v after %d runs, want context.Canceled after none", workers, err, ran.Load())
+		}
 	}
 }
 

@@ -32,33 +32,52 @@ func (m *Matcher) matchEDP(ctx context.Context, targets []ids.EID, ix *blocking.
 
 	// E stage: per-EID scenario selection.
 	eStart := time.Now()
-	lists := make(map[ids.EID][]scenario.ID, len(targets))
+	lists := make([][]scenario.ID, len(targets))
 	selected := make(map[scenario.ID]bool)
 	for i, e := range targets {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("core: EDP e stage: %w", err)
 		}
-		list := m.edpSelect(e, int64(i), ix)
-		lists[e] = list
-		for _, id := range list {
+		lists[i] = m.edpSelect(e, int64(i), ix)
+		for _, id := range lists[i] {
 			selected[id] = true
 		}
-		rep.PerEID[e] = len(list)
+		rep.PerEID[e] = len(lists[i])
 	}
 	rep.SelectedScenarios = len(selected)
 	rep.ETime = time.Since(eStart)
 
-	// V stage: independent per-EID identification tasks, fanned out in
-	// parallel mode (one EID per mapper).
+	// V stage: independent per-EID identification tasks, each on a filter of
+	// its own, one worker in serial mode and one per configured worker in
+	// parallel mode.
 	vStart := time.Now()
-	results, err := m.edpRunTasks(ctx, targets, lists, rep)
-	if err != nil {
-		return nil, err
+	workers := 1
+	if m.opts.Mode == ModeParallel {
+		workers = m.opts.effectiveWorkers()
 	}
-	for _, e := range targets {
-		if res, ok := results[e]; ok {
-			rep.Results[e] = res
+	results := make([]vfilter.Result, len(targets))
+	stats := make([]vfilter.Stats, len(targets))
+	err := fanOut(ctx, workers, len(targets), func(i int) error {
+		f, err := vfilter.New(m.ds.Store, vfilter.Config{
+			Extractor:      feature.Extractor{Dim: m.ds.Config.DescriptorDim(), WorkFactor: m.opts.WorkFactor},
+			AcceptMajority: m.opts.AcceptMajority,
+		})
+		if err != nil {
+			return err
 		}
+		results[i], err = f.Match(targets[i], lists[i], nil)
+		stats[i] = f.Stats()
+		return err
+	})
+	if err != nil {
+		return nil, fmt.Errorf("core: EDP v stage: %w", err)
+	}
+	for i, e := range targets {
+		rep.Results[e] = results[i]
+		rep.VStats.ScenariosProcessed += stats[i].ScenariosProcessed
+		rep.VStats.Extractions += stats[i].Extractions
+		rep.VStats.Comparisons += stats[i].Comparisons
+		rep.VStats.Pairs += stats[i].Pairs
 	}
 	rep.VTime = time.Since(vStart)
 	return rep, nil
@@ -100,99 +119,4 @@ func (m *Matcher) edpSelect(e ids.EID, salt int64, ix *blocking.Index) []scenari
 		}
 	}
 	return list
-}
-
-// edpRunTasks executes the per-EID V-identification tasks, serially or with
-// a worker pool matching the configured parallelism.
-func (m *Matcher) edpRunTasks(ctx context.Context, targets []ids.EID, lists map[ids.EID][]scenario.ID, rep *Report) (map[ids.EID]vfilter.Result, error) {
-	out := make(map[ids.EID]vfilter.Result, len(targets))
-	runOne := func(e ids.EID) (vfilter.Result, vfilter.Stats, error) {
-		if err := ctx.Err(); err != nil {
-			return vfilter.Result{}, vfilter.Stats{}, fmt.Errorf("core: EDP v stage: %w", err)
-		}
-		f, err := vfilter.New(m.ds.Store, vfilter.Config{
-			Extractor:      feature.Extractor{Dim: m.ds.Config.DescriptorDim(), WorkFactor: m.opts.WorkFactor},
-			AcceptMajority: m.opts.AcceptMajority,
-		})
-		if err != nil {
-			return vfilter.Result{}, vfilter.Stats{}, err
-		}
-		res, err := f.Match(e, lists[e], nil)
-		if err != nil {
-			return vfilter.Result{}, vfilter.Stats{}, err
-		}
-		return res, f.Stats(), nil
-	}
-
-	if m.opts.Mode == ModeSerial {
-		for _, e := range targets {
-			if err := ctx.Err(); err != nil {
-				return nil, fmt.Errorf("core: EDP v stage: %w", err)
-			}
-			res, st, err := runOne(e)
-			if err != nil {
-				return nil, err
-			}
-			out[e] = res
-			mergeStatsInto(&rep.VStats, st)
-		}
-		return out, nil
-	}
-
-	workers := m.opts.Workers
-	if workers <= 0 {
-		workers = 8
-	}
-	type item struct {
-		eid ids.EID
-		res vfilter.Result
-		st  vfilter.Stats
-		err error
-	}
-	work := make(chan ids.EID)
-	done := make(chan item)
-	for w := 0; w < workers; w++ {
-		go func() {
-			for e := range work {
-				res, st, err := runOne(e)
-				done <- item{eid: e, res: res, st: st, err: err}
-			}
-		}()
-	}
-	// Feed every target unconditionally: after cancellation the workers'
-	// runOne calls return immediately with the context error, so exactly
-	// one item per target always arrives and the collector cannot block.
-	go func() {
-		defer close(work)
-		for _, e := range targets {
-			work <- e
-		}
-	}()
-	var firstErr error
-	for range targets {
-		it := <-done
-		if it.err != nil && firstErr == nil {
-			firstErr = it.err
-			continue
-		}
-		if it.err == nil {
-			out[it.eid] = it.res
-			mergeStatsInto(&rep.VStats, it.st)
-		}
-	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("core: EDP v stage: %w", err)
-	}
-	return out, nil
-}
-
-// mergeStatsInto accumulates src into dst.
-func mergeStatsInto(dst *vfilter.Stats, src vfilter.Stats) {
-	dst.ScenariosProcessed += src.ScenariosProcessed
-	dst.Extractions += src.Extractions
-	dst.Comparisons += src.Comparisons
-	dst.Pairs += src.Pairs
 }

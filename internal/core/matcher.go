@@ -5,6 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
+	"sync"
+	"sync/atomic"
 
 	"evmatching/internal/blocking"
 	"evmatching/internal/dataset"
@@ -121,16 +124,57 @@ func (m *Matcher) MatchAll(ctx context.Context) (*Report, error) {
 
 // dedupEIDs drops duplicates and empty EIDs, returning a sorted copy.
 func dedupEIDs(targets []ids.EID) []ids.EID {
-	seen := make(map[ids.EID]bool, len(targets))
-	out := make([]ids.EID, 0, len(targets))
-	for _, e := range targets {
-		if e == ids.None || seen[e] {
-			continue
-		}
-		seen[e] = true
-		out = append(out, e)
+	out := slices.Compact(ids.SortEIDs(slices.Clone(targets)))
+	if len(out) > 0 && out[0] == ids.None {
+		out = out[1:] // the empty EID sorts first
 	}
-	return ids.SortEIDs(out)
+	return out
+}
+
+// fanOut runs do(i) for every i in [0, n) on the caller's goroutine and
+// min(workers, n)−1 more, each claiming the next unclaimed index. Claiming
+// stops once ctx is cancelled or an index has failed, and a claimed index
+// always runs, so every index below a failed one has run: the error returned
+// is that of the lowest index that failed — with a deterministic do, the same
+// at every worker count — else ctx's.
+func fanOut(ctx context.Context, workers, n int, do func(i int) error) error {
+	var (
+		next   atomic.Int64
+		stop   atomic.Bool
+		mu     sync.Mutex // guards failAt and failed
+		failAt = n
+		failed error
+	)
+	work := func() {
+		for !stop.Load() && ctx.Err() == nil {
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				return
+			}
+			if err := do(i); err != nil {
+				mu.Lock()
+				if i < failAt {
+					failAt, failed = i, err
+				}
+				mu.Unlock()
+				stop.Store(true)
+			}
+		}
+	}
+	var others sync.WaitGroup
+	for range min(workers, n) - 1 {
+		others.Add(1)
+		go func() {
+			defer others.Done()
+			work()
+		}()
+	}
+	work()
+	others.Wait()
+	if failed != nil {
+		return failed
+	}
+	return ctx.Err()
 }
 
 // filterView returns scenario id of store restricted to the targets of p,

@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"evmatching/internal/blocking"
@@ -66,9 +65,7 @@ func (m *Matcher) matchSS(ctx context.Context, targets []ids.EID, filter *vfilte
 		for i, e := range eids {
 			res := results[i]
 			rep.Results[e] = res
-			if res.VID != ids.NoVID && res.Acceptable {
-				accepted.Add(res.VID)
-			} else {
+			if res.VID == ids.NoVID || !res.Acceptable {
 				unresolved = append(unresolved, e)
 			}
 		}
@@ -185,8 +182,8 @@ func (m *Matcher) splitStage(ctx context.Context, targets []ids.EID, round int, 
 	// positions without hashing an EID per scenario.
 	ords := p.BindStore(store)
 	var (
-		live  *blocking.LiveTargets
-		ranks []int32
+		live *blocking.LiveTargets
+		buf  []scenario.ID
 	)
 	if !m.opts.DisableBlocking {
 		live = blocking.NewLiveTargets(ords)
@@ -200,73 +197,37 @@ func (m *Matcher) splitStage(ctx context.Context, targets []ids.EID, round int, 
 		if err := ctx.Err(); err != nil {
 			return nil, nil, fmt.Errorf("core: split stage: %w", err)
 		}
+		// The exhaustive scan, the oracle the indexed path is held to, takes
+		// every scenario of the window whole, since SplitView ignores
+		// ordinals outside the partition. The indexed path reads the live set
+		// at window start; splits within the window shrink it for the next
+		// one, and mid-window staleness only admits extra no-op candidates —
+		// never drops an effective one.
 		cands := store.AtWindow(w)
 		if live != nil {
-			// The live set is read at window start; splits within the window
-			// shrink it for the next one. Mid-window staleness only admits
-			// extra no-op candidates — never drops an effective one.
-			var wp *scenario.WindowPostings
-			wp, ranks = ix.Candidates(w, live, ranks[:0])
+			total := len(cands)
+			buf = ix.Candidates(w, live, buf[:0])
+			cands = buf
 			if rep != nil {
-				rep.BlockCandidates += int64(len(ranks))
-				rep.BlockPruned += int64(len(cands) - len(ranks))
-			}
-			if m.opts.Mode != ModeParallel {
-				for _, r := range ranks {
-					if id := wp.Order()[r]; p.SplitView(id, store.View(id)) {
-						pre.hand(id)
-					}
-					if p.Done() {
-						break
-					}
-				}
-				continue
-			}
-			cands = make([]scenario.ID, len(ranks))
-			for i, r := range ranks {
-				cands[i] = wp.Order()[r]
+				rep.BlockCandidates += int64(len(cands))
+				rep.BlockPruned += int64(total - len(cands))
 			}
 		}
-		if m.opts.Mode != ModeParallel {
-			// The exhaustive scan, the oracle the indexed path is held to:
-			// every scenario of the window, whole, since SplitView ignores
-			// ordinals outside the partition.
-			for _, id := range cands {
-				if p.SplitView(id, store.View(id)) {
-					pre.hand(id)
-				}
-				if p.Done() {
-					break
-				}
+		var mrSets [][]ids.EID
+		if m.opts.Mode == ModeParallel {
+			if mrSets, err = m.splitIteration(ctx, p, cands); err != nil {
+				return nil, nil, err
 			}
-			continue
 		}
-		// Algorithm 3: one iteration refines the partition by every scenario
-		// of a random timestamp at once, via the MapReduce (key, value)
-		// shuffle, over scenarios pre-filtered to the targets. The split
-		// tree replays the same scenarios for path bookkeeping; the two
-		// refinements are equivalent by construction, and divergence is a
-		// bug we surface rather than hide.
-		var winScenarios []*scenario.EScenario
 		for _, id := range cands {
-			if fs := filterView(store, id, p); fs != nil {
-				winScenarios = append(winScenarios, fs)
+			if p.SplitView(id, store.View(id)) {
+				pre.hand(id)
+			}
+			if p.Done() {
+				break
 			}
 		}
-		if len(winScenarios) == 0 {
-			continue
-		}
-		mrRes, err := mrjobs.SplitIteration(ctx, m.executor(), mrjobs.SplitInput{
-			Sets:      p.Sets(),
-			Scenarios: winScenarios,
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		for _, s := range winScenarios {
-			p.SplitBy(s)
-		}
-		if !eidSetsEqual(mrRes.Sets, p.Sets()) {
+		if m.opts.Mode == ModeParallel && !slices.EqualFunc(mrSets, p.Sets(), slices.Equal) {
 			return nil, nil, fmt.Errorf("core: MapReduce split diverged from reference partition at window %d", w)
 		}
 	}
@@ -278,44 +239,63 @@ func (m *Matcher) splitStage(ctx context.Context, targets []ids.EID, round int, 
 	// padding a non-target bystander sharing the short path would be an
 	// even-odds visual candidate; with it, SS spends about one scenario
 	// more per EID than EDP, exactly as the paper's Fig. 7 reports.
-	//
-	// One tree walk yields every positive list; padding copies a target's own
-	// and otherwise reads only the store and its postings, so the targets are
-	// padded in place on every core, the caller's included.
 	lists = p.AllPositiveScenarios()
-	var next atomic.Int64
-	pad := func() {
-		for i := int(next.Add(1)) - 1; i < len(lists) && ctx.Err() == nil; i = int(next.Add(1)) - 1 {
-			lists[i] = PadToUnique(store, ix, ords[i], lists[i], windows)
-		}
-	}
-	var others sync.WaitGroup
-	for w := 1; w < min(runtime.GOMAXPROCS(0), len(lists)); w++ {
-		others.Add(1)
-		go func() {
-			defer others.Done()
-			pad()
-		}()
-	}
-	pad()
-	others.Wait()
-	if err := ctx.Err(); err != nil {
+	if err := PadLists(ctx, store, ix, ords, lists, windows); err != nil {
 		return nil, nil, fmt.Errorf("core: split stage: %w", err)
 	}
 	return p, lists, nil
 }
 
-// PadToUnique extends the scenario list of the EID with store ordinal ord
+// splitIteration is Algorithm 3's refinement of p by one window's candidates
+// at once, through the MapReduce (key, value) shuffle over the candidates
+// filtered to the targets, and returns the sets it yields — p's own when no
+// candidate holds a target, since none can then split it. The caller replays the same candidates through
+// the split tree for path bookkeeping and checks the two agree: they are
+// equivalent by construction, and divergence is a bug surfaced rather than
+// hidden.
+func (m *Matcher) splitIteration(ctx context.Context, p *partition.Partition, cands []scenario.ID) ([][]ids.EID, error) {
+	var winScenarios []*scenario.EScenario
+	for _, id := range cands {
+		if fs := filterView(m.ds.Store, id, p); fs != nil {
+			winScenarios = append(winScenarios, fs)
+		}
+	}
+	if len(winScenarios) == 0 {
+		return p.Sets(), nil
+	}
+	res, err := mrjobs.SplitIteration(ctx, m.executor(), mrjobs.SplitInput{
+		Sets:      p.Sets(),
+		Scenarios: winScenarios,
+	})
+	if err != nil {
+		return nil, err
+	}
+	return res.Sets, nil
+}
+
+// PadLists pads lists[i], the positive scenario list of the EID with store
+// ordinal ords[i], in place through padToUnique, the lists spread over every
+// core, the caller's included. It is the one place per-EID lists are padded:
+// the batch split stage pads a round's targets here, and the stream sweep
+// its resolved ones over the windows closed so far. Padding copies a list
+// before it grows it and otherwise reads only the store and its postings
+// (ix is a view of store's), so the result is the same at every core count.
+// Only a cancelled ctx fails it.
+func PadLists(ctx context.Context, store *scenario.Store, ix *blocking.Index, ords []int32, lists [][]scenario.ID, windows []int) error {
+	return fanOut(ctx, runtime.GOMAXPROCS(0), len(lists), func(i int) error {
+		lists[i] = padToUnique(store, ix, ords[i], lists[i], windows)
+		return nil
+	})
+}
+
+// padToUnique extends the scenario list of the EID with store ordinal ord
 // until the intersection of the listed scenarios' full EID sets is that EID
 // alone (or no further scenario helps), and at least minListLen scenarios are
 // listed. maxListLen caps the total as a safety valve for worlds where the
-// trajectory never becomes unique. It is shared between the batch split stage
-// and the incremental streaming V stage, which pads over the windows closed so
-// far; ix is a view of store's postings. Each window's pick is the first
-// unlisted scenario holding the EID inclusively in AtWindow order, read off
-// the postings by ord, and every set is a store view, so no EID is hashed:
-// callers pass the ordinal Partition.BindStore resolved.
-func PadToUnique(store *scenario.Store, ix *blocking.Index, ord int32, list []scenario.ID, windows []int) []scenario.ID {
+// trajectory never becomes unique. Each window's pick is the first unlisted
+// scenario holding the EID inclusively in AtWindow order, read off the
+// postings by ord, and every set is a store view, so no EID is hashed.
+func padToUnique(store *scenario.Store, ix *blocking.Index, ord int32, list []scenario.ID, windows []int) []scenario.ID {
 	out := append([]scenario.ID(nil), list...)
 	// Candidate set: EIDs that may co-appear in every listed scenario. A
 	// candidate is only eliminated by a scenario it is entirely absent from
@@ -374,13 +354,15 @@ func intersectSorted(a, b []int32) []int32 {
 }
 
 // vStage runs VID filtering for every target, lists and results both indexed
-// by position in p.Targets(). In serial mode it follows Theorem 4.1 exactly:
-// EIDs are matched in the partition's post-order with each accepted VID
-// ruled out for the rest (vfilter.MatchInOrder, which scores on every core
-// and still decides in that order). In parallel mode it follows §V-C: features are
-// extracted per scenario and compared per EID across mappers, then a
-// sequential fixup resolves VIDs claimed by multiple EIDs (keep the
-// higher-probability claim, re-match the rest with exclusions).
+// by position in p.Targets(), and rules every acceptable VID it returns out
+// of accepted for the rounds after. In serial mode it follows Theorem 4.1
+// exactly: EIDs are matched in the partition's post-order with each accepted
+// VID ruled out for the rest (vfilter.MatchInOrder, which scores on every
+// core, still decides in that order, and Adds to accepted as it decides). In
+// parallel mode it follows §V-C: features are extracted per scenario and
+// compared per EID across mappers, then a sequential fixup resolves VIDs
+// claimed by multiple EIDs (keep the higher-probability claim, re-match the
+// rest with exclusions).
 func (m *Matcher) vStage(ctx context.Context, filter *vfilter.Filter, p *partition.Partition, lists [][]scenario.ID, accepted *vfilter.Exclusion) ([]vfilter.Result, error) {
 	eids, order := p.Targets(), p.PostOrder()
 	out := make([]vfilter.Result, len(eids))
@@ -391,7 +373,7 @@ func (m *Matcher) vStage(ctx context.Context, filter *vfilter.Filter, p *partiti
 		for k, i := range order {
 			inOrder[k], ordered[k] = eids[i], lists[i]
 		}
-		err := filter.MatchInOrder(ctx, inOrder, ordered, accepted.Clone(), func(k int, res vfilter.Result) {
+		err := filter.MatchInOrder(ctx, inOrder, ordered, accepted, func(k int, res vfilter.Result) {
 			out[order[k]] = res
 		})
 		if err != nil {
@@ -473,24 +455,10 @@ func (m *Matcher) vStage(ctx context.Context, filter *vfilter.Filter, p *partiti
 			}
 		}
 	}
+	for _, res := range out {
+		if res.VID != ids.NoVID && res.Acceptable {
+			accepted.Add(res.VID)
+		}
+	}
 	return out, nil
-}
-
-// eidSetsEqual reports whether two partitions are identical: same sets, same
-// order, same members — the divergence check's equality without reflection.
-func eidSetsEqual(a, b [][]ids.EID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if len(a[i]) != len(b[i]) {
-			return false
-		}
-		for j := range a[i] {
-			if a[i][j] != b[i][j] {
-				return false
-			}
-		}
-	}
-	return true
 }

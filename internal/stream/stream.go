@@ -488,30 +488,33 @@ func (e *Engine) sweepResolutions(window int) error {
 	}
 	// Targets() is sorted, so ascending positions are sorted EIDs.
 	slices.Sort(e.pending)
-	var targets []ids.EID
-	var lists [][]scenario.ID
-	var windows []int
-	waiting := e.pending[:0]
-	for _, i := range e.pending {
-		t := e.part.Targets()[i]
-		pos, err := e.part.PositiveScenarios(t)
+	ords := make([]int32, len(e.pending))
+	lists := make([][]scenario.ID, len(e.pending))
+	for k, i := range e.pending {
+		pos, err := e.part.PositiveScenarios(e.part.Targets()[i])
 		if err != nil {
 			return err
 		}
-		if windows == nil {
-			windows = e.store.Windows()
-		}
-		list := core.PadToUnique(e.store, e.ix, e.ords[i], pos, windows)
-		if len(list) == 0 {
+		ords[k], lists[k] = e.ords[i], pos
+	}
+	// Ingest takes no context; the sweep is bounded by its target list.
+	ctx := context.TODO()
+	if err := core.PadLists(ctx, e.store, e.ix, ords, lists, e.store.Windows()); err != nil {
+		return err
+	}
+	var targets []ids.EID
+	listed := lists[:0]
+	waiting := e.pending[:0]
+	for k, i := range e.pending {
+		if len(lists[k]) == 0 {
 			waiting = append(waiting, i) // no closed scenario mentions the EID yet; retry later
 			continue
 		}
-		targets = append(targets, t)
-		lists = append(lists, list)
+		targets = append(targets, e.part.Targets()[i])
+		listed = append(listed, lists[k])
 	}
 	e.pending = waiting
-	// Ingest takes no context; the sweep is bounded by its target list.
-	return e.filter.MatchInOrder(context.TODO(), targets, lists, e.exclusion, func(_ int, res vfilter.Result) {
+	return e.filter.MatchInOrder(ctx, targets, listed, e.exclusion, func(_ int, res vfilter.Result) {
 		e.resolved[res.EID] = true
 		if res.VID != ids.NoVID && res.Acceptable {
 			e.accepted[res.VID] = true // MatchInOrder has already ruled it out in e.exclusion
@@ -597,23 +600,11 @@ func (e *Engine) Finalize(ctx context.Context) (*core.Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	if !scenarioIDsEqual(rep.SplitScenarios, e.part.Recorded()) {
+	if !slices.Equal(rep.SplitScenarios, e.part.Recorded()) {
 		return nil, fmt.Errorf("%w: batch recorded %v, stream recorded %v",
 			ErrDiverged, rep.SplitScenarios, e.part.Recorded())
 	}
 	return rep, nil
-}
-
-func scenarioIDsEqual(a, b []scenario.ID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // Ingested returns how many observations Ingest has consumed (accepted or
@@ -665,7 +656,7 @@ func (e *Engine) Gauges() map[string]int64 {
 		"stream_open_detections":      e.win.openDets,
 		"stream_duplicate_detections": e.duplicates,
 		"stream_watermark_lag_ms":     lag,
-		"stream_pending_eids":         int64(len(e.cfg.Targets) - len(e.resolved)),
+		"stream_pending_eids":         int64(e.part.NumTargets() - len(e.resolved)),
 		"stream_resolutions_emitted":  int64(e.seq),
 		"stream_resolutions_dropped":  e.resolutionsDropped,
 		"stream_late_dropped":         e.front.lateDropped,

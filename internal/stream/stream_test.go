@@ -718,3 +718,26 @@ func TestSweepKeepsUnlistedTargetsPending(t *testing.T) {
 		}
 	}
 }
+
+// TestPendingGaugeCountsDistinctTargets repeats a target in the config: the
+// engine matches each distinct EID once, so once both have resolved nothing
+// is pending.
+func TestPendingGaugeCountsDistinctTargets(t *testing.T) {
+	e := func(ts int64, cell int, eid ids.EID) Observation {
+		return Observation{TS: ts, Kind: KindE, Cell: geo.CellID(cell), EID: eid, Attr: scenario.AttrInclusive}
+	}
+	cfg := Config{Targets: []ids.EID{"a", "a", "b"}, WindowMS: testWindowMS, LatenessMS: testLatenessMS, Dim: 8}
+	if pending := replayEngine(t, cfg, nil).Gauges()["stream_pending_eids"]; pending != 2 {
+		t.Errorf("fresh stream_pending_eids = %d, want 2 (a, b)", pending)
+	}
+	eng := replayEngine(t, cfg, []Observation{e(100, 0, "a"), e(1100, 0, "b"), e(2100, 5, "z")})
+	if err := eng.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if got := eng.Resolutions(); len(got) != 2 {
+		t.Fatalf("resolutions after the flush: %+v, want a and b", got)
+	}
+	if pending := eng.Gauges()["stream_pending_eids"]; pending != 0 {
+		t.Errorf("stream_pending_eids = %d after both targets resolved, want 0", pending)
+	}
+}

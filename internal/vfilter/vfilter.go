@@ -118,8 +118,7 @@ type Result struct {
 type cacheEntry struct {
 	once sync.Once
 	m    *feature.Matrix
-	rows []feature.Vector // views into m, parallel to the detections
-	ords []int32          // store VID ordinal per detection
+	ords []int32 // store VID ordinal per detection
 	err  error
 
 	memoMu sync.Mutex // guards memo
@@ -246,13 +245,19 @@ func (f *Filter) Features(id scenario.ID) ([]feature.Vector, error) {
 	s := f.pool.Get().(*scratch)
 	entry, err := f.features(id, &s.xbuf)
 	f.pool.Put(s)
-	if err != nil {
+	switch {
+	case err != nil:
 		return nil, err
-	}
-	if entry == nil {
+	case entry == nil:
 		return nil, nil
+	case entry.err != nil:
+		return nil, entry.err
 	}
-	return entry.rows, entry.err
+	rows := make([]feature.Vector, entry.m.Rows())
+	for i := range rows {
+		rows[i] = entry.m.Row(i)
+	}
+	return rows, nil
 }
 
 // ExtractBatch processes a contiguous batch of V-Scenarios through the
@@ -344,15 +349,11 @@ func (f *Filter) featuresFor(id scenario.ID, v *scenario.VScenario, buf *feature
 	return entry
 }
 
-// fill completes scenario id's cache entry from an extracted matrix: row
-// views, the store's VID ordinals of its detections, and the work counters.
+// fill completes scenario id's cache entry from an extracted matrix: the
+// matrix, the store's VID ordinals of its detections, and the work counters.
 // Callers run inside entry.once.
 func (f *Filter) fill(entry *cacheEntry, id scenario.ID, v *scenario.VScenario, m *feature.Matrix) {
 	entry.m = m
-	entry.rows = make([]feature.Vector, m.Rows())
-	for i := range entry.rows {
-		entry.rows[i] = m.Row(i)
-	}
 	entry.ords = f.store.DetectionOrdinals(id, v)
 	f.scenariosProcessed.Add(1)
 	f.extractions.Add(int64(m.Rows()))
@@ -362,8 +363,8 @@ func (f *Filter) fill(entry *cacheEntry, id scenario.ID, v *scenario.VScenario, 
 // of Theorem 4.1 — held as a bitset over the store's VID ordinals,
 // so Match tests membership with one word load per detection instead of
 // re-hashing a VID set on every call. It is the caller's running state: the
-// serial V stage Adds each accepted VID and hands the same Exclusion to the
-// next Match.
+// serial V stage hands its own to MatchInOrder, which Adds each accepted VID
+// for the targets after it and the rounds after.
 //
 // An Exclusion is not synchronized. Any number of concurrent Match calls may
 // share one that nobody is adding to; Add must not run concurrently with
