@@ -6,6 +6,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"slices"
 	"sync"
 
@@ -477,8 +478,10 @@ func (e *Engine) applyRound(sealed []ShardSealed, target int) error {
 // mirroring the batch V stage's serial rule-out. A target whose padded list
 // is still empty stays pending. The targets and their lists are fixed before
 // any is matched — nothing a match does moves the partition or the store — so
-// one vfilter.MatchInOrder call scores the whole sweep on every core and each
-// resolution still leaves the moment it is decided. Callers hold e.mu, and
+// one vfilter.MatchInOrder call scores the whole sweep on every core, and
+// broadcast yields the emitting goroutine's P after each delivery, so a
+// subscriber takes each resolution as it is decided rather than in one burst
+// when the sweep ends. Callers hold e.mu, and
 // hold it throughout: the emit callback below runs on MatchInOrder's
 // goroutines, one call at a time and all of them before it returns, so the
 // engine state it writes stays under the caller's lock.
@@ -543,15 +546,24 @@ func (e *Engine) accept(vid ids.VID) {
 }
 
 // broadcast delivers r to every subscriber, dropping — and counting — on a
-// full buffer so a stalled consumer cannot block ingestion. Callers hold
-// e.mu.
+// full buffer so a stalled consumer cannot block ingestion. A delivery
+// readies the parked receiver in this P's runnext slot, where it would wait
+// until the sweep ends or the runtime preempts a scorer, so once anything
+// was delivered broadcast yields the P: the receiver runs, takes r, parks
+// again, and the sweep resumes (DESIGN.md §10, Delivery). With no subscriber
+// nothing is sent and nothing yields. Callers hold e.mu.
 func (e *Engine) broadcast(r Resolution) {
+	delivered := false
 	for _, c := range e.subs {
 		select {
 		case c <- r:
+			delivered = true
 		default:
 			e.resolutionsDropped++
 		}
+	}
+	if delivered {
+		runtime.Gosched()
 	}
 }
 

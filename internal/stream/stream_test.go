@@ -8,6 +8,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sort"
 	"testing"
 	"time"
@@ -432,6 +433,72 @@ func TestBroadcastCountsDrops(t *testing.T) {
 	e.mu.Unlock()
 	if got := e.Gauges()["stream_resolutions_dropped"]; got != k {
 		t.Errorf("engine stream_resolutions_dropped = %d, want %d", got, k)
+	}
+}
+
+// TestSubscriberRunsBetweenDecisions: on one P, a subscriber takes each
+// resolution as the sweep decides it, not in a burst when the sweep ends —
+// broadcast yields the P after each delivery, so no more than a couple of
+// resolutions ever wait in the channel when the subscriber receives. Without
+// the yield the subscriber runs only at a preemption or a sweep's end, and
+// finds a sweep's worth (hundreds) waiting. Above one P a GC worker can take
+// the P before the subscriber, so the bound is asserted at one P alone.
+func TestSubscriberRunsBetweenDecisions(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	cfg := dataset.DefaultConfig()
+	cfg.NumPersons = 300
+	cfg.Density = 30
+	cfg.NumWindows = 12
+	cfg.Seed = 11
+	ds, err := dataset.Generate(cfg)
+	if err != nil {
+		t.Fatalf("Generate: %v", err)
+	}
+	_, obs, err := EventsFromDataset(ds, testWindowMS, 7)
+	if err != nil {
+		t.Fatalf("EventsFromDataset: %v", err)
+	}
+	e, err := NewEngine(testConfig(ds, ds.AllEIDs()))
+	if err != nil {
+		t.Fatalf("NewEngine: %v", err)
+	}
+	_, ch, cancel := e.Subscribe()
+	var (
+		got     []int
+		backlog int // most resolutions left in the channel at a receive
+		done    = make(chan struct{})
+	)
+	go func() {
+		defer close(done)
+		for r := range ch {
+			got = append(got, r.Seq)
+			backlog = max(backlog, len(ch))
+		}
+	}()
+	for i, o := range obs {
+		if _, err := e.Ingest(o); err != nil {
+			cancel()
+			t.Fatalf("Ingest %d: %v", i, err)
+		}
+	}
+	if err := e.Flush(); err != nil {
+		cancel()
+		t.Fatalf("Flush: %v", err)
+	}
+	cancel()
+	<-done
+	want := e.Resolutions()
+	if len(want) == 0 || len(got) != len(want) {
+		t.Fatalf("subscriber received %d resolutions, engine emitted %d", len(got), len(want))
+	}
+	for i, r := range want {
+		if got[i] != r.Seq {
+			t.Fatalf("subscriber's resolution %d has seq %d, want %d", i, got[i], r.Seq)
+		}
+	}
+	t.Logf("%d resolutions, largest backlog %d", len(got), backlog)
+	if backlog > 2 {
+		t.Errorf("largest backlog at a receive = %d, want at most 2: the subscriber waited for the sweep", backlog)
 	}
 }
 
