@@ -126,8 +126,8 @@ func run(args []string) error {
 	fmt.Printf("selected scenarios=%d (%.2f per EID)  E=%v V=%v total=%v refine=%d prefetched=%d\n",
 		rep.SelectedScenarios, rep.AvgScenariosPerEID(),
 		rep.ETime, rep.VTime, rep.TotalTime(), rep.RefineRounds, rep.PrefetchedScenarios)
-	fmt.Printf("blocking candidates=%d pruned=%d (%.1f%% pruned) windows materialised=%d\n",
-		rep.BlockCandidates, rep.BlockPruned, rep.BlockPruneRatio()*100, rep.BlockMaterialised)
+	fmt.Printf("blocking candidates=%d pruned=%d (%.1f%% pruned)\n",
+		rep.BlockCandidates, rep.BlockPruned, rep.BlockPruneRatio()*100)
 	return nil
 }
 
@@ -147,7 +147,6 @@ type jsonReport struct {
 	BlockCandidates   int64       `json:"blockCandidates"`
 	BlockPruned       int64       `json:"blockPruned"`
 	BlockPruneRatio   float64     `json:"blockPruneRatio"`
-	BlockMaterialised int64       `json:"blockMaterialised"`
 	Prefetched        int         `json:"prefetchedScenarios"`
 	Matches           []jsonMatch `json:"matches"`
 }
@@ -185,7 +184,6 @@ func emitJSON(w io.Writer, truth func(evmatching.EID) evmatching.VID, rep *evmat
 		BlockCandidates:   rep.BlockCandidates,
 		BlockPruned:       rep.BlockPruned,
 		BlockPruneRatio:   rep.BlockPruneRatio(),
-		BlockMaterialised: rep.BlockMaterialised,
 		Prefetched:        rep.PrefetchedScenarios,
 		Matches:           make([]jsonMatch, 0, len(rep.Targets)),
 	}

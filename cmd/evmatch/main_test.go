@@ -151,7 +151,6 @@ func TestEmitJSONGolden(t *testing.T) {
 		RefineRounds:        1,
 		BlockCandidates:     12,
 		BlockPruned:         36,
-		BlockMaterialised:   5,
 		PrefetchedScenarios: 4,
 	}
 	truth := func(e evmatching.EID) evmatching.VID {
@@ -180,7 +179,6 @@ func TestEmitJSONGolden(t *testing.T) {
   "blockCandidates": 12,
   "blockPruned": 36,
   "blockPruneRatio": 0.75,
-  "blockMaterialised": 5,
   "prefetchedScenarios": 4,
   "matches": [
     {

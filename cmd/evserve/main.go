@@ -51,17 +51,15 @@ func main() {
 // metricsz is the /metricsz snapshot: the start-up match's posting-index
 // totals — how many scenario probes the split stage actually ran and how
 // many the index pruned (DESIGN.md §13), together the scenarios of the
-// windows the split scanned, and how many posting windows the match was
-// first to touch in the store — and, with a live engine, its Gauges read at
+// windows the split scanned — and, with a live engine, its Gauges read at
 // each request and laid over them: the engine's block_* values describe the
 // same pruning machinery on its own incremental splits, and win. The ratio
 // is an integer percent: the gauges are int64.
 func metricsz(rep *evmatching.Report, eng *stream.Engine) func() map[string]int64 {
 	batch := map[string]int64{
-		"block_candidates_total":     rep.BlockCandidates,
-		"block_pruned_total":         rep.BlockPruned,
-		"block_prune_ratio":          stream.BlockPruneRatioPercent(rep.BlockCandidates, rep.BlockPruned),
-		"block_windows_materialised": rep.BlockMaterialised,
+		"block_candidates_total": rep.BlockCandidates,
+		"block_pruned_total":     rep.BlockPruned,
+		"block_prune_ratio":      stream.BlockPruneRatioPercent(rep.BlockCandidates, rep.BlockPruned),
 	}
 	return func() map[string]int64 {
 		out := maps.Clone(batch)

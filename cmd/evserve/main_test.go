@@ -87,10 +87,10 @@ func TestServeEndToEnd(t *testing.T) {
 	// Serial mode still serves /metricsz — no cluster counters, but the
 	// batch matcher's blocking-prune gauges, and only those.
 	counters := getMetricsz(t, addr)
-	if len(counters) != 4 {
-		t.Errorf("/metricsz = %v, want the four block_* gauges", counters)
+	if len(counters) != 3 {
+		t.Errorf("/metricsz = %v, want the three block_* gauges", counters)
 	}
-	for _, name := range []string{"block_candidates_total", "block_pruned_total", "block_prune_ratio", "block_windows_materialised"} {
+	for _, name := range []string{"block_candidates_total", "block_pruned_total", "block_prune_ratio"} {
 		if _, ok := counters[name]; !ok {
 			t.Errorf("/metricsz missing %s: %v", name, counters)
 		}
@@ -98,10 +98,6 @@ func TestServeEndToEnd(t *testing.T) {
 	if counters["block_candidates_total"] <= 0 {
 		t.Errorf("universal matching probed no scenarios: block_candidates_total = %d",
 			counters["block_candidates_total"])
-	}
-	if counters["block_windows_materialised"] <= 0 {
-		t.Errorf("the first match over a fresh store materialised no window: block_windows_materialised = %d",
-			counters["block_windows_materialised"])
 	}
 	if r := counters["block_prune_ratio"]; r < 0 || r > 100 {
 		t.Errorf("block_prune_ratio = %d, want a percent in [0,100]", r)
@@ -130,9 +126,9 @@ func TestServeStreamMode(t *testing.T) {
 	data := writeDataset(t)
 	addr := serveArgs(t, []string{"-data", data, "-addr", "127.0.0.1:0", "-stream-window", "1000"})
 
-	// Before any ingest, /metricsz already serves the engine's eleven gauges
-	// over the start-up match's block_windows_materialised: the engine's
-	// block_* values win, and it has split nothing yet.
+	// Before any ingest, /metricsz already serves the engine's eleven gauges,
+	// laid over the start-up match's three: the engine's block_* values win,
+	// and it has split nothing yet.
 	counters := getMetricsz(t, addr)
 	names := make([]string, 0, len(counters))
 	for name := range counters {
@@ -140,16 +136,15 @@ func TestServeStreamMode(t *testing.T) {
 	}
 	slices.Sort(names)
 	want := []string{
-		"block_candidates_total", "block_prune_ratio", "block_pruned_total", "block_windows_materialised",
+		"block_candidates_total", "block_prune_ratio", "block_pruned_total",
 		"stream_duplicate_detections", "stream_late_dropped", "stream_open_detections", "stream_open_windows",
 		"stream_pending_eids", "stream_resolutions_dropped", "stream_resolutions_emitted", "stream_watermark_lag_ms",
 	}
 	if !slices.Equal(names, want) {
 		t.Errorf("/metricsz names at start-up = %v, want %v", names, want)
 	}
-	if counters["block_candidates_total"] != 0 || counters["block_windows_materialised"] <= 0 {
-		t.Errorf("block_candidates_total = %d, block_windows_materialised = %d; want the engine's 0 and the start-up match's count",
-			counters["block_candidates_total"], counters["block_windows_materialised"])
+	if counters["block_candidates_total"] != 0 {
+		t.Errorf("block_candidates_total = %d, want the engine's 0", counters["block_candidates_total"])
 	}
 
 	// The stream endpoints exist and accept an empty batch.

@@ -6,15 +6,13 @@
 // inverted posting per (window, EID) — which scenario of the window holds the
 // EID inclusively — and a window's candidates are the postings of the live
 // targets: exactly the scenarios that can split, nothing hashed, nothing to
-// re-check. The postings belong to the scenario store, which materialises
-// them per window on first touch: a match that distinguishes its targets in 8
-// of 12 windows never pays for the other 4, a store nobody queries pays
-// nothing, and what one match paid for no later one pays again.
+// re-check. The postings belong to the scenario store, which writes them as
+// it adds each scenario, so no match builds or rebuilds any of them.
 package blocking
 
 import (
+	"cmp"
 	"slices"
-	"sync/atomic"
 
 	"evmatching/internal/ids"
 	"evmatching/internal/scenario"
@@ -29,42 +27,22 @@ type Geometry struct{}
 // DefaultGeometry returns the only Geometry there is.
 func DefaultGeometry() Geometry { return Geometry{} }
 
-// Index is a view of one scenario store's exact (window, EID) postings. The
-// postings belong to the store (scenario.Store.Postings): a window one view
-// materialised is warm for every other view, matcher and match over that
-// store, and Store.Add drops exactly the window it grows, so no view can
-// serve a stale one. A view's only state of its own is the count of windows
-// it had to materialise. All methods are safe for concurrent use.
+// Index is a view of one scenario store's exact (window, EID) postings,
+// which belong to the store (scenario.Store.Postings) and have no state of
+// their own here. Its methods are safe for concurrent use with each other,
+// not with Store.Add.
 type Index struct {
-	store        *scenario.Store
-	materialised atomic.Int64
+	store *scenario.Store
 }
 
-// Build returns a view of store's postings; it costs nothing, and windows
-// materialise in the store as they are first queried. A nil store indexes
-// nothing.
+// Build returns a view of store's postings; it costs nothing. A nil store
+// indexes nothing.
 func Build(store *scenario.Store, _ Geometry) *Index {
 	if store == nil {
 		store = scenario.NewStore(nil)
 	}
 	return &Index{store: store}
 }
-
-// Materialised returns how many windows this view was first in its store to
-// touch — the part of its owner's work another view would not repeat.
-func (ix *Index) Materialised() int64 { return ix.materialised.Load() }
-
-// window returns w's postings from the store, counting a first touch.
-func (ix *Index) window(w int) *scenario.WindowPostings {
-	wp, fresh := ix.store.Postings(w)
-	if fresh {
-		ix.materialised.Add(1)
-	}
-	return wp
-}
-
-// WindowTotal returns the number of scenarios in window w.
-func (ix *Index) WindowTotal(w int) int { return len(ix.window(w).Order()) }
 
 // InclusiveAt returns the scenarios of window w containing e inclusively, in
 // AtWindow order. The slice is shared index storage and must not be modified.
@@ -74,49 +52,44 @@ func (ix *Index) InclusiveAt(e ids.EID, w int) []scenario.ID {
 }
 
 // InclusiveOrd is InclusiveAt for an EID whose store ordinal the caller
-// resolved once (scenario.Store.Ordinal): a touched window costs it no
-// hashing at all.
+// resolved once (scenario.Store.Ordinal): it costs no hashing at all.
 func (ix *Index) InclusiveOrd(ord int32, w int) []scenario.ID {
-	held, _ := ix.window(w).Held(ord)
-	return held
+	return ix.store.Postings(w).Held(ord)
 }
 
 // Candidates appends to buf the scenarios of window w that hold a live
 // target inclusively — the only scenarios that can split the partition live
 // mirrors — in AtWindow order, and returns the grown buffer;
-// WindowTotal(w) − len(appended) is the pruned count. It is the
+// len(AtWindow(w)) − len(appended) is the pruned count. It is the
 // window-at-a-time form of the test LiveTargets.Prunes makes one scenario at
 // a time, read off store ordinals on both sides, and it walks the smaller
 // side: the live targets' postings in a sparse world, the window's few
 // scenarios, through Prunes, in a crowded one.
 func (ix *Index) Candidates(w int, live *LiveTargets, buf []scenario.ID) []scenario.ID {
-	wp := ix.window(w)
-	order := wp.Order()
 	if live.NumLive() == 0 {
 		return buf
 	}
-	if len(order) <= live.NumLive() {
+	st := ix.store
+	if order := st.AtWindow(w); len(order) <= live.NumLive() {
 		for _, id := range order {
-			if !live.Prunes(ix.store.View(id)) {
+			if !live.Prunes(st.View(id)) {
 				buf = append(buf, id)
 			}
 		}
 		return buf
 	}
-	// Collect the live targets' positions in Order in buf's tail, sort and
-	// dedup them there, then read each back as its scenario.
+	// Collect the live targets' scenarios in buf's tail and dedup them
+	// there in ID order, which is AtWindow order unless the window's Adds
+	// came out of cell order.
+	wp := st.Postings(w)
 	base := len(buf)
-	live.ords.ForEach(func(o int) {
-		_, ranks := wp.Held(int32(o))
-		for _, r := range ranks {
-			buf = append(buf, scenario.ID(r))
-		}
-	})
+	live.ords.ForEach(func(o int) { buf = append(buf, wp.Held(int32(o))...) })
 	cands := buf[base:]
 	slices.Sort(cands)
 	cands = slices.Compact(cands)
-	for k, r := range cands {
-		cands[k] = order[r]
+	byCell := func(a, b scenario.ID) int { return cmp.Compare(st.Cell(a), st.Cell(b)) }
+	if !slices.IsSortedFunc(cands, byCell) {
+		slices.SortStableFunc(cands, byCell)
 	}
 	return buf[:base+len(cands)]
 }

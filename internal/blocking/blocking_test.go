@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
-	"sync"
 	"testing"
 
 	"evmatching/internal/geo"
@@ -85,7 +84,7 @@ func liveOf(st *scenario.Store, targets ...ids.EID) *LiveTargets {
 // candidateIDs is Candidates into a fresh buffer, beside the window's
 // total scenario count.
 func candidateIDs(ix *Index, w int, lt *LiveTargets) ([]scenario.ID, int) {
-	return ix.Candidates(w, lt, nil), ix.WindowTotal(w)
+	return ix.Candidates(w, lt, nil), len(ix.store.AtWindow(w))
 }
 
 // checkIndex compares every InclusiveAt and Candidates answer of ix with the
@@ -94,9 +93,6 @@ func checkIndex(t *testing.T, label string, st *scenario.Store, ix *Index, probe
 	t.Helper()
 	lt := liveOf(st, targets...)
 	for _, w := range append(st.Windows(), -77, 1<<20) {
-		if got, want := ix.WindowTotal(w), len(st.AtWindow(w)); got != want {
-			t.Fatalf("%s: WindowTotal(%d) = %d, want %d", label, w, got, want)
-		}
 		for _, e := range probes {
 			if got, want := ix.InclusiveAt(e, w), wantInclusiveAt(st, e, w); !slices.Equal(got, want) {
 				t.Fatalf("%s: InclusiveAt(%s,%d) = %v, want %v", label, e, w, got, want)
@@ -128,9 +124,6 @@ func TestGeometryDefaults(t *testing.T) {
 		lt := liveOf(scenario.NewStore(nil), eid(1), eid(2))
 		if cands, total := candidateIDs(ix, 0, lt); len(cands) != 0 || total != 0 {
 			t.Errorf("Candidates over an empty index = %v, total %d", cands, total)
-		}
-		if ix.WindowTotal(3) != 0 {
-			t.Error("WindowTotal over an empty index is not 0")
 		}
 	}
 }
@@ -245,11 +238,11 @@ func TestHostileStores(t *testing.T) {
 }
 
 // TestStoreGrowsAfterFirstTouch drives one and the same Index across
-// Store.Add: the postings live in the store, which drops exactly the window an
-// Add grows, so a view held from before the growth answers for the grown
-// store — including for an EID whose ordinal was interned after the untouched
-// older windows' arrays were sized, and for a live tracker whose ordinals were
-// resolved before the growth.
+// Store.Add: the postings live in the store, which writes them at Add, so a
+// view held from before the growth answers for the grown store — including
+// for an EID whose ordinal was interned after the older windows' arrays were
+// sized, and for a live tracker whose ordinals were resolved before the
+// growth.
 func TestStoreGrowsAfterFirstTouch(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	st := randStore(t, rng, 8, 20, 4, 40)
@@ -258,16 +251,9 @@ func TestStoreGrowsAfterFirstTouch(t *testing.T) {
 	ix := Build(st, DefaultGeometry())
 	lt := liveOf(st, targets...) // resolved against the small store
 	checkIndex(t, "before growth", st, ix, probes, targets)
-	for _, w := range st.Windows() {
-		candidateIDs(ix, w, lt)
-	}
-	touched := ix.Materialised()
-	if want := int64(len(st.Windows())); touched != want {
-		t.Fatalf("Materialised = %d after touching %d windows", touched, want)
-	}
 
 	// eid(51) enters the store only now: its ordinal lies past the end of
-	// every array sized before, window 2's included until it re-materialises.
+	// every array sized before but window 2's, which the Add grows.
 	grown := addScenario(t, st, 3, 2, map[ids.EID]scenario.Attr{eid(51): scenario.AttrInclusive, eid(1): scenario.AttrInclusive})
 	addScenario(t, st, 4, 9, map[ids.EID]scenario.Attr{eid(2): scenario.AttrInclusive, eid(51): scenario.AttrVague}) // a new window
 	if got := ix.InclusiveAt(eid(51), 2); !slices.Contains(got, grown) {
@@ -282,41 +268,6 @@ func TestStoreGrowsAfterFirstTouch(t *testing.T) {
 		if want := wantCandidates(st, lt, w); !slices.Equal(got, want) {
 			t.Errorf("window %d, tracker resolved before growth: candidates %v, want %v", w, got, want)
 		}
-	}
-	if got := ix.Materialised() - touched; got != 2 {
-		t.Errorf("growth into window 2 and a new window 9 re-materialised %d windows, want exactly those 2", got)
-	}
-}
-
-// TestConcurrentFirstTouch has many readers race to materialise the same
-// windows; every one must see the brute-force answers (run under -race).
-func TestConcurrentFirstTouch(t *testing.T) {
-	rng := rand.New(rand.NewSource(53))
-	st := randStore(t, rng, 12, 30, 6, 120)
-	for _, w := range st.Windows() {
-		st.AtWindow(w) // the store's own sort cache is not under test
-	}
-	ix := Build(st, DefaultGeometry())
-	var wg sync.WaitGroup
-	errs := make(chan string, 8)
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			lt := liveOf(st, eid(g), eid(g+1), eid(g+2))
-			for _, w := range st.Windows() {
-				got, _ := candidateIDs(ix, w, lt)
-				if want := wantCandidates(st, lt, w); !slices.Equal(got, want) {
-					errs <- fmt.Sprintf("goroutine %d window %d: candidates %v, want %v", g, w, got, want)
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	close(errs)
-	for e := range errs {
-		t.Error(e)
 	}
 }
 
@@ -357,8 +308,7 @@ func TestLiveTargetsPrunes(t *testing.T) {
 }
 
 // TestBuildDeterministic pins that two stores holding the same scenarios
-// answer alike, whatever order their windows were first touched in — the order
-// that decides which ordinal each EID gets.
+// answer alike, whatever order their windows are read in.
 func TestBuildDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	st := randStore(t, rng, 10, 30, 5, 70)

@@ -7,15 +7,16 @@ import (
 	"testing"
 
 	"evmatching/internal/blocking"
+	"evmatching/internal/geo"
 	"evmatching/internal/ids"
 	"evmatching/internal/scenario"
 )
 
 // TestConcurrentMatchesOnColdMatcher has eight Match calls with different
-// target sets race to materialise the posting windows of one untouched store
-// through one Matcher; each must land on the fingerprint its target set gets
-// when matched alone over a twin world (run under -race: the store's postings
-// are built while others read them).
+// target sets race over one store through one new Matcher; each must land on
+// the fingerprint its target set gets when matched alone over a twin world
+// (run under -race: the matches share the store's postings and intern table,
+// and its VID ordinals are recorded while others read them).
 func TestConcurrentMatchesOnColdMatcher(t *testing.T) {
 	ds, twin := testDataset(t, nil), testDataset(t, nil)
 	all := ds.AllEIDs()
@@ -31,19 +32,16 @@ func TestConcurrentMatchesOnColdMatcher(t *testing.T) {
 		want[i] = rep.Fingerprint()
 	}
 
-	got, materialised := matchConcurrently(t, targets, func(int) *Matcher { return newMatcher(t, ds, Options{Seed: 3}) }, true)
+	got := matchConcurrently(t, targets, func(int) *Matcher { return newMatcher(t, ds, Options{Seed: 3}) }, true)
 	for i := range targets {
 		if got[i] != want[i] {
 			t.Errorf("concurrent match %d: fingerprint %s, serial %s", i, got[i], want[i])
 		}
 	}
-	if materialised == 0 {
-		t.Error("eight matches over an untouched store materialised no window between them")
-	}
 }
 
 // TestConcurrentMatchersOverOneStore is the same race with nothing shared but
-// the store: SS and EDP matchers of their own, all first to touch it.
+// the store: SS and EDP matchers of their own, none matched before.
 func TestConcurrentMatchersOverOneStore(t *testing.T) {
 	ds, twin := testDataset(t, nil), testDataset(t, nil)
 	all := ds.AllEIDs()
@@ -58,7 +56,7 @@ func TestConcurrentMatchersOverOneStore(t *testing.T) {
 		}
 		want[i] = rep.Fingerprint()
 	}
-	got, _ := matchConcurrently(t, targets, func(i int) *Matcher { return newMatcher(t, ds, opts[i]) }, false)
+	got := matchConcurrently(t, targets, func(i int) *Matcher { return newMatcher(t, ds, opts[i]) }, false)
 	for i := range opts {
 		if got[i] != want[i] {
 			t.Errorf("matcher %d (%+v) over the shared store: fingerprint %s, alone %s", i, opts[i], got[i], want[i])
@@ -67,9 +65,8 @@ func TestConcurrentMatchersOverOneStore(t *testing.T) {
 }
 
 // matchConcurrently runs one Match per target set at once — on one matcher
-// when shared, else on one each — and returns the fingerprints and the summed
-// BlockMaterialised.
-func matchConcurrently(t *testing.T, targets [][]ids.EID, matcher func(int) *Matcher, shared bool) ([]string, int64) {
+// when shared, else on one each — and returns the fingerprints.
+func matchConcurrently(t *testing.T, targets [][]ids.EID, matcher func(int) *Matcher, shared bool) []string {
 	t.Helper()
 	ms := make([]*Matcher, len(targets))
 	for i := range ms {
@@ -89,24 +86,21 @@ func matchConcurrently(t *testing.T, targets [][]ids.EID, matcher func(int) *Mat
 	}
 	wg.Wait()
 	got := make([]string, len(targets))
-	var materialised int64
 	for i := range targets {
 		if errs[i] != nil {
 			t.Fatalf("concurrent match %d: %v", i, errs[i])
 		}
 		got[i] = reps[i].Fingerprint()
-		materialised += reps[i].BlockMaterialised
 	}
-	return got, materialised
+	return got
 }
 
-// TestSecondMatcherMaterialisesNothing pins what store ownership buys: the
-// first match over a store pays for the windows it reaches and the ordinals
-// it meets, and a new matcher over the same store — the one-shot
-// evmatching.Match shape — finds them warm: it materialises no window, grows
-// neither the EID nor the VID ordinal table, and lands on the same
-// fingerprint.
-func TestSecondMatcherMaterialisesNothing(t *testing.T) {
+// TestSecondMatcherGrowsNoTables pins what store ownership buys: the first
+// match over a store records the VID ordinals of the scenarios it extracts,
+// and a new matcher over the same store — the one-shot evmatching.Match
+// shape — finds them there: it grows neither the EID nor the VID ordinal
+// table, and lands on the same fingerprint.
+func TestSecondMatcherGrowsNoTables(t *testing.T) {
 	for _, alg := range []Algorithm{AlgorithmSS, AlgorithmEDP} {
 		ds := testDataset(t, nil)
 		targets := ds.AllEIDs()[:40]
@@ -114,10 +108,6 @@ func TestSecondMatcherMaterialisesNothing(t *testing.T) {
 		first, err := newMatcher(t, ds, opts).Match(context.Background(), targets)
 		if err != nil {
 			t.Fatalf("%v first match: %v", alg, err)
-		}
-		if first.BlockMaterialised == 0 || first.BlockMaterialised > int64(len(ds.Store.Windows())) {
-			t.Fatalf("%v first match over a fresh store: BlockMaterialised = %d of %d windows",
-				alg, first.BlockMaterialised, len(ds.Store.Windows()))
 		}
 		eidOrds, vidOrds := ds.Store.NumOrdinals(), ds.Store.NumVIDs()
 		if eidOrds == 0 || vidOrds == 0 {
@@ -127,11 +117,8 @@ func TestSecondMatcherMaterialisesNothing(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v second match: %v", alg, err)
 		}
-		if second.BlockMaterialised != 0 {
-			t.Errorf("%v: a new matcher over a touched store materialised %d windows", alg, second.BlockMaterialised)
-		}
 		if ds.Store.NumOrdinals() != eidOrds || ds.Store.NumVIDs() != vidOrds {
-			t.Errorf("%v: a new matcher over a touched store grew the ordinal tables from %d EIDs, %d VIDs to %d, %d",
+			t.Errorf("%v: a new matcher over a matched store grew the ordinal tables from %d EIDs, %d VIDs to %d, %d",
 				alg, eidOrds, vidOrds, ds.Store.NumOrdinals(), ds.Store.NumVIDs())
 		}
 		if second.Fingerprint() != first.Fingerprint() {
@@ -225,5 +212,64 @@ func TestBlockCountersCoverScannedWindows(t *testing.T) {
 	}
 	if covered == len(ds.Store.Windows()) {
 		t.Log("the split scanned every window; the early-exit side of the accounting is not exercised")
+	}
+}
+
+// TestHostileOrderAgrees drives a window whose Adds arrive out of cell order,
+// with two scenarios on one cell and EIDs inclusive in several scenarios:
+// AtWindow, InclusiveAt, Candidates on both of its paths and the padding's
+// pick must all read the window in (cell, ID) order.
+func TestHostileOrderAgrees(t *testing.T) {
+	st := scenario.NewStore(nil)
+	add := func(cell geo.CellID, eids ...ids.EID) scenario.ID {
+		set := make(map[ids.EID]scenario.Attr)
+		for _, e := range eids {
+			set[e] = scenario.AttrInclusive
+		}
+		id, err := st.Add(&scenario.EScenario{Cell: cell, Window: 0, EIDs: set}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return id
+	}
+	s9 := add(9, "x", "a")
+	s2 := add(2, "x", "b")
+	s5 := add(5, "y", "c")
+	s2b := add(2, "x", "y") // the second scenario on cell 2
+	s0 := add(0, "y", "d")
+	if got, want := st.AtWindow(0), []scenario.ID{s0, s2, s2b, s5, s9}; !slices.Equal(got, want) {
+		t.Fatalf("AtWindow = %v, want %v", got, want)
+	}
+	ix := blocking.Build(st, blocking.DefaultGeometry())
+	for e, want := range map[ids.EID][]scenario.ID{"x": {s2, s2b, s9}, "y": {s0, s2b, s5}, "a": {s9}} {
+		if got := ix.InclusiveAt(e, 0); !slices.Equal(got, want) {
+			t.Errorf("InclusiveAt(%s) = %v, want %v", e, got, want)
+		}
+	}
+	for _, targets := range [][]ids.EID{{"x", "y"}, {"x", "b"}, {"x", "y", "a", "b", "c", "d"}} {
+		ords := make([]int32, len(targets))
+		for i, e := range targets {
+			ords[i] = st.Ordinal(e)
+		}
+		live := blocking.NewLiveTargets(ords)
+		var want []scenario.ID
+		for _, id := range st.AtWindow(0) {
+			if !live.Prunes(st.View(id)) {
+				want = append(want, id)
+			}
+		}
+		if got := ix.Candidates(0, live, nil); !slices.Equal(got, want) {
+			t.Errorf("targets %v: Candidates = %v, want %v", targets, got, want)
+		}
+	}
+	x := st.Ordinal("x")
+	for _, tc := range []struct{ list, want []scenario.ID }{
+		{nil, []scenario.ID{s2}},
+		{[]scenario.ID{s2}, []scenario.ID{s2, s2b}},
+		{[]scenario.ID{s2, s2b}, []scenario.ID{s2, s2b, s9}},
+	} {
+		if got := padToUnique(st, ix, x, tc.list, []int{0}); !slices.Equal(got, tc.want) {
+			t.Errorf("padding x from %v picked %v, want %v", tc.list, got, tc.want)
+		}
 	}
 }

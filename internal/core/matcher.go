@@ -29,7 +29,7 @@ var ErrNoTargets = errors.New("core: no target EIDs")
 // Matcher matches EIDs to VIDs over one dataset. A Matcher is safe to reuse
 // for multiple Match calls, concurrent ones included; each call works from
 // fresh state. The postings its E stage reads belong to ds.Store (DESIGN.md
-// §13): what any match over that store materialised is warm for the next.
+// §13), which writes them at Add.
 type Matcher struct {
 	ds   *dataset.Dataset
 	opts Options
@@ -75,8 +75,6 @@ func (m *Matcher) Match(ctx context.Context, targets []ids.EID) (*Report, error)
 		return nil, err
 	}
 	var rep *Report
-	// A view of the store's postings for this call alone: its only state is
-	// the count of windows it was first to touch.
 	ix := blocking.Build(m.ds.Store, blocking.DefaultGeometry())
 	switch m.opts.Algorithm {
 	case AlgorithmSS:
@@ -96,7 +94,6 @@ func (m *Matcher) Match(ctx context.Context, targets []ids.EID) (*Report, error)
 		return nil, fmt.Errorf("core: match ran over incompletely paged state: %w", perr)
 	}
 	rep.Spill = m.spill.Snapshot()
-	rep.BlockMaterialised = ix.Materialised()
 	return rep, nil
 }
 

@@ -46,9 +46,6 @@ type Report struct {
 	// them. Both stay zero under DisableBlocking.
 	BlockCandidates int64
 	BlockPruned     int64
-	// BlockMaterialised counts the posting windows this match was first to
-	// touch in its store: effort again, excluded from Fingerprint.
-	BlockMaterialised int64
 	// PrefetchedScenarios counts the recorded scenarios serial SS's E stage
 	// handed to its extraction helpers over all rounds: zero at GOMAXPROCS 1
 	// and in ModeParallel, where none starts. Effort, not in Fingerprint.
@@ -106,13 +103,13 @@ func (r *Report) AvgScenariosPerEID() float64 {
 // canonical textual form: targets in sorted order, each with its match
 // outcome, scenario-list length, and per-scenario votes, followed by the
 // aggregate counters. Timing and work-cost fields (ETime, VTime, VStats,
-// VMemo, BlockCandidates, BlockPruned, BlockMaterialised,
-// PrefetchedScenarios) are excluded: they measure effort, not results, and
-// legitimately vary when the cluster re-executes tasks after faults, when
-// blocking is toggled, when the store is warm or with GOMAXPROCS. Two runs
-// over the same dataset and options must produce byte-identical
-// fingerprints — the determinism guarantee evlint's maprange rule protects
-// and the chaos sim asserts under fault injection (see DESIGN.md).
+// VMemo, BlockCandidates, BlockPruned, PrefetchedScenarios) are excluded:
+// they measure effort, not results, and legitimately vary when the cluster
+// re-executes tasks after faults, when blocking is toggled or with
+// GOMAXPROCS. Two runs over the same dataset and options must produce
+// byte-identical fingerprints — the determinism guarantee evlint's maprange
+// rule protects and the chaos sim asserts under fault injection (see
+// DESIGN.md).
 func (r *Report) Fingerprint() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "algorithm=%s mode=%s\n", r.Algorithm, r.Mode)

@@ -296,7 +296,8 @@ func PadLists(ctx context.Context, store *scenario.Store, ix *blocking.Index, or
 // scenario holding the EID inclusively in AtWindow order, read off the
 // postings by ord, and every set is a store view, so no EID is hashed.
 func padToUnique(store *scenario.Store, ix *blocking.Index, ord int32, list []scenario.ID, windows []int) []scenario.ID {
-	out := append([]scenario.ID(nil), list...)
+	// One allocation: the padding never grows a list past maxListLen.
+	out := append(make([]scenario.ID, 0, max(len(list), maxListLen)), list...)
 	// Candidate set: EIDs that may co-appear in every listed scenario. A
 	// candidate is only eliminated by a scenario it is entirely absent from
 	// — a vague sighting still means "possibly there", so in the practical

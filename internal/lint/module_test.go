@@ -52,6 +52,50 @@ func TestModuleIsLintClean(t *testing.T) {
 	}
 }
 
+// Doc budgets. DESIGN.md may not grow past its size when the budget was set
+// (a ratchet: lower it as the document shrinks, on the way to 40 KB); the
+// newest CHANGES.md entry, without its FOUND/MENDED lines, says what its
+// change did in at most entryBudget bytes.
+const (
+	designBudget = 115_853
+	entryBudget  = 1_536
+)
+
+// TestDocBudget holds DESIGN.md and the newest CHANGES.md entry to their
+// budgets.
+func TestDocBudget(t *testing.T) {
+	root := filepath.Join("..", "..")
+	if fi, err := os.Stat(filepath.Join(root, "DESIGN.md")); err != nil {
+		t.Fatal(err)
+	} else if fi.Size() > designBudget {
+		t.Errorf("DESIGN.md is %d bytes, over its budget of %d", fi.Size(), designBudget)
+	}
+	raw, err := os.ReadFile(filepath.Join(root, "CHANGES.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(string(raw), "\n")
+	first := -1
+	for i, line := range lines {
+		if strings.HasPrefix(line, "- **PR") {
+			first = i
+		}
+	}
+	if first < 0 {
+		t.Fatal("CHANGES.md has no \"- **PR\" entry")
+	}
+	size := 0
+	for _, line := range lines[first:] {
+		if !strings.HasPrefix(line, "FOUND:") && !strings.HasPrefix(line, "MENDED:") {
+			size += len(line)
+		}
+	}
+	if size > entryBudget {
+		t.Errorf("the newest CHANGES.md entry (%.40q…) is %d bytes without its FOUND/MENDED lines, over its budget of %d",
+			lines[first], size, entryBudget)
+	}
+}
+
 // TestNoUntypedAtomics: non-test code reaches sync/atomic only through its
 // typed values (atomic.Int64, atomic.Bool, …), never through the function
 // API (AddInt64, LoadUint32, …). A typed atomic cannot be read or written

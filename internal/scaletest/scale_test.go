@@ -1,6 +1,6 @@
 // Package scaletest holds the scale gates that need a 100k-EID world: the
 // blocking index's asymptote (DESIGN.md §13), the out-of-core tier's
-// bit-identity at scale (§14), and the one price of a store's first touch.
+// bit-identity at scale (§14), and the price of a one-shot sparse match.
 // It has no non-test file; CI's scale-smoke job runs it under a wall-clock
 // budget, apart from the race tier, and with -tags scaletiming.
 package scaletest
@@ -15,7 +15,6 @@ import (
 
 	"evmatching/internal/core"
 	"evmatching/internal/dataset"
-	"evmatching/internal/scenario"
 	"evmatching/internal/spill"
 	"evmatching/internal/stream"
 )
@@ -70,17 +69,17 @@ func denseWorld() (*dataset.Dataset, error) {
 
 // scalePair matches a scale world with and without the posting index and
 // returns a warm report of each plus the blocked/exhaustive E-stage time
-// ratio. Both matchers are warmed with one match — the first materialises the
-// posting windows and pays cold caches — and then matched in pairs, the order
-// within a pair swapped every round, for at least nine pairs and until each
-// side has spent minE in its E stage; the ratio is the median of the
-// per-pair ratios. The dense E stage is ~9 ms, shorter than one garbage
-// collection over a scale world or a neighbour's burst on a shared runner,
-// and pairing each blocked match with the exhaustive one next to it is what
-// cancels those (the ratio of the two minima, tried first, swung 0.76–1.26 on
-// identical code); swapping the order cancels whatever the first match of a
-// pair leaves the second, and the floor on E time keeps a handful of
-// outliers from deciding the median (nine pairs read 0.80–1.17 over 18 runs).
+// ratio. Both matchers are warmed with one match, which pays cold caches,
+// and then matched in pairs, the order within a pair swapped every round,
+// for at least nine pairs and until each side has spent minE in its E
+// stage; the ratio is the median of the per-pair ratios. The dense E stage
+// is ~9 ms, shorter than one garbage collection over a scale world or a
+// neighbour's burst on a shared runner, and pairing each blocked match with
+// the exhaustive one next to it is what cancels those (the ratio of the two
+// minima, tried first, swung 0.76–1.26 on identical code); swapping the
+// order cancels whatever the first match of a pair leaves the second, and
+// the floor on E time keeps a handful of outliers from deciding the median
+// (nine pairs read 0.80–1.17 over 18 runs).
 func scalePair(t *testing.T, ds *dataset.Dataset, numTargets int, minE time.Duration) (blocked, exhaustive *core.Report, ratio float64) {
 	t.Helper()
 	targets := ds.AllEIDs()
@@ -125,25 +124,16 @@ func scalePair(t *testing.T, ds *dataset.Dataset, numTargets int, minE time.Dura
 	return reps[0], reps[1], ratios[len(ratios)/2]
 }
 
-// windowPasses is what a blocked match spent materialising posting windows,
-// in scenarios: one pass over each window it was first to touch, at the
-// world's mean window size. A warm store costs a match nothing here; an
-// index that rebuilt a window per probe would pay a pass per probe.
-func windowPasses(ds *dataset.Dataset, rep *core.Report) int64 {
-	return rep.BlockMaterialised * int64(ds.Store.Len()/max(len(ds.Store.Windows()), 1))
-}
-
 // TestScaleSmoke is the scale gate: the sparse-city 100k preset runs end to
-// end — generation, posting materialisation, blocked and exhaustive matches —
-// and the asymptote claim of DESIGN.md §13 is asserted directly, in counts
+// end — generation with its postings, blocked and exhaustive matches — and
+// the asymptote claim of DESIGN.md §13 is asserted directly, in counts
 // first. On the sparse world the blocked split must touch at most a fifth of
-// the scenarios the exhaustive one probes (measured: 97 candidates of 46 365,
-// no window materialised) while staying bit-identical; on the saturated
-// dense world, where the index saves little, its own work — a live-target
-// probe per scenario of every window the split reached, plus its window
-// passes — must stay within 4× the probes it saves (measured: 380 against
-// 127). Those counts are exact, so under go test ./... the verdict does not
-// depend on what else the box is running.
+// the scenarios the exhaustive one probes (measured: 97 candidates of
+// 46 365) while staying bit-identical; on the saturated dense world, where
+// the index saves little, its own work — a live-target probe per scenario of
+// every window the split reached — must stay within 4× the probes it saves
+// (measured: 380 against 127). Those counts are exact, so under go test
+// ./... the verdict does not depend on what else the box is running.
 //
 // The wall-clock ratios the counts stand for — sparse blocked E stage ≥2.5×
 // faster than the exhaustive one (measured ≥5×), dense ≤1.15× of it
@@ -164,8 +154,7 @@ func TestScaleSmoke(t *testing.T) {
 		t.Logf("sparse-100k: blocked E=%v exhaustive E=%v, median ratio %.4f (matches took %v)",
 			blocked.ETime, exhaustive.ETime, ratio, time.Since(start))
 		probed := blocked.BlockCandidates + blocked.BlockPruned
-		touched := blocked.BlockCandidates + windowPasses(ds, blocked)
-		t.Logf("sparse-100k: %d candidates, %d pruned, %d windows materialised", blocked.BlockCandidates, blocked.BlockPruned, blocked.BlockMaterialised)
+		t.Logf("sparse-100k: %d candidates, %d pruned", blocked.BlockCandidates, blocked.BlockPruned)
 
 		if got, want := blocked.Fingerprint(), exhaustive.Fingerprint(); got != want {
 			t.Fatalf("blocked fingerprint %s != exhaustive %s", got, want)
@@ -173,9 +162,8 @@ func TestScaleSmoke(t *testing.T) {
 		if blocked.BlockPruned == 0 {
 			t.Error("sparse world pruned nothing; blocking index inert")
 		}
-		if 5*touched > probed {
-			t.Errorf("blocked split touched %d scenarios (%d candidates, %d windows materialised) of %d probed, want <= 1/5",
-				touched, blocked.BlockCandidates, blocked.BlockMaterialised, probed)
+		if 5*blocked.BlockCandidates > probed {
+			t.Errorf("blocked split touched %d scenarios of %d probed, want <= 1/5", blocked.BlockCandidates, probed)
 		}
 		if assertTiming && ratio > 1/2.5 {
 			t.Errorf("sparse split-stage speedup %.1fx, want >= 2.5x (measured >= 5x)", 1/ratio)
@@ -196,8 +184,7 @@ func TestScaleSmoke(t *testing.T) {
 		blocked, exhaustive, ratio := scalePair(t, ds, 0, minE)
 		t.Logf("dense: blocked E=%v exhaustive E=%v, median ratio %.2f", blocked.ETime, exhaustive.ETime, ratio)
 		probed := blocked.BlockCandidates + blocked.BlockPruned
-		work := probed + windowPasses(ds, blocked)
-		t.Logf("dense: %d candidates, %d pruned, %d windows materialised", blocked.BlockCandidates, blocked.BlockPruned, blocked.BlockMaterialised)
+		t.Logf("dense: %d candidates, %d pruned", blocked.BlockCandidates, blocked.BlockPruned)
 
 		if got, want := blocked.Fingerprint(), exhaustive.Fingerprint(); got != want {
 			t.Fatalf("blocked fingerprint %s != exhaustive %s", got, want)
@@ -205,9 +192,8 @@ func TestScaleSmoke(t *testing.T) {
 		if probed == 0 {
 			t.Error("dense world probed no scenario through the index; blocking index inert")
 		}
-		if work > 4*blocked.BlockPruned {
-			t.Errorf("index work %d (%d probes, %d windows materialised) exceeds 4x the %d probes it saved",
-				work, probed, blocked.BlockMaterialised, blocked.BlockPruned)
+		if probed > 4*blocked.BlockPruned {
+			t.Errorf("index work of %d probes exceeds 4x the %d probes it saved", probed, blocked.BlockPruned)
 		}
 		if assertTiming && ratio > 1.15 {
 			t.Errorf("dense-world blocked E stage is %.2fx the exhaustive one, want <= 1.15x", ratio)
@@ -347,66 +333,36 @@ func TestScaleSmokeSpill(t *testing.T) {
 }
 
 // BenchmarkMatchSSSparse times core.New plus Match of 2000 targets over the
-// sparse world — bench/'s batch-sparse shape — in the two forms a one-shot
-// match takes now that the posting windows belong to the store (DESIGN.md
-// §13). new-matcher is a new matcher over a touched store: an untimed match
-// touches the shared world's windows first, and each timed one finds them
-// warm. fresh-store re-Adds the same E/V pairs into a NewStore with the timer
-// stopped, so every timed match is the first to touch its store and
-// materialises each window its split reaches from nothing. The gap between
-// the two is the price of first touch.
+// sparse world — bench/'s batch-sparse shape — as a one-shot match takes it:
+// a new matcher over a store whose postings Add wrote (DESIGN.md §13). An
+// untimed match first warms the process's caches.
 func BenchmarkMatchSSSparse(b *testing.B) {
-	for _, bc := range []struct {
-		name       string
-		freshStore bool
-	}{{"fresh-store", true}, {"new-matcher", false}} {
-		b.Run(bc.name, func(b *testing.B) {
-			ds, err := sparseWorld()
+	b.Run("new-matcher", func(b *testing.B) {
+		ds, err := sparseWorld()
+		if err != nil {
+			b.Fatal(err)
+		}
+		targets := ds.SampleEIDs(2000, rand.New(rand.NewSource(5)))
+		opts := core.Options{Algorithm: core.AlgorithmSS, Mode: core.ModeSerial, WorkFactor: 1}
+		match := func() *core.Report {
+			m, err := core.New(ds, opts)
 			if err != nil {
 				b.Fatal(err)
 			}
-			targets := ds.SampleEIDs(2000, rand.New(rand.NewSource(5)))
-			opts := core.Options{Algorithm: core.AlgorithmSS, Mode: core.ModeSerial, WorkFactor: 1}
-			match := func(world *dataset.Dataset) *core.Report {
-				m, err := core.New(world, opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				rep, err := m.Match(context.Background(), targets)
-				if err != nil {
-					b.Fatal(err)
-				}
-				return rep
+			rep, err := m.Match(context.Background(), targets)
+			if err != nil {
+				b.Fatal(err)
 			}
-			if !bc.freshStore {
-				match(ds)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			var splitNS, materialised int64
-			for i := 0; i < b.N; i++ {
-				world := ds
-				if bc.freshStore {
-					b.StopTimer()
-					fresh := *ds
-					fresh.Store = scenario.NewStore(ds.Store.Layout())
-					for id := scenario.ID(0); int(id) < ds.Store.Len(); id++ {
-						if _, err := fresh.Store.Add(ds.Store.E(id), ds.Store.V(id)); err != nil {
-							b.Fatal(err)
-						}
-					}
-					world = &fresh
-					b.StartTimer()
-				}
-				rep := match(world)
-				splitNS += rep.ETime.Nanoseconds()
-				materialised += rep.BlockMaterialised
-			}
-			b.StopTimer()
-			if (materialised > 0) != bc.freshStore {
-				b.Fatalf("freshStore=%t but the timed matches materialised %d windows", bc.freshStore, materialised)
-			}
-			b.ReportMetric(float64(splitNS)/float64(b.N)/1e6, "split_ms")
-		})
-	}
+			return rep
+		}
+		match()
+		b.ReportAllocs()
+		b.ResetTimer()
+		var splitNS int64
+		for i := 0; i < b.N; i++ {
+			splitNS += match().ETime.Nanoseconds()
+		}
+		b.StopTimer()
+		b.ReportMetric(float64(splitNS)/float64(b.N)/1e6, "split_ms")
+	})
 }

@@ -52,13 +52,7 @@ func checkViews(t *testing.T, label string, st *Store) {
 func TestViewsMatchScenarios(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	for trial := 0; trial < 30; trial++ {
-		st := randPostingStore(t, rng, 12, 10, 5, 80)
-		// Touch some windows first, so views meet ordinals interned by the
-		// inverted pass as well as their own.
-		for _, w := range st.Windows()[:trial%len(st.Windows())] {
-			st.Postings(w)
-		}
-		checkViews(t, fmt.Sprintf("trial %d", trial), st)
+		checkViews(t, fmt.Sprintf("trial %d", trial), randPostingStore(t, rng, 12, 10, 5, 80))
 	}
 }
 
@@ -78,22 +72,21 @@ func TestViewsHostile(t *testing.T) {
 	if len(st.View(a).Ords) != 2 || len(st.View(b).Ords) != 2 {
 		t.Error("a vague-only EID is missing from a view")
 	}
-	wp, _ := st.Postings(0)
-	if held, _ := wp.Held(st.Ordinal("v")); held != nil {
+	if held := st.Postings(0).Held(st.Ordinal("v")); held != nil {
 		t.Errorf("vague-only v is held inclusively by %v", held)
 	}
 }
 
-// TestViewsSurviveGrowth builds every view, grows the store into a touched
-// window and a new one, and checks that the old views still read the same
-// ordinals and the new scenarios' views are right.
+// TestViewsSurviveGrowth reads every view and window, grows the store into a
+// read window and a new one, and checks that the old views still read the
+// same ordinals and the new scenarios' views are right.
 func TestViewsSurviveGrowth(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	st := randPostingStore(t, rng, 10, 8, 4, 40)
 	before := make([]EView, st.Len())
 	for id := range before {
 		before[id] = st.View(ID(id))
-		st.Postings(st.E(ID(id)).Window)
+		st.Postings(st.Window(ID(id)))
 	}
 	mustAdd(t, st, 3, st.Windows()[0], map[ids.EID]Attr{postEID(1): AttrInclusive, postEID(77): AttrVague})
 	mustAdd(t, st, 5, 99, map[ids.EID]Attr{postEID(78): AttrInclusive, postEID(2): AttrVague})
@@ -105,9 +98,9 @@ func TestViewsSurviveGrowth(t *testing.T) {
 	checkViews(t, "after growth", st)
 }
 
-// TestConcurrentFirstViews races view builds against window builds and
-// ordinal lookups (run under -race): each scenario's view is built once, and
-// every reader reads the same one.
+// TestConcurrentFirstViews races view reads against posting reads and
+// ordinal lookups (run under -race): each scenario's view was written once,
+// by Add, and every reader reads the same one.
 func TestConcurrentFirstViews(t *testing.T) {
 	rng := rand.New(rand.NewSource(59))
 	st := randPostingStore(t, rng, 12, 10, 6, 120)
@@ -121,8 +114,7 @@ func TestConcurrentFirstViews(t *testing.T) {
 			for i := 0; i < st.Len(); i++ {
 				id := ID((i + g*17) % st.Len())
 				got[g][id] = st.View(id)
-				st.Postings(st.E(id).Window)
-				st.Ordinal(postEID(g))
+				st.Postings(st.Window(id)).Held(st.Ordinal(postEID(g)))
 			}
 		}(g)
 	}
@@ -134,7 +126,7 @@ func TestConcurrentFirstViews(t *testing.T) {
 			}
 		}
 	}
-	// One build per scenario leaves exactly its pairs in the slab.
+	// One write per scenario leaves exactly its pairs in the slab.
 	if built := len(st.viewOrds); built != pairsOf(st) {
 		t.Errorf("the view slab holds %d pairs for %d scenario EIDs", built, pairsOf(st))
 	}
@@ -181,9 +173,9 @@ func TestDetectionOrdinals(t *testing.T) {
 	}
 }
 
-// TestOrdinalTablesGrowOnlyOnFirstTouch: an EID's first touch is the Add
-// that brings it, a VID's the first extraction that reads it. Add interns
-// each new EID once and no VID; views and postings intern nothing.
+// TestOrdinalTablesGrowOnlyOnFirstTouch: an EID's ordinal is interned by the
+// Add that brings it, a VID's by the first extraction that reads it. Add
+// interns each new EID once and no VID; views and postings intern nothing.
 func TestOrdinalTablesGrowOnlyOnFirstTouch(t *testing.T) {
 	st := NewStore(nil)
 	v := &VScenario{Cell: 1, Detections: []Detection{{VID: "V1"}}}

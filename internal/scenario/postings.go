@@ -3,37 +3,38 @@ package scenario
 import (
 	"slices"
 
+	"evmatching/internal/geo"
 	"evmatching/internal/ids"
 )
 
-// WindowPostings is one window's exact inverted index (DESIGN.md §13): for
-// every EID ordinal, where in the window's AtWindow list the scenario holding
-// that EID inclusively sits. A well-formed world holds an EID inclusively in
-// at most one scenario per window, so the index is one int32 per ordinal. It
-// is immutable once published; the slices it hands out are shared storage.
-// Its forward half — each scenario as ordinals — is the store's View.
+// WindowPostings is one window's scenarios and its exact inverted index
+// (DESIGN.md §13): for every EID ordinal, which scenario of the window holds
+// that EID inclusively. Add writes it as it writes the scenario's view, into
+// indexes that never move, so a reader never builds or invalidates anything.
+// A well-formed world holds an EID inclusively in at most one scenario per
+// window, so the index is one int32 per ordinal. The slices it hands out are
+// shared storage, valid while no Add runs.
 type WindowPostings struct {
-	order []ID
-	// rank is indexed by EID ordinal: a rank into order, absent, or
-	// multiBase-i for multi[i]. Ordinals interned after the window was
-	// materialised lie past its end; had the window held them they would
-	// have been interned by its Add, so they are absent too.
+	// ids lists the window's scenarios as Add brought them (ascending ID);
+	// sorted is the same set in AtWindow order, by cell, ties by ID, and nil
+	// while that is Add order, as it is for a generator's and a stream's.
+	ids, sorted []ID
+	// rank is indexed by EID ordinal: 0 when no scenario holds it, 1 + an
+	// index into ids, or -1-s for the list at multi[s]. Ordinals past its end
+	// were never held inclusively here.
 	rank []int32
-	// multi holds the EIDs a hostile store made inclusive in several
-	// scenarios of the window: all their ranks, ascending, and the scenario
-	// IDs at those ranks.
-	multi []multiPosting
+	// multi is a slab of the lists, in AtWindow order, of the EIDs a hostile
+	// store made inclusive in several scenarios of the window: a pair is its
+	// two IDs, a longer list of n is -n, the list and room up to the next
+	// power of two. A full list moves to the slab's end with twice the room.
+	// A pair that moves leaves its slots to the next new pair: free-1 is the
+	// first such slot (0: none), and each one's first ID links on the same way.
+	multi []ID
+	free  int
 }
 
-type multiPosting struct {
-	ranks []int32
-	ids   []ID
-}
-
-const (
-	absent    int32 = -1
-	multiBase int32 = -2
-)
+// noPostings is the window nobody added to.
+var noPostings WindowPostings
 
 // EView is an E-Scenario read through its store's EID ordinals: every EID it
 // holds, as ascending ordinals, beside each one's attribute. Its slices are
@@ -43,21 +44,29 @@ type EView struct {
 	Attrs []Attr
 }
 
-// Order returns the window's scenarios in AtWindow order.
-func (wp *WindowPostings) Order() []ID { return wp.order }
+// Held returns the scenarios of the window holding ordinal ord inclusively,
+// in AtWindow order; nil when there is none. It takes no lock and allocates
+// nothing.
+func (wp *WindowPostings) Held(ord int32) []ID {
+	if int(ord) >= len(wp.rank) {
+		return nil
+	}
+	return wp.holders(wp.rank[ord])
+}
 
-// Held returns the scenarios holding ordinal ord inclusively, in AtWindow
-// order, and their positions in Order; both nil when there is none.
-func (wp *WindowPostings) Held(ord int32) ([]ID, []int32) {
-	if int(ord) >= len(wp.rank) || wp.rank[ord] == absent {
-		return nil, nil
+// holders returns the scenarios rank r names.
+func (wp *WindowPostings) holders(r int32) []ID {
+	switch {
+	case r == 0:
+		return nil
+	case r > 0:
+		return wp.ids[r-1 : r : r]
 	}
-	r := wp.rank[ord]
-	if r < absent {
-		mp := wp.multi[multiBase-r]
-		return mp.ids, mp.ranks
+	s := int(-1 - r)
+	if n := int(wp.multi[s]); n < 0 {
+		return wp.multi[s+1 : s+1-n : s+1-n]
 	}
-	return wp.order[r : r+1 : r+1], wp.rank[ord : ord+1 : ord+1]
+	return wp.multi[s : s+2 : s+2]
 }
 
 // Ordinal returns e's index into every view and WindowPostings of this
@@ -106,44 +115,90 @@ func (v EView) Attr(ord int32) (Attr, bool) {
 	return v.Attrs[k], true
 }
 
-// Postings returns window w's postings, materialising them on first touch by
-// one pass over the views of the window's scenarios — paid once per store
-// until Add next grows w — and reports whether this call did. Safe for
-// concurrent use with itself, Ordinal, View and AtWindow (whose own lock is
-// not held while a window is built, so scans of other windows never wait
-// behind a build), not with Add.
-func (st *Store) Postings(w int) (*WindowPostings, bool) {
-	st.postMu.Lock()
-	defer st.postMu.Unlock()
-	if wp := st.posts[w]; wp != nil {
-		return wp, false
+// Postings returns window w's postings, as Add wrote them. It takes no lock
+// and builds nothing: safe for concurrent use with everything but Add.
+func (st *Store) Postings(w int) *WindowPostings {
+	if wp := st.wins[w]; wp != nil {
+		return wp
 	}
-	order := st.AtWindow(w)
-	if len(order) == 0 {
-		return &WindowPostings{}, false // nothing is kept for a window nobody added to
+	return &noPostings
+}
+
+// post adds scenario id, of the given cell and window, to the window's
+// postings, keys being its view as Add packs it. Callers are Add alone.
+func (st *Store) post(id ID, cell geo.CellID, window int, keys []uint64) {
+	wp := st.wins[window]
+	if wp == nil {
+		wp = &WindowPostings{}
+		st.wins[window] = wp
 	}
-	wp := &WindowPostings{order: order, rank: make([]int32, len(st.eids))}
-	for i := range wp.rank {
-		wp.rank[i] = absent
+	wp.ids = append(wp.ids, id)
+	r := int32(len(wp.ids)) // id's rank
+	if wp.sorted != nil || (r > 1 && st.at[wp.ids[r-2]].cell > cell) {
+		if wp.sorted == nil {
+			wp.sorted = slices.Clone(wp.ids[:r-1])
+		}
+		wp.sorted = slices.Insert(wp.sorted, st.cellPos(wp.sorted, cell), id)
 	}
-	for r, id := range order {
-		v := st.View(id)
-		for k, ord := range v.Ords {
-			if v.Attrs[k] != AttrInclusive {
-				continue
-			}
-			switch r0 := wp.rank[ord]; {
-			case r0 == absent:
-				wp.rank[ord] = int32(r)
-			case r0 < absent:
-				mp := &wp.multi[multiBase-r0]
-				mp.ranks, mp.ids = append(mp.ranks, int32(r)), append(mp.ids, id)
-			default:
-				wp.rank[ord] = multiBase - int32(len(wp.multi))
-				wp.multi = append(wp.multi, multiPosting{ranks: []int32{r0, int32(r)}, ids: []ID{order[r0], id}})
-			}
+	// Add interned every ordinal of keys, so the window's ranks reach them.
+	if n := len(st.eids); len(wp.rank) < n {
+		wp.rank = append(wp.rank, make([]int32, n-len(wp.rank))...)
+	}
+	for _, k := range keys {
+		if Attr(k) != AttrInclusive {
+			continue
+		}
+		if ord := k >> 8; wp.rank[ord] == 0 {
+			wp.rank[ord] = r
+		} else {
+			wp.rank[ord] = st.holdToo(wp, wp.rank[ord], id, cell)
 		}
 	}
-	st.posts[w] = wp
-	return wp, true
+}
+
+// holdToo adds scenario id, of the given cell, to the holders of an EID
+// whose rank in wp is r0, in the multi slab, and returns the EID's rank from
+// now on.
+func (st *Store) holdToo(wp *WindowPostings, r0 int32, id ID, cell geo.CellID) int32 {
+	held := wp.holders(r0)
+	n, s := len(held), int(-1-r0) // s is the list's slot when n > 1
+	switch {
+	case n == 1 && wp.free > 0: // a new pair, in a moved pair's slots
+		s = wp.free - 1
+		wp.free = int(wp.multi[s])
+		wp.multi[s] = held[0]
+	case n&(n-1) == 0: // one holder or a full list: move to the slab's end
+		from := s
+		s = len(wp.multi)
+		if n > 1 {
+			wp.multi = append(wp.multi, 0)
+		}
+		wp.multi = append(wp.multi, held...)
+		wp.multi = append(wp.multi, make([]ID, max(n, 1))...)
+		if n == 2 { // the pair's slots go on the free list
+			wp.multi[from], wp.free = ID(wp.free), from+1
+		}
+	}
+	start := s
+	if n > 1 {
+		start++
+		wp.multi[s] = ID(-n - 1)
+	}
+	list := wp.multi[start : start+n+1]
+	i := st.cellPos(list[:n], cell)
+	copy(list[i+1:], list[i:n])
+	list[i] = id
+	return int32(-1 - s)
+}
+
+// cellPos returns where in list, which is in AtWindow order and holds only
+// lower IDs, a scenario of the given cell goes: after every scenario of a
+// cell up to its own. Adds that come in cell order, as a generator's and a
+// stream's do, append.
+func (st *Store) cellPos(list []ID, cell geo.CellID) int {
+	i := len(list)
+	for i > 0 && st.at[list[i-1]].cell > cell {
+		i--
+	}
+	return i
 }

@@ -20,24 +20,20 @@ import (
 // ID) are cheap. It owns the dense ordinals every matcher over it reads EIDs
 // and VIDs through (postings.go, vids.go). A scenario's EID set is stored
 // once, as its view: Add interns the EIDs and writes them there, and no EID
-// map is kept.
+// map is kept. Add also writes the scenario into its window's postings, so
+// no read of them builds, caches or invalidates anything.
 type Store struct {
 	layout geo.Layout
-	at     []where      // dense, index == int(ID)
-	vsc    []*VScenario // parallel to at; nil when no detections
-	byWin  map[int][]ID // window -> scenario IDs, in insertion order
-
-	mu        sync.Mutex   // guards winSorted
-	winSorted map[int][]ID // cache of AtWindow's cell-sorted ID lists
+	at     []where                 // dense, index == int(ID)
+	vsc    []*VScenario            // parallel to at; nil when no detections
+	wins   map[int]*WindowPostings // window -> its scenarios and postings
 
 	// The EIDs as ordinals (postings.go), shared by every matcher over the
 	// store. ords and its reverse eids are append-only: Add interns each
-	// scenario's EIDs, Ordinal any EID it is asked for. posts holds the
-	// windows Postings has built and loses exactly the window Add grows.
-	postMu sync.Mutex // guards ords, eids and posts
+	// scenario's EIDs, Ordinal any EID it is asked for.
+	postMu sync.Mutex // guards ords and eids
 	ords   map[ids.EID]int32
 	eids   []ids.EID
-	posts  map[int]*WindowPostings
 	// Scenario id's view is viewOrds/viewAttrs[viewAt[id]:viewAt[id+1]],
 	// written by Add and never rewritten; viewKeys is Add's scratch.
 	viewAt    []int32
@@ -77,9 +73,8 @@ type VPager interface {
 
 // NewStore creates an empty store over the given layout.
 func NewStore(layout geo.Layout) *Store {
-	return &Store{layout: layout, byWin: make(map[int][]ID), winSorted: make(map[int][]ID),
-		ords: make(map[ids.EID]int32), posts: make(map[int]*WindowPostings), viewAt: []int32{0},
-		vidOrds: make(map[ids.VID]int32)}
+	return &Store{layout: layout, wins: make(map[int]*WindowPostings), ords: make(map[ids.EID]int32),
+		viewAt: []int32{0}, vidOrds: make(map[ids.VID]int32)}
 }
 
 // Layout returns the cell layout scenarios are defined over.
@@ -126,9 +121,9 @@ func (st *Store) keyLocked(e ids.EID, attr Attr) uint64 {
 }
 
 // add stores a scenario whose EID set is keys, appending its view to the
-// slabs: views handed out earlier keep the arrays they were cut from, and
-// the pairs are never rewritten, so growing the slabs moves nothing a
-// reader holds.
+// slabs and posting it in its window: views handed out earlier keep the
+// arrays they were cut from, and the pairs are never rewritten, so growing
+// the slabs moves nothing a reader holds.
 func (st *Store) add(cell geo.CellID, window int, keys []uint64, v *VScenario) (ID, error) {
 	st.viewKeys = keys
 	if v != nil && (v.Cell != cell || v.Window != window) {
@@ -155,13 +150,7 @@ func (st *Store) add(cell geo.CellID, window int, keys []uint64, v *VScenario) (
 	st.viewAt = append(st.viewAt, int32(len(st.viewOrds)))
 	st.at = append(st.at, where{cell: cell, window: window})
 	st.vsc = append(st.vsc, v)
-	st.byWin[window] = append(st.byWin[window], id)
-	st.mu.Lock()
-	delete(st.winSorted, window) // invalidate the window's sorted cache
-	st.mu.Unlock()
-	st.postMu.Lock()
-	delete(st.posts, window) // and its postings, which rank into that list
-	st.postMu.Unlock()
+	st.post(id, cell, window, keys)
 	return id, nil
 }
 
@@ -278,36 +267,23 @@ func (st *Store) PageErr() error {
 
 // Windows returns the sorted list of time windows that have scenarios.
 func (st *Store) Windows() []int {
-	out := make([]int, 0, len(st.byWin))
-	for w := range st.byWin {
+	out := make([]int, 0, len(st.wins))
+	for w := range st.wins {
 		out = append(out, w)
 	}
 	sort.Ints(out)
 	return out
 }
 
-// AtWindow returns the IDs of scenarios in the given window, sorted by cell.
-// The sorted list is computed once per window and cached until the window
-// gains a scenario; the returned slice is shared, so callers must not modify
-// it.
+// AtWindow returns the IDs of scenarios in the given window, sorted by cell,
+// ties by ID, as Add keeps them. The slice is shared storage, valid while no
+// Add runs; callers must not modify it.
 func (st *Store) AtWindow(w int) []ID {
-	st.mu.Lock()
-	if cached, ok := st.winSorted[w]; ok {
-		st.mu.Unlock()
-		return cached
+	wp := st.Postings(w)
+	if wp.sorted != nil {
+		return wp.sorted
 	}
-	st.mu.Unlock()
-	idsAt := st.byWin[w]
-	out := make([]ID, len(idsAt))
-	copy(out, idsAt)
-	sort.Slice(out, func(i, j int) bool { return st.at[out[i]].cell < st.at[out[j]].cell })
-	st.mu.Lock()
-	if st.winSorted == nil {
-		st.winSorted = make(map[int][]ID)
-	}
-	st.winSorted[w] = out
-	st.mu.Unlock()
-	return out
+	return wp.ids
 }
 
 // ShuffledWindows returns all windows in a random order drawn from rng; the

@@ -222,8 +222,8 @@ type Engine struct {
 	live            *blocking.LiveTargets
 	blockCandidates int64
 	blockPruned     int64
-	// ix is the sweep's view of the store's postings: a closed window never
-	// grows again, so what one sweep materialised serves every later one.
+	// ix is the sweep's view of the store's postings, which the store writes
+	// as each sealed scenario is added.
 	ix *blocking.Index
 	// pending holds the targets the partition has resolved that have no
 	// resolution yet, as positions in part.Targets(), in resolve order: the
