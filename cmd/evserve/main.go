@@ -48,9 +48,9 @@ func main() {
 	}
 }
 
-// metricsz is the /metricsz snapshot: the start-up match's posting-index
+// metricsz is the /metricsz snapshot: the start-up match's blocking
 // totals — how many scenario probes the split stage actually ran and how
-// many the index pruned (DESIGN.md §13), together the scenarios of the
+// many it pruned (DESIGN.md §13), together the scenarios of the
 // windows the split scanned — and, with a live engine, its Gauges read at
 // each request and laid over them: the engine's block_* values describe the
 // same pruning machinery on its own incremental splits, and win. The ratio

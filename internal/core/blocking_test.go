@@ -2,13 +2,15 @@ package core
 
 import (
 	"context"
+	"math/rand"
 	"slices"
 	"sync"
 	"testing"
 
-	"evmatching/internal/blocking"
+	"evmatching/internal/dataset"
 	"evmatching/internal/geo"
 	"evmatching/internal/ids"
+	"evmatching/internal/partition"
 	"evmatching/internal/scenario"
 )
 
@@ -134,9 +136,8 @@ func TestEDPSelectMatchesReferenceScan(t *testing.T) {
 	for _, practical := range []bool{false, true} {
 		ds := goldenDataset(t, practical)
 		m := newMatcher(t, ds, Options{Algorithm: AlgorithmEDP, Seed: 7})
-		ix := blocking.Build(ds.Store, blocking.DefaultGeometry())
 		for i, e := range append(ds.AllEIDs(), "never-seen") {
-			got := m.edpSelect(e, int64(i), ix)
+			got := m.edpSelect(e, int64(i))
 			if want := edpSelectByScan(m, e, int64(i)); !slices.Equal(got, want) {
 				t.Fatalf("practical=%t: edpSelect(%s) = %v, reference scan %v", practical, e, got, want)
 			}
@@ -217,8 +218,8 @@ func TestBlockCountersCoverScannedWindows(t *testing.T) {
 
 // TestHostileOrderAgrees drives a window whose Adds arrive out of cell order,
 // with two scenarios on one cell and EIDs inclusive in several scenarios:
-// AtWindow, InclusiveAt, Candidates on both of its paths and the padding's
-// pick must all read the window in (cell, ID) order.
+// AtWindow, the postings, the partition's Candidates on both of its paths and
+// the padding's pick must all read the window in (cell, ID) order.
 func TestHostileOrderAgrees(t *testing.T) {
 	st := scenario.NewStore(nil)
 	add := func(cell geo.CellID, eids ...ids.EID) scenario.ID {
@@ -240,25 +241,24 @@ func TestHostileOrderAgrees(t *testing.T) {
 	if got, want := st.AtWindow(0), []scenario.ID{s0, s2, s2b, s5, s9}; !slices.Equal(got, want) {
 		t.Fatalf("AtWindow = %v, want %v", got, want)
 	}
-	ix := blocking.Build(st, blocking.DefaultGeometry())
 	for e, want := range map[ids.EID][]scenario.ID{"x": {s2, s2b, s9}, "y": {s0, s2b, s5}, "a": {s9}} {
-		if got := ix.InclusiveAt(e, 0); !slices.Equal(got, want) {
-			t.Errorf("InclusiveAt(%s) = %v, want %v", e, got, want)
+		if got := st.Postings(0).Held(st.Ordinal(e)); !slices.Equal(got, want) {
+			t.Errorf("postings of %s = %v, want %v", e, got, want)
 		}
 	}
 	for _, targets := range [][]ids.EID{{"x", "y"}, {"x", "b"}, {"x", "y", "a", "b", "c", "d"}} {
-		ords := make([]int32, len(targets))
-		for i, e := range targets {
-			ords[i] = st.Ordinal(e)
+		p, err := partition.New(targets)
+		if err != nil {
+			t.Fatal(err)
 		}
-		live := blocking.NewLiveTargets(ords)
+		p.BindStore(st)
 		var want []scenario.ID
 		for _, id := range st.AtWindow(0) {
-			if !live.Prunes(st.View(id)) {
+			if !p.Prunes(st.View(id)) {
 				want = append(want, id)
 			}
 		}
-		if got := ix.Candidates(0, live, nil); !slices.Equal(got, want) {
+		if got := p.Candidates(0, nil); !slices.Equal(got, want) {
 			t.Errorf("targets %v: Candidates = %v, want %v", targets, got, want)
 		}
 	}
@@ -268,8 +268,99 @@ func TestHostileOrderAgrees(t *testing.T) {
 		{[]scenario.ID{s2}, []scenario.ID{s2, s2b}},
 		{[]scenario.ID{s2, s2b}, []scenario.ID{s2, s2b, s9}},
 	} {
-		if got := padToUnique(st, ix, x, tc.list, []int{0}); !slices.Equal(got, tc.want) {
+		if got := padToUnique(st, x, tc.list, []int{0}); !slices.Equal(got, tc.want) {
 			t.Errorf("padding x from %v picked %v, want %v", tc.list, got, tc.want)
 		}
+	}
+}
+
+// equivWorlds is how many randomized worlds TestBlockedSplitEquivalence
+// sweeps; -short trims the tail for the race tier's time budget.
+const equivWorlds = 50
+
+// TestBlockedSplitEquivalence is the soundness oracle for DESIGN.md §13:
+// across ≥50 seeded random worlds — sweeping density, window count, target
+// sizes, serial and parallel modes, shuffled and in-order scans — the
+// blocked matcher must record the identical effective-scenario sequence and
+// produce the identical report fingerprint as the exhaustive matcher. Any
+// false prune (a skipped scenario that would have split) diverges the
+// SplitScenarios sequence and fails here.
+func TestBlockedSplitEquivalence(t *testing.T) {
+	n := equivWorlds
+	if testing.Short() {
+		n = 12
+	}
+	rng := rand.New(rand.NewSource(99))
+	prunedTotal := int64(0)
+	for trial := 0; trial < n; trial++ {
+		cfg := dataset.DefaultConfig()
+		cfg.Seed = int64(1000 + trial)
+		cfg.NumPersons = 30 + rng.Intn(60)
+		cfg.Density = 4 + rng.Float64()*16
+		cfg.NumWindows = 4 + rng.Intn(8)
+		cfg.FeatureDim = 8
+		cfg.VIDMissingRate = 0.3 * rng.Float64()
+		ds, err := dataset.Generate(cfg)
+		if err != nil {
+			t.Fatalf("trial %d: Generate: %v", trial, err)
+		}
+		all := ds.AllEIDs()
+		if len(all) < 2 {
+			continue
+		}
+		targets := make([]ids.EID, 0, 2+rng.Intn(6))
+		for len(targets) < cap(targets) {
+			targets = append(targets, all[rng.Intn(len(all))])
+		}
+		opts := Options{
+			Mode:       ModeSerial,
+			ScanOrder:  ScanShuffled,
+			Seed:       int64(1 + trial),
+			WorkFactor: 1,
+		}
+		if trial%2 == 1 {
+			opts.Mode = ModeParallel
+		}
+		if trial%3 == 1 {
+			opts.ScanOrder = ScanInOrder
+		}
+
+		blocked, err := newMatcher(t, ds, opts).Match(context.Background(), targets)
+		if err != nil {
+			t.Fatalf("trial %d: blocked match: %v", trial, err)
+		}
+		opts.DisableBlocking = true
+		exhaustive, err := newMatcher(t, ds, opts).Match(context.Background(), targets)
+		if err != nil {
+			t.Fatalf("trial %d: exhaustive match: %v", trial, err)
+		}
+
+		if got, want := blocked.Fingerprint(), exhaustive.Fingerprint(); got != want {
+			t.Errorf("trial %d (mode %v, scan %v, %d targets): fingerprint %s != exhaustive %s",
+				trial, opts.Mode, opts.ScanOrder, len(targets), got, want)
+		}
+		if len(blocked.SplitScenarios) != len(exhaustive.SplitScenarios) {
+			t.Fatalf("trial %d: %d effective scenarios blocked vs %d exhaustive",
+				trial, len(blocked.SplitScenarios), len(exhaustive.SplitScenarios))
+		}
+		for i := range blocked.SplitScenarios {
+			if blocked.SplitScenarios[i] != exhaustive.SplitScenarios[i] {
+				t.Fatalf("trial %d: effective scenario %d is %d blocked vs %d exhaustive",
+					trial, i, blocked.SplitScenarios[i], exhaustive.SplitScenarios[i])
+			}
+		}
+		if exhaustive.BlockCandidates != 0 || exhaustive.BlockPruned != 0 {
+			t.Errorf("trial %d: exhaustive run reported blocking counters %d/%d",
+				trial, exhaustive.BlockCandidates, exhaustive.BlockPruned)
+		}
+		if blocked.BlockCandidates+blocked.BlockPruned > 0 && blocked.BlockPruneRatio() < 0 {
+			t.Errorf("trial %d: negative prune ratio", trial)
+		}
+		prunedTotal += blocked.BlockPruned
+	}
+	// The sweep as a whole must actually exercise pruning, or the property
+	// proves nothing.
+	if prunedTotal == 0 {
+		t.Error("no scenario was ever pruned across the sweep; blocking path not exercised")
 	}
 }

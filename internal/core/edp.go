@@ -6,7 +6,6 @@ import (
 	"slices"
 	"time"
 
-	"evmatching/internal/blocking"
 	"evmatching/internal/feature"
 	"evmatching/internal/ids"
 	"evmatching/internal/scenario"
@@ -21,7 +20,7 @@ import (
 // scenarios. There is no cross-EID scenario reuse and no rule-out: each
 // task gets its own extraction state, so a scenario selected by two EIDs is
 // processed twice (the cost EV-Matching's reuse avoids).
-func (m *Matcher) matchEDP(ctx context.Context, targets []ids.EID, ix *blocking.Index) (*Report, error) {
+func (m *Matcher) matchEDP(ctx context.Context, targets []ids.EID) (*Report, error) {
 	rep := &Report{
 		Algorithm: AlgorithmEDP,
 		Mode:      m.opts.Mode,
@@ -38,7 +37,7 @@ func (m *Matcher) matchEDP(ctx context.Context, targets []ids.EID, ix *blocking.
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("core: EDP e stage: %w", err)
 		}
-		lists[i] = m.edpSelect(e, int64(i), ix)
+		lists[i] = m.edpSelect(e, int64(i))
 		for _, id := range lists[i] {
 			selected[id] = true
 		}
@@ -87,8 +86,8 @@ func (m *Matcher) matchEDP(ctx context.Context, targets []ids.EID, ix *blocking.
 // that contain e until the intersection of their (full) EID sets is a
 // singleton, the selection cap is reached, or windows run out. A window's
 // pick is the first scenario in AtWindow order holding e inclusively, read
-// off the store's postings through ix.
-func (m *Matcher) edpSelect(e ids.EID, salt int64, ix *blocking.Index) []scenario.ID {
+// off the store's postings.
+func (m *Matcher) edpSelect(e ids.EID, salt int64) []scenario.ID {
 	rng := m.rngFor(104729 + salt)
 	windows := m.ds.Store.ShuffledWindows(rng)
 	ord := m.ds.Store.Ordinal(e)
@@ -96,7 +95,7 @@ func (m *Matcher) edpSelect(e ids.EID, salt int64, ix *blocking.Index) []scenari
 	// The EIDs inclusive in every listed scenario, as ascending ordinals.
 	var candidates []int32
 	for _, w := range windows {
-		held := ix.InclusiveOrd(ord, w)
+		held := m.ds.Store.Postings(w).Held(ord)
 		if len(held) == 0 {
 			continue
 		}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 
-	"evmatching/internal/blocking"
 	"evmatching/internal/feature"
 	"evmatching/internal/ids"
 	"evmatching/internal/vfilter"
@@ -19,7 +18,7 @@ func (m *Matcher) Explain(ctx context.Context, e ids.EID, w io.Writer) error {
 	if e == ids.None {
 		return ErrNoTargets
 	}
-	p, lists, err := m.splitStage(ctx, []ids.EID{e}, 0, blocking.Build(m.ds.Store, blocking.DefaultGeometry()), nil, nil)
+	p, lists, err := m.splitStage(ctx, []ids.EID{e}, 0, nil, nil)
 	if err != nil {
 		return err
 	}

@@ -9,7 +9,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"evmatching/internal/blocking"
 	"evmatching/internal/dataset"
 	"evmatching/internal/feature"
 	"evmatching/internal/ids"
@@ -75,12 +74,11 @@ func (m *Matcher) Match(ctx context.Context, targets []ids.EID) (*Report, error)
 		return nil, err
 	}
 	var rep *Report
-	ix := blocking.Build(m.ds.Store, blocking.DefaultGeometry())
 	switch m.opts.Algorithm {
 	case AlgorithmSS:
-		rep, err = m.matchSS(ctx, targets, filter, ix)
+		rep, err = m.matchSS(ctx, targets, filter)
 	case AlgorithmEDP:
-		rep, err = m.matchEDP(ctx, targets, ix)
+		rep, err = m.matchEDP(ctx, targets)
 	default:
 		return nil, fmt.Errorf("%w: algorithm %v", ErrBadOptions, m.opts.Algorithm)
 	}

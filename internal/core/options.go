@@ -120,12 +120,13 @@ type Options struct {
 	// WorkFactor scales per-patch feature-extraction cost, modeling real
 	// video processing. Defaults to 4.
 	WorkFactor int
-	// DisableBlocking turns off the posting index in front of the E stage
-	// (DESIGN.md §13) and restores the exhaustive scenario-by-scenario scan.
-	// It exists for one reason: the exhaustive scan is the oracle that
-	// TestBlockedSplitEquivalence and internal/scaletest's TestScaleSmoke
-	// compare the indexed path against. No command exposes it; the indexed
-	// path is bit-identical and not slower on any measured world.
+	// DisableBlocking makes the E stage scan every scenario of a window
+	// instead of only the partition's candidates, those holding a live
+	// target (DESIGN.md §13). It exists for one reason: the exhaustive scan
+	// is the oracle that TestBlockedSplitEquivalence and internal/scaletest's
+	// TestScaleSmoke compare the blocked path against. No command exposes
+	// it; the blocked path is bit-identical and not slower on any measured
+	// world.
 	DisableBlocking bool
 	// MemBudget caps the bytes of in-memory shuffle state in the parallel
 	// executor; past it, per-reducer buckets spill to sorted temp-file runs

@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"evmatching/internal/blocking"
 	"evmatching/internal/dataset"
 	"evmatching/internal/feature"
 	"evmatching/internal/ids"
@@ -185,14 +184,13 @@ func TestSplitStageCancelsDuringListDerivation(t *testing.T) {
 	ds, _ := sparseShortWorld(t)
 	targets := ds.AllEIDs()
 	m := newMatcher(t, ds, Options{Seed: 7})
-	ix := blocking.Build(ds.Store, blocking.DefaultGeometry())
 	for _, procs := range []int{1, 8} {
 		withProcs(procs, func() {
 			// Count the checks of an uncancelled run: the last len(targets)
 			// and one belong to the derivation.
 			counting := &countdownCtx{Context: context.Background()}
 			counting.left.Store(1 << 40)
-			if _, _, err := m.splitStage(counting, targets, 0, ix, nil, nil); err != nil {
+			if _, _, err := m.splitStage(counting, targets, 0, nil, nil); err != nil {
 				t.Fatalf("splitStage: %v", err)
 			}
 			checks := 1<<40 - counting.left.Load()
@@ -201,7 +199,7 @@ func TestSplitStageCancelsDuringListDerivation(t *testing.T) {
 			}
 			ctx := &countdownCtx{Context: context.Background()}
 			ctx.left.Store(checks - int64(len(targets))/2)
-			_, lists, err := m.splitStage(ctx, targets, 0, ix, nil, nil)
+			_, lists, err := m.splitStage(ctx, targets, 0, nil, nil)
 			if !errors.Is(err, context.Canceled) || !strings.HasPrefix(err.Error(), "core: split stage: ") {
 				t.Errorf("GOMAXPROCS %d: cancelled mid-derivation: error %v, want core: split stage: context canceled", procs, err)
 			}

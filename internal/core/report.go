@@ -38,12 +38,12 @@ type Report struct {
 	VMemo  vfilter.MemoStats
 	// RefineRounds is how many extra refine iterations ran (0 = none).
 	RefineRounds int
-	// BlockCandidates and BlockPruned count the store scenarios the posting
-	// index admitted to (respectively excluded from) split probing, summed
-	// across refine rounds: together, every scenario of every window a split
-	// scanned. Like ETime/VTime they measure effort, not results — the pruned
-	// path is bit-identical to the exhaustive one — so Fingerprint excludes
-	// them. Both stay zero under DisableBlocking.
+	// BlockCandidates and BlockPruned count the store scenarios the
+	// partition's Candidates admitted to (respectively excluded from) split
+	// probing, summed across refine rounds: together, every scenario of
+	// every window a split scanned. Like ETime/VTime they measure effort, not
+	// results — the pruned path is bit-identical to the exhaustive one — so
+	// Fingerprint excludes them. Both stay zero under DisableBlocking.
 	BlockCandidates int64
 	BlockPruned     int64
 	// PrefetchedScenarios counts the recorded scenarios serial SS's E stage
@@ -130,7 +130,7 @@ func (r *Report) Fingerprint() string {
 }
 
 // BlockPruneRatio returns the fraction of the scanned windows' scenarios the
-// posting index pruned before probing, in [0,1]. Zero when blocking was
+// split pruned before probing, in [0,1]. Zero when blocking was
 // disabled or the store was empty.
 func (r *Report) BlockPruneRatio() float64 {
 	total := r.BlockCandidates + r.BlockPruned

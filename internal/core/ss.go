@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"evmatching/internal/blocking"
 	"evmatching/internal/ids"
 	"evmatching/internal/mrjobs"
 	"evmatching/internal/partition"
@@ -19,7 +18,7 @@ import (
 // matchSS runs the paper's set-splitting algorithm: EID set splitting (E
 // stage), VID filtering (V stage), and matching refining (Algorithm 2) until
 // every match is acceptable or the refine budget is exhausted.
-func (m *Matcher) matchSS(ctx context.Context, targets []ids.EID, filter *vfilter.Filter, ix *blocking.Index) (*Report, error) {
+func (m *Matcher) matchSS(ctx context.Context, targets []ids.EID, filter *vfilter.Filter) (*Report, error) {
 	rep := &Report{
 		Algorithm: AlgorithmSS,
 		Mode:      m.opts.Mode,
@@ -35,7 +34,7 @@ func (m *Matcher) matchSS(ctx context.Context, targets []ids.EID, filter *vfilte
 
 	for round := 0; ; round++ {
 		eStart := time.Now()
-		p, lists, err := m.splitStage(ctx, pending, round, ix, rep, pre)
+		p, lists, err := m.splitStage(ctx, pending, round, rep, pre)
 		rep.ETime += time.Since(eStart)
 		if err != nil {
 			return nil, err
@@ -157,14 +156,15 @@ func (pre *prefetcher) join() {
 // itself never depends on them.
 //
 // With blocking enabled (the default), each window contributes only the
-// scenarios holding a still-undistinguished target inclusively, read off the
-// window's exact postings through ix (DESIGN.md §13); every other scenario is
-// a provable no-op. The candidates are a window-order subsequence of the
-// exhaustive scan containing every effective scenario, so the partition
-// evolves through the identical state sequence, records the identical
-// scenarios, and hits Done at the identical point — bit-identity with the
-// exhaustive path, which the equivalence property tests pin.
-func (m *Matcher) splitStage(ctx context.Context, targets []ids.EID, round int, ix *blocking.Index, rep *Report, pre *prefetcher) (p *partition.Partition, lists [][]scenario.ID, err error) {
+// scenarios holding a still-undistinguished target inclusively, which the
+// partition reads off the window's postings (Partition.Candidates, DESIGN.md
+// §13); every other scenario is a provable no-op. The candidates are a
+// window-order subsequence of the exhaustive scan containing every effective
+// scenario, so the partition evolves through the identical state sequence,
+// records the identical scenarios, and hits Done at the identical point —
+// bit-identity with the exhaustive path, which the equivalence property
+// tests pin.
+func (m *Matcher) splitStage(ctx context.Context, targets []ids.EID, round int, rep *Report, pre *prefetcher) (p *partition.Partition, lists [][]scenario.ID, err error) {
 	p, err = partition.New(targets)
 	if err != nil {
 		return nil, nil, err
@@ -181,14 +181,7 @@ func (m *Matcher) splitStage(ctx context.Context, targets []ids.EID, round int, 
 	// Every path reads store views, their ordinals taken to partition
 	// positions without hashing an EID per scenario.
 	ords := p.BindStore(store)
-	var (
-		live *blocking.LiveTargets
-		buf  []scenario.ID
-	)
-	if !m.opts.DisableBlocking {
-		live = blocking.NewLiveTargets(ords)
-		p.OnResolve(func(i int) { live.Resolve(ords[i]) })
-	}
+	var buf []scenario.ID
 
 	for _, w := range windows {
 		if p.Done() {
@@ -197,16 +190,16 @@ func (m *Matcher) splitStage(ctx context.Context, targets []ids.EID, round int, 
 		if err := ctx.Err(); err != nil {
 			return nil, nil, fmt.Errorf("core: split stage: %w", err)
 		}
-		// The exhaustive scan, the oracle the indexed path is held to, takes
+		// The exhaustive scan, the oracle the blocked path is held to, takes
 		// every scenario of the window whole, since SplitView ignores
-		// ordinals outside the partition. The indexed path reads the live set
+		// ordinals outside the partition. The blocked path reads the live set
 		// at window start; splits within the window shrink it for the next
 		// one, and mid-window staleness only admits extra no-op candidates —
 		// never drops an effective one.
 		cands := store.AtWindow(w)
-		if live != nil {
+		if !m.opts.DisableBlocking {
 			total := len(cands)
-			buf = ix.Candidates(w, live, buf[:0])
+			buf = p.Candidates(w, buf[:0])
 			cands = buf
 			if rep != nil {
 				rep.BlockCandidates += int64(len(cands))
@@ -240,7 +233,7 @@ func (m *Matcher) splitStage(ctx context.Context, targets []ids.EID, round int, 
 	// even-odds visual candidate; with it, SS spends about one scenario
 	// more per EID than EDP, exactly as the paper's Fig. 7 reports.
 	lists = p.AllPositiveScenarios()
-	if err := PadLists(ctx, store, ix, ords, lists, windows); err != nil {
+	if err := PadLists(ctx, store, ords, lists, windows); err != nil {
 		return nil, nil, fmt.Errorf("core: split stage: %w", err)
 	}
 	return p, lists, nil
@@ -278,12 +271,11 @@ func (m *Matcher) splitIteration(ctx context.Context, p *partition.Partition, ca
 // core, the caller's included. It is the one place per-EID lists are padded:
 // the batch split stage pads a round's targets here, and the stream sweep
 // its resolved ones over the windows closed so far. Padding copies a list
-// before it grows it and otherwise reads only the store and its postings
-// (ix is a view of store's), so the result is the same at every core count.
-// Only a cancelled ctx fails it.
-func PadLists(ctx context.Context, store *scenario.Store, ix *blocking.Index, ords []int32, lists [][]scenario.ID, windows []int) error {
+// before it grows it and otherwise reads only the store and its postings, so
+// the result is the same at every core count. Only a cancelled ctx fails it.
+func PadLists(ctx context.Context, store *scenario.Store, ords []int32, lists [][]scenario.ID, windows []int) error {
 	return fanOut(ctx, runtime.GOMAXPROCS(0), len(lists), func(i int) error {
-		lists[i] = padToUnique(store, ix, ords[i], lists[i], windows)
+		lists[i] = padToUnique(store, ords[i], lists[i], windows)
 		return nil
 	})
 }
@@ -295,7 +287,7 @@ func PadLists(ctx context.Context, store *scenario.Store, ix *blocking.Index, or
 // trajectory never becomes unique. Each window's pick is the first unlisted
 // scenario holding the EID inclusively in AtWindow order, read off the
 // postings by ord, and every set is a store view, so no EID is hashed.
-func padToUnique(store *scenario.Store, ix *blocking.Index, ord int32, list []scenario.ID, windows []int) []scenario.ID {
+func padToUnique(store *scenario.Store, ord int32, list []scenario.ID, windows []int) []scenario.ID {
 	// One allocation: the padding never grows a list past maxListLen.
 	out := append(make([]scenario.ID, 0, max(len(list), maxListLen)), list...)
 	// Candidate set: EIDs that may co-appear in every listed scenario. A
@@ -323,7 +315,7 @@ func padToUnique(store *scenario.Store, ix *blocking.Index, ord int32, list []sc
 		if len(out) >= maxListLen || (len(out) >= minListLen && len(cands) <= 1) {
 			break
 		}
-		for _, id := range ix.InclusiveOrd(ord, w) {
+		for _, id := range store.Postings(w).Held(ord) {
 			if slices.Contains(out, id) {
 				continue
 			}

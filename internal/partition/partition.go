@@ -21,12 +21,21 @@
 // masks either as a store view (SplitView: its EID ordinals, mapped to index
 // positions through the ranked bitset BindStore builds) or as an EID map
 // (SplitBy); both then run the one split routine.
+//
+// A partition bound to a store also knows which scenarios can still split it
+// (DESIGN.md §13): only one holding a live target — one whose home leaf has
+// another inclusive member — inclusively. It keeps the live targets as a
+// bitset of store ordinals that splits shrink, and both front-ends read it:
+// the batch split stage a window at a time (Candidates), the stream one
+// sealed scenario at a time (Prunes).
 package partition
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 
 	"evmatching/internal/bitset"
@@ -127,11 +136,18 @@ type Partition struct {
 	bound  bitset.Set
 	below  []int32
 	byRank []int32
+	// store is the store BindStore bound, ords[i] the ordinal of Targets()[i]
+	// in it. live holds the ordinals of the targets whose home leaf has ≥2
+	// inclusive members, numLive how many there are: a split clears the bit
+	// of each target it resolves. Leaves only ever shrink, so the set does.
+	store   *scenario.Store
+	ords    []int32
+	live    bitset.Set
+	numLive int
 	// onResolve, when set, is called with each EID's position in Targets the
-	// moment its inclusive home leaf shrinks to a singleton — the hook the
-	// blocking layer uses to retire resolved targets from its live set.
-	// Leaves only ever shrink, so a resolved EID is resolved forever and the
-	// callback fires exactly once per EID.
+	// moment its inclusive home leaf shrinks to a singleton. Leaves only ever
+	// shrink, so a resolved EID is resolved forever and the callback fires
+	// exactly once per EID.
 	onResolve func(int)
 }
 
@@ -223,8 +239,9 @@ func (n *Node) eachLeaf(fn func(*Node)) {
 }
 
 // BindStore resolves every target's EID ordinal in st, so SplitView can
-// read st's views, and returns them, ords[i] being that of Targets()[i]; a
-// store ordinal no target has maps to nothing.
+// read st's views and Prunes and Candidates can tell which of them can still
+// split, and returns them, ords[i] being that of Targets()[i]; a store
+// ordinal no target has maps to nothing.
 func (p *Partition) BindStore(st *scenario.Store) (ords []int32) {
 	ords = make([]int32, len(p.idx.eids))
 	n := int32(0)
@@ -232,9 +249,16 @@ func (p *Partition) BindStore(st *scenario.Store) (ords []int32) {
 		ords[i] = st.Ordinal(e)
 		n = max(n, ords[i]+1)
 	}
+	p.store, p.ords = st, ords
 	p.bound = bitset.New(int(n))
-	for _, o := range ords {
+	p.live = bitset.New(int(n))
+	p.numLive = 0
+	for i, o := range ords {
 		p.bound.Add(int(o))
+		if p.home(i).nInc > 1 {
+			p.live.Add(int(o))
+			p.numLive++
+		}
 	}
 	p.below = make([]int32, len(p.bound))
 	ranked := int32(0)
@@ -364,13 +388,90 @@ func (p *Partition) split(leaf *Node, by scenario.ID) bool {
 		switch {
 		case child.nInc > 1:
 			p.multi++
-		case p.onResolve != nil:
+		default:
 			// The parent held ≥2 inclusive EIDs, so a singleton child is
 			// newly resolved.
-			child.inc.ForEach(p.onResolve)
+			child.inc.ForEach(p.resolve)
 		}
 	}
 	return true
+}
+
+// resolve retires the newly resolved target at position i from the live
+// set and hands it to the resolve hook. A live set is non-empty only once
+// BindStore has run, and every target it held then sat in a leaf of ≥2, so
+// a target resolving now is in it.
+func (p *Partition) resolve(i int) {
+	if p.numLive > 0 {
+		p.live.Remove(int(p.ords[i]))
+		p.numLive--
+	}
+	if p.onResolve != nil {
+		p.onResolve(i)
+	}
+}
+
+// isLive reports whether store ordinal ord is a live target's.
+func (p *Partition) isLive(ord int32) bool {
+	return int(ord) < len(p.live)*64 && p.live.Has(int(ord))
+}
+
+// NumLive returns how many targets are still undistinguished: those whose
+// home leaf holds another inclusive member. It is 0 before BindStore.
+func (p *Partition) NumLive() int { return p.numLive }
+
+// Prunes reports whether the scenario read as store view v provably cannot
+// change the partition: no live target appears in it inclusively. A split's
+// effectiveness test requires an inclusive member of a leaf with ≥2
+// inclusive EIDs, every such member is live, and leaf membership is a subset
+// of the targets — so a true result is an exact no-op, skippable without
+// recording. With nothing live every scenario prunes.
+func (p *Partition) Prunes(v scenario.EView) bool {
+	if p.numLive == 0 {
+		return true
+	}
+	for k, o := range v.Ords {
+		if v.Attrs[k] == scenario.AttrInclusive && p.isLive(o) {
+			return false
+		}
+	}
+	return true
+}
+
+// Candidates appends to buf the scenarios of the bound store's window w that
+// hold a live target inclusively — the only scenarios that can split the
+// partition — in AtWindow order, and returns the grown buffer;
+// len(AtWindow(w)) − len(appended) is the pruned count. It is the
+// window-at-a-time form of Prunes, read off store ordinals on both sides, and
+// it walks the smaller side: the live targets' postings in a sparse world,
+// the window's few scenarios, through Prunes, in a crowded one.
+func (p *Partition) Candidates(w int, buf []scenario.ID) []scenario.ID {
+	if p.numLive == 0 {
+		return buf
+	}
+	st := p.store
+	if order := st.AtWindow(w); len(order) <= p.numLive {
+		for _, id := range order {
+			if !p.Prunes(st.View(id)) {
+				buf = append(buf, id)
+			}
+		}
+		return buf
+	}
+	// Collect the live targets' scenarios in buf's tail and dedup them
+	// there in ID order, which is AtWindow order unless the window's Adds
+	// came out of cell order.
+	wp := st.Postings(w)
+	base := len(buf)
+	p.live.ForEach(func(o int) { buf = append(buf, wp.Held(int32(o))...) })
+	cands := buf[base:]
+	slices.Sort(cands)
+	cands = slices.Compact(cands)
+	byCell := func(a, b scenario.ID) int { return cmp.Compare(st.Cell(a), st.Cell(b)) }
+	if !slices.IsSortedFunc(cands, byCell) {
+		slices.SortStableFunc(cands, byCell)
+	}
+	return buf[:base+len(cands)]
 }
 
 // record appends id to the effective scenarios unless it is already there.

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"evmatching/internal/bitset"
+	"evmatching/internal/geo"
 	"evmatching/internal/ids"
 	"evmatching/internal/scenario"
 )
@@ -70,6 +71,50 @@ func (r *allLeaves) Done() bool {
 	return true
 }
 
+// live is the oracle of the partition's live set: the targets in leaves with
+// ≥2 inclusive members.
+func (r *allLeaves) live() map[ids.EID]bool {
+	out := make(map[ids.EID]bool)
+	for _, leaf := range r.all {
+		if in := leaf.InclusiveEIDs(); len(in) > 1 {
+			for _, e := range in {
+				out[e] = true
+			}
+		}
+	}
+	return out
+}
+
+// checkLive compares p's live set — NumLive, Prunes on every scenario of st,
+// Candidates on every window — with the live targets the oracle's leaves
+// name, by brute force over st's scenarios.
+func checkLive(t *testing.T, label string, p *Partition, st *scenario.Store, live map[ids.EID]bool) {
+	t.Helper()
+	if g, w := p.NumLive(), len(live); g != w {
+		t.Fatalf("%s: NumLive = %d, reference %d", label, g, w)
+	}
+	for _, w := range st.Windows() {
+		var want []scenario.ID
+		for _, id := range st.AtWindow(w) {
+			prunes := true
+			for e, a := range st.E(id).EIDs {
+				if a == scenario.AttrInclusive && live[e] {
+					prunes = false
+				}
+			}
+			if g := p.Prunes(st.View(id)); g != prunes {
+				t.Fatalf("%s: Prunes(scenario %d) = %t, reference %t", label, id, g, prunes)
+			}
+			if !prunes {
+				want = append(want, id)
+			}
+		}
+		if g := p.Candidates(w, nil); !slices.Equal(g, want) {
+			t.Fatalf("%s: Candidates(%d) = %v, reference %v", label, w, g, want)
+		}
+	}
+}
+
 func (r *allLeaves) Sets() [][]ids.EID {
 	out := make([][]ids.EID, 0, len(r.all))
 	for _, leaf := range r.all {
@@ -122,7 +167,9 @@ func refWorld(rng *rand.Rand) ([]ids.EID, []*scenario.EScenario) {
 
 // TestSplitByMatchesAllLeavesReference drives SplitBy and the all-leaves
 // reference through the same random scenario streams and compares every
-// observable after every step.
+// observable after every step. The partition is bound to a store holding
+// the stream's scenarios on a few cells and windows, so its live set is
+// checked too.
 func TestSplitByMatchesAllLeavesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for world := 0; world < 300; world++ {
@@ -131,7 +178,16 @@ func TestSplitByMatchesAllLeavesReference(t *testing.T) {
 		if err != nil {
 			t.Fatalf("world %d: New: %v", world, err)
 		}
+		st := scenario.NewStore(nil)
+		place := rand.New(rand.NewSource(int64(world)))
+		for _, s := range scenarios {
+			if _, err := st.Add(&scenario.EScenario{Cell: geo.CellID(place.Intn(6)), Window: place.Intn(4), EIDs: s.EIDs}, nil); err != nil {
+				t.Fatalf("world %d: Add: %v", world, err)
+			}
+		}
+		p.BindStore(st)
 		ref := newAllLeaves(t, targets)
+		checkLive(t, fmt.Sprintf("world %d before any step", world), p, st, ref.live())
 		var got, want []ids.EID
 		p.OnResolve(func(i int) { got = append(got, p.Targets()[i]) })
 		ref.OnResolve(func(i int) { want = append(want, ref.Targets()[i]) })
@@ -175,6 +231,7 @@ func TestSplitByMatchesAllLeavesReference(t *testing.T) {
 					t.Fatalf("world %d step %d: OnResolve fired twice for %s", world, step, gs[i])
 				}
 			}
+			checkLive(t, fmt.Sprintf("world %d step %d", world, step), p, st, ref.live())
 		}
 		if p.Done() != (len(got) == p.NumTargets() || p.NumTargets() == 1) {
 			t.Fatalf("world %d: Done = %v with %d of %d targets resolved", world, p.Done(), len(got), p.NumTargets())

@@ -284,8 +284,8 @@ func (e *Engine) restoreMatchState(cp *checkpointFile) error {
 	for i := range cp.Scenarios {
 		// The same path the live engine closed them through: scenarios were
 		// applied in store-ID order, so the replay walks the identical
-		// live-set evolution and rebuilds the partition, the blocking state
-		// and the prune counters deterministically — and restored payloads
+		// live-set evolution and rebuilds the partition, its live set and
+		// the prune counters deterministically — and restored payloads
 		// count against the memory budget exactly like freshly sealed ones,
 		// so a restored engine re-evicts down to budget instead of holding
 		// the whole checkpoint resident.

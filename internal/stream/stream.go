@@ -10,7 +10,6 @@ import (
 	"slices"
 	"sync"
 
-	"evmatching/internal/blocking"
 	"evmatching/internal/core"
 	"evmatching/internal/dataset"
 	"evmatching/internal/feature"
@@ -213,18 +212,13 @@ type Engine struct {
 	front frontier
 	win   *ShardWindower
 
-	// live tracks the still-undistinguished targets, the tracker the batch
-	// matcher's posting index reads too (DESIGN.md §13). Sealed scenarios
-	// with no inclusive live target are exact split no-ops and skip
-	// SplitBy; blockCandidates/blockPruned count both outcomes. Restore
-	// rebuilds all three deterministically by replaying the checkpointed
-	// scenarios through the same probe, so no checkpoint field carries them.
-	live            *blocking.LiveTargets
+	// blockCandidates and blockPruned count the sealed scenarios the
+	// partition's live-target probe admitted and skipped (DESIGN.md §13).
+	// Restore rebuilds both, with the live set, deterministically by
+	// replaying the checkpointed scenarios through the same probe, so no
+	// checkpoint field carries them.
 	blockCandidates int64
 	blockPruned     int64
-	// ix is the sweep's view of the store's postings, which the store writes
-	// as each sealed scenario is added.
-	ix *blocking.Index
 	// pending holds the targets the partition has resolved that have no
 	// resolution yet, as positions in part.Targets(), in resolve order: the
 	// resolve hook appends, and the sweep takes what it can match and keeps
@@ -321,16 +315,11 @@ func (e *Engine) resetMatchState() error {
 	}
 	ords := p.BindStore(e.store)
 	e.part, e.ords = p, ords
-	e.live = blocking.NewLiveTargets(ords)
 	e.pending = nil
 	if p.NumTargets() == 1 {
 		e.pending = []int{0} // born resolved: no split will report it
 	}
-	e.part.OnResolve(func(i int) {
-		e.live.Resolve(ords[i])
-		e.pending = append(e.pending, i)
-	})
-	e.ix = blocking.Build(e.store, blocking.DefaultGeometry())
+	e.part.OnResolve(func(i int) { e.pending = append(e.pending, i) })
 	e.blockCandidates, e.blockPruned = 0, 0
 	// The live filter scores under the batch run's defaulted options, so a
 	// live resolution and Finalize's weigh the same evidence alike.
@@ -442,7 +431,7 @@ func (e *Engine) applySealedLocked(w *ShardSealed) (scenario.ID, error) {
 }
 
 // splitSealedLocked refines the partition with one sealed scenario, read as
-// its store view, through the blocking probe. SplitView ignores ordinals
+// its store view, through the partition's live-target probe. SplitView ignores ordinals
 // outside the partition's targets and is a no-op once every set is a
 // singleton, so applying the full scenario records the same
 // effective-scenario list as the batch split stage's filtered,
@@ -454,7 +443,7 @@ func (e *Engine) applySealedLocked(w *ShardSealed) (scenario.ID, error) {
 // Callers hold e.mu.
 func (e *Engine) splitSealedLocked(id scenario.ID) {
 	v := e.store.View(id)
-	if e.live.Prunes(v) {
+	if e.part.Prunes(v) {
 		e.blockPruned++
 		return
 	}
@@ -502,7 +491,7 @@ func (e *Engine) sweepResolutions(window int) error {
 	}
 	// Ingest takes no context; the sweep is bounded by its target list.
 	ctx := context.TODO()
-	if err := core.PadLists(ctx, e.store, e.ix, ords, lists, e.store.Windows()); err != nil {
+	if err := core.PadLists(ctx, e.store, ords, lists, e.store.Windows()); err != nil {
 		return err
 	}
 	var targets []ids.EID
@@ -653,9 +642,9 @@ func (e *Engine) OpenWindows() int {
 // lock: the open windows and detections, the repeats the fold dropped, the
 // watermark's lag behind cfg.Clock, the targets still pending, the
 // resolutions emitted and lost to full subscribers, the late drops, and how
-// many sealed scenarios the blocking probe admitted to (candidates) and
-// excluded from (pruned) split refinement. The lag is taken at the call, so
-// it keeps growing while no observation arrives.
+// many sealed scenarios the partition's live-target probe admitted to
+// (candidates) and excluded from (pruned) split refinement. The lag is taken
+// at the call, so it keeps growing while no observation arrives.
 func (e *Engine) Gauges() map[string]int64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()
