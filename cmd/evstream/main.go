@@ -51,7 +51,7 @@ func run(args []string, out io.Writer) error {
 		targetList = fs.String("targets", "", "comma-separated EIDs to match (default: every EID sighted in the log)")
 		latenessMS = fs.Int64("lateness-ms", 250, "allowed lateness in event-time milliseconds")
 		speed      = fs.Float64("speed", 0, "replay pacing: event-time speedup factor (0 = as fast as possible)")
-		seed       = fs.Int64("seed", 1, "matcher seed")
+		seed       = fs.Int64("seed", 1, "matcher seed, checked against a resumed checkpoint's; it changes no answer, since the final match scans windows in order")
 		ckptPath   = fs.String("checkpoint", "", "checkpoint file: resumed from when present, rewritten during replay")
 		ckptEvery  = fs.Int64("checkpoint-every", 2000, "observations between checkpoint writes")
 		maxEvents  = fs.Int64("max-events", 0, "stop after this log position (0 = whole log)")

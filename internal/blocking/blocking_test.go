@@ -21,15 +21,18 @@ func randStore(t *testing.T, rng *rand.Rand, numEIDs, numCells, numWindows, numS
 	t.Helper()
 	st := scenario.NewStore(nil)
 	for i := 0; i < numScen; i++ {
-		eids := make(map[ids.EID]scenario.Attr)
+		var eids []scenario.EIDAttr
 		for n := rng.Intn(4); n > 0; n-- {
 			attr := scenario.AttrInclusive
 			if rng.Intn(3) == 0 {
 				attr = scenario.AttrVague
 			}
-			eids[eid(rng.Intn(numEIDs))] = attr
+			e := eid(rng.Intn(numEIDs))
+			// A repeated draw overwrites, as a map would.
+			eids = slices.DeleteFunc(eids, func(ea scenario.EIDAttr) bool { return ea.EID == e })
+			eids = append(eids, scenario.EIDAttr{EID: e, Attr: attr})
 		}
-		if _, err := st.Add(&scenario.EScenario{Cell: geo.CellID(rng.Intn(numCells)), Window: rng.Intn(numWindows), EIDs: eids}, nil); err != nil {
+		if _, err := st.Add(geo.CellID(rng.Intn(numCells)), rng.Intn(numWindows), eids, nil); err != nil {
 			t.Fatalf("Add: %v", err)
 		}
 	}
@@ -62,7 +65,7 @@ func TestInclusiveAt(t *testing.T) {
 		for w := -1; w < 7; w++ {
 			var want []scenario.ID
 			for _, id := range st.AtWindow(w) {
-				if st.E(id).Inclusive(e) {
+				if st.E(id).EIDs[e] == scenario.AttrInclusive {
 					want = append(want, id)
 				}
 			}

@@ -152,7 +152,7 @@ func edpSelectByScan(m *Matcher, e ids.EID, salt int64) []scenario.ID {
 	for _, w := range m.ds.Store.ShuffledWindows(m.rngFor(104729 + salt)) {
 		var found *scenario.EScenario
 		for _, id := range m.ds.Store.AtWindow(w) {
-			if s := m.ds.Store.E(id); s.Inclusive(e) {
+			if s := m.ds.Store.E(id); s.EIDs[e] == scenario.AttrInclusive {
 				found = s
 				break
 			}
@@ -170,7 +170,7 @@ func edpSelectByScan(m *Matcher, e ids.EID, salt int64) []scenario.ID {
 			}
 		} else {
 			for other := range candidates {
-				if !found.Inclusive(other) {
+				if found.EIDs[other] != scenario.AttrInclusive {
 					delete(candidates, other)
 				}
 			}
@@ -223,11 +223,11 @@ func TestBlockCountersCoverScannedWindows(t *testing.T) {
 func TestHostileOrderAgrees(t *testing.T) {
 	st := scenario.NewStore(nil)
 	add := func(cell geo.CellID, eids ...ids.EID) scenario.ID {
-		set := make(map[ids.EID]scenario.Attr)
-		for _, e := range eids {
-			set[e] = scenario.AttrInclusive
+		list := make([]scenario.EIDAttr, len(eids))
+		for i, e := range eids {
+			list[i] = scenario.EIDAttr{EID: e, Attr: scenario.AttrInclusive}
 		}
-		id, err := st.Add(&scenario.EScenario{Cell: cell, Window: 0, EIDs: set}, nil)
+		id, err := st.Add(cell, 0, list, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

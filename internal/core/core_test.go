@@ -5,15 +5,19 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"evmatching/internal/dataset"
+	"evmatching/internal/geo"
 	"evmatching/internal/ids"
 	"evmatching/internal/mapreduce"
 	"evmatching/internal/mrjobs"
+	"evmatching/internal/partition"
+	"evmatching/internal/scenario"
 	"evmatching/internal/vfilter"
 )
 
@@ -566,5 +570,44 @@ func TestSerialParallelStatsAgreement(t *testing.T) {
 		if repP.Fingerprint() != first.Fingerprint() {
 			t.Errorf("Workers=%d: fingerprint diverged from first parallel run", workers)
 		}
+	}
+}
+
+// TestSplitIterationIgnoresNonTargetEIDs: Algorithm 3's preprocess hands the
+// MapReduce split a scenario's inclusive targets only, ascending, so a
+// member outside the partition's targets cannot leak into the refined sets,
+// a vague target cannot confirm a split, and a scenario holding neither is
+// left out; the sets agree with the split tree's.
+func TestSplitIterationIgnoresNonTargetEIDs(t *testing.T) {
+	st := scenario.NewStore(nil)
+	var cands []scenario.ID
+	for _, eids := range [][]scenario.EIDAttr{
+		{{EID: "z", Attr: scenario.AttrInclusive}, {EID: "c", Attr: scenario.AttrVague}, {EID: "b", Attr: scenario.AttrInclusive}, {EID: "a", Attr: scenario.AttrInclusive}},
+		{{EID: "z", Attr: scenario.AttrInclusive}, {EID: "b", Attr: scenario.AttrVague}},
+	} {
+		id, err := st.Add(geo.CellID(len(cands)), 0, eids, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cands = append(cands, id)
+	}
+	p, err := partition.New([]ids.EID{"a", "b", "c"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.BindStore(st)
+	got := splitScenarios(st, p, cands)
+	if want := []mrjobs.SplitScenario{{ID: cands[0], EIDs: []ids.EID{"a", "b"}}}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("preprocess = %v, want %v", got, want)
+	}
+	res, err := mrjobs.SplitIteration(context.Background(), mapreduce.SerialExecutor{}, mrjobs.SplitInput{Sets: p.Sets(), Scenarios: got})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range cands {
+		p.SplitView(id, st.View(id))
+	}
+	if want := [][]ids.EID{{"a", "b"}, {"c"}}; !reflect.DeepEqual(res.Sets, want) || !reflect.DeepEqual(p.Sets(), want) {
+		t.Errorf("MapReduce sets %v, tree sets %v, want %v", res.Sets, p.Sets(), want)
 	}
 }

@@ -13,8 +13,6 @@ import (
 	"evmatching/internal/feature"
 	"evmatching/internal/ids"
 	"evmatching/internal/mapreduce"
-	"evmatching/internal/partition"
-	"evmatching/internal/scenario"
 	"evmatching/internal/spill"
 	"evmatching/internal/vfilter"
 )
@@ -170,28 +168,6 @@ func fanOut(ctx context.Context, workers, n int, do func(i int) error) error {
 		return failed
 	}
 	return ctx.Err()
-}
-
-// filterView returns scenario id of store restricted to the targets of p,
-// whose ordinals p has bound, or nil when no target appears — the
-// preprocess filtering of Algorithm 3, needed only by the MapReduce split it
-// feeds (partition.SplitView skips non-targets itself). The copy carries
-// id, so recorded scenarios resolve to real store entries.
-func filterView(store *scenario.Store, id scenario.ID, p *partition.Partition) *scenario.EScenario {
-	var kept map[ids.EID]scenario.Attr
-	v := store.View(id)
-	for k, o := range v.Ords {
-		if i := p.PosOf(o); i >= 0 {
-			if kept == nil {
-				kept = make(map[ids.EID]scenario.Attr)
-			}
-			kept[p.Targets()[i]] = v.Attrs[k]
-		}
-	}
-	if kept == nil {
-		return nil
-	}
-	return &scenario.EScenario{ID: id, Cell: store.Cell(id), Window: store.Window(id), EIDs: kept}
 }
 
 // rngFor derives a deterministic rand.Rand for a labeled purpose.

@@ -242,28 +242,52 @@ func (m *Matcher) splitStage(ctx context.Context, targets []ids.EID, round int, 
 // splitIteration is Algorithm 3's refinement of p by one window's candidates
 // at once, through the MapReduce (key, value) shuffle over the candidates
 // filtered to the targets, and returns the sets it yields — p's own when no
-// candidate holds a target, since none can then split it. The caller replays the same candidates through
-// the split tree for path bookkeeping and checks the two agree: they are
-// equivalent by construction, and divergence is a bug surfaced rather than
-// hidden.
+// candidate holds a target inclusively, since none can then split it. The
+// caller replays the same candidates through the split tree for path
+// bookkeeping and checks the two agree: they are equivalent by construction,
+// and divergence is a bug surfaced rather than hidden.
 func (m *Matcher) splitIteration(ctx context.Context, p *partition.Partition, cands []scenario.ID) ([][]ids.EID, error) {
-	var winScenarios []*scenario.EScenario
-	for _, id := range cands {
-		if fs := filterView(m.ds.Store, id, p); fs != nil {
-			winScenarios = append(winScenarios, fs)
-		}
-	}
-	if len(winScenarios) == 0 {
+	scenarios := splitScenarios(m.ds.Store, p, cands)
+	if len(scenarios) == 0 {
 		return p.Sets(), nil
 	}
 	res, err := mrjobs.SplitIteration(ctx, m.executor(), mrjobs.SplitInput{
 		Sets:      p.Sets(),
-		Scenarios: winScenarios,
+		Scenarios: scenarios,
 	})
 	if err != nil {
 		return nil, err
 	}
 	return res.Sets, nil
+}
+
+// splitScenarios is Algorithm 3's preprocess step: each candidate as the
+// EIDs it holds inclusively that are targets of p, read off its store view
+// through the ordinals p has bound, ascending (Targets is sorted, so
+// ascending positions are ascending EIDs); a candidate holding none is
+// dropped.
+func splitScenarios(store *scenario.Store, p *partition.Partition, cands []scenario.ID) []mrjobs.SplitScenario {
+	var out []mrjobs.SplitScenario
+	var pos []int32
+	for _, id := range cands {
+		pos = pos[:0]
+		v := store.View(id)
+		for k, o := range v.Ords {
+			if i := p.PosOf(o); i >= 0 && v.Attrs[k] == scenario.AttrInclusive {
+				pos = append(pos, i)
+			}
+		}
+		if len(pos) == 0 {
+			continue
+		}
+		slices.Sort(pos)
+		eids := make([]ids.EID, len(pos))
+		for k, i := range pos {
+			eids[k] = p.Targets()[i]
+		}
+		out = append(out, mrjobs.SplitScenario{ID: id, EIDs: eids})
+	}
+	return out
 }
 
 // PadLists pads lists[i], the positive scenario list of the EID with store

@@ -449,7 +449,7 @@ func TestReadRefusesHostileRecords(t *testing.T) {
 				}
 				spoil(&rec)
 			}
-			if _, err := hostile.Store.AddEIDs(rec.Cell, rec.Window, rec.EIDs, rec.V()); err != nil {
+			if _, err := hostile.Store.Add(rec.Cell, rec.Window, rec.EIDs, rec.V()); err != nil {
 				t.Fatal(err)
 			}
 		}

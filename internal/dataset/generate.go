@@ -285,7 +285,7 @@ func (g *generator) emitScenarios(w int, detections map[geo.CellID][]scenario.De
 		if len(dets) > 0 {
 			vsc = &scenario.VScenario{Cell: cell, Window: w, Detections: dets}
 		}
-		if _, err := g.ds.Store.AddEIDs(cell, w, eids, vsc); err != nil {
+		if _, err := g.ds.Store.Add(cell, w, eids, vsc); err != nil {
 			return fmt.Errorf("dataset: window %d cell %d: %w", w, cell, err)
 		}
 	}

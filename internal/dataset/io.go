@@ -89,7 +89,7 @@ func Read(r io.Reader) (*Dataset, error) {
 		if rec.Window < 0 || rec.Window >= cfg.NumWindows || rec.Cell < 0 || int(rec.Cell) >= d.Layout.NumCells() {
 			return nil, fmt.Errorf("dataset: scenario %d: window %d cell %d outside the world", n, rec.Window, rec.Cell)
 		}
-		if _, err := d.Store.AddEIDs(rec.Cell, rec.Window, rec.EIDs, rec.V()); err != nil {
+		if _, err := d.Store.Add(rec.Cell, rec.Window, rec.EIDs, rec.V()); err != nil {
 			return nil, fmt.Errorf("dataset: rebuild store: %w", err)
 		}
 	}

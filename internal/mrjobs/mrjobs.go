@@ -104,8 +104,16 @@ func parseBatch(v string, n int) (lo, hi int, err error) {
 type SplitInput struct {
 	// Sets holds the current partition's sets (inclusive members only).
 	Sets [][]ids.EID
-	// Scenarios holds the EID sets of the selected E-Scenarios.
-	Scenarios []*scenario.EScenario
+	// Scenarios holds the selected E-Scenarios.
+	Scenarios []SplitScenario
+}
+
+// SplitScenario is one E-Scenario as the preprocess step leaves it: its ID
+// and the EIDs it holds inclusively that are members of the partition's
+// sets, in ascending order. An EID no set holds would form a set of its own.
+type SplitScenario struct {
+	ID   scenario.ID
+	EIDs []ids.EID
 }
 
 // SplitResult is the refined partition after one iteration.
@@ -124,14 +132,12 @@ func SplitIteration(ctx context.Context, exec mapreduce.Executor, in SplitInput)
 	if len(in.Sets) == 0 {
 		return &SplitResult{}, nil
 	}
-	targets := make(map[ids.EID]bool)
 	input := make([]mapreduce.KeyValue, 0, len(in.Sets)+len(in.Scenarios))
 	var strs []string // member buffer reused across records
 	for i, set := range in.Sets {
 		strs = strs[:0]
 		for _, e := range set {
 			strs = append(strs, string(e))
-			targets[e] = true
 		}
 		input = append(input, mapreduce.KeyValue{
 			Key:   setKey(partitionSetPrefix, i),
@@ -140,13 +146,8 @@ func SplitIteration(ctx context.Context, exec mapreduce.Executor, in SplitInput)
 	}
 	for _, s := range in.Scenarios {
 		strs = strs[:0]
-		for _, e := range s.SortedEIDs() {
-			if s.Inclusive(e) && targets[e] {
-				strs = append(strs, string(e))
-			}
-		}
-		if len(strs) == 0 {
-			continue
+		for _, e := range s.EIDs {
+			strs = append(strs, string(e))
 		}
 		input = append(input, mapreduce.KeyValue{
 			Key:   setKey(scenarioSetPrefix, int(s.ID)),

@@ -25,11 +25,8 @@ func escFor(id scenario.ID, eids ...ids.EID) *scenario.EScenario {
 
 func TestSplitIterationBasic(t *testing.T) {
 	in := SplitInput{
-		Sets: [][]ids.EID{{"a", "b", "c", "d"}},
-		Scenarios: []*scenario.EScenario{
-			escFor(1, "a", "b"),
-			escFor(2, "a", "c"),
-		},
+		Sets:      [][]ids.EID{{"a", "b", "c", "d"}},
+		Scenarios: []SplitScenario{{1, []ids.EID{"a", "b"}}, {2, []ids.EID{"a", "c"}}},
 	}
 	res, err := SplitIteration(context.Background(), mapreduce.SerialExecutor{}, in)
 	if err != nil {
@@ -54,22 +51,6 @@ func TestSplitIterationEmpty(t *testing.T) {
 	}
 }
 
-func TestSplitIterationIgnoresNonTargetEIDs(t *testing.T) {
-	// Scenario members outside the partition's targets must not leak in.
-	in := SplitInput{
-		Sets:      [][]ids.EID{{"a", "b"}},
-		Scenarios: []*scenario.EScenario{escFor(1, "a", "z")},
-	}
-	res, err := SplitIteration(context.Background(), mapreduce.SerialExecutor{}, in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := [][]ids.EID{{"a"}, {"b"}}
-	if !reflect.DeepEqual(res.Sets, want) {
-		t.Errorf("Sets = %v, want %v", res.Sets, want)
-	}
-}
-
 // TestSplitIterationMatchesTreePartition is the MR-vs-serial equivalence
 // property: refining the partition through the MapReduce shuffle must give
 // the same sets as sequentially applying every scenario to the split tree.
@@ -81,7 +62,7 @@ func TestSplitIterationMatchesTreePartition(t *testing.T) {
 		for i := range targets {
 			targets[i] = ids.EID(rune('a' + i))
 		}
-		var scenarios []*scenario.EScenario
+		var scenarios []SplitScenario
 		numSc := 1 + rng.Intn(6)
 		for s := 0; s < numSc; s++ {
 			var members []ids.EID
@@ -90,7 +71,7 @@ func TestSplitIterationMatchesTreePartition(t *testing.T) {
 					members = append(members, e)
 				}
 			}
-			scenarios = append(scenarios, escFor(scenario.ID(s), members...))
+			scenarios = append(scenarios, SplitScenario{scenario.ID(s), members})
 		}
 
 		tree, err := partition.New(targets)
@@ -98,7 +79,7 @@ func TestSplitIterationMatchesTreePartition(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, s := range scenarios {
-			tree.SplitBy(s)
+			tree.SplitBy(escFor(s.ID, s.EIDs...))
 		}
 
 		for name, exec := range map[string]mapreduce.Executor{
@@ -121,7 +102,7 @@ func TestSplitIterationRefinesIteratively(t *testing.T) {
 	// Feeding the output sets into a second iteration keeps refining.
 	sets := [][]ids.EID{{"a", "b", "c", "d", "e", "f"}}
 	first, err := SplitIteration(context.Background(), mapreduce.SerialExecutor{},
-		SplitInput{Sets: sets, Scenarios: []*scenario.EScenario{escFor(1, "a", "b", "c")}})
+		SplitInput{Sets: sets, Scenarios: []SplitScenario{{1, []ids.EID{"a", "b", "c"}}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +110,7 @@ func TestSplitIterationRefinesIteratively(t *testing.T) {
 		t.Fatalf("first iteration sets = %v", first.Sets)
 	}
 	second, err := SplitIteration(context.Background(), mapreduce.SerialExecutor{},
-		SplitInput{Sets: first.Sets, Scenarios: []*scenario.EScenario{escFor(2, "a", "d")}})
+		SplitInput{Sets: first.Sets, Scenarios: []SplitScenario{{2, []ids.EID{"a", "d"}}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,10 +143,10 @@ func newVWorld(t *testing.T, persons int) *vWorld {
 
 func (w *vWorld) add(t *testing.T, window int, persons ...int) scenario.ID {
 	t.Helper()
-	eids := make(map[ids.EID]scenario.Attr)
+	eids := make([]scenario.EIDAttr, 0, len(persons))
 	dets := make([]scenario.Detection, 0, len(persons))
 	for _, p := range persons {
-		eids[ids.EID(rune('a'+p))] = scenario.AttrInclusive
+		eids = append(eids, scenario.EIDAttr{EID: ids.EID(rune('a' + p)), Attr: scenario.AttrInclusive})
 		obs := w.gallery.Observe(p, 0.03, w.rng)
 		dets = append(dets, scenario.Detection{
 			VID:        ids.VIDLabel(p),
@@ -173,9 +154,9 @@ func (w *vWorld) add(t *testing.T, window int, persons ...int) scenario.ID {
 			TruePerson: p,
 		})
 	}
-	e := &scenario.EScenario{Cell: geo.CellID(window % 16), Window: window, EIDs: eids}
-	v := &scenario.VScenario{Cell: e.Cell, Window: window, Detections: dets}
-	id, err := w.store.Add(e, v)
+	cell := geo.CellID(window % 16)
+	v := &scenario.VScenario{Cell: cell, Window: window, Detections: dets}
+	id, err := w.store.Add(cell, window, eids, v)
 	if err != nil {
 		t.Fatal(err)
 	}

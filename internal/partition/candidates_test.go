@@ -19,7 +19,11 @@ func eid(n int) ids.EID { return ids.EID(fmt.Sprintf("e%02d", n)) }
 // EID→attr set. Test stores are well-formed, so an Add error is fatal.
 func addScenario(t *testing.T, st *scenario.Store, cell geo.CellID, w int, eids map[ids.EID]scenario.Attr) scenario.ID {
 	t.Helper()
-	id, err := st.Add(&scenario.EScenario{Cell: cell, Window: w, EIDs: eids}, nil)
+	list := make([]scenario.EIDAttr, 0, len(eids))
+	for _, e := range ids.SortedEIDKeys(eids) {
+		list = append(list, scenario.EIDAttr{EID: e, Attr: eids[e]})
+	}
+	id, err := st.Add(cell, w, list, nil)
 	if err != nil {
 		t.Fatalf("Add: %v", err)
 	}
@@ -103,7 +107,7 @@ func (b *bound) want(w int) []scenario.ID {
 func wantHeld(st *scenario.Store, e ids.EID, w int) []scenario.ID {
 	var want []scenario.ID
 	for _, id := range st.AtWindow(w) {
-		if st.E(id).Inclusive(e) {
+		if st.E(id).EIDs[e] == scenario.AttrInclusive {
 			want = append(want, id)
 		}
 	}

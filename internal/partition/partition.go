@@ -46,9 +46,6 @@ import (
 // ErrNoTargets reports an attempt to build a partition with no EIDs.
 var ErrNoTargets = errors.New("partition: no target EIDs")
 
-// ErrUnknownEID reports a query for an EID outside the partition.
-var ErrUnknownEID = errors.New("partition: unknown EID")
-
 // eidIndex is the partition's fixed EID universe: bit i of every node set
 // refers to eids[i]. EIDs are indexed in sorted order.
 type eidIndex struct {
@@ -86,13 +83,6 @@ func (n *Node) isLeaf() bool { return n.Left == nil && n.Right == nil }
 func (n *Node) InclusiveEIDs() []ids.EID {
 	out := make([]ids.EID, 0, n.nInc)
 	n.inc.ForEach(func(i int) { out = append(out, n.idx.eids[i]) })
-	return out
-}
-
-// VagueEIDs returns the sorted vague members.
-func (n *Node) VagueEIDs() []ids.EID {
-	out := make([]ids.EID, 0, n.vag.Count())
-	n.vag.ForEach(func(i int) { out = append(out, n.idx.eids[i]) })
 	return out
 }
 
@@ -520,14 +510,11 @@ func (p *Partition) splitNode(leaf *Node) (left, right *Node, ok bool) {
 	return left, right, true
 }
 
-// PositiveScenarios returns, for target EID e, the scenarios along its
-// root-to-home path in which e was confirmed (left turns): the EID's
-// coarse-grained distinguishing trajectory handed to the V stage.
-func (p *Partition) PositiveScenarios(e ids.EID) ([]scenario.ID, error) {
-	i, ok := p.idx.pos[e]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrUnknownEID, e)
-	}
+// PositiveScenarios returns, for the target at position i in Targets, the
+// scenarios along its root-to-home path in which it was confirmed (left
+// turns): the EID's coarse-grained distinguishing trajectory handed to the
+// V stage.
+func (p *Partition) PositiveScenarios(i int) []scenario.ID {
 	home := p.home(i)
 	var out []scenario.ID
 	n := p.root
@@ -539,14 +526,14 @@ func (p *Partition) PositiveScenarios(e ids.EID) ([]scenario.ID, error) {
 			n = n.Right
 		}
 	}
-	return out, nil
+	return out
 }
 
 // Targets returns the partition's EIDs, sorted and deduplicated: the order
 // AllPositiveScenarios indexes by. The slice is shared.
 func (p *Partition) Targets() []ids.EID { return p.idx.eids }
 
-// AllPositiveScenarios returns PositiveScenarios(Targets()[i]) for every i
+// AllPositiveScenarios returns PositiveScenarios(i) for every i
 // from one walk of the split tree — one visit per node, where a descent per
 // target re-walks the shared upper tree: the stack of left-turn scenarios at
 // a leaf is the list of each of its inclusive members, who share one slice.
@@ -567,15 +554,6 @@ func (p *Partition) AllPositiveScenarios() [][]scenario.ID {
 	}
 	walk(p.root)
 	return out
-}
-
-// Resolved reports whether e's home set contains no other inclusive EID.
-func (p *Partition) Resolved(e ids.EID) (bool, error) {
-	i, ok := p.idx.pos[e]
-	if !ok {
-		return false, fmt.Errorf("%w: %s", ErrUnknownEID, e)
-	}
-	return p.home(i).nInc == 1, nil
 }
 
 // PostOrder returns the targets, as positions in Targets, in the matching

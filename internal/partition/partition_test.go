@@ -17,6 +17,15 @@ func esc(id scenario.ID, eids ...ids.EID) *scenario.EScenario {
 	return &scenario.EScenario{ID: id, EIDs: m}
 }
 
+// eidList is set as a store adds it, in ascending EID order.
+func eidList(set map[ids.EID]scenario.Attr) []scenario.EIDAttr {
+	list := make([]scenario.EIDAttr, 0, len(set))
+	for _, e := range ids.SortedEIDKeys(set) {
+		list = append(list, scenario.EIDAttr{EID: e, Attr: set[e]})
+	}
+	return list
+}
+
 // escAttr builds an E-Scenario with explicit attributes.
 func escAttr(id scenario.ID, m map[ids.EID]scenario.Attr) *scenario.EScenario {
 	return &scenario.EScenario{ID: id, EIDs: m}
@@ -62,11 +71,7 @@ func TestSingleTargetIsImmediatelyDone(t *testing.T) {
 	if !p.Done() {
 		t.Error("single-EID partition should be done")
 	}
-	pos, err := p.PositiveScenarios("only")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pos) != 0 {
+	if pos := p.PositiveScenarios(0); len(pos) != 0 {
 		t.Errorf("PositiveScenarios = %v", pos)
 	}
 }
@@ -129,11 +134,8 @@ func TestPositiveScenariosArePathLeftTurns(t *testing.T) {
 		"c": {2},
 		"d": nil,
 	}
-	for e, wantList := range want {
-		got, err := p.PositiveScenarios(e)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for i, e := range p.Targets() {
+		got, wantList := p.PositiveScenarios(i), want[e]
 		if len(got) != len(wantList) {
 			t.Errorf("PositiveScenarios(%s) = %v, want %v", e, got, wantList)
 			continue
@@ -143,9 +145,6 @@ func TestPositiveScenariosArePathLeftTurns(t *testing.T) {
 				t.Errorf("PositiveScenarios(%s) = %v, want %v", e, got, wantList)
 			}
 		}
-	}
-	if _, err := p.PositiveScenarios("zz"); err == nil {
-		t.Error("want ErrUnknownEID")
 	}
 }
 
@@ -179,10 +178,7 @@ func TestPostOrderRuleOutProperty(t *testing.T) {
 		matched := map[ids.EID]bool{}
 		for _, i := range p.PostOrder() {
 			e := p.Targets()[i]
-			pos, err := p.PositiveScenarios(e)
-			if err != nil {
-				t.Fatal(err)
-			}
+			pos := p.PositiveScenarios(i)
 			// Intersect the positive scenarios' member sets.
 			inter := map[ids.EID]bool{}
 			for _, other := range targets {
@@ -191,7 +187,7 @@ func TestPostOrderRuleOutProperty(t *testing.T) {
 			for _, sid := range pos {
 				s := scenarios[sid]
 				for other := range inter {
-					if !s.Contains(other) {
+					if _, ok := s.EIDs[other]; !ok {
 						delete(inter, other)
 					}
 				}

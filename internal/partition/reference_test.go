@@ -181,7 +181,7 @@ func TestSplitByMatchesAllLeavesReference(t *testing.T) {
 		st := scenario.NewStore(nil)
 		place := rand.New(rand.NewSource(int64(world)))
 		for _, s := range scenarios {
-			if _, err := st.Add(&scenario.EScenario{Cell: geo.CellID(place.Intn(6)), Window: place.Intn(4), EIDs: s.EIDs}, nil); err != nil {
+			if _, err := st.Add(geo.CellID(place.Intn(6)), place.Intn(4), eidList(s.EIDs), nil); err != nil {
 				t.Fatalf("world %d: Add: %v", world, err)
 			}
 		}
@@ -211,12 +211,9 @@ func TestSplitByMatchesAllLeavesReference(t *testing.T) {
 			if g, w := p.PostOrder(), ref.PostOrder(); !reflect.DeepEqual(g, w) {
 				t.Fatalf("world %d step %d: PostOrder = %v, reference %v", world, step, g, w)
 			}
-			for _, e := range targets {
-				g, gerr := p.PositiveScenarios(e)
-				w, werr := ref.PositiveScenarios(e)
-				if gerr != nil || werr != nil || !reflect.DeepEqual(g, w) {
-					t.Fatalf("world %d step %d: PositiveScenarios(%s) = %v (%v), reference %v (%v)",
-						world, step, e, g, gerr, w, werr)
+			for i, e := range p.Targets() {
+				if g, w := p.PositiveScenarios(i), ref.PositiveScenarios(i); !reflect.DeepEqual(g, w) {
+					t.Fatalf("world %d step %d: PositiveScenarios(%s) = %v, reference %v", world, step, e, g, w)
 				}
 			}
 			// The order resolutions fire in within one call follows the

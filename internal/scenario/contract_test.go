@@ -77,9 +77,9 @@ func checkContract(t *testing.T, label string, st *Store, added []*EScenario, pr
 
 // TestStoreContractProperty adds random and hostile scenarios — empty EID
 // sets, vague-only sets, EIDs first seen in a later window, an EID inclusive
-// in several scenarios of one window, negative windows and cells — through
-// both Add forms, reading windows' postings between Adds, and holds the
-// store to what was added after every few steps.
+// in several scenarios of one window, negative windows and cells — each EID
+// list shuffled, reading windows' postings between Adds, and holds the store
+// to what was added after every few steps.
 func TestStoreContractProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	for trial := 0; trial < 40; trial++ {
@@ -108,18 +108,9 @@ func TestStoreContractProperty(t *testing.T) {
 				}
 			}
 			cell := geo.CellID(rng.Intn(numCells) - 1)
-			var err error
-			if rng.Intn(2) == 0 {
-				_, err = st.Add(newEScenario(cell, w, maps.Clone(set)), nil)
-			} else {
-				list := make([]EIDAttr, 0, len(set))
-				for _, e := range ids.SortedEIDKeys(set) {
-					list = append(list, EIDAttr{EID: e, Attr: set[e]})
-				}
-				rng.Shuffle(len(list), func(i, j int) { list[i], list[j] = list[j], list[i] })
-				_, err = st.AddEIDs(cell, w, list, nil)
-			}
-			if err != nil {
+			list := eidList(set)
+			rng.Shuffle(len(list), func(i, j int) { list[i], list[j] = list[j], list[i] })
+			if _, err := st.Add(cell, w, list, nil); err != nil {
 				t.Fatalf("trial %d step %d: %v", trial, step, err)
 			}
 			added = append(added, &EScenario{Cell: cell, Window: w, EIDs: set})
@@ -143,10 +134,10 @@ func TestStoreContractProperty(t *testing.T) {
 func TestStoreRefusesRepeatedEIDs(t *testing.T) {
 	st := NewStore(nil)
 	mustAdd(t, st, 1, 0, map[ids.EID]Attr{"a": AttrInclusive})
-	if _, err := st.AddEIDs(2, 0, []EIDAttr{{"b", AttrInclusive}, {"a", AttrVague}, {"b", AttrVague}}, nil); err == nil {
+	if _, err := st.Add(2, 0, []EIDAttr{{"b", AttrInclusive}, {"a", AttrVague}, {"b", AttrVague}}, nil); err == nil {
 		t.Error("a list naming b twice was stored")
 	}
-	if _, err := st.AddEIDs(2, 0, []EIDAttr{{"c", AttrInclusive}}, &VScenario{Cell: 3}); err == nil {
+	if _, err := st.Add(2, 0, []EIDAttr{{"c", AttrInclusive}}, &VScenario{Cell: 3}); err == nil {
 		t.Error("a V side from another cell was stored")
 	}
 	mustAdd(t, st, 2, 0, map[ids.EID]Attr{"b": AttrVague})
@@ -178,7 +169,7 @@ func TestStoreBytesPerEIDPair(t *testing.T) {
 		for k, off := 0, rng.Intn(numEIDs); k < perScenario; k++ {
 			set[eids[(off+k)%numEIDs]] = Attr(1 + rng.Intn(2))
 		}
-		if _, err := st.Add(newEScenario(geo.CellID(n%500), n/500, set), nil); err != nil {
+		if _, err := st.Add(geo.CellID(n%500), n/500, eidList(set), nil); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -152,7 +152,7 @@ func TestDetectionOrdinals(t *testing.T) {
 		{Cell: 2, Detections: []Detection{{VID: "c"}, {VID: "a"}}},
 	}
 	for _, v := range vs {
-		if _, err := st.Add(newEScenario(v.Cell, 0, nil), v); err != nil {
+		if _, err := st.Add(v.Cell, 0, nil, v); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -179,7 +179,7 @@ func TestDetectionOrdinals(t *testing.T) {
 func TestOrdinalTablesGrowOnlyOnFirstTouch(t *testing.T) {
 	st := NewStore(nil)
 	v := &VScenario{Cell: 1, Detections: []Detection{{VID: "V1"}}}
-	if _, err := st.Add(newEScenario(1, 0, map[ids.EID]Attr{"a": AttrInclusive, "b": AttrVague}), v); err != nil {
+	if _, err := st.Add(1, 0, []EIDAttr{{"a", AttrInclusive}, {"b", AttrVague}}, v); err != nil {
 		t.Fatal(err)
 	}
 	if st.NumOrdinals() != 2 || st.NumVIDs() != 0 {

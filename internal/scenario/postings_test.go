@@ -15,7 +15,7 @@ func postEID(n int) ids.EID { return ids.EID(fmt.Sprintf("p%02d", n)) }
 
 func mustAdd(t *testing.T, st *Store, cell geo.CellID, w int, eids map[ids.EID]Attr) ID {
 	t.Helper()
-	id, err := st.Add(newEScenario(cell, w, eids), nil)
+	id, err := st.Add(cell, w, eidList(eids), nil)
 	if err != nil {
 		t.Fatalf("Add: %v", err)
 	}
@@ -67,7 +67,7 @@ func checkPostings(t *testing.T, label string, st *Store, probes []ids.EID) {
 		for _, e := range probes {
 			var want []ID
 			for _, id := range order {
-				if st.E(id).Inclusive(e) {
+				if st.E(id).EIDs[e] == AttrInclusive {
 					want = append(want, id)
 				}
 			}
@@ -199,7 +199,7 @@ func cityStore(b *testing.B, numEIDs, numCells, numWindows int) *Store {
 			}
 		}
 		for c, set := range cells {
-			if _, err := st.Add(newEScenario(geo.CellID(c), w, set), nil); err != nil {
+			if _, err := st.Add(geo.CellID(c), w, eidList(set), nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -219,7 +219,7 @@ func BenchmarkPostingsFirstTouch(b *testing.B) {
 	}
 	fill := func(st *Store) {
 		for i := range recs {
-			if _, err := st.AddEIDs(recs[i].Cell, recs[i].Window, recs[i].EIDs, nil); err != nil {
+			if _, err := st.Add(recs[i].Cell, recs[i].Window, recs[i].EIDs, nil); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -26,18 +26,6 @@ type EIDAttr struct {
 	Attr Attr
 }
 
-// SortedEIDAttrs flattens an EID set into a record's EID list (nil if empty).
-func SortedEIDAttrs(set map[ids.EID]Attr) []EIDAttr {
-	if len(set) == 0 {
-		return nil
-	}
-	out := make([]EIDAttr, 0, len(set))
-	for _, eid := range ids.SortedEIDKeys(set) {
-		out = append(out, EIDAttr{EID: eid, Attr: set[eid]})
-	}
-	return out
-}
-
 // Record is the record of stored pair id, v being its V side as the caller
 // fetched or paged it in; the record shares v's detections.
 func (st *Store) Record(id ID, v *VScenario) Record {

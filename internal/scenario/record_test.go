@@ -22,7 +22,7 @@ func validRecord() Record {
 func TestRecordPairRoundTrip(t *testing.T) {
 	want := validRecord()
 	st := NewStore(nil)
-	id, err := st.AddEIDs(want.Cell, want.Window, want.EIDs, want.V())
+	id, err := st.Add(want.Cell, want.Window, want.EIDs, want.V())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,8 +6,6 @@
 package scenario
 
 import (
-	"fmt"
-
 	"evmatching/internal/feature"
 	"evmatching/internal/geo"
 	"evmatching/internal/ids"
@@ -45,7 +43,8 @@ func (a Attr) String() string {
 }
 
 // EScenario is the electronic half of an EV-Scenario: the set of EIDs
-// captured in one cell during one window, each with its zone attribute.
+// captured in one cell during one window, each with its zone attribute, as
+// Store.E copies it out of the store's view.
 type EScenario struct {
 	ID     ID               `json:"id"`
 	Cell   geo.CellID       `json:"cell"`
@@ -53,35 +52,8 @@ type EScenario struct {
 	EIDs   map[ids.EID]Attr `json:"eids"`
 }
 
-// Contains reports whether e appears in the scenario (in any zone).
-func (s *EScenario) Contains(e ids.EID) bool {
-	_, ok := s.EIDs[e]
-	return ok
-}
-
-// AttrOf returns the zone attribute of e and whether e appears at all.
-func (s *EScenario) AttrOf(e ids.EID) (Attr, bool) {
-	a, ok := s.EIDs[e]
-	return a, ok
-}
-
-// Inclusive reports whether e appears with the inclusive attribute.
-func (s *EScenario) Inclusive(e ids.EID) bool {
-	return s.EIDs[e] == AttrInclusive
-}
-
-// Len returns the number of EIDs in the scenario.
-func (s *EScenario) Len() int { return len(s.EIDs) }
-
-// SortedEIDs returns the scenario's EIDs in sorted order, for deterministic
-// iteration.
-func (s *EScenario) SortedEIDs() []ids.EID {
-	out := make([]ids.EID, 0, len(s.EIDs))
-	for e := range s.EIDs {
-		out = append(out, e)
-	}
-	return ids.SortEIDs(out)
-}
+// SortedEIDs returns the scenario's EIDs in ascending order.
+func (s *EScenario) SortedEIDs() []ids.EID { return ids.SortedEIDKeys(s.EIDs) }
 
 // Detection is one captured human figure in a V-Scenario. Matching code may
 // read VID (the re-identification label, available under the paper's
@@ -123,9 +95,4 @@ func (s *VScenario) HasVID(v ids.VID) bool {
 		}
 	}
 	return false
-}
-
-// String implements fmt.Stringer.
-func (s *EScenario) String() string {
-	return fmt.Sprintf("E-Scenario %d (cell %d, window %d, %d EIDs)", s.ID, s.Cell, s.Window, len(s.EIDs))
 }

@@ -9,36 +9,19 @@ import (
 	"evmatching/internal/ids"
 )
 
-func newEScenario(cell geo.CellID, window int, eids map[ids.EID]Attr) *EScenario {
-	return &EScenario{Cell: cell, Window: window, EIDs: eids}
+// eidList is set as a record lists it, in ascending EID order.
+func eidList(set map[ids.EID]Attr) []EIDAttr {
+	list := make([]EIDAttr, 0, len(set))
+	for _, e := range ids.SortedEIDKeys(set) {
+		list = append(list, EIDAttr{EID: e, Attr: set[e]})
+	}
+	return list
 }
 
 func TestEScenarioAccessors(t *testing.T) {
-	s := newEScenario(3, 7, map[ids.EID]Attr{
-		"bb": AttrInclusive,
-		"aa": AttrVague,
-	})
-	if !s.Contains("aa") || !s.Contains("bb") || s.Contains("cc") {
-		t.Error("Contains wrong")
-	}
-	if a, ok := s.AttrOf("aa"); !ok || a != AttrVague {
-		t.Errorf("AttrOf(aa) = %v, %v", a, ok)
-	}
-	if _, ok := s.AttrOf("zz"); ok {
-		t.Error("AttrOf(absent) reported present")
-	}
-	if !s.Inclusive("bb") || s.Inclusive("aa") || s.Inclusive("zz") {
-		t.Error("Inclusive wrong")
-	}
-	if s.Len() != 2 {
-		t.Errorf("Len = %d", s.Len())
-	}
-	sorted := s.SortedEIDs()
-	if len(sorted) != 2 || sorted[0] != "aa" || sorted[1] != "bb" {
+	s := &EScenario{Cell: 3, Window: 7, EIDs: map[ids.EID]Attr{"bb": AttrInclusive, "aa": AttrVague}}
+	if sorted := s.SortedEIDs(); len(sorted) != 2 || sorted[0] != "aa" || sorted[1] != "bb" {
 		t.Errorf("SortedEIDs = %v", sorted)
-	}
-	if s.String() == "" {
-		t.Error("empty String()")
 	}
 }
 
@@ -84,15 +67,15 @@ func testLayout(t *testing.T) geo.Layout {
 
 func TestStoreAddAndLookup(t *testing.T) {
 	st := NewStore(testLayout(t))
-	e := newEScenario(2, 5, map[ids.EID]Attr{"aa": AttrInclusive})
 	v := &VScenario{Cell: 2, Window: 5, Detections: []Detection{{VID: "V1"}}}
-	id, err := st.Add(e, v)
+	id, err := st.Add(2, 5, []EIDAttr{{"aa", AttrInclusive}}, v)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.ID != id || v.ID != id {
-		t.Error("Add did not assign IDs")
+	if v.ID != id {
+		t.Error("Add did not assign the V side its ID")
 	}
+	e := &EScenario{ID: id, Cell: 2, Window: 5, EIDs: map[ids.EID]Attr{"aa": AttrInclusive}}
 	if st.Len() != 1 {
 		t.Errorf("Len = %d", st.Len())
 	}
@@ -113,19 +96,15 @@ func TestStoreAddAndLookup(t *testing.T) {
 
 func TestStoreAddValidation(t *testing.T) {
 	st := NewStore(testLayout(t))
-	if _, err := st.Add(nil, nil); err == nil {
-		t.Error("want error for nil E-Scenario")
-	}
-	e := newEScenario(1, 1, nil)
 	v := &VScenario{Cell: 2, Window: 1}
-	if _, err := st.Add(e, v); err == nil {
+	if _, err := st.Add(1, 1, nil, v); err == nil {
 		t.Error("want error for mismatched EV pair")
 	}
 }
 
 func TestStoreNilVScenario(t *testing.T) {
 	st := NewStore(testLayout(t))
-	id, err := st.Add(newEScenario(0, 0, nil), nil)
+	id, err := st.Add(0, 0, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +116,7 @@ func TestStoreNilVScenario(t *testing.T) {
 func TestStoreWindows(t *testing.T) {
 	st := NewStore(testLayout(t))
 	for _, w := range []int{5, 1, 3, 1} {
-		if _, err := st.Add(newEScenario(geo.CellID(w), w, nil), nil); err != nil {
+		if _, err := st.Add(geo.CellID(w), w, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -156,7 +135,7 @@ func TestStoreWindows(t *testing.T) {
 func TestStoreAtWindowSortedByCell(t *testing.T) {
 	st := NewStore(testLayout(t))
 	for _, c := range []geo.CellID{9, 2, 5} {
-		if _, err := st.Add(newEScenario(c, 0, nil), nil); err != nil {
+		if _, err := st.Add(c, 0, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -170,7 +149,7 @@ func TestStoreAtWindowSortedByCell(t *testing.T) {
 func TestStoreShuffledWindowsIsPermutation(t *testing.T) {
 	st := NewStore(testLayout(t))
 	for w := 0; w < 20; w++ {
-		if _, err := st.Add(newEScenario(0, w, nil), nil); err != nil {
+		if _, err := st.Add(0, w, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -80,31 +80,13 @@ func NewStore(layout geo.Layout) *Store {
 // Layout returns the cell layout scenarios are defined over.
 func (st *Store) Layout() geo.Layout { return st.layout }
 
-// Add registers an EV-Scenario pair, assigning its ID to both halves and
-// returning it. The VScenario may be nil when no detections were captured in
-// the cell. The pair's Cell and Window must agree. The store keeps e's EID
-// set as its view and retains neither e nor its map.
-func (st *Store) Add(e *EScenario, v *VScenario) (ID, error) {
-	if e == nil {
-		return NoID, fmt.Errorf("scenario: nil E-Scenario")
-	}
-	st.postMu.Lock()
-	keys := st.viewKeys[:0]
-	//evlint:ignore maprange collects (ordinal, attribute) keys that are sorted before use; ordinals are opaque handles, so the order they are assigned in reaches nothing
-	for eid, attr := range e.EIDs {
-		keys = append(keys, st.keyLocked(eid, attr))
-	}
-	st.postMu.Unlock()
-	id, err := st.add(e.Cell, e.Window, keys, v)
-	if err == nil {
-		e.ID = id
-	}
-	return id, err
-}
-
-// AddEIDs is Add for an EID set given as a list of distinct EIDs in any
-// order — a record's, a generator's — so no map is built for it.
-func (st *Store) AddEIDs(cell geo.CellID, window int, eids []EIDAttr, v *VScenario) (ID, error) {
+// Add registers an EV-Scenario pair — the EID set eids, a list of distinct
+// EIDs in any order (a record's, a generator's, a sealed closure's), and its
+// V side v — returning the ID it assigns to both. v may be nil when no
+// detections were captured in the cell; otherwise its Cell and Window must
+// be cell and window. The store keeps the EID set as its view and retains
+// neither eids nor a map of it.
+func (st *Store) Add(cell geo.CellID, window int, eids []EIDAttr, v *VScenario) (ID, error) {
 	st.postMu.Lock()
 	keys := st.viewKeys[:0]
 	for _, ea := range eids {
@@ -164,8 +146,8 @@ func (st *Store) Cell(id ID) geo.CellID { return st.at[id].cell }
 func (st *Store) Window(id ID) int { return st.at[id].window }
 
 // E returns a fresh copy of the E-Scenario with the given ID, its EID map
-// built from the view, or nil if out of range. It costs a map per call:
-// matching paths read View instead.
+// built from the view, or nil if out of range. It costs a map per call, and
+// no matching path calls it: they read View instead.
 func (st *Store) E(id ID) *EScenario {
 	if int(id) < 0 || int(id) >= len(st.at) {
 		return nil

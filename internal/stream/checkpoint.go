@@ -202,13 +202,12 @@ func (e *Engine) checkpointLocked(front *frontier, open []scenario.Record) (*che
 		Seed:        e.cfg.Seed,
 		Dim:         e.cfg.Dim,
 		Targets:     e.cfg.Targets,
-		Seq:         e.seq,
+		Seq:         len(e.emitted),
 		Buckets:     open,
 		Scenarios:   make([]scenario.Record, 0, e.store.Len()),
 		Resolutions: e.emitted,
-		Accepted:    ids.SortedVIDKeys(e.accepted),
-		Resolved:    ids.SortedEIDKeys(e.resolved),
 	}
+	cp.Resolved, cp.Accepted = answered(e.emitted)
 	for id := scenario.ID(0); int(id) < e.store.Len(); id++ {
 		v, err := e.store.VChecked(id)
 		if err != nil {
@@ -220,15 +219,32 @@ func (e *Engine) checkpointLocked(front *frontier, open []scenario.Record) (*che
 	return cp, nil
 }
 
-// bucketToCheckpoint flattens one open bucket into its checkpoint form: the
-// EID map becomes a sorted (EID, attr) slice and the detections are put in
-// canonical form, so an image is sorted, free of repeats and the same for
-// every arrival order — and redelivered batches cost it nothing. The image
-// stays valid while the live bucket keeps absorbing: canonicalDets copies
-// whatever it has to reorder, and a bucket only ever appends.
+// bucketToCheckpoint images one open bucket: its EIDs and its detections,
+// each in canonical form, so an image is sorted, free of repeats and the same
+// for every arrival order — and redelivered batches cost it nothing. The
+// image stays valid while the live bucket keeps absorbing: canonicalEIDs and
+// canonicalDets copy whatever they have to reorder, and a bucket only ever
+// appends.
 func bucketToCheckpoint(k bucketKey, b *bucket) scenario.Record {
 	dets, _ := canonicalDets(b.dets)
-	return scenario.Record{Window: k.Window, Cell: k.Cell, EIDs: scenario.SortedEIDAttrs(b.eids), Dets: dets}
+	return scenario.Record{Window: k.Window, Cell: k.Cell, EIDs: canonicalEIDs(b.eids), Dets: dets}
+}
+
+// answered returns what a run of resolutions decided, as a checkpoint's tail
+// lists it: the EIDs resolved and the VIDs ruled out — the non-empty VIDs of
+// the acceptable answers — each sorted and once.
+func answered(rs []Resolution) ([]ids.EID, []ids.VID) {
+	resolved := make([]ids.EID, 0, len(rs))
+	var accepted []ids.VID
+	for i := range rs {
+		resolved = append(resolved, rs[i].EID)
+		if rs[i].Acceptable && rs[i].VID != ids.NoVID {
+			accepted = append(accepted, rs[i].VID)
+		}
+	}
+	slices.Sort(resolved)
+	slices.Sort(accepted)
+	return slices.Compact(resolved), slices.Compact(accepted)
 }
 
 // Restore builds an Engine from cfg and resumes it from a checkpoint — an
@@ -256,7 +272,10 @@ func Restore(cfg Config, r io.Reader) (*Engine, error) {
 }
 
 // guardCheckpoint rejects a checkpoint whose windowing or matching
-// parameters disagree with the engine's config.
+// parameters disagree with the engine's config, or whose answers disagree
+// with themselves: Seq, Accepted and Resolved must be what Checkpoint
+// derives from Resolutions, and the resolutions numbered 1, 2, … and each a
+// distinct target's.
 func (e *Engine) guardCheckpoint(cp *checkpointFile) error {
 	switch {
 	case cp.WindowMS != e.cfg.WindowMS:
@@ -270,13 +289,30 @@ func (e *Engine) guardCheckpoint(cp *checkpointFile) error {
 	case !slices.Equal(cp.Targets, e.cfg.Targets):
 		return fmt.Errorf("%w: target set differs from config", ErrBadCheckpoint)
 	}
+	resolved, accepted := answered(cp.Resolutions)
+	switch {
+	case cp.Seq != len(cp.Resolutions):
+		return fmt.Errorf("%w: seq %d after %d resolutions", ErrBadCheckpoint, cp.Seq, len(cp.Resolutions))
+	case len(resolved) != len(cp.Resolutions):
+		return fmt.Errorf("%w: an EID resolved twice", ErrBadCheckpoint)
+	case !slices.Equal(cp.Resolved, resolved):
+		return fmt.Errorf("%w: resolved EIDs differ from the resolutions'", ErrBadCheckpoint)
+	case !slices.Equal(cp.Accepted, accepted):
+		return fmt.Errorf("%w: accepted VIDs differ from the resolutions'", ErrBadCheckpoint)
+	}
+	for i := range cp.Resolutions {
+		res := &cp.Resolutions[i]
+		if _, ok := slices.BinarySearch(e.part.Targets(), res.EID); !ok || res.Seq != i+1 {
+			return fmt.Errorf("%w: resolution %d, seq %d, of %q: out of sequence or of no target", ErrBadCheckpoint, i+1, res.Seq, res.EID)
+		}
+	}
 	return nil
 }
 
-// restoreMatchState resumes the fold from a checkpoint: after the config
-// guard it re-adds the closed scenarios in ID order (the fresh store assigns
-// the same IDs) and replays the split — the partition is a pure fold over
-// them — then takes the resolutions and rule-out sets.
+// restoreMatchState resumes the fold from a checkpoint: after the guard it
+// re-adds the closed scenarios in ID order (the fresh store assigns the same
+// IDs) and replays the split — the partition is a pure fold over them — then
+// takes the resolutions and rebuilds from them what they rule out.
 func (e *Engine) restoreMatchState(cp *checkpointFile) error {
 	if err := e.guardCheckpoint(cp); err != nil {
 		return err
@@ -298,16 +334,16 @@ func (e *Engine) restoreMatchState(cp *checkpointFile) error {
 			return fmt.Errorf("%w: scenario %d re-added as %d", ErrBadCheckpoint, i, id)
 		}
 	}
-	e.seq = cp.Seq
+	// The guard held Resolved and Accepted to what the resolutions decided.
 	e.emitted = cp.Resolutions
-	for _, eid := range cp.Resolved {
-		e.resolved[eid] = true
-	}
 	// The replay re-resolved every target the partition had resolved; those
 	// the checkpoint already answered are not pending.
-	e.pending = slices.DeleteFunc(e.pending, func(i int) bool { return e.resolved[e.part.Targets()[i]] })
+	e.pending = slices.DeleteFunc(e.pending, func(i int) bool {
+		_, done := slices.BinarySearch(cp.Resolved, e.part.Targets()[i])
+		return done
+	})
 	for _, vid := range cp.Accepted {
-		e.accept(vid)
+		e.exclusion.Add(vid)
 	}
 	return nil
 }

@@ -210,6 +210,49 @@ func TestRestoreRefusesHostileRecords(t *testing.T) {
 	}
 }
 
+// TestRestoreRefusesInconsistentAnswers: an image's Seq, Accepted and
+// Resolved are what Checkpoint derives from its Resolutions, which are
+// numbered from 1 and each answer a distinct target. An image that breaks any of these
+// would restore an engine numbering its next answer from the wrong Seq, or
+// ruling out the wrong VIDs, so both restore entry points refuse it with
+// ErrBadCheckpoint.
+func TestRestoreRefusesInconsistentAnswers(t *testing.T) {
+	for name, spoil := range map[string]func(*checkpointFile){
+		"seq ahead":         func(cp *checkpointFile) { cp.Seq = 5 },
+		"seq behind":        func(cp *checkpointFile) { cp.Seq = 0 },
+		"misnumbered":       func(cp *checkpointFile) { cp.Resolutions[0].Seq = 7 },
+		"accepted missing":  func(cp *checkpointFile) { cp.Accepted = nil },
+		"accepted extra":    func(cp *checkpointFile) { cp.Accepted = []ids.VID{"v-1", "v-2"} },
+		"accepted rejected": func(cp *checkpointFile) { cp.Resolutions[0].Acceptable = false },
+		"resolved missing":  func(cp *checkpointFile) { cp.Resolved = nil },
+		"resolved extra":    func(cp *checkpointFile) { cp.Resolved = []ids.EID{"e-1", "e-2"} },
+		"non-target": func(cp *checkpointFile) {
+			cp.Resolutions[0].EID, cp.Resolved = "e-9", []ids.EID{"e-9"}
+		},
+		"resolved twice": func(cp *checkpointFile) {
+			again := cp.Resolutions[0]
+			again.Seq, again.VID, again.Acceptable = 2, "", false
+			cp.Resolutions, cp.Seq = append(cp.Resolutions, again), 2
+		},
+	} {
+		img := goldenImage()
+		spoil(img)
+		var buf bytes.Buffer
+		if err := img.write(&buf); err != nil {
+			t.Fatalf("%s: write: %v", name, err)
+		}
+		if _, err := Restore(goldenConfig(), bytes.NewReader(buf.Bytes())); !errors.Is(err, ErrBadCheckpoint) {
+			t.Errorf("%s: Restore err = %v, want ErrBadCheckpoint", name, err)
+		}
+		if r, err := RestoreRouter(RouterConfig{Config: goldenConfig(), Shards: 2}, bytes.NewReader(buf.Bytes())); !errors.Is(err, ErrBadCheckpoint) {
+			t.Errorf("%s: RestoreRouter err = %v, want ErrBadCheckpoint", name, err)
+			if err == nil {
+				r.Close()
+			}
+		}
+	}
+}
+
 // checkpointWithCounts is a valid header announcing scenario and bucket
 // counts the file does not contain.
 func checkpointWithCounts(scenarios, buckets uint64) []byte {
@@ -249,6 +292,13 @@ func FuzzCheckpointDecode(f *testing.F) {
 	flipped := append([]byte{}, valid...)
 	flipped[len(flipped)/3] ^= 0x55
 	f.Add(flipped)
+	ahead := goldenImage()
+	ahead.Seq = 5 // well-formed bytes, answers that disagree with their Seq
+	var aheadBuf bytes.Buffer
+	if err := ahead.write(&aheadBuf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(aheadBuf.Bytes())
 
 	cfg := goldenConfig()
 	f.Fuzz(func(t *testing.T, in []byte) {

@@ -57,11 +57,7 @@ func readObservation(r *wire.Reader, o *Observation) {
 func appendSealedRefs(b []byte, s *ShardSealed) []byte {
 	b = wire.AppendVarint(b, int64(s.Window))
 	b = wire.AppendVarint(b, int64(s.Cell))
-	eids := s.EIDs
-	if s.eids != nil { // never left the process: flatten now
-		eids = scenario.SortedEIDAttrs(s.eids)
-	}
-	b = scenario.AppendEIDAttrs(b, eids)
+	b = scenario.AppendEIDAttrs(b, s.EIDs)
 	return wire.AppendSlice(b, s.Refs, func(b []byte, pos *int64) []byte { return wire.AppendVarint(b, *pos) })
 }
 

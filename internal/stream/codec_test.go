@@ -3,7 +3,6 @@ package stream
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -74,11 +73,11 @@ func randDetection(rng *rand.Rand) scenario.Detection {
 // randEIDAttrs is an EID list as the record decoder accepts it: strictly
 // ascending EIDs, each inclusive or vague.
 func randEIDAttrs(rng *rand.Rand) []scenario.EIDAttr {
-	set := make(map[ids.EID]scenario.Attr)
-	for n := rng.Intn(4); len(set) < n; {
-		set[ids.EID(randString(rng))] = scenario.Attr(1 + rng.Intn(2))
+	var eids []scenario.EIDAttr
+	for n := rng.Intn(4); n > 0; n-- {
+		eids = append(eids, scenario.EIDAttr{EID: ids.EID(randString(rng)), Attr: scenario.Attr(1 + rng.Intn(2))})
 	}
-	return scenario.SortedEIDAttrs(set)
+	return canonicalEIDs(eids)
 }
 
 func randRecord(rng *rand.Rand) scenario.Record {
@@ -187,37 +186,6 @@ func TestCodecRoundTrip(t *testing.T) {
 		func(rng *rand.Rand) []ShardOut { return randSlice(rng, randShardOut) },
 		func(b []byte, outs *[]ShardOut) []byte { return AppendShardOuts(b, *outs) },
 		func(r *wire.Reader, outs *[]ShardOut) { *outs = ReadShardOuts(r) })
-}
-
-// TestCodecDeterministicFromMaps: the two places a map feeds the codec — an
-// open bucket's image and a sealed closure's wire form — produce identical
-// bytes however the map happens to iterate, because both flatten through a
-// sorted key list. Forty rebuilds of a 64-entry map would otherwise differ.
-func TestCodecDeterministicFromMaps(t *testing.T) {
-	build := func() (*bucket, ShardSealed) {
-		b := &bucket{eids: make(map[ids.EID]scenario.Attr)}
-		w := ShardSealed{Window: 2, Cell: 4, eids: make(map[ids.EID]scenario.Attr)}
-		for i := 0; i < 64; i++ {
-			eid := ids.EID(fmt.Sprintf("e-%02d", (i*37)%64))
-			b.absorb(0, Observation{Kind: KindE, EID: eid, Attr: scenario.AttrVague})
-			w.eids[eid] = scenario.AttrInclusive
-		}
-		return b, w
-	}
-	var firstBucket, firstSealed []byte
-	for i := 0; i < 40; i++ {
-		b, w := build()
-		img := bucketToCheckpoint(bucketKey{Window: 2, Cell: 4}, b)
-		gotBucket := scenario.AppendRecord(nil, &img)
-		gotSealed := appendSealedRefs(nil, &w)
-		if i == 0 {
-			firstBucket, firstSealed = gotBucket, gotSealed
-			continue
-		}
-		if !bytes.Equal(gotBucket, firstBucket) || !bytes.Equal(gotSealed, firstSealed) {
-			t.Fatalf("rebuild %d encoded differently", i)
-		}
-	}
 }
 
 // TestCodecRejectsHostileCounts: a list count far beyond what the input

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"evmatching/internal/geo"
-	"evmatching/internal/ids"
 	"evmatching/internal/scenario"
 )
 
@@ -69,20 +68,14 @@ func (p ShardParams) validate() error {
 // the shard wire a closure is Window, Cell, EIDs and Refs only (codec.go): the
 // router's journal holds every pixel and the shard never saw one, so the
 // merge stage rebuilds Dets from Refs and trusts nothing else. EIDs is the
-// EID set flattened to a sorted slice (the same canonical form checkpoints
-// use, so equal closures encode to equal bytes).
+// EID set in canonical form (canonicalEIDs), the form checkpoints and the
+// store take, so equal closures encode to equal bytes.
 type ShardSealed struct {
 	Window int
 	Cell   geo.CellID
 	EIDs   []scenario.EIDAttr
 	Refs   []int64
 	Dets   []scenario.Detection
-
-	// eids is the sealed bucket's EID set itself, carried in place of EIDs
-	// by a closure that has not crossed a wire: the codec flattens it at
-	// encode time and the fold adopts it, so an in-process closure never
-	// pays the flatten and the rebuild the wire form needs.
-	eids map[ids.EID]scenario.Attr
 }
 
 // ShardOut is one shard emission: the sealed closures of one close round.
@@ -126,7 +119,7 @@ func (w *ShardWindower) absorb(pos int64, o Observation) {
 	k := bucketKey{Window: int(o.TS / w.p.WindowMS), Cell: o.Cell}
 	b := w.buckets[k]
 	if b == nil {
-		b = &bucket{eids: make(map[ids.EID]scenario.Attr)}
+		b = &bucket{}
 		w.buckets[k] = b
 	}
 	b.absorb(pos, o)
@@ -156,14 +149,15 @@ func (w *ShardWindower) openKeys(limit int) []bucketKey {
 }
 
 // seal closes every bucket with window < target, in openKeys order. The
-// closures share the buckets' EID sets, detections and journal positions, as
-// they arrived — a sealed bucket is never written again.
+// closures share the buckets' detections and journal positions as they
+// arrived, and their EIDs too when those arrived in canonical form — a
+// sealed bucket is never written again.
 func (w *ShardWindower) seal(target int) []ShardSealed {
 	keys := w.openKeys(target)
 	sealed := make([]ShardSealed, 0, len(keys))
 	for _, k := range keys {
 		b := w.buckets[k]
-		sealed = append(sealed, ShardSealed{Window: k.Window, Cell: k.Cell, eids: b.eids, Dets: b.dets, Refs: b.refs})
+		sealed = append(sealed, ShardSealed{Window: k.Window, Cell: k.Cell, EIDs: canonicalEIDs(b.eids), Dets: b.dets, Refs: b.refs})
 		w.openDets -= int64(len(b.dets))
 		delete(w.buckets, k)
 	}

@@ -29,8 +29,8 @@ var ErrBadConfig = errors.New("stream: invalid config")
 // divergence check in core.
 var ErrDiverged = errors.New("stream: incremental split diverged from batch reference")
 
-// Config parameterizes an Engine. Matching runs at core.Options' defaults
-// (Seed aside), so a stream replay and a batch run agree without tuning.
+// Config parameterizes an Engine. Matching runs at core.Options' defaults,
+// so a stream replay and a batch run agree without tuning.
 type Config struct {
 	// Targets is the EID set to match. Required.
 	Targets []ids.EID
@@ -44,7 +44,10 @@ type Config struct {
 	// Dim is the feature descriptor dimensionality of V patches. Required.
 	Dim int
 
-	// Seed seeds Finalize's batch run (core.Options.Seed). Defaults to 1.
+	// Seed is Finalize's core.Options.Seed, and a checkpoint must carry the
+	// same. It changes no answer: Finalize's serial SS scans windows in
+	// order (core.ScanInOrder), which draws no random number, and
+	// Report.Fingerprint does not hash it. Defaults to 1.
 	Seed int64
 
 	// MemBudget caps the bytes of resident sealed V-Scenario payloads.
@@ -121,14 +124,15 @@ type bucketKey struct {
 }
 
 // bucket accumulates one window+cell's observations until the watermark
-// closes it, and reads no pixel doing so: an EID's attribute upgrades from
-// vague to inclusive but never back, and a V observation is appended as it
-// arrives, repeats and all, beside its journal position. The fold orders and
-// deduplicates the detections (canonicalDets), so any arrival order within
-// the lateness bound still produces the same closed scenario (the
-// permutation property test pins this).
+// closes it, and reads no pixel doing so: an E observation is appended as it
+// arrives, repeats and all, and so is a V observation, beside its journal
+// position. Sealing and imaging put the EIDs in canonical form
+// (canonicalEIDs), and the fold orders and deduplicates the detections
+// (canonicalDets), so any arrival order within the lateness bound still
+// produces the same closed scenario (the permutation property test pins
+// this).
 type bucket struct {
-	eids map[ids.EID]scenario.Attr
+	eids []scenario.EIDAttr
 	dets []scenario.Detection
 	// refs[i] is the journal position (ShardMsg.Pos) of the observation
 	// dets[i] came from — 0 in the Engine's windower, which has no journal.
@@ -139,10 +143,7 @@ type bucket struct {
 func (b *bucket) absorb(pos int64, o Observation) {
 	switch o.Kind {
 	case KindE:
-		// Inclusive wins over vague regardless of arrival order.
-		if cur, ok := b.eids[o.EID]; !ok || (cur == scenario.AttrVague && o.Attr == scenario.AttrInclusive) {
-			b.eids[o.EID] = o.Attr
-		}
+		b.eids = append(b.eids, scenario.EIDAttr{EID: o.EID, Attr: o.Attr})
 	case KindV:
 		d := scenario.Detection{VID: o.VID, TruePerson: o.Person}
 		if o.Patch != nil { // nil off the shard wire, which carries no patch
@@ -151,6 +152,29 @@ func (b *bucket) absorb(pos int64, o Observation) {
 		b.dets = append(b.dets, d)
 		b.refs = append(b.refs, pos)
 	}
+}
+
+// canonicalEIDs returns a bucket's E observations as a scenario holds them:
+// ascending EIDs, each once, inclusive beating vague whatever order they
+// arrived in — the one form an EID set takes from the windower to the store,
+// on the shard wire and in a checkpoint alike. Input already in that form is
+// returned as it is; anything else is copied, never written, because an
+// image of a live bucket is encoded after the engine's lock is released.
+func canonicalEIDs(eids []scenario.EIDAttr) []scenario.EIDAttr {
+	canonical := true
+	for i := 1; i < len(eids) && canonical; i++ {
+		canonical = eids[i-1].EID < eids[i].EID
+	}
+	if canonical {
+		return eids
+	}
+	out := slices.Clone(eids)
+	// AttrInclusive sorts before AttrVague, so each EID's run opens with its
+	// strongest attribute, which the compaction keeps.
+	slices.SortFunc(out, func(a, b scenario.EIDAttr) int {
+		return cmp.Or(cmp.Compare(a.EID, b.EID), cmp.Compare(a.Attr, b.Attr))
+	})
+	return slices.CompactFunc(out, func(a, b scenario.EIDAttr) bool { return a.EID == b.EID })
 }
 
 // compareDets is the total order of detections: VID, TruePerson, pixel bytes,
@@ -241,12 +265,11 @@ type Engine struct {
 	duplicates         int64
 	resolutionsDropped int64
 
-	seq      int
-	emitted  []Resolution
-	resolved map[ids.EID]bool // targets with an emitted resolution
-	accepted map[ids.VID]bool // acceptable VIDs ruled out for later matches
-	// exclusion mirrors accepted in the form filter.Match takes; accepted
-	// stays the checkpointed truth and Restore refills both through accept.
+	// emitted is every resolution in emission order, the one record of the
+	// engine's answers: its length is the last Seq, and a checkpoint derives
+	// its resolved and accepted sets from it. exclusion holds the VIDs its
+	// acceptable answers ruled out, as MatchInOrder fills it.
+	emitted   []Resolution
 	exclusion *vfilter.Exclusion
 
 	subs []chan Resolution // in subscription order, the delivery order
@@ -259,12 +282,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 		return nil, err
 	}
 	cfg.Targets = ids.SortEIDs(append([]ids.EID(nil), cfg.Targets...))
-	e := &Engine{
-		cfg:      cfg,
-		front:    newFrontier(cfg.WindowMS, cfg.LatenessMS),
-		resolved: make(map[ids.EID]bool),
-		accepted: make(map[ids.VID]bool),
-	}
+	e := &Engine{cfg: cfg, front: newFrontier(cfg.WindowMS, cfg.LatenessMS)}
 	if err := e.resetMatchState(); err != nil {
 		return nil, err
 	}
@@ -405,24 +423,18 @@ func (e *Engine) foldLocked(sealed []ShardSealed, target int) error {
 
 // applySealedLocked folds one sealed closure — fresh from a windower, resolved
 // from a shard's references, or replayed from a checkpoint — into the store
-// and partition, adopting its EID set and its detections, canonicalised —
-// every composition comes through here, so this is the one place a scenario's
-// V side is ordered. No features come with it: the filter extracts a scenario
-// the first time a match reads it, so only what SS selects is ever looked at.
-// Callers hold e.mu.
+// and partition: its EID list, canonical wherever it came from, and its
+// detections, canonicalised — every composition comes through here, so this
+// is the one place a scenario's V side is ordered. No features come with it:
+// the filter extracts a scenario the first time a match reads it, so only
+// what SS selects is ever looked at. Callers hold e.mu.
 func (e *Engine) applySealedLocked(w *ShardSealed) (scenario.ID, error) {
 	var vsc *scenario.VScenario
 	if dets, dropped := canonicalDets(w.Dets); len(dets) > 0 {
 		e.duplicates += int64(dropped)
 		vsc = &scenario.VScenario{Cell: w.Cell, Window: w.Window, Detections: dets}
 	}
-	var id scenario.ID
-	var err error
-	if w.eids != nil {
-		id, err = e.store.Add(&scenario.EScenario{Cell: w.Cell, Window: w.Window, EIDs: w.eids}, vsc)
-	} else {
-		id, err = e.store.AddEIDs(w.Cell, w.Window, w.EIDs, vsc)
-	}
+	id, err := e.store.Add(w.Cell, w.Window, w.EIDs, vsc)
 	if err != nil {
 		return id, err
 	}
@@ -483,11 +495,7 @@ func (e *Engine) sweepResolutions(window int) error {
 	ords := make([]int32, len(e.pending))
 	lists := make([][]scenario.ID, len(e.pending))
 	for k, i := range e.pending {
-		pos, err := e.part.PositiveScenarios(e.part.Targets()[i])
-		if err != nil {
-			return err
-		}
-		ords[k], lists[k] = e.ords[i], pos
+		ords[k], lists[k] = e.ords[i], e.part.PositiveScenarios(i)
 	}
 	// Ingest takes no context; the sweep is bounded by its target list.
 	ctx := context.TODO()
@@ -507,13 +515,8 @@ func (e *Engine) sweepResolutions(window int) error {
 	}
 	e.pending = waiting
 	return e.filter.MatchInOrder(ctx, targets, listed, e.exclusion, func(_ int, res vfilter.Result) {
-		e.resolved[res.EID] = true
-		if res.VID != ids.NoVID && res.Acceptable {
-			e.accepted[res.VID] = true // MatchInOrder has already ruled it out in e.exclusion
-		}
-		e.seq++
 		r := Resolution{
-			Seq:          e.seq,
+			Seq:          len(e.emitted) + 1,
 			EID:          res.EID,
 			VID:          res.VID,
 			Probability:  res.Probability,
@@ -526,12 +529,6 @@ func (e *Engine) sweepResolutions(window int) error {
 		e.emitted = append(e.emitted, r)
 		e.broadcast(r)
 	})
-}
-
-// accept rules vid out of every later match. Callers hold e.mu.
-func (e *Engine) accept(vid ids.VID) {
-	e.accepted[vid] = true
-	e.exclusion.Add(vid)
 }
 
 // broadcast delivers r to every subscriber, dropping — and counting — on a
@@ -657,8 +654,8 @@ func (e *Engine) Gauges() map[string]int64 {
 		"stream_open_detections":      e.win.openDets,
 		"stream_duplicate_detections": e.duplicates,
 		"stream_watermark_lag_ms":     lag,
-		"stream_pending_eids":         int64(e.part.NumTargets() - len(e.resolved)),
-		"stream_resolutions_emitted":  int64(e.seq),
+		"stream_pending_eids":         int64(e.part.NumTargets() - len(e.emitted)),
+		"stream_resolutions_emitted":  int64(len(e.emitted)),
 		"stream_resolutions_dropped":  e.resolutionsDropped,
 		"stream_late_dropped":         e.front.lateDropped,
 		"block_candidates_total":      e.blockCandidates,

@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -19,6 +20,7 @@ import (
 	"evmatching/internal/geo"
 	"evmatching/internal/ids"
 	"evmatching/internal/scenario"
+	"evmatching/internal/wire"
 )
 
 const (
@@ -608,6 +610,76 @@ func TestCanonicalDetsExact(t *testing.T) {
 	}
 }
 
+// TestCanonicalEIDsExact holds a bucket's E side to the set semantics the
+// scenario needs: for every order seven E observations of one bucket can
+// arrive in — a repeat, a vague one repeated, and an EID seen vague and
+// inclusive, in both orders — the sealed closure's EIDs, the bucket's image
+// and the closure's wire bytes are the same, ascending, each EID once and
+// inclusive beating vague, and the bucket's own list is never written.
+// Input already in that form comes back as it is, uncopied.
+func TestCanonicalEIDsExact(t *testing.T) {
+	inc := func(e ids.EID) scenario.EIDAttr { return scenario.EIDAttr{EID: e, Attr: scenario.AttrInclusive} }
+	vag := func(e ids.EID) scenario.EIDAttr { return scenario.EIDAttr{EID: e, Attr: scenario.AttrVague} }
+	arrivals := []scenario.EIDAttr{inc("c"), vag("b"), vag("d"), inc("a"), inc("c"), inc("b"), vag("d")}
+	want := []scenario.EIDAttr{inc("a"), inc("b"), inc("c"), vag("d")}
+	var wantWire []byte
+	var permute func(k int)
+	permutations := 0
+	permute = func(k int) {
+		if k < len(arrivals) {
+			for i := k; i < len(arrivals); i++ {
+				arrivals[k], arrivals[i] = arrivals[i], arrivals[k]
+				permute(k + 1)
+				arrivals[k], arrivals[i] = arrivals[i], arrivals[k]
+			}
+			return
+		}
+		permutations++
+		w, err := NewShardWindower(ShardParams{WindowMS: testWindowMS, Dim: 2, WorkFactor: 1}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ea := range arrivals {
+			w.absorb(0, Observation{TS: 5, Kind: KindE, Cell: 3, EID: ea.EID, Attr: ea.Attr})
+		}
+		img := w.snapshot()
+		if b := w.buckets[bucketKey{Window: 0, Cell: 3}]; !slices.Equal(b.eids, arrivals) {
+			t.Fatalf("imaging wrote the bucket's list: %v, arrived %v", b.eids, arrivals)
+		}
+		sealed := w.seal(1)
+		if len(img) != 1 || len(sealed) != 1 || !slices.Equal(img[0].EIDs, want) || !slices.Equal(sealed[0].EIDs, want) {
+			t.Fatalf("arrivals %v: image %v, sealed %v, want %v", arrivals, img, sealed, want)
+		}
+		got := appendSealedRefs(nil, &sealed[0])
+		if wantWire == nil {
+			wantWire = got
+		} else if !bytes.Equal(got, wantWire) {
+			t.Fatalf("arrivals %v: wire bytes differ from the first order's", arrivals)
+		}
+	}
+	permute(0)
+	if permutations != 5040 {
+		t.Fatalf("%d orders tried, want 7!", permutations)
+	}
+	var back ShardSealed
+	r := wire.NewReader(wantWire)
+	if readSealedRefs(r, &back); r.Err() != nil || !slices.Equal(back.EIDs, want) {
+		t.Fatalf("the wire form decodes to %v (%v), want %v", back.EIDs, r.Err(), want)
+	}
+
+	// Canonical input — a log in store order, every checkpointed bucket — is
+	// returned as the same slice, unallocated.
+	if got := canonicalEIDs(want); &got[0] != &want[0] || len(got) != len(want) {
+		t.Error("canonical input was not returned as it is")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { canonicalEIDs(want) }); allocs != 0 {
+		t.Errorf("canonicalEIDs of canonical input allocates %v times", allocs)
+	}
+	if got := canonicalEIDs(nil); got != nil {
+		t.Errorf("canonicalEIDs(nil) = %v", got)
+	}
+}
+
 // TestWindowerNeverReadsPixels steps four windowers through one message
 // sequence — redeliveries included — that differs only in what the V
 // observations carry for a patch: the real pixels, nothing, an empty patch,
@@ -641,7 +713,7 @@ func TestWindowerNeverReadsPixels(t *testing.T) {
 			if out != nil {
 				for i := range out.Sealed {
 					s := &out.Sealed[i]
-					s.EIDs, s.eids, s.Dets = scenario.SortedEIDAttrs(s.eids), nil, nil
+					s.Dets = nil
 				}
 				outs = append(outs, *out)
 			}

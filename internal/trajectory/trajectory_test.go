@@ -5,7 +5,6 @@ import (
 
 	"evmatching/internal/dataset"
 	"evmatching/internal/geo"
-	"evmatching/internal/ids"
 	"evmatching/internal/scenario"
 )
 
@@ -163,16 +162,10 @@ func TestBuildEPrefersInclusiveSighting(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := scenario.NewStore(layout)
-	if _, err := st.Add(&scenario.EScenario{
-		Cell: 1, Window: 0,
-		EIDs: map[ids.EID]scenario.Attr{"e": scenario.AttrVague},
-	}, nil); err != nil {
+	if _, err := st.Add(1, 0, []scenario.EIDAttr{{EID: "e", Attr: scenario.AttrVague}}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.Add(&scenario.EScenario{
-		Cell: 2, Window: 0,
-		EIDs: map[ids.EID]scenario.Attr{"e": scenario.AttrInclusive},
-	}, nil); err != nil {
+	if _, err := st.Add(2, 0, []scenario.EIDAttr{{EID: "e", Attr: scenario.AttrInclusive}}, nil); err != nil {
 		t.Fatal(err)
 	}
 	et, err := BuildE(st, "e")

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"evmatching/internal/feature"
-	"evmatching/internal/geo"
 	"evmatching/internal/ids"
 	"evmatching/internal/scenario"
 )
@@ -22,10 +21,8 @@ func badPatchWorld(t *testing.T) (*Filter, scenario.ID) {
 		{VID: ids.VIDLabel(1), Patch: feature.Patch{W: 2, H: 2, Pix: []byte{1}}},
 		{VID: ids.VIDLabel(2), Patch: feature.EncodePatch(obs, 1, w.rng)},
 	}
-	e := &scenario.EScenario{Cell: geo.CellID(0), Window: 0,
-		EIDs: map[ids.EID]scenario.Attr{eidOf(0): scenario.AttrInclusive}}
-	v := &scenario.VScenario{Cell: e.Cell, Window: 0, Detections: dets}
-	id, err := w.store.Add(e, v)
+	v := &scenario.VScenario{Cell: 0, Window: 0, Detections: dets}
+	id, err := w.store.Add(0, 0, []scenario.EIDAttr{{EID: eidOf(0), Attr: scenario.AttrInclusive}}, v)
 	if err != nil {
 		t.Fatal(err)
 	}

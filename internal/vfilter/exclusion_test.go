@@ -25,7 +25,7 @@ func TestExclusionSerialStageMatchesSetSemantics(t *testing.T) {
 		}
 		targets := map[ids.EID]bool{}
 		for _, id := range list {
-			for _, e := range f.store.E(id).SortedEIDs() {
+			for _, e := range ids.SortedEIDKeys(f.store.E(id).EIDs) {
 				targets[e] = true
 			}
 		}

@@ -193,8 +193,7 @@ func TestMatchInOrderStopsAtSerialError(t *testing.T) {
 		for seed := int64(0); seed < 10; seed++ {
 			ow := randomOrderedWorld(t, seed)
 			obs := ow.w.gallery.Observe(0, 0.03, ow.w.rng)
-			bad, err := ow.w.store.Add(
-				&scenario.EScenario{Cell: 1, Window: 99, EIDs: map[ids.EID]scenario.Attr{eidOf(0): scenario.AttrInclusive}},
+			bad, err := ow.w.store.Add(1, 99, []scenario.EIDAttr{{EID: eidOf(0), Attr: scenario.AttrInclusive}},
 				&scenario.VScenario{Cell: 1, Window: 99, Detections: []scenario.Detection{
 					{VID: ids.VIDLabel(0), Patch: feature.EncodePatch(obs, 1, ow.w.rng)},
 					{VID: ids.VIDLabel(1), Patch: feature.Patch{W: 2, H: 2, Pix: []byte{1}}},

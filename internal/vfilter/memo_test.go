@@ -110,8 +110,8 @@ func buildMemoWorld(seed int64) (*memoWorld, error) {
 }
 
 func (w *memoWorld) add(window int, dets []scenario.Detection) (scenario.ID, error) {
-	e := &scenario.EScenario{Cell: geo.CellID(window % 16), Window: window, EIDs: map[ids.EID]scenario.Attr{}}
-	return w.store.Add(e, &scenario.VScenario{Cell: e.Cell, Window: window, Detections: dets})
+	cell := geo.CellID(window % 16)
+	return w.store.Add(cell, window, nil, &scenario.VScenario{Cell: cell, Window: window, Detections: dets})
 }
 
 func (w *memoWorld) filter() (*Filter, error) {

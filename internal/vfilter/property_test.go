@@ -44,12 +44,12 @@ func buildRandomWorld(seed int64) (*Filter, ids.EID, []scenario.ID, map[ids.VID]
 				TruePerson: p,
 			})
 		}
-		e := &scenario.EScenario{Cell: geo.CellID(w % 16), Window: w, EIDs: eids}
+		cell := geo.CellID(w % 16)
 		var v *scenario.VScenario
 		if len(dets) > 0 {
-			v = &scenario.VScenario{Cell: e.Cell, Window: w, Detections: dets}
+			v = &scenario.VScenario{Cell: cell, Window: w, Detections: dets}
 		}
-		id, err := st.Add(e, v)
+		id, err := st.Add(cell, w, eidList(eids), v)
 		if err != nil {
 			return nil, "", nil, nil, err
 		}
@@ -212,8 +212,7 @@ func practicalBenchFilter(b testing.TB) (*Filter, []ids.EID, [][]scenario.ID) {
 				Patch: feature.EncodePatch(gallery.Observe(p, 0.1, rng), 1, rng),
 			})
 		}
-		e := &scenario.EScenario{Cell: geo.CellID(w), Window: w, EIDs: map[ids.EID]scenario.Attr{}}
-		id, err := st.Add(e, &scenario.VScenario{Cell: e.Cell, Window: w, Detections: dets})
+		id, err := st.Add(geo.CellID(w), w, nil, &scenario.VScenario{Cell: geo.CellID(w), Window: w, Detections: dets})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -262,9 +261,8 @@ func denseBenchFilter(b *testing.B) (*Filter, []scenario.ID) {
 				Patch: feature.EncodePatch(obs, 1, rng),
 			})
 		}
-		e := &scenario.EScenario{Cell: geo.CellID(w), Window: w, EIDs: eids}
-		v := &scenario.VScenario{Cell: e.Cell, Window: w, Detections: dets}
-		id, err := st.Add(e, v)
+		v := &scenario.VScenario{Cell: geo.CellID(w), Window: w, Detections: dets}
+		id, err := st.Add(geo.CellID(w), w, eidList(eids), v)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -36,6 +36,15 @@ func newWorld(t *testing.T, persons int) *world {
 // addScenario adds an EV-Scenario at the given window containing the given
 // persons; person indexes in missing are left out of the V side (missed
 // detections). Person i is assumed to carry EID "e<i>".
+// eidList is set as a store adds it, in ascending EID order.
+func eidList(set map[ids.EID]scenario.Attr) []scenario.EIDAttr {
+	list := make([]scenario.EIDAttr, 0, len(set))
+	for _, e := range ids.SortedEIDKeys(set) {
+		list = append(list, scenario.EIDAttr{EID: e, Attr: set[e]})
+	}
+	return list
+}
+
 func (w *world) addScenario(t *testing.T, window int, persons []int, missing ...int) scenario.ID {
 	t.Helper()
 	miss := map[int]bool{}
@@ -56,12 +65,12 @@ func (w *world) addScenario(t *testing.T, window int, persons []int, missing ...
 			TruePerson: p,
 		})
 	}
-	e := &scenario.EScenario{Cell: geo.CellID(window % 16), Window: window, EIDs: eids}
+	cell := geo.CellID(window % 16)
 	var v *scenario.VScenario
 	if len(dets) > 0 {
-		v = &scenario.VScenario{Cell: e.Cell, Window: window, Detections: dets}
+		v = &scenario.VScenario{Cell: cell, Window: window, Detections: dets}
 	}
-	id, err := w.store.Add(e, v)
+	id, err := w.store.Add(cell, window, eidList(eids), v)
 	if err != nil {
 		t.Fatal(err)
 	}
