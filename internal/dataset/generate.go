@@ -3,7 +3,9 @@ package dataset
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
+	"sync"
 
 	"evmatching/internal/feature"
 	"evmatching/internal/geo"
@@ -38,6 +40,8 @@ func Generate(cfg Config) (*Dataset, error) {
 		return nil, err
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
+	enc := startEncoders(cfg.PixelNoise)
+	defer enc.wait()
 
 	gallery, err := feature.NewGallery(rng, cfg.NumPersons, cfg.FeatureDim)
 	if err != nil {
@@ -65,7 +69,7 @@ func Generate(cfg Config) (*Dataset, error) {
 		return nil, err
 	}
 
-	gen := &generator{cfg: cfg, layout: ds.Layout, rng: rng, gallery: gallery, ds: ds}
+	gen := &generator{cfg: cfg, layout: ds.Layout, rng: rng, gallery: gallery, enc: enc, ds: ds}
 	for w := 0; w < cfg.NumWindows; w++ {
 		if err := gen.window(w, walkers); err != nil {
 			return nil, err
@@ -117,6 +121,7 @@ type generator struct {
 	layout  geo.Layout
 	rng     *rand.Rand
 	gallery *feature.Gallery
+	enc     *encoders
 	ds      *Dataset
 
 	trueCell []geo.CellID // the cell the person truly stood in, or NoCell
@@ -180,6 +185,7 @@ func resize[T any](s []T, n int) []T {
 
 // placeDetections assigns each person's window detection to their majority
 // true cell, the lowest such cell on a tie, subject to the missing-VID rate.
+// It draws each patch's noise; the encoders write its pixels.
 func (g *generator) placeDetections(w int) map[geo.CellID][]scenario.Detection {
 	cfg := g.cfg
 	out := make(map[geo.CellID][]scenario.Detection)
@@ -201,14 +207,101 @@ func (g *generator) placeDetections(w int) map[geo.CellID][]scenario.Detection {
 		if cfg.VIDMissingRate > 0 && g.rng.Float64() < cfg.VIDMissingRate {
 			continue // occluded or missed by the detector
 		}
-		obs := g.gallery.Observe(i, cfg.ObsNoise, g.rng)
+		pix := make([]byte, feature.PatchPixels)
+		g.enc.add(pix, g.gallery.Observe(i, cfg.ObsNoise, g.rng), g.rng)
 		out[cell] = append(out[cell], scenario.Detection{
 			VID:        g.ds.Persons[i].VID,
-			Patch:      feature.EncodePatch(obs, cfg.PixelNoise, g.rng),
+			Patch:      feature.Patch{W: feature.PatchW, H: feature.PatchH, Pix: pix},
 			TruePerson: i,
 		})
 	}
 	return out
+}
+
+// chunkLen is how many detections an encodeChunk carries: its noise slab is
+// about 655 KB.
+const chunkLen = 128
+
+// encodeChunk is a run of detections whose noise is drawn (detection j's
+// from noise[j·PatchPixels]) and whose pixels are still to be written.
+type encodeChunk struct {
+	n     int
+	pix   [chunkLen][]byte
+	obs   [chunkLen]feature.Vector
+	noise [chunkLen * feature.PatchPixels]float64
+}
+
+// encode writes the chunk's patches and empties it.
+func (c *encodeChunk) encode(pixelNoise float64) {
+	for j := range c.n {
+		feature.EncodePixels(c.pix[j], c.obs[j], c.noise[j*feature.PatchPixels:], pixelNoise)
+	}
+	c.n = 0
+}
+
+// encoders take the pixel encoding off the generator's goroutine, which
+// draws each patch's noise in its one order and hands full chunks to
+// GOMAXPROCS−1 encoders writing disjoint Pix buffers (inline at one P).
+// workers+1 chunks circulate, so what is in flight is bounded.
+type encoders struct {
+	pixelNoise float64
+	cur        *encodeChunk
+	free, work chan *encodeChunk // nil when encoding inline
+	wg         sync.WaitGroup
+}
+
+// startEncoders starts the encoder goroutines. The caller must call wait
+// before it returns, on every path.
+func startEncoders(pixelNoise float64) *encoders {
+	e := &encoders{pixelNoise: pixelNoise, cur: new(encodeChunk)}
+	workers := runtime.GOMAXPROCS(0) - 1
+	if workers < 1 {
+		return e
+	}
+	// Each buffer holds every chunk there is, so no send ever waits.
+	e.free, e.work = make(chan *encodeChunk, workers+1), make(chan *encodeChunk, workers+1)
+	e.wg.Add(workers)
+	for range workers {
+		e.free <- new(encodeChunk)
+		go func() {
+			defer e.wg.Done()
+			for c := range e.work {
+				c.encode(e.pixelNoise)
+				e.free <- c
+			}
+		}()
+	}
+	return e
+}
+
+// add draws one detection's noise from rng and queues obs to be encoded
+// into pix, which must stay unread until wait returns.
+func (e *encoders) add(pix []byte, obs feature.Vector, rng *rand.Rand) {
+	c := e.cur
+	if e.pixelNoise > 0 {
+		feature.DrawPatchNoise(c.noise[c.n*feature.PatchPixels:(c.n+1)*feature.PatchPixels], rng)
+	}
+	c.pix[c.n], c.obs[c.n] = pix, obs
+	c.n++
+	switch {
+	case c.n < chunkLen:
+	case e.work == nil:
+		c.encode(e.pixelNoise)
+	default:
+		e.work <- c
+		e.cur = <-e.free
+	}
+}
+
+// wait encodes what is queued and stops the encoder goroutines: every Pix
+// handed to add is written when it returns.
+func (e *encoders) wait() {
+	if e.work != nil {
+		e.work <- e.cur
+		close(e.work)
+		e.wg.Wait()
+	}
+	e.cur.encode(e.pixelNoise) // the one chunk at one P; a no-op after the workers
 }
 
 // count returns how many elements of s equal c.

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -262,20 +263,68 @@ func TestExtractWorkFactorPreservesResult(t *testing.T) {
 	}
 }
 
-func TestClampByte(t *testing.T) {
-	tests := []struct {
-		in   float64
-		want byte
-	}{
-		{in: -10, want: 0},
-		{in: 0, want: 0},
-		{in: 127.6, want: 128},
-		{in: 255, want: 255},
-		{in: 300, want: 255},
+// refEncodePatch is EncodePatch as one per-pixel loop that draws each
+// pixel's noise as it goes: the oracle the split encoder is held to.
+func refEncodePatch(v Vector, pixelNoise float64, rng *rand.Rand) Patch {
+	p := Patch{W: PatchW, H: PatchH, Pix: make([]byte, PatchW*PatchH)}
+	dim := len(v)
+	for k := range p.Pix {
+		val := 128 + v[k%dim]*encodeScale
+		if pixelNoise > 0 {
+			val += rng.NormFloat64() * pixelNoise
+		}
+		p.Pix[k] = refClampByte(val)
 	}
-	for _, tt := range tests {
-		if got := clampByte(tt.in); got != tt.want {
-			t.Errorf("clampByte(%v) = %d, want %d", tt.in, got, tt.want)
+	return p
+}
+
+func refClampByte(v float64) byte {
+	switch {
+	case v < 0:
+		return 0
+	case v > 255:
+		return 255
+	default:
+		return byte(math.Round(v))
+	}
+}
+
+// TestEncodePatchMatchesReference holds EncodePatch to the per-pixel
+// oracle: the same pixels, and the same draws taken from rng, so the next
+// draw after it agrees too. The dims include ones that do not divide the
+// patch and one longer than it.
+func TestEncodePatchMatchesReference(t *testing.T) {
+	for _, dim := range []int{2, 7, 16, 48, 64, 1000} {
+		for _, sigma := range []float64{0, 1, 25} {
+			for seed := int64(1); seed <= 5; seed++ {
+				v := randomUnit(rand.New(rand.NewSource(seed)), dim)
+				got, want := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+				p, q := EncodePatch(v, sigma, got), refEncodePatch(v, sigma, want)
+				if p.W != q.W || p.H != q.H || !slices.Equal(p.Pix, q.Pix) {
+					t.Fatalf("dim %d sigma %v seed %d: pixels differ from the reference", dim, sigma, seed)
+				}
+				if a, b := got.Int63(), want.Int63(); a != b {
+					t.Fatalf("dim %d sigma %v seed %d: next draw %d, reference %d", dim, sigma, seed, a, b)
+				}
+			}
+		}
+	}
+}
+
+// TestClampByte holds clampByte's truncate-and-compare rounding to
+// math.Round on every quarter step of [-2, 258], on both neighbours of every
+// half, and at the edges of the clamp.
+func TestClampByte(t *testing.T) {
+	ins := []float64{-10, 0, math.Copysign(0, -1), 0.49999999999999994, 127.6, 255, 255.5, 300}
+	for k := -8; k <= 258*4; k++ {
+		ins = append(ins, float64(k)/4)
+	}
+	for x := -2.5; x <= 258.5; x++ {
+		ins = append(ins, math.Nextafter(x, math.Inf(-1)), x, math.Nextafter(x, math.Inf(1)))
+	}
+	for _, in := range ins {
+		if got, want := clampByte(in), refClampByte(in); got != want {
+			t.Errorf("clampByte(%v) = %d, math.Round gives %d", in, got, want)
 		}
 	}
 }
@@ -314,5 +363,16 @@ func BenchmarkSim(b *testing.B) {
 		if _, err := Sim(x, y); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkEncodePatch prices one noisy patch: its PatchPixels draws and
+// the encoding they feed.
+func BenchmarkEncodePatch(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	v := randomUnit(rng, 64)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		EncodePatch(v, 1, rng)
 	}
 }

@@ -46,32 +46,62 @@ func (p Patch) Validate() error {
 	return nil
 }
 
+// PatchPixels is a patch's pixel count, and so the draws a noisy one takes.
+const PatchPixels = PatchW * PatchH
+
 // EncodePatch renders an observed appearance vector into a synthetic patch.
 // Each pixel carries one (repeated, noisy) quantized vector component, so
 // extraction can average the repeats back out. pixelNoise is the per-pixel
-// Gaussian noise in gray levels (camera sensor noise).
+// Gaussian noise in gray levels (camera sensor noise). It is DrawPatchNoise,
+// the only part that must run where rng is, then EncodePixels.
 func EncodePatch(v Vector, pixelNoise float64, rng *rand.Rand) Patch {
-	p := Patch{W: PatchW, H: PatchH, Pix: make([]byte, PatchW*PatchH)}
-	dim := len(v)
-	for k := range p.Pix {
-		val := 128 + v[k%dim]*encodeScale
-		if pixelNoise > 0 {
-			val += rng.NormFloat64() * pixelNoise
-		}
-		p.Pix[k] = clampByte(val)
+	p := Patch{W: PatchW, H: PatchH, Pix: make([]byte, PatchPixels)}
+	var noise [PatchPixels]float64
+	if pixelNoise > 0 {
+		DrawPatchNoise(noise[:], rng)
 	}
+	EncodePixels(p.Pix, v, noise[:], pixelNoise)
 	return p
 }
 
+// DrawPatchNoise fills noise, PatchPixels long, with one patch's standard
+// normal draws from rng, in pixel order.
+func DrawPatchNoise(noise []float64, rng *rand.Rand) {
+	for k := range noise {
+		noise[k] = rng.NormFloat64()
+	}
+}
+
+// EncodePixels writes v's patch into pix, PatchPixels long: pixel lo+d
+// carries component d plus, when pixelNoise > 0, noise[lo+d]·pixelNoise gray
+// levels. It draws no random number, so it may run on any goroutine.
+func EncodePixels(pix []byte, v Vector, noise []float64, pixelNoise float64) {
+	if !(pixelNoise > 0) {
+		pixelNoise = 0 // ≤ 0 or NaN: nothing was drawn, so add nothing
+	}
+	dim := len(v)
+	for lo := 0; lo < len(pix); lo += dim {
+		row, n := pix[lo:min(lo+dim, len(pix))], noise[lo:]
+		for d := range row {
+			row[d] = clampByte((128 + v[d]*encodeScale) + n[d]*pixelNoise)
+		}
+	}
+}
+
+// clampByte rounds v half away from zero onto [0, 255]. On that range
+// v−int(v) is exact, so the rounding equals math.Round's.
 func clampByte(v float64) byte {
 	switch {
 	case v < 0:
 		return 0
 	case v > 255:
 		return 255
-	default:
-		return byte(math.Round(v))
 	}
+	i := int(v)
+	if v-float64(i) >= 0.5 {
+		i++
+	}
+	return byte(i)
 }
 
 // Extractor recovers feature vectors from patches. WorkFactor scales the

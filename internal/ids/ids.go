@@ -45,7 +45,12 @@ func (g *MACGenerator) Next() EID {
 			b[i] = byte(g.rng.Intn(256))
 		}
 		b[0] = (b[0] | 0x02) &^ 0x01 // locally administered, unicast
-		e := EID(fmt.Sprintf("%02x:%02x:%02x:%02x:%02x:%02x", b[0], b[1], b[2], b[3], b[4], b[5]))
+		// b as %02x:%02x:…:%02x renders it, without fmt.
+		s := [17]byte{2: ':', 5: ':', 8: ':', 11: ':', 14: ':'}
+		for i, x := range b {
+			s[3*i], s[3*i+1] = "0123456789abcdef"[x>>4], "0123456789abcdef"[x&0xf]
+		}
+		e := EID(s[:])
 		if !g.seen[e] {
 			g.seen[e] = true
 			return e

@@ -1,6 +1,7 @@
 package ids
 
 import (
+	"fmt"
 	"math/rand"
 	"regexp"
 	"sort"
@@ -63,6 +64,33 @@ func TestMACGeneratorDeterministic(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		if a, b := g1.Next(), g2.Next(); a != b {
 			t.Fatalf("draw %d differs: %q vs %q", i, a, b)
+		}
+	}
+}
+
+// TestMACGeneratorMatchesSprintf holds Next to the fmt.Sprintf rendering
+// of the same six draws, with the same retry on a repeat, over enough
+// draws to see every byte value in every position.
+func TestMACGeneratorMatchesSprintf(t *testing.T) {
+	g := NewMACGenerator(rand.New(rand.NewSource(4)))
+	rng := rand.New(rand.NewSource(4))
+	seen := make(map[EID]bool)
+	for i := 0; i < 5000; i++ {
+		var want EID
+		for {
+			var b [6]byte
+			for k := range b {
+				b[k] = byte(rng.Intn(256))
+			}
+			b[0] = (b[0] | 0x02) &^ 0x01
+			want = EID(fmt.Sprintf("%02x:%02x:%02x:%02x:%02x:%02x", b[0], b[1], b[2], b[3], b[4], b[5]))
+			if !seen[want] {
+				seen[want] = true
+				break
+			}
+		}
+		if got := g.Next(); got != want {
+			t.Fatalf("draw %d: Next = %q, Sprintf gives %q", i, got, want)
 		}
 	}
 }

@@ -17,7 +17,7 @@ type LeakSnapshot map[string]int
 // whole-test form.
 func TakeLeakSnapshot() LeakSnapshot {
 	snap := make(LeakSnapshot)
-	for _, key := range goroutineKeys() {
+	for _, key := range goroutineKeys(allStacks()) {
 		snap[key]++
 	}
 	return snap
@@ -39,10 +39,7 @@ func (base LeakSnapshot) Leaked(wait time.Duration) []string {
 
 // diff lists goroutine identities exceeding their baseline count.
 func (base LeakSnapshot) diff() []string {
-	now := make(LeakSnapshot)
-	for _, key := range goroutineKeys() {
-		now[key]++
-	}
+	now := TakeLeakSnapshot()
 	var leaked []string
 	for key, n := range now {
 		if extra := n - base[key]; extra > 0 {
@@ -66,21 +63,24 @@ func CheckGoroutines(t *testing.T) {
 	})
 }
 
-// goroutineKeys renders each live goroutine as "top-function <- created-by",
-// skipping stacks owned by the runtime, the testing harness, or this
-// package's own snapshot machinery.
-func goroutineKeys() []string {
+// allStacks returns the stack dump of every live goroutine.
+func allStacks() []byte {
 	buf := make([]byte, 1<<20)
 	for {
 		n := runtime.Stack(buf, true)
 		if n < len(buf) {
-			buf = buf[:n]
-			break
+			return buf[:n]
 		}
 		buf = make([]byte, 2*len(buf))
 	}
+}
+
+// goroutineKeys renders each goroutine of a stack dump as "top-function <-
+// created-by", skipping stacks owned by the runtime, the testing harness,
+// or this package's own snapshot machinery.
+func goroutineKeys(dump []byte) []string {
 	var keys []string
-	for _, stanza := range strings.Split(string(buf), "\n\n") {
+	for _, stanza := range strings.Split(string(dump), "\n\n") {
 		lines := strings.Split(strings.TrimSpace(stanza), "\n")
 		if len(lines) < 2 {
 			continue
@@ -121,8 +121,14 @@ func funcName(line string) string {
 	return line
 }
 
-// ignoredGoroutine allowlists goroutines the Go runtime and test harness own.
+// ignoredGoroutine allowlists goroutines the Go runtime and test harness
+// own. That includes those runtime/pprof creates: a test binary run with
+// -cpuprofile has a profile writer whose top frame differs from one
+// snapshot to the next, so it would be counted as new.
 func ignoredGoroutine(top, created string) bool {
+	if strings.HasPrefix(created, "runtime/pprof.") {
+		return true
+	}
 	for _, f := range []string{top, created} {
 		switch {
 		case strings.HasPrefix(f, "runtime."),

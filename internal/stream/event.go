@@ -10,12 +10,13 @@ package stream
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"evmatching/internal/dataset"
 	"evmatching/internal/feature"
@@ -224,7 +225,14 @@ func ReadLog(r io.Reader) (Header, []Observation, error) {
 // The whole log is materialized in memory; at scale-preset sizes prefer
 // WriteEventsLog, which emits the byte-identical log window by window.
 func EventsFromDataset(ds *dataset.Dataset, windowMS int64, seed int64) (Header, []Observation, error) {
-	var obs []Observation
+	n := 0
+	for id := scenario.ID(0); ds != nil && int(id) < ds.Store.Len(); id++ {
+		n += len(ds.Store.View(id).Ords)
+		if v := ds.Store.V(id); v != nil {
+			n += len(v.Detections)
+		}
+	}
+	obs := make([]Observation, 0, n)
 	hdr, err := eachWindowEvents(ds, windowMS, seed, func(batch []Observation) error {
 		obs = append(obs, batch...)
 		return nil
@@ -237,9 +245,9 @@ func EventsFromDataset(ds *dataset.Dataset, windowMS int64, seed int64) (Header,
 
 // eachWindowEvents drives the flattening shared by EventsFromDataset and
 // WriteEventsLog: per ascending window, the observations are drawn in store
-// order (one seeded rng consumed across all windows) and stable-sorted by
-// timestamp, then handed to emit. Window timestamp ranges
-// [w·windowMS, (w+1)·windowMS) are disjoint and windows ascend, so the
+// order (one seeded rng consumed across all windows), put in (timestamp,
+// draw position) order by byTime, then handed to emit. Window timestamp
+// ranges [w·windowMS, (w+1)·windowMS) are disjoint and windows ascend, so the
 // concatenation of the per-window sorts IS the globally stable-sorted log —
 // which is why the streaming writer needs memory for only one window.
 // The batch slice is reused across calls; emit must not retain it.
@@ -251,19 +259,19 @@ func eachWindowEvents(ds *dataset.Dataset, windowMS int64, seed int64, emit func
 		return Header{}, fmt.Errorf("%w: windowMs %d", ErrBadLog, windowMS)
 	}
 	rng := rand.New(rand.NewSource(seed))
-	var batch []Observation
+	var drawn, batch []Observation
 	var eids []scenario.EIDAttr
 	for _, w := range ds.Store.Windows() {
 		if w < 0 {
 			return Header{}, fmt.Errorf("%w: negative window %d", ErrBadLog, w)
 		}
 		base := int64(w) * windowMS
-		batch = batch[:0]
+		drawn = drawn[:0]
 		for _, id := range ds.Store.AtWindow(w) {
 			cell := ds.Store.Cell(id)
 			eids = ds.Store.AppendEIDAttrs(eids[:0], id)
 			for _, ea := range eids {
-				batch = append(batch, Observation{
+				drawn = append(drawn, Observation{
 					TS:   base + rng.Int63n(windowMS),
 					Kind: KindE,
 					Cell: cell,
@@ -277,7 +285,7 @@ func eachWindowEvents(ds *dataset.Dataset, windowMS int64, seed int64, emit func
 			}
 			for _, det := range vsc.Detections {
 				p := det.Patch
-				batch = append(batch, Observation{
+				drawn = append(drawn, Observation{
 					TS:     base + rng.Int63n(windowMS),
 					Kind:   KindV,
 					Cell:   vsc.Cell,
@@ -287,12 +295,27 @@ func eachWindowEvents(ds *dataset.Dataset, windowMS int64, seed int64, emit func
 				})
 			}
 		}
-		sort.SliceStable(batch, func(i, j int) bool { return batch[i].TS < batch[j].TS })
+		batch = byTime(batch[:0], drawn)
 		if err := emit(batch); err != nil {
 			return Header{}, err
 		}
 	}
 	return Header{Version: LogVersion, WindowMS: windowMS, Dim: ds.Config.DescriptorDim()}, nil
+}
+
+// byTime appends src to dst in timestamp order, ties in src's order: the
+// order a stable sort leaves, reached by sorting (TS, position) pairs and
+// moving each observation once.
+func byTime(dst, src []Observation) []Observation {
+	keys := make([][2]int64, len(src))
+	for i := range src {
+		keys[i] = [2]int64{src[i].TS, int64(i)}
+	}
+	slices.SortFunc(keys, func(a, b [2]int64) int { return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1])) })
+	for _, k := range keys {
+		dst = append(dst, src[k[1]])
+	}
+	return dst
 }
 
 // WriteEventsLog streams the dataset's observation log to w without ever

@@ -5,10 +5,14 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"math/rand"
 	"reflect"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
+	"evmatching/internal/dataset"
 	"evmatching/internal/feature"
 	"evmatching/internal/scenario"
 )
@@ -184,5 +188,44 @@ func TestWriteEventsLogRejectsBadInput(t *testing.T) {
 	ds := testDataset(t, false)
 	if _, err := WriteEventsLog(io.Discard, ds, 0, 1); !errors.Is(err, ErrBadLog) {
 		t.Errorf("window 0: err = %v, want ErrBadLog", err)
+	}
+}
+
+// TestFlattenOrderMatchesStableSort holds byTime to sort.SliceStable by
+// timestamp on random windows whose timestamps repeat often, so most of
+// the order is decided by ties.
+func TestFlattenOrderMatchesStableSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	var got []Observation
+	for round := 0; round < 200; round++ {
+		src := make([]Observation, rng.Intn(300))
+		span := 1 + rng.Int63n(20)
+		for i := range src {
+			src[i] = Observation{TS: 5000 + rng.Int63n(span), Person: i}
+		}
+		want := append([]Observation(nil), src...)
+		sort.SliceStable(want, func(i, j int) bool { return want[i].TS < want[j].TS })
+		got = byTime(got[:0], src)
+		if !slices.Equal(got, want) {
+			t.Fatalf("round %d (%d observations over %d ms): order differs from the stable sort", round, len(src), span)
+		}
+	}
+}
+
+// BenchmarkEventsFromDataset prices flattening the practical world, cut to
+// eight windows, into its observation log.
+func BenchmarkEventsFromDataset(b *testing.B) {
+	cfg := dataset.DefaultConfig().Practical()
+	cfg.NumWindows = 8
+	ds, err := dataset.Generate(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := EventsFromDataset(ds, testWindowMS, 7); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
