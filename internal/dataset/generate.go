@@ -3,9 +3,7 @@ package dataset
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"slices"
-	"sync"
 
 	"evmatching/internal/feature"
 	"evmatching/internal/geo"
@@ -40,7 +38,7 @@ func Generate(cfg Config) (*Dataset, error) {
 		return nil, err
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	enc := startEncoders(cfg.PixelNoise)
+	enc := startEncoder(cfg.PixelNoise)
 	defer enc.wait()
 
 	gallery, err := feature.NewGallery(rng, cfg.NumPersons, cfg.FeatureDim)
@@ -121,7 +119,7 @@ type generator struct {
 	layout  geo.Layout
 	rng     *rand.Rand
 	gallery *feature.Gallery
-	enc     *encoders
+	enc     *encoder
 	ds      *Dataset
 
 	trueCell []geo.CellID // the cell the person truly stood in, or NoCell
@@ -185,7 +183,7 @@ func resize[T any](s []T, n int) []T {
 
 // placeDetections assigns each person's window detection to their majority
 // true cell, the lowest such cell on a tie, subject to the missing-VID rate.
-// It draws each patch's noise; the encoders write its pixels.
+// It draws each patch's noise; the encoder writes its pixels.
 func (g *generator) placeDetections(w int) map[geo.CellID][]scenario.Detection {
 	cfg := g.cfg
 	out := make(map[geo.CellID][]scenario.Detection)
@@ -239,69 +237,55 @@ func (c *encodeChunk) encode(pixelNoise float64) {
 	c.n = 0
 }
 
-// encoders take the pixel encoding off the generator's goroutine, which
-// draws each patch's noise in its one order and hands full chunks to
-// GOMAXPROCS−1 encoders writing disjoint Pix buffers (inline at one P).
-// workers+1 chunks circulate, so what is in flight is bounded.
-type encoders struct {
+// encoder takes the pixel encoding off the generator's goroutine, which
+// draws each patch's noise in its one order and hands full chunks to one
+// encoder goroutine writing their Pix buffers. Two chunks circulate, so
+// what is in flight is bounded at any world size and GOMAXPROCS.
+type encoder struct {
 	pixelNoise float64
 	cur        *encodeChunk
-	free, work chan *encodeChunk // nil when encoding inline
-	wg         sync.WaitGroup
+	free, work chan *encodeChunk
+	done       chan struct{}
 }
 
-// startEncoders starts the encoder goroutines. The caller must call wait
+// startEncoder starts the encoder goroutine. The caller must call wait
 // before it returns, on every path.
-func startEncoders(pixelNoise float64) *encoders {
-	e := &encoders{pixelNoise: pixelNoise, cur: new(encodeChunk)}
-	workers := runtime.GOMAXPROCS(0) - 1
-	if workers < 1 {
-		return e
-	}
-	// Each buffer holds every chunk there is, so no send ever waits.
-	e.free, e.work = make(chan *encodeChunk, workers+1), make(chan *encodeChunk, workers+1)
-	e.wg.Add(workers)
-	for range workers {
-		e.free <- new(encodeChunk)
-		go func() {
-			defer e.wg.Done()
-			for c := range e.work {
-				c.encode(e.pixelNoise)
-				e.free <- c
-			}
-		}()
-	}
+func startEncoder(pixelNoise float64) *encoder {
+	// Each buffer holds both chunks, so no send ever waits.
+	e := &encoder{pixelNoise: pixelNoise, cur: new(encodeChunk),
+		free: make(chan *encodeChunk, 2), work: make(chan *encodeChunk, 2), done: make(chan struct{})}
+	e.free <- new(encodeChunk)
+	go func() {
+		defer close(e.done)
+		for c := range e.work {
+			c.encode(e.pixelNoise)
+			e.free <- c
+		}
+	}()
 	return e
 }
 
 // add draws one detection's noise from rng and queues obs to be encoded
 // into pix, which must stay unread until wait returns.
-func (e *encoders) add(pix []byte, obs feature.Vector, rng *rand.Rand) {
+func (e *encoder) add(pix []byte, obs feature.Vector, rng *rand.Rand) {
 	c := e.cur
 	if e.pixelNoise > 0 {
 		feature.DrawPatchNoise(c.noise[c.n*feature.PatchPixels:(c.n+1)*feature.PatchPixels], rng)
 	}
 	c.pix[c.n], c.obs[c.n] = pix, obs
 	c.n++
-	switch {
-	case c.n < chunkLen:
-	case e.work == nil:
-		c.encode(e.pixelNoise)
-	default:
+	if c.n == chunkLen {
 		e.work <- c
 		e.cur = <-e.free
 	}
 }
 
-// wait encodes what is queued and stops the encoder goroutines: every Pix
+// wait encodes what is queued and stops the encoder goroutine: every Pix
 // handed to add is written when it returns.
-func (e *encoders) wait() {
-	if e.work != nil {
-		e.work <- e.cur
-		close(e.work)
-		e.wg.Wait()
-	}
-	e.cur.encode(e.pixelNoise) // the one chunk at one P; a no-op after the workers
+func (e *encoder) wait() {
+	e.work <- e.cur
+	close(e.work)
+	<-e.done
 }
 
 // count returns how many elements of s equal c.

@@ -11,8 +11,8 @@ import (
 )
 
 // TestGenerateLeavesNoEncoder runs Generate under the goroutine-leak check
-// on a path that returns a world and on one that fails after the encoders
-// have started: either way Generate joins them before it returns.
+// on a path that returns a world and on one that fails after the encoder
+// has started: either way Generate joins it before it returns.
 func TestGenerateLeavesNoEncoder(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -37,11 +37,11 @@ func TestGenerateLeavesNoEncoder(t *testing.T) {
 	}
 }
 
-// TestEncodersMatchEncodePatch feeds the encoders more than two chunks of
+// TestEncoderMatchesEncodePatch feeds the encoder more than two chunks of
 // detections, the last one partial, and holds every patch to EncodePatch
 // on a twin rng: the same pixels, and the same draws taken, so the next
 // draw agrees too.
-func TestEncodersMatchEncodePatch(t *testing.T) {
+func TestEncoderMatchesEncodePatch(t *testing.T) {
 	mrtest.CheckGoroutines(t)
 	for _, sigma := range []float64{0, 1, 25} {
 		gallery, err := feature.NewGallery(rand.New(rand.NewSource(5)), 10, 24)
@@ -49,7 +49,7 @@ func TestEncodersMatchEncodePatch(t *testing.T) {
 			t.Fatal(err)
 		}
 		got, want := rand.New(rand.NewSource(9)), rand.New(rand.NewSource(9))
-		enc := startEncoders(sigma)
+		enc := startEncoder(sigma)
 		pix := make([][]byte, 2*chunkLen+37)
 		ref := make([]feature.Patch, len(pix))
 		for j := range pix {

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestNormalize(t *testing.T) {
@@ -307,6 +308,26 @@ func TestEncodePatchMatchesReference(t *testing.T) {
 					t.Fatalf("dim %d sigma %v seed %d: next draw %d, reference %d", dim, sigma, seed, a, b)
 				}
 			}
+		}
+	}
+}
+
+// TestEncodePatchEmptyVector checks that an empty vector panics, as the
+// reference's k%0 does, instead of looping forever on a zero-length row.
+func TestEncodePatchEmptyVector(t *testing.T) {
+	for _, sigma := range []float64{0, 1} {
+		done := make(chan any, 1)
+		go func() {
+			defer func() { done <- recover() }()
+			EncodePatch(Vector{}, sigma, rand.New(rand.NewSource(1)))
+		}()
+		select {
+		case r := <-done:
+			if r == nil {
+				t.Fatalf("sigma %v: EncodePatch of an empty vector returned", sigma)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("sigma %v: EncodePatch of an empty vector did not return", sigma)
 		}
 	}
 }

@@ -74,12 +74,16 @@ func DrawPatchNoise(noise []float64, rng *rand.Rand) {
 
 // EncodePixels writes v's patch into pix, PatchPixels long: pixel lo+d
 // carries component d plus, when pixelNoise > 0, noise[lo+d]·pixelNoise gray
-// levels. It draws no random number, so it may run on any goroutine.
+// levels. It draws no random number, so it may run on any goroutine. It
+// panics if v is empty, as no pixel can carry a component of it.
 func EncodePixels(pix []byte, v Vector, noise []float64, pixelNoise float64) {
 	if !(pixelNoise > 0) {
 		pixelNoise = 0 // ≤ 0 or NaN: nothing was drawn, so add nothing
 	}
 	dim := len(v)
+	if dim == 0 {
+		panic("feature: EncodePixels of an empty vector")
+	}
 	for lo := 0; lo < len(pix); lo += dim {
 		row, n := pix[lo:min(lo+dim, len(pix))], noise[lo:]
 		for d := range row {

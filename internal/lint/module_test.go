@@ -57,7 +57,7 @@ func TestModuleIsLintClean(t *testing.T) {
 // newest CHANGES.md entry, without its FOUND/MENDED lines, says what its
 // change did in at most entryBudget bytes.
 const (
-	designBudget = 107_350
+	designBudget = 107_338
 	entryBudget  = 1_536
 )
 

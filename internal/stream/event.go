@@ -225,15 +225,11 @@ func ReadLog(r io.Reader) (Header, []Observation, error) {
 // The whole log is materialized in memory; at scale-preset sizes prefer
 // WriteEventsLog, which emits the byte-identical log window by window.
 func EventsFromDataset(ds *dataset.Dataset, windowMS int64, seed int64) (Header, []Observation, error) {
-	n := 0
-	for id := scenario.ID(0); ds != nil && int(id) < ds.Store.Len(); id++ {
-		n += len(ds.Store.View(id).Ords)
-		if v := ds.Store.V(id); v != nil {
-			n += len(v.Detections)
-		}
-	}
-	obs := make([]Observation, 0, n)
+	var obs []Observation
 	hdr, err := eachWindowEvents(ds, windowMS, seed, func(batch []Observation) error {
+		if obs == nil { // the arguments passed: size the log once, not by growing it
+			obs = make([]Observation, 0, logLen(ds.Store))
+		}
 		obs = append(obs, batch...)
 		return nil
 	})
@@ -241,6 +237,19 @@ func EventsFromDataset(ds *dataset.Dataset, windowMS int64, seed int64) (Header,
 		return Header{}, nil, err
 	}
 	return hdr, obs, nil
+}
+
+// logLen is how many observations st's log holds: one per (scenario, EID)
+// and one per detection.
+func logLen(st *scenario.Store) int {
+	n := 0
+	for id := range scenario.ID(st.Len()) {
+		n += len(st.View(id).Ords)
+		if v := st.V(id); v != nil {
+			n += len(v.Detections)
+		}
+	}
+	return n
 }
 
 // eachWindowEvents drives the flattening shared by EventsFromDataset and

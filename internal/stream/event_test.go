@@ -19,7 +19,7 @@ import (
 
 // TestLogRoundTrip pins the JSONL observation-log codec: the log
 // WriteEventsLog writes for a dataset must decode to exactly the
-// observations EventsFromDataset flattens it into.
+// observations EventsFromDataset flattens it into, which it sizes exactly.
 func TestLogRoundTrip(t *testing.T) {
 	ds := testDataset(t, true)
 	hdr, obs, err := EventsFromDataset(ds, testWindowMS, 7)
@@ -28,6 +28,9 @@ func TestLogRoundTrip(t *testing.T) {
 	}
 	if len(obs) == 0 {
 		t.Fatal("no observations generated")
+	}
+	if cap(obs) != len(obs) {
+		t.Errorf("log sized for %d observations, holds %d", cap(obs), len(obs))
 	}
 	var buf bytes.Buffer
 	if _, err := WriteEventsLog(&buf, ds, testWindowMS, 7); err != nil {
