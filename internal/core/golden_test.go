@@ -4,9 +4,11 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"runtime"
 	"testing"
 
 	"evmatching/internal/dataset"
+	"evmatching/internal/vfilter"
 )
 
 // goldenConfig is one pinned conformance point: a seeded dataset and matcher
@@ -104,9 +106,11 @@ func TestGoldenFingerprintCluster(t *testing.T) {
 // TestGoldenVStatsPairs pins the V stage's work counts on the paper world
 // (bench's batch-paper world at its first seed). Serial SS scores targets on
 // GOMAXPROCS goroutines, some against an exclusion that is not yet final,
-// and reads part of its similarities from the filter's memo; Pairs and
-// Comparisons count what the decided answers rest on, so neither the worker
-// count nor the memo may move them. CI runs it at -cpu 1,2,8.
+// and reads part of its similarities from the filter's memo; the VStats
+// count what the decided answers rest on, so neither the worker count nor
+// the memo may move them, nor the scenarios selected or the refine rounds.
+// What the kernel evaluated is pinned at one proc only: above it the
+// speculative scoring adds to it. CI runs it at -cpu 1,2,8.
 func TestGoldenVStatsPairs(t *testing.T) {
 	cfg := dataset.DefaultConfig()
 	cfg.NumWindows = 32
@@ -119,9 +123,14 @@ func TestGoldenVStatsPairs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const wantPairs, wantComparisons = 23832, 1611440
-	if rep.VStats.Pairs != wantPairs || rep.VStats.Comparisons != wantComparisons {
-		t.Errorf("VStats Pairs, Comparisons = %d, %d; want %d, %d",
-			rep.VStats.Pairs, rep.VStats.Comparisons, wantPairs, wantComparisons)
+	want := vfilter.Stats{ScenariosProcessed: 140, Extractions: 7458, Comparisons: 1611440, Pairs: 23832}
+	if rep.VStats != want {
+		t.Errorf("VStats = %+v, want %+v", rep.VStats, want)
+	}
+	if rep.SelectedScenarios != 140 || rep.RefineRounds != 3 {
+		t.Errorf("SelectedScenarios, RefineRounds = %d, %d; want 140, 3", rep.SelectedScenarios, rep.RefineRounds)
+	}
+	if runtime.GOMAXPROCS(0) == 1 && rep.VMemo.KernelPairs != 16687 {
+		t.Errorf("VMemo.KernelPairs = %d at one proc, want 16687", rep.VMemo.KernelPairs)
 	}
 }

@@ -33,13 +33,17 @@ type Dataset struct {
 
 // Generate builds the synthetic world described by cfg. Generation is
 // deterministic in cfg (including Seed).
-func Generate(cfg Config) (*Dataset, error) {
+func Generate(cfg Config) (ds *Dataset, err error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	enc := startEncoder(cfg.PixelNoise)
-	defer enc.wait()
+	h := startHelper(cfg.PixelNoise)
+	defer func() {
+		if herr := h.wait(); err == nil && herr != nil {
+			ds, err = nil, herr
+		}
+	}()
 
 	gallery, err := feature.NewGallery(rng, cfg.NumPersons, cfg.FeatureDim)
 	if err != nil {
@@ -62,12 +66,12 @@ func Generate(cfg Config) (*Dataset, error) {
 			return nil, fmt.Errorf("dataset: walker %d: %w", i, err)
 		}
 	}
-	ds, err := newWorld(cfg, persons)
-	if err != nil {
+	if ds, err = newWorld(cfg, persons); err != nil {
 		return nil, err
 	}
+	h.ds = ds // before the first window is handed over
 
-	gen := &generator{cfg: cfg, layout: ds.Layout, rng: rng, gallery: gallery, enc: enc, ds: ds}
+	gen := &generator{cfg: cfg, layout: ds.Layout, rng: rng, gallery: gallery, h: h, ds: ds}
 	for w := 0; w < cfg.NumWindows; w++ {
 		if err := gen.window(w, walkers); err != nil {
 			return nil, err
@@ -111,46 +115,40 @@ func moverFactory(cfg Config, rng *rand.Rand) (func() (mobility.Model, error), e
 	return func() (mobility.Model, error) { return mobility.NewHotspotWalker(hcfg, spots, rng) }, nil
 }
 
-// generator accumulates per-window observations into EV-Scenarios. Its
-// per-window state is flat and reused from window to window: slot
-// i·TicksPerWindow+t of trueCell, eCell and eBorder is person i's tick t.
+// generator draws each window's observations; the helper builds them into
+// EV-Scenarios. trueCell is flat and reused from window to window: slot
+// i·TicksPerWindow+t is person i's tick t, as in a windowDraws.
 type generator struct {
 	cfg     Config
 	layout  geo.Layout
 	rng     *rand.Rand
 	gallery *feature.Gallery
-	enc     *encoder
+	h       *helper
 	ds      *Dataset
 
 	trueCell []geo.CellID // the cell the person truly stood in, or NoCell
-	eCell    []geo.CellID // the cell the person's EID was localized in, or NoCell
-	eBorder  []float64    // that localization's distance to the cell border
-	sighted  []sighting   // the window's attributed EIDs, in person order
-	byCell   []scenario.EIDAttr
-	cellAt   []int // sighted grouped by cell: cell c's EIDs are byCell[cellAt[c]:cellAt[c+1]]
-}
-
-// sighting is one EID attributed to one cell of a window.
-type sighting struct {
-	cell   geo.CellID
-	person int
-	attr   scenario.Attr
 }
 
 // window advances all walkers through one time window, records where each
 // person truly stood and where its EID was localized with noise at every
 // tick, places each person's detection in the cell they truly spent the
-// most ticks in, and emits the window's scenarios.
+// most ticks in, and hands the window to the helper to build its scenarios.
+// It returns the first Add error of an earlier window.
 func (g *generator) window(w int, walkers []mobility.Model) error {
 	cfg := g.cfg
+	win := <-g.h.wins
+	if win.err != nil {
+		return win.err
+	}
 	slots := len(walkers) * cfg.TicksPerWindow
-	g.trueCell, g.eCell, g.eBorder = resize(g.trueCell, slots), resize(g.eCell, slots), resize(g.eBorder, slots)
+	g.trueCell = resize(g.trueCell, slots)
+	win.w, win.eCell, win.eBorder = w, resize(win.eCell, slots), resize(win.eBorder, slots)
 	for tick := 0; tick < cfg.TicksPerWindow; tick++ {
 		for i, walker := range walkers {
 			slot := i*cfg.TicksPerWindow + tick
 			pos := walker.Advance(cfg.TickInterval)
 			g.trueCell[slot] = g.layout.CellOf(pos)
-			g.eCell[slot] = geo.NoCell
+			win.eCell[slot] = geo.NoCell
 			person := g.ds.Persons[i]
 			if person.EID == ids.None {
 				continue
@@ -163,14 +161,15 @@ func (g *generator) window(w int, walkers []mobility.Model) error {
 				))
 			}
 			if cell := g.layout.CellOf(epos); cell != geo.NoCell {
-				g.eCell[slot] = cell
-				g.eBorder[slot] = g.layout.BorderDist(epos)
+				win.eCell[slot] = cell
+				win.eBorder[slot] = g.layout.BorderDist(epos)
 			}
 		}
 	}
 
-	detections := g.placeDetections(w)
-	return g.emitScenarios(w, detections)
+	g.placeDetections(win)
+	g.h.drawn <- win
+	return nil
 }
 
 // resize returns s with length n, reusing its storage when it is enough.
@@ -182,11 +181,15 @@ func resize[T any](s []T, n int) []T {
 }
 
 // placeDetections assigns each person's window detection to their majority
-// true cell, the lowest such cell on a tie, subject to the missing-VID rate.
-// It draws each patch's noise; the encoder writes its pixels.
-func (g *generator) placeDetections(w int) map[geo.CellID][]scenario.Detection {
+// true cell, the lowest such cell on a tie, subject to the missing-VID rate,
+// and files it in win.dets. It draws each patch's noise; the helper writes
+// its pixels.
+func (g *generator) placeDetections(win *windowDraws) {
 	cfg := g.cfg
-	out := make(map[geo.CellID][]scenario.Detection)
+	if win.dets == nil {
+		win.dets = make(map[geo.CellID][]scenario.Detection)
+	}
+	clear(win.dets)
 	for i := range g.ds.Persons {
 		ticks := g.trueCell[i*cfg.TicksPerWindow : (i+1)*cfg.TicksPerWindow]
 		cell, best := geo.NoCell, 0
@@ -206,14 +209,13 @@ func (g *generator) placeDetections(w int) map[geo.CellID][]scenario.Detection {
 			continue // occluded or missed by the detector
 		}
 		pix := make([]byte, feature.PatchPixels)
-		g.enc.add(pix, g.gallery.Observe(i, cfg.ObsNoise, g.rng), g.rng)
-		out[cell] = append(out[cell], scenario.Detection{
+		g.h.add(pix, g.gallery.Observe(i, cfg.ObsNoise, g.rng), g.rng)
+		win.dets[cell] = append(win.dets[cell], scenario.Detection{
 			VID:        g.ds.Persons[i].VID,
 			Patch:      feature.Patch{W: feature.PatchW, H: feature.PatchH, Pix: pix},
 			TruePerson: i,
 		})
 	}
-	return out
 }
 
 // chunkLen is how many detections an encodeChunk carries: its noise slab is
@@ -237,55 +239,124 @@ func (c *encodeChunk) encode(pixelNoise float64) {
 	c.n = 0
 }
 
-// encoder takes the pixel encoding off the generator's goroutine, which
-// draws each patch's noise in its one order and hands full chunks to one
-// encoder goroutine writing their Pix buffers. Two chunks circulate, so
-// what is in flight is bounded at any world size and GOMAXPROCS.
-type encoder struct {
-	pixelNoise float64
-	cur        *encodeChunk
-	free, work chan *encodeChunk
-	done       chan struct{}
+// windowDraws is one drawn window whose scenarios are still to be built:
+// where each person's EID was localized at each tick (slot
+// i·TicksPerWindow+t, NoCell for none) and its distance to the cell border,
+// and the window's detections by cell.
+type windowDraws struct {
+	w       int
+	eCell   []geo.CellID
+	eBorder []float64
+	dets    map[geo.CellID][]scenario.Detection
+	err     error // set by the helper as it hands the buffer back: its first Add error
 }
 
-// startEncoder starts the encoder goroutine. The caller must call wait
-// before it returns, on every path.
-func startEncoder(pixelNoise float64) *encoder {
-	// Each buffer holds both chunks, so no send ever waits.
-	e := &encoder{pixelNoise: pixelNoise, cur: new(encodeChunk),
-		free: make(chan *encodeChunk, 2), work: make(chan *encodeChunk, 2), done: make(chan struct{})}
-	e.free <- new(encodeChunk)
+// helper takes the work that draws no random number off the generator's
+// goroutine: one helper goroutine encodes each chunk of patches and builds
+// each window's scenarios (attribution, grouping by cell, Store.Add). It
+// builds the windows in the order they were drawn, so scenario IDs and EID
+// ordinals are those the draws alone would give, and encodes a chunk as
+// soon as it is full, a window build included: a sparse-city window takes
+// as long to build as some twenty chunks take to fill. Two chunks and two
+// windows circulate, so what is in flight is bounded at any world size and
+// GOMAXPROCS.
+type helper struct {
+	pixelNoise  float64
+	cur         *encodeChunk
+	free, full  chan *encodeChunk // chunks empty for the generator, full for the helper
+	wins, drawn chan *windowDraws // windows free for the generator, drawn for the helper
+	done        chan struct{}
+
+	// Set by Generate before it hands over the first window.
+	ds *Dataset
+	// The helper goroutine's own; wait reads err once it has stopped.
+	err     error      // the first Add error; later windows are not built
+	sighted []sighting // the window's attributed EIDs, in person order
+	byCell  []scenario.EIDAttr
+	cellAt  []int // sighted grouped by cell: cell c's EIDs are byCell[cellAt[c]:cellAt[c+1]]
+}
+
+// sighting is one EID attributed to one cell of a window.
+type sighting struct {
+	cell   geo.CellID
+	person int
+	attr   scenario.Attr
+}
+
+// startHelper starts the helper goroutine. The caller must call wait before
+// it returns, on every path.
+func startHelper(pixelNoise float64) *helper {
+	// Each buffer holds every chunk or window, so no send ever waits.
+	h := &helper{pixelNoise: pixelNoise, cur: new(encodeChunk),
+		free: make(chan *encodeChunk, 2), full: make(chan *encodeChunk, 2),
+		wins: make(chan *windowDraws, 2), drawn: make(chan *windowDraws, 2), done: make(chan struct{})}
+	h.free <- new(encodeChunk)
+	h.wins <- new(windowDraws)
+	h.wins <- new(windowDraws)
 	go func() {
-		defer close(e.done)
-		for c := range e.work {
-			c.encode(e.pixelNoise)
-			e.free <- c
+		defer close(h.done)
+		for {
+			select {
+			case c := <-h.full:
+				h.encode(c)
+			case win, ok := <-h.drawn:
+				if !ok {
+					h.encodeReady() // wait queued the last chunk before it closed drawn
+					return
+				}
+				if h.err == nil {
+					h.err = h.emitScenarios(win)
+				}
+				win.err = h.err
+				h.wins <- win
+			}
 		}
 	}()
-	return e
+	return h
+}
+
+// encode writes a full chunk's patches and hands it back to the generator.
+func (h *helper) encode(c *encodeChunk) {
+	c.encode(h.pixelNoise)
+	h.free <- c
+}
+
+// encodeReady encodes every chunk already full. A window build calls it as
+// it goes, so the generator does not wait out the build for an empty chunk.
+func (h *helper) encodeReady() {
+	for {
+		select {
+		case c := <-h.full:
+			h.encode(c)
+		default:
+			return
+		}
+	}
 }
 
 // add draws one detection's noise from rng and queues obs to be encoded
 // into pix, which must stay unread until wait returns.
-func (e *encoder) add(pix []byte, obs feature.Vector, rng *rand.Rand) {
-	c := e.cur
-	if e.pixelNoise > 0 {
+func (h *helper) add(pix []byte, obs feature.Vector, rng *rand.Rand) {
+	c := h.cur
+	if h.pixelNoise > 0 {
 		feature.DrawPatchNoise(c.noise[c.n*feature.PatchPixels:(c.n+1)*feature.PatchPixels], rng)
 	}
 	c.pix[c.n], c.obs[c.n] = pix, obs
 	c.n++
 	if c.n == chunkLen {
-		e.work <- c
-		e.cur = <-e.free
+		h.full <- c
+		h.cur = <-h.free
 	}
 }
 
-// wait encodes what is queued and stops the encoder goroutine: every Pix
-// handed to add is written when it returns.
-func (e *encoder) wait() {
-	e.work <- e.cur
-	close(e.work)
-	<-e.done
+// wait encodes and builds what is queued and stops the helper goroutine:
+// every Pix handed to add is written, and every window handed over built,
+// when it returns the first Add error.
+func (h *helper) wait() error {
+	h.full <- h.cur
+	close(h.drawn)
+	<-h.done
+	return h.err
 }
 
 // count returns how many elements of s equal c.
@@ -302,13 +373,16 @@ func count(s []geo.CellID, c geo.CellID) int {
 // emitScenarios classifies the window's E observations into inclusive/vague
 // attributes and stores the EV-Scenario pairs, iterating cells in order for
 // determinism.
-func (g *generator) emitScenarios(w int, detections map[geo.CellID][]scenario.Detection) error {
-	cfg := g.cfg
+func (h *helper) emitScenarios(win *windowDraws) error {
+	cfg := h.ds.Config
 	ticks := float64(cfg.TicksPerWindow)
-	g.sighted = g.sighted[:0]
-	for i := range g.ds.Persons {
+	h.sighted = h.sighted[:0]
+	for i := range h.ds.Persons {
+		if i%1024 == 0 {
+			h.encodeReady()
+		}
 		lo := i * cfg.TicksPerWindow
-		cells := g.eCell[lo : lo+cfg.TicksPerWindow]
+		cells := win.eCell[lo : lo+cfg.TicksPerWindow]
 		for j, c := range cells {
 			if c == geo.NoCell || slices.Contains(cells[:j], c) {
 				continue // tallied at its first tick
@@ -318,7 +392,7 @@ func (g *generator) emitScenarios(w int, detections map[geo.CellID][]scenario.De
 			for k := j; k < len(cells); k++ {
 				if cells[k] == c {
 					n++
-					borderSum += g.eBorder[lo+k]
+					borderSum += win.eBorder[lo+k]
 				}
 			}
 			frac := float64(n) / ticks
@@ -328,42 +402,45 @@ func (g *generator) emitScenarios(w int, detections map[geo.CellID][]scenario.De
 				if cfg.VagueWidth > 0 && borderSum/float64(n) < cfg.VagueWidth {
 					attr = scenario.AttrVague
 				}
-				g.sighted = append(g.sighted, sighting{cell: c, person: i, attr: attr})
+				h.sighted = append(h.sighted, sighting{cell: c, person: i, attr: attr})
 			case frac >= cfg.MinFrac && cfg.MinFrac < cfg.InclusiveFrac:
-				g.sighted = append(g.sighted, sighting{cell: c, person: i, attr: scenario.AttrVague})
+				h.sighted = append(h.sighted, sighting{cell: c, person: i, attr: scenario.AttrVague})
 			}
 		}
 	}
 	// Group the sightings by cell, a counting sort over the layout's cells.
-	numCells := g.layout.NumCells()
-	g.cellAt = resize(g.cellAt, numCells+1)
-	clear(g.cellAt)
-	for _, s := range g.sighted {
-		g.cellAt[s.cell+1]++
+	numCells := h.ds.Layout.NumCells()
+	h.cellAt = resize(h.cellAt, numCells+1)
+	clear(h.cellAt)
+	for _, s := range h.sighted {
+		h.cellAt[s.cell+1]++
 	}
 	for c := 1; c <= numCells; c++ {
-		g.cellAt[c] += g.cellAt[c-1]
+		h.cellAt[c] += h.cellAt[c-1]
 	}
-	g.byCell = resize(g.byCell, len(g.sighted))
-	for _, s := range g.sighted {
-		g.byCell[g.cellAt[s.cell]] = scenario.EIDAttr{EID: g.ds.Persons[s.person].EID, Attr: s.attr}
-		g.cellAt[s.cell]++
+	h.byCell = resize(h.byCell, len(h.sighted))
+	for _, s := range h.sighted {
+		h.byCell[h.cellAt[s.cell]] = scenario.EIDAttr{EID: h.ds.Persons[s.person].EID, Attr: s.attr}
+		h.cellAt[s.cell]++
 	}
 	// Filling advanced each cell's start to the next cell's.
-	copy(g.cellAt[1:], g.cellAt[:numCells])
-	g.cellAt[0] = 0
+	copy(h.cellAt[1:], h.cellAt[:numCells])
+	h.cellAt[0] = 0
 	for cell := geo.CellID(0); int(cell) < numCells; cell++ {
-		eids := g.byCell[g.cellAt[cell]:g.cellAt[cell+1]]
-		dets := detections[cell]
+		if cell%64 == 0 {
+			h.encodeReady()
+		}
+		eids := h.byCell[h.cellAt[cell]:h.cellAt[cell+1]]
+		dets := win.dets[cell]
 		if len(eids) == 0 && len(dets) == 0 {
 			continue
 		}
 		var vsc *scenario.VScenario
 		if len(dets) > 0 {
-			vsc = &scenario.VScenario{Cell: cell, Window: w, Detections: dets}
+			vsc = &scenario.VScenario{Cell: cell, Window: win.w, Detections: dets}
 		}
-		if _, err := g.ds.Store.Add(cell, w, eids, vsc); err != nil {
-			return fmt.Errorf("dataset: window %d cell %d: %w", w, cell, err)
+		if _, err := h.ds.Store.Add(cell, win.w, eids, vsc); err != nil {
+			return fmt.Errorf("dataset: window %d cell %d: %w", win.w, cell, err)
 		}
 	}
 	return nil

@@ -113,8 +113,9 @@ func MaxSim(rep Vector, m *Matrix) float64 {
 // seeds is nil or holds one entry per representative: a row index evaluated
 // in full before any tile, or a negative value for none. Seeding with the
 // row most likely to be nearest — in vfilter, the candidate's own detection
-// in the scenario — sets the bound so that almost every other row leaves in
-// its first tile step. Any row is a valid seed; it only changes the cost.
+// in the scenario — sets a bound that cuts the other rows' tiles short
+// (DESIGN.md §9 counts by how much). Any row is a valid seed; it only
+// changes the cost.
 // A matrix of at most four rows has no later tile for a seed's bound to cut
 // short, so it takes no seed pass: its rows are visited in pairs
 // (minSqPairs), every pair in full, which repeats at most one row where a

@@ -292,15 +292,15 @@ func eachWindowEvents(ds *dataset.Dataset, windowMS int64, seed int64, emit func
 			if vsc == nil {
 				continue
 			}
-			for _, det := range vsc.Detections {
-				p := det.Patch
+			for j := range vsc.Detections {
+				det := &vsc.Detections[j]
 				drawn = append(drawn, Observation{
 					TS:     base + rng.Int63n(windowMS),
 					Kind:   KindV,
 					Cell:   vsc.Cell,
 					VID:    det.VID,
 					Person: det.TruePerson,
-					Patch:  &p,
+					Patch:  &det.Patch, // the store's own, as bucketObservations points
 				})
 			}
 		}
