@@ -9,15 +9,15 @@
 // Usage:
 //
 //	evstream -log obs.jsonl [-targets aa:bb:...,...] [-lateness-ms 250]
-//	         [-speed 0] [-seed 1]
+//	         [-speed 0]
 //	         [-checkpoint state.ckpt] [-checkpoint-every 2000]
 //	         [-max-events 0] [-finalize] [-v]
 //
 // When -checkpoint names an existing file the replay resumes from it,
 // skipping the observations the checkpointed engine already ingested — the
-// crash-recovery path the stream chaos tests exercise. The file may be an
-// engine's image or a sharded Router's: the engine's one windower takes
-// every open bucket whichever shard wrote it.
+// crash-recovery path the stream chaos tests exercise. An engine and a
+// sharded Router write the same image for the same state, so the file may
+// come from either.
 package main
 
 import (
@@ -51,7 +51,6 @@ func run(args []string, out io.Writer) error {
 		targetList = fs.String("targets", "", "comma-separated EIDs to match (default: every EID sighted in the log)")
 		latenessMS = fs.Int64("lateness-ms", 250, "allowed lateness in event-time milliseconds")
 		speed      = fs.Float64("speed", 0, "replay pacing: event-time speedup factor (0 = as fast as possible)")
-		seed       = fs.Int64("seed", 1, "matcher seed, checked against a resumed checkpoint's; it changes no answer, since the final match scans windows in order")
 		ckptPath   = fs.String("checkpoint", "", "checkpoint file: resumed from when present, rewritten during replay")
 		ckptEvery  = fs.Int64("checkpoint-every", 2000, "observations between checkpoint writes")
 		maxEvents  = fs.Int64("max-events", 0, "stop after this log position (0 = whole log)")
@@ -99,7 +98,6 @@ func run(args []string, out io.Writer) error {
 		WindowMS:   hdr.WindowMS,
 		LatenessMS: *latenessMS,
 		Dim:        hdr.Dim,
-		Seed:       *seed,
 	}
 
 	// Resume from the checkpoint when one exists; otherwise start fresh.

@@ -50,12 +50,11 @@ func writeTestLog(t *testing.T, dir string) (*dataset.Dataset, string) {
 
 // batchHash runs the batch SS reference with the options the CLI defaults to
 // and returns the sha256 the CLI should print.
-func batchHash(t *testing.T, ds *dataset.Dataset, targets []ids.EID, seed int64) string {
+func batchHash(t *testing.T, ds *dataset.Dataset, targets []ids.EID) string {
 	t.Helper()
 	m, err := core.New(ds, core.Options{
 		Algorithm: core.AlgorithmSS,
 		Mode:      core.ModeSerial,
-		Seed:      seed,
 		ScanOrder: core.ScanInOrder,
 	})
 	if err != nil {
@@ -97,11 +96,11 @@ func TestRunReplayMatchesBatch(t *testing.T) {
 	ds, logPath := writeTestLog(t, dir)
 	flag, targets := targetsFlag(ds, 12)
 	var buf bytes.Buffer
-	err := run([]string{"-log", logPath, "-targets", flag, "-seed", "7", "-v"}, &buf)
+	err := run([]string{"-log", logPath, "-targets", flag, "-v"}, &buf)
 	if err != nil {
 		t.Fatalf("run: %v\n%s", err, buf.String())
 	}
-	if got, want := extractHash(t, buf.String()), batchHash(t, ds, targets, 7); got != want {
+	if got, want := extractHash(t, buf.String()), batchHash(t, ds, targets); got != want {
 		t.Errorf("replay hash %s, want batch hash %s\n%s", got, want, buf.String())
 	}
 	if !strings.Contains(buf.String(), "#1 window") {
@@ -120,7 +119,7 @@ func TestRunCrashResume(t *testing.T) {
 
 	var first bytes.Buffer
 	err := run([]string{
-		"-log", logPath, "-targets", flag, "-seed", "7",
+		"-log", logPath, "-targets", flag,
 		"-checkpoint", ckpt, "-checkpoint-every", "500",
 		"-max-events", "1500", "-finalize=false",
 	}, &first)
@@ -133,7 +132,7 @@ func TestRunCrashResume(t *testing.T) {
 
 	var second bytes.Buffer
 	err = run([]string{
-		"-log", logPath, "-targets", flag, "-seed", "7",
+		"-log", logPath, "-targets", flag,
 		"-checkpoint", ckpt, "-checkpoint-every", "500",
 	}, &second)
 	if err != nil {
@@ -142,7 +141,7 @@ func TestRunCrashResume(t *testing.T) {
 	if !strings.Contains(second.String(), "resumed from") {
 		t.Fatalf("second run did not resume:\n%s", second.String())
 	}
-	if got, want := extractHash(t, second.String()), batchHash(t, ds, targets, 7); got != want {
+	if got, want := extractHash(t, second.String()), batchHash(t, ds, targets); got != want {
 		t.Errorf("resumed replay hash %s, want batch hash %s", got, want)
 	}
 }
@@ -159,7 +158,7 @@ func TestRunResumesRouterImage(t *testing.T) {
 		t.Fatalf("EventsFromDataset: %v", err)
 	}
 	r, err := stream.NewRouter(stream.RouterConfig{Config: stream.Config{
-		Targets: targets, WindowMS: 1_000, LatenessMS: 250, Dim: ds.Config.DescriptorDim(), Seed: 7,
+		Targets: targets, WindowMS: 1_000, LatenessMS: 250, Dim: ds.Config.DescriptorDim(),
 	}, Shards: 3})
 	if err != nil {
 		t.Fatalf("NewRouter: %v", err)
@@ -177,13 +176,13 @@ func TestRunResumesRouterImage(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := run([]string{"-log", logPath, "-targets", flag, "-seed", "7", "-checkpoint", ckpt}, &buf); err != nil {
+	if err := run([]string{"-log", logPath, "-targets", flag, "-checkpoint", ckpt}, &buf); err != nil {
 		t.Fatalf("run: %v\n%s", err, buf.String())
 	}
 	if !strings.Contains(buf.String(), fmt.Sprintf("resumed from %s at observation %d", ckpt, half)) {
 		t.Fatalf("did not resume from the router image:\n%s", buf.String())
 	}
-	if got, want := extractHash(t, buf.String()), batchHash(t, ds, targets, 7); got != want {
+	if got, want := extractHash(t, buf.String()), batchHash(t, ds, targets); got != want {
 		t.Errorf("resumed replay hash %s, want batch hash %s", got, want)
 	}
 }
@@ -194,10 +193,10 @@ func TestRunDefaultTargets(t *testing.T) {
 	dir := t.TempDir()
 	ds, logPath := writeTestLog(t, dir)
 	var buf bytes.Buffer
-	if err := run([]string{"-log", logPath, "-seed", "7"}, &buf); err != nil {
+	if err := run([]string{"-log", logPath}, &buf); err != nil {
 		t.Fatalf("run: %v\n%s", err, buf.String())
 	}
-	if got, want := extractHash(t, buf.String()), batchHash(t, ds, ds.AllEIDs(), 7); got != want {
+	if got, want := extractHash(t, buf.String()), batchHash(t, ds, ds.AllEIDs()); got != want {
 		t.Errorf("default-target replay hash %s, want batch hash %s", got, want)
 	}
 }

@@ -209,7 +209,7 @@ func (g *generator) placeDetections(win *windowDraws) {
 			continue // occluded or missed by the detector
 		}
 		pix := make([]byte, feature.PatchPixels)
-		g.h.add(pix, g.gallery.Observe(i, cfg.ObsNoise, g.rng), g.rng)
+		g.h.add(pix, g.gallery, i, cfg.ObsNoise, g.rng)
 		win.dets[cell] = append(win.dets[cell], scenario.Detection{
 			VID:        g.ds.Persons[i].VID,
 			Patch:      feature.Patch{W: feature.PatchW, H: feature.PatchH, Pix: pix},
@@ -222,12 +222,14 @@ func (g *generator) placeDetections(win *windowDraws) {
 // about 655 KB.
 const chunkLen = 128
 
-// encodeChunk is a run of detections whose noise is drawn (detection j's
-// from noise[j·PatchPixels]) and whose pixels are still to be written.
+// encodeChunk is a run of detections whose descriptors and noise are drawn
+// (detection j's descriptor into desc[j·dim], its noise from
+// noise[j·PatchPixels]) and whose pixels are still to be written.
 type encodeChunk struct {
 	n     int
 	pix   [chunkLen][]byte
 	obs   [chunkLen]feature.Vector
+	desc  []float64 // chunkLen descriptors, sized at the first add
 	noise [chunkLen * feature.PatchPixels]float64
 }
 
@@ -334,10 +336,16 @@ func (h *helper) encodeReady() {
 	}
 }
 
-// add draws one detection's noise from rng and queues obs to be encoded
-// into pix, which must stay unread until wait returns.
-func (h *helper) add(pix []byte, obs feature.Vector, rng *rand.Rand) {
+// add draws one detection of person from rng — its observed descriptor
+// (g.ObserveInto the chunk's slab), then its patch noise — and queues it to
+// be encoded into pix, which must stay unread until wait returns.
+func (h *helper) add(pix []byte, g *feature.Gallery, person int, sigma float64, rng *rand.Rand) {
 	c := h.cur
+	dim := g.Dim()
+	if len(c.desc) != chunkLen*dim {
+		c.desc = make([]float64, chunkLen*dim)
+	}
+	obs := g.ObserveInto(c.desc[c.n*dim:(c.n+1)*dim], person, sigma, rng)
 	if h.pixelNoise > 0 {
 		feature.DrawPatchNoise(c.noise[c.n*feature.PatchPixels:(c.n+1)*feature.PatchPixels], rng)
 	}

@@ -57,7 +57,7 @@ func TestEncoderMatchesEncodePatch(t *testing.T) {
 		ref := make([]feature.Patch, len(pix))
 		for j := range pix {
 			pix[j] = make([]byte, feature.PatchPixels)
-			h.add(pix[j], gallery.Observe(j%10, 0.1, got), got)
+			h.add(pix[j], gallery, j%10, 0.1, got)
 			ref[j] = feature.EncodePatch(gallery.Observe(j%10, 0.1, want), sigma, want)
 		}
 		if err := h.wait(); err != nil {

@@ -42,3 +42,9 @@ func (g *Gallery) Base(i int) Vector { return g.base[i] }
 func (g *Gallery) Observe(i int, sigma float64, rng *rand.Rand) Vector {
 	return Perturb(g.base[i], sigma, rng)
 }
+
+// ObserveInto is Observe written into dst, which must be Dim long, and
+// returned: the same draws and the same values, without an allocation.
+func (g *Gallery) ObserveInto(dst Vector, i int, sigma float64, rng *rand.Rand) Vector {
+	return perturbInto(dst, g.base[i], sigma, rng)
+}

@@ -91,7 +91,12 @@ func randomUnit(rng *rand.Rand, dim int) Vector {
 // standard deviation added and renormalized, modeling appearance variation
 // between observations of the same person (different view, pose, lighting).
 func Perturb(v Vector, sigma float64, rng *rand.Rand) Vector {
-	out := v.Clone()
+	return perturbInto(make(Vector, len(v)), v, sigma, rng)
+}
+
+// perturbInto is Perturb written into out, which must be len(v) long.
+func perturbInto(out, v Vector, sigma float64, rng *rand.Rand) Vector {
+	copy(out, v)
 	if sigma <= 0 {
 		return out
 	}

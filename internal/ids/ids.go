@@ -5,7 +5,6 @@
 package ids
 
 import (
-	"fmt"
 	"math/rand"
 	"slices"
 )
@@ -60,7 +59,26 @@ func (g *MACGenerator) Next() EID {
 
 // VIDLabel returns the canonical VID label for person index i, mimicking the
 // identity labels a re-identification front end would assign.
-func VIDLabel(i int) VID { return VID(fmt.Sprintf("V%05d", i)) }
+func VIDLabel(i int) VID {
+	// i as V%05d renders it, without fmt: the digits right to left, zeros
+	// up to the width, the sign inside it.
+	var s [21]byte // 'V', a sign, 19 digits
+	n, width, u := len(s), 5, uint64(i)
+	if i < 0 {
+		width, u = 4, -u
+	}
+	for ; u > 0 || width > 0; u, width = u/10, width-1 {
+		n--
+		s[n] = '0' + byte(u%10)
+	}
+	if i < 0 {
+		n--
+		s[n] = '-'
+	}
+	n--
+	s[n] = 'V'
+	return VID(s[n:])
+}
 
 // SortEIDs sorts a slice of EIDs in place and returns it, for deterministic
 // iteration over set contents.

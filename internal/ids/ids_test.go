@@ -2,6 +2,7 @@ package ids
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"regexp"
 	"sort"
@@ -95,15 +96,20 @@ func TestMACGeneratorMatchesSprintf(t *testing.T) {
 	}
 }
 
+// TestVIDLabel holds VIDLabel to the fmt.Sprintf("V%05d") rendering it
+// replaced — below, at and past the padding width, and for the negative
+// indices no person has — at one allocation a label, the string.
 func TestVIDLabel(t *testing.T) {
-	if got := VIDLabel(0); got != "V00000" {
-		t.Errorf("VIDLabel(0) = %q", got)
+	for _, i := range []int{0, 9, 123, 99_999, 100_000, 1_234_567, -1, -12_345, math.MaxInt, math.MinInt} {
+		if got, want := VIDLabel(i), VID(fmt.Sprintf("V%05d", i)); got != want {
+			t.Errorf("VIDLabel(%d) = %q, Sprintf gives %q", i, got, want)
+		}
 	}
 	if got := VIDLabel(123); got != "V00123" {
 		t.Errorf("VIDLabel(123) = %q", got)
 	}
-	if VIDLabel(1) == VIDLabel(2) {
-		t.Error("distinct persons share a VID label")
+	if allocs := testing.AllocsPerRun(100, func() { _ = VIDLabel(1_234_567) }); allocs != 1 {
+		t.Errorf("VIDLabel allocates %v times a label, want 1", allocs)
 	}
 }
 

@@ -285,7 +285,6 @@ func TestScaleSmokeSpill(t *testing.T) {
 					WindowMS:   1_000,
 					LatenessMS: 250,
 					Dim:        ds.Config.DescriptorDim(),
-					Seed:       5,
 				}
 				replay := func(budget int64) (string, spill.Snapshot) {
 					t.Helper()

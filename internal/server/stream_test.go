@@ -56,7 +56,6 @@ func newStreamServer(t *testing.T, shards int) (*httptest.Server, stream.Process
 		WindowMS:   1_000,
 		LatenessMS: 250,
 		Dim:        ds.Config.DescriptorDim(),
-		Seed:       7,
 	}
 	var proc stream.Processor
 	if shards > 0 {
@@ -231,7 +230,6 @@ func TestStreamStopsOnClientWriteError(t *testing.T) {
 		WindowMS:   1_000,
 		LatenessMS: 250,
 		Dim:        ds.Config.DescriptorDim(),
-		Seed:       7,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -253,7 +253,7 @@ func TestRemoteCheckpointRoundTrip(t *testing.T) {
 
 // drillWorkload is the world `evgen -persons 60 -density 8 -windows 12
 // -practical -eid-miss 0.08 -vid-miss 0.04 -seed 3 -events …` writes, and the
-// engine config an `evstream -log … -seed 7` replay of it runs: every EID the
+// engine config an `evstream -log …` replay of it runs: every EID the
 // log sights is a target.
 func drillWorkload(t *testing.T) (stream.Config, []stream.Observation) {
 	t.Helper()

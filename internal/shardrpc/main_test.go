@@ -113,7 +113,6 @@ func chaosWorkload(t *testing.T) (stream.Config, []stream.Observation) {
 		WindowMS:   1_000,
 		LatenessMS: 250,
 		Dim:        ds.Config.DescriptorDim(),
-		Seed:       7,
 	}, obs
 }
 
@@ -124,7 +123,6 @@ func engineConfig(ds *dataset.Dataset, targets []ids.EID) stream.Config {
 		WindowMS:   1_000,
 		LatenessMS: 250,
 		Dim:        ds.Config.DescriptorDim(),
-		Seed:       7,
 	}
 }
 

@@ -14,9 +14,10 @@ import (
 // CheckpointVersion is the checkpoint format version this package writes
 // and the only one it reads. Version 4 replaced the gob encodings (v2, the
 // engine image; v3, its sharded superset) with the binary record codec of
-// codec.go; files written by earlier builds are rejected by their missing
-// magic — the state is a pure function of the log, so re-replay it.
-const CheckpointVersion = 4
+// codec.go; version 5 dropped every field restore can derive, the writer's
+// shard count and the matcher seed. Files of earlier versions are refused —
+// the state is a pure function of the log, so re-replay it.
+const CheckpointVersion = 5
 
 // checkpointMagic opens every checkpoint file, followed by the version byte.
 const checkpointMagic = "EVCK"
@@ -40,29 +41,24 @@ func bucketObservations(cb *scenario.Record, windowMS int64, yield func(Observat
 }
 
 // checkpointFile is the complete stream state, the one image both
-// processors write and read. An engine image has Shards == 0; a router image
-// records its shard count and lists its shards' open buckets shard by shard
-// (re-checkpointing a restored router reproduces the bytes). Either
-// processor restores either image — a router redistributes the buckets by
-// ShardOf, an engine's windower absorbs them whole — so Shards only records
-// who wrote the image. The partition and the vfilter cache are
-// deliberately absent: both are pure functions of the closed scenarios, so
-// restore rebuilds them by replaying SplitBy in store-ID order — smaller
-// checkpoints, and no risk of persisting internal state that drifts from the
-// data (DESIGN.md §10).
+// processors write and read: a state has one image, whichever processor and
+// shard count hold it, since the open buckets are listed in (window, cell)
+// order. Either processor restores it — a router redistributes the buckets
+// by ShardOf, an engine's windower absorbs them whole. It holds only what
+// restore cannot derive: the partition and the vfilter cache are pure
+// functions of the closed scenarios, so restore rebuilds them by replaying
+// the split in store-ID order, and the resolutions' numbers and what they
+// resolve and rule out are functions of the resolutions (DESIGN.md §10).
 //
 // On disk (write, readCheckpoint) it is a wire record file: a header (every
 // scalar below, Targets, the two record counts), one scenario.Record per
 // scenario in store-ID order and per open bucket, and a tail (Resolutions,
-// Accepted, Resolved) — sorted slices only, so equal states give equal bytes.
+// each without its Seq) — so equal states give equal bytes.
 type checkpointFile struct {
-	Shards int
-
 	// Config guard: a checkpoint only restores into a processor windowing
 	// and matching identically.
 	WindowMS   int64
 	LatenessMS int64
-	Seed       int64
 	Dim        int
 	Targets    []ids.EID
 
@@ -72,13 +68,10 @@ type checkpointFile struct {
 	LateDropped int64
 	MaxTS       int64
 	MinOpen     int
-	Seq         int
 
 	Scenarios   []scenario.Record
 	Buckets     []scenario.Record
 	Resolutions []Resolution
-	Accepted    []ids.VID
-	Resolved    []ids.EID
 }
 
 // write streams the image to w record by record (wire.FileWriter), so no
@@ -86,17 +79,14 @@ type checkpointFile struct {
 func (cp *checkpointFile) write(w io.Writer) error {
 	fw := wire.NewFileWriter(w, checkpointMagic, CheckpointVersion)
 	fw.Record(func(b []byte) []byte {
-		b = wire.AppendVarint(b, int64(cp.Shards))
 		b = wire.AppendVarint(b, cp.WindowMS)
 		b = wire.AppendVarint(b, cp.LatenessMS)
-		b = wire.AppendVarint(b, cp.Seed)
 		b = wire.AppendVarint(b, int64(cp.Dim))
 		b = appendIDs(b, cp.Targets)
 		b = wire.AppendVarint(b, cp.Ingested)
 		b = wire.AppendVarint(b, cp.LateDropped)
 		b = wire.AppendVarint(b, cp.MaxTS)
 		b = wire.AppendVarint(b, int64(cp.MinOpen))
-		b = wire.AppendVarint(b, int64(cp.Seq))
 		b = wire.AppendUvarint(b, uint64(len(cp.Scenarios)))
 		return wire.AppendUvarint(b, uint64(len(cp.Buckets)))
 	})
@@ -105,20 +95,17 @@ func (cp *checkpointFile) write(w io.Writer) error {
 			fw.Record(func(b []byte) []byte { return scenario.AppendRecord(b, &section[i]) })
 		}
 	}
-	fw.Record(func(b []byte) []byte {
-		b = wire.AppendSlice(b, cp.Resolutions, appendResolution)
-		b = appendIDs(b, cp.Accepted)
-		return appendIDs(b, cp.Resolved)
-	})
+	fw.Record(func(b []byte) []byte { return wire.AppendSlice(b, cp.Resolutions, appendResolution) })
 	if err := fw.Flush(); err != nil {
 		return fmt.Errorf("stream: write checkpoint: %w", err)
 	}
 	return nil
 }
 
-// readCheckpoint decodes an image written by write. Input is treated as
-// hostile: a record count is never trusted for an allocation (slices grow
-// as records actually arrive), and any malformed byte is ErrBadCheckpoint.
+// readCheckpoint decodes an image written by write, numbering the
+// resolutions 1, 2, … in order. Input is treated as hostile: a record count
+// is never trusted for an allocation (slices grow as records actually
+// arrive), and any malformed byte is ErrBadCheckpoint.
 func readCheckpoint(rd io.Reader) (_ *checkpointFile, err error) {
 	defer func() {
 		if err != nil {
@@ -126,33 +113,24 @@ func readCheckpoint(rd io.Reader) (_ *checkpointFile, err error) {
 		}
 	}()
 	fr, err := wire.NewFileReader(rd, checkpointMagic, CheckpointVersion)
-	if errors.Is(err, wire.ErrNoMagic) {
-		return nil, fmt.Errorf("no %q magic — checkpoints written before format version %d (the gob-encoded v2/v3 files) are not readable; replay the log again",
-			checkpointMagic, CheckpointVersion)
-	}
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w — only format version %d is readable, not a v4 file nor a gob-encoded v2/v3 one; replay the log again",
+			err, CheckpointVersion)
 	}
 	cp := &checkpointFile{}
 	var counts [2]uint64
 	if err := fr.Record("header", func(r *wire.Reader) {
-		cp.Shards = r.Int()
 		cp.WindowMS = r.Varint()
 		cp.LatenessMS = r.Varint()
-		cp.Seed = r.Varint()
 		cp.Dim = r.Int()
 		cp.Targets = readIDs[ids.EID](r)
 		cp.Ingested = r.Varint()
 		cp.LateDropped = r.Varint()
 		cp.MaxTS = r.Varint()
 		cp.MinOpen = r.Int()
-		cp.Seq = r.Int()
 		counts[0], counts[1] = r.Uvarint(), r.Uvarint()
 	}); err != nil {
 		return nil, err
-	}
-	if cp.Shards < 0 {
-		return nil, fmt.Errorf("%d shards", cp.Shards)
 	}
 	for i, section := range []*[]scenario.Record{&cp.Scenarios, &cp.Buckets} {
 		what := [2]string{"scenario", "bucket"}[i]
@@ -166,10 +144,11 @@ func readCheckpoint(rd io.Reader) (_ *checkpointFile, err error) {
 	}
 	if err := fr.Record("tail", func(r *wire.Reader) {
 		cp.Resolutions = wire.ReadSlice(r, minResolutionBytes, readResolution)
-		cp.Accepted = readIDs[ids.VID](r)
-		cp.Resolved = readIDs[ids.EID](r)
 	}); err != nil {
 		return nil, err
+	}
+	for i := range cp.Resolutions {
+		cp.Resolutions[i].Seq = i + 1
 	}
 	return cp, fr.End()
 }
@@ -189,9 +168,10 @@ func (e *Engine) Checkpoint(w io.Writer) error {
 }
 
 // checkpointLocked builds a checkpoint image: the fold's state — config
-// guard, closed scenarios, resolutions, rule-out sets — from the engine, the
+// guard, closed scenarios, resolutions — from the engine, the
 // header counters from the given frontier and the open section from the given
-// buckets (the engine's own, or the router's and its shards'). Evicted V
+// buckets (the engine's own windower's, or one run over the router's
+// journals), in (window, cell) order. Evicted V
 // payloads are paged back in transiently — the checkpoint always carries the
 // full state — and a reload failure fails the checkpoint rather than silently
 // persisting a scenario as detection-free. Callers hold e.mu.
@@ -199,15 +179,12 @@ func (e *Engine) checkpointLocked(front *frontier, open []scenario.Record) (*che
 	cp := &checkpointFile{
 		WindowMS:    e.cfg.WindowMS,
 		LatenessMS:  e.cfg.LatenessMS,
-		Seed:        e.cfg.Seed,
 		Dim:         e.cfg.Dim,
 		Targets:     e.cfg.Targets,
-		Seq:         len(e.emitted),
 		Buckets:     open,
 		Scenarios:   make([]scenario.Record, 0, e.store.Len()),
 		Resolutions: e.emitted,
 	}
-	cp.Resolved, cp.Accepted = answered(e.emitted)
 	for id := scenario.ID(0); int(id) < e.store.Len(); id++ {
 		v, err := e.store.VChecked(id)
 		if err != nil {
@@ -230,9 +207,9 @@ func bucketToCheckpoint(k bucketKey, b *bucket) scenario.Record {
 	return scenario.Record{Window: k.Window, Cell: k.Cell, EIDs: canonicalEIDs(b.eids), Dets: dets}
 }
 
-// answered returns what a run of resolutions decided, as a checkpoint's tail
-// lists it: the EIDs resolved and the VIDs ruled out — the non-empty VIDs of
-// the acceptable answers — each sorted and once.
+// answered returns what a run of resolutions decided: the EIDs resolved and
+// the VIDs ruled out — the non-empty VIDs of the acceptable answers — each
+// sorted and once.
 func answered(rs []Resolution) ([]ids.EID, []ids.VID) {
 	resolved := make([]ids.EID, 0, len(rs))
 	var accepted []ids.VID
@@ -247,9 +224,8 @@ func answered(rs []Resolution) ([]ids.EID, []ids.VID) {
 	return slices.Compact(resolved), slices.Compact(accepted)
 }
 
-// Restore builds an Engine from cfg and resumes it from a checkpoint — an
-// engine's image or a router's, whose open buckets the engine's one windower
-// takes whatever shard wrote them. The checkpoint's windowing and matching
+// Restore builds an Engine from cfg and resumes it from a checkpoint, which
+// an Engine or a Router of any shard count may have written. The checkpoint's windowing and matching
 // parameters must match cfg; runtime-only fields (Clock, MemBudget,
 // SpillDir) come from cfg alone.
 func Restore(cfg Config, r io.Reader) (*Engine, error) {
@@ -272,38 +248,25 @@ func Restore(cfg Config, r io.Reader) (*Engine, error) {
 }
 
 // guardCheckpoint rejects a checkpoint whose windowing or matching
-// parameters disagree with the engine's config, or whose answers disagree
-// with themselves: Seq, Accepted and Resolved must be what Checkpoint
-// derives from Resolutions, and the resolutions numbered 1, 2, … and each a
-// distinct target's.
-func (e *Engine) guardCheckpoint(cp *checkpointFile) error {
+// parameters disagree with the engine's config, or whose resolutions — whose
+// resolved EIDs (answered) are given — answer an EID twice or one that is no
+// target.
+func (e *Engine) guardCheckpoint(cp *checkpointFile, resolved []ids.EID) error {
 	switch {
 	case cp.WindowMS != e.cfg.WindowMS:
 		return fmt.Errorf("%w: window %d ms vs config %d ms", ErrBadCheckpoint, cp.WindowMS, e.cfg.WindowMS)
 	case cp.LatenessMS != e.cfg.LatenessMS:
 		return fmt.Errorf("%w: lateness %d ms vs config %d ms", ErrBadCheckpoint, cp.LatenessMS, e.cfg.LatenessMS)
-	case cp.Seed != e.cfg.Seed:
-		return fmt.Errorf("%w: seed %d vs config %d", ErrBadCheckpoint, cp.Seed, e.cfg.Seed)
 	case cp.Dim != e.cfg.Dim:
 		return fmt.Errorf("%w: dim %d vs config %d", ErrBadCheckpoint, cp.Dim, e.cfg.Dim)
 	case !slices.Equal(cp.Targets, e.cfg.Targets):
 		return fmt.Errorf("%w: target set differs from config", ErrBadCheckpoint)
-	}
-	resolved, accepted := answered(cp.Resolutions)
-	switch {
-	case cp.Seq != len(cp.Resolutions):
-		return fmt.Errorf("%w: seq %d after %d resolutions", ErrBadCheckpoint, cp.Seq, len(cp.Resolutions))
 	case len(resolved) != len(cp.Resolutions):
 		return fmt.Errorf("%w: an EID resolved twice", ErrBadCheckpoint)
-	case !slices.Equal(cp.Resolved, resolved):
-		return fmt.Errorf("%w: resolved EIDs differ from the resolutions'", ErrBadCheckpoint)
-	case !slices.Equal(cp.Accepted, accepted):
-		return fmt.Errorf("%w: accepted VIDs differ from the resolutions'", ErrBadCheckpoint)
 	}
-	for i := range cp.Resolutions {
-		res := &cp.Resolutions[i]
-		if _, ok := slices.BinarySearch(e.part.Targets(), res.EID); !ok || res.Seq != i+1 {
-			return fmt.Errorf("%w: resolution %d, seq %d, of %q: out of sequence or of no target", ErrBadCheckpoint, i+1, res.Seq, res.EID)
+	for _, eid := range resolved {
+		if _, ok := slices.BinarySearch(e.part.Targets(), eid); !ok {
+			return fmt.Errorf("%w: a resolution of %q, no target", ErrBadCheckpoint, eid)
 		}
 	}
 	return nil
@@ -312,9 +275,11 @@ func (e *Engine) guardCheckpoint(cp *checkpointFile) error {
 // restoreMatchState resumes the fold from a checkpoint: after the guard it
 // re-adds the closed scenarios in ID order (the fresh store assigns the same
 // IDs) and replays the split — the partition is a pure fold over them — then
-// takes the resolutions and rebuilds from them what they rule out.
+// takes the resolutions and derives from them what they resolved and ruled
+// out.
 func (e *Engine) restoreMatchState(cp *checkpointFile) error {
-	if err := e.guardCheckpoint(cp); err != nil {
+	resolved, accepted := answered(cp.Resolutions)
+	if err := e.guardCheckpoint(cp, resolved); err != nil {
 		return err
 	}
 	for i := range cp.Scenarios {
@@ -334,15 +299,14 @@ func (e *Engine) restoreMatchState(cp *checkpointFile) error {
 			return fmt.Errorf("%w: scenario %d re-added as %d", ErrBadCheckpoint, i, id)
 		}
 	}
-	// The guard held Resolved and Accepted to what the resolutions decided.
 	e.emitted = cp.Resolutions
 	// The replay re-resolved every target the partition had resolved; those
 	// the checkpoint already answered are not pending.
 	e.pending = slices.DeleteFunc(e.pending, func(i int) bool {
-		_, done := slices.BinarySearch(cp.Resolved, e.part.Targets()[i])
+		_, done := slices.BinarySearch(resolved, e.part.Targets()[i])
 		return done
 	})
-	for _, vid := range cp.Accepted {
+	for _, vid := range accepted {
 		e.exclusion.Add(vid)
 	}
 	return nil
@@ -352,10 +316,10 @@ func (e *Engine) restoreMatchState(cp *checkpointFile) error {
 // the fold alone: once every issued close round has folded, each shard's
 // journal holds exactly the observations of its still-open windows (the merge
 // stage compacts it at every fold), so the open section is those observations
-// run through a local windower — no shard is asked anything, and the global
-// section reflects exactly the closures the journals no longer contain. A
-// shard that dies during the barrier is redispatched and its replacement
-// re-emits the rounds still owed.
+// run through one local windower — no shard is asked anything, the buckets
+// come out in the engine's order, and the global section reflects exactly
+// the closures the journals no longer contain. A shard that dies during the
+// barrier is redispatched and its replacement re-emits the rounds still owed.
 func (r *Router) Checkpoint(w io.Writer) error {
 	r.mu.Lock()
 	cp, err := r.checkpointLocked()
@@ -375,35 +339,27 @@ func (r *Router) checkpointLocked() (*checkpointFile, error) {
 	if err := r.awaitFoldLocked(); err != nil {
 		return nil, err
 	}
-	var open []scenario.Record
+	win, err := NewShardWindower(r.shardParams(), nil)
+	if err != nil {
+		return nil, err
+	}
 	for i := range r.slots {
-		win, err := NewShardWindower(r.shardParams(), nil)
-		if err != nil {
-			return nil, err
-		}
 		for _, m := range r.slots[i].journal.retained() {
 			if m.Kind == ShardMsgObs {
 				win.absorb(m.Pos, m.Obs)
 			}
 		}
-		open = append(open, win.snapshot()...)
 	}
 	// The merge stage supplies the global section; the frontier is the
 	// router's and the open buckets are its journals'.
 	r.merged.mu.Lock()
 	defer r.merged.mu.Unlock()
-	cp, err := r.merged.checkpointLocked(&r.front, open)
-	if err != nil {
-		return nil, err
-	}
-	cp.Shards = r.cfg.Shards
-	return cp, nil
+	return r.merged.checkpointLocked(&r.front, win.snapshot())
 }
 
-// RestoreRouter builds a Router from cfg and resumes it from a checkpoint —
-// a router's sharded image or an engine's unsharded one. Open buckets are
-// redistributed by ShardOf under cfg's shard count, so an image written
-// under any shard count (or by an Engine) restores under any other.
+// RestoreRouter builds a Router from cfg and resumes it from a checkpoint,
+// which an Engine or a Router of any shard count may have written. Open
+// buckets are redistributed by ShardOf under cfg's shard count.
 func RestoreRouter(cfg RouterConfig, rd io.Reader) (*Router, error) {
 	cp, err := readCheckpoint(rd)
 	if err != nil {

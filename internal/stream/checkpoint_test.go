@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"flag"
+	"fmt"
 	"math/rand"
 	"os"
 	"reflect"
@@ -31,9 +32,9 @@ func goldenImage() *checkpointFile {
 			Patch: feature.Patch{W: 2, H: 3, Pix: bytes.Repeat([]byte{fill}, 6)}}
 	}
 	return &checkpointFile{
-		WindowMS: 1_000, LatenessMS: 250, Seed: 7, Dim: 4,
+		WindowMS: 1_000, LatenessMS: 250, Dim: 4,
 		Targets:  []ids.EID{"e-1", "e-2"},
-		Ingested: 9, LateDropped: 1, MaxTS: 2_400, MinOpen: 2, Seq: 1,
+		Ingested: 9, LateDropped: 1, MaxTS: 2_400, MinOpen: 2,
 		Scenarios: []scenario.Record{
 			{Window: 0, Cell: 3, EIDs: []scenario.EIDAttr{{EID: "e-1", Attr: scenario.AttrInclusive}, {EID: "e-2", Attr: scenario.AttrVague}},
 				Dets: []scenario.Detection{det("v-1", 1, 0x40), det("v-2", 2, 0xc0)}},
@@ -44,13 +45,11 @@ func goldenImage() *checkpointFile {
 		},
 		Resolutions: []Resolution{{Seq: 1, EID: "e-2", VID: "v-2", Probability: 0.75, MajorityFrac: 1,
 			RunnerUp: "v-1", Margin: 0.5, Acceptable: true, Window: 1}},
-		Accepted: []ids.VID{"v-2"},
-		Resolved: []ids.EID{"e-2"},
 	}
 }
 
 func goldenConfig() Config {
-	return Config{Targets: []ids.EID{"e-1", "e-2"}, WindowMS: 1_000, LatenessMS: 250, Dim: 4, Seed: 7}
+	return Config{Targets: []ids.EID{"e-1", "e-2"}, WindowMS: 1_000, LatenessMS: 250, Dim: 4}
 }
 
 // goldenBytes reads a hex golden file, or rewrites it from got under -update.
@@ -77,20 +76,19 @@ func goldenBytes(t *testing.T, path string, got []byte) []byte {
 	return want
 }
 
-// TestGoldenCheckpoint pins the version-4 byte layout: a format change must
-// show up as a deliberate diff of testdata/checkpoint_v4.hex (regenerate
+// TestGoldenCheckpoint pins the version-5 byte layout: a format change must
+// show up as a deliberate diff of testdata/checkpoint_v5.hex (regenerate
 // with: go test ./internal/stream/ -run TestGoldenCheckpoint -update). The
 // pinned file must also decode to the image, restore, and re-checkpoint to
-// itself — through an Engine and, as a router image, through a Router — and
-// the router's image must restore into an Engine that checkpoints the golden
-// bytes again.
+// itself — through an Engine and through a Router, since a state has one
+// image whichever processor holds it.
 func TestGoldenCheckpoint(t *testing.T) {
 	img := goldenImage()
 	var buf bytes.Buffer
 	if err := img.write(&buf); err != nil {
 		t.Fatalf("write: %v", err)
 	}
-	golden := goldenBytes(t, "testdata/checkpoint_v4.hex", buf.Bytes())
+	golden := goldenBytes(t, "testdata/checkpoint_v5.hex", buf.Bytes())
 	if !bytes.Equal(buf.Bytes(), golden) {
 		t.Fatalf("checkpoint bytes changed (format change? regenerate with -update)\n got %x\nwant %x", buf.Bytes(), golden)
 	}
@@ -108,32 +106,13 @@ func TestGoldenCheckpoint(t *testing.T) {
 	if again := checkpointBytes(t, e); !bytes.Equal(again, golden) {
 		t.Fatalf("re-checkpoint of the restored engine differs\n got %x\nwant %x", again, golden)
 	}
-
-	// The same image restores into a router at any shard count, and the
-	// router's image restores into an engine that writes the golden bytes.
 	r, err := RestoreRouter(RouterConfig{Config: goldenConfig(), Shards: 2}, bytes.NewReader(golden))
 	if err != nil {
 		t.Fatalf("RestoreRouter: %v", err)
 	}
 	defer r.Close()
-	sharded := routerCheckpointBytes(t, r)
-	if bytes.Equal(sharded, golden) {
-		t.Fatal("the router's image is the engine's; the engine restore below proves nothing")
-	}
-	e2, err := Restore(goldenConfig(), bytes.NewReader(sharded))
-	if err != nil {
-		t.Fatalf("Restore of a router image: %v", err)
-	}
-	if again := checkpointBytes(t, e2); !bytes.Equal(again, golden) {
-		t.Fatalf("engine re-checkpoint of the router image differs from the golden\n got %x\nwant %x", again, golden)
-	}
-	r2, err := RestoreRouter(RouterConfig{Config: goldenConfig(), Shards: 2}, bytes.NewReader(sharded))
-	if err != nil {
-		t.Fatalf("RestoreRouter of a router image: %v", err)
-	}
-	defer r2.Close()
-	if again := routerCheckpointBytes(t, r2); !bytes.Equal(again, sharded) {
-		t.Fatal("re-checkpoint of the restored router differs")
+	if again := routerCheckpointBytes(t, r); !bytes.Equal(again, golden) {
+		t.Fatalf("re-checkpoint of the restored router differs from the golden\n got %x\nwant %x", again, golden)
 	}
 }
 
@@ -143,7 +122,8 @@ var gobEraV2Prefix = []byte{0xff, 0xa5, 0xff, 0x81, 0x03, 0x01, 0x01, 0x0e,
 	'c', 'h', 'e', 'c', 'k', 'p', 'o', 'i', 'n', 't', 'F', 'i', 'l', 'e', 0x01, 0xff, 0x82, 0x00}
 
 // TestRestoreRejectsOtherFormats: a gob-era file fails by its missing magic
-// with an error that says what to do; a future version fails by number.
+// and a version-4 file by its number, each with an error that says what to
+// do; a future version fails by number.
 func TestRestoreRejectsOtherFormats(t *testing.T) {
 	cfg := goldenConfig()
 	for _, restore := range []func([]byte) error{
@@ -160,9 +140,13 @@ func TestRestoreRejectsOtherFormats(t *testing.T) {
 		if !errors.Is(err, ErrBadCheckpoint) || !strings.Contains(err.Error(), "gob") || !strings.Contains(err.Error(), "replay the log") {
 			t.Errorf("gob-era file: err = %v, want ErrBadCheckpoint naming the format change", err)
 		}
+		prev := append([]byte(checkpointMagic), CheckpointVersion-1)
+		if err := restore(prev); !errors.Is(err, ErrBadCheckpoint) || !strings.Contains(err.Error(), fmt.Sprintf("version %d", CheckpointVersion-1)) || !strings.Contains(err.Error(), "replay the log") {
+			t.Errorf("previous version: err = %v, want ErrBadCheckpoint naming version %d and what to do", err, CheckpointVersion-1)
+		}
 		next := append([]byte(checkpointMagic), CheckpointVersion+1)
-		if err := restore(next); !errors.Is(err, ErrBadCheckpoint) || !strings.Contains(err.Error(), "version 5") {
-			t.Errorf("future version: err = %v, want ErrBadCheckpoint naming version 5", err)
+		if err := restore(next); !errors.Is(err, ErrBadCheckpoint) || !strings.Contains(err.Error(), fmt.Sprintf("version %d", CheckpointVersion+1)) {
+			t.Errorf("future version: err = %v, want ErrBadCheckpoint naming version %d", err, CheckpointVersion+1)
 		}
 		if err := restore(nil); !errors.Is(err, ErrBadCheckpoint) {
 			t.Errorf("empty file: err = %v, want ErrBadCheckpoint", err)
@@ -210,30 +194,14 @@ func TestRestoreRefusesHostileRecords(t *testing.T) {
 	}
 }
 
-// TestRestoreRefusesInconsistentAnswers: an image's Seq, Accepted and
-// Resolved are what Checkpoint derives from its Resolutions, which are
-// numbered from 1 and each answer a distinct target. An image that breaks any of these
-// would restore an engine numbering its next answer from the wrong Seq, or
-// ruling out the wrong VIDs, so both restore entry points refuse it with
-// ErrBadCheckpoint.
+// TestRestoreRefusesInconsistentAnswers: an image's resolutions each answer
+// a distinct target. An image that breaks this would restore an engine
+// answering an EID twice or one it was never asked, so both restore entry
+// points refuse it with ErrBadCheckpoint.
 func TestRestoreRefusesInconsistentAnswers(t *testing.T) {
 	for name, spoil := range map[string]func(*checkpointFile){
-		"seq ahead":         func(cp *checkpointFile) { cp.Seq = 5 },
-		"seq behind":        func(cp *checkpointFile) { cp.Seq = 0 },
-		"misnumbered":       func(cp *checkpointFile) { cp.Resolutions[0].Seq = 7 },
-		"accepted missing":  func(cp *checkpointFile) { cp.Accepted = nil },
-		"accepted extra":    func(cp *checkpointFile) { cp.Accepted = []ids.VID{"v-1", "v-2"} },
-		"accepted rejected": func(cp *checkpointFile) { cp.Resolutions[0].Acceptable = false },
-		"resolved missing":  func(cp *checkpointFile) { cp.Resolved = nil },
-		"resolved extra":    func(cp *checkpointFile) { cp.Resolved = []ids.EID{"e-1", "e-2"} },
-		"non-target": func(cp *checkpointFile) {
-			cp.Resolutions[0].EID, cp.Resolved = "e-9", []ids.EID{"e-9"}
-		},
-		"resolved twice": func(cp *checkpointFile) {
-			again := cp.Resolutions[0]
-			again.Seq, again.VID, again.Acceptable = 2, "", false
-			cp.Resolutions, cp.Seq = append(cp.Resolutions, again), 2
-		},
+		"non-target":     func(cp *checkpointFile) { cp.Resolutions[0].EID = "e-9" },
+		"resolved twice": resolveTwice,
 	} {
 		img := goldenImage()
 		spoil(img)
@@ -253,15 +221,23 @@ func TestRestoreRefusesInconsistentAnswers(t *testing.T) {
 	}
 }
 
+// resolveTwice appends a second, unacceptable answer for the image's one
+// resolved EID.
+func resolveTwice(cp *checkpointFile) {
+	again := cp.Resolutions[0]
+	again.Seq, again.VID, again.Acceptable = 2, "", false
+	cp.Resolutions = append(cp.Resolutions, again)
+}
+
 // checkpointWithCounts is a valid header announcing scenario and bucket
 // counts the file does not contain.
 func checkpointWithCounts(scenarios, buckets uint64) []byte {
 	var hdr []byte
-	for _, v := range []int64{0, 1_000, 250, 7, 4} { // shards, window, lateness, seed, dim
+	for _, v := range []int64{1_000, 250, 4} { // window, lateness, dim
 		hdr = wire.AppendVarint(hdr, v)
 	}
 	hdr = appendIDs(hdr, []ids.EID{"e-1", "e-2"})
-	for range [5]int{} { // ingested, lateDropped, maxTS, minOpen, seq
+	for range [4]int{} { // ingested, lateDropped, maxTS, minOpen
 		hdr = wire.AppendVarint(hdr, 0)
 	}
 	hdr = wire.AppendUvarint(hdr, scenarios)
@@ -292,13 +268,13 @@ func FuzzCheckpointDecode(f *testing.F) {
 	flipped := append([]byte{}, valid...)
 	flipped[len(flipped)/3] ^= 0x55
 	f.Add(flipped)
-	ahead := goldenImage()
-	ahead.Seq = 5 // well-formed bytes, answers that disagree with their Seq
-	var aheadBuf bytes.Buffer
-	if err := ahead.write(&aheadBuf); err != nil {
+	twice := goldenImage()
+	resolveTwice(twice) // well-formed bytes, answers restore refuses
+	var twiceBuf bytes.Buffer
+	if err := twice.write(&twiceBuf); err != nil {
 		f.Fatal(err)
 	}
-	f.Add(aheadBuf.Bytes())
+	f.Add(twiceBuf.Bytes())
 
 	cfg := goldenConfig()
 	f.Fuzz(func(t *testing.T, in []byte) {
@@ -364,7 +340,6 @@ func BenchmarkCheckpoint(b *testing.B) {
 		WindowMS:   1_000,
 		LatenessMS: 250,
 		Dim:        ds.Config.DescriptorDim(),
-		Seed:       5,
 	}
 	e, err := NewEngine(cfg)
 	if err != nil {

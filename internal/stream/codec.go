@@ -27,7 +27,7 @@ const (
 	minObservationBytes = 7                       // every scalar one byte, strings empty
 	minShardMsgBytes    = 5 + minObservationBytes // + pos, kind, round, target, maxTS
 	minShardOutBytes    = 4                       // round, target, maxTS, an empty list
-	minResolutionBytes  = 30                      // five one-byte fields, three floats, a bool
+	minResolutionBytes  = 29                      // four one-byte fields, three floats, a bool
 )
 
 func appendObservation(b []byte, o *Observation) []byte {
@@ -100,8 +100,9 @@ func readShardOut(r *wire.Reader, o *ShardOut) {
 	o.Sealed = wire.ReadSlice(r, minSealedRefsBytes, readSealedRefs)
 }
 
+// appendResolution and readResolution carry a resolution without its Seq,
+// which is its position in the list that carries it.
 func appendResolution(b []byte, res *Resolution) []byte {
-	b = wire.AppendVarint(b, int64(res.Seq))
 	b = wire.AppendString(b, string(res.EID))
 	b = wire.AppendString(b, string(res.VID))
 	b = wire.AppendFloat64(b, res.Probability)
@@ -113,7 +114,6 @@ func appendResolution(b []byte, res *Resolution) []byte {
 }
 
 func readResolution(r *wire.Reader, res *Resolution) {
-	res.Seq = r.Int()
 	res.EID = ids.EID(r.String())
 	res.VID = ids.VID(r.String())
 	res.Probability = r.Float64()

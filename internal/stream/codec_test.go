@@ -111,7 +111,7 @@ func randShardOut(rng *rand.Rand) ShardOut {
 
 func randResolution(rng *rand.Rand) Resolution {
 	return Resolution{
-		Seq: randInt(rng), EID: ids.EID(randString(rng)), VID: ids.VID(randString(rng)),
+		EID: ids.EID(randString(rng)), VID: ids.VID(randString(rng)),
 		Probability: rng.Float64(), MajorityFrac: rng.Float64(), RunnerUp: ids.VID(randString(rng)),
 		Margin: rng.NormFloat64(), Acceptable: rng.Intn(2) == 0, Window: randInt(rng),
 	}

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"evmatching/internal/scenario"
+	"evmatching/internal/vfilter"
 )
 
 // checkpointBytes serializes e and returns the raw checkpoint.
@@ -145,9 +146,15 @@ func TestCheckpointByteIdentityAcrossArrivalOrders(t *testing.T) {
 // (vfilter.MatchInOrder), and the stream it emits must not depend on how
 // many there are. The inline engine and the sharded merger are both held to
 // one sha256 at one, two and eight procs; the hash was taken from the
-// one-target-at-a-time sweep this replaced.
+// one-target-at-a-time sweep this replaced. The same runs pin the sweep's
+// effort (FilterStats) and the sha256 of the flushed checkpoint image, one
+// value for both processors.
 func TestResolutionStreamGolden(t *testing.T) {
-	const want = "2cb5f78f51adbf82d2aab90d82e9c5305f80df502bc960f0ee8f23ccd7e4eb24"
+	const (
+		want      = "2cb5f78f51adbf82d2aab90d82e9c5305f80df502bc960f0ee8f23ccd7e4eb24"
+		wantImage = "02787931f0df966a4840bf4b60d028e60789eb1e28ad3261ff6ba258d9ec9d3f"
+	)
+	wantStats := vfilter.Stats{ScenariosProcessed: 71, Extractions: 508, Comparisons: 9109, Pairs: 1102}
 	ds := testDataset(t, true)
 	_, obs, err := EventsFromDataset(ds, testWindowMS, 7)
 	if err != nil {
@@ -159,19 +166,20 @@ func TestResolutionStreamGolden(t *testing.T) {
 			t.Run(fmt.Sprintf("procs=%d/shards=%d", procs, shards), func(t *testing.T) {
 				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 				var p Processor
+				var stats func() vfilter.Stats
 				if shards == 0 {
 					e, err := NewEngine(cfg)
 					if err != nil {
 						t.Fatal(err)
 					}
-					p = e
+					p, stats = e, e.FilterStats
 				} else {
 					r, err := NewRouter(RouterConfig{Config: cfg, Shards: shards})
 					if err != nil {
 						t.Fatal(err)
 					}
 					defer r.Close()
-					p = r
+					p, stats = r, r.FilterStats
 				}
 				for i, o := range obs {
 					if _, err := p.Ingest(o); err != nil {
@@ -191,6 +199,16 @@ func TestResolutionStreamGolden(t *testing.T) {
 				}
 				if got := hex.EncodeToString(h.Sum(nil)); got != want {
 					t.Errorf("%d resolutions hash to %s, want %s", len(res), got, want)
+				}
+				if got := stats(); got != wantStats {
+					t.Errorf("FilterStats = %+v, want %+v", got, wantStats)
+				}
+				var image bytes.Buffer
+				if err := p.Checkpoint(&image); err != nil {
+					t.Fatalf("Checkpoint: %v", err)
+				}
+				if got := fmt.Sprintf("%x", sha256.Sum256(image.Bytes())); got != wantImage {
+					t.Errorf("flushed image (%d bytes) hashes to %s, want %s", image.Len(), got, wantImage)
 				}
 			})
 		}

@@ -58,7 +58,6 @@ func chaosWorkload(t *testing.T) (stream.Config, []stream.Observation, []ids.EID
 		WindowMS:   1_000,
 		LatenessMS: 250,
 		Dim:        ds.Config.DescriptorDim(),
-		Seed:       7,
 	}
 	return ecfg, obs, targets
 }

@@ -229,9 +229,9 @@ func TestRouterRestoreRejectsMismatchedConfig(t *testing.T) {
 	image := routerCheckpointBytes(t, r)
 
 	bad := cfg
-	bad.Seed = cfg.Seed + 1
+	bad.LatenessMS = cfg.LatenessMS + 1
 	if _, err := RestoreRouter(RouterConfig{Config: bad, Shards: 2}, bytes.NewReader(image)); !errors.Is(err, ErrBadCheckpoint) {
-		t.Fatalf("mismatched seed: err = %v, want ErrBadCheckpoint", err)
+		t.Fatalf("mismatched lateness: err = %v, want ErrBadCheckpoint", err)
 	}
 	if _, err := RestoreRouter(RouterConfig{Config: cfg, Shards: 2}, bytes.NewReader(image[:len(image)/2])); !errors.Is(err, ErrBadCheckpoint) {
 		t.Fatalf("truncated image: err = %v, want ErrBadCheckpoint", err)

@@ -220,7 +220,6 @@ func FuzzRouterObservation(f *testing.F) {
 					WindowMS:   1_000,
 					LatenessMS: 250,
 					Dim:        8,
-					Seed:       1,
 				},
 				Shards: shards,
 				Runner: runner,

@@ -1,12 +1,14 @@
 package stream
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"evmatching/internal/core"
@@ -328,7 +330,8 @@ func (f runnerFunc) RunShard(run ShardRun) { f(run) }
 // with stale re-deliveries, the Engine, routers at two shard counts and a
 // router handed RunShardInProcess through the Runner seam return the same
 // accepted flag and read the same Ingested, LateDropped, OpenWindows and
-// Watermark after each Ingest, and finalize to the same fingerprint.
+// Watermark after each Ingest, write the same checkpoint bytes at every cut,
+// and finalize to the same fingerprint.
 func TestProcessorParity(t *testing.T) {
 	ds := testDataset(t, true)
 	targets := ds.AllEIDs()[:8]
@@ -353,10 +356,27 @@ func TestProcessorParity(t *testing.T) {
 		watermark      int64
 		observed       bool
 	}
-	replay := func(t *testing.T, p Processor, want []reading) ([]reading, string) {
+	// Checkpoint cuts: before anything, inside the first windows, mid-log
+	// with late arrivals behind it, and after the last observation.
+	cuts := []int{0, len(log) / 5, len(log)/2 + 3}
+	replay := func(t *testing.T, p Processor, want []reading, wantImages [][]byte) ([]reading, [][]byte, string) {
 		t.Helper()
 		got := make([]reading, 0, len(log))
+		var images [][]byte
+		checkpoint := func(at int) {
+			var buf bytes.Buffer
+			if err := p.Checkpoint(&buf); err != nil {
+				t.Fatalf("Checkpoint at %d: %v", at, err)
+			}
+			if wantImages != nil && !bytes.Equal(buf.Bytes(), wantImages[len(images)]) {
+				t.Fatalf("checkpoint at observation %d differs from the engine's (%d vs %d bytes)", at, buf.Len(), len(wantImages[len(images)]))
+			}
+			images = append(images, buf.Bytes())
+		}
 		for i, o := range log {
+			if slices.Contains(cuts, i) {
+				checkpoint(i)
+			}
 			acc, err := p.Ingest(o)
 			if err != nil {
 				t.Fatalf("Ingest %d: %v", i, err)
@@ -368,6 +388,7 @@ func TestProcessorParity(t *testing.T) {
 			}
 			got = append(got, r)
 		}
+		checkpoint(len(log))
 		rep, err := p.Finalize(context.Background())
 		if err != nil {
 			t.Fatalf("Finalize: %v", err)
@@ -375,7 +396,7 @@ func TestProcessorParity(t *testing.T) {
 		if p.OpenWindows() != 0 {
 			t.Errorf("%d windows open after Finalize", p.OpenWindows())
 		}
-		return got, rep.Fingerprint()
+		return got, images, rep.Fingerprint()
 	}
 
 	cfg := testConfig(ds, targets)
@@ -383,7 +404,7 @@ func TestProcessorParity(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
 	}
-	want, wantPrint := replay(t, e, nil)
+	want, wantImages, wantPrint := replay(t, e, nil, nil)
 	if e.LateDropped() == 0 || e.LateDropped() == e.Ingested() {
 		t.Fatalf("%d of %d observations late; the parity check is vacuous", e.LateDropped(), e.Ingested())
 	}
@@ -398,7 +419,7 @@ func TestProcessorParity(t *testing.T) {
 				t.Fatalf("NewRouter: %v", err)
 			}
 			defer r.Close()
-			if _, got := replay(t, r, want); got != wantPrint {
+			if _, _, got := replay(t, r, want, wantImages); got != wantPrint {
 				t.Errorf("fingerprint diverged from the engine's:\n--- engine\n%s\n--- router\n%s", wantPrint, got)
 			}
 		})

@@ -19,7 +19,6 @@ func streamWorkingSetBytes(t *testing.T, cfg Config, obs []Observation) int64 {
 		WindowMS:   cfg.WindowMS,
 		LatenessMS: cfg.LatenessMS,
 		Dim:        cfg.Dim,
-		Seed:       cfg.Seed,
 	})
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)

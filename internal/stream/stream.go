@@ -44,12 +44,6 @@ type Config struct {
 	// Dim is the feature descriptor dimensionality of V patches. Required.
 	Dim int
 
-	// Seed is Finalize's core.Options.Seed, and a checkpoint must carry the
-	// same. It changes no answer: Finalize's serial SS scans windows in
-	// order (core.ScanInOrder), which draws no random number, and
-	// Report.Fingerprint does not hash it. Defaults to 1.
-	Seed int64
-
 	// MemBudget caps the bytes of resident sealed V-Scenario payloads.
 	// Past it, closed-but-unmerged scenarios (and their extracted feature
 	// matrices) are evicted oldest-sealed-first to a spill log and paged
@@ -68,9 +62,6 @@ type Config struct {
 
 // withDefaults returns a copy with defaults applied.
 func (c Config) withDefaults() Config {
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
 	if c.Clock == nil {
 		c.Clock = SystemClock{}
 	}
@@ -266,8 +257,8 @@ type Engine struct {
 	resolutionsDropped int64
 
 	// emitted is every resolution in emission order, the one record of the
-	// engine's answers: its length is the last Seq, and a checkpoint derives
-	// its resolved and accepted sets from it. exclusion holds the VIDs its
+	// engine's answers: its length is the last Seq, and a restore derives
+	// the resolved and accepted sets from it. exclusion holds the VIDs its
 	// acceptable answers ruled out, as MatchInOrder fills it.
 	emitted   []Resolution
 	exclusion *vfilter.Exclusion
@@ -320,7 +311,6 @@ func (e *Engine) resetMatchState() error {
 	}, core.Options{
 		Algorithm: core.AlgorithmSS,
 		Mode:      core.ModeSerial,
-		Seed:      e.cfg.Seed,
 		ScanOrder: core.ScanInOrder,
 	})
 	if err != nil {

@@ -55,7 +55,6 @@ func testConfig(ds *dataset.Dataset, targets []ids.EID) Config {
 		WindowMS:   testWindowMS,
 		LatenessMS: testLatenessMS,
 		Dim:        ds.Config.DescriptorDim(),
-		Seed:       7,
 	}
 }
 
