@@ -18,7 +18,7 @@
 // resolutions); /metricsz then reads its stream_* and block_* gauges at each
 // request, the engine's block_* values over the start-up match's. With
 // -stream-checkpoint the stream state is restored from the named file on
-// startup (when present; an Engine reads any v4 image, a sharded Router's
+// startup (when present; an Engine reads any v5 image, a sharded Router's
 // included) and rewritten durably on the -stream-checkpoint-every interval,
 // so a restarted server resumes instead of starting cold.
 package main

@@ -1,9 +1,6 @@
 package bitset
 
-import (
-	"math/rand"
-	"testing"
-)
+import "testing"
 
 func TestBasicOps(t *testing.T) {
 	s := New(130) // three words, last partial
@@ -13,54 +10,9 @@ func TestBasicOps(t *testing.T) {
 			t.Errorf("Has(%d) = false after Add", i)
 		}
 	}
-	if got := s.Count(); got != 4 {
-		t.Errorf("Count = %d, want 4", got)
-	}
 	s.Remove(64)
-	if s.Has(64) || s.Count() != 3 {
-		t.Errorf("Remove(64) left Has=%v Count=%d", s.Has(64), s.Count())
-	}
-	if !s.Any() {
-		t.Error("Any = false on non-empty set")
-	}
-	s.Clear()
-	if s.Any() || s.Count() != 0 {
-		t.Error("Clear left bits set")
-	}
-}
-
-func TestBinaryOpsAgainstMaps(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	const n = 200
-	for trial := 0; trial < 50; trial++ {
-		a, b := New(n), New(n)
-		am, bm := map[int]bool{}, map[int]bool{}
-		for i := 0; i < n; i++ {
-			if rng.Intn(3) == 0 {
-				a.Add(i)
-				am[i] = true
-			}
-			if rng.Intn(3) == 0 {
-				b.Add(i)
-				bm[i] = true
-			}
-		}
-		check := func(name string, got Set, want func(i int) bool) {
-			for i := 0; i < n; i++ {
-				if got.Has(i) != want(i) {
-					t.Fatalf("trial %d %s bit %d = %v, want %v", trial, name, i, got.Has(i), want(i))
-				}
-			}
-		}
-		dst := New(n)
-		AndInto(dst, a, b)
-		check("AndInto", dst, func(i int) bool { return am[i] && bm[i] })
-		AndNotInto(dst, a, b)
-		check("AndNotInto", dst, func(i int) bool { return am[i] && !bm[i] })
-		OrInto(dst, a, b)
-		check("OrInto", dst, func(i int) bool { return am[i] || bm[i] })
-		OrInto(a, a, b) // aliasing form
-		check("OrInto-alias", a, func(i int) bool { return am[i] || bm[i] })
+	if s.Has(64) || !s.Has(63) || !s.Has(129) {
+		t.Errorf("Remove(64) left Has(64)=%v Has(63)=%v Has(129)=%v", s.Has(64), s.Has(63), s.Has(129))
 	}
 }
 

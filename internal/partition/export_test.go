@@ -6,20 +6,13 @@ import (
 	"evmatching/internal/ids"
 )
 
-// Resolved reports whether target e's home set holds no other inclusive EID.
+// Resolved reports whether target e's home set holds no other EID.
 func (p *Partition) Resolved(e ids.EID) (bool, error) {
-	i, ok := p.idx.pos[e]
+	i, ok := p.pos[e]
 	if !ok {
 		return false, fmt.Errorf("partition: unknown EID %s", e)
 	}
-	return p.home(i).nInc == 1, nil
-}
-
-// VagueEIDs returns n's sorted vague members.
-func (n *Node) VagueEIDs() []ids.EID {
-	out := make([]ids.EID, 0, n.vag.Count())
-	n.vag.ForEach(func(i int) { out = append(out, n.idx.eids[i]) })
-	return out
+	return p.home(i).size() == 1, nil
 }
 
 // Retire takes the target with store ordinal ord out of the live set, as the

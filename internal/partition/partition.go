@@ -2,32 +2,32 @@
 // (paper §IV-B1, Algorithm 1). A Partition tracks the sets of mutually
 // undistinguishable EIDs as a binary split tree: each effective E-Scenario
 // splits a leaf into the EIDs appearing in the scenario (left child) and the
-// rest (right child). When every leaf holds a single (inclusive) EID, the
-// scenarios recorded along each EID's root-to-leaf path form its
-// distinguishing list for the V stage.
+// rest (right child). When every leaf holds a single EID, the scenarios
+// recorded along each EID's root-to-leaf path form its distinguishing list
+// for the V stage.
 //
 // The practical setting (§IV-C2, Theorem 4.3) is supported through vague
 // attributes: an EID that is vague — near a cell border, or only
-// intermittently observed — is never used to confirm a split. A node-inclusive
-// EID that is only vaguely present in the splitting scenario keeps its
-// definite home on the right (not-confirmed) side and leaves a vague copy on
-// the left, so every EID always has exactly one inclusive home leaf while its
-// possible drift locations remain marked.
+// intermittently observed — is never used to confirm a split. A split reads
+// a scenario's inclusive members only, so a vague sighting leaves its EID on
+// the right (not-confirmed) side, and every EID has exactly one home leaf.
 //
-// Sets are dense bitsets over a per-partition EID index (assigned in sorted
-// EID order, so ascending bit iteration yields sorted EIDs): one split is a
-// handful of word-wide AND/AND-NOT operations against the scenario's
-// membership masks, instead of per-EID map traffic. A scenario reaches the
-// masks either as a store view (SplitView: its EID ordinals, mapped to index
-// positions through the ranked bitset BindStore builds) or as an EID map
-// (SplitBy); both then run the one split routine.
+// The tree is a refinable partition: every target's position in the sorted
+// target list is held once in one member array, and a node is a range of
+// it, its left child the front of the range and its right child the rest.
+// A split swaps the scenario's members to the front of their home leaves'
+// ranges and cuts each touched leaf there, so it costs the scenario's size
+// plus the smaller child of each split, whatever the partition has grown to.
+// A scenario reaches the split either as a store view (SplitView: its EID
+// ordinals, mapped to target positions through the ranked bitset BindStore
+// builds) or as an EID map (SplitBy); both then run the one split routine.
 //
 // A partition bound to a store also knows which scenarios can still split it
 // (DESIGN.md §13): only one holding a live target — one whose home leaf has
-// another inclusive member — inclusively. It keeps the live targets as a
-// bitset of store ordinals that splits shrink, and both front-ends read it:
-// the batch split stage a window at a time (Candidates), the stream one
-// sealed scenario at a time (Prunes).
+// another member — inclusively. It keeps the live targets as a bitset of
+// store ordinals that splits shrink, and both front-ends read it: the batch
+// split stage a window at a time (Candidates), the stream one sealed
+// scenario at a time (Prunes).
 package partition
 
 import (
@@ -36,7 +36,6 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
-	"sort"
 
 	"evmatching/internal/bitset"
 	"evmatching/internal/ids"
@@ -46,26 +45,16 @@ import (
 // ErrNoTargets reports an attempt to build a partition with no EIDs.
 var ErrNoTargets = errors.New("partition: no target EIDs")
 
-// eidIndex is the partition's fixed EID universe: bit i of every node set
-// refers to eids[i]. EIDs are indexed in sorted order.
-type eidIndex struct {
-	eids []ids.EID
-	pos  map[ids.EID]int
-}
-
-// Node is one set of mutually undistinguishable EIDs in the split tree.
-// Leaves hold live sets; internal nodes remember the scenario that split
-// them. A node's member sets are immutable once the node is created.
+// Node is one set of mutually undistinguishable EIDs in the split tree: the
+// target positions in elems[lo:hi] of its partition. Leaves hold live sets;
+// internal nodes remember the scenario that split them. A node's range, and
+// so its member set, is fixed once the node is created; a split reorders
+// members only inside the range of the leaf it cuts.
 type Node struct {
-	idx *eidIndex
-	// inc holds the inclusive members (definitely in this set); vag the
-	// vague members (may belong here or in a sibling). The two are disjoint.
-	inc, vag bitset.Set
-	// nInc caches inc.Count(): SplitBy and Done read it per touched leaf.
-	nInc int
-	// seen is the SplitBy call that last probed this node or created it, so
-	// a leaf shared by several of the scenario's members is probed once.
-	seen uint64
+	lo, hi int32
+	// marked counts the members the split in progress has swapped to the
+	// front of the range; it is 0 between splits.
+	marked int32
 	// slot is the leaf's index in Partition.leaves; an internal node keeps
 	// the slot it had as a leaf, which its larger child now holds.
 	slot int32
@@ -79,113 +68,98 @@ type Node struct {
 // isLeaf reports whether n has not been split.
 func (n *Node) isLeaf() bool { return n.Left == nil && n.Right == nil }
 
-// InclusiveEIDs returns the sorted inclusive members.
-func (n *Node) InclusiveEIDs() []ids.EID {
-	out := make([]ids.EID, 0, n.nInc)
-	n.inc.ForEach(func(i int) { out = append(out, n.idx.eids[i]) })
-	return out
-}
+// size returns the number of n's members.
+func (n *Node) size() int32 { return n.hi - n.lo }
 
 // Partition is the evolving partition of the target EIDs, with the split
 // tree that produced it. It is not safe for concurrent use.
 type Partition struct {
-	idx  *eidIndex
-	root *Node
-	// set[i] is the slot in leaves of idx.eids[i]'s inclusive home leaf.
-	// Every leaf is the home of at least one EID (both children of an
-	// effective split keep an inclusive member), so leaves holds exactly the
-	// leaves. A split hands its leaf's slot to the child with more inclusive
-	// members and relabels only the other child's: a member changes slot only
-	// when it lands in the smaller half, whose size is at most half the one it
-	// left, so at most log₂ n times — O(n log n) relabels over any split
-	// sequence (Hopcroft's "process the smaller half" rule), where re-homing
-	// both children costs O(n²) when scenarios peel targets off one by one.
+	// eids is the sorted, deduplicated target list; pos inverts it.
+	eids []ids.EID
+	pos  map[ids.EID]int
+	// elems holds every target position once, each node's members in its
+	// range; at[i] is position i's index in elems.
+	elems, at []int32
+	root      *Node
+	// set[i] is the slot in leaves of target i's home leaf. Every leaf holds
+	// at least one target (both children of an effective split do), so
+	// leaves holds exactly the leaves. A split hands its leaf's slot to the
+	// larger child and relabels only the other child's members: a member
+	// changes slot only when it lands in the smaller half, whose size is at
+	// most half the one it left, so at most log₂ n times — O(n log n)
+	// relabels over any split sequence (Hopcroft's "process the smaller
+	// half" rule), where re-homing both children costs O(n²) when scenarios
+	// peel targets off one by one.
 	set    []int32
 	leaves []*Node
 	// relabels counts the set entries splits have rewritten (tests only).
 	relabels int
 	// numSets counts the leaves; multi counts those still holding ≥2
-	// inclusive EIDs. Both are maintained per split, so NumSets and Done
-	// never walk anything.
+	// EIDs. Both are maintained per split, so NumSets and Done never walk
+	// anything.
 	numSets, multi int
-	// calls numbers the SplitBy invocations for Node.seen.
-	calls    uint64
-	recorded []scenario.ID
-	inRec    map[scenario.ID]bool
-	// sInc/sVag/sAny are the reusable scenario-membership masks each split
-	// call rebuilds; tInc/tOut/tVag are splitNode's probe scratches, cloned
-	// into child nodes only when a split is actually effective.
-	sInc, sVag, sAny bitset.Set
-	tInc, tOut, tVag bitset.Set
+	recorded       []scenario.ID
+	// marks and touched are split scratches: the scenario's inclusive
+	// target positions, and the leaves they fell in.
+	marks   []int32
+	touched []*Node
 	// The targets' store ordinals (BindStore), ranked: bit o of bound is
 	// set for a target's ordinal o, below[w] counts the set bits of the
-	// words before w, and byRank[r] is the index position of the target with
-	// the r-th smallest ordinal. A store's ordinals span all its EIDs, most
-	// of them no target's, so this costs a word per 64 of them, not an
-	// entry each; ordinals past bound's end are outside the partition.
+	// words before w, and byRank[r] is the position of the target with the
+	// r-th smallest ordinal. A store's ordinals span all its EIDs, most of
+	// them no target's, so this costs a word per 64 of them, not an entry
+	// each; ordinals past bound's end are outside the partition.
 	bound  bitset.Set
 	below  []int32
 	byRank []int32
 	// store is the store BindStore bound, ords[i] the ordinal of Targets()[i]
 	// in it. live holds the ordinals of the targets whose home leaf has ≥2
-	// inclusive members, numLive how many there are: a split clears the bit
-	// of each target it resolves. Leaves only ever shrink, so the set does.
+	// members, numLive how many there are: a split clears the bit of each
+	// target it resolves. Leaves only ever shrink, so the set does.
 	store   *scenario.Store
 	ords    []int32
 	live    bitset.Set
 	numLive int
 	// onResolve, when set, is called with each EID's position in Targets the
-	// moment its inclusive home leaf shrinks to a singleton. Leaves only ever
-	// shrink, so a resolved EID is resolved forever and the callback fires
-	// exactly once per EID.
+	// moment its home leaf shrinks to a singleton. Leaves only ever shrink,
+	// so a resolved EID is resolved forever and the callback fires exactly
+	// once per EID.
 	onResolve func(int)
 }
 
 // OnResolve registers fn to be called with the position in Targets of each
-// target EID as it becomes resolved (its home leaf's inclusive count reaches
+// target EID as it becomes resolved (its home leaf's member count reaches
 // 1). Pass nil to unregister. EIDs already resolved at registration time are
 // not replayed.
 func (p *Partition) OnResolve(fn func(i int)) { p.onResolve = fn }
 
-// New creates the initial one-set partition over the target EIDs, all
-// inclusive (paper: "Initially, all EIDs are in one set").
+// New creates the initial one-set partition over the target EIDs
+// (paper: "Initially, all EIDs are in one set").
 func New(targets []ids.EID) (*Partition, error) {
 	if len(targets) == 0 {
 		return nil, ErrNoTargets
 	}
-	idx := &eidIndex{pos: make(map[ids.EID]int, len(targets))}
+	p := &Partition{pos: make(map[ids.EID]int, len(targets))}
 	for _, e := range targets {
 		if e == ids.None {
 			return nil, fmt.Errorf("partition: target list contains the empty EID")
 		}
-		if _, dup := idx.pos[e]; !dup {
-			idx.pos[e] = 0 // position assigned after sorting
-			idx.eids = append(idx.eids, e)
+		if _, dup := p.pos[e]; !dup {
+			p.pos[e] = 0 // position assigned after sorting
+			p.eids = append(p.eids, e)
 		}
 	}
-	ids.SortEIDs(idx.eids)
-	for i, e := range idx.eids {
-		idx.pos[e] = i
+	ids.SortEIDs(p.eids)
+	n := len(p.eids)
+	p.elems, p.at = make([]int32, n), make([]int32, n)
+	for i, e := range p.eids {
+		p.pos[e] = i
+		p.elems[i], p.at[i] = int32(i), int32(i)
 	}
-	n := len(idx.eids)
-	root := &Node{idx: idx, inc: bitset.New(n), vag: bitset.New(n), nInc: n, Scenario: scenario.NoID}
-	for i := range idx.eids {
-		root.inc.Add(i)
-	}
-	p := &Partition{
-		idx:     idx,
-		root:    root,
-		set:     make([]int32, n),
-		leaves:  append(make([]*Node, 0, n), root), // a leaf per target at most
-		numSets: 1,
-		inRec:   make(map[scenario.ID]bool),
-		sInc:    bitset.New(n),
-		sVag:    bitset.New(n),
-		sAny:    bitset.New(n),
-		tInc:    bitset.New(n),
-		tOut:    bitset.New(n),
-		tVag:    bitset.New(n),
-	}
+	p.root = &Node{hi: int32(n), Scenario: scenario.NoID}
+	p.set = make([]int32, n)
+	p.leaves = append(make([]*Node, 0, n), p.root) // a leaf per target at most
+	p.numSets = 1
 	if n > 1 {
 		p.multi = 1
 	}
@@ -195,37 +169,39 @@ func New(targets []ids.EID) (*Partition, error) {
 // NumSets returns the current number of sets (leaves) in the partition.
 func (p *Partition) NumSets() int { return p.numSets }
 
-// home returns the inclusive home leaf of the target at position i.
+// home returns the home leaf of the target at position i.
 func (p *Partition) home(i int) *Node { return p.leaves[p.set[i]] }
+
+// members returns n's EIDs, sorted.
+func (p *Partition) members(n *Node) []ids.EID {
+	out := make([]ids.EID, 0, n.size())
+	for _, i := range p.elems[n.lo:n.hi] {
+		out = append(out, p.eids[i])
+	}
+	slices.Sort(out)
+	return out
+}
 
 // NumTargets returns the number of EIDs being distinguished.
 func (p *Partition) NumTargets() int { return len(p.set) }
 
-// Done reports whether every set holds at most one inclusive EID, i.e. all
-// target EIDs are distinguished.
+// Done reports whether every set holds at most one EID, i.e. all target
+// EIDs are distinguished.
 func (p *Partition) Done() bool { return p.multi == 0 }
 
 // Recorded returns the IDs of the effective scenarios, in the order they
 // were applied. The slice is shared; callers must not modify it.
 func (p *Partition) Recorded() []scenario.ID { return p.recorded }
 
-// Sets returns the inclusive membership of every current set, each sorted,
-// ordered by their smallest EID. Vague copies are omitted.
+// Sets returns the membership of every current set, each sorted, ordered by
+// their smallest EID.
 func (p *Partition) Sets() [][]ids.EID {
 	out := make([][]ids.EID, 0, p.numSets)
-	p.root.eachLeaf(func(leaf *Node) { out = append(out, leaf.InclusiveEIDs()) })
-	sort.Slice(out, func(i, j int) bool { return out[i][0] < out[j][0] })
-	return out
-}
-
-// eachLeaf calls fn for every leaf under n, left to right.
-func (n *Node) eachLeaf(fn func(*Node)) {
-	if n.isLeaf() {
-		fn(n)
-		return
+	for _, leaf := range p.leaves {
+		out = append(out, p.members(leaf))
 	}
-	n.Left.eachLeaf(fn)
-	n.Right.eachLeaf(fn)
+	slices.SortFunc(out, func(a, b []ids.EID) int { return cmp.Compare(a[0], b[0]) })
+	return out
 }
 
 // BindStore resolves every target's EID ordinal in st, so SplitView can
@@ -233,9 +209,9 @@ func (n *Node) eachLeaf(fn func(*Node)) {
 // split, and returns them, ords[i] being that of Targets()[i]; a store
 // ordinal no target has maps to nothing.
 func (p *Partition) BindStore(st *scenario.Store) (ords []int32) {
-	ords = make([]int32, len(p.idx.eids))
+	ords = make([]int32, len(p.eids))
 	n := int32(0)
-	for i, e := range p.idx.eids {
+	for i, e := range p.eids {
 		ords[i] = st.Ordinal(e)
 		n = max(n, ords[i]+1)
 	}
@@ -245,7 +221,7 @@ func (p *Partition) BindStore(st *scenario.Store) (ords []int32) {
 	p.numLive = 0
 	for i, o := range ords {
 		p.bound.Add(int(o))
-		if p.home(i).nInc > 1 {
+		if p.home(i).size() > 1 {
 			p.live.Add(int(o))
 			p.numLive++
 		}
@@ -280,10 +256,12 @@ func (p *Partition) PosOf(ord int32) int32 {
 // SplitView is SplitBy for scenario id read as its store view: each ordinal
 // goes through the table BindStore built, so no EID is hashed.
 func (p *Partition) SplitView(id scenario.ID, v scenario.EView) bool {
-	p.clearMasks()
+	p.marks = p.marks[:0]
 	for k, o := range v.Ords {
-		if i := p.PosOf(o); i >= 0 {
-			p.mark(i, v.Attrs[k])
+		if v.Attrs[k] == scenario.AttrInclusive {
+			if i := p.PosOf(o); i >= 0 {
+				p.marks = append(p.marks, i)
+			}
 		}
 	}
 	return p.splitMarked(id)
@@ -291,97 +269,99 @@ func (p *Partition) SplitView(id scenario.ID, v scenario.EView) bool {
 
 // SplitBy refines the partition with one E-Scenario, splitting every set it
 // can effectively separate (Algorithm 1's SplitBy applied to all sets). A
-// split is effective only when both sides keep at least one inclusive EID;
-// scenarios that split nothing are skipped and not recorded (paper Remark).
-// It returns whether the partition changed. EIDs outside the partition are
-// ignored, so callers hand over store scenarios unfiltered.
+// split is effective only when both sides keep at least one EID; scenarios
+// that split nothing are skipped and not recorded (paper Remark). It returns
+// whether the partition changed. EIDs outside the partition, and vague
+// sightings, are ignored, so callers hand over store scenarios unfiltered.
 func (p *Partition) SplitBy(s *scenario.EScenario) bool {
-	p.clearMasks()
-	//evlint:ignore maprange fills membership bitmasks; the resulting sets are identical under any iteration order
+	p.marks = p.marks[:0]
+	//evlint:ignore maprange collects target positions that splitMarked sorts before use
 	for e, attr := range s.EIDs {
-		if i, ok := p.idx.pos[e]; ok {
-			p.mark(int32(i), attr)
+		if i, ok := p.pos[e]; ok && attr == scenario.AttrInclusive {
+			p.marks = append(p.marks, int32(i))
 		}
 	}
 	return p.splitMarked(s.ID)
 }
 
-// clearMasks empties the membership masks for the next scenario.
-func (p *Partition) clearMasks() {
-	p.sInc.Clear()
-	p.sVag.Clear()
-}
-
-// mark records that the scenario being loaded holds position i with attr.
-func (p *Partition) mark(i int32, attr scenario.Attr) {
-	if attr == scenario.AttrInclusive {
-		p.sInc.Add(int(i))
-	} else {
-		p.sVag.Add(int(i))
-	}
-}
-
-// splitMarked is the one split routine, over the scenario whose membership
-// is marked in the masks: every leaf split is pure word arithmetic.
+// splitMarked is the one split routine, over the scenario whose inclusive
+// target positions are in marks, each once (a map's keys, a view's distinct
+// ordinals).
 //
-// A leaf can only split when one of its inclusive members is inclusive in
-// the scenario, and an inclusive member's leaf is its home — so the home
-// leaves of the scenario's own inclusive targets are the only leaves probed,
-// each once. The cost is the scenario's size plus the leaves it touches,
-// whatever the partition has grown to.
+// A leaf can only split when one of its members is in the scenario, so the
+// home leaves of the marked targets are the only leaves touched. Each marked
+// member is swapped to the front of its leaf's range, and a touched leaf
+// whose members were not all marked splits at the end of its marked front.
+// The marks are sorted first, so leaves split, and OnResolve fires, in the
+// order of their smallest marked member.
+//
+// Once a scenario has been applied, every leaf of ≥2 members lies wholly
+// inside or wholly outside its inclusive set, and leaves only shrink: it can
+// never split anything again, so it is never recorded twice.
 func (p *Partition) splitMarked(id scenario.ID) bool {
-	bitset.OrInto(p.sAny, p.sInc, p.sVag)
-	p.calls++
-	changed := false
-	p.sInc.ForEach(func(i int) {
-		// A leaf split earlier in this call re-homes i to a child already
-		// marked seen: children of one scenario cannot split by it again.
-		if leaf := p.home(i); leaf.seen != p.calls {
-			leaf.seen = p.calls
-			if p.split(leaf, id) {
-				changed = true
-			}
+	slices.Sort(p.marks)
+	touched := p.touched[:0]
+	for _, i := range p.marks {
+		leaf := p.home(int(i))
+		if leaf.marked == 0 {
+			touched = append(touched, leaf)
 		}
-	})
+		front := leaf.lo + leaf.marked
+		j := p.elems[front]
+		p.elems[front], p.elems[p.at[i]] = i, j
+		p.at[j], p.at[i] = p.at[i], front
+		leaf.marked++
+	}
+	changed := false
+	for _, leaf := range touched {
+		if p.split(leaf, id) {
+			changed = true
+		}
+	}
+	p.touched = touched[:0]
 	if changed {
-		p.record(id)
+		p.recorded = append(p.recorded, id)
 	}
 	return changed
 }
 
-// split replaces leaf by its two children under the loaded masks when the
-// split is effective, keeping set, leaves, the counters and the resolve hook
-// in step, and reports whether it did. The larger child (by inclusive
-// members; the left on a tie) takes over leaf's slot, so only the smaller
-// child's members are relabelled.
+// split cuts leaf after its marked front, which holds at least one member,
+// and resets the mark count. When members are left unmarked it hangs the
+// two children under leaf, keeping set, leaves, the counters and the
+// resolve hook in step, and reports true. The larger child (the left on a
+// tie) takes over leaf's slot, so only the smaller child's members are
+// relabelled.
 func (p *Partition) split(leaf *Node, by scenario.ID) bool {
-	left, right, ok := p.splitNode(leaf)
-	if !ok {
+	mid := leaf.lo + leaf.marked
+	leaf.marked = 0
+	if mid == leaf.hi {
 		return false
 	}
+	left := &Node{lo: leaf.lo, hi: mid, Scenario: scenario.NoID}
+	right := &Node{lo: mid, hi: leaf.hi, Scenario: scenario.NoID}
 	leaf.Scenario = by
 	leaf.Left, leaf.Right = left, right
 	p.numSets++
-	p.multi-- // leaf held ≥2 inclusive EIDs
+	p.multi-- // leaf held ≥2 EIDs
 	big, small := left, right
-	if small.nInc > big.nInc {
+	if small.size() > big.size() {
 		big, small = small, big
 	}
 	big.slot = leaf.slot
 	p.leaves[big.slot] = big
 	small.slot = int32(len(p.leaves))
 	p.leaves = append(p.leaves, small)
-	small.inc.ForEach(func(i int) { p.set[i] = small.slot })
-	p.relabels += small.nInc
+	for _, i := range p.elems[small.lo:small.hi] {
+		p.set[i] = small.slot
+	}
+	p.relabels += int(small.size())
 	for _, child := range [2]*Node{left, right} {
-		child.seen = p.calls
-		switch {
-		case child.nInc > 1:
+		if child.size() > 1 {
 			p.multi++
-		default:
-			// The parent held ≥2 inclusive EIDs, so a singleton child is
-			// newly resolved.
-			child.inc.ForEach(p.resolve)
+		} else {
+			// The parent held ≥2 EIDs, so a singleton child is newly
+			// resolved.
+			p.resolve(int(p.elems[child.lo]))
 		}
 	}
 	return true
@@ -407,15 +387,15 @@ func (p *Partition) isLive(ord int32) bool {
 }
 
 // NumLive returns how many targets are still undistinguished: those whose
-// home leaf holds another inclusive member. It is 0 before BindStore.
+// home leaf holds another member. It is 0 before BindStore.
 func (p *Partition) NumLive() int { return p.numLive }
 
 // Prunes reports whether the scenario read as store view v provably cannot
 // change the partition: no live target appears in it inclusively. A split's
-// effectiveness test requires an inclusive member of a leaf with ≥2
-// inclusive EIDs, every such member is live, and leaf membership is a subset
-// of the targets — so a true result is an exact no-op, skippable without
-// recording. With nothing live every scenario prunes.
+// effectiveness test requires an inclusive member of a leaf with ≥2 EIDs,
+// every such member is live, and leaf membership is a subset of the targets
+// — so a true result is an exact no-op, skippable without recording. With
+// nothing live every scenario prunes.
 func (p *Partition) Prunes(v scenario.EView) bool {
 	if p.numLive == 0 {
 		return true
@@ -464,62 +444,14 @@ func (p *Partition) Candidates(w int, buf []scenario.ID) []scenario.ID {
 	return buf[:base+len(cands)]
 }
 
-// record appends id to the effective scenarios unless it is already there.
-func (p *Partition) record(id scenario.ID) {
-	if !p.inRec[id] {
-		p.inRec[id] = true
-		p.recorded = append(p.recorded, id)
-	}
-}
-
-// splitNode computes the left/right children of leaf under the prepared
-// scenario masks, or ok=false when the split would not be effective.
-//
-// Per member e of the leaf, the rules of §IV-C2 map onto set algebra:
-//   - inclusive and confirmed by the scenario → left, inclusive
-//   - inclusive otherwise → right, inclusive; plus a vague copy on the left
-//     when the scenario saw it vaguely
-//   - vague, seen by the scenario (either way) → vague on both sides
-//   - vague, unseen → vague on the right only
-func (p *Partition) splitNode(leaf *Node) (left, right *Node, ok bool) {
-	if leaf.nInc < 2 {
-		return nil, nil, false
-	}
-	// Probe into reusable scratches first: most leaves are not split by most
-	// scenarios (either side empty), and the probe must not allocate then.
-	bitset.AndInto(p.tInc, leaf.inc, p.sInc)
-	if !p.tInc.Any() {
-		return nil, nil, false
-	}
-	bitset.AndNotInto(p.tOut, leaf.inc, p.sInc)
-	if !p.tOut.Any() {
-		return nil, nil, false
-	}
-	leftInc, rightInc := p.tInc.Clone(), p.tOut.Clone()
-	bitset.AndInto(p.tVag, leaf.inc, p.sVag)
-	bitset.AndInto(p.tOut, leaf.vag, p.sAny)
-	bitset.OrInto(p.tVag, p.tVag, p.tOut)
-	leftVag := p.tVag.Clone()
-	// Every vague member stays vague on the right: unseen ones live only
-	// there, seen ones are uncertain on both sides. Node sets are immutable
-	// after creation, so the child can share the parent's word array.
-	rightVag := leaf.vag
-	nLeft := leftInc.Count()
-	left = &Node{idx: p.idx, inc: leftInc, vag: leftVag, nInc: nLeft, Scenario: scenario.NoID}
-	right = &Node{idx: p.idx, inc: rightInc, vag: rightVag, nInc: leaf.nInc - nLeft, Scenario: scenario.NoID}
-	return left, right, true
-}
-
 // PositiveScenarios returns, for the target at position i in Targets, the
 // scenarios along its root-to-home path in which it was confirmed (left
 // turns): the EID's coarse-grained distinguishing trajectory handed to the
 // V stage.
 func (p *Partition) PositiveScenarios(i int) []scenario.ID {
-	home := p.home(i)
 	var out []scenario.ID
-	n := p.root
-	for n != home && !n.isLeaf() {
-		if n.Left.inc.Has(i) {
+	for n := p.root; !n.isLeaf(); {
+		if p.at[i] < n.Left.hi {
 			out = append(out, n.Scenario)
 			n = n.Left
 		} else {
@@ -531,12 +463,12 @@ func (p *Partition) PositiveScenarios(i int) []scenario.ID {
 
 // Targets returns the partition's EIDs, sorted and deduplicated: the order
 // AllPositiveScenarios indexes by. The slice is shared.
-func (p *Partition) Targets() []ids.EID { return p.idx.eids }
+func (p *Partition) Targets() []ids.EID { return p.eids }
 
 // AllPositiveScenarios returns PositiveScenarios(i) for every i
 // from one walk of the split tree — one visit per node, where a descent per
 // target re-walks the shared upper tree: the stack of left-turn scenarios at
-// a leaf is the list of each of its inclusive members, who share one slice.
+// a leaf is the list of each of its members, who share one slice.
 func (p *Partition) AllPositiveScenarios() [][]scenario.ID {
 	out := make([][]scenario.ID, len(p.set))
 	var stack []scenario.ID
@@ -544,7 +476,9 @@ func (p *Partition) AllPositiveScenarios() [][]scenario.ID {
 	walk = func(n *Node) {
 		if n.isLeaf() {
 			list := append([]scenario.ID(nil), stack...)
-			n.inc.ForEach(func(i int) { out[i] = list })
+			for _, i := range p.elems[n.lo:n.hi] {
+				out[i] = list
+			}
 			return
 		}
 		stack = append(stack, n.Scenario)
@@ -560,12 +494,17 @@ func (p *Partition) AllPositiveScenarios() [][]scenario.ID {
 // order of Theorem 4.1: the post-order traversal of the split tree, so that
 // when an EID is matched, every EID it could be confused with inside its
 // positive-scenario intersection has already been matched and its VID can be
-// ruled out. Within one leaf, EIDs are ordered lexicographically.
+// ruled out. Within one leaf, EIDs are ordered lexicographically. The
+// leaves' ranges tile the member array in tree order, so it is that array
+// with each leaf's range sorted.
 func (p *Partition) PostOrder() []int {
-	out := make([]int, 0, len(p.set))
-	p.root.eachLeaf(func(leaf *Node) {
-		leaf.inc.ForEach(func(i int) { out = append(out, i) })
-	})
+	out := make([]int, len(p.elems))
+	for k, i := range p.elems {
+		out[k] = int(i)
+	}
+	for _, leaf := range p.leaves {
+		slices.Sort(out[leaf.lo:leaf.hi])
+	}
 	return out
 }
 
@@ -600,9 +539,8 @@ func (p *Partition) TreeStats() Stats {
 		walk(n.Right, depth+1)
 	}
 	walk(p.root, 0)
-	// A singleton leaf is the home of exactly one target.
 	for _, leaf := range p.leaves {
-		if leaf.nInc == 1 {
+		if leaf.size() == 1 {
 			st.Resolved++
 		}
 	}

@@ -281,19 +281,16 @@ func TestVagueScenarioDoesNotConfirm(t *testing.T) {
 	}
 }
 
-func TestVagueMemberDuplicatedBothSides(t *testing.T) {
+func TestVagueMemberStaysOnTheRight(t *testing.T) {
 	p := mustNew(t, "a", "b", "c")
 	// b is vague in the scenario; a is inclusive. The split separates a;
-	// b stays inclusive on the right with a vague copy on the left.
+	// b is not confirmed, so it stays on the right with c.
 	s := escAttr(1, map[ids.EID]scenario.Attr{
 		"a": scenario.AttrInclusive,
 		"b": scenario.AttrVague,
 	})
 	if !p.SplitBy(s) {
 		t.Fatal("split should be effective")
-	}
-	if got := p.root.Left.VagueEIDs(); len(got) != 1 || got[0] != "b" {
-		t.Errorf("a's set has vague members %v, want [b]", got)
 	}
 	resolvedB, err := p.Resolved("b")
 	if err != nil {

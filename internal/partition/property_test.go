@@ -92,7 +92,8 @@ func TestSplitIdempotence(t *testing.T) {
 }
 
 // TestEveryEIDHasExactlyOneInclusiveHome is the invariant the practical
-// semantics preserve even when vague copies multiply.
+// semantics preserve whatever the vague sightings: every EID lies in exactly
+// one set.
 func TestEveryEIDHasExactlyOneInclusiveHome(t *testing.T) {
 	f := func(seed int64) bool {
 		targets, scenarios := genWorld(seed)
@@ -155,7 +156,7 @@ func TestRecordedScenariosAreSufficient(t *testing.T) {
 
 // TestAllPositiveScenariosMatchPerTarget: the one-walk lists are the
 // per-target descents, after every step of a scenario stream — so on trees
-// with unresolved leaves and vague copies too — and on a maximally unbalanced
+// with unresolved leaves and vague sightings too — and on a maximally unbalanced
 // tree, where every split sends all but one EID left.
 func TestAllPositiveScenariosMatchPerTarget(t *testing.T) {
 	check := func(t *testing.T, p *Partition) {
@@ -198,7 +199,7 @@ func TestAllPositiveScenariosMatchPerTarget(t *testing.T) {
 	for i := len(chain) - 2; i >= 0; i-- {
 		// chain[:i+1] goes left, so the walk's stack is as deep as the tree
 		// when it reaches chain[0]; a vague sighting of the EID just split
-		// away leaves its copy on the left.
+		// away does not keep it on the left.
 		members := map[ids.EID]scenario.Attr{chain[i+1]: scenario.AttrVague}
 		for _, e := range chain[:i+1] {
 			members[e] = scenario.AttrInclusive

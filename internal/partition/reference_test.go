@@ -5,11 +5,11 @@ import (
 	"math/bits"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"sort"
 	"testing"
 
-	"evmatching/internal/bitset"
 	"evmatching/internal/geo"
 	"evmatching/internal/ids"
 	"evmatching/internal/scenario"
@@ -17,13 +17,17 @@ import (
 
 // allLeaves is the split loop SplitBy had before it learned which leaves a
 // scenario can touch: every leaf of the partition is probed for every
-// scenario, and Done, NumSets and Sets are read off the leaf list. It is kept
-// here as the oracle for the home-leaf argument — if probing only the home
-// leaves of the scenario's inclusive members ever missed a split, or the
-// counters drifted from the leaves, the two would part.
+// scenario, its marked members gathered to the front of its range by a scan
+// of the range, and Done, NumSets, Sets and Recorded (deduplicated here) are
+// read off the leaf list. It shares only split, the cut and its bookkeeping,
+// with the partition, and is the oracle for the home-leaf argument and for
+// the claim that a scenario is never recorded twice — if probing only the
+// home leaves of the scenario's inclusive members ever missed a split, or
+// the counters drifted from the leaves, the two would part.
 type allLeaves struct {
 	*Partition
-	all []*Node
+	all   []*Node
+	inRec map[scenario.ID]bool
 }
 
 func newAllLeaves(t *testing.T, targets []ids.EID) *allLeaves {
@@ -32,21 +36,23 @@ func newAllLeaves(t *testing.T, targets []ids.EID) *allLeaves {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	return &allLeaves{Partition: p, all: []*Node{p.root}}
+	return &allLeaves{Partition: p, all: []*Node{p.root}, inRec: make(map[scenario.ID]bool)}
 }
 
 func (r *allLeaves) SplitBy(s *scenario.EScenario) bool {
-	r.clearMasks()
-	for e, attr := range s.EIDs {
-		if i, ok := r.idx.pos[e]; ok {
-			r.mark(int32(i), attr)
-		}
-	}
-	bitset.OrInto(r.sAny, r.sInc, r.sVag)
 	changed := false
 	var next []*Node
 	for _, leaf := range r.all {
-		if r.split(leaf, s.ID) {
+		for k := leaf.lo; k < leaf.hi; k++ {
+			if i := r.elems[k]; s.EIDs[r.eids[i]] == scenario.AttrInclusive {
+				front := leaf.lo + leaf.marked
+				j := r.elems[front]
+				r.elems[k], r.elems[front] = j, i
+				r.at[j], r.at[i] = k, front
+				leaf.marked++
+			}
+		}
+		if leaf.marked > 0 && r.split(leaf, s.ID) {
 			next = append(next, leaf.Left, leaf.Right)
 			changed = true
 		} else {
@@ -54,8 +60,9 @@ func (r *allLeaves) SplitBy(s *scenario.EScenario) bool {
 		}
 	}
 	r.all = next
-	if changed {
-		r.record(s.ID)
+	if changed && !r.inRec[s.ID] {
+		r.inRec[s.ID] = true
+		r.recorded = append(r.recorded, s.ID)
 	}
 	return changed
 }
@@ -64,7 +71,7 @@ func (r *allLeaves) NumSets() int { return len(r.all) }
 
 func (r *allLeaves) Done() bool {
 	for _, leaf := range r.all {
-		if leaf.inc.Count() > 1 {
+		if leaf.hi-leaf.lo > 1 {
 			return false
 		}
 	}
@@ -76,7 +83,7 @@ func (r *allLeaves) Done() bool {
 func (r *allLeaves) live() map[ids.EID]bool {
 	out := make(map[ids.EID]bool)
 	for _, leaf := range r.all {
-		if in := leaf.InclusiveEIDs(); len(in) > 1 {
+		if in := r.members(leaf); len(in) > 1 {
 			for _, e := range in {
 				out[e] = true
 			}
@@ -118,9 +125,7 @@ func checkLive(t *testing.T, label string, p *Partition, st *scenario.Store, liv
 func (r *allLeaves) Sets() [][]ids.EID {
 	out := make([][]ids.EID, 0, len(r.all))
 	for _, leaf := range r.all {
-		if in := leaf.InclusiveEIDs(); len(in) > 0 {
-			out = append(out, in)
-		}
+		out = append(out, r.members(leaf))
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i][0] < out[j][0] })
 	return out
@@ -196,39 +201,9 @@ func TestSplitByMatchesAllLeavesReference(t *testing.T) {
 			if g, w := p.SplitBy(s), ref.SplitBy(s); g != w {
 				t.Fatalf("world %d step %d: SplitBy = %v, reference %v", world, step, g, w)
 			}
-			if g, w := p.Recorded(), ref.Recorded(); !reflect.DeepEqual(g, w) {
-				t.Fatalf("world %d step %d: Recorded = %v, reference %v", world, step, g, w)
-			}
-			if g, w := p.Sets(), ref.Sets(); !reflect.DeepEqual(g, w) {
-				t.Fatalf("world %d step %d: Sets = %v, reference %v", world, step, g, w)
-			}
-			if g, w := p.NumSets(), ref.NumSets(); g != w {
-				t.Fatalf("world %d step %d: NumSets = %d, reference %d", world, step, g, w)
-			}
-			if g, w := p.Done(), ref.Done(); g != w {
-				t.Fatalf("world %d step %d: Done = %v, reference %v", world, step, g, w)
-			}
-			if g, w := p.PostOrder(), ref.PostOrder(); !reflect.DeepEqual(g, w) {
-				t.Fatalf("world %d step %d: PostOrder = %v, reference %v", world, step, g, w)
-			}
-			for i, e := range p.Targets() {
-				if g, w := p.PositiveScenarios(i), ref.PositiveScenarios(i); !reflect.DeepEqual(g, w) {
-					t.Fatalf("world %d step %d: PositiveScenarios(%s) = %v, reference %v", world, step, e, g, w)
-				}
-			}
-			// The order resolutions fire in within one call follows the
-			// leaf walk and is free to differ; which EIDs have fired, and
-			// that none fired twice, is not.
-			gs, ws := ids.SortEIDs(append([]ids.EID(nil), got...)), ids.SortEIDs(append([]ids.EID(nil), want...))
-			if !reflect.DeepEqual(gs, ws) {
-				t.Fatalf("world %d step %d: resolved %v, reference %v", world, step, gs, ws)
-			}
-			for i := 1; i < len(gs); i++ {
-				if gs[i] == gs[i-1] {
-					t.Fatalf("world %d step %d: OnResolve fired twice for %s", world, step, gs[i])
-				}
-			}
-			checkLive(t, fmt.Sprintf("world %d step %d", world, step), p, st, ref.live())
+			label := fmt.Sprintf("world %d step %d", world, step)
+			compareWithReference(t, label, p, ref, got, want)
+			checkLive(t, label, p, st, ref.live())
 		}
 		if p.Done() != (len(got) == p.NumTargets() || p.NumTargets() == 1) {
 			t.Fatalf("world %d: Done = %v with %d of %d targets resolved", world, p.Done(), len(got), p.NumTargets())
@@ -236,10 +211,49 @@ func TestSplitByMatchesAllLeavesReference(t *testing.T) {
 	}
 }
 
+// compareWithReference compares every observable of p with the all-leaves
+// reference's; got and want are the EIDs each one's OnResolve has fired for.
+func compareWithReference(t *testing.T, label string, p *Partition, ref *allLeaves, got, want []ids.EID) {
+	t.Helper()
+	if g, w := p.Recorded(), ref.Recorded(); !slices.Equal(g, w) {
+		t.Fatalf("%s: Recorded = %v, reference %v", label, g, w)
+	}
+	if g, w := p.Sets(), ref.Sets(); !reflect.DeepEqual(g, w) {
+		t.Fatalf("%s: Sets = %v, reference %v", label, g, w)
+	}
+	if g, w := p.NumSets(), ref.NumSets(); g != w {
+		t.Fatalf("%s: NumSets = %d, reference %d", label, g, w)
+	}
+	if g, w := p.Done(), ref.Done(); g != w {
+		t.Fatalf("%s: Done = %v, reference %v", label, g, w)
+	}
+	if g, w := p.PostOrder(), ref.PostOrder(); !slices.Equal(g, w) {
+		t.Fatalf("%s: PostOrder = %v, reference %v", label, g, w)
+	}
+	for i, e := range p.Targets() {
+		if g, w := p.PositiveScenarios(i), ref.PositiveScenarios(i); !slices.Equal(g, w) {
+			t.Fatalf("%s: PositiveScenarios(%s) = %v, reference %v", label, e, g, w)
+		}
+	}
+	// The order resolutions fire in within one call follows the leaf walk
+	// and is free to differ; which EIDs have fired, and that none fired
+	// twice, is not.
+	gs, ws := ids.SortEIDs(slices.Clone(got)), ids.SortEIDs(slices.Clone(want))
+	if !slices.Equal(gs, ws) {
+		t.Fatalf("%s: resolved %v, reference %v", label, gs, ws)
+	}
+	for i := 1; i < len(gs); i++ {
+		if gs[i] == gs[i-1] {
+			t.Fatalf("%s: OnResolve fired twice for %s", label, gs[i])
+		}
+	}
+}
+
 // fullRehome is the bookkeeping split had before the smaller-half rule: a
-// home-leaf pointer per target, and every split re-homes every inclusive
-// member of both children, left child first. It shares only splitNode, the
-// set algebra, with the partition, and is the oracle for the slot table and
+// home-leaf pointer per target, and every split re-homes every member of
+// both children, left child first. Each touched leaf's range is rewritten as
+// its scenario members then the rest, in a scan of the range; it shares no
+// split code with the partition, and is the oracle for the slot table and
 // for the order OnResolve fires in.
 type fullRehome struct {
 	*Partition
@@ -262,50 +276,58 @@ func newFullRehome(t testing.TB, targets []ids.EID) *fullRehome {
 }
 
 func (r *fullRehome) SplitBy(s *scenario.EScenario) bool {
-	r.clearMasks()
-	for e, attr := range s.EIDs {
-		if i, ok := r.idx.pos[e]; ok {
-			r.mark(int32(i), attr)
-		}
-	}
-	bitset.OrInto(r.sAny, r.sInc, r.sVag)
-	r.calls++
+	probed := make(map[*Node]bool)
 	changed := false
-	r.sInc.ForEach(func(i int) {
+	for i, e := range r.eids {
 		leaf := r.homes[i]
-		if leaf.seen == r.calls {
-			return
+		if s.EIDs[e] != scenario.AttrInclusive || probed[leaf] {
+			continue
 		}
-		leaf.seen = r.calls
-		left, right, ok := r.splitNode(leaf)
-		if !ok {
-			return
+		probed[leaf] = true
+		var in, out []int32
+		for _, j := range r.elems[leaf.lo:leaf.hi] {
+			if s.EIDs[r.eids[j]] == scenario.AttrInclusive {
+				in = append(in, j)
+			} else {
+				out = append(out, j)
+			}
 		}
+		if len(out) == 0 {
+			continue
+		}
+		for k, j := range append(in, out...) {
+			r.elems[leaf.lo+int32(k)] = j
+			r.at[j] = leaf.lo + int32(k)
+		}
+		mid := leaf.lo + int32(len(in))
+		left := &Node{lo: leaf.lo, hi: mid, Scenario: scenario.NoID}
+		right := &Node{lo: mid, hi: leaf.hi, Scenario: scenario.NoID}
 		leaf.Scenario = s.ID
 		leaf.Left, leaf.Right = left, right
 		changed = true
 		for _, child := range [2]*Node{left, right} {
-			child.seen = r.calls
-			child.inc.ForEach(func(j int) {
+			probed[child] = true
+			for _, j := range r.elems[child.lo:child.hi] {
 				r.homes[j] = child
 				r.writes++
-			})
-			if child.nInc == 1 {
-				child.inc.ForEach(func(j int) { r.resolved = append(r.resolved, j) })
+			}
+			if child.hi-child.lo == 1 {
+				r.resolved = append(r.resolved, int(r.elems[child.lo]))
 			}
 		}
-	})
+	}
 	if changed {
-		r.record(s.ID)
+		r.recorded = append(r.recorded, s.ID)
 	}
 	return changed
 }
 
-// descend finds target i's inclusive home leaf from the root, as the split
-// tree alone says it: left where the left child holds i inclusively.
-func descend(n *Node, i int) *Node {
+// descend finds target i's home leaf from the root, as the split tree alone
+// says it: left where the left child's range holds i.
+func descend(p *Partition, i int) *Node {
+	n := p.root
 	for !n.isLeaf() {
-		if n.Left.inc.Has(i) {
+		if slices.Contains(p.elems[n.Left.lo:n.Left.hi], int32(i)) {
 			n = n.Left
 		} else {
 			n = n.Right
@@ -343,11 +365,14 @@ func TestSlotTableMatchesTree(t *testing.T) {
 				}
 			}
 			for i := range p.NumTargets() {
-				if got, want := p.home(i), descend(p.root, i); got != want {
-					t.Fatalf("world %d step %d: target %d's slot %d names a leaf of %v, the tree's is %v",
-						world, step, i, p.set[i], got.InclusiveEIDs(), want.InclusiveEIDs())
+				if p.elems[p.at[i]] != int32(i) {
+					t.Fatalf("world %d step %d: target %d is at %d, which holds %d", world, step, i, p.at[i], p.elems[p.at[i]])
 				}
-				if g, w := p.home(i).InclusiveEIDs(), ref.homes[i].InclusiveEIDs(); !slices.Equal(g, w) {
+				if got, want := p.home(i), descend(p, i); got != want {
+					t.Fatalf("world %d step %d: target %d's slot %d names a leaf of %v, the tree's is %v",
+						world, step, i, p.set[i], p.members(got), p.members(want))
+				}
+				if g, w := p.members(p.home(i)), ref.members(ref.homes[i]); !slices.Equal(g, w) {
 					t.Fatalf("world %d step %d: target %d's home holds %v, oracle %v", world, step, i, g, w)
 				}
 			}
@@ -421,6 +446,112 @@ func TestRelabelsAreNLogN(t *testing.T) {
 	if ref.writes <= bound {
 		t.Errorf("full re-home wrote %d homes on the peel-off sequence, want > %d", ref.writes, bound)
 	}
+}
+
+// TestSplitBytesIndependentOfWidth pins what a split allocates: New plus a
+// split-to-singletons run over the peel-off sequence (relabelWorld) costs
+// about as many bytes per split at n = 8 000 as at n = 2 000. A split that
+// copied n-bit member sets into its children would pay O(n/64) words each,
+// four times as many at the larger n.
+func TestSplitBytesIndependentOfWidth(t *testing.T) {
+	perSplit := func(n int) float64 {
+		targets, scenarios := relabelWorld(n, false)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		p, err := New(targets)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range scenarios {
+			p.SplitBy(s)
+		}
+		runtime.ReadMemStats(&after)
+		if !p.Done() {
+			t.Fatalf("n=%d: %d sets after the sequence, want %d", n, p.NumSets(), n)
+		}
+		return float64(after.TotalAlloc-before.TotalAlloc) / float64(len(scenarios))
+	}
+	small, large := perSplit(2000), perSplit(8000)
+	t.Logf("bytes per split: %.0f at n=2000, %.0f at n=8000 (ratio %.2f)", small, large, large/small)
+	if large > 1.5*small {
+		t.Errorf("bytes per split grew %.2fx from n=2000 to n=8000 (%.0f to %.0f), want <= 1.5x", large/small, small, large)
+	}
+}
+
+// FuzzSplitMatchesReference decodes a target count and a scenario stream
+// from the bytes — each step either a new scenario, an inclusive and a vague
+// mask over the targets and two EIDs outside them, or a replay of an earlier
+// one — adds the scenarios to a store, and drives SplitView on the store's
+// views beside the all-leaves reference on the same scenarios, comparing
+// every observable after every step.
+func FuzzSplitMatchesReference(f *testing.F) {
+	f.Add([]byte{4, 0x00, 0b00011, 0b00100, 0x05, 0b01010, 0b10000, 0x80, 0x01, 0b11111, 0, 0x81})
+	f.Add([]byte{1, 0x00, 0b001, 0b010, 0x02, 0b110, 0b001, 0x80})
+	rng := rand.New(rand.NewSource(53))
+	for range 3 {
+		seed := make([]byte, 1+rng.Intn(200))
+		rng.Read(seed)
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		n := 1 + int(data[0])%48
+		universe := make([]ids.EID, n+2)
+		for i := range universe {
+			universe[i] = ids.EID(fmt.Sprintf("u%02d", i))
+		}
+		width := (len(universe) + 7) / 8
+		st := scenario.NewStore(nil)
+		var scenarios []*scenario.EScenario
+		var steps []int
+		for rest := data[1:]; len(rest) > 0 && len(steps) < 64; {
+			if head := rest[0]; head&0x80 != 0 && len(scenarios) > 0 {
+				steps = append(steps, int(head&0x7f)%len(scenarios))
+				rest = rest[1:]
+				continue
+			}
+			if len(rest) < 1+2*width {
+				break
+			}
+			head, inc, vag := rest[0], rest[1:1+width], rest[1+width:1+2*width]
+			rest = rest[1+2*width:]
+			members := make(map[ids.EID]scenario.Attr)
+			for i, e := range universe {
+				switch {
+				case inc[i/8]>>(i%8)&1 == 1:
+					members[e] = scenario.AttrInclusive
+				case vag[i/8]>>(i%8)&1 == 1:
+					members[e] = scenario.AttrVague
+				}
+			}
+			id, err := st.Add(geo.CellID(head&3), int(head>>2&3), eidList(members), nil)
+			if err != nil {
+				t.Fatalf("Add: %v", err)
+			}
+			steps = append(steps, len(scenarios))
+			scenarios = append(scenarios, &scenario.EScenario{ID: id, EIDs: members})
+		}
+		p, err := New(universe[:n])
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		p.BindStore(st)
+		ref := newAllLeaves(t, universe[:n])
+		var got, want []ids.EID
+		p.OnResolve(func(i int) { got = append(got, p.Targets()[i]) })
+		ref.OnResolve(func(i int) { want = append(want, ref.Targets()[i]) })
+		for step, k := range steps {
+			s := scenarios[k]
+			if g, w := p.SplitView(s.ID, st.View(s.ID)), ref.SplitBy(s); g != w {
+				t.Fatalf("step %d (scenario %d): SplitView = %v, reference %v", step, k, g, w)
+			}
+			label := fmt.Sprintf("step %d (scenario %d)", step, k)
+			compareWithReference(t, label, p, ref, got, want)
+			checkLive(t, label, p, st, ref.live())
+		}
+	})
 }
 
 // BenchmarkSplitPeelOff prices a split-to-singletons run over the peel-off
